@@ -4,13 +4,12 @@ The package splits along the natural trust boundary of the protocol:
 
   * ``fixedpoint``  -- scaled-integer encoding shared by every layer
   * ``pahe``        -- packed additively homomorphic encryption (RLWE/RNS)
-  * ``helinear``    -- linear algebra on packed ciphertexts (matvec, ct-matmul)
+  * ``helinear``    -- linear algebra on packed ciphertexts (plain-weight
+                       products, masked ct-by-ct products)
   * ``gc``          -- boolean circuits, half-gates garbling, oblivious transfer
-  * ``activations`` -- circuit builders for the non-linear layers
-  * ``stages``      -- per-stage width plans and share-switching circuits
+  * ``stages``      -- per-stage width plans and the non-linear stage circuits
   * ``model``       -- plaintext reference transformer (float + bit-exact fixed)
   * ``protocol``    -- wire framing, share conversion, the full 2-party session
-  * ``cli``         -- command line front end
 
 Only light, commonly useful names are re-exported here; import the submodule
 for anything else.

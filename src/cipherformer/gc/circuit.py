@@ -134,9 +134,6 @@ class Builder:
     def evaluator_word(self, width: int) -> list[int]:
         return [self.evaluator_input() for _ in range(width)]
 
-    def constant_word(self, value: int, width: int) -> list[int]:
-        return [CONST1 if (value >> i) & 1 else CONST0 for i in range(width)]
-
     def mark_output(self, w: int):
         self._check_wire(w)
         self._outputs.append(w)
@@ -193,13 +190,6 @@ class Builder:
         w = max(len(a), len(b))
         return (a + [CONST0] * (w - len(a)), b + [CONST0] * (w - len(b)))
 
-    def xor_word(self, a: list[int], b: list[int]) -> list[int]:
-        a, b = self._pad(a, b)
-        return [self.xor(x, y) for x, y in zip(a, b)]
-
-    def and_bit(self, sel: int, a: list[int]) -> list[int]:
-        return [self.and_(sel, x) for x in a]
-
     def add(self, a: list[int], b: list[int], carry_in: int = CONST0,
             keep_carry: bool = False) -> list[int]:
         """Ripple-carry addition: one AND per bit position (the last one is
@@ -217,11 +207,6 @@ class Builder:
             out.append(c)
         return out
 
-    def add_const(self, a: list[int], value: int,
-                  keep_carry: bool = False) -> list[int]:
-        return self.add(a, self.constant_word(value % (1 << len(a)), len(a)),
-                        keep_carry=keep_carry)
-
     def sub(self, a: list[int], b: list[int], keep_borrow: bool = False) -> list[int]:
         """a - b two's complement; optional final bit is the *borrow-out
         complement* (1 when a >= b for unsigned operands)."""
@@ -229,17 +214,10 @@ class Builder:
         nb = [self.inv(x) for x in b]
         return self.add(a, nb, carry_in=CONST1, keep_carry=keep_borrow)
 
-    def neg(self, a: list[int]) -> list[int]:
-        return self.add_const([self.inv(x) for x in a], 1)
-
     def mux(self, sel: int, a: list[int], b: list[int]) -> list[int]:
         """sel ? a : b, one AND per bit."""
         a, b = self._pad(a, b)
         return [self.xor(y, self.and_(sel, self.xor(x, y))) for x, y in zip(a, b)]
-
-    def ge_unsigned(self, a: list[int], b: list[int]) -> int:
-        """1 iff a >= b as unsigned words."""
-        return self.sub(a, b, keep_borrow=True)[-1]
 
     def relu(self, x: list[int]) -> list[int]:
         """max(x, 0) on a two's-complement word; the output sign bit is 0."""
@@ -253,15 +231,6 @@ class Builder:
         sign = x[-1]
         return x[k:] + [sign] * min(k, len(x))
 
-    def shift_left(self, x: list[int], k: int, width: int | None = None) -> list[int]:
-        out = [CONST0] * k + list(x)
-        return out if width is None else out[:width]
-
-    def sign_extend(self, x: list[int], width: int) -> list[int]:
-        if width < len(x):
-            raise CircuitError("sign_extend cannot narrow")
-        return list(x) + [x[-1]] * (width - len(x))
-
     def saturate(self, x: list[int], width: int) -> list[int]:
         """Clamp a two's-complement word into `width` bits.
 
@@ -269,7 +238,7 @@ class Builder:
         high bits and the sign; the clamp value is +/- full scale by sign.
         """
         if width >= len(x):
-            return self.sign_extend(x, width)
+            return list(x) + [x[-1]] * (width - len(x))
         sign = x[-1]
         ovf = CONST0
         for b in x[width - 1:-1]:

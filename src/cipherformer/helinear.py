@@ -1,11 +1,12 @@
 """Linear algebra over packed ciphertexts.
 
 Everything in this module keeps its data in the leading slots of hypercolumn
-row 0, so the only slot movement ever needed is ``col_rotate`` -- a single
-key switch, with no row-crossing masks.  Matrix-vector products use the
-diagonal method with the multiply *before* the rotation::
+row 0, so the only slot movement ever needed is a column rotation -- a single
+key switch, with no row-crossing masks.  Plain-weight products over
+column-block inputs (``colblock_matmul``) use the diagonal method with the
+multiply *before* the rotation::
 
-    y = sum_d  rot( v * roll(diag_d, d), d )
+    Y = sum_d  rot( X * roll(diag_d, d * block), d * block )
 
 Pre-rolling the plaintext diagonal keeps every ciphertext at product depth
 one, and because each diagonal zeroes every slot it does not own, cyclic
@@ -60,35 +61,10 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
 
 def _entries(m) -> np.ndarray:
-    arr = np.asarray(getattr(m, "entries", m), dtype=np.uint64)
+    arr = np.asarray(m, dtype=np.uint64)
     if arr.ndim != 2:
         raise ParameterError(f"expected a 2-d matrix, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class PlainMatrix:
-    """A matrix held in the clear, entries already reduced mod p."""
-
-    entries: np.ndarray        # (rows, cols) uint64
-    scale: int = 0             # fractional bits carried by the entries
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    @staticmethod
-    def from_signed(arr, p: int, scale: int = 0) -> "PlainMatrix":
-        a = np.asarray(arr, dtype=object)
-        if a.ndim != 2:
-            raise ParameterError(f"expected a 2-d matrix, got shape {a.shape}")
-        if np.any(np.abs(a) >= p):
-            raise ParameterError("matrix entries exceed the plaintext modulus")
-        return PlainMatrix((a % p).astype(np.uint64), scale)
 
 
 @dataclass
@@ -236,49 +212,7 @@ def add_offset(ev: Evaluator, enc: EncMatrix, M, transpose: bool = False) -> Enc
 
 
 # ----------------------------------------------------------------------------
-# plain-matrix by encrypted-vector products (diagonal method)
-
-
-def matvec_rotation_amounts(params: PaheParams, rows: int, cols: int) -> list[int]:
-    """Column-rotation key amounts matvec_hybrid(rows x cols) will use."""
-    half = params.row_size
-    return sorted({d % half for d in range(-(rows - 1), cols)} - {0})
-
-
-def matvec_hybrid(ev: Evaluator, W, v: Ciphertext) -> Ciphertext:
-    """y[s] = sum_j W[s, j] * v[j]; input in slots 0..cols-1, output 0..rows-1.
-
-    One pre-rolled diagonal per distinct shift: rows + cols - 1 scalar
-    multiplies and at most rows + cols - 2 rotations, all depth one.
-    """
-    A = _entries(W)
-    par = ev.params
-    half = par.row_size
-    r, c = A.shape
-    _check_capacity(par, r, "matvec output")
-    _check_capacity(par, c, "matvec input")
-    vecs, shifts = [], []
-    for d in range(-(r - 1), c):
-        s_lo, s_hi = max(0, -d), min(r, c - d)
-        if s_lo >= s_hi:
-            continue
-        vec = np.zeros(half, dtype=np.uint64)
-        s = np.arange(s_lo, s_hi)
-        vec[s] = A[s, s + d]
-        if not vec.any():
-            continue
-        vecs.append(np.roll(vec, d))
-        shifts.append(d % half)
-    acc = None
-    for pv, sh in zip(encode_plain_many(par, vecs), shifts):
-        term = ev.simd_scmult(v, pv)
-        if sh:
-            term = ev.col_rotate(term, sh)
-        acc = term if acc is None else ev.add_ct(acc, term)
-    if acc is None:
-        acc = ev.simd_scmult(v, 0)
-    ev.counters["matvec"] = ev.counters.get("matvec", 0) + 1
-    return acc
+# plain-matrix by encrypted-matrix products (diagonal method)
 
 
 def colblock_rotation_amounts(params: PaheParams, in_cols: int, block: int,
@@ -343,9 +277,12 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0,
     accs: list[Ciphertext | None] = [None] * n_groups
     for term, (og, _, _) in zip(terms, plan):
         accs[og] = term if accs[og] is None else ev.add_ct(accs[og], term)
-    cts = [acc if acc is not None else ev.simd_scmult(X.cts[0], 0) for acc in accs]
+    for og, acc in enumerate(accs):
+        if acc is None:  # an all-zero block of W
+            zero = encode_plain_many(par, [np.zeros(half, dtype=np.uint64)])
+            accs[og] = ev.simd_scmult_many([X.cts[0]], zero)[0]
     ev.counters["matvec"] = ev.counters.get("matvec", 0) + 1
-    return EncMatrix(COLBLOCKS, cts, X.rows, d_out, X.scale + w_scale,
+    return EncMatrix(COLBLOCKS, accs, X.rows, d_out, X.scale + w_scale,
                      block=B, cols_per_ct=C)
 
 
@@ -480,24 +417,12 @@ def ctmm_server_finalize(ev: Evaluator, reply: CtmmReply, st: MaskState) -> EncM
         raise ProtocolError("first-factor repacking has the wrong shape")
     r1r2 = matmul_mod(st.r1, st.r2, p)
     rows_cross = plain_times_diag(ev, st.r1, reply.y_diag)
-    rows_cts = [ev.add_plain(ev.add_ct(reply.prod.cts[i], rows_cross[i]), r1r2[i])
-                for i in range(r)]
+    rows_cts = ev.add_plain_many(
+        [ev.add_ct(reply.prod.cts[i], rows_cross[i]) for i in range(r)],
+        [r1r2[i] for i in range(r)])
     cols_cts = plain_times_diag(ev, st.r2.T.copy(), reply.x_diag)
     ev.counters["hybrid_matvec"] = ev.counters.get("hybrid_matvec", 0) + r
     return EncMatrix(SUM_ROWS_COLST, rows_cts + cols_cts, r, c, st.scale)
-
-
-def count_hybrid_calls(mode: str, seq_len: int, dim: int) -> int:
-    """Per-row product invocations one attention block performs.
-
-    The quadratic form runs two products with seq_len output rows each; the
-    reordered form runs one dim-row product and one seq_len-row product.
-    """
-    if mode == "baseline":
-        return 2 * seq_len
-    if mode in ("opt1", "opt2"):
-        return seq_len + dim
-    raise ParameterError(f"unknown mode {mode!r}")
 
 
 # ----------------------------------------------------------------------------

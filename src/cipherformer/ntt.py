@@ -9,13 +9,15 @@ multiplicand w mod p, precompute w' = floor(w * 2^64 / p); then
 
 which needs only wrapping 64-bit multiplies (the high half is assembled from
 32-bit limbs, since numpy has no 128-bit type).  Correct for any p < 2^63 and
-fully reduced operands.  Every multiplication this package performs in bulk
-has one operand known in advance -- twiddle factors, key material, or a
-plaintext reused across a whole vector -- so the precompute amortises.
+fully reduced operands.  Twiddle factors and key material are known in
+advance, so their precompute amortises; a plaintext that multiplies a single
+ciphertext goes through `mulmod_vec` instead, which needs no twin.
 
-The transform pair is the standard in-place iterative one: Cooley-Tukey
-butterflies with bit-reversed powers of psi (a primitive 2n-th root of unity)
-forward, Gentleman-Sande with psi^-1 backward.  Nobody here ever needs the
+`StackedNtt` is the one transform class: a stack of k primes (an RNS basis),
+or a single prime with k=1.  The transform pair is the standard in-place
+iterative one: Cooley-Tukey butterflies with bit-reversed powers of psi (a
+primitive 2n-th root of unity) forward, Gentleman-Sande with psi^-1
+backward.  Nobody here ever needs the
 forward output in "natural" order, because the slot machinery works purely in
 terms of which evaluation point lives at which position (`eval_exponents`,
 recovered once by a discrete log over the 2n-th roots -- cheap, and immune to
@@ -24,7 +26,7 @@ off-by-one conventions in the table layout).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -100,21 +102,6 @@ def submod(a, b, p: int):
     return np.where(a < b, r + pp, r)
 
 
-def negmod(a, p: int):
-    pp = np.uint64(p)
-    return np.where(a == 0, a, pp - a)
-
-
-def mulmod(a, b, p: int) -> np.ndarray:
-    """General (a*b) mod p without precompute -- object-int fallback.
-
-    Only for cold paths (key generation, tests); hot paths use mulmod_shoup.
-    """
-    r = (np.asarray(a, dtype=np.uint64).astype(object)
-         * np.asarray(b, dtype=np.uint64).astype(object)) % p
-    return np.asarray(r, dtype=np.uint64)
-
-
 def _bitrev_indices(n: int) -> np.ndarray:
     bits = n.bit_length() - 1
     idx = np.arange(n)
@@ -124,95 +111,12 @@ def _bitrev_indices(n: int) -> np.ndarray:
     return rev
 
 
-class NttContext:
-    """Forward/inverse negacyclic NTT of length n over Z_p (p = 1 mod 2n)."""
-
-    def __init__(self, p: int, n: int):
-        if n < 4 or n & (n - 1):
-            raise ParameterError(f"transform length {n} must be a power of two >= 4")
-        if p.bit_length() > 62:
-            raise ParameterError(f"modulus {p} too wide for 64-bit butterflies")
-        if p % (2 * n) != 1:
-            raise ParameterError(f"p={p} is not 1 mod 2n (n={n})")
-        if not is_prime(p):
-            raise ParameterError(f"p={p} is not prime")
-        self.p = p
-        self.n = n
-        self.psi = root_of_unity(2 * n, p)
-        self.psi_inv = pow(self.psi, -1, p)
-        rev = _bitrev_indices(n)
-        pw = [1] * n
-        ipw = [1] * n
-        for i in range(1, n):
-            pw[i] = pw[i - 1] * self.psi % p
-            ipw[i] = ipw[i - 1] * self.psi_inv % p
-        self._psi_rev = np.array([pw[i] for i in rev], dtype=np.uint64)
-        self._ipsi_rev = np.array([ipw[i] for i in rev], dtype=np.uint64)
-        self._psi_rev_sh = shoup(self._psi_rev, p)
-        self._ipsi_rev_sh = shoup(self._ipsi_rev, p)
-        self._ninv = pow(n, -1, p)
-        self._ninv_sh = shoup(self._ninv, p)
-        self._exps: np.ndarray | None = None
-
-    def forward(self, a) -> np.ndarray:
-        p = self.p
-        n = self.n
-        a = np.array(a, dtype=np.uint64)
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            blocks = a.reshape(m, 2 * t)
-            u = blocks[:, :t]
-            v = blocks[:, t:]
-            vw = mulmod_shoup(v, self._psi_rev[m:2 * m, None],
-                              self._psi_rev_sh[m:2 * m, None], p)
-            lo = addmod(u, vw, p)
-            hi = submod(u, vw, p)
-            blocks[:, :t] = lo
-            blocks[:, t:] = hi
-            m *= 2
-        return a
-
-    def inverse(self, a) -> np.ndarray:
-        p = self.p
-        n = self.n
-        a = np.array(a, dtype=np.uint64)
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            blocks = a.reshape(h, 2 * t)
-            u = blocks[:, :t]
-            v = blocks[:, t:]
-            lo = addmod(u, v, p)
-            hi = mulmod_shoup(submod(u, v, p), self._ipsi_rev[h:2 * h, None],
-                              self._ipsi_rev_sh[h:2 * h, None], p)
-            blocks[:, :t] = lo
-            blocks[:, t:] = hi
-            t *= 2
-            m = h
-        return mulmod_shoup(a, self._ninv, self._ninv_sh, p)
-
-    @property
-    def eval_exponents(self) -> np.ndarray:
-        """exps[k] = e such that forward(a)[k] == a(psi^e); e odd, unique."""
-        if self._exps is None:
-            x = np.zeros(self.n, dtype=np.uint64)
-            x[1] = 1  # the monomial X evaluates to the point itself
-            points = self.forward(x)
-            dlog = {}
-            acc = 1
-            for j in range(2 * self.n):
-                dlog[acc] = j
-                acc = acc * self.psi % self.p
-            self._exps = np.array([dlog[int(v)] for v in points], dtype=np.int64)
-        return self._exps
-
-
-@lru_cache(maxsize=None)
-def get_ntt(p: int, n: int) -> NttContext:
-    return NttContext(p, n)
+def _bitrev_powers(w: int, p: int, rev: np.ndarray) -> np.ndarray:
+    """Powers w^0 .. w^(n-1) mod p, in bit-reversed order."""
+    pw = [1] * len(rev)
+    for i in range(1, len(rev)):
+        pw[i] = pw[i - 1] * w % p
+    return np.array([pw[i] for i in rev], dtype=np.uint64)
 
 
 class StackedNtt:
@@ -223,36 +127,44 @@ class StackedNtt:
     covers every prime and every leading batch element at once, which is
     where the throughput comes from -- numpy call overhead dominates at
     n <= 1024, so fusing the k transforms (and any batch of polynomials)
-    into one set of array ops beats looping over per-prime contexts.
+    into one set of array ops beats looping over the primes.  k=1 is the
+    single-prime transform (the plaintext modulus, the slot map's probe).
     """
 
     def __init__(self, primes: tuple[int, ...], n: int):
+        if n < 4 or n & (n - 1):
+            raise ParameterError(f"transform length {n} must be a power of two >= 4")
         if len(set(primes)) != len(primes):
             raise ParameterError("RNS primes must be distinct")
         self.primes = tuple(int(p) for p in primes)
+        for p in self.primes:
+            if p.bit_length() > 62:
+                raise ParameterError(f"modulus {p} too wide for 64-bit butterflies")
+            if p % (2 * n) != 1:
+                raise ParameterError(f"p={p} is not 1 mod 2n (n={n})")
+            if not is_prime(p):
+                raise ParameterError(f"p={p} is not prime")
         self.n = n
-        self.k = len(primes)
-        ctxs = [get_ntt(p, n) for p in self.primes]
-        # stack twiddles as (k, n); butterflies slice columns, broadcast rows
-        self._psi = np.stack([c._psi_rev for c in ctxs])
-        self._psi_sh = np.stack([c._psi_rev_sh for c in ctxs])
-        self._ipsi = np.stack([c._ipsi_rev for c in ctxs])
-        self._ipsi_sh = np.stack([c._ipsi_rev_sh for c in ctxs])
-        self._ninv = np.array([c._ninv for c in ctxs], dtype=np.uint64)[:, None]
-        self._ninv_sh = np.array([int(c._ninv_sh) for c in ctxs], dtype=np.uint64)[:, None]
+        self.k = len(self.primes)
+        self.psi = tuple(root_of_unity(2 * n, p) for p in self.primes)
+        rev = _bitrev_indices(n)
+        # twiddles stacked as (k, n); butterflies slice columns, broadcast rows
+        self._psi = np.stack([_bitrev_powers(w, p, rev)
+                              for w, p in zip(self.psi, self.primes)])
+        self._ipsi = np.stack([_bitrev_powers(pow(w, -1, p), p, rev)
+                               for w, p in zip(self.psi, self.primes)])
+        self._psi_sh = np.stack([shoup(r, p) for r, p in zip(self._psi, self.primes)])
+        self._ipsi_sh = np.stack([shoup(r, p) for r, p in zip(self._ipsi, self.primes)])
+        ninv = [pow(n, -1, p) for p in self.primes]
+        self._ninv = np.array(ninv, dtype=np.uint64)[:, None]
+        self._ninv_sh = np.array([int(shoup(v, p)) for v, p in zip(ninv, self.primes)],
+                                 dtype=np.uint64)[:, None]
         self._p = np.array(self.primes, dtype=np.uint64)[:, None]
 
     def _mulmod(self, a, w, w_sh):
         q = _mulhi(a, w_sh)
         r = a * w - q * self._p
         return np.where(r >= self._p, r - self._p, r)
-
-    def _add(self, a, b):
-        r = a + b
-        return np.where(r >= self._p, r - self._p, r)
-
-    def _sub(self, a, b):
-        return np.where(a < b, a - b + self._p, a - b)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         n = self.n
@@ -306,13 +218,23 @@ class StackedNtt:
         out = self._mulmod(flat, self._ninv, self._ninv_sh)
         return out.reshape(a.shape)
 
-    def reduce(self, coeffs) -> np.ndarray:
-        """Integer coefficient vector (python ints ok) -> (k, n) residues."""
-        arr = list(coeffs)
-        out = np.empty((self.k, self.n), dtype=np.uint64)
-        for i, p in enumerate(self.primes):
-            out[i] = np.array([int(c) % p for c in arr], dtype=np.uint64)
-        return out
+    @cached_property
+    def eval_exponents(self) -> np.ndarray:
+        """exps[j] = e such that forward(a)[j] == a(psi^e); e odd, unique.
+
+        Computed on the first prime; the map depends only on n (asserted in
+        tests), so it holds for every row.
+        """
+        p, psi = self.primes[0], self.psi[0]
+        x = np.zeros((self.k, self.n), dtype=np.uint64)
+        x[:, 1] = 1  # the monomial X evaluates to the point itself
+        points = self.forward(x)[0]
+        dlog = {}
+        acc = 1
+        for j in range(2 * self.n):
+            dlog[acc] = j
+            acc = acc * psi % p
+        return np.array([dlog[int(v)] for v in points], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,9 @@
 
 An RLWE scheme in the BFV style, pared down to exactly the operations the
 inference protocol consumes: encrypt, decrypt, ciphertext addition, plaintext
-addition, SIMD scalar/vector multiplication, and slot rotation.  There is no
+addition, SIMD multiplication by an encoded vector, and column rotation.
+Everything but ciphertext addition has one batched form (the `_many`
+methods); a single operation is a batch of one.  There is no
 ciphertext-ciphertext multiplication anywhere -- the protocol gets products
 via masked decryption round-trips instead, so the ciphertext modulus only has
 to absorb one plaintext-sized multiplicative factor plus rotations.
@@ -26,8 +28,8 @@ Noise is tracked as a running upper-bound estimate in bits; the remaining
 budget is (log2 q - log2 p - 1) minus that estimate, and operations raise
 NoiseBudgetError rather than silently producing garbage.  In tests, an
 evaluator can additionally carry a plaintext shadow of every ciphertext and
-`decrypt(verify=True)` cross-checks the result, which catches real (not just
-estimated) decryption failures.
+`decrypt_many(verify=True)` cross-checks the result, which catches real (not
+just estimated) decryption failures.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import log2
+from math import isfinite, log2
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DecryptionError, NoiseBudgetError, ParameterError, ProtocolError
-from .ntt import (StackedNtt, addmod, get_ntt, get_stacked, mulmod_shoup,
-                  mulmod_vec, shoup, submod)
+from .ntt import (StackedNtt, addmod, get_stacked, mulmod_shoup, mulmod_vec,
+                  shoup, submod)
 from .primes import is_prime, next_prime
 
 _CT_MAGIC = b"CFC1"
@@ -67,7 +69,7 @@ class SlotMap:
     def __init__(self, n: int):
         self.n = n
         probe = next_prime(2 * n + 1, congruent=(1, 2 * n))
-        exps = get_ntt(probe, n).eval_exponents
+        exps = get_stacked((probe,), n).eval_exponents
         self.exps = exps
         pos_of_exp = np.full(2 * n, -1, dtype=np.int64)
         pos_of_exp[exps] = np.arange(n)
@@ -167,16 +169,8 @@ class PaheParams:
         return len(self.q_primes)
 
     @property
-    def slot_count(self) -> int:
-        return self.n
-
-    @property
     def row_size(self) -> int:
         return self.n // 2
-
-    @property
-    def delta(self) -> int:
-        return self.q // self.p
 
     @property
     def fresh_noise_bits(self) -> float:
@@ -211,33 +205,13 @@ def _pick_q_primes(n: int, q_bits: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def toy_params(p: int | None = None, n: int = 512) -> PaheParams:
-    """Small, fast parameters for tests and toy runs.  No security claim.
-
-    Sized so the worst tracked chain survives: one key switch followed by a
-    full-range masked multiply (what the flat `rotate` does) plus a handful
-    of additions.
-    """
-    if p is None:
-        from .fixedpoint import default_modulus
-        p = default_modulus()
-    lg_p, lg_n = p.bit_length(), log2(n)
-    for q_bits in range(2 * lg_p + 40, 62 * 8, 4):
-        par = PaheParams(n=n, p=p, q_primes=_pick_q_primes(n, q_bits),
-                         security_note="toy")
-        chain = par.keyswitch_noise_bits + lg_p + lg_n + 8
-        if par.max_budget_bits > chain:
-            return par
-    raise ParameterError("could not size a toy modulus for this plaintext")
-
-
 def session_params(p: int, n: int) -> PaheParams:
     """Parameters for protocol sessions.
 
     Sessions only ever multiply into *fresh* ciphertexts (mask/weight first,
     rotate after), so the budget rule is max(keyswitch, fresh+multiply) plus
-    accumulation slack -- much cheaper than the general-purpose toy rule,
-    which matters because session plaintext moduli are ~60 bits wide.
+    accumulation slack, not the sum of the two -- which matters because
+    session plaintext moduli are ~60 bits wide.
     """
     lg_p, lg_n = p.bit_length(), log2(n)
     for q_bits in range(max(lg_p + 30, 2 * lg_p + 4), 62 * 8, 4):
@@ -248,18 +222,6 @@ def session_params(p: int, n: int) -> PaheParams:
         if par.max_budget_bits > chain:
             return par
     raise ParameterError("could not size a session modulus for this plaintext")
-
-
-def standard_params(p: int | None = None, n: int = 8192) -> PaheParams:
-    """Conventionally sized ring (n >= 4096); modulus capped per usual tables."""
-    if n < 4096:
-        raise ParameterError("standard profile requires n >= 4096")
-    if p is None:
-        from .fixedpoint import default_modulus
-        p = default_modulus(slot_order=2 * n)
-    q_bits = min(2 * p.bit_length() + 60, 218)
-    return PaheParams(n=n, p=p, q_primes=_pick_q_primes(n, q_bits),
-                      security_note="standard")
 
 
 # ----------------------------------------------------------------------------
@@ -286,7 +248,7 @@ class Ciphertext:
 
 @dataclass
 class PlainVec:
-    """A slot vector pre-encoded for multiplication (NTT poly + Shoup twin).
+    """A slot vector pre-encoded for multiplication (NTT-domain polynomial).
 
     `coeff_norm_bits` is the log2 of the largest centered *coefficient* of
     the encoded polynomial -- that, not the slot magnitude, is what drives
@@ -296,15 +258,7 @@ class PlainVec:
     params: PaheParams
     slots: np.ndarray          # (n,) uint64 mod p
     poly: np.ndarray           # (k, n) uint64, NTT domain
-    poly_sh: np.ndarray | None  # None for one-shot encodings (generic mulmod)
     coeff_norm_bits: float
-
-
-def _slots_to_coeffs(params: PaheParams, vec: np.ndarray) -> np.ndarray:
-    sm = params.slots()
-    ev = np.zeros(params.n, dtype=np.uint64)
-    ev[sm.pos_of_flat] = vec
-    return get_ntt(params.p, params.n).inverse(ev)
 
 
 def _slots_to_coeffs_many(params: PaheParams, mat: np.ndarray) -> np.ndarray:
@@ -313,12 +267,6 @@ def _slots_to_coeffs_many(params: PaheParams, mat: np.ndarray) -> np.ndarray:
     ev = np.zeros((mat.shape[0], 1, params.n), dtype=np.uint64)
     ev[:, 0, sm.pos_of_flat] = mat
     return get_stacked((params.p,), params.n).inverse(ev)[:, 0, :]
-
-
-def _coeffs_to_slots(params: PaheParams, coeffs: np.ndarray) -> np.ndarray:
-    sm = params.slots()
-    ev = get_ntt(params.p, params.n).forward(coeffs)
-    return ev[sm.pos_of_flat]
 
 
 def _as_slot_vector(params: PaheParams, vec) -> np.ndarray:
@@ -341,43 +289,24 @@ def _centered_norm_bits(params: PaheParams, vec: np.ndarray) -> float:
     return log2(max(m, 1))
 
 
-def _lift_rows(rns: StackedNtt, coeffs: np.ndarray) -> np.ndarray:
-    """(n,) uint64 -> (k, n) residues (values may exceed some primes)."""
-    return coeffs[None, :] % np.array(rns.primes, dtype=np.uint64)[:, None]
-
-
-def encode_plain(params: PaheParams, vec) -> PlainVec:
-    """Encode a slot vector for use with simd_scmult (cache me for reuse)."""
-    slots = _as_slot_vector(params, vec)
-    coeffs = _slots_to_coeffs(params, slots)
-    rns = params.rns()
-    poly = rns.forward(_lift_rows(rns, coeffs))
-    return PlainVec(params, slots, poly, shoup_rows(poly, rns.primes),
-                    _centered_norm_bits(params, coeffs))
-
-
 def encode_plain_many(params: PaheParams, vecs: Sequence) -> list[PlainVec]:
-    """Batch-encode slot vectors for single-use multiplication.
+    """Batch-encode slot vectors for simd_scmult_many.
 
-    Skips the per-element Shoup precompute (the dominant cost when a vector
-    multiplies exactly one ciphertext); simd_scmult falls back to the generic
-    mulmod for these.  Transforms run stacked, so encoding B vectors costs
-    roughly one vector's worth of Python overhead.
+    No Shoup twins: each encoding multiplies exactly one ciphertext, where
+    precomputing twins would cost more than it saves.  Transforms run
+    stacked, so encoding B vectors costs roughly one vector's worth of
+    Python overhead.
     """
-    B = len(vecs)
-    if B == 0:
+    if not vecs:
         return []
-    sm = params.slots()
     arr = np.stack([_as_slot_vector(params, v) for v in vecs])
-    ev = np.zeros((B, 1, params.n), dtype=np.uint64)
-    ev[:, 0, sm.pos_of_flat] = arr
-    coeffs = get_stacked((params.p,), params.n).inverse(ev)[:, 0, :]
+    coeffs = _slots_to_coeffs_many(params, arr)
     rns = params.rns()
     pr = np.array(rns.primes, dtype=np.uint64)[None, :, None]
     poly = rns.forward(coeffs[:, None, :] % pr)
-    return [PlainVec(params, arr[b], poly[b], None,
+    return [PlainVec(params, arr[b], poly[b],
                      _centered_norm_bits(params, coeffs[b]))
-            for b in range(B)]
+            for b in range(len(vecs))]
 
 
 def shoup_rows(poly: np.ndarray, primes: Sequence[int]) -> np.ndarray:
@@ -387,18 +316,14 @@ def shoup_rows(poly: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _scaled_plain_rows(params: PaheParams, slots: np.ndarray) -> np.ndarray:
-    """round(q * m / p) per coefficient, reduced into the RNS basis.
+def _scaled_plain_rows_many(params: PaheParams, mats: np.ndarray) -> np.ndarray:
+    """round(q * m / p) per coefficient of a (B, n) batch of slot vectors,
+    reduced into the RNS basis -> (B, k, n).
 
     Scaling by the exact rational q/p (instead of floor(q/p)) keeps the
     additive-plaintext error at half a unit per coefficient even when slot
     sums wrap mod p, so masking values can be full-range.
     """
-    return _scaled_plain_rows_many(params, slots[None])[0]
-
-
-def _scaled_plain_rows_many(params: PaheParams, mats: np.ndarray) -> np.ndarray:
-    """The same scaling over a (B, n) batch of slot vectors -> (B, k, n)."""
     coeffs = _slots_to_coeffs_many(params, mats)
     q, p = params.q, params.p
     B = coeffs.shape[0]
@@ -509,9 +434,6 @@ class KeyMaterial:
                     raise DecryptionError("decrypted slots differ from shadow")
         return out
 
-    def decrypt(self, ct: Ciphertext, verify: bool = False) -> np.ndarray:
-        return self.decrypt_many([ct], verify=verify)[0]
-
 
 @lru_cache(maxsize=None)
 def _crt_consts(q_primes: tuple[int, ...]) -> tuple[int, ...]:
@@ -539,11 +461,6 @@ def addmod_rows(a: np.ndarray, b: np.ndarray, primes: Sequence[int]) -> np.ndarr
     return np.where(r >= pr, r - pr, r)
 
 
-def submod_rows(a: np.ndarray, b: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    pr = np.array(primes, dtype=np.uint64).reshape((-1,) + (1,) * (a.ndim - 1))
-    return np.where(a < b, a - b + pr, a - b)
-
-
 def negmod_rows(a: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     pr = np.array(primes, dtype=np.uint64).reshape((-1,) + (1,) * (a.ndim - 1))
     return np.where(a == 0, a, pr - a)
@@ -566,12 +483,11 @@ def _signed_to_rns(rns: StackedNtt, signed: np.ndarray) -> np.ndarray:
 
 
 def keygen(params: PaheParams, seed: int | None = None,
-           rotations: Iterable[int] = (), include_row_swap: bool = True) -> KeyMaterial:
+           rotations: Iterable[int] = ()) -> KeyMaterial:
     """Generate secret/public/Galois keys.
 
     `rotations` lists the column-rotation amounts (0 < r < n/2) the evaluator
-    will need; a row-swap key is included by default since the flat `rotate`
-    needs it for any shift crossing the half boundary.
+    will need; each gets one Galois key.
     """
     rng = np.random.default_rng(seed)
     rns = params.rns()
@@ -591,8 +507,6 @@ def keygen(params: PaheParams, seed: int | None = None,
         r %= params.row_size
         if r:
             wanted.add(pow(3, r, 2 * n))
-    if include_row_swap:
-        wanted.add(2 * n - 1)
     for t in sorted(wanted):
         km.galois[t] = _make_kswitch(params, rng, sk, sk_sh, sk_signed, t)
     return km
@@ -641,7 +555,6 @@ class Evaluator:
             "encrypt": 0, "add_ct": 0, "add_plain": 0, "scmult": 0,
             "rotate": 0, "keyswitch": 0,
         }
-        self._mask_cache: dict[tuple[int, int], tuple[PlainVec, PlainVec]] = {}
         self._pk0_sh = shoup_rows(keys.pk0, self.params.q_primes)
         self._pk1_sh = shoup_rows(keys.pk1, self.params.q_primes)
         self._slot_perms: dict[int, np.ndarray] = {}
@@ -691,9 +604,6 @@ class Evaluator:
         self.counters["encrypt"] += B
         return out
 
-    def encrypt(self, vec) -> Ciphertext:
-        return self.encrypt_many([vec])[0]
-
     # -- arithmetic ----------------------------------------------------------
 
     def add_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -708,9 +618,6 @@ class Evaluator:
         self.counters["add_ct"] += 1
         return out
 
-    def add_plain(self, ct: Ciphertext, vec) -> Ciphertext:
-        return self.add_plain_many([ct], [vec])[0]
-
     def add_plain_many(self, cts: Sequence[Ciphertext],
                        vecs: Sequence) -> list[Ciphertext]:
         """Slotwise plaintext additions, one stacked transform pass for all."""
@@ -721,8 +628,7 @@ class Evaluator:
         par = self.params
         for ct in cts:
             self._check(ct)
-        slots = np.stack([v.slots if isinstance(v, PlainVec)
-                          else _as_slot_vector(par, v) for v in vecs])
+        slots = np.stack([_as_slot_vector(par, v) for v in vecs])
         rows = par.rns().forward(_scaled_plain_rows_many(par, slots))
         out = []
         for b, ct in enumerate(cts):
@@ -736,71 +642,22 @@ class Evaluator:
         self.counters["add_plain"] += len(cts)
         return out
 
-    def simd_scmult(self, ct: Ciphertext, w) -> Ciphertext:
-        """Slotwise multiply by a scalar (int mod p) or an encoded vector."""
-        self._check(ct)
-        par = self.params
-        if isinstance(w, PlainVec):
-            pv = w
-            noise = ct.noise_bits + pv.coeff_norm_bits + log2(par.n) + 1e-3
-            noise = self._bump_noise(noise)
-            if pv.poly_sh is None:
-                c0 = np.stack([mulmod_vec(ct.c0[i], pv.poly[i], qi)
-                               for i, qi in enumerate(par.q_primes)])
-                c1 = np.stack([mulmod_vec(ct.c1[i], pv.poly[i], qi)
-                               for i, qi in enumerate(par.q_primes)])
-            else:
-                c0 = mulmod_shoup_rows(ct.c0, pv.poly, pv.poly_sh, par.q_primes)
-                c1 = mulmod_shoup_rows(ct.c1, pv.poly, pv.poly_sh, par.q_primes)
-            ref_mul = pv.slots
-        elif np.isscalar(w) or isinstance(w, (int, np.integer)):
-            w = int(w) % par.p
-            centered = min(w, par.p - w) if w else 0
-            noise = self._bump_noise(ct.noise_bits + log2(max(centered, 1)) + 1e-3)
-            c0 = np.empty_like(ct.c0)
-            c1 = np.empty_like(ct.c1)
-            for i, qi in enumerate(par.q_primes):
-                wi = w % qi
-                wsh = shoup(wi, qi)
-                c0[i] = mulmod_shoup(ct.c0[i], np.uint64(wi), wsh, qi)
-                c1[i] = mulmod_shoup(ct.c1[i], np.uint64(wi), wsh, qi)
-            ref_mul = np.full(par.n, w, dtype=np.uint64)
-        else:
-            return self.simd_scmult(ct, encode_plain(par, w))
-        out = Ciphertext(par, c0, c1, noise)
-        if ct._ref is not None:
-            out._ref = (ct._ref.astype(object) * ref_mul.astype(object)) % par.p
-            out._ref = np.array([int(x) for x in out._ref], dtype=np.uint64)
-        self.counters["scmult"] += 1
-        return out
-
     def simd_scmult_many(self, cts: Sequence[Ciphertext],
-                         ws: Sequence) -> list[Ciphertext]:
-        """Pairwise slotwise multiplies; batches the encoded-vector case."""
+                         ws: Sequence[PlainVec]) -> list[Ciphertext]:
+        """Pairwise slotwise multiplies by encoded vectors."""
         if len(cts) != len(ws):
             raise ParameterError("ciphertext/weight count mismatch")
-        if not cts:
-            return []
-        if not all(isinstance(w, PlainVec) and w.poly_sh is not None for w in ws):
-            return [self.simd_scmult(ct, w) for ct, w in zip(cts, ws)]
         par = self.params
-        for ct in cts:
-            self._check(ct)
-        C0 = np.stack([ct.c0 for ct in cts])
-        C1 = np.stack([ct.c1 for ct in cts])
-        W = np.stack([w.poly for w in ws])
-        Wsh = np.stack([w.poly_sh for w in ws])
-        c0 = np.empty_like(C0)
-        c1 = np.empty_like(C1)
-        for i, qi in enumerate(par.q_primes):
-            qi = np.uint64(qi)
-            c0[:, i] = mulmod_shoup(C0[:, i], W[:, i], Wsh[:, i], qi)
-            c1[:, i] = mulmod_shoup(C1[:, i], W[:, i], Wsh[:, i], qi)
         out = []
-        for b, (ct, pv) in enumerate(zip(cts, ws)):
+        for ct, pv in zip(cts, ws):
+            self._check(ct)
             noise = self._bump_noise(
                 ct.noise_bits + pv.coeff_norm_bits + log2(par.n) + 1e-3)
-            nc = Ciphertext(par, c0[b], c1[b], noise)
+            c0 = np.stack([mulmod_vec(ct.c0[i], pv.poly[i], qi)
+                           for i, qi in enumerate(par.q_primes)])
+            c1 = np.stack([mulmod_vec(ct.c1[i], pv.poly[i], qi)
+                           for i, qi in enumerate(par.q_primes)])
+            nc = Ciphertext(par, c0, c1, noise)
             if ct._ref is not None:
                 ref = (ct._ref.astype(object) * pv.slots.astype(object)) % par.p
                 nc._ref = np.array([int(x) for x in ref], dtype=np.uint64)
@@ -809,38 +666,6 @@ class Evaluator:
         return out
 
     # -- rotations -----------------------------------------------------------
-
-    def _apply_galois(self, ct: Ciphertext, t: int) -> Ciphertext:
-        par = self.params
-        t %= 2 * par.n
-        ksk = self.keys.galois.get(t)
-        if ksk is None:
-            raise ParameterError(f"missing rotation key for Galois element {t}")
-        perm = par.slots().perm(t)
-        a0 = ct.c0[:, perm]
-        a1 = ct.c1[:, perm]
-        rns = par.rns()
-        dig = rns.inverse(a1)  # (k, n) coefficients
-        lifted = np.empty((par.k, par.k, par.n), dtype=np.uint64)
-        pr = np.array(par.q_primes, dtype=np.uint64)[:, None]
-        for j in range(par.k):
-            lifted[j] = dig[j][None, :] % pr
-        Dj = rns.forward(lifted.reshape(par.k, par.k, par.n))
-        c0 = a0
-        c1 = None
-        for j in range(par.k):
-            t0 = mulmod_shoup_rows(Dj[j], ksk.k0[j], ksk.k0_sh[j], par.q_primes)
-            t1 = mulmod_shoup_rows(Dj[j], ksk.k1[j], ksk.k1_sh[j], par.q_primes)
-            c0 = addmod_rows(c0, t0, par.q_primes)
-            c1 = t1 if c1 is None else addmod_rows(c1, t1, par.q_primes)
-        noise = self._bump_noise(
-            float(np.logaddexp2(ct.noise_bits, par.keyswitch_noise_bits)) + 1e-3)
-        out = Ciphertext(par, c0, c1, noise)
-        if ct._ref is not None:
-            ev_perm = self._slot_perm(t)
-            out._ref = ct._ref[ev_perm]
-        self.counters["keyswitch"] += 1
-        return out
 
     def _slot_perm(self, t: int) -> np.ndarray:
         """Flat-slot permutation induced by Galois element t."""
@@ -854,20 +679,10 @@ class Evaluator:
             self._slot_perms[t] = got
         return got
 
-    def col_rotate(self, ct: Ciphertext, r: int) -> Ciphertext:
-        """Rotate both hypercolumn rows left by r (cyclic within n/2)."""
-        self._check(ct)
-        r %= self.params.row_size
-        if r == 0:
-            return ct.copy()
-        t = pow(3, r, 2 * self.params.n)
-        out = self._apply_galois(ct, t)
-        self.counters["rotate"] += 1
-        return out
-
     def col_rotate_many(self, cts: Sequence[Ciphertext],
                         rs: Sequence[int]) -> list[Ciphertext]:
-        """Pairwise col_rotate with one transform pass for the whole batch.
+        """Rotate both hypercolumn rows of each ciphertext left by its r
+        (cyclic within n/2), with one transform pass for the whole batch.
 
         The per-rotation key-switch needs an inverse and a forward NTT; on a
         diagonal sweep those dominate, so stack every ciphertext's digits and
@@ -925,42 +740,6 @@ class Evaluator:
         self.counters["rotate"] += R
         return results
 
-    def swap_rows(self, ct: Ciphertext) -> Ciphertext:
-        self._check(ct)
-        out = self._apply_galois(ct, 2 * self.params.n - 1)
-        self.counters["rotate"] += 1
-        return out
-
-    def rotate(self, ct: Ciphertext, k: int) -> Ciphertext:
-        """Flat cyclic rotation: result slot i holds input slot (i+k) mod n."""
-        self._check(ct)
-        par = self.params
-        half = par.row_size
-        k %= par.n
-        if k == 0:
-            return ct.copy()
-        s, r = divmod(k, half)
-        a = self.col_rotate(ct, r) if r else ct
-        if r == 0:
-            return self.swap_rows(a) if s else a.copy()
-        keep, carry = self._carry_masks(r, s)
-        swapped = self.swap_rows(a)
-        out = self.add_ct(self.simd_scmult(a, keep), self.simd_scmult(swapped, carry))
-        return out
-
-    def _carry_masks(self, r: int, s: int) -> tuple[PlainVec, PlainVec]:
-        got = self._mask_cache.get((r, s))
-        if got is None:
-            half = self.params.row_size
-            carry_col = (np.arange(half) >= half - r).astype(np.uint64)
-            same = ((carry_col + s) % 2 == 0).astype(np.uint64)
-            keep = np.concatenate([same, same])
-            got = (encode_plain(self.params, keep),
-                   encode_plain(self.params, 1 - keep))
-            self._mask_cache[(r, s)] = got
-        return got
-
-
 # ----------------------------------------------------------------------------
 # serialization
 
@@ -974,18 +753,20 @@ def _pack_params(par: PaheParams) -> bytes:
 
 
 def _unpack_params(buf: memoryview, off: int) -> tuple[PaheParams, int]:
-    n, k, p = struct.unpack_from("<IBQ", buf, off)
-    off += struct.calcsize("<IBQ")
-    primes = []
-    for _ in range(k):
-        (q,) = struct.unpack_from("<Q", buf, off)
-        primes.append(q)
-        off += 8
-    (ln,) = struct.unpack_from("<B", buf, off)
-    off += 1
-    note = bytes(buf[off:off + ln]).decode()
-    off += ln
-    return PaheParams(n=n, p=p, q_primes=tuple(primes), security_note=note), off
+    try:
+        n, k, p = struct.unpack_from("<IBQ", buf, off)
+        off += struct.calcsize("<IBQ")
+        primes = struct.unpack_from(f"<{k}Q", buf, off)
+        off += 8 * k
+        (ln,) = struct.unpack_from("<B", buf, off)
+        off += 1
+        if off + ln > len(buf):
+            raise ProtocolError("truncated parameter block")
+        note = bytes(buf[off:off + ln]).decode()
+        par = PaheParams(n=n, p=p, q_primes=primes, security_note=note)
+    except (struct.error, UnicodeDecodeError, ParameterError) as exc:
+        raise ProtocolError(f"malformed parameter block: {exc}") from None
+    return par, off + ln
 
 
 def _pack_poly(arr: np.ndarray) -> bytes:
@@ -993,10 +774,22 @@ def _pack_poly(arr: np.ndarray) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _unpack_poly(buf: memoryview, off: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    (ln,) = struct.unpack_from("<I", buf, off)
+def _unpack_poly(buf: memoryview, off: int, shape: tuple[int, ...],
+                 primes: Sequence[int]) -> tuple[np.ndarray, int]:
+    """One residue array of exactly `shape`; the second-to-last axis runs
+    over the primes, and every residue must be reduced mod its prime."""
+    try:
+        (ln,) = struct.unpack_from("<I", buf, off)
+    except struct.error:
+        raise ProtocolError("truncated polynomial") from None
     off += 4
-    arr = np.frombuffer(buf[off:off + ln], dtype="<u8").reshape(shape).astype(np.uint64)
+    count = int(np.prod(shape))
+    if ln != 8 * count or off + ln > len(buf):
+        raise ProtocolError("polynomial length does not match the parameters")
+    arr = np.frombuffer(buf, dtype="<u8", count=count,
+                        offset=off).reshape(shape).astype(np.uint64)
+    if np.any(arr >= np.array(primes, dtype=np.uint64)[:, None]):
+        raise ProtocolError("residue not reduced mod its prime")
     return arr, off + ln
 
 
@@ -1007,16 +800,30 @@ def ct_to_bytes(ct: Ciphertext) -> bytes:
 
 
 def ct_from_bytes(data: bytes, params: PaheParams | None = None) -> Ciphertext:
+    """Parse a ciphertext received from the peer.
+
+    The noise estimate travels with the ciphertext, so it is checked too: it
+    must be finite, no smaller than a fresh encryption's and leave some
+    budget, or a peer could switch off the budget check for that ciphertext.
+    """
     buf = memoryview(data)
     if bytes(buf[:4]) != _CT_MAGIC:
         raise ProtocolError("bad ciphertext magic/version")
     par, off = _unpack_params(buf, 4)
     if params is not None and par != params:
         raise ParameterError("ciphertext was made under different parameters")
-    (noise,) = struct.unpack_from("<d", buf, off)
+    try:
+        (noise,) = struct.unpack_from("<d", buf, off)
+    except struct.error:
+        raise ProtocolError("truncated ciphertext") from None
     off += 8
-    c0, off = _unpack_poly(buf, off, (par.k, par.n))
-    c1, off = _unpack_poly(buf, off, (par.k, par.n))
+    if not (isfinite(noise) and noise >= par.fresh_noise_bits
+            and par.max_budget_bits - noise > 0):
+        raise ProtocolError(f"implausible ciphertext noise estimate {noise!r}")
+    c0, off = _unpack_poly(buf, off, (par.k, par.n), par.q_primes)
+    c1, off = _unpack_poly(buf, off, (par.k, par.n), par.q_primes)
+    if off != len(buf):
+        raise ProtocolError("trailing bytes after ciphertext")
     return Ciphertext(par, c0, c1, noise)
 
 
@@ -1037,18 +844,24 @@ def public_keys_from_bytes(data: bytes) -> KeyMaterial:
     if bytes(buf[:4]) != _PK_MAGIC:
         raise ProtocolError("bad key magic/version")
     par, off = _unpack_params(buf, 4)
-    pk0, off = _unpack_poly(buf, off, (par.k, par.n))
-    pk1, off = _unpack_poly(buf, off, (par.k, par.n))
-    (ng,) = struct.unpack_from("<H", buf, off)
-    off += 2
+    shape = (par.k, par.n)
+    pk0, off = _unpack_poly(buf, off, shape, par.q_primes)
+    pk1, off = _unpack_poly(buf, off, shape, par.q_primes)
     galois = {}
-    for _ in range(ng):
-        (t,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        k0, off = _unpack_poly(buf, off, (par.k, par.k, par.n))
-        k1, off = _unpack_poly(buf, off, (par.k, par.k, par.n))
-        galois[t] = KeySwitchKey(
-            k0, k1,
-            np.stack([shoup_rows(k0[j], par.q_primes) for j in range(par.k)]),
-            np.stack([shoup_rows(k1[j], par.q_primes) for j in range(par.k)]))
+    try:
+        (ng,) = struct.unpack_from("<H", buf, off)
+        off += 2
+        for _ in range(ng):
+            (t,) = struct.unpack_from("<I", buf, off)
+            off += 4
+            k0, off = _unpack_poly(buf, off, (par.k,) + shape, par.q_primes)
+            k1, off = _unpack_poly(buf, off, (par.k,) + shape, par.q_primes)
+            galois[t] = KeySwitchKey(
+                k0, k1,
+                np.stack([shoup_rows(k0[j], par.q_primes) for j in range(par.k)]),
+                np.stack([shoup_rows(k1[j], par.q_primes) for j in range(par.k)]))
+    except struct.error:
+        raise ProtocolError("truncated key blob") from None
+    if off != len(buf):
+        raise ProtocolError("trailing bytes after key blob")
     return KeyMaterial(par, pk0, pk1, galois)

@@ -32,19 +32,15 @@ STAGE_SHARE = 8    # c->s: re-encrypted output shares
 # encrypted matrix products
 MM_OPEN = 9        # s->c: masked factors
 MM_REPLY = 10      # c->s: clear product + repackings
-# results / standalone service
+# result
 LOGITS = 11        # s->c: per-class ciphertexts
-MM_UPLOAD = 12     # c->s: encrypted factors (matmul service)
-MM_RESULT = 13     # s->c: product ciphertexts (matmul service)
-MM_DONE = 14       # c->s: end of matmul service
 
 FRAME_NAMES = {
     HELLO: "hello", ACCEPT: "accept", OT_BASE: "ot-base",
     CLIENT_SETUP: "client-setup", STAGE_OPEN: "stage-open",
     STAGE_OT_REQ: "stage-ot-req", STAGE_OT_RESP: "stage-ot-resp",
     STAGE_SHARE: "stage-share", MM_OPEN: "mm-open", MM_REPLY: "mm-reply",
-    LOGITS: "logits", MM_UPLOAD: "mm-upload", MM_RESULT: "mm-result",
-    MM_DONE: "mm-done",
+    LOGITS: "logits",
 }
 
 

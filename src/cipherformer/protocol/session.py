@@ -1,4 +1,4 @@
-"""The two-party inference session, plus the standalone product service.
+"""The two-party inference session.
 
 Roles: the *server* holds the model weights; the *client* holds the token
 sequence and the decryption key.  Everything the server learns is masked;
@@ -71,12 +71,11 @@ from ..stages import (MODES, StagePlan, StageSpec, b2a_weights,
                       choose_plaintext_prime, client_window_share,
                       garbler_window_share, sample_stage_masks,
                       stage_circuits, stage_offsets)
-from .framing import (ACCEPT, CLIENT_SETUP, HELLO, LOGITS, MM_DONE, MM_OPEN,
-                      MM_REPLY, MM_RESULT, MM_UPLOAD, OT_BASE, STAGE_OPEN,
-                      STAGE_OT_REQ, STAGE_OT_RESP, STAGE_SHARE, decode_fields,
-                      encode_fields, need, pack_array, pack_bigint, pack_u64,
-                      read_frame, unpack_array, unpack_bigint, unpack_u64,
-                      write_frame)
+from .framing import (ACCEPT, CLIENT_SETUP, HELLO, LOGITS, MM_OPEN, MM_REPLY,
+                      OT_BASE, STAGE_OPEN, STAGE_OT_REQ, STAGE_OT_RESP,
+                      STAGE_SHARE, decode_fields, encode_fields, need,
+                      pack_array, pack_bigint, pack_u64, read_frame,
+                      unpack_array, unpack_bigint, unpack_u64, write_frame)
 from .transcript import Transcript
 from .transport import run_pair
 
@@ -145,7 +144,7 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
 def _cached_keys(n: int, p: int, rotations: tuple[int, ...],
                  seed: int) -> KeyMaterial:
     params = session_params(p, n)
-    return keygen(params, seed, rotations=rotations, include_row_swap=False)
+    return keygen(params, seed, rotations=rotations)
 
 
 @lru_cache(maxsize=4)
@@ -418,25 +417,23 @@ def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
     if cfg.n_classes > 99:
         raise ParameterError("logits frame supports at most 99 classes")
     cls = to_field(weights.classifier, p)
-    B, C = x_enc.block, x_enc.cols_per_ct
+    B, C, G = x_enc.block, x_enc.cols_per_ct, len(x_enc.cts)
     vecs = []
     for c in range(cfg.n_classes):
-        for g in range(len(x_enc.cts)):
+        for g in range(G):
             j0 = g * C
             width = min(x_enc.cols, j0 + C) - j0
             vec = np.zeros(B * C, dtype=np.uint64)
             for jl in range(width):
                 vec[jl * B:jl * B + x_enc.rows] = cls[j0 + jl, c]
             vecs.append(vec)
-    encs = encode_plain_many(geom.params, vecs)
+    terms = ev.simd_scmult_many(list(x_enc.cts) * cfg.n_classes,
+                                encode_plain_many(geom.params, vecs))
     fields = {"nlgt": pack_u64(cfg.n_classes)}
-    i = 0
     for c in range(cfg.n_classes):
-        acc = None
-        for g in range(len(x_enc.cts)):
-            term = ev.simd_scmult(x_enc.cts[g], encs[i])
-            i += 1
-            acc = term if acc is None else ev.add_ct(acc, term)
+        acc = terms[c * G]
+        for term in terms[c * G + 1:(c + 1) * G]:
+            acc = ev.add_ct(acc, term)
         fields[f"lg{c:02d}"] = ct_to_bytes(acc)
     _send(sp.conn, sp.tr, LOGITS, fields)
 
@@ -683,8 +680,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
         raise ParameterError("token id out of range")
 
     if seed is None:
-        keys = keygen(geom.params, None, rotations=geom.rotations,
-                      include_row_swap=False)
+        keys = keygen(geom.params, None, rotations=geom.rotations)
     else:
         keys = _cached_keys(geom.n, geom.p, geom.rotations, key_seed)
     ev = Evaluator(keys, seed=enc_seed)
@@ -747,100 +743,3 @@ def private_inference(cfg: ModelConfig, weights: Weights, tokens, mode: str, *,
     return run_pair(
         lambda conn: run_server(conn, cfg, weights, mode, seed=server_seed),
         lambda conn: run_client(conn, tokens, seed=client_seed))
-
-
-# ----------------------------------------------------------------------------
-# standalone product service (same two flights, no model around them)
-
-
-def matmul_service(conn, *, seed: int | None = None) -> Transcript:
-    """Keyless side of the masked matrix products: accept keys, then answer
-    upload/reply pairs until the peer hangs up.  Each product costs exactly
-    one mm-open and one mm-reply on the wire."""
-    rng = np.random.default_rng(seed)
-    tr = Transcript("service")
-    fields = _recv(conn, tr, ACCEPT)
-    (bpk,) = need(fields, "pkey")
-    pub = _parse_public_keys(bpk)
-    ev = Evaluator(pub, seed=int(rng.integers(1 << 62)))
-    count = 0
-    while True:
-        ftype, payload = read_frame(conn)
-        tr.record("received", ftype, payload)
-        if ftype == MM_DONE:
-            break
-        if ftype != MM_UPLOAD:
-            raise ProtocolError("unexpected frame in the product service")
-        fields = decode_fields(payload)
-        bx, by, bf = need(fields, "mmxx", "mmyy", "flgs")
-        flags = unpack_array(bf)
-        X = encmatrix_from_bytes(bx, pub.params)
-        Y = encmatrix_from_bytes(by, pub.params)
-        before = ev.counters.get("hybrid_matvec", 0)
-        msg, st = ctmm_server_mask(ev, X, Y, rng, transpose_x=bool(flags[0]),
-                                   transpose_y=bool(flags[1]))
-        _send(conn, tr, MM_OPEN, {"mmxx": encmatrix_to_bytes(msg.x),
-                                  "mmyy": encmatrix_to_bytes(msg.y),
-                                  "flgs": pack_array(flags)})
-        rfields = _recv(conn, tr, MM_REPLY)
-        bp, bxd, byd = need(rfields, "prod", "xdia", "ydia")
-        reply = CtmmReply(prod=encmatrix_from_bytes(bp, pub.params),
-                          x_diag=encmatrix_from_bytes(bxd, pub.params),
-                          y_diag=encmatrix_from_bytes(byd, pub.params))
-        out = ctmm_server_finalize(ev, reply, st)
-        _send(conn, tr, MM_RESULT, {"prod": encmatrix_to_bytes(out)})
-        tr.add_event(kind="ctmm", layer=count, label="service", rows=out.rows,
-                     hybrid_delta=ev.counters.get("hybrid_matvec", 0) - before,
-                     frames=2)
-        count += 1
-    tr.counters = dict(ev.counters)
-    return tr
-
-
-class MatmulClient:
-    """Key-holder side of the product service: encrypt factors, answer the
-    masked round, decrypt the assembled product."""
-
-    def __init__(self, conn, keys: KeyMaterial, *, seed: int | None = None):
-        if not keys.has_secret:
-            raise ParameterError("the product client needs the secret key")
-        self.conn = conn
-        self.keys = keys
-        self.ev = Evaluator(keys, seed=seed)
-        self.transcript = Transcript("client")
-        _send(conn, self.transcript, ACCEPT,
-              {"pkey": public_keys_to_bytes(keys.public())})
-
-    def multiply(self, X, Y, *, transpose_x: bool = False,
-                 transpose_y: bool = False) -> np.ndarray:
-        """X @ Y mod p with both factors encrypted; the transpose flags apply
-        the product to the transposes of what gets encrypted."""
-        xe = pack_rows(self.ev, np.asarray(X, dtype=np.uint64))
-        ye = pack_rows(self.ev, np.asarray(Y, dtype=np.uint64))
-        tr = self.transcript
-        _send(self.conn, tr, MM_UPLOAD, {
-            "mmxx": encmatrix_to_bytes(xe),
-            "mmyy": encmatrix_to_bytes(ye),
-            "flgs": pack_array(np.array([transpose_x, transpose_y],
-                                        dtype=np.uint8))})
-        fields = _recv(self.conn, tr, MM_OPEN)
-        bx, by, bf = need(fields, "mmxx", "mmyy", "flgs")
-        flags = unpack_array(bf)
-        msg = CtmmMasked(encmatrix_from_bytes(bx, self.keys.params),
-                         encmatrix_from_bytes(by, self.keys.params),
-                         bool(flags[0]), bool(flags[1]))
-        reply = ctmm_client_round(self.ev, self.keys, msg)
-        _send(self.conn, tr, MM_REPLY, {
-            "prod": encmatrix_to_bytes(reply.prod),
-            "xdia": encmatrix_to_bytes(reply.x_diag),
-            "ydia": encmatrix_to_bytes(reply.y_diag)})
-        rfields = _recv(self.conn, tr, MM_RESULT)
-        (bp,) = need(rfields, "prod")
-        out = encmatrix_from_bytes(bp, self.keys.params)
-        rows = msg.x.cols if msg.transpose_x else msg.x.rows
-        tr.add_event(kind="ctmm", layer=0, label="service", rows=rows,
-                     hybrid_delta=rows, frames=2)
-        return decrypt_matrix(self.keys, out)
-
-    def close(self):
-        _send(self.conn, self.transcript, MM_DONE, {})

@@ -37,7 +37,6 @@ from math import log2
 
 import numpy as np
 
-from .activations import _divider, divider_oracle
 from .errors import ParameterError
 from .gc.circuit import CONST0, Builder, Circuit
 from .primes import next_prime
@@ -253,6 +252,36 @@ def affine_stage_circuit(m: int, shift: int, keep: int,
     return b.freeze()
 
 
+def _divider(b: Builder, x: list[int], s: list[int], f: int,
+             enable: int | None = None) -> list[int]:
+    """Quotient bits f-1..0 of x / s by restoring division.
+
+    Walks j = f-1 .. 0 comparing the remainder against s << j.  The remainder
+    stays at dividend width: the trial subtraction's borrow is the compare,
+    and a separate running OR over the bits of s shifted past the top detects
+    the early steps where s << j cannot fit at all.  Saturates at 2^f - 1
+    when x/s does not fit in f bits.  `enable` (if given) gates every
+    quotient bit -- the caller uses it to force 0/0 to 0.
+    """
+    w = len(x)
+    rem = list(x)
+    q: list[int] = [CONST0] * f
+    # suffix ORs of s: suf[i] = OR(s[i:]); suf[w-j] says s << j spills past w
+    suf = list(s) + [CONST0]
+    for i in reversed(range(len(s))):
+        suf[i] = b.or_(s[i], suf[i + 1])
+    for j in reversed(range(f)):
+        shifted = ([CONST0] * j + list(s))[:w]
+        spill = suf[w - j] if w - j < len(s) else CONST0
+        d = b.sub(rem, shifted, keep_borrow=True)
+        fit = b.and_(d[-1], b.inv(spill))
+        if enable is not None:
+            fit = b.and_(fit, enable)
+        rem = b.mux(fit, d[:w], rem)
+        q[j] = fit
+    return q
+
+
 @lru_cache(maxsize=None)
 def rowdiv_stage_circuit(m: int, shift: int, frac: int, keep: int,
                          row_len: int) -> Circuit:
@@ -323,6 +352,19 @@ def affine_stage_oracle(x, shift: int, keep: int, relu: bool = False):
     if relu:
         y = np.maximum(y, 0)
     return y
+
+
+def divider_oracle(x, s, f: int):
+    """Greedy digit selection: set bit j of Q when (Q | 2^j) * s <= x.
+    Equals floor(x/s) whenever that fits in f bits, else saturates; s = 0
+    yields all-ones (the circuit's zero-sum gate is applied separately)."""
+    x = np.asarray(x, dtype=np.int64)
+    s = np.asarray(s, dtype=np.int64)
+    q = np.zeros(np.broadcast(x, s).shape, dtype=np.int64)
+    for j in reversed(range(f)):
+        trial = q | (1 << j)
+        q = np.where(trial * s <= x, trial, q)
+    return q
 
 
 def rowdiv_stage_oracle(x, shift: int, frac: int):

@@ -1,185 +1,88 @@
-"""Garbled-circuit activation stages checked against plain-integer oracles."""
+"""The session's two activations -- the softmax-sim row divide and the ReLU
+stage -- run from mod-p wire shares through their circuits and back to field
+values, checked against the plain oracles and the ratios they approximate."""
 
 import numpy as np
 import pytest
 
-from cipherformer import activations as A
-from cipherformer.errors import ParameterError
-from cipherformer.gc.circuit import to_bits, word_value
+from cipherformer import stages as S
+from cipherformer.gc.circuit import to_bits
 
-SMALL_P = 61
-WP = SMALL_P.bit_length()
-
-
-def _all_pairs(p):
-    g, e = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    return g.ravel(), e.ravel()
+TOY = dict(seq_len=8, dim=4, ff_dim=16, n_layers=1, w=20, f=9)
+PLAN = S.build_stage_plan(mode="baseline", **TOY)
+SOFTMAX = PLAN.stage(0, "attn_weights")  # rowdiv: relu, then divide by row sum
+RELU = PLAN.stage(0, "ff_hidden")        # affine with relu
 
 
-class TestFieldOps:
-    def test_masked_add_exhaustive(self):
-        g, e = _all_pairs(SMALL_P)
-        c = A.build_a2g(SMALL_P)
-        out = word_value(c.plain_eval(to_bits(g, WP), to_bits(e, WP)))
-        assert np.array_equal(out, (g + e) % SMALL_P)
-
-    def test_share_reissue_exhaustive(self):
-        # garbler holds the fresh mask, evaluator holds the value
-        m, y = _all_pairs(SMALL_P)
-        c = A.build_g2a(SMALL_P)
-        out = word_value(c.plain_eval(to_bits(m, WP), to_bits(y, WP)))
-        assert np.array_equal(out, (y - m) % SMALL_P)
-
-    def test_signed_clamp_exhaustive(self):
-        v = np.arange(SMALL_P)
-        c = A.build_relu(SMALL_P)
-        out = word_value(c.plain_eval(np.zeros((SMALL_P, 0), np.uint8), to_bits(v, WP)))
-        assert np.array_equal(out, A.relu_field_oracle(v, SMALL_P))
-
-    def test_clamp_oracle_splits_field_in_half(self):
-        v = np.arange(SMALL_P)
-        y = A.relu_field_oracle(v, SMALL_P)
-        half = (SMALL_P - 1) // 2
-        assert np.array_equal(y[: half + 1], v[: half + 1])
-        assert (y[half + 1 :] == 0).all()
+def _field_run(circ, xs, m, keep, rng):
+    """Mask signed xs onto the wire mod p as the server does, split them into
+    window shares, evaluate, and recombine the output bits with the B2A
+    weights.  Returns (field results, p)."""
+    xs = np.asarray(xs, dtype=np.int64)
+    p, _ = S.choose_plaintext_prime(m, 256)
+    masks = S.sample_stage_masks(rng, p, m, xs.size).reshape(xs.shape)
+    wire = (xs % p).astype(np.uint64) + S.stage_offsets(masks, m, p)
+    wire %= np.uint64(p)
+    c = to_bits(S.client_window_share(wire, m).astype(np.int64), m)
+    t = to_bits(S.garbler_window_share(masks, m).astype(np.int64), m)
+    rows = xs.shape[0]
+    bits = circ.plain_eval(t.reshape(rows, -1), c.reshape(rows, -1))
+    bits = bits.reshape(*xs.shape, keep).astype(object)
+    ws = S.b2a_weights(keep, p).astype(object)
+    return (bits * ws).sum(axis=-1) % p, p
 
 
-class TestDivider:
-    def test_exhaustive_matches_greedy_oracle(self):
-        # every (x, s) pair at w=10, f=4; quotient must equal the bit-greedy
-        # reference everywhere and exact floor division whenever that fits
-        w, f = 10, 4
-        c = A.build_divider(w, f)
-        xs = np.repeat(np.arange(1 << w), (1 << w) - 1)
-        ss = np.tile(np.arange(1, 1 << w), 1 << w)
-        got = np.empty(xs.size, dtype=np.int64)
-        step = 1 << 16
-        for lo in range(0, xs.size, step):
-            hi = min(lo + step, xs.size)
-            bits = c.plain_eval(to_bits(xs[lo:hi], w), to_bits(ss[lo:hi], w))
-            got[lo:hi] = word_value(bits)
-        assert np.array_equal(got, A.divider_oracle(xs, ss, f))
-        floor = xs // ss
-        fits = floor < (1 << f)
-        assert np.array_equal(got[fits], floor[fits])
-        assert (got[~fits] == (1 << f) - 1).all()
-
-    def test_oracle_saturates_on_zero_divisor(self):
-        assert A.divider_oracle(np.array([5]), np.array([0]), 4) == 15
-
-    def test_gate_cost_linear_in_width(self):
-        a = A.build_divider(8, 4).n_and
-        b = A.build_divider(16, 4).n_and
-        assert b < 2.6 * a
+def _softmax(xs, seed=0):
+    """Attention weights of the toy plan's row-divide stage, as integers."""
+    circ = S.stage_circuits(SOFTMAX)[0][1]
+    out, _ = _field_run(circ, xs, SOFTMAX.m, SOFTMAX.keep,
+                        np.random.default_rng(seed))
+    return out.astype(np.int64)
 
 
 class TestActivation:
-    @pytest.mark.parametrize("variant", A.VARIANTS)
+    @pytest.mark.parametrize("variant", ["relu_only", "softmax_sim"])
     def test_matches_oracle_on_random_shares(self, variant):
         rng = np.random.default_rng(7)
-        p = 1054721
-        wp = p.bit_length()
-        spec = A.ActivationSpec(3, 10, 4, variant)
-        circ = A.build_activation(spec, p)
-        for _ in range(60):
-            x = rng.integers(-400, 400, 3)
-            e = rng.integers(0, p, 3)
-            g = (x - e) % p
-            m = rng.integers(0, p, 3)
-            gbits = np.concatenate(
-                [to_bits(g, wp).ravel(), to_bits(m, wp).ravel()]
-            )[None]
-            ebits = to_bits(e, wp).ravel()[None]
-            out = word_value(circ.plain_eval(gbits, ebits).reshape(3, wp))
-            shares, y = A.activation_oracle(spec, p, g, e, m)
-            assert np.array_equal(out, shares)
-            assert ((out + m) % p == y).all()
+        if variant == "softmax_sim":
+            spec, relu = SOFTMAX, None
+            xs = rng.integers(-(1 << 20), 1 << 20, (40, spec.row_len))
+            want = S.rowdiv_stage_oracle(xs, spec.shift, spec.frac)
+        else:
+            spec, relu = RELU, RELU.groups[0].relu
+            xs = rng.integers(-(1 << (spec.m - 1)), 1 << (spec.m - 1), (300, 1))
+            want = S.affine_stage_oracle(xs, spec.shift, spec.keep, relu)
+        (_g, circ, _n), = S.stage_circuits(spec)
+        got, p = _field_run(circ, xs, spec.m, spec.keep, rng)
+        assert np.array_equal(got, want % p)
 
     def test_quotients_track_float_ratios(self):
         rng = np.random.default_rng(11)
-        p = 1054721
-        spec = A.ActivationSpec(3, 10, 4, "softmax_sim")
-        zeros = np.zeros(3, np.int64)
-        for _ in range(100):
-            x = rng.integers(1, 400, 3)
-            _, y = A.activation_oracle(spec, p, x, zeros, zeros)
-            assert np.abs(y / 16 - x / x.sum()).max() < 0.25
+        x = rng.integers(1 << 10, 1 << 20, (100, SOFTMAX.row_len))
+        y = _softmax(x, seed=11) / (1 << SOFTMAX.frac)
+        assert np.abs(y - x / x.sum(axis=1, keepdims=True)).max() < 0.01
 
     def test_quotients_sum_near_one(self):
         rng = np.random.default_rng(13)
-        p = 1054721
-        spec = A.ActivationSpec(4, 10, 4, "softmax_sim")
-        zeros = np.zeros(4, np.int64)
-        for _ in range(50):
-            x = rng.integers(100, 500, 4)
-            _, y = A.activation_oracle(spec, p, x, zeros, zeros)
-            assert 0 < y.sum() <= 16 + 4
+        x = rng.integers(1 << 12, 1 << 16, (50, SOFTMAX.row_len))
+        total = _softmax(x, seed=13).sum(axis=1)
+        one = 1 << SOFTMAX.frac
+        assert (total > one - SOFTMAX.row_len).all()
+        assert (total <= one + SOFTMAX.row_len).all()
 
     def test_all_nonpositive_inputs_yield_zero(self):
-        p = 1054721
-        spec = A.ActivationSpec(3, 10, 4, "softmax_sim")
-        x = np.array([-5, -1, 0])
-        zeros = np.zeros(3, np.int64)
-        _, y = A.activation_oracle(spec, p, x, zeros, zeros)
-        assert (y == 0).all()
+        x = np.array([[-5, -1, 0, -(1 << 20), 0, -3, -7, -1]])
+        assert (_softmax(x) == 0).all()
 
     def test_equal_positives_split_evenly(self):
-        p = 1054721
-        spec = A.ActivationSpec(2, 10, 4, "softmax_sim")
-        zeros = np.zeros(2, np.int64)
-        _, y = A.activation_oracle(spec, p, np.array([96, 96]), zeros, zeros)
+        x = np.array([[3 << 12, 3 << 12, 0, 0, -4, -9, 0, -1]])
+        y = _softmax(x)[0]
         assert y[0] == y[1]
-        assert abs(int(y[0]) - 8) <= 1  # one half at f=4
+        assert abs(int(y[0]) - (1 << (SOFTMAX.frac - 1))) <= 1  # one half
+        assert not y[2:].any()
 
     def test_relu_only_keeps_scale(self):
-        p = 1054721
-        spec = A.ActivationSpec(3, 10, 4, "relu_only")
-        zeros = np.zeros(3, np.int64)
-        x = np.array([37, -12, 0])
-        _, y = A.activation_oracle(spec, p, x, zeros, zeros)
-        assert np.array_equal(y, [37, 0, 0])
-
-    def test_variant_guards(self):
-        p = 1054721
-        sm = A.ActivationSpec(2, 10, 4, "softmax_sim")
-        ro = A.ActivationSpec(2, 10, 4, "relu_only")
-        assert A.build_attention_activation(sm, p).n_and > 0
-        assert A.build_relu_activation(ro, p).n_and > 0
-        with pytest.raises(ParameterError):
-            A.build_attention_activation(ro, p)
-        with pytest.raises(ParameterError):
-            A.build_relu_activation(sm, p)
-
-    def test_spec_validation(self):
-        with pytest.raises(ParameterError):
-            A.ActivationSpec(0, 10, 4, "softmax_sim")
-        with pytest.raises(ParameterError):
-            A.ActivationSpec(2, 10, 12, "softmax_sim")
-        with pytest.raises(ParameterError):
-            A.ActivationSpec(2, 10, 4, "gelu")
-        with pytest.raises(ParameterError):
-            A.ActivationSpec(2, 10, 4, "softmax_sim", act_w=12, act_f=4)
-
-    def test_prime_must_cover_value_width(self):
-        with pytest.raises(ParameterError):
-            A.build_activation(A.ActivationSpec(2, 10, 4, "relu_only"), SMALL_P)
-
-
-class TestWidthSwitch:
-    def test_exhaustive_signed(self):
-        w, f, aw, af = 10, 4, 6, 2
-        c = A.build_width_switch(w, f, aw, af)
-        vals = np.arange(-(1 << (w - 1)), 1 << (w - 1))
-        out = c.plain_eval(to_bits(vals, w), np.zeros((vals.size, 0), np.uint8))
-        nar = word_value(out[:, :aw], signed=True)
-        wide = word_value(out[:, aw:], signed=True)
-        onar, owide = A.width_switch_oracle(vals, w, f, aw, af)
-        assert np.array_equal(nar, onar)
-        assert np.array_equal(wide, owide)
-        # exact round trip whenever the clamp did not engage
-        clean = (vals >> (f - af)) == nar
-        assert np.array_equal(wide[clean], (vals[clean] >> (f - af)) << (f - af))
-
-    def test_cheap(self):
-        c = A.build_width_switch(20, 9, 8, 4)
-        assert c.n_and <= 2 * 20
+        circ = S.affine_stage_circuit(12, 0, 12, relu=True)
+        x = np.array([[37], [-12], [0]])
+        got, _ = _field_run(circ, x, 12, 12, np.random.default_rng(5))
+        assert np.array_equal(got[:, 0].astype(np.int64), [37, 0, 0])

@@ -31,7 +31,7 @@ class TestCircuitSemantics:
         x = b.garbler_word(8)
         y = b.evaluator_word(8)
         b.mark_output_word(b.sub(x, y))
-        b.mark_output(b.ge_unsigned(x, y))
+        b.mark_output(b.sub(x, y, keep_borrow=True)[-1])
         c = b.freeze()
         xs, ys = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
         xs, ys = xs.ravel(), ys.ravel()
@@ -44,24 +44,19 @@ class TestCircuitSemantics:
         x = b.garbler_word(8)
         b.mark_output_word(b.relu(x))
         b.mark_output_word(b.saturate(x, 5))
-        b.mark_output_word(b.neg(x))
         c = b.freeze()
         vals = np.arange(-128, 128)
         out = c.plain_eval(to_bits(vals, 8), np.zeros((256, 0), dtype=np.uint8))
         assert np.array_equal(word_value(out[:, :8], signed=True),
                               np.maximum(vals, 0))
-        assert np.array_equal(word_value(out[:, 8:13], signed=True),
+        assert np.array_equal(word_value(out[:, 8:], signed=True),
                               np.clip(vals, -16, 15))
-        assert np.array_equal(word_value(out[:, 13:], signed=True),
-                              np.where(vals == -128, -128, -vals))
 
     def test_shifts_are_free(self):
         b = Builder()
         x = b.garbler_word(8)
-        y = b.shift_right_arith(x, 3)
-        z = b.shift_left(x, 2, 8)
-        b.mark_output_word(y)
-        b.mark_output_word(z)
+        b.mark_output_word(b.shift_right_arith(x, 3))
+        b.mark_output_word(b.saturate(x, 10))  # widening is sign extension
         c = b.freeze()
         assert c.n_gates == 0
 

@@ -10,13 +10,15 @@ from cipherformer.errors import (
     ParameterError,
     ProtocolError,
 )
-from cipherformer.ntt import get_ntt
+from cipherformer.ntt import get_stacked
 from cipherformer.primes import next_prime
+
+P20 = next_prime(1 << 20, congruent=(1, 2048))
 
 
 @pytest.fixture(scope="module")
 def setup():
-    par = pahe.toy_params(n=256)
+    par = pahe.session_params(P20, 256)
     km = pahe.keygen(par, seed=11, rotations=(1, 2, 5, par.row_size - 5))
     ev = pahe.Evaluator(km.public(), seed=12)
     rng = np.random.default_rng(13)
@@ -25,6 +27,27 @@ def setup():
 
 def rand_vec(par, rng):
     return rng.integers(0, par.p, par.n, dtype=np.uint64)
+
+
+def const(par, w):
+    """The slot vector with every slot w, encoded for multiplication."""
+    return pahe.encode_plain_many(par, [np.full(par.n, w % par.p, dtype=np.uint64)])[0]
+
+
+def enc(ev, v):
+    return ev.encrypt_many([v])[0]
+
+
+def dec(km, ct, verify=False):
+    return km.decrypt_many([ct], verify=verify)[0]
+
+
+def mul(ev, ct, w):
+    return ev.simd_scmult_many([ct], [w])[0]
+
+
+def rot(ev, ct, r):
+    return ev.col_rotate_many([ct], [r])[0]
 
 
 class TestParams:
@@ -38,9 +61,19 @@ class TestParams:
         with pytest.raises(ParameterError):
             pahe.PaheParams(n=256, p=p, q_primes=(p + 2, p + 4))
 
-    def test_toy_sizing_leaves_budget(self):
-        par = pahe.toy_params(n=256)
-        assert par.max_budget_bits > par.keyswitch_noise_bits + 30
+    def test_toy_sizing_leaves_budget(self, setup):
+        # the small ring these tests run on: a full-range multiply into a
+        # fresh ciphertext, then a key switch, still decrypts
+        par, km, ev, rng = setup
+        assert par.max_budget_bits > par.keyswitch_noise_bits + 8
+        v, w = rand_vec(par, rng), rand_vec(par, rng)
+        pw = pahe.encode_plain_many(par, [w])[0]
+        ct = rot(ev, mul(ev, enc(ev, v), pw), 1)
+        assert ct.noise_budget_bits > 0
+        half = par.row_size
+        prod = (v.astype(object) * w.astype(object) % par.p).astype(np.uint64)
+        want = np.concatenate([np.roll(prod[:half], -1), np.roll(prod[half:], -1)])
+        assert np.array_equal(dec(km, ct), want)
 
     def test_session_sizing_leaves_budget(self):
         p = next_prime(1 << 60, congruent=(1, 8192))
@@ -52,10 +85,11 @@ class TestParams:
     def test_slot_exponents_prime_independent(self):
         # The slot map is built once from a probe prime; every RNS prime's
         # transform must place evaluation points at the same exponents.
-        par = pahe.toy_params(n=256)
+        par = pahe.session_params(P20, 256)
         probe_exps = par.slots().exps
         for q in par.q_primes + (par.p,):
-            assert np.array_equal(get_ntt(q, par.n).eval_exponents, probe_exps)
+            assert np.array_equal(get_stacked((q,), par.n).eval_exponents,
+                                  probe_exps)
 
 
 class TestRoundTrip:
@@ -63,12 +97,12 @@ class TestRoundTrip:
         par, km, ev, rng = setup
         for _ in range(5):
             v = rand_vec(par, rng)
-            assert np.array_equal(km.decrypt(ev.encrypt(v)), v)
+            assert np.array_equal(dec(km, enc(ev, v)), v)
 
     def test_short_vector_pads(self, setup):
         par, km, ev, rng = setup
         v = np.array([5, 6, 7], dtype=np.uint64)
-        out = km.decrypt(ev.encrypt(v))
+        out = dec(km, enc(ev, v))
         assert np.array_equal(out[:3], v) and not out[3:].any()
 
     def test_batched_matches_single(self, setup):
@@ -81,7 +115,7 @@ class TestRoundTrip:
     def test_unreduced_slots_rejected(self, setup):
         par, km, ev, rng = setup
         with pytest.raises(ParameterError):
-            ev.encrypt(np.array([par.p], dtype=np.uint64))
+            enc(ev, np.array([par.p], dtype=np.uint64))
 
     def test_keygen_deterministic(self, setup):
         par, km, ev, rng = setup
@@ -94,35 +128,35 @@ class TestHomomorphisms:
     def test_add_ct(self, setup):
         par, km, ev, rng = setup
         a, b = rand_vec(par, rng), rand_vec(par, rng)
-        got = km.decrypt(ev.add_ct(ev.encrypt(a), ev.encrypt(b)))
+        got = dec(km, ev.add_ct(enc(ev, a), enc(ev, b)))
         assert np.array_equal(got, (a + b) % np.uint64(par.p))
 
     def test_add_plain_full_range(self, setup):
         par, km, ev, rng = setup
         a, b = rand_vec(par, rng), rand_vec(par, rng)
-        got = km.decrypt(ev.add_plain(ev.encrypt(a), b))
+        got = dec(km, ev.add_plain_many([enc(ev, a)], [b])[0])
         assert np.array_equal(got, (a + b) % np.uint64(par.p))
 
     def test_scalar_scmult(self, setup):
         par, km, ev, rng = setup
         a = rand_vec(par, rng)
         w = int(rng.integers(1, 1 << 18))
-        got = km.decrypt(ev.simd_scmult(ev.encrypt(a), w))
+        got = dec(km, mul(ev, enc(ev, a), const(par, w)))
         assert np.array_equal(got.astype(object), (a.astype(object) * w) % par.p)
 
     def test_vector_scmult(self, setup):
         par, km, ev, rng = setup
         a = rand_vec(par, rng)
         w = rng.integers(0, 1 << 18, par.n, dtype=np.uint64)
-        got = km.decrypt(ev.simd_scmult(ev.encrypt(a), pahe.encode_plain(par, w)))
+        got = dec(km, mul(ev, enc(ev, a), pahe.encode_plain_many(par, [w])[0]))
         want = (a.astype(object) * w.astype(object)) % par.p
         assert np.array_equal(got.astype(object), want)
 
     def test_scmult_by_zero_and_one(self, setup):
         par, km, ev, rng = setup
         a = rand_vec(par, rng)
-        assert not km.decrypt(ev.simd_scmult(ev.encrypt(a), 0)).any()
-        assert np.array_equal(km.decrypt(ev.simd_scmult(ev.encrypt(a), 1)), a)
+        assert not dec(km, mul(ev, enc(ev, a), const(par, 0))).any()
+        assert np.array_equal(dec(km, mul(ev, enc(ev, a), const(par, 1))), a)
 
 
 class TestRotations:
@@ -131,39 +165,24 @@ class TestRotations:
         half = par.row_size
         v = rand_vec(par, rng)
         for r in (1, 5):
-            got = km.decrypt(ev.col_rotate(ev.encrypt(v), r))
+            got = dec(km, rot(ev, enc(ev, v), r))
             want = np.concatenate([np.roll(v[:half], -r), np.roll(v[half:], -r)])
             assert np.array_equal(got, want)
-
-    def test_swap_rows(self, setup):
-        par, km, ev, rng = setup
-        half = par.row_size
-        v = rand_vec(par, rng)
-        got = km.decrypt(ev.swap_rows(ev.encrypt(v)))
-        assert np.array_equal(got, np.concatenate([v[half:], v[:half]]))
-
-    def test_flat_rotate_matches_roll(self, setup):
-        par, km, ev, rng = setup
-        half = par.row_size
-        v = rand_vec(par, rng)
-        for k in (1, 5, half, half + 2, par.n - 5):
-            got = km.decrypt(ev.rotate(ev.encrypt(v), k))
-            assert np.array_equal(got, np.roll(v, -k)), f"k={k}"
 
     def test_rotate_zero_is_identity(self, setup):
         par, km, ev, rng = setup
         v = rand_vec(par, rng)
-        assert np.array_equal(km.decrypt(ev.rotate(ev.encrypt(v), 0)), v)
+        assert np.array_equal(dec(km, rot(ev, enc(ev, v), 0)), v)
 
     def test_missing_rotation_key(self, setup):
         par, km, ev, rng = setup
         with pytest.raises(ParameterError, match="rotation key"):
-            ev.col_rotate(ev.encrypt(rand_vec(par, rng)), 7)
+            rot(ev, enc(ev, rand_vec(par, rng)), 7)
 
     def test_composition(self, setup):
         par, km, ev, rng = setup
         v = rand_vec(par, rng)
-        got = km.decrypt(ev.col_rotate(ev.col_rotate(ev.encrypt(v), 2), 5))
+        got = dec(km, rot(ev, rot(ev, enc(ev, v), 2), 5))
         half = par.row_size
         want = np.concatenate([np.roll(v[:half], -7), np.roll(v[half:], -7)])
         assert np.array_equal(got, want)
@@ -172,55 +191,55 @@ class TestRotations:
 class TestNoise:
     def test_ops_strictly_increase_noise(self, setup):
         par, km, ev, rng = setup
-        ct = ev.encrypt(rand_vec(par, rng))
-        w = pahe.encode_plain(par, rng.integers(0, 1 << 10, par.n, dtype=np.uint64))
-        seq = [lambda c: ev.add_plain(c, rand_vec(par, rng)),
-               lambda c: ev.simd_scmult(c, 3),
-               lambda c: ev.col_rotate(c, 1),
-               lambda c: ev.add_ct(c, ev.encrypt(rand_vec(par, rng)))]
+        ct = enc(ev, rand_vec(par, rng))
+        seq = [lambda c: ev.add_plain_many([c], [rand_vec(par, rng)])[0],
+               lambda c: mul(ev, c, const(par, 3)),
+               lambda c: rot(ev, c, 1),
+               lambda c: ev.add_ct(c, enc(ev, rand_vec(par, rng)))]
         last = ct.noise_bits
         for f in seq:
             ct = f(ct)
             assert ct.noise_bits > last
             last = ct.noise_bits
-        km.decrypt(ct)  # still decryptable
+        dec(km, ct)  # still decryptable
 
     def test_budget_exhaustion_raises(self, setup):
         par, km, ev, rng = setup
-        ct = ev.encrypt(rand_vec(par, rng))
+        ct = enc(ev, rand_vec(par, rng))
+        w = const(par, (par.p - 1) // 2)
         with pytest.raises(NoiseBudgetError):
             for _ in range(100):
-                ct = ev.simd_scmult(ct, (par.p - 1) // 2)
+                ct = mul(ev, ct, w)
 
     def test_shadow_catches_tampering(self, setup):
         par, km, _, rng = setup
         ev = pahe.Evaluator(km.public(), seed=5, track_plain=True)
         v = rand_vec(par, rng)
-        ct = ev.simd_scmult(ev.col_rotate(ev.encrypt(v), 1), 7)
-        km.decrypt(ct, verify=True)
+        ct = mul(ev, rot(ev, enc(ev, v), 1), const(par, 7))
+        dec(km, ct, verify=True)
         ct._ref[3] = (ct._ref[3] + 1) % par.p
         with pytest.raises(DecryptionError):
-            km.decrypt(ct, verify=True)
+            dec(km, ct, verify=True)
 
 
 class TestWireFormat:
     def test_ciphertext_roundtrip(self, setup):
         par, km, ev, rng = setup
         v = rand_vec(par, rng)
-        ct2 = pahe.ct_from_bytes(pahe.ct_to_bytes(ev.encrypt(v)), par)
-        assert np.array_equal(km.decrypt(ct2), v)
+        ct2 = pahe.ct_from_bytes(pahe.ct_to_bytes(enc(ev, v)), par)
+        assert np.array_equal(dec(km, ct2), v)
 
     def test_bad_magic(self, setup):
         par, km, ev, rng = setup
-        blob = bytearray(pahe.ct_to_bytes(ev.encrypt(rand_vec(par, rng))))
+        blob = bytearray(pahe.ct_to_bytes(enc(ev, rand_vec(par, rng))))
         blob[0] ^= 0xFF
         with pytest.raises(ProtocolError):
             pahe.ct_from_bytes(bytes(blob))
 
     def test_params_mismatch(self, setup):
         par, km, ev, rng = setup
-        other = pahe.toy_params(n=512)
-        blob = pahe.ct_to_bytes(ev.encrypt(rand_vec(par, rng)))
+        other = pahe.session_params(P20, 512)
+        blob = pahe.ct_to_bytes(enc(ev, rand_vec(par, rng)))
         with pytest.raises(ParameterError):
             pahe.ct_from_bytes(blob, other)
 
@@ -231,6 +250,54 @@ class TestWireFormat:
         ev2 = pahe.Evaluator(km2, seed=6)
         v = rand_vec(par, rng)
         half = par.row_size
-        got = km.decrypt(ev2.col_rotate(ev2.encrypt(v), 5))
+        got = dec(km, rot(ev2, enc(ev2, v), 5))
         assert np.array_equal(
             got, np.concatenate([np.roll(v[:half], -5), np.roll(v[half:], -5)]))
+
+    def test_crafted_ciphertexts_rejected(self, setup):
+        par, km, ev, rng = setup
+        ct = enc(ev, rand_vec(par, rng))
+        blob = pahe.ct_to_bytes(ct)
+        with pytest.raises(ProtocolError, match="trailing"):
+            pahe.ct_from_bytes(blob + bytes(8), par)
+        big = ct.copy()
+        big.c0[0, 0] = par.q_primes[0] + 5
+        with pytest.raises(ProtocolError, match="residue"):
+            pahe.ct_from_bytes(pahe.ct_to_bytes(big), par)
+        # the wire noise estimate must not be able to switch off the budget
+        # check: below fresh, non-finite, or no budget left
+        for noise in (-1e9, par.fresh_noise_bits - 1, float("nan"),
+                      float("inf"), par.max_budget_bits):
+            forged = ct.copy()
+            forged.noise_bits = noise
+            with pytest.raises(ProtocolError, match="noise"):
+                pahe.ct_from_bytes(pahe.ct_to_bytes(forged), par)
+
+    def test_decoder_fuzz_raises_only_package_errors(self, setup):
+        """Seeded mutations of an honest ciphertext: flipped, truncated or
+        inserted bytes, mostly in the header where the lengths live.  The
+        decoder may accept a mutant (a flipped residue is still a residue)
+        but must never leak anything but a package error."""
+        par, km, ev, rng = setup
+        blob = pahe.ct_to_bytes(enc(ev, rand_vec(par, rng)))
+        head = blob.index(b"toy") + 3 + 8 + 4  # through c0's length prefix
+        fuzz = np.random.default_rng(2024)
+        rejected = 0
+        for case in range(300):
+            data = bytearray(blob)
+            span = head if case % 4 else len(data)
+            kind = case % 3
+            if kind == 0:
+                for pos in fuzz.integers(0, span, int(fuzz.integers(1, 4))):
+                    data[pos] ^= int(fuzz.integers(1, 256))
+            elif kind == 1:
+                del data[int(fuzz.integers(0, len(data))):]
+            else:
+                pos = int(fuzz.integers(0, span))
+                data[pos:pos] = fuzz.integers(0, 256, int(fuzz.integers(1, 9)),
+                                              dtype=np.uint8).tobytes()
+            try:
+                pahe.ct_from_bytes(bytes(data), par if case % 2 else None)
+            except (ProtocolError, ParameterError):
+                rejected += 1
+        assert rejected > 200

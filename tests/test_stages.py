@@ -5,7 +5,7 @@ import pytest
 
 from cipherformer import stages as S
 from cipherformer.errors import ParameterError
-from cipherformer.gc.circuit import to_bits, word_value
+from cipherformer.gc.circuit import Builder, to_bits, word_value
 
 TOY = dict(seq_len=8, dim=4, ff_dim=16, n_layers=1, w=20, f=9)
 
@@ -272,6 +272,43 @@ class TestRowdivCircuit:
         got = _run_rowdiv(circ, rows, spec.m, spec.keep)
         want = S.rowdiv_stage_oracle(rows, spec.shift, spec.frac)
         assert np.array_equal(got, want)
+
+
+def _divider_circuit(w, f):
+    b = Builder()
+    x = b.garbler_word(w)
+    s = b.evaluator_word(w)
+    b.mark_output_word(S._divider(b, x, s, f))
+    return b.freeze()
+
+
+class TestDivider:
+    def test_exhaustive_matches_greedy_oracle(self):
+        # every (x, s) pair at w=10, f=4; quotient must equal the bit-greedy
+        # reference everywhere and exact floor division whenever that fits
+        w, f = 10, 4
+        c = _divider_circuit(w, f)
+        xs = np.repeat(np.arange(1 << w), (1 << w) - 1)
+        ss = np.tile(np.arange(1, 1 << w), 1 << w)
+        got = np.empty(xs.size, dtype=np.int64)
+        step = 1 << 16
+        for lo in range(0, xs.size, step):
+            hi = min(lo + step, xs.size)
+            bits = c.plain_eval(to_bits(xs[lo:hi], w), to_bits(ss[lo:hi], w))
+            got[lo:hi] = word_value(bits)
+        assert np.array_equal(got, S.divider_oracle(xs, ss, f))
+        floor = xs // ss
+        fits = floor < (1 << f)
+        assert np.array_equal(got[fits], floor[fits])
+        assert (got[~fits] == (1 << f) - 1).all()
+
+    def test_oracle_saturates_on_zero_divisor(self):
+        assert S.divider_oracle(np.array([5]), np.array([0]), 4) == 15
+
+    def test_gate_cost_linear_in_width(self):
+        a = _divider_circuit(8, 4).n_and
+        b = _divider_circuit(16, 4).n_and
+        assert b < 2.6 * a
 
 
 class TestGateCounts:
