@@ -2,7 +2,7 @@
 
 The package splits along the natural trust boundary of the protocol:
 
-  * ``fixedpoint``  -- scaled-integer encoding shared by every layer
+  * ``fixedpoint``  -- signed integers <-> prime-field elements
   * ``pahe``        -- packed additively homomorphic encryption (RLWE/RNS)
   * ``helinear``    -- linear algebra on packed ciphertexts (plain-weight
                        products, masked ct-by-ct products)
@@ -19,7 +19,6 @@ from .errors import (
     CipherformerError,
     CircuitError,
     DecryptionError,
-    EncodingError,
     GarbleError,
     NoiseBudgetError,
     ParameterError,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CipherformerError",
     "ParameterError",
-    "EncodingError",
     "NoiseBudgetError",
     "DecryptionError",
     "CircuitError",

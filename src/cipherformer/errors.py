@@ -5,7 +5,6 @@ so callers can catch one base class at protocol boundaries.  The subclasses
 map to the major failure domains:
 
   * ParameterError   -- bad or inconsistent scheme/config parameters
-  * EncodingError    -- fixed-point value does not fit the declared layout
   * NoiseBudgetError -- an HE ciphertext has (or would) run out of noise room
   * DecryptionError  -- decryption produced a detectably wrong result
   * CircuitError     -- boolean circuit construction or evaluation misuse
@@ -19,10 +18,6 @@ class CipherformerError(Exception):
 
 
 class ParameterError(CipherformerError, ValueError):
-    pass
-
-
-class EncodingError(CipherformerError, ValueError):
     pass
 
 

@@ -1,181 +1,15 @@
-"""Scaled-integer arithmetic over a prime field.
+"""Signed integers embedded in a prime field.
 
-A real number x is stored as the w-bit two's-complement integer
-round(x * 2^f), embedded into Z_p by reduction mod p.  Requiring p >= 2^w
-keeps the embedding injective, so the signed value can always be recovered
-with a centered lift.  The same layout is shared by the HE plaintext slots,
-the garbled-circuit wires and the reference model, which is what makes the
-cross-checks between those layers bit-exact.
-
-Layout invariants (enforced by FpParams):
-
-    2 <= frac < width <= modulus.bit_length()
-    modulus prime, modulus >= 2^width
-
-Worked examples with the default layout (width=20, frac=9):
-
-    encode(1.0)  == 512
-    encode(-0.5) == p - 256
-
-Rounding is "half away from zero is up": encode computes
-floor(x * 2^f + 0.5).  rescale() by contrast is a plain arithmetic right
-shift (floor), because that is the only truncation a two's-complement
-shift circuit performs; the reference model must match it exactly.
+Weights and activations are fixed-point values round(x * 2^f) held as
+centered signed int64 tensors; the reference model computes on them
+directly, and the protocol moves them into Z_p only at its boundary.  For a
+prime p above twice the largest magnitude the embedding is injective, so
+the centered lift recovers the signed value exactly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
-
-from .errors import EncodingError, ParameterError
-from .primes import is_prime, next_prime
-
-DEFAULT_WIDTH = 20
-DEFAULT_FRAC = 9
-# Slot packing of length n needs p == 1 (mod 2n); 2048 covers n up to 1024.
-DEFAULT_SLOT_ORDER = 2048
-
-
-@lru_cache(maxsize=None)
-def default_modulus(width: int = DEFAULT_WIDTH, slot_order: int = DEFAULT_SLOT_ORDER) -> int:
-    """Smallest packing-compatible prime >= 2^width."""
-    return next_prime(1 << width, congruent=(1 % slot_order, slot_order))
-
-
-@dataclass(frozen=True)
-class FpParams:
-    """Fixed-point layout: total width, fraction bits, field modulus."""
-
-    width: int = DEFAULT_WIDTH
-    frac: int = DEFAULT_FRAC
-    modulus: int = 0  # 0 -> smallest packing-compatible prime >= 2^width
-
-    def __post_init__(self):
-        if self.modulus == 0:
-            object.__setattr__(self, "modulus", default_modulus(self.width))
-        if not (2 <= self.frac < self.width):
-            raise ParameterError(
-                f"need 2 <= frac < width, got frac={self.frac} width={self.width}"
-            )
-        if self.modulus < (1 << self.width):
-            raise ParameterError(
-                f"modulus {self.modulus} < 2^{self.width}; signed embedding not injective"
-            )
-        if not is_prime(self.modulus):
-            raise ParameterError(f"modulus {self.modulus} is not prime")
-
-    @property
-    def scale(self) -> int:
-        return 1 << self.frac
-
-    @property
-    def signed_min(self) -> int:
-        return -(1 << (self.width - 1))
-
-    @property
-    def signed_max(self) -> int:
-        return (1 << (self.width - 1)) - 1
-
-    @property
-    def ulp(self) -> float:
-        return 2.0 ** (-self.frac)
-
-    def with_modulus(self, modulus: int) -> "FpParams":
-        """Same value layout re-embedded in a different (larger) field."""
-        return FpParams(self.width, self.frac, modulus)
-
-
-def encode_signed(x: float, params: FpParams) -> int:
-    """Scale and round to the signed integer lattice; range-checked."""
-    s = math.floor(x * params.scale + 0.5)
-    if not params.signed_min <= s <= params.signed_max:
-        raise EncodingError(
-            f"{x!r} scales to {s}, outside [{params.signed_min}, {params.signed_max}] "
-            f"for width={params.width} frac={params.frac}"
-        )
-    return s
-
-
-def encode(x: float, params: FpParams) -> int:
-    return encode_signed(x, params) % params.modulus
-
-
-def centered(v: int, p: int) -> int:
-    """Lift a field element to the centered representative in (-p/2, p/2)."""
-    v %= p
-    return v - p if v > p // 2 else v
-
-
-def decode(v: int, params: FpParams) -> float:
-    return centered(v, params.modulus) / params.scale
-
-
-def saturate(s: int, width: int) -> int:
-    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    return lo if s < lo else hi if s > hi else s
-
-
-def rescale(v: int, shift: int, params: FpParams) -> int:
-    """Arithmetic right shift by `shift` on the signed value (floor division)."""
-    if shift < 0:
-        raise ParameterError(f"negative shift {shift}")
-    return (centered(v, params.modulus) >> shift) % params.modulus
-
-
-def width_convert(v: int, src: FpParams, dst: FpParams) -> int:
-    """Re-express a value in a different layout.
-
-    The fraction-bit change is a shift (left when dst has more, floor-shift
-    right when it has fewer); narrowing the total width saturates instead of
-    wrapping, widening is lossless.
-    """
-    s = centered(v, src.modulus)
-    df = dst.frac - src.frac
-    s = s << df if df >= 0 else s >> (-df)
-    return saturate(s, dst.width) % dst.modulus
-
-
-def gen_random(params: FpParams, rng, size=None):
-    """Uniform exact fixed-point values in [-2^(w-2-f), 2^(w-2-f)).
-
-    Returned as floats; every draw is an integer multiple of the ulp, so a
-    later encode() round-trips without rounding.  `rng` is a ``random.Random``
-    instance (keeps draws reproducible across numpy versions).
-    """
-    lim = 1 << (params.width - 2)
-    if size is None:
-        return rng.randrange(-lim, lim) / params.scale
-    out = np.empty(size, dtype=np.float64)
-    flat = out.reshape(-1)
-    for i in range(flat.size):
-        flat[i] = rng.randrange(-lim, lim)
-    out /= params.scale
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Array helpers.  The reference model keeps whole tensors as centered signed
-# int64 (products of two in-range values plus long accumulations still fit),
-# and only crosses into field representation at the protocol boundary.
-# ---------------------------------------------------------------------------
-
-
-def encode_array(xs, params: FpParams) -> np.ndarray:
-    """Vectorised encode_signed -> int64 array of scaled signed integers."""
-    s = np.floor(np.asarray(xs, dtype=np.float64) * params.scale + 0.5)
-    if s.size and (s.min() < params.signed_min or s.max() > params.signed_max):
-        raise EncodingError(
-            f"array values outside signed range for width={params.width} frac={params.frac}"
-        )
-    return s.astype(np.int64)
-
-
-def decode_array(s, params: FpParams) -> np.ndarray:
-    return np.asarray(s, dtype=np.float64) / params.scale
 
 
 def to_field(s, p: int) -> np.ndarray:

@@ -113,7 +113,7 @@ class GarbledCircuit:
     def output_zero_labels(self) -> np.ndarray:
         return self.wire0[self.circuit.outputs]
 
-    def output_pads(self, extra_tweak: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    def output_pads(self) -> tuple[np.ndarray, np.ndarray]:
         """Label-keyed one-time pads for both values of every output wire:
         (pads0, pads1), each (n_out, E, 2).  Whoever holds the active output
         label can recompute exactly one of the two."""
@@ -123,20 +123,17 @@ class GarbledCircuit:
         pads = []
         for labels in (z, z ^ self.delta[None]):
             tw = np.zeros((outs.size, E, 2), dtype=np.uint64)
-            tw[..., 0] = _B2A_NS | (np.arange(outs.size, dtype=np.uint64)[:, None]
-                                    + np.uint64(extra_tweak))
+            tw[..., 0] = _B2A_NS | np.arange(outs.size, dtype=np.uint64)[:, None]
             tw[..., 1] = np.arange(E, dtype=np.uint64)[None]
             pads.append(hash_labels(labels, tw))
         return pads[0], pads[1]
 
 
-def active_output_pads(circuit: Circuit, active_out: np.ndarray,
-                       extra_tweak: int = 0) -> np.ndarray:
+def active_output_pads(circuit: Circuit, active_out: np.ndarray) -> np.ndarray:
     """Evaluator side of `output_pads`: pads for the labels actually held."""
     n_out, E = active_out.shape[0], active_out.shape[1]
     tw = np.zeros((n_out, E, 2), dtype=np.uint64)
-    tw[..., 0] = _B2A_NS | (np.arange(n_out, dtype=np.uint64)[:, None]
-                            + np.uint64(extra_tweak))
+    tw[..., 0] = _B2A_NS | np.arange(n_out, dtype=np.uint64)[:, None]
     tw[..., 1] = np.arange(E, dtype=np.uint64)[None]
     return hash_labels(active_out, tw)
 

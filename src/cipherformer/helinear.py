@@ -159,18 +159,22 @@ def pack_diagonal(ev: Evaluator, M, scale: int = 0) -> EncMatrix:
     return EncMatrix(DIAG, cts, A.shape[0], A.shape[1], scale)
 
 
-def pack_colblocks(ev: Evaluator, M, block: int, scale: int = 0,
-                   cols_per_ct: int | None = None) -> EncMatrix:
+def colblock_cols_per_ct(params: PaheParams, cols: int, block: int) -> int:
+    """Columns each ciphertext of a column-block packing carries: as many
+    blocks of `block` slots as fit one ring row, never more than `cols`.
+    The one blocking rule -- packing, products, rotation keys and the wire
+    decoder all follow it, so no layout ever names its own."""
+    return min(cols, params.row_size // block)
+
+
+def pack_colblocks(ev: Evaluator, M, block: int, scale: int = 0) -> EncMatrix:
     A = _entries(M)
     r, c = A.shape
     if block < r:
         raise ParameterError(f"block {block} shorter than column height {r}")
-    cap = ev.params.row_size // block
-    if cap == 0:
+    if block > ev.params.row_size:
         raise ParameterError(f"block {block} exceeds row capacity")
-    cpc = min(c, cap) if cols_per_ct is None else cols_per_ct
-    if cpc < 1 or cpc * block > ev.params.row_size:
-        raise ParameterError(f"{cpc} columns of block {block} do not fit a row")
+    cpc = colblock_cols_per_ct(ev.params, c, block)
     cts = ev.encrypt_many(_colblock_vectors(A, block, cpc, cpc * block))
     return EncMatrix(COLBLOCKS, cts, r, c, scale, block=block, cols_per_ct=cpc)
 
@@ -216,18 +220,16 @@ def add_offset(ev: Evaluator, enc: EncMatrix, M, transpose: bool = False) -> Enc
 
 
 def colblock_rotation_amounts(params: PaheParams, in_cols: int, block: int,
-                              cols_per_ct: int, in_cols_per_ct: int | None = None
-                              ) -> list[int]:
-    """Column-rotation key amounts colblock_matmul will use."""
-    half = params.row_size
-    icc = in_cols if in_cols_per_ct is None else in_cols_per_ct
-    nin = min(in_cols, icc)
-    return sorted({(d * block) % half
-                   for d in range(-(cols_per_ct - 1), nin)} - {0})
+                              out_cols: int) -> list[int]:
+    """Column-rotation key amounts colblock_matmul will use on an
+    (rows x in_cols) @ (in_cols x out_cols) product with blocks of `block`."""
+    nin = colblock_cols_per_ct(params, in_cols, block)
+    nout = colblock_cols_per_ct(params, out_cols, block)
+    return sorted({(d * block) % params.row_size
+                   for d in range(-(nout - 1), nin)} - {0})
 
 
-def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0,
-                    cols_per_ct: int | None = None) -> EncMatrix:
+def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0) -> EncMatrix:
     """Y = X @ W for X in colblocks packing; output in colblocks packing.
 
     Every row of X is processed simultaneously: one diagonal sweep per
@@ -243,10 +245,7 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0,
             f"inner dims disagree: X is {X.rows}x{X.cols}, W is {A.shape[0]}x{A.shape[1]}")
     d_out = A.shape[1]
     B = X.block
-    cap = half // B
-    C = min(d_out, cap) if cols_per_ct is None else cols_per_ct
-    if C < 1 or C * B > half:
-        raise ParameterError(f"{C} output columns of block {B} do not fit a row")
+    C = colblock_cols_per_ct(par, d_out, B)
     n_groups = -(-d_out // C)
     vecs, plan = [], []
     for og in range(n_groups):
@@ -382,6 +381,10 @@ def ctmm_client_round(ev: Evaluator, keys: KeyMaterial, msg: CtmmMasked) -> Ctmm
     party can finish both cross terms without any rotations.
     """
     p = keys.params.p
+    r, k = _mult_shape(msg.x, msg.transpose_x)
+    k2, c = _mult_shape(msg.y, msg.transpose_y)
+    if k != k2:
+        raise ProtocolError(f"masked factors do not chain: {r}x{k} times {k2}x{c}")
     xt = decrypt_matrix(keys, msg.x)
     if msg.transpose_x:
         xt = xt.T.copy()
@@ -408,13 +411,12 @@ def ctmm_server_finalize(ev: Evaluator, reply: CtmmReply, st: MaskState) -> EncM
     st.used = True
     p = ev.params.p
     r, k, c = st.shape
-    if reply.prod.rows != r or reply.prod.cols != c:
-        raise ProtocolError(
-            f"product reply is {reply.prod.rows}x{reply.prod.cols}, expected {r}x{c}")
-    if reply.y_diag.rows != k or reply.y_diag.cols != c:
-        raise ProtocolError("second-factor repacking has the wrong shape")
-    if reply.x_diag.rows != k or reply.x_diag.cols != r:
-        raise ProtocolError("first-factor repacking has the wrong shape")
+    for what, enc, want in (("product", reply.prod, (ROWS, r, c)),
+                            ("first-factor repacking", reply.x_diag, (DIAG, k, r)),
+                            ("second-factor repacking", reply.y_diag, (DIAG, k, c))):
+        if (enc.packing, enc.rows, enc.cols) != want:
+            raise ProtocolError(f"{what} reply is {enc.packing} "
+                                f"{enc.rows}x{enc.cols}, expected {want}")
     r1r2 = matmul_mod(st.r1, st.r2, p)
     rows_cross = plain_times_diag(ev, st.r1, reply.y_diag)
     rows_cts = ev.add_plain_many(
@@ -440,13 +442,48 @@ def encmatrix_to_bytes(enc: EncMatrix) -> bytes:
     return b"".join(parts)
 
 
+def _layout_ct_count(params: PaheParams, packing: str, rows: int, cols: int,
+                     block: int, cpc: int) -> int:
+    """How many ciphertexts a layout holds; ProtocolError when no matrix of
+    this package could have it (data past a ring row, blocking off the rule,
+    block fields on a packing without blocks)."""
+    half = params.row_size
+    if packing == COLBLOCKS:
+        if not (0 < rows <= block <= half and cols > 0
+                and cpc == colblock_cols_per_ct(params, cols, block)):
+            raise ProtocolError(f"column blocks of {rows}x{cols}, block {block}, "
+                                f"{cpc} per ciphertext do not fit the ring")
+        return -(-cols // cpc)
+    if block or cpc:
+        raise ProtocolError(f"{packing} packing carries block fields")
+    if packing == SUM_ROWS_COLST:
+        if max(rows, cols) > half:
+            raise ProtocolError(f"{rows}x{cols} split product exceeds a ring row")
+        return rows + cols
+    if cols > half:
+        raise ProtocolError(f"{cols} columns exceed the {half}-slot ring row")
+    return rows
+
+
 def encmatrix_from_bytes(data: bytes, params: PaheParams) -> EncMatrix:
+    """Parse an encrypted matrix from the peer.  The layout must be one this
+    package could have produced under `params`, and the ciphertext count
+    must be exactly the one it implies."""
+    head = struct.Struct("<BIIiIII")
     try:
-        pid, rows, cols, scale, block, cpc = struct.unpack_from("<BIIiII", data, 0)
-        off = struct.calcsize("<BIIiII")
-        (count,) = struct.unpack_from("<I", data, off)
-        off += 4
-        cts = []
+        pid, rows, cols, scale, block, cpc, count = head.unpack_from(data, 0)
+    except struct.error as exc:
+        raise ProtocolError(f"truncated matrix payload: {exc}") from None
+    if pid not in _PACKING_BY_ID:
+        raise ProtocolError(f"unknown packing id {pid}")
+    packing = _PACKING_BY_ID[pid]
+    want = _layout_ct_count(params, packing, rows, cols, block, cpc)
+    if count != want:
+        raise ProtocolError(f"{packing} matrix of {rows}x{cols} needs {want} "
+                            f"ciphertexts, payload has {count}")
+    off = head.size
+    cts = []
+    try:
         for _ in range(count):
             (ln,) = struct.unpack_from("<I", data, off)
             off += 4
@@ -454,9 +491,6 @@ def encmatrix_from_bytes(data: bytes, params: PaheParams) -> EncMatrix:
             off += ln
     except struct.error as exc:
         raise ProtocolError(f"truncated matrix payload: {exc}") from None
-    if pid not in _PACKING_BY_ID:
-        raise ProtocolError(f"unknown packing id {pid}")
     if off != len(data):
         raise ProtocolError("trailing bytes after matrix payload")
-    return EncMatrix(_PACKING_BY_ID[pid], cts, rows, cols, scale,
-                     block=block, cols_per_ct=cpc)
+    return EncMatrix(packing, cts, rows, cols, scale, block=block, cols_per_ct=cpc)

@@ -28,25 +28,20 @@ Folds that keep the pipeline shallow are baked into the weights:
 * the 1/seq_len pooling factor lives in the classifier rows, so pooling is
   a plain sum.
 
-Weight files use a small fixed format (magic "CFW1"): a little-endian
-header followed by int32 tensors in declaration order.
+Weights come from `gen_random` (seeded, deterministic); there is no weight
+file format.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EncodingError, ParameterError
+from .errors import ParameterError
 from .stages import (MODES, StagePlan, affine_stage_oracle, build_stage_plan,
                      rowdiv_stage_oracle)
-
-_MAGIC = b"CFW1"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHH8I")
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ def validate_weights(cfg: ModelConfig, weights: Weights):
 
 
 # ----------------------------------------------------------------------------
-# generation and requantisation
+# generation
 
 
 def gen_random(cfg: ModelConfig, seed: int, scale: float = 1.0) -> Weights:
@@ -154,24 +149,6 @@ def gen_random(cfg: ModelConfig, seed: int, scale: float = 1.0) -> Weights:
             ff2=draw((cfg.ff_dim, cfg.dim))))
     cls = draw((cfg.dim, cfg.n_classes), div=cfg.seq_len)
     return Weights(emb, pos, tuple(layers), cls)
-
-
-def requantize(cfg: ModelConfig, weights: Weights, w: int, f: int) \
-        -> tuple[ModelConfig, Weights]:
-    """Re-express every tensor at width w / fraction f (round, then clamp).
-    Used for the uniformly narrowed comparison pipeline."""
-    cfg2 = replace(cfg, w=w, f=f)
-    lim = (1 << (w - 1)) - 1
-
-    def rq(t):
-        v = np.rint(t.astype(np.float64) * 2.0 ** (f - cfg.f)).astype(np.int64)
-        return np.clip(v, -lim, lim)
-
-    layers = tuple(LayerWeights(*(rq(x) for x in (lw.wq, lw.wk, lw.wv,
-                                                  lw.ff1, lw.ff2)))
-                   for lw in weights.layers)
-    return cfg2, Weights(rq(weights.embedding), rq(weights.positional),
-                         layers, rq(weights.classifier))
 
 
 def value_projection(wv: np.ndarray, dim: int, mode: str) -> np.ndarray:
@@ -303,66 +280,3 @@ def forward_float(cfg: ModelConfig, weights: Weights, tokens,
         x = h @ (lw.ff2 / unit)
     return x.sum(axis=0) @ (weights.classifier / unit)
 
-
-# ----------------------------------------------------------------------------
-# weight files
-
-
-def weights_to_bytes(cfg: ModelConfig, weights: Weights) -> bytes:
-    validate_weights(cfg, weights)
-    head = _HEADER.pack(_MAGIC, _VERSION, 0, cfg.w, cfg.f, cfg.vocab,
-                        cfg.seq_len, cfg.dim, cfg.ff_dim, cfg.n_layers,
-                        cfg.n_classes)
-    parts = [head]
-    for t in _tensors(weights):
-        if np.abs(t).max(initial=0) >= 1 << 31:
-            raise EncodingError("tensor entry exceeds int32 range")
-        parts.append(np.ascontiguousarray(t, dtype="<i4").tobytes())
-    return b"".join(parts)
-
-
-def weights_from_bytes(data: bytes) -> tuple[ModelConfig, Weights]:
-    if len(data) < _HEADER.size:
-        raise EncodingError("weight blob shorter than its header")
-    magic, version, _pad, w, f, vocab, seq_len, dim, ff_dim, n_layers, \
-        n_classes = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise EncodingError("not a weight blob (bad magic)")
-    if version != _VERSION:
-        raise EncodingError(f"unsupported weight format version {version}")
-    try:
-        cfg = ModelConfig(vocab=vocab, seq_len=seq_len, dim=dim,
-                          ff_dim=ff_dim, n_layers=n_layers,
-                          n_classes=n_classes, w=w, f=f)
-    except ParameterError as exc:
-        raise EncodingError(f"weight header invalid: {exc}") from exc
-    off = _HEADER.size
-    arrays = []
-    for name, shape in _shapes(cfg):
-        count = shape[0] * shape[1]
-        end = off + 4 * count
-        if end > len(data):
-            raise EncodingError(f"weight blob truncated inside {name}")
-        arr = np.frombuffer(data, dtype="<i4", count=count, offset=off)
-        arrays.append(arr.astype(np.int64).reshape(shape))
-        off = end
-    if off != len(data):
-        raise EncodingError("trailing bytes after weight tensors")
-    layers = tuple(LayerWeights(*arrays[2 + 5 * e:2 + 5 * e + 5])
-                   for e in range(cfg.n_layers))
-    weights = Weights(arrays[0], arrays[1], layers, arrays[-1])
-    try:
-        validate_weights(cfg, weights)
-    except ParameterError as exc:
-        raise EncodingError(f"weight blob inconsistent: {exc}") from exc
-    return cfg, weights
-
-
-def save_weights(path, cfg: ModelConfig, weights: Weights):
-    with open(path, "wb") as fh:
-        fh.write(weights_to_bytes(cfg, weights))
-
-
-def load_weights(path) -> tuple[ModelConfig, Weights]:
-    with open(path, "rb") as fh:
-        return weights_from_bytes(fh.read())

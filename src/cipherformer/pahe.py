@@ -106,22 +106,6 @@ def get_slotmap(n: int) -> SlotMap:
     return SlotMap(n)
 
 
-def automorphism_coeffs(poly: Sequence[int], t: int, modulus: int) -> np.ndarray:
-    """Apply X -> X^t to a coefficient vector mod `modulus` (negacyclic)."""
-    n = len(poly)
-    out = np.zeros(n, dtype=np.uint64)
-    for j, c in enumerate(poly):
-        c = int(c)
-        if c == 0:
-            continue
-        e = j * t % (2 * n)
-        if e >= n:
-            out[e - n] = (int(out[e - n]) - c) % modulus
-        else:
-            out[e] = (int(out[e]) + c) % modulus
-    return out
-
-
 # ----------------------------------------------------------------------------
 # parameters
 
@@ -385,7 +369,6 @@ class KeyMaterial:
     galois: dict[int, KeySwitchKey] = field(default_factory=dict)
     _sk: np.ndarray | None = None      # (k, n) NTT domain
     _sk_sh: np.ndarray | None = None
-    _sk_coeffs: np.ndarray | None = None  # signed {-1,0,1} as int8
 
     @property
     def has_secret(self) -> bool:
@@ -492,15 +475,14 @@ def keygen(params: PaheParams, seed: int | None = None,
     rng = np.random.default_rng(seed)
     rns = params.rns()
     n = params.n
-    sk_signed = _sample_ternary(rng, n)
-    sk = rns.forward(_signed_to_rns(rns, sk_signed))
+    sk = rns.forward(_signed_to_rns(rns, _sample_ternary(rng, n)))
     sk_sh = shoup_rows(sk, params.q_primes)
 
     a = np.stack([rng.integers(0, qi, n, dtype=np.uint64) for qi in params.q_primes])
     e = rns.forward(_signed_to_rns(rns, _sample_error(rng, n)))
     pk0 = addmod_rows(negmod_rows(mulmod_shoup_rows(a, sk, sk_sh, params.q_primes),
                                   params.q_primes), e, params.q_primes)
-    km = KeyMaterial(params, pk0, a, {}, sk, sk_sh, sk_signed.astype(np.int8))
+    km = KeyMaterial(params, pk0, a, {}, sk, sk_sh)
 
     wanted: set[int] = set()
     for r in rotations:
@@ -508,19 +490,17 @@ def keygen(params: PaheParams, seed: int | None = None,
         if r:
             wanted.add(pow(3, r, 2 * n))
     for t in sorted(wanted):
-        km.galois[t] = _make_kswitch(params, rng, sk, sk_sh, sk_signed, t)
+        km.galois[t] = _make_kswitch(params, rng, sk, sk_sh, t)
     return km
 
 
 def _make_kswitch(params: PaheParams, rng: np.random.Generator, sk, sk_sh,
-                  sk_signed: np.ndarray, t: int) -> KeySwitchKey:
+                  t: int) -> KeySwitchKey:
     rns = params.rns()
     n, k = params.n, params.k
     k0 = np.empty((k, k, n), dtype=np.uint64)
     k1 = np.empty((k, k, n), dtype=np.uint64)
-    sig = rns.forward(np.stack([
-        automorphism_coeffs(sk_signed, t, qi) for qi in params.q_primes
-    ]))
+    sig = sk[:, params.slots().perm(t)]  # sigma_t(s), a slot permutation
     for j in range(k):
         a_j = np.stack([rng.integers(0, qi, n, dtype=np.uint64)
                         for qi in params.q_primes])
@@ -744,6 +724,7 @@ class Evaluator:
 # serialization
 
 
+@lru_cache(maxsize=None)
 def _pack_params(par: PaheParams) -> bytes:
     out = struct.pack("<IBQ", par.n, par.k, par.p)
     for q in par.q_primes:
@@ -752,21 +733,16 @@ def _pack_params(par: PaheParams) -> bytes:
     return out + struct.pack("<B", len(note)) + note
 
 
-def _unpack_params(buf: memoryview, off: int) -> tuple[PaheParams, int]:
-    try:
-        n, k, p = struct.unpack_from("<IBQ", buf, off)
-        off += struct.calcsize("<IBQ")
-        primes = struct.unpack_from(f"<{k}Q", buf, off)
-        off += 8 * k
-        (ln,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        if off + ln > len(buf):
-            raise ProtocolError("truncated parameter block")
-        note = bytes(buf[off:off + ln]).decode()
-        par = PaheParams(n=n, p=p, q_primes=primes, security_note=note)
-    except (struct.error, UnicodeDecodeError, ParameterError) as exc:
-        raise ProtocolError(f"malformed parameter block: {exc}") from None
-    return par, off + ln
+def _expect_params(buf: memoryview, magic: bytes, params: PaheParams,
+                   what: str) -> int:
+    """Check the magic and the parameter block of a blob against the
+    session's parameters, byte for byte; returns the offset past them."""
+    packed = _pack_params(params)
+    if bytes(buf[:4]) != magic:
+        raise ProtocolError(f"bad {what} magic/version")
+    if bytes(buf[4:4 + len(packed)]) != packed:
+        raise ProtocolError(f"{what} was made under different parameters")
+    return 4 + len(packed)
 
 
 def _pack_poly(arr: np.ndarray) -> bytes:
@@ -799,32 +775,31 @@ def ct_to_bytes(ct: Ciphertext) -> bytes:
             + _pack_poly(ct.c0) + _pack_poly(ct.c1))
 
 
-def ct_from_bytes(data: bytes, params: PaheParams | None = None) -> Ciphertext:
-    """Parse a ciphertext received from the peer.
+def ct_from_bytes(data: bytes, params: PaheParams) -> Ciphertext:
+    """Parse a ciphertext received from the peer under the session's `params`.
 
-    The noise estimate travels with the ciphertext, so it is checked too: it
-    must be finite, no smaller than a fresh encryption's and leave some
-    budget, or a peer could switch off the budget check for that ciphertext.
+    The parameter block on the wire must equal `params` byte for byte; it is
+    compared, never parsed into parameters of its own.  The noise estimate
+    travels with the ciphertext, so it is checked too: it must be finite, no
+    smaller than a fresh encryption's and leave some budget, or a peer could
+    switch off the budget check for that ciphertext.
     """
     buf = memoryview(data)
-    if bytes(buf[:4]) != _CT_MAGIC:
-        raise ProtocolError("bad ciphertext magic/version")
-    par, off = _unpack_params(buf, 4)
-    if params is not None and par != params:
-        raise ParameterError("ciphertext was made under different parameters")
+    off = _expect_params(buf, _CT_MAGIC, params, "ciphertext")
     try:
         (noise,) = struct.unpack_from("<d", buf, off)
     except struct.error:
         raise ProtocolError("truncated ciphertext") from None
     off += 8
-    if not (isfinite(noise) and noise >= par.fresh_noise_bits
-            and par.max_budget_bits - noise > 0):
+    if not (isfinite(noise) and noise >= params.fresh_noise_bits
+            and params.max_budget_bits - noise > 0):
         raise ProtocolError(f"implausible ciphertext noise estimate {noise!r}")
-    c0, off = _unpack_poly(buf, off, (par.k, par.n), par.q_primes)
-    c1, off = _unpack_poly(buf, off, (par.k, par.n), par.q_primes)
+    shape = (params.k, params.n)
+    c0, off = _unpack_poly(buf, off, shape, params.q_primes)
+    c1, off = _unpack_poly(buf, off, shape, params.q_primes)
     if off != len(buf):
         raise ProtocolError("trailing bytes after ciphertext")
-    return Ciphertext(par, c0, c1, noise)
+    return Ciphertext(params, c0, c1, noise)
 
 
 def public_keys_to_bytes(km: KeyMaterial) -> bytes:
@@ -839,14 +814,16 @@ def public_keys_to_bytes(km: KeyMaterial) -> bytes:
     return out
 
 
-def public_keys_from_bytes(data: bytes) -> KeyMaterial:
+def public_keys_from_bytes(data: bytes, params: PaheParams) -> KeyMaterial:
+    """Parse the peer's public and rotation keys under the session's `params`
+    (compared byte for byte with the wire's parameter block, as in
+    `ct_from_bytes`).  Each Galois element must be odd, below 2n and listed
+    once."""
     buf = memoryview(data)
-    if bytes(buf[:4]) != _PK_MAGIC:
-        raise ProtocolError("bad key magic/version")
-    par, off = _unpack_params(buf, 4)
-    shape = (par.k, par.n)
-    pk0, off = _unpack_poly(buf, off, shape, par.q_primes)
-    pk1, off = _unpack_poly(buf, off, shape, par.q_primes)
+    off = _expect_params(buf, _PK_MAGIC, params, "key blob")
+    shape = (params.k, params.n)
+    pk0, off = _unpack_poly(buf, off, shape, params.q_primes)
+    pk1, off = _unpack_poly(buf, off, shape, params.q_primes)
     galois = {}
     try:
         (ng,) = struct.unpack_from("<H", buf, off)
@@ -854,14 +831,16 @@ def public_keys_from_bytes(data: bytes) -> KeyMaterial:
         for _ in range(ng):
             (t,) = struct.unpack_from("<I", buf, off)
             off += 4
-            k0, off = _unpack_poly(buf, off, (par.k,) + shape, par.q_primes)
-            k1, off = _unpack_poly(buf, off, (par.k,) + shape, par.q_primes)
+            if t % 2 == 0 or t >= 2 * params.n or t in galois:
+                raise ProtocolError(f"bad Galois element {t} in key blob")
+            k0, off = _unpack_poly(buf, off, (params.k,) + shape, params.q_primes)
+            k1, off = _unpack_poly(buf, off, (params.k,) + shape, params.q_primes)
             galois[t] = KeySwitchKey(
                 k0, k1,
-                np.stack([shoup_rows(k0[j], par.q_primes) for j in range(par.k)]),
-                np.stack([shoup_rows(k1[j], par.q_primes) for j in range(par.k)]))
+                np.stack([shoup_rows(k0[j], params.q_primes) for j in range(params.k)]),
+                np.stack([shoup_rows(k1[j], params.q_primes) for j in range(params.k)]))
     except struct.error:
         raise ProtocolError("truncated key blob") from None
     if off != len(buf):
         raise ProtocolError("trailing bytes after key blob")
-    return KeyMaterial(par, pk0, pk1, galois)
+    return KeyMaterial(params, pk0, pk1, galois)

@@ -56,11 +56,11 @@ from ..gc.garble import active_output_pads, evaluate, garble
 from ..gc.ot import (LAMBDA, BaseOtReceiver, BaseOtSender, OtExtReceiver,
                      OtExtSender, RandomOtBatch, RandomOtSenderBatch)
 from ..helinear import (COLBLOCKS, ROWS, SUM_ROWS_COLST, CtmmMasked, CtmmReply,
-                        EncMatrix, add_offset, colblock_matmul,
-                        colblock_rotation_amounts, ctmm_client_round,
-                        ctmm_server_finalize, ctmm_server_mask, decrypt_matrix,
-                        encmatrix_from_bytes, encmatrix_to_bytes,
-                        pack_colblocks, pack_rows)
+                        EncMatrix, add_offset, colblock_cols_per_ct,
+                        colblock_matmul, colblock_rotation_amounts,
+                        ctmm_client_round, ctmm_server_finalize,
+                        ctmm_server_mask, decrypt_matrix, encmatrix_from_bytes,
+                        encmatrix_to_bytes, pack_colblocks, pack_rows)
 from ..model import (ModelConfig, Weights, folded_first_layer,
                      validate_weights, value_projection)
 from ..pahe import (Evaluator, KeyMaterial, PaheParams, ct_from_bytes,
@@ -102,18 +102,34 @@ class Geometry:
     rotations: tuple[int, ...]  # column-rotation key amounts
     ot_total: int               # random OTs one session consumes
 
-    def colblock_cpc(self, cols: int) -> int:
-        return min(cols, self.params.row_size // self.cfg.seq_len)
+    def check(self, enc: EncMatrix, packing: str, shape: tuple[int, int],
+              scale: int, what: str) -> EncMatrix:
+        """`enc` itself, once its packing, shape, scale and blocking are the
+        ones this geometry prescribes; ProtocolError otherwise.  Column
+        blocks are always one sequence long, laid out by the blocking rule."""
+        rows, cols = shape
+        block = self.cfg.seq_len if packing == COLBLOCKS else 0
+        cpc = colblock_cols_per_ct(self.params, cols, block) if block else 0
+        want = (packing, rows, cols, scale, block, cpc)
+        got = (enc.packing, enc.rows, enc.cols, enc.scale, enc.block,
+               enc.cols_per_ct)
+        if got != want:
+            raise ProtocolError(f"{what} has layout {got}, expected {want}")
+        return enc
 
 
 def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
-    """Derive ring, modulus, rotation keys and OT budget from the model shape.
+    """The one place a session's sizes are decided, from the model shape and
+    the mode alone.
 
-    The ring is sized so the widest column-block tensor of the pipeline fits
-    one ciphertext row; the modulus is the smallest NTT-friendly prime giving
-    the widest stage window its masking slack.  Both parties run this from
-    the hello parameters, so a disagreement is detected before any secret-
-    dependent byte is sent.
+    The plan fixes every stage window and tensor layout.  The ring is sized
+    so the widest column-block tensor of the pipeline fits one ciphertext
+    row; the plaintext modulus is the smallest NTT-friendly prime giving the
+    widest window its masking slack, and `session_params` picks the RNS
+    primes for it.  Column blocks follow `colblock_cols_per_ct`, and the
+    rotation keys are exactly the amounts the plain-weight products use.
+    Both parties run this from the hello parameters and then compare what
+    the peer sends against it; nothing is rebuilt from the peer's bytes.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -122,36 +138,29 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     n = max(512, 2 * _pow2ceil(cfg.seq_len * widest))
     p, sigma = choose_plaintext_prime(plan.m_max, n)
     params = session_params(p, n)
-    L, half = cfg.seq_len, params.row_size
-
-    def cpc(cols: int) -> int:
-        return min(cols, half // L)
-
     shapes = [(cfg.vocab, 3 * cfg.dim), (cfg.dim, cfg.ff_dim),
               (cfg.ff_dim, cfg.dim)]
     if cfg.n_layers > 1:
         shapes.append((cfg.dim, 3 * cfg.dim))
     rots: set[int] = set()
     for d_in, d_out in shapes:
-        rots |= set(colblock_rotation_amounts(params, d_in, L,
-                                              cpc(d_out), cpc(d_in)))
+        rots.update(colblock_rotation_amounts(params, d_in, cfg.seq_len, d_out))
     ot_total = sum(s.m * s.count for enc in plan.encoders for s in enc)
     return Geometry(cfg, mode, plan, n, p, sigma, params,
                     tuple(sorted(rots)), ot_total)
 
 
 @lru_cache(maxsize=16)
-def _cached_keys(n: int, p: int, rotations: tuple[int, ...],
+def _cached_keys(params: PaheParams, rotations: tuple[int, ...],
                  seed: int) -> KeyMaterial:
-    params = session_params(p, n)
     return keygen(params, seed, rotations=rotations)
 
 
 @lru_cache(maxsize=4)
-def _parse_public_keys(blob: bytes) -> KeyMaterial:
+def _parse_public_keys(blob: bytes, params: PaheParams) -> KeyMaterial:
     # rebuilding Shoup twins dominates parsing; clients reusing a key set
     # across sessions send byte-identical blobs, so memoize on the bytes
-    return public_keys_from_bytes(blob)
+    return public_keys_from_bytes(blob, params)
 
 
 # ----------------------------------------------------------------------------
@@ -191,60 +200,33 @@ def _unpack_points(blob: bytes, count: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------------
-# stage layout maps (one source of truth for both parties)
+# stage layouts (one source of truth for both parties)
+
+# stage -> (input packing, output packing).  Inputs come from whichever
+# product precedes the stage; outputs take the form the next product wants:
+# rows for ciphertext-by-ciphertext factors, column blocks for plain-weight
+# products and the classifier.
+_STAGE_PACKING = {
+    "qkv_rescale": (COLBLOCKS, ROWS),
+    "attn_weights": (SUM_ROWS_COLST, ROWS),
+    "attn_inner": (SUM_ROWS_COLST, ROWS),
+    "attn_rescale": (SUM_ROWS_COLST, COLBLOCKS),
+    "ff_hidden": (COLBLOCKS, COLBLOCKS),
+    "ff_out": (COLBLOCKS, COLBLOCKS),
+}
 
 
-def _input_dims(spec: StageSpec, geom: Geometry) -> tuple[int, int]:
-    cfg = geom.cfg
-    L, d, ff = cfg.seq_len, cfg.dim, cfg.ff_dim
-    return {
-        "qkv_rescale": (L, 3 * d),
-        "attn_weights": (L, L),
-        "attn_inner": (d, d),
-        "attn_rescale": (L, d),
-        "ff_hidden": (L, ff),
-        "ff_out": (L, d),
-    }[spec.name]
-
-
-def _output_layouts(spec: StageSpec, geom: Geometry) \
-        -> list[tuple[int, int, str]]:
-    """(rows, cols, packing) for each group's output tensor.  The packing is
-    whatever the next pipeline op wants: row form for product factors, column
-    blocks for plain-weight products and the classifier."""
-    cfg = geom.cfg
-    L, d, ff = cfg.seq_len, cfg.dim, cfg.ff_dim
-    return {
-        "qkv_rescale": [(L, d, ROWS)] * 3,
-        "attn_weights": [(L, L, ROWS)],
-        "attn_inner": [(d, d, ROWS)],
-        "attn_rescale": [(L, d, COLBLOCKS)],
-        "ff_hidden": [(L, ff, COLBLOCKS)],
-        "ff_out": [(L, d, COLBLOCKS)],
-    }[spec.name]
-
-
-def _lanes_to_matrix(spec: StageSpec, lanes: np.ndarray, rows: int, cols: int,
-                     dim: int) -> np.ndarray:
+def _lanes_to_matrix(spec: StageSpec, lanes: np.ndarray) -> np.ndarray:
     """Per-lane values (groups in order, row-major inside each) -> the stage
-    input matrix.  The three QKV groups sit in adjacent column slices."""
-    lanes = np.asarray(lanes, dtype=np.uint64)
-    if spec.name == "qkv_rescale":
-        out = np.empty((rows, cols), dtype=np.uint64)
-        off = 0
-        for gi, g in enumerate(spec.groups):
-            out[:, gi * dim:(gi + 1) * dim] = \
-                lanes[off:off + g.count].reshape(rows, dim)
-            off += g.count
-        return out
-    return lanes.reshape(rows, cols)
+    input matrix, each group in its own column slice."""
+    cuts = np.cumsum([g.count for g in spec.groups])[:-1]
+    return np.hstack([part.reshape(spec.rows, -1)
+                      for part in np.split(np.asarray(lanes, np.uint64), cuts)])
 
 
-def _matrix_to_lanes(spec: StageSpec, mat: np.ndarray, dim: int) -> np.ndarray:
-    if spec.name == "qkv_rescale":
-        return np.concatenate([mat[:, gi * dim:(gi + 1) * dim].ravel()
-                               for gi in range(len(spec.groups))])
-    return mat.ravel()
+def _matrix_to_lanes(spec: StageSpec, mat: np.ndarray) -> np.ndarray:
+    cuts = np.cumsum([g.count // spec.rows for g in spec.groups])[:-1]
+    return np.concatenate([part.ravel() for part in np.split(mat, cuts, axis=1)])
 
 
 def _fold_labels(labels: np.ndarray, p: int) -> np.ndarray:
@@ -297,15 +279,12 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
                  enc: EncMatrix) -> list[EncMatrix]:
     geom, ev, rng = sp.geom, sp.ev, sp.rng
     p, m = geom.p, spec.m
-    if enc.scale != spec.scale_in:
-        raise ProtocolError(f"stage {spec.name} input carries scale "
-                            f"{enc.scale}, expected {spec.scale_in}")
-    if (enc.rows, enc.cols) != _input_dims(spec, geom):
-        raise ProtocolError(f"stage {spec.name} input has wrong shape")
+    in_packing, out_packing = _STAGE_PACKING[spec.name]
+    geom.check(enc, in_packing, (spec.rows, spec.row_len), spec.scale_in,
+               f"stage {spec.name} input")
 
     masks = sample_stage_masks(rng, p, m, spec.count)
-    offs = _lanes_to_matrix(spec, stage_offsets(masks, m, p),
-                            enc.rows, enc.cols, geom.cfg.dim)
+    offs = _lanes_to_matrix(spec, stage_offsets(masks, m, p))
     menc = _apply_stage_mask(ev, enc, offs, rng, p)
     tshare = garbler_window_share(masks, m)
 
@@ -368,18 +347,12 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
 
     sfields = _recv(sp.conn, sp.tr, STAGE_SHARE)
     outs = []
-    for oi, (r, c, packing) in enumerate(_output_layouts(spec, geom)):
+    for oi, g in enumerate(spec.groups):
         (blob,) = need(sfields, f"sh{oi:02d}")
-        se = encmatrix_from_bytes(blob, geom.params)
-        if se.packing != packing or (se.rows, se.cols) != (r, c):
-            raise ProtocolError(f"stage {spec.name} share {oi} has the wrong layout")
-        if se.scale != spec.scale_out:
-            raise ProtocolError(f"stage {spec.name} share {oi} carries scale "
-                                f"{se.scale}, expected {spec.scale_out}")
-        if packing == COLBLOCKS and (se.block != geom.cfg.seq_len
-                                     or se.cols_per_ct != geom.colblock_cpc(c)):
-            raise ProtocolError(f"stage {spec.name} share {oi} uses the wrong blocking")
-        outs.append(add_offset(ev, se, corr_lanes[oi].reshape(r, c)))
+        shape = (spec.rows, g.count // spec.rows)
+        se = geom.check(encmatrix_from_bytes(blob, geom.params), out_packing,
+                        shape, spec.scale_out, f"stage {spec.name} share {oi}")
+        outs.append(add_offset(ev, se, corr_lanes[oi].reshape(shape)))
 
     sp.tr.add_gc_bytes(gc_bytes)
     sp.tr.add_event(kind="stage", layer=layer, name=spec.name,
@@ -459,9 +432,7 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
 
     fields = _recv(conn, tr, ACCEPT)
     bpk, bpt = need(fields, "pkey", "bota")
-    pub = _parse_public_keys(bpk)
-    if pub.params != geom.params:
-        raise ProtocolError("client keys were made under different parameters")
+    pub = _parse_public_keys(bpk, geom.params)
     missing = [r for r in geom.rotations
                if pow(3, r, 2 * geom.n) not in pub.galois]
     if missing:
@@ -485,13 +456,8 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
         raise ProtocolError("extension matrix has the wrong shape")
     pairs = ext.receive_extension(u_cols, geom.ot_total)
 
-    x_enc = encmatrix_from_bytes(bx, geom.params)
-    L = cfg.seq_len
-    if (x_enc.packing != COLBLOCKS or (x_enc.rows, x_enc.cols) != (L, cfg.vocab)
-            or x_enc.block != L
-            or x_enc.cols_per_ct != geom.colblock_cpc(cfg.vocab)
-            or x_enc.scale != 0):
-        raise ProtocolError("encrypted input has the wrong layout")
+    x_enc = geom.check(encmatrix_from_bytes(bx, geom.params), COLBLOCKS,
+                       (cfg.seq_len, cfg.vocab), 0, "encrypted input")
 
     sp = _ServerParty(conn, tr, geom, ev, rng, pairs)
     plan = geom.plan
@@ -551,13 +517,14 @@ class ClientResult:
 
 def _client_stage(cp: _ClientParty, layer: int, spec: StageSpec):
     geom = cp.geom
-    p, m, dim = geom.p, spec.m, geom.cfg.dim
+    p, m = geom.p, spec.m
+    in_packing, out_packing = _STAGE_PACKING[spec.name]
     ofields = _recv(cp.conn, cp.tr, STAGE_OPEN)
     (bm,) = need(ofields, "menc")
-    menc = encmatrix_from_bytes(bm, geom.params)
-    if (menc.rows, menc.cols) != _input_dims(spec, geom):
-        raise ProtocolError(f"stage {spec.name} payload has the wrong shape")
-    lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc), dim)
+    menc = geom.check(encmatrix_from_bytes(bm, geom.params), in_packing,
+                      (spec.rows, spec.row_len), spec.scale_in,
+                      f"stage {spec.name} payload")
+    lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
     cshare = client_window_share(lanes, m)
 
     groups = stage_circuits(spec)
@@ -614,10 +581,9 @@ def _client_stage(cp: _ClientParty, layer: int, spec: StageSpec):
         shares.append(words.T.ravel().astype(np.uint64))
 
     sfields = {}
-    for oi, ((r, c, packing), share) in enumerate(
-            zip(_output_layouts(spec, geom), shares)):
-        mat = share.reshape(r, c)
-        if packing == ROWS:
+    for oi, share in enumerate(shares):
+        mat = share.reshape(spec.rows, -1)
+        if out_packing == ROWS:
             se = pack_rows(cp.ev, mat, spec.scale_out)
         else:
             se = pack_colblocks(cp.ev, mat, geom.cfg.seq_len,
@@ -682,7 +648,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     if seed is None:
         keys = keygen(geom.params, None, rotations=geom.rotations)
     else:
-        keys = _cached_keys(geom.n, geom.p, geom.rotations, key_seed)
+        keys = _cached_keys(geom.params, geom.rotations, key_seed)
     ev = Evaluator(keys, seed=enc_seed)
 
     base = BaseOtSender(rng, profile=_OT_PROFILE)

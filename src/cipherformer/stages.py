@@ -67,8 +67,10 @@ class StageGroup:
 class StageSpec:
     """One garbled stage of an encoder layer.
 
-    Affine stages run one circuit instance per lane; row-divide stages run
-    one instance per row covering `row_len` lanes.  `scale_in`/`scale_out`
+    The stage input is a `rows` x `row_len` matrix; each group is a column
+    slice of it, `g.count // rows` wide, in group order, and leaves the stage
+    as its own `rows`-row tensor.  Affine stages run one circuit instance per
+    lane; row-divide stages run one instance per row.  `scale_in`/`scale_out`
     are the fraction bits carried by the integers entering and leaving.
     """
     name: str
@@ -78,15 +80,19 @@ class StageSpec:
     keep: int           # output word width (two's complement)
     scale_in: int
     scale_out: int
+    rows: int           # rows of the input matrix
     groups: tuple[StageGroup, ...]
     frac: int = 0       # rowdiv: quotient fraction bits
-    rows: int = 0       # rowdiv: independent rows
-    row_len: int = 0    # rowdiv: lanes per row
 
     @property
     def count(self) -> int:
         """Total scalar lanes (= masks consumed) in this stage."""
         return sum(g.count for g in self.groups)
+
+    @property
+    def row_len(self) -> int:
+        """Lanes per row of the input matrix."""
+        return self.count // self.rows
 
     @property
     def instances(self) -> int:
@@ -125,9 +131,7 @@ MODES = ("baseline", "opt1", "opt2")
 
 
 def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
-                     n_layers: int, w: int, f: int,
-                     act_w: int | None = None,
-                     act_f: int | None = None) -> StagePlan:
+                     n_layers: int, w: int, f: int) -> StagePlan:
     """Size every stage window from the weight/activation widths.
 
     baseline  keeps activations at full width and normalises score rows with
@@ -139,14 +143,9 @@ def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
-    if act_w is None:
-        act_w = 8 if mode == "opt2" else w
-    if act_f is None:
-        act_f = 4 if mode == "opt2" else f
     if not 0 < f < w:
         raise ParameterError(f"need 0 < f < w, got w={w} f={f}")
-    if not 0 < act_f < act_w:
-        raise ParameterError(f"need 0 < act_f < act_w, got {act_w}/{act_f}")
+    act_w, act_f = (8, 4) if mode == "opt2" else (w, f)
     if act_w > w or act_f > f:
         raise ParameterError("activation widths cannot exceed weight widths")
     if min(seq_len, dim, ff_dim, n_layers) < 1:
@@ -169,6 +168,7 @@ def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
         stages = [StageSpec(
             name="qkv_rescale", kind="affine", m=b_in + 2,
             shift=s_in - act_f, keep=act_w, scale_in=s_in, scale_out=act_f,
+            rows=L,
             groups=(StageGroup("q", L * d, qkv_relu),
                     StageGroup("k", L * d, qkv_relu),
                     StageGroup("v", L * d, False)))]
@@ -177,7 +177,7 @@ def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
             stages.append(StageSpec(
                 name="attn_weights", kind="rowdiv", m=b_sc + 2,
                 shift=act_f, keep=act_f + 1, scale_in=2 * act_f,
-                scale_out=act_f, frac=act_f, rows=L, row_len=L,
+                scale_out=act_f, frac=act_f, rows=L,
                 groups=(StageGroup("scores", L * L),)))
             b_av = act_f + a + _clg(L)  # weights are unsigned < 2^act_f
         else:
@@ -185,22 +185,22 @@ def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
             stages.append(StageSpec(
                 name="attn_inner", kind="affine", m=b_z + 2,
                 shift=act_f, keep=act_w, scale_in=2 * act_f,
-                scale_out=act_f, groups=(StageGroup("kv", d * d),)))
+                scale_out=act_f, rows=d, groups=(StageGroup("kv", d * d),)))
             b_av = 2 * a + _clg(d)
         stages.append(StageSpec(
             name="attn_rescale", kind="affine", m=b_av + 2,
             shift=act_f, keep=act_w, scale_in=2 * act_f, scale_out=act_f,
-            groups=(StageGroup("attn_out", L * d),)))
+            rows=L, groups=(StageGroup("attn_out", L * d),)))
         b_ff1 = a + (w - 1) + _clg(d)
         stages.append(StageSpec(
             name="ff_hidden", kind="affine", m=b_ff1 + 2,
             shift=f, keep=act_w, scale_in=act_f + f, scale_out=act_f,
-            groups=(StageGroup("hidden", L * ff, True),)))
+            rows=L, groups=(StageGroup("hidden", L * ff, True),)))
         b_ff2 = a + (w - 1) + _clg(ff)
         stages.append(StageSpec(
             name="ff_out", kind="affine", m=b_ff2 + 2,
             shift=f, keep=act_w, scale_in=act_f + f, scale_out=act_f,
-            groups=(StageGroup("ff_out", L * d),)))
+            rows=L, groups=(StageGroup("ff_out", L * d),)))
         encoders.append(tuple(stages))
 
     plan = StagePlan(mode=mode, seq_len=L, dim=d, ff_dim=ff,
@@ -427,15 +427,14 @@ def b2a_weights(keep: int, p: int) -> np.ndarray:
 # plaintext modulus selection
 
 
-def choose_plaintext_prime(m_max: int, n: int,
-                           sigma: int = SIGMA_TARGET) -> tuple[int, float]:
-    """Smallest NTT-friendly p == 1 (mod 2n) with >= sigma bits of mask slack
-    over the widest stage window, capped by the 64-bit NTT headroom.
+def choose_plaintext_prime(m_max: int, n: int) -> tuple[int, float]:
+    """Smallest NTT-friendly p == 1 (mod 2n) with SIGMA_TARGET bits of mask
+    slack over the widest stage window, capped by the 64-bit NTT headroom.
 
     Returns (p, effective slack in bits); refuses plans that cannot reach
     SIGMA_FLOOR even at the cap.
     """
-    bits = min(m_max + sigma + 1, _PRIME_BIT_CAP)
+    bits = min(m_max + SIGMA_TARGET + 1, _PRIME_BIT_CAP)
     if bits < m_max + SIGMA_FLOOR + 1:
         raise ParameterError(
             f"stage window of {m_max} bits leaves under {SIGMA_FLOOR} bits "

@@ -1,34 +1,20 @@
-import math
 import random
 
 import numpy as np
 import pytest
 
-from cipherformer.errors import EncodingError, ParameterError
-from cipherformer.fixedpoint import (
-    FpParams,
-    centered,
-    decode,
-    default_modulus,
-    encode,
-    encode_array,
-    encode_signed,
-    gen_random,
-    rescale,
-    saturate,
-    to_field,
-    to_signed,
-    width_convert,
-)
+from cipherformer.fixedpoint import to_field, to_signed
 from cipherformer.primes import is_prime, next_prime, root_of_unity
+
+P20 = next_prime(1 << 20, congruent=(1, 2048))
 
 
 def test_default_modulus_properties():
-    p = default_modulus()
+    # the smallest prime >= 2^20 that is 1 mod 2048 (slots up to n = 1024)
+    p = P20
     assert is_prime(p)
     assert p >= 1 << 20
     assert p % 2048 == 1
-    # and it is the smallest such prime
     q = 1 << 20
     q += (1 - q) % 2048
     while q < p:
@@ -45,139 +31,38 @@ def test_next_prime_plain_and_congruent():
 
 
 def test_root_of_unity_orders():
-    p = default_modulus()
+    p = P20
     for order in (2, 8, 2048):
         w = root_of_unity(order, p)
         assert pow(w, order, p) == 1
         assert pow(w, order // 2, p) == p - 1  # exact order
 
 
-def test_worked_examples_default_layout():
-    fp = FpParams()
-    assert fp.width == 20 and fp.frac == 9
-    assert encode(1.0, fp) == 512
-    assert encode(-0.5, fp) == fp.modulus - 256
-    assert decode(encode(1.0, fp), fp) == 1.0
-    assert decode(encode(-0.5, fp), fp) == -0.5
-
-
-def test_rounding_half_up():
-    fp = FpParams()
-    # 2.5 ulp rounds up to 3, -2.5 ulp rounds up to -2 (floor(x+0.5))
-    assert encode_signed(2.5 / 512, fp) == 3
-    assert encode_signed(-2.5 / 512, fp) == -2
-    assert encode_signed(2.4 / 512, fp) == 2
-    assert encode_signed(-2.6 / 512, fp) == -3
-
-
-def test_param_validation():
-    with pytest.raises(ParameterError):
-        FpParams(width=8, frac=8)  # frac must be < width
-    with pytest.raises(ParameterError):
-        FpParams(width=8, frac=1)
-    with pytest.raises(ParameterError):
-        FpParams(width=20, frac=9, modulus=65537)  # < 2^20
-    with pytest.raises(ParameterError):
-        FpParams(width=10, frac=4, modulus=1 << 12)  # not prime
-
-
-def test_range_check_two_complement_asymmetry():
-    fp = FpParams()
-    encode(-1024.0, fp)  # == signed_min exactly, fine
-    with pytest.raises(EncodingError):
-        encode(1024.0, fp)  # signed_max + 1
-    assert encode(1024.0 - fp.ulp, fp) == fp.signed_max
-
-
 def test_exhaustive_bijection_small_layout():
-    fp = FpParams(width=6, frac=2, modulus=67)
-    seen = set()
-    for s in range(fp.signed_min, fp.signed_max + 1):
-        v = s % fp.modulus
-        assert centered(v, fp.modulus) == s
-        seen.add(v)
-    assert len(seen) == 64
-
-
-def test_rescale_is_floor_shift():
-    fp = FpParams()
-    for x in (-0.3, -1.0, 0.7, 0.001, -0.001):
-        v = encode(x, fp)
-        s = encode_signed(x, fp)
-        for sh in (1, 3, 9):
-            assert centered(rescale(v, sh, fp), fp.modulus) == s >> sh
-    # floor on negatives: -3 >> 1 == -2
-    assert centered(rescale((-3) % fp.modulus, 1, fp), fp.modulus) == -2
-    with pytest.raises(ParameterError):
-        rescale(1, -1, fp)
-
-
-def test_width_convert_saturates_and_widens():
-    wide = FpParams(width=20, frac=4)
-    narrow = FpParams(width=8, frac=4, modulus=257)
-    v = encode(100.0, wide)
-    assert decode(width_convert(v, wide, narrow), narrow) == (2**7 - 1) / 16
-    v = encode(-100.0, wide)
-    assert decode(width_convert(v, wide, narrow), narrow) == -(2**7) / 16
-    # widening preserves exactly
-    for x in (3.25, -7.9375, 0.0625):
-        v = encode(x, narrow)
-        assert decode(width_convert(v, narrow, wide), wide) == x
-
-
-def test_width_convert_changes_fraction_bits():
-    a = FpParams(width=8, frac=2, modulus=257)
-    b = FpParams(width=12, frac=5, modulus=4099)
-    v = encode(3.75, a)
-    assert decode(width_convert(v, a, b), b) == 3.75
-    # dropping fraction bits floors toward -inf: -3.71875 = -119/32 -> -15/4
-    v = encode(-3.71875, b)
-    assert decode(width_convert(v, b, a), a) == -3.75
-
-
-def test_saturate():
-    assert saturate(300, 8) == 127
-    assert saturate(-300, 8) == -128
-    assert saturate(5, 8) == 5
-
-
-def test_gen_random_range_and_determinism():
-    fp = FpParams()
-    xs = gen_random(fp, random.Random(7), size=500)
-    assert xs.shape == (500,)
-    lim = 2.0 ** (fp.width - 2 - fp.frac)
-    assert xs.min() >= -lim and xs.max() < lim
-    scaled = xs * fp.scale
-    assert np.array_equal(scaled, np.round(scaled))  # exact ulp multiples
-    ys = gen_random(fp, random.Random(7), size=500)
-    assert np.array_equal(xs, ys)
-    x = gen_random(fp, random.Random(3))
-    assert isinstance(x, float) and -lim <= x < lim
+    # every 6-bit two's-complement value embeds into Z_67 and lifts back
+    p = 67
+    s = np.arange(-32, 32)
+    v = to_field(s, p)
+    assert len(set(v.tolist())) == 64 and int(v.max()) < p
+    assert np.array_equal(to_signed(v, p), s)
 
 
 def test_random_round_trips():
     rng = random.Random(0xF1DE)
     for _ in range(500):
-        w = rng.randrange(6, 24)
-        f = rng.randrange(2, w)
-        fp = FpParams(width=w, frac=f, modulus=next_prime(1 << w))
-        s = rng.randrange(fp.signed_min, fp.signed_max + 1)
-        x = s / fp.scale
-        assert encode_signed(x, fp) == s
-        assert decode(encode(x, fp), fp) == x
+        w = rng.randrange(6, 60)
+        p = next_prime(1 << w)
+        s = rng.randrange(-(1 << (w - 1)), 1 << (w - 1))
+        assert int(to_signed(to_field([s], p), p)[0]) == s
 
 
 def test_array_helpers_match_scalar():
-    fp = FpParams()
-    rng = random.Random(11)
-    xs = gen_random(fp, rng, size=(17, 5))
-    s = encode_array(xs, fp)
-    assert s.dtype == np.int64
-    for idx in np.ndindex(xs.shape):
-        assert s[idx] == encode_signed(float(xs[idx]), fp)
-    v = to_field(s, fp.modulus)
+    p = P20
+    rng = np.random.default_rng(11)
+    s = rng.integers(-(1 << 19), 1 << 19, size=(17, 5))
+    v = to_field(s, p)
     assert v.dtype == np.uint64
-    back = to_signed(v, fp.modulus)
-    assert np.array_equal(back, s)
-    with pytest.raises(EncodingError):
-        encode_array([1e6], fp)
+    for idx in np.ndindex(s.shape):
+        assert int(v[idx]) == int(s[idx]) % p
+    back = to_signed(v, p)
+    assert back.dtype == np.int64 and np.array_equal(back, s)

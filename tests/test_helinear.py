@@ -7,7 +7,8 @@ import pytest
 from cipherformer import pahe
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.helinear import (COLBLOCKS, DIAG, ROWS, SUM_ROWS_COLST,
-                                   CtmmReply, add_offset, colblock_matmul,
+                                   CtmmMasked, CtmmReply, EncMatrix,
+                                   add_offset, colblock_matmul,
                                    colblock_rotation_amounts,
                                    ctmm_client_round, ctmm_server_finalize,
                                    ctmm_server_mask, decrypt_matrix,
@@ -17,16 +18,28 @@ from cipherformer.helinear import (COLBLOCKS, DIAG, ROWS, SUM_ROWS_COLST,
 from cipherformer.primes import next_prime
 
 
+P20 = next_prime(1 << 20, congruent=(1, 2048))
+
+
 @pytest.fixture(scope="module")
 def setup():
-    par = pahe.session_params(next_prime(1 << 20, congruent=(1, 2048)), 512)
-    amounts = set(colblock_rotation_amounts(par, 16, 8, 4))
-    amounts |= set(colblock_rotation_amounts(par, 4, 8, 16))
-    amounts |= set(colblock_rotation_amounts(par, 8, 4, 8))
+    par = pahe.session_params(P20, 512)
+    amounts = set(colblock_rotation_amounts(par, 4, 8, 16))
     keys = pahe.keygen(par, seed=11, rotations=sorted(amounts))
     ev = pahe.Evaluator(keys.public(), seed=5)
     ev_c = pahe.Evaluator(keys.public(), seed=6)
     return par, keys, ev, ev_c
+
+
+@pytest.fixture(scope="module")
+def small():
+    """A 64-slot ring (32 per row): blocks of 8 slots fit 4 columns to a
+    ciphertext, so wider matrices spill column blocks across ciphertexts."""
+    par = pahe.session_params(P20, 64)
+    amounts = set(colblock_rotation_amounts(par, 4, 8, 16))
+    amounts |= set(colblock_rotation_amounts(par, 8, 8, 3))
+    keys = pahe.keygen(par, seed=12, rotations=sorted(amounts))
+    return par, keys, pahe.Evaluator(keys.public(), seed=7)
 
 
 def _rand(rng, r, c, p):
@@ -54,30 +67,35 @@ def test_pack_rows_diag_roundtrip(setup, shape):
         assert np.array_equal(decrypt_matrix(keys, enc), M)
 
 
-def test_pack_colblocks_roundtrip(setup):
+def test_pack_colblocks_roundtrip(setup, small):
     par, keys, ev, _ = setup
     rng = np.random.default_rng(102)
     M = _rand(rng, 8, 16, par.p)
     enc = pack_colblocks(ev, M, block=8)
     assert len(enc.cts) == 1 and enc.cols_per_ct == 16
     assert np.array_equal(decrypt_matrix(keys, enc), M)
-    enc2 = pack_colblocks(ev, M, block=8, cols_per_ct=3)
-    assert len(enc2.cts) == 6
-    assert np.array_equal(decrypt_matrix(keys, enc2), M)
+    spar, skeys, sev = small
+    enc2 = pack_colblocks(sev, M, block=8)
+    assert len(enc2.cts) == 4 and enc2.cols_per_ct == 4
+    assert np.array_equal(decrypt_matrix(skeys, enc2), M)
     with pytest.raises(ParameterError):
         pack_colblocks(ev, M, block=4)  # block shorter than the columns
+    with pytest.raises(ParameterError):
+        pack_colblocks(sev, M, block=64)  # block longer than a ring row
 
 
-def test_add_offset_layouts(setup):
+def test_add_offset_layouts(setup, small):
     par, keys, ev, _ = setup
+    spar, skeys, sev = small
     rng = np.random.default_rng(103)
     M = _rand(rng, 4, 6, par.p)
     off = _rand(rng, 4, 6, par.p)
-    for enc in (pack_rows(ev, M), pack_diagonal(ev, M),
-                pack_colblocks(ev, M, block=8, cols_per_ct=2)):
-        out = add_offset(ev, enc, off)
+    for ev_, keys_, enc in ((ev, keys, pack_rows(ev, M)),
+                            (ev, keys, pack_diagonal(ev, M)),
+                            (sev, skeys, pack_colblocks(sev, M, block=8))):
+        out = add_offset(ev_, enc, off)
         want = (M.astype(object) + off) % par.p
-        assert np.array_equal(decrypt_matrix(keys, out).astype(object), want)
+        assert np.array_equal(decrypt_matrix(keys_, out).astype(object), want)
     # transposed offset: stored matrix is M, logical matrix is M^T
     enc = pack_rows(ev, M)
     out = add_offset(ev, enc, off.T, transpose=True)
@@ -89,30 +107,33 @@ def test_add_offset_layouts(setup):
 # diagonal-method products
 
 
-def test_colblock_matmul_matches_plain(setup):
-    par, keys, ev, _ = setup
+def test_colblock_matmul_matches_plain(setup, small):
     rng = np.random.default_rng(104)
-    X = _rand(rng, 8, 4, par.p)
-    W = _rand(rng, 4, 16, par.p)
-    enc = pack_colblocks(ev, X, block=8)
-    for cpc in (None, 4):
-        out = colblock_matmul(ev, enc, W, w_scale=9, cols_per_ct=cpc)
+    X = _rand(rng, 8, 4, P20)
+    W = _rand(rng, 4, 16, P20)
+    # one output ciphertext on the wide ring, four on the small one
+    for (par, keys, ev, *_), n_out in ((setup, 1), (small, 4)):
+        enc = pack_colblocks(ev, X, block=8)
+        out = colblock_matmul(ev, enc, W, w_scale=9)
         assert out.packing == COLBLOCKS and out.scale == 9
+        assert len(out.cts) == n_out
         got = decrypt_matrix(keys, out)
         assert np.array_equal(got, matmul_mod(X, W, par.p))
-    W[:, 8:] = 0  # the second output group has no weights at all
-    out = colblock_matmul(ev, enc, W, cols_per_ct=8)
+    par, keys, ev = small
+    W = W[:, :8].copy()
+    W[:, 4:] = 0  # the second output group has no weights at all
+    out = colblock_matmul(ev, pack_colblocks(ev, X, block=8), W)
     assert len(out.cts) == 2
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, W, par.p))
 
 
-def test_colblock_matmul_multi_ct_input(setup):
-    par, keys, ev, _ = setup
+def test_colblock_matmul_multi_ct_input(small):
+    par, keys, ev = small
     rng = np.random.default_rng(105)
     X = _rand(rng, 4, 8, par.p)
     W = _rand(rng, 8, 3, par.p)
-    enc = pack_colblocks(ev, X, block=4, cols_per_ct=8)
-    assert len(enc.cts) == 1
+    enc = pack_colblocks(ev, X, block=8)
+    assert len(enc.cts) == 2
     out = colblock_matmul(ev, enc, W)
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, W, par.p))
 
@@ -236,6 +257,15 @@ def test_ctmm_masked_values_look_uniform(setup):
     assert np.array_equal(decrypt_matrix(keys, msg.x).astype(object), want)
 
 
+def test_ctmm_client_rejects_factors_that_do_not_chain(setup):
+    par, keys, ev, ev_c = setup
+    rng = np.random.default_rng(302)
+    msg = CtmmMasked(pack_rows(ev, _rand(rng, 3, 4, par.p)),
+                     pack_rows(ev, _rand(rng, 3, 2, par.p)), False, False)
+    with pytest.raises(ProtocolError, match="do not chain"):
+        ctmm_client_round(ev_c, keys, msg)
+
+
 def test_hybrid_counter_tracks_output_rows(setup):
     """The live counter advances by output rows: an attention block at
     (L, d) totals 2L in the quadratic order and L + d reordered."""
@@ -255,19 +285,22 @@ def test_hybrid_counter_tracks_output_rows(setup):
 # wire form
 
 
-def test_encmatrix_wire_roundtrip(setup):
+def test_encmatrix_wire_roundtrip(setup, small):
     par, keys, ev, _ = setup
+    spar, skeys, sev = small
     rng = np.random.default_rng(500)
     M = _rand(rng, 3, 5, par.p)
-    for enc in (pack_rows(ev, M, scale=9), pack_diagonal(ev, M),
-                pack_colblocks(ev, M, block=4, cols_per_ct=2)):
+    for params, keys_, enc in (
+            (par, keys, pack_rows(ev, M, scale=9)),
+            (par, keys, pack_diagonal(ev, M)),
+            (spar, skeys, pack_colblocks(sev, M, block=8))):
         blob = encmatrix_to_bytes(enc)
-        back = encmatrix_from_bytes(blob, par)
+        back = encmatrix_from_bytes(blob, params)
         assert (back.packing, back.rows, back.cols, back.scale,
                 back.block, back.cols_per_ct) == \
                (enc.packing, enc.rows, enc.cols, enc.scale,
                 enc.block, enc.cols_per_ct)
-        assert np.array_equal(decrypt_matrix(keys, back), M)
+        assert np.array_equal(decrypt_matrix(keys_, back), M)
     blob = encmatrix_to_bytes(pack_rows(ev, M))
     with pytest.raises(ProtocolError):
         encmatrix_from_bytes(blob[:10], par)
@@ -276,3 +309,29 @@ def test_encmatrix_wire_roundtrip(setup):
     with pytest.raises(ProtocolError):
         encmatrix_from_bytes(b"\xff" + blob[1:], par)
 
+
+
+def test_encmatrix_layout_must_match_payload(setup, small):
+    """A header the ciphertexts cannot back is rejected before anything is
+    decrypted: a row count beyond the ciphertexts sent, columns past the
+    ring row, column blocks off the blocking rule."""
+    par, keys, ev, _ = setup
+    spar, skeys, sev = small
+    rng = np.random.default_rng(501)
+    rows = pack_rows(ev, _rand(rng, 3, 4, par.p))
+    forged = EncMatrix(ROWS, rows.cts, 7, 4)
+    with pytest.raises(ProtocolError, match="needs 7 ciphertexts"):
+        encmatrix_from_bytes(encmatrix_to_bytes(forged), par)
+    rows = pack_rows(sev, _rand(rng, 2, 32, spar.p))
+    forged = EncMatrix(ROWS, rows.cts, 2, 40)
+    with pytest.raises(ProtocolError, match="exceed the 32-slot ring row"):
+        encmatrix_from_bytes(encmatrix_to_bytes(forged), spar)
+    blocks = pack_colblocks(sev, _rand(rng, 8, 8, spar.p), block=8)
+    for block, cpc in ((8, 2), (8, 8), (4, 4), (64, 4)):
+        forged = EncMatrix(COLBLOCKS, blocks.cts, 8, 8, block=block,
+                           cols_per_ct=cpc)
+        with pytest.raises(ProtocolError, match="do not fit the ring"):
+            encmatrix_from_bytes(encmatrix_to_bytes(forged), spar)
+    forged = EncMatrix(ROWS, rows.cts, 2, 32, block=8)
+    with pytest.raises(ProtocolError, match="block fields"):
+        encmatrix_from_bytes(encmatrix_to_bytes(forged), spar)

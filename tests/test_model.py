@@ -1,10 +1,10 @@
-"""Reference model: generation, fixed/float forward passes, weight files."""
+"""Reference model: generation, fixed/float forward passes."""
 
 import numpy as np
 import pytest
 
 from cipherformer import model as M
-from cipherformer.errors import EncodingError, ParameterError
+from cipherformer.errors import ParameterError
 
 CFG = M.ModelConfig(vocab=16, seq_len=8, dim=4, ff_dim=16, n_layers=1,
                     n_classes=3)
@@ -113,6 +113,13 @@ class TestForwardFixed:
             direct = (wts.embedding[toks] + wts.positional) @ wqkv
             assert np.array_equal(ew[toks] + pw, direct)
 
+    def test_value_projection(self):
+        cfg, wts = _toy()
+        wv = wts.layers[0].wv
+        assert np.array_equal(M.value_projection(wv, cfg.dim, "baseline"), wv)
+        want = np.rint(wv / np.sqrt(cfg.dim)).astype(np.int64)
+        assert np.array_equal(M.value_projection(wv, cfg.dim, "opt1"), want)
+
     def test_input_validation(self):
         cfg, wts = _toy()
         with pytest.raises(ParameterError):
@@ -148,64 +155,3 @@ class TestForwardFloat:
         assert s.min() >= 0
         np.testing.assert_allclose(s[0].sum(), 1.0)
         assert s[1].sum() == 0.0  # all-nonpositive rows vanish
-
-
-class TestRequantize:
-    def test_identity_at_same_widths(self):
-        cfg, wts = _toy()
-        cfg2, w2 = M.requantize(cfg, wts, CFG.w, CFG.f)
-        assert cfg2 == cfg
-        assert np.array_equal(w2.embedding, wts.embedding)
-        assert np.array_equal(w2.classifier, wts.classifier)
-
-    def test_narrow_rounds_and_clamps(self):
-        cfg, wts = _toy(seed=19)
-        cfg2, w2 = M.requantize(cfg, wts, 8, 4)
-        assert (cfg2.w, cfg2.f) == (8, 4)
-        assert np.abs(w2.embedding).max() == 127  # full-range rows clamp
-        want = np.clip(np.rint(wts.layers[0].ff1 * 2.0 ** (4 - 9)),
-                       -127, 127).astype(np.int64)
-        assert np.array_equal(w2.layers[0].ff1, want)
-        M.forward_fixed(cfg2, w2, np.zeros(cfg2.seq_len, int), "opt1")
-
-    def test_value_projection(self):
-        cfg, wts = _toy()
-        wv = wts.layers[0].wv
-        assert np.array_equal(M.value_projection(wv, cfg.dim, "baseline"), wv)
-        want = np.rint(wv / np.sqrt(cfg.dim)).astype(np.int64)
-        assert np.array_equal(M.value_projection(wv, cfg.dim, "opt1"), want)
-
-
-class TestWeightFiles:
-    def test_roundtrip(self, tmp_path):
-        cfg, wts = _toy(seed=23, n_layers=2, n_classes=4)
-        path = tmp_path / "m.cfw"
-        M.save_weights(path, cfg, wts)
-        cfg2, w2 = M.load_weights(path)
-        assert cfg2 == cfg
-        for a, b in zip(M._tensors(wts), M._tensors(w2)):
-            assert np.array_equal(a, b)
-        toks = np.arange(cfg.seq_len) % cfg.vocab
-        assert np.array_equal(M.forward_fixed(cfg, wts, toks, "opt2").logits,
-                              M.forward_fixed(cfg2, w2, toks, "opt2").logits)
-
-    def test_corruption_detected(self):
-        cfg, wts = _toy()
-        blob = M.weights_to_bytes(cfg, wts)
-        with pytest.raises(EncodingError):
-            M.weights_from_bytes(b"XXXX" + blob[4:])
-        with pytest.raises(EncodingError):
-            M.weights_from_bytes(blob[:4] + b"\x63" + blob[5:])  # version
-        with pytest.raises(EncodingError):
-            M.weights_from_bytes(blob[:-8])
-        with pytest.raises(EncodingError):
-            M.weights_from_bytes(blob + b"\x00\x00\x00\x00")
-        with pytest.raises(EncodingError):
-            M.weights_from_bytes(blob[:20])
-
-    def test_header_sanity_checked(self):
-        cfg, wts = _toy()
-        blob = bytearray(M.weights_to_bytes(cfg, wts))
-        blob[12:16] = (0).to_bytes(4, "little")  # zero out the f field
-        with pytest.raises(EncodingError):
-            M.weights_from_bytes(bytes(blob))

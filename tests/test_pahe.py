@@ -10,6 +10,8 @@ from cipherformer.errors import (
     ParameterError,
     ProtocolError,
 )
+from cipherformer.helinear import (encmatrix_from_bytes, encmatrix_to_bytes,
+                                   pack_rows)
 from cipherformer.ntt import get_stacked
 from cipherformer.primes import next_prime
 
@@ -179,6 +181,27 @@ class TestRotations:
         with pytest.raises(ParameterError, match="rotation key"):
             rot(ev, enc(ev, rand_vec(par, rng)), 7)
 
+    def test_galois_key_uses_the_slot_permutation(self):
+        """keygen takes sigma_t(s) as a permutation of the NTT-domain secret;
+        it must equal X -> X^t applied to the coefficients (negacyclic)."""
+        par = pahe.session_params(P20, 64)
+        km = pahe.keygen(par, seed=3)
+        rns = par.rns()
+        coeffs = rns.inverse(km._sk[None])[0]  # (k, n), residues of s
+        n = par.n
+        for t in (3, 9, 2 * n - 1):
+            ref = np.zeros_like(coeffs)
+            for i, qi in enumerate(par.q_primes):
+                for j in range(n):
+                    e = j * t % (2 * n)
+                    c = int(coeffs[i, j])
+                    if e < n:
+                        ref[i, e] = (int(ref[i, e]) + c) % qi
+                    else:
+                        ref[i, e - n] = (int(ref[i, e - n]) - c) % qi
+            want = rns.forward(ref[None])[0]
+            assert np.array_equal(km._sk[:, par.slots().perm(t)], want)
+
     def test_composition(self, setup):
         par, km, ev, rng = setup
         v = rand_vec(par, rng)
@@ -234,18 +257,26 @@ class TestWireFormat:
         blob = bytearray(pahe.ct_to_bytes(enc(ev, rand_vec(par, rng))))
         blob[0] ^= 0xFF
         with pytest.raises(ProtocolError):
-            pahe.ct_from_bytes(bytes(blob))
+            pahe.ct_from_bytes(bytes(blob), par)
 
     def test_params_mismatch(self, setup):
+        """A ciphertext or key blob made under other parameters is the
+        peer's error: its parameter block is compared with the session's."""
         par, km, ev, rng = setup
-        other = pahe.session_params(P20, 512)
         blob = pahe.ct_to_bytes(enc(ev, rand_vec(par, rng)))
-        with pytest.raises(ParameterError):
-            pahe.ct_from_bytes(blob, other)
+        keys = pahe.public_keys_to_bytes(km.public())
+        other_p = next_prime(P20 + 1, congruent=(1, 2048))
+        for other in (pahe.session_params(P20, 512),
+                      pahe.session_params(other_p, 256)):
+            with pytest.raises(ProtocolError, match="different parameters"):
+                pahe.ct_from_bytes(blob, other)
+            with pytest.raises(ProtocolError, match="different parameters"):
+                pahe.public_keys_from_bytes(keys, other)
 
     def test_public_keys_roundtrip_and_work(self, setup):
         par, km, ev, rng = setup
-        km2 = pahe.public_keys_from_bytes(pahe.public_keys_to_bytes(km.public()))
+        km2 = pahe.public_keys_from_bytes(pahe.public_keys_to_bytes(km.public()),
+                                          par)
         assert not km2.has_secret
         ev2 = pahe.Evaluator(km2, seed=6)
         v = rand_vec(par, rng)
@@ -273,14 +304,39 @@ class TestWireFormat:
             with pytest.raises(ProtocolError, match="noise"):
                 pahe.ct_from_bytes(pahe.ct_to_bytes(forged), par)
 
-    def test_decoder_fuzz_raises_only_package_errors(self, setup):
-        """Seeded mutations of an honest ciphertext: flipped, truncated or
-        inserted bytes, mostly in the header where the lengths live.  The
-        decoder may accept a mutant (a flipped residue is still a residue)
-        but must never leak anything but a package error."""
+    def test_crafted_key_blobs_rejected(self, setup):
         par, km, ev, rng = setup
-        blob = pahe.ct_to_bytes(enc(ev, rand_vec(par, rng)))
-        head = blob.index(b"toy") + 3 + 8 + 4  # through c0's length prefix
+        pub = km.public()
+        blob = pahe.public_keys_to_bytes(pub)
+        with pytest.raises(ProtocolError, match="trailing"):
+            pahe.public_keys_from_bytes(blob + bytes(2), par)
+        ksk = next(iter(pub.galois.values()))
+        for t in (2, 2 * par.n + 1):  # even, or past the group
+            forged = pahe.KeyMaterial(par, pub.pk0, pub.pk1, {t: ksk})
+            with pytest.raises(ProtocolError, match="Galois element"):
+                pahe.public_keys_from_bytes(
+                    pahe.public_keys_to_bytes(forged), par)
+
+    @pytest.mark.parametrize("decoder", ["ciphertext", "public_keys",
+                                         "encmatrix"])
+    def test_decoder_fuzz_raises_only_package_errors(self, setup, decoder):
+        """Seeded mutations of an honest blob: flipped, truncated or inserted
+        bytes, mostly in the header where the lengths live.  The decoder may
+        accept a mutant (a flipped residue is still a residue) but must never
+        leak anything but a ProtocolError."""
+        par, km, ev, rng = setup
+        if decoder == "ciphertext":
+            blob = pahe.ct_to_bytes(enc(ev, rand_vec(par, rng)))
+            parse = pahe.ct_from_bytes
+        elif decoder == "public_keys":
+            blob = pahe.public_keys_to_bytes(km.public())
+            parse = pahe.public_keys_from_bytes
+        else:
+            M = rng.integers(0, par.p, (2, 5), dtype=np.uint64)
+            blob = encmatrix_to_bytes(pack_rows(ev, M))
+            parse = encmatrix_from_bytes
+        # the first parameter block and the lengths just past it
+        head = blob.index(b"toy") + 3 + 8 + 4
         fuzz = np.random.default_rng(2024)
         rejected = 0
         for case in range(300):
@@ -297,7 +353,7 @@ class TestWireFormat:
                 data[pos:pos] = fuzz.integers(0, 256, int(fuzz.integers(1, 9)),
                                               dtype=np.uint8).tobytes()
             try:
-                pahe.ct_from_bytes(bytes(data), par if case % 2 else None)
-            except (ProtocolError, ParameterError):
+                parse(bytes(data), par)
+            except ProtocolError:
                 rejected += 1
         assert rejected > 200

@@ -95,7 +95,7 @@ class TestPlan:
         with pytest.raises(ParameterError):
             S.build_stage_plan(mode="baseline", **{**TOY, "f": 20})
         with pytest.raises(ParameterError):
-            S.build_stage_plan(mode="opt1", act_w=24, **TOY)
+            S.build_stage_plan(mode="opt2", **{**TOY, "w": 6, "f": 3})
         with pytest.raises(ParameterError):
             S.build_stage_plan(mode="baseline", **{**TOY, "seq_len": 1025})
         with pytest.raises(ParameterError):
