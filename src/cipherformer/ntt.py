@@ -1,27 +1,47 @@
 """Negacyclic number-theoretic transforms over word-sized primes.
 
 All hot arithmetic runs on numpy uint64 with Shoup's trick: for a fixed
-multiplicand w mod p, precompute w' = floor(w * 2^64 / p); then
+multiplicand w mod p, precompute the twin w' = floor(w * 2^64 / p); then
 
-    q = mulhi_64(a, w')            # off by at most one from floor(a*w/p)
+    q = mulhi_64(a, w')            # floor(a*w/p), or one less
     r = (a*w - q*p) mod 2^64       # lands in [0, 2p)
-    r -= p if r >= p
 
 which needs only wrapping 64-bit multiplies (the high half is assembled from
-32-bit limbs, since numpy has no 128-bit type).  Correct for any p < 2^63 and
-fully reduced operands.  Twiddle factors and key material are known in
-advance, so their precompute amortises; a plaintext that multiplies a single
-ciphertext goes through `mulmod_vec` instead, which needs no twin.
+32-bit limbs, since numpy has no 128-bit type).  The one multiply kernel,
+behind `mulmod_shoup` and every butterfly, takes the twin as two 32-bit limbs
+and skips the low limb product and the middle carries, so its quotient can
+fall short by two and its remainder lies in [0, 4p): that fits in 64 bits
+because every prime is at most 62 bits wide, and two branch-free
+subtractions finish the reduction.  Twiddle factors and key material are
+known in advance, so their twins amortise; a plaintext that multiplies a
+single ciphertext goes through `mulmod_vec` instead, which needs no twin.
+`shoup` builds twins in numpy too: with 2^64 = Q*p + c, the twin of w is
+w*Q + floor(w*c/p), and the second term is one Shoup quotient by the
+constant c, corrected by its remainder.
+
+Reductions are branch-free: a value x in [0, 2p) reduces as min(x, x - p),
+because x - p wraps to something above x exactly when x < p; a wrapped
+difference d = a - b of reduced operands reduces as min(d, d + p) for the
+same reason.
 
 `StackedNtt` is the one transform class: a stack of k primes (an RNS basis),
-or a single prime with k=1.  The transform pair is the standard in-place
-iterative one: Cooley-Tukey butterflies with bit-reversed powers of psi (a
-primitive 2n-th root of unity) forward, Gentleman-Sande with psi^-1
-backward.  Nobody here ever needs the
-forward output in "natural" order, because the slot machinery works purely in
-terms of which evaluation point lives at which position (`eval_exponents`,
-recovered once by a discrete log over the 2n-th roots -- cheap, and immune to
-off-by-one conventions in the table layout).
+or a single prime with k=1.  Forward is Cooley-Tukey with bit-reversed powers
+of psi (a primitive 2n-th root of unity), inverse is Gentleman-Sande with
+psi^-1 and 1/n folded into its last stage.  Both run in constant geometry:
+every forward stage reads its butterfly pairs from the two contiguous halves
+of one buffer and writes them interleaved into another, and the inverse
+moves data the opposite way.  Before forward stage s, the value the textbook
+in-place loop keeps at index i sits at i rotated left by s bits, so after
+all log2(n) stages every output is exactly where that loop leaves it, and no
+stage works on short strided runs.  Each stage has a table of its twiddles
+laid out along the half it multiplies, with their Shoup twins already split
+into 32-bit limbs, built on first use and kept with the transform; the
+stages work in preallocated scratch through in-place ufuncs.
+
+Nobody here ever needs the forward output in "natural" order, because the
+slot machinery works purely in terms of which evaluation point lives at
+which position (`eval_exponents`, recovered once by a discrete log over the
+2n-th roots -- cheap, and immune to off-by-one conventions in the layout).
 """
 
 from __future__ import annotations
@@ -51,15 +71,49 @@ def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def shoup(w, p: int) -> np.ndarray:
-    """Precompute floor(w * 2^64 / p) for scalar or vector w (reduced mod p)."""
+    """floor(w * 2^64 / p) for a scalar or an array of non-negative w,
+    reduced mod p first (p < 2^63)."""
     if np.isscalar(w) or isinstance(w, int):
         return np.uint64(((int(w) % p) << 64) // p)
-    return np.array([((int(x) % p) << 64) // p for x in np.asarray(w).ravel()],
-                    dtype=np.uint64).reshape(np.shape(w))
+    pp = np.uint64(p)
+    w = np.asarray(w, dtype=np.uint64) % pp
+    quot, c = divmod(1 << 64, p)
+    # floor(w*c/p): the Shoup quotient by c is exact or one short, and its
+    # remainder (in [0, 2p)) says which
+    q = _mulhi(w, np.uint64((c << 64) // p))
+    q += (w * np.uint64(c) - q * pp >= pp).astype(np.uint64)
+    return w * np.uint64(quot) + q
+
+
+def _mulmod_into(x, w, w_lo, w_hi, p, p2, out, s1, s2):
+    """out = (x * w) mod p, for w reduced and w's Shoup twin given as its
+    32-bit limbs w_lo, w_hi; s1 and s2 are scratch of the broadcast shape,
+    and out may be x itself or a strided view.
+
+    The quotient leaves out x_lo*w_lo and the carries out of the middle limb
+    products, so it is short by at most two and the remainder lies in
+    [0, 4p); 4p < 2^64 because p has at most 62 bits.
+    """
+    np.right_shift(x, _SHIFT32, out=s1)
+    np.multiply(s1, w_lo, out=s2)
+    np.right_shift(s2, _SHIFT32, out=s2)
+    np.multiply(s1, w_hi, out=s1)
+    s1 += s2
+    np.bitwise_and(x, _MASK32, out=s2)
+    np.multiply(s2, w_hi, out=s2)
+    np.right_shift(s2, _SHIFT32, out=s2)
+    s1 += s2
+    s1 *= p
+    np.multiply(x, w, out=s2)
+    s2 -= s1
+    np.subtract(s2, p2, out=s1)
+    np.minimum(s2, s1, out=s2)
+    np.subtract(s2, p, out=s1)
+    np.minimum(s2, s1, out=out)
 
 
 def mulmod_shoup(a, w, w_sh, p: int) -> np.ndarray:
-    """(a * w) mod p with precomputed Shoup constant; operands fully reduced.
+    """(a * w) mod p with precomputed Shoup constant; w reduced, p < 2^62.
 
     Shapes broadcast: w may be a scalar, a column of per-row twiddles, or a
     full array matching a.
@@ -68,9 +122,11 @@ def mulmod_shoup(a, w, w_sh, p: int) -> np.ndarray:
     a = np.asarray(a, dtype=np.uint64)
     w = np.asarray(w, dtype=np.uint64)
     w_sh = np.asarray(w_sh, dtype=np.uint64)
-    q = _mulhi(a, w_sh)
-    r = a * w - q * pp
-    return np.where(r >= pp, r - pp, r)
+    out, s1, s2 = (np.empty(np.broadcast_shapes(a.shape, w.shape, w_sh.shape),
+                            dtype=np.uint64) for _ in range(3))
+    _mulmod_into(a, w, w_sh & _MASK32, w_sh >> _SHIFT32, pp, pp * np.uint64(2),
+                 out, s1, s2)
+    return out
 
 
 def mulmod_vec(a, b, p: int) -> np.ndarray:
@@ -93,13 +149,13 @@ def mulmod_vec(a, b, p: int) -> np.ndarray:
 def addmod(a, b, p: int):
     pp = np.uint64(p)
     r = a + b
-    return np.where(r >= pp, r - pp, r)
+    return np.minimum(r, r - pp)
 
 
 def submod(a, b, p: int):
     pp = np.uint64(p)
     r = a - b
-    return np.where(a < b, r + pp, r)
+    return np.minimum(r, r + pp)
 
 
 def _bitrev_indices(n: int) -> np.ndarray:
@@ -129,6 +185,8 @@ class StackedNtt:
     n <= 1024, so fusing the k transforms (and any batch of polynomials)
     into one set of array ops beats looping over the primes.  k=1 is the
     single-prime transform (the plaintext modulus, the slot map's probe).
+    Inputs must be reduced mod their row's prime; neither transform writes
+    to its argument.
     """
 
     def __init__(self, primes: tuple[int, ...], n: int):
@@ -147,76 +205,90 @@ class StackedNtt:
         self.n = n
         self.k = len(self.primes)
         self.psi = tuple(root_of_unity(2 * n, p) for p in self.primes)
-        rev = _bitrev_indices(n)
-        # twiddles stacked as (k, n); butterflies slice columns, broadcast rows
-        self._psi = np.stack([_bitrev_powers(w, p, rev)
-                              for w, p in zip(self.psi, self.primes)])
-        self._ipsi = np.stack([_bitrev_powers(pow(w, -1, p), p, rev)
-                               for w, p in zip(self.psi, self.primes)])
-        self._psi_sh = np.stack([shoup(r, p) for r, p in zip(self._psi, self.primes)])
-        self._ipsi_sh = np.stack([shoup(r, p) for r, p in zip(self._ipsi, self.primes)])
-        ninv = [pow(n, -1, p) for p in self.primes]
-        self._ninv = np.array(ninv, dtype=np.uint64)[:, None]
-        self._ninv_sh = np.array([int(shoup(v, p)) for v, p in zip(ninv, self.primes)],
-                                 dtype=np.uint64)[:, None]
         self._p = np.array(self.primes, dtype=np.uint64)[:, None]
+        self._p2 = self._p * np.uint64(2)
 
-    def _mulmod(self, a, w, w_sh):
-        q = _mulhi(a, w_sh)
-        r = a * w - q * self._p
-        return np.where(r >= self._p, r - self._p, r)
+    def _twiddles(self, w: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(w, low limb of its twin, high limb of its twin), rows per prime."""
+        sh = np.stack([shoup(row, p) for row, p in zip(w, self.primes)])
+        return w, sh & _MASK32, sh >> _SHIFT32
+
+    def _stage_tables(self, roots) -> list[tuple[np.ndarray, ...]]:
+        """Per stage, bit-reversed powers of each root laid out along the
+        half the stage multiplies: stage s holds 2^s blocks, and position r
+        of a half belongs to block r mod 2^s."""
+        rev = _bitrev_indices(self.n)
+        pw = np.stack([_bitrev_powers(w, p, rev)
+                       for w, p in zip(roots, self.primes)])
+        r = np.arange(self.n // 2)
+        return [self._twiddles(pw[:, m + r % m])
+                for m in (1 << s for s in range(self.n.bit_length() - 1))]
+
+    @cached_property
+    def _forward_tables(self) -> list[tuple[np.ndarray, ...]]:
+        return self._stage_tables(self.psi)
+
+    @cached_property
+    def _inverse_tables(self):
+        """The inverse's stage tables in the order it runs them, with 1/n
+        folded into the last stage's twiddles, and the 1/n table that scales
+        that stage's sums."""
+        stages = self._stage_tables([pow(w, -1, p) for w, p in
+                                     zip(self.psi, self.primes)])[::-1]
+        ninv = np.array([[pow(self.n, -1, p)] for p in self.primes],
+                        dtype=np.uint64)
+        stages[-1] = self._twiddles(np.stack([
+            mulmod_vec(row, c, p)
+            for row, c, p in zip(stages[-1][0], ninv, self.primes)]))
+        return stages, self._twiddles(ninv)
+
+    def _buffers(self, a: np.ndarray):
+        x = np.asarray(a, dtype=np.uint64).reshape(-1, self.k, self.n)
+        shape = (x.shape[0], self.k, self.n // 2)
+        return (x, np.empty(x.shape, dtype=np.uint64),
+                np.empty(x.shape, dtype=np.uint64),
+                [np.empty(shape, dtype=np.uint64) for _ in range(3)])
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        n = self.n
-        a = np.ascontiguousarray(a, dtype=np.uint64).copy()
-        flat = a.reshape(-1, self.k, n)
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            blk = flat.reshape(flat.shape[0], self.k, m, 2 * t)
-            u = blk[..., :t]
-            v = blk[..., t:]
-            w = self._psi[:, m:2 * m, None]
-            wsh = self._psi_sh[:, m:2 * m, None]
-            q = _mulhi(v, wsh)
-            pp = self._p[:, :, None]
-            vw = v * w - q * pp
-            vw = np.where(vw >= pp, vw - pp, vw)
-            lo = u + vw
-            lo = np.where(lo >= pp, lo - pp, lo)
-            hi = np.where(u < vw, u - vw + pp, u - vw)
-            blk[..., :t] = lo
-            blk[..., t:] = hi
-            m *= 2
-        return a
+        x, buf0, buf1, (s1, s2, s3) = self._buffers(a)
+        h = self.n // 2
+        p, p2 = self._p, self._p2
+        src = x
+        for i, (w, w_lo, w_hi) in enumerate(self._forward_tables):
+            dst = (buf0, buf1)[i % 2]
+            u = src[..., :h]
+            _mulmod_into(src[..., h:], w, w_lo, w_hi, p, p2, s3, s1, s2)
+            np.add(u, s3, out=s1)
+            np.subtract(s1, p, out=s2)
+            np.minimum(s1, s2, out=dst[..., 0::2])
+            np.subtract(u, s3, out=s1)
+            np.add(s1, p, out=s2)
+            np.minimum(s1, s2, out=dst[..., 1::2])
+            src = dst
+        return src.reshape(np.shape(a))
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        n = self.n
-        a = np.ascontiguousarray(a, dtype=np.uint64).copy()
-        flat = a.reshape(-1, self.k, n)
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            blk = flat.reshape(flat.shape[0], self.k, h, 2 * t)
-            u = blk[..., :t]
-            v = blk[..., t:]
-            pp = self._p[:, :, None]
-            w = self._ipsi[:, h:2 * h, None]
-            wsh = self._ipsi_sh[:, h:2 * h, None]
-            lo = u + v
-            lo = np.where(lo >= pp, lo - pp, lo)
-            d = np.where(u < v, u - v + pp, u - v)
-            q = _mulhi(d, wsh)
-            hi = d * w - q * pp
-            hi = np.where(hi >= pp, hi - pp, hi)
-            blk[..., :t] = lo
-            blk[..., t:] = hi
-            t *= 2
-            m = h
-        out = self._mulmod(flat, self._ninv, self._ninv_sh)
-        return out.reshape(a.shape)
+        x, buf0, buf1, (s1, s2, s3) = self._buffers(a)
+        h = self.n // 2
+        p, p2 = self._p, self._p2
+        stages, scale = self._inverse_tables
+        src = x
+        for i, (w, w_lo, w_hi) in enumerate(stages):
+            dst = (buf0, buf1)[i % 2]
+            u, v = src[..., 0::2], src[..., 1::2]
+            np.add(u, v, out=s1)
+            np.subtract(s1, p, out=s2)
+            if i < len(stages) - 1:
+                np.minimum(s1, s2, out=dst[..., :h])
+            else:
+                np.minimum(s1, s2, out=s3)
+                _mulmod_into(s3, *scale, p, p2, dst[..., :h], s1, s2)
+            np.subtract(u, v, out=s1)
+            np.add(s1, p, out=s2)
+            np.minimum(s1, s2, out=s3)
+            _mulmod_into(s3, w, w_lo, w_hi, p, p2, dst[..., h:], s1, s2)
+            src = dst
+        return src.reshape(np.shape(a))
 
     @cached_property
     def eval_exponents(self) -> np.ndarray:

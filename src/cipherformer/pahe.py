@@ -21,8 +21,9 @@ Representation choices, all load-bearing:
     the negated exponent.  Galois maps X -> X^t act as pure slot permutations
     in the NTT domain, so a rotation is one permutation plus one key switch.
   * Key-switching uses the RNS-prime gadget: digit j of a polynomial is its
-    residue mod q_j lifted back to the full basis.  Keys store Shoup twins so
-    the hot loop is all uint64 mulmods.
+    residue mod q_j lifted back to the full basis; its row j is the input's
+    own row j, so only the other k(k-1) lifts need a forward transform.  Keys
+    store Shoup twins so the hot loop is all uint64 mulmods.
 
 Noise is tracked as a running upper-bound estimate in bits; the remaining
 budget is (log2 q - log2 p - 1) minus that estimate, and operations raise
@@ -555,24 +556,32 @@ class Evaluator:
     # -- encryption ----------------------------------------------------------
 
     def encrypt_many(self, vecs: Sequence) -> list[Ciphertext]:
+        """Encrypt each slot vector: c0 = u*pk0 + e0 + m, c1 = u*pk1 + e1.
+
+        e0 is added to the scaled message in the coefficient domain, so one
+        forward pass transforms 3B polynomials (m + e0, u, e1), not 4B.  The
+        generator still draws u first and then all 2B errors, e0 before e1.
+        """
         par = self.params
         rns = par.rns()
         B = len(vecs)
         if B == 0:
             return []
         slots = [_as_slot_vector(par, v) for v in vecs]
-        stacked = rns.forward(np.concatenate([
-            _scaled_plain_rows_many(par, np.stack(slots)),
-            _signed_to_rns(rns, _sample_ternary(self.rng, (B, par.n))),
-            _signed_to_rns(rns, _sample_error(self.rng, (2 * B, par.n))),
-        ]))
-        m_ntt, u, e0, e1 = (stacked[i * B:(i + 1) * B] for i in range(4))
+        m = _scaled_plain_rows_many(par, np.stack(slots))
+        u = _signed_to_rns(rns, _sample_ternary(self.rng, (B, par.n)))
+        e = _signed_to_rns(rns, _sample_error(self.rng, (2 * B, par.n)))
+        pr = np.array(par.q_primes, dtype=np.uint64)[:, None]
+        m += e[:B]
+        np.minimum(m, m - pr, out=m)
+        stacked = rns.forward(np.concatenate([m, u, e[B:]]))
+        m_ntt, u, e1 = (stacked[i * B:(i + 1) * B] for i in range(3))
         c0 = np.empty_like(u)
         c1 = np.empty_like(u)
         for i, qi in enumerate(par.q_primes):
             qi = np.uint64(qi)
             t = mulmod_shoup(u[:, i], self.keys.pk0[i], self._pk0_sh[i], qi)
-            c0[:, i] = addmod(addmod(t, e0[:, i], qi), m_ntt[:, i], qi)
+            c0[:, i] = addmod(t, m_ntt[:, i], qi)
             t = mulmod_shoup(u[:, i], self.keys.pk1[i], self._pk1_sh[i], qi)
             c1[:, i] = addmod(t, e1[:, i], qi)
         out = []
@@ -667,6 +676,8 @@ class Evaluator:
         The per-rotation key-switch needs an inverse and a forward NTT; on a
         diagonal sweep those dominate, so stack every ciphertext's digits and
         transform them together, then apply each rotation's own switch key.
+        Digit j lifted back to prime j is the permuted c1 row j itself, so
+        only the k(k-1) lifts into the other primes are transformed.
         """
         if len(cts) != len(rs):
             raise ParameterError("ciphertext/shift count mismatch")
@@ -687,28 +698,29 @@ class Evaluator:
                 raise ParameterError(f"missing rotation key for Galois element {t}")
         sm = par.slots()
         rns = par.rns()
-        R = len(work)
+        R, k = len(work), par.k
         perms = np.stack([sm.perm(t) for _, _, t in work])[:, None, :]
         a0 = np.take_along_axis(np.stack([ct.c0 for _, ct, _ in work]), perms, axis=2)
         a1 = np.take_along_axis(np.stack([ct.c1 for _, ct, _ in work]), perms, axis=2)
         dig = rns.inverse(a1)
+        # lifts[:, o - 1, i] is digit (i + o) mod k reduced mod q_i
         pr = np.array(par.q_primes, dtype=np.uint64)[:, None]
-        lifted = np.empty((R, par.k, par.k, par.n), dtype=np.uint64)
-        for j in range(par.k):
-            lifted[:, j] = dig[:, j][:, None, :] % pr
-        Dj = rns.forward(lifted)
+        rows = np.arange(k)
+        lifts = rns.forward(np.stack([dig[:, (rows + o) % k] % pr
+                                      for o in range(1, k)], axis=1))
         K0 = np.stack([self.keys.galois[t].k0 for _, _, t in work])
         K0sh = np.stack([self.keys.galois[t].k0_sh for _, _, t in work])
         K1 = np.stack([self.keys.galois[t].k1 for _, _, t in work])
         K1sh = np.stack([self.keys.galois[t].k1_sh for _, _, t in work])
         c0, c1 = a0, np.zeros_like(a0)
-        for j in range(par.k):
+        for j in range(k):
             for i, qi in enumerate(par.q_primes):
+                d = a1[:, i] if i == j else lifts[:, (j - i) % k - 1, i]
                 qi = np.uint64(qi)
                 c0[:, i] = addmod(c0[:, i], mulmod_shoup(
-                    Dj[:, j, i], K0[:, j, i], K0sh[:, j, i], qi), qi)
+                    d, K0[:, j, i], K0sh[:, j, i], qi), qi)
                 c1[:, i] = addmod(c1[:, i], mulmod_shoup(
-                    Dj[:, j, i], K1[:, j, i], K1sh[:, j, i], qi), qi)
+                    d, K1[:, j, i], K1sh[:, j, i], qi), qi)
         for b, (i, ct, t) in enumerate(work):
             noise = self._bump_noise(
                 float(np.logaddexp2(ct.noise_bits, par.keyswitch_noise_bits)) + 1e-3)

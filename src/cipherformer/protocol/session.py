@@ -44,7 +44,7 @@ cancel known quantities and recover the server's product masks).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -150,10 +150,16 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
                     tuple(sorted(rots)), ot_total)
 
 
-@lru_cache(maxsize=16)
-def _cached_keys(params: PaheParams, rotations: tuple[int, ...],
-                 seed: int) -> KeyMaterial:
-    return keygen(params, seed, rotations=rotations)
+def _client_keys(params: PaheParams, rotations: tuple[int, ...],
+                 seed: int | None) -> tuple[KeyMaterial, bytes]:
+    """A client key set and its public key blob, serialized once.  The
+    client never rotates, so its rotation keys are kept only in the blob."""
+    keys = keygen(params, seed, rotations=rotations)
+    return replace(keys, galois={}), public_keys_to_bytes(keys.public())
+
+
+# a client reusing its seed gets the same key set and the same blob back
+_cached_keys = lru_cache(maxsize=16)(_client_keys)
 
 
 @lru_cache(maxsize=4)
@@ -646,13 +652,13 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
         raise ParameterError("token id out of range")
 
     if seed is None:
-        keys = keygen(geom.params, None, rotations=geom.rotations)
+        keys, pkey = _client_keys(geom.params, geom.rotations, None)
     else:
-        keys = _cached_keys(geom.params, geom.rotations, key_seed)
+        keys, pkey = _cached_keys(geom.params, geom.rotations, key_seed)
     ev = Evaluator(keys, seed=enc_seed)
 
     base = BaseOtSender(rng, profile=_OT_PROFILE)
-    _send(conn, tr, ACCEPT, {"pkey": public_keys_to_bytes(keys.public()),
+    _send(conn, tr, ACCEPT, {"pkey": pkey,
                              "bota": pack_bigint(base.msg_a)})
     fields = _recv(conn, tr, OT_BASE)
     (bpts,) = need(fields, "botb")

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from cipherformer.errors import ParameterError
+from cipherformer.model import ModelConfig
 from cipherformer.ntt import (
+    _bitrev_indices,
+    _bitrev_powers,
+    _mulhi,
     addmod,
     get_stacked,
     mulmod_shoup,
@@ -14,8 +18,135 @@ from cipherformer.ntt import (
     submod,
 )
 from cipherformer.primes import next_prime
+from cipherformer.protocol.session import session_geometry
 
 P61 = next_prime(1 << 60, congruent=(1, 1 << 14))  # worst-case wide modulus
+
+
+def _session_primes(n: int):
+    """(q stack, plaintext prime) of the benchmark shape on ring n."""
+    shape = {1024: (32, 8, 16, 32, 2), 512: (8, 4, 4, 8, 1)}[n]
+    vocab, L, d, ff, layers = shape
+    geom = session_geometry(ModelConfig(vocab=vocab, seq_len=L, dim=d,
+                                        ff_dim=ff, n_layers=layers,
+                                        n_classes=2), "opt2")
+    assert geom.n == n
+    return geom.params.q_primes, geom.p
+
+
+SESSION_PRIMES = {n: _session_primes(n) for n in (512, 1024)}
+
+
+class _ReferenceNtt:
+    """The textbook in-place butterfly loop (Cooley-Tukey forward,
+    Gentleman-Sande inverse, np.where reductions, twins from python ints)
+    that `StackedNtt` must match element for element."""
+
+    def __init__(self, primes, n):
+        ctx = get_stacked(primes, n)
+        self.n, self.k = n, len(primes)
+        rev = _bitrev_indices(n)
+
+        def tables(roots):
+            w = np.stack([_bitrev_powers(r, p, rev)
+                          for r, p in zip(roots, primes)])
+            sh = np.array([[(int(x) << 64) // p for x in row]
+                           for row, p in zip(w, primes)], dtype=np.uint64)
+            return w, sh
+
+        self.psi, self.psi_sh = tables(ctx.psi)
+        self.ipsi, self.ipsi_sh = tables([pow(r, -1, p)
+                                          for r, p in zip(ctx.psi, primes)])
+        self.ninv = np.array([[pow(n, -1, p)] for p in primes], dtype=np.uint64)
+        self.ninv_sh = np.array([[(int(v) << 64) // p]
+                                 for v, p in zip(self.ninv[:, 0], primes)],
+                                dtype=np.uint64)
+        self.p = np.array(primes, dtype=np.uint64)[:, None]
+
+    def _mulmod(self, a, w, w_sh, pp):
+        q = _mulhi(a, w_sh)
+        r = a * w - q * pp
+        return np.where(r >= pp, r - pp, r)
+
+    def forward(self, a):
+        n = self.n
+        a = np.ascontiguousarray(a, dtype=np.uint64).copy()
+        flat = a.reshape(-1, self.k, n)
+        pp = self.p[:, :, None]
+        t, m = n, 1
+        while m < n:
+            t //= 2
+            blk = flat.reshape(flat.shape[0], self.k, m, 2 * t)
+            u, v = blk[..., :t], blk[..., t:]
+            vw = self._mulmod(v, self.psi[:, m:2 * m, None],
+                              self.psi_sh[:, m:2 * m, None], pp)
+            lo = u + vw
+            lo = np.where(lo >= pp, lo - pp, lo)
+            hi = np.where(u < vw, u - vw + pp, u - vw)
+            blk[..., :t] = lo
+            blk[..., t:] = hi
+            m *= 2
+        return a
+
+    def inverse(self, a):
+        n = self.n
+        a = np.ascontiguousarray(a, dtype=np.uint64).copy()
+        flat = a.reshape(-1, self.k, n)
+        pp = self.p[:, :, None]
+        t, m = 1, n
+        while m > 1:
+            h = m // 2
+            blk = flat.reshape(flat.shape[0], self.k, h, 2 * t)
+            u, v = blk[..., :t], blk[..., t:]
+            lo = u + v
+            lo = np.where(lo >= pp, lo - pp, lo)
+            d = np.where(u < v, u - v + pp, u - v)
+            blk[..., :t] = lo
+            blk[..., t:] = self._mulmod(d, self.ipsi[:, h:2 * h, None],
+                                        self.ipsi_sh[:, h:2 * h, None], pp)
+            t *= 2
+            m = h
+        return self._mulmod(flat, self.ninv, self.ninv_sh,
+                            self.p).reshape(a.shape)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("k", [1, 3])
+def test_kernel_matches_reference_loop(n, k):
+    qs, p = SESSION_PRIMES[n]
+    primes = qs if k == 3 else (p,)
+    ctx, ref = get_stacked(primes, n), _ReferenceNtt(primes, n)
+    pr = np.array(primes, dtype=np.uint64)[:, None]
+    rng = np.random.default_rng(n + k)
+    batches = [
+        rng.integers(0, 1 << 63, (4, k, n), dtype=np.uint64) % pr,
+        np.zeros((2, k, n), dtype=np.uint64),
+        np.broadcast_to(pr - np.uint64(1), (2, k, n)).copy(),
+        rng.integers(0, 1 << 63, (k, n), dtype=np.uint64) % pr,  # no batch axis
+    ]
+    for a in batches:
+        before = a.copy()
+        fwd, inv = ctx.forward(a), ctx.inverse(a)
+        assert np.array_equal(a, before)  # the argument is never written
+        assert fwd.shape == inv.shape == a.shape
+        assert np.array_equal(fwd, ref.forward(a))
+        assert np.array_equal(inv, ref.inverse(a))
+        assert np.array_equal(ctx.inverse(fwd), a)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_shoup_matches_big_int_formula(n):
+    qs, p = SESSION_PRIMES[n]
+    rng = random.Random(n)
+    for m in qs + (p,):
+        vals = [0, 1, m - 1] + [rng.randrange(m) for _ in range(500)]
+        got = shoup(np.array(vals, dtype=np.uint64), m)
+        want = np.array([(v << 64) // m for v in vals], dtype=np.uint64)
+        assert np.array_equal(got, want)
+        assert got.dtype == np.uint64
+        assert np.array_equal(shoup(np.array(vals, dtype=np.uint64).reshape(-1, 1), m),
+                              want.reshape(-1, 1))
+        assert all(int(shoup(v, m)) == (v << 64) // m for v in vals[:3])
 
 
 def test_mulmod_shoup_against_python_ints():

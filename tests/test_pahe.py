@@ -119,6 +119,29 @@ class TestRoundTrip:
         with pytest.raises(ParameterError):
             enc(ev, np.array([par.p], dtype=np.uint64))
 
+    def test_encrypt_matches_four_stack_reference(self, setup):
+        """encrypt_many folds e0 into the message before its one transform;
+        the bytes must equal c0 = u*pk0 + e0 + m, c1 = u*pk1 + e1 with all
+        four polynomials transformed, drawn from the same generator state."""
+        par, km, ev, rng = setup
+        vs = [rand_vec(par, rng) for _ in range(3)]
+        pub = km.public()
+        got = pahe.Evaluator(pub, seed=31).encrypt_many(vs)
+        gen, rns, B = np.random.default_rng(31), par.rns(), len(vs)
+        stacked = rns.forward(np.concatenate([
+            pahe._scaled_plain_rows_many(par, np.stack(vs)),
+            pahe._signed_to_rns(rns, pahe._sample_ternary(gen, (B, par.n))),
+            pahe._signed_to_rns(rns, pahe._sample_error(gen, (2 * B, par.n)))]))
+        m, u, e0, e1 = (stacked[i * B:(i + 1) * B].astype(object)
+                        for i in range(4))
+        q = np.array(par.q_primes, dtype=object)[:, None]
+        c0 = (u * pub.pk0.astype(object) + e0 + m) % q
+        c1 = (u * pub.pk1.astype(object) + e1) % q
+        for b, ct in enumerate(got):
+            want = pahe.Ciphertext(par, c0[b].astype(np.uint64),
+                                   c1[b].astype(np.uint64), par.fresh_noise_bits)
+            assert pahe.ct_to_bytes(ct) == pahe.ct_to_bytes(want)
+
     def test_keygen_deterministic(self, setup):
         par, km, ev, rng = setup
         a = pahe.keygen(par, seed=99, rotations=(1,))
@@ -201,6 +224,37 @@ class TestRotations:
                         ref[i, e - n] = (int(ref[i, e - n]) - c) % qi
             want = rns.forward(ref[None])[0]
             assert np.array_equal(km._sk[:, par.slots().perm(t)], want)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_keyswitch_matches_full_lift_reference(self, k):
+        """col_rotate_many transforms only the k(k-1) off-diagonal digit
+        lifts and reuses the permuted c1 rows as the diagonal ones; the
+        residues must equal the full k x k lift, accumulated in python ints."""
+        p = P20 if k == 2 else next_prime(1 << 52, congruent=(1, 512))
+        par = pahe.session_params(p, 256)
+        assert par.k == k
+        rs = (1, 2, 5)
+        km = pahe.keygen(par, seed=21, rotations=rs)
+        ev = pahe.Evaluator(km.public(), seed=22)
+        rng = np.random.default_rng(23)
+        cts = ev.encrypt_many([rand_vec(par, rng) for _ in rs])
+        got = ev.col_rotate_many(cts, rs)
+        rns = par.rns()
+        pr = np.array(par.q_primes, dtype=np.uint64)[:, None]
+        q = pr.astype(object)
+        for ct, r, out in zip(cts, rs, got):
+            t = pow(3, r, 2 * par.n)
+            perm = par.slots().perm(t)
+            dig = rns.inverse(ct.c1[:, perm])
+            lifts = rns.forward(np.stack([dig[j] % pr for j in range(k)]))
+            ksk = km.galois[t]
+            c0 = ct.c0[:, perm].astype(object)
+            c1 = np.zeros_like(c0)
+            for j in range(k):
+                c0 = (c0 + lifts[j].astype(object) * ksk.k0[j].astype(object)) % q
+                c1 = (c1 + lifts[j].astype(object) * ksk.k1[j].astype(object)) % q
+            assert np.array_equal(out.c0, c0.astype(np.uint64))
+            assert np.array_equal(out.c1, c1.astype(np.uint64))
 
     def test_composition(self, setup):
         par, km, ev, rng = setup

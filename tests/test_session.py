@@ -18,7 +18,7 @@ from cipherformer.errors import ProtocolError
 from cipherformer.helinear import ROWS, _PACKING_IDS
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
 from cipherformer.protocol import (STAGE_OPEN, private_inference, run_client,
-                                   run_pair, run_server)
+                                   run_pair, run_server, session)
 from cipherformer.protocol.framing import (_HEADER, decode_fields,
                                            encode_fields, write_frame)
 
@@ -69,6 +69,21 @@ def test_two_layer_session_is_exact_and_pinned():
     digest = server.transcript.digest()
     assert client.transcript.digest() == digest
     assert digest == TWO_LAYER_DIGEST
+
+
+def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
+    """A client seed that comes back reuses its cached key set and the key
+    blob serialized with it; the ACCEPT frame stays byte for byte the same."""
+    calls = []
+    real = session.public_keys_to_bytes
+    monkeypatch.setattr(session, "public_keys_to_bytes",
+                        lambda km: calls.append(km) or real(km))
+    session._cached_keys.cache_clear()
+    for _ in range(2):
+        _, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                      server_seed=11, client_seed=12)
+        assert client.transcript.digest() == DIGESTS["opt1"]
+    assert len(calls) == 1
 
 
 class _EditFirstStageOpen:
