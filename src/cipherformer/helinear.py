@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ProtocolError
+from .ntt import addmod
 from .pahe import (Ciphertext, Evaluator, KeyMaterial, PaheParams,
                    ct_from_bytes, ct_to_bytes, encode_plain_many)
 
@@ -202,8 +203,7 @@ def decrypt_matrix(keys: KeyMaterial, enc: EncMatrix) -> np.ndarray:
     if enc.packing == SUM_ROWS_COLST:
         rows_part = dec[:r, :c]
         cols_part = dec[r:r + c, :r]
-        return ((rows_part.astype(object) + cols_part.T.astype(object)) % p
-                ).astype(np.uint64)
+        return addmod(rows_part, cols_part.T, p)
     raise ParameterError(f"unknown packing {enc.packing!r}")
 
 

@@ -24,6 +24,13 @@ because x - p wraps to something above x exactly when x < p; a wrapped
 difference d = a - b of reduced operands reduces as min(d, d + p) for the
 same reason.
 
+Every modular helper (`shoup`, `mulmod_shoup`, `mulmod_vec`, `reduce128`,
+`addmod`, `submod`) takes p as one prime or as an array of primes that
+broadcasts against the operands.  In practice that array is the (k, 1)
+column of an RNS basis against (..., k, n) residue stacks, so arithmetic
+modulo every prime of a basis is one call, and no caller loops over the
+primes.
+
 `StackedNtt` is the one transform class: a stack of k primes (an RNS basis),
 or a single prime with k=1.  Forward is Cooley-Tukey with bit-reversed powers
 of psi (a primitive 2n-th root of unity), inverse is Gentleman-Sande with
@@ -70,19 +77,33 @@ def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b1 + (m01 >> _SHIFT32) + (m10 >> _SHIFT32) + (mid >> _SHIFT32)
 
 
-def shoup(w, p: int) -> np.ndarray:
-    """floor(w * 2^64 / p) for a scalar or an array of non-negative w,
-    reduced mod p first (p < 2^63)."""
-    if np.isscalar(w) or isinstance(w, int):
-        return np.uint64(((int(w) % p) << 64) // p)
-    pp = np.uint64(p)
-    w = np.asarray(w, dtype=np.uint64) % pp
+@lru_cache(maxsize=None)
+def _wide(p: int) -> tuple[int, int, int]:
+    """2^64 = quot * p + c, and the Shoup twin of c, for one prime."""
     quot, c = divmod(1 << 64, p)
+    return quot, c, (c << 64) // p
+
+
+def _wide_consts(pp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_wide` of every prime in pp, each as an array shaped like pp."""
+    cols = zip(*map(_wide, pp.ravel().tolist()))
+    return tuple(np.array(c, dtype=np.uint64).reshape(pp.shape) for c in cols)
+
+
+def shoup(w, p) -> np.ndarray:
+    """floor(w * 2^64 / p) for a scalar or an array of non-negative w,
+    reduced mod p first; p is a prime or an array of primes (p < 2^63)."""
+    pp = np.asarray(p, dtype=np.uint64)
+    shape = np.broadcast_shapes(np.shape(w), pp.shape)
+    # at least 1-d: the correction below wraps on purpose, which numpy
+    # allows silently in arrays but warns about in scalars
+    w = np.array(w, dtype=np.uint64, ndmin=1) % pp
+    quot, c, c_sh = _wide_consts(pp)
     # floor(w*c/p): the Shoup quotient by c is exact or one short, and its
     # remainder (in [0, 2p)) says which
-    q = _mulhi(w, np.uint64((c << 64) // p))
-    q += (w * np.uint64(c) - q * pp >= pp).astype(np.uint64)
-    return w * np.uint64(quot) + q
+    q = _mulhi(w, c_sh)
+    q += w * c - q * pp >= pp
+    return (w * quot + q).reshape(shape)
 
 
 def _mulmod_into(x, w, w_lo, w_hi, p, p2, out, s1, s2):
@@ -112,50 +133,56 @@ def _mulmod_into(x, w, w_lo, w_hi, p, p2, out, s1, s2):
     np.minimum(s2, s1, out=out)
 
 
-def mulmod_shoup(a, w, w_sh, p: int) -> np.ndarray:
+def mulmod_shoup(a, w, w_sh, p) -> np.ndarray:
     """(a * w) mod p with precomputed Shoup constant; w reduced, p < 2^62.
 
     Shapes broadcast: w may be a scalar, a column of per-row twiddles, or a
-    full array matching a.
+    full array matching a, and p a prime or a column of primes.
     """
-    pp = np.uint64(p)
+    pp = np.asarray(p, dtype=np.uint64)
     a = np.asarray(a, dtype=np.uint64)
     w = np.asarray(w, dtype=np.uint64)
     w_sh = np.asarray(w_sh, dtype=np.uint64)
-    out, s1, s2 = (np.empty(np.broadcast_shapes(a.shape, w.shape, w_sh.shape),
-                            dtype=np.uint64) for _ in range(3))
+    out, s1, s2 = (np.empty(np.broadcast_shapes(a.shape, w.shape, w_sh.shape,
+                                                pp.shape), dtype=np.uint64)
+                   for _ in range(3))
     _mulmod_into(a, w, w_sh & _MASK32, w_sh >> _SHIFT32, pp, pp * np.uint64(2),
                  out, s1, s2)
     return out
 
 
-def mulmod_vec(a, b, p: int) -> np.ndarray:
+def reduce128(hi, lo, p) -> np.ndarray:
+    """(hi * 2^64 + lo) mod p for any 64-bit halves hi and lo (p < 2^62).
+
+    Folds hi back with a Shoup multiply by the constant 2^64 mod p.
+    """
+    pp = np.asarray(p, dtype=np.uint64)
+    _, c, c_sh = _wide_consts(pp)
+    return addmod(mulmod_shoup(hi, c, c_sh, pp), np.remainder(lo, pp), pp)
+
+
+def mulmod_vec(a, b, p) -> np.ndarray:
     """(a * b) mod p elementwise without a precomputed twin (p < 2^62).
 
-    Splits the 128-bit product into hi*2^64 + lo and folds the hi part back
-    with a Shoup multiply by the constant 2^64 mod p.  Slower than
-    mulmod_shoup, but usable when the \"constant\" side is single-use and
-    precomputing twins would cost more than it saves.
+    Splits the 128-bit product into hi*2^64 + lo for `reduce128`.  Slower
+    than mulmod_shoup, but usable when the \"constant\" side is single-use
+    and precomputing twins would cost more than it saves.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    hi = _mulhi(a, b)
-    lo = a * b
-    c = (1 << 64) % p
-    t = mulmod_shoup(hi, np.uint64(c), shoup(c, p), p)
-    return addmod(t, lo % np.uint64(p), p)
+    return reduce128(_mulhi(a, b), np.multiply(a, b), p)
 
 
-def addmod(a, b, p: int):
-    pp = np.uint64(p)
-    r = a + b
-    return np.minimum(r, r - pp)
+def addmod(a, b, p) -> np.ndarray:
+    """(a + b) mod p for reduced a and b."""
+    r = np.add(a, b, dtype=np.uint64)
+    return np.minimum(r, np.subtract(r, np.asarray(p, dtype=np.uint64)))
 
 
-def submod(a, b, p: int):
-    pp = np.uint64(p)
-    r = a - b
-    return np.minimum(r, r + pp)
+def submod(a, b, p) -> np.ndarray:
+    """(a - b) mod p for reduced a and b."""
+    r = np.subtract(a, b, dtype=np.uint64)
+    return np.minimum(r, np.add(r, np.asarray(p, dtype=np.uint64)))
 
 
 def _bitrev_indices(n: int) -> np.ndarray:
@@ -210,7 +237,7 @@ class StackedNtt:
 
     def _twiddles(self, w: np.ndarray) -> tuple[np.ndarray, ...]:
         """(w, low limb of its twin, high limb of its twin), rows per prime."""
-        sh = np.stack([shoup(row, p) for row, p in zip(w, self.primes)])
+        sh = shoup(w, self._p)
         return w, sh & _MASK32, sh >> _SHIFT32
 
     def _stage_tables(self, roots) -> list[tuple[np.ndarray, ...]]:
@@ -237,9 +264,7 @@ class StackedNtt:
                                      zip(self.psi, self.primes)])[::-1]
         ninv = np.array([[pow(self.n, -1, p)] for p in self.primes],
                         dtype=np.uint64)
-        stages[-1] = self._twiddles(np.stack([
-            mulmod_vec(row, c, p)
-            for row, c, p in zip(stages[-1][0], ninv, self.primes)]))
+        stages[-1] = self._twiddles(mulmod_vec(stages[-1][0], ninv, self._p))
         return stages, self._twiddles(ninv)
 
     def _buffers(self, a: np.ndarray):

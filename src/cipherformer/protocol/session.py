@@ -60,9 +60,11 @@ from ..helinear import (COLBLOCKS, ROWS, SUM_ROWS_COLST, CtmmMasked, CtmmReply,
                         colblock_matmul, colblock_rotation_amounts,
                         ctmm_client_round, ctmm_server_finalize,
                         ctmm_server_mask, decrypt_matrix, encmatrix_from_bytes,
-                        encmatrix_to_bytes, pack_colblocks, pack_rows)
+                        encmatrix_to_bytes, layout_vectors, pack_colblocks,
+                        pack_rows)
 from ..model import (ModelConfig, Weights, folded_first_layer,
                      validate_weights, value_projection)
+from ..ntt import reduce128, submod
 from ..pahe import (Evaluator, KeyMaterial, PaheParams, ct_from_bytes,
                     ct_to_bytes, encode_plain_many, keygen,
                     public_keys_from_bytes, public_keys_to_bytes,
@@ -237,9 +239,7 @@ def _matrix_to_lanes(spec: StageSpec, mat: np.ndarray) -> np.ndarray:
 
 def _fold_labels(labels: np.ndarray, p: int) -> np.ndarray:
     """128-bit labels -> field elements: (lo + 2^64 hi) mod p."""
-    lo = labels[..., 0].astype(object)
-    hi = labels[..., 1].astype(object)
-    return ((lo + hi * (1 << 64)) % p).astype(np.uint64)
+    return reduce128(labels[..., 1], labels[..., 0], p)
 
 
 def _apply_stage_mask(ev: Evaluator, enc: EncMatrix, offs: np.ndarray,
@@ -255,7 +255,7 @@ def _apply_stage_mask(ev: Evaluator, enc: EncMatrix, offs: np.ndarray,
         return add_offset(ev, enc, offs)
     r, c = enc.rows, enc.cols
     S = rng.integers(0, p, size=(r, c), dtype=np.uint64)
-    row_off = ((offs.astype(object) + p - S) % p).astype(np.uint64)
+    row_off = submod(offs, S, p)
     vecs = [row_off[i] for i in range(r)] + [S[:, j] for j in range(c)]
     cts = ev.add_plain_many(enc.cts, vecs)
     return EncMatrix(SUM_ROWS_COLST, cts, r, c, enc.scale)
@@ -396,16 +396,9 @@ def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
     if cfg.n_classes > 99:
         raise ParameterError("logits frame supports at most 99 classes")
     cls = to_field(weights.classifier, p)
-    B, C, G = x_enc.block, x_enc.cols_per_ct, len(x_enc.cts)
-    vecs = []
-    for c in range(cfg.n_classes):
-        for g in range(G):
-            j0 = g * C
-            width = min(x_enc.cols, j0 + C) - j0
-            vec = np.zeros(B * C, dtype=np.uint64)
-            for jl in range(width):
-                vec[jl * B:jl * B + x_enc.rows] = cls[j0 + jl, c]
-            vecs.append(vec)
+    G = len(x_enc.cts)
+    vecs = [v for c in range(cfg.n_classes)
+            for v in layout_vectors(x_enc, np.tile(cls[:, c], (x_enc.rows, 1)))]
     terms = ev.simd_scmult_many(list(x_enc.cts) * cfg.n_classes,
                                 encode_plain_many(geom.params, vecs))
     fields = {"nlgt": pack_u64(cfg.n_classes)}
@@ -420,8 +413,6 @@ def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
 def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
                seed: int | None = None) -> ServerResult:
     """Drive the weight-holder side of one inference session."""
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
     validate_weights(cfg, weights)
     geom = session_geometry(cfg, mode)
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ from cipherformer.ntt import (
     mulmod_shoup,
     mulmod_vec,
     negacyclic_convolve_naive,
+    reduce128,
     shoup,
     submod,
 )
@@ -35,6 +36,27 @@ def _session_primes(n: int):
 
 
 SESSION_PRIMES = {n: _session_primes(n) for n in (512, 1024)}
+
+
+def _check_column_helpers(a, b, primes):
+    """Each modular helper called once with the (k, 1) column of primes on
+    (..., k, n) operands equals the scalar-prime call row by row and the
+    python-int formula."""
+    col = np.array(primes, dtype=np.uint64)[:, None]
+    ao, bo, po = a.astype(object), b.astype(object), col.astype(object)
+    cases = [
+        (lambda x, y, p: mulmod_shoup(x, y, shoup(y, p), p), ao * bo % po),
+        (mulmod_vec, ao * bo % po),
+        (addmod, (ao + bo) % po),
+        (submod, (ao - bo) % po),
+        (reduce128, ((ao << 64) + bo) % po),
+    ]
+    for fn, want in cases:
+        got = fn(a, b, col)
+        assert got.dtype == np.uint64 and got.shape == a.shape
+        assert np.array_equal(got.astype(object), want)
+        for i, p in enumerate(primes):
+            assert np.array_equal(got[..., i, :], fn(a[..., i, :], b[..., i, :], p))
 
 
 class _ReferenceNtt:
@@ -132,6 +154,7 @@ def test_kernel_matches_reference_loop(n, k):
         assert np.array_equal(fwd, ref.forward(a))
         assert np.array_equal(inv, ref.inverse(a))
         assert np.array_equal(ctx.inverse(fwd), a)
+        _check_column_helpers(a, fwd, primes)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -147,6 +170,26 @@ def test_shoup_matches_big_int_formula(n):
         assert np.array_equal(shoup(np.array(vals, dtype=np.uint64).reshape(-1, 1), m),
                               want.reshape(-1, 1))
         assert all(int(shoup(v, m)) == (v << 64) // m for v in vals[:3])
+    # the q stack as one (k, 1) column against (B, k, n) values
+    col = np.array(qs, dtype=np.uint64)[:, None]
+    vals = np.array([[[0, 1, q - 1] + [rng.randrange(q) for _ in range(61)]
+                      for q in qs] for _ in range(2)], dtype=np.uint64)
+    got = shoup(vals, col)
+    assert got.shape == vals.shape
+    for i, q in enumerate(qs):
+        assert np.array_equal(got[:, i], shoup(vals[:, i], q))
+        assert got[:, i].tolist() == [[(int(v) << 64) // q for v in row]
+                                      for row in vals[:, i]]
+    # scalar and 0-d operands against the column, and full 64-bit halves
+    assert shoup(1, col).tolist() == [[(1 << 64) // q] for q in qs]
+    top = np.uint64(2**64 - 1)
+    for hi, lo in [(0, 0), (top, top), (top, 0), (0, top),
+                   (np.array(top), np.array(1, dtype=np.uint64))]:
+        want = [[((int(hi) << 64) + int(lo)) % q] for q in qs]
+        assert reduce128(hi, lo, col).tolist() == want
+        assert [[int(reduce128(hi, lo, q))] for q in qs] == want
+        assert [[int(mulmod_vec(hi, lo, q))] for q in qs] == [
+            [int(hi) * int(lo) % q] for q in qs]
 
 
 def test_mulmod_shoup_against_python_ints():

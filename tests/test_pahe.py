@@ -84,6 +84,25 @@ class TestParams:
         assert par.max_budget_bits > par.fresh_noise_bits + p.bit_length() + 10
         assert len(set(par.q_primes)) == par.k
 
+    def test_plain_prime_is_never_an_rns_prime(self):
+        """A 39-bit p at n=512 is exactly where the ciphertext prime search
+        starts: session_params must skip it, PaheParams must refuse it (p has
+        no inverse mod itself), and encrypt -> add_plain -> decrypt stays
+        exact under the primes it picks instead."""
+        n = 512
+        p = next_prime(1 << 38, congruent=(1, 2 * n))
+        par = pahe.session_params(p, n)
+        assert p not in par.q_primes
+        with pytest.raises(ParameterError, match="must not be a ciphertext prime"):
+            pahe.PaheParams(n=n, p=p, q_primes=(p,) + par.q_primes)
+        km = pahe.keygen(par, seed=1)
+        ev = pahe.Evaluator(km.public(), seed=2)
+        rng = np.random.default_rng(3)
+        vs = np.stack([rand_vec(par, rng) for _ in range(3)])
+        ws = np.stack([rand_vec(par, rng) for _ in range(3)])
+        got = km.decrypt_many(ev.add_plain_many(ev.encrypt_many(list(vs)), list(ws)))
+        assert np.array_equal(got.astype(object), (vs.astype(object) + ws) % p)
+
     def test_slot_exponents_prime_independent(self):
         # The slot map is built once from a probe prime; every RNS prime's
         # transform must place evaluation points at the same exponents.
@@ -130,8 +149,8 @@ class TestRoundTrip:
         gen, rns, B = np.random.default_rng(31), par.rns(), len(vs)
         stacked = rns.forward(np.concatenate([
             pahe._scaled_plain_rows_many(par, np.stack(vs)),
-            pahe._signed_to_rns(rns, pahe._sample_ternary(gen, (B, par.n))),
-            pahe._signed_to_rns(rns, pahe._sample_error(gen, (2 * B, par.n)))]))
+            pahe._signed_to_rns(par, pahe._sample_ternary(gen, (B, par.n))),
+            pahe._signed_to_rns(par, pahe._sample_error(gen, (2 * B, par.n)))]))
         m, u, e0, e1 = (stacked[i * B:(i + 1) * B].astype(object)
                         for i in range(4))
         q = np.array(par.q_primes, dtype=object)[:, None]

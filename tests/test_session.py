@@ -8,7 +8,9 @@ change to the bytes either party sends -- packing, key material, noise
 sampling, garbling -- shows here.
 """
 
+import socket
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +19,8 @@ import pytest
 from cipherformer.errors import ProtocolError
 from cipherformer.helinear import ROWS, _PACKING_IDS
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
-from cipherformer.protocol import (STAGE_OPEN, private_inference, run_client,
-                                   run_pair, run_server, session)
+from cipherformer.protocol import (STAGE_OPEN, SocketConn, private_inference,
+                                   run_client, run_pair, run_server, session)
 from cipherformer.protocol.framing import (_HEADER, decode_fields,
                                            encode_fields, write_frame)
 
@@ -84,6 +86,45 @@ def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
                                       server_seed=11, client_seed=12)
         assert client.transcript.digest() == DIGESTS["opt1"]
     assert len(calls) == 1
+
+
+def _closing(party, conn, *args, **kwargs):
+    """Run one party, then close its end, so a failure on one side ends
+    the other side's reads instead of leaving them waiting."""
+    try:
+        return party(conn, *args, **kwargs)
+    finally:
+        conn.close()
+
+
+def test_session_over_sockets_reproduces_the_digest(weights):
+    """The transcript digest does not depend on the transport: the opt1
+    session over a socket pair, both ends wrapped in SocketConn, sends
+    exactly the pinned bytes."""
+    ends = socket.socketpair()
+    for sock in ends:
+        sock.settimeout(60)  # a stuck party fails the test, never hangs it
+    sconn, cconn = (SocketConn(sock) for sock in ends)
+    with ThreadPoolExecutor(2) as pool:
+        fs = pool.submit(_closing, run_server, sconn, CFG, weights, "opt1",
+                         seed=11)
+        fc = pool.submit(_closing, run_client, cconn, TOKENS, seed=12)
+        server, client = fs.result(), fc.result()
+    ref = forward_fixed(CFG, weights, TOKENS, "opt1")
+    assert np.array_equal(client.logits, ref.logits)
+    assert server.transcript.rounds == client.transcript.rounds == 29
+    assert server.transcript.digest() == client.transcript.digest()
+    assert client.transcript.digest() == DIGESTS["opt1"]
+
+
+def test_socket_read_fails_when_the_peer_closes_mid_read():
+    ours, peer = socket.socketpair()
+    conn = SocketConn(ours)
+    peer.sendall(b"abc")
+    peer.close()
+    with pytest.raises(ProtocolError, match="peer closed"):
+        conn.recv_exact(8)
+    conn.close()
 
 
 class _EditFirstStageOpen:
