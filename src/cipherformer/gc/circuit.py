@@ -18,7 +18,9 @@ keeps them reproducible for the gate-census checks.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +31,37 @@ OP_AND = 1
 
 CONST0 = 0
 CONST1 = 1
+
+
+@dataclass(frozen=True, slots=True)
+class Level:
+    """The gates of one depth, split by kind.  No gate of a level reads a
+    wire that another gate of the same level writes, so each kind can run
+    as one batch.
+
+    Wire ids and table rows index the leading axis of a label or table
+    array: an intp array, or a one-element slice when the level has one gate
+    of that kind.  Basic indexing is several times cheaper than a gather,
+    and narrow, deep circuits (the affine stages) are mostly one-gate
+    levels.
+    """
+
+    n_xor: int
+    xor_in0: np.ndarray | slice
+    xor_in1: np.ndarray | slice
+    xor_out: np.ndarray | slice
+    n_and: int
+    and_in0: np.ndarray | slice
+    and_in1: np.ndarray | slice
+    and_out: np.ndarray | slice
+    and_tweak: np.ndarray          # (2, K) uint64: 2g and 2g+1 for gate g
+    and_row: np.ndarray | slice    # the ANDs' ordinals among all ANDs
+
+
+def _index(ids: np.ndarray) -> np.ndarray | slice:
+    if ids.size == 1:
+        return slice(int(ids[0]), int(ids[0]) + 1)
+    return ids.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -56,6 +89,35 @@ class Circuit:
     @property
     def n_xor(self) -> int:
         return int(np.count_nonzero(self.ops == OP_XOR))
+
+    @cached_property
+    def levels(self) -> tuple[Level, ...]:
+        """Gates grouped by depth, shallowest first.  Inputs and constants
+        have depth 0 and a gate has 1 + the larger depth of its inputs, so
+        every gate reads only wires of earlier levels.  Within a level gates
+        keep their list order.  Built once per circuit, on first use."""
+        # an int array and lazily boxed wire ids keep the peak small
+        depth = array("i", bytes(4 * self.n_wires))
+        for a, b, o in zip(memoryview(self.in0), memoryview(self.in1),
+                           memoryview(self.out)):
+            da, db = depth[a], depth[b]
+            depth[o] = (da if da > db else db) + 1
+        is_and = self.ops == OP_AND
+        # sort by level, XORs before ANDs, then list order; each level is
+        # then two runs of the sorted arrays
+        key = 2 * np.frombuffer(depth, dtype=np.int32)[self.out] + is_and
+        order = np.argsort(key, kind="stable")
+        in0, in1, out = self.in0[order], self.in1[order], self.out[order]
+        tweak = 2 * order.astype(np.uint64) + np.array([[0], [1]], np.uint64)
+        row = (np.cumsum(is_and) - 1)[order]
+        top = int(key.max()) // 2 if key.size else 0
+        cut = np.searchsorted(key[order], np.arange(2, 2 * top + 3))
+        return tuple(
+            Level(int(mid - lo), _index(in0[lo:mid]), _index(in1[lo:mid]),
+                  _index(out[lo:mid]),
+                  int(hi - mid), _index(in0[mid:hi]), _index(in1[mid:hi]),
+                  _index(out[mid:hi]), tweak[:, mid:hi], _index(row[mid:hi]))
+            for lo, mid, hi in zip(cut[:-1:2], cut[1::2], cut[2::2]))
 
     def stats(self) -> dict[str, int]:
         return {

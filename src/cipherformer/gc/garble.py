@@ -9,7 +9,13 @@ global offset `delta` has its low bit forced to 1 so the label's low bit
 serves as the point-and-permute color.  The gate hash is the standard
 fixed-key AES construction H(X, t) = AES(2X ^ t) ^ 2X ^ t, with tweaks unique
 per (instance, gate, half); instances are independent garblings of the same
-topology batched through one AES call per gate.
+topology.
+
+Garbling and evaluation walk the circuit's level schedule (`Circuit.levels`):
+at each depth, all XOR gates are one gather-XOR-scatter over the label array
+and all AND gates of all instances are one AES call.  Tweaks follow the gate
+index and table rows the AND's ordinal, so the output is byte for byte what
+a gate-by-gate walk produces.
 
 Everything here is semi-honest: evaluation trusts the tables except for
 output decoding, which checks the revealed label against per-wire hash pairs
@@ -25,7 +31,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import CircuitError, GarbleError
-from .circuit import CONST0, CONST1, OP_AND, Circuit
+from .circuit import CONST0, CONST1, Circuit
 
 _FIXED_KEY = bytes(range(16))
 _AES = Cipher(algorithms.AES(_FIXED_KEY), modes.ECB())
@@ -35,34 +41,34 @@ _ONE = np.uint64(1)
 _SHIFT63 = np.uint64(63)
 
 
-def _aes_pi(blocks: np.ndarray) -> np.ndarray:
-    """Apply the fixed-key AES permutation to (N, 2) uint64 blocks."""
-    enc = _AES.encryptor()
-    raw = enc.update(np.ascontiguousarray(blocks, dtype="<u8").tobytes())
-    return np.frombuffer(raw, dtype="<u8").reshape(blocks.shape).astype(np.uint64)
-
-
 def _double(x: np.ndarray) -> np.ndarray:
     """Multiply by x in GF(2^128) (poly x^128 + x^7 + x^2 + x + 1)."""
-    lo, hi = x[..., 0], x[..., 1]
-    carry = hi >> _SHIFT63
-    out = np.empty_like(x)
-    out[..., 1] = (hi << _ONE) | (lo >> _SHIFT63)
-    out[..., 0] = (lo << _ONE) ^ (carry * _GF_POLY)
+    out = x << _ONE
+    out[..., 1] |= x[..., 0] >> _SHIFT63
+    out[..., 0] ^= (x[..., 1] >> _SHIFT63) * _GF_POLY
     return out
 
 
 def hash_labels(labels: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
-    """H(X, t) = pi(2X ^ t) ^ (2X ^ t); labels/tweaks broadcast to (N, 2)."""
-    t = _double(labels) ^ tweaks
-    flat = t.reshape(-1, 2)
-    return (_aes_pi(flat) ^ flat).reshape(t.shape)
+    """H(X, t) = pi(2X ^ t) ^ (2X ^ t) on labels and tweaks that broadcast
+    together to (..., 2), pi being fixed-key AES."""
+    return _hash(_AES.encryptor(), labels, tweaks)
 
 
-def _tweaks(word0, instances: int) -> np.ndarray:
-    tw = np.zeros((instances, 2), dtype=np.uint64)
-    tw[:, 0] = np.uint64(word0)
-    tw[:, 1] = np.arange(instances, dtype=np.uint64)
+def _hash(aes, labels: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
+    """`hash_labels` through an open ECB encryptor, which keeps no state
+    between calls, so one garbling or evaluation sets up AES once."""
+    t = np.ascontiguousarray(_double(labels) ^ tweaks, dtype="<u8")
+    raw = aes.update(t.tobytes())
+    return np.frombuffer(raw, dtype="<u8").reshape(t.shape) ^ t
+
+
+def _tweak_grid(word0: np.ndarray, instances: int) -> np.ndarray:
+    """Tweaks (..., E, 2): word0 in the low half, the instance in the high."""
+    word0 = np.asarray(word0, dtype=np.uint64)
+    tw = np.empty(word0.shape + (instances, 2), dtype=np.uint64)
+    tw[..., 0] = word0[..., None]
+    tw[..., 1] = np.arange(instances, dtype=np.uint64)
     return tw
 
 
@@ -71,7 +77,8 @@ _B2A_NS = np.uint64(1) << np.uint64(61)   # tweak namespace for label-keyed pads
 
 
 def _lsb(x: np.ndarray) -> np.ndarray:
-    return (x[..., 0] & _ONE).astype(np.uint64)
+    """The colour bits of (..., 2) labels, as (..., 1)."""
+    return x[..., :1] & _ONE
 
 
 @dataclass
@@ -117,29 +124,31 @@ class GarbledCircuit:
         """Label-keyed one-time pads for both values of every output wire:
         (pads0, pads1), each (n_out, E, 2).  Whoever holds the active output
         label can recompute exactly one of the two."""
-        outs = self.circuit.outputs
-        E = self.instances
-        z = self.wire0[outs]
-        pads = []
-        for labels in (z, z ^ self.delta[None]):
-            tw = np.zeros((outs.size, E, 2), dtype=np.uint64)
-            tw[..., 0] = _B2A_NS | np.arange(outs.size, dtype=np.uint64)[:, None]
-            tw[..., 1] = np.arange(E, dtype=np.uint64)[None]
-            pads.append(hash_labels(labels, tw))
+        z = self.wire0[self.circuit.outputs]
+        pads = hash_labels(np.array([z, z ^ self.delta]),
+                           _output_tweaks(_B2A_NS, z.shape[0], self.instances))
         return pads[0], pads[1]
+
+
+def _output_tweaks(namespace: np.uint64, n_out: int,
+                   instances: int) -> np.ndarray:
+    return _tweak_grid(namespace | np.arange(n_out, dtype=np.uint64),
+                       instances)
 
 
 def active_output_pads(circuit: Circuit, active_out: np.ndarray) -> np.ndarray:
     """Evaluator side of `output_pads`: pads for the labels actually held."""
     n_out, E = active_out.shape[0], active_out.shape[1]
-    tw = np.zeros((n_out, E, 2), dtype=np.uint64)
-    tw[..., 0] = _B2A_NS | np.arange(n_out, dtype=np.uint64)[:, None]
-    tw[..., 1] = np.arange(E, dtype=np.uint64)[None]
-    return hash_labels(active_out, tw)
+    return hash_labels(active_out, _output_tweaks(_B2A_NS, n_out, E))
 
 
 def garble(circuit: Circuit, instances: int,
            rng: np.random.Generator) -> GarbledCircuit:
+    """Garble E independent instances of `circuit`, one level at a time.
+
+    Tweaks are 2g and 2g+1 for gate index g, and AND g's two rows go to
+    table row `Level.and_row`, so the result does not depend on how the
+    gates are batched."""
     E = instances
     W = circuit.n_wires
     delta = rng.integers(0, 1 << 64, (E, 2), dtype=np.uint64)
@@ -149,47 +158,40 @@ def garble(circuit: Circuit, instances: int,
                             circuit.garbler_inputs, circuit.evaluator_inputs])
     wire0[fresh] = rng.integers(0, 1 << 64, (fresh.size, E, 2), dtype=np.uint64)
 
-    n_and = circuit.n_and
-    tables = np.empty((n_and, E, 2, 2), dtype=np.uint64)
-    ops, in0, in1, out = circuit.ops, circuit.in0, circuit.in1, circuit.out
-    ai = 0
-    for g in range(ops.size):
-        a0 = wire0[in0[g]]
-        b0 = wire0[in1[g]]
-        if ops[g] != OP_AND:
-            wire0[out[g]] = a0 ^ b0
+    tables = np.empty((circuit.n_and, E, 2, 2), dtype=np.uint64)
+    aes = _AES.encryptor()
+    for lv in circuit.levels:
+        if lv.n_xor:
+            wire0[lv.xor_out] = wire0[lv.xor_in0] ^ wire0[lv.xor_in1]
+        if not lv.n_and:
             continue
-        a1 = a0 ^ delta
-        b1 = b0 ^ delta
-        # one AES batch for the four hash groups
-        tw0 = _tweaks(2 * g, E)
-        tw1 = _tweaks(2 * g + 1, E)
-        h = hash_labels(np.concatenate([a0, a1, b0, b1]),
-                        np.concatenate([tw0, tw0, tw1, tw1]))
-        ha0, ha1, hb0, hb1 = h[:E], h[E:2 * E], h[2 * E:3 * E], h[3 * E:]
-        pa = _lsb(a0)[:, None]
-        pb = _lsb(b0)[:, None]
+        a0 = wire0[lv.and_in0]
+        b0 = wire0[lv.and_in1]
+        # one AES batch for the four hash groups: (a0, a1) under 2g and
+        # (b0, b1) under 2g+1
+        (ha0, ha1), (hb0, hb1) = _hash(
+            aes, np.array([[a0, a0 ^ delta], [b0, b0 ^ delta]]),
+            _tweak_grid(lv.and_tweak, E)[:, None])
+        pa = _lsb(a0)
+        pb = _lsb(b0)
         tg = ha0 ^ ha1 ^ pb * delta
         wg = ha0 ^ pa * tg
         te = hb0 ^ hb1 ^ a0
         we = hb0 ^ pb * (te ^ a0)
-        wire0[out[g]] = wg ^ we
-        tables[ai, :, 0] = tg
-        tables[ai, :, 1] = te
-        ai += 1
+        wire0[lv.and_out] = wg ^ we
+        tables[lv.and_row, :, 0] = tg
+        tables[lv.and_row, :, 1] = te
 
-    outs = circuit.outputs
-    decode = np.empty((outs.size, E, 2, 2), dtype=np.uint64)
-    for i, w in enumerate(outs):
-        tw = _tweaks(_OUT_NS | np.uint64(i), E)
-        decode[i, :, 0] = hash_labels(wire0[w], tw)
-        decode[i, :, 1] = hash_labels(wire0[w] ^ delta, tw)
+    z = wire0[circuit.outputs]
+    h = hash_labels(np.array([z, z ^ delta]),
+                    _output_tweaks(_OUT_NS, z.shape[0], E))
+    decode = np.stack([h[0], h[1]], axis=2)
     return GarbledCircuit(circuit, delta, wire0, tables, decode)
 
 
 def evaluate(circuit: Circuit, tables: np.ndarray, garbler_active: np.ndarray,
              evaluator_active: np.ndarray) -> np.ndarray:
-    """Run the garbled circuit on active labels.
+    """Run the garbled circuit on active labels, one level at a time.
 
     garbler_active is (n_gin + 2, E, 2) (constants first, from
     `garbler_labels`); evaluator_active is (n_ein, E, 2) from the OT.
@@ -201,24 +203,20 @@ def evaluate(circuit: Circuit, tables: np.ndarray, garbler_active: np.ndarray,
     active[CONST1] = garbler_active[1]
     active[circuit.garbler_inputs] = garbler_active[2:]
     active[circuit.evaluator_inputs] = evaluator_active
-    ops, in0, in1, out = circuit.ops, circuit.in0, circuit.in1, circuit.out
-    ai = 0
-    for g in range(ops.size):
-        wa = active[in0[g]]
-        wb = active[in1[g]]
-        if ops[g] != OP_AND:
-            active[out[g]] = wa ^ wb
+    aes = _AES.encryptor()
+    for lv in circuit.levels:
+        if lv.n_xor:
+            active[lv.xor_out] = active[lv.xor_in0] ^ active[lv.xor_in1]
+        if not lv.n_and:
             continue
-        tw0 = _tweaks(2 * g, E)
-        tw1 = _tweaks(2 * g + 1, E)
-        h = hash_labels(np.concatenate([wa, wb]), np.concatenate([tw0, tw1]))
-        ha, hb = h[:E], h[E:]
-        tg = tables[ai, :, 0]
-        te = tables[ai, :, 1]
-        sa = _lsb(wa)[:, None]
-        sb = _lsb(wb)[:, None]
-        active[out[g]] = (ha ^ sa * tg) ^ (hb ^ sb * (te ^ wa))
-        ai += 1
+        wa = active[lv.and_in0]
+        wb = active[lv.and_in1]
+        ha, hb = _hash(aes, np.array([wa, wb]), _tweak_grid(lv.and_tweak, E))
+        rows = tables[lv.and_row]
+        sa = _lsb(wa)
+        sb = _lsb(wb)
+        active[lv.and_out] = ((ha ^ sa * rows[:, :, 0])
+                              ^ (hb ^ sb * (rows[:, :, 1] ^ wa)))
     return active[circuit.outputs]
 
 
@@ -227,13 +225,9 @@ def decode_outputs(circuit: Circuit, decode: np.ndarray,
     """Map active output labels to bits via the hash pairs; any label that
     matches neither hash means the transcript was corrupted."""
     n_out, E = active_out.shape[0], active_out.shape[1]
-    bits = np.empty((E, n_out), dtype=np.uint8)
-    for i in range(n_out):
-        tw = _tweaks(_OUT_NS | np.uint64(i), E)
-        h = hash_labels(active_out[i], tw)
-        is0 = (h == decode[i, :, 0]).all(axis=1)
-        is1 = (h == decode[i, :, 1]).all(axis=1)
-        if not (is0 | is1).all():
-            raise GarbleError("output label matches neither decode hash")
-        bits[:, i] = is1
-    return bits
+    h = hash_labels(active_out, _output_tweaks(_OUT_NS, n_out, E))
+    is0 = (h == decode[:, :, 0]).all(axis=-1)
+    is1 = (h == decode[:, :, 1]).all(axis=-1)
+    if not (is0 | is1).all():
+        raise GarbleError("output label matches neither decode hash")
+    return is1.T.astype(np.uint8)

@@ -280,7 +280,7 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0) -> EncMatr
         if acc is None:  # an all-zero block of W
             zero = encode_plain_many(par, [np.zeros(half, dtype=np.uint64)])
             accs[og] = ev.simd_scmult_many([X.cts[0]], zero)[0]
-    ev.counters["matvec"] = ev.counters.get("matvec", 0) + 1
+    ev.counters["colblock_matmul"] = ev.counters.get("colblock_matmul", 0) + 1
     return EncMatrix(COLBLOCKS, accs, X.rows, d_out, X.scale + w_scale,
                      block=B, cols_per_ct=C)
 
@@ -423,7 +423,7 @@ def ctmm_server_finalize(ev: Evaluator, reply: CtmmReply, st: MaskState) -> EncM
         [ev.add_ct(reply.prod.cts[i], rows_cross[i]) for i in range(r)],
         [r1r2[i] for i in range(r)])
     cols_cts = plain_times_diag(ev, st.r2.T.copy(), reply.x_diag)
-    ev.counters["hybrid_matvec"] = ev.counters.get("hybrid_matvec", 0) + r
+    ev.counters["ctmm_rows"] = ev.counters.get("ctmm_rows", 0) + r
     return EncMatrix(SUM_ROWS_COLST, rows_cts + cols_cts, r, c, st.scale)
 
 

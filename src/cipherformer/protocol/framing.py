@@ -9,6 +9,7 @@ travel as little-endian arrays with an explicit dtype/shape header.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -141,7 +142,9 @@ def unpack_array(blob: bytes) -> np.ndarray:
         raise ProtocolError("truncated array shape")
     shape = struct.unpack_from(f"<{ndim}I", blob, 2) if ndim else ()
     dt = _DTYPES[code]
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+    # Python ints: a shape whose product overflows int64 cannot wrap to a
+    # count that matches the payload
+    count = math.prod(shape)
     if len(blob) != off + count * dt.itemsize:
         raise ProtocolError("array payload length mismatch")
     arr = np.frombuffer(blob, dtype=dt, count=count, offset=off)

@@ -369,7 +369,7 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
 def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
                 Y: EncMatrix, *, tx: bool = False, ty: bool = False) -> EncMatrix:
     ev = sp.ev
-    before = ev.counters.get("hybrid_matvec", 0)
+    before = ev.counters.get("ctmm_rows", 0)
     msg, st = ctmm_server_mask(ev, X, Y, sp.rng, transpose_x=tx, transpose_y=ty)
     _send(sp.conn, sp.tr, MM_OPEN, {
         "mmxx": encmatrix_to_bytes(msg.x),
@@ -382,7 +382,7 @@ def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
                       y_diag=encmatrix_from_bytes(by, sp.geom.params))
     out = ctmm_server_finalize(ev, reply, st)
     sp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=out.rows,
-                    hybrid_delta=ev.counters.get("hybrid_matvec", 0) - before,
+                    ctmm_rows=ev.counters.get("ctmm_rows", 0) - before,
                     frames=2)
     return out
 
@@ -608,7 +608,7 @@ def _client_ctmm(cp: _ClientParty, layer: int, label: str):
         "ydia": encmatrix_to_bytes(reply.y_diag)})
     rows = msg.x.cols if msg.transpose_x else msg.x.rows
     cp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=rows,
-                    hybrid_delta=rows, frames=2)
+                    ctmm_rows=rows, frames=2)
 
 
 def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:

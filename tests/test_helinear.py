@@ -266,19 +266,19 @@ def test_ctmm_client_rejects_factors_that_do_not_chain(setup):
         ctmm_client_round(ev_c, keys, msg)
 
 
-def test_hybrid_counter_tracks_output_rows(setup):
+def test_ctmm_row_counter_tracks_output_rows(setup):
     """The live counter advances by output rows: an attention block at
     (L, d) totals 2L in the quadratic order and L + d reordered."""
     par, keys, ev, ev_c = setup
     L, d = 4, 2
-    start = ev.counters.get("hybrid_matvec", 0)
+    start = ev.counters.get("ctmm_rows", 0)
     _run_ctmm(setup, L, d, L, seed=400)           # scores: L x L
     _run_ctmm(setup, L, L, d, seed=401)           # weights times values: L x d
-    assert ev.counters["hybrid_matvec"] - start == 2 * L
-    start = ev.counters["hybrid_matvec"]
+    assert ev.counters["ctmm_rows"] - start == 2 * L
+    start = ev.counters["ctmm_rows"]
     _run_ctmm(setup, d, L, d, seed=402)           # reordered inner: d x d
     _run_ctmm(setup, L, d, d, seed=403)           # reordered outer: L x d
-    assert ev.counters["hybrid_matvec"] - start == L + d
+    assert ev.counters["ctmm_rows"] - start == L + d
 
 
 # ----------------------------------------------------------------------------

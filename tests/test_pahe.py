@@ -1,5 +1,7 @@
 """Packed-AHE unit tests: algebra, rotations, noise accounting, wire format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from cipherformer.helinear import (encmatrix_from_bytes, encmatrix_to_bytes,
                                    pack_rows)
 from cipherformer.ntt import get_stacked
 from cipherformer.primes import next_prime
+from cipherformer.protocol import session
+from cipherformer.protocol.framing import pack_array, unpack_array
 
 P20 = next_prime(1 << 20, congruent=(1, 2048))
 
@@ -390,8 +394,19 @@ class TestWireFormat:
                 pahe.public_keys_from_bytes(
                     pahe.public_keys_to_bytes(forged), par)
 
+    def test_array_shape_cannot_wrap_the_count(self):
+        """Four dims of 65,536 multiply to 2^64, which wraps to 0 in int64
+        and would match an empty payload."""
+        head = struct.pack("<BB4I", 1, 4, *[65536] * 4)
+        with pytest.raises(ProtocolError, match="length"):
+            unpack_array(head)
+        with pytest.raises(ProtocolError, match="length"):
+            unpack_array(head + bytes(8))
+        empty = np.zeros((0, 3, 2, 2), dtype=np.uint64)
+        assert unpack_array(pack_array(empty)).shape == empty.shape
+
     @pytest.mark.parametrize("decoder", ["ciphertext", "public_keys",
-                                         "encmatrix"])
+                                         "encmatrix", "array", "points"])
     def test_decoder_fuzz_raises_only_package_errors(self, setup, decoder):
         """Seeded mutations of an honest blob: flipped, truncated or inserted
         bytes, mostly in the header where the lengths live.  The decoder may
@@ -404,12 +419,25 @@ class TestWireFormat:
         elif decoder == "public_keys":
             blob = pahe.public_keys_to_bytes(km.public())
             parse = pahe.public_keys_from_bytes
-        else:
+        elif decoder == "encmatrix":
             M = rng.integers(0, par.p, (2, 5), dtype=np.uint64)
             blob = encmatrix_to_bytes(pack_rows(ev, M))
             parse = encmatrix_from_bytes
-        # the first parameter block and the lengths just past it
-        head = blob.index(b"toy") + 3 + 8 + 4
+        if decoder in ("ciphertext", "public_keys", "encmatrix"):
+            # the first parameter block and the lengths just past it
+            head = blob.index(b"toy") + 3 + 8 + 4
+        elif decoder == "array":
+            # garbled tables: the dtype, rank and shape header
+            blob = pack_array(rng.integers(0, 1 << 64, (5, 3, 2, 2),
+                                           dtype=np.uint64))
+            head = 2 + 4 * 4
+            parse = lambda data, _par: unpack_array(data)  # noqa: E731
+        else:
+            # base-OT points: the first length prefix
+            points = [int(x) for x in rng.integers(1, 1 << 62, 6)]
+            blob = session._pack_points([x << 700 for x in points])
+            head = 4
+            parse = lambda data, _par: session._unpack_points(data, 6)  # noqa: E731
         fuzz = np.random.default_rng(2024)
         rejected = 0
         for case in range(300):
