@@ -20,7 +20,8 @@ a gate-by-gate walk produces.
 Everything here is semi-honest: evaluation trusts the tables except for
 output decoding, which checks the revealed label against per-wire hash pairs
 and raises GarbleError on any mismatch, so a corrupted transcript cannot
-silently decode to wrong bits.
+silently decode to wrong bits.  Sessions never decode outputs (they take
+label-keyed pads instead), so the hash pairs are computed only on request.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ class GarbledCircuit:
     delta: np.ndarray            # (E, 2)
     wire0: np.ndarray            # (W, E, 2) zero-labels for every wire
     tables: np.ndarray           # (n_and, E, 2, 2) the two rows per AND
-    decode: np.ndarray           # (n_out, E, 2, 2) hash pairs for outputs
 
     @property
     def instances(self) -> int:
@@ -119,6 +119,15 @@ class GarbledCircuit:
 
     def output_zero_labels(self) -> np.ndarray:
         return self.wire0[self.circuit.outputs]
+
+    @property
+    def decode(self) -> np.ndarray:
+        """(n_out, E, 2, 2) hash pairs for both values of every output wire,
+        for `decode_outputs`; hashed anew on each access."""
+        z = self.output_zero_labels()
+        h = hash_labels(np.array([z, z ^ self.delta]),
+                        _output_tweaks(_OUT_NS, z.shape[0], self.instances))
+        return np.stack([h[0], h[1]], axis=2)
 
     def output_pads(self) -> tuple[np.ndarray, np.ndarray]:
         """Label-keyed one-time pads for both values of every output wire:
@@ -181,12 +190,7 @@ def garble(circuit: Circuit, instances: int,
         wire0[lv.and_out] = wg ^ we
         tables[lv.and_row, :, 0] = tg
         tables[lv.and_row, :, 1] = te
-
-    z = wire0[circuit.outputs]
-    h = hash_labels(np.array([z, z ^ delta]),
-                    _output_tweaks(_OUT_NS, z.shape[0], E))
-    decode = np.stack([h[0], h[1]], axis=2)
-    return GarbledCircuit(circuit, delta, wire0, tables, decode)
+    return GarbledCircuit(circuit, delta, wire0, tables)
 
 
 def evaluate(circuit: Circuit, tables: np.ndarray, garbler_active: np.ndarray,

@@ -15,21 +15,32 @@ required.
 
 Packings
 --------
-rows            one ciphertext per matrix row, entries in slots 0..cols-1
-diag            one ciphertext per generalized diagonal: ct t holds
-                M[(s+t) % rows, s] in slot s
+rows            T = rows_per_ct(cols) = row_size // cols consecutive rows per
+                ciphertext: ct g holds row g*T + i in slots i*cols + s
+diag            one ciphertext per generalized diagonal, tiled across the
+                ring row: ct t holds M[(s+t) % rows, s] in slot i*cols + s
+                for every copy i < rows_per_ct(cols)
 colblocks       columns laid out in fixed-size blocks, slot j*block + i
                 holds M[i, j]; the layout for batched per-position products
 sum_rows_colsT  the split form produced by the masked ciphertext-by-
-                ciphertext product: a row-packed part plus a column-packed
-                part of the transpose, summed slotwise on decryption
+                ciphertext product: a rows layout of the (rows x cols) row
+                part followed by a rows layout of the (cols x rows) column
+                part, the transpose, summed slotwise on decryption
+
+`rows_per_ct` and `colblock_cols_per_ct` are the two blocking rules; every
+packer, product, offset and the wire decoder follow them, so a ciphertext
+count is never chosen anywhere else.  Every slot a layout does not name
+holds zero, and stays zero: offsets and masks are laid out by the same rule,
+and every plaintext multiplied in is zero outside the layout.  That keeps
+the diagonal sweeps free of wraparound garbage, and it means nothing the key
+holder decrypts carries an unmasked value in a slot no mask covers.
 
 The ciphertext-by-ciphertext product runs in two message flights: the
 masking side sends [X - R1], [Y - R2]; the key holder decrypts, multiplies
 in the clear, and replies with the product re-encrypted row-wise plus
 diagonal repackings of both masked factors; the masking side then finishes
-the cross terms homomorphically (plain-by-diagonal products, no rotations)
-and adds R1*R2 itself.
+the cross terms homomorphically (plain-by-diagonal products, no rotations,
+one product per diagonal and output ciphertext) and adds R1*R2 itself.
 """
 
 from __future__ import annotations
@@ -89,14 +100,39 @@ class EncMatrix:
 # layout <-> slot vectors
 
 
-def _rows_vectors(M: np.ndarray) -> list[np.ndarray]:
-    return [M[i] for i in range(M.shape[0])]
+def rows_per_ct(params: PaheParams, cols: int) -> int:
+    """Matrix rows each ciphertext of a `rows` layout carries, one every
+    `cols` slots: as many as fit one ring row.  The row-blocking rule -- row
+    packing, diagonal tiling, the split product, plain-by-diagonal products
+    and the wire decoder all follow it."""
+    return params.row_size // cols
 
 
-def _diag_vectors(M: np.ndarray) -> list[np.ndarray]:
+def _rows_ct_count(params: PaheParams, rows: int, cols: int) -> int:
+    return -(-rows // rows_per_ct(params, cols))
+
+
+def _rows_vectors(M: np.ndarray, per_ct: int) -> list[np.ndarray]:
+    r, c = M.shape
+    buf = np.zeros((-(-r // per_ct) * per_ct, c), dtype=np.uint64)
+    buf[:r] = M
+    return list(buf.reshape(-1, per_ct * c))
+
+
+def _rows_matrix(slots: np.ndarray, rows: int, cols: int,
+                 per_ct: int) -> np.ndarray:
+    """The (rows, cols) matrix a `rows` layout keeps in decrypted slots."""
+    return slots[:, :per_ct * cols].reshape(-1, cols)[:rows].copy()
+
+
+def _diag_index(k: int, c: int) -> np.ndarray:
+    """idx[t, s] = (s + t) % k: diagonal t holds M[idx[t, s], s] in slot s."""
+    return (np.arange(c) + np.arange(k)[:, None]) % k
+
+
+def _diag_vectors(M: np.ndarray, copies: int) -> list[np.ndarray]:
     k, c = M.shape
-    s = np.arange(c)
-    return [M[(s + t) % k, s] for t in range(k)]
+    return list(np.tile(M[_diag_index(k, c), np.arange(c)], copies))
 
 
 def _colblock_vectors(M: np.ndarray, block: int, cols_per_ct: int,
@@ -112,12 +148,14 @@ def _colblock_vectors(M: np.ndarray, block: int, cols_per_ct: int,
     return out
 
 
-def layout_vectors(enc: EncMatrix, M, transpose: bool = False) -> list[np.ndarray]:
+def layout_vectors(params: PaheParams, enc: EncMatrix, M,
+                   transpose: bool = False) -> list[np.ndarray]:
     """Slot vectors that place M's entries exactly where `enc` keeps its own.
 
     Used to add plaintext offsets (masks, folded constants) onto an encrypted
     matrix without caring about its packing.  `transpose` interprets M as the
-    transpose of what the ciphertexts hold.
+    transpose of what the ciphertexts hold.  The split product has two parts
+    and takes `split_layout_vectors` instead.
     """
     A = _entries(M)
     if transpose:
@@ -126,13 +164,29 @@ def layout_vectors(enc: EncMatrix, M, transpose: bool = False) -> list[np.ndarra
         raise ParameterError(
             f"offset shape {A.shape} != matrix shape {(enc.rows, enc.cols)}")
     if enc.packing == ROWS:
-        return _rows_vectors(A)
+        return _rows_vectors(A, rows_per_ct(params, enc.cols))
     if enc.packing == DIAG:
-        return _diag_vectors(A)
+        return _diag_vectors(A, rows_per_ct(params, enc.cols))
     if enc.packing == COLBLOCKS:
         return _colblock_vectors(A, enc.block, enc.cols_per_ct,
                                  enc.block * enc.cols_per_ct)
     raise ParameterError(f"cannot lay out offsets for packing {enc.packing!r}")
+
+
+def split_layout_vectors(params: PaheParams, enc: EncMatrix, rows_part,
+                         cols_part) -> list[np.ndarray]:
+    """Slot vectors for the two parts of a split product: `rows_part` on the
+    row part, `cols_part` (same orientation as the matrix) on the column
+    part, so the decrypted sum moves by rows_part + cols_part."""
+    if enc.packing != SUM_ROWS_COLST:
+        raise ParameterError(f"{enc.packing!r} packing has no split parts")
+    A, B = _entries(rows_part), _entries(cols_part)
+    r, c = enc.rows, enc.cols
+    if A.shape != (r, c) or B.shape != (r, c):
+        raise ParameterError(f"offset parts {A.shape}, {B.shape} != "
+                             f"matrix shape {(r, c)}")
+    return (_rows_vectors(A, rows_per_ct(params, c))
+            + _rows_vectors(B.T.copy(), rows_per_ct(params, r)))
 
 
 # ----------------------------------------------------------------------------
@@ -140,31 +194,33 @@ def layout_vectors(enc: EncMatrix, M, transpose: bool = False) -> list[np.ndarra
 
 
 def _check_capacity(params: PaheParams, need: int, what: str) -> None:
-    if need > params.row_size:
+    if not 0 < need <= params.row_size:
         raise ParameterError(
             f"{what} needs {need} slots but row capacity is {params.row_size}")
 
 
 def pack_rows(ev: Evaluator, M, scale: int = 0) -> EncMatrix:
+    """`rows_per_ct` consecutive rows per ciphertext, one every cols slots."""
     A = _entries(M)
     _check_capacity(ev.params, A.shape[1], "row packing")
-    cts = ev.encrypt_many(_rows_vectors(A))
+    cts = ev.encrypt_many(_rows_vectors(A, rows_per_ct(ev.params, A.shape[1])))
     return EncMatrix(ROWS, cts, A.shape[0], A.shape[1], scale)
 
 
 def pack_diagonal(ev: Evaluator, M, scale: int = 0) -> EncMatrix:
-    """One ciphertext per generalized diagonal: ct t slot s = M[(s+t)%r, s]."""
+    """One ciphertext per generalized diagonal, tiled across the ring row:
+    ct t holds M[(s+t)%r, s] in slot i*c + s for each copy i."""
     A = _entries(M)
     _check_capacity(ev.params, A.shape[1], "diagonal packing")
-    cts = ev.encrypt_many(_diag_vectors(A))
+    cts = ev.encrypt_many(_diag_vectors(A, rows_per_ct(ev.params, A.shape[1])))
     return EncMatrix(DIAG, cts, A.shape[0], A.shape[1], scale)
 
 
 def colblock_cols_per_ct(params: PaheParams, cols: int, block: int) -> int:
     """Columns each ciphertext of a column-block packing carries: as many
     blocks of `block` slots as fit one ring row, never more than `cols`.
-    The one blocking rule -- packing, products, rotation keys and the wire
-    decoder all follow it, so no layout ever names its own."""
+    The column-blocking rule -- packing, products, rotation keys and the
+    wire decoder all follow it, so no layout ever names its own."""
     return min(cols, params.row_size // block)
 
 
@@ -182,16 +238,14 @@ def pack_colblocks(ev: Evaluator, M, block: int, scale: int = 0) -> EncMatrix:
 
 def decrypt_matrix(keys: KeyMaterial, enc: EncMatrix) -> np.ndarray:
     """Decrypt any packing back to a (rows, cols) uint64 array."""
-    p = keys.params.p
+    par = keys.params
     dec = keys.decrypt_many(enc.cts)
     r, c = enc.rows, enc.cols
     if enc.packing == ROWS:
-        return dec[:, :c].copy()
+        return _rows_matrix(dec, r, c, rows_per_ct(par, c))
     if enc.packing == DIAG:
         M = np.zeros((r, c), dtype=np.uint64)
-        s = np.arange(c)
-        for t in range(dec.shape[0]):
-            M[(s + t) % r, s] = dec[t, :c]
+        M[_diag_index(r, c), np.arange(c)] = dec[:, :c]
         return M
     if enc.packing == COLBLOCKS:
         M = np.zeros((r, c), dtype=np.uint64)
@@ -201,15 +255,16 @@ def decrypt_matrix(keys: KeyMaterial, enc: EncMatrix) -> np.ndarray:
                 M[:, j] = dec[g, off:off + r]
         return M
     if enc.packing == SUM_ROWS_COLST:
-        rows_part = dec[:r, :c]
-        cols_part = dec[r:r + c, :r]
-        return addmod(rows_part, cols_part.T, p)
+        g = _rows_ct_count(par, r, c)
+        rows_part = _rows_matrix(dec[:g], r, c, rows_per_ct(par, c))
+        cols_part = _rows_matrix(dec[g:], c, r, rows_per_ct(par, r))
+        return addmod(rows_part, cols_part.T, par.p)
     raise ParameterError(f"unknown packing {enc.packing!r}")
 
 
 def add_offset(ev: Evaluator, enc: EncMatrix, M, transpose: bool = False) -> EncMatrix:
     """enc + M with M in the clear, laid out to match enc's packing."""
-    vecs = layout_vectors(enc, M, transpose)
+    vecs = layout_vectors(ev.params, enc, M, transpose)
     cts = ev.add_plain_many(enc.cts, vecs)
     return EncMatrix(enc.packing, cts, enc.rows, enc.cols, enc.scale,
                      block=enc.block, cols_per_ct=enc.cols_per_ct)
@@ -285,29 +340,38 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0) -> EncMatr
                      block=B, cols_per_ct=C)
 
 
-def plain_times_diag(ev: Evaluator, R, D: EncMatrix) -> list[Ciphertext]:
-    """Rows of R @ M where M (k x c) is held diagonally packed.
+def plain_times_diag(ev: Evaluator, R, D: EncMatrix) -> EncMatrix:
+    """R @ M in rows packing, for M (k x c) held diagonally packed.
 
-    Row i is assembled as sum_t D_t * pt with pt[s] = R[i, (s+t) % k]: one
-    scalar multiply per diagonal, no rotations at all.
+    With T = rows_per_ct(c), output ciphertext g holds rows g*T .. g*T+T-1
+    as sum_t D_t * pt with pt[i*c + s] = R[g*T + i, (s+t) % k]: each tiled
+    diagonal meets every row of its block at once, so k scalar multiplies
+    per output ciphertext and no rotations at all.
     """
     A = _entries(R)
     k, c = D.rows, D.cols
+    if D.packing != DIAG:
+        raise ParameterError(f"plain_times_diag needs diag input, got {D.packing!r}")
     if A.shape[1] != k:
         raise ParameterError(
             f"inner dims disagree: R is {A.shape[0]}x{A.shape[1]}, packed matrix {k}x{c}")
-    s = np.arange(c)
-    vecs = [A[i, (s + t) % k] for i in range(A.shape[0]) for t in range(k)]
-    encs = encode_plain_many(ev.params, vecs)
-    terms = ev.simd_scmult_many(list(D.cts) * A.shape[0], encs)
+    m = A.shape[0]
+    T = rows_per_ct(ev.params, c)
+    G = -(-m // T)
+    padded = np.zeros((G * T, k), dtype=np.uint64)
+    padded[:m] = A
+    # vecs[g, t, i, s] = R[g*T + i, (s + t) % k]
+    vecs = padded.reshape(G, T, k)[:, :, _diag_index(k, c)]
+    vecs = vecs.transpose(0, 2, 1, 3).reshape(G * k, T * c)
+    encs = encode_plain_many(ev.params, list(vecs))
+    terms = ev.simd_scmult_many(list(D.cts) * G, encs)
     out = []
-    for i in range(A.shape[0]):
-        acc = None
-        for t in range(k):
-            term = terms[i * k + t]
-            acc = term if acc is None else ev.add_ct(acc, term)
+    for g in range(G):
+        acc = terms[g * k]
+        for term in terms[g * k + 1:(g + 1) * k]:
+            acc = ev.add_ct(acc, term)
         out.append(acc)
-    return out
+    return EncMatrix(ROWS, out, m, c, D.scale)
 
 
 # ----------------------------------------------------------------------------
@@ -329,8 +393,8 @@ class CtmmReply:
     """Flight two: the clear product re-encrypted, plus diagonal repackings."""
 
     prod: EncMatrix     # rows packing, (rows x cols)
-    x_diag: EncMatrix   # diagonals of (X - R1)^T, k cts of length rows
-    y_diag: EncMatrix   # diagonals of (Y - R2), k cts of length cols
+    x_diag: EncMatrix   # diagonals of (X - R1)^T, k cts, tiled length rows
+    y_diag: EncMatrix   # diagonals of (Y - R2), k cts, tiled length cols
 
 
 @dataclass
@@ -401,10 +465,10 @@ def ctmm_client_round(ev: Evaluator, keys: KeyMaterial, msg: CtmmMasked) -> Ctmm
 def ctmm_server_finalize(ev: Evaluator, reply: CtmmReply, st: MaskState) -> EncMatrix:
     """Assemble X @ Y = P + R1*(Y-R2) + (X-R1)*R2 + R1*R2.
 
-    The first cross term lands row-packed, the second column-packed (rows of
-    the transpose); the caller reads the result as the slotwise sum of the
-    two parts.  The running per-row product counter advances by the number
-    of output rows.
+    The first cross term lands in the product's rows layout, the second in
+    the rows layout of the transpose; the caller reads the result as the
+    slotwise sum of the two parts (`sum_rows_colsT`).  The running per-row
+    product counter advances by the number of output rows.
     """
     if st.used:
         raise ProtocolError("matrix-product mask state used twice")
@@ -420,11 +484,12 @@ def ctmm_server_finalize(ev: Evaluator, reply: CtmmReply, st: MaskState) -> EncM
     r1r2 = matmul_mod(st.r1, st.r2, p)
     rows_cross = plain_times_diag(ev, st.r1, reply.y_diag)
     rows_cts = ev.add_plain_many(
-        [ev.add_ct(reply.prod.cts[i], rows_cross[i]) for i in range(r)],
-        [r1r2[i] for i in range(r)])
-    cols_cts = plain_times_diag(ev, st.r2.T.copy(), reply.x_diag)
+        [ev.add_ct(a, b) for a, b in zip(reply.prod.cts, rows_cross.cts,
+                                         strict=True)],
+        layout_vectors(ev.params, reply.prod, r1r2))
+    cols_part = plain_times_diag(ev, st.r2.T.copy(), reply.x_diag)
     ev.counters["ctmm_rows"] = ev.counters.get("ctmm_rows", 0) + r
-    return EncMatrix(SUM_ROWS_COLST, rows_cts + cols_cts, r, c, st.scale)
+    return EncMatrix(SUM_ROWS_COLST, rows_cts + cols_part.cts, r, c, st.scale)
 
 
 # ----------------------------------------------------------------------------
@@ -457,12 +522,18 @@ def _layout_ct_count(params: PaheParams, packing: str, rows: int, cols: int,
     if block or cpc:
         raise ProtocolError(f"{packing} packing carries block fields")
     if packing == SUM_ROWS_COLST:
-        if max(rows, cols) > half:
-            raise ProtocolError(f"{rows}x{cols} split product exceeds a ring row")
-        return rows + cols
+        if not (0 < rows <= half and 0 < cols <= half):
+            raise ProtocolError(f"{rows}x{cols} split product does not fit "
+                                f"a ring row")
+        return (_rows_ct_count(params, rows, cols)
+                + _rows_ct_count(params, cols, rows))
     if cols > half:
         raise ProtocolError(f"{cols} columns exceed the {half}-slot ring row")
-    return rows
+    if cols == 0:
+        raise ProtocolError(f"{packing} matrix has no columns")
+    if packing == DIAG:
+        return rows
+    return _rows_ct_count(params, rows, cols)
 
 
 def encmatrix_from_bytes(data: bytes, params: PaheParams) -> EncMatrix:

@@ -350,11 +350,34 @@ def _plain_scale_consts(params: PaheParams):
 
 @dataclass
 class KeySwitchKey:
-    # per digit j: (k0, k1) with Shoup twins, each (k, n) NTT domain
-    k0: np.ndarray      # (digits, k, n)
-    k1: np.ndarray
-    k0_sh: np.ndarray
-    k1_sh: np.ndarray
+    """One Galois element's switch key, laid out once in the order the key
+    switch reads it: `parts[f, o, i]` is part f (k0, k0's Shoup twin, k1,
+    k1's twin) of digit (i + o) mod k at prime i, so each offset o is one
+    (k, n) slab over all primes.  Each part is in the NTT domain."""
+
+    parts: np.ndarray   # (4, k, k, n)
+
+    @classmethod
+    def from_digits(cls, k0: np.ndarray, k1: np.ndarray,
+                    col: np.ndarray) -> "KeySwitchKey":
+        """From digit j's pair (k0[j], k1[j]), each (k, n)."""
+        rows = np.arange(k0.shape[0])
+        digit = (rows[:, None] + rows) % rows.size   # digit[o, i]
+        return cls(np.stack([a[digit, rows] for a in
+                             (k0, shoup(k0, col), k1, shoup(k1, col))]))
+
+    def _digits(self, f: int) -> np.ndarray:
+        rows = np.arange(self.parts.shape[1])
+        return self.parts[f][(rows[:, None] - rows) % rows.size, rows]
+
+    @property
+    def k0(self) -> np.ndarray:
+        """(digits, k, n) in digit order, as the key blob carries it."""
+        return self._digits(0)
+
+    @property
+    def k1(self) -> np.ndarray:
+        return self._digits(2)
 
 
 @dataclass
@@ -481,7 +504,7 @@ def _make_kswitch(params: PaheParams, rng: np.random.Generator, sk, sk_sh,
     sig = sk[:, params.slots().perm(t)]  # sigma_t(s), a slot permutation
     d = np.arange(k)
     k0[d, d] = addmod(k0[d, d], sig, col)
-    return KeySwitchKey(k0, k1, shoup(k0, col), shoup(k1, col))
+    return KeySwitchKey.from_digits(k0, k1, col)
 
 
 # ----------------------------------------------------------------------------
@@ -657,23 +680,20 @@ class Evaluator:
         a1 = np.take_along_axis(np.stack([ct.c1 for _, ct, _ in work]), perms, axis=2)
         dig = rns.inverse(a1)
         # The switch sums, over offsets o, digit (i + o) mod k reduced mod
-        # q_i times that digit's key, at every prime i at once.  Offset 0 is
-        # a1 itself; lifts[:, o - 1] holds the other offsets, transformed.
+        # q_i times that digit's key (`KeySwitchKey.parts[:, o]`), at every
+        # prime i at once.  Offset 0 is a1 itself; lifts[:, o - 1] holds the
+        # other offsets, transformed.
         col, rows = par.q_col, np.arange(k)
         lifts = rns.forward(np.stack([dig[:, (rows + o) % k] % col
                                       for o in range(1, k)], axis=1))
-        digit = (rows[:, None] + rows) % k  # digit[o, i]
         c0, c1 = a0, np.zeros_like(a0)
         for s in range(0, R, _KS_BATCH):
             blk = slice(s, s + _KS_BATCH)
-            keys = [self.keys.galois[t] for _, _, t in work[blk]]
-            K0, K0sh, K1, K1sh = (
-                np.stack([getattr(g, f) for g in keys])[:, digit, rows]
-                for f in ("k0", "k0_sh", "k1", "k1_sh"))
+            K = np.stack([self.keys.galois[t].parts for _, _, t in work[blk]])
             for o in range(k):
                 d = a1[blk] if o == 0 else lifts[blk, o - 1]
-                c0[blk] = addmod(c0[blk], mulmod_shoup(d, K0[:, o], K0sh[:, o], col), col)
-                c1[blk] = addmod(c1[blk], mulmod_shoup(d, K1[:, o], K1sh[:, o], col), col)
+                c0[blk] = addmod(c0[blk], mulmod_shoup(d, K[:, 0, o], K[:, 1, o], col), col)
+                c1[blk] = addmod(c1[blk], mulmod_shoup(d, K[:, 2, o], K[:, 3, o], col), col)
         for b, (i, ct, t) in enumerate(work):
             noise = self._bump_noise(
                 float(np.logaddexp2(ct.noise_bits, par.keyswitch_noise_bits)) + 1e-3)
@@ -801,7 +821,7 @@ def public_keys_from_bytes(data: bytes, params: PaheParams) -> KeyMaterial:
                 raise ProtocolError(f"bad Galois element {t} in key blob")
             k0, off = _unpack_poly(buf, off, (params.k,) + shape, params)
             k1, off = _unpack_poly(buf, off, (params.k,) + shape, params)
-            galois[t] = KeySwitchKey(k0, k1, shoup(k0, col), shoup(k1, col))
+            galois[t] = KeySwitchKey.from_digits(k0, k1, col)
     except struct.error:
         raise ProtocolError("truncated key blob") from None
     if off != len(buf):

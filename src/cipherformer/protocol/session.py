@@ -22,23 +22,28 @@ final logits frame.  Every frame in either direction counts as one round, so
 the round count is the same constant for every input of a given shape.
 
 Share switching works on a per-stage window of m bits: the server adds
-2^{m-1} + R (R fresh, below p - 2^m) onto each wire and ships the ciphertext;
-the client's decryption mod 2^m and the server's (-R) mod 2^m are exact
-additive shares for the stage circuit.  Stage outputs come back to the field
-through label-keyed pads: for every output bit the server publishes a pair of
-corrections indexed by the label's colour bit, built so the pad the client
-can recompute plus the matching correction equals  bit * weight + rho  mod p
--- an additive sharing of the weighted output bit that costs no extra gates,
-no extra OTs and no extra frames.  The client sums its word shares, encrypts
-them fresh (which also resets ciphertext depth), and the server folds in the
-rho totals on its side.
+2^{m-1} + R (R fresh, below p - 2^m) onto each wire and ships the
+ciphertexts; the client's decryption mod 2^m and the server's (-R) mod 2^m
+are exact additive shares for the stage circuit.  The wires sit in the
+slots of the stage input's packing (`helinear` decides which slot holds
+which entry, many matrix rows to a ciphertext), and the offsets are laid out
+by the same rule, so every other slot decrypts to zero.  Stage outputs come
+back to the field through label-keyed pads: for every output bit the server
+publishes a pair of corrections indexed by the label's colour bit, built so
+the pad the client can recompute plus the matching correction equals
+bit * weight + rho  mod p -- an additive sharing of the weighted output bit
+that costs no extra gates, no extra OTs and no extra frames.  The client
+sums its word shares, packs and encrypts them fresh (which also resets
+ciphertext depth), and the server folds in the rho totals on its side.
 
 The ciphertext-by-ciphertext products mask both factors, let the client
 multiply in the clear, and finish the cross terms homomorphically.  Their
-output arrives as a row part plus a transposed column part; the stage masks
-for such inputs are split with a second uniform matrix so each part on its
-own stays uniform (adding the whole offset to one part would let the client
-cancel known quantities and recover the server's product masks).
+output arrives as a row part plus a transposed column part, each in the
+rows layout; the stage masks for such inputs are split with a second
+uniform matrix so each part on its own stays uniform (adding the whole
+offset to one part would let the client cancel known quantities and recover
+the server's product masks), and `helinear.split_layout_vectors` places the
+two halves.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from ..helinear import (COLBLOCKS, ROWS, SUM_ROWS_COLST, CtmmMasked, CtmmReply,
                         ctmm_client_round, ctmm_server_finalize,
                         ctmm_server_mask, decrypt_matrix, encmatrix_from_bytes,
                         encmatrix_to_bytes, layout_vectors, pack_colblocks,
-                        pack_rows)
+                        pack_rows, split_layout_vectors)
 from ..model import (ModelConfig, Weights, folded_first_layer,
                      validate_weights, value_projection)
 from ..ntt import reduce128, submod
@@ -253,12 +258,10 @@ def _apply_stage_mask(ev: Evaluator, enc: EncMatrix, offs: np.ndarray,
     """
     if enc.packing != SUM_ROWS_COLST:
         return add_offset(ev, enc, offs)
-    r, c = enc.rows, enc.cols
-    S = rng.integers(0, p, size=(r, c), dtype=np.uint64)
-    row_off = submod(offs, S, p)
-    vecs = [row_off[i] for i in range(r)] + [S[:, j] for j in range(c)]
-    cts = ev.add_plain_many(enc.cts, vecs)
-    return EncMatrix(SUM_ROWS_COLST, cts, r, c, enc.scale)
+    S = rng.integers(0, p, size=(enc.rows, enc.cols), dtype=np.uint64)
+    vecs = split_layout_vectors(ev.params, enc, submod(offs, S, p), S)
+    return EncMatrix(SUM_ROWS_COLST, ev.add_plain_many(enc.cts, vecs),
+                     enc.rows, enc.cols, enc.scale)
 
 
 # ----------------------------------------------------------------------------
@@ -369,7 +372,6 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
 def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
                 Y: EncMatrix, *, tx: bool = False, ty: bool = False) -> EncMatrix:
     ev = sp.ev
-    before = ev.counters.get("ctmm_rows", 0)
     msg, st = ctmm_server_mask(ev, X, Y, sp.rng, transpose_x=tx, transpose_y=ty)
     _send(sp.conn, sp.tr, MM_OPEN, {
         "mmxx": encmatrix_to_bytes(msg.x),
@@ -382,7 +384,6 @@ def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
                       y_diag=encmatrix_from_bytes(by, sp.geom.params))
     out = ctmm_server_finalize(ev, reply, st)
     sp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=out.rows,
-                    ctmm_rows=ev.counters.get("ctmm_rows", 0) - before,
                     frames=2)
     return out
 
@@ -398,7 +399,8 @@ def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
     cls = to_field(weights.classifier, p)
     G = len(x_enc.cts)
     vecs = [v for c in range(cfg.n_classes)
-            for v in layout_vectors(x_enc, np.tile(cls[:, c], (x_enc.rows, 1)))]
+            for v in layout_vectors(geom.params, x_enc,
+                                    np.tile(cls[:, c], (x_enc.rows, 1)))]
     terms = ev.simd_scmult_many(list(x_enc.cts) * cfg.n_classes,
                                 encode_plain_many(geom.params, vecs))
     fields = {"nlgt": pack_u64(cfg.n_classes)}
@@ -608,7 +610,7 @@ def _client_ctmm(cp: _ClientParty, layer: int, label: str):
         "ydia": encmatrix_to_bytes(reply.y_diag)})
     rows = msg.x.cols if msg.transpose_x else msg.x.rows
     cp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=rows,
-                    ctmm_rows=rows, frames=2)
+                    frames=2)
 
 
 def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:

@@ -14,7 +14,7 @@ from cipherformer.helinear import (COLBLOCKS, DIAG, ROWS, SUM_ROWS_COLST,
                                    ctmm_server_mask, decrypt_matrix,
                                    encmatrix_from_bytes, encmatrix_to_bytes,
                                    matmul_mod, pack_colblocks, pack_diagonal,
-                                   pack_rows, plain_times_diag)
+                                   pack_rows, plain_times_diag, rows_per_ct)
 from cipherformer.primes import next_prime
 
 
@@ -55,16 +55,46 @@ class _ZeroRng:
 # packings
 
 
+def _check_rows_diag_roundtrip(par, keys, ev, shape, n_row_cts):
+    """Each layout decrypts back to the matrix, also after the wire, with
+    every slot it does not name still zero: rows sit T = row_size // cols to
+    a ciphertext, and each diagonal is tiled T times across the ring row."""
+    rng = np.random.default_rng(101)
+    M = _rand(rng, *shape, par.p)
+    r, c = shape
+    T = rows_per_ct(par, c)
+    assert T == par.row_size // c
+    want_rows = np.zeros((n_row_cts, par.n), dtype=np.uint64)
+    for i in range(r):
+        want_rows[i // T, (i % T) * c:(i % T + 1) * c] = M[i]
+    want_diag = np.zeros((r, par.n), dtype=np.uint64)
+    for t in range(r):
+        diag = [M[(s + t) % r, s] for s in range(c)]
+        want_diag[t, :T * c] = np.tile(diag, T)
+    for packer, tag, want in ((pack_rows, ROWS, want_rows),
+                              (pack_diagonal, DIAG, want_diag)):
+        enc = packer(ev, M, scale=9)
+        assert enc.packing == tag and enc.scale == 9
+        assert len(enc.cts) == want.shape[0]
+        assert np.array_equal(keys.decrypt_many(enc.cts), want)
+        assert np.array_equal(decrypt_matrix(keys, enc), M)
+        back = encmatrix_from_bytes(encmatrix_to_bytes(enc), par)
+        assert np.array_equal(decrypt_matrix(keys, back), M)
+
+
 @pytest.mark.parametrize("shape", [(5, 7), (7, 5), (1, 9), (6, 1)])
 def test_pack_rows_diag_roundtrip(setup, shape):
     par, keys, ev, _ = setup
-    rng = np.random.default_rng(101)
-    M = _rand(rng, *shape, par.p)
-    for packer, tag in ((pack_rows, ROWS), (pack_diagonal, DIAG)):
-        enc = packer(ev, M, scale=9)
-        assert enc.packing == tag and enc.scale == 9
-        assert len(enc.cts) == shape[0]
-        assert np.array_equal(decrypt_matrix(keys, enc), M)
+    _check_rows_diag_roundtrip(par, keys, ev, shape, 1)
+
+
+@pytest.mark.parametrize("shape,n_row_cts", [
+    ((11, 7), 3),   # 4 rows of 7 to a 32-slot row, the last holding 3
+    ((3, 32), 3),   # a full ring row per matrix row
+])
+def test_pack_rows_diag_roundtrip_spans_ciphertexts(small, shape, n_row_cts):
+    par, keys, ev = small
+    _check_rows_diag_roundtrip(par, keys, ev, shape, n_row_cts)
 
 
 def test_pack_colblocks_roundtrip(setup, small):
@@ -149,8 +179,10 @@ def test_plain_times_diag_small_exhaustive(setup):
             for c in vals:
                 for d in vals:
                     R = np.array([[a, b], [c, d]], dtype=np.uint64)
-                    cts = plain_times_diag(ev, R, D)
-                    got = np.stack([keys.decrypt_many(cts)[i][:5] for i in range(2)])
+                    out = plain_times_diag(ev, R, D)
+                    # both rows of the product share one ciphertext
+                    assert out.packing == ROWS and len(out.cts) == 1
+                    got = decrypt_matrix(keys, out)
                     assert np.array_equal(got, matmul_mod(R, M, par.p)), R
 
 
@@ -181,6 +213,32 @@ def _run_ctmm(setup, r, k, c, seed, pack_x="rows", pack_y="rows",
     return X, Y, msg, st, reply, out, keys, ev
 
 
+def _check_ctmm_exact(fixture, dims, packs):
+    par, keys = fixture[:2]
+    r, k, c = dims
+    pack_x, pack_y, tx, ty = packs
+    X, Y, msg, st, reply, out, keys, ev = _run_ctmm(
+        fixture, r, k, c, seed=200 + r * 31 + k * 7 + c, pack_x=pack_x,
+        pack_y=pack_y, tx=tx, ty=ty, sx=9, sy=9)
+    row_cts = -(-r // rows_per_ct(par, c))
+    col_cts = -(-c // rows_per_ct(par, r))
+    assert out.packing == SUM_ROWS_COLST
+    assert out.scale == 18
+    assert len(out.cts) == row_cts + col_cts
+    got = decrypt_matrix(keys, out)
+    assert np.array_equal(got, matmul_mod(X, Y, keys.params.p))
+    # the reply is exactly three payloads
+    assert isinstance(reply, CtmmReply)
+    assert len(reply.prod.cts) == row_cts
+    assert len(reply.x_diag.cts) == k and len(reply.y_diag.cts) == k
+    for ct in out.cts:
+        assert ct.noise_budget_bits > 0
+    # every slot outside the two parts' layouts is still zero
+    slots = keys.decrypt_many(out.cts)
+    assert not slots[:row_cts, rows_per_ct(par, c) * c:].any()
+    assert not slots[row_cts:, rows_per_ct(par, r) * r:].any()
+
+
 @pytest.mark.parametrize("dims,packs", [
     ((4, 3, 5), ("rows", "rows", False, False)),
     ((8, 8, 8), ("rows", "rows", False, False)),
@@ -189,22 +247,22 @@ def _run_ctmm(setup, r, k, c, seed, pack_x="rows", pack_y="rows",
     ((1, 1, 1), ("rows", "rows", False, False)),
 ])
 def test_ctmm_product_exact(setup, dims, packs):
-    r, k, c = dims
-    pack_x, pack_y, tx, ty = packs
-    X, Y, msg, st, reply, out, keys, ev = _run_ctmm(
-        setup, r, k, c, seed=200 + r * 31 + k * 7 + c, pack_x=pack_x,
-        pack_y=pack_y, tx=tx, ty=ty, sx=9, sy=9)
-    assert out.packing == SUM_ROWS_COLST
-    assert out.scale == 18
-    assert len(out.cts) == r + c
-    got = decrypt_matrix(keys, out)
-    assert np.array_equal(got, matmul_mod(X, Y, keys.params.p))
-    # the reply is exactly three payloads
-    assert isinstance(reply, CtmmReply)
-    assert len(reply.prod.cts) == r
-    assert len(reply.x_diag.cts) == k and len(reply.y_diag.cts) == k
-    for ct in out.cts:
-        assert ct.noise_budget_bits > 0
+    _check_ctmm_exact(setup, dims, packs)
+
+
+@pytest.mark.parametrize("dims", [
+    # r*c > 32 with r and c both off the blocking: the row part puts 4 rows
+    # of 7 to a ciphertext (5 = 4 + 1), the column part 6 rows of 5
+    # (7 = 6 + 1); then 6 + 1 and 4 + 1 the other way round
+    (5, 3, 7), (7, 2, 5),
+    # a full ring row of columns, one row per ciphertext, in either part
+    (3, 2, 32), (32, 2, 3),
+])
+def test_ctmm_product_exact_spans_ciphertexts(small, dims):
+    """The 32-slot ring, where both parts of the product and the product
+    reply need several ciphertexts."""
+    par, keys, ev = small
+    _check_ctmm_exact((par, keys, ev, ev), dims, ("rows", "rows", False, False))
 
 
 def test_ctmm_mask_state_single_use(setup):
@@ -313,15 +371,24 @@ def test_encmatrix_wire_roundtrip(setup, small):
 
 def test_encmatrix_layout_must_match_payload(setup, small):
     """A header the ciphertexts cannot back is rejected before anything is
-    decrypted: a row count beyond the ciphertexts sent, columns past the
-    ring row, column blocks off the blocking rule."""
+    decrypted: rows that need more ciphertexts than were sent, a split
+    product with its column part missing, no columns, columns past the ring
+    row, column blocks off the blocking rule."""
     par, keys, ev, _ = setup
     spar, skeys, sev = small
     rng = np.random.default_rng(501)
     rows = pack_rows(ev, _rand(rng, 3, 4, par.p))
-    forged = EncMatrix(ROWS, rows.cts, 7, 4)
-    with pytest.raises(ProtocolError, match="needs 7 ciphertexts"):
+    assert len(rows.cts) == 1  # 64 rows of 4 fit one 256-slot row
+    forged = EncMatrix(ROWS, rows.cts, 65, 4)
+    with pytest.raises(ProtocolError, match="needs 2 ciphertexts"):
         encmatrix_from_bytes(encmatrix_to_bytes(forged), par)
+    split = EncMatrix(SUM_ROWS_COLST, rows.cts, 3, 4)
+    with pytest.raises(ProtocolError, match="needs 2 ciphertexts"):
+        encmatrix_from_bytes(encmatrix_to_bytes(split), par)
+    for bad in (EncMatrix(ROWS, rows.cts, 3, 0),
+                EncMatrix(SUM_ROWS_COLST, rows.cts, 0, 4)):
+        with pytest.raises(ProtocolError):
+            encmatrix_from_bytes(encmatrix_to_bytes(bad), par)
     rows = pack_rows(sev, _rand(rng, 2, 32, spar.p))
     forged = EncMatrix(ROWS, rows.cts, 2, 40)
     with pytest.raises(ProtocolError, match="exceed the 32-slot ring row"):

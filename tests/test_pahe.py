@@ -12,8 +12,10 @@ from cipherformer.errors import (
     ParameterError,
     ProtocolError,
 )
-from cipherformer.helinear import (encmatrix_from_bytes, encmatrix_to_bytes,
-                                   pack_rows)
+from cipherformer.helinear import (SUM_ROWS_COLST, EncMatrix,
+                                   encmatrix_from_bytes, encmatrix_to_bytes,
+                                   pack_diagonal, pack_rows,
+                                   split_layout_vectors)
 from cipherformer.ntt import get_stacked
 from cipherformer.primes import next_prime
 from cipherformer.protocol import session
@@ -406,7 +408,8 @@ class TestWireFormat:
         assert unpack_array(pack_array(empty)).shape == empty.shape
 
     @pytest.mark.parametrize("decoder", ["ciphertext", "public_keys",
-                                         "encmatrix", "array", "points"])
+                                         "encmatrix", "diag", "sum_rows_colsT",
+                                         "array", "points"])
     def test_decoder_fuzz_raises_only_package_errors(self, setup, decoder):
         """Seeded mutations of an honest blob: flipped, truncated or inserted
         bytes, mostly in the header where the lengths live.  The decoder may
@@ -423,7 +426,22 @@ class TestWireFormat:
             M = rng.integers(0, par.p, (2, 5), dtype=np.uint64)
             blob = encmatrix_to_bytes(pack_rows(ev, M))
             parse = encmatrix_from_bytes
-        if decoder in ("ciphertext", "public_keys", "encmatrix"):
+        elif decoder == "diag":
+            M = rng.integers(0, par.p, (3, 50), dtype=np.uint64)
+            blob = encmatrix_to_bytes(pack_diagonal(ev, M))
+            parse = encmatrix_from_bytes
+        elif decoder == "sum_rows_colsT":
+            # 3 x 50 on 128-slot rows: two rows to a ciphertext, then the
+            # 50 x 3 transpose at 42 rows to a ciphertext
+            A, B = (rng.integers(0, par.p, (3, 50), dtype=np.uint64)
+                    for _ in range(2))
+            shell = EncMatrix(SUM_ROWS_COLST, [], 3, 50)
+            cts = ev.encrypt_many(split_layout_vectors(par, shell, A, B))
+            assert len(cts) == 2 + 2
+            blob = encmatrix_to_bytes(EncMatrix(SUM_ROWS_COLST, cts, 3, 50))
+            parse = encmatrix_from_bytes
+        if decoder in ("ciphertext", "public_keys", "encmatrix", "diag",
+                       "sum_rows_colsT"):
             # the first parameter block and the lengths just past it
             head = blob.index(b"toy") + 3 + 8 + 4
         elif decoder == "array":

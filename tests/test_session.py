@@ -1,7 +1,8 @@
 """Whole two-party sessions on the tiny shape: exact logits, the fixed round
 count and the transcript digest pinned for fixed seeds.  The two-layer run
 covers what only later layers do: the unfolded QKV product over the previous
-layer's output and its (dim, 3 dim) rotation keys.
+layer's output and its (dim, 3 dim) rotation keys.  One run of the larger
+he-small shape covers products whose rows share ciphertexts.
 
 The digest hashes every frame's type, length and payload in order, so any
 change to the bytes either party sends -- packing, key material, noise
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from cipherformer.errors import ProtocolError
-from cipherformer.helinear import ROWS, _PACKING_IDS
+from cipherformer.helinear import ROWS, _PACKING_IDS, rows_per_ct
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
 from cipherformer.protocol import (STAGE_OPEN, SocketConn, private_inference,
                                    run_client, run_pair, run_server, session)
@@ -29,15 +30,15 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "337b7662c319b9e11b6ebdbfe1e976b7"
-                "c4ee9820692d2a790f8e1e8ac0f66fd3",
-    "opt1": "2f1b849dcd4a5a4ac1b6fcb229d24888"
-            "8a51786b231fcfe871cec9c2cd5f87cb",
-    "opt2": "bf051a0dde55363fe29f31c26fce9c7d"
-            "6a5f196a41870933274499265e6ac88e",
+    "baseline": "a4188f32bd3fc6e7daf2ba49af4ddee4"
+                "9e752d8023e2d142caf315e6e8899b63",
+    "opt1": "50f4fd28f275376609c80ccaf1a5f838"
+            "892113c7d0d33641398ce70ce1bd9179",
+    "opt2": "3ecd1a54fafcee8c1a5f1fa24737c1fc"
+            "e0267f774ae570f4e78172a53bdb9e6e",
 }
-TWO_LAYER_DIGEST = ("75366c9ae71c0db1a761158b23670c90"
-                    "5be5e5194db4e6c44051bc9ad2a9af36")
+TWO_LAYER_DIGEST = ("f4d78567eb49af0d0c750d1bbd4bafce"
+                    "2754767b35df2c9dfc74d07fcebab7f0")
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,23 @@ def test_two_layer_session_is_exact_and_pinned():
     digest = server.transcript.digest()
     assert client.transcript.digest() == digest
     assert digest == TWO_LAYER_DIGEST
+
+
+def test_he_small_session_is_exact():
+    """The HE-bound benchmark shape (two layers, n = 1024): the only session
+    here whose products pack many matrix rows into one ciphertext -- the
+    16 x 16 inner product's rows all share one 512-slot row."""
+    cfg = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
+                      n_classes=2)
+    wts = gen_random(cfg, 5, scale=0.25)
+    tokens = [3, 17, 0, 31, 8, 8, 22, 5]
+    server, client = private_inference(cfg, wts, tokens, "opt2",
+                                       server_seed=21, client_seed=22)
+    assert rows_per_ct(server.geometry.params, cfg.dim) >= cfg.dim
+    ref = forward_fixed(cfg, wts, tokens, "opt2")
+    assert np.array_equal(client.logits, ref.logits)
+    assert server.transcript.rounds == client.transcript.rounds == 53
+    assert server.transcript.digest() == client.transcript.digest()
 
 
 def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
