@@ -18,7 +18,6 @@ for anything else.
 from .errors import (
     CipherformerError,
     CircuitError,
-    DecryptionError,
     GarbleError,
     NoiseBudgetError,
     ParameterError,
@@ -31,7 +30,6 @@ __all__ = [
     "CipherformerError",
     "ParameterError",
     "NoiseBudgetError",
-    "DecryptionError",
     "CircuitError",
     "GarbleError",
     "ProtocolError",

@@ -6,7 +6,6 @@ map to the major failure domains:
 
   * ParameterError   -- bad or inconsistent scheme/config parameters
   * NoiseBudgetError -- an HE ciphertext has (or would) run out of noise room
-  * DecryptionError  -- decryption produced a detectably wrong result
   * CircuitError     -- boolean circuit construction or evaluation misuse
   * GarbleError      -- garbled-table integrity / authenticity failures
   * ProtocolError    -- framing violations, out-of-order messages, bad magic
@@ -22,10 +21,6 @@ class ParameterError(CipherformerError, ValueError):
 
 
 class NoiseBudgetError(CipherformerError, RuntimeError):
-    pass
-
-
-class DecryptionError(CipherformerError, RuntimeError):
     pass
 
 

@@ -15,17 +15,10 @@ required.
 
 Packings
 --------
-rows            T = rows_per_ct(cols) = row_size // cols consecutive rows per
-                ciphertext: ct g holds row g*T + i in slots i*cols + s
-diag            one ciphertext per generalized diagonal, tiled across the
-                ring row: ct t holds M[(s+t) % rows, s] in slot i*cols + s
-                for every copy i < rows_per_ct(cols)
-colblocks       columns laid out in fixed-size blocks, slot j*block + i
-                holds M[i, j]; the layout for batched per-position products
-sum_rows_colsT  the split form produced by the masked ciphertext-by-
-                ciphertext product: a rows layout of the (rows x cols) row
-                part followed by a rows layout of the (cols x rows) column
-                part, the transpose, summed slotwise on decryption
+rows       T = rows_per_ct(cols) = row_size // cols consecutive rows per
+           ciphertext: ct g holds row g*T + i in slots i*cols + s
+colblocks  columns laid out in fixed-size blocks, slot j*block + i holds
+           M[i, j]; the layout for batched per-position products
 
 `rows_per_ct` and `colblock_cols_per_ct` are the two blocking rules; every
 packer, product, offset and the wire decoder follow them, so a ciphertext
@@ -35,32 +28,36 @@ and every plaintext multiplied in is zero outside the layout.  That keeps
 the diagonal sweeps free of wraparound garbage, and it means nothing the key
 holder decrypts carries an unmasked value in a slot no mask covers.
 
-The ciphertext-by-ciphertext product runs in two message flights: the
-masking side sends [X - R1], [Y - R2]; the key holder decrypts, multiplies
-in the clear, and replies with the product re-encrypted row-wise plus
-diagonal repackings of both masked factors; the masking side then finishes
-the cross terms homomorphically (plain-by-diagonal products, no rotations,
-one product per diagonal and output ciphertext) and adds R1*R2 itself.
+The ciphertext-by-ciphertext product X @ Y (r x k times k x c) runs in two
+message flights: the masking side sends [X - R1], [Y - R2]; the key holder
+decrypts, multiplies in the clear, and replies with the product and the k
+shifted terms of each masked factor, all in the rows layout of the r x c
+result.  The shifted terms follow the diagonal decomposition of Halevi and
+Shoup::
+
+    (A @ B)[i, s] = sum_t  A[i, (s+t) % k] * B[(s+t) % k, s]
+
+so the masking side finishes both cross terms with one plaintext product
+per term and output ciphertext, summed slotwise into the product, with no
+rotations, and adds R1*R2 itself.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ProtocolError
-from .ntt import addmod
 from .pahe import (Ciphertext, Evaluator, KeyMaterial, PaheParams,
                    ct_from_bytes, ct_to_bytes, encode_plain_many)
 
 ROWS = "rows"
-DIAG = "diag"
 COLBLOCKS = "colblocks"
-SUM_ROWS_COLST = "sum_rows_colsT"
 
-_PACKING_IDS = {ROWS: 1, DIAG: 2, COLBLOCKS: 3, SUM_ROWS_COLST: 4}
+_PACKING_IDS = {ROWS: 1, COLBLOCKS: 3}
 _PACKING_BY_ID = {v: k for k, v in _PACKING_IDS.items()}
 
 
@@ -103,8 +100,8 @@ class EncMatrix:
 def rows_per_ct(params: PaheParams, cols: int) -> int:
     """Matrix rows each ciphertext of a `rows` layout carries, one every
     `cols` slots: as many as fit one ring row.  The row-blocking rule -- row
-    packing, diagonal tiling, the split product, plain-by-diagonal products
-    and the wire decoder all follow it."""
+    packing, the masked product's terms and the wire decoder all follow
+    it."""
     return params.row_size // cols
 
 
@@ -113,9 +110,11 @@ def _rows_ct_count(params: PaheParams, rows: int, cols: int) -> int:
 
 
 def _rows_vectors(M: np.ndarray, per_ct: int) -> list[np.ndarray]:
-    r, c = M.shape
-    buf = np.zeros((-(-r // per_ct) * per_ct, c), dtype=np.uint64)
-    buf[:r] = M
+    """Slot vectors of a `rows` layout; a (..., r, c) stack gives each
+    matrix's vectors in turn."""
+    *lead, r, c = M.shape
+    buf = np.zeros((*lead, -(-r // per_ct) * per_ct, c), dtype=np.uint64)
+    buf[..., :r, :] = M
     return list(buf.reshape(-1, per_ct * c))
 
 
@@ -123,16 +122,6 @@ def _rows_matrix(slots: np.ndarray, rows: int, cols: int,
                  per_ct: int) -> np.ndarray:
     """The (rows, cols) matrix a `rows` layout keeps in decrypted slots."""
     return slots[:, :per_ct * cols].reshape(-1, cols)[:rows].copy()
-
-
-def _diag_index(k: int, c: int) -> np.ndarray:
-    """idx[t, s] = (s + t) % k: diagonal t holds M[idx[t, s], s] in slot s."""
-    return (np.arange(c) + np.arange(k)[:, None]) % k
-
-
-def _diag_vectors(M: np.ndarray, copies: int) -> list[np.ndarray]:
-    k, c = M.shape
-    return list(np.tile(M[_diag_index(k, c), np.arange(c)], copies))
 
 
 def _colblock_vectors(M: np.ndarray, block: int, cols_per_ct: int,
@@ -154,8 +143,7 @@ def layout_vectors(params: PaheParams, enc: EncMatrix, M,
 
     Used to add plaintext offsets (masks, folded constants) onto an encrypted
     matrix without caring about its packing.  `transpose` interprets M as the
-    transpose of what the ciphertexts hold.  The split product has two parts
-    and takes `split_layout_vectors` instead.
+    transpose of what the ciphertexts hold.
     """
     A = _entries(M)
     if transpose:
@@ -165,28 +153,8 @@ def layout_vectors(params: PaheParams, enc: EncMatrix, M,
             f"offset shape {A.shape} != matrix shape {(enc.rows, enc.cols)}")
     if enc.packing == ROWS:
         return _rows_vectors(A, rows_per_ct(params, enc.cols))
-    if enc.packing == DIAG:
-        return _diag_vectors(A, rows_per_ct(params, enc.cols))
-    if enc.packing == COLBLOCKS:
-        return _colblock_vectors(A, enc.block, enc.cols_per_ct,
-                                 enc.block * enc.cols_per_ct)
-    raise ParameterError(f"cannot lay out offsets for packing {enc.packing!r}")
-
-
-def split_layout_vectors(params: PaheParams, enc: EncMatrix, rows_part,
-                         cols_part) -> list[np.ndarray]:
-    """Slot vectors for the two parts of a split product: `rows_part` on the
-    row part, `cols_part` (same orientation as the matrix) on the column
-    part, so the decrypted sum moves by rows_part + cols_part."""
-    if enc.packing != SUM_ROWS_COLST:
-        raise ParameterError(f"{enc.packing!r} packing has no split parts")
-    A, B = _entries(rows_part), _entries(cols_part)
-    r, c = enc.rows, enc.cols
-    if A.shape != (r, c) or B.shape != (r, c):
-        raise ParameterError(f"offset parts {A.shape}, {B.shape} != "
-                             f"matrix shape {(r, c)}")
-    return (_rows_vectors(A, rows_per_ct(params, c))
-            + _rows_vectors(B.T.copy(), rows_per_ct(params, r)))
+    return _colblock_vectors(A, enc.block, enc.cols_per_ct,
+                             enc.block * enc.cols_per_ct)
 
 
 # ----------------------------------------------------------------------------
@@ -205,15 +173,6 @@ def pack_rows(ev: Evaluator, M, scale: int = 0) -> EncMatrix:
     _check_capacity(ev.params, A.shape[1], "row packing")
     cts = ev.encrypt_many(_rows_vectors(A, rows_per_ct(ev.params, A.shape[1])))
     return EncMatrix(ROWS, cts, A.shape[0], A.shape[1], scale)
-
-
-def pack_diagonal(ev: Evaluator, M, scale: int = 0) -> EncMatrix:
-    """One ciphertext per generalized diagonal, tiled across the ring row:
-    ct t holds M[(s+t)%r, s] in slot i*c + s for each copy i."""
-    A = _entries(M)
-    _check_capacity(ev.params, A.shape[1], "diagonal packing")
-    cts = ev.encrypt_many(_diag_vectors(A, rows_per_ct(ev.params, A.shape[1])))
-    return EncMatrix(DIAG, cts, A.shape[0], A.shape[1], scale)
 
 
 def colblock_cols_per_ct(params: PaheParams, cols: int, block: int) -> int:
@@ -243,23 +202,12 @@ def decrypt_matrix(keys: KeyMaterial, enc: EncMatrix) -> np.ndarray:
     r, c = enc.rows, enc.cols
     if enc.packing == ROWS:
         return _rows_matrix(dec, r, c, rows_per_ct(par, c))
-    if enc.packing == DIAG:
-        M = np.zeros((r, c), dtype=np.uint64)
-        M[_diag_index(r, c), np.arange(c)] = dec[:, :c]
-        return M
-    if enc.packing == COLBLOCKS:
-        M = np.zeros((r, c), dtype=np.uint64)
-        for g in range(dec.shape[0]):
-            for j in range(g * enc.cols_per_ct, min(c, (g + 1) * enc.cols_per_ct)):
-                off = (j - g * enc.cols_per_ct) * enc.block
-                M[:, j] = dec[g, off:off + r]
-        return M
-    if enc.packing == SUM_ROWS_COLST:
-        g = _rows_ct_count(par, r, c)
-        rows_part = _rows_matrix(dec[:g], r, c, rows_per_ct(par, c))
-        cols_part = _rows_matrix(dec[g:], c, r, rows_per_ct(par, r))
-        return addmod(rows_part, cols_part.T, par.p)
-    raise ParameterError(f"unknown packing {enc.packing!r}")
+    M = np.zeros((r, c), dtype=np.uint64)
+    for g in range(dec.shape[0]):
+        for j in range(g * enc.cols_per_ct, min(c, (g + 1) * enc.cols_per_ct)):
+            off = (j - g * enc.cols_per_ct) * enc.block
+            M[:, j] = dec[g, off:off + r]
+    return M
 
 
 def add_offset(ev: Evaluator, enc: EncMatrix, M, transpose: bool = False) -> EncMatrix:
@@ -340,40 +288,6 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0) -> EncMatr
                      block=B, cols_per_ct=C)
 
 
-def plain_times_diag(ev: Evaluator, R, D: EncMatrix) -> EncMatrix:
-    """R @ M in rows packing, for M (k x c) held diagonally packed.
-
-    With T = rows_per_ct(c), output ciphertext g holds rows g*T .. g*T+T-1
-    as sum_t D_t * pt with pt[i*c + s] = R[g*T + i, (s+t) % k]: each tiled
-    diagonal meets every row of its block at once, so k scalar multiplies
-    per output ciphertext and no rotations at all.
-    """
-    A = _entries(R)
-    k, c = D.rows, D.cols
-    if D.packing != DIAG:
-        raise ParameterError(f"plain_times_diag needs diag input, got {D.packing!r}")
-    if A.shape[1] != k:
-        raise ParameterError(
-            f"inner dims disagree: R is {A.shape[0]}x{A.shape[1]}, packed matrix {k}x{c}")
-    m = A.shape[0]
-    T = rows_per_ct(ev.params, c)
-    G = -(-m // T)
-    padded = np.zeros((G * T, k), dtype=np.uint64)
-    padded[:m] = A
-    # vecs[g, t, i, s] = R[g*T + i, (s + t) % k]
-    vecs = padded.reshape(G, T, k)[:, :, _diag_index(k, c)]
-    vecs = vecs.transpose(0, 2, 1, 3).reshape(G * k, T * c)
-    encs = encode_plain_many(ev.params, list(vecs))
-    terms = ev.simd_scmult_many(list(D.cts) * G, encs)
-    out = []
-    for g in range(G):
-        acc = terms[g * k]
-        for term in terms[g * k + 1:(g + 1) * k]:
-            acc = ev.add_ct(acc, term)
-        out.append(acc)
-    return EncMatrix(ROWS, out, m, c, D.scale)
-
-
 # ----------------------------------------------------------------------------
 # ciphertext-by-ciphertext products (two flights, masked)
 
@@ -386,15 +300,6 @@ class CtmmMasked:
     y: EncMatrix
     transpose_x: bool
     transpose_y: bool
-
-
-@dataclass
-class CtmmReply:
-    """Flight two: the clear product re-encrypted, plus diagonal repackings."""
-
-    prod: EncMatrix     # rows packing, (rows x cols)
-    x_diag: EncMatrix   # diagonals of (X - R1)^T, k cts, tiled length rows
-    y_diag: EncMatrix   # diagonals of (Y - R2), k cts, tiled length cols
 
 
 @dataclass
@@ -413,6 +318,18 @@ class MaskState:
 
 def _mult_shape(enc: EncMatrix, transpose: bool) -> tuple[int, int]:
     return (enc.cols, enc.rows) if transpose else (enc.rows, enc.cols)
+
+
+def _shifted_terms(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k shifted terms of A (r x k) and of B (k x c), each r x c:
+    a_t[i, s] = A[i, (s+t) % k] and b_t[i, s] = B[(s+t) % k, s], so that
+    sum_t a_t * b_t, slotwise, is A @ B.  Returned as two (k, r, c) stacks;
+    every row of b_t is the same diagonal of B."""
+    r, k = A.shape
+    c = B.shape[1]
+    idx = (np.arange(c) + np.arange(k)[:, None]) % k   # idx[t, s]
+    return (A[:, idx].transpose(1, 0, 2),
+            np.broadcast_to(B[idx, np.arange(c)][:, None, :], (k, r, c)))
 
 
 def ctmm_server_mask(ev: Evaluator, X: EncMatrix, Y: EncMatrix,
@@ -437,12 +354,21 @@ def ctmm_server_mask(ev: Evaluator, X: EncMatrix, Y: EncMatrix,
     return CtmmMasked(xm, ym, transpose_x, transpose_y), st
 
 
-def ctmm_client_round(ev: Evaluator, keys: KeyMaterial, msg: CtmmMasked) -> CtmmReply:
+def ctmm_reply_count(params: PaheParams, st: MaskState) -> int:
+    """Ciphertexts in the key holder's reply to the product `st` masks: the
+    product and the k shifted terms of each masked factor, each a rows
+    layout of the r x c result."""
+    r, k, c = st.shape
+    return (2 * k + 1) * _rows_ct_count(params, r, c)
+
+
+def ctmm_client_round(ev: Evaluator, keys: KeyMaterial,
+                      msg: CtmmMasked) -> list[Ciphertext]:
     """Decrypt the masked factors, multiply in the clear, re-encrypt.
 
-    Three payloads in one flight: the product (row packing) and diagonal
-    repackings of both masked factors, the X side transposed so the other
-    party can finish both cross terms without any rotations.
+    The reply is one ciphertext list: the product, then the k shifted terms
+    of X - R1, then those of Y - R2, each in the rows layout of the product,
+    so the other party can finish both cross terms without any rotations.
     """
     p = keys.params.p
     r, k = _mult_shape(msg.x, msg.transpose_x)
@@ -455,56 +381,88 @@ def ctmm_client_round(ev: Evaluator, keys: KeyMaterial, msg: CtmmMasked) -> Ctmm
     yt = decrypt_matrix(keys, msg.y)
     if msg.transpose_y:
         yt = yt.T.copy()
-    prod = matmul_mod(xt, yt, p)
-    sx, sy = msg.x.scale, msg.y.scale
-    return CtmmReply(prod=pack_rows(ev, prod, sx + sy),
-                     x_diag=pack_diagonal(ev, xt.T.copy(), sx),
-                     y_diag=pack_diagonal(ev, yt, sy))
+    prod = pack_rows(ev, matmul_mod(xt, yt, p))
+    T = rows_per_ct(keys.params, c)
+    return prod.cts + [ct for terms in _shifted_terms(xt, yt)
+                       for ct in ev.encrypt_many(_rows_vectors(terms, T))]
 
 
-def ctmm_server_finalize(ev: Evaluator, reply: CtmmReply, st: MaskState) -> EncMatrix:
-    """Assemble X @ Y = P + R1*(Y-R2) + (X-R1)*R2 + R1*R2.
+def ctmm_server_finalize(ev: Evaluator, reply: Sequence[Ciphertext],
+                         st: MaskState) -> EncMatrix:
+    """Assemble X @ Y = P + (X-R1)*R2 + R1*(Y-R2) + R1*R2 in rows packing.
 
-    The first cross term lands in the product's rows layout, the second in
-    the rows layout of the transpose; the caller reads the result as the
-    slotwise sum of the two parts (`sum_rows_colsT`).  The running per-row
-    product counter advances by the number of output rows.
+    Term t of X - R1 meets term t of R2 and term t of Y - R2 meets term t of
+    R1, one plaintext product per term and output ciphertext; all of them
+    sum into the product's ciphertexts.  The running per-row product counter
+    advances by the number of output rows.
     """
     if st.used:
         raise ProtocolError("matrix-product mask state used twice")
     st.used = True
-    p = ev.params.p
+    par = ev.params
     r, k, c = st.shape
-    for what, enc, want in (("product", reply.prod, (ROWS, r, c)),
-                            ("first-factor repacking", reply.x_diag, (DIAG, k, r)),
-                            ("second-factor repacking", reply.y_diag, (DIAG, k, c))):
-        if (enc.packing, enc.rows, enc.cols) != want:
-            raise ProtocolError(f"{what} reply is {enc.packing} "
-                                f"{enc.rows}x{enc.cols}, expected {want}")
-    r1r2 = matmul_mod(st.r1, st.r2, p)
-    rows_cross = plain_times_diag(ev, st.r1, reply.y_diag)
-    rows_cts = ev.add_plain_many(
-        [ev.add_ct(a, b) for a, b in zip(reply.prod.cts, rows_cross.cts,
-                                         strict=True)],
-        layout_vectors(ev.params, reply.prod, r1r2))
-    cols_part = plain_times_diag(ev, st.r2.T.copy(), reply.x_diag)
+    want = ctmm_reply_count(par, st)
+    if len(reply) != want:
+        raise ProtocolError(f"product reply has {len(reply)} ciphertexts, "
+                            f"expected {want}")
+    G = want // (2 * k + 1)
+    T = rows_per_ct(par, c)
+    acc = list(reply[:G])
+    a1, b2 = _shifted_terms(st.r1, st.r2)
+    for cts, mask in ((reply[G:(k + 1) * G], b2), (reply[(k + 1) * G:], a1)):
+        terms = ev.simd_scmult_many(
+            cts, encode_plain_many(par, _rows_vectors(mask, T)))
+        for i, term in enumerate(terms):
+            acc[i % G] = ev.add_ct(acc[i % G], term)
+    out = ev.add_plain_many(
+        acc, _rows_vectors(matmul_mod(st.r1, st.r2, par.p), T))
     ev.counters["ctmm_rows"] = ev.counters.get("ctmm_rows", 0) + r
-    return EncMatrix(SUM_ROWS_COLST, rows_cts + cols_part.cts, r, c, st.scale)
+    return EncMatrix(ROWS, out, r, c, st.scale)
 
 
 # ----------------------------------------------------------------------------
 # wire form
 
 
-def encmatrix_to_bytes(enc: EncMatrix) -> bytes:
-    head = struct.pack("<BIIiII", _PACKING_IDS[enc.packing], enc.rows, enc.cols,
-                       enc.scale, enc.block, enc.cols_per_ct)
-    parts = [head, struct.pack("<I", len(enc.cts))]
-    for ct in enc.cts:
+def ct_list_to_bytes(cts: Sequence[Ciphertext]) -> bytes:
+    """A ciphertext count, then each ciphertext behind its length."""
+    parts = [struct.pack("<I", len(cts))]
+    for ct in cts:
         blob = ct_to_bytes(ct)
         parts.append(struct.pack("<I", len(blob)))
         parts.append(blob)
     return b"".join(parts)
+
+
+def ct_list_from_bytes(data, params: PaheParams, count: int,
+                       what: str) -> list[Ciphertext]:
+    """Parse a ciphertext list from the peer that must hold exactly `count`
+    ciphertexts, and nothing after them; `what` names it in errors."""
+    try:
+        (got,) = struct.unpack_from("<I", data, 0)
+        if got != count:
+            raise ProtocolError(f"{what} needs {count} ciphertexts, "
+                                f"payload has {got}")
+        off, cts = 4, []
+        for _ in range(count):
+            (ln,) = struct.unpack_from("<I", data, off)
+            off += 4
+            cts.append(ct_from_bytes(data[off:off + ln], params))
+            off += ln
+    except struct.error as exc:
+        raise ProtocolError(f"truncated {what}: {exc}") from None
+    if off != len(data):
+        raise ProtocolError(f"trailing bytes after {what}")
+    return cts
+
+
+_MATRIX_HEAD = struct.Struct("<BIIiII")
+
+
+def encmatrix_to_bytes(enc: EncMatrix) -> bytes:
+    return _MATRIX_HEAD.pack(_PACKING_IDS[enc.packing], enc.rows, enc.cols,
+                             enc.scale, enc.block,
+                             enc.cols_per_ct) + ct_list_to_bytes(enc.cts)
 
 
 def _layout_ct_count(params: PaheParams, packing: str, rows: int, cols: int,
@@ -521,18 +479,10 @@ def _layout_ct_count(params: PaheParams, packing: str, rows: int, cols: int,
         return -(-cols // cpc)
     if block or cpc:
         raise ProtocolError(f"{packing} packing carries block fields")
-    if packing == SUM_ROWS_COLST:
-        if not (0 < rows <= half and 0 < cols <= half):
-            raise ProtocolError(f"{rows}x{cols} split product does not fit "
-                                f"a ring row")
-        return (_rows_ct_count(params, rows, cols)
-                + _rows_ct_count(params, cols, rows))
     if cols > half:
         raise ProtocolError(f"{cols} columns exceed the {half}-slot ring row")
     if cols == 0:
         raise ProtocolError(f"{packing} matrix has no columns")
-    if packing == DIAG:
-        return rows
     return _rows_ct_count(params, rows, cols)
 
 
@@ -540,28 +490,14 @@ def encmatrix_from_bytes(data: bytes, params: PaheParams) -> EncMatrix:
     """Parse an encrypted matrix from the peer.  The layout must be one this
     package could have produced under `params`, and the ciphertext count
     must be exactly the one it implies."""
-    head = struct.Struct("<BIIiIII")
     try:
-        pid, rows, cols, scale, block, cpc, count = head.unpack_from(data, 0)
+        pid, rows, cols, scale, block, cpc = _MATRIX_HEAD.unpack_from(data, 0)
     except struct.error as exc:
         raise ProtocolError(f"truncated matrix payload: {exc}") from None
     if pid not in _PACKING_BY_ID:
         raise ProtocolError(f"unknown packing id {pid}")
     packing = _PACKING_BY_ID[pid]
     want = _layout_ct_count(params, packing, rows, cols, block, cpc)
-    if count != want:
-        raise ProtocolError(f"{packing} matrix of {rows}x{cols} needs {want} "
-                            f"ciphertexts, payload has {count}")
-    off = head.size
-    cts = []
-    try:
-        for _ in range(count):
-            (ln,) = struct.unpack_from("<I", data, off)
-            off += 4
-            cts.append(ct_from_bytes(data[off:off + ln], params))
-            off += ln
-    except struct.error as exc:
-        raise ProtocolError(f"truncated matrix payload: {exc}") from None
-    if off != len(data):
-        raise ProtocolError("trailing bytes after matrix payload")
+    cts = ct_list_from_bytes(memoryview(data)[_MATRIX_HEAD.size:], params,
+                             want, f"{packing} matrix of {rows}x{cols}")
     return EncMatrix(packing, cts, rows, cols, scale, block=block, cols_per_ct=cpc)

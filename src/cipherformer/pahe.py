@@ -31,10 +31,7 @@ Representation choices, all load-bearing:
 
 Noise is tracked as a running upper-bound estimate in bits; the remaining
 budget is (log2 q - log2 p - 1) minus that estimate, and operations raise
-NoiseBudgetError rather than silently producing garbage.  In tests, an
-evaluator can additionally carry a plaintext shadow of every ciphertext and
-`decrypt_many(verify=True)` cross-checks the result, which catches real (not
-just estimated) decryption failures.
+NoiseBudgetError rather than silently producing garbage.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DecryptionError, NoiseBudgetError, ParameterError, ProtocolError
+from .errors import NoiseBudgetError, ParameterError, ProtocolError
 from .ntt import (StackedNtt, addmod, get_stacked, mulmod_shoup, mulmod_vec,
                   shoup, submod)
 from .primes import is_prime, next_prime
@@ -94,8 +91,6 @@ class SlotMap:
         self.pos_of_flat = pos_of_exp[flat_exp]
         if np.any(self.pos_of_flat < 0):
             raise ParameterError("slot exponent table is inconsistent")
-        self.flat_of_pos = np.empty(n, dtype=np.int64)
-        self.flat_of_pos[self.pos_of_flat] = np.arange(n)
         self._perms: dict[int, np.ndarray] = {}
 
     def perm(self, t: int) -> np.ndarray:
@@ -241,7 +236,6 @@ class Ciphertext:
     c0: np.ndarray  # (k, n) uint64, NTT domain
     c1: np.ndarray
     noise_bits: float
-    _ref: np.ndarray | None = None  # plaintext shadow, test builds only
 
     @property
     def noise_budget_bits(self) -> float:
@@ -249,8 +243,7 @@ class Ciphertext:
 
     def copy(self) -> "Ciphertext":
         return Ciphertext(self.params, self.c0.copy(), self.c1.copy(),
-                          self.noise_bits,
-                          None if self._ref is None else self._ref.copy())
+                          self.noise_bits)
 
 
 @dataclass
@@ -263,7 +256,6 @@ class PlainVec:
     """
 
     params: PaheParams
-    slots: np.ndarray          # (n,) uint64 mod p
     poly: np.ndarray           # (k, n) uint64, NTT domain
     coeff_norm_bits: float
 
@@ -309,7 +301,7 @@ def encode_plain_many(params: PaheParams, vecs: Sequence) -> list[PlainVec]:
     arr = np.stack([_as_slot_vector(params, v) for v in vecs])
     coeffs = _slots_to_coeffs_many(params, arr)
     poly = params.rns().forward(coeffs[:, None, :] % params.q_col)
-    return [PlainVec(params, arr[b], poly[b],
+    return [PlainVec(params, poly[b],
                      _centered_norm_bits(params, coeffs[b]))
             for b in range(len(vecs))]
 
@@ -400,7 +392,7 @@ class KeyMaterial:
 
     # -- decryption ---------------------------------------------------------
 
-    def decrypt_many(self, cts: Sequence[Ciphertext], verify: bool = False) -> np.ndarray:
+    def decrypt_many(self, cts: Sequence[Ciphertext]) -> np.ndarray:
         if self._sk is None:
             raise ParameterError("this key material has no secret key")
         if not cts:
@@ -423,12 +415,7 @@ class KeyMaterial:
         sm = par.slots()
         ev = get_stacked((p,), par.n).forward(
             m.astype(np.uint64)[:, None, :])
-        out = ev[:, 0, sm.pos_of_flat]
-        if verify:
-            for b, ct in enumerate(cts):
-                if ct._ref is not None and not np.array_equal(out[b], ct._ref):
-                    raise DecryptionError("decrypted slots differ from shadow")
-        return out
+        return ev[:, 0, sm.pos_of_flat]
 
 
 @lru_cache(maxsize=None)
@@ -514,19 +501,16 @@ def _make_kswitch(params: PaheParams, rng: np.random.Generator, sk, sk_sh,
 class Evaluator:
     """Homomorphic operations under a (public) key set, with op counters."""
 
-    def __init__(self, keys: KeyMaterial, seed: int | None = None,
-                 track_plain: bool = False):
+    def __init__(self, keys: KeyMaterial, seed: int | None = None):
         self.keys = keys
         self.params = keys.params
         self.rng = np.random.default_rng(seed)
-        self.track_plain = track_plain
         self.counters: dict[str, int] = {
             "encrypt": 0, "add_ct": 0, "add_plain": 0, "scmult": 0,
             "rotate": 0, "keyswitch": 0,
         }
         self._pk0_sh = shoup(keys.pk0, self.params.q_col)
         self._pk1_sh = shoup(keys.pk1, self.params.q_col)
-        self._slot_perms: dict[int, np.ndarray] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -555,8 +539,8 @@ class Evaluator:
         B = len(vecs)
         if B == 0:
             return []
-        slots = [_as_slot_vector(par, v) for v in vecs]
-        m = _scaled_plain_rows_many(par, np.stack(slots))
+        m = _scaled_plain_rows_many(
+            par, np.stack([_as_slot_vector(par, v) for v in vecs]))
         u = _signed_to_rns(par, _sample_ternary(self.rng, (B, par.n)))
         e = _signed_to_rns(par, _sample_error(self.rng, (2 * B, par.n)))
         stacked = par.rns().forward(
@@ -564,12 +548,9 @@ class Evaluator:
         m_ntt, u, e1 = (stacked[i * B:(i + 1) * B] for i in range(3))
         c0 = addmod(mulmod_shoup(u, self.keys.pk0, self._pk0_sh, col), m_ntt, col)
         c1 = addmod(mulmod_shoup(u, self.keys.pk1, self._pk1_sh, col), e1, col)
-        out = []
-        for b in range(B):
-            ct = Ciphertext(par, c0[b], c1[b], self._bump_noise(par.fresh_noise_bits))
-            if self.track_plain:
-                ct._ref = slots[b].copy()
-            out.append(ct)
+        out = [Ciphertext(par, c0[b], c1[b],
+                          self._bump_noise(par.fresh_noise_bits))
+               for b in range(B)]
         self.counters["encrypt"] += B
         return out
 
@@ -582,8 +563,6 @@ class Evaluator:
         noise = self._bump_noise(float(np.logaddexp2(a.noise_bits, b.noise_bits)))
         out = Ciphertext(par, addmod(a.c0, b.c0, par.q_col),
                          addmod(a.c1, b.c1, par.q_col), noise)
-        if a._ref is not None and b._ref is not None:
-            out._ref = (a._ref + b._ref) % par.p
         self.counters["add_ct"] += 1
         return out
 
@@ -603,11 +582,8 @@ class Evaluator:
         for b, ct in enumerate(cts):
             noise = self._bump_noise(
                 float(np.logaddexp2(ct.noise_bits, 1.0)) + 1e-3)
-            nc = Ciphertext(par, addmod(ct.c0, rows[b], par.q_col),
-                            ct.c1.copy(), noise)
-            if ct._ref is not None:
-                nc._ref = (ct._ref + slots[b]) % par.p
-            out.append(nc)
+            out.append(Ciphertext(par, addmod(ct.c0, rows[b], par.q_col),
+                                  ct.c1.copy(), noise))
         self.counters["add_plain"] += len(cts)
         return out
 
@@ -623,26 +599,11 @@ class Evaluator:
             noise = self._bump_noise(
                 ct.noise_bits + pv.coeff_norm_bits + log2(par.n) + 1e-3)
             c = mulmod_vec(np.stack([ct.c0, ct.c1]), pv.poly, par.q_col)
-            nc = Ciphertext(par, c[0], c[1], noise)
-            if ct._ref is not None:
-                nc._ref = mulmod_vec(ct._ref, pv.slots, par.p)
-            out.append(nc)
+            out.append(Ciphertext(par, c[0], c[1], noise))
         self.counters["scmult"] += len(cts)
         return out
 
     # -- rotations -----------------------------------------------------------
-
-    def _slot_perm(self, t: int) -> np.ndarray:
-        """Flat-slot permutation induced by Galois element t."""
-        got = self._slot_perms.get(t)
-        if got is None:
-            sm = self.params.slots()
-            pos_perm = sm.perm(t)
-            # out_flat[i] = in_flat[g(i)]:  out position = pos_of_flat[i],
-            # source position = pos_perm[that], then back to flat.
-            got = sm.flat_of_pos[pos_perm[sm.pos_of_flat]]
-            self._slot_perms[t] = got
-        return got
 
     def col_rotate_many(self, cts: Sequence[Ciphertext],
                         rs: Sequence[int]) -> list[Ciphertext]:
@@ -694,13 +655,10 @@ class Evaluator:
                 d = a1[blk] if o == 0 else lifts[blk, o - 1]
                 c0[blk] = addmod(c0[blk], mulmod_shoup(d, K[:, 0, o], K[:, 1, o], col), col)
                 c1[blk] = addmod(c1[blk], mulmod_shoup(d, K[:, 2, o], K[:, 3, o], col), col)
-        for b, (i, ct, t) in enumerate(work):
+        for b, (i, ct, _) in enumerate(work):
             noise = self._bump_noise(
                 float(np.logaddexp2(ct.noise_bits, par.keyswitch_noise_bits)) + 1e-3)
-            nc = Ciphertext(par, c0[b], c1[b], noise)
-            if ct._ref is not None:
-                nc._ref = ct._ref[self._slot_perm(t)]
-            results[i] = nc
+            results[i] = Ciphertext(par, c0[b], c1[b], noise)
         self.counters["keyswitch"] += R
         self.counters["rotate"] += R
         return results

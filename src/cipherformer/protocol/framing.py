@@ -32,7 +32,7 @@ STAGE_OT_RESP = 7  # s->c: masked label pairs
 STAGE_SHARE = 8    # c->s: re-encrypted output shares
 # encrypted matrix products
 MM_OPEN = 9        # s->c: masked factors
-MM_REPLY = 10      # c->s: clear product + repackings
+MM_REPLY = 10      # c->s: clear product + shifted factor terms
 # result
 LOGITS = 11        # s->c: per-class ciphertexts
 

@@ -37,13 +37,9 @@ sums its word shares, packs and encrypts them fresh (which also resets
 ciphertext depth), and the server folds in the rho totals on its side.
 
 The ciphertext-by-ciphertext products mask both factors, let the client
-multiply in the clear, and finish the cross terms homomorphically.  Their
-output arrives as a row part plus a transposed column part, each in the
-rows layout; the stage masks for such inputs are split with a second
-uniform matrix so each part on its own stays uniform (adding the whole
-offset to one part would let the client cancel known quantities and recover
-the server's product masks), and `helinear.split_layout_vectors` places the
-two halves.
+multiply in the clear, and finish the cross terms homomorphically; the
+result is a plain rows matrix, so every stage input is `rows` or
+`colblocks` and every stage mask is one `add_offset`.
 """
 
 from __future__ import annotations
@@ -60,16 +56,16 @@ from ..gc.circuit import to_bits
 from ..gc.garble import active_output_pads, evaluate, garble
 from ..gc.ot import (LAMBDA, BaseOtReceiver, BaseOtSender, OtExtReceiver,
                      OtExtSender, RandomOtBatch, RandomOtSenderBatch)
-from ..helinear import (COLBLOCKS, ROWS, SUM_ROWS_COLST, CtmmMasked, CtmmReply,
-                        EncMatrix, add_offset, colblock_cols_per_ct,
-                        colblock_matmul, colblock_rotation_amounts,
-                        ctmm_client_round, ctmm_server_finalize,
-                        ctmm_server_mask, decrypt_matrix, encmatrix_from_bytes,
-                        encmatrix_to_bytes, layout_vectors, pack_colblocks,
-                        pack_rows, split_layout_vectors)
+from ..helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix, add_offset,
+                        colblock_cols_per_ct, colblock_matmul,
+                        colblock_rotation_amounts, ct_list_from_bytes,
+                        ct_list_to_bytes, ctmm_client_round, ctmm_reply_count,
+                        ctmm_server_finalize, ctmm_server_mask, decrypt_matrix,
+                        encmatrix_from_bytes, encmatrix_to_bytes,
+                        layout_vectors, pack_colblocks, pack_rows)
 from ..model import (ModelConfig, Weights, folded_first_layer,
                      validate_weights, value_projection)
-from ..ntt import reduce128, submod
+from ..ntt import reduce128
 from ..pahe import (Evaluator, KeyMaterial, PaheParams, ct_from_bytes,
                     ct_to_bytes, encode_plain_many, keygen,
                     public_keys_from_bytes, public_keys_to_bytes,
@@ -87,6 +83,12 @@ from .transcript import Transcript
 from .transport import run_pair
 
 _OT_PROFILE = "toy"
+
+# the largest session either party will size, checked before anything is
+# allocated, so a peer's hello cannot size an arbitrarily large ring, plan
+# or key set.  2^14 still holds the n = 8192 rings of standard RLWE tables.
+MAX_RING_DEGREE = 1 << 14
+MAX_LAYERS = 64
 
 
 # ----------------------------------------------------------------------------
@@ -136,13 +138,21 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     primes for it.  Column blocks follow `colblock_cols_per_ct`, and the
     rotation keys are exactly the amounts the plain-weight products use.
     Both parties run this from the hello parameters and then compare what
-    the peer sends against it; nothing is rebuilt from the peer's bytes.
+    the peer sends against it; nothing is rebuilt from the peer's bytes.  A
+    shape past `MAX_RING_DEGREE` or `MAX_LAYERS` is refused before anything
+    is planned or allocated.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
-    plan = cfg.plan(mode)
     widest = max(cfg.vocab, 3 * cfg.dim, cfg.ff_dim)
     n = max(512, 2 * _pow2ceil(cfg.seq_len * widest))
+    if n > MAX_RING_DEGREE:
+        raise ParameterError(f"model shape needs a ring of degree {n}, above "
+                             f"the limit of {MAX_RING_DEGREE}")
+    if cfg.n_layers > MAX_LAYERS:
+        raise ParameterError(f"{cfg.n_layers} layers exceed the limit of "
+                             f"{MAX_LAYERS}")
+    plan = cfg.plan(mode)
     p, sigma = choose_plaintext_prime(plan.m_max, n)
     params = session_params(p, n)
     shapes = [(cfg.vocab, 3 * cfg.dim), (cfg.dim, cfg.ff_dim),
@@ -221,9 +231,9 @@ def _unpack_points(blob: bytes, count: int) -> list[int]:
 # products and the classifier.
 _STAGE_PACKING = {
     "qkv_rescale": (COLBLOCKS, ROWS),
-    "attn_weights": (SUM_ROWS_COLST, ROWS),
-    "attn_inner": (SUM_ROWS_COLST, ROWS),
-    "attn_rescale": (SUM_ROWS_COLST, COLBLOCKS),
+    "attn_weights": (ROWS, ROWS),
+    "attn_inner": (ROWS, ROWS),
+    "attn_rescale": (ROWS, COLBLOCKS),
     "ff_hidden": (COLBLOCKS, COLBLOCKS),
     "ff_out": (COLBLOCKS, COLBLOCKS),
 }
@@ -245,23 +255,6 @@ def _matrix_to_lanes(spec: StageSpec, mat: np.ndarray) -> np.ndarray:
 def _fold_labels(labels: np.ndarray, p: int) -> np.ndarray:
     """128-bit labels -> field elements: (lo + 2^64 hi) mod p."""
     return reduce128(labels[..., 1], labels[..., 0], p)
-
-
-def _apply_stage_mask(ev: Evaluator, enc: EncMatrix, offs: np.ndarray,
-                      rng: np.random.Generator, p: int) -> EncMatrix:
-    """Add the per-lane window offsets onto the stage input in its packing.
-
-    The split product form gets the offset itself split: a uniform matrix S
-    is subtracted from the row part and added (transposed) to the column
-    part, so each part separately stays uniform while their slotwise sum
-    moves by exactly the offset.
-    """
-    if enc.packing != SUM_ROWS_COLST:
-        return add_offset(ev, enc, offs)
-    S = rng.integers(0, p, size=(enc.rows, enc.cols), dtype=np.uint64)
-    vecs = split_layout_vectors(ev.params, enc, submod(offs, S, p), S)
-    return EncMatrix(SUM_ROWS_COLST, ev.add_plain_many(enc.cts, vecs),
-                     enc.rows, enc.cols, enc.scale)
 
 
 # ----------------------------------------------------------------------------
@@ -294,7 +287,7 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
 
     masks = sample_stage_masks(rng, p, m, spec.count)
     offs = _lanes_to_matrix(spec, stage_offsets(masks, m, p))
-    menc = _apply_stage_mask(ev, enc, offs, rng, p)
+    menc = add_offset(ev, enc, offs)
     tshare = garbler_window_share(masks, m)
 
     fields = {"menc": encmatrix_to_bytes(menc)}
@@ -377,11 +370,10 @@ def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
         "mmxx": encmatrix_to_bytes(msg.x),
         "mmyy": encmatrix_to_bytes(msg.y),
         "flgs": pack_array(np.array([tx, ty], dtype=np.uint8))})
-    fields = _recv(sp.conn, sp.tr, MM_REPLY)
-    bp, bx, by = need(fields, "prod", "xdia", "ydia")
-    reply = CtmmReply(prod=encmatrix_from_bytes(bp, sp.geom.params),
-                      x_diag=encmatrix_from_bytes(bx, sp.geom.params),
-                      y_diag=encmatrix_from_bytes(by, sp.geom.params))
+    (blob,) = need(_recv(sp.conn, sp.tr, MM_REPLY), "mmrp")
+    reply = ct_list_from_bytes(blob, sp.geom.params,
+                               ctmm_reply_count(sp.geom.params, st),
+                               "product reply")
     out = ctmm_server_finalize(ev, reply, st)
     sp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=out.rows,
                     frames=2)
@@ -604,10 +596,7 @@ def _client_ctmm(cp: _ClientParty, layer: int, label: str):
                      encmatrix_from_bytes(by, cp.geom.params),
                      bool(flags[0]), bool(flags[1]))
     reply = ctmm_client_round(cp.ev, cp.keys, msg)
-    _send(cp.conn, cp.tr, MM_REPLY, {
-        "prod": encmatrix_to_bytes(reply.prod),
-        "xdia": encmatrix_to_bytes(reply.x_diag),
-        "ydia": encmatrix_to_bytes(reply.y_diag)})
+    _send(cp.conn, cp.tr, MM_REPLY, {"mmrp": ct_list_to_bytes(reply)})
     rows = msg.x.cols if msg.transpose_x else msg.x.rows
     cp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=rows,
                     frames=2)

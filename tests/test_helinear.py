@@ -6,15 +6,14 @@ import pytest
 
 from cipherformer import pahe
 from cipherformer.errors import ParameterError, ProtocolError
-from cipherformer.helinear import (COLBLOCKS, DIAG, ROWS, SUM_ROWS_COLST,
-                                   CtmmMasked, CtmmReply, EncMatrix,
-                                   add_offset, colblock_matmul,
-                                   colblock_rotation_amounts,
-                                   ctmm_client_round, ctmm_server_finalize,
-                                   ctmm_server_mask, decrypt_matrix,
-                                   encmatrix_from_bytes, encmatrix_to_bytes,
-                                   matmul_mod, pack_colblocks, pack_diagonal,
-                                   pack_rows, plain_times_diag, rows_per_ct)
+from cipherformer.helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix,
+                                   MaskState, _shifted_terms, add_offset,
+                                   colblock_matmul, colblock_rotation_amounts,
+                                   ctmm_client_round, ctmm_reply_count,
+                                   ctmm_server_finalize, ctmm_server_mask,
+                                   decrypt_matrix, encmatrix_from_bytes,
+                                   encmatrix_to_bytes, matmul_mod,
+                                   pack_colblocks, pack_rows, rows_per_ct)
 from cipherformer.primes import next_prime
 
 
@@ -56,9 +55,11 @@ class _ZeroRng:
 
 
 def _check_rows_diag_roundtrip(par, keys, ev, shape, n_row_cts):
-    """Each layout decrypts back to the matrix, also after the wire, with
-    every slot it does not name still zero: rows sit T = row_size // cols to
-    a ciphertext, and each diagonal is tiled T times across the ring row."""
+    """The rows layout decrypts back to the matrix, also after the wire,
+    with every slot it does not name still zero: rows sit T = row_size //
+    cols to a ciphertext.  A full ciphertext of M's diagonal terms (the
+    shifted terms of a product's second factor) holds diagonal t tiled T
+    times across the ring row."""
     rng = np.random.default_rng(101)
     M = _rand(rng, *shape, par.p)
     r, c = shape
@@ -67,19 +68,20 @@ def _check_rows_diag_roundtrip(par, keys, ev, shape, n_row_cts):
     want_rows = np.zeros((n_row_cts, par.n), dtype=np.uint64)
     for i in range(r):
         want_rows[i // T, (i % T) * c:(i % T + 1) * c] = M[i]
-    want_diag = np.zeros((r, par.n), dtype=np.uint64)
+    enc = pack_rows(ev, M, scale=9)
+    assert enc.packing == ROWS and enc.scale == 9
+    assert len(enc.cts) == n_row_cts
+    assert np.array_equal(keys.decrypt_many(enc.cts), want_rows)
+    assert np.array_equal(decrypt_matrix(keys, enc), M)
+    back = encmatrix_from_bytes(encmatrix_to_bytes(enc), par)
+    assert np.array_equal(decrypt_matrix(keys, back), M)
+    _, diags = _shifted_terms(np.zeros((T, r), dtype=np.uint64), M)
     for t in range(r):
-        diag = [M[(s + t) % r, s] for s in range(c)]
-        want_diag[t, :T * c] = np.tile(diag, T)
-    for packer, tag, want in ((pack_rows, ROWS, want_rows),
-                              (pack_diagonal, DIAG, want_diag)):
-        enc = packer(ev, M, scale=9)
-        assert enc.packing == tag and enc.scale == 9
-        assert len(enc.cts) == want.shape[0]
-        assert np.array_equal(keys.decrypt_many(enc.cts), want)
-        assert np.array_equal(decrypt_matrix(keys, enc), M)
-        back = encmatrix_from_bytes(encmatrix_to_bytes(enc), par)
-        assert np.array_equal(decrypt_matrix(keys, back), M)
+        diag = pack_rows(ev, diags[t])
+        want = np.zeros(par.n, dtype=np.uint64)
+        want[:T * c] = np.tile([M[(s + t) % r, s] for s in range(c)], T)
+        assert len(diag.cts) == 1
+        assert np.array_equal(keys.decrypt_many(diag.cts)[0], want)
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (7, 5), (1, 9), (6, 1)])
@@ -121,7 +123,6 @@ def test_add_offset_layouts(setup, small):
     M = _rand(rng, 4, 6, par.p)
     off = _rand(rng, 4, 6, par.p)
     for ev_, keys_, enc in ((ev, keys, pack_rows(ev, M)),
-                            (ev, keys, pack_diagonal(ev, M)),
                             (sev, skeys, pack_colblocks(sev, M, block=8))):
         out = add_offset(ev_, enc, off)
         want = (M.astype(object) + off) % par.p
@@ -168,26 +169,52 @@ def test_colblock_matmul_multi_ct_input(small):
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, W, par.p))
 
 
-def test_plain_times_diag_small_exhaustive(setup):
+# ----------------------------------------------------------------------------
+# masked ciphertext-by-ciphertext products
+
+
+@pytest.mark.parametrize("r,k,c", [
+    (3, 1, 4),   # k = 1: one term each, the plain outer product
+    (4, 5, 2),   # c < k: each diagonal wraps only partly
+    (2, 3, 7),   # c > k: each diagonal wraps more than once
+    (5, 4, 4),
+])
+def test_shifted_terms_sum_to_the_product(r, k, c):
+    """Pure numpy: sum_t a_t * b_t, slotwise, is A @ B mod p, with
+    a_t[i, s] = A[i, (s+t) % k] and b_t[i, s] = B[(s+t) % k, s]."""
+    rng = np.random.default_rng(600 + r * 31 + k * 7 + c)
+    A, B = _rand(rng, r, k, P20), _rand(rng, k, c, P20)
+    a, b = _shifted_terms(A, B)
+    assert a.shape == b.shape == (k, r, c)
+    total = (a.astype(object) * b.astype(object)).sum(axis=0) % P20
+    assert np.array_equal(total.astype(np.uint64), matmul_mod(A, B, P20))
+    for t in range(k):
+        for s in range(c):
+            assert np.array_equal(a[t, :, s], A[:, (s + t) % k])
+            assert (b[t, :, s] == B[(s + t) % k, s]).all()
+
+
+def test_ctmm_cross_term_small_exhaustive(setup):
+    """The cross term R1 @ (Y - R2) alone, on corner values: with the
+    product, the other cross term and R2 all zero, the finished product is
+    R @ M for every 2x2 R over {0, 1, p-1, 7}, both rows in one
+    ciphertext."""
     par, keys, ev, _ = setup
     rng = np.random.default_rng(106)
     M = _rand(rng, 2, 5, par.p)
-    D = pack_diagonal(ev, M)
+    zero = np.zeros((2, 5), dtype=np.uint64)
+    _, m_terms = _shifted_terms(zero[:, :2], M)
+    reply = [pack_rows(ev, m).cts[0] for m in [zero] * 3 + list(m_terms)]
     vals = [0, 1, par.p - 1, 7]
     for a in vals:
         for b in vals:
             for c in vals:
                 for d in vals:
                     R = np.array([[a, b], [c, d]], dtype=np.uint64)
-                    out = plain_times_diag(ev, R, D)
-                    # both rows of the product share one ciphertext
+                    out = ctmm_server_finalize(ev, reply, MaskState(R, zero, 0))
                     assert out.packing == ROWS and len(out.cts) == 1
                     got = decrypt_matrix(keys, out)
                     assert np.array_equal(got, matmul_mod(R, M, par.p)), R
-
-
-# ----------------------------------------------------------------------------
-# masked ciphertext-by-ciphertext products
 
 
 def _run_ctmm(setup, r, k, c, seed, pack_x="rows", pack_y="rows",
@@ -220,23 +247,22 @@ def _check_ctmm_exact(fixture, dims, packs):
     X, Y, msg, st, reply, out, keys, ev = _run_ctmm(
         fixture, r, k, c, seed=200 + r * 31 + k * 7 + c, pack_x=pack_x,
         pack_y=pack_y, tx=tx, ty=ty, sx=9, sy=9)
-    row_cts = -(-r // rows_per_ct(par, c))
-    col_cts = -(-c // rows_per_ct(par, r))
-    assert out.packing == SUM_ROWS_COLST
-    assert out.scale == 18
-    assert len(out.cts) == row_cts + col_cts
-    got = decrypt_matrix(keys, out)
-    assert np.array_equal(got, matmul_mod(X, Y, keys.params.p))
-    # the reply is exactly three payloads
-    assert isinstance(reply, CtmmReply)
-    assert len(reply.prod.cts) == row_cts
-    assert len(reply.x_diag.cts) == k and len(reply.y_diag.cts) == k
+    T = rows_per_ct(par, c)
+    G = -(-r // T)
+    want = matmul_mod(X, Y, keys.params.p)
+    # the reply: the product, then k terms of each factor, G cts apiece
+    assert len(reply) == ctmm_reply_count(par, st) == (2 * k + 1) * G
+    assert out.packing == ROWS and out.scale == 18
+    assert len(out.cts) == G
+    assert np.array_equal(decrypt_matrix(keys, out), want)
     for ct in out.cts:
         assert ct.noise_budget_bits > 0
-    # every slot outside the two parts' layouts is still zero
-    slots = keys.decrypt_many(out.cts)
-    assert not slots[:row_cts, rows_per_ct(par, c) * c:].any()
-    assert not slots[row_cts:, rows_per_ct(par, r) * r:].any()
+    # every slot outside the rows layout is still zero
+    rows = np.zeros((G * T, c), dtype=np.uint64)
+    rows[:r] = want
+    slots = np.zeros((G, par.n), dtype=np.uint64)
+    slots[:, :T * c] = rows.reshape(G, T * c)
+    assert np.array_equal(keys.decrypt_many(out.cts), slots)
 
 
 @pytest.mark.parametrize("dims,packs", [
@@ -251,16 +277,16 @@ def test_ctmm_product_exact(setup, dims, packs):
 
 
 @pytest.mark.parametrize("dims", [
-    # r*c > 32 with r and c both off the blocking: the row part puts 4 rows
-    # of 7 to a ciphertext (5 = 4 + 1), the column part 6 rows of 5
-    # (7 = 6 + 1); then 6 + 1 and 4 + 1 the other way round
+    # r*c > 32 with r off the blocking: 4 rows of 7 to a ciphertext
+    # (5 = 4 + 1), then 6 rows of 5 (7 = 6 + 1)
     (5, 3, 7), (7, 2, 5),
-    # a full ring row of columns, one row per ciphertext, in either part
+    # a full ring row of columns, one row per ciphertext; then 10 rows of 3
+    # to a ciphertext (32 = 3 * 10 + 2)
     (3, 2, 32), (32, 2, 3),
 ])
 def test_ctmm_product_exact_spans_ciphertexts(small, dims):
-    """The 32-slot ring, where both parts of the product and the product
-    reply need several ciphertexts."""
+    """The 32-slot ring, where the product and every term of the reply need
+    several ciphertexts."""
     par, keys, ev = small
     _check_ctmm_exact((par, keys, ev, ev), dims, ("rows", "rows", False, False))
 
@@ -282,10 +308,12 @@ def test_ctmm_zero_mask_reveals_structure(setup):
     assert np.array_equal(decrypt_matrix(keys, msg.x), X)
     assert np.array_equal(decrypt_matrix(keys, msg.y), Y)
     reply = ctmm_client_round(ev_c, keys, msg)
-    assert np.array_equal(decrypt_matrix(keys, reply.prod),
-                          matmul_mod(X, Y, par.p))
-    assert np.array_equal(decrypt_matrix(keys, reply.x_diag), X.T)
-    assert np.array_equal(decrypt_matrix(keys, reply.y_diag), Y)
+    x_terms, y_terms = _shifted_terms(X, Y)
+    want = [matmul_mod(X, Y, par.p), *x_terms, *y_terms]
+    assert len(reply) == len(want) == 7
+    for ct, m in zip(reply, want):
+        got = decrypt_matrix(keys, EncMatrix(ROWS, [ct], 4, 2))
+        assert np.array_equal(got, m)
     out = ctmm_server_finalize(ev, reply, st)
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, Y, par.p))
 
@@ -350,7 +378,6 @@ def test_encmatrix_wire_roundtrip(setup, small):
     M = _rand(rng, 3, 5, par.p)
     for params, keys_, enc in (
             (par, keys, pack_rows(ev, M, scale=9)),
-            (par, keys, pack_diagonal(ev, M)),
             (spar, skeys, pack_colblocks(sev, M, block=8))):
         blob = encmatrix_to_bytes(enc)
         back = encmatrix_from_bytes(blob, params)
@@ -371,9 +398,10 @@ def test_encmatrix_wire_roundtrip(setup, small):
 
 def test_encmatrix_layout_must_match_payload(setup, small):
     """A header the ciphertexts cannot back is rejected before anything is
-    decrypted: rows that need more ciphertexts than were sent, a split
-    product with its column part missing, no columns, columns past the ring
-    row, column blocks off the blocking rule."""
+    decrypted: rows that need more ciphertexts than were sent, no columns,
+    columns past the ring row, column blocks off the blocking rule, and the
+    ids 2 and 4 of the diagonal and split packings this package no longer
+    has."""
     par, keys, ev, _ = setup
     spar, skeys, sev = small
     rng = np.random.default_rng(501)
@@ -382,13 +410,13 @@ def test_encmatrix_layout_must_match_payload(setup, small):
     forged = EncMatrix(ROWS, rows.cts, 65, 4)
     with pytest.raises(ProtocolError, match="needs 2 ciphertexts"):
         encmatrix_from_bytes(encmatrix_to_bytes(forged), par)
-    split = EncMatrix(SUM_ROWS_COLST, rows.cts, 3, 4)
-    with pytest.raises(ProtocolError, match="needs 2 ciphertexts"):
-        encmatrix_from_bytes(encmatrix_to_bytes(split), par)
-    for bad in (EncMatrix(ROWS, rows.cts, 3, 0),
-                EncMatrix(SUM_ROWS_COLST, rows.cts, 0, 4)):
-        with pytest.raises(ProtocolError):
-            encmatrix_from_bytes(encmatrix_to_bytes(bad), par)
+    with pytest.raises(ProtocolError, match="no columns"):
+        encmatrix_from_bytes(
+            encmatrix_to_bytes(EncMatrix(ROWS, rows.cts, 3, 0)), par)
+    blob = encmatrix_to_bytes(rows)
+    for pid in (2, 4):
+        with pytest.raises(ProtocolError, match=f"unknown packing id {pid}"):
+            encmatrix_from_bytes(bytes([pid]) + blob[1:], par)
     rows = pack_rows(sev, _rand(rng, 2, 32, spar.p))
     forged = EncMatrix(ROWS, rows.cts, 2, 40)
     with pytest.raises(ProtocolError, match="exceed the 32-slot ring row"):

@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 
 from cipherformer import pahe
-from cipherformer.errors import (
-    DecryptionError,
-    NoiseBudgetError,
-    ParameterError,
-    ProtocolError,
-)
-from cipherformer.helinear import (SUM_ROWS_COLST, EncMatrix,
+from cipherformer.errors import NoiseBudgetError, ParameterError, ProtocolError
+from cipherformer.helinear import (ct_list_from_bytes, ct_list_to_bytes,
                                    encmatrix_from_bytes, encmatrix_to_bytes,
-                                   pack_diagonal, pack_rows,
-                                   split_layout_vectors)
+                                   pack_rows)
 from cipherformer.ntt import get_stacked
 from cipherformer.primes import next_prime
 from cipherformer.protocol import session
@@ -46,8 +40,8 @@ def enc(ev, v):
     return ev.encrypt_many([v])[0]
 
 
-def dec(km, ct, verify=False):
-    return km.decrypt_many([ct], verify=verify)[0]
+def dec(km, ct):
+    return km.decrypt_many([ct])[0]
 
 
 def mul(ev, ct, w):
@@ -313,16 +307,6 @@ class TestNoise:
             for _ in range(100):
                 ct = mul(ev, ct, w)
 
-    def test_shadow_catches_tampering(self, setup):
-        par, km, _, rng = setup
-        ev = pahe.Evaluator(km.public(), seed=5, track_plain=True)
-        v = rand_vec(par, rng)
-        ct = mul(ev, rot(ev, enc(ev, v), 1), const(par, 7))
-        dec(km, ct, verify=True)
-        ct._ref[3] = (ct._ref[3] + 1) % par.p
-        with pytest.raises(DecryptionError):
-            dec(km, ct, verify=True)
-
 
 class TestWireFormat:
     def test_ciphertext_roundtrip(self, setup):
@@ -408,8 +392,8 @@ class TestWireFormat:
         assert unpack_array(pack_array(empty)).shape == empty.shape
 
     @pytest.mark.parametrize("decoder", ["ciphertext", "public_keys",
-                                         "encmatrix", "diag", "sum_rows_colsT",
-                                         "array", "points"])
+                                         "encmatrix", "reply_list", "array",
+                                         "points"])
     def test_decoder_fuzz_raises_only_package_errors(self, setup, decoder):
         """Seeded mutations of an honest blob: flipped, truncated or inserted
         bytes, mostly in the header where the lengths live.  The decoder may
@@ -426,22 +410,15 @@ class TestWireFormat:
             M = rng.integers(0, par.p, (2, 5), dtype=np.uint64)
             blob = encmatrix_to_bytes(pack_rows(ev, M))
             parse = encmatrix_from_bytes
-        elif decoder == "diag":
-            M = rng.integers(0, par.p, (3, 50), dtype=np.uint64)
-            blob = encmatrix_to_bytes(pack_diagonal(ev, M))
-            parse = encmatrix_from_bytes
-        elif decoder == "sum_rows_colsT":
-            # 3 x 50 on 128-slot rows: two rows to a ciphertext, then the
-            # 50 x 3 transpose at 42 rows to a ciphertext
-            A, B = (rng.integers(0, par.p, (3, 50), dtype=np.uint64)
-                    for _ in range(2))
-            shell = EncMatrix(SUM_ROWS_COLST, [], 3, 50)
-            cts = ev.encrypt_many(split_layout_vectors(par, shell, A, B))
-            assert len(cts) == 2 + 2
-            blob = encmatrix_to_bytes(EncMatrix(SUM_ROWS_COLST, cts, 3, 50))
-            parse = encmatrix_from_bytes
-        if decoder in ("ciphertext", "public_keys", "encmatrix", "diag",
-                       "sum_rows_colsT"):
+        elif decoder == "reply_list":
+            # a product reply with k = 2: the product and two terms of
+            # each factor, one list of five ciphertexts
+            blob = ct_list_to_bytes(
+                ev.encrypt_many([rand_vec(par, rng) for _ in range(5)]))
+            parse = lambda data, par_: ct_list_from_bytes(  # noqa: E731
+                data, par_, 5, "product reply")
+        if decoder in ("ciphertext", "public_keys", "encmatrix",
+                       "reply_list"):
             # the first parameter block and the lengths just past it
             head = blob.index(b"toy") + 3 + 8 + 4
         elif decoder == "array":

@@ -17,28 +17,32 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cipherformer.errors import ProtocolError
+from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.helinear import ROWS, _PACKING_IDS, rows_per_ct
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
-from cipherformer.protocol import (STAGE_OPEN, SocketConn, private_inference,
-                                   run_client, run_pair, run_server, session)
+from cipherformer.pahe import _pack_params
+from cipherformer.protocol import (HELLO, MM_REPLY, STAGE_OPEN, SocketConn,
+                                   memory_pair, private_inference, run_client,
+                                   run_pair, run_server, session,
+                                   session_geometry)
 from cipherformer.protocol.framing import (_HEADER, decode_fields,
-                                           encode_fields, write_frame)
+                                           encode_fields, pack_array, pack_u64,
+                                           write_frame)
 
 CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
                   n_classes=2, w=20, f=9)
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "a4188f32bd3fc6e7daf2ba49af4ddee4"
-                "9e752d8023e2d142caf315e6e8899b63",
-    "opt1": "50f4fd28f275376609c80ccaf1a5f838"
-            "892113c7d0d33641398ce70ce1bd9179",
-    "opt2": "3ecd1a54fafcee8c1a5f1fa24737c1fc"
-            "e0267f774ae570f4e78172a53bdb9e6e",
+    "baseline": "3468e7e3eb72996d7138190ac8da21bb"
+                "fedd5b04c3ddd33eae932d0d4625d41e",
+    "opt1": "33ea7ba553a8c152d3373bdcc9fad709"
+            "7c195f7e28e81913c0a19e9bd9fdffc8",
+    "opt2": "9bacb6a41d344edc4f5ef49440bed137"
+            "703cb9991547a05f56160b747cc0e2c7",
 }
-TWO_LAYER_DIGEST = ("f4d78567eb49af0d0c750d1bbd4bafce"
-                    "2754767b35df2c9dfc74d07fcebab7f0")
+TWO_LAYER_DIGEST = ("0178c1a149671a43e0905516a4983be1"
+                    "a1ffe3ec0ed9f661b226e6b042b2fee5")
 
 
 @pytest.fixture(scope="module")
@@ -145,22 +149,23 @@ def test_socket_read_fails_when_the_peer_closes_mid_read():
     conn.close()
 
 
-class _EditFirstStageOpen:
-    """Server end of the transport that rewrites the header of the first
-    STAGE_OPEN frame's masked matrix before it leaves."""
+class _EditFirstFrame:
+    """One end of the transport that edits one field of the first frame of
+    type `ftype` it sends, in place, before it leaves."""
 
-    def __init__(self, conn, edit):
-        self._conn, self._edit, self._done = conn, edit, False
+    def __init__(self, conn, ftype, tag, edit):
+        self._conn, self._ftype, self._tag = conn, ftype, tag
+        self._edit, self._done = edit, False
 
     def send(self, data: bytes):
         _magic, ftype, _ln = _HEADER.unpack_from(data)
-        if ftype != STAGE_OPEN or self._done:
+        if ftype != self._ftype or self._done:
             return self._conn.send(data)
         self._done = True
         fields = decode_fields(data[_HEADER.size:])
-        head = bytearray(fields["menc"])
-        self._edit(head)
-        fields["menc"] = bytes(head)
+        blob = bytearray(fields[self._tag])
+        self._edit(blob)
+        fields[self._tag] = bytes(blob)
         write_frame(self._conn, ftype, encode_fields(fields))
 
     def recv_exact(self, n: int) -> bytes:
@@ -197,9 +202,93 @@ def test_client_rejects_stage_open_off_the_plan(weights, edit):
     decodes but differs from the plan; the client refuses it with the same
     geometry check the server applies to the shares it receives."""
     server_err, client_err = run_pair(
-        _caught(lambda conn: run_server(_EditFirstStageOpen(conn, edit), CFG,
-                                        weights, "opt1", seed=11)),
+        _caught(lambda conn: run_server(
+            _EditFirstFrame(conn, STAGE_OPEN, "menc", edit), CFG, weights,
+            "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
     assert "stage qkv_rescale payload has layout" in str(client_err)
     assert isinstance(server_err, ProtocolError)
+
+
+def _reply_entries(blob: bytearray) -> list[int]:
+    """Offsets of each length-prefixed ciphertext of a reply list."""
+    (count,) = struct.unpack_from("<I", blob, 0)
+    offs, off = [], 4
+    for _ in range(count):
+        offs.append(off)
+        off += 4 + struct.unpack_from("<I", blob, off)[0]
+    return offs
+
+
+def _one_too_few(blob: bytearray):
+    last = _reply_entries(blob)[-1]
+    del blob[last:]
+    struct.pack_into("<I", blob, 0, struct.unpack_from("<I", blob, 0)[0] - 1)
+
+
+def _residue_past_its_prime(blob: bytearray):
+    # the first residue of the first ciphertext's c0: past the list count,
+    # the length, the magic, the parameter block, the noise estimate and
+    # the polynomial length
+    params = session_geometry(CFG, "opt1").params
+    struct.pack_into("<Q", blob, 4 + 4 + 4 + len(_pack_params(params)) + 8 + 4,
+                     params.q_primes[0])
+
+
+@pytest.mark.parametrize("edit,error", [
+    pytest.param(_one_too_few, "needs 9 ciphertexts, payload has 8",
+                 id="one-too-few"),
+    pytest.param(lambda b: b.__delitem__(slice(len(b) // 2, None)),
+                 "polynomial length does not match", id="truncated"),
+    pytest.param(lambda b: b.extend(b"\0"), "trailing bytes",
+                 id="trailing-bytes"),
+    pytest.param(_residue_past_its_prime, "residue not reduced",
+                 id="residue-past-q"),
+])
+def test_server_rejects_malformed_mm_reply(weights, edit, error):
+    """The first product reply arrives malformed; the server refuses it with
+    a ProtocolError before it multiplies anything.  The count it accepts is
+    the one its mask state implies (2k + 1 = 9 ciphertexts for the 4 x 4
+    inner product of opt1).  A flip that still decodes to well-formed
+    ciphertexts is not caught: this protocol is semi-honest, and such a
+    reply only corrupts the client's own result."""
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(
+            _EditFirstFrame(conn, MM_REPLY, "mmrp", edit), TOKENS, seed=12)))
+    assert isinstance(server_err, ProtocolError)
+    assert error in str(server_err)
+    assert isinstance(client_err, ProtocolError)
+
+
+@pytest.mark.parametrize("index,value", [
+    pytest.param(1, 1 << 40, id="seq_len"),
+    pytest.param(0, 1 << 12, id="vocab"),
+    pytest.param(4, session.MAX_LAYERS + 1, id="n_layers"),
+])
+def test_client_refuses_oversized_hello_before_planning(monkeypatch, index,
+                                                         value):
+    """A forged hello asks for a ring past `MAX_RING_DEGREE` or more layers
+    than `MAX_LAYERS`; the client refuses it in `session_geometry` before
+    the plan, the ring or any key is sized."""
+    monkeypatch.setattr(ModelConfig, "plan",
+                        lambda *_: pytest.fail("planned a hostile hello"))
+    dims = [CFG.vocab, CFG.seq_len, CFG.dim, CFG.ff_dim, CFG.n_layers,
+            CFG.n_classes, CFG.w, CFG.f]
+    dims[index] = value
+    sconn, cconn = memory_pair()
+    write_frame(sconn, HELLO, encode_fields({
+        "mode": b"opt1", "dims": pack_array(np.array(dims, dtype=np.uint64)),
+        "ring": pack_u64(512), "prim": pack_u64(0)}))
+    with pytest.raises(ParameterError, match="limit"):
+        run_client(cconn, TOKENS, seed=12)
+
+
+def test_geometry_limits_admit_their_bounds():
+    """A shape at exactly the ring limit and one with exactly `MAX_LAYERS`
+    layers still size a session."""
+    wide = replace(CFG, vocab=128, seq_len=64)
+    assert session_geometry(wide, "opt1").n == session.MAX_RING_DEGREE
+    deep = replace(CFG, n_layers=session.MAX_LAYERS)
+    assert session_geometry(deep, "opt2").plan.encoders
