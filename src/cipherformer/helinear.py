@@ -13,12 +13,34 @@ one, and because each diagonal zeroes every slot it does not own, cyclic
 wraparound never smears garbage into the result, so no input tiling is
 required.
 
+The sum runs baby-step giant-step (Halevi and Shoup, "Faster Homomorphic
+Linear Transformations in HElib", CRYPTO 2018).  Write each diagonal offset
+as d = g*j + i with 0 <= i < g.  A rotation distributes over the slotwise
+product, so::
+
+    rot(X * roll(v_d, dB), dB) = rot(rot(X, iB) * roll(v_d, gjB), gjB)
+
+and all terms that share a giant step j and an output ciphertext sum before
+one rotation by gjB: about D/g key switches for D diagonals instead of D.
+The baby steps rot(X, iB) are never rotated here.  A colblocks matrix with
+`steps` = g carries them as g copies, copy i the layout rotated left by i
+blocks, and the key holder encrypts every copy fresh.  A rotation on this
+side would not fit the budget: the key switch adds about 70 bits of noise,
+and a full-range weight plaintext multiplies that by about 2^71 (61 bits of
+coefficient, 10 of ring degree at n = 1024), about 141 bits against a
+budget of about 100.  A fresh copy times the same weight stays far inside
+it, so multiply-before-rotate still holds.  With one copy the schedule is
+the plain one, a rotation per diagonal.
+
 Packings
 --------
 rows       T = rows_per_ct(cols) = row_size // cols consecutive rows per
            ciphertext: ct g holds row g*T + i in slots i*cols + s
 colblocks  columns laid out in fixed-size blocks, slot j*block + i holds
-           M[i, j]; the layout for batched per-position products
+           M[i, j]; the layout for batched per-position products.  With
+           `steps` = s > 1 it holds s copies, copy-major: ciphertext
+           t*G + c is copy t of column group c, its ring row rotated left
+           by t blocks (G = ciphertexts per copy)
 
 `rows_per_ct` and `colblock_cols_per_ct` are the two blocking rules; every
 packer, product, offset and the wire decoder follow them, so a ciphertext
@@ -45,7 +67,7 @@ rotations, and adds R1*R2 itself.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +109,7 @@ class EncMatrix:
     scale: int = 0
     block: int = 0          # colblocks: slots per column block
     cols_per_ct: int = 0    # colblocks: columns carried by each ciphertext
+    steps: int = 1          # colblocks: baby-step copies, copy-major
 
     def __post_init__(self):
         if self.packing not in _PACKING_IDS:
@@ -125,16 +148,17 @@ def _rows_matrix(slots: np.ndarray, rows: int, cols: int,
 
 
 def _colblock_vectors(M: np.ndarray, block: int, cols_per_ct: int,
-                      width: int) -> list[np.ndarray]:
+                      width: int, steps: int) -> list[np.ndarray]:
+    """Ring-row slot vectors of a colblocks layout, copy-major: copy t is
+    every vector rotated left by t blocks."""
     r, c = M.shape
-    out = []
-    for j0 in range(0, c, cols_per_ct):
-        vec = np.zeros(width, dtype=np.uint64)
-        for j in range(j0, min(c, j0 + cols_per_ct)):
-            off = (j - j0) * block
-            vec[off:off + r] = M[:, j]
-        out.append(vec)
-    return out
+    G = -(-c // cols_per_ct)
+    blocks = np.zeros((G * cols_per_ct, block), dtype=np.uint64)
+    blocks[:c, :r] = M.T
+    base = np.zeros((G, width), dtype=np.uint64)
+    base[:, :cols_per_ct * block] = blocks.reshape(G, -1)
+    return [vec for t in range(steps)
+            for vec in np.roll(base, -t * block, axis=1)]
 
 
 def layout_vectors(params: PaheParams, enc: EncMatrix, M,
@@ -153,8 +177,8 @@ def layout_vectors(params: PaheParams, enc: EncMatrix, M,
             f"offset shape {A.shape} != matrix shape {(enc.rows, enc.cols)}")
     if enc.packing == ROWS:
         return _rows_vectors(A, rows_per_ct(params, enc.cols))
-    return _colblock_vectors(A, enc.block, enc.cols_per_ct,
-                             enc.block * enc.cols_per_ct)
+    return _colblock_vectors(A, enc.block, enc.cols_per_ct, params.row_size,
+                             enc.steps)
 
 
 # ----------------------------------------------------------------------------
@@ -183,25 +207,36 @@ def colblock_cols_per_ct(params: PaheParams, cols: int, block: int) -> int:
     return min(cols, params.row_size // block)
 
 
-def pack_colblocks(ev: Evaluator, M, block: int, scale: int = 0) -> EncMatrix:
+def pack_colblocks(ev: Evaluator, M, block: int, scale: int = 0,
+                   steps: int = 1) -> EncMatrix:
+    """Column blocks of `block` slots; `steps` copies, copy t rotated left by
+    t blocks, all encrypted in one batch (the baby steps of
+    `colblock_matmul`)."""
     A = _entries(M)
     r, c = A.shape
+    half = ev.params.row_size
     if block < r:
         raise ParameterError(f"block {block} shorter than column height {r}")
-    if block > ev.params.row_size:
+    if block > half:
         raise ParameterError(f"block {block} exceeds row capacity")
+    if not 0 < steps <= half // block:
+        raise ParameterError(f"{steps} copies of {block}-slot blocks do not "
+                             f"fit a {half}-slot ring row")
     cpc = colblock_cols_per_ct(ev.params, c, block)
-    cts = ev.encrypt_many(_colblock_vectors(A, block, cpc, cpc * block))
-    return EncMatrix(COLBLOCKS, cts, r, c, scale, block=block, cols_per_ct=cpc)
+    cts = ev.encrypt_many(_colblock_vectors(A, block, cpc, half, steps))
+    return EncMatrix(COLBLOCKS, cts, r, c, scale, block=block,
+                     cols_per_ct=cpc, steps=steps)
 
 
 def decrypt_matrix(keys: KeyMaterial, enc: EncMatrix) -> np.ndarray:
-    """Decrypt any packing back to a (rows, cols) uint64 array."""
+    """Decrypt any packing back to a (rows, cols) uint64 array; of a
+    colblocks matrix with baby-step copies, only copy 0."""
     par = keys.params
-    dec = keys.decrypt_many(enc.cts)
     r, c = enc.rows, enc.cols
     if enc.packing == ROWS:
-        return _rows_matrix(dec, r, c, rows_per_ct(par, c))
+        return _rows_matrix(keys.decrypt_many(enc.cts), r, c,
+                            rows_per_ct(par, c))
+    dec = keys.decrypt_many(enc.cts[:len(enc.cts) // enc.steps])
     M = np.zeros((r, c), dtype=np.uint64)
     for g in range(dec.shape[0]):
         for j in range(g * enc.cols_per_ct, min(c, (g + 1) * enc.cols_per_ct)):
@@ -214,29 +249,43 @@ def add_offset(ev: Evaluator, enc: EncMatrix, M, transpose: bool = False) -> Enc
     """enc + M with M in the clear, laid out to match enc's packing."""
     vecs = layout_vectors(ev.params, enc, M, transpose)
     cts = ev.add_plain_many(enc.cts, vecs)
-    return EncMatrix(enc.packing, cts, enc.rows, enc.cols, enc.scale,
-                     block=enc.block, cols_per_ct=enc.cols_per_ct)
+    return replace(enc, cts=cts)
 
 
 # ----------------------------------------------------------------------------
 # plain-matrix by encrypted-matrix products (diagonal method)
 
 
+def colblock_diagonals(params: PaheParams, in_cols: int, block: int,
+                       out_cols: int) -> int:
+    """Diagonal offsets one (input ct, output ct) sweep of colblock_matmul
+    spans on an (rows x in_cols) @ (in_cols x out_cols) product: nin + nout
+    - 1, each counted by the column-blocking rule."""
+    return (colblock_cols_per_ct(params, in_cols, block)
+            + colblock_cols_per_ct(params, out_cols, block) - 1)
+
+
 def colblock_rotation_amounts(params: PaheParams, in_cols: int, block: int,
-                              out_cols: int) -> list[int]:
-    """Column-rotation key amounts colblock_matmul will use on an
-    (rows x in_cols) @ (in_cols x out_cols) product with blocks of `block`."""
+                              out_cols: int, steps: int) -> list[int]:
+    """Column-rotation key amounts colblock_matmul uses on an
+    (rows x in_cols) @ (in_cols x out_cols) product with blocks of `block`
+    and `steps` baby-step copies of the input: only the giant steps
+    g*j*block, for every j some diagonal d = g*j + i reaches."""
     nin = colblock_cols_per_ct(params, in_cols, block)
     nout = colblock_cols_per_ct(params, out_cols, block)
-    return sorted({(d * block) % params.row_size
+    return sorted({(d - d % steps) * block % params.row_size
                    for d in range(-(nout - 1), nin)} - {0})
 
 
 def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0) -> EncMatrix:
-    """Y = X @ W for X in colblocks packing; output in colblocks packing.
+    """Y = X @ W for X in colblocks packing; output in colblocks packing,
+    one copy.
 
-    Every row of X is processed simultaneously: one diagonal sweep per
-    (input ct, output ct) pair, sharing rotation amounts d * block.
+    Every row of X is processed simultaneously.  Diagonal d of an (input
+    ct, output ct) pair, split d = g*j + i by X's g = `steps`, multiplies
+    copy i by the diagonal pre-rolled by g*j blocks; every product that
+    shares an output ciphertext and a giant step, over all input
+    ciphertexts, sums before one rotation by g*j*block.
     """
     A = _entries(W)
     par = ev.params
@@ -247,37 +296,42 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0) -> EncMatr
         raise ParameterError(
             f"inner dims disagree: X is {X.rows}x{X.cols}, W is {A.shape[0]}x{A.shape[1]}")
     d_out = A.shape[1]
-    B = X.block
+    B, g = X.block, X.steps
+    G_in = len(X.cts) // g
     C = colblock_cols_per_ct(par, d_out, B)
     n_groups = -(-d_out // C)
-    vecs, plan = [], []
+    vecs, cts, dest = [], [], []
     for og in range(n_groups):
         j0, j1 = og * C, min(d_out, (og + 1) * C)
-        for gi, xct in enumerate(X.cts):
+        nout = j1 - j0
+        for gi in range(G_in):
             v0 = gi * X.cols_per_ct
             nin = min(X.cols, v0 + X.cols_per_ct) - v0
-            for d in range(-(j1 - j0 - 1), nin):
-                vec = np.zeros(half, dtype=np.uint64)
-                any_entry = False
-                for jl in range(j1 - j0):
-                    src = jl + d
-                    if 0 <= src < nin:
-                        w = A[v0 + src, j0 + jl]
-                        if w:
-                            vec[jl * B:jl * B + X.rows] = w
-                            any_entry = True
-                if not any_entry:
-                    continue
-                vecs.append(np.roll(vec, d * B))
-                plan.append((og, gi, (d * B) % half))
-    encs = encode_plain_many(par, vecs)
-    terms = ev.simd_scmult_many([X.cts[gi] for _, gi, _ in plan], encs)
-    rot = [i for i, (_, _, sh) in enumerate(plan) if sh]
-    for i, term in zip(rot, ev.col_rotate_many([terms[i] for i in rot],
-                                               [plan[i][2] for i in rot])):
-        terms[i] = term
+            # w[d, jl]: the weight diagonal d puts in output block jl
+            ds = np.arange(-(nout - 1), nin)
+            src = ds[:, None] + np.arange(nout)
+            ok = (src >= 0) & (src < nin)
+            w = np.where(ok, A[v0 + np.clip(src, 0, nin - 1),
+                               j0 + np.arange(nout)], np.uint64(0))
+            live = w.any(axis=1)
+            ds, w = ds[live], w[live]
+            blocks = np.zeros((len(ds), nout, B), dtype=np.uint64)
+            blocks[:, :, :X.rows] = w[:, :, None]
+            diag = np.zeros((len(ds), half), dtype=np.uint64)
+            diag[:, :nout * B] = blocks.reshape(len(ds), nout * B)
+            shifts = (ds - ds % g) * B
+            idx = (np.arange(half) - shifts[:, None]) % half
+            vecs.extend(np.take_along_axis(diag, idx, axis=1))
+            cts.extend(X.cts[i * G_in + gi] for i in ds % g)
+            dest.extend((og, int(sh) % half) for sh in shifts)
+    terms = ev.simd_scmult_many(cts, encode_plain_many(par, vecs))
+    partial: dict[tuple[int, int], Ciphertext] = {}
+    for key, term in zip(dest, terms):
+        partial[key] = ev.add_ct(partial[key], term) if key in partial else term
+    rotated = ev.col_rotate_many(list(partial.values()),
+                                 [sh for _, sh in partial])
     accs: list[Ciphertext | None] = [None] * n_groups
-    for term, (og, _, _) in zip(terms, plan):
+    for (og, _), term in zip(partial, rotated):
         accs[og] = term if accs[og] is None else ev.add_ct(accs[og], term)
     for og, acc in enumerate(accs):
         if acc is None:  # an all-zero block of W
@@ -456,29 +510,40 @@ def ct_list_from_bytes(data, params: PaheParams, count: int,
     return cts
 
 
-_MATRIX_HEAD = struct.Struct("<BIIiII")
+# packing id, rows, cols, scale, block, cols_per_ct, steps.  The last two
+# count blocks of one ring row, at most 2^13 on any session ring, so they
+# share one 32-bit word and the header keeps its 21 bytes.
+_MATRIX_HEAD = struct.Struct("<BIIiIHH")
 
 
 def encmatrix_to_bytes(enc: EncMatrix) -> bytes:
     return _MATRIX_HEAD.pack(_PACKING_IDS[enc.packing], enc.rows, enc.cols,
-                             enc.scale, enc.block,
-                             enc.cols_per_ct) + ct_list_to_bytes(enc.cts)
+                             enc.scale, enc.block, enc.cols_per_ct,
+                             enc.steps) + ct_list_to_bytes(enc.cts)
 
 
 def _layout_ct_count(params: PaheParams, packing: str, rows: int, cols: int,
-                     block: int, cpc: int) -> int:
+                     block: int, cpc: int, steps: int) -> int:
     """How many ciphertexts a layout holds; ProtocolError when no matrix of
     this package could have it (data past a ring row, blocking off the rule,
-    block fields on a packing without blocks)."""
+    block fields or baby-step copies on a packing without blocks, more
+    copies than blocks in a ring row)."""
     half = params.row_size
+    if steps == 0:
+        raise ProtocolError(f"{packing} matrix has no copies")
     if packing == COLBLOCKS:
         if not (0 < rows <= block <= half and cols > 0
                 and cpc == colblock_cols_per_ct(params, cols, block)):
             raise ProtocolError(f"column blocks of {rows}x{cols}, block {block}, "
                                 f"{cpc} per ciphertext do not fit the ring")
-        return -(-cols // cpc)
+        if steps > half // block:
+            raise ProtocolError(f"{steps} copies of {block}-slot blocks "
+                                f"exceed the {half}-slot ring row")
+        return steps * -(-cols // cpc)
     if block or cpc:
         raise ProtocolError(f"{packing} packing carries block fields")
+    if steps != 1:
+        raise ProtocolError(f"{packing} packing carries {steps} copies")
     if cols > half:
         raise ProtocolError(f"{cols} columns exceed the {half}-slot ring row")
     if cols == 0:
@@ -491,13 +556,15 @@ def encmatrix_from_bytes(data: bytes, params: PaheParams) -> EncMatrix:
     package could have produced under `params`, and the ciphertext count
     must be exactly the one it implies."""
     try:
-        pid, rows, cols, scale, block, cpc = _MATRIX_HEAD.unpack_from(data, 0)
+        pid, rows, cols, scale, block, cpc, steps = \
+            _MATRIX_HEAD.unpack_from(data, 0)
     except struct.error as exc:
         raise ProtocolError(f"truncated matrix payload: {exc}") from None
     if pid not in _PACKING_BY_ID:
         raise ProtocolError(f"unknown packing id {pid}")
     packing = _PACKING_BY_ID[pid]
-    want = _layout_ct_count(params, packing, rows, cols, block, cpc)
+    want = _layout_ct_count(params, packing, rows, cols, block, cpc, steps)
     cts = ct_list_from_bytes(memoryview(data)[_MATRIX_HEAD.size:], params,
                              want, f"{packing} matrix of {rows}x{cols}")
-    return EncMatrix(packing, cts, rows, cols, scale, block=block, cols_per_ct=cpc)
+    return EncMatrix(packing, cts, rows, cols, scale, block=block,
+                     cols_per_ct=cpc, steps=steps)

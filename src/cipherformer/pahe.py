@@ -448,6 +448,14 @@ def _signed_to_rns(params: PaheParams, signed: np.ndarray) -> np.ndarray:
     return np.mod(signed[..., None, :], col).astype(np.uint64)
 
 
+def galois_elements(params: PaheParams,
+                    rotations: Iterable[int]) -> tuple[int, ...]:
+    """The Galois elements 3^r mod 2n of the nonzero column rotations r, in
+    the order key sets generate and serialize them."""
+    return tuple(sorted({pow(3, r % params.row_size, 2 * params.n)
+                         for r in rotations if r % params.row_size}))
+
+
 def keygen(params: PaheParams, seed: int | None = None,
            rotations: Iterable[int] = ()) -> KeyMaterial:
     """Generate secret/public/Galois keys.
@@ -466,12 +474,7 @@ def keygen(params: PaheParams, seed: int | None = None,
     pk0 = submod(e, mulmod_shoup(a, sk, sk_sh, col), col)
     km = KeyMaterial(params, pk0, a, {}, sk, sk_sh)
 
-    wanted: set[int] = set()
-    for r in rotations:
-        r %= params.row_size
-        if r:
-            wanted.add(pow(3, r, 2 * n))
-    for t in sorted(wanted):
+    for t in galois_elements(params, rotations):
         km.galois[t] = _make_kswitch(params, rng, sk, sk_sh, t)
     return km
 
@@ -757,31 +760,38 @@ def public_keys_to_bytes(km: KeyMaterial) -> bytes:
     return out
 
 
-def public_keys_from_bytes(data: bytes, params: PaheParams) -> KeyMaterial:
+def public_keys_from_bytes(data: bytes, params: PaheParams,
+                           elements: Sequence[int]) -> KeyMaterial:
     """Parse the peer's public and rotation keys under the session's `params`
     (compared byte for byte with the wire's parameter block, as in
-    `ct_from_bytes`).  Each Galois element must be odd, below 2n and listed
-    once."""
+    `ct_from_bytes`).  The blob must hold a switch key for exactly the
+    Galois elements `elements`, in that order: a missing, extra or
+    reordered element is refused before any key's Shoup twins are built."""
     buf = memoryview(data)
     col = params.q_col
     off = _expect_params(buf, _PK_MAGIC, params, "key blob")
     shape = (params.k, params.n)
     pk0, off = _unpack_poly(buf, off, shape, params)
     pk1, off = _unpack_poly(buf, off, shape, params)
-    galois = {}
+    digits = []
     try:
         (ng,) = struct.unpack_from("<H", buf, off)
         off += 2
-        for _ in range(ng):
+        if ng != len(elements):
+            raise ProtocolError(f"key blob holds {ng} Galois keys, the "
+                                f"session needs {len(elements)}")
+        for want in elements:
             (t,) = struct.unpack_from("<I", buf, off)
             off += 4
-            if t % 2 == 0 or t >= 2 * params.n or t in galois:
-                raise ProtocolError(f"bad Galois element {t} in key blob")
+            if t != want:
+                raise ProtocolError(f"key blob has Galois element {t} where "
+                                    f"the session needs {want}")
             k0, off = _unpack_poly(buf, off, (params.k,) + shape, params)
             k1, off = _unpack_poly(buf, off, (params.k,) + shape, params)
-            galois[t] = KeySwitchKey.from_digits(k0, k1, col)
+            digits.append((t, k0, k1))
     except struct.error:
         raise ProtocolError("truncated key blob") from None
     if off != len(buf):
         raise ProtocolError("trailing bytes after key blob")
+    galois = {t: KeySwitchKey.from_digits(k0, k1, col) for t, k0, k1 in digits}
     return KeyMaterial(params, pk0, pk1, galois)

@@ -40,6 +40,13 @@ The ciphertext-by-ciphertext products mask both factors, let the client
 multiply in the clear, and finish the cross terms homomorphically; the
 result is a plain rows matrix, so every stage input is `rows` or
 `colblocks` and every stage mask is one `add_offset`.
+
+The plain-weight products run baby-step giant-step (see `helinear`): every
+matrix one of them reads -- the encrypted input and the shares of
+attn_rescale, ff_hidden and of every ff_out but the last -- is a fresh
+client encryption, so the client sends it as `Geometry.steps` rotated
+copies inside the frame that already carries it, and the server needs
+rotation keys for the giant steps only.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -57,9 +65,10 @@ from ..gc.garble import active_output_pads, evaluate, garble
 from ..gc.ot import (LAMBDA, BaseOtReceiver, BaseOtSender, OtExtReceiver,
                      OtExtSender, RandomOtBatch, RandomOtSenderBatch)
 from ..helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix, add_offset,
-                        colblock_cols_per_ct, colblock_matmul,
-                        colblock_rotation_amounts, ct_list_from_bytes,
-                        ct_list_to_bytes, ctmm_client_round, ctmm_reply_count,
+                        colblock_cols_per_ct, colblock_diagonals,
+                        colblock_matmul, colblock_rotation_amounts,
+                        ct_list_from_bytes, ct_list_to_bytes,
+                        ctmm_client_round, ctmm_reply_count,
                         ctmm_server_finalize, ctmm_server_mask, decrypt_matrix,
                         encmatrix_from_bytes, encmatrix_to_bytes,
                         layout_vectors, pack_colblocks, pack_rows)
@@ -67,7 +76,7 @@ from ..model import (ModelConfig, Weights, folded_first_layer,
                      validate_weights, value_projection)
 from ..ntt import reduce128
 from ..pahe import (Evaluator, KeyMaterial, PaheParams, ct_from_bytes,
-                    ct_to_bytes, encode_plain_many, keygen,
+                    ct_to_bytes, encode_plain_many, galois_elements, keygen,
                     public_keys_from_bytes, public_keys_to_bytes,
                     session_params)
 from ..stages import (MODES, StagePlan, StageSpec, b2a_weights,
@@ -108,20 +117,37 @@ class Geometry:
     p: int                      # plaintext modulus
     sigma: float                # statistical masking slack, bits
     params: PaheParams
-    rotations: tuple[int, ...]  # column-rotation key amounts
+    products: tuple[tuple[int, int], ...]  # plain-weight (in, out) widths
+    steps: int                  # baby-step copies of each product input
+    rotations: tuple[int, ...]  # giant-step column-rotation key amounts
     ot_total: int               # random OTs one session consumes
 
+    @property
+    def galois(self) -> tuple[int, ...]:
+        """The Galois elements of the rotation keys, in key-blob order."""
+        return galois_elements(self.params, self.rotations)
+
+    def share_steps(self, layer: int, stage: str) -> int:
+        """Baby-step copies the client sends of a stage's output share:
+        `steps` where a plain-weight product reads it (the feed-forward
+        input and hidden layer, and the next layer's QKV input), else 1."""
+        feeds_product = (stage in ("attn_rescale", "ff_hidden")
+                         or (stage == "ff_out"
+                             and layer < self.cfg.n_layers - 1))
+        return self.steps if feeds_product else 1
+
     def check(self, enc: EncMatrix, packing: str, shape: tuple[int, int],
-              scale: int, what: str) -> EncMatrix:
-        """`enc` itself, once its packing, shape, scale and blocking are the
-        ones this geometry prescribes; ProtocolError otherwise.  Column
-        blocks are always one sequence long, laid out by the blocking rule."""
+              scale: int, what: str, steps: int = 1) -> EncMatrix:
+        """`enc` itself, once its packing, shape, scale, blocking and copy
+        count are the ones this geometry prescribes; ProtocolError
+        otherwise.  Column blocks are always one sequence long, laid out by
+        the blocking rule."""
         rows, cols = shape
         block = self.cfg.seq_len if packing == COLBLOCKS else 0
         cpc = colblock_cols_per_ct(self.params, cols, block) if block else 0
-        want = (packing, rows, cols, scale, block, cpc)
+        want = (packing, rows, cols, scale, block, cpc, steps)
         got = (enc.packing, enc.rows, enc.cols, enc.scale, enc.block,
-               enc.cols_per_ct)
+               enc.cols_per_ct, enc.steps)
         if got != want:
             raise ProtocolError(f"{what} has layout {got}, expected {want}")
         return enc
@@ -135,8 +161,15 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     so the widest column-block tensor of the pipeline fits one ciphertext
     row; the plaintext modulus is the smallest NTT-friendly prime giving the
     widest window its masking slack, and `session_params` picks the RNS
-    primes for it.  Column blocks follow `colblock_cols_per_ct`, and the
-    rotation keys are exactly the amounts the plain-weight products use.
+    primes for it.  Column blocks follow `colblock_cols_per_ct`.
+
+    The plain-weight products run baby-step giant-step with one
+    session-wide g = ceil(sqrt(D_max)) baby steps, D_max the most diagonals
+    any product shape spans (`colblock_diagonals`): the client sends g
+    copies of every product input, and a product of D diagonals costs
+    about D/g rotations.  The rotation keys are exactly the giant-step
+    amounts those products use.
+
     Both parties run this from the hello parameters and then compare what
     the peer sends against it; nothing is rebuilt from the peer's bytes.  A
     shape past `MAX_RING_DEGREE` or `MAX_LAYERS` is refused before anything
@@ -159,12 +192,16 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
               (cfg.ff_dim, cfg.dim)]
     if cfg.n_layers > 1:
         shapes.append((cfg.dim, 3 * cfg.dim))
+    d_max = max(colblock_diagonals(params, d_in, cfg.seq_len, d_out)
+                for d_in, d_out in shapes)
+    steps = isqrt(d_max - 1) + 1
     rots: set[int] = set()
     for d_in, d_out in shapes:
-        rots.update(colblock_rotation_amounts(params, d_in, cfg.seq_len, d_out))
+        rots.update(colblock_rotation_amounts(params, d_in, cfg.seq_len,
+                                              d_out, steps))
     ot_total = sum(s.m * s.count for enc in plan.encoders for s in enc)
-    return Geometry(cfg, mode, plan, n, p, sigma, params,
-                    tuple(sorted(rots)), ot_total)
+    return Geometry(cfg, mode, plan, n, p, sigma, params, tuple(shapes),
+                    steps, tuple(sorted(rots)), ot_total)
 
 
 def _client_keys(params: PaheParams, rotations: tuple[int, ...],
@@ -180,10 +217,11 @@ _cached_keys = lru_cache(maxsize=16)(_client_keys)
 
 
 @lru_cache(maxsize=4)
-def _parse_public_keys(blob: bytes, params: PaheParams) -> KeyMaterial:
+def _parse_public_keys(blob: bytes, params: PaheParams,
+                       elements: tuple[int, ...]) -> KeyMaterial:
     # rebuilding Shoup twins dominates parsing; clients reusing a key set
     # across sessions send byte-identical blobs, so memoize on the bytes
-    return public_keys_from_bytes(blob, params)
+    return public_keys_from_bytes(blob, params, elements)
 
 
 # ----------------------------------------------------------------------------
@@ -353,7 +391,8 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
         (blob,) = need(sfields, f"sh{oi:02d}")
         shape = (spec.rows, g.count // spec.rows)
         se = geom.check(encmatrix_from_bytes(blob, geom.params), out_packing,
-                        shape, spec.scale_out, f"stage {spec.name} share {oi}")
+                        shape, spec.scale_out, f"stage {spec.name} share {oi}",
+                        geom.share_steps(layer, spec.name))
         outs.append(add_offset(ev, se, corr_lanes[oi].reshape(shape)))
 
     sp.tr.add_gc_bytes(gc_bytes)
@@ -423,11 +462,7 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
 
     fields = _recv(conn, tr, ACCEPT)
     bpk, bpt = need(fields, "pkey", "bota")
-    pub = _parse_public_keys(bpk, geom.params)
-    missing = [r for r in geom.rotations
-               if pow(3, r, 2 * geom.n) not in pub.galois]
-    if missing:
-        raise ProtocolError(f"client key set lacks rotation amounts {missing}")
+    pub = _parse_public_keys(bpk, geom.params, geom.galois)
     ev = Evaluator(pub, seed=int(rng.integers(1 << 62)))
 
     ext = OtExtSender(rng)
@@ -448,7 +483,8 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     pairs = ext.receive_extension(u_cols, geom.ot_total)
 
     x_enc = geom.check(encmatrix_from_bytes(bx, geom.params), COLBLOCKS,
-                       (cfg.seq_len, cfg.vocab), 0, "encrypted input")
+                       (cfg.seq_len, cfg.vocab), 0, "encrypted input",
+                       geom.steps)
 
     sp = _ServerParty(conn, tr, geom, ev, rng, pairs)
     plan = geom.plan
@@ -578,7 +614,8 @@ def _client_stage(cp: _ClientParty, layer: int, spec: StageSpec):
             se = pack_rows(cp.ev, mat, spec.scale_out)
         else:
             se = pack_colblocks(cp.ev, mat, geom.cfg.seq_len,
-                                scale=spec.scale_out)
+                                scale=spec.scale_out,
+                                steps=geom.share_steps(layer, spec.name))
         sfields[f"sh{oi:02d}"] = encmatrix_to_bytes(se)
     _send(cp.conn, cp.tr, STAGE_SHARE, sfields)
     cp.tr.add_gc_bytes(gc_bytes)
@@ -602,6 +639,23 @@ def _client_ctmm(cp: _ClientParty, layer: int, label: str):
                     frames=2)
 
 
+def _recv_logits(conn, tr: Transcript, geom: Geometry) -> list:
+    """The one ciphertext per class of the logits frame.  The frame must hold
+    exactly the fields `nlgt` and lg00 .. lg{nc-1}, each a well-formed
+    ciphertext under the session's parameters; anything else is a
+    ProtocolError.  A flip that still decodes cannot be detected: this
+    protocol is semi-honest, and such a frame only changes the logits."""
+    fields = _recv(conn, tr, LOGITS)
+    nc = geom.cfg.n_classes
+    tags = [f"lg{c:02d}" for c in range(nc)]
+    if set(fields) != {"nlgt", *tags}:
+        raise ProtocolError(f"logits frame has fields {sorted(fields)}, "
+                            f"expected nlgt and {nc} classes")
+    if unpack_u64(fields["nlgt"]) != nc:
+        raise ProtocolError("logits frame disagrees on class count")
+    return [ct_from_bytes(fields[t], geom.params) for t in tags]
+
+
 def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     """Drive the input-holder side of one inference session."""
     rng = np.random.default_rng(seed)
@@ -621,9 +675,13 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     if dims.shape != (8,):
         raise ProtocolError("bad dimension list")
     vocab, L, d, ff, nl, nc, w, f = (int(x) for x in dims)
-    cfg = ModelConfig(vocab=vocab, seq_len=L, dim=d, ff_dim=ff, n_layers=nl,
-                      n_classes=nc, w=w, f=f)
-    geom = session_geometry(cfg, mode)
+    try:
+        cfg = ModelConfig(vocab=vocab, seq_len=L, dim=d, ff_dim=ff,
+                          n_layers=nl, n_classes=nc, w=w, f=f)
+        geom = session_geometry(cfg, mode)
+    except ParameterError as exc:
+        # the shape is the peer's, not this caller's
+        raise ProtocolError(f"server hello refused: {exc}") from None
     if geom.n != unpack_u64(bring) or geom.p != unpack_u64(bprim):
         raise ProtocolError("parameter derivation disagrees with the server")
 
@@ -651,7 +709,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
 
     onehot = np.zeros((L, vocab), dtype=np.uint64)
     onehot[np.arange(L), toks] = 1
-    x_cb = pack_colblocks(ev, onehot, L, scale=0)
+    x_cb = pack_colblocks(ev, onehot, L, scale=0, steps=geom.steps)
     _send(conn, tr, CLIENT_SETUP, {"seed": pack_array(seed_msgs),
                                    "ucol": pack_array(u_cols),
                                    "xcts": encmatrix_to_bytes(x_cb)})
@@ -672,12 +730,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
         _client_stage(cp, e, plan.stage(e, "ff_hidden"))
         _client_stage(cp, e, plan.stage(e, "ff_out"))
 
-    fields = _recv(conn, tr, LOGITS)
-    (bn,) = need(fields, "nlgt")
-    if unpack_u64(bn) != nc:
-        raise ProtocolError("logits frame disagrees on class count")
-    cts = [ct_from_bytes(need(fields, f"lg{c:02d}")[0], geom.params)
-           for c in range(nc)]
+    cts = _recv_logits(conn, tr, geom)
     slots = keys.decrypt_many(cts)
     p = geom.p
     totals = np.array([sum(int(v) for v in row) % p for row in slots],

@@ -1,6 +1,8 @@
 """Packed-ciphertext linear algebra: packings, diagonal products, masked
 ciphertext-by-ciphertext products."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from cipherformer import pahe
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix,
                                    MaskState, _shifted_terms, add_offset,
-                                   colblock_matmul, colblock_rotation_amounts,
+                                   colblock_diagonals, colblock_matmul,
+                                   colblock_rotation_amounts,
                                    ctmm_client_round, ctmm_reply_count,
                                    ctmm_server_finalize, ctmm_server_mask,
                                    decrypt_matrix, encmatrix_from_bytes,
@@ -23,7 +26,7 @@ P20 = next_prime(1 << 20, congruent=(1, 2048))
 @pytest.fixture(scope="module")
 def setup():
     par = pahe.session_params(P20, 512)
-    amounts = set(colblock_rotation_amounts(par, 4, 8, 16))
+    amounts = set(colblock_rotation_amounts(par, 4, 8, 16, 1))
     keys = pahe.keygen(par, seed=11, rotations=sorted(amounts))
     ev = pahe.Evaluator(keys.public(), seed=5)
     ev_c = pahe.Evaluator(keys.public(), seed=6)
@@ -35,8 +38,8 @@ def small():
     """A 64-slot ring (32 per row): blocks of 8 slots fit 4 columns to a
     ciphertext, so wider matrices spill column blocks across ciphertexts."""
     par = pahe.session_params(P20, 64)
-    amounts = set(colblock_rotation_amounts(par, 4, 8, 16))
-    amounts |= set(colblock_rotation_amounts(par, 8, 8, 3))
+    amounts = set(colblock_rotation_amounts(par, 4, 8, 16, 1))
+    amounts |= set(colblock_rotation_amounts(par, 8, 8, 3, 1))
     keys = pahe.keygen(par, seed=12, rotations=sorted(amounts))
     return par, keys, pahe.Evaluator(keys.public(), seed=7)
 
@@ -167,6 +170,60 @@ def test_colblock_matmul_multi_ct_input(small):
     assert len(enc.cts) == 2
     out = colblock_matmul(ev, enc, W)
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, W, par.p))
+
+
+def _bsgs_steps(par, in_cols, block, out_cols):
+    """1, 2, ceil(sqrt(D)) and D baby steps, D the product's diagonals."""
+    D = colblock_diagonals(par, in_cols, block, out_cols)
+    return sorted({1, 2, isqrt(D - 1) + 1, D})
+
+
+@pytest.mark.parametrize("in_cols,out_cols", [
+    (20, 1),    # two input ciphertexts (16 + 4 columns) into one
+    (1, 20),    # one input ciphertext into two output ciphertexts
+    (20, 20),   # both: D = 31 exceeds the 16 blocks of a ring row
+])
+def test_colblock_matmul_baby_steps(small, in_cols, out_cols):
+    """Baby-step giant-step products on the 32-slot ring with blocks of 2
+    (16 to a ring row): for every copy count the product equals the plain
+    one, with a key set of exactly the giant-step amounts, one key switch
+    per giant step and ciphertext pair, and the server's offset landing on
+    every copy."""
+    par = small[0]
+    rng = np.random.default_rng(106 + in_cols + out_cols)
+    X = _rand(rng, 2, in_cols, par.p)
+    W = rng.integers(1, par.p, size=(in_cols, out_cols), dtype=np.uint64)
+    off = _rand(rng, 2, in_cols, par.p)
+    want = matmul_mod((X.astype(object) + off) % par.p, W, par.p)
+    cap = par.row_size // 2
+    for steps in _bsgs_steps(par, in_cols, 2, out_cols):
+        if steps > cap:
+            continue
+        amounts = colblock_rotation_amounts(par, in_cols, 2, out_cols, steps)
+        keys = pahe.keygen(par, seed=13, rotations=amounts)
+        ev = pahe.Evaluator(keys.public(), seed=8)
+        enc = pack_colblocks(ev, X, block=2, steps=steps)
+        G = -(-in_cols // enc.cols_per_ct)
+        assert enc.steps == steps and len(enc.cts) == steps * G
+        for t in range(steps):  # copy t is the ring row rotated by t blocks
+            assert np.array_equal(
+                keys.decrypt_many(enc.cts[t * G:(t + 1) * G])[:, :par.row_size],
+                np.roll(keys.decrypt_many(enc.cts[:G])[:, :par.row_size],
+                        -2 * t, axis=1))
+        out = colblock_matmul(ev, add_offset(ev, enc, off), W)
+        assert out.steps == 1
+        assert np.array_equal(decrypt_matrix(keys, out), want), steps
+        assert len(out.cts) == -(-out_cols // out.cols_per_ct)
+        # one key switch per output ciphertext and nonzero giant step any
+        # input ciphertext reaches
+        ins = [min(cap, in_cols - v0) for v0 in range(0, in_cols, cap)]
+        outs = [min(cap, out_cols - j0) for j0 in range(0, out_cols, cap)]
+        giant = sum(len({(d - d % steps) * 2 % par.row_size
+                         for nin in ins for d in range(1 - nout, nin)} - {0})
+                    for nout in outs)
+        assert ev.counters["keyswitch"] == giant
+    with pytest.raises(ParameterError, match="do not fit"):
+        pack_colblocks(ev, X, block=2, steps=cap + 1)
 
 
 # ----------------------------------------------------------------------------
@@ -378,13 +435,14 @@ def test_encmatrix_wire_roundtrip(setup, small):
     M = _rand(rng, 3, 5, par.p)
     for params, keys_, enc in (
             (par, keys, pack_rows(ev, M, scale=9)),
-            (spar, skeys, pack_colblocks(sev, M, block=8))):
+            (spar, skeys, pack_colblocks(sev, M, block=8)),
+            (spar, skeys, pack_colblocks(sev, M, block=8, steps=3))):
         blob = encmatrix_to_bytes(enc)
         back = encmatrix_from_bytes(blob, params)
         assert (back.packing, back.rows, back.cols, back.scale,
-                back.block, back.cols_per_ct) == \
+                back.block, back.cols_per_ct, back.steps) == \
                (enc.packing, enc.rows, enc.cols, enc.scale,
-                enc.block, enc.cols_per_ct)
+                enc.block, enc.cols_per_ct, enc.steps)
         assert np.array_equal(decrypt_matrix(keys_, back), M)
     blob = encmatrix_to_bytes(pack_rows(ev, M))
     with pytest.raises(ProtocolError):
@@ -430,3 +488,26 @@ def test_encmatrix_layout_must_match_payload(setup, small):
     forged = EncMatrix(ROWS, rows.cts, 2, 32, block=8)
     with pytest.raises(ProtocolError, match="block fields"):
         encmatrix_from_bytes(encmatrix_to_bytes(forged), spar)
+
+
+def test_encmatrix_copy_count_must_fit(small):
+    """The baby-step copy count of a header: never zero, at most the blocks
+    of one ring row on column blocks (4 of 8 slots in a 32-slot row), and
+    exactly one on rows.  Each is refused before the ciphertexts are
+    counted."""
+    spar, skeys, sev = small
+    rng = np.random.default_rng(502)
+    blocks = pack_colblocks(sev, _rand(rng, 8, 3, spar.p), block=8, steps=4)
+    assert len(blocks.cts) == 4
+    back = encmatrix_from_bytes(encmatrix_to_bytes(blocks), spar)
+    assert back.steps == 4
+    rows = pack_rows(sev, _rand(rng, 2, 5, spar.p))
+    for enc, steps, error in ((blocks, 0, "no copies"),
+                              (blocks, 5, "5 copies of 8-slot blocks"),
+                              (rows, 0, "no copies"),
+                              (rows, 2, "rows packing carries 2 copies")):
+        forged = EncMatrix(enc.packing, enc.cts, enc.rows, enc.cols,
+                           block=enc.block, cols_per_ct=enc.cols_per_ct,
+                           steps=steps)
+        with pytest.raises(ProtocolError, match=error):
+            encmatrix_from_bytes(encmatrix_to_bytes(forged), spar)

@@ -9,7 +9,7 @@ from cipherformer import pahe
 from cipherformer.errors import NoiseBudgetError, ParameterError, ProtocolError
 from cipherformer.helinear import (ct_list_from_bytes, ct_list_to_bytes,
                                    encmatrix_from_bytes, encmatrix_to_bytes,
-                                   pack_rows)
+                                   pack_colblocks)
 from cipherformer.ntt import get_stacked
 from cipherformer.primes import next_prime
 from cipherformer.protocol import session
@@ -334,12 +334,13 @@ class TestWireFormat:
             with pytest.raises(ProtocolError, match="different parameters"):
                 pahe.ct_from_bytes(blob, other)
             with pytest.raises(ProtocolError, match="different parameters"):
-                pahe.public_keys_from_bytes(keys, other)
+                pahe.public_keys_from_bytes(keys, other, sorted(km.galois))
 
     def test_public_keys_roundtrip_and_work(self, setup):
         par, km, ev, rng = setup
         km2 = pahe.public_keys_from_bytes(pahe.public_keys_to_bytes(km.public()),
-                                          par)
+                                          par, sorted(km.galois))
+        assert list(km2.galois) == sorted(km.galois)
         assert not km2.has_secret
         ev2 = pahe.Evaluator(km2, seed=6)
         v = rand_vec(par, rng)
@@ -367,18 +368,45 @@ class TestWireFormat:
             with pytest.raises(ProtocolError, match="noise"):
                 pahe.ct_from_bytes(pahe.ct_to_bytes(forged), par)
 
-    def test_crafted_key_blobs_rejected(self, setup):
+    def test_crafted_key_blobs_rejected(self, setup, monkeypatch):
+        """The blob must hold a key for exactly the expected Galois
+        elements, in order; anything else is refused before a single Shoup
+        twin is built."""
         par, km, ev, rng = setup
         pub = km.public()
+        want = pahe.galois_elements(par, (1, 2, 5, par.row_size - 5))
+        assert want == tuple(sorted(pub.galois)) and len(want) == 4
         blob = pahe.public_keys_to_bytes(pub)
         with pytest.raises(ProtocolError, match="trailing"):
-            pahe.public_keys_from_bytes(blob + bytes(2), par)
-        ksk = next(iter(pub.galois.values()))
-        for t in (2, 2 * par.n + 1):  # even, or past the group
-            forged = pahe.KeyMaterial(par, pub.pk0, pub.pk1, {t: ksk})
-            with pytest.raises(ProtocolError, match="Galois element"):
+            pahe.public_keys_from_bytes(blob + bytes(2), par, want)
+        first, *rest = want
+        extra = pahe.keygen(par, seed=11, rotations=(1, 2, 3, 5,
+                                                     par.row_size - 5))
+        monkeypatch.setattr(pahe.KeySwitchKey, "from_digits", lambda *_: (
+            pytest.fail("built a key from a refused blob")))
+        for galois, error in (
+                (extra.galois, "holds 5 Galois keys, the session needs 4"),
+                ({t: pub.galois[t] for t in rest},
+                 "holds 3 Galois keys, the session needs 4"),
+                # even, or past the group, in place of an expected element
+                ({2: pub.galois[first], **{t: pub.galois[t] for t in rest}},
+                 f"Galois element 2 where the session needs {first}"),
+                ({**{t: pub.galois[t] for t in want[:3]},
+                  2 * par.n + 1: pub.galois[want[3]]},
+                 f"Galois element {2 * par.n + 1} where")):
+            forged = pahe.KeyMaterial(par, pub.pk0, pub.pk1, galois)
+            with pytest.raises(ProtocolError, match=error):
                 pahe.public_keys_from_bytes(
-                    pahe.public_keys_to_bytes(forged), par)
+                    pahe.public_keys_to_bytes(forged), par, want)
+        # the same keys with the first two swapped: each entry is the
+        # element and two (k, k, n) digit stacks behind their lengths
+        entry = 4 + 2 * (4 + 8 * par.k * par.k * par.n)
+        head = len(blob) - 4 * entry
+        swapped = bytearray(blob)
+        swapped[head:head + 2 * entry] = (blob[head + entry:head + 2 * entry]
+                                          + blob[head:head + entry])
+        with pytest.raises(ProtocolError, match="where the session needs"):
+            pahe.public_keys_from_bytes(bytes(swapped), par, want)
 
     def test_array_shape_cannot_wrap_the_count(self):
         """Four dims of 65,536 multiply to 2^64, which wraps to 0 in int64
@@ -405,10 +433,13 @@ class TestWireFormat:
             parse = pahe.ct_from_bytes
         elif decoder == "public_keys":
             blob = pahe.public_keys_to_bytes(km.public())
-            parse = pahe.public_keys_from_bytes
+            parse = lambda data, par_: pahe.public_keys_from_bytes(  # noqa: E731
+                data, par_, sorted(km.galois))
         elif decoder == "encmatrix":
+            # column blocks with three baby-step copies, so the header's
+            # blocking and copy fields are live
             M = rng.integers(0, par.p, (2, 5), dtype=np.uint64)
-            blob = encmatrix_to_bytes(pack_rows(ev, M))
+            blob = encmatrix_to_bytes(pack_colblocks(ev, M, 8, steps=3))
             parse = encmatrix_from_bytes
         elif decoder == "reply_list":
             # a product reply with k = 2: the product and two terms of

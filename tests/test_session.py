@@ -18,10 +18,13 @@ import numpy as np
 import pytest
 
 from cipherformer.errors import ParameterError, ProtocolError
-from cipherformer.helinear import ROWS, _PACKING_IDS, rows_per_ct
+from cipherformer.helinear import (COLBLOCKS, ROWS, _PACKING_IDS,
+                                   colblock_matmul, decrypt_matrix,
+                                   matmul_mod, pack_colblocks, rows_per_ct)
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
-from cipherformer.pahe import _pack_params
-from cipherformer.protocol import (HELLO, MM_REPLY, STAGE_OPEN, SocketConn,
+from cipherformer.pahe import Evaluator, _pack_params, keygen
+from cipherformer.protocol import (ACCEPT, HELLO, LOGITS, MM_REPLY,
+                                   STAGE_OPEN, SocketConn,
                                    memory_pair, private_inference, run_client,
                                    run_pair, run_server, session,
                                    session_geometry)
@@ -34,15 +37,15 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "3468e7e3eb72996d7138190ac8da21bb"
-                "fedd5b04c3ddd33eae932d0d4625d41e",
-    "opt1": "33ea7ba553a8c152d3373bdcc9fad709"
-            "7c195f7e28e81913c0a19e9bd9fdffc8",
-    "opt2": "9bacb6a41d344edc4f5ef49440bed137"
-            "703cb9991547a05f56160b747cc0e2c7",
+    "baseline": "1345b289b00b529800c612ae9ba34ff9"
+                "19e37e21fd03ee6a4b6139cbe1002249",
+    "opt1": "692158bf50e92401912b76b8b34e75bf"
+            "cc9758a1e78e9587959a6f5389a5170b",
+    "opt2": "c72b5e70e53ebfc1bdacffa1d15f806b"
+            "3e6db0e022354296bd96ab104d75b026",
 }
-TWO_LAYER_DIGEST = ("0178c1a149671a43e0905516a4983be1"
-                    "a1ffe3ec0ed9f661b226e6b042b2fee5")
+TWO_LAYER_DIGEST = ("5c6c6da6b8add66ae95ae53a2df5a8d1"
+                    "0d94df36ad7d181292bea8b0ee8b2165")
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,11 @@ def test_session_is_exact_and_pinned(weights, mode):
     digest = server.transcript.digest()
     assert client.transcript.digest() == digest
     assert digest == DIGESTS[mode]
+    # five baby steps; giant steps -3..1 on the (8, 12) product, -2..0 on
+    # (4, 8) and -1..1 on (8, 4): four keys, eight key switches
+    assert server.geometry.steps == 5
+    assert len(server.geometry.rotations) == 4
+    assert server.transcript.counters["keyswitch"] == 8
 
 
 def test_two_layer_session_is_exact_and_pinned():
@@ -76,6 +84,9 @@ def test_two_layer_session_is_exact_and_pinned():
     digest = server.transcript.digest()
     assert client.transcript.digest() == digest
     assert digest == TWO_LAYER_DIGEST
+    # the second layer's (4, 12) QKV product adds giant steps -3..-1
+    assert len(server.geometry.rotations) == 4
+    assert server.transcript.counters["keyswitch"] == 8 + 3 + 2 + 2
 
 
 def test_he_small_session_is_exact():
@@ -93,6 +104,12 @@ def test_he_small_session_is_exact():
     assert np.array_equal(client.logits, ref.logits)
     assert server.transcript.rounds == client.transcript.rounds == 53
     assert server.transcript.digest() == client.transcript.digest()
+    # nine baby steps (the (32, 48) product spans 79 diagonals); giant
+    # steps -6..3, each product rotating once per giant step it reaches:
+    # 9 + 5 + 5 in layer 0, 7 + 5 + 5 in layer 1
+    assert server.geometry.steps == 9
+    assert len(server.geometry.rotations) == 9
+    assert server.transcript.counters["keyswitch"] == 36
 
 
 def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
@@ -151,7 +168,8 @@ def test_socket_read_fails_when_the_peer_closes_mid_read():
 
 class _EditFirstFrame:
     """One end of the transport that edits one field of the first frame of
-    type `ftype` it sends, in place, before it leaves."""
+    type `ftype` it sends, in place, before it leaves; with `tag` None the
+    edit gets the frame's whole field dict instead."""
 
     def __init__(self, conn, ftype, tag, edit):
         self._conn, self._ftype, self._tag = conn, ftype, tag
@@ -163,9 +181,12 @@ class _EditFirstFrame:
             return self._conn.send(data)
         self._done = True
         fields = decode_fields(data[_HEADER.size:])
-        blob = bytearray(fields[self._tag])
-        self._edit(blob)
-        fields[self._tag] = bytes(blob)
+        if self._tag is None:
+            self._edit(fields)
+        else:
+            blob = bytearray(fields[self._tag])
+            self._edit(blob)
+            fields[self._tag] = bytes(blob)
         write_frame(self._conn, ftype, encode_fields(fields))
 
     def recv_exact(self, n: int) -> bytes:
@@ -189,7 +210,7 @@ def _as_rows(head: bytearray):
     # (L x 3d colblocks in one ciphertext) -> a 1 x 3d row matrix: the same
     # ciphertext count, so it decodes, but the packing is not the plan's
     struct.pack_into("<BI", head, 0, _PACKING_IDS[ROWS], 1)
-    struct.pack_into("<II", head, 13, 0, 0)
+    struct.pack_into("<IH", head, 13, 0, 0)
 
 
 @pytest.mark.parametrize("edit", [
@@ -227,12 +248,16 @@ def _one_too_few(blob: bytearray):
     struct.pack_into("<I", blob, 0, struct.unpack_from("<I", blob, 0)[0] - 1)
 
 
+def _first_residue(params) -> int:
+    """Offset of the first residue of a ciphertext's c0: past the magic,
+    the parameter block, the noise estimate and the polynomial length."""
+    return 4 + len(_pack_params(params)) + 8 + 4
+
+
 def _residue_past_its_prime(blob: bytearray):
-    # the first residue of the first ciphertext's c0: past the list count,
-    # the length, the magic, the parameter block, the noise estimate and
-    # the polynomial length
+    # the first ciphertext of the list, past the list count and its length
     params = session_geometry(CFG, "opt1").params
-    struct.pack_into("<Q", blob, 4 + 4 + 4 + len(_pack_params(params)) + 8 + 4,
+    struct.pack_into("<Q", blob, 4 + 4 + _first_residue(params),
                      params.q_primes[0])
 
 
@@ -262,16 +287,19 @@ def test_server_rejects_malformed_mm_reply(weights, edit, error):
     assert isinstance(client_err, ProtocolError)
 
 
-@pytest.mark.parametrize("index,value", [
-    pytest.param(1, 1 << 40, id="seq_len"),
-    pytest.param(0, 1 << 12, id="vocab"),
-    pytest.param(4, session.MAX_LAYERS + 1, id="n_layers"),
+@pytest.mark.parametrize("index,value,error", [
+    pytest.param(1, 1 << 40, "limit", id="seq_len"),
+    pytest.param(0, 1 << 12, "limit", id="vocab"),
+    pytest.param(4, session.MAX_LAYERS + 1, "limit", id="n_layers"),
+    pytest.param(5, 1, "two classes", id="n_classes"),
+    pytest.param(7, 40, "bad widths", id="widths"),
 ])
 def test_client_refuses_oversized_hello_before_planning(monkeypatch, index,
-                                                         value):
-    """A forged hello asks for a ring past `MAX_RING_DEGREE` or more layers
-    than `MAX_LAYERS`; the client refuses it in `session_geometry` before
-    the plan, the ring or any key is sized."""
+                                                         value, error):
+    """A forged hello asks for a ring past `MAX_RING_DEGREE`, more layers
+    than `MAX_LAYERS`, or a shape `ModelConfig` refuses; the client refuses
+    it before the plan, the ring or any key is sized.  The shape is the
+    peer's, so the refusal is a ProtocolError, not a ParameterError."""
     monkeypatch.setattr(ModelConfig, "plan",
                         lambda *_: pytest.fail("planned a hostile hello"))
     dims = [CFG.vocab, CFG.seq_len, CFG.dim, CFG.ff_dim, CFG.n_layers,
@@ -281,7 +309,7 @@ def test_client_refuses_oversized_hello_before_planning(monkeypatch, index,
     write_frame(sconn, HELLO, encode_fields({
         "mode": b"opt1", "dims": pack_array(np.array(dims, dtype=np.uint64)),
         "ring": pack_u64(512), "prim": pack_u64(0)}))
-    with pytest.raises(ParameterError, match="limit"):
+    with pytest.raises(ProtocolError, match=error):
         run_client(cconn, TOKENS, seed=12)
 
 
@@ -292,3 +320,156 @@ def test_geometry_limits_admit_their_bounds():
     assert session_geometry(wide, "opt1").n == session.MAX_RING_DEGREE
     deep = replace(CFG, n_layers=session.MAX_LAYERS)
     assert session_geometry(deep, "opt2").plan.encoders
+
+
+def _refused(party, conn, *args, **kwargs):
+    try:
+        party(conn, *args, **kwargs)
+    except ParameterError as exc:
+        conn.close()
+        return exc
+    pytest.fail("party accepted a bad argument")
+
+
+def test_client_bad_tokens_stay_parameter_errors(weights):
+    """Tokens are the caller's own argument: a wrong count is a
+    ParameterError, raised once the server's shape is known."""
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
+        lambda conn: _refused(run_client, conn, TOKENS[:3], seed=12))
+    assert isinstance(client_err, ParameterError)
+    assert "need 4 tokens" in str(client_err)
+    assert isinstance(server_err, ProtocolError)
+
+
+def _residue_past_q0(fields):
+    params = session_geometry(CFG, "opt1").params
+    blob = bytearray(fields["lg00"])
+    struct.pack_into("<Q", blob, _first_residue(params), params.q_primes[0])
+    fields["lg00"] = bytes(blob)
+
+
+@pytest.mark.parametrize("edit,error", [
+    pytest.param(lambda f: f.pop("lg01"), "logits frame has fields",
+                 id="missing-class"),
+    pytest.param(lambda f: f.__setitem__("lg02", f["lg01"]),
+                 "logits frame has fields", id="extra-class"),
+    pytest.param(lambda f: f.__setitem__("lg00", f["lg00"][:-9]),
+                 "polynomial length does not match", id="truncated"),
+    pytest.param(_residue_past_q0, "residue not reduced", id="residue-past-q0"),
+])
+def test_client_refuses_malformed_logits(weights, edit, error):
+    """The logits frame must hold exactly `nlgt` and one well-formed
+    ciphertext per class.  A flip that still decodes is not caught: the
+    protocol is semi-honest, and such a frame only changes the client's
+    own logits."""
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(
+            _EditFirstFrame(conn, LOGITS, None, edit), CFG, weights, "opt1",
+            seed=11)),
+        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
+    assert isinstance(client_err, ProtocolError)
+    assert error in str(client_err)
+    assert not isinstance(server_err, Exception)
+
+
+def _key_entries(blob: bytearray, params, count: int) -> tuple[int, int]:
+    """(offset of the Galois key count, bytes per key) of a key blob holding
+    `count` keys: each key is its element and two (k, k, n) digit stacks
+    behind their lengths."""
+    entry = 4 + 2 * (4 + 8 * params.k * params.k * params.n)
+    return len(blob) - count * entry - 2, entry
+
+
+def _one_key_too_few(blob: bytearray):
+    params = session_geometry(CFG, "opt1").params
+    off, entry = _key_entries(blob, params, 4)
+    struct.pack_into("<H", blob, off, 3)
+    del blob[-entry:]
+
+
+def _one_key_too_many(blob: bytearray):
+    params = session_geometry(CFG, "opt1").params
+    off, entry = _key_entries(blob, params, 4)
+    struct.pack_into("<H", blob, off, 5)
+    blob.extend(blob[-entry:])
+
+
+@pytest.mark.parametrize("edit,error", [
+    pytest.param(_one_key_too_few, "holds 3 Galois keys, the session needs 4",
+                 id="one-too-few"),
+    pytest.param(_one_key_too_many, "holds 5 Galois keys, the session needs 4",
+                 id="one-too-many"),
+])
+def test_server_refuses_key_blob_off_the_geometry(weights, edit, error):
+    """The server accepts a key for exactly each Galois element of the
+    geometry's giant steps, no more and no fewer."""
+    session._parse_public_keys.cache_clear()
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(
+            _EditFirstFrame(conn, ACCEPT, "pkey", edit), TOKENS, seed=12)))
+    assert isinstance(server_err, ProtocolError)
+    assert error in str(server_err)
+    assert isinstance(client_err, ProtocolError)
+
+
+@pytest.mark.parametrize("cfg,steps,keys", [
+    pytest.param(CFG, 5, 4, id="tiny"),
+    pytest.param(replace(CFG, n_layers=2), 5, 4, id="tiny-two-layer"),
+    pytest.param(ModelConfig(vocab=8, seq_len=16, dim=4, ff_dim=8,
+                             n_layers=1, n_classes=2), 5, 4, id="gc-l16"),
+    pytest.param(ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32,
+                             n_layers=2, n_classes=2), 9, 9, id="he-small"),
+])
+def test_geometry_rotation_keys_are_exactly_the_products_use(cfg, steps,
+                                                             keys):
+    """Every plain-weight product shape of a session, run with a key set of
+    exactly `geom.rotations` and inputs of `geom.steps` copies, is exact,
+    never asks for a missing key, and between them the products use every
+    key."""
+    geom = session_geometry(cfg, "opt1")
+    assert (geom.steps, len(geom.rotations)) == (steps, keys)
+    km = keygen(geom.params, seed=3, rotations=geom.rotations)
+    assert tuple(sorted(km.galois)) == geom.galois
+    ev = Evaluator(km.public(), seed=4)
+    used = set()
+    rotate = ev.col_rotate_many
+
+    def recording(cts, rs):
+        used.update(r % geom.params.row_size for r in rs)
+        return rotate(cts, rs)
+
+    ev.col_rotate_many = recording
+    rng = np.random.default_rng(5)
+    L = cfg.seq_len
+    for d_in, d_out in geom.products:
+        X = rng.integers(0, geom.p, (L, d_in), dtype=np.uint64)
+        W = rng.integers(1, geom.p, (d_in, d_out), dtype=np.uint64)
+        out = colblock_matmul(ev, pack_colblocks(ev, X, L, steps=geom.steps), W)
+        assert np.array_equal(decrypt_matrix(km, out), matmul_mod(X, W, geom.p))
+    assert used - {0} == set(geom.rotations)
+
+
+def test_geometry_check_compares_copies():
+    """A product input must carry the geometry's baby-step copies and a
+    stage input exactly one."""
+    geom = session_geometry(CFG, "opt1")
+    km = keygen(geom.params, seed=3)
+    ev = Evaluator(km.public(), seed=4)
+    X = np.zeros((CFG.seq_len, CFG.dim), dtype=np.uint64)
+    one = pack_colblocks(ev, X, CFG.seq_len)
+    many = pack_colblocks(ev, X, CFG.seq_len, steps=geom.steps)
+    shape = (CFG.seq_len, CFG.dim)
+    assert geom.check(many, COLBLOCKS, shape, 0, "x", geom.steps) is many
+    assert geom.check(one, COLBLOCKS, shape, 0, "x") is one
+    with pytest.raises(ProtocolError, match="x has layout"):
+        geom.check(one, COLBLOCKS, shape, 0, "x", geom.steps)
+    with pytest.raises(ProtocolError, match="x has layout"):
+        geom.check(many, COLBLOCKS, shape, 0, "x")
+    assert [geom.share_steps(0, name) for name in
+            ("qkv_rescale", "attn_rescale", "ff_hidden", "ff_out")] == \
+        [1, geom.steps, geom.steps, 1]
+    deep = session_geometry(replace(CFG, n_layers=2), "opt1")
+    assert deep.share_steps(0, "ff_out") == deep.steps
+    assert deep.share_steps(1, "ff_out") == 1
