@@ -18,7 +18,6 @@ for anything else.
 from .errors import (
     CipherformerError,
     CircuitError,
-    GarbleError,
     NoiseBudgetError,
     ParameterError,
     ProtocolError,
@@ -31,7 +30,6 @@ __all__ = [
     "ParameterError",
     "NoiseBudgetError",
     "CircuitError",
-    "GarbleError",
     "ProtocolError",
     "__version__",
 ]

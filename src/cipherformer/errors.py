@@ -7,7 +7,6 @@ map to the major failure domains:
   * ParameterError   -- bad or inconsistent scheme/config parameters
   * NoiseBudgetError -- an HE ciphertext has (or would) run out of noise room
   * CircuitError     -- boolean circuit construction or evaluation misuse
-  * GarbleError      -- garbled-table integrity / authenticity failures
   * ProtocolError    -- framing violations, out-of-order messages, bad magic
 """
 
@@ -25,10 +24,6 @@ class NoiseBudgetError(CipherformerError, RuntimeError):
 
 
 class CircuitError(CipherformerError, ValueError):
-    pass
-
-
-class GarbleError(CipherformerError, RuntimeError):
     pass
 
 

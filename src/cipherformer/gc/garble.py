@@ -17,11 +17,9 @@ and all AND gates of all instances are one AES call.  Tweaks follow the gate
 index and table rows the AND's ordinal, so the output is byte for byte what
 a gate-by-gate walk produces.
 
-Everything here is semi-honest: evaluation trusts the tables except for
-output decoding, which checks the revealed label against per-wire hash pairs
-and raises GarbleError on any mismatch, so a corrupted transcript cannot
-silently decode to wrong bits.  Sessions never decode outputs (they take
-label-keyed pads instead), so the hash pairs are computed only on request.
+Everything here is semi-honest: evaluation trusts the tables.  Outputs are
+never decoded to bits; the evaluator keeps its active output labels and
+takes label-keyed pads (`output_pads`) instead.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from ..errors import CircuitError, GarbleError
+from ..errors import CircuitError
 from .circuit import CONST0, CONST1, Circuit
 
 _FIXED_KEY = bytes(range(16))
@@ -73,7 +71,6 @@ def _tweak_grid(word0: np.ndarray, instances: int) -> np.ndarray:
     return tw
 
 
-_OUT_NS = np.uint64(1) << np.uint64(62)   # tweak namespace for output decoding
 _B2A_NS = np.uint64(1) << np.uint64(61)   # tweak namespace for label-keyed pads
 
 
@@ -119,15 +116,6 @@ class GarbledCircuit:
 
     def output_zero_labels(self) -> np.ndarray:
         return self.wire0[self.circuit.outputs]
-
-    @property
-    def decode(self) -> np.ndarray:
-        """(n_out, E, 2, 2) hash pairs for both values of every output wire,
-        for `decode_outputs`; hashed anew on each access."""
-        z = self.output_zero_labels()
-        h = hash_labels(np.array([z, z ^ self.delta]),
-                        _output_tweaks(_OUT_NS, z.shape[0], self.instances))
-        return np.stack([h[0], h[1]], axis=2)
 
     def output_pads(self) -> tuple[np.ndarray, np.ndarray]:
         """Label-keyed one-time pads for both values of every output wire:
@@ -223,15 +211,3 @@ def evaluate(circuit: Circuit, tables: np.ndarray, garbler_active: np.ndarray,
                               ^ (hb ^ sb * (rows[:, :, 1] ^ wa)))
     return active[circuit.outputs]
 
-
-def decode_outputs(circuit: Circuit, decode: np.ndarray,
-                   active_out: np.ndarray) -> np.ndarray:
-    """Map active output labels to bits via the hash pairs; any label that
-    matches neither hash means the transcript was corrupted."""
-    n_out, E = active_out.shape[0], active_out.shape[1]
-    h = hash_labels(active_out, _output_tweaks(_OUT_NS, n_out, E))
-    is0 = (h == decode[:, :, 0]).all(axis=-1)
-    is1 = (h == decode[:, :, 1]).all(axis=-1)
-    if not (is0 | is1).all():
-        raise GarbleError("output label matches neither decode hash")
-    return is1.T.astype(np.uint8)

@@ -44,7 +44,9 @@ colblocks  columns laid out in fixed-size blocks, slot j*block + i holds
 
 `rows_per_ct` and `colblock_cols_per_ct` are the two blocking rules; every
 packer, product, offset and the wire decoder follow them, so a ciphertext
-count is never chosen anywhere else.  Every slot a layout does not name
+count is never chosen anywhere else.  A `Layout` names a packing, a shape
+and, on column blocks, the block length and copy count; with the rules it
+fixes how many ciphertexts a matrix holds.  Every slot a layout does not name
 holds zero, and stays zero: offsets and masks are laid out by the same rule,
 and every plaintext multiplied in is zero outside the layout.  That keeps
 the diagonal sweeps free of wraparound garbage, and it means nothing the key
@@ -62,11 +64,16 @@ Shoup::
 so the masking side finishes both cross terms with one plaintext product
 per term and output ciphertext, summed slotwise into the product, with no
 rotations, and adds R1*R2 itself.
+
+Wire form
+---------
+A matrix or a ciphertext list is its ciphertexts back to back and nothing
+else (`pahe.ct_to_bytes`).  The receiver takes the layout, hence the count,
+from its own session plan and refuses a payload of any other length.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -74,13 +81,10 @@ import numpy as np
 
 from .errors import ParameterError, ProtocolError
 from .pahe import (Ciphertext, Evaluator, KeyMaterial, PaheParams,
-                   ct_from_bytes, ct_to_bytes, encode_plain_many)
+                   ct_from_bytes, ct_nbytes, ct_to_bytes, encode_plain_many)
 
 ROWS = "rows"
 COLBLOCKS = "colblocks"
-
-_PACKING_IDS = {ROWS: 1, COLBLOCKS: 3}
-_PACKING_BY_ID = {v: k for k, v in _PACKING_IDS.items()}
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
@@ -106,14 +110,33 @@ class EncMatrix:
     cts: list
     rows: int
     cols: int
-    scale: int = 0
     block: int = 0          # colblocks: slots per column block
     cols_per_ct: int = 0    # colblocks: columns carried by each ciphertext
     steps: int = 1          # colblocks: baby-step copies, copy-major
 
     def __post_init__(self):
-        if self.packing not in _PACKING_IDS:
+        if self.packing not in (ROWS, COLBLOCKS):
             raise ParameterError(f"unknown packing {self.packing!r}")
+
+
+@dataclass(frozen=True)
+class Layout:
+    """What an encrypted matrix holds, without its ciphertexts: the packing,
+    the shape and, on column blocks, the block length and the baby-step
+    copy count.  The session plan names one for every matrix on the wire."""
+
+    packing: str
+    rows: int
+    cols: int
+    block: int = 0          # colblocks: slots per column block
+    steps: int = 1          # colblocks: baby-step copies
+
+    def ct_count(self, params: PaheParams) -> int:
+        """Ciphertexts a matrix of this layout holds, by the blocking rules."""
+        if self.packing == ROWS:
+            return _rows_ct_count(params, self.rows, self.cols)
+        cpc = colblock_cols_per_ct(params, self.cols, self.block)
+        return self.steps * -(-self.cols // cpc)
 
 
 # ----------------------------------------------------------------------------
@@ -191,12 +214,12 @@ def _check_capacity(params: PaheParams, need: int, what: str) -> None:
             f"{what} needs {need} slots but row capacity is {params.row_size}")
 
 
-def pack_rows(ev: Evaluator, M, scale: int = 0) -> EncMatrix:
+def pack_rows(ev: Evaluator, M) -> EncMatrix:
     """`rows_per_ct` consecutive rows per ciphertext, one every cols slots."""
     A = _entries(M)
     _check_capacity(ev.params, A.shape[1], "row packing")
     cts = ev.encrypt_many(_rows_vectors(A, rows_per_ct(ev.params, A.shape[1])))
-    return EncMatrix(ROWS, cts, A.shape[0], A.shape[1], scale)
+    return EncMatrix(ROWS, cts, A.shape[0], A.shape[1])
 
 
 def colblock_cols_per_ct(params: PaheParams, cols: int, block: int) -> int:
@@ -207,8 +230,7 @@ def colblock_cols_per_ct(params: PaheParams, cols: int, block: int) -> int:
     return min(cols, params.row_size // block)
 
 
-def pack_colblocks(ev: Evaluator, M, block: int, scale: int = 0,
-                   steps: int = 1) -> EncMatrix:
+def pack_colblocks(ev: Evaluator, M, block: int, steps: int = 1) -> EncMatrix:
     """Column blocks of `block` slots; `steps` copies, copy t rotated left by
     t blocks, all encrypted in one batch (the baby steps of
     `colblock_matmul`)."""
@@ -224,8 +246,8 @@ def pack_colblocks(ev: Evaluator, M, block: int, scale: int = 0,
                              f"fit a {half}-slot ring row")
     cpc = colblock_cols_per_ct(ev.params, c, block)
     cts = ev.encrypt_many(_colblock_vectors(A, block, cpc, half, steps))
-    return EncMatrix(COLBLOCKS, cts, r, c, scale, block=block,
-                     cols_per_ct=cpc, steps=steps)
+    return EncMatrix(COLBLOCKS, cts, r, c, block=block, cols_per_ct=cpc,
+                     steps=steps)
 
 
 def decrypt_matrix(keys: KeyMaterial, enc: EncMatrix) -> np.ndarray:
@@ -277,7 +299,7 @@ def colblock_rotation_amounts(params: PaheParams, in_cols: int, block: int,
                    for d in range(-(nout - 1), nin)} - {0})
 
 
-def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0) -> EncMatrix:
+def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
     """Y = X @ W for X in colblocks packing; output in colblocks packing,
     one copy.
 
@@ -338,8 +360,7 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W, w_scale: int = 0) -> EncMatr
             zero = encode_plain_many(par, [np.zeros(half, dtype=np.uint64)])
             accs[og] = ev.simd_scmult_many([X.cts[0]], zero)[0]
     ev.counters["colblock_matmul"] = ev.counters.get("colblock_matmul", 0) + 1
-    return EncMatrix(COLBLOCKS, accs, X.rows, d_out, X.scale + w_scale,
-                     block=B, cols_per_ct=C)
+    return EncMatrix(COLBLOCKS, accs, X.rows, d_out, block=B, cols_per_ct=C)
 
 
 # ----------------------------------------------------------------------------
@@ -362,7 +383,6 @@ class MaskState:
 
     r1: np.ndarray      # (rows, k)
     r2: np.ndarray      # (k, cols)
-    scale: int
     used: bool = False
 
     @property
@@ -404,7 +424,7 @@ def ctmm_server_mask(ev: Evaluator, X: EncMatrix, Y: EncMatrix,
     r2 = rng.integers(0, p, size=(k, c), dtype=np.uint64)
     xm = add_offset(ev, X, (p - r1) % p, transpose=transpose_x)
     ym = add_offset(ev, Y, (p - r2) % p, transpose=transpose_y)
-    st = MaskState(r1, r2, X.scale + Y.scale)
+    st = MaskState(r1, r2)
     return CtmmMasked(xm, ym, transpose_x, transpose_y), st
 
 
@@ -471,7 +491,7 @@ def ctmm_server_finalize(ev: Evaluator, reply: Sequence[Ciphertext],
     out = ev.add_plain_many(
         acc, _rows_vectors(matmul_mod(st.r1, st.r2, par.p), T))
     ev.counters["ctmm_rows"] = ev.counters.get("ctmm_rows", 0) + r
-    return EncMatrix(ROWS, out, r, c, st.scale)
+    return EncMatrix(ROWS, out, r, c)
 
 
 # ----------------------------------------------------------------------------
@@ -479,92 +499,35 @@ def ctmm_server_finalize(ev: Evaluator, reply: Sequence[Ciphertext],
 
 
 def ct_list_to_bytes(cts: Sequence[Ciphertext]) -> bytes:
-    """A ciphertext count, then each ciphertext behind its length."""
-    parts = [struct.pack("<I", len(cts))]
-    for ct in cts:
-        blob = ct_to_bytes(ct)
-        parts.append(struct.pack("<I", len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
+    """The ciphertexts back to back."""
+    return b"".join(ct_to_bytes(ct) for ct in cts)
 
 
 def ct_list_from_bytes(data, params: PaheParams, count: int,
                        what: str) -> list[Ciphertext]:
     """Parse a ciphertext list from the peer that must hold exactly `count`
     ciphertexts, and nothing after them; `what` names it in errors."""
-    try:
-        (got,) = struct.unpack_from("<I", data, 0)
-        if got != count:
-            raise ProtocolError(f"{what} needs {count} ciphertexts, "
-                                f"payload has {got}")
-        off, cts = 4, []
-        for _ in range(count):
-            (ln,) = struct.unpack_from("<I", data, off)
-            off += 4
-            cts.append(ct_from_bytes(data[off:off + ln], params))
-            off += ln
-    except struct.error as exc:
-        raise ProtocolError(f"truncated {what}: {exc}") from None
-    if off != len(data):
-        raise ProtocolError(f"trailing bytes after {what}")
-    return cts
-
-
-# packing id, rows, cols, scale, block, cols_per_ct, steps.  The last two
-# count blocks of one ring row, at most 2^13 on any session ring, so they
-# share one 32-bit word and the header keeps its 21 bytes.
-_MATRIX_HEAD = struct.Struct("<BIIiIHH")
+    size = ct_nbytes(params)
+    if len(data) != count * size:
+        raise ProtocolError(f"{what} needs {count} ciphertexts of {size} "
+                            f"bytes, payload has {len(data)} bytes")
+    buf = memoryview(data)
+    return [ct_from_bytes(buf[i * size:(i + 1) * size], params)
+            for i in range(count)]
 
 
 def encmatrix_to_bytes(enc: EncMatrix) -> bytes:
-    return _MATRIX_HEAD.pack(_PACKING_IDS[enc.packing], enc.rows, enc.cols,
-                             enc.scale, enc.block, enc.cols_per_ct,
-                             enc.steps) + ct_list_to_bytes(enc.cts)
+    return ct_list_to_bytes(enc.cts)
 
 
-def _layout_ct_count(params: PaheParams, packing: str, rows: int, cols: int,
-                     block: int, cpc: int, steps: int) -> int:
-    """How many ciphertexts a layout holds; ProtocolError when no matrix of
-    this package could have it (data past a ring row, blocking off the rule,
-    block fields or baby-step copies on a packing without blocks, more
-    copies than blocks in a ring row)."""
-    half = params.row_size
-    if steps == 0:
-        raise ProtocolError(f"{packing} matrix has no copies")
-    if packing == COLBLOCKS:
-        if not (0 < rows <= block <= half and cols > 0
-                and cpc == colblock_cols_per_ct(params, cols, block)):
-            raise ProtocolError(f"column blocks of {rows}x{cols}, block {block}, "
-                                f"{cpc} per ciphertext do not fit the ring")
-        if steps > half // block:
-            raise ProtocolError(f"{steps} copies of {block}-slot blocks "
-                                f"exceed the {half}-slot ring row")
-        return steps * -(-cols // cpc)
-    if block or cpc:
-        raise ProtocolError(f"{packing} packing carries block fields")
-    if steps != 1:
-        raise ProtocolError(f"{packing} packing carries {steps} copies")
-    if cols > half:
-        raise ProtocolError(f"{cols} columns exceed the {half}-slot ring row")
-    if cols == 0:
-        raise ProtocolError(f"{packing} matrix has no columns")
-    return _rows_ct_count(params, rows, cols)
-
-
-def encmatrix_from_bytes(data: bytes, params: PaheParams) -> EncMatrix:
-    """Parse an encrypted matrix from the peer.  The layout must be one this
-    package could have produced under `params`, and the ciphertext count
-    must be exactly the one it implies."""
-    try:
-        pid, rows, cols, scale, block, cpc, steps = \
-            _MATRIX_HEAD.unpack_from(data, 0)
-    except struct.error as exc:
-        raise ProtocolError(f"truncated matrix payload: {exc}") from None
-    if pid not in _PACKING_BY_ID:
-        raise ProtocolError(f"unknown packing id {pid}")
-    packing = _PACKING_BY_ID[pid]
-    want = _layout_ct_count(params, packing, rows, cols, block, cpc, steps)
-    cts = ct_list_from_bytes(memoryview(data)[_MATRIX_HEAD.size:], params,
-                             want, f"{packing} matrix of {rows}x{cols}")
-    return EncMatrix(packing, cts, rows, cols, scale, block=block,
-                     cols_per_ct=cpc, steps=steps)
+def encmatrix_from_bytes(data, params: PaheParams,
+                         layout: Layout) -> EncMatrix:
+    """Parse an encrypted matrix from the peer: exactly the ciphertexts
+    `layout`, taken from the session plan, holds under `params`."""
+    cts = ct_list_from_bytes(data, params, layout.ct_count(params),
+                             f"{layout.packing} matrix of "
+                             f"{layout.rows}x{layout.cols}")
+    cpc = (colblock_cols_per_ct(params, layout.cols, layout.block)
+           if layout.packing == COLBLOCKS else 0)
+    return EncMatrix(layout.packing, cts, layout.rows, layout.cols,
+                     block=layout.block, cols_per_ct=cpc, steps=layout.steps)

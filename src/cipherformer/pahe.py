@@ -32,6 +32,13 @@ Representation choices, all load-bearing:
 Noise is tracked as a running upper-bound estimate in bits; the remaining
 budget is (log2 q - log2 p - 1) minus that estimate, and operations raise
 NoiseBudgetError rather than silently producing garbage.
+
+Serialization carries data only: residues as little-endian 64-bit words,
+each (k, n) polynomial prime by prime, and a ciphertext's noise estimate as
+one float64 in front of its c0 and c1.  There is no magic, parameter block,
+count or length prefix.  The session's parameters fix every size, and a
+decoder refuses a payload of any other length, a residue not reduced mod
+its prime, or an implausible noise estimate.
 """
 
 from __future__ import annotations
@@ -48,9 +55,6 @@ from .errors import NoiseBudgetError, ParameterError, ProtocolError
 from .ntt import (StackedNtt, addmod, get_stacked, mulmod_shoup, mulmod_vec,
                   shoup, submod)
 from .primes import is_prime, next_prime
-
-_CT_MAGIC = b"CFC1"
-_PK_MAGIC = b"CFK1"
 
 _ERR_STD = 3.2
 _ERR_BOUND = 6.0 * _ERR_STD  # high-probability per-coefficient bound
@@ -117,16 +121,11 @@ def get_slotmap(n: int) -> SlotMap:
 
 @dataclass(frozen=True)
 class PaheParams:
-    """Scheme parameters; q is the product of `q_primes`.
-
-    `security_note` is "toy" (small ring, fast tests, **no security claim**)
-    or "standard" (ring/modulus sized per conventional RLWE tables).
-    """
+    """Scheme parameters; q is the product of `q_primes`."""
 
     n: int
     p: int
     q_primes: tuple[int, ...]
-    security_note: str = "toy"
 
     def __post_init__(self):
         if self.n < 16 or self.n & (self.n - 1):
@@ -146,8 +145,6 @@ class PaheParams:
                                  "prime (it has no inverse mod itself)")
         if self.q <= 4 * self.p * self.p:
             raise ParameterError("ciphertext modulus too small for plaintext")
-        if self.security_note not in ("toy", "standard"):
-            raise ParameterError("security_note must be 'toy' or 'standard'")
 
     @property
     def q(self) -> int:
@@ -217,8 +214,7 @@ def session_params(p: int, n: int) -> PaheParams:
     """
     lg_p, lg_n = p.bit_length(), log2(n)
     for q_bits in range(max(lg_p + 30, 2 * lg_p + 4), 62 * 8, 4):
-        par = PaheParams(n=n, p=p, q_primes=_pick_q_primes(n, q_bits, p),
-                         security_note="toy")
+        par = PaheParams(n=n, p=p, q_primes=_pick_q_primes(n, q_bits, p))
         chain = max(par.keyswitch_noise_bits,
                     par.fresh_noise_bits + lg_p + lg_n) + 10
         if par.max_budget_bits > chain:
@@ -670,128 +666,70 @@ class Evaluator:
 # serialization
 
 
-@lru_cache(maxsize=None)
-def _pack_params(par: PaheParams) -> bytes:
-    out = struct.pack("<IBQ", par.n, par.k, par.p)
-    for q in par.q_primes:
-        out += struct.pack("<Q", q)
-    note = par.security_note.encode()
-    return out + struct.pack("<B", len(note)) + note
+def ct_nbytes(params: PaheParams) -> int:
+    """Wire size of one ciphertext: its noise estimate, c0 and c1."""
+    return 8 * (1 + 2 * params.k * params.n)
 
 
-def _expect_params(buf: memoryview, magic: bytes, params: PaheParams,
-                   what: str) -> int:
-    """Check the magic and the parameter block of a blob against the
-    session's parameters, byte for byte; returns the offset past them."""
-    packed = _pack_params(params)
-    if bytes(buf[:4]) != magic:
-        raise ProtocolError(f"bad {what} magic/version")
-    if bytes(buf[4:4 + len(packed)]) != packed:
-        raise ProtocolError(f"{what} was made under different parameters")
-    return 4 + len(packed)
+def _words(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<u8").tobytes()
 
 
-def _pack_poly(arr: np.ndarray) -> bytes:
-    raw = np.ascontiguousarray(arr, dtype="<u8").tobytes()
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _unpack_poly(buf: memoryview, off: int, shape: tuple[int, ...],
-                 params: PaheParams) -> tuple[np.ndarray, int]:
-    """One residue array of exactly `shape`; the second-to-last axis runs
-    over the primes, and every residue must be reduced mod its prime."""
-    try:
-        (ln,) = struct.unpack_from("<I", buf, off)
-    except struct.error:
-        raise ProtocolError("truncated polynomial") from None
-    off += 4
-    count = int(np.prod(shape))
-    if ln != 8 * count or off + ln > len(buf):
-        raise ProtocolError("polynomial length does not match the parameters")
-    arr = np.frombuffer(buf, dtype="<u8", count=count,
-                        offset=off).reshape(shape).astype(np.uint64)
+def _residues(buf, shape: tuple[int, ...], params: PaheParams) -> np.ndarray:
+    """The residue array of exactly `shape` that `buf` holds; the
+    second-to-last axis runs over the primes, and every residue must be
+    reduced mod its prime."""
+    arr = np.frombuffer(buf, dtype="<u8").reshape(shape).astype(np.uint64)
     if np.any(arr >= params.q_col):
         raise ProtocolError("residue not reduced mod its prime")
-    return arr, off + ln
+    return arr
 
 
 def ct_to_bytes(ct: Ciphertext) -> bytes:
-    return (_CT_MAGIC + _pack_params(ct.params)
-            + struct.pack("<d", ct.noise_bits)
-            + _pack_poly(ct.c0) + _pack_poly(ct.c1))
+    return struct.pack("<d", ct.noise_bits) + _words(ct.c0) + _words(ct.c1)
 
 
-def ct_from_bytes(data: bytes, params: PaheParams) -> Ciphertext:
-    """Parse a ciphertext received from the peer under the session's `params`.
-
-    The parameter block on the wire must equal `params` byte for byte; it is
-    compared, never parsed into parameters of its own.  The noise estimate
-    travels with the ciphertext, so it is checked too: it must be finite, no
-    smaller than a fresh encryption's and leave some budget, or a peer could
-    switch off the budget check for that ciphertext.
+def ct_from_bytes(data, params: PaheParams) -> Ciphertext:
+    """Parse a ciphertext received from the peer under the session's `params`,
+    which fix its size.  The noise estimate travels with the ciphertext, so
+    it is checked too: it must be finite, no smaller than a fresh
+    encryption's and leave some budget, or a peer could switch off the
+    budget check for that ciphertext.
     """
-    buf = memoryview(data)
-    off = _expect_params(buf, _CT_MAGIC, params, "ciphertext")
-    try:
-        (noise,) = struct.unpack_from("<d", buf, off)
-    except struct.error:
-        raise ProtocolError("truncated ciphertext") from None
-    off += 8
+    size = ct_nbytes(params)
+    if len(data) != size:
+        raise ProtocolError(f"ciphertext has {len(data)} bytes, the "
+                            f"session's have {size}")
+    (noise,) = struct.unpack_from("<d", data, 0)
     if not (isfinite(noise) and noise >= params.fresh_noise_bits
             and params.max_budget_bits - noise > 0):
         raise ProtocolError(f"implausible ciphertext noise estimate {noise!r}")
-    shape = (params.k, params.n)
-    c0, off = _unpack_poly(buf, off, shape, params)
-    c1, off = _unpack_poly(buf, off, shape, params)
-    if off != len(buf):
-        raise ProtocolError("trailing bytes after ciphertext")
-    return Ciphertext(params, c0, c1, noise)
+    c = _residues(memoryview(data)[8:], (2, params.k, params.n), params)
+    return Ciphertext(params, c[0], c[1], noise)
 
 
 def public_keys_to_bytes(km: KeyMaterial) -> bytes:
-    par = km.params
-    out = _PK_MAGIC + _pack_params(par)
-    out += _pack_poly(km.pk0) + _pack_poly(km.pk1)
-    out += struct.pack("<H", len(km.galois))
+    """pk0, pk1, then the two digit stacks of each Galois key, in element
+    order."""
+    polys = [km.pk0, km.pk1]
     for t in sorted(km.galois):
-        ksk = km.galois[t]
-        out += struct.pack("<I", t)
-        out += _pack_poly(ksk.k0) + _pack_poly(ksk.k1)
-    return out
+        polys += [km.galois[t].k0, km.galois[t].k1]
+    return b"".join(_words(a) for a in polys)
 
 
-def public_keys_from_bytes(data: bytes, params: PaheParams,
+def public_keys_from_bytes(data, params: PaheParams,
                            elements: Sequence[int]) -> KeyMaterial:
-    """Parse the peer's public and rotation keys under the session's `params`
-    (compared byte for byte with the wire's parameter block, as in
-    `ct_from_bytes`).  The blob must hold a switch key for exactly the
-    Galois elements `elements`, in that order: a missing, extra or
-    reordered element is refused before any key's Shoup twins are built."""
-    buf = memoryview(data)
-    col = params.q_col
-    off = _expect_params(buf, _PK_MAGIC, params, "key blob")
-    shape = (params.k, params.n)
-    pk0, off = _unpack_poly(buf, off, shape, params)
-    pk1, off = _unpack_poly(buf, off, shape, params)
-    digits = []
-    try:
-        (ng,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        if ng != len(elements):
-            raise ProtocolError(f"key blob holds {ng} Galois keys, the "
-                                f"session needs {len(elements)}")
-        for want in elements:
-            (t,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            if t != want:
-                raise ProtocolError(f"key blob has Galois element {t} where "
-                                    f"the session needs {want}")
-            k0, off = _unpack_poly(buf, off, (params.k,) + shape, params)
-            k1, off = _unpack_poly(buf, off, (params.k,) + shape, params)
-            digits.append((t, k0, k1))
-    except struct.error:
-        raise ProtocolError("truncated key blob") from None
-    if off != len(buf):
-        raise ProtocolError("trailing bytes after key blob")
-    galois = {t: KeySwitchKey.from_digits(k0, k1, col) for t, k0, k1 in digits}
-    return KeyMaterial(params, pk0, pk1, galois)
+    """Parse the peer's public and rotation keys under the session's
+    `params`.  The blob holds a switch key for exactly the Galois elements
+    `elements`, in that order, so its size is fixed: a missing or extra key
+    is refused by length, before any key's Shoup twins are built."""
+    k, n, g = params.k, params.n, len(elements)
+    size = 8 * k * n * (2 + 2 * k * g)
+    if len(data) != size:
+        raise ProtocolError(f"key blob has {len(data)} bytes, the session's "
+                            f"{g} Galois keys need {size}")
+    polys = _residues(data, (2 + 2 * k * g, k, n), params)
+    digits = polys[2:].reshape(g, 2, k, k, n)
+    galois = {t: KeySwitchKey.from_digits(d[0], d[1], params.q_col)
+              for t, d in zip(elements, digits)}
+    return KeyMaterial(params, polys[0], polys[1], galois)

@@ -1,10 +1,12 @@
 """Wire framing: typed length-prefixed frames with tagged fields inside.
 
 A frame is `magic | type | payload length | payload`.  Payloads are flat
-containers of tagged fields (4-byte ASCII tag + length + bytes), so every
-message can be parsed without knowing the session state, and unknown or
-duplicate tags are hard errors rather than silent drift.  Numeric payloads
-travel as little-endian arrays with an explicit dtype/shape header.
+containers of tagged fields (4-byte ASCII tag + length + bytes).  Only that
+container parses without the session state; duplicate tags are hard errors
+rather than silent drift.  Small numeric payloads travel as little-endian
+arrays with an explicit dtype/shape header.  Encrypted payloads (matrices,
+ciphertext lists, the key blob) carry data only: the receiver decodes each
+against the layout its session geometry names.
 """
 
 from __future__ import annotations

@@ -47,6 +47,13 @@ attn_rescale, ff_hidden and of every ff_out but the last -- is a fresh
 client encryption, so the client sends it as `Geometry.steps` rotated
 copies inside the frame that already carries it, and the server needs
 rotation keys for the giant steps only.
+
+No payload describes itself.  A matrix, a ciphertext list or the key blob
+is data only, and each receiver decodes it against the layout and count its
+own `Geometry` names: the stage input and shares by `_STAGE_PACKING`, the
+product factors as the shares they were made from (mm-open carries no
+transpose flags; both parties' loops name the transposes), the reply by the
+mask state, the key blob by the giant steps.
 """
 
 from __future__ import annotations
@@ -64,9 +71,9 @@ from ..gc.circuit import to_bits
 from ..gc.garble import active_output_pads, evaluate, garble
 from ..gc.ot import (LAMBDA, BaseOtReceiver, BaseOtSender, OtExtReceiver,
                      OtExtSender, RandomOtBatch, RandomOtSenderBatch)
-from ..helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix, add_offset,
-                        colblock_cols_per_ct, colblock_diagonals,
-                        colblock_matmul, colblock_rotation_amounts,
+from ..helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix, Layout,
+                        add_offset, colblock_diagonals, colblock_matmul,
+                        colblock_rotation_amounts,
                         ct_list_from_bytes, ct_list_to_bytes,
                         ctmm_client_round, ctmm_reply_count,
                         ctmm_server_finalize, ctmm_server_mask, decrypt_matrix,
@@ -98,6 +105,8 @@ _OT_PROFILE = "toy"
 # or key set.  2^14 still holds the n = 8192 rings of standard RLWE tables.
 MAX_RING_DEGREE = 1 << 14
 MAX_LAYERS = 64
+# the logits frame tags its classes lg00 .. lg98
+MAX_CLASSES = 99
 
 
 # ----------------------------------------------------------------------------
@@ -110,6 +119,10 @@ def _pow2ceil(x: int) -> int:
 
 @dataclass(frozen=True)
 class Geometry:
+    """Everything both parties agree on before any payload flows, and the
+    layout of every matrix either one sends: the receiver decodes each
+    payload against the layout named here, never against the bytes."""
+
     cfg: ModelConfig
     mode: str
     plan: StagePlan
@@ -136,21 +149,31 @@ class Geometry:
                              and layer < self.cfg.n_layers - 1))
         return self.steps if feeds_product else 1
 
-    def check(self, enc: EncMatrix, packing: str, shape: tuple[int, int],
-              scale: int, what: str, steps: int = 1) -> EncMatrix:
-        """`enc` itself, once its packing, shape, scale, blocking and copy
-        count are the ones this geometry prescribes; ProtocolError
-        otherwise.  Column blocks are always one sequence long, laid out by
-        the blocking rule."""
-        rows, cols = shape
+    def layout(self, packing: str, shape: tuple[int, int],
+               steps: int = 1) -> Layout:
+        """A `packing` matrix of `shape`; column blocks are one sequence
+        long."""
         block = self.cfg.seq_len if packing == COLBLOCKS else 0
-        cpc = colblock_cols_per_ct(self.params, cols, block) if block else 0
-        want = (packing, rows, cols, scale, block, cpc, steps)
-        got = (enc.packing, enc.rows, enc.cols, enc.scale, enc.block,
-               enc.cols_per_ct, enc.steps)
-        if got != want:
-            raise ProtocolError(f"{what} has layout {got}, expected {want}")
-        return enc
+        return Layout(packing, *shape, block, steps)
+
+    @property
+    def input_layout(self) -> Layout:
+        """The client's encrypted one-hot input, which the first product
+        reads."""
+        return self.layout(COLBLOCKS, (self.cfg.seq_len, self.cfg.vocab),
+                           self.steps)
+
+    def stage_input(self, spec: StageSpec) -> Layout:
+        """The masked input matrix a stage opens with."""
+        return self.layout(_STAGE_PACKING[spec.name][0],
+                           (spec.rows, spec.row_len))
+
+    def stage_shares(self, layer: int, spec: StageSpec) -> list[Layout]:
+        """The client's encrypted output share of each group of a stage."""
+        return [self.layout(_STAGE_PACKING[spec.name][1],
+                            (spec.rows, g.count // spec.rows),
+                            self.share_steps(layer, spec.name))
+                for g in spec.groups]
 
 
 def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
@@ -170,10 +193,10 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     about D/g rotations.  The rotation keys are exactly the giant-step
     amounts those products use.
 
-    Both parties run this from the hello parameters and then compare what
-    the peer sends against it; nothing is rebuilt from the peer's bytes.  A
-    shape past `MAX_RING_DEGREE` or `MAX_LAYERS` is refused before anything
-    is planned or allocated.
+    Both parties run this from the hello parameters and decode what the
+    peer sends against it; nothing is rebuilt from the peer's bytes.  A
+    shape past `MAX_RING_DEGREE`, `MAX_LAYERS` or `MAX_CLASSES` is refused
+    before anything is planned or allocated.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -185,6 +208,9 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     if cfg.n_layers > MAX_LAYERS:
         raise ParameterError(f"{cfg.n_layers} layers exceed the limit of "
                              f"{MAX_LAYERS}")
+    if cfg.n_classes > MAX_CLASSES:
+        raise ParameterError(f"{cfg.n_classes} classes exceed the limit of "
+                             f"{MAX_CLASSES}")
     plan = cfg.plan(mode)
     p, sigma = choose_plaintext_prime(plan.m_max, n)
     params = session_params(p, n)
@@ -319,10 +345,6 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
                  enc: EncMatrix) -> list[EncMatrix]:
     geom, ev, rng = sp.geom, sp.ev, sp.rng
     p, m = geom.p, spec.m
-    in_packing, out_packing = _STAGE_PACKING[spec.name]
-    geom.check(enc, in_packing, (spec.rows, spec.row_len), spec.scale_in,
-               f"stage {spec.name} input")
-
     masks = sample_stage_masks(rng, p, m, spec.count)
     offs = _lanes_to_matrix(spec, stage_offsets(masks, m, p))
     menc = add_offset(ev, enc, offs)
@@ -387,13 +409,11 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
 
     sfields = _recv(sp.conn, sp.tr, STAGE_SHARE)
     outs = []
-    for oi, g in enumerate(spec.groups):
+    for oi, lay in enumerate(geom.stage_shares(layer, spec)):
         (blob,) = need(sfields, f"sh{oi:02d}")
-        shape = (spec.rows, g.count // spec.rows)
-        se = geom.check(encmatrix_from_bytes(blob, geom.params), out_packing,
-                        shape, spec.scale_out, f"stage {spec.name} share {oi}",
-                        geom.share_steps(layer, spec.name))
-        outs.append(add_offset(ev, se, corr_lanes[oi].reshape(shape)))
+        se = encmatrix_from_bytes(blob, geom.params, lay)
+        outs.append(add_offset(ev, se, corr_lanes[oi].reshape(lay.rows,
+                                                               lay.cols)))
 
     sp.tr.add_gc_bytes(gc_bytes)
     sp.tr.add_event(kind="stage", layer=layer, name=spec.name,
@@ -405,10 +425,8 @@ def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
                 Y: EncMatrix, *, tx: bool = False, ty: bool = False) -> EncMatrix:
     ev = sp.ev
     msg, st = ctmm_server_mask(ev, X, Y, sp.rng, transpose_x=tx, transpose_y=ty)
-    _send(sp.conn, sp.tr, MM_OPEN, {
-        "mmxx": encmatrix_to_bytes(msg.x),
-        "mmyy": encmatrix_to_bytes(msg.y),
-        "flgs": pack_array(np.array([tx, ty], dtype=np.uint8))})
+    _send(sp.conn, sp.tr, MM_OPEN, {"mmxx": encmatrix_to_bytes(msg.x),
+                                    "mmyy": encmatrix_to_bytes(msg.y)})
     (blob,) = need(_recv(sp.conn, sp.tr, MM_REPLY), "mmrp")
     reply = ct_list_from_bytes(blob, sp.geom.params,
                                ctmm_reply_count(sp.geom.params, st),
@@ -425,8 +443,6 @@ def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
     -- no rotations, hence no extra key material or frames."""
     geom, ev = sp.geom, sp.ev
     cfg, p = geom.cfg, geom.p
-    if cfg.n_classes > 99:
-        raise ParameterError("logits frame supports at most 99 classes")
     cls = to_field(weights.classifier, p)
     G = len(x_enc.cts)
     vecs = [v for c in range(cfg.n_classes)
@@ -482,9 +498,7 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
         raise ProtocolError("extension matrix has the wrong shape")
     pairs = ext.receive_extension(u_cols, geom.ot_total)
 
-    x_enc = geom.check(encmatrix_from_bytes(bx, geom.params), COLBLOCKS,
-                       (cfg.seq_len, cfg.vocab), 0, "encrypted input",
-                       geom.steps)
+    x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout)
 
     sp = _ServerParty(conn, tr, geom, ev, rng, pairs)
     plan = geom.plan
@@ -493,12 +507,12 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
         spec = plan.stage(e, "qkv_rescale")
         if e == 0:
             ew, pw = folded_first_layer(cfg, weights, mode)
-            qkv = colblock_matmul(ev, x_enc, to_field(ew, p), w_scale=2 * cfg.f)
+            qkv = colblock_matmul(ev, x_enc, to_field(ew, p))
             qkv = add_offset(ev, qkv, to_field(pw, p))
         else:
             wqkv = np.hstack([lw.wq, lw.wk,
                               value_projection(lw.wv, cfg.dim, mode)])
-            qkv = colblock_matmul(ev, x_enc, to_field(wqkv, p), w_scale=cfg.f)
+            qkv = colblock_matmul(ev, x_enc, to_field(wqkv, p))
         q_enc, k_enc, v_enc = _serve_stage(sp, e, spec, qkv)
         if mode == "baseline":
             scores = _serve_ctmm(sp, e, "scores", q_enc, k_enc, ty=True)
@@ -509,9 +523,9 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
             (kv_enc,) = _serve_stage(sp, e, plan.stage(e, "attn_inner"), inner)
             attnv = _serve_ctmm(sp, e, "outer", q_enc, kv_enc)
         (attn_cb,) = _serve_stage(sp, e, plan.stage(e, "attn_rescale"), attnv)
-        h_raw = colblock_matmul(ev, attn_cb, to_field(lw.ff1, p), w_scale=cfg.f)
+        h_raw = colblock_matmul(ev, attn_cb, to_field(lw.ff1, p))
         (h_cb,) = _serve_stage(sp, e, plan.stage(e, "ff_hidden"), h_raw)
-        o_raw = colblock_matmul(ev, h_cb, to_field(lw.ff2, p), w_scale=cfg.f)
+        o_raw = colblock_matmul(ev, h_cb, to_field(lw.ff2, p))
         (x_enc,) = _serve_stage(sp, e, plan.stage(e, "ff_out"), o_raw)
 
     _send_logits(sp, x_enc, weights)
@@ -542,15 +556,15 @@ class ClientResult:
     geometry: Geometry
 
 
-def _client_stage(cp: _ClientParty, layer: int, spec: StageSpec):
+def _client_stage(cp: _ClientParty, layer: int,
+                  spec: StageSpec) -> list[Layout]:
+    """One garbled stage on the evaluator's side; returns the layouts of the
+    output shares it sent, which the server's products keep."""
     geom = cp.geom
     p, m = geom.p, spec.m
-    in_packing, out_packing = _STAGE_PACKING[spec.name]
     ofields = _recv(cp.conn, cp.tr, STAGE_OPEN)
     (bm,) = need(ofields, "menc")
-    menc = geom.check(encmatrix_from_bytes(bm, geom.params), in_packing,
-                      (spec.rows, spec.row_len), spec.scale_in,
-                      f"stage {spec.name} payload")
+    menc = encmatrix_from_bytes(bm, geom.params, geom.stage_input(spec))
     lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
     cshare = client_window_share(lanes, m)
 
@@ -608,30 +622,30 @@ def _client_stage(cp: _ClientParty, layer: int, spec: StageSpec):
         shares.append(words.T.ravel().astype(np.uint64))
 
     sfields = {}
-    for oi, share in enumerate(shares):
-        mat = share.reshape(spec.rows, -1)
-        if out_packing == ROWS:
-            se = pack_rows(cp.ev, mat, spec.scale_out)
+    layouts = geom.stage_shares(layer, spec)
+    for oi, (share, lay) in enumerate(zip(shares, layouts)):
+        mat = share.reshape(lay.rows, lay.cols)
+        if lay.packing == ROWS:
+            se = pack_rows(cp.ev, mat)
         else:
-            se = pack_colblocks(cp.ev, mat, geom.cfg.seq_len,
-                                scale=spec.scale_out,
-                                steps=geom.share_steps(layer, spec.name))
+            se = pack_colblocks(cp.ev, mat, lay.block, steps=lay.steps)
         sfields[f"sh{oi:02d}"] = encmatrix_to_bytes(se)
     _send(cp.conn, cp.tr, STAGE_SHARE, sfields)
     cp.tr.add_gc_bytes(gc_bytes)
     cp.tr.add_event(kind="stage", layer=layer, name=spec.name,
                     lanes=spec.count, ot_bits=nbits, gc_bytes=gc_bytes)
+    return layouts
 
 
-def _client_ctmm(cp: _ClientParty, layer: int, label: str):
+def _client_ctmm(cp: _ClientParty, layer: int, label: str, x: Layout,
+                 y: Layout, *, tx: bool = False, ty: bool = False):
+    """The key holder's half of X @ Y: both masked factors arrive in the
+    layouts of the shares they were made from, `x` and `y`, and the
+    transposes are the flight plan's, as in the server's loop."""
     fields = _recv(cp.conn, cp.tr, MM_OPEN)
-    bx, by, bf = need(fields, "mmxx", "mmyy", "flgs")
-    flags = unpack_array(bf)
-    if flags.shape != (2,):
-        raise ProtocolError("product open frame has bad flags")
-    msg = CtmmMasked(encmatrix_from_bytes(bx, cp.geom.params),
-                     encmatrix_from_bytes(by, cp.geom.params),
-                     bool(flags[0]), bool(flags[1]))
+    bx, by = need(fields, "mmxx", "mmyy")
+    msg = CtmmMasked(encmatrix_from_bytes(bx, cp.geom.params, x),
+                     encmatrix_from_bytes(by, cp.geom.params, y), tx, ty)
     reply = ctmm_client_round(cp.ev, cp.keys, msg)
     _send(cp.conn, cp.tr, MM_REPLY, {"mmrp": ct_list_to_bytes(reply)})
     rows = msg.x.cols if msg.transpose_x else msg.x.rows
@@ -709,7 +723,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
 
     onehot = np.zeros((L, vocab), dtype=np.uint64)
     onehot[np.arange(L), toks] = 1
-    x_cb = pack_colblocks(ev, onehot, L, scale=0, steps=geom.steps)
+    x_cb = pack_colblocks(ev, onehot, L, steps=geom.steps)
     _send(conn, tr, CLIENT_SETUP, {"seed": pack_array(seed_msgs),
                                    "ucol": pack_array(u_cols),
                                    "xcts": encmatrix_to_bytes(x_cb)})
@@ -717,15 +731,16 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     cp = _ClientParty(conn, tr, geom, ev, keys, batch)
     plan = geom.plan
     for e in range(nl):
-        _client_stage(cp, e, plan.stage(e, "qkv_rescale"))
+        q_lay, k_lay, v_lay = _client_stage(cp, e,
+                                            plan.stage(e, "qkv_rescale"))
         if mode == "baseline":
-            _client_ctmm(cp, e, "scores")
-            _client_stage(cp, e, plan.stage(e, "attn_weights"))
-            _client_ctmm(cp, e, "attnv")
+            _client_ctmm(cp, e, "scores", q_lay, k_lay, ty=True)
+            (w_lay,) = _client_stage(cp, e, plan.stage(e, "attn_weights"))
+            _client_ctmm(cp, e, "attnv", w_lay, v_lay)
         else:
-            _client_ctmm(cp, e, "inner")
-            _client_stage(cp, e, plan.stage(e, "attn_inner"))
-            _client_ctmm(cp, e, "outer")
+            _client_ctmm(cp, e, "inner", k_lay, v_lay, tx=True)
+            (kv_lay,) = _client_stage(cp, e, plan.stage(e, "attn_inner"))
+            _client_ctmm(cp, e, "outer", q_lay, kv_lay)
         _client_stage(cp, e, plan.stage(e, "attn_rescale"))
         _client_stage(cp, e, plan.stage(e, "ff_hidden"))
         _client_stage(cp, e, plan.stage(e, "ff_out"))

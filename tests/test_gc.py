@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from cipherformer.errors import CircuitError, GarbleError, ProtocolError
+from cipherformer.errors import CircuitError, ProtocolError
 from cipherformer.gc import garble as G
 from cipherformer.gc import ot as O
 from cipherformer.gc.circuit import (CONST0, CONST1, OP_AND, Builder, to_bits,
@@ -89,12 +89,22 @@ class TestCircuitSemantics:
             b.freeze()
 
 
+def read_bits(gc, active_out):
+    """(E, n_out) output values from active labels: 0 where the label is the
+    wire's zero label, 1 where it is that label ^ delta, 2 where it is
+    neither."""
+    z = gc.output_zero_labels()
+    is0 = (active_out == z).all(axis=-1)
+    is1 = (active_out == z ^ gc.delta).all(axis=-1)
+    return np.where(is1, 1, np.where(is0, 0, 2)).T.astype(np.uint8)
+
+
 def run_garbled(circ, gbits, ebits, rng):
     gc = G.garble(circ, gbits.shape[0], rng)
     ez, eo = gc.evaluator_label_pairs()
     e_act = np.where(ebits.T[:, :, None].astype(bool), eo, ez)
     out = G.evaluate(circ, gc.tables, gc.garbler_labels(gbits), e_act)
-    return gc, out, G.decode_outputs(circ, gc.decode, out)
+    return gc, out, read_bits(gc, out)
 
 
 class TestGarbling:
@@ -112,13 +122,17 @@ class TestGarbling:
         assert gc.tables_bytes == 3 * c.n_and * 2 * 16
 
     def test_tamper_detection(self):
+        """A flipped bit of an active output label is neither of the wire's
+        two labels, so it cannot read as the wrong bit."""
         c = build_adder(4)
         rng = np.random.default_rng(9)
-        gc, out, _ = run_garbled(c, to_bits(np.array([5]), 4),
-                                 to_bits(np.array([6]), 4), rng)
+        gc, out, bits = run_garbled(c, to_bits(np.array([5]), 4),
+                                    to_bits(np.array([6]), 4), rng)
+        assert word_value(bits) == 11
         out[0, 0, 0] ^= np.uint64(1)
-        with pytest.raises(GarbleError):
-            G.decode_outputs(c, gc.decode, out)
+        tampered = read_bits(gc, out)
+        assert tampered[0, 0] == 2
+        assert np.array_equal(tampered[:, 1:], bits[:, 1:])
 
     def test_output_pads_selective(self):
         c = build_adder(6)
@@ -195,7 +209,7 @@ def reference_hash(labels, tweaks):
 
 def reference_garble(circuit, instances, rng):
     """Half-gates garbling one gate at a time, one AES batch per AND:
-    (delta, wire0, tables, decode, (pads0, pads1))."""
+    (delta, wire0, tables, (pads0, pads1))."""
     E = instances
     delta = rng.integers(0, 1 << 64, (E, 2), dtype=np.uint64)
     delta[:, 0] |= np.uint64(1)
@@ -231,13 +245,11 @@ def reference_garble(circuit, instances, rng):
         ai += 1
 
     outs = circuit.outputs
-    decode = np.empty((outs.size, E, 2, 2), dtype=np.uint64)
     pads = np.empty((2, outs.size, E, 2), dtype=np.uint64)
     for i, w in enumerate(outs):
         for v, label in enumerate((wire0[w], wire0[w] ^ delta)):
-            decode[i, :, v] = reference_hash(label, _tweaks(G._OUT_NS | np.uint64(i), E))
             pads[v, i] = reference_hash(label, _tweaks(G._B2A_NS | np.uint64(i), E))
-    return delta, wire0, tables, decode, pads
+    return delta, wire0, tables, pads
 
 
 def reference_evaluate(circuit, tables, garbler_active, evaluator_active):
@@ -272,21 +284,18 @@ def assert_matches_reference(circ, gbits, ebits, rng):
     """Garble with `rng` (and the reference with a copy of it), evaluate
     both on the same active labels, and compare every array byte for byte."""
     E = gbits.shape[0]
-    delta, wire0, tables, decode, pads = reference_garble(circ, E,
-                                                          copy.deepcopy(rng))
+    delta, wire0, tables, pads = reference_garble(circ, E, copy.deepcopy(rng))
     gc = G.garble(circ, E, rng)
     assert np.array_equal(gc.delta, delta)
     assert np.array_equal(gc.wire0, wire0)
     assert np.array_equal(gc.tables, tables)
-    assert np.array_equal(gc.decode, decode)
     assert np.array_equal(np.array(gc.output_pads()), pads)
     ez, eo = gc.evaluator_label_pairs()
     e_act = np.where(ebits.T[:, :, None].astype(bool), eo, ez)
     g_act = gc.garbler_labels(gbits)
     out = G.evaluate(circ, gc.tables, g_act, e_act)
     assert np.array_equal(out, reference_evaluate(circ, tables, g_act, e_act))
-    assert np.array_equal(G.decode_outputs(circ, gc.decode, out),
-                          circ.plain_eval(gbits, ebits))
+    assert np.array_equal(read_bits(gc, out), circ.plain_eval(gbits, ebits))
 
 
 def _random_bits(circ, instances, rng):

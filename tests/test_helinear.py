@@ -9,7 +9,8 @@ import pytest
 from cipherformer import pahe
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix,
-                                   MaskState, _shifted_terms, add_offset,
+                                   Layout, MaskState, _shifted_terms,
+                                   add_offset,
                                    colblock_diagonals, colblock_matmul,
                                    colblock_rotation_amounts,
                                    ctmm_client_round, ctmm_reply_count,
@@ -71,12 +72,13 @@ def _check_rows_diag_roundtrip(par, keys, ev, shape, n_row_cts):
     want_rows = np.zeros((n_row_cts, par.n), dtype=np.uint64)
     for i in range(r):
         want_rows[i // T, (i % T) * c:(i % T + 1) * c] = M[i]
-    enc = pack_rows(ev, M, scale=9)
-    assert enc.packing == ROWS and enc.scale == 9
+    enc = pack_rows(ev, M)
+    assert enc.packing == ROWS
     assert len(enc.cts) == n_row_cts
     assert np.array_equal(keys.decrypt_many(enc.cts), want_rows)
     assert np.array_equal(decrypt_matrix(keys, enc), M)
-    back = encmatrix_from_bytes(encmatrix_to_bytes(enc), par)
+    back = encmatrix_from_bytes(encmatrix_to_bytes(enc), par,
+                                Layout(ROWS, r, c))
     assert np.array_equal(decrypt_matrix(keys, back), M)
     _, diags = _shifted_terms(np.zeros((T, r), dtype=np.uint64), M)
     for t in range(r):
@@ -148,8 +150,8 @@ def test_colblock_matmul_matches_plain(setup, small):
     # one output ciphertext on the wide ring, four on the small one
     for (par, keys, ev, *_), n_out in ((setup, 1), (small, 4)):
         enc = pack_colblocks(ev, X, block=8)
-        out = colblock_matmul(ev, enc, W, w_scale=9)
-        assert out.packing == COLBLOCKS and out.scale == 9
+        out = colblock_matmul(ev, enc, W)
+        assert out.packing == COLBLOCKS
         assert len(out.cts) == n_out
         got = decrypt_matrix(keys, out)
         assert np.array_equal(got, matmul_mod(X, W, par.p))
@@ -268,14 +270,14 @@ def test_ctmm_cross_term_small_exhaustive(setup):
             for c in vals:
                 for d in vals:
                     R = np.array([[a, b], [c, d]], dtype=np.uint64)
-                    out = ctmm_server_finalize(ev, reply, MaskState(R, zero, 0))
+                    out = ctmm_server_finalize(ev, reply, MaskState(R, zero))
                     assert out.packing == ROWS and len(out.cts) == 1
                     got = decrypt_matrix(keys, out)
                     assert np.array_equal(got, matmul_mod(R, M, par.p)), R
 
 
 def _run_ctmm(setup, r, k, c, seed, pack_x="rows", pack_y="rows",
-              tx=False, ty=False, sx=0, sy=0):
+              tx=False, ty=False):
     par, keys, ev, ev_c = setup
     rng = np.random.default_rng(seed)
     X = _rand(rng, r, k, par.p)
@@ -283,13 +285,13 @@ def _run_ctmm(setup, r, k, c, seed, pack_x="rows", pack_y="rows",
     stored_x = X.T.copy() if tx else X
     stored_y = Y.T.copy() if ty else Y
 
-    def pack(ev_, M, how, scale):
+    def pack(ev_, M, how):
         if how == "rows":
-            return pack_rows(ev_, M, scale)
-        return pack_colblocks(ev_, M, block=8, scale=scale)
+            return pack_rows(ev_, M)
+        return pack_colblocks(ev_, M, block=8)
 
-    enc_x = pack(ev, stored_x, pack_x, sx)
-    enc_y = pack(ev, stored_y, pack_y, sy)
+    enc_x = pack(ev, stored_x, pack_x)
+    enc_y = pack(ev, stored_y, pack_y)
     msg, st = ctmm_server_mask(ev, enc_x, enc_y, rng, transpose_x=tx,
                                transpose_y=ty)
     reply = ctmm_client_round(ev_c, keys, msg)
@@ -303,13 +305,13 @@ def _check_ctmm_exact(fixture, dims, packs):
     pack_x, pack_y, tx, ty = packs
     X, Y, msg, st, reply, out, keys, ev = _run_ctmm(
         fixture, r, k, c, seed=200 + r * 31 + k * 7 + c, pack_x=pack_x,
-        pack_y=pack_y, tx=tx, ty=ty, sx=9, sy=9)
+        pack_y=pack_y, tx=tx, ty=ty)
     T = rows_per_ct(par, c)
     G = -(-r // T)
     want = matmul_mod(X, Y, keys.params.p)
     # the reply: the product, then k terms of each factor, G cts apiece
     assert len(reply) == ctmm_reply_count(par, st) == (2 * k + 1) * G
-    assert out.packing == ROWS and out.scale == 18
+    assert out.packing == ROWS
     assert len(out.cts) == G
     assert np.array_equal(decrypt_matrix(keys, out), want)
     for ct in out.cts:
@@ -429,85 +431,71 @@ def test_ctmm_row_counter_tracks_output_rows(setup):
 
 
 def test_encmatrix_wire_roundtrip(setup, small):
+    """A matrix on the wire is its ciphertexts and nothing else; it decodes
+    against the layout it was packed in."""
     par, keys, ev, _ = setup
     spar, skeys, sev = small
     rng = np.random.default_rng(500)
     M = _rand(rng, 3, 5, par.p)
-    for params, keys_, enc in (
-            (par, keys, pack_rows(ev, M, scale=9)),
-            (spar, skeys, pack_colblocks(sev, M, block=8)),
-            (spar, skeys, pack_colblocks(sev, M, block=8, steps=3))):
+    for params, keys_, enc, layout in (
+            (par, keys, pack_rows(ev, M), Layout(ROWS, 3, 5)),
+            (spar, skeys, pack_colblocks(sev, M, block=8),
+             Layout(COLBLOCKS, 3, 5, 8)),
+            (spar, skeys, pack_colblocks(sev, M, block=8, steps=3),
+             Layout(COLBLOCKS, 3, 5, 8, 3))):
         blob = encmatrix_to_bytes(enc)
-        back = encmatrix_from_bytes(blob, params)
-        assert (back.packing, back.rows, back.cols, back.scale,
-                back.block, back.cols_per_ct, back.steps) == \
-               (enc.packing, enc.rows, enc.cols, enc.scale,
-                enc.block, enc.cols_per_ct, enc.steps)
+        assert len(blob) == len(enc.cts) * pahe.ct_nbytes(params)
+        assert layout.ct_count(params) == len(enc.cts)
+        back = encmatrix_from_bytes(blob, params, layout)
+        assert (back.packing, back.rows, back.cols, back.block,
+                back.cols_per_ct, back.steps) == \
+               (enc.packing, enc.rows, enc.cols, enc.block,
+                enc.cols_per_ct, enc.steps)
         assert np.array_equal(decrypt_matrix(keys_, back), M)
     blob = encmatrix_to_bytes(pack_rows(ev, M))
     with pytest.raises(ProtocolError):
-        encmatrix_from_bytes(blob[:10], par)
+        encmatrix_from_bytes(blob[:10], par, Layout(ROWS, 3, 5))
     with pytest.raises(ProtocolError):
-        encmatrix_from_bytes(blob + b"x", par)
-    with pytest.raises(ProtocolError):
-        encmatrix_from_bytes(b"\xff" + blob[1:], par)
-
+        encmatrix_from_bytes(blob + b"x", par, Layout(ROWS, 3, 5))
 
 
 def test_encmatrix_layout_must_match_payload(setup, small):
-    """A header the ciphertexts cannot back is rejected before anything is
-    decrypted: rows that need more ciphertexts than were sent, no columns,
-    columns past the ring row, column blocks off the blocking rule, and the
-    ids 2 and 4 of the diagonal and split packings this package no longer
-    has."""
+    """A payload is refused unless it holds exactly the ciphertexts of the
+    layout it is decoded against, before anything is decrypted: more rows
+    than were sent, rows that fit fewer ciphertexts, and column blocks
+    under another width or block length."""
     par, keys, ev, _ = setup
     spar, skeys, sev = small
     rng = np.random.default_rng(501)
-    rows = pack_rows(ev, _rand(rng, 3, 4, par.p))
-    assert len(rows.cts) == 1  # 64 rows of 4 fit one 256-slot row
-    forged = EncMatrix(ROWS, rows.cts, 65, 4)
-    with pytest.raises(ProtocolError, match="needs 2 ciphertexts"):
-        encmatrix_from_bytes(encmatrix_to_bytes(forged), par)
-    with pytest.raises(ProtocolError, match="no columns"):
-        encmatrix_from_bytes(
-            encmatrix_to_bytes(EncMatrix(ROWS, rows.cts, 3, 0)), par)
-    blob = encmatrix_to_bytes(rows)
-    for pid in (2, 4):
-        with pytest.raises(ProtocolError, match=f"unknown packing id {pid}"):
-            encmatrix_from_bytes(bytes([pid]) + blob[1:], par)
-    rows = pack_rows(sev, _rand(rng, 2, 32, spar.p))
-    forged = EncMatrix(ROWS, rows.cts, 2, 40)
-    with pytest.raises(ProtocolError, match="exceed the 32-slot ring row"):
-        encmatrix_from_bytes(encmatrix_to_bytes(forged), spar)
-    blocks = pack_colblocks(sev, _rand(rng, 8, 8, spar.p), block=8)
-    for block, cpc in ((8, 2), (8, 8), (4, 4), (64, 4)):
-        forged = EncMatrix(COLBLOCKS, blocks.cts, 8, 8, block=block,
-                           cols_per_ct=cpc)
-        with pytest.raises(ProtocolError, match="do not fit the ring"):
-            encmatrix_from_bytes(encmatrix_to_bytes(forged), spar)
-    forged = EncMatrix(ROWS, rows.cts, 2, 32, block=8)
-    with pytest.raises(ProtocolError, match="block fields"):
-        encmatrix_from_bytes(encmatrix_to_bytes(forged), spar)
+    rows = encmatrix_to_bytes(pack_rows(ev, _rand(rng, 3, 4, par.p)))
+    # 64 rows of 4 fit one 256-slot row
+    with pytest.raises(ProtocolError, match="rows matrix of 65x4 needs 2"):
+        encmatrix_from_bytes(rows, par, Layout(ROWS, 65, 4))
+    # one 32-column row per ciphertext, or two 16-column rows to one
+    rows = encmatrix_to_bytes(pack_rows(sev, _rand(rng, 2, 32, spar.p)))
+    with pytest.raises(ProtocolError, match="rows matrix of 2x16 needs 1"):
+        encmatrix_from_bytes(rows, spar, Layout(ROWS, 2, 16))
+    # 8 columns in blocks of 8, four to a ciphertext: two ciphertexts
+    blocks = encmatrix_to_bytes(pack_colblocks(sev, _rand(rng, 8, 8, spar.p),
+                                               block=8))
+    for cols, block in ((4, 8), (8, 4)):
+        with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
+            encmatrix_from_bytes(blocks, spar,
+                                 Layout(COLBLOCKS, 8, cols, block))
 
 
 def test_encmatrix_copy_count_must_fit(small):
-    """The baby-step copy count of a header: never zero, at most the blocks
-    of one ring row on column blocks (4 of 8 slots in a 32-slot row), and
-    exactly one on rows.  Each is refused before the ciphertexts are
-    counted."""
+    """The baby-step copy count is the layout's: four copies of column
+    blocks decode only against a four-copy layout, and never as rows."""
     spar, skeys, sev = small
     rng = np.random.default_rng(502)
-    blocks = pack_colblocks(sev, _rand(rng, 8, 3, spar.p), block=8, steps=4)
-    assert len(blocks.cts) == 4
-    back = encmatrix_from_bytes(encmatrix_to_bytes(blocks), spar)
-    assert back.steps == 4
-    rows = pack_rows(sev, _rand(rng, 2, 5, spar.p))
-    for enc, steps, error in ((blocks, 0, "no copies"),
-                              (blocks, 5, "5 copies of 8-slot blocks"),
-                              (rows, 0, "no copies"),
-                              (rows, 2, "rows packing carries 2 copies")):
-        forged = EncMatrix(enc.packing, enc.cts, enc.rows, enc.cols,
-                           block=enc.block, cols_per_ct=enc.cols_per_ct,
-                           steps=steps)
-        with pytest.raises(ProtocolError, match=error):
-            encmatrix_from_bytes(encmatrix_to_bytes(forged), spar)
+    M = _rand(rng, 8, 3, spar.p)
+    blob = encmatrix_to_bytes(pack_colblocks(sev, M, block=8, steps=4))
+    back = encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, 8, 4))
+    assert back.steps == 4 and len(back.cts) == 4
+    assert np.array_equal(decrypt_matrix(skeys, back), M)
+    for steps in (1, 3, 5):
+        with pytest.raises(ProtocolError, match=f"needs {steps} ciphertexts"):
+            encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, 8, steps))
+    with pytest.raises(ProtocolError, match="rows matrix of 8x3 needs 1"):
+        encmatrix_from_bytes(blob, spar, Layout(ROWS, 8, 3))

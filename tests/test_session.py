@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 
 from cipherformer.errors import ParameterError, ProtocolError
-from cipherformer.helinear import (COLBLOCKS, ROWS, _PACKING_IDS,
-                                   colblock_matmul, decrypt_matrix,
-                                   matmul_mod, pack_colblocks, rows_per_ct)
+from cipherformer.helinear import (COLBLOCKS, colblock_matmul,
+                                   decrypt_matrix, encmatrix_from_bytes,
+                                   encmatrix_to_bytes, matmul_mod,
+                                   pack_colblocks, rows_per_ct)
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
-from cipherformer.pahe import Evaluator, _pack_params, keygen
-from cipherformer.protocol import (ACCEPT, HELLO, LOGITS, MM_REPLY,
-                                   STAGE_OPEN, SocketConn,
+from cipherformer.pahe import Evaluator, ct_nbytes, keygen
+from cipherformer.protocol import (ACCEPT, HELLO, LOGITS, MM_OPEN, MM_REPLY,
+                                   STAGE_OPEN, STAGE_SHARE, SocketConn,
                                    memory_pair, private_inference, run_client,
                                    run_pair, run_server, session,
                                    session_geometry)
@@ -37,15 +38,15 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "1345b289b00b529800c612ae9ba34ff9"
-                "19e37e21fd03ee6a4b6139cbe1002249",
-    "opt1": "692158bf50e92401912b76b8b34e75bf"
-            "cc9758a1e78e9587959a6f5389a5170b",
-    "opt2": "c72b5e70e53ebfc1bdacffa1d15f806b"
-            "3e6db0e022354296bd96ab104d75b026",
+    "baseline": "1b2389bbd6c7bf20088efa95334ba2e2"
+                "d96f6be5abf12004c6fca9d55d854f20",
+    "opt1": "2ec661c919ff601f2fb08509e854098a"
+            "3b0c377b1849ecc559d3ca387d8f388b",
+    "opt2": "4a1ab15936d300459649ba8c1abc5017"
+            "c8de010d47eaad2b163d71127984e2bd",
 }
-TWO_LAYER_DIGEST = ("5c6c6da6b8add66ae95ae53a2df5a8d1"
-                    "0d94df36ad7d181292bea8b0ee8b2165")
+TWO_LAYER_DIGEST = ("15023f02e3a9416bc9013dcd704375e1"
+                    "52938e639be81c7fdcfd35ab6ff59b53")
 
 
 @pytest.fixture(scope="module")
@@ -168,16 +169,20 @@ def test_socket_read_fails_when_the_peer_closes_mid_read():
 
 class _EditFirstFrame:
     """One end of the transport that edits one field of the first frame of
-    type `ftype` it sends, in place, before it leaves; with `tag` None the
-    edit gets the frame's whole field dict instead."""
+    type `ftype` it sends after `skip` others of that type, in place, before
+    it leaves; with `tag` None the edit gets the frame's whole field dict
+    instead."""
 
-    def __init__(self, conn, ftype, tag, edit):
+    def __init__(self, conn, ftype, tag, edit, skip=0):
         self._conn, self._ftype, self._tag = conn, ftype, tag
-        self._edit, self._done = edit, False
+        self._edit, self._skip, self._done = edit, skip, False
 
     def send(self, data: bytes):
         _magic, ftype, _ln = _HEADER.unpack_from(data)
         if ftype != self._ftype or self._done:
+            return self._conn.send(data)
+        if self._skip:
+            self._skip -= 1
             return self._conn.send(data)
         self._done = True
         fields = decode_fields(data[_HEADER.size:])
@@ -206,68 +211,87 @@ def _caught(fn):
     return run
 
 
-def _as_rows(head: bytearray):
-    # (L x 3d colblocks in one ciphertext) -> a 1 x 3d row matrix: the same
-    # ciphertext count, so it decodes, but the packing is not the plan's
-    struct.pack_into("<BI", head, 0, _PACKING_IDS[ROWS], 1)
-    struct.pack_into("<IH", head, 13, 0, 0)
+# the session parameters of every tampered session below (tiny, opt1)
+PARAMS = session_geometry(CFG, "opt1").params
+CT_BYTES = ct_nbytes(PARAMS)
+# a ciphertext's first residue sits past its noise estimate
+FIRST_RESIDUE = 8
+
+
+def _one_too_few(blob: bytearray):
+    del blob[-CT_BYTES:]
+
+
+def _one_too_many(blob: bytearray):
+    blob.extend(blob[-CT_BYTES:])
 
 
 @pytest.mark.parametrize("edit", [
-    pytest.param(lambda h: struct.pack_into("<i", h, 9, 5), id="scale"),
-    pytest.param(lambda h: struct.pack_into("<I", h, 13, 5), id="blocking"),
-    pytest.param(_as_rows, id="packing"),
+    pytest.param(_one_too_few, id="one-too-few"),
+    pytest.param(_one_too_many, id="one-too-many"),
 ])
 def test_client_rejects_stage_open_off_the_plan(weights, edit):
-    """The first stage's masked QKV matrix arrives with a layout that still
-    decodes but differs from the plan; the client refuses it with the same
-    geometry check the server applies to the shares it receives."""
+    """The first stage's masked QKV matrix arrives with one ciphertext too
+    few or too many; the client refuses it, since the plan fixes exactly
+    one (4 x 12 column blocks of 4 slots fit one ring row)."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
             _EditFirstFrame(conn, STAGE_OPEN, "menc", edit), CFG, weights,
             "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
-    assert "stage qkv_rescale payload has layout" in str(client_err)
+    assert "colblocks matrix of 4x12 needs 1 ciphertexts" in str(client_err)
     assert isinstance(server_err, ProtocolError)
 
 
-def _reply_entries(blob: bytearray) -> list[int]:
-    """Offsets of each length-prefixed ciphertext of a reply list."""
-    (count,) = struct.unpack_from("<I", blob, 0)
-    offs, off = [], 4
-    for _ in range(count):
-        offs.append(off)
-        off += 4 + struct.unpack_from("<I", blob, off)[0]
-    return offs
+def test_server_refuses_share_without_its_copies(weights):
+    """attn_rescale feeds the first feed-forward product, so its share must
+    carry the geometry's five baby-step copies; a client sending one copy
+    is refused."""
+    steps = session_geometry(CFG, "opt1").steps
+
+    def first_copy(blob: bytearray):
+        del blob[len(blob) // steps:]
+
+    # opt1 shares in order: qkv_rescale, attn_inner, attn_rescale
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(
+            _EditFirstFrame(conn, STAGE_SHARE, "sh00", first_copy, skip=2),
+            TOKENS, seed=12)))
+    assert isinstance(server_err, ProtocolError)
+    assert "colblocks matrix of 4x4 needs 5 ciphertexts" in str(server_err)
+    assert isinstance(client_err, ProtocolError)
 
 
-def _one_too_few(blob: bytearray):
-    last = _reply_entries(blob)[-1]
-    del blob[last:]
-    struct.pack_into("<I", blob, 0, struct.unpack_from("<I", blob, 0)[0] - 1)
-
-
-def _first_residue(params) -> int:
-    """Offset of the first residue of a ciphertext's c0: past the magic,
-    the parameter block, the noise estimate and the polynomial length."""
-    return 4 + len(_pack_params(params)) + 8 + 4
+def test_client_refuses_product_factor_off_the_plan(weights, monkeypatch):
+    """The first product's masked factor K arrives with one ciphertext too
+    many; the client refuses it against the layout of the K share it sent,
+    before it decrypts either factor."""
+    monkeypatch.setattr(session, "ctmm_client_round", lambda *_: pytest.fail(
+        "decrypted a refused factor"))
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(
+            _EditFirstFrame(conn, MM_OPEN, "mmxx", _one_too_many), CFG,
+            weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
+    assert isinstance(client_err, ProtocolError)
+    assert "rows matrix of 4x4 needs 1 ciphertexts" in str(client_err)
+    assert isinstance(server_err, ProtocolError)
 
 
 def _residue_past_its_prime(blob: bytearray):
-    # the first ciphertext of the list, past the list count and its length
-    params = session_geometry(CFG, "opt1").params
-    struct.pack_into("<Q", blob, 4 + 4 + _first_residue(params),
-                     params.q_primes[0])
+    # the first ciphertext of the list
+    struct.pack_into("<Q", blob, FIRST_RESIDUE, PARAMS.q_primes[0])
 
 
 @pytest.mark.parametrize("edit,error", [
-    pytest.param(_one_too_few, "needs 9 ciphertexts, payload has 8",
+    pytest.param(_one_too_few, "product reply needs 9 ciphertexts",
                  id="one-too-few"),
     pytest.param(lambda b: b.__delitem__(slice(len(b) // 2, None)),
-                 "polynomial length does not match", id="truncated"),
-    pytest.param(lambda b: b.extend(b"\0"), "trailing bytes",
-                 id="trailing-bytes"),
+                 "product reply needs 9 ciphertexts", id="truncated"),
+    pytest.param(lambda b: b.extend(b"\0"),
+                 "product reply needs 9 ciphertexts", id="trailing-bytes"),
     pytest.param(_residue_past_its_prime, "residue not reduced",
                  id="residue-past-q"),
 ])
@@ -292,12 +316,15 @@ def test_server_rejects_malformed_mm_reply(weights, edit, error):
     pytest.param(0, 1 << 12, "limit", id="vocab"),
     pytest.param(4, session.MAX_LAYERS + 1, "limit", id="n_layers"),
     pytest.param(5, 1, "two classes", id="n_classes"),
+    pytest.param(5, session.MAX_CLASSES + 1, "limit",
+                 id="n_classes_past_limit"),
     pytest.param(7, 40, "bad widths", id="widths"),
 ])
 def test_client_refuses_oversized_hello_before_planning(monkeypatch, index,
                                                          value, error):
     """A forged hello asks for a ring past `MAX_RING_DEGREE`, more layers
-    than `MAX_LAYERS`, or a shape `ModelConfig` refuses; the client refuses
+    than `MAX_LAYERS`, more classes than the logits frame tags
+    (`MAX_CLASSES`), or a shape `ModelConfig` refuses; the client refuses
     it before the plan, the ring or any key is sized.  The shape is the
     peer's, so the refusal is a ProtocolError, not a ParameterError."""
     monkeypatch.setattr(ModelConfig, "plan",
@@ -314,12 +341,32 @@ def test_client_refuses_oversized_hello_before_planning(monkeypatch, index,
 
 
 def test_geometry_limits_admit_their_bounds():
-    """A shape at exactly the ring limit and one with exactly `MAX_LAYERS`
-    layers still size a session."""
+    """A shape at exactly the ring limit, one with exactly `MAX_LAYERS`
+    layers and one with exactly `MAX_CLASSES` classes still size a
+    session."""
     wide = replace(CFG, vocab=128, seq_len=64)
     assert session_geometry(wide, "opt1").n == session.MAX_RING_DEGREE
     deep = replace(CFG, n_layers=session.MAX_LAYERS)
     assert session_geometry(deep, "opt2").plan.encoders
+    many = replace(CFG, n_classes=session.MAX_CLASSES)
+    assert session_geometry(many, "opt1").cfg.n_classes == 99
+
+
+class _NoSend:
+    def send(self, data: bytes):
+        pytest.fail("sent a frame")
+
+
+def test_server_refuses_too_many_classes_before_hello(monkeypatch):
+    """A model with more classes than the logits frame tags is the server
+    caller's own error: a ParameterError before the plan and before HELLO,
+    not after a whole session."""
+    cfg = replace(CFG, n_classes=session.MAX_CLASSES + 1)
+    wts = gen_random(cfg, 7, scale=0.25)
+    monkeypatch.setattr(ModelConfig, "plan",
+                        lambda *_: pytest.fail("planned a refused shape"))
+    with pytest.raises(ParameterError, match="100 classes exceed the limit"):
+        run_server(_NoSend(), cfg, wts, "opt1", seed=11)
 
 
 def _refused(party, conn, *args, **kwargs):
@@ -343,9 +390,8 @@ def test_client_bad_tokens_stay_parameter_errors(weights):
 
 
 def _residue_past_q0(fields):
-    params = session_geometry(CFG, "opt1").params
     blob = bytearray(fields["lg00"])
-    struct.pack_into("<Q", blob, _first_residue(params), params.q_primes[0])
+    struct.pack_into("<Q", blob, FIRST_RESIDUE, PARAMS.q_primes[0])
     fields["lg00"] = bytes(blob)
 
 
@@ -355,7 +401,7 @@ def _residue_past_q0(fields):
     pytest.param(lambda f: f.__setitem__("lg02", f["lg01"]),
                  "logits frame has fields", id="extra-class"),
     pytest.param(lambda f: f.__setitem__("lg00", f["lg00"][:-9]),
-                 "polynomial length does not match", id="truncated"),
+                 "ciphertext has", id="truncated"),
     pytest.param(_residue_past_q0, "residue not reduced", id="residue-past-q0"),
 ])
 def test_client_refuses_malformed_logits(weights, edit, error):
@@ -373,32 +419,22 @@ def test_client_refuses_malformed_logits(weights, edit, error):
     assert not isinstance(server_err, Exception)
 
 
-def _key_entries(blob: bytearray, params, count: int) -> tuple[int, int]:
-    """(offset of the Galois key count, bytes per key) of a key blob holding
-    `count` keys: each key is its element and two (k, k, n) digit stacks
-    behind their lengths."""
-    entry = 4 + 2 * (4 + 8 * params.k * params.k * params.n)
-    return len(blob) - count * entry - 2, entry
+# each Galois key of a key blob is its two (k, k, n) digit stacks
+KEY_BYTES = 2 * 8 * PARAMS.k * PARAMS.k * PARAMS.n
 
 
 def _one_key_too_few(blob: bytearray):
-    params = session_geometry(CFG, "opt1").params
-    off, entry = _key_entries(blob, params, 4)
-    struct.pack_into("<H", blob, off, 3)
-    del blob[-entry:]
+    del blob[-KEY_BYTES:]
 
 
 def _one_key_too_many(blob: bytearray):
-    params = session_geometry(CFG, "opt1").params
-    off, entry = _key_entries(blob, params, 4)
-    struct.pack_into("<H", blob, off, 5)
-    blob.extend(blob[-entry:])
+    blob.extend(blob[-KEY_BYTES:])
 
 
 @pytest.mark.parametrize("edit,error", [
-    pytest.param(_one_key_too_few, "holds 3 Galois keys, the session needs 4",
+    pytest.param(_one_key_too_few, "the session's 4 Galois keys need",
                  id="one-too-few"),
-    pytest.param(_one_key_too_many, "holds 5 Galois keys, the session needs 4",
+    pytest.param(_one_key_too_many, "the session's 4 Galois keys need",
                  id="one-too-many"),
 ])
 def test_server_refuses_key_blob_off_the_geometry(weights, edit, error):
@@ -453,20 +489,27 @@ def test_geometry_rotation_keys_are_exactly_the_products_use(cfg, steps,
 
 def test_geometry_check_compares_copies():
     """A product input must carry the geometry's baby-step copies and a
-    stage input exactly one."""
+    stage input exactly one: the attn_rescale share and the ff_out input
+    are both 4 x 4 column blocks, and each layout refuses the other's
+    payload by its ciphertext count."""
     geom = session_geometry(CFG, "opt1")
     km = keygen(geom.params, seed=3)
     ev = Evaluator(km.public(), seed=4)
     X = np.zeros((CFG.seq_len, CFG.dim), dtype=np.uint64)
-    one = pack_colblocks(ev, X, CFG.seq_len)
-    many = pack_colblocks(ev, X, CFG.seq_len, steps=geom.steps)
+    one = encmatrix_to_bytes(pack_colblocks(ev, X, CFG.seq_len))
+    many = encmatrix_to_bytes(pack_colblocks(ev, X, CFG.seq_len,
+                                             steps=geom.steps))
     shape = (CFG.seq_len, CFG.dim)
-    assert geom.check(many, COLBLOCKS, shape, 0, "x", geom.steps) is many
-    assert geom.check(one, COLBLOCKS, shape, 0, "x") is one
-    with pytest.raises(ProtocolError, match="x has layout"):
-        geom.check(one, COLBLOCKS, shape, 0, "x", geom.steps)
-    with pytest.raises(ProtocolError, match="x has layout"):
-        geom.check(many, COLBLOCKS, shape, 0, "x")
+    (share,) = geom.stage_shares(0, geom.plan.stage(0, "attn_rescale"))
+    stage_in = geom.stage_input(geom.plan.stage(0, "ff_out"))
+    assert share == geom.layout(COLBLOCKS, shape, geom.steps)
+    assert stage_in == geom.layout(COLBLOCKS, shape)
+    assert encmatrix_from_bytes(many, geom.params, share).steps == geom.steps
+    assert encmatrix_from_bytes(one, geom.params, stage_in).steps == 1
+    with pytest.raises(ProtocolError, match="needs 5 ciphertexts"):
+        encmatrix_from_bytes(one, geom.params, share)
+    with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
+        encmatrix_from_bytes(many, geom.params, stage_in)
     assert [geom.share_steps(0, name) for name in
             ("qkv_rescale", "attn_rescale", "ff_hidden", "ff_out")] == \
         [1, geom.steps, geom.steps, 1]
