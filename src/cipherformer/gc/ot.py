@@ -1,4 +1,5 @@
-"""Oblivious transfer: DH base OT plus IKNP extension, semi-honest.
+"""Oblivious transfer: elliptic-curve base OT plus IKNP extension,
+semi-honest.
 
 The label transfers for evaluator inputs run in two phases so the heavy part
 can be shipped before the online phase starts:
@@ -11,11 +12,15 @@ can be shipped before the online phase starts:
     exactly the chosen one is recoverable.  Cost per OT: 1 bit up, 32 bytes
     down, no public-key work.
 
-Base OT is the classic DH construction: sender publishes A = g^a; for choice
-c the receiver sends B = g^b * A^c; keys are hashes of A^b resp. (B/A)^a.
-Groups are the published 768-bit and 2048-bit MODP primes (generator 2) --
-the small one for toy runs, the big one when a standard profile is asked
-for.  Pads and hashes are 128-bit, matching wire-label width.
+Base OT is the Chou-Orlandi construction ("The Simplest Protocol for
+Oblivious Transfer", LATINCRYPT 2015) over P-256: the sender publishes
+A = aG; for choice c the receiver sends B = bG + cA; the sender's keys are
+H(aB) and H(a(B - A)), the receiver's is H(bA).  Scalar multiplications
+run in OpenSSL (key derivation and ECDH), the one point addition per OT in
+Python ints.  H is SHA-256 over the OT index and the shared point's 32-byte
+x-coordinate, cut to 128 bits, the wire-label width.  Points travel as
+33-byte compressed SEC1, and every point a peer sends is checked to lie on
+the curve; a sum that would be the identity or a doubling is refused.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import ProtocolError
@@ -31,78 +37,98 @@ from .garble import hash_labels
 
 LAMBDA = 128
 
-# RFC 2409 Oakley group 1 (768-bit) and RFC 3526 group 14 (2048-bit), g = 2.
-_MODP_768 = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF", 16)
-_MODP_2048 = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF", 16)
+_CURVE = ec.SECP256R1()
+# the P-256 field prime and group order (SEC 2, section 2.4.2)
+_P = 2**256 - 2**224 + 2**192 + 2**96 - 1
+_N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+POINT_BYTES = 33
 
 
-def _group(profile: str) -> tuple[int, int, int]:
-    """(modulus, generator, exponent bytes).  Exponents are short: Pollard
-    lambda on an e-bit exponent costs ~2^(e/2), so 2x the pad width is
-    enough, and modexp time scales with exponent length."""
-    if profile == "toy":
-        return _MODP_768, 2, 24
-    if profile == "standard":
-        return _MODP_2048, 2, 32
-    raise ProtocolError(f"unknown OT group profile {profile!r}")
+def _private_key(rng: np.random.Generator) -> ec.EllipticCurvePrivateKey:
+    """A nonzero scalar from the session RNG: 320 bits reduced mod the
+    group order, so the bias is below 2^-64."""
+    while True:
+        s = int.from_bytes(rng.bytes(40), "little") % _N
+        if s:
+            return ec.derive_private_key(s, _CURVE)
 
 
-def _hash_point(x: int, tag: int) -> np.ndarray:
-    h = hashlib.sha256(tag.to_bytes(4, "little")
-                       + x.to_bytes((x.bit_length() + 7) // 8 or 1, "little")).digest()
+def _coords(key: ec.EllipticCurvePublicKey) -> tuple[int, int]:
+    nums = key.public_numbers()
+    return nums.x, nums.y
+
+
+def _add(p1: tuple[int, int], p2: tuple[int, int]) -> tuple[int, int]:
+    """Affine P1 + P2 for P1 != +-P2; the identity or a doubling is a peer's
+    degenerate point, refused."""
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2:
+        raise ProtocolError("degenerate base-OT point sum")
+    lam = (y2 - y1) * pow(x2 - x1, -1, _P) % _P
+    x3 = (lam * lam - x1 - x2) % _P
+    return x3, (lam * (x1 - x3) - y1) % _P
+
+
+def _encode(point: tuple[int, int]) -> bytes:
+    x, y = point
+    return bytes([2 | (y & 1)]) + x.to_bytes(32, "big")
+
+
+def decode_points(blob: bytes, count: int) -> list[ec.EllipticCurvePublicKey]:
+    """Exactly `count` compressed points back to back, each on the curve."""
+    if len(blob) != count * POINT_BYTES:
+        raise ProtocolError(f"{count} base-OT points need "
+                            f"{count * POINT_BYTES} bytes, got {len(blob)}")
+    try:
+        return [ec.EllipticCurvePublicKey.from_encoded_point(
+                    _CURVE, blob[i:i + POINT_BYTES])
+                for i in range(0, len(blob), POINT_BYTES)]
+    except ValueError as exc:
+        raise ProtocolError(f"base-OT point refused: {exc}") from None
+
+
+def _hash_point(x: bytes, tag: int) -> np.ndarray:
+    h = hashlib.sha256(tag.to_bytes(4, "little") + x).digest()
     return np.frombuffer(h[:16], dtype="<u8").astype(np.uint64)
 
 
 class BaseOtSender:
-    def __init__(self, rng: np.random.Generator, profile: str = "toy"):
-        self._p, self._g, eb = _group(profile)
-        self._a = int.from_bytes(rng.bytes(eb), "little") | (1 << (8 * eb))
-        self.msg_a = pow(self._g, self._a, self._p)
+    def __init__(self, rng: np.random.Generator):
+        self._a = _private_key(rng)
+        x, y = _coords(self._a.public_key())
+        self._neg_a = (x, -y % _P)
+        self.msg_a = _encode((x, y))
 
-    def keys(self, msgs_b: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def keys(self, msgs_b: bytes) -> tuple[np.ndarray, np.ndarray]:
         """Derive both keys per OT from the receiver's points: (k0, k1),
-        each (count, 2) uint64."""
-        a_pub = pow(self.msg_a, self._a, self._p)  # A^a, to divide out
-        inv = pow(a_pub, -1, self._p)
-        k0 = np.empty((len(msgs_b), 2), dtype=np.uint64)
+        each (LAMBDA, 2) uint64."""
+        ecdh = ec.ECDH()
+        k0 = np.empty((LAMBDA, 2), dtype=np.uint64)
         k1 = np.empty_like(k0)
-        for i, B in enumerate(msgs_b):
-            if not 1 < B < self._p:
-                raise ProtocolError("base OT point out of range")
-            s = pow(B, self._a, self._p)
-            k0[i] = _hash_point(s, i)
-            k1[i] = _hash_point(s * inv % self._p, i)
+        for i, B in enumerate(decode_points(msgs_b, LAMBDA)):
+            x, y = _add(_coords(B), self._neg_a)
+            b_minus_a = ec.EllipticCurvePublicNumbers(x, y, _CURVE).public_key()
+            k0[i] = _hash_point(self._a.exchange(ecdh, B), i)
+            k1[i] = _hash_point(self._a.exchange(ecdh, b_minus_a), i)
         return k0, k1
 
 
 class BaseOtReceiver:
     def __init__(self, rng: np.random.Generator, choices: np.ndarray,
-                 msg_a: int, profile: str = "toy"):
-        self._p, self._g, eb = _group(profile)
-        if not 1 < msg_a < self._p:
-            raise ProtocolError("base OT point out of range")
+                 msg_a: bytes):
+        (self._A,) = decode_points(msg_a, 1)
+        a_point = _coords(self._A)
         self.choices = np.asarray(choices, dtype=np.uint8)
-        self._bs = [int.from_bytes(rng.bytes(eb), "little") | (1 << (8 * eb))
-                    for _ in range(self.choices.size)]
-        self.msgs_b = [pow(self._g, b, self._p) * (msg_a if c else 1) % self._p
-                       for b, c in zip(self._bs, self.choices)]
-        self._A = msg_a
+        self._bs = [_private_key(rng) for _ in range(self.choices.size)]
+        b_points = [_coords(b.public_key()) for b in self._bs]
+        self.msgs_b = b"".join(_encode(_add(bg, a_point) if c else bg)
+                               for bg, c in zip(b_points, self.choices))
 
     def keys(self) -> np.ndarray:
+        ecdh = ec.ECDH()
         out = np.empty((self.choices.size, 2), dtype=np.uint64)
         for i, b in enumerate(self._bs):
-            out[i] = _hash_point(pow(self._A, b, self._p), i)
+            out[i] = _hash_point(b.exchange(ecdh, self._A), i)
         return out
 
 

@@ -3,10 +3,12 @@
 A frame is `magic | type | payload length | payload`.  Payloads are flat
 containers of tagged fields (4-byte ASCII tag + length + bytes).  Only that
 container parses without the session state; duplicate tags are hard errors
-rather than silent drift.  Small numeric payloads travel as little-endian
-arrays with an explicit dtype/shape header.  Encrypted payloads (matrices,
-ciphertext lists, the key blob) carry data only: the receiver decodes each
-against the layout its session geometry names.
+rather than silent drift, and the session refuses any frame whose tags are
+not exactly the ones it expects.  Small numeric payloads travel as
+little-endian arrays with an explicit dtype/shape header.  Encrypted
+payloads (matrices, ciphertext lists, the key blob) carry data only: the
+receiver decodes each against the layout its session geometry names.
+Base-OT points are 33-byte compressed P-256 points back to back.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ MAX_FRAME = 1 << 28
 
 # handshake / setup
 HELLO = 1          # s->c: session geometry
-ACCEPT = 2         # c->s: public keys, base-OT point
-OT_BASE = 3        # s->c: base-OT response points
+ACCEPT = 2         # c->s: public keys, base-OT point A (33 B)
+OT_BASE = 3        # s->c: the 128 base-OT points B (33 B each)
 CLIENT_SETUP = 4   # c->s: OT seeds + extension matrix + encrypted input
 # garbled stages
 STAGE_OPEN = 5     # s->c: masked wires, tables, garbler labels, B2A pairs
@@ -107,13 +109,6 @@ def decode_fields(data: bytes) -> dict[str, bytes]:
     return out
 
 
-def need(fields: dict[str, bytes], *tags: str) -> list[bytes]:
-    missing = [t for t in tags if t not in fields]
-    if missing:
-        raise ProtocolError(f"missing fields {missing}")
-    return [fields[t] for t in tags]
-
-
 # ----------------------------------------------------------------------------
 # array / integer codecs
 
@@ -161,17 +156,3 @@ def unpack_u64(blob: bytes) -> int:
     if len(blob) != 8:
         raise ProtocolError("bad integer field length")
     return struct.unpack("<Q", blob)[0]
-
-
-def pack_bigint(x: int) -> bytes:
-    raw = x.to_bytes((x.bit_length() + 7) // 8 or 1, "little")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def unpack_bigint(blob: bytes) -> int:
-    if len(blob) < 4:
-        raise ProtocolError("truncated big integer")
-    (length,) = struct.unpack_from("<I", blob, 0)
-    if len(blob) != 4 + length:
-        raise ProtocolError("big integer length mismatch")
-    return int.from_bytes(blob[4:], "little")

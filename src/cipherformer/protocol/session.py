@@ -11,7 +11,8 @@ One session is a fixed flight plan:
                                     ring/modulus itself and refuses on any
                                     disagreement)
   accept         client -> server   public + rotation keys, base-OT point
-  ot-base        server -> client   base-OT response points
+                                    A (33-byte compressed P-256)
+  ot-base        server -> client   the 128 base-OT points B, 33 bytes each
   client-setup   client -> server   OT extension seeds + correction matrix,
                                     and the encrypted one-hot input
 
@@ -58,7 +59,6 @@ mask state, the key blob by the giant steps.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isqrt
@@ -90,15 +90,13 @@ from ..stages import (MODES, StagePlan, StageSpec, b2a_weights,
                       choose_plaintext_prime, client_window_share,
                       garbler_window_share, sample_stage_masks,
                       stage_circuits, stage_offsets)
-from .framing import (ACCEPT, CLIENT_SETUP, HELLO, LOGITS, MM_OPEN, MM_REPLY,
-                      OT_BASE, STAGE_OPEN, STAGE_OT_REQ, STAGE_OT_RESP,
-                      STAGE_SHARE, decode_fields, encode_fields, need,
-                      pack_array, pack_bigint, pack_u64, read_frame,
-                      unpack_array, unpack_bigint, unpack_u64, write_frame)
+from .framing import (ACCEPT, CLIENT_SETUP, FRAME_NAMES, HELLO, LOGITS,
+                      MM_OPEN, MM_REPLY, OT_BASE, STAGE_OPEN, STAGE_OT_REQ,
+                      STAGE_OT_RESP, STAGE_SHARE, decode_fields, encode_fields,
+                      pack_array, pack_u64, read_frame, unpack_array,
+                      unpack_u64, write_frame)
 from .transcript import Transcript
 from .transport import run_pair
-
-_OT_PROFILE = "toy"
 
 # the largest session either party will size, checked before anything is
 # allocated, so a peer's hello cannot size an arbitrarily large ring, plan
@@ -260,30 +258,18 @@ def _send(conn, tr: Transcript, ftype: int, fields: dict[str, bytes]):
     tr.record("sent", ftype, payload)
 
 
-def _recv(conn, tr: Transcript, expect: int) -> dict[str, bytes]:
+def _recv(conn, tr: Transcript, expect: int,
+          tags: list[str]) -> list[bytes]:
+    """The fields `tags` of the next frame, in that order.  The frame must be
+    of type `expect` and hold exactly those fields: a missing or an extra
+    one is refused before any field is decoded."""
     _ftype, payload = read_frame(conn, expect=expect)
     tr.record("received", expect, payload)
-    return decode_fields(payload)
-
-
-def _pack_points(points) -> bytes:
-    return b"".join(pack_bigint(int(x)) for x in points)
-
-
-def _unpack_points(blob: bytes, count: int) -> list[int]:
-    out, off = [], 0
-    for _ in range(count):
-        if off + 4 > len(blob):
-            raise ProtocolError("truncated point list")
-        (ln,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + ln > len(blob):
-            raise ProtocolError("truncated point list")
-        out.append(int.from_bytes(blob[off:off + ln], "little"))
-        off += ln
-    if off != len(blob):
-        raise ProtocolError("trailing bytes in point list")
-    return out
+    fields = decode_fields(payload)
+    if fields.keys() != set(tags):
+        raise ProtocolError(f"{FRAME_NAMES[expect]} frame has fields "
+                            f"{sorted(fields)}, expected {sorted(tags)}")
+    return [fields[t] for t in tags]
 
 
 # ----------------------------------------------------------------------------
@@ -388,8 +374,7 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
         gc_bytes += gb.tables.nbytes + glab.nbytes + cpair.nbytes
     _send(sp.conn, sp.tr, STAGE_OPEN, fields)
 
-    req = _recv(sp.conn, sp.tr, STAGE_OT_REQ)
-    bd, bn = need(req, "drnd", "nbit")
+    bd, bn = _recv(sp.conn, sp.tr, STAGE_OT_REQ, ["drnd", "nbit"])
     nbits = unpack_u64(bn)
     if nbits != m * spec.count:
         raise ProtocolError("derandomization bit count mismatch")
@@ -407,10 +392,11 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
     _send(sp.conn, sp.tr, STAGE_OT_RESP, {"otfr": pack_array(fmsg)})
     gc_bytes += packed.nbytes + fmsg.nbytes
 
-    sfields = _recv(sp.conn, sp.tr, STAGE_SHARE)
+    layouts = geom.stage_shares(layer, spec)
+    blobs = _recv(sp.conn, sp.tr, STAGE_SHARE,
+                  [f"sh{oi:02d}" for oi in range(len(layouts))])
     outs = []
-    for oi, lay in enumerate(geom.stage_shares(layer, spec)):
-        (blob,) = need(sfields, f"sh{oi:02d}")
+    for oi, (blob, lay) in enumerate(zip(blobs, layouts)):
         se = encmatrix_from_bytes(blob, geom.params, lay)
         outs.append(add_offset(ev, se, corr_lanes[oi].reshape(lay.rows,
                                                                lay.cols)))
@@ -427,7 +413,7 @@ def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
     msg, st = ctmm_server_mask(ev, X, Y, sp.rng, transpose_x=tx, transpose_y=ty)
     _send(sp.conn, sp.tr, MM_OPEN, {"mmxx": encmatrix_to_bytes(msg.x),
                                     "mmyy": encmatrix_to_bytes(msg.y)})
-    (blob,) = need(_recv(sp.conn, sp.tr, MM_REPLY), "mmrp")
+    (blob,) = _recv(sp.conn, sp.tr, MM_REPLY, ["mmrp"])
     reply = ct_list_from_bytes(blob, sp.geom.params,
                                ctmm_reply_count(sp.geom.params, st),
                                "product reply")
@@ -476,18 +462,15 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
         "ring": pack_u64(geom.n),
         "prim": pack_u64(p)})
 
-    fields = _recv(conn, tr, ACCEPT)
-    bpk, bpt = need(fields, "pkey", "bota")
+    bpk, bpt = _recv(conn, tr, ACCEPT, ["pkey", "bota"])
     pub = _parse_public_keys(bpk, geom.params, geom.galois)
     ev = Evaluator(pub, seed=int(rng.integers(1 << 62)))
 
     ext = OtExtSender(rng)
-    base = BaseOtReceiver(rng, ext.s_bits, unpack_bigint(bpt),
-                          profile=_OT_PROFILE)
-    _send(conn, tr, OT_BASE, {"botb": _pack_points(base.msgs_b)})
+    base = BaseOtReceiver(rng, ext.s_bits, bpt)
+    _send(conn, tr, OT_BASE, {"botb": base.msgs_b})
 
-    fields = _recv(conn, tr, CLIENT_SETUP)
-    bseed, bucol, bx = need(fields, "seed", "ucol", "xcts")
+    bseed, bucol, bx = _recv(conn, tr, CLIENT_SETUP, ["seed", "ucol", "xcts"])
     seed_msgs = unpack_array(bseed)
     if seed_msgs.shape != (LAMBDA, 2, 2):
         raise ProtocolError("seed message block has the wrong shape")
@@ -562,13 +545,14 @@ def _client_stage(cp: _ClientParty, layer: int,
     output shares it sent, which the server's products keep."""
     geom = cp.geom
     p, m = geom.p, spec.m
-    ofields = _recv(cp.conn, cp.tr, STAGE_OPEN)
-    (bm,) = need(ofields, "menc")
+    groups = stage_circuits(spec)
+    gtags = [f"{kind}{gi:02d}" for gi in range(len(groups))
+             for kind in ("tb", "gl", "pd")]
+    bm, *gblobs = _recv(cp.conn, cp.tr, STAGE_OPEN, ["menc", *gtags])
     menc = encmatrix_from_bytes(bm, geom.params, geom.stage_input(spec))
     lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
     cshare = client_window_share(lanes, m)
 
-    groups = stage_circuits(spec)
     lpi = spec.lanes_per_instance
     gbits = []
     off = 0
@@ -582,8 +566,7 @@ def _client_stage(cp: _ClientParty, layer: int,
     packed = np.packbits(dbits)
     _send(cp.conn, cp.tr, STAGE_OT_REQ,
           {"drnd": pack_array(packed), "nbit": pack_u64(nbits)})
-    rfields = _recv(cp.conn, cp.tr, STAGE_OT_RESP)
-    (bf,) = need(rfields, "otfr")
+    (bf,) = _recv(cp.conn, cp.tr, STAGE_OT_RESP, ["otfr"])
     fmsg = unpack_array(bf)
     if fmsg.shape != (nbits, 2, 2):
         raise ProtocolError("label response has the wrong shape")
@@ -599,8 +582,7 @@ def _client_stage(cp: _ClientParty, layer: int,
         foff += cnt
         n_ein = circ.evaluator_inputs.size
         eact = chosen.reshape(E, n_ein, 2).transpose(1, 0, 2)
-        btb, bgl, bpd = need(ofields, f"tb{gi:02d}", f"gl{gi:02d}",
-                             f"pd{gi:02d}")
+        btb, bgl, bpd = gblobs[3 * gi:3 * gi + 3]
         tables = unpack_array(btb)
         glab = unpack_array(bgl)
         cpair = unpack_array(bpd)
@@ -642,8 +624,7 @@ def _client_ctmm(cp: _ClientParty, layer: int, label: str, x: Layout,
     """The key holder's half of X @ Y: both masked factors arrive in the
     layouts of the shares they were made from, `x` and `y`, and the
     transposes are the flight plan's, as in the server's loop."""
-    fields = _recv(cp.conn, cp.tr, MM_OPEN)
-    bx, by = need(fields, "mmxx", "mmyy")
+    bx, by = _recv(cp.conn, cp.tr, MM_OPEN, ["mmxx", "mmyy"])
     msg = CtmmMasked(encmatrix_from_bytes(bx, cp.geom.params, x),
                      encmatrix_from_bytes(by, cp.geom.params, y), tx, ty)
     reply = ctmm_client_round(cp.ev, cp.keys, msg)
@@ -659,15 +640,12 @@ def _recv_logits(conn, tr: Transcript, geom: Geometry) -> list:
     ciphertext under the session's parameters; anything else is a
     ProtocolError.  A flip that still decodes cannot be detected: this
     protocol is semi-honest, and such a frame only changes the logits."""
-    fields = _recv(conn, tr, LOGITS)
     nc = geom.cfg.n_classes
-    tags = [f"lg{c:02d}" for c in range(nc)]
-    if set(fields) != {"nlgt", *tags}:
-        raise ProtocolError(f"logits frame has fields {sorted(fields)}, "
-                            f"expected nlgt and {nc} classes")
-    if unpack_u64(fields["nlgt"]) != nc:
+    bn, *blobs = _recv(conn, tr, LOGITS,
+                       ["nlgt", *(f"lg{c:02d}" for c in range(nc))])
+    if unpack_u64(bn) != nc:
         raise ProtocolError("logits frame disagrees on class count")
-    return [ct_from_bytes(fields[t], geom.params) for t in tags]
+    return [ct_from_bytes(blob, geom.params) for blob in blobs]
 
 
 def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
@@ -677,8 +655,8 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     enc_seed = int(rng.integers(1 << 62))
     tr = Transcript("client")
 
-    fields = _recv(conn, tr, HELLO)
-    bmode, bdims, bring, bprim = need(fields, "mode", "dims", "ring", "prim")
+    bmode, bdims, bring, bprim = _recv(conn, tr, HELLO,
+                                       ["mode", "dims", "ring", "prim"])
     try:
         mode = bmode.decode("ascii")
     except UnicodeDecodeError:
@@ -711,12 +689,10 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
         keys, pkey = _cached_keys(geom.params, geom.rotations, key_seed)
     ev = Evaluator(keys, seed=enc_seed)
 
-    base = BaseOtSender(rng, profile=_OT_PROFILE)
-    _send(conn, tr, ACCEPT, {"pkey": pkey,
-                             "bota": pack_bigint(base.msg_a)})
-    fields = _recv(conn, tr, OT_BASE)
-    (bpts,) = need(fields, "botb")
-    k0, k1 = base.keys(_unpack_points(bpts, LAMBDA))
+    base = BaseOtSender(rng)
+    _send(conn, tr, ACCEPT, {"pkey": pkey, "bota": base.msg_a})
+    (bpts,) = _recv(conn, tr, OT_BASE, ["botb"])
+    k0, k1 = base.keys(bpts)
     ext = OtExtReceiver(rng)
     seed_msgs = ext.seed_messages(k0, k1)
     u_cols, batch = ext.extend(geom.ot_total)

@@ -14,6 +14,11 @@ import threading
 
 from ..errors import ProtocolError
 
+# a TCP read that gets no byte for this long fails, and so does a send the
+# peer does not take in within it, so a stalled peer cannot hold a party
+# open; the longest honest wait is the peer's compute between two frames
+READ_DEADLINE_S = 120.0
+
 
 class QueueConn:
     """One endpoint of an in-memory duplex byte stream."""
@@ -68,6 +73,10 @@ class SocketConn:
         while len(buf) < n:
             try:
                 chunk = self._sock.recv(n - len(buf))
+            except TimeoutError:
+                raise ProtocolError(
+                    f"no data from the peer within the "
+                    f"{self._sock.gettimeout()} s read deadline") from None
             except OSError as exc:
                 raise ProtocolError(f"recv failed: {exc}") from exc
             if not chunk:
@@ -90,6 +99,7 @@ def tcp_listen(host: str, port: int) -> socket.socket:
 
 def tcp_accept(srv: socket.socket) -> SocketConn:
     sock, _addr = srv.accept()
+    sock.settimeout(READ_DEADLINE_S)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return SocketConn(sock)
 
@@ -99,7 +109,7 @@ def tcp_dial(host: str, port: int, timeout: float = 10.0) -> SocketConn:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise ProtocolError(f"cannot connect to {host}:{port}: {exc}") from exc
-    sock.settimeout(None)
+    sock.settimeout(READ_DEADLINE_S)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return SocketConn(sock)
 

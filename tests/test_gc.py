@@ -408,13 +408,53 @@ def ot_session():
     rng_s = np.random.default_rng(22)
     ext_recv = O.OtExtReceiver(rng_c)
     ext_send = O.OtExtSender(rng_s)
-    base_s = O.BaseOtSender(rng_c, "toy")
-    base_r = O.BaseOtReceiver(rng_s, ext_send.s_bits, base_s.msg_a, "toy")
+    base_s = O.BaseOtSender(rng_c)
+    base_r = O.BaseOtReceiver(rng_s, ext_send.s_bits, base_s.msg_a)
     k0, k1 = base_s.keys(base_r.msgs_b)
     ext_send.recover_seeds(ext_recv.seed_messages(k0, k1), base_r.keys())
     u, recv_batch = ext_recv.extend(2000)
     send_batch = ext_send.receive_extension(u, 2000)
     return recv_batch, send_batch
+
+
+def _base_ot(seed):
+    """128 base OTs between seeded parties: (k0, k1, the receiver's keys,
+    its choices)."""
+    rng_c = np.random.default_rng(seed)
+    rng_s = np.random.default_rng(seed + 100)
+    choices = rng_s.integers(0, 2, O.LAMBDA, dtype=np.uint8)
+    sender = O.BaseOtSender(rng_c)
+    receiver = O.BaseOtReceiver(rng_s, choices, sender.msg_a)
+    k0, k1 = sender.keys(receiver.msgs_b)
+    return k0, k1, receiver.keys(), choices
+
+
+# P-256's curve constant b (SEC 2, section 2.4.2): y^2 = x^3 - 3x + b
+_P256_B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
+
+
+def _first_x(residue):
+    """The smallest x whose x^3 - 3x + b is (not) a square mod p, so a
+    point with that x is (is not) on the curve."""
+    want = 1 if residue else O._P - 1
+    return next(x for x in range(1, 100)
+                if pow((x**3 - 3 * x + _P256_B) % O._P, (O._P - 1) // 2,
+                       O._P) == want)
+
+
+def _point(x, prefix=2):
+    return bytes([prefix]) + x.to_bytes(32, "big")
+
+
+HONEST = O.BaseOtSender(np.random.default_rng(9)).msg_a
+MALFORMED_POINTS = {
+    "32-bytes": HONEST[:32],
+    "34-bytes": HONEST + b"\x00",
+    "off-curve": _point(_first_x(False)),
+    "x-past-p": _point(_first_x(True) + O._P),
+    "identity": b"\x00",
+    "bad-prefix": bytes([5]) + HONEST[1:],
+}
 
 
 class TestOt:
@@ -442,7 +482,66 @@ class TestOt:
             recv.derand_request(np.zeros(5000, dtype=np.uint8))
 
     def test_bad_point_rejected(self):
-        rng = np.random.default_rng(3)
-        sender = O.BaseOtSender(rng, "toy")
-        with pytest.raises(ProtocolError):
-            sender.keys([0])
+        """A point list of all-zero 33-byte slots is refused: no point is
+        encoded with a zero prefix."""
+        sender = O.BaseOtSender(np.random.default_rng(3))
+        with pytest.raises(ProtocolError, match="base-OT point refused"):
+            sender.keys(bytes(O.LAMBDA * O.POINT_BYTES))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_base_ot_keys_agree(seed):
+    """The receiver's key is the sender's key of its choice, never the
+    other one, for both choice bits; the same seeds give the same keys."""
+    k0, k1, mine, c = _base_ot(seed)
+    assert set(c) == {0, 1}
+    on = c[:, None].astype(bool)
+    assert np.array_equal(mine, np.where(on, k1, k0))
+    assert not (mine == np.where(on, k0, k1)).all(axis=1).any()
+    for got, want in zip(_base_ot(seed), (k0, k1, mine, c)):
+        assert np.array_equal(got, want)
+
+
+def test_honest_points_decode():
+    """The fixtures of the refusal tests: the on-curve x decodes under
+    either prefix and the honest point round-trips."""
+    assert len(HONEST) == O.POINT_BYTES
+    for prefix in (2, 3):
+        O.decode_points(_point(_first_x(True), prefix), 1)
+    assert len(O.decode_points(HONEST * 3, 3)) == 3
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_POINTS))
+def test_receiver_refuses_malformed_point(name):
+    """The sender's point A must be exactly one 33-byte compressed point on
+    P-256; anything else is refused before any scalar is drawn."""
+    rng = np.random.default_rng(4)
+    choices = np.ones(O.LAMBDA, dtype=np.uint8)
+    with pytest.raises(ProtocolError, match="base-OT point"):
+        O.BaseOtReceiver(rng, choices, MALFORMED_POINTS[name])
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_POINTS))
+def test_sender_refuses_malformed_point(name):
+    """A receiver's point list whose first point is malformed is refused:
+    a point of the wrong width breaks the fixed list length, the others
+    fail the on-curve decode."""
+    rng_s = np.random.default_rng(6)
+    sender = O.BaseOtSender(np.random.default_rng(5))
+    receiver = O.BaseOtReceiver(rng_s, np.zeros(O.LAMBDA, dtype=np.uint8),
+                                sender.msg_a)
+    blob = MALFORMED_POINTS[name] + receiver.msgs_b[O.POINT_BYTES:]
+    with pytest.raises(ProtocolError, match="base-OT point"):
+        sender.keys(blob)
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["B=A", "B=-A"])
+def test_sender_refuses_degenerate_point(negate):
+    """B = A makes B - A the identity and B = -A makes it a doubling; either
+    is refused, never a crash."""
+    sender = O.BaseOtSender(np.random.default_rng(7))
+    a = sender.msg_a
+    point = bytes([a[0] ^ 1]) + a[1:] if negate else a
+    blob = point * O.LAMBDA
+    with pytest.raises(ProtocolError, match="degenerate base-OT point sum"):
+        sender.keys(blob)

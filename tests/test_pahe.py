@@ -7,12 +7,12 @@ import pytest
 
 from cipherformer import pahe
 from cipherformer.errors import NoiseBudgetError, ParameterError, ProtocolError
+from cipherformer.gc import ot
 from cipherformer.helinear import (COLBLOCKS, Layout, ct_list_from_bytes,
                                    ct_list_to_bytes, encmatrix_from_bytes,
                                    encmatrix_to_bytes, pack_colblocks)
 from cipherformer.ntt import get_stacked
 from cipherformer.primes import next_prime
-from cipherformer.protocol import session
 from cipherformer.protocol.framing import pack_array, unpack_array
 
 P20 = next_prime(1 << 20, congruent=(1, 2048))
@@ -440,11 +440,12 @@ class TestWireFormat:
             head = 2 + 4 * 4
             parse = lambda data, _par: unpack_array(data)  # noqa: E731
         else:
-            # base-OT points: the first length prefix
-            points = [int(x) for x in rng.integers(1, 1 << 62, 6)]
-            blob = session._pack_points([x << 700 for x in points])
-            head = 4
-            parse = lambda data, _par: session._unpack_points(data, 6)  # noqa: E731
+            # six base-OT points, each checked on the curve; the head is
+            # the first point
+            blob = b"".join(ot.BaseOtSender(np.random.default_rng(s)).msg_a
+                            for s in range(6))
+            head = ot.POINT_BYTES
+            parse = lambda data, _par: ot.decode_points(data, 6)  # noqa: E731
         fuzz = np.random.default_rng(2024)
         rejected = 0
         for case in range(300):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from cipherformer.errors import ParameterError, ProtocolError
+from cipherformer.gc.ot import LAMBDA, POINT_BYTES
 from cipherformer.helinear import (COLBLOCKS, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
                                    encmatrix_to_bytes, matmul_mod,
@@ -25,10 +26,11 @@ from cipherformer.helinear import (COLBLOCKS, colblock_matmul,
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
 from cipherformer.pahe import Evaluator, ct_nbytes, keygen
 from cipherformer.protocol import (ACCEPT, HELLO, LOGITS, MM_OPEN, MM_REPLY,
-                                   STAGE_OPEN, STAGE_SHARE, SocketConn,
-                                   memory_pair, private_inference, run_client,
-                                   run_pair, run_server, session,
-                                   session_geometry)
+                                   OT_BASE, STAGE_OPEN, STAGE_SHARE,
+                                   SocketConn, memory_pair, private_inference,
+                                   run_client, run_pair, run_server, session,
+                                   session_geometry, tcp_accept, tcp_dial,
+                                   tcp_listen, transport)
 from cipherformer.protocol.framing import (_HEADER, decode_fields,
                                            encode_fields, pack_array, pack_u64,
                                            write_frame)
@@ -38,15 +40,15 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "1b2389bbd6c7bf20088efa95334ba2e2"
-                "d96f6be5abf12004c6fca9d55d854f20",
-    "opt1": "2ec661c919ff601f2fb08509e854098a"
-            "3b0c377b1849ecc559d3ca387d8f388b",
-    "opt2": "4a1ab15936d300459649ba8c1abc5017"
-            "c8de010d47eaad2b163d71127984e2bd",
+    "baseline": "52f4f2425e0acbc1d2188ff70cb86f5d"
+                "4b46122f4bc9c04c13a1396a6ec3b34b",
+    "opt1": "f624352bc6f7cff145fcbb8d70502707"
+            "9e6f1b6e4c12fe7470e6e84a56b1a13f",
+    "opt2": "e0914e72e271bb35ade2ef6e210b0c3b"
+            "79276ecd18739ba0cd92376513c24ad8",
 }
-TWO_LAYER_DIGEST = ("15023f02e3a9416bc9013dcd704375e1"
-                    "52938e639be81c7fdcfd35ab6ff59b53")
+TWO_LAYER_DIGEST = ("aa230dc82a39094095a1d2cdb0c765a1"
+                    "bd297e536307908323466d5c64f21cd3")
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +130,23 @@ def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
     assert len(calls) == 1
 
 
+def test_frame_sizes_do_not_depend_on_the_seeds(weights):
+    """Every frame's size follows from the geometry alone: two sessions
+    with other seeds send the same sizes in the same order, base-OT points
+    included (33 bytes each, plus the 8-byte field header)."""
+    sizes = []
+    for seeds in ((11, 12), (3, 4)):
+        server, _ = private_inference(CFG, weights, TOKENS, "opt1",
+                                      server_seed=seeds[0],
+                                      client_seed=seeds[1])
+        sizes.append([(f.direction, f.name, f.nbytes)
+                      for f in server.transcript.frames])
+    assert sizes[0] == sizes[1]
+    by_name = {name: nbytes for _, name, nbytes in sizes[0]}
+    assert by_name["accept"] == 319_537
+    assert by_name["ot-base"] == 4_232 == 8 + LAMBDA * POINT_BYTES
+
+
 def _closing(party, conn, *args, **kwargs):
     """Run one party, then close its end, so a failure on one side ends
     the other side's reads instead of leaving them waiting."""
@@ -165,6 +184,25 @@ def test_socket_read_fails_when_the_peer_closes_mid_read():
     with pytest.raises(ProtocolError, match="peer closed"):
         conn.recv_exact(8)
     conn.close()
+
+
+def test_socket_read_deadline(monkeypatch):
+    """Both ends of a TCP connection give up a read that waits past the
+    module's read deadline, with a ProtocolError that names it."""
+    monkeypatch.setattr(transport, "READ_DEADLINE_S", 0.2)
+    srv = tcp_listen("127.0.0.1", 0)
+    try:
+        dialled = tcp_dial("127.0.0.1", srv.getsockname()[1])
+        accepted = tcp_accept(srv)
+    finally:
+        srv.close()
+    try:
+        for conn in (accepted, dialled):
+            with pytest.raises(ProtocolError, match="0.2 s read deadline"):
+                conn.recv_exact(8)
+    finally:
+        accepted.close()
+        dialled.close()
 
 
 class _EditFirstFrame:
@@ -277,6 +315,73 @@ def test_client_refuses_product_factor_off_the_plan(weights, monkeypatch):
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
     assert "rows matrix of 4x4 needs 1 ciphertexts" in str(client_err)
+    assert isinstance(server_err, ProtocolError)
+
+
+def _pad(tag):
+    def edit(fields):
+        fields[tag] = bytes(1000)
+    return edit
+
+
+@pytest.mark.parametrize("server_edit,client_edit,refuser,error", [
+    pytest.param((MM_OPEN, _pad("flgs")), None, "client",
+                 "mm-open frame has fields", id="mm-open-flgs"),
+    pytest.param(None, (STAGE_SHARE, _pad("sh03")), "server",
+                 "stage-share frame has fields", id="stage-share-extra"),
+])
+def test_receiver_refuses_fields_it_does_not_read(weights, server_edit,
+                                                  client_edit, refuser,
+                                                  error):
+    """A frame padded with a field its receiver does not read is refused
+    before any field is decoded: a 1,000-byte `flgs` on the first product's
+    factors, and a fourth share on the three-group QKV stage."""
+    def wrap(conn, edit):
+        return conn if edit is None else _EditFirstFrame(conn, edit[0], None,
+                                                         edit[1])
+
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(wrap(conn, server_edit), CFG,
+                                        weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(wrap(conn, client_edit), TOKENS,
+                                        seed=12)))
+    errs = {"server": server_err, "client": client_err}
+    assert isinstance(server_err, ProtocolError)
+    assert isinstance(client_err, ProtocolError)
+    assert error in str(errs[refuser])
+
+
+def _flip_prefix_to_5(blob: bytearray):
+    blob[0] = 5
+
+
+def _one_point_short(blob: bytearray):
+    del blob[-POINT_BYTES:]
+
+
+def test_server_refuses_bad_base_ot_point(weights):
+    """An ACCEPT whose base-OT point A is not a compressed P-256 point is
+    refused by the server before it sends any point of its own."""
+    session._parse_public_keys.cache_clear()
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(
+            _EditFirstFrame(conn, ACCEPT, "bota", _flip_prefix_to_5), TOKENS,
+            seed=12)))
+    assert isinstance(server_err, ProtocolError)
+    assert "base-OT point refused" in str(server_err)
+    assert isinstance(client_err, ProtocolError)
+
+
+def test_client_refuses_base_ot_list_one_point_short(weights):
+    """The ot-base list must hold exactly 128 points of 33 bytes."""
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(
+            _EditFirstFrame(conn, OT_BASE, "botb", _one_point_short), CFG,
+            weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
+    assert isinstance(client_err, ProtocolError)
+    assert "128 base-OT points need 4224 bytes, got 4191" in str(client_err)
     assert isinstance(server_err, ProtocolError)
 
 
