@@ -34,19 +34,19 @@ budget is (log2 q - log2 p - 1) minus that estimate, and operations raise
 NoiseBudgetError rather than silently producing garbage.
 
 Serialization carries data only: residues as little-endian 64-bit words,
-each (k, n) polynomial prime by prime, and a ciphertext's noise estimate as
-one float64 in front of its c0 and c1.  There is no magic, parameter block,
-count or length prefix.  The session's parameters fix every size, and a
-decoder refuses a payload of any other length, a residue not reduced mod
-its prime, or an implausible noise estimate.
+each (k, n) polynomial prime by prime, a ciphertext its c0 then its c1.
+There is no magic, parameter block, count, length prefix or noise estimate.
+The session's parameters fix every size, and a decoder refuses a payload of
+any other length or a residue not reduced mod its prime.  A parsed
+ciphertext is taken to be a fresh encryption, which is exact for every
+ciphertext a party computes on: only the client encrypts.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import isfinite, log2
+from math import log2
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -667,8 +667,8 @@ class Evaluator:
 
 
 def ct_nbytes(params: PaheParams) -> int:
-    """Wire size of one ciphertext: its noise estimate, c0 and c1."""
-    return 8 * (1 + 2 * params.k * params.n)
+    """Wire size of one ciphertext: c0 and c1."""
+    return 16 * params.k * params.n
 
 
 def _words(arr: np.ndarray) -> bytes:
@@ -686,26 +686,30 @@ def _residues(buf, shape: tuple[int, ...], params: PaheParams) -> np.ndarray:
 
 
 def ct_to_bytes(ct: Ciphertext) -> bytes:
-    return struct.pack("<d", ct.noise_bits) + _words(ct.c0) + _words(ct.c1)
+    return _words(ct.c0) + _words(ct.c1)
 
 
 def ct_from_bytes(data, params: PaheParams) -> Ciphertext:
     """Parse a ciphertext received from the peer under the session's `params`,
-    which fix its size.  The noise estimate travels with the ciphertext, so
-    it is checked too: it must be finite, no smaller than a fresh
-    encryption's and leave some budget, or a peer could switch off the
-    budget check for that ciphertext.
+    which fix its size.  The wire carries no noise estimate: the ciphertext
+    is given a fresh encryption's.  That is exact for everything the server
+    parses, since every ciphertext the client sends comes from
+    `encrypt_many`.  The client only decrypts what it parses, and an
+    estimate sent with it would be nothing but the server's unverifiable
+    claim.
     """
     size = ct_nbytes(params)
     if len(data) != size:
         raise ProtocolError(f"ciphertext has {len(data)} bytes, the "
                             f"session's have {size}")
-    (noise,) = struct.unpack_from("<d", data, 0)
-    if not (isfinite(noise) and noise >= params.fresh_noise_bits
-            and params.max_budget_bits - noise > 0):
-        raise ProtocolError(f"implausible ciphertext noise estimate {noise!r}")
-    c = _residues(memoryview(data)[8:], (2, params.k, params.n), params)
-    return Ciphertext(params, c[0], c[1], noise)
+    c = _residues(data, (2, params.k, params.n), params)
+    return Ciphertext(params, c[0], c[1], params.fresh_noise_bits)
+
+
+def key_blob_nbytes(params: PaheParams, keys: int) -> int:
+    """Wire size of a key blob with `keys` Galois keys: pk0, pk1 and two
+    (k, k, n) digit stacks per key."""
+    return 8 * params.k * params.n * (2 + 2 * params.k * keys)
 
 
 def public_keys_to_bytes(km: KeyMaterial) -> bytes:
@@ -724,7 +728,7 @@ def public_keys_from_bytes(data, params: PaheParams,
     `elements`, in that order, so its size is fixed: a missing or extra key
     is refused by length, before any key's Shoup twins are built."""
     k, n, g = params.k, params.n, len(elements)
-    size = 8 * k * n * (2 + 2 * k * g)
+    size = key_blob_nbytes(params, g)
     if len(data) != size:
         raise ProtocolError(f"key blob has {len(data)} bytes, the session's "
                             f"{g} Galois keys need {size}")

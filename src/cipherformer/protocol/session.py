@@ -5,22 +5,45 @@ sequence and the decryption key.  Everything the server learns is masked;
 everything the client learns besides the final logits is either uniformly
 random or encrypted under its own key.
 
-One session is a fixed flight plan:
+One session is a fixed flight plan.  Every frame is its parts back to back,
+and the receiver sizes each part from its own `Geometry` and the stage
+circuits before it reads the frame, so a frame of any other length is
+refused from its header (`framing.read_frame`).  Sizes are in bytes; a ct
+is `pahe.ct_nbytes` = 16 k n, and a matrix of a layout is that layout's
+`ct_count` ciphertexts:
 
-  hello          server -> client   model geometry (the client rederives the
-                                    ring/modulus itself and refuses on any
-                                    disagreement)
-  accept         client -> server   public + rotation keys, base-OT point
-                                    A (33-byte compressed P-256)
-  ot-base        server -> client   the 128 base-OT points B, 33 bytes each
-  client-setup   client -> server   OT extension seeds + correction matrix,
-                                    and the encrypted one-hot input
+  hello          s -> c   81: the mode's index in `stages.MODES` (1), then
+                          vocab, seq_len, dim, ff_dim, n_layers, n_classes,
+                          w, f, ring degree and plaintext prime (8 each);
+                          the client rederives ring and prime and refuses
+                          on any disagreement
+  accept         c -> s   the key blob, 8 k n (2 + 2 k |galois|); base-OT
+                          point A, 33 (compressed P-256)
+  ot-base        s -> c   the 128 base-OT points B, 128 x 33
+  client-setup   c -> s   OT-extension seed pairs, 128 x 32; correction
+                          columns, 128 x ceil(ot_total / 8); the encrypted
+                          one-hot input, an `input_layout` matrix
 
-then per encoder layer, five garbled stages of four frames each
-(stage-open / stage-ot-req / stage-ot-resp / stage-share) interleaved with
-two encrypted matrix products of two frames each (mm-open / mm-reply), and a
-final logits frame.  Every frame in either direction counts as one round, so
-the round count is the same constant for every input of a given shape.
+then per encoder layer, five garbled stages of four frames each,
+interleaved with two encrypted matrix products of two frames each:
+
+  stage-open     s -> c   the masked input, a `stage_input` matrix; then
+                          per `stage_circuits` group (circ, E): tables,
+                          32 n_and E; garbler labels, 16 (garbler_inputs
+                          + 2) E; pad pairs, 16 n_out E
+  stage-ot-req   c -> s   derandomization bits, ceil(m count / 8)
+  stage-ot-resp  s -> c   masked label pairs, 32 m count
+  stage-share    c -> s   one `stage_shares` matrix per group
+  mm-open        s -> c   the masked factors, each in the layout of the
+                          share it was made from
+  mm-reply       c -> s   `ctmm_reply_count` cts
+
+and a final frame:
+
+  logits         s -> c   n_classes cts
+
+Every frame in either direction counts as one round, so the round count is
+the same constant, 5 + 24 n_layers, for every input of a given shape.
 
 Share switching works on a per-stage window of m bits: the server adds
 2^{m-1} + R (R fresh, below p - 2^m) onto each wire and ships the
@@ -49,19 +72,17 @@ client encryption, so the client sends it as `Geometry.steps` rotated
 copies inside the frame that already carries it, and the server needs
 rotation keys for the giant steps only.
 
-No payload describes itself.  A matrix, a ciphertext list or the key blob
-is data only, and each receiver decodes it against the layout and count its
-own `Geometry` names: the stage input and shares by `_STAGE_PACKING`, the
-product factors as the shares they were made from (mm-open carries no
-transpose flags; both parties' loops name the transposes), the reply by the
-mask state, the key blob by the giant steps.
+Both parties' loops name the transposes of every product (mm-open carries
+no flags), and the stage input and share layouts come from
+`_STAGE_PACKING`.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -69,8 +90,9 @@ from ..errors import ParameterError, ProtocolError
 from ..fixedpoint import to_field, to_signed
 from ..gc.circuit import to_bits
 from ..gc.garble import active_output_pads, evaluate, garble
-from ..gc.ot import (LAMBDA, BaseOtReceiver, BaseOtSender, OtExtReceiver,
-                     OtExtSender, RandomOtBatch, RandomOtSenderBatch)
+from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
+                     OtExtReceiver, OtExtSender, RandomOtBatch,
+                     RandomOtSenderBatch)
 from ..helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix, Layout,
                         add_offset, colblock_diagonals, colblock_matmul,
                         colblock_rotation_amounts,
@@ -83,18 +105,17 @@ from ..model import (ModelConfig, Weights, folded_first_layer,
                      validate_weights, value_projection)
 from ..ntt import reduce128
 from ..pahe import (Evaluator, KeyMaterial, PaheParams, ct_from_bytes,
-                    ct_to_bytes, encode_plain_many, galois_elements, keygen,
+                    ct_nbytes, ct_to_bytes, encode_plain_many,
+                    galois_elements, key_blob_nbytes, keygen,
                     public_keys_from_bytes, public_keys_to_bytes,
                     session_params)
 from ..stages import (MODES, StagePlan, StageSpec, b2a_weights,
                       choose_plaintext_prime, client_window_share,
                       garbler_window_share, sample_stage_masks,
                       stage_circuits, stage_offsets)
-from .framing import (ACCEPT, CLIENT_SETUP, FRAME_NAMES, HELLO, LOGITS,
-                      MM_OPEN, MM_REPLY, OT_BASE, STAGE_OPEN, STAGE_OT_REQ,
-                      STAGE_OT_RESP, STAGE_SHARE, decode_fields, encode_fields,
-                      pack_array, pack_u64, read_frame, unpack_array,
-                      unpack_u64, write_frame)
+from .framing import (ACCEPT, CLIENT_SETUP, HELLO, LOGITS, MM_OPEN, MM_REPLY,
+                      OT_BASE, STAGE_OPEN, STAGE_OT_REQ, STAGE_OT_RESP,
+                      STAGE_SHARE, read_frame, write_frame)
 from .transcript import Transcript
 from .transport import run_pair
 
@@ -103,7 +124,8 @@ from .transport import run_pair
 # or key set.  2^14 still holds the n = 8192 rings of standard RLWE tables.
 MAX_RING_DEGREE = 1 << 14
 MAX_LAYERS = 64
-# the logits frame tags its classes lg00 .. lg98
+# bounds the logits frame (one ciphertext per class) a peer's hello can make
+# the client expect
 MAX_CLASSES = 99
 
 
@@ -165,6 +187,10 @@ class Geometry:
         """The masked input matrix a stage opens with."""
         return self.layout(_STAGE_PACKING[spec.name][0],
                            (spec.rows, spec.row_len))
+
+    def nbytes(self, layout: Layout) -> int:
+        """Wire size of a matrix of `layout` under the session's ring."""
+        return layout.ct_count(self.params) * ct_nbytes(self.params)
 
     def stage_shares(self, layer: int, spec: StageSpec) -> list[Layout]:
         """The client's encrypted output share of each group of a stage."""
@@ -252,24 +278,69 @@ def _parse_public_keys(blob: bytes, params: PaheParams,
 # framed send/recv with transcript accounting
 
 
-def _send(conn, tr: Transcript, ftype: int, fields: dict[str, bytes]):
-    payload = encode_fields(fields)
+def _send(conn, tr: Transcript, ftype: int, *parts: bytes):
+    payload = b"".join(parts)
     write_frame(conn, ftype, payload)
     tr.record("sent", ftype, payload)
 
 
-def _recv(conn, tr: Transcript, expect: int,
-          tags: list[str]) -> list[bytes]:
-    """The fields `tags` of the next frame, in that order.  The frame must be
-    of type `expect` and hold exactly those fields: a missing or an extra
-    one is refused before any field is decoded."""
-    _ftype, payload = read_frame(conn, expect=expect)
+def _recv(conn, tr: Transcript, expect: int, sizes: list[int]) -> list[bytes]:
+    """The next frame, which must be of type `expect` and hold parts of
+    exactly `sizes` bytes, cut into those parts; a frame of any other
+    length is refused before its payload is read."""
+    payload = read_frame(conn, expect, sum(sizes))
     tr.record("received", expect, payload)
-    fields = decode_fields(payload)
-    if fields.keys() != set(tags):
-        raise ProtocolError(f"{FRAME_NAMES[expect]} frame has fields "
-                            f"{sorted(fields)}, expected {sorted(tags)}")
-    return [fields[t] for t in tags]
+    parts, off = [], 0
+    for size in sizes:
+        parts.append(payload[off:off + size])
+        off += size
+    return parts
+
+
+def _words(part: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """A part of 64-bit little-endian words as a read-only array of the
+    plan's `shape`."""
+    return np.frombuffer(part, dtype="<u8").reshape(shape)
+
+
+def _le64(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<u8").tobytes()
+
+
+def _gc_shapes(circ, E: int) -> list[tuple[int, ...]]:
+    """The word arrays stage-open carries for one circuit group: tables,
+    garbler labels, pad pairs."""
+    return [(circ.n_and, E, 2, 2), (circ.garbler_inputs.size + 2, E, 2),
+            (circ.outputs.size, E, 2)]
+
+
+# mode index, then vocab, seq_len, dim, ff_dim, n_layers, n_classes, w, f
+# (the `ModelConfig` field order), ring degree and plaintext prime
+_HELLO = struct.Struct("<B10Q")
+HELLO_BYTES = _HELLO.size
+
+
+def _hello(geom: Geometry) -> bytes:
+    cfg = geom.cfg
+    return _HELLO.pack(MODES.index(geom.mode), cfg.vocab, cfg.seq_len,
+                       cfg.dim, cfg.ff_dim, cfg.n_layers, cfg.n_classes,
+                       cfg.w, cfg.f, geom.n, geom.p)
+
+
+def hello_geometry(payload: bytes) -> Geometry:
+    """The geometry a server's `HELLO_BYTES`-byte hello names, planned only
+    after the shape passes `session_geometry`'s limits.  The shape is the
+    peer's, so any refusal is a ProtocolError."""
+    mode, *dims, ring, prime = _HELLO.unpack(payload)
+    if mode >= len(MODES):
+        raise ProtocolError(f"server offered unknown mode index {mode}")
+    try:
+        geom = session_geometry(ModelConfig(*dims), MODES[mode])
+    except ParameterError as exc:
+        raise ProtocolError(f"server hello refused: {exc}") from None
+    if (geom.n, geom.p) != (ring, prime):
+        raise ProtocolError("parameter derivation disagrees with the server")
+    return geom
 
 
 # ----------------------------------------------------------------------------
@@ -336,14 +407,14 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
     menc = add_offset(ev, enc, offs)
     tshare = garbler_window_share(masks, m)
 
-    fields = {"menc": encmatrix_to_bytes(menc)}
+    parts = [encmatrix_to_bytes(menc)]
     gc_bytes = 0
     ot_pairs: list[tuple[np.ndarray, np.ndarray]] = []
     corr_lanes: list[np.ndarray] = []
     lpi = spec.lanes_per_instance
     pu = np.uint64(p)
     off = 0
-    for gi, (g, circ, E) in enumerate(stage_circuits(spec)):
+    for g, circ, E in stage_circuits(spec):
         gb = garble(circ, E, rng)
         words = tshare[off:off + g.count].reshape(E, lpi)
         off += g.count
@@ -368,19 +439,13 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
         zero, one = gb.evaluator_label_pairs()
         ot_pairs.append((zero.transpose(1, 0, 2).reshape(-1, 2),
                          one.transpose(1, 0, 2).reshape(-1, 2)))
-        fields[f"tb{gi:02d}"] = pack_array(gb.tables)
-        fields[f"gl{gi:02d}"] = pack_array(glab)
-        fields[f"pd{gi:02d}"] = pack_array(cpair)
+        parts += [_le64(gb.tables), _le64(glab), _le64(cpair)]
         gc_bytes += gb.tables.nbytes + glab.nbytes + cpair.nbytes
-    _send(sp.conn, sp.tr, STAGE_OPEN, fields)
+    _send(sp.conn, sp.tr, STAGE_OPEN, *parts)
 
-    bd, bn = _recv(sp.conn, sp.tr, STAGE_OT_REQ, ["drnd", "nbit"])
-    nbits = unpack_u64(bn)
-    if nbits != m * spec.count:
-        raise ProtocolError("derandomization bit count mismatch")
-    packed = unpack_array(bd)
-    if packed.size != -(-nbits // 8):
-        raise ProtocolError("derandomization payload has wrong size")
+    nbits = m * spec.count
+    (bd,) = _recv(sp.conn, sp.tr, STAGE_OT_REQ, [-(-nbits // 8)])
+    packed = np.frombuffer(bd, dtype=np.uint8)
     dbits = np.unpackbits(packed)[:nbits]
     f_parts = []
     doff = 0
@@ -389,12 +454,12 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
         f_parts.append(sp.ot.derand_respond(dbits[doff:doff + cnt], m0, m1))
         doff += cnt
     fmsg = np.concatenate(f_parts)
-    _send(sp.conn, sp.tr, STAGE_OT_RESP, {"otfr": pack_array(fmsg)})
+    _send(sp.conn, sp.tr, STAGE_OT_RESP, _le64(fmsg))
     gc_bytes += packed.nbytes + fmsg.nbytes
 
     layouts = geom.stage_shares(layer, spec)
     blobs = _recv(sp.conn, sp.tr, STAGE_SHARE,
-                  [f"sh{oi:02d}" for oi in range(len(layouts))])
+                  [geom.nbytes(lay) for lay in layouts])
     outs = []
     for oi, (blob, lay) in enumerate(zip(blobs, layouts)):
         se = encmatrix_from_bytes(blob, geom.params, lay)
@@ -411,12 +476,12 @@ def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
                 Y: EncMatrix, *, tx: bool = False, ty: bool = False) -> EncMatrix:
     ev = sp.ev
     msg, st = ctmm_server_mask(ev, X, Y, sp.rng, transpose_x=tx, transpose_y=ty)
-    _send(sp.conn, sp.tr, MM_OPEN, {"mmxx": encmatrix_to_bytes(msg.x),
-                                    "mmyy": encmatrix_to_bytes(msg.y)})
-    (blob,) = _recv(sp.conn, sp.tr, MM_REPLY, ["mmrp"])
-    reply = ct_list_from_bytes(blob, sp.geom.params,
-                               ctmm_reply_count(sp.geom.params, st),
-                               "product reply")
+    _send(sp.conn, sp.tr, MM_OPEN, encmatrix_to_bytes(msg.x),
+          encmatrix_to_bytes(msg.y))
+    params = sp.geom.params
+    count = ctmm_reply_count(params, st)
+    (blob,) = _recv(sp.conn, sp.tr, MM_REPLY, [count * ct_nbytes(params)])
+    reply = ct_list_from_bytes(blob, params, count, "product reply")
     out = ctmm_server_finalize(ev, reply, st)
     sp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=out.rows,
                     frames=2)
@@ -436,13 +501,13 @@ def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
                                     np.tile(cls[:, c], (x_enc.rows, 1)))]
     terms = ev.simd_scmult_many(list(x_enc.cts) * cfg.n_classes,
                                 encode_plain_many(geom.params, vecs))
-    fields = {"nlgt": pack_u64(cfg.n_classes)}
+    parts = []
     for c in range(cfg.n_classes):
         acc = terms[c * G]
         for term in terms[c * G + 1:(c + 1) * G]:
             acc = ev.add_ct(acc, term)
-        fields[f"lg{c:02d}"] = ct_to_bytes(acc)
-    _send(sp.conn, sp.tr, LOGITS, fields)
+        parts.append(ct_to_bytes(acc))
+    _send(sp.conn, sp.tr, LOGITS, *parts)
 
 
 def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
@@ -454,31 +519,24 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     tr = Transcript("server")
     p = geom.p
 
-    _send(conn, tr, HELLO, {
-        "mode": mode.encode("ascii"),
-        "dims": pack_array(np.array(
-            [cfg.vocab, cfg.seq_len, cfg.dim, cfg.ff_dim, cfg.n_layers,
-             cfg.n_classes, cfg.w, cfg.f], dtype=np.uint64)),
-        "ring": pack_u64(geom.n),
-        "prim": pack_u64(p)})
+    _send(conn, tr, HELLO, _hello(geom))
 
-    bpk, bpt = _recv(conn, tr, ACCEPT, ["pkey", "bota"])
+    bpk, bpt = _recv(conn, tr, ACCEPT,
+                     [key_blob_nbytes(geom.params, len(geom.galois)),
+                      POINT_BYTES])
     pub = _parse_public_keys(bpk, geom.params, geom.galois)
     ev = Evaluator(pub, seed=int(rng.integers(1 << 62)))
 
     ext = OtExtSender(rng)
     base = BaseOtReceiver(rng, ext.s_bits, bpt)
-    _send(conn, tr, OT_BASE, {"botb": base.msgs_b})
+    _send(conn, tr, OT_BASE, base.msgs_b)
 
-    bseed, bucol, bx = _recv(conn, tr, CLIENT_SETUP, ["seed", "ucol", "xcts"])
-    seed_msgs = unpack_array(bseed)
-    if seed_msgs.shape != (LAMBDA, 2, 2):
-        raise ProtocolError("seed message block has the wrong shape")
-    ext.recover_seeds(seed_msgs, base.keys())
-    u_cols = unpack_array(bucol)
     mb = -(-geom.ot_total // 8)
-    if u_cols.shape != (LAMBDA, mb):
-        raise ProtocolError("extension matrix has the wrong shape")
+    bseed, bucol, bx = _recv(conn, tr, CLIENT_SETUP,
+                             [32 * LAMBDA, LAMBDA * mb,
+                              geom.nbytes(geom.input_layout)])
+    ext.recover_seeds(_words(bseed, (LAMBDA, 2, 2)), base.keys())
+    u_cols = np.frombuffer(bucol, dtype=np.uint8).reshape(LAMBDA, mb)
     pairs = ext.receive_extension(u_cols, geom.ot_total)
 
     x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout)
@@ -546,10 +604,12 @@ def _client_stage(cp: _ClientParty, layer: int,
     geom = cp.geom
     p, m = geom.p, spec.m
     groups = stage_circuits(spec)
-    gtags = [f"{kind}{gi:02d}" for gi in range(len(groups))
-             for kind in ("tb", "gl", "pd")]
-    bm, *gblobs = _recv(cp.conn, cp.tr, STAGE_OPEN, ["menc", *gtags])
-    menc = encmatrix_from_bytes(bm, geom.params, geom.stage_input(spec))
+    shapes = [sh for _g, circ, E in groups for sh in _gc_shapes(circ, E)]
+    layout = geom.stage_input(spec)
+    bm, *gblobs = _recv(cp.conn, cp.tr, STAGE_OPEN,
+                        [geom.nbytes(layout), *(8 * prod(sh) for sh in shapes)])
+    garbled = [_words(blob, sh) for blob, sh in zip(gblobs, shapes)]
+    menc = encmatrix_from_bytes(bm, geom.params, layout)
     lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
     cshare = client_window_share(lanes, m)
 
@@ -562,14 +622,11 @@ def _client_stage(cp: _ClientParty, layer: int,
         gbits.append(to_bits(words, m).reshape(E, lpi * m))
     dbits = cp.batch.derand_request(
         np.concatenate([b.ravel() for b in gbits]))
-    nbits = int(dbits.size)
+    nbits = m * spec.count
     packed = np.packbits(dbits)
-    _send(cp.conn, cp.tr, STAGE_OT_REQ,
-          {"drnd": pack_array(packed), "nbit": pack_u64(nbits)})
-    (bf,) = _recv(cp.conn, cp.tr, STAGE_OT_RESP, ["otfr"])
-    fmsg = unpack_array(bf)
-    if fmsg.shape != (nbits, 2, 2):
-        raise ProtocolError("label response has the wrong shape")
+    _send(cp.conn, cp.tr, STAGE_OT_REQ, packed.tobytes())
+    (bf,) = _recv(cp.conn, cp.tr, STAGE_OT_RESP, [32 * nbits])
+    fmsg = _words(bf, (nbits, 2, 2))
 
     gc_bytes = packed.nbytes + fmsg.nbytes
     shares = []
@@ -582,17 +639,7 @@ def _client_stage(cp: _ClientParty, layer: int,
         foff += cnt
         n_ein = circ.evaluator_inputs.size
         eact = chosen.reshape(E, n_ein, 2).transpose(1, 0, 2)
-        btb, bgl, bpd = gblobs[3 * gi:3 * gi + 3]
-        tables = unpack_array(btb)
-        glab = unpack_array(bgl)
-        cpair = unpack_array(bpd)
-        n_out = circ.outputs.size
-        if tables.shape != (circ.n_and, E, 2, 2):
-            raise ProtocolError("garbled tables have the wrong shape")
-        if glab.shape != (circ.garbler_inputs.size + 2, E, 2):
-            raise ProtocolError("garbler labels have the wrong shape")
-        if cpair.shape != (n_out, E, 2):
-            raise ProtocolError("output corrections have the wrong shape")
+        tables, glab, cpair = garbled[3 * gi:3 * gi + 3]
         gc_bytes += tables.nbytes + glab.nbytes + cpair.nbytes
 
         act_out = evaluate(circ, tables, glab, eact)
@@ -603,16 +650,16 @@ def _client_stage(cp: _ClientParty, layer: int,
         words = sigma.astype(object).reshape(lpi, spec.keep, E).sum(axis=1) % p
         shares.append(words.T.ravel().astype(np.uint64))
 
-    sfields = {}
+    parts = []
     layouts = geom.stage_shares(layer, spec)
-    for oi, (share, lay) in enumerate(zip(shares, layouts)):
+    for share, lay in zip(shares, layouts):
         mat = share.reshape(lay.rows, lay.cols)
         if lay.packing == ROWS:
             se = pack_rows(cp.ev, mat)
         else:
             se = pack_colblocks(cp.ev, mat, lay.block, steps=lay.steps)
-        sfields[f"sh{oi:02d}"] = encmatrix_to_bytes(se)
-    _send(cp.conn, cp.tr, STAGE_SHARE, sfields)
+        parts.append(encmatrix_to_bytes(se))
+    _send(cp.conn, cp.tr, STAGE_SHARE, *parts)
     cp.tr.add_gc_bytes(gc_bytes)
     cp.tr.add_event(kind="stage", layer=layer, name=spec.name,
                     lanes=spec.count, ot_bits=nbits, gc_bytes=gc_bytes)
@@ -624,27 +671,24 @@ def _client_ctmm(cp: _ClientParty, layer: int, label: str, x: Layout,
     """The key holder's half of X @ Y: both masked factors arrive in the
     layouts of the shares they were made from, `x` and `y`, and the
     transposes are the flight plan's, as in the server's loop."""
-    bx, by = _recv(cp.conn, cp.tr, MM_OPEN, ["mmxx", "mmyy"])
-    msg = CtmmMasked(encmatrix_from_bytes(bx, cp.geom.params, x),
-                     encmatrix_from_bytes(by, cp.geom.params, y), tx, ty)
+    geom = cp.geom
+    bx, by = _recv(cp.conn, cp.tr, MM_OPEN, [geom.nbytes(x), geom.nbytes(y)])
+    msg = CtmmMasked(encmatrix_from_bytes(bx, geom.params, x),
+                     encmatrix_from_bytes(by, geom.params, y), tx, ty)
     reply = ctmm_client_round(cp.ev, cp.keys, msg)
-    _send(cp.conn, cp.tr, MM_REPLY, {"mmrp": ct_list_to_bytes(reply)})
+    _send(cp.conn, cp.tr, MM_REPLY, ct_list_to_bytes(reply))
     rows = msg.x.cols if msg.transpose_x else msg.x.rows
     cp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=rows,
                     frames=2)
 
 
 def _recv_logits(conn, tr: Transcript, geom: Geometry) -> list:
-    """The one ciphertext per class of the logits frame.  The frame must hold
-    exactly the fields `nlgt` and lg00 .. lg{nc-1}, each a well-formed
-    ciphertext under the session's parameters; anything else is a
-    ProtocolError.  A flip that still decodes cannot be detected: this
-    protocol is semi-honest, and such a frame only changes the logits."""
-    nc = geom.cfg.n_classes
-    bn, *blobs = _recv(conn, tr, LOGITS,
-                       ["nlgt", *(f"lg{c:02d}" for c in range(nc))])
-    if unpack_u64(bn) != nc:
-        raise ProtocolError("logits frame disagrees on class count")
+    """The one ciphertext per class of the logits frame, each well-formed
+    under the session's parameters; anything else is a ProtocolError.  A
+    flip that still decodes cannot be detected: this protocol is
+    semi-honest, and such a frame only changes the logits."""
+    size = ct_nbytes(geom.params)
+    blobs = _recv(conn, tr, LOGITS, [size] * geom.cfg.n_classes)
     return [ct_from_bytes(blob, geom.params) for blob in blobs]
 
 
@@ -655,27 +699,10 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     enc_seed = int(rng.integers(1 << 62))
     tr = Transcript("client")
 
-    bmode, bdims, bring, bprim = _recv(conn, tr, HELLO,
-                                       ["mode", "dims", "ring", "prim"])
-    try:
-        mode = bmode.decode("ascii")
-    except UnicodeDecodeError:
-        raise ProtocolError("unreadable mode name") from None
-    if mode not in MODES:
-        raise ProtocolError(f"server offered unknown mode {mode!r}")
-    dims = unpack_array(bdims)
-    if dims.shape != (8,):
-        raise ProtocolError("bad dimension list")
-    vocab, L, d, ff, nl, nc, w, f = (int(x) for x in dims)
-    try:
-        cfg = ModelConfig(vocab=vocab, seq_len=L, dim=d, ff_dim=ff,
-                          n_layers=nl, n_classes=nc, w=w, f=f)
-        geom = session_geometry(cfg, mode)
-    except ParameterError as exc:
-        # the shape is the peer's, not this caller's
-        raise ProtocolError(f"server hello refused: {exc}") from None
-    if geom.n != unpack_u64(bring) or geom.p != unpack_u64(bprim):
-        raise ProtocolError("parameter derivation disagrees with the server")
+    (hello,) = _recv(conn, tr, HELLO, [HELLO_BYTES])
+    geom = hello_geometry(hello)
+    cfg, mode = geom.cfg, geom.mode
+    L, vocab = cfg.seq_len, cfg.vocab
 
     toks = np.asarray(tokens, dtype=np.int64)
     if toks.shape != (L,):
@@ -690,8 +717,8 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     ev = Evaluator(keys, seed=enc_seed)
 
     base = BaseOtSender(rng)
-    _send(conn, tr, ACCEPT, {"pkey": pkey, "bota": base.msg_a})
-    (bpts,) = _recv(conn, tr, OT_BASE, ["botb"])
+    _send(conn, tr, ACCEPT, pkey, base.msg_a)
+    (bpts,) = _recv(conn, tr, OT_BASE, [LAMBDA * POINT_BYTES])
     k0, k1 = base.keys(bpts)
     ext = OtExtReceiver(rng)
     seed_msgs = ext.seed_messages(k0, k1)
@@ -700,13 +727,12 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     onehot = np.zeros((L, vocab), dtype=np.uint64)
     onehot[np.arange(L), toks] = 1
     x_cb = pack_colblocks(ev, onehot, L, steps=geom.steps)
-    _send(conn, tr, CLIENT_SETUP, {"seed": pack_array(seed_msgs),
-                                   "ucol": pack_array(u_cols),
-                                   "xcts": encmatrix_to_bytes(x_cb)})
+    _send(conn, tr, CLIENT_SETUP, _le64(seed_msgs), u_cols.tobytes(),
+          encmatrix_to_bytes(x_cb))
 
     cp = _ClientParty(conn, tr, geom, ev, keys, batch)
     plan = geom.plan
-    for e in range(nl):
+    for e in range(cfg.n_layers):
         q_lay, k_lay, v_lay = _client_stage(cp, e,
                                             plan.stage(e, "qkv_rescale"))
         if mode == "baseline":

@@ -25,30 +25,30 @@ from cipherformer.helinear import (COLBLOCKS, colblock_matmul,
                                    pack_colblocks, rows_per_ct)
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
 from cipherformer.pahe import Evaluator, ct_nbytes, keygen
-from cipherformer.protocol import (ACCEPT, HELLO, LOGITS, MM_OPEN, MM_REPLY,
-                                   OT_BASE, STAGE_OPEN, STAGE_SHARE,
-                                   SocketConn, memory_pair, private_inference,
-                                   run_client, run_pair, run_server, session,
+from cipherformer.protocol import (ACCEPT, FRAME_NAMES, HELLO, LOGITS,
+                                   MM_OPEN, MM_REPLY, OT_BASE, STAGE_OPEN,
+                                   STAGE_OT_RESP, STAGE_SHARE, SocketConn,
+                                   memory_pair, private_inference, run_client,
+                                   run_pair, run_server, session,
                                    session_geometry, tcp_accept, tcp_dial,
                                    tcp_listen, transport)
-from cipherformer.protocol.framing import (_HEADER, decode_fields,
-                                           encode_fields, pack_array, pack_u64,
-                                           write_frame)
+from cipherformer.protocol.framing import _HEADER, write_frame
+from cipherformer.stages import MODES
 
 CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
                   n_classes=2, w=20, f=9)
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "52f4f2425e0acbc1d2188ff70cb86f5d"
-                "4b46122f4bc9c04c13a1396a6ec3b34b",
-    "opt1": "f624352bc6f7cff145fcbb8d70502707"
-            "9e6f1b6e4c12fe7470e6e84a56b1a13f",
-    "opt2": "e0914e72e271bb35ade2ef6e210b0c3b"
-            "79276ecd18739ba0cd92376513c24ad8",
+    "baseline": "57a861e3945c809fb254f7292ff79d35"
+                "a83a8f10da7d0bbadad23b4621cca4a4",
+    "opt1": "e9615fe1c09612e3f79ffa59e27d078f"
+            "4b3921bd8342eb6537b8ff2ece9d43fd",
+    "opt2": "9551893c9e8fb9140735c2f28374a3f2"
+            "5d87866f4c542c8152d6bfe4bff347a4",
 }
-TWO_LAYER_DIGEST = ("aa230dc82a39094095a1d2cdb0c765a1"
-                    "bd297e536307908323466d5c64f21cd3")
+TWO_LAYER_DIGEST = ("4eda46aa1a0d78834e6afc6188915dac"
+                    "80e73f80fa70844676ab7e915b468084")
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
 def test_frame_sizes_do_not_depend_on_the_seeds(weights):
     """Every frame's size follows from the geometry alone: two sessions
     with other seeds send the same sizes in the same order, base-OT points
-    included (33 bytes each, plus the 8-byte field header)."""
+    included (33 bytes each)."""
     sizes = []
     for seeds in ((11, 12), (3, 4)):
         server, _ = private_inference(CFG, weights, TOKENS, "opt1",
@@ -143,8 +143,8 @@ def test_frame_sizes_do_not_depend_on_the_seeds(weights):
                       for f in server.transcript.frames])
     assert sizes[0] == sizes[1]
     by_name = {name: nbytes for _, name, nbytes in sizes[0]}
-    assert by_name["accept"] == 319_537
-    assert by_name["ot-base"] == 4_232 == 8 + LAMBDA * POINT_BYTES
+    assert by_name["accept"] == 319_521
+    assert by_name["ot-base"] == 4_224 == LAMBDA * POINT_BYTES
 
 
 def _closing(party, conn, *args, **kwargs):
@@ -206,14 +206,16 @@ def test_socket_read_deadline(monkeypatch):
 
 
 class _EditFirstFrame:
-    """One end of the transport that edits one field of the first frame of
-    type `ftype` it sends after `skip` others of that type, in place, before
-    it leaves; with `tag` None the edit gets the frame's whole field dict
-    instead."""
+    """One end of the transport that edits the byte span `span` of the
+    payload of the first frame of type `ftype` it sends after `skip` others
+    of that type, in place, and sends the result under a header that is
+    honest about its new length, and of type `as_type` if one is given."""
 
-    def __init__(self, conn, ftype, tag, edit, skip=0):
-        self._conn, self._ftype, self._tag = conn, ftype, tag
-        self._edit, self._skip, self._done = edit, skip, False
+    def __init__(self, conn, ftype, edit, span=slice(None), skip=0,
+                 as_type=None):
+        self._conn, self._ftype, self._edit = conn, ftype, edit
+        self._span, self._skip, self._done = span, skip, False
+        self._as_type = as_type
 
     def send(self, data: bytes):
         _magic, ftype, _ln = _HEADER.unpack_from(data)
@@ -223,14 +225,12 @@ class _EditFirstFrame:
             self._skip -= 1
             return self._conn.send(data)
         self._done = True
-        fields = decode_fields(data[_HEADER.size:])
-        if self._tag is None:
-            self._edit(fields)
-        else:
-            blob = bytearray(fields[self._tag])
-            self._edit(blob)
-            fields[self._tag] = bytes(blob)
-        write_frame(self._conn, ftype, encode_fields(fields))
+        payload = data[_HEADER.size:]
+        start, stop, _ = self._span.indices(len(payload))
+        blob = bytearray(payload[start:stop])
+        self._edit(blob)
+        write_frame(self._conn, self._as_type or ftype,
+                    payload[:start] + bytes(blob) + payload[stop:])
 
     def recv_exact(self, n: int) -> bytes:
         return self._conn.recv_exact(n)
@@ -252,8 +252,7 @@ def _caught(fn):
 # the session parameters of every tampered session below (tiny, opt1)
 PARAMS = session_geometry(CFG, "opt1").params
 CT_BYTES = ct_nbytes(PARAMS)
-# a ciphertext's first residue sits past its noise estimate
-FIRST_RESIDUE = 8
+FIRST_CT = slice(0, CT_BYTES)
 
 
 def _one_too_few(blob: bytearray):
@@ -270,22 +269,23 @@ def _one_too_many(blob: bytearray):
 ])
 def test_client_rejects_stage_open_off_the_plan(weights, edit):
     """The first stage's masked QKV matrix arrives with one ciphertext too
-    few or too many; the client refuses it, since the plan fixes exactly
-    one (4 x 12 column blocks of 4 slots fit one ring row)."""
+    few or too many; the client refuses the frame by its length, since the
+    plan fixes exactly one (4 x 12 column blocks of 4 slots fit one ring
+    row)."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, STAGE_OPEN, "menc", edit), CFG, weights,
+            _EditFirstFrame(conn, STAGE_OPEN, edit, FIRST_CT), CFG, weights,
             "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
-    assert "colblocks matrix of 4x12 needs 1 ciphertexts" in str(client_err)
+    assert "stage-open frame of" in str(client_err)
     assert isinstance(server_err, ProtocolError)
 
 
 def test_server_refuses_share_without_its_copies(weights):
     """attn_rescale feeds the first feed-forward product, so its share must
     carry the geometry's five baby-step copies; a client sending one copy
-    is refused."""
+    is refused by the frame's length."""
     steps = session_geometry(CFG, "opt1").steps
 
     def first_copy(blob: bytearray):
@@ -295,50 +295,54 @@ def test_server_refuses_share_without_its_copies(weights):
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(
-            _EditFirstFrame(conn, STAGE_SHARE, "sh00", first_copy, skip=2),
+            _EditFirstFrame(conn, STAGE_SHARE, first_copy, skip=2),
             TOKENS, seed=12)))
     assert isinstance(server_err, ProtocolError)
-    assert "colblocks matrix of 4x4 needs 5 ciphertexts" in str(server_err)
+    assert (f"stage-share frame of {CT_BYTES} bytes, the plan's has "
+            f"{steps * CT_BYTES}") in str(server_err)
     assert isinstance(client_err, ProtocolError)
 
 
 def test_client_refuses_product_factor_off_the_plan(weights, monkeypatch):
     """The first product's masked factor K arrives with one ciphertext too
-    many; the client refuses it against the layout of the K share it sent,
-    before it decrypts either factor."""
+    many; the client refuses the frame against the layout of the K share it
+    sent, before it decrypts either factor."""
     monkeypatch.setattr(session, "ctmm_client_round", lambda *_: pytest.fail(
         "decrypted a refused factor"))
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, MM_OPEN, "mmxx", _one_too_many), CFG,
+            _EditFirstFrame(conn, MM_OPEN, _one_too_many, FIRST_CT), CFG,
             weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
-    assert "rows matrix of 4x4 needs 1 ciphertexts" in str(client_err)
+    assert (f"mm-open frame of {3 * CT_BYTES} bytes, the plan's has "
+            f"{2 * CT_BYTES}") in str(client_err)
     assert isinstance(server_err, ProtocolError)
 
 
-def _pad(tag):
-    def edit(fields):
-        fields[tag] = bytes(1000)
-    return edit
+def _pad_1000(blob: bytearray):
+    blob.extend(bytes(1000))
+
+
+def _one_share_more(blob: bytearray):
+    # the QKV stage sends three shares of the same layout
+    blob.extend(blob[-len(blob) // 3:])
 
 
 @pytest.mark.parametrize("server_edit,client_edit,refuser,error", [
-    pytest.param((MM_OPEN, _pad("flgs")), None, "client",
-                 "mm-open frame has fields", id="mm-open-flgs"),
-    pytest.param(None, (STAGE_SHARE, _pad("sh03")), "server",
-                 "stage-share frame has fields", id="stage-share-extra"),
+    pytest.param((MM_OPEN, _pad_1000), None, "client",
+                 "mm-open frame of", id="mm-open-flgs"),
+    pytest.param(None, (STAGE_SHARE, _one_share_more), "server",
+                 "stage-share frame of", id="stage-share-extra"),
 ])
 def test_receiver_refuses_fields_it_does_not_read(weights, server_edit,
                                                   client_edit, refuser,
                                                   error):
-    """A frame padded with a field its receiver does not read is refused
-    before any field is decoded: a 1,000-byte `flgs` on the first product's
-    factors, and a fourth share on the three-group QKV stage."""
+    """A frame padded with bytes its receiver does not read is refused by
+    its length, before any part is decoded: 1,000 bytes after the first
+    product's factors, and a fourth share on the three-group QKV stage."""
     def wrap(conn, edit):
-        return conn if edit is None else _EditFirstFrame(conn, edit[0], None,
-                                                         edit[1])
+        return conn if edit is None else _EditFirstFrame(conn, *edit)
 
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(wrap(conn, server_edit), CFG,
@@ -349,6 +353,84 @@ def test_receiver_refuses_fields_it_does_not_read(weights, server_edit,
     assert isinstance(server_err, ProtocolError)
     assert isinstance(client_err, ProtocolError)
     assert error in str(errs[refuser])
+
+
+class _Counting:
+    """One end of the transport that counts the bytes its reads return."""
+
+    def __init__(self, conn):
+        self._conn, self.read = conn, 0
+
+    def send(self, data: bytes):
+        return self._conn.send(data)
+
+    def recv_exact(self, n: int) -> bytes:
+        out = self._conn.recv_exact(n)
+        self.read += len(out)
+        return out
+
+    def close(self):
+        self._conn.close()
+
+
+SERVER_SENDS = {HELLO, OT_BASE, STAGE_OPEN, STAGE_OT_RESP, MM_OPEN, LOGITS}
+
+
+@pytest.fixture(scope="module")
+def honest_frames(weights):
+    server, _ = private_inference(CFG, weights, TOKENS, "opt1",
+                                  server_seed=11, client_seed=12)
+    return server.transcript.frames
+
+
+@pytest.mark.parametrize("ftype", sorted(FRAME_NAMES),
+                         ids=[FRAME_NAMES[t] for t in sorted(FRAME_NAMES)])
+@pytest.mark.parametrize("edit,retype,error", [
+    pytest.param(lambda b: b.__delitem__(-1), False, "{} frame of",
+                 id="one-byte-short"),
+    pytest.param(lambda b: b.append(0), False, "{} frame of",
+                 id="one-byte-long"),
+    pytest.param(lambda b: None, True, "expected {} frame, got",
+                 id="wrong-type"),
+])
+def test_frame_of_wrong_length_is_refused_unread(weights, honest_frames,
+                                                 ftype, edit, retype, error):
+    """The first frame of each type arrives one byte short, one byte long
+    (under a header honest about its length) or under the next type's
+    number.  The receiver refuses it from the header alone: it has read
+    exactly the frames before it and this frame's header, and not one
+    payload byte.  Both parties end in a ProtocolError, except that the
+    server has nothing left to read after the logits frame and ends its
+    session."""
+    by_server = ftype in SERVER_SENDS
+    as_type = ftype % len(FRAME_NAMES) + 1 if retype else None
+    before = sum(_HEADER.size + f.nbytes for f in
+                 honest_frames[:[f.ftype for f in honest_frames].index(ftype)]
+                 if (f.direction == "sent") == by_server)
+    ends = {}
+
+    def party(role, fn):
+        def run(conn):
+            if (role == "server") == by_server:
+                conn = _EditFirstFrame(conn, ftype, edit, as_type=as_type)
+            else:
+                conn = ends.setdefault("receiver", _Counting(conn))
+            return fn(conn)
+        return _caught(run)
+
+    server_out, client_out = run_pair(
+        party("server", lambda c: run_server(c, CFG, weights, "opt1",
+                                             seed=11)),
+        party("client", lambda c: run_client(c, TOKENS, seed=12)))
+    refused, other = ((client_out, server_out) if by_server
+                      else (server_out, client_out))
+    assert isinstance(refused, ProtocolError)
+    assert error.format(FRAME_NAMES[ftype]) in str(refused)
+    assert ends["receiver"].read == before + _HEADER.size
+    if ftype == LOGITS:
+        assert not isinstance(other, Exception)
+    else:
+        assert isinstance(other, ProtocolError)
 
 
 def _flip_prefix_to_5(blob: bytearray):
@@ -366,43 +448,43 @@ def test_server_refuses_bad_base_ot_point(weights):
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(
-            _EditFirstFrame(conn, ACCEPT, "bota", _flip_prefix_to_5), TOKENS,
-            seed=12)))
+            _EditFirstFrame(conn, ACCEPT, _flip_prefix_to_5,
+                            slice(-POINT_BYTES, None)), TOKENS, seed=12)))
     assert isinstance(server_err, ProtocolError)
     assert "base-OT point refused" in str(server_err)
     assert isinstance(client_err, ProtocolError)
 
 
 def test_client_refuses_base_ot_list_one_point_short(weights):
-    """The ot-base list must hold exactly 128 points of 33 bytes."""
+    """The ot-base frame must hold exactly 128 points of 33 bytes."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, OT_BASE, "botb", _one_point_short), CFG,
+            _EditFirstFrame(conn, OT_BASE, _one_point_short), CFG,
             weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
-    assert "128 base-OT points need 4224 bytes, got 4191" in str(client_err)
+    assert "ot-base frame of 4191 bytes, the plan's has 4224" in \
+        str(client_err)
     assert isinstance(server_err, ProtocolError)
 
 
-def _residue_past_its_prime(blob: bytearray):
-    # the first ciphertext of the list
-    struct.pack_into("<Q", blob, FIRST_RESIDUE, PARAMS.q_primes[0])
+def _residue_past_q0(blob: bytearray):
+    # a ciphertext's first word is its first residue mod q_0
+    struct.pack_into("<Q", blob, 0, PARAMS.q_primes[0])
 
 
 @pytest.mark.parametrize("edit,error", [
-    pytest.param(_one_too_few, "product reply needs 9 ciphertexts",
-                 id="one-too-few"),
+    pytest.param(_one_too_few, "mm-reply frame of", id="one-too-few"),
     pytest.param(lambda b: b.__delitem__(slice(len(b) // 2, None)),
-                 "product reply needs 9 ciphertexts", id="truncated"),
-    pytest.param(lambda b: b.extend(b"\0"),
-                 "product reply needs 9 ciphertexts", id="trailing-bytes"),
-    pytest.param(_residue_past_its_prime, "residue not reduced",
+                 "mm-reply frame of", id="truncated"),
+    pytest.param(lambda b: b.extend(b"\0"), "mm-reply frame of",
+                 id="trailing-bytes"),
+    pytest.param(_residue_past_q0, "residue not reduced",
                  id="residue-past-q"),
 ])
 def test_server_rejects_malformed_mm_reply(weights, edit, error):
     """The first product reply arrives malformed; the server refuses it with
-    a ProtocolError before it multiplies anything.  The count it accepts is
+    a ProtocolError before it multiplies anything.  The length it accepts is
     the one its mask state implies (2k + 1 = 9 ciphertexts for the 4 x 4
     inner product of opt1).  A flip that still decodes to well-formed
     ciphertexts is not caught: this protocol is semi-honest, and such a
@@ -410,37 +492,53 @@ def test_server_rejects_malformed_mm_reply(weights, edit, error):
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(
-            _EditFirstFrame(conn, MM_REPLY, "mmrp", edit), TOKENS, seed=12)))
+            _EditFirstFrame(conn, MM_REPLY, edit), TOKENS, seed=12)))
     assert isinstance(server_err, ProtocolError)
     assert error in str(server_err)
     assert isinstance(client_err, ProtocolError)
 
 
-@pytest.mark.parametrize("index,value,error", [
-    pytest.param(1, 1 << 40, "limit", id="seq_len"),
-    pytest.param(0, 1 << 12, "limit", id="vocab"),
-    pytest.param(4, session.MAX_LAYERS + 1, "limit", id="n_layers"),
-    pytest.param(5, 1, "two classes", id="n_classes"),
-    pytest.param(5, session.MAX_CLASSES + 1, "limit",
+# the hello fields in wire order, as the tiny opt1 server sends them (the
+# client rederives ring and prime, so the forged prime never matters)
+HELLO_FIELDS = dict(mode=MODES.index("opt1"), vocab=CFG.vocab,
+                    seq_len=CFG.seq_len, dim=CFG.dim, ff_dim=CFG.ff_dim,
+                    n_layers=CFG.n_layers, n_classes=CFG.n_classes, w=CFG.w,
+                    f=CFG.f, ring=512, prime=0)
+
+
+def _hello(**changes) -> bytes:
+    return struct.pack("<B10Q", *{**HELLO_FIELDS, **changes}.values())
+
+
+@pytest.mark.parametrize("forge,error", [
+    pytest.param(lambda: _hello(seq_len=1 << 40), "limit", id="seq_len"),
+    pytest.param(lambda: _hello(vocab=1 << 12), "limit", id="vocab"),
+    pytest.param(lambda: _hello(n_layers=session.MAX_LAYERS + 1), "limit",
+                 id="n_layers"),
+    pytest.param(lambda: _hello(n_classes=1), "two classes", id="n_classes"),
+    pytest.param(lambda: _hello(n_classes=session.MAX_CLASSES + 1), "limit",
                  id="n_classes_past_limit"),
-    pytest.param(7, 40, "bad widths", id="widths"),
+    pytest.param(lambda: _hello(f=40), "bad widths", id="widths"),
+    pytest.param(lambda: _hello(mode=len(MODES)), "unknown mode index 3",
+                 id="mode-out-of-range"),
+    pytest.param(lambda: _hello()[:-1], "hello frame of 80 bytes",
+                 id="one-byte-short"),
+    pytest.param(lambda: _hello() + b"\0", "hello frame of 82 bytes",
+                 id="one-byte-long"),
 ])
-def test_client_refuses_oversized_hello_before_planning(monkeypatch, index,
-                                                         value, error):
+def test_client_refuses_oversized_hello_before_planning(monkeypatch, forge,
+                                                         error):
     """A forged hello asks for a ring past `MAX_RING_DEGREE`, more layers
-    than `MAX_LAYERS`, more classes than the logits frame tags
-    (`MAX_CLASSES`), or a shape `ModelConfig` refuses; the client refuses
-    it before the plan, the ring or any key is sized.  The shape is the
-    peer's, so the refusal is a ProtocolError, not a ParameterError."""
+    than `MAX_LAYERS`, a logits frame past `MAX_CLASSES` ciphertexts, a
+    shape `ModelConfig` refuses or a mode `MODES` does not have, or is not
+    81 bytes long; the client refuses it before the plan, the ring or any
+    key is sized.  The shape is the peer's, so the refusal is a
+    ProtocolError, not a ParameterError."""
+    assert len(_hello()) == session.HELLO_BYTES == 81
     monkeypatch.setattr(ModelConfig, "plan",
                         lambda *_: pytest.fail("planned a hostile hello"))
-    dims = [CFG.vocab, CFG.seq_len, CFG.dim, CFG.ff_dim, CFG.n_layers,
-            CFG.n_classes, CFG.w, CFG.f]
-    dims[index] = value
     sconn, cconn = memory_pair()
-    write_frame(sconn, HELLO, encode_fields({
-        "mode": b"opt1", "dims": pack_array(np.array(dims, dtype=np.uint64)),
-        "ring": pack_u64(512), "prim": pack_u64(0)}))
+    write_frame(sconn, HELLO, forge())
     with pytest.raises(ProtocolError, match=error):
         run_client(cconn, TOKENS, seed=12)
 
@@ -494,29 +592,23 @@ def test_client_bad_tokens_stay_parameter_errors(weights):
     assert isinstance(server_err, ProtocolError)
 
 
-def _residue_past_q0(fields):
-    blob = bytearray(fields["lg00"])
-    struct.pack_into("<Q", blob, FIRST_RESIDUE, PARAMS.q_primes[0])
-    fields["lg00"] = bytes(blob)
-
-
-@pytest.mark.parametrize("edit,error", [
-    pytest.param(lambda f: f.pop("lg01"), "logits frame has fields",
+@pytest.mark.parametrize("edit,span,error", [
+    pytest.param(_one_too_few, slice(None), "logits frame of",
                  id="missing-class"),
-    pytest.param(lambda f: f.__setitem__("lg02", f["lg01"]),
-                 "logits frame has fields", id="extra-class"),
-    pytest.param(lambda f: f.__setitem__("lg00", f["lg00"][:-9]),
-                 "ciphertext has", id="truncated"),
-    pytest.param(_residue_past_q0, "residue not reduced", id="residue-past-q0"),
+    pytest.param(_one_too_many, slice(None), "logits frame of",
+                 id="extra-class"),
+    pytest.param(lambda b: b.__delitem__(slice(-9, None)), FIRST_CT,
+                 "logits frame of", id="truncated"),
+    pytest.param(_residue_past_q0, FIRST_CT, "residue not reduced",
+                 id="residue-past-q0"),
 ])
-def test_client_refuses_malformed_logits(weights, edit, error):
-    """The logits frame must hold exactly `nlgt` and one well-formed
-    ciphertext per class.  A flip that still decodes is not caught: the
-    protocol is semi-honest, and such a frame only changes the client's
-    own logits."""
+def test_client_refuses_malformed_logits(weights, edit, span, error):
+    """The logits frame must hold exactly one well-formed ciphertext per
+    class.  A flip that still decodes is not caught: the protocol is
+    semi-honest, and such a frame only changes the client's own logits."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, LOGITS, None, edit), CFG, weights, "opt1",
+            _EditFirstFrame(conn, LOGITS, edit, span), CFG, weights, "opt1",
             seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
@@ -524,8 +616,10 @@ def test_client_refuses_malformed_logits(weights, edit, error):
     assert not isinstance(server_err, Exception)
 
 
-# each Galois key of a key blob is its two (k, k, n) digit stacks
+# each Galois key of a key blob is its two (k, k, n) digit stacks; the
+# blob is followed by the 33-byte base-OT point A
 KEY_BYTES = 2 * 8 * PARAMS.k * PARAMS.k * PARAMS.n
+KEY_BLOB = slice(0, -POINT_BYTES)
 
 
 def _one_key_too_few(blob: bytearray):
@@ -537,10 +631,8 @@ def _one_key_too_many(blob: bytearray):
 
 
 @pytest.mark.parametrize("edit,error", [
-    pytest.param(_one_key_too_few, "the session's 4 Galois keys need",
-                 id="one-too-few"),
-    pytest.param(_one_key_too_many, "the session's 4 Galois keys need",
-                 id="one-too-many"),
+    pytest.param(_one_key_too_few, "accept frame of", id="one-too-few"),
+    pytest.param(_one_key_too_many, "accept frame of", id="one-too-many"),
 ])
 def test_server_refuses_key_blob_off_the_geometry(weights, edit, error):
     """The server accepts a key for exactly each Galois element of the
@@ -549,7 +641,7 @@ def test_server_refuses_key_blob_off_the_geometry(weights, edit, error):
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(
-            _EditFirstFrame(conn, ACCEPT, "pkey", edit), TOKENS, seed=12)))
+            _EditFirstFrame(conn, ACCEPT, edit, KEY_BLOB), TOKENS, seed=12)))
     assert isinstance(server_err, ProtocolError)
     assert error in str(server_err)
     assert isinstance(client_err, ProtocolError)
