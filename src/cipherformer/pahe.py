@@ -3,6 +3,10 @@
 An RLWE scheme in the BFV style, pared down to exactly the operations the
 inference protocol consumes: encrypt, decrypt, ciphertext addition, plaintext
 addition, SIMD multiplication by an encoded vector, and column rotation.
+Only the key holder encrypts, so encryption uses the secret key and there is
+no public encryption key; the peer receives rotation keys only.  With no
+public key, a future rerandomization of outgoing ciphertexts needs a key of
+its own.
 Everything but ciphertext addition has one batched form (the `_many`
 methods); a single operation is a batch of one.  There is no
 ciphertext-ciphertext multiplication anywhere -- the protocol gets products
@@ -171,7 +175,9 @@ class PaheParams:
 
     @property
     def fresh_noise_bits(self) -> float:
-        return log2(_ERR_BOUND * (2 * self.n + 1))
+        """A secret-key encryption's error, plus half a unit of rounding
+        in the scaled message."""
+        return log2(_ERR_BOUND + 0.5)
 
     @property
     def keyswitch_noise_bits(self) -> float:
@@ -370,11 +376,10 @@ class KeySwitchKey:
 
 @dataclass
 class KeyMaterial:
-    """Secret + public key material.  The secret key never serializes."""
+    """The secret key and the rotation keys.  The secret key never
+    serializes."""
 
     params: PaheParams
-    pk0: np.ndarray
-    pk1: np.ndarray
     galois: dict[int, KeySwitchKey] = field(default_factory=dict)
     _sk: np.ndarray | None = None      # (k, n) NTT domain
     _sk_sh: np.ndarray | None = None
@@ -384,7 +389,7 @@ class KeyMaterial:
         return self._sk is not None
 
     def public(self) -> "KeyMaterial":
-        return KeyMaterial(self.params, self.pk0, self.pk1, self.galois)
+        return KeyMaterial(self.params, self.galois)
 
     # -- decryption ---------------------------------------------------------
 
@@ -423,10 +428,12 @@ def _crt_consts(params: PaheParams) -> np.ndarray:
                     dtype=object)
 
 
-def _sample_uniform(params: PaheParams, rng: np.random.Generator) -> np.ndarray:
-    """One uniform (k, n) residue polynomial, drawn prime by prime."""
-    return np.stack([rng.integers(0, qi, params.n, dtype=np.uint64)
-                     for qi in params.q_primes])
+def _sample_uniform(params: PaheParams, rng: np.random.Generator,
+                    lead: tuple[int, ...] = ()) -> np.ndarray:
+    """A `lead`-shaped stack of uniform (k, n) residue polynomials, drawn
+    prime by prime."""
+    return np.stack([rng.integers(0, qi, (*lead, params.n), dtype=np.uint64)
+                     for qi in params.q_primes], axis=-2)
 
 
 def _sample_ternary(rng: np.random.Generator, shape) -> np.ndarray:
@@ -454,25 +461,18 @@ def galois_elements(params: PaheParams,
 
 def keygen(params: PaheParams, seed: int | None = None,
            rotations: Iterable[int] = ()) -> KeyMaterial:
-    """Generate secret/public/Galois keys.
+    """Generate the secret key and the Galois keys.
 
     `rotations` lists the column-rotation amounts (0 < r < n/2) the evaluator
     will need; each gets one Galois key.
     """
     rng = np.random.default_rng(seed)
-    rns, col = params.rns(), params.q_col
-    n = params.n
-    sk = rns.forward(_signed_to_rns(params, _sample_ternary(rng, n)))
-    sk_sh = shoup(sk, col)
-
-    a = _sample_uniform(params, rng)
-    e = rns.forward(_signed_to_rns(params, _sample_error(rng, n)))
-    pk0 = submod(e, mulmod_shoup(a, sk, sk_sh, col), col)
-    km = KeyMaterial(params, pk0, a, {}, sk, sk_sh)
-
-    for t in galois_elements(params, rotations):
-        km.galois[t] = _make_kswitch(params, rng, sk, sk_sh, t)
-    return km
+    sk = params.rns().forward(
+        _signed_to_rns(params, _sample_ternary(rng, params.n)))
+    sk_sh = shoup(sk, params.q_col)
+    galois = {t: _make_kswitch(params, rng, sk, sk_sh, t)
+              for t in galois_elements(params, rotations)}
+    return KeyMaterial(params, galois, sk, sk_sh)
 
 
 def _make_kswitch(params: PaheParams, rng: np.random.Generator, sk, sk_sh,
@@ -498,18 +498,18 @@ def _make_kswitch(params: PaheParams, rng: np.random.Generator, sk, sk_sh,
 
 
 class Evaluator:
-    """Homomorphic operations under a (public) key set, with op counters."""
+    """Homomorphic operations under a key set, with op counters.  Only a
+    key set that holds the secret key encrypts, and only its evaluator
+    draws from a generator (seeded by `seed`)."""
 
     def __init__(self, keys: KeyMaterial, seed: int | None = None):
         self.keys = keys
         self.params = keys.params
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed) if keys.has_secret else None
         self.counters: dict[str, int] = {
             "encrypt": 0, "add_ct": 0, "add_plain": 0, "scmult": 0,
             "rotate": 0, "keyswitch": 0,
         }
-        self._pk0_sh = shoup(keys.pk0, self.params.q_col)
-        self._pk1_sh = shoup(keys.pk1, self.params.q_col)
 
     # -- helpers -------------------------------------------------------------
 
@@ -527,12 +527,13 @@ class Evaluator:
     # -- encryption ----------------------------------------------------------
 
     def encrypt_many(self, vecs: Sequence) -> list[Ciphertext]:
-        """Encrypt each slot vector: c0 = u*pk0 + e0 + m, c1 = u*pk1 + e1.
-
-        e0 is added to the scaled message in the coefficient domain, so one
-        forward pass transforms 3B polynomials (m + e0, u, e1), not 4B.  The
-        generator still draws u first and then all 2B errors, e0 before e1.
+        """Encrypt each slot vector m under the secret key s:
+        c1 = a, uniform in the NTT domain, and c0 = NTT(m' + e) - a*s, where
+        m' is m scaled by q/p.  One forward transform per ciphertext.  The
+        generator draws all B a's, prime by prime, then all B errors.
         """
+        if not self.keys.has_secret:
+            raise ParameterError("only the secret key holder encrypts")
         par = self.params
         col = par.q_col
         B = len(vecs)
@@ -540,14 +541,11 @@ class Evaluator:
             return []
         m = _scaled_plain_rows_many(
             par, np.stack([_as_slot_vector(par, v) for v in vecs]))
-        u = _signed_to_rns(par, _sample_ternary(self.rng, (B, par.n)))
-        e = _signed_to_rns(par, _sample_error(self.rng, (2 * B, par.n)))
-        stacked = par.rns().forward(
-            np.concatenate([addmod(m, e[:B], col), u, e[B:]]))
-        m_ntt, u, e1 = (stacked[i * B:(i + 1) * B] for i in range(3))
-        c0 = addmod(mulmod_shoup(u, self.keys.pk0, self._pk0_sh, col), m_ntt, col)
-        c1 = addmod(mulmod_shoup(u, self.keys.pk1, self._pk1_sh, col), e1, col)
-        out = [Ciphertext(par, c0[b], c1[b],
+        a = _sample_uniform(par, self.rng, (B,))
+        e = _signed_to_rns(par, _sample_error(self.rng, (B, par.n)))
+        c0 = submod(par.rns().forward(addmod(m, e, col)),
+                    mulmod_shoup(a, self.keys._sk, self.keys._sk_sh, col), col)
+        out = [Ciphertext(par, c0[b], a[b],
                           self._bump_noise(par.fresh_noise_bits))
                for b in range(B)]
         self.counters["encrypt"] += B
@@ -559,7 +557,8 @@ class Evaluator:
         self._check(a)
         self._check(b)
         par = self.params
-        noise = self._bump_noise(float(np.logaddexp2(a.noise_bits, b.noise_bits)))
+        noise = self._bump_noise(
+            float(np.logaddexp2(a.noise_bits, b.noise_bits)) + 1e-3)
         out = Ciphertext(par, addmod(a.c0, b.c0, par.q_col),
                          addmod(a.c1, b.c1, par.q_col), noise)
         self.counters["add_ct"] += 1
@@ -707,15 +706,15 @@ def ct_from_bytes(data, params: PaheParams) -> Ciphertext:
 
 
 def key_blob_nbytes(params: PaheParams, keys: int) -> int:
-    """Wire size of a key blob with `keys` Galois keys: pk0, pk1 and two
-    (k, k, n) digit stacks per key."""
-    return 8 * params.k * params.n * (2 + 2 * params.k * keys)
+    """Wire size of a key blob with `keys` Galois keys: two (k, k, n) digit
+    stacks per key, and nothing else."""
+    return 16 * params.k * params.k * params.n * keys
 
 
 def public_keys_to_bytes(km: KeyMaterial) -> bytes:
-    """pk0, pk1, then the two digit stacks of each Galois key, in element
-    order."""
-    polys = [km.pk0, km.pk1]
+    """The two digit stacks of each Galois key, in element order; the blob
+    holds no encryption key."""
+    polys = []
     for t in sorted(km.galois):
         polys += [km.galois[t].k0, km.galois[t].k1]
     return b"".join(_words(a) for a in polys)
@@ -723,17 +722,16 @@ def public_keys_to_bytes(km: KeyMaterial) -> bytes:
 
 def public_keys_from_bytes(data, params: PaheParams,
                            elements: Sequence[int]) -> KeyMaterial:
-    """Parse the peer's public and rotation keys under the session's
-    `params`.  The blob holds a switch key for exactly the Galois elements
-    `elements`, in that order, so its size is fixed: a missing or extra key
-    is refused by length, before any key's Shoup twins are built."""
+    """Parse the peer's rotation keys under the session's `params`.  The
+    blob holds a switch key for exactly the Galois elements `elements`, in
+    that order, so its size is fixed: a missing or extra key is refused by
+    length, before any key's Shoup twins are built."""
     k, n, g = params.k, params.n, len(elements)
     size = key_blob_nbytes(params, g)
     if len(data) != size:
         raise ProtocolError(f"key blob has {len(data)} bytes, the session's "
                             f"{g} Galois keys need {size}")
-    polys = _residues(data, (2 + 2 * k * g, k, n), params)
-    digits = polys[2:].reshape(g, 2, k, k, n)
+    digits = _residues(data, (g, 2, k, k, n), params)
     galois = {t: KeySwitchKey.from_digits(d[0], d[1], params.q_col)
               for t, d in zip(elements, digits)}
-    return KeyMaterial(params, polys[0], polys[1], galois)
+    return KeyMaterial(params, galois)

@@ -20,7 +20,7 @@ _HEADER = struct.Struct("<4sBI")
 
 # handshake / setup
 HELLO = 1          # s->c: session geometry
-ACCEPT = 2         # c->s: public keys, base-OT point A (33 B)
+ACCEPT = 2         # c->s: rotation keys, base-OT point A (33 B)
 OT_BASE = 3        # s->c: the 128 base-OT points B (33 B each)
 CLIENT_SETUP = 4   # c->s: OT seeds + extension matrix + encrypted input
 # garbled stages

@@ -17,8 +17,9 @@ is `pahe.ct_nbytes` = 16 k n, and a matrix of a layout is that layout's
                           w, f, ring degree and plaintext prime (8 each);
                           the client rederives ring and prime and refuses
                           on any disagreement
-  accept         c -> s   the key blob, 8 k n (2 + 2 k |galois|); base-OT
-                          point A, 33 (compressed P-256)
+  accept         c -> s   the key blob, two (k, k, n) digit stacks per
+                          Galois key, 16 k^2 n |galois|; base-OT point A,
+                          33 (compressed P-256)
   ot-base        s -> c   the 128 base-OT points B, 128 x 33
   client-setup   c -> s   OT-extension seed pairs, 128 x 32; correction
                           columns, 128 x ceil(ot_total / 8); the encrypted
@@ -256,7 +257,7 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
 
 def _client_keys(params: PaheParams, rotations: tuple[int, ...],
                  seed: int | None) -> tuple[KeyMaterial, bytes]:
-    """A client key set and its public key blob, serialized once.  The
+    """A client key set and its rotation key blob, serialized once.  The
     client never rotates, so its rotation keys are kept only in the blob."""
     keys = keygen(params, seed, rotations=rotations)
     return replace(keys, galois={}), public_keys_to_bytes(keys.public())
@@ -525,7 +526,7 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
                      [key_blob_nbytes(geom.params, len(geom.galois)),
                       POINT_BYTES])
     pub = _parse_public_keys(bpk, geom.params, geom.galois)
-    ev = Evaluator(pub, seed=int(rng.integers(1 << 62)))
+    ev = Evaluator(pub)
 
     ext = OtExtSender(rng)
     base = BaseOtReceiver(rng, ext.s_bits, bpt)

@@ -45,10 +45,6 @@ class Transcript:
     def bytes_sent(self) -> int:
         return sum(f.nbytes for f in self.frames if f.direction == "sent")
 
-    @property
-    def bytes_received(self) -> int:
-        return sum(f.nbytes for f in self.frames if f.direction == "received")
-
     def record(self, direction: str, ftype: int, payload: bytes):
         self.frames.append(FrameInfo(len(self.frames), direction, ftype,
                                      len(payload)))
@@ -66,9 +62,3 @@ class Transcript:
         """Order-sensitive hash of every frame seen; two transports carrying
         the same session produce the same digest."""
         return self._digest.hexdigest()
-
-    def frames_of(self, *ftypes: int) -> list[FrameInfo]:
-        return [f for f in self.frames if f.ftype in ftypes]
-
-    def events_of(self, kind: str) -> list[dict]:
-        return [e for e in self.events if e.get("kind") == kind]

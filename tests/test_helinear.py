@@ -29,8 +29,8 @@ def setup():
     par = pahe.session_params(P20, 512)
     amounts = set(colblock_rotation_amounts(par, 4, 8, 16, 1))
     keys = pahe.keygen(par, seed=11, rotations=sorted(amounts))
-    ev = pahe.Evaluator(keys.public(), seed=5)
-    ev_c = pahe.Evaluator(keys.public(), seed=6)
+    ev = pahe.Evaluator(keys, seed=5)
+    ev_c = pahe.Evaluator(keys, seed=6)
     return par, keys, ev, ev_c
 
 
@@ -42,7 +42,7 @@ def small():
     amounts = set(colblock_rotation_amounts(par, 4, 8, 16, 1))
     amounts |= set(colblock_rotation_amounts(par, 8, 8, 3, 1))
     keys = pahe.keygen(par, seed=12, rotations=sorted(amounts))
-    return par, keys, pahe.Evaluator(keys.public(), seed=7)
+    return par, keys, pahe.Evaluator(keys, seed=7)
 
 
 def _rand(rng, r, c, p):
@@ -203,7 +203,7 @@ def test_colblock_matmul_baby_steps(small, in_cols, out_cols):
             continue
         amounts = colblock_rotation_amounts(par, in_cols, 2, out_cols, steps)
         keys = pahe.keygen(par, seed=13, rotations=amounts)
-        ev = pahe.Evaluator(keys.public(), seed=8)
+        ev = pahe.Evaluator(keys, seed=8)
         enc = pack_colblocks(ev, X, block=2, steps=steps)
         G = -(-in_cols // enc.cols_per_ct)
         assert enc.steps == steps and len(enc.cts) == steps * G

@@ -1,6 +1,7 @@
 """Packed-AHE unit tests: algebra, rotations, noise accounting, wire format."""
 
 import struct
+from math import inf, log2
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cipherformer.helinear import (COLBLOCKS, Layout, ct_list_from_bytes,
                                    ct_list_to_bytes, encmatrix_from_bytes,
                                    encmatrix_to_bytes, pack_colblocks)
 from cipherformer.model import ModelConfig
-from cipherformer.ntt import get_stacked
+from cipherformer.ntt import addmod, get_stacked, mulmod_vec
 from cipherformer.primes import next_prime
 from cipherformer.protocol import (HELLO, memory_pair, read_frame, session,
                                    session_geometry, write_frame)
@@ -24,7 +25,7 @@ P20 = next_prime(1 << 20, congruent=(1, 2048))
 def setup():
     par = pahe.session_params(P20, 256)
     km = pahe.keygen(par, seed=11, rotations=(1, 2, 5, par.row_size - 5))
-    ev = pahe.Evaluator(km.public(), seed=12)
+    ev = pahe.Evaluator(km, seed=12)
     rng = np.random.default_rng(13)
     return par, km, ev, rng
 
@@ -98,7 +99,7 @@ class TestParams:
         with pytest.raises(ParameterError, match="must not be a ciphertext prime"):
             pahe.PaheParams(n=n, p=p, q_primes=(p,) + par.q_primes)
         km = pahe.keygen(par, seed=1)
-        ev = pahe.Evaluator(km.public(), seed=2)
+        ev = pahe.Evaluator(km, seed=2)
         rng = np.random.default_rng(3)
         vs = np.stack([rand_vec(par, rng) for _ in range(3)])
         ws = np.stack([rand_vec(par, rng) for _ in range(3)])
@@ -140,34 +141,46 @@ class TestRoundTrip:
         with pytest.raises(ParameterError):
             enc(ev, np.array([par.p], dtype=np.uint64))
 
-    def test_encrypt_matches_four_stack_reference(self, setup):
-        """encrypt_many folds e0 into the message before its one transform;
-        the bytes must equal c0 = u*pk0 + e0 + m, c1 = u*pk1 + e1 with all
-        four polynomials transformed, drawn from the same generator state."""
+    def test_encrypt_matches_secret_key_reference(self, setup):
+        """encrypt_many draws c1 = a uniform in the NTT domain, prime by
+        prime, then the errors e, from the same generator state; c0 + c1*s,
+        taken back to coefficients, must be exactly round(q m / p) + e,
+        computed in python ints."""
         par, km, ev, rng = setup
         vs = [rand_vec(par, rng) for _ in range(3)]
-        pub = km.public()
-        got = pahe.Evaluator(pub, seed=31).encrypt_many(vs)
-        gen, rns, B = np.random.default_rng(31), par.rns(), len(vs)
-        stacked = rns.forward(np.concatenate([
-            pahe._scaled_plain_rows_many(par, np.stack(vs)),
-            pahe._signed_to_rns(par, pahe._sample_ternary(gen, (B, par.n))),
-            pahe._signed_to_rns(par, pahe._sample_error(gen, (2 * B, par.n)))]))
-        m, u, e0, e1 = (stacked[i * B:(i + 1) * B].astype(object)
-                        for i in range(4))
-        q = np.array(par.q_primes, dtype=object)[:, None]
-        c0 = (u * pub.pk0.astype(object) + e0 + m) % q
-        c1 = (u * pub.pk1.astype(object) + e1) % q
+        got = pahe.Evaluator(km, seed=31).encrypt_many(vs)
+        gen, B, n = np.random.default_rng(31), len(vs), par.n
+        a = np.stack([gen.integers(0, qi, (B, n), dtype=np.uint64)
+                      for qi in par.q_primes], axis=1)
+        e = pahe._sample_error(gen, (B, n)).astype(object)
+        m = pahe._slots_to_coeffs_many(par, np.stack(vs)).astype(object)
+        q, p = par.q, par.p
+        want = ((q * m + p // 2) // p + e) % q                  # (B, n)
+        qi = np.array(par.q_primes, dtype=object)[:, None]
+        sk = km._sk.astype(object)
         for b, ct in enumerate(got):
-            want = pahe.Ciphertext(par, c0[b].astype(np.uint64),
-                                   c1[b].astype(np.uint64), par.fresh_noise_bits)
-            assert pahe.ct_to_bytes(ct) == pahe.ct_to_bytes(want)
+            assert np.array_equal(ct.c1, a[b])
+            assert ct.noise_bits == par.fresh_noise_bits
+            res = (ct.c0.astype(object) + ct.c1.astype(object) * sk) % qi
+            coeffs = par.rns().inverse(res.astype(np.uint64)[None])[0]
+            assert np.array_equal(coeffs.astype(object), want[b] % qi)
+
+    def test_only_the_secret_key_encrypts(self, setup):
+        """An evaluator over the peer's keys has no secret key: it draws
+        nothing and refuses to encrypt."""
+        par, km, ev, rng = setup
+        pub = pahe.Evaluator(km.public())
+        assert pub.rng is None
+        with pytest.raises(ParameterError, match="secret key"):
+            pub.encrypt_many([rand_vec(par, rng)])
 
     def test_keygen_deterministic(self, setup):
         par, km, ev, rng = setup
         a = pahe.keygen(par, seed=99, rotations=(1,))
         b = pahe.keygen(par, seed=99, rotations=(1,))
-        assert np.array_equal(a.pk0, b.pk0) and np.array_equal(a.pk1, b.pk1)
+        assert np.array_equal(a._sk, b._sk)
+        assert list(a.galois) == list(b.galois) == [3]
+        assert np.array_equal(a.galois[3].parts, b.galois[3].parts)
 
 
 class TestHomomorphisms:
@@ -256,7 +269,7 @@ class TestRotations:
         assert par.k == k
         rs = (1, 2, 5)
         km = pahe.keygen(par, seed=21, rotations=rs)
-        ev = pahe.Evaluator(km.public(), seed=22)
+        ev = pahe.Evaluator(km, seed=22)
         rng = np.random.default_rng(23)
         cts = ev.encrypt_many([rand_vec(par, rng) for _ in rs])
         got = ev.col_rotate_many(cts, rs)
@@ -286,7 +299,57 @@ class TestRotations:
         assert np.array_equal(got, want)
 
 
+def measured_noise_bits(km, ct, slots) -> float:
+    """log2 of the largest centered |v - q m / p| over all coefficients,
+    where v = c0 + c1 s lifted to Z_q and m is the coefficient polynomial
+    of the expected `slots`, in python ints.  Decryption is exact while it
+    stays below q / 2p, the budget `max_budget_bits` measures."""
+    par = km.params
+    q, p = par.q, par.p
+    col = par.q_col
+    res = addmod(ct.c0, mulmod_vec(ct.c1, km._sk, col), col)
+    v = par.rns().inverse(res[None])[0].astype(object)
+    v = (v * pahe._crt_consts(par)).sum(axis=0) % q
+    m = pahe._slots_to_coeffs_many(par, slots[None])[0].astype(object)
+    d = (p * v - q * m) % (p * q)
+    worst = max(min(x, p * q - x) for x in d)
+    return log2(worst / p) if worst else -inf
+
+
 class TestNoise:
+    @pytest.mark.parametrize("ring", ["toy", "he-small"])
+    def test_tracked_noise_bounds_the_measured_noise(self, setup, ring):
+        """The running estimate is an upper bound on the real noise after
+        every op a session runs, in session order: a fresh encryption, a
+        multiply by a full-range plaintext, a rotation, a ciphertext
+        addition and a plaintext addition.  he-small is the n = 1024 ring
+        with its 62-bit plaintext prime."""
+        par, km, ev, rng = setup
+        if ring == "he-small":
+            par = session_geometry(ModelConfig(
+                vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
+                n_classes=2), "opt2").params
+            km = pahe.keygen(par, seed=41, rotations=(1,))
+            ev = pahe.Evaluator(km, seed=42)
+        half, p = par.row_size, par.p
+
+        def u64(x):
+            return (x % p).astype(np.uint64)
+
+        v, w, b, c = (rand_vec(par, rng).astype(object) for _ in range(4))
+        fresh = enc(ev, u64(v))
+        prod = mul(ev, fresh, pahe.encode_plain_many(par, [u64(w)])[0])
+        turned = rot(ev, prod, 1)
+        summed = ev.add_ct(turned, enc(ev, u64(b)))
+        shifted = ev.add_plain_many([summed], [u64(c)])[0]
+        vw = v * w
+        rolled = np.concatenate([np.roll(vw[:half], -1), np.roll(vw[half:], -1)])
+        for ct, want in [(fresh, v), (prod, vw), (turned, rolled),
+                         (summed, rolled + b), (shifted, rolled + b + c)]:
+            want = u64(want)
+            assert measured_noise_bits(km, ct, want) <= ct.noise_bits
+            assert np.array_equal(dec(km, ct), want)
+
     def test_ops_strictly_increase_noise(self, setup):
         par, km, ev, rng = setup
         ct = enc(ev, rand_vec(par, rng))
@@ -336,10 +399,10 @@ class TestWireFormat:
                                           par, sorted(km.galois))
         assert list(km2.galois) == sorted(km.galois)
         assert not km2.has_secret
-        ev2 = pahe.Evaluator(km2, seed=6)
+        ev2 = pahe.Evaluator(km2)
         v = rand_vec(par, rng)
         half = par.row_size
-        got = dec(km, rot(ev2, enc(ev2, v), 5))
+        got = dec(km, rot(ev2, enc(ev, v), 5))
         assert np.array_equal(
             got, np.concatenate([np.roll(v[:half], -5), np.roll(v[half:], -5)]))
 
@@ -377,7 +440,7 @@ class TestWireFormat:
         with pytest.raises(ProtocolError, match="key blob has"):
             pahe.public_keys_from_bytes(blob + bytes(2), par, want)
         for galois in (extra.galois, {t: pub.galois[t] for t in want[1:]}):
-            forged = pahe.KeyMaterial(par, pub.pk0, pub.pk1, galois)
+            forged = pahe.KeyMaterial(par, galois)
             with pytest.raises(ProtocolError,
                                match="the session's 4 Galois keys need"):
                 pahe.public_keys_from_bytes(
