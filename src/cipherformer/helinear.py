@@ -67,21 +67,21 @@ rotations, and adds R1*R2 itself.
 
 Wire form
 ---------
-A matrix or a ciphertext list is its ciphertexts back to back and nothing
-else (`pahe.ct_to_bytes`).  The receiver takes the layout, hence the count,
-from its own session plan and refuses a payload of any other length.
+A matrix, and a product reply, is its ciphertext batch back to back and
+nothing else (`pahe.cts_to_bytes`).  The receiver takes the layout, hence
+the count, from its own session plan and refuses a payload of any other
+length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ProtocolError
-from .pahe import (Ciphertext, Evaluator, KeyMaterial, PaheParams,
-                   ct_from_bytes, ct_nbytes, ct_to_bytes, encode_plain_many)
+from .pahe import (Ciphertexts, Evaluator, KeyMaterial, PaheParams,
+                   cts_from_bytes, cts_to_bytes, encode_plain_many)
 
 ROWS = "rows"
 COLBLOCKS = "colblocks"
@@ -102,23 +102,6 @@ def _entries(m) -> np.ndarray:
     return arr
 
 
-@dataclass
-class EncMatrix:
-    """An encrypted matrix plus the layout needed to interpret its slots."""
-
-    packing: str
-    cts: list
-    rows: int
-    cols: int
-    block: int = 0          # colblocks: slots per column block
-    cols_per_ct: int = 0    # colblocks: columns carried by each ciphertext
-    steps: int = 1          # colblocks: baby-step copies, copy-major
-
-    def __post_init__(self):
-        if self.packing not in (ROWS, COLBLOCKS):
-            raise ParameterError(f"unknown packing {self.packing!r}")
-
-
 @dataclass(frozen=True)
 class Layout:
     """What an encrypted matrix holds, without its ciphertexts: the packing,
@@ -129,7 +112,11 @@ class Layout:
     rows: int
     cols: int
     block: int = 0          # colblocks: slots per column block
-    steps: int = 1          # colblocks: baby-step copies
+    steps: int = 1          # colblocks: baby-step copies, copy-major
+
+    def __post_init__(self):
+        if self.packing not in (ROWS, COLBLOCKS):
+            raise ParameterError(f"unknown packing {self.packing!r}")
 
     def ct_count(self, params: PaheParams) -> int:
         """Ciphertexts a matrix of this layout holds, by the blocking rules."""
@@ -137,6 +124,14 @@ class Layout:
             return _rows_ct_count(params, self.rows, self.cols)
         cpc = colblock_cols_per_ct(params, self.cols, self.block)
         return self.steps * -(-self.cols // cpc)
+
+
+@dataclass
+class EncMatrix:
+    """An encrypted matrix: its layout and its ciphertexts."""
+
+    layout: Layout
+    cts: Ciphertexts
 
 
 # ----------------------------------------------------------------------------
@@ -155,13 +150,13 @@ def _rows_ct_count(params: PaheParams, rows: int, cols: int) -> int:
     return -(-rows // rows_per_ct(params, cols))
 
 
-def _rows_vectors(M: np.ndarray, per_ct: int) -> list[np.ndarray]:
-    """Slot vectors of a `rows` layout; a (..., r, c) stack gives each
-    matrix's vectors in turn."""
+def _rows_vectors(M: np.ndarray, per_ct: int) -> np.ndarray:
+    """Slot vectors of a `rows` layout, one per row; a (..., r, c) stack
+    gives each matrix's vectors in turn."""
     *lead, r, c = M.shape
     buf = np.zeros((*lead, -(-r // per_ct) * per_ct, c), dtype=np.uint64)
     buf[..., :r, :] = M
-    return list(buf.reshape(-1, per_ct * c))
+    return buf.reshape(-1, per_ct * c)
 
 
 def _rows_matrix(slots: np.ndarray, rows: int, cols: int,
@@ -171,22 +166,23 @@ def _rows_matrix(slots: np.ndarray, rows: int, cols: int,
 
 
 def _colblock_vectors(M: np.ndarray, block: int, cols_per_ct: int,
-                      width: int, steps: int) -> list[np.ndarray]:
-    """Ring-row slot vectors of a colblocks layout, copy-major: copy t is
-    every vector rotated left by t blocks."""
+                      width: int, steps: int) -> np.ndarray:
+    """Ring-row slot vectors of a colblocks layout, one per row, copy-major:
+    copy t is every vector rotated left by t blocks."""
     r, c = M.shape
     G = -(-c // cols_per_ct)
     blocks = np.zeros((G * cols_per_ct, block), dtype=np.uint64)
     blocks[:c, :r] = M.T
     base = np.zeros((G, width), dtype=np.uint64)
     base[:, :cols_per_ct * block] = blocks.reshape(G, -1)
-    return [vec for t in range(steps)
-            for vec in np.roll(base, -t * block, axis=1)]
+    return np.concatenate([np.roll(base, -t * block, axis=1)
+                           for t in range(steps)])
 
 
-def layout_vectors(params: PaheParams, enc: EncMatrix, M,
-                   transpose: bool = False) -> list[np.ndarray]:
-    """Slot vectors that place M's entries exactly where `enc` keeps its own.
+def layout_vectors(params: PaheParams, layout: Layout, M,
+                   transpose: bool = False) -> np.ndarray:
+    """Slot vectors that place M's entries exactly where a matrix of
+    `layout` keeps its own.
 
     Used to add plaintext offsets (masks, folded constants) onto an encrypted
     matrix without caring about its packing.  `transpose` interprets M as the
@@ -195,13 +191,14 @@ def layout_vectors(params: PaheParams, enc: EncMatrix, M,
     A = _entries(M)
     if transpose:
         A = A.T.copy()
-    if A.shape != (enc.rows, enc.cols):
-        raise ParameterError(
-            f"offset shape {A.shape} != matrix shape {(enc.rows, enc.cols)}")
-    if enc.packing == ROWS:
-        return _rows_vectors(A, rows_per_ct(params, enc.cols))
-    return _colblock_vectors(A, enc.block, enc.cols_per_ct, params.row_size,
-                             enc.steps)
+    if A.shape != (layout.rows, layout.cols):
+        raise ParameterError(f"offset shape {A.shape} != matrix shape "
+                             f"{(layout.rows, layout.cols)}")
+    if layout.packing == ROWS:
+        return _rows_vectors(A, rows_per_ct(params, layout.cols))
+    return _colblock_vectors(
+        A, layout.block, colblock_cols_per_ct(params, layout.cols, layout.block),
+        params.row_size, layout.steps)
 
 
 # ----------------------------------------------------------------------------
@@ -219,7 +216,7 @@ def pack_rows(ev: Evaluator, M) -> EncMatrix:
     A = _entries(M)
     _check_capacity(ev.params, A.shape[1], "row packing")
     cts = ev.encrypt_many(_rows_vectors(A, rows_per_ct(ev.params, A.shape[1])))
-    return EncMatrix(ROWS, cts, A.shape[0], A.shape[1])
+    return EncMatrix(Layout(ROWS, *A.shape), cts)
 
 
 def colblock_cols_per_ct(params: PaheParams, cols: int, block: int) -> int:
@@ -246,32 +243,27 @@ def pack_colblocks(ev: Evaluator, M, block: int, steps: int = 1) -> EncMatrix:
                              f"fit a {half}-slot ring row")
     cpc = colblock_cols_per_ct(ev.params, c, block)
     cts = ev.encrypt_many(_colblock_vectors(A, block, cpc, half, steps))
-    return EncMatrix(COLBLOCKS, cts, r, c, block=block, cols_per_ct=cpc,
-                     steps=steps)
+    return EncMatrix(Layout(COLBLOCKS, r, c, block, steps), cts)
 
 
 def decrypt_matrix(keys: KeyMaterial, enc: EncMatrix) -> np.ndarray:
     """Decrypt any packing back to a (rows, cols) uint64 array; of a
     colblocks matrix with baby-step copies, only copy 0."""
-    par = keys.params
-    r, c = enc.rows, enc.cols
-    if enc.packing == ROWS:
+    par, lay = keys.params, enc.layout
+    r, c = lay.rows, lay.cols
+    if lay.packing == ROWS:
         return _rows_matrix(keys.decrypt_many(enc.cts), r, c,
                             rows_per_ct(par, c))
-    dec = keys.decrypt_many(enc.cts[:len(enc.cts) // enc.steps])
-    M = np.zeros((r, c), dtype=np.uint64)
-    for g in range(dec.shape[0]):
-        for j in range(g * enc.cols_per_ct, min(c, (g + 1) * enc.cols_per_ct)):
-            off = (j - g * enc.cols_per_ct) * enc.block
-            M[:, j] = dec[g, off:off + r]
-    return M
+    # the inverse of `_colblock_vectors` on copy 0
+    dec = keys.decrypt_many(enc.cts[:len(enc.cts) // lay.steps])
+    cpc = colblock_cols_per_ct(par, c, lay.block)
+    return dec[:, :cpc * lay.block].reshape(-1, lay.block)[:c, :r].T.copy()
 
 
 def add_offset(ev: Evaluator, enc: EncMatrix, M, transpose: bool = False) -> EncMatrix:
     """enc + M with M in the clear, laid out to match enc's packing."""
-    vecs = layout_vectors(ev.params, enc, M, transpose)
-    cts = ev.add_plain_many(enc.cts, vecs)
-    return replace(enc, cts=cts)
+    vecs = layout_vectors(ev.params, enc.layout, M, transpose)
+    return EncMatrix(enc.layout, ev.add_plain_many(enc.cts, vecs))
 
 
 # ----------------------------------------------------------------------------
@@ -312,23 +304,25 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
     A = _entries(W)
     par = ev.params
     half = par.row_size
-    if X.packing != COLBLOCKS:
-        raise ParameterError(f"colblock_matmul needs colblocks input, got {X.packing!r}")
-    if A.shape[0] != X.cols:
-        raise ParameterError(
-            f"inner dims disagree: X is {X.rows}x{X.cols}, W is {A.shape[0]}x{A.shape[1]}")
+    lay = X.layout
+    if lay.packing != COLBLOCKS:
+        raise ParameterError(f"colblock_matmul needs colblocks input, got {lay.packing!r}")
+    if A.shape[0] != lay.cols:
+        raise ParameterError(f"inner dims disagree: X is {lay.rows}x{lay.cols}, "
+                             f"W is {A.shape[0]}x{A.shape[1]}")
     d_out = A.shape[1]
-    B, g = X.block, X.steps
+    B, g = lay.block, lay.steps
     G_in = len(X.cts) // g
+    cpc = colblock_cols_per_ct(par, lay.cols, B)
     C = colblock_cols_per_ct(par, d_out, B)
     n_groups = -(-d_out // C)
-    vecs, cts, dest = [], [], []
+    vecs, which, dest = [], [], []
     for og in range(n_groups):
         j0, j1 = og * C, min(d_out, (og + 1) * C)
         nout = j1 - j0
         for gi in range(G_in):
-            v0 = gi * X.cols_per_ct
-            nin = min(X.cols, v0 + X.cols_per_ct) - v0
+            v0 = gi * cpc
+            nin = min(lay.cols, v0 + cpc) - v0
             # w[d, jl]: the weight diagonal d puts in output block jl
             ds = np.arange(-(nout - 1), nin)
             src = ds[:, None] + np.arange(nout)
@@ -338,29 +332,24 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
             live = w.any(axis=1)
             ds, w = ds[live], w[live]
             blocks = np.zeros((len(ds), nout, B), dtype=np.uint64)
-            blocks[:, :, :X.rows] = w[:, :, None]
+            blocks[:, :, :lay.rows] = w[:, :, None]
             diag = np.zeros((len(ds), half), dtype=np.uint64)
             diag[:, :nout * B] = blocks.reshape(len(ds), nout * B)
             shifts = (ds - ds % g) * B
             idx = (np.arange(half) - shifts[:, None]) % half
-            vecs.extend(np.take_along_axis(diag, idx, axis=1))
-            cts.extend(X.cts[i * G_in + gi] for i in ds % g)
+            vecs.append(np.take_along_axis(diag, idx, axis=1))
+            which.append(ds % g * G_in + gi)
             dest.extend((og, int(sh) % half) for sh in shifts)
-    terms = ev.simd_scmult_many(cts, encode_plain_many(par, vecs))
-    partial: dict[tuple[int, int], Ciphertext] = {}
-    for key, term in zip(dest, terms):
-        partial[key] = ev.add_ct(partial[key], term) if key in partial else term
-    rotated = ev.col_rotate_many(list(partial.values()),
-                                 [sh for _, sh in partial])
-    accs: list[Ciphertext | None] = [None] * n_groups
-    for (og, _), term in zip(partial, rotated):
-        accs[og] = term if accs[og] is None else ev.add_ct(accs[og], term)
-    for og, acc in enumerate(accs):
-        if acc is None:  # an all-zero block of W
-            zero = encode_plain_many(par, [np.zeros(half, dtype=np.uint64)])
-            accs[og] = ev.simd_scmult_many([X.cts[0]], zero)[0]
-    ev.counters["colblock_matmul"] = ev.counters.get("colblock_matmul", 0) + 1
-    return EncMatrix(COLBLOCKS, accs, X.rows, d_out, block=B, cols_per_ct=C)
+    terms = ev.simd_scmult_many(X.cts[np.concatenate(which)],
+                                encode_plain_many(par, np.concatenate(vecs)))
+    # one partial sum per (output ciphertext, giant step), numbered by first
+    # appearance; an output ciphertext no weight reaches sums to zero
+    keys: dict[tuple[int, int], int] = {}
+    ids = [keys.setdefault(key, len(keys)) for key in dest]
+    rotated = ev.col_rotate_many(ev.sum_groups(terms, ids, len(keys)),
+                                 [sh for _, sh in keys])
+    out = ev.sum_groups(rotated, [og for og, _ in keys], n_groups)
+    return EncMatrix(Layout(COLBLOCKS, lay.rows, d_out, B), out)
 
 
 # ----------------------------------------------------------------------------
@@ -391,7 +380,8 @@ class MaskState:
 
 
 def _mult_shape(enc: EncMatrix, transpose: bool) -> tuple[int, int]:
-    return (enc.cols, enc.rows) if transpose else (enc.rows, enc.cols)
+    lay = enc.layout
+    return (lay.cols, lay.rows) if transpose else (lay.rows, lay.cols)
 
 
 def _shifted_terms(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,10 +427,10 @@ def ctmm_reply_count(params: PaheParams, st: MaskState) -> int:
 
 
 def ctmm_client_round(ev: Evaluator, keys: KeyMaterial,
-                      msg: CtmmMasked) -> list[Ciphertext]:
+                      msg: CtmmMasked) -> Ciphertexts:
     """Decrypt the masked factors, multiply in the clear, re-encrypt.
 
-    The reply is one ciphertext list: the product, then the k shifted terms
+    The reply is one ciphertext batch: the product, then the k shifted terms
     of X - R1, then those of Y - R2, each in the rows layout of the product,
     so the other party can finish both cross terms without any rotations.
     """
@@ -457,18 +447,18 @@ def ctmm_client_round(ev: Evaluator, keys: KeyMaterial,
         yt = yt.T.copy()
     prod = pack_rows(ev, matmul_mod(xt, yt, p))
     T = rows_per_ct(keys.params, c)
-    return prod.cts + [ct for terms in _shifted_terms(xt, yt)
-                       for ct in ev.encrypt_many(_rows_vectors(terms, T))]
+    return Ciphertexts.concat(
+        [prod.cts, *(ev.encrypt_many(_rows_vectors(terms, T))
+                     for terms in _shifted_terms(xt, yt))])
 
 
-def ctmm_server_finalize(ev: Evaluator, reply: Sequence[Ciphertext],
+def ctmm_server_finalize(ev: Evaluator, reply: Ciphertexts,
                          st: MaskState) -> EncMatrix:
     """Assemble X @ Y = P + (X-R1)*R2 + R1*(Y-R2) + R1*R2 in rows packing.
 
     Term t of X - R1 meets term t of R2 and term t of Y - R2 meets term t of
     R1, one plaintext product per term and output ciphertext; all of them
-    sum into the product's ciphertexts.  The running per-row product counter
-    advances by the number of output rows.
+    sum into the product's ciphertexts.
     """
     if st.used:
         raise ProtocolError("matrix-product mask state used twice")
@@ -481,53 +471,28 @@ def ctmm_server_finalize(ev: Evaluator, reply: Sequence[Ciphertext],
                             f"expected {want}")
     G = want // (2 * k + 1)
     T = rows_per_ct(par, c)
-    acc = list(reply[:G])
     a1, b2 = _shifted_terms(st.r1, st.r2)
-    for cts, mask in ((reply[G:(k + 1) * G], b2), (reply[(k + 1) * G:], a1)):
-        terms = ev.simd_scmult_many(
-            cts, encode_plain_many(par, _rows_vectors(mask, T)))
-        for i, term in enumerate(terms):
-            acc[i % G] = ev.add_ct(acc[i % G], term)
+    terms = ev.simd_scmult_many(reply[G:], encode_plain_many(
+        par, _rows_vectors(np.concatenate([b2, a1]), T)))
+    acc = ev.sum_groups(Ciphertexts.concat([reply[:G], terms]),
+                        np.arange(want) % G, G)
     out = ev.add_plain_many(
         acc, _rows_vectors(matmul_mod(st.r1, st.r2, par.p), T))
-    ev.counters["ctmm_rows"] = ev.counters.get("ctmm_rows", 0) + r
-    return EncMatrix(ROWS, out, r, c)
+    return EncMatrix(Layout(ROWS, r, c), out)
 
 
 # ----------------------------------------------------------------------------
 # wire form
 
 
-def ct_list_to_bytes(cts: Sequence[Ciphertext]) -> bytes:
-    """The ciphertexts back to back."""
-    return b"".join(ct_to_bytes(ct) for ct in cts)
-
-
-def ct_list_from_bytes(data, params: PaheParams, count: int,
-                       what: str) -> list[Ciphertext]:
-    """Parse a ciphertext list from the peer that must hold exactly `count`
-    ciphertexts, and nothing after them; `what` names it in errors."""
-    size = ct_nbytes(params)
-    if len(data) != count * size:
-        raise ProtocolError(f"{what} needs {count} ciphertexts of {size} "
-                            f"bytes, payload has {len(data)} bytes")
-    buf = memoryview(data)
-    return [ct_from_bytes(buf[i * size:(i + 1) * size], params)
-            for i in range(count)]
-
-
 def encmatrix_to_bytes(enc: EncMatrix) -> bytes:
-    return ct_list_to_bytes(enc.cts)
+    return cts_to_bytes(enc.cts)
 
 
 def encmatrix_from_bytes(data, params: PaheParams,
                          layout: Layout) -> EncMatrix:
     """Parse an encrypted matrix from the peer: exactly the ciphertexts
     `layout`, taken from the session plan, holds under `params`."""
-    cts = ct_list_from_bytes(data, params, layout.ct_count(params),
-                             f"{layout.packing} matrix of "
-                             f"{layout.rows}x{layout.cols}")
-    cpc = (colblock_cols_per_ct(params, layout.cols, layout.block)
-           if layout.packing == COLBLOCKS else 0)
-    return EncMatrix(layout.packing, cts, layout.rows, layout.cols,
-                     block=layout.block, cols_per_ct=cpc, steps=layout.steps)
+    return EncMatrix(layout, cts_from_bytes(
+        data, params, layout.ct_count(params),
+        f"{layout.packing} matrix of {layout.rows}x{layout.cols}"))

@@ -7,11 +7,11 @@ Only the key holder encrypts, so encryption uses the secret key and there is
 no public encryption key; the peer receives rotation keys only.  With no
 public key, a future rerandomization of outgoing ciphertexts needs a key of
 its own.
-Everything but ciphertext addition has one batched form (the `_many`
-methods); a single operation is a batch of one.  There is no
-ciphertext-ciphertext multiplication anywhere -- the protocol gets products
-via masked decryption round-trips instead, so the ciphertext modulus only has
-to absorb one plaintext-sized multiplicative factor plus rotations.
+Every operation takes and returns whole batches, and a single operation is a
+batch of one.  There is no ciphertext-ciphertext multiplication anywhere --
+the protocol gets products via masked decryption round-trips instead, so the
+ciphertext modulus only has to absorb one plaintext-sized multiplicative
+factor plus rotations.
 
 Representation choices, all load-bearing:
 
@@ -19,6 +19,12 @@ Representation choices, all load-bearing:
     basis); every polynomial is stored as its (k, n) residue matrix in the
     NTT domain.  Additions and multiplications are pointwise; only rotations
     and (de/en)cryption touch the coefficient domain.
+  * A batch of B ciphertexts (`Ciphertexts`) is one (B, 2, k, n) array,
+    c0 then c1 of each, with a (B,) array of noise estimates; a batch of
+    encoded plaintexts (`PlainVecs`) is one (B, k, n) array.  Every
+    operation runs on the whole batch, its products in blocks of
+    `_KS_BATCH` ciphertexts; ciphertext addition is `Evaluator.sum_groups`,
+    which sums any grouping of a batch in one call.
   * Plaintexts live in Z_p for a prime p = 1 mod 2n, giving n SIMD slots
     arranged as two hypercolumns of n/2.  The flat slot order is
     [row0 | row1]; row0 column c sits at evaluation point psi^(3^c), row1 at
@@ -38,19 +44,20 @@ budget is (log2 q - log2 p - 1) minus that estimate, and operations raise
 NoiseBudgetError rather than silently producing garbage.
 
 Serialization carries data only: residues as little-endian 64-bit words,
-each (k, n) polynomial prime by prime, a ciphertext its c0 then its c1.
-There is no magic, parameter block, count, length prefix or noise estimate.
-The session's parameters fix every size, and a decoder refuses a payload of
-any other length or a residue not reduced mod its prime.  A parsed
-ciphertext is taken to be a fresh encryption, which is exact for every
-ciphertext a party computes on: only the client encrypts.
+so a batch is its (B, 2, k, n) array in C order -- each ciphertext its c0
+then its c1, each (k, n) polynomial prime by prime.  There is no magic,
+parameter block, count, length prefix or noise estimate.  The session's
+parameters and the receiver's own count fix every size, and a decoder
+refuses a payload of any other length or a residue not reduced mod its
+prime.  A parsed ciphertext is taken to be a fresh encryption, which is
+exact for every ciphertext a party computes on: only the client encrypts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from math import log2
+from math import inf, log2
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -232,34 +239,60 @@ def session_params(p: int, n: int) -> PaheParams:
 # ciphertexts and plaintext encodings
 
 
+class _Batch:
+    """A batch: `params`, then array fields that all run over the batch on
+    their first axis.  It has `len`, indexing by an int, a slice or an
+    index array (an int gives a batch of one), and `concat`."""
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)[1:]]
+
+    def __len__(self) -> int:
+        return len(self._arrays()[0])
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            i = range(len(self))[idx]
+            idx = slice(i, i + 1)
+        return type(self)(self.params, *(a[idx] for a in self._arrays()))
+
+    @classmethod
+    def concat(cls, parts: Sequence):
+        """The batches one after another, all under the same parameters."""
+        if any(b.params != parts[0].params for b in parts):
+            raise ParameterError("batches under different parameters")
+        return cls(parts[0].params,
+                   *map(np.concatenate, zip(*(b._arrays() for b in parts))))
+
+
 @dataclass
-class Ciphertext:
+class Ciphertexts(_Batch):
+    """A batch of ciphertexts: c0 = `data[:, 0]`, c1 = `data[:, 1]`."""
+
     params: PaheParams
-    c0: np.ndarray  # (k, n) uint64, NTT domain
-    c1: np.ndarray
-    noise_bits: float
+    data: np.ndarray        # (B, 2, k, n) uint64, NTT domain
+    noise_bits: np.ndarray  # (B,) float64
 
     @property
     def noise_budget_bits(self) -> float:
-        return self.params.max_budget_bits - self.noise_bits
-
-    def copy(self) -> "Ciphertext":
-        return Ciphertext(self.params, self.c0.copy(), self.c1.copy(),
-                          self.noise_bits)
+        """The batch's smallest budget; infinite for an empty batch."""
+        if not len(self):
+            return inf
+        return float(self.params.max_budget_bits - self.noise_bits.max())
 
 
 @dataclass
-class PlainVec:
-    """A slot vector pre-encoded for multiplication (NTT-domain polynomial).
+class PlainVecs(_Batch):
+    """Slot vectors pre-encoded for multiplication (NTT-domain polynomials).
 
     `coeff_norm_bits` is the log2 of the largest centered *coefficient* of
-    the encoded polynomial -- that, not the slot magnitude, is what drives
+    each encoded polynomial -- that, not the slot magnitude, is what drives
     multiplicative noise growth (a 0/1 slot mask still has ~p coefficients).
     """
 
     params: PaheParams
-    poly: np.ndarray           # (k, n) uint64, NTT domain
-    coeff_norm_bits: float
+    poly: np.ndarray             # (B, k, n) uint64, NTT domain
+    coeff_norm_bits: np.ndarray  # (B,) float64
 
 
 def _slots_to_coeffs_many(params: PaheParams, mat: np.ndarray) -> np.ndarray:
@@ -270,27 +303,20 @@ def _slots_to_coeffs_many(params: PaheParams, mat: np.ndarray) -> np.ndarray:
     return get_stacked((params.p,), params.n).inverse(ev)[:, 0, :]
 
 
-def _as_slot_vector(params: PaheParams, vec) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.uint64).ravel()
-    if arr.size > params.n:
-        raise ParameterError(f"{arr.size} values exceed {params.n} slots")
+def _as_slot_vectors(params: PaheParams, vecs) -> np.ndarray:
+    """B slot vectors of at most n values each (a sequence or a (B, <= n)
+    array) -> the (B, n) matrix, zero-padded; every value reduced mod p."""
+    if not len(vecs):
+        return np.zeros((0, params.n), dtype=np.uint64)
+    arr = np.asarray(vecs, dtype=np.uint64).reshape(len(vecs), -1)
+    if arr.shape[1] > params.n:
+        raise ParameterError(f"{arr.shape[1]} values exceed {params.n} slots")
     if np.any(arr >= params.p):
         raise ParameterError("slot values must be reduced mod p")
-    if arr.size < params.n:
-        arr = np.concatenate([arr, np.zeros(params.n - arr.size, dtype=np.uint64)])
-    return arr
+    return np.pad(arr, ((0, 0), (0, params.n - arr.shape[1])))
 
 
-def _centered_norm_bits(params: PaheParams, vec: np.ndarray) -> float:
-    if vec.size == 0:
-        return 0.0
-    v = vec.astype(np.int64, copy=False)
-    c = np.where(v * 2 > params.p, params.p - v, v)
-    m = int(np.max(np.abs(c))) if c.size else 0
-    return log2(max(m, 1))
-
-
-def encode_plain_many(params: PaheParams, vecs: Sequence) -> list[PlainVec]:
+def encode_plain_many(params: PaheParams, vecs) -> PlainVecs:
     """Batch-encode slot vectors for simd_scmult_many.
 
     No Shoup twins: each encoding multiplies exactly one ciphertext, where
@@ -298,14 +324,13 @@ def encode_plain_many(params: PaheParams, vecs: Sequence) -> list[PlainVec]:
     stacked, so encoding B vectors costs roughly one vector's worth of
     Python overhead.
     """
-    if not vecs:
-        return []
-    arr = np.stack([_as_slot_vector(params, v) for v in vecs])
-    coeffs = _slots_to_coeffs_many(params, arr)
+    coeffs = _slots_to_coeffs_many(params, _as_slot_vectors(params, vecs))
     poly = params.rns().forward(coeffs[:, None, :] % params.q_col)
-    return [PlainVec(params, poly[b],
-                     _centered_norm_bits(params, coeffs[b]))
-            for b in range(len(vecs))]
+    v = coeffs.astype(np.int64)
+    peak = np.abs(np.where(v * 2 > params.p, params.p - v, v)).max(
+        axis=1, initial=0)
+    return PlainVecs(params, poly,
+                     np.array([log2(max(int(m), 1)) for m in peak]))
 
 
 def _scaled_plain_rows_many(params: PaheParams, mats: np.ndarray) -> np.ndarray:
@@ -393,23 +418,21 @@ class KeyMaterial:
 
     # -- decryption ---------------------------------------------------------
 
-    def decrypt_many(self, cts: Sequence[Ciphertext]) -> np.ndarray:
+    def decrypt_many(self, cts: Ciphertexts) -> np.ndarray:
+        """The (B, n) slot matrix of a batch."""
         if self._sk is None:
             raise ParameterError("this key material has no secret key")
-        if not cts:
-            return np.zeros((0, self.params.n), dtype=np.uint64)
         par = self.params
-        for ct in cts:
-            if ct.params is not par and ct.params != par:
-                raise ParameterError("ciphertext/key parameter mismatch")
-            if ct.noise_budget_bits <= 0:
-                raise NoiseBudgetError(
-                    f"noise budget exhausted ({ct.noise_budget_bits:.1f} bits)")
+        if cts.params != par:
+            raise ParameterError("ciphertext/key parameter mismatch")
+        if not len(cts):
+            return np.zeros((0, par.n), dtype=np.uint64)
+        if cts.noise_budget_bits <= 0:
+            raise NoiseBudgetError(
+                f"noise budget exhausted ({cts.noise_budget_bits:.1f} bits)")
         col = par.q_col
-        c1 = mulmod_shoup(np.stack([ct.c1 for ct in cts]), self._sk,
-                          self._sk_sh, col)
-        coeffs = par.rns().inverse(
-            addmod(np.stack([ct.c0 for ct in cts]), c1, col))  # (B, k, n)
+        c1 = mulmod_shoup(cts.data[:, 1], self._sk, self._sk_sh, col)
+        coeffs = par.rns().inverse(addmod(cts.data[:, 0], c1, col))  # (B, k, n)
         q, p = par.q, par.p
         acc = (coeffs.astype(object) * _crt_consts(par)).sum(axis=1)
         m = ((acc % q) * p + (q >> 1)) // q % p
@@ -500,7 +523,9 @@ def _make_kswitch(params: PaheParams, rng: np.random.Generator, sk, sk_sh,
 class Evaluator:
     """Homomorphic operations under a key set, with op counters.  Only a
     key set that holds the secret key encrypts, and only its evaluator
-    draws from a generator (seeded by `seed`)."""
+    draws from a generator (seeded by `seed`).  Every operation settles its
+    results' noise before it does any work, and refuses a batch under other
+    parameters or a result past the budget."""
 
     def __init__(self, keys: KeyMaterial, seed: int | None = None):
         self.keys = keys
@@ -511,100 +536,104 @@ class Evaluator:
             "rotate": 0, "keyswitch": 0,
         }
 
-    # -- helpers -------------------------------------------------------------
-
-    def _check(self, ct: Ciphertext):
-        if ct.params != self.params:
+    def _bump_noise(self, cts: Ciphertexts, bits) -> np.ndarray:
+        """The noise of the results of an operation on `cts`."""
+        if cts.params != self.params:
             raise ParameterError("ciphertext parameter mismatch")
-
-    def _bump_noise(self, bits: float) -> float:
-        if self.params.max_budget_bits - bits <= 0:
+        bits = np.asarray(bits, dtype=np.float64)
+        worst = bits.max(initial=-inf)
+        if self.params.max_budget_bits - worst <= 0:
             raise NoiseBudgetError(
-                f"operation would exhaust noise budget ({bits:.1f} bits of "
+                f"operation would exhaust noise budget ({worst:.1f} bits of "
                 f"{self.params.max_budget_bits:.1f})")
         return bits
 
     # -- encryption ----------------------------------------------------------
 
-    def encrypt_many(self, vecs: Sequence) -> list[Ciphertext]:
+    def encrypt_many(self, vecs) -> Ciphertexts:
         """Encrypt each slot vector m under the secret key s:
         c1 = a, uniform in the NTT domain, and c0 = NTT(m' + e) - a*s, where
         m' is m scaled by q/p.  One forward transform per ciphertext.  The
-        generator draws all B a's, prime by prime, then all B errors.
+        generator draws all B a's, prime by prime, then all B errors.  A
+        fresh encryption never exhausts the budget: q > 4p^2 leaves more
+        than log2(2p) bits.
         """
         if not self.keys.has_secret:
             raise ParameterError("only the secret key holder encrypts")
         par = self.params
         col = par.q_col
-        B = len(vecs)
-        if B == 0:
-            return []
-        m = _scaled_plain_rows_many(
-            par, np.stack([_as_slot_vector(par, v) for v in vecs]))
+        m = _scaled_plain_rows_many(par, _as_slot_vectors(par, vecs))
+        B = len(m)
         a = _sample_uniform(par, self.rng, (B,))
         e = _signed_to_rns(par, _sample_error(self.rng, (B, par.n)))
         c0 = submod(par.rns().forward(addmod(m, e, col)),
                     mulmod_shoup(a, self.keys._sk, self.keys._sk_sh, col), col)
-        out = [Ciphertext(par, c0[b], a[b],
-                          self._bump_noise(par.fresh_noise_bits))
-               for b in range(B)]
         self.counters["encrypt"] += B
-        return out
+        return Ciphertexts(par, np.stack([c0, a], axis=1),
+                           np.full(B, par.fresh_noise_bits))
 
     # -- arithmetic ----------------------------------------------------------
 
-    def add_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check(a)
-        self._check(b)
-        par = self.params
-        noise = self._bump_noise(
-            float(np.logaddexp2(a.noise_bits, b.noise_bits)) + 1e-3)
-        out = Ciphertext(par, addmod(a.c0, b.c0, par.q_col),
-                         addmod(a.c1, b.c1, par.q_col), noise)
-        self.counters["add_ct"] += 1
-        return out
+    def sum_groups(self, cts: Ciphertexts, dest, count: int) -> Ciphertexts:
+        """Output j is the sum of the ciphertexts whose `dest` is j, folded
+        left in batch order; an empty group is the all-zero ciphertext, an
+        exact encryption of zero.  Rank r of every group is added in one
+        stacked call."""
+        dest = np.asarray(dest, dtype=np.int64)
+        if dest.shape != (len(cts),) or np.any((dest < 0) | (dest >= count)):
+            raise ParameterError(f"group ids must be {len(cts)} values "
+                                 f"below {count}")
+        order = np.argsort(dest, kind="stable")
+        sizes = np.bincount(dest, minlength=count)
+        starts = np.cumsum(sizes) - sizes
+        ranks = []  # (the groups with an r-th member, those members)
+        for r in range(sizes.max(initial=0)):
+            g = np.flatnonzero(sizes > r)
+            ranks.append((g, order[starts[g] + r]))
+        noise = np.zeros(count)
+        for r, (g, src) in enumerate(ranks):
+            noise[g] = (cts.noise_bits[src] if r == 0 else
+                        np.logaddexp2(noise[g], cts.noise_bits[src]) + 1e-3)
+        noise = self._bump_noise(cts, noise)
+        col = self.params.q_col
+        data = np.zeros((count, *cts.data.shape[1:]), dtype=np.uint64)
+        for r, (g, src) in enumerate(ranks):
+            data[g] = cts.data[src] if r == 0 else addmod(data[g], cts.data[src], col)
+        self.counters["add_ct"] += len(cts) - int(np.count_nonzero(sizes))
+        return Ciphertexts(self.params, data, noise)
 
-    def add_plain_many(self, cts: Sequence[Ciphertext],
-                       vecs: Sequence) -> list[Ciphertext]:
+    def add_plain_many(self, cts: Ciphertexts, vecs) -> Ciphertexts:
         """Slotwise plaintext additions, one stacked transform pass for all."""
         if len(cts) != len(vecs):
             raise ParameterError("ciphertext/vector count mismatch")
-        if not cts:
-            return []
         par = self.params
-        for ct in cts:
-            self._check(ct)
-        slots = np.stack([_as_slot_vector(par, v) for v in vecs])
-        rows = par.rns().forward(_scaled_plain_rows_many(par, slots))
-        out = []
-        for b, ct in enumerate(cts):
-            noise = self._bump_noise(
-                float(np.logaddexp2(ct.noise_bits, 1.0)) + 1e-3)
-            out.append(Ciphertext(par, addmod(ct.c0, rows[b], par.q_col),
-                                  ct.c1.copy(), noise))
+        noise = self._bump_noise(cts, np.logaddexp2(cts.noise_bits, 1.0) + 1e-3)
+        rows = par.rns().forward(
+            _scaled_plain_rows_many(par, _as_slot_vectors(par, vecs)))
+        data = cts.data.copy()
+        for s in range(0, len(cts), _KS_BATCH):
+            blk = slice(s, s + _KS_BATCH)
+            data[blk, 0] = addmod(data[blk, 0], rows[blk], par.q_col)
         self.counters["add_plain"] += len(cts)
-        return out
+        return Ciphertexts(par, data, noise)
 
-    def simd_scmult_many(self, cts: Sequence[Ciphertext],
-                         ws: Sequence[PlainVec]) -> list[Ciphertext]:
+    def simd_scmult_many(self, cts: Ciphertexts, ws: PlainVecs) -> Ciphertexts:
         """Pairwise slotwise multiplies by encoded vectors."""
         if len(cts) != len(ws):
             raise ParameterError("ciphertext/weight count mismatch")
         par = self.params
-        out = []
-        for ct, pv in zip(cts, ws):
-            self._check(ct)
-            noise = self._bump_noise(
-                ct.noise_bits + pv.coeff_norm_bits + log2(par.n) + 1e-3)
-            c = mulmod_vec(np.stack([ct.c0, ct.c1]), pv.poly, par.q_col)
-            out.append(Ciphertext(par, c[0], c[1], noise))
+        noise = self._bump_noise(
+            cts, cts.noise_bits + ws.coeff_norm_bits + log2(par.n) + 1e-3)
+        data = np.empty_like(cts.data)
+        for s in range(0, len(cts), _KS_BATCH):
+            blk = slice(s, s + _KS_BATCH)
+            data[blk] = mulmod_vec(cts.data[blk], ws.poly[blk, None], par.q_col)
         self.counters["scmult"] += len(cts)
-        return out
+        return Ciphertexts(par, data, noise)
 
     # -- rotations -----------------------------------------------------------
 
-    def col_rotate_many(self, cts: Sequence[Ciphertext],
-                        rs: Sequence[int]) -> list[Ciphertext]:
+    def col_rotate_many(self, cts: Ciphertexts, rs: Sequence[int]) -> Ciphertexts:
         """Rotate both hypercolumn rows of each ciphertext left by its r
         (cyclic within n/2), with one transform pass for the whole batch.
 
@@ -612,31 +641,30 @@ class Evaluator:
         diagonal sweep those dominate, so stack every ciphertext's digits and
         transform them together, then apply each rotation's own switch key.
         Digit j lifted back to prime j is the permuted c1 row j itself, so
-        only the k(k-1) lifts into the other primes are transformed.
+        only the k(k-1) lifts into the other primes are transformed.  A
+        rotation by 0 returns its ciphertext unchanged.
         """
         if len(cts) != len(rs):
             raise ParameterError("ciphertext/shift count mismatch")
         par = self.params
-        results: list[Ciphertext | None] = [None] * len(cts)
-        work = []
-        for i, (ct, r) in enumerate(zip(cts, rs)):
-            self._check(ct)
-            r %= par.row_size
-            if r == 0:
-                results[i] = ct.copy()
-            else:
-                work.append((i, ct, pow(3, r, 2 * par.n)))
-        if not work:
-            return results
-        for _, _, t in work:
+        rs = np.asarray(rs, dtype=np.int64) % par.row_size
+        work = np.flatnonzero(rs)
+        ts = [pow(3, int(r), 2 * par.n) for r in rs[work]]
+        for t in ts:
             if t not in self.keys.galois:
                 raise ParameterError(f"missing rotation key for Galois element {t}")
+        noise = cts.noise_bits.copy()
+        noise[work] = np.logaddexp2(noise[work], par.keyswitch_noise_bits) + 1e-3
+        noise = self._bump_noise(cts, noise)
+        data = cts.data.copy()
+        if not ts:
+            return Ciphertexts(par, data, noise)
         sm = par.slots()
         rns = par.rns()
-        R, k = len(work), par.k
-        perms = np.stack([sm.perm(t) for _, _, t in work])[:, None, :]
-        a0 = np.take_along_axis(np.stack([ct.c0 for _, ct, _ in work]), perms, axis=2)
-        a1 = np.take_along_axis(np.stack([ct.c1 for _, ct, _ in work]), perms, axis=2)
+        R, k = len(ts), par.k
+        perms = np.stack([sm.perm(t) for t in ts])[:, None, None, :]
+        a = np.take_along_axis(cts.data[work], perms, axis=3)
+        a0, a1 = a[:, 0], a[:, 1]
         dig = rns.inverse(a1)
         # The switch sums, over offsets o, digit (i + o) mod k reduced mod
         # q_i times that digit's key (`KeySwitchKey.parts[:, o]`), at every
@@ -645,21 +673,20 @@ class Evaluator:
         col, rows = par.q_col, np.arange(k)
         lifts = rns.forward(np.stack([dig[:, (rows + o) % k] % col
                                       for o in range(1, k)], axis=1))
-        c0, c1 = a0, np.zeros_like(a0)
+        c1 = np.zeros_like(a0)
         for s in range(0, R, _KS_BATCH):
             blk = slice(s, s + _KS_BATCH)
-            K = np.stack([self.keys.galois[t].parts for _, _, t in work[blk]])
+            K = np.stack([self.keys.galois[t].parts for t in ts[blk]])
             for o in range(k):
                 d = a1[blk] if o == 0 else lifts[blk, o - 1]
-                c0[blk] = addmod(c0[blk], mulmod_shoup(d, K[:, 0, o], K[:, 1, o], col), col)
+                a0[blk] = addmod(a0[blk], mulmod_shoup(d, K[:, 0, o], K[:, 1, o], col), col)
                 c1[blk] = addmod(c1[blk], mulmod_shoup(d, K[:, 2, o], K[:, 3, o], col), col)
-        for b, (i, ct, _) in enumerate(work):
-            noise = self._bump_noise(
-                float(np.logaddexp2(ct.noise_bits, par.keyswitch_noise_bits)) + 1e-3)
-            results[i] = Ciphertext(par, c0[b], c1[b], noise)
+        data[work, 0] = a0
+        data[work, 1] = c1
         self.counters["keyswitch"] += R
         self.counters["rotate"] += R
-        return results
+        return Ciphertexts(par, data, noise)
+
 
 # ----------------------------------------------------------------------------
 # serialization
@@ -670,7 +697,8 @@ def ct_nbytes(params: PaheParams) -> int:
     return 16 * params.k * params.n
 
 
-def _words(arr: np.ndarray) -> bytes:
+def le64(arr: np.ndarray) -> bytes:
+    """An array's values as little-endian 64-bit words, in C order."""
     return np.ascontiguousarray(arr, dtype="<u8").tobytes()
 
 
@@ -684,25 +712,29 @@ def _residues(buf, shape: tuple[int, ...], params: PaheParams) -> np.ndarray:
     return arr
 
 
-def ct_to_bytes(ct: Ciphertext) -> bytes:
-    return _words(ct.c0) + _words(ct.c1)
+def cts_to_bytes(cts: Ciphertexts) -> bytes:
+    """The ciphertexts back to back."""
+    return le64(cts.data)
 
 
-def ct_from_bytes(data, params: PaheParams) -> Ciphertext:
-    """Parse a ciphertext received from the peer under the session's `params`,
-    which fix its size.  The wire carries no noise estimate: the ciphertext
-    is given a fresh encryption's.  That is exact for everything the server
-    parses, since every ciphertext the client sends comes from
+def cts_from_bytes(data, params: PaheParams, count: int,
+                   what: str) -> Ciphertexts:
+    """Parse a batch from the peer that must hold exactly `count`
+    ciphertexts under the session's `params`, and nothing after them;
+    `what` names it in errors.  The wire carries no noise estimate: each
+    ciphertext is given a fresh encryption's.  That is exact for everything
+    the server parses, since every ciphertext the client sends comes from
     `encrypt_many`.  The client only decrypts what it parses, and an
     estimate sent with it would be nothing but the server's unverifiable
     claim.
     """
     size = ct_nbytes(params)
-    if len(data) != size:
-        raise ProtocolError(f"ciphertext has {len(data)} bytes, the "
-                            f"session's have {size}")
-    c = _residues(data, (2, params.k, params.n), params)
-    return Ciphertext(params, c[0], c[1], params.fresh_noise_bits)
+    if len(data) != count * size:
+        raise ProtocolError(f"{what} needs {count} ciphertexts of {size} "
+                            f"bytes, payload has {len(data)} bytes")
+    return Ciphertexts(params,
+                       _residues(data, (count, 2, params.k, params.n), params),
+                       np.full(count, params.fresh_noise_bits))
 
 
 def key_blob_nbytes(params: PaheParams, keys: int) -> int:
@@ -717,7 +749,7 @@ def public_keys_to_bytes(km: KeyMaterial) -> bytes:
     polys = []
     for t in sorted(km.galois):
         polys += [km.galois[t].k0, km.galois[t].k1]
-    return b"".join(_words(a) for a in polys)
+    return b"".join(le64(a) for a in polys)
 
 
 def public_keys_from_bytes(data, params: PaheParams,

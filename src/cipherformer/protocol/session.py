@@ -9,8 +9,9 @@ One session is a fixed flight plan.  Every frame is its parts back to back,
 and the receiver sizes each part from its own `Geometry` and the stage
 circuits before it reads the frame, so a frame of any other length is
 refused from its header (`framing.read_frame`).  Sizes are in bytes; a ct
-is `pahe.ct_nbytes` = 16 k n, and a matrix of a layout is that layout's
-`ct_count` ciphertexts:
+is `pahe.ct_nbytes` = 16 k n, a batch of cts is that many back to back
+(`pahe.cts_to_bytes`), and a matrix of a layout is the batch of that
+layout's `ct_count` ciphertexts:
 
   hello          s -> c   81: the mode's index in `stages.MODES` (1), then
                           vocab, seq_len, dim, ff_dim, n_layers, n_classes,
@@ -37,11 +38,11 @@ interleaved with two encrypted matrix products of two frames each:
   stage-share    c -> s   one `stage_shares` matrix per group
   mm-open        s -> c   the masked factors, each in the layout of the
                           share it was made from
-  mm-reply       c -> s   `ctmm_reply_count` cts
+  mm-reply       c -> s   a batch of `ctmm_reply_count` cts
 
 and a final frame:
 
-  logits         s -> c   n_classes cts
+  logits         s -> c   a batch of n_classes cts
 
 Every frame in either direction counts as one round, so the round count is
 the same constant, 5 + 24 n_layers, for every input of a given shape.
@@ -97,17 +98,16 @@ from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
 from ..helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix, Layout,
                         add_offset, colblock_diagonals, colblock_matmul,
                         colblock_rotation_amounts,
-                        ct_list_from_bytes, ct_list_to_bytes,
                         ctmm_client_round, ctmm_reply_count,
                         ctmm_server_finalize, ctmm_server_mask, decrypt_matrix,
                         encmatrix_from_bytes, encmatrix_to_bytes,
                         layout_vectors, pack_colblocks, pack_rows)
 from ..model import (ModelConfig, Weights, folded_first_layer,
                      validate_weights, value_projection)
-from ..ntt import reduce128
-from ..pahe import (Evaluator, KeyMaterial, PaheParams, ct_from_bytes,
-                    ct_nbytes, ct_to_bytes, encode_plain_many,
-                    galois_elements, key_blob_nbytes, keygen,
+from ..ntt import addmod, reduce128
+from ..pahe import (Ciphertexts, Evaluator, KeyMaterial, PaheParams, ct_nbytes,
+                    cts_from_bytes, cts_to_bytes, encode_plain_many,
+                    galois_elements, key_blob_nbytes, keygen, le64,
                     public_keys_from_bytes, public_keys_to_bytes,
                     session_params)
 from ..stages import (MODES, StagePlan, StageSpec, b2a_weights,
@@ -304,10 +304,6 @@ def _words(part: bytes, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(part, dtype="<u8").reshape(shape)
 
 
-def _le64(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<u8").tobytes()
-
-
 def _gc_shapes(circ, E: int) -> list[tuple[int, ...]]:
     """The word arrays stage-open carries for one circuit group: tables,
     garbler labels, pad pairs."""
@@ -379,6 +375,18 @@ def _fold_labels(labels: np.ndarray, p: int) -> np.ndarray:
     return reduce128(labels[..., 1], labels[..., 0], p)
 
 
+def _b2a_words(bit_shares: np.ndarray, keep: int, p: int) -> np.ndarray:
+    """Both parties' B2A fold: per-bit field shares, (lanes * keep, E) with
+    a lane's `keep` bits together, -> per-word shares (lanes, E), each the
+    sum of its bits mod p.  Every term is reduced mod p, so the fold is
+    exact in uint64."""
+    bits = bit_shares.reshape(-1, keep, bit_shares.shape[-1])
+    words = bits[:, 0]
+    for j in range(1, keep):
+        words = addmod(words, bits[:, j], p)
+    return words
+
+
 # ----------------------------------------------------------------------------
 # server side
 
@@ -433,14 +441,13 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
             b = colour ^ np.uint64(chi)
             fb = np.where(b == 1, f1, f0)
             cpair[..., chi] = (b * wvec + rho + (pu - fb)) % pu
-        rho_words = rho.astype(object).reshape(lpi, spec.keep, E).sum(axis=1) % p
-        corr_lanes.append(
-            ((p - rho_words) % p).T.ravel().astype(np.uint64))
+        rho_words = _b2a_words(rho, spec.keep, pu)
+        corr_lanes.append(((pu - rho_words) % pu).T.ravel())
 
         zero, one = gb.evaluator_label_pairs()
         ot_pairs.append((zero.transpose(1, 0, 2).reshape(-1, 2),
                          one.transpose(1, 0, 2).reshape(-1, 2)))
-        parts += [_le64(gb.tables), _le64(glab), _le64(cpair)]
+        parts += [le64(gb.tables), le64(glab), le64(cpair)]
         gc_bytes += gb.tables.nbytes + glab.nbytes + cpair.nbytes
     _send(sp.conn, sp.tr, STAGE_OPEN, *parts)
 
@@ -455,7 +462,7 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
         f_parts.append(sp.ot.derand_respond(dbits[doff:doff + cnt], m0, m1))
         doff += cnt
     fmsg = np.concatenate(f_parts)
-    _send(sp.conn, sp.tr, STAGE_OT_RESP, _le64(fmsg))
+    _send(sp.conn, sp.tr, STAGE_OT_RESP, le64(fmsg))
     gc_bytes += packed.nbytes + fmsg.nbytes
 
     layouts = geom.stage_shares(layer, spec)
@@ -482,10 +489,10 @@ def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
     params = sp.geom.params
     count = ctmm_reply_count(params, st)
     (blob,) = _recv(sp.conn, sp.tr, MM_REPLY, [count * ct_nbytes(params)])
-    reply = ct_list_from_bytes(blob, params, count, "product reply")
+    reply = cts_from_bytes(blob, params, count, "product reply")
     out = ctmm_server_finalize(ev, reply, st)
-    sp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=out.rows,
-                    frames=2)
+    sp.tr.add_event(kind="ctmm", layer=layer, label=label,
+                    rows=out.layout.rows, frames=2)
     return out
 
 
@@ -494,21 +501,16 @@ def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
     column-block slots, so the client recovers each logit as a plain slot sum
     -- no rotations, hence no extra key material or frames."""
     geom, ev = sp.geom, sp.ev
-    cfg, p = geom.cfg, geom.p
+    cfg, p, lay = geom.cfg, geom.p, x_enc.layout
     cls = to_field(weights.classifier, p)
     G = len(x_enc.cts)
-    vecs = [v for c in range(cfg.n_classes)
-            for v in layout_vectors(geom.params, x_enc,
-                                    np.tile(cls[:, c], (x_enc.rows, 1)))]
-    terms = ev.simd_scmult_many(list(x_enc.cts) * cfg.n_classes,
+    vecs = np.concatenate([layout_vectors(geom.params, lay,
+                                          np.tile(cls[:, c], (lay.rows, 1)))
+                           for c in range(cfg.n_classes)])
+    terms = ev.simd_scmult_many(x_enc.cts[np.tile(np.arange(G), cfg.n_classes)],
                                 encode_plain_many(geom.params, vecs))
-    parts = []
-    for c in range(cfg.n_classes):
-        acc = terms[c * G]
-        for term in terms[c * G + 1:(c + 1) * G]:
-            acc = ev.add_ct(acc, term)
-        parts.append(ct_to_bytes(acc))
-    _send(sp.conn, sp.tr, LOGITS, *parts)
+    logits = ev.sum_groups(terms, np.arange(len(terms)) // G, cfg.n_classes)
+    _send(sp.conn, sp.tr, LOGITS, cts_to_bytes(logits))
 
 
 def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
@@ -648,8 +650,7 @@ def _client_stage(cp: _ClientParty, layer: int,
         colour = (act_out[..., 0] & np.uint64(1)).astype(np.int64)
         csel = np.take_along_axis(cpair, colour[..., None], axis=2)[..., 0]
         sigma = (fold + csel) % pu
-        words = sigma.astype(object).reshape(lpi, spec.keep, E).sum(axis=1) % p
-        shares.append(words.T.ravel().astype(np.uint64))
+        shares.append(_b2a_words(sigma, spec.keep, pu).T.ravel())
 
     parts = []
     layouts = geom.stage_shares(layer, spec)
@@ -677,20 +678,20 @@ def _client_ctmm(cp: _ClientParty, layer: int, label: str, x: Layout,
     msg = CtmmMasked(encmatrix_from_bytes(bx, geom.params, x),
                      encmatrix_from_bytes(by, geom.params, y), tx, ty)
     reply = ctmm_client_round(cp.ev, cp.keys, msg)
-    _send(cp.conn, cp.tr, MM_REPLY, ct_list_to_bytes(reply))
-    rows = msg.x.cols if msg.transpose_x else msg.x.rows
+    _send(cp.conn, cp.tr, MM_REPLY, cts_to_bytes(reply))
+    rows = x.cols if tx else x.rows
     cp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=rows,
                     frames=2)
 
 
-def _recv_logits(conn, tr: Transcript, geom: Geometry) -> list:
+def _recv_logits(conn, tr: Transcript, geom: Geometry) -> Ciphertexts:
     """The one ciphertext per class of the logits frame, each well-formed
     under the session's parameters; anything else is a ProtocolError.  A
     flip that still decodes cannot be detected: this protocol is
     semi-honest, and such a frame only changes the logits."""
-    size = ct_nbytes(geom.params)
-    blobs = _recv(conn, tr, LOGITS, [size] * geom.cfg.n_classes)
-    return [ct_from_bytes(blob, geom.params) for blob in blobs]
+    count = geom.cfg.n_classes
+    (blob,) = _recv(conn, tr, LOGITS, [count * ct_nbytes(geom.params)])
+    return cts_from_bytes(blob, geom.params, count, "logits")
 
 
 def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
@@ -728,7 +729,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     onehot = np.zeros((L, vocab), dtype=np.uint64)
     onehot[np.arange(L), toks] = 1
     x_cb = pack_colblocks(ev, onehot, L, steps=geom.steps)
-    _send(conn, tr, CLIENT_SETUP, _le64(seed_msgs), u_cols.tobytes(),
+    _send(conn, tr, CLIENT_SETUP, le64(seed_msgs), u_cols.tobytes(),
           encmatrix_to_bytes(x_cb))
 
     cp = _ClientParty(conn, tr, geom, ev, keys, batch)

@@ -10,7 +10,7 @@ from cipherformer import pahe
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix,
                                    Layout, MaskState, _shifted_terms,
-                                   add_offset,
+                                   add_offset, colblock_cols_per_ct,
                                    colblock_diagonals, colblock_matmul,
                                    colblock_rotation_amounts,
                                    ctmm_client_round, ctmm_reply_count,
@@ -73,7 +73,7 @@ def _check_rows_diag_roundtrip(par, keys, ev, shape, n_row_cts):
     for i in range(r):
         want_rows[i // T, (i % T) * c:(i % T + 1) * c] = M[i]
     enc = pack_rows(ev, M)
-    assert enc.packing == ROWS
+    assert enc.layout == Layout(ROWS, r, c)
     assert len(enc.cts) == n_row_cts
     assert np.array_equal(keys.decrypt_many(enc.cts), want_rows)
     assert np.array_equal(decrypt_matrix(keys, enc), M)
@@ -109,11 +109,12 @@ def test_pack_colblocks_roundtrip(setup, small):
     rng = np.random.default_rng(102)
     M = _rand(rng, 8, 16, par.p)
     enc = pack_colblocks(ev, M, block=8)
-    assert len(enc.cts) == 1 and enc.cols_per_ct == 16
+    assert enc.layout == Layout(COLBLOCKS, 8, 16, 8)
+    assert len(enc.cts) == 1 and colblock_cols_per_ct(par, 16, 8) == 16
     assert np.array_equal(decrypt_matrix(keys, enc), M)
     spar, skeys, sev = small
     enc2 = pack_colblocks(sev, M, block=8)
-    assert len(enc2.cts) == 4 and enc2.cols_per_ct == 4
+    assert len(enc2.cts) == 4 and colblock_cols_per_ct(spar, 16, 8) == 4
     assert np.array_equal(decrypt_matrix(skeys, enc2), M)
     with pytest.raises(ParameterError):
         pack_colblocks(ev, M, block=4)  # block shorter than the columns
@@ -151,7 +152,7 @@ def test_colblock_matmul_matches_plain(setup, small):
     for (par, keys, ev, *_), n_out in ((setup, 1), (small, 4)):
         enc = pack_colblocks(ev, X, block=8)
         out = colblock_matmul(ev, enc, W)
-        assert out.packing == COLBLOCKS
+        assert out.layout == Layout(COLBLOCKS, 8, 16, 8)
         assert len(out.cts) == n_out
         got = decrypt_matrix(keys, out)
         assert np.array_equal(got, matmul_mod(X, W, par.p))
@@ -205,17 +206,18 @@ def test_colblock_matmul_baby_steps(small, in_cols, out_cols):
         keys = pahe.keygen(par, seed=13, rotations=amounts)
         ev = pahe.Evaluator(keys, seed=8)
         enc = pack_colblocks(ev, X, block=2, steps=steps)
-        G = -(-in_cols // enc.cols_per_ct)
-        assert enc.steps == steps and len(enc.cts) == steps * G
+        G = -(-in_cols // colblock_cols_per_ct(par, in_cols, 2))
+        assert enc.layout.steps == steps and len(enc.cts) == steps * G
         for t in range(steps):  # copy t is the ring row rotated by t blocks
             assert np.array_equal(
                 keys.decrypt_many(enc.cts[t * G:(t + 1) * G])[:, :par.row_size],
                 np.roll(keys.decrypt_many(enc.cts[:G])[:, :par.row_size],
                         -2 * t, axis=1))
         out = colblock_matmul(ev, add_offset(ev, enc, off), W)
-        assert out.steps == 1
+        assert out.layout == Layout(COLBLOCKS, 2, out_cols, 2)
         assert np.array_equal(decrypt_matrix(keys, out), want), steps
-        assert len(out.cts) == -(-out_cols // out.cols_per_ct)
+        assert len(out.cts) == -(-out_cols // colblock_cols_per_ct(
+            par, out_cols, 2))
         # one key switch per output ciphertext and nonzero giant step any
         # input ciphertext reaches
         ins = [min(cap, in_cols - v0) for v0 in range(0, in_cols, cap)]
@@ -263,7 +265,8 @@ def test_ctmm_cross_term_small_exhaustive(setup):
     M = _rand(rng, 2, 5, par.p)
     zero = np.zeros((2, 5), dtype=np.uint64)
     _, m_terms = _shifted_terms(zero[:, :2], M)
-    reply = [pack_rows(ev, m).cts[0] for m in [zero] * 3 + list(m_terms)]
+    reply = pahe.Ciphertexts.concat(
+        [pack_rows(ev, m).cts for m in [zero] * 3 + list(m_terms)])
     vals = [0, 1, par.p - 1, 7]
     for a in vals:
         for b in vals:
@@ -271,7 +274,8 @@ def test_ctmm_cross_term_small_exhaustive(setup):
                 for d in vals:
                     R = np.array([[a, b], [c, d]], dtype=np.uint64)
                     out = ctmm_server_finalize(ev, reply, MaskState(R, zero))
-                    assert out.packing == ROWS and len(out.cts) == 1
+                    assert out.layout == Layout(ROWS, 2, 5)
+                    assert len(out.cts) == 1
                     got = decrypt_matrix(keys, out)
                     assert np.array_equal(got, matmul_mod(R, M, par.p)), R
 
@@ -311,11 +315,10 @@ def _check_ctmm_exact(fixture, dims, packs):
     want = matmul_mod(X, Y, keys.params.p)
     # the reply: the product, then k terms of each factor, G cts apiece
     assert len(reply) == ctmm_reply_count(par, st) == (2 * k + 1) * G
-    assert out.packing == ROWS
+    assert out.layout == Layout(ROWS, r, c)
     assert len(out.cts) == G
     assert np.array_equal(decrypt_matrix(keys, out), want)
-    for ct in out.cts:
-        assert ct.noise_budget_bits > 0
+    assert out.cts.noise_budget_bits > 0
     # every slot outside the rows layout is still zero
     rows = np.zeros((G * T, c), dtype=np.uint64)
     rows[:r] = want
@@ -371,7 +374,7 @@ def test_ctmm_zero_mask_reveals_structure(setup):
     want = [matmul_mod(X, Y, par.p), *x_terms, *y_terms]
     assert len(reply) == len(want) == 7
     for ct, m in zip(reply, want):
-        got = decrypt_matrix(keys, EncMatrix(ROWS, [ct], 4, 2))
+        got = decrypt_matrix(keys, EncMatrix(Layout(ROWS, 4, 2), ct))
         assert np.array_equal(got, m)
     out = ctmm_server_finalize(ev, reply, st)
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, Y, par.p))
@@ -412,18 +415,20 @@ def test_ctmm_client_rejects_factors_that_do_not_chain(setup):
 
 
 def test_ctmm_row_counter_tracks_output_rows(setup):
-    """The live counter advances by output rows: an attention block at
-    (L, d) totals 2L in the quadratic order and L + d reordered."""
-    par, keys, ev, ev_c = setup
+    """Each product's output layout has its output rows, which the session
+    records with every ctmm event: an attention block at (L, d) totals 2L
+    in the quadratic order and L + d reordered."""
     L, d = 4, 2
-    start = ev.counters.get("ctmm_rows", 0)
-    _run_ctmm(setup, L, d, L, seed=400)           # scores: L x L
-    _run_ctmm(setup, L, L, d, seed=401)           # weights times values: L x d
-    assert ev.counters["ctmm_rows"] - start == 2 * L
-    start = ev.counters["ctmm_rows"]
-    _run_ctmm(setup, d, L, d, seed=402)           # reordered inner: d x d
-    _run_ctmm(setup, L, d, d, seed=403)           # reordered outer: L x d
-    assert ev.counters["ctmm_rows"] - start == L + d
+
+    def rows(r, k, c, seed):
+        out = _run_ctmm(setup, r, k, c, seed=seed)[5]
+        assert out.layout == Layout(ROWS, r, c)
+        return out.layout.rows
+
+    # scores, L x L, then weights times values, L x d
+    assert rows(L, d, L, 400) + rows(L, L, d, 401) == 2 * L
+    # reordered inner, d x d, then outer, L x d
+    assert rows(d, L, d, 402) + rows(L, d, d, 403) == L + d
 
 
 # ----------------------------------------------------------------------------
@@ -447,10 +452,7 @@ def test_encmatrix_wire_roundtrip(setup, small):
         assert len(blob) == len(enc.cts) * pahe.ct_nbytes(params)
         assert layout.ct_count(params) == len(enc.cts)
         back = encmatrix_from_bytes(blob, params, layout)
-        assert (back.packing, back.rows, back.cols, back.block,
-                back.cols_per_ct, back.steps) == \
-               (enc.packing, enc.rows, enc.cols, enc.block,
-                enc.cols_per_ct, enc.steps)
+        assert back.layout == enc.layout == layout
         assert np.array_equal(decrypt_matrix(keys_, back), M)
     blob = encmatrix_to_bytes(pack_rows(ev, M))
     with pytest.raises(ProtocolError):
@@ -492,7 +494,7 @@ def test_encmatrix_copy_count_must_fit(small):
     M = _rand(rng, 8, 3, spar.p)
     blob = encmatrix_to_bytes(pack_colblocks(sev, M, block=8, steps=4))
     back = encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, 8, 4))
-    assert back.steps == 4 and len(back.cts) == 4
+    assert back.layout.steps == 4 and len(back.cts) == 4
     assert np.array_equal(decrypt_matrix(skeys, back), M)
     for steps in (1, 3, 5):
         with pytest.raises(ProtocolError, match=f"needs {steps} ciphertexts"):

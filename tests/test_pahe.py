@@ -9,8 +9,7 @@ import pytest
 from cipherformer import pahe
 from cipherformer.errors import NoiseBudgetError, ParameterError, ProtocolError
 from cipherformer.gc import ot
-from cipherformer.helinear import (COLBLOCKS, Layout, ct_list_from_bytes,
-                                   ct_list_to_bytes, encmatrix_from_bytes,
+from cipherformer.helinear import (COLBLOCKS, Layout, encmatrix_from_bytes,
                                    encmatrix_to_bytes, pack_colblocks)
 from cipherformer.model import ModelConfig
 from cipherformer.ntt import addmod, get_stacked, mulmod_vec
@@ -36,23 +35,28 @@ def rand_vec(par, rng):
 
 def const(par, w):
     """The slot vector with every slot w, encoded for multiplication."""
-    return pahe.encode_plain_many(par, [np.full(par.n, w % par.p, dtype=np.uint64)])[0]
+    return pahe.encode_plain_many(par, [np.full(par.n, w % par.p, dtype=np.uint64)])
 
 
 def enc(ev, v):
-    return ev.encrypt_many([v])[0]
+    """A batch of one."""
+    return ev.encrypt_many([v])
 
 
 def dec(km, ct):
-    return km.decrypt_many([ct])[0]
+    return km.decrypt_many(ct)[0]
 
 
 def mul(ev, ct, w):
-    return ev.simd_scmult_many([ct], [w])[0]
+    return ev.simd_scmult_many(ct, w)
 
 
 def rot(ev, ct, r):
-    return ev.col_rotate_many([ct], [r])[0]
+    return ev.col_rotate_many(ct, [r])
+
+
+def add(ev, a, b):
+    return ev.sum_groups(pahe.Ciphertexts.concat([a, b]), [0, 0], 1)
 
 
 class TestParams:
@@ -72,7 +76,7 @@ class TestParams:
         par, km, ev, rng = setup
         assert par.max_budget_bits > par.keyswitch_noise_bits + 8
         v, w = rand_vec(par, rng), rand_vec(par, rng)
-        pw = pahe.encode_plain_many(par, [w])[0]
+        pw = pahe.encode_plain_many(par, [w])
         ct = rot(ev, mul(ev, enc(ev, v), pw), 1)
         assert ct.noise_budget_bits > 0
         half = par.row_size
@@ -158,10 +162,10 @@ class TestRoundTrip:
         want = ((q * m + p // 2) // p + e) % q                  # (B, n)
         qi = np.array(par.q_primes, dtype=object)[:, None]
         sk = km._sk.astype(object)
-        for b, ct in enumerate(got):
-            assert np.array_equal(ct.c1, a[b])
-            assert ct.noise_bits == par.fresh_noise_bits
-            res = (ct.c0.astype(object) + ct.c1.astype(object) * sk) % qi
+        assert np.array_equal(got.noise_bits, [par.fresh_noise_bits] * B)
+        for b, (c0, c1) in enumerate(got.data):
+            assert np.array_equal(c1, a[b])
+            res = (c0.astype(object) + c1.astype(object) * sk) % qi
             coeffs = par.rns().inverse(res.astype(np.uint64)[None])[0]
             assert np.array_equal(coeffs.astype(object), want[b] % qi)
 
@@ -187,13 +191,13 @@ class TestHomomorphisms:
     def test_add_ct(self, setup):
         par, km, ev, rng = setup
         a, b = rand_vec(par, rng), rand_vec(par, rng)
-        got = dec(km, ev.add_ct(enc(ev, a), enc(ev, b)))
+        got = dec(km, add(ev, enc(ev, a), enc(ev, b)))
         assert np.array_equal(got, (a + b) % np.uint64(par.p))
 
     def test_add_plain_full_range(self, setup):
         par, km, ev, rng = setup
         a, b = rand_vec(par, rng), rand_vec(par, rng)
-        got = dec(km, ev.add_plain_many([enc(ev, a)], [b])[0])
+        got = dec(km, ev.add_plain_many(enc(ev, a), [b]))
         assert np.array_equal(got, (a + b) % np.uint64(par.p))
 
     def test_scalar_scmult(self, setup):
@@ -207,7 +211,7 @@ class TestHomomorphisms:
         par, km, ev, rng = setup
         a = rand_vec(par, rng)
         w = rng.integers(0, 1 << 18, par.n, dtype=np.uint64)
-        got = dec(km, mul(ev, enc(ev, a), pahe.encode_plain_many(par, [w])[0]))
+        got = dec(km, mul(ev, enc(ev, a), pahe.encode_plain_many(par, [w])))
         want = (a.astype(object) * w.astype(object)) % par.p
         assert np.array_equal(got.astype(object), want)
 
@@ -229,9 +233,14 @@ class TestRotations:
             assert np.array_equal(got, want)
 
     def test_rotate_zero_is_identity(self, setup):
+        """No key switch: the same residues and the same noise estimate."""
         par, km, ev, rng = setup
         v = rand_vec(par, rng)
-        assert np.array_equal(dec(km, rot(ev, enc(ev, v), 0)), v)
+        ct = enc(ev, v)
+        out = rot(ev, ct, 0)
+        assert np.array_equal(out.data, ct.data)
+        assert np.array_equal(out.noise_bits, ct.noise_bits)
+        assert np.array_equal(dec(km, out), v)
 
     def test_missing_rotation_key(self, setup):
         par, km, ev, rng = setup
@@ -276,19 +285,19 @@ class TestRotations:
         rns = par.rns()
         pr = np.array(par.q_primes, dtype=np.uint64)[:, None]
         q = pr.astype(object)
-        for ct, r, out in zip(cts, rs, got):
+        for (ct0, ct1), r, out in zip(cts.data, rs, got.data):
             t = pow(3, r, 2 * par.n)
             perm = par.slots().perm(t)
-            dig = rns.inverse(ct.c1[:, perm])
+            dig = rns.inverse(ct1[:, perm])
             lifts = rns.forward(np.stack([dig[j] % pr for j in range(k)]))
             ksk = km.galois[t]
-            c0 = ct.c0[:, perm].astype(object)
+            c0 = ct0[:, perm].astype(object)
             c1 = np.zeros_like(c0)
             for j in range(k):
                 c0 = (c0 + lifts[j].astype(object) * ksk.k0[j].astype(object)) % q
                 c1 = (c1 + lifts[j].astype(object) * ksk.k1[j].astype(object)) % q
-            assert np.array_equal(out.c0, c0.astype(np.uint64))
-            assert np.array_equal(out.c1, c1.astype(np.uint64))
+            assert np.array_equal(out[0], c0.astype(np.uint64))
+            assert np.array_equal(out[1], c1.astype(np.uint64))
 
     def test_composition(self, setup):
         par, km, ev, rng = setup
@@ -300,14 +309,16 @@ class TestRotations:
 
 
 def measured_noise_bits(km, ct, slots) -> float:
-    """log2 of the largest centered |v - q m / p| over all coefficients,
-    where v = c0 + c1 s lifted to Z_q and m is the coefficient polynomial
-    of the expected `slots`, in python ints.  Decryption is exact while it
-    stays below q / 2p, the budget `max_budget_bits` measures."""
+    """log2 of the largest centered |v - q m / p| over all coefficients of
+    a batch of one, where v = c0 + c1 s lifted to Z_q and m is the
+    coefficient polynomial of the expected `slots`, in python ints.
+    Decryption is exact while it stays below q / 2p, the budget
+    `max_budget_bits` measures."""
     par = km.params
     q, p = par.q, par.p
     col = par.q_col
-    res = addmod(ct.c0, mulmod_vec(ct.c1, km._sk, col), col)
+    c0, c1 = ct.data[0]
+    res = addmod(c0, mulmod_vec(c1, km._sk, col), col)
     v = par.rns().inverse(res[None])[0].astype(object)
     v = (v * pahe._crt_consts(par)).sum(axis=0) % q
     m = pahe._slots_to_coeffs_many(par, slots[None])[0].astype(object)
@@ -338,30 +349,30 @@ class TestNoise:
 
         v, w, b, c = (rand_vec(par, rng).astype(object) for _ in range(4))
         fresh = enc(ev, u64(v))
-        prod = mul(ev, fresh, pahe.encode_plain_many(par, [u64(w)])[0])
+        prod = mul(ev, fresh, pahe.encode_plain_many(par, [u64(w)]))
         turned = rot(ev, prod, 1)
-        summed = ev.add_ct(turned, enc(ev, u64(b)))
-        shifted = ev.add_plain_many([summed], [u64(c)])[0]
+        summed = add(ev, turned, enc(ev, u64(b)))
+        shifted = ev.add_plain_many(summed, [u64(c)])
         vw = v * w
         rolled = np.concatenate([np.roll(vw[:half], -1), np.roll(vw[half:], -1)])
         for ct, want in [(fresh, v), (prod, vw), (turned, rolled),
                          (summed, rolled + b), (shifted, rolled + b + c)]:
             want = u64(want)
-            assert measured_noise_bits(km, ct, want) <= ct.noise_bits
+            assert measured_noise_bits(km, ct, want) <= ct.noise_bits[0]
             assert np.array_equal(dec(km, ct), want)
 
     def test_ops_strictly_increase_noise(self, setup):
         par, km, ev, rng = setup
         ct = enc(ev, rand_vec(par, rng))
-        seq = [lambda c: ev.add_plain_many([c], [rand_vec(par, rng)])[0],
+        seq = [lambda c: ev.add_plain_many(c, [rand_vec(par, rng)]),
                lambda c: mul(ev, c, const(par, 3)),
                lambda c: rot(ev, c, 1),
-               lambda c: ev.add_ct(c, enc(ev, rand_vec(par, rng)))]
-        last = ct.noise_bits
+               lambda c: add(ev, c, enc(ev, rand_vec(par, rng)))]
+        last = ct.noise_bits[0]
         for f in seq:
             ct = f(ct)
-            assert ct.noise_bits > last
-            last = ct.noise_bits
+            assert ct.noise_bits[0] > last
+            last = ct.noise_bits[0]
         dec(km, ct)  # still decryptable
 
     def test_budget_exhaustion_raises(self, setup):
@@ -373,23 +384,127 @@ class TestNoise:
                 ct = mul(ev, ct, w)
 
 
+B = 19  # two full blocks of `_KS_BATCH` ciphertexts and a ragged one
+
+
+@pytest.fixture(scope="module")
+def batch(setup):
+    """B fresh encryptions, each given its own (looser) noise estimate,
+    with B plaintext vectors, B encoded weights and B rotation amounts,
+    0 among them, so that no two key-switch blocks use the same keys."""
+    par, km, ev, rng = setup
+    assert 2 * pahe._KS_BATCH < B < 3 * pahe._KS_BATCH
+    fresh = ev.encrypt_many([rand_vec(par, rng) for _ in range(B)])
+    cts = pahe.Ciphertexts(par, fresh.data, fresh.noise_bits + np.arange(B))
+    vecs = np.stack([rand_vec(par, rng) for _ in range(B)])
+    ws = pahe.encode_plain_many(par, [rand_vec(par, rng) for _ in range(B)])
+    amounts = (0, 1, 2, 5, par.row_size - 5)
+    rs = np.array([amounts[b // 3 % len(amounts)] for b in range(B)])
+    return cts, vecs, ws, rs
+
+
+class TestBatches:
+    def test_batch_indexing(self, setup, batch):
+        """len, an int (a batch of one), a slice, an index array and
+        concat; the budget is the batch's smallest, as a float."""
+        par, km, ev, rng = setup
+        cts = batch[0]
+        assert len(cts) == B and cts.data.shape == (B, 2, par.k, par.n)
+        assert np.array_equal(cts[-1].data, cts.data[B - 1:])
+        assert np.array_equal(cts[3:5].noise_bits, cts.noise_bits[3:5])
+        picked = cts[np.array([4, 0, 4])]
+        assert np.array_equal(picked.data, cts.data[[4, 0, 4]])
+        joined = pahe.Ciphertexts.concat([cts[:7], cts[7:]])
+        assert np.array_equal(joined.data, cts.data)
+        assert np.array_equal(joined.noise_bits, cts.noise_bits)
+        budget = cts.noise_budget_bits
+        assert type(budget) is float
+        assert budget == min(cts[i].noise_budget_bits for i in range(B))
+        with pytest.raises(IndexError):
+            cts[B]
+        other = pahe.session_params(P20, 512)
+        with pytest.raises(ParameterError, match="different parameters"):
+            pahe.Ciphertexts.concat([cts, pahe.Ciphertexts(
+                other, cts.data, cts.noise_bits)])
+
+    @pytest.mark.parametrize("op", ["add_plain_many", "simd_scmult_many",
+                                    "col_rotate_many", "sum_groups",
+                                    "decrypt_many"])
+    def test_batch_equals_its_slices(self, setup, batch, op):
+        """The batch's output equals, row by row in residues and in noise,
+        the same operation on each one-element slice."""
+        par, km, ev, rng = setup
+        cts, vecs, ws, rs = batch
+        run = {
+            "add_plain_many": lambda s: ev.add_plain_many(cts[s], vecs[s]),
+            "simd_scmult_many": lambda s: ev.simd_scmult_many(cts[s], ws[s]),
+            "col_rotate_many": lambda s: ev.col_rotate_many(cts[s], rs[s]),
+            "sum_groups": lambda s: ev.sum_groups(
+                cts[s], np.arange(len(cts[s])), len(cts[s])),
+            "decrypt_many": lambda s: km.decrypt_many(cts[s]),
+        }[op]
+        whole = run(slice(None))
+        for b in range(B):
+            one = run(slice(b, b + 1))
+            if op == "decrypt_many":
+                assert np.array_equal(whole[b], one[0])
+            else:
+                assert np.array_equal(whole.data[b], one.data[0])
+                assert whole.noise_bits[b] == one.noise_bits[0]
+
+    def test_sum_groups_is_a_left_fold(self, setup, batch):
+        """Each group is the sequential addmod fold of its members in batch
+        order, with the ciphertext-addition noise rule at each step; an
+        empty group is the all-zero ciphertext, which decrypts to zero."""
+        par, km, ev, rng = setup
+        cts = batch[0]
+        dest = np.random.default_rng(7).integers(0, 5, B)
+        dest[dest == 3] = 4
+        before = ev.counters["add_ct"]
+        out = ev.sum_groups(cts, dest, 6)
+        assert len(out) == 6
+        assert ev.counters["add_ct"] - before == B - len(set(dest))
+        col = par.q_col
+        for j in range(6):
+            members = np.flatnonzero(dest == j)
+            if not members.size:
+                assert not out.data[j].any() and out.noise_bits[j] == 0
+                assert not dec(km, out[j]).any()
+                continue
+            data, noise = cts.data[members[0]], cts.noise_bits[members[0]]
+            for i in members[1:]:
+                data = addmod(data, cts.data[i], col)
+                noise = float(np.logaddexp2(noise, cts.noise_bits[i])) + 1e-3
+            assert np.array_equal(out.data[j], data)
+            assert out.noise_bits[j] == noise
+        with pytest.raises(ParameterError, match="group ids"):
+            ev.sum_groups(cts, dest, 4)
+
+
 class TestWireFormat:
     def test_ciphertext_roundtrip(self, setup):
+        """A batch on the wire is its ciphertexts back to back, each its c0
+        then its c1."""
         par, km, ev, rng = setup
-        v = rand_vec(par, rng)
-        ct2 = pahe.ct_from_bytes(pahe.ct_to_bytes(enc(ev, v)), par)
-        assert np.array_equal(dec(km, ct2), v)
+        vs = np.stack([rand_vec(par, rng) for _ in range(3)])
+        cts = ev.encrypt_many(vs)
+        blob = pahe.cts_to_bytes(cts)
+        assert blob == b"".join(pahe.le64(cts.data[b, c])
+                                for b in range(3) for c in range(2))
+        back = pahe.cts_from_bytes(blob, par, 3, "test batch")
+        assert np.array_equal(back.data, cts.data)
+        assert np.array_equal(km.decrypt_many(back), vs)
 
     def test_params_mismatch(self, setup):
         """A ciphertext or key blob made on another ring is the peer's
         error: the session's parameters fix its size, and it has another."""
         par, km, ev, rng = setup
-        blob = pahe.ct_to_bytes(enc(ev, rand_vec(par, rng)))
+        blob = pahe.cts_to_bytes(enc(ev, rand_vec(par, rng)))
         assert len(blob) == pahe.ct_nbytes(par) == 16 * par.k * par.n
         keys = pahe.public_keys_to_bytes(km.public())
         other = pahe.session_params(P20, 512)
-        with pytest.raises(ProtocolError, match="ciphertext has"):
-            pahe.ct_from_bytes(blob, other)
+        with pytest.raises(ProtocolError, match="ciphertext needs 1 ciphertexts"):
+            pahe.cts_from_bytes(blob, other, 1, "ciphertext")
         with pytest.raises(ProtocolError, match="key blob has"):
             pahe.public_keys_from_bytes(keys, other, sorted(km.galois))
 
@@ -409,19 +524,19 @@ class TestWireFormat:
     def test_crafted_ciphertexts_rejected(self, setup):
         par, km, ev, rng = setup
         ct = enc(ev, rand_vec(par, rng))
-        blob = pahe.ct_to_bytes(ct)
-        with pytest.raises(ProtocolError, match="ciphertext has"):
-            pahe.ct_from_bytes(blob + bytes(8), par)
-        big = ct.copy()
-        big.c0[0, 0] = par.q_primes[0] + 5
+        blob = pahe.cts_to_bytes(ct)
+        with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
+            pahe.cts_from_bytes(blob + bytes(8), par, 1, "ciphertext")
+        big = ct.data.copy()
+        big[0, 0, 0, 0] = par.q_primes[0] + 5
         with pytest.raises(ProtocolError, match="residue"):
-            pahe.ct_from_bytes(pahe.ct_to_bytes(big), par)
+            pahe.cts_from_bytes(pahe.le64(big), par, 1, "ciphertext")
         # the wire carries no noise estimate: a parsed ciphertext counts as
         # fresh, whatever its sender's estimate was
-        worn = ct.copy()
-        worn.noise_bits = par.max_budget_bits - 1
-        assert pahe.ct_from_bytes(pahe.ct_to_bytes(worn),
-                                  par).noise_bits == par.fresh_noise_bits
+        worn = pahe.Ciphertexts(par, ct.data, np.array([par.max_budget_bits - 1]))
+        assert pahe.cts_from_bytes(pahe.cts_to_bytes(worn), par, 1,
+                                   "ciphertext").noise_bits[0] == \
+            par.fresh_noise_bits
 
     def test_crafted_key_blobs_rejected(self, setup, monkeypatch):
         """The blob must hold a key for exactly the expected Galois
@@ -461,8 +576,9 @@ class TestWireFormat:
         but a ProtocolError."""
         par, km, ev, rng = setup
         if decoder == "ciphertext":
-            blob = pahe.ct_to_bytes(enc(ev, rand_vec(par, rng)))
-            parse = pahe.ct_from_bytes
+            blob = pahe.cts_to_bytes(enc(ev, rand_vec(par, rng)))
+            parse = lambda data, par_: pahe.cts_from_bytes(  # noqa: E731
+                data, par_, 1, "ciphertext")
         elif decoder == "public_keys":
             blob = pahe.public_keys_to_bytes(km.public())
             parse = lambda data, par_: pahe.public_keys_from_bytes(  # noqa: E731
@@ -474,12 +590,12 @@ class TestWireFormat:
             parse = lambda data, par_: encmatrix_from_bytes(  # noqa: E731
                 data, par_, Layout(COLBLOCKS, 2, 5, 8, 3))
         elif decoder == "reply_list":
-            # a product reply with k = 2: the product and two terms of
-            # each factor, one list of five ciphertexts
-            blob = ct_list_to_bytes(
-                ev.encrypt_many([rand_vec(par, rng) for _ in range(5)]))
-            parse = lambda data, par_: ct_list_from_bytes(  # noqa: E731
-                data, par_, 5, "product reply")
+            # a product reply with k = 1: the product and one term of each
+            # factor, one batch of three ciphertexts
+            blob = pahe.cts_to_bytes(
+                ev.encrypt_many([rand_vec(par, rng) for _ in range(3)]))
+            parse = lambda data, par_: pahe.cts_from_bytes(  # noqa: E731
+                data, par_, 3, "product reply")
         if decoder in ("ciphertext", "public_keys", "encmatrix",
                        "reply_list"):
             # the first ciphertext's (or key blob's) leading residues

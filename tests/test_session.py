@@ -701,8 +701,8 @@ def test_geometry_check_compares_copies():
     stage_in = geom.stage_input(geom.plan.stage(0, "ff_out"))
     assert share == geom.layout(COLBLOCKS, shape, geom.steps)
     assert stage_in == geom.layout(COLBLOCKS, shape)
-    assert encmatrix_from_bytes(many, geom.params, share).steps == geom.steps
-    assert encmatrix_from_bytes(one, geom.params, stage_in).steps == 1
+    assert encmatrix_from_bytes(many, geom.params, share).layout == share
+    assert encmatrix_from_bytes(one, geom.params, stage_in).layout == stage_in
     with pytest.raises(ProtocolError, match="needs 5 ciphertexts"):
         encmatrix_from_bytes(one, geom.params, share)
     with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
