@@ -6,8 +6,9 @@ key switch, with no row-crossing masks.  Plain-weight products over
 column-block inputs (``colblock_matmul``) use the diagonal method with the
 multiply *before* the rotation::
 
-    Y = sum_d  rot( X * roll(diag_d, d * block), d * block )
+    Y = sum_d  rot( X * roll(diag_d, d * r), d * r )
 
+for inputs of r rows, whose column j fills block j, r slots long.
 Pre-rolling the plaintext diagonal keeps every ciphertext at product depth
 one, and because each diagonal zeroes every slot it does not own, cyclic
 wraparound never smears garbage into the result, so no input tiling is
@@ -18,11 +19,11 @@ Linear Transformations in HElib", CRYPTO 2018).  Write each diagonal offset
 as d = g*j + i with 0 <= i < g.  A rotation distributes over the slotwise
 product, so::
 
-    rot(X * roll(v_d, dB), dB) = rot(rot(X, iB) * roll(v_d, gjB), gjB)
+    rot(X * roll(v_d, dr), dr) = rot(rot(X, ir) * roll(v_d, gjr), gjr)
 
 and all terms that share a giant step j and an output ciphertext sum before
-one rotation by gjB: about D/g key switches for D diagonals instead of D.
-The baby steps rot(X, iB) are never rotated here.  A colblocks matrix with
+one rotation by gjr: about D/g key switches for D diagonals instead of D.
+The baby steps rot(X, ir) are never rotated here.  A colblocks matrix with
 `steps` = g carries them as g copies, copy i the layout rotated left by i
 blocks, and the key holder encrypts every copy fresh.  A rotation on this
 side would not fit the budget: the key switch adds about 70 bits of noise,
@@ -36,21 +37,25 @@ Packings
 --------
 rows       T = rows_per_ct(cols) = row_size // cols consecutive rows per
            ciphertext: ct g holds row g*T + i in slots i*cols + s
-colblocks  columns laid out in fixed-size blocks, slot j*block + i holds
-           M[i, j]; the layout for batched per-position products.  With
-           `steps` = s > 1 it holds s copies, copy-major: ciphertext
-           t*G + c is copy t of column group c, its ring row rotated left
-           by t blocks (G = ciphertexts per copy)
+colblocks  the rows packing of the transpose: ct g holds column g*T + j,
+           T = rows_per_ct(rows), in slots j*rows + i, so every column is
+           one block of `rows` slots; the layout for batched per-position
+           products
 
-`rows_per_ct` and `colblock_cols_per_ct` are the two blocking rules; every
-packer, product, offset and the wire decoder follow them, so a ciphertext
-count is never chosen anywhere else.  A `Layout` names a packing, a shape
-and, on column blocks, the block length and copy count; with the rules it
-fixes how many ciphertexts a matrix holds.  Every slot a layout does not name
-holds zero, and stays zero: offsets and masks are laid out by the same rule,
-and every plaintext multiplied in is zero outside the layout.  That keeps
-the diagonal sweeps free of wraparound garbage, and it means nothing the key
-holder decrypts carries an unmasked value in a slot no mask covers.
+A layout with `steps` = s > 1 holds s copies, copy-major: ciphertext t*G + c
+is copy t of ciphertext c, its ring row rotated left by t held rows (G =
+ciphertexts per copy); on column blocks, t blocks.  Only column blocks
+carry copies in a session: the baby steps of the products.
+
+`rows_per_ct` is the one blocking rule; every packer, product, offset and
+the wire decoder follow it, so a ciphertext count is never chosen anywhere
+else.  A `Layout` names a packing, a shape and a copy count; with the rule
+it fixes how many ciphertexts a matrix holds.  Every
+slot a layout does not name holds zero, and stays zero: offsets and masks
+are laid out by the same rule, and every plaintext multiplied in is zero
+outside the layout.  That keeps the diagonal sweeps free of wraparound
+garbage, and it means nothing the key holder decrypts carries an unmasked
+value in a slot no mask covers.
 
 The ciphertext-by-ciphertext product X @ Y (r x k times k x c) runs in two
 message flights: the masking side sends [X - R1], [Y - R2]; the key holder
@@ -105,25 +110,29 @@ def _entries(m) -> np.ndarray:
 @dataclass(frozen=True)
 class Layout:
     """What an encrypted matrix holds, without its ciphertexts: the packing,
-    the shape and, on column blocks, the block length and the baby-step
-    copy count.  The session plan names one for every matrix on the wire."""
+    the shape and the baby-step copy count.  The session plan names one for
+    every matrix on the wire."""
 
     packing: str
     rows: int
     cols: int
-    block: int = 0          # colblocks: slots per column block
-    steps: int = 1          # colblocks: baby-step copies, copy-major
+    steps: int = 1          # baby-step copies, copy-major
 
     def __post_init__(self):
         if self.packing not in (ROWS, COLBLOCKS):
             raise ParameterError(f"unknown packing {self.packing!r}")
 
-    def ct_count(self, params: PaheParams) -> int:
-        """Ciphertexts a matrix of this layout holds, by the blocking rules."""
+    @property
+    def held(self) -> tuple[int, int]:
+        """The shape the rows packing lays out: the matrix itself, or on
+        column blocks its transpose."""
         if self.packing == ROWS:
-            return _rows_ct_count(params, self.rows, self.cols)
-        cpc = colblock_cols_per_ct(params, self.cols, self.block)
-        return self.steps * -(-self.cols // cpc)
+            return self.rows, self.cols
+        return self.cols, self.rows
+
+    def ct_count(self, params: PaheParams) -> int:
+        """Ciphertexts a matrix of this layout holds, by the blocking rule."""
+        return self.steps * _rows_ct_count(params, *self.held)
 
 
 @dataclass
@@ -165,17 +174,13 @@ def _rows_matrix(slots: np.ndarray, rows: int, cols: int,
     return slots[:, :per_ct * cols].reshape(-1, cols)[:rows].copy()
 
 
-def _colblock_vectors(M: np.ndarray, block: int, cols_per_ct: int,
-                      width: int, steps: int) -> np.ndarray:
-    """Ring-row slot vectors of a colblocks layout, one per row, copy-major:
-    copy t is every vector rotated left by t blocks."""
-    r, c = M.shape
-    G = -(-c // cols_per_ct)
-    blocks = np.zeros((G * cols_per_ct, block), dtype=np.uint64)
-    blocks[:c, :r] = M.T
-    base = np.zeros((G, width), dtype=np.uint64)
-    base[:, :cols_per_ct * block] = blocks.reshape(G, -1)
-    return np.concatenate([np.roll(base, -t * block, axis=1)
+def _copies(params: PaheParams, vecs: np.ndarray, shift: int,
+            steps: int) -> np.ndarray:
+    """`steps` copies of ring-row slot vectors, copy-major: copy t is every
+    vector rotated left by t * shift slots."""
+    base = np.zeros((len(vecs), params.row_size), dtype=np.uint64)
+    base[:, :vecs.shape[1]] = vecs
+    return np.concatenate([np.roll(base, -t * shift, axis=1)
                            for t in range(steps)])
 
 
@@ -190,74 +195,56 @@ def layout_vectors(params: PaheParams, layout: Layout, M,
     """
     A = _entries(M)
     if transpose:
-        A = A.T.copy()
+        A = A.T
     if A.shape != (layout.rows, layout.cols):
         raise ParameterError(f"offset shape {A.shape} != matrix shape "
                              f"{(layout.rows, layout.cols)}")
-    if layout.packing == ROWS:
-        return _rows_vectors(A, rows_per_ct(params, layout.cols))
-    return _colblock_vectors(
-        A, layout.block, colblock_cols_per_ct(params, layout.cols, layout.block),
-        params.row_size, layout.steps)
+    held = A if layout.packing == ROWS else A.T
+    width, half = held.shape[1], params.row_size
+    if not 0 < width <= half:
+        raise ParameterError(f"{layout.packing} packing needs {width} slots "
+                             f"but row capacity is {half}")
+    if not 0 < layout.steps <= half // width:
+        raise ParameterError(f"{layout.steps} copies of {width}-slot rows "
+                             f"do not fit a {half}-slot ring row")
+    return _copies(params, _rows_vectors(held, rows_per_ct(params, width)),
+                   width, layout.steps)
 
 
 # ----------------------------------------------------------------------------
 # packing / unpacking
 
 
-def _check_capacity(params: PaheParams, need: int, what: str) -> None:
-    if not 0 < need <= params.row_size:
-        raise ParameterError(
-            f"{what} needs {need} slots but row capacity is {params.row_size}")
-
-
 def pack_rows(ev: Evaluator, M) -> EncMatrix:
     """`rows_per_ct` consecutive rows per ciphertext, one every cols slots."""
     A = _entries(M)
-    _check_capacity(ev.params, A.shape[1], "row packing")
-    cts = ev.encrypt_many(_rows_vectors(A, rows_per_ct(ev.params, A.shape[1])))
-    return EncMatrix(Layout(ROWS, *A.shape), cts)
+    lay = Layout(ROWS, *A.shape)
+    return EncMatrix(lay, ev.encrypt_many(layout_vectors(ev.params, lay, A)))
 
 
-def colblock_cols_per_ct(params: PaheParams, cols: int, block: int) -> int:
-    """Columns each ciphertext of a column-block packing carries: as many
-    blocks of `block` slots as fit one ring row, never more than `cols`.
-    The column-blocking rule -- packing, products, rotation keys and the
-    wire decoder all follow it, so no layout ever names its own."""
-    return min(cols, params.row_size // block)
+def colblock_cols_per_ct(params: PaheParams, cols: int, rows: int) -> int:
+    """Columns each ciphertext of a column-block packing carries: the rows
+    packing's `rows_per_ct` of the transpose, never more than `cols`."""
+    return min(cols, rows_per_ct(params, rows))
 
 
-def pack_colblocks(ev: Evaluator, M, block: int, steps: int = 1) -> EncMatrix:
-    """Column blocks of `block` slots; `steps` copies, copy t rotated left by
-    t blocks, all encrypted in one batch (the baby steps of
+def pack_colblocks(ev: Evaluator, M, steps: int = 1) -> EncMatrix:
+    """The rows packing of M's transpose, in `steps` copies, copy t rotated
+    left by t column blocks, all encrypted in one batch (the baby steps of
     `colblock_matmul`)."""
     A = _entries(M)
-    r, c = A.shape
-    half = ev.params.row_size
-    if block < r:
-        raise ParameterError(f"block {block} shorter than column height {r}")
-    if block > half:
-        raise ParameterError(f"block {block} exceeds row capacity")
-    if not 0 < steps <= half // block:
-        raise ParameterError(f"{steps} copies of {block}-slot blocks do not "
-                             f"fit a {half}-slot ring row")
-    cpc = colblock_cols_per_ct(ev.params, c, block)
-    cts = ev.encrypt_many(_colblock_vectors(A, block, cpc, half, steps))
-    return EncMatrix(Layout(COLBLOCKS, r, c, block, steps), cts)
+    lay = Layout(COLBLOCKS, *A.shape, steps)
+    return EncMatrix(lay, ev.encrypt_many(layout_vectors(ev.params, lay, A)))
 
 
 def decrypt_matrix(keys: KeyMaterial, enc: EncMatrix) -> np.ndarray:
     """Decrypt any packing back to a (rows, cols) uint64 array; of a
     colblocks matrix with baby-step copies, only copy 0."""
-    par, lay = keys.params, enc.layout
-    r, c = lay.rows, lay.cols
-    if lay.packing == ROWS:
-        return _rows_matrix(keys.decrypt_many(enc.cts), r, c,
-                            rows_per_ct(par, c))
-    # the inverse of `_colblock_vectors` on copy 0
+    lay = enc.layout
+    r, c = lay.held
     dec = keys.decrypt_many(enc.cts[:len(enc.cts) // lay.steps])
-    cpc = colblock_cols_per_ct(par, c, lay.block)
-    return dec[:, :cpc * lay.block].reshape(-1, lay.block)[:c, :r].T.copy()
+    M = _rows_matrix(dec, r, c, rows_per_ct(keys.params, c))
+    return M if lay.packing == ROWS else M.T.copy()
 
 
 def add_offset(ev: Evaluator, enc: EncMatrix, M, transpose: bool = False) -> EncMatrix:
@@ -270,24 +257,24 @@ def add_offset(ev: Evaluator, enc: EncMatrix, M, transpose: bool = False) -> Enc
 # plain-matrix by encrypted-matrix products (diagonal method)
 
 
-def colblock_diagonals(params: PaheParams, in_cols: int, block: int,
+def colblock_diagonals(params: PaheParams, in_cols: int, rows: int,
                        out_cols: int) -> int:
     """Diagonal offsets one (input ct, output ct) sweep of colblock_matmul
-    spans on an (rows x in_cols) @ (in_cols x out_cols) product: nin + nout
-    - 1, each counted by the column-blocking rule."""
-    return (colblock_cols_per_ct(params, in_cols, block)
-            + colblock_cols_per_ct(params, out_cols, block) - 1)
+    spans on a (rows x in_cols) @ (in_cols x out_cols) product: nin + nout
+    - 1, each counted by `colblock_cols_per_ct`."""
+    return (colblock_cols_per_ct(params, in_cols, rows)
+            + colblock_cols_per_ct(params, out_cols, rows) - 1)
 
 
-def colblock_rotation_amounts(params: PaheParams, in_cols: int, block: int,
+def colblock_rotation_amounts(params: PaheParams, in_cols: int, rows: int,
                               out_cols: int, steps: int) -> list[int]:
-    """Column-rotation key amounts colblock_matmul uses on an
-    (rows x in_cols) @ (in_cols x out_cols) product with blocks of `block`
-    and `steps` baby-step copies of the input: only the giant steps
-    g*j*block, for every j some diagonal d = g*j + i reaches."""
-    nin = colblock_cols_per_ct(params, in_cols, block)
-    nout = colblock_cols_per_ct(params, out_cols, block)
-    return sorted({(d - d % steps) * block % params.row_size
+    """Column-rotation key amounts colblock_matmul uses on a
+    (rows x in_cols) @ (in_cols x out_cols) product with `steps` baby-step
+    copies of the input: only the giant steps g*j*rows, for every j some
+    diagonal d = g*j + i reaches."""
+    nin = colblock_cols_per_ct(params, in_cols, rows)
+    nout = colblock_cols_per_ct(params, out_cols, rows)
+    return sorted({(d - d % steps) * rows % params.row_size
                    for d in range(-(nout - 1), nin)} - {0})
 
 
@@ -299,7 +286,7 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
     ct, output ct) pair, split d = g*j + i by X's g = `steps`, multiplies
     copy i by the diagonal pre-rolled by g*j blocks; every product that
     shares an output ciphertext and a giant step, over all input
-    ciphertexts, sums before one rotation by g*j*block.
+    ciphertexts, sums before one rotation by g*j*rows.
     """
     A = _entries(W)
     par = ev.params
@@ -311,10 +298,10 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
         raise ParameterError(f"inner dims disagree: X is {lay.rows}x{lay.cols}, "
                              f"W is {A.shape[0]}x{A.shape[1]}")
     d_out = A.shape[1]
-    B, g = lay.block, lay.steps
+    r, g = lay.rows, lay.steps
     G_in = len(X.cts) // g
-    cpc = colblock_cols_per_ct(par, lay.cols, B)
-    C = colblock_cols_per_ct(par, d_out, B)
+    cpc = colblock_cols_per_ct(par, lay.cols, r)
+    C = colblock_cols_per_ct(par, d_out, r)
     n_groups = -(-d_out // C)
     vecs, which, dest = [], [], []
     for og in range(n_groups):
@@ -331,11 +318,9 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
                                j0 + np.arange(nout)], np.uint64(0))
             live = w.any(axis=1)
             ds, w = ds[live], w[live]
-            blocks = np.zeros((len(ds), nout, B), dtype=np.uint64)
-            blocks[:, :, :lay.rows] = w[:, :, None]
             diag = np.zeros((len(ds), half), dtype=np.uint64)
-            diag[:, :nout * B] = blocks.reshape(len(ds), nout * B)
-            shifts = (ds - ds % g) * B
+            diag[:, :nout * r] = np.repeat(w, r, axis=1)
+            shifts = (ds - ds % g) * r
             idx = (np.arange(half) - shifts[:, None]) % half
             vecs.append(np.take_along_axis(diag, idx, axis=1))
             which.append(ds % g * G_in + gi)
@@ -349,7 +334,7 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
     rotated = ev.col_rotate_many(ev.sum_groups(terms, ids, len(keys)),
                                  [sh for _, sh in keys])
     out = ev.sum_groups(rotated, [og for og, _ in keys], n_groups)
-    return EncMatrix(Layout(COLBLOCKS, lay.rows, d_out, B), out)
+    return EncMatrix(Layout(COLBLOCKS, r, d_out), out)
 
 
 # ----------------------------------------------------------------------------

@@ -47,8 +47,8 @@ stages work in preallocated scratch through in-place ufuncs.
 
 Nobody here ever needs the forward output in "natural" order, because the
 slot machinery works purely in terms of which evaluation point lives at
-which position (`eval_exponents`, recovered once by a discrete log over the
-2n-th roots -- cheap, and immune to off-by-one conventions in the layout).
+which position: forward(a)[j] = a(psi^(2 bitrev(j) + 1)) for every prime
+(`pahe.SlotMap`; the tests check it by a discrete log over the 2n-th roots).
 """
 
 from __future__ import annotations
@@ -185,7 +185,8 @@ def submod(a, b, p) -> np.ndarray:
     return np.minimum(r, np.add(r, np.asarray(p, dtype=np.uint64)))
 
 
-def _bitrev_indices(n: int) -> np.ndarray:
+def bitrev_indices(n: int) -> np.ndarray:
+    """The bit reversal of 0 .. n-1 over log2(n) bits."""
     bits = n.bit_length() - 1
     idx = np.arange(n)
     rev = np.zeros(n, dtype=np.int64)
@@ -211,7 +212,7 @@ class StackedNtt:
     where the throughput comes from -- numpy call overhead dominates at
     n <= 1024, so fusing the k transforms (and any batch of polynomials)
     into one set of array ops beats looping over the primes.  k=1 is the
-    single-prime transform (the plaintext modulus, the slot map's probe).
+    single-prime transform (the plaintext modulus).
     Inputs must be reduced mod their row's prime; neither transform writes
     to its argument.
     """
@@ -244,7 +245,7 @@ class StackedNtt:
         """Per stage, bit-reversed powers of each root laid out along the
         half the stage multiplies: stage s holds 2^s blocks, and position r
         of a half belongs to block r mod 2^s."""
-        rev = _bitrev_indices(self.n)
+        rev = bitrev_indices(self.n)
         pw = np.stack([_bitrev_powers(w, p, rev)
                        for w, p in zip(roots, self.primes)])
         r = np.arange(self.n // 2)
@@ -314,24 +315,6 @@ class StackedNtt:
             _mulmod_into(s3, w, w_lo, w_hi, p, p2, dst[..., h:], s1, s2)
             src = dst
         return src.reshape(np.shape(a))
-
-    @cached_property
-    def eval_exponents(self) -> np.ndarray:
-        """exps[j] = e such that forward(a)[j] == a(psi^e); e odd, unique.
-
-        Computed on the first prime; the map depends only on n (asserted in
-        tests), so it holds for every row.
-        """
-        p, psi = self.primes[0], self.psi[0]
-        x = np.zeros((self.k, self.n), dtype=np.uint64)
-        x[:, 1] = 1  # the monomial X evaluates to the point itself
-        points = self.forward(x)[0]
-        dlog = {}
-        acc = 1
-        for j in range(2 * self.n):
-            dlog[acc] = j
-            acc = acc * psi % p
-        return np.array([dlog[int(v)] for v in points], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

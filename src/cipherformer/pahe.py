@@ -63,8 +63,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NoiseBudgetError, ParameterError, ProtocolError
-from .ntt import (StackedNtt, addmod, get_stacked, mulmod_shoup, mulmod_vec,
-                  shoup, submod)
+from .ntt import (StackedNtt, addmod, bitrev_indices, get_stacked,
+                  mulmod_shoup, mulmod_vec, shoup, submod)
 from .primes import is_prime, next_prime
 
 _ERR_STD = 3.2
@@ -83,18 +83,17 @@ _KS_BATCH = 8
 class SlotMap:
     """Maps flat slot indices <-> NTT positions, and Galois maps -> perms.
 
-    The evaluation-point exponent living at each NTT position depends only on
-    the transform length, not on the prime (asserted in tests), so one map per
-    n serves the plaintext prime and every RNS prime alike.
+    The constant-geometry forward transform leaves a(psi^(2 bitrev(j) + 1))
+    at position j, whatever the prime, so one map per n serves the
+    plaintext prime and every RNS prime alike (checked against a discrete
+    log in tests).
     """
 
     def __init__(self, n: int):
         self.n = n
-        probe = next_prime(2 * n + 1, congruent=(1, 2 * n))
-        exps = get_stacked((probe,), n).eval_exponents
-        self.exps = exps
+        self.exps = 2 * bitrev_indices(n) + 1
         pos_of_exp = np.full(2 * n, -1, dtype=np.int64)
-        pos_of_exp[exps] = np.arange(n)
+        pos_of_exp[self.exps] = np.arange(n)
         self._pos_of_exp = pos_of_exp
         half = n // 2
         flat_exp = np.empty(n, dtype=np.int64)
@@ -104,8 +103,6 @@ class SlotMap:
             flat_exp[half + c] = 2 * n - e
             e = e * 3 % (2 * n)
         self.pos_of_flat = pos_of_exp[flat_exp]
-        if np.any(self.pos_of_flat < 0):
-            raise ParameterError("slot exponent table is inconsistent")
         self._perms: dict[int, np.ndarray] = {}
 
     def perm(self, t: int) -> np.ndarray:

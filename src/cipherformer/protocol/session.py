@@ -32,8 +32,9 @@ interleaved with two encrypted matrix products of two frames each:
   stage-open     s -> c   the masked input, a `stage_input` matrix; then
                           per `stage_circuits` group (circ, E): tables,
                           32 n_and E; garbler labels, 16 (garbler_inputs
-                          + 2) E; pad pairs, 16 n_out E
-  stage-ot-req   c -> s   derandomization bits, ceil(m count / 8)
+                          + 2) E; pad pairs, 16 n_out E, each word below p
+  stage-ot-req   c -> s   derandomization bits, ceil(m count / 8), the pad
+                          bits of the last byte zero
   stage-ot-resp  s -> c   masked label pairs, 32 m count
   stage-share    c -> s   one `stage_shares` matrix per group
   mm-open        s -> c   the masked factors, each in the layout of the
@@ -170,24 +171,15 @@ class Geometry:
                              and layer < self.cfg.n_layers - 1))
         return self.steps if feeds_product else 1
 
-    def layout(self, packing: str, shape: tuple[int, int],
-               steps: int = 1) -> Layout:
-        """A `packing` matrix of `shape`; column blocks are one sequence
-        long."""
-        block = self.cfg.seq_len if packing == COLBLOCKS else 0
-        return Layout(packing, *shape, block, steps)
-
     @property
     def input_layout(self) -> Layout:
         """The client's encrypted one-hot input, which the first product
         reads."""
-        return self.layout(COLBLOCKS, (self.cfg.seq_len, self.cfg.vocab),
-                           self.steps)
+        return Layout(COLBLOCKS, self.cfg.seq_len, self.cfg.vocab, self.steps)
 
     def stage_input(self, spec: StageSpec) -> Layout:
         """The masked input matrix a stage opens with."""
-        return self.layout(_STAGE_PACKING[spec.name][0],
-                           (spec.rows, spec.row_len))
+        return Layout(_STAGE_PACKING[spec.name][0], spec.rows, spec.row_len)
 
     def nbytes(self, layout: Layout) -> int:
         """Wire size of a matrix of `layout` under the session's ring."""
@@ -195,9 +187,8 @@ class Geometry:
 
     def stage_shares(self, layer: int, spec: StageSpec) -> list[Layout]:
         """The client's encrypted output share of each group of a stage."""
-        return [self.layout(_STAGE_PACKING[spec.name][1],
-                            (spec.rows, g.count // spec.rows),
-                            self.share_steps(layer, spec.name))
+        return [Layout(_STAGE_PACKING[spec.name][1], spec.rows,
+                       g.count // spec.rows, self.share_steps(layer, spec.name))
                 for g in spec.groups]
 
 
@@ -209,7 +200,9 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     so the widest column-block tensor of the pipeline fits one ciphertext
     row; the plaintext modulus is the smallest NTT-friendly prime giving the
     widest window its masking slack, and `session_params` picks the RNS
-    primes for it.  Column blocks follow `colblock_cols_per_ct`.
+    primes for it.  Every matrix, column blocks included, is blocked by
+    `helinear.rows_per_ct`: a column-block matrix is the rows packing of its
+    transpose, one block per column, `seq_len` slots long.
 
     The plain-weight products run baby-step giant-step with one
     session-wide g = ceil(sqrt(D_max)) baby steps, D_max the most diagonals
@@ -454,7 +447,11 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
     nbits = m * spec.count
     (bd,) = _recv(sp.conn, sp.tr, STAGE_OT_REQ, [-(-nbits // 8)])
     packed = np.frombuffer(bd, dtype=np.uint8)
-    dbits = np.unpackbits(packed)[:nbits]
+    dbits = np.unpackbits(packed)
+    if dbits[nbits:].any():
+        raise ProtocolError("stage-ot-req sets a pad bit past its "
+                            f"{nbits} derandomization bits")
+    dbits = dbits[:nbits]
     f_parts = []
     doff = 0
     for m0, m1 in ot_pairs:
@@ -612,6 +609,8 @@ def _client_stage(cp: _ClientParty, layer: int,
     bm, *gblobs = _recv(cp.conn, cp.tr, STAGE_OPEN,
                         [geom.nbytes(layout), *(8 * prod(sh) for sh in shapes)])
     garbled = [_words(blob, sh) for blob, sh in zip(gblobs, shapes)]
+    if any((cpair >= p).any() for cpair in garbled[2::3]):
+        raise ProtocolError("stage-open B2A correction word not reduced mod p")
     menc = encmatrix_from_bytes(bm, geom.params, layout)
     lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
     cshare = client_window_share(lanes, m)
@@ -659,7 +658,7 @@ def _client_stage(cp: _ClientParty, layer: int,
         if lay.packing == ROWS:
             se = pack_rows(cp.ev, mat)
         else:
-            se = pack_colblocks(cp.ev, mat, lay.block, steps=lay.steps)
+            se = pack_colblocks(cp.ev, mat, steps=lay.steps)
         parts.append(encmatrix_to_bytes(se))
     _send(cp.conn, cp.tr, STAGE_SHARE, *parts)
     cp.tr.add_gc_bytes(gc_bytes)
@@ -728,7 +727,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
 
     onehot = np.zeros((L, vocab), dtype=np.uint64)
     onehot[np.arange(L), toks] = 1
-    x_cb = pack_colblocks(ev, onehot, L, steps=geom.steps)
+    x_cb = pack_colblocks(ev, onehot, steps=geom.input_layout.steps)
     _send(conn, tr, CLIENT_SETUP, le64(seed_msgs), u_cols.tobytes(),
           encmatrix_to_bytes(x_cb))
 

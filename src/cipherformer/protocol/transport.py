@@ -2,8 +2,9 @@
 
 Both transports expose the same two calls (`send`, `recv_exact`), so the
 session code is transport-blind: an in-memory queue pair for tests and
-single-process runs, and TCP sockets for the command line.  `run_pair`
-drives the two parties on threads and re-raises whichever side failed.
+single-process runs, and TCP sockets (`tcp_listen`, `tcp_accept`,
+`tcp_dial`) for parties in separate processes.  `run_pair` drives the two
+parties on threads and re-raises whichever side failed.
 """
 
 from __future__ import annotations

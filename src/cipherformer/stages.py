@@ -70,16 +70,13 @@ class StageSpec:
     The stage input is a `rows` x `row_len` matrix; each group is a column
     slice of it, `g.count // rows` wide, in group order, and leaves the stage
     as its own `rows`-row tensor.  Affine stages run one circuit instance per
-    lane; row-divide stages run one instance per row.  `scale_in`/`scale_out`
-    are the fraction bits carried by the integers entering and leaving.
+    lane; row-divide stages run one instance per row.
     """
     name: str
     kind: str           # "affine" | "rowdiv"
     m: int              # reconstruction window width
     shift: int          # arithmetic right shift after reconstruction
     keep: int           # output word width (two's complement)
-    scale_in: int
-    scale_out: int
     rows: int           # rows of the input matrix
     groups: tuple[StageGroup, ...]
     frac: int = 0       # rowdiv: quotient fraction bits
@@ -107,11 +104,6 @@ class StageSpec:
 class StagePlan:
     mode: str
     seq_len: int
-    dim: int
-    ff_dim: int
-    n_layers: int
-    w: int
-    f: int
     act_w: int
     act_f: int
     encoders: tuple[tuple[StageSpec, ...], ...]
@@ -167,8 +159,7 @@ def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
         qkv_relu = mode != "baseline"  # linearised attention relus Q and K
         stages = [StageSpec(
             name="qkv_rescale", kind="affine", m=b_in + 2,
-            shift=s_in - act_f, keep=act_w, scale_in=s_in, scale_out=act_f,
-            rows=L,
+            shift=s_in - act_f, keep=act_w, rows=L,
             groups=(StageGroup("q", L * d, qkv_relu),
                     StageGroup("k", L * d, qkv_relu),
                     StageGroup("v", L * d, False)))]
@@ -176,35 +167,33 @@ def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
             b_sc = 2 * a + _clg(d)
             stages.append(StageSpec(
                 name="attn_weights", kind="rowdiv", m=b_sc + 2,
-                shift=act_f, keep=act_f + 1, scale_in=2 * act_f,
-                scale_out=act_f, frac=act_f, rows=L,
+                shift=act_f, keep=act_f + 1, frac=act_f, rows=L,
                 groups=(StageGroup("scores", L * L),)))
             b_av = act_f + a + _clg(L)  # weights are unsigned < 2^act_f
         else:
             b_z = 2 * a + _clg(L)
             stages.append(StageSpec(
                 name="attn_inner", kind="affine", m=b_z + 2,
-                shift=act_f, keep=act_w, scale_in=2 * act_f,
-                scale_out=act_f, rows=d, groups=(StageGroup("kv", d * d),)))
+                shift=act_f, keep=act_w, rows=d,
+                groups=(StageGroup("kv", d * d),)))
             b_av = 2 * a + _clg(d)
         stages.append(StageSpec(
             name="attn_rescale", kind="affine", m=b_av + 2,
-            shift=act_f, keep=act_w, scale_in=2 * act_f, scale_out=act_f,
-            rows=L, groups=(StageGroup("attn_out", L * d),)))
+            shift=act_f, keep=act_w, rows=L,
+            groups=(StageGroup("attn_out", L * d),)))
         b_ff1 = a + (w - 1) + _clg(d)
         stages.append(StageSpec(
             name="ff_hidden", kind="affine", m=b_ff1 + 2,
-            shift=f, keep=act_w, scale_in=act_f + f, scale_out=act_f,
-            rows=L, groups=(StageGroup("hidden", L * ff, True),)))
+            shift=f, keep=act_w, rows=L,
+            groups=(StageGroup("hidden", L * ff, True),)))
         b_ff2 = a + (w - 1) + _clg(ff)
         stages.append(StageSpec(
             name="ff_out", kind="affine", m=b_ff2 + 2,
-            shift=f, keep=act_w, scale_in=act_f + f, scale_out=act_f,
-            rows=L, groups=(StageGroup("ff_out", L * d),)))
+            shift=f, keep=act_w, rows=L,
+            groups=(StageGroup("ff_out", L * d),)))
         encoders.append(tuple(stages))
 
-    plan = StagePlan(mode=mode, seq_len=L, dim=d, ff_dim=ff,
-                     n_layers=n_layers, w=w, f=f, act_w=act_w, act_f=act_f,
+    plan = StagePlan(mode=mode, seq_len=L, act_w=act_w, act_f=act_f,
                      encoders=tuple(encoders))
     for enc in plan.encoders:
         for s in enc:

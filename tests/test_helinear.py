@@ -16,9 +16,13 @@ from cipherformer.helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix,
                                    ctmm_client_round, ctmm_reply_count,
                                    ctmm_server_finalize, ctmm_server_mask,
                                    decrypt_matrix, encmatrix_from_bytes,
-                                   encmatrix_to_bytes, matmul_mod,
-                                   pack_colblocks, pack_rows, rows_per_ct)
+                                   encmatrix_to_bytes, layout_vectors,
+                                   matmul_mod, pack_colblocks, pack_rows,
+                                   rows_per_ct)
+from cipherformer.model import ModelConfig
 from cipherformer.primes import next_prime
+from cipherformer.protocol import session_geometry
+from cipherformer.stages import MODES
 
 
 P20 = next_prime(1 << 20, congruent=(1, 2048))
@@ -36,7 +40,7 @@ def setup():
 
 @pytest.fixture(scope="module")
 def small():
-    """A 64-slot ring (32 per row): blocks of 8 slots fit 4 columns to a
+    """A 64-slot ring (32 per row): columns of 8 rows fit 4 to a
     ciphertext, so wider matrices spill column blocks across ciphertexts."""
     par = pahe.session_params(P20, 64)
     amounts = set(colblock_rotation_amounts(par, 4, 8, 16, 1))
@@ -108,18 +112,80 @@ def test_pack_colblocks_roundtrip(setup, small):
     par, keys, ev, _ = setup
     rng = np.random.default_rng(102)
     M = _rand(rng, 8, 16, par.p)
-    enc = pack_colblocks(ev, M, block=8)
-    assert enc.layout == Layout(COLBLOCKS, 8, 16, 8)
+    enc = pack_colblocks(ev, M)
+    assert enc.layout == Layout(COLBLOCKS, 8, 16)
     assert len(enc.cts) == 1 and colblock_cols_per_ct(par, 16, 8) == 16
     assert np.array_equal(decrypt_matrix(keys, enc), M)
     spar, skeys, sev = small
-    enc2 = pack_colblocks(sev, M, block=8)
+    enc2 = pack_colblocks(sev, M)
     assert len(enc2.cts) == 4 and colblock_cols_per_ct(spar, 16, 8) == 4
     assert np.array_equal(decrypt_matrix(skeys, enc2), M)
-    with pytest.raises(ParameterError):
-        pack_colblocks(ev, M, block=4)  # block shorter than the columns
-    with pytest.raises(ParameterError):
-        pack_colblocks(sev, M, block=64)  # block longer than a ring row
+    for steps in (1, 3):  # several ciphertexts per copy, like the old map
+        assert np.array_equal(
+            layout_vectors(spar, Layout(COLBLOCKS, 8, 16, steps), M),
+            _colblock_vectors(M, 8, 4, spar.row_size, steps))
+    # a column taller than a ring row
+    with pytest.raises(ParameterError, match="row capacity is 32"):
+        pack_colblocks(sev, _rand(rng, 33, 2, spar.p))
+
+
+# the column-block slot map as it stood when column blocks had a block
+# length of their own: the reference the rows packing of the transpose must
+# reproduce with block = rows
+def _colblock_vectors(M: np.ndarray, block: int, cols_per_ct: int,
+                      width: int, steps: int) -> np.ndarray:
+    """Ring-row slot vectors of a colblocks layout, one per row, copy-major:
+    slot j*block + i of vector g holds M[i, g*cols_per_ct + j], and copy t
+    is every vector rotated left by t blocks."""
+    r, c = M.shape
+    G = -(-c // cols_per_ct)
+    blocks = np.zeros((G * cols_per_ct, block), dtype=np.uint64)
+    blocks[:c, :r] = M.T
+    base = np.zeros((G, width), dtype=np.uint64)
+    base[:, :cols_per_ct * block] = blocks.reshape(G, -1)
+    return np.concatenate([np.roll(base, -t * block, axis=1)
+                           for t in range(steps)])
+
+
+def _session_colblock_layouts(geom):
+    """Every column-block layout a session of `geom` sends: the input, the
+    stage inputs and the stage shares with their copies."""
+    lays = [geom.input_layout]
+    for e, enc in enumerate(geom.plan.encoders):
+        for spec in enc:
+            lays += [geom.stage_input(spec), *geom.stage_shares(e, spec)]
+    return {lay for lay in lays if lay.packing == COLBLOCKS}
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8,
+                             n_layers=1, n_classes=2), id="tiny"),
+    pytest.param(ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8,
+                             n_layers=2, n_classes=2), id="tiny-two-layer"),
+    pytest.param(ModelConfig(vocab=8, seq_len=16, dim=4, ff_dim=8,
+                             n_layers=1, n_classes=2), id="gc-l16"),
+    pytest.param(ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32,
+                             n_layers=2, n_classes=2), id="he-small"),
+])
+def test_colblocks_are_the_old_block_slot_map(cfg):
+    """For every column-block layout a session names, in every mode, the
+    rows packing of the transpose puts each entry, copies included, where
+    the block slot map with block = rows put it, with the same count."""
+    rng = np.random.default_rng(107)
+    for mode in MODES:
+        geom = session_geometry(cfg, mode)
+        par = geom.params
+        lays = _session_colblock_layouts(geom)
+        assert geom.input_layout in lays
+        assert any(lay.steps == geom.steps > 1 for lay in lays)
+        for lay in lays:
+            M = _rand(rng, lay.rows, lay.cols, par.p)
+            cpc = min(lay.cols, par.row_size // lay.rows)
+            want = _colblock_vectors(M, lay.rows, cpc, par.row_size,
+                                     lay.steps)
+            got = layout_vectors(par, lay, M)
+            assert np.array_equal(got, want), (mode, lay)
+            assert lay.ct_count(par) == len(want)
 
 
 def test_add_offset_layouts(setup, small):
@@ -129,7 +195,7 @@ def test_add_offset_layouts(setup, small):
     M = _rand(rng, 4, 6, par.p)
     off = _rand(rng, 4, 6, par.p)
     for ev_, keys_, enc in ((ev, keys, pack_rows(ev, M)),
-                            (sev, skeys, pack_colblocks(sev, M, block=8))):
+                            (sev, skeys, pack_colblocks(sev, M))):
         out = add_offset(ev_, enc, off)
         want = (M.astype(object) + off) % par.p
         assert np.array_equal(decrypt_matrix(keys_, out).astype(object), want)
@@ -150,16 +216,16 @@ def test_colblock_matmul_matches_plain(setup, small):
     W = _rand(rng, 4, 16, P20)
     # one output ciphertext on the wide ring, four on the small one
     for (par, keys, ev, *_), n_out in ((setup, 1), (small, 4)):
-        enc = pack_colblocks(ev, X, block=8)
+        enc = pack_colblocks(ev, X)
         out = colblock_matmul(ev, enc, W)
-        assert out.layout == Layout(COLBLOCKS, 8, 16, 8)
+        assert out.layout == Layout(COLBLOCKS, 8, 16)
         assert len(out.cts) == n_out
         got = decrypt_matrix(keys, out)
         assert np.array_equal(got, matmul_mod(X, W, par.p))
     par, keys, ev = small
     W = W[:, :8].copy()
     W[:, 4:] = 0  # the second output group has no weights at all
-    out = colblock_matmul(ev, pack_colblocks(ev, X, block=8), W)
+    out = colblock_matmul(ev, pack_colblocks(ev, X), W)
     assert len(out.cts) == 2
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, W, par.p))
 
@@ -167,17 +233,17 @@ def test_colblock_matmul_matches_plain(setup, small):
 def test_colblock_matmul_multi_ct_input(small):
     par, keys, ev = small
     rng = np.random.default_rng(105)
-    X = _rand(rng, 4, 8, par.p)
+    X = _rand(rng, 8, 8, par.p)
     W = _rand(rng, 8, 3, par.p)
-    enc = pack_colblocks(ev, X, block=8)
+    enc = pack_colblocks(ev, X)
     assert len(enc.cts) == 2
     out = colblock_matmul(ev, enc, W)
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, W, par.p))
 
 
-def _bsgs_steps(par, in_cols, block, out_cols):
+def _bsgs_steps(par, in_cols, rows, out_cols):
     """1, 2, ceil(sqrt(D)) and D baby steps, D the product's diagonals."""
-    D = colblock_diagonals(par, in_cols, block, out_cols)
+    D = colblock_diagonals(par, in_cols, rows, out_cols)
     return sorted({1, 2, isqrt(D - 1) + 1, D})
 
 
@@ -187,8 +253,8 @@ def _bsgs_steps(par, in_cols, block, out_cols):
     (20, 20),   # both: D = 31 exceeds the 16 blocks of a ring row
 ])
 def test_colblock_matmul_baby_steps(small, in_cols, out_cols):
-    """Baby-step giant-step products on the 32-slot ring with blocks of 2
-    (16 to a ring row): for every copy count the product equals the plain
+    """Baby-step giant-step products on the 32-slot ring with columns of 2
+    rows (16 to a ring row): for every copy count the product equals the plain
     one, with a key set of exactly the giant-step amounts, one key switch
     per giant step and ciphertext pair, and the server's offset landing on
     every copy."""
@@ -205,7 +271,7 @@ def test_colblock_matmul_baby_steps(small, in_cols, out_cols):
         amounts = colblock_rotation_amounts(par, in_cols, 2, out_cols, steps)
         keys = pahe.keygen(par, seed=13, rotations=amounts)
         ev = pahe.Evaluator(keys, seed=8)
-        enc = pack_colblocks(ev, X, block=2, steps=steps)
+        enc = pack_colblocks(ev, X, steps=steps)
         G = -(-in_cols // colblock_cols_per_ct(par, in_cols, 2))
         assert enc.layout.steps == steps and len(enc.cts) == steps * G
         for t in range(steps):  # copy t is the ring row rotated by t blocks
@@ -214,7 +280,7 @@ def test_colblock_matmul_baby_steps(small, in_cols, out_cols):
                 np.roll(keys.decrypt_many(enc.cts[:G])[:, :par.row_size],
                         -2 * t, axis=1))
         out = colblock_matmul(ev, add_offset(ev, enc, off), W)
-        assert out.layout == Layout(COLBLOCKS, 2, out_cols, 2)
+        assert out.layout == Layout(COLBLOCKS, 2, out_cols)
         assert np.array_equal(decrypt_matrix(keys, out), want), steps
         assert len(out.cts) == -(-out_cols // colblock_cols_per_ct(
             par, out_cols, 2))
@@ -227,7 +293,7 @@ def test_colblock_matmul_baby_steps(small, in_cols, out_cols):
                     for nout in outs)
         assert ev.counters["keyswitch"] == giant
     with pytest.raises(ParameterError, match="do not fit"):
-        pack_colblocks(ev, X, block=2, steps=cap + 1)
+        pack_colblocks(ev, X, steps=cap + 1)
 
 
 # ----------------------------------------------------------------------------
@@ -292,7 +358,7 @@ def _run_ctmm(setup, r, k, c, seed, pack_x="rows", pack_y="rows",
     def pack(ev_, M, how):
         if how == "rows":
             return pack_rows(ev_, M)
-        return pack_colblocks(ev_, M, block=8)
+        return pack_colblocks(ev_, M)
 
     enc_x = pack(ev, stored_x, pack_x)
     enc_y = pack(ev, stored_y, pack_y)
@@ -441,13 +507,13 @@ def test_encmatrix_wire_roundtrip(setup, small):
     par, keys, ev, _ = setup
     spar, skeys, sev = small
     rng = np.random.default_rng(500)
-    M = _rand(rng, 3, 5, par.p)
+    M = _rand(rng, 8, 5, par.p)
+    # columns of 8 rows fit 4 to a 32-slot row: two ciphertexts per copy
     for params, keys_, enc, layout in (
-            (par, keys, pack_rows(ev, M), Layout(ROWS, 3, 5)),
-            (spar, skeys, pack_colblocks(sev, M, block=8),
-             Layout(COLBLOCKS, 3, 5, 8)),
-            (spar, skeys, pack_colblocks(sev, M, block=8, steps=3),
-             Layout(COLBLOCKS, 3, 5, 8, 3))):
+            (par, keys, pack_rows(ev, M), Layout(ROWS, 8, 5)),
+            (spar, skeys, pack_colblocks(sev, M), Layout(COLBLOCKS, 8, 5)),
+            (spar, skeys, pack_colblocks(sev, M, steps=3),
+             Layout(COLBLOCKS, 8, 5, 3))):
         blob = encmatrix_to_bytes(enc)
         assert len(blob) == len(enc.cts) * pahe.ct_nbytes(params)
         assert layout.ct_count(params) == len(enc.cts)
@@ -456,16 +522,16 @@ def test_encmatrix_wire_roundtrip(setup, small):
         assert np.array_equal(decrypt_matrix(keys_, back), M)
     blob = encmatrix_to_bytes(pack_rows(ev, M))
     with pytest.raises(ProtocolError):
-        encmatrix_from_bytes(blob[:10], par, Layout(ROWS, 3, 5))
+        encmatrix_from_bytes(blob[:10], par, Layout(ROWS, 8, 5))
     with pytest.raises(ProtocolError):
-        encmatrix_from_bytes(blob + b"x", par, Layout(ROWS, 3, 5))
+        encmatrix_from_bytes(blob + b"x", par, Layout(ROWS, 8, 5))
 
 
 def test_encmatrix_layout_must_match_payload(setup, small):
     """A payload is refused unless it holds exactly the ciphertexts of the
     layout it is decoded against, before anything is decrypted: more rows
-    than were sent, rows that fit fewer ciphertexts, and column blocks
-    under another width or block length."""
+    than were sent, rows that fit fewer ciphertexts, and column blocks of
+    another width or height."""
     par, keys, ev, _ = setup
     spar, skeys, sev = small
     rng = np.random.default_rng(501)
@@ -477,13 +543,13 @@ def test_encmatrix_layout_must_match_payload(setup, small):
     rows = encmatrix_to_bytes(pack_rows(sev, _rand(rng, 2, 32, spar.p)))
     with pytest.raises(ProtocolError, match="rows matrix of 2x16 needs 1"):
         encmatrix_from_bytes(rows, spar, Layout(ROWS, 2, 16))
-    # 8 columns in blocks of 8, four to a ciphertext: two ciphertexts
-    blocks = encmatrix_to_bytes(pack_colblocks(sev, _rand(rng, 8, 8, spar.p),
-                                               block=8))
-    for cols, block in ((4, 8), (8, 4)):
+    # 8 columns of 8 rows, four to a ciphertext: two ciphertexts; 4 columns
+    # of 8 rows, or 8 of 4, fit one
+    blocks = encmatrix_to_bytes(pack_colblocks(sev, _rand(rng, 8, 8, spar.p)))
+    for rows, cols in ((8, 4), (4, 8)):
         with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
             encmatrix_from_bytes(blocks, spar,
-                                 Layout(COLBLOCKS, 8, cols, block))
+                                 Layout(COLBLOCKS, rows, cols))
 
 
 def test_encmatrix_copy_count_must_fit(small):
@@ -492,12 +558,12 @@ def test_encmatrix_copy_count_must_fit(small):
     spar, skeys, sev = small
     rng = np.random.default_rng(502)
     M = _rand(rng, 8, 3, spar.p)
-    blob = encmatrix_to_bytes(pack_colblocks(sev, M, block=8, steps=4))
-    back = encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, 8, 4))
+    blob = encmatrix_to_bytes(pack_colblocks(sev, M, steps=4))
+    back = encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, 4))
     assert back.layout.steps == 4 and len(back.cts) == 4
     assert np.array_equal(decrypt_matrix(skeys, back), M)
     for steps in (1, 3, 5):
         with pytest.raises(ProtocolError, match=f"needs {steps} ciphertexts"):
-            encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, 8, steps))
+            encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, steps))
     with pytest.raises(ProtocolError, match="rows matrix of 8x3 needs 1"):
         encmatrix_from_bytes(blob, spar, Layout(ROWS, 8, 3))

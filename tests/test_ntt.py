@@ -6,10 +6,10 @@ import pytest
 from cipherformer.errors import ParameterError
 from cipherformer.model import ModelConfig
 from cipherformer.ntt import (
-    _bitrev_indices,
     _bitrev_powers,
     _mulhi,
     addmod,
+    bitrev_indices,
     get_stacked,
     mulmod_shoup,
     mulmod_vec,
@@ -18,6 +18,7 @@ from cipherformer.ntt import (
     shoup,
     submod,
 )
+from cipherformer.pahe import get_slotmap
 from cipherformer.primes import next_prime
 from cipherformer.protocol.session import session_geometry
 
@@ -67,7 +68,7 @@ class _ReferenceNtt:
     def __init__(self, primes, n):
         ctx = get_stacked(primes, n)
         self.n, self.k = n, len(primes)
-        rev = _bitrev_indices(n)
+        rev = bitrev_indices(n)
 
         def tables(roots):
             w = np.stack([_bitrev_powers(r, p, rev)
@@ -249,16 +250,39 @@ def test_negacyclic_wraparound_sign():
     assert np.array_equal(sq, want)
 
 
+def eval_exponents(ctx) -> np.ndarray:
+    """exps[j] = e such that ctx.forward(a)[j] == a(psi^e), by a discrete
+    log of the transform of the monomial X over the 2n-th roots of the
+    first prime: the reference for the slot map's closed form."""
+    p, psi, n = ctx.primes[0], ctx.psi[0], ctx.n
+    x = np.zeros((ctx.k, n), dtype=np.uint64)
+    x[:, 1] = 1  # the monomial X evaluates to the point itself
+    points = ctx.forward(x)[0]
+    dlog, acc = {}, 1
+    for j in range(2 * n):
+        dlog[acc] = j
+        acc = acc * psi % p
+    return np.array([dlog[int(v)] for v in points], dtype=np.int64)
+
+
 def test_eval_exponents_are_odd_unique_and_prime_independent():
+    """The forward transform leaves a(psi^(2 bitrev(j) + 1)) at position j
+    on every prime, the closed form `pahe.SlotMap` uses."""
+    for n in (16, 64, 512, 1024):
+        p1 = next_prime(1 << 20, congruent=(1, 2 * n))
+        p2 = next_prime(1 << 21, congruent=(1, 2 * n))
+        e1 = eval_exponents(get_stacked((p1,), n))
+        e2 = eval_exponents(get_stacked((p2,), n))
+        assert np.array_equal(e1, e2)  # ordering depends only on n
+        assert np.all(e1 % 2 == 1)
+        assert len(set(e1.tolist())) == n
+        assert np.array_equal(e1, 2 * bitrev_indices(n) + 1)
+        assert np.array_equal(get_slotmap(n).exps, e1)
+    # spot-check: forward really evaluates at psi^exps, on every prime row
     n = 64
     p1 = next_prime(1 << 20, congruent=(1, 2048))
     p2 = next_prime(1 << 21, congruent=(1, 2048))
-    e1 = get_stacked((p1,), n).eval_exponents
-    e2 = get_stacked((p2,), n).eval_exponents
-    assert np.array_equal(e1, e2)  # ordering depends only on n
-    assert np.all(e1 % 2 == 1)
-    assert len(set(e1.tolist())) == n
-    # spot-check: forward really evaluates at psi^exps, on every prime row
+    e1 = get_slotmap(n).exps
     ctx = get_stacked((p1, p2), n)
     rng = random.Random(7)
     a = [rng.randrange(p1) for _ in range(n)]

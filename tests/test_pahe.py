@@ -16,6 +16,7 @@ from cipherformer.ntt import addmod, get_stacked, mulmod_vec
 from cipherformer.primes import next_prime
 from cipherformer.protocol import (HELLO, memory_pair, read_frame, session,
                                    session_geometry, write_frame)
+from test_ntt import eval_exponents
 
 P20 = next_prime(1 << 20, congruent=(1, 2048))
 
@@ -111,13 +112,12 @@ class TestParams:
         assert np.array_equal(got.astype(object), (vs.astype(object) + ws) % p)
 
     def test_slot_exponents_prime_independent(self):
-        # The slot map is built once from a probe prime; every RNS prime's
-        # transform must place evaluation points at the same exponents.
+        # The slot map's closed form holds for every RNS prime's transform
+        # and the plaintext prime's alike.
         par = pahe.session_params(P20, 256)
-        probe_exps = par.slots().exps
         for q in par.q_primes + (par.p,):
-            assert np.array_equal(get_stacked((q,), par.n).eval_exponents,
-                                  probe_exps)
+            assert np.array_equal(eval_exponents(get_stacked((q,), par.n)),
+                                  par.slots().exps)
 
 
 class TestRoundTrip:
@@ -586,9 +586,9 @@ class TestWireFormat:
         elif decoder == "encmatrix":
             # column blocks with three baby-step copies
             M = rng.integers(0, par.p, (2, 5), dtype=np.uint64)
-            blob = encmatrix_to_bytes(pack_colblocks(ev, M, 8, steps=3))
+            blob = encmatrix_to_bytes(pack_colblocks(ev, M, steps=3))
             parse = lambda data, par_: encmatrix_from_bytes(  # noqa: E731
-                data, par_, Layout(COLBLOCKS, 2, 5, 8, 3))
+                data, par_, Layout(COLBLOCKS, 2, 5, 3))
         elif decoder == "reply_list":
             # a product reply with k = 1: the product and one term of each
             # factor, one batch of three ciphertexts

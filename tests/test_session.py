@@ -19,7 +19,7 @@ import pytest
 
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.gc.ot import LAMBDA, POINT_BYTES
-from cipherformer.helinear import (COLBLOCKS, colblock_matmul,
+from cipherformer.helinear import (COLBLOCKS, Layout, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
                                    encmatrix_to_bytes, matmul_mod,
                                    pack_colblocks, rows_per_ct)
@@ -27,7 +27,8 @@ from cipherformer.model import ModelConfig, forward_fixed, gen_random
 from cipherformer.pahe import Evaluator, ct_nbytes, keygen
 from cipherformer.protocol import (ACCEPT, FRAME_NAMES, HELLO, LOGITS,
                                    MM_OPEN, MM_REPLY, OT_BASE, STAGE_OPEN,
-                                   STAGE_OT_RESP, STAGE_SHARE, SocketConn,
+                                   STAGE_OT_REQ, STAGE_OT_RESP, STAGE_SHARE,
+                                   SocketConn,
                                    memory_pair, private_inference, run_client,
                                    run_pair, run_server, session,
                                    session_geometry, tcp_accept, tcp_dial,
@@ -317,6 +318,48 @@ def test_client_refuses_product_factor_off_the_plan(weights, monkeypatch):
     assert isinstance(client_err, ProtocolError)
     assert (f"mm-open frame of {3 * CT_BYTES} bytes, the plan's has "
             f"{2 * CT_BYTES}") in str(client_err)
+    assert isinstance(server_err, ProtocolError)
+
+
+def test_server_refuses_a_set_pad_bit_in_the_ot_request():
+    """The derandomization bits of a stage fill their last byte only in
+    part: the first request of this shape carries 43 x 27 = 1,161 bits, so
+    7 pad bits.  A client that sets one is refused, though the bits the
+    server reads are the honest ones."""
+    cfg = ModelConfig(vocab=5, seq_len=3, dim=3, ff_dim=5, n_layers=1,
+                      n_classes=2)
+    spec = session_geometry(cfg, "opt1").plan.stage(0, "qkv_rescale")
+    assert spec.m * spec.count == 1161
+    wts = gen_random(cfg, 7, scale=0.25)
+
+    def last_pad_bit(blob: bytearray):
+        blob[-1] |= 1
+
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(conn, cfg, wts, "opt1", seed=11)),
+        _caught(lambda conn: run_client(
+            _EditFirstFrame(conn, STAGE_OT_REQ, last_pad_bit),
+            [1, 4, 0], seed=12)))
+    assert isinstance(server_err, ProtocolError)
+    assert "pad bit" in str(server_err)
+    assert isinstance(client_err, ProtocolError)
+
+
+def test_client_refuses_a_correction_word_past_p(weights):
+    """The last B2A correction word of the first stage-open frame arrives
+    as itself plus p, which would fold to the same share; the client
+    refuses it as not reduced before it evaluates anything."""
+    def plus_p(blob: bytearray):
+        (word,) = struct.unpack("<Q", blob)
+        struct.pack_into("<Q", blob, 0, word + PARAMS.p)
+
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(
+            _EditFirstFrame(conn, STAGE_OPEN, plus_p, slice(-8, None)), CFG,
+            weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
+    assert isinstance(client_err, ProtocolError)
+    assert "correction word not reduced" in str(client_err)
     assert isinstance(server_err, ProtocolError)
 
 
@@ -679,7 +722,7 @@ def test_geometry_rotation_keys_are_exactly_the_products_use(cfg, steps,
     for d_in, d_out in geom.products:
         X = rng.integers(0, geom.p, (L, d_in), dtype=np.uint64)
         W = rng.integers(1, geom.p, (d_in, d_out), dtype=np.uint64)
-        out = colblock_matmul(ev, pack_colblocks(ev, X, L, steps=geom.steps), W)
+        out = colblock_matmul(ev, pack_colblocks(ev, X, steps=geom.steps), W)
         assert np.array_equal(decrypt_matrix(km, out), matmul_mod(X, W, geom.p))
     assert used - {0} == set(geom.rotations)
 
@@ -693,14 +736,13 @@ def test_geometry_check_compares_copies():
     km = keygen(geom.params, seed=3)
     ev = Evaluator(km, seed=4)
     X = np.zeros((CFG.seq_len, CFG.dim), dtype=np.uint64)
-    one = encmatrix_to_bytes(pack_colblocks(ev, X, CFG.seq_len))
-    many = encmatrix_to_bytes(pack_colblocks(ev, X, CFG.seq_len,
-                                             steps=geom.steps))
+    one = encmatrix_to_bytes(pack_colblocks(ev, X))
+    many = encmatrix_to_bytes(pack_colblocks(ev, X, steps=geom.steps))
     shape = (CFG.seq_len, CFG.dim)
     (share,) = geom.stage_shares(0, geom.plan.stage(0, "attn_rescale"))
     stage_in = geom.stage_input(geom.plan.stage(0, "ff_out"))
-    assert share == geom.layout(COLBLOCKS, shape, geom.steps)
-    assert stage_in == geom.layout(COLBLOCKS, shape)
+    assert share == Layout(COLBLOCKS, *shape, geom.steps)
+    assert stage_in == Layout(COLBLOCKS, *shape)
     assert encmatrix_from_bytes(many, geom.params, share).layout == share
     assert encmatrix_from_bytes(one, geom.params, stage_in).layout == stage_in
     with pytest.raises(ProtocolError, match="needs 5 ciphertexts"):
