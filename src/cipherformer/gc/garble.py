@@ -92,10 +92,6 @@ class GarbledCircuit:
     def instances(self) -> int:
         return self.delta.shape[0]
 
-    @property
-    def tables_bytes(self) -> int:
-        return self.tables.size * 8
-
     def garbler_labels(self, bits: np.ndarray) -> np.ndarray:
         """Active labels for the garbler's own inputs plus the two constant
         wires; bits is (E, n_gin).  Returns (n_gin + 2, E, 2)."""

@@ -8,10 +8,9 @@ activation width (`act_w`/`act_f`), which equals the weight width except in
 the narrowed mode.
 
 `forward_fixed` is the bit-exact reference for the private pipeline: it
-applies the same stage plan (shift / saturate / relu / row-divide) via the
-plain oracles, so a correct protocol run must reproduce its logits integer
-for integer.  `forward_float` is the analogue in real arithmetic, useful for
-judging how much the quantisation itself costs.
+walks the session's stage plan, products and all, through the plain oracles,
+so a correct protocol run must reproduce its logits integer for integer.
+`forward_float` walks it in real arithmetic, to judge what quantising costs.
 
 Three attention modes:
 
@@ -40,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .stages import (MODES, StagePlan, affine_stage_oracle, build_stage_plan,
-                     rowdiv_stage_oracle)
+from .stages import (StagePlan, StageSpec, affine_stage_oracle,
+                     build_stage_plan, rowdiv_stage_oracle)
 
 
 @dataclass(frozen=True)
@@ -151,12 +150,29 @@ def gen_random(cfg: ModelConfig, seed: int, scale: float = 1.0) -> Weights:
     return Weights(emb, pos, tuple(layers), cls)
 
 
-def value_projection(wv: np.ndarray, dim: int, mode: str) -> np.ndarray:
+def _value_divisor(dim: int, mode: str) -> float:
     """Linearised modes fold 1/sqrt(dim) into the value projection; the
     row-normalised baseline is invariant to score scaling and skips it."""
-    if mode == "baseline":
-        return np.asarray(wv, dtype=np.int64)
-    return np.rint(wv / math.sqrt(dim)).astype(np.int64)
+    return 1.0 if mode == "baseline" else math.sqrt(dim)
+
+
+def value_projection(wv: np.ndarray, dim: int, mode: str) -> np.ndarray:
+    return np.rint(wv / _value_divisor(dim, mode)).astype(np.int64)
+
+
+def layer_weights(cfg: ModelConfig, weights: Weights, mode: str,
+                  layer: int) -> tuple[dict, dict]:
+    """The weights a layer's products read, by their names in the plan, and
+    the tables added to a product's output, by its weight's name.  Layer
+    one reads the one-hot tokens: its `wqkv` is `folded_first_layer`'s
+    token table, and the position table is added to that product."""
+    lw = weights.layers[layer]
+    wqkv = np.hstack([lw.wq, lw.wk, value_projection(lw.wv, cfg.dim, mode)])
+    mats = {"wqkv": wqkv, "ff1": lw.ff1, "ff2": lw.ff2}
+    if layer > 0:
+        return mats, {}
+    mats["wqkv"] = weights.embedding.astype(np.int64) @ wqkv
+    return mats, {"wqkv": weights.positional.astype(np.int64) @ wqkv}
 
 
 def folded_first_layer(cfg: ModelConfig, weights: Weights, mode: str) \
@@ -166,11 +182,8 @@ def folded_first_layer(cfg: ModelConfig, weights: Weights, mode: str) \
     token_table[t] = embedding[t] @ [wq | wk | wv'] and position_table the
     same for positions, both at fraction 2f, so layer one's QKV values are a
     table lookup plus a constant -- one multiplicative level."""
-    lw = weights.layers[0]
-    wqkv = np.hstack([lw.wq, lw.wk, value_projection(lw.wv, cfg.dim, mode)])
-    ew = weights.embedding.astype(np.int64) @ wqkv
-    pw = weights.positional.astype(np.int64) @ wqkv
-    return ew, pw
+    mats, offsets = layer_weights(cfg, weights, mode, 0)
+    return mats["wqkv"], offsets["wqkv"]
 
 
 # ----------------------------------------------------------------------------
@@ -193,61 +206,37 @@ def _check_tokens(cfg: ModelConfig, tokens) -> np.ndarray:
     return t
 
 
-def _window_check(raw: np.ndarray, spec):
+def _product(held: dict, spec: StageSpec) -> np.ndarray:
+    """The product feeding `spec`, over the tensors and weights `held`."""
+    left, right = held[spec.left], held[spec.right]
+    return ((left.T if spec.t_left else left)
+            @ (right.T if spec.t_right else right))
+
+
+def _stage_oracle(spec: StageSpec, raw: np.ndarray) -> list[np.ndarray]:
+    """One stage in the clear: its input matrix -> one tensor per group."""
     if np.abs(raw).max(initial=0) >= 1 << (spec.m - 1):
         raise ParameterError(
             f"stage {spec.name} overflowed its {spec.m}-bit window")
+    if spec.kind == "rowdiv":
+        return [rowdiv_stage_oracle(raw, spec.shift, spec.frac)]
+    return [affine_stage_oracle(part, spec.shift, spec.keep, g.relu)
+            for g, part in zip(spec.groups, spec.split(raw))]
 
 
-def forward_fixed(cfg: ModelConfig, weights: Weights, tokens, mode: str,
-                  plan: StagePlan | None = None) -> FixedForward:
-    """Bit-exact integer forward pass mirroring the staged pipeline."""
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
-    tokens = _check_tokens(cfg, tokens)
-    plan = plan or cfg.plan(mode)
-    d = cfg.dim
-    ew, pw = folded_first_layer(cfg, weights, mode)
-    x = None
+def forward_fixed(cfg: ModelConfig, weights: Weights, tokens,
+                  mode: str) -> FixedForward:
+    """Bit-exact integer forward pass: walks the session's stage plan,
+    each product in the clear and each stage through its plain oracle."""
+    plan = cfg.plan(mode)
+    held = {"x": np.eye(cfg.vocab, dtype=np.int64)[_check_tokens(cfg, tokens)]}
     for e, enc in enumerate(plan.encoders):
-        lw = weights.layers[e]
-        spec = plan.stage(e, "qkv_rescale")
-        if e == 0:
-            qkv_raw = ew[tokens] + pw
-        else:
-            wqkv = np.hstack([lw.wq, lw.wk,
-                              value_projection(lw.wv, d, mode)])
-            qkv_raw = x @ wqkv
-        _window_check(qkv_raw, spec)
-        parts = [affine_stage_oracle(qkv_raw[:, i * d:(i + 1) * d],
-                                     spec.shift, spec.keep, g.relu)
-                 for i, g in enumerate(spec.groups)]
-        q, k, v = parts
-        if mode == "baseline":
-            spec = plan.stage(e, "attn_weights")
-            scores = q @ k.T
-            _window_check(scores, spec)
-            wts = rowdiv_stage_oracle(scores, spec.shift, spec.frac)
-            spec = plan.stage(e, "attn_rescale")
-            raw = wts @ v
-        else:
-            spec = plan.stage(e, "attn_inner")
-            kv_raw = k.T @ v
-            _window_check(kv_raw, spec)
-            kv = affine_stage_oracle(kv_raw, spec.shift, spec.keep)
-            spec = plan.stage(e, "attn_rescale")
-            raw = q @ kv
-        _window_check(raw, spec)
-        attn = affine_stage_oracle(raw, spec.shift, spec.keep)
-        spec = plan.stage(e, "ff_hidden")
-        h_raw = attn @ lw.ff1
-        _window_check(h_raw, spec)
-        h = affine_stage_oracle(h_raw, spec.shift, spec.keep, relu=True)
-        spec = plan.stage(e, "ff_out")
-        o_raw = h @ lw.ff2
-        _window_check(o_raw, spec)
-        x = affine_stage_oracle(o_raw, spec.shift, spec.keep)
-    logits = x.sum(axis=0) @ weights.classifier  # 1/seq_len sits in the rows
+        mats, offsets = layer_weights(cfg, weights, mode, e)
+        held.update(mats)
+        for spec in enc:
+            raw = _product(held, spec) + offsets.get(spec.right, 0)
+            held.update(zip(spec.tags, _stage_oracle(spec, raw)))
+    logits = held["x"].sum(axis=0) @ weights.classifier  # 1/seq_len in rows
     return FixedForward(logits=logits, scale=plan.act_f + cfg.f,
                         label=int(np.argmax(logits)))
 
@@ -261,22 +250,21 @@ def softmax_sim_float(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def forward_float(cfg: ModelConfig, weights: Weights, tokens,
                   mode: str) -> np.ndarray:
-    """Real-arithmetic analogue (no saturation, no rescale rounding)."""
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
-    tokens = _check_tokens(cfg, tokens)
+    """Real-arithmetic analogue (no saturation, no rescale rounding, no
+    folded tables) over the same plan: a stage only relus its relu groups,
+    and the row divide is `softmax_sim_float`."""
+    plan = cfg.plan(mode)
     unit = float(1 << cfg.f)
-    x = (weights.embedding[tokens] + weights.positional) / unit
-    for lw in weights.layers:
-        q = x @ (lw.wq / unit)
-        k = x @ (lw.wk / unit)
-        v = x @ (lw.wv / unit)
-        if mode == "baseline":
-            attn = softmax_sim_float(q @ k.T) @ v
-        else:
-            qr, kr = np.maximum(q, 0.0), np.maximum(k, 0.0)
-            attn = qr @ (kr.T @ (v / math.sqrt(cfg.dim)))
-        h = np.maximum(attn @ (lw.ff1 / unit), 0.0)
-        x = h @ (lw.ff2 / unit)
-    return x.sum(axis=0) @ (weights.classifier / unit)
-
+    tokens = _check_tokens(cfg, tokens)
+    held = {"x": (weights.embedding[tokens] + weights.positional) / unit}
+    for lw, enc in zip(weights.layers, plan.encoders):
+        wv = lw.wv / _value_divisor(cfg.dim, mode)
+        held.update(wqkv=np.hstack([lw.wq, lw.wk, wv]) / unit,
+                    ff1=lw.ff1 / unit, ff2=lw.ff2 / unit)
+        for spec in enc:
+            raw = _product(held, spec)
+            outs = ([softmax_sim_float(raw)] if spec.kind == "rowdiv" else
+                    [np.maximum(part, 0.0) if g.relu else part
+                     for g, part in zip(spec.groups, spec.split(raw))])
+            held.update(zip(spec.tags, outs))
+    return held["x"].sum(axis=0) @ (weights.classifier / unit)

@@ -320,21 +320,3 @@ class StackedNtt:
 @lru_cache(maxsize=None)
 def get_stacked(primes: tuple[int, ...], n: int) -> StackedNtt:
     return StackedNtt(primes, n)
-
-
-def negacyclic_convolve_naive(a, b, p: int) -> list[int]:
-    """Reference O(n^2) product of a*b mod (x^n + 1, p), exact python ints."""
-    n = len(a)
-    out = [0] * n
-    for i, ai in enumerate(a):
-        ai = int(ai)
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            k = i + j
-            t = ai * int(bj)
-            if k >= n:
-                out[k - n] = (out[k - n] - t) % p
-            else:
-                out[k] = (out[k] + t) % p
-    return [v % p for v in out]

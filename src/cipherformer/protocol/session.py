@@ -69,15 +69,13 @@ result is a plain rows matrix, so every stage input is `rows` or
 `colblocks` and every stage mask is one `add_offset`.
 
 The plain-weight products run baby-step giant-step (see `helinear`): every
-matrix one of them reads -- the encrypted input and the shares of
-attn_rescale, ff_hidden and of every ff_out but the last -- is a fresh
-client encryption, so the client sends it as `Geometry.steps` rotated
-copies inside the frame that already carries it, and the server needs
-rotation keys for the giant steps only.
+matrix one of them reads is a fresh client encryption, so the client sends
+it as `Geometry.steps` rotated copies inside the frame that already carries
+it, and the server needs rotation keys for the giant steps only.
 
-Both parties' loops name the transposes of every product (mm-open carries
-no flags), and the stage input and share layouts come from
-`_STAGE_PACKING`.
+Both parties walk the stage plan's layer schedule (`stages`), which names
+each product's factors and transposes (mm-open carries no flags), and
+`Geometry` derives every stage input and share layout from it.
 """
 
 from __future__ import annotations
@@ -103,8 +101,7 @@ from ..helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix, Layout,
                         ctmm_server_finalize, ctmm_server_mask, decrypt_matrix,
                         encmatrix_from_bytes, encmatrix_to_bytes,
                         layout_vectors, pack_colblocks, pack_rows)
-from ..model import (ModelConfig, Weights, folded_first_layer,
-                     validate_weights, value_projection)
+from ..model import ModelConfig, Weights, layer_weights, validate_weights
 from ..ntt import addmod, reduce128
 from ..pahe import (Ciphertexts, Evaluator, KeyMaterial, PaheParams, ct_nbytes,
                     cts_from_bytes, cts_to_bytes, encode_plain_many,
@@ -150,7 +147,6 @@ class Geometry:
     plan: StagePlan
     n: int                      # ring degree
     p: int                      # plaintext modulus
-    sigma: float                # statistical masking slack, bits
     params: PaheParams
     products: tuple[tuple[int, int], ...]  # plain-weight (in, out) widths
     steps: int                  # baby-step copies of each product input
@@ -162,15 +158,6 @@ class Geometry:
         """The Galois elements of the rotation keys, in key-blob order."""
         return galois_elements(self.params, self.rotations)
 
-    def share_steps(self, layer: int, stage: str) -> int:
-        """Baby-step copies the client sends of a stage's output share:
-        `steps` where a plain-weight product reads it (the feed-forward
-        input and hidden layer, and the next layer's QKV input), else 1."""
-        feeds_product = (stage in ("attn_rescale", "ff_hidden")
-                         or (stage == "ff_out"
-                             and layer < self.cfg.n_layers - 1))
-        return self.steps if feeds_product else 1
-
     @property
     def input_layout(self) -> Layout:
         """The client's encrypted one-hot input, which the first product
@@ -178,25 +165,34 @@ class Geometry:
         return Layout(COLBLOCKS, self.cfg.seq_len, self.cfg.vocab, self.steps)
 
     def stage_input(self, spec: StageSpec) -> Layout:
-        """The masked input matrix a stage opens with."""
-        return Layout(_STAGE_PACKING[spec.name][0], spec.rows, spec.row_len)
+        """The masked input matrix a stage opens with: column blocks after
+        a plain-weight product, rows after an encrypted one."""
+        return Layout(COLBLOCKS if spec.plain else ROWS, spec.rows,
+                      spec.row_len)
 
     def nbytes(self, layout: Layout) -> int:
         """Wire size of a matrix of `layout` under the session's ring."""
         return layout.ct_count(self.params) * ct_nbytes(self.params)
 
     def stage_shares(self, layer: int, spec: StageSpec) -> list[Layout]:
-        """The client's encrypted output share of each group of a stage."""
-        return [Layout(_STAGE_PACKING[spec.name][1], spec.rows,
-                       g.count // spec.rows, self.share_steps(layer, spec.name))
-                for g in spec.groups]
+        """The client's encrypted output share of each group of a stage:
+        rows if an encrypted product reads it, else column blocks, with
+        `steps` copies if a plain-weight product reads it."""
+        lays = []
+        for g in spec.groups:
+            plain = [s.plain for s in self.plan.readers(layer, g.tag)]
+            lays.append(Layout(COLBLOCKS if all(plain) else ROWS, spec.rows,
+                               g.count // spec.rows,
+                               self.steps if any(plain) else 1))
+        return lays
 
 
 def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     """The one place a session's sizes are decided, from the model shape and
     the mode alone.
 
-    The plan fixes every stage window and tensor layout.  The ring is sized
+    The plan fixes every stage window and, through the products it names,
+    every tensor layout and plain-weight product shape.  The ring is sized
     so the widest column-block tensor of the pipeline fits one ciphertext
     row; the plaintext modulus is the smallest NTT-friendly prime giving the
     widest window its masking slack, and `session_params` picks the RNS
@@ -230,12 +226,15 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
         raise ParameterError(f"{cfg.n_classes} classes exceed the limit of "
                              f"{MAX_CLASSES}")
     plan = cfg.plan(mode)
-    p, sigma = choose_plaintext_prime(plan.m_max, n)
+    p, _ = choose_plaintext_prime(plan.m_max, n)
     params = session_params(p, n)
-    shapes = [(cfg.vocab, 3 * cfg.dim), (cfg.dim, cfg.ff_dim),
-              (cfg.ff_dim, cfg.dim)]
-    if cfg.n_layers > 1:
-        shapes.append((cfg.dim, 3 * cfg.dim))
+    # (in, out) widths of each plain-weight product; first "x" is one-hot
+    cols, shapes = {"x": cfg.vocab}, {}
+    for enc in plan.encoders:
+        for s in enc:
+            if s.plain:
+                shapes[cols[s.left], s.row_len] = None
+            cols.update((g.tag, g.count // s.rows) for g in s.groups)
     d_max = max(colblock_diagonals(params, d_in, cfg.seq_len, d_out)
                 for d_in, d_out in shapes)
     steps = isqrt(d_max - 1) + 1
@@ -244,7 +243,7 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
         rots.update(colblock_rotation_amounts(params, d_in, cfg.seq_len,
                                               d_out, steps))
     ot_total = sum(s.m * s.count for enc in plan.encoders for s in enc)
-    return Geometry(cfg, mode, plan, n, p, sigma, params, tuple(shapes),
+    return Geometry(cfg, mode, plan, n, p, params, tuple(shapes),
                     steps, tuple(sorted(rots)), ot_total)
 
 
@@ -334,20 +333,7 @@ def hello_geometry(payload: bytes) -> Geometry:
 
 
 # ----------------------------------------------------------------------------
-# stage layouts (one source of truth for both parties)
-
-# stage -> (input packing, output packing).  Inputs come from whichever
-# product precedes the stage; outputs take the form the next product wants:
-# rows for ciphertext-by-ciphertext factors, column blocks for plain-weight
-# products and the classifier.
-_STAGE_PACKING = {
-    "qkv_rescale": (COLBLOCKS, ROWS),
-    "attn_weights": (ROWS, ROWS),
-    "attn_inner": (ROWS, ROWS),
-    "attn_rescale": (ROWS, COLBLOCKS),
-    "ff_hidden": (COLBLOCKS, COLBLOCKS),
-    "ff_out": (COLBLOCKS, COLBLOCKS),
-}
+# stage lanes and B2A words
 
 
 def _lanes_to_matrix(spec: StageSpec, lanes: np.ndarray) -> np.ndarray:
@@ -359,8 +345,7 @@ def _lanes_to_matrix(spec: StageSpec, lanes: np.ndarray) -> np.ndarray:
 
 
 def _matrix_to_lanes(spec: StageSpec, mat: np.ndarray) -> np.ndarray:
-    cuts = np.cumsum([g.count // spec.rows for g in spec.groups])[:-1]
-    return np.concatenate([part.ravel() for part in np.split(mat, cuts, axis=1)])
+    return np.concatenate([part.ravel() for part in spec.split(mat)])
 
 
 def _fold_labels(labels: np.ndarray, p: int) -> np.ndarray:
@@ -477,10 +462,12 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
     return outs
 
 
-def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
-                Y: EncMatrix, *, tx: bool = False, ty: bool = False) -> EncMatrix:
+def _serve_ctmm(sp: _ServerParty, layer: int, spec: StageSpec, X: EncMatrix,
+                Y: EncMatrix) -> EncMatrix:
+    """The encrypted product feeding `spec`, transposed as the plan says."""
     ev = sp.ev
-    msg, st = ctmm_server_mask(ev, X, Y, sp.rng, transpose_x=tx, transpose_y=ty)
+    msg, st = ctmm_server_mask(ev, X, Y, sp.rng, transpose_x=spec.t_left,
+                               transpose_y=spec.t_right)
     _send(sp.conn, sp.tr, MM_OPEN, encmatrix_to_bytes(msg.x),
           encmatrix_to_bytes(msg.y))
     params = sp.geom.params
@@ -488,7 +475,7 @@ def _serve_ctmm(sp: _ServerParty, layer: int, label: str, X: EncMatrix,
     (blob,) = _recv(sp.conn, sp.tr, MM_REPLY, [count * ct_nbytes(params)])
     reply = cts_from_bytes(blob, params, count, "product reply")
     out = ctmm_server_finalize(ev, reply, st)
-    sp.tr.add_event(kind="ctmm", layer=layer, label=label,
+    sp.tr.add_event(kind="ctmm", layer=layer, label=spec.name,
                     rows=out.layout.rows, frames=2)
     return out
 
@@ -542,34 +529,21 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout)
 
     sp = _ServerParty(conn, tr, geom, ev, rng, pairs)
-    plan = geom.plan
-    for e in range(cfg.n_layers):
-        lw = weights.layers[e]
-        spec = plan.stage(e, "qkv_rescale")
-        if e == 0:
-            ew, pw = folded_first_layer(cfg, weights, mode)
-            qkv = colblock_matmul(ev, x_enc, to_field(ew, p))
-            qkv = add_offset(ev, qkv, to_field(pw, p))
-        else:
-            wqkv = np.hstack([lw.wq, lw.wk,
-                              value_projection(lw.wv, cfg.dim, mode)])
-            qkv = colblock_matmul(ev, x_enc, to_field(wqkv, p))
-        q_enc, k_enc, v_enc = _serve_stage(sp, e, spec, qkv)
-        if mode == "baseline":
-            scores = _serve_ctmm(sp, e, "scores", q_enc, k_enc, ty=True)
-            (w_enc,) = _serve_stage(sp, e, plan.stage(e, "attn_weights"), scores)
-            attnv = _serve_ctmm(sp, e, "attnv", w_enc, v_enc)
-        else:
-            inner = _serve_ctmm(sp, e, "inner", k_enc, v_enc, tx=True)
-            (kv_enc,) = _serve_stage(sp, e, plan.stage(e, "attn_inner"), inner)
-            attnv = _serve_ctmm(sp, e, "outer", q_enc, kv_enc)
-        (attn_cb,) = _serve_stage(sp, e, plan.stage(e, "attn_rescale"), attnv)
-        h_raw = colblock_matmul(ev, attn_cb, to_field(lw.ff1, p))
-        (h_cb,) = _serve_stage(sp, e, plan.stage(e, "ff_hidden"), h_raw)
-        o_raw = colblock_matmul(ev, h_cb, to_field(lw.ff2, p))
-        (x_enc,) = _serve_stage(sp, e, plan.stage(e, "ff_out"), o_raw)
+    held = {"x": x_enc}
+    for e, enc in enumerate(geom.plan.encoders):
+        mats, offsets = layer_weights(cfg, weights, mode, e)
+        for spec in enc:
+            if spec.plain:
+                raw = colblock_matmul(ev, held[spec.left],
+                                      to_field(mats[spec.right], p))
+                if spec.right in offsets:
+                    raw = add_offset(ev, raw, to_field(offsets[spec.right], p))
+            else:
+                raw = _serve_ctmm(sp, e, spec, held[spec.left],
+                                  held[spec.right])
+            held.update(zip(spec.tags, _serve_stage(sp, e, spec, raw)))
 
-    _send_logits(sp, x_enc, weights)
+    _send_logits(sp, held["x"], weights)
     tr.counters = dict(ev.counters)
     return ServerResult(transcript=tr, geometry=geom)
 
@@ -667,19 +641,20 @@ def _client_stage(cp: _ClientParty, layer: int,
     return layouts
 
 
-def _client_ctmm(cp: _ClientParty, layer: int, label: str, x: Layout,
-                 y: Layout, *, tx: bool = False, ty: bool = False):
-    """The key holder's half of X @ Y: both masked factors arrive in the
-    layouts of the shares they were made from, `x` and `y`, and the
-    transposes are the flight plan's, as in the server's loop."""
+def _client_ctmm(cp: _ClientParty, layer: int, spec: StageSpec, x: Layout,
+                 y: Layout):
+    """The key holder's half of the encrypted product feeding `spec`: both
+    masked factors arrive in the layouts of the shares they were made from,
+    `x` and `y`, and the transposes are the plan's, as at the server."""
     geom = cp.geom
+    tx, ty = spec.t_left, spec.t_right
     bx, by = _recv(cp.conn, cp.tr, MM_OPEN, [geom.nbytes(x), geom.nbytes(y)])
     msg = CtmmMasked(encmatrix_from_bytes(bx, geom.params, x),
                      encmatrix_from_bytes(by, geom.params, y), tx, ty)
     reply = ctmm_client_round(cp.ev, cp.keys, msg)
     _send(cp.conn, cp.tr, MM_REPLY, cts_to_bytes(reply))
     rows = x.cols if tx else x.rows
-    cp.tr.add_event(kind="ctmm", layer=layer, label=label, rows=rows,
+    cp.tr.add_event(kind="ctmm", layer=layer, label=spec.name, rows=rows,
                     frames=2)
 
 
@@ -702,7 +677,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
 
     (hello,) = _recv(conn, tr, HELLO, [HELLO_BYTES])
     geom = hello_geometry(hello)
-    cfg, mode = geom.cfg, geom.mode
+    cfg = geom.cfg
     L, vocab = cfg.seq_len, cfg.vocab
 
     toks = np.asarray(tokens, dtype=np.int64)
@@ -732,21 +707,12 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
           encmatrix_to_bytes(x_cb))
 
     cp = _ClientParty(conn, tr, geom, ev, keys, batch)
-    plan = geom.plan
-    for e in range(cfg.n_layers):
-        q_lay, k_lay, v_lay = _client_stage(cp, e,
-                                            plan.stage(e, "qkv_rescale"))
-        if mode == "baseline":
-            _client_ctmm(cp, e, "scores", q_lay, k_lay, ty=True)
-            (w_lay,) = _client_stage(cp, e, plan.stage(e, "attn_weights"))
-            _client_ctmm(cp, e, "attnv", w_lay, v_lay)
-        else:
-            _client_ctmm(cp, e, "inner", k_lay, v_lay, tx=True)
-            (kv_lay,) = _client_stage(cp, e, plan.stage(e, "attn_inner"))
-            _client_ctmm(cp, e, "outer", q_lay, kv_lay)
-        _client_stage(cp, e, plan.stage(e, "attn_rescale"))
-        _client_stage(cp, e, plan.stage(e, "ff_hidden"))
-        _client_stage(cp, e, plan.stage(e, "ff_out"))
+    held: dict[str, Layout] = {}
+    for e, enc in enumerate(geom.plan.encoders):
+        for spec in enc:
+            if not spec.plain:
+                _client_ctmm(cp, e, spec, held[spec.left], held[spec.right])
+            held.update(zip(spec.tags, _client_stage(cp, e, spec)))
 
     cts = _recv_logits(conn, tr, geom)
     slots = keys.decrypt_many(cts)
@@ -756,7 +722,8 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     logits = to_signed(totals, p)
     tr.counters = dict(ev.counters)
     return ClientResult(label=int(np.argmax(logits)), logits=logits,
-                        scale=plan.act_f + cfg.f, transcript=tr, geometry=geom)
+                        scale=geom.plan.act_f + cfg.f, transcript=tr,
+                        geometry=geom)
 
 
 def private_inference(cfg: ModelConfig, weights: Weights, tokens, mode: str, *,

@@ -27,6 +27,10 @@ Two circuit shapes cover the pipeline:
 Stage outputs leave the circuit through output-label pairs (free B2A): bit j
 of an output word carries field weight 2^j, the top bit carries -2^{keep-1},
 so the weighted sum of recovered bits is the signed result mod p.
+
+Each stage also names the product feeding it, so a plan is the layer
+schedule (see `build_stage_plan`) that both parties, the session layouts
+and `model.forward_fixed` walk.
 """
 
 from __future__ import annotations
@@ -67,10 +71,12 @@ class StageGroup:
 class StageSpec:
     """One garbled stage of an encoder layer.
 
-    The stage input is a `rows` x `row_len` matrix; each group is a column
-    slice of it, `g.count // rows` wide, in group order, and leaves the stage
-    as its own `rows`-row tensor.  Affine stages run one circuit instance per
-    lane; row-divide stages run one instance per row.
+    Its input is the product `left` @ `right` (each factor transposed where
+    its flag says; a factor is "x", the layer input, an earlier group's tag
+    or a weight in `WEIGHTS`), a `rows` x `row_len` matrix.  Each group is a
+    column slice of it, in group order, and leaves the stage as its own
+    `rows`-row tensor.  Affine stages run one circuit instance per lane;
+    row-divide stages run one instance per row.
     """
     name: str
     kind: str           # "affine" | "rowdiv"
@@ -79,7 +85,25 @@ class StageSpec:
     keep: int           # output word width (two's complement)
     rows: int           # rows of the input matrix
     groups: tuple[StageGroup, ...]
+    left: str
+    right: str
+    t_left: bool = False
+    t_right: bool = False
     frac: int = 0       # rowdiv: quotient fraction bits
+
+    @property
+    def plain(self) -> bool:
+        """Whether a plain-weight product feeds the stage."""
+        return self.right in WEIGHTS
+
+    @property
+    def tags(self) -> tuple[str, ...]:
+        return tuple(g.tag for g in self.groups)
+
+    def split(self, mat: np.ndarray) -> list[np.ndarray]:
+        """The input matrix cut into its groups' column slices."""
+        cuts = np.cumsum([g.count // self.rows for g in self.groups])[:-1]
+        return np.split(mat, cuts, axis=1)
 
     @property
     def count(self) -> int:
@@ -102,8 +126,6 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class StagePlan:
-    mode: str
-    seq_len: int
     act_w: int
     act_f: int
     encoders: tuple[tuple[StageSpec, ...], ...]
@@ -118,13 +140,33 @@ class StagePlan:
                 return s
         raise ParameterError(f"no stage named {name!r} in layer {layer}")
 
+    def readers(self, layer: int, tag: str) -> list[StageSpec]:
+        """The stages whose products read the tensor `tag` that layer
+        `layer` outputs.  "x" is read by the next layer's products, and
+        after the last layer by none (only the classifier)."""
+        if tag == "x":
+            layer += 1
+        stages = self.encoders[layer] if layer < len(self.encoders) else ()
+        return [s for s in stages if tag in (s.left, s.right)]
+
 
 MODES = ("baseline", "opt1", "opt2")
+WEIGHTS = ("wqkv", "ff1", "ff2")
 
 
 def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
                      n_layers: int, w: int, f: int) -> StagePlan:
     """Size every stage window from the weight/activation widths.
+
+    Every layer runs five stages, each fed by one product:
+
+      x @ wqkv        -> qkv_rescale  -> q, k, v
+      q @ k'          -> attn_weights -> weights    (baseline)
+      weights @ v     -> attn_rescale -> attn_out   (baseline)
+      k' @ v          -> attn_inner   -> kv         (opt1, opt2)
+      q @ kv          -> attn_rescale -> attn_out   (opt1, opt2)
+      attn_out @ ff1  -> ff_hidden    -> hidden
+      hidden @ ff2    -> ff_out       -> x
 
     baseline  keeps activations at full width and normalises score rows with
               the in-circuit divider;
@@ -132,6 +174,8 @@ def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
               per-row divider disappears and the ct-matmul output shrinks;
     opt2      is opt1 with activations narrowed to 8 bits / 4 fraction bits
               between stages (weights stay at full width).
+
+    This is the only place the modes' schedules differ.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -162,39 +206,44 @@ def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
             shift=s_in - act_f, keep=act_w, rows=L,
             groups=(StageGroup("q", L * d, qkv_relu),
                     StageGroup("k", L * d, qkv_relu),
-                    StageGroup("v", L * d, False)))]
+                    StageGroup("v", L * d, False)),
+            left="x", right="wqkv")]
         if mode == "baseline":
             b_sc = 2 * a + _clg(d)
             stages.append(StageSpec(
                 name="attn_weights", kind="rowdiv", m=b_sc + 2,
                 shift=act_f, keep=act_f + 1, frac=act_f, rows=L,
-                groups=(StageGroup("scores", L * L),)))
+                groups=(StageGroup("weights", L * L),),
+                left="q", right="k", t_right=True))
             b_av = act_f + a + _clg(L)  # weights are unsigned < 2^act_f
+            av = ("weights", "v")
         else:
             b_z = 2 * a + _clg(L)
             stages.append(StageSpec(
                 name="attn_inner", kind="affine", m=b_z + 2,
                 shift=act_f, keep=act_w, rows=d,
-                groups=(StageGroup("kv", d * d),)))
+                groups=(StageGroup("kv", d * d),),
+                left="k", right="v", t_left=True))
             b_av = 2 * a + _clg(d)
+            av = ("q", "kv")
         stages.append(StageSpec(
             name="attn_rescale", kind="affine", m=b_av + 2,
             shift=act_f, keep=act_w, rows=L,
-            groups=(StageGroup("attn_out", L * d),)))
+            groups=(StageGroup("attn_out", L * d),), left=av[0], right=av[1]))
         b_ff1 = a + (w - 1) + _clg(d)
         stages.append(StageSpec(
             name="ff_hidden", kind="affine", m=b_ff1 + 2,
             shift=f, keep=act_w, rows=L,
-            groups=(StageGroup("hidden", L * ff, True),)))
+            groups=(StageGroup("hidden", L * ff, True),),
+            left="attn_out", right="ff1"))
         b_ff2 = a + (w - 1) + _clg(ff)
         stages.append(StageSpec(
             name="ff_out", kind="affine", m=b_ff2 + 2,
             shift=f, keep=act_w, rows=L,
-            groups=(StageGroup("ff_out", L * d),)))
+            groups=(StageGroup("x", L * d),), left="hidden", right="ff2"))
         encoders.append(tuple(stages))
 
-    plan = StagePlan(mode=mode, seq_len=L, act_w=act_w, act_f=act_f,
-                     encoders=tuple(encoders))
+    plan = StagePlan(act_w=act_w, act_f=act_f, encoders=tuple(encoders))
     for enc in plan.encoders:
         for s in enc:
             _check_window(s.m, s.shift, s.keep)

@@ -119,7 +119,7 @@ class TestGarbling:
     def test_table_size_is_two_rows_per_and(self):
         c = build_adder(8)
         gc = G.garble(c, 3, np.random.default_rng(0))
-        assert gc.tables_bytes == 3 * c.n_and * 2 * 16
+        assert gc.tables.nbytes == 3 * c.n_and * 2 * 16
 
     def test_tamper_detection(self):
         """A flipped bit of an active output label is neither of the wire's

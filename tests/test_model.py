@@ -5,6 +5,7 @@ import pytest
 
 from cipherformer import model as M
 from cipherformer.errors import ParameterError
+from cipherformer.stages import affine_stage_oracle, rowdiv_stage_oracle
 
 CFG = M.ModelConfig(vocab=16, seq_len=8, dim=4, ff_dim=16, n_layers=1,
                     n_classes=3)
@@ -16,6 +17,94 @@ def _toy(seed=7, **over):
     return cfg, M.gen_random(cfg, seed=seed)
 
 
+def _random_models():
+    """15 random small models, each with a token sequence."""
+    for seed in range(15):
+        rng = np.random.default_rng(200 + seed)
+        cfg = M.ModelConfig(vocab=16,
+                            seq_len=int(rng.choice([4, 8])),
+                            dim=int(rng.choice([2, 4])),
+                            ff_dim=4 * int(rng.choice([2, 4])),
+                            n_layers=int(rng.choice([1, 2])),
+                            n_classes=int(rng.choice([2, 3, 4])))
+        yield cfg, M.gen_random(cfg, seed=seed), \
+            rng.integers(0, cfg.vocab, cfg.seq_len)
+
+
+def _window_check(raw, spec):
+    if np.abs(raw).max(initial=0) >= 1 << (spec.m - 1):
+        raise ParameterError(
+            f"stage {spec.name} overflowed its {spec.m}-bit window")
+
+
+def _forward_fixed_by_mode(cfg, weights, tokens, mode):
+    """The forward pass written out per mode, as it was before it walked the
+    stage plan: the reference the plan walk must equal bit for bit."""
+    plan = cfg.plan(mode)
+    d = cfg.dim
+    ew, pw = M.folded_first_layer(cfg, weights, mode)
+    x = None
+    for e in range(cfg.n_layers):
+        lw = weights.layers[e]
+        spec = plan.stage(e, "qkv_rescale")
+        if e == 0:
+            qkv_raw = ew[tokens] + pw
+        else:
+            wqkv = np.hstack([lw.wq, lw.wk,
+                              M.value_projection(lw.wv, d, mode)])
+            qkv_raw = x @ wqkv
+        _window_check(qkv_raw, spec)
+        q, k, v = [affine_stage_oracle(qkv_raw[:, i * d:(i + 1) * d],
+                                       spec.shift, spec.keep, g.relu)
+                   for i, g in enumerate(spec.groups)]
+        if mode == "baseline":
+            spec = plan.stage(e, "attn_weights")
+            scores = q @ k.T
+            _window_check(scores, spec)
+            wts = rowdiv_stage_oracle(scores, spec.shift, spec.frac)
+            spec = plan.stage(e, "attn_rescale")
+            raw = wts @ v
+        else:
+            spec = plan.stage(e, "attn_inner")
+            kv_raw = k.T @ v
+            _window_check(kv_raw, spec)
+            kv = affine_stage_oracle(kv_raw, spec.shift, spec.keep)
+            spec = plan.stage(e, "attn_rescale")
+            raw = q @ kv
+        _window_check(raw, spec)
+        attn = affine_stage_oracle(raw, spec.shift, spec.keep)
+        spec = plan.stage(e, "ff_hidden")
+        h_raw = attn @ lw.ff1
+        _window_check(h_raw, spec)
+        h = affine_stage_oracle(h_raw, spec.shift, spec.keep, relu=True)
+        spec = plan.stage(e, "ff_out")
+        o_raw = h @ lw.ff2
+        _window_check(o_raw, spec)
+        x = affine_stage_oracle(o_raw, spec.shift, spec.keep)
+    logits = x.sum(axis=0) @ weights.classifier
+    return M.FixedForward(logits=logits, scale=plan.act_f + cfg.f,
+                          label=int(np.argmax(logits)))
+
+
+def _forward_float_by_mode(cfg, weights, tokens, mode):
+    """The real-arithmetic pass written out per mode, as it was before it
+    walked the stage plan."""
+    unit = float(1 << cfg.f)
+    x = (weights.embedding[tokens] + weights.positional) / unit
+    for lw in weights.layers:
+        q = x @ (lw.wq / unit)
+        k = x @ (lw.wk / unit)
+        v = x @ (lw.wv / unit)
+        if mode == "baseline":
+            attn = M.softmax_sim_float(q @ k.T) @ v
+        else:
+            qr, kr = np.maximum(q, 0.0), np.maximum(k, 0.0)
+            attn = qr @ (kr.T @ (v / np.sqrt(cfg.dim)))
+        h = np.maximum(attn @ (lw.ff1 / unit), 0.0)
+        x = h @ (lw.ff2 / unit)
+    return x.sum(axis=0) @ (weights.classifier / unit)
+
+
 class TestConfig:
     def test_rejects_bad_dims(self):
         for over in (dict(vocab=1), dict(n_classes=1), dict(seq_len=0),
@@ -24,10 +113,6 @@ class TestConfig:
                 M.ModelConfig(**{**dict(vocab=16, seq_len=8, dim=4,
                                         ff_dim=16, n_layers=1, n_classes=3),
                                  **over})
-
-    def test_plan_carries_dims(self):
-        plan = CFG.plan("opt1")
-        assert plan.seq_len == CFG.seq_len and plan.mode == "opt1"
 
 
 class TestGeneration:
@@ -89,18 +174,19 @@ class TestForwardFixed:
         assert not np.array_equal(a.logits, c.logits)
 
     def test_windows_hold_across_random_models(self):
-        for seed in range(15):
-            rng = np.random.default_rng(200 + seed)
-            cfg = M.ModelConfig(vocab=16,
-                                seq_len=int(rng.choice([4, 8])),
-                                dim=int(rng.choice([2, 4])),
-                                ff_dim=4 * int(rng.choice([2, 4])),
-                                n_layers=int(rng.choice([1, 2])),
-                                n_classes=int(rng.choice([2, 3, 4])))
-            wts = M.gen_random(cfg, seed=seed)
-            toks = rng.integers(0, cfg.vocab, cfg.seq_len)
+        for cfg, wts, toks in _random_models():
             for mode in ("baseline", "opt1", "opt2"):
                 M.forward_fixed(cfg, wts, toks, mode)  # must not overflow
+
+    def test_plan_walk_equals_the_mode_branched_pass(self):
+        """A wrong schedule would still give exact sessions, since both
+        parties read the same plan: check it against the per-mode pass."""
+        for cfg, wts, toks in _random_models():
+            for mode in ("baseline", "opt1", "opt2"):
+                got = M.forward_fixed(cfg, wts, toks, mode)
+                want = _forward_fixed_by_mode(cfg, wts, toks, mode)
+                assert np.array_equal(got.logits, want.logits)
+                assert (got.scale, got.label) == (want.scale, want.label)
 
     def test_first_layer_fold_matches_direct_product(self):
         cfg, wts = _toy(seed=13)
@@ -155,3 +241,14 @@ class TestForwardFloat:
         assert s.min() >= 0
         np.testing.assert_allclose(s[0].sum(), 1.0)
         assert s[1].sum() == 0.0  # all-nonpositive rows vanish
+
+    def test_float_plan_walk_equals_the_mode_branched_pass(self):
+        """The plan walk scales the value weights before the product where
+        the per-mode pass scaled the product, so float64 rounding may
+        differ in the last few bits: a relative tolerance of 1e-12."""
+        for cfg, wts, toks in _random_models():
+            for mode in ("baseline", "opt1", "opt2"):
+                np.testing.assert_allclose(
+                    M.forward_float(cfg, wts, toks, mode),
+                    _forward_float_by_mode(cfg, wts, toks, mode),
+                    rtol=1e-12, atol=1e-12)

@@ -13,7 +13,6 @@ from cipherformer.ntt import (
     get_stacked,
     mulmod_shoup,
     mulmod_vec,
-    negacyclic_convolve_naive,
     reduce128,
     shoup,
     submod,
@@ -21,6 +20,25 @@ from cipherformer.ntt import (
 from cipherformer.pahe import get_slotmap
 from cipherformer.primes import next_prime
 from cipherformer.protocol.session import session_geometry
+
+
+def negacyclic_convolve_naive(a, b, p: int) -> list[int]:
+    """Reference O(n^2) product of a*b mod (x^n + 1, p), exact python ints."""
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        ai = int(ai)
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            k = i + j
+            t = ai * int(bj)
+            if k >= n:
+                out[k - n] = (out[k - n] - t) % p
+            else:
+                out[k] = (out[k] + t) % p
+    return [v % p for v in out]
+
 
 P61 = next_prime(1 << 60, congruent=(1, 1 << 14))  # worst-case wide modulus
 

@@ -19,7 +19,7 @@ import pytest
 
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.gc.ot import LAMBDA, POINT_BYTES
-from cipherformer.helinear import (COLBLOCKS, Layout, colblock_matmul,
+from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
                                    encmatrix_to_bytes, matmul_mod,
                                    pack_colblocks, rows_per_ct)
@@ -749,9 +749,68 @@ def test_geometry_check_compares_copies():
         encmatrix_from_bytes(one, geom.params, share)
     with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
         encmatrix_from_bytes(many, geom.params, stage_in)
-    assert [geom.share_steps(0, name) for name in
-            ("qkv_rescale", "attn_rescale", "ff_hidden", "ff_out")] == \
-        [1, geom.steps, geom.steps, 1]
-    deep = session_geometry(replace(CFG, n_layers=2), "opt1")
-    assert deep.share_steps(0, "ff_out") == deep.steps
-    assert deep.share_steps(1, "ff_out") == 1
+
+
+# The layouts as a hand-written table gave them before the plan named the
+# product feeding each stage: stage -> (input packing, share packing).
+_OLD_STAGE_PACKING = {
+    "qkv_rescale": (COLBLOCKS, ROWS),
+    "attn_weights": (ROWS, ROWS),
+    "attn_inner": (ROWS, ROWS),
+    "attn_rescale": (ROWS, COLBLOCKS),
+    "ff_hidden": (COLBLOCKS, COLBLOCKS),
+    "ff_out": (COLBLOCKS, COLBLOCKS),
+}
+
+
+def _old_share_steps(geom, layer, stage):
+    """Copies of a stage's share: `steps` for the feed-forward input and
+    hidden layer and the next layer's QKV input, else 1."""
+    feeds_product = (stage in ("attn_rescale", "ff_hidden")
+                     or (stage == "ff_out" and layer < geom.cfg.n_layers - 1))
+    return geom.steps if feeds_product else 1
+
+
+def _old_products(cfg):
+    shapes = [(cfg.vocab, 3 * cfg.dim), (cfg.dim, cfg.ff_dim),
+              (cfg.ff_dim, cfg.dim)]
+    if cfg.n_layers > 1:
+        shapes.append((cfg.dim, 3 * cfg.dim))
+    return shapes
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(CFG, id="tiny"),
+    pytest.param(replace(CFG, n_layers=2), id="tiny-two-layer"),
+    pytest.param(ModelConfig(vocab=8, seq_len=16, dim=4, ff_dim=8,
+                             n_layers=1, n_classes=2), id="gc-l16"),
+    pytest.param(ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32,
+                             n_layers=2, n_classes=2), id="he-small"),
+])
+def test_layouts_derived_from_the_plan_match_the_old_table(cfg):
+    """In every mode, the stage-input and share layouts the geometry derives
+    from the products reading each tensor equal the old table and copy rule,
+    the plain-weight product shapes equal the old list, and every product
+    reads "x", a weight or an earlier tag of its layer, with agreeing inner
+    widths."""
+    L, d, ff = cfg.seq_len, cfg.dim, cfg.ff_dim
+    for mode in MODES:
+        geom = session_geometry(cfg, mode)
+        assert list(geom.products) == _old_products(cfg)
+        for e, enc in enumerate(geom.plan.encoders):
+            shapes = {"x": (L, cfg.vocab if e == 0 else d),
+                      "wqkv": (cfg.vocab if e == 0 else d, 3 * d),
+                      "ff1": (d, ff), "ff2": (ff, d)}
+            for spec in enc:
+                packing, share_packing = _OLD_STAGE_PACKING[spec.name]
+                assert geom.stage_input(spec) == Layout(packing, spec.rows,
+                                                        spec.row_len)
+                steps = _old_share_steps(geom, e, spec.name)
+                assert geom.stage_shares(e, spec) == [
+                    Layout(share_packing, spec.rows, g.count // spec.rows,
+                           steps) for g in spec.groups]
+                a, b = shapes[spec.left][::-1 if spec.t_left else 1]
+                c, f = shapes[spec.right][::-1 if spec.t_right else 1]
+                assert b == c and (a, f) == (spec.rows, spec.row_len)
+                shapes.update((g.tag, (spec.rows, g.count // spec.rows))
+                              for g in spec.groups)
