@@ -42,6 +42,10 @@ colblocks  the rows packing of the transpose: ct g holds column g*T + j,
            one block of `rows` slots; the layout for batched per-position
            products
 
+Both packings of a shape lay out the same `held` matrix, so a matrix and its
+transpose are the same ciphertexts: `Layout.T` swaps the packing and the
+shape and keeps everything else, baby-step copies included.
+
 A layout with `steps` = s > 1 holds s copies, copy-major: ciphertext t*G + c
 is copy t of ciphertext c, its ring row rotated left by t held rows (G =
 ciphertexts per copy); on column blocks, t blocks.  Only column blocks
@@ -123,12 +127,23 @@ class Layout:
             raise ParameterError(f"unknown packing {self.packing!r}")
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, self.cols
+
+    @property
     def held(self) -> tuple[int, int]:
         """The shape the rows packing lays out: the matrix itself, or on
         column blocks its transpose."""
         if self.packing == ROWS:
             return self.rows, self.cols
         return self.cols, self.rows
+
+    @property
+    def T(self) -> Layout:
+        """The transpose: the other packing of the transposed shape, which
+        lays out the same `held` matrix, copies included."""
+        return Layout(COLBLOCKS if self.packing == ROWS else ROWS,
+                      self.cols, self.rows, self.steps)
 
     def ct_count(self, params: PaheParams) -> int:
         """Ciphertexts a matrix of this layout holds, by the blocking rule."""
@@ -141,6 +156,11 @@ class EncMatrix:
 
     layout: Layout
     cts: Ciphertexts
+
+    @property
+    def T(self) -> EncMatrix:
+        """The transpose, over the same ciphertexts."""
+        return EncMatrix(self.layout.T, self.cts)
 
 
 # ----------------------------------------------------------------------------
@@ -184,21 +204,17 @@ def _copies(params: PaheParams, vecs: np.ndarray, shift: int,
                            for t in range(steps)])
 
 
-def layout_vectors(params: PaheParams, layout: Layout, M,
-                   transpose: bool = False) -> np.ndarray:
+def layout_vectors(params: PaheParams, layout: Layout, M) -> np.ndarray:
     """Slot vectors that place M's entries exactly where a matrix of
     `layout` keeps its own.
 
     Used to add plaintext offsets (masks, folded constants) onto an encrypted
-    matrix without caring about its packing.  `transpose` interprets M as the
-    transpose of what the ciphertexts hold.
+    matrix without caring about its packing.
     """
     A = _entries(M)
-    if transpose:
-        A = A.T
-    if A.shape != (layout.rows, layout.cols):
+    if A.shape != layout.shape:
         raise ParameterError(f"offset shape {A.shape} != matrix shape "
-                             f"{(layout.rows, layout.cols)}")
+                             f"{layout.shape}")
     held = A if layout.packing == ROWS else A.T
     width, half = held.shape[1], params.row_size
     if not 0 < width <= half:
@@ -247,9 +263,9 @@ def decrypt_matrix(keys: KeyMaterial, enc: EncMatrix) -> np.ndarray:
     return M if lay.packing == ROWS else M.T.copy()
 
 
-def add_offset(ev: Evaluator, enc: EncMatrix, M, transpose: bool = False) -> EncMatrix:
+def add_offset(ev: Evaluator, enc: EncMatrix, M) -> EncMatrix:
     """enc + M with M in the clear, laid out to match enc's packing."""
-    vecs = layout_vectors(ev.params, enc.layout, M, transpose)
+    vecs = layout_vectors(ev.params, enc.layout, M)
     return EncMatrix(enc.layout, ev.add_plain_many(enc.cts, vecs))
 
 
@@ -342,16 +358,6 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
 
 
 @dataclass
-class CtmmMasked:
-    """Flight one: both factors with fresh additive masks folded in."""
-
-    x: EncMatrix
-    y: EncMatrix
-    transpose_x: bool
-    transpose_y: bool
-
-
-@dataclass
 class MaskState:
     """Server-side secrets for one product; single use enforced."""
 
@@ -362,11 +368,6 @@ class MaskState:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.r1.shape[0], self.r1.shape[1], self.r2.shape[1]
-
-
-def _mult_shape(enc: EncMatrix, transpose: bool) -> tuple[int, int]:
-    lay = enc.layout
-    return (lay.cols, lay.rows) if transpose else (lay.rows, lay.cols)
 
 
 def _shifted_terms(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,25 +383,21 @@ def _shifted_terms(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def ctmm_server_mask(ev: Evaluator, X: EncMatrix, Y: EncMatrix,
-                     rng: np.random.Generator, *, transpose_x: bool = False,
-                     transpose_y: bool = False) -> tuple[CtmmMasked, MaskState]:
-    """Mask both factors of X @ Y with fresh uniform matrices.
-
-    The transpose flags say the multiplication should use the transpose of
-    what the ciphertexts hold (the factors stay in whatever layout the
-    pipeline produced them in; only the mask is reoriented).
+                     rng: np.random.Generator) \
+        -> tuple[EncMatrix, EncMatrix, MaskState]:
+    """Flight one of X @ Y: both factors with fresh uniform masks folded
+    in, each in its own layout, and the masks kept for the finish.  A factor
+    the product reads transposed is passed as its `.T`, so the mask is laid
+    out against the transpose while the ciphertexts stay as they are.
     """
     p = ev.params.p
-    r, k = _mult_shape(X, transpose_x)
-    k2, c = _mult_shape(Y, transpose_y)
+    (r, k), (k2, c) = X.layout.shape, Y.layout.shape
     if k != k2:
         raise ParameterError(f"inner dims disagree: {r}x{k} times {k2}x{c}")
     r1 = rng.integers(0, p, size=(r, k), dtype=np.uint64)
     r2 = rng.integers(0, p, size=(k, c), dtype=np.uint64)
-    xm = add_offset(ev, X, (p - r1) % p, transpose=transpose_x)
-    ym = add_offset(ev, Y, (p - r2) % p, transpose=transpose_y)
-    st = MaskState(r1, r2)
-    return CtmmMasked(xm, ym, transpose_x, transpose_y), st
+    return (add_offset(ev, X, (p - r1) % p), add_offset(ev, Y, (p - r2) % p),
+            MaskState(r1, r2))
 
 
 def ctmm_reply_count(params: PaheParams, st: MaskState) -> int:
@@ -411,25 +408,22 @@ def ctmm_reply_count(params: PaheParams, st: MaskState) -> int:
     return (2 * k + 1) * _rows_ct_count(params, r, c)
 
 
-def ctmm_client_round(ev: Evaluator, keys: KeyMaterial,
-                      msg: CtmmMasked) -> Ciphertexts:
-    """Decrypt the masked factors, multiply in the clear, re-encrypt.
+def ctmm_client_round(ev: Evaluator, keys: KeyMaterial, X: EncMatrix,
+                      Y: EncMatrix) -> Ciphertexts:
+    """Decrypt the masked factors X - R1 and Y - R2, multiply in the clear,
+    re-encrypt.  Each factor is read in its layout, so one the product reads
+    transposed arrives as the `.T` of the layout it was sent in.
 
     The reply is one ciphertext batch: the product, then the k shifted terms
     of X - R1, then those of Y - R2, each in the rows layout of the product,
     so the other party can finish both cross terms without any rotations.
     """
     p = keys.params.p
-    r, k = _mult_shape(msg.x, msg.transpose_x)
-    k2, c = _mult_shape(msg.y, msg.transpose_y)
+    (r, k), (k2, c) = X.layout.shape, Y.layout.shape
     if k != k2:
         raise ProtocolError(f"masked factors do not chain: {r}x{k} times {k2}x{c}")
-    xt = decrypt_matrix(keys, msg.x)
-    if msg.transpose_x:
-        xt = xt.T.copy()
-    yt = decrypt_matrix(keys, msg.y)
-    if msg.transpose_y:
-        yt = yt.T.copy()
+    xt = decrypt_matrix(keys, X)
+    yt = decrypt_matrix(keys, Y)
     prod = pack_rows(ev, matmul_mod(xt, yt, p))
     T = rows_per_ct(keys.params, c)
     return Ciphertexts.concat(

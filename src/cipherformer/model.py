@@ -206,13 +206,6 @@ def _check_tokens(cfg: ModelConfig, tokens) -> np.ndarray:
     return t
 
 
-def _product(held: dict, spec: StageSpec) -> np.ndarray:
-    """The product feeding `spec`, over the tensors and weights `held`."""
-    left, right = held[spec.left], held[spec.right]
-    return ((left.T if spec.t_left else left)
-            @ (right.T if spec.t_right else right))
-
-
 def _stage_oracle(spec: StageSpec, raw: np.ndarray) -> list[np.ndarray]:
     """One stage in the clear: its input matrix -> one tensor per group."""
     if np.abs(raw).max(initial=0) >= 1 << (spec.m - 1):
@@ -234,7 +227,8 @@ def forward_fixed(cfg: ModelConfig, weights: Weights, tokens,
         mats, offsets = layer_weights(cfg, weights, mode, e)
         held.update(mats)
         for spec in enc:
-            raw = _product(held, spec) + offsets.get(spec.right, 0)
+            left, right = spec.factors(held)
+            raw = left @ right + offsets.get(spec.right, 0)
             held.update(zip(spec.tags, _stage_oracle(spec, raw)))
     logits = held["x"].sum(axis=0) @ weights.classifier  # 1/seq_len in rows
     return FixedForward(logits=logits, scale=plan.act_f + cfg.f,
@@ -262,7 +256,8 @@ def forward_float(cfg: ModelConfig, weights: Weights, tokens,
         held.update(wqkv=np.hstack([lw.wq, lw.wk, wv]) / unit,
                     ff1=lw.ff1 / unit, ff2=lw.ff2 / unit)
         for spec in enc:
-            raw = _product(held, spec)
+            left, right = spec.factors(held)
+            raw = left @ right
             outs = ([softmax_sim_float(raw)] if spec.kind == "rowdiv" else
                     [np.maximum(part, 0.0) if g.relu else part
                      for g, part in zip(spec.groups, spec.split(raw))])

@@ -38,7 +38,8 @@ interleaved with two encrypted matrix products of two frames each:
   stage-ot-resp  s -> c   masked label pairs, 32 m count
   stage-share    c -> s   one `stage_shares` matrix per group
   mm-open        s -> c   the masked factors, each in the layout of the
-                          share it was made from
+                          share it was made from, read as its `.T` where
+                          the plan transposes the factor
   mm-reply       c -> s   a batch of `ctmm_reply_count` cts
 
 and a final frame:
@@ -74,8 +75,9 @@ it as `Geometry.steps` rotated copies inside the frame that already carries
 it, and the server needs rotation keys for the giant steps only.
 
 Both parties walk the stage plan's layer schedule (`stages`), which names
-each product's factors and transposes (mm-open carries no flags), and
-`Geometry` derives every stage input and share layout from it.
+each product's factors and transposes: a transpose is a relabel of the same
+ciphertexts (`helinear.Layout.T`), so mm-open and the product calls carry no
+flags, and `Geometry` derives every stage input and share layout from it.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ from ..gc.garble import active_output_pads, evaluate, garble
 from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
                      OtExtReceiver, OtExtSender, RandomOtBatch,
                      RandomOtSenderBatch)
-from ..helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix, Layout,
+from ..helinear import (COLBLOCKS, ROWS, EncMatrix, Layout,
                         add_offset, colblock_diagonals, colblock_matmul,
                         colblock_rotation_amounts,
                         ctmm_client_round, ctmm_reply_count,
@@ -396,7 +398,7 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
 
     parts = [encmatrix_to_bytes(menc)]
     gc_bytes = 0
-    ot_pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    ot_zero, ot_one = [], []
     corr_lanes: list[np.ndarray] = []
     lpi = spec.lanes_per_instance
     pu = np.uint64(p)
@@ -423,8 +425,8 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
         corr_lanes.append(((pu - rho_words) % pu).T.ravel())
 
         zero, one = gb.evaluator_label_pairs()
-        ot_pairs.append((zero.transpose(1, 0, 2).reshape(-1, 2),
-                         one.transpose(1, 0, 2).reshape(-1, 2)))
+        ot_zero.append(zero.transpose(1, 0, 2).reshape(-1, 2))
+        ot_one.append(one.transpose(1, 0, 2).reshape(-1, 2))
         parts += [le64(gb.tables), le64(glab), le64(cpair)]
         gc_bytes += gb.tables.nbytes + glab.nbytes + cpair.nbytes
     _send(sp.conn, sp.tr, STAGE_OPEN, *parts)
@@ -436,14 +438,8 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
     if dbits[nbits:].any():
         raise ProtocolError("stage-ot-req sets a pad bit past its "
                             f"{nbits} derandomization bits")
-    dbits = dbits[:nbits]
-    f_parts = []
-    doff = 0
-    for m0, m1 in ot_pairs:
-        cnt = m0.shape[0]
-        f_parts.append(sp.ot.derand_respond(dbits[doff:doff + cnt], m0, m1))
-        doff += cnt
-    fmsg = np.concatenate(f_parts)
+    fmsg = sp.ot.derand_respond(dbits[:nbits], np.concatenate(ot_zero),
+                                np.concatenate(ot_one))
     _send(sp.conn, sp.tr, STAGE_OT_RESP, le64(fmsg))
     gc_bytes += packed.nbytes + fmsg.nbytes
 
@@ -453,8 +449,7 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
     outs = []
     for oi, (blob, lay) in enumerate(zip(blobs, layouts)):
         se = encmatrix_from_bytes(blob, geom.params, lay)
-        outs.append(add_offset(ev, se, corr_lanes[oi].reshape(lay.rows,
-                                                               lay.cols)))
+        outs.append(add_offset(ev, se, corr_lanes[oi].reshape(lay.shape)))
 
     sp.tr.add_gc_bytes(gc_bytes)
     sp.tr.add_event(kind="stage", layer=layer, name=spec.name,
@@ -464,12 +459,11 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
 
 def _serve_ctmm(sp: _ServerParty, layer: int, spec: StageSpec, X: EncMatrix,
                 Y: EncMatrix) -> EncMatrix:
-    """The encrypted product feeding `spec`, transposed as the plan says."""
+    """The encrypted product X @ Y feeding `spec`."""
     ev = sp.ev
-    msg, st = ctmm_server_mask(ev, X, Y, sp.rng, transpose_x=spec.t_left,
-                               transpose_y=spec.t_right)
-    _send(sp.conn, sp.tr, MM_OPEN, encmatrix_to_bytes(msg.x),
-          encmatrix_to_bytes(msg.y))
+    xm, ym, st = ctmm_server_mask(ev, X, Y, sp.rng)
+    _send(sp.conn, sp.tr, MM_OPEN, encmatrix_to_bytes(xm),
+          encmatrix_to_bytes(ym))
     params = sp.geom.params
     count = ctmm_reply_count(params, st)
     (blob,) = _recv(sp.conn, sp.tr, MM_REPLY, [count * ct_nbytes(params)])
@@ -532,15 +526,15 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     held = {"x": x_enc}
     for e, enc in enumerate(geom.plan.encoders):
         mats, offsets = layer_weights(cfg, weights, mode, e)
+        held.update(mats)
         for spec in enc:
+            left, right = spec.factors(held)
             if spec.plain:
-                raw = colblock_matmul(ev, held[spec.left],
-                                      to_field(mats[spec.right], p))
+                raw = colblock_matmul(ev, left, to_field(right, p))
                 if spec.right in offsets:
                     raw = add_offset(ev, raw, to_field(offsets[spec.right], p))
             else:
-                raw = _serve_ctmm(sp, e, spec, held[spec.left],
-                                  held[spec.right])
+                raw = _serve_ctmm(sp, e, spec, left, right)
             held.update(zip(spec.tags, _serve_stage(sp, e, spec, raw)))
 
     _send_logits(sp, held["x"], weights)
@@ -587,34 +581,24 @@ def _client_stage(cp: _ClientParty, layer: int,
         raise ProtocolError("stage-open B2A correction word not reduced mod p")
     menc = encmatrix_from_bytes(bm, geom.params, layout)
     lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
-    cshare = client_window_share(lanes, m)
-
-    lpi = spec.lanes_per_instance
-    gbits = []
-    off = 0
-    for g, _circ, E in groups:
-        words = cshare[off:off + g.count].reshape(E, lpi)
-        off += g.count
-        gbits.append(to_bits(words, m).reshape(E, lpi * m))
-    dbits = cp.batch.derand_request(
-        np.concatenate([b.ravel() for b in gbits]))
-    nbits = m * spec.count
-    packed = np.packbits(dbits)
+    # every group's evaluator bits, lane by lane: the OT choices, in the
+    # order the groups' label pairs sit in the server's response
+    cbits = to_bits(client_window_share(lanes, m), m).ravel()
+    packed = np.packbits(cp.batch.derand_request(cbits))
     _send(cp.conn, cp.tr, STAGE_OT_REQ, packed.tobytes())
+    nbits = m * spec.count
     (bf,) = _recv(cp.conn, cp.tr, STAGE_OT_RESP, [32 * nbits])
     fmsg = _words(bf, (nbits, 2, 2))
+    chosen = cp.batch.derand_finish(cbits, fmsg)
 
     gc_bytes = packed.nbytes + fmsg.nbytes
     shares = []
-    foff = 0
     pu = np.uint64(p)
-    for gi, (g, circ, E) in enumerate(groups):
-        bits = gbits[gi]
-        cnt = bits.size
-        chosen = cp.batch.derand_finish(bits.ravel(), fmsg[foff:foff + cnt])
-        foff += cnt
+    cuts = np.cumsum([m * g.count for g, _circ, _E in groups])[:-1]
+    for gi, labels in enumerate(np.split(chosen, cuts)):
+        _g, circ, E = groups[gi]
         n_ein = circ.evaluator_inputs.size
-        eact = chosen.reshape(E, n_ein, 2).transpose(1, 0, 2)
+        eact = labels.reshape(E, n_ein, 2).transpose(1, 0, 2)
         tables, glab, cpair = garbled[3 * gi:3 * gi + 3]
         gc_bytes += tables.nbytes + glab.nbytes + cpair.nbytes
 
@@ -628,7 +612,7 @@ def _client_stage(cp: _ClientParty, layer: int,
     parts = []
     layouts = geom.stage_shares(layer, spec)
     for share, lay in zip(shares, layouts):
-        mat = share.reshape(lay.rows, lay.cols)
+        mat = share.reshape(lay.shape)
         if lay.packing == ROWS:
             se = pack_rows(cp.ev, mat)
         else:
@@ -643,18 +627,16 @@ def _client_stage(cp: _ClientParty, layer: int,
 
 def _client_ctmm(cp: _ClientParty, layer: int, spec: StageSpec, x: Layout,
                  y: Layout):
-    """The key holder's half of the encrypted product feeding `spec`: both
-    masked factors arrive in the layouts of the shares they were made from,
-    `x` and `y`, and the transposes are the plan's, as at the server."""
+    """The key holder's half of the encrypted product feeding `spec`: the
+    masked factors arrive in the layouts `x` and `y`, those of the shares
+    they were made from, read as the plan reads the factors."""
     geom = cp.geom
-    tx, ty = spec.t_left, spec.t_right
     bx, by = _recv(cp.conn, cp.tr, MM_OPEN, [geom.nbytes(x), geom.nbytes(y)])
-    msg = CtmmMasked(encmatrix_from_bytes(bx, geom.params, x),
-                     encmatrix_from_bytes(by, geom.params, y), tx, ty)
-    reply = ctmm_client_round(cp.ev, cp.keys, msg)
+    reply = ctmm_client_round(cp.ev, cp.keys,
+                              encmatrix_from_bytes(bx, geom.params, x),
+                              encmatrix_from_bytes(by, geom.params, y))
     _send(cp.conn, cp.tr, MM_REPLY, cts_to_bytes(reply))
-    rows = x.cols if tx else x.rows
-    cp.tr.add_event(kind="ctmm", layer=layer, label=spec.name, rows=rows,
+    cp.tr.add_event(kind="ctmm", layer=layer, label=spec.name, rows=x.rows,
                     frames=2)
 
 
@@ -711,7 +693,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     for e, enc in enumerate(geom.plan.encoders):
         for spec in enc:
             if not spec.plain:
-                _client_ctmm(cp, e, spec, held[spec.left], held[spec.right])
+                _client_ctmm(cp, e, spec, *spec.factors(held))
             held.update(zip(spec.tags, _client_stage(cp, e, spec)))
 
     cts = _recv_logits(conn, tr, geom)

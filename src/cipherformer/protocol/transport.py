@@ -117,16 +117,18 @@ def tcp_dial(host: str, port: int, timeout: float = 10.0) -> SocketConn:
 
 def run_pair(server_fn, client_fn):
     """Run both parties over an in-memory pair; returns (server, client)
-    results, re-raising the first failure from either thread."""
+    results, re-raising the first failure from either thread.  A party
+    records its failure before it closes its end, so the peer's follow-on
+    `ProtocolError` (peer closed the connection) always comes second."""
     sconn, cconn = memory_pair()
     results: dict[str, object] = {}
-    errors: dict[str, BaseException] = {}
+    errors: list[BaseException] = []
 
     def wrap(name, fn, conn):
         try:
             results[name] = fn(conn)
         except BaseException as exc:  # noqa: BLE001 - ferried to the caller
-            errors[name] = exc
+            errors.append(exc)
             conn.close()
 
     ts = threading.Thread(target=wrap, args=("server", server_fn, sconn))
@@ -135,7 +137,6 @@ def run_pair(server_fn, client_fn):
     tc.start()
     ts.join()
     tc.join()
-    for side in ("server", "client"):
-        if side in errors:
-            raise errors[side]
+    if errors:
+        raise errors[0]
     return results["server"], results["client"]

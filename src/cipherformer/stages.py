@@ -72,8 +72,9 @@ class StageSpec:
     """One garbled stage of an encoder layer.
 
     Its input is the product `left` @ `right` (each factor transposed where
-    its flag says; a factor is "x", the layer input, an earlier group's tag
-    or a weight in `WEIGHTS`), a `rows` x `row_len` matrix.  Each group is a
+    its flag says, see `factors`; a factor is "x", the layer input, an
+    earlier group's tag or a weight in `WEIGHTS`), a `rows` x `row_len`
+    matrix.  Each group is a
     column slice of it, in group order, and leaves the stage as its own
     `rows`-row tensor.  Affine stages run one circuit instance per lane;
     row-divide stages run one instance per row.
@@ -100,6 +101,14 @@ class StageSpec:
     def tags(self) -> tuple[str, ...]:
         return tuple(g.tag for g in self.groups)
 
+    def factors(self, held: dict) -> tuple:
+        """The product's two factors out of `held`, each read as its `.T`
+        where the flag says: the only place a transpose is decided, for
+        arrays, `helinear.Layout`s and encrypted matrices alike."""
+        left, right = held[self.left], held[self.right]
+        return (left.T if self.t_left else left,
+                right.T if self.t_right else right)
+
     def split(self, mat: np.ndarray) -> list[np.ndarray]:
         """The input matrix cut into its groups' column slices."""
         cuts = np.cumsum([g.count // self.rows for g in self.groups])[:-1]
@@ -114,10 +123,6 @@ class StageSpec:
     def row_len(self) -> int:
         """Lanes per row of the input matrix."""
         return self.count // self.rows
-
-    @property
-    def instances(self) -> int:
-        return self.rows if self.kind == "rowdiv" else self.count
 
     @property
     def lanes_per_instance(self) -> int:

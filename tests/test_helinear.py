@@ -8,8 +8,7 @@ import pytest
 
 from cipherformer import pahe
 from cipherformer.errors import ParameterError, ProtocolError
-from cipherformer.helinear import (COLBLOCKS, ROWS, CtmmMasked, EncMatrix,
-                                   Layout, MaskState, _shifted_terms,
+from cipherformer.helinear import (COLBLOCKS, ROWS, EncMatrix, Layout, MaskState, _shifted_terms,
                                    add_offset, colblock_cols_per_ct,
                                    colblock_diagonals, colblock_matmul,
                                    colblock_rotation_amounts,
@@ -199,11 +198,33 @@ def test_add_offset_layouts(setup, small):
         out = add_offset(ev_, enc, off)
         want = (M.astype(object) + off) % par.p
         assert np.array_equal(decrypt_matrix(keys_, out).astype(object), want)
-    # transposed offset: stored matrix is M, logical matrix is M^T
-    enc = pack_rows(ev, M)
-    out = add_offset(ev, enc, off.T, transpose=True)
+    # an offset on the transpose: stored matrix is M, read as M^T
+    out = add_offset(ev, pack_rows(ev, M).T, off.T)
     want = (M.astype(object) + off) % par.p
-    assert np.array_equal(decrypt_matrix(keys, out).astype(object), want)
+    assert np.array_equal(decrypt_matrix(keys, out.T).astype(object), want)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("packing", [ROWS, COLBLOCKS])
+def test_layout_transpose_is_a_relabel(small, packing, steps):
+    """`.T` swaps the packing and the shape over the same ciphertexts: the
+    transposed layout puts the transposed matrix in the same slots, baby-step
+    copies included, and decrypts to the transpose.  A 4 x 9 matrix takes
+    two ciphertexts per copy on the 32-slot ring in either packing."""
+    par, keys, ev = small
+    M = _rand(np.random.default_rng(108), 4, 9, par.p)
+    lay = Layout(packing, 4, 9, steps)
+    assert lay.T.T == lay
+    assert (lay.T.shape, lay.T.steps) == ((9, 4), steps)
+    assert lay.T.packing != packing and lay.T.held == lay.held
+    assert lay.T.ct_count(par) == lay.ct_count(par) == 2 * steps
+    vecs = layout_vectors(par, lay, M)
+    assert np.array_equal(layout_vectors(par, lay.T, M.T), vecs)
+    enc = EncMatrix(lay, ev.encrypt_many(vecs))
+    assert enc.T.layout == lay.T and enc.T.cts is enc.cts
+    assert np.array_equal(decrypt_matrix(keys, enc), M)
+    assert np.array_equal(decrypt_matrix(keys, enc.T),
+                          decrypt_matrix(keys, enc).T)
 
 
 # ----------------------------------------------------------------------------
@@ -352,21 +373,17 @@ def _run_ctmm(setup, r, k, c, seed, pack_x="rows", pack_y="rows",
     rng = np.random.default_rng(seed)
     X = _rand(rng, r, k, par.p)
     Y = _rand(rng, k, c, par.p)
-    stored_x = X.T.copy() if tx else X
-    stored_y = Y.T.copy() if ty else Y
 
-    def pack(ev_, M, how):
-        if how == "rows":
-            return pack_rows(ev_, M)
-        return pack_colblocks(ev_, M)
+    def factor(M, how, transposed):
+        """M packed `how`, or its transpose packed `how` and read as `.T`."""
+        pack = pack_rows if how == "rows" else pack_colblocks
+        return pack(ev, M.T.copy()).T if transposed else pack(ev, M)
 
-    enc_x = pack(ev, stored_x, pack_x)
-    enc_y = pack(ev, stored_y, pack_y)
-    msg, st = ctmm_server_mask(ev, enc_x, enc_y, rng, transpose_x=tx,
-                               transpose_y=ty)
-    reply = ctmm_client_round(ev_c, keys, msg)
+    xm, ym, st = ctmm_server_mask(ev, factor(X, pack_x, tx),
+                                  factor(Y, pack_y, ty), rng)
+    reply = ctmm_client_round(ev_c, keys, xm, ym)
     out = ctmm_server_finalize(ev, reply, st)
-    return X, Y, msg, st, reply, out, keys, ev
+    return X, Y, (xm, ym), st, reply, out, keys, ev
 
 
 def _check_ctmm_exact(fixture, dims, packs):
@@ -409,14 +426,24 @@ def test_ctmm_product_exact(setup, dims, packs):
     # (5 = 4 + 1), then 6 rows of 5 (7 = 6 + 1)
     (5, 3, 7), (7, 2, 5),
     # a full ring row of columns, one row per ciphertext; then 10 rows of 3
-    # to a ciphertext (32 = 3 * 10 + 2)
+    # to a ciphertext (32 = 3 * 10 + 2); read transposed, the 32-row factor
+    # takes two ciphertexts in either packing
     (3, 2, 32), (32, 2, 3),
+    # both factors span ciphertexts read transposed, in either packing:
+    # X^T 9 x 7 takes 3 and Y^T 4 x 9 takes 2, then X^T 9 x 4 takes 2 and
+    # Y^T 7 x 9 takes 3
+    (7, 9, 4), (4, 9, 7),
 ])
 def test_ctmm_product_exact_spans_ciphertexts(small, dims):
     """The 32-slot ring, where the product and every term of the reply need
-    several ciphertexts."""
+    several ciphertexts, with each factor held as itself or read as the `.T`
+    of its transpose, in either packing."""
     par, keys, ev = small
-    _check_ctmm_exact((par, keys, ev, ev), dims, ("rows", "rows", False, False))
+    for packs in [("rows", "rows", False, False),
+                  ("rows", "colblocks", True, False),
+                  ("colblocks", "rows", False, True),
+                  ("colblocks", "colblocks", True, True)]:
+        _check_ctmm_exact((par, keys, ev, ev), dims, packs)
 
 
 def test_ctmm_mask_state_single_use(setup):
@@ -431,11 +458,11 @@ def test_ctmm_zero_mask_reveals_structure(setup):
     rng = np.random.default_rng(301)
     X = _rand(rng, 4, 3, par.p)
     Y = _rand(rng, 3, 2, par.p)
-    msg, st = ctmm_server_mask(ev, pack_rows(ev, X), pack_rows(ev, Y),
-                               _ZeroRng())
-    assert np.array_equal(decrypt_matrix(keys, msg.x), X)
-    assert np.array_equal(decrypt_matrix(keys, msg.y), Y)
-    reply = ctmm_client_round(ev_c, keys, msg)
+    xm, ym, st = ctmm_server_mask(ev, pack_rows(ev, X), pack_rows(ev, Y),
+                                  _ZeroRng())
+    assert np.array_equal(decrypt_matrix(keys, xm), X)
+    assert np.array_equal(decrypt_matrix(keys, ym), Y)
+    reply = ctmm_client_round(ev_c, keys, xm, ym)
     x_terms, y_terms = _shifted_terms(X, Y)
     want = [matmul_mod(X, Y, par.p), *x_terms, *y_terms]
     assert len(reply) == len(want) == 7
@@ -456,7 +483,7 @@ def test_ctmm_masked_values_look_uniform(setup):
     Y = pack_rows(ev, np.zeros((1, 1), dtype=np.uint64))
     samples = []
     for _ in range(1024):
-        _, st = ctmm_server_mask(ev, X, Y, rng)
+        *_, st = ctmm_server_mask(ev, X, Y, rng)
         samples.append((par.p - int(st.r1[0, 0])) % par.p)
     counts = np.bincount((np.array(samples) * 8) // par.p, minlength=8)
     expected = len(samples) / 8
@@ -466,18 +493,18 @@ def test_ctmm_masked_values_look_uniform(setup):
     rng2 = np.random.default_rng(77)
     Xv = _rand(rng2, 2, 2, par.p)
     enc = pack_rows(ev, Xv)
-    msg, st = ctmm_server_mask(ev, enc, pack_rows(ev, Xv), rng2)
+    xm, _, st = ctmm_server_mask(ev, enc, pack_rows(ev, Xv), rng2)
     want = (Xv.astype(object) - st.r1 + par.p) % par.p
-    assert np.array_equal(decrypt_matrix(keys, msg.x).astype(object), want)
+    assert np.array_equal(decrypt_matrix(keys, xm).astype(object), want)
 
 
 def test_ctmm_client_rejects_factors_that_do_not_chain(setup):
     par, keys, ev, ev_c = setup
     rng = np.random.default_rng(302)
-    msg = CtmmMasked(pack_rows(ev, _rand(rng, 3, 4, par.p)),
-                     pack_rows(ev, _rand(rng, 3, 2, par.p)), False, False)
+    X = pack_rows(ev, _rand(rng, 3, 4, par.p))
+    Y = pack_rows(ev, _rand(rng, 3, 2, par.p))
     with pytest.raises(ProtocolError, match="do not chain"):
-        ctmm_client_round(ev_c, keys, msg)
+        ctmm_client_round(ev_c, keys, X, Y)
 
 
 def test_ctmm_row_counter_tracks_output_rows(setup):

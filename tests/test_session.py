@@ -635,6 +635,22 @@ def test_client_bad_tokens_stay_parameter_errors(weights):
     assert isinstance(server_err, ProtocolError)
 
 
+@pytest.mark.parametrize("side", ["client", "server"])
+def test_private_inference_raises_the_first_failure(weights, side):
+    """When both parties fail, the first failure is the cause and the
+    peer's "peer closed the connection" follows it: `run_pair` re-raises
+    the cause, whichever side it came from -- an out-of-range token at the
+    client, weights of the wrong shape at the server."""
+    tokens, wts, want = TOKENS, weights, "classifier has shape"
+    if side == "client":
+        tokens, want = [0, 1, 2, 99], "token id out of range"
+    else:
+        wts = replace(weights, classifier=weights.classifier[:, :1])
+    with pytest.raises(ParameterError, match=want):
+        private_inference(CFG, wts, tokens, "opt1", server_seed=11,
+                          client_seed=12)
+
+
 @pytest.mark.parametrize("edit,span,error", [
     pytest.param(_one_too_few, slice(None), "logits frame of",
                  id="missing-class"),

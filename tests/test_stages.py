@@ -50,7 +50,8 @@ class TestPlan:
         rd = plan.stage(0, "attn_weights")
         assert (rd.kind, rd.rows, rd.row_len, rd.frac, rd.keep) == \
             ("rowdiv", 8, 8, 9, 10)
-        assert rd.instances == 8 and rd.lanes_per_instance == 8
+        [(_g, _circ, instances)] = S.stage_circuits(rd)
+        assert instances == 8 and rd.lanes_per_instance == 8
 
     def test_opt1_toy(self):
         plan = S.build_stage_plan(mode="opt1", **TOY)
