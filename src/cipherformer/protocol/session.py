@@ -120,10 +120,16 @@ from .framing import (ACCEPT, CLIENT_SETUP, HELLO, LOGITS, MM_OPEN, MM_REPLY,
 from .transcript import Transcript
 from .transport import run_pair
 
-# the largest session either party will size, checked before anything is
-# allocated, so a peer's hello cannot size an arbitrarily large ring, plan
-# or key set.  2^14 still holds the n = 8192 rings of standard RLWE tables.
+# the largest session either party will size, so a peer's hello cannot size
+# an arbitrarily large ring, plan or key set.  2^14 still holds the n = 8192
+# rings of standard RLWE tables.
 MAX_RING_DEGREE = 1 << 14
+# the smallest ring a session uses, however narrow its layouts
+MIN_RING_DEGREE = 512
+# checked before anything is planned or allocated: every held row is a
+# model width, so no width may pass one row of the largest ring, and the
+# other widths bound how many ciphertexts a tensor spans
+MAX_WIDTH = MAX_RING_DEGREE // 2
 MAX_LAYERS = 64
 # bounds the logits frame (one ciphertext per class) a peer's hello can make
 # the client expect
@@ -142,18 +148,21 @@ def _pow2ceil(x: int) -> int:
 class Geometry:
     """Everything both parties agree on before any payload flows, and the
     layout of every matrix either one sends: the receiver decodes each
-    payload against the layout named here, never against the bytes."""
+    payload against the layout named here, never against the bytes.
+
+    Without its ring fields it still names every layout, each with one
+    copy: `session_geometry` sizes the ring from those layouts."""
 
     cfg: ModelConfig
     mode: str
     plan: StagePlan
-    n: int                      # ring degree
-    p: int                      # plaintext modulus
-    params: PaheParams
     products: tuple[tuple[int, int], ...]  # plain-weight (in, out) widths
-    steps: int                  # baby-step copies of each product input
-    rotations: tuple[int, ...]  # giant-step column-rotation key amounts
     ot_total: int               # random OTs one session consumes
+    n: int = 0                  # ring degree
+    p: int = 0                  # plaintext modulus
+    params: PaheParams | None = None
+    steps: int = 1              # baby-step copies of each product input
+    rotations: tuple[int, ...] = ()  # giant-step column-rotation key amounts
 
     @property
     def galois(self) -> tuple[int, ...]:
@@ -188,39 +197,57 @@ class Geometry:
                                self.steps if any(plain) else 1))
         return lays
 
+    def layouts(self) -> list[Layout]:
+        """Every layout a session sends: the encrypted input, then per
+        stage its encrypted product's masked factors, its input and its
+        shares."""
+        lays, held = [self.input_layout], {"x": self.input_layout}
+        for e, enc in enumerate(self.plan.encoders):
+            for spec in enc:
+                if not spec.plain:
+                    lays += spec.factors(held)
+                shares = self.stage_shares(e, spec)
+                lays += [self.stage_input(spec), *shares]
+                held.update(zip(spec.tags, shares))
+        return lays
+
 
 def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     """The one place a session's sizes are decided, from the model shape and
     the mode alone.
 
     The plan fixes every stage window and, through the products it names,
-    every tensor layout and plain-weight product shape.  The ring is sized
-    so the widest column-block tensor of the pipeline fits one ciphertext
-    row; the plaintext modulus is the smallest NTT-friendly prime giving the
-    widest window its masking slack, and `session_params` picks the RNS
-    primes for it.  Every matrix, column blocks included, is blocked by
-    `helinear.rows_per_ct`: a column-block matrix is the rows packing of its
-    transpose, one block per column, `seq_len` slots long.
+    every tensor layout and plain-weight product shape.  Every matrix is
+    blocked by `helinear.rows_per_ct` across as many ciphertexts as it
+    needs (a column-block matrix is the rows packing of its transpose, one
+    block per column, `seq_len` slots long), so only each held row must fit
+    one ring row: n is the smallest power of two, at least
+    `MIN_RING_DEGREE`, whose n/2-slot row holds the widest held row of
+    every layout the geometry names (`Geometry.layouts`).  The plaintext
+    modulus is the smallest NTT-friendly prime giving the widest window its
+    masking slack, and `session_params` picks the RNS primes for it.
 
     The plain-weight products run baby-step giant-step with one
     session-wide g = ceil(sqrt(D_max)) baby steps, D_max the most diagonals
     any product shape spans (`colblock_diagonals`): the client sends g
     copies of every product input, and a product of D diagonals costs
     about D/g rotations.  The rotation keys are exactly the giant-step
-    amounts those products use.
+    amounts those products use.  The copies always fit beside their row:
+    with q = row_size // seq_len >= 1 held rows to a ring row, a product
+    spans at most 2q - 1 diagonals, so g <= isqrt(2q - 2) + 1 <= q.
 
     Both parties run this from the hello parameters and decode what the
     peer sends against it; nothing is rebuilt from the peer's bytes.  A
-    shape past `MAX_RING_DEGREE`, `MAX_LAYERS` or `MAX_CLASSES` is refused
-    before anything is planned or allocated.
+    width past `MAX_WIDTH`, or more layers or classes than `MAX_LAYERS` or
+    `MAX_CLASSES`, is refused before anything is planned or allocated.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
-    widest = max(cfg.vocab, 3 * cfg.dim, cfg.ff_dim)
-    n = max(512, 2 * _pow2ceil(cfg.seq_len * widest))
-    if n > MAX_RING_DEGREE:
-        raise ParameterError(f"model shape needs a ring of degree {n}, above "
-                             f"the limit of {MAX_RING_DEGREE}")
+    widest = max(cfg.vocab, cfg.seq_len, cfg.dim, cfg.ff_dim)
+    if widest > MAX_WIDTH:
+        raise ParameterError(f"model width {widest} is past the limit of "
+                             f"{MAX_WIDTH} slots, one row of the largest "
+                             f"ring")
     if cfg.n_layers > MAX_LAYERS:
         raise ParameterError(f"{cfg.n_layers} layers exceed the limit of "
                              f"{MAX_LAYERS}")
@@ -228,8 +255,6 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
         raise ParameterError(f"{cfg.n_classes} classes exceed the limit of "
                              f"{MAX_CLASSES}")
     plan = cfg.plan(mode)
-    p, _ = choose_plaintext_prime(plan.m_max, n)
-    params = session_params(p, n)
     # (in, out) widths of each plain-weight product; first "x" is one-hot
     cols, shapes = {"x": cfg.vocab}, {}
     for enc in plan.encoders:
@@ -237,6 +262,15 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
             if s.plain:
                 shapes[cols[s.left], s.row_len] = None
             cols.update((g.tag, g.count // s.rows) for g in s.groups)
+    ot_total = sum(s.m * s.count for enc in plan.encoders for s in enc)
+    unsized = Geometry(cfg, mode, plan, tuple(shapes), ot_total)
+    row = max(lay.held[1] for lay in unsized.layouts())
+    n = max(MIN_RING_DEGREE, 2 * _pow2ceil(row))
+    if n > MAX_RING_DEGREE:
+        raise ParameterError(f"model shape needs a ring of degree {n}, above "
+                             f"the limit of {MAX_RING_DEGREE}")
+    p, _ = choose_plaintext_prime(plan.m_max, n)
+    params = session_params(p, n)
     d_max = max(colblock_diagonals(params, d_in, cfg.seq_len, d_out)
                 for d_in, d_out in shapes)
     steps = isqrt(d_max - 1) + 1
@@ -244,9 +278,8 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     for d_in, d_out in shapes:
         rots.update(colblock_rotation_amounts(params, d_in, cfg.seq_len,
                                               d_out, steps))
-    ot_total = sum(s.m * s.count for enc in plan.encoders for s in enc)
-    return Geometry(cfg, mode, plan, n, p, params, tuple(shapes),
-                    steps, tuple(sorted(rots)), ot_total)
+    return replace(unsized, n=n, p=p, params=params, steps=steps,
+                   rotations=tuple(sorted(rots)))
 
 
 def _client_keys(params: PaheParams, rotations: tuple[int, ...],

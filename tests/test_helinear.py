@@ -148,12 +148,9 @@ def _colblock_vectors(M: np.ndarray, block: int, cols_per_ct: int,
 
 def _session_colblock_layouts(geom):
     """Every column-block layout a session of `geom` sends: the input, the
-    stage inputs and the stage shares with their copies."""
-    lays = [geom.input_layout]
-    for e, enc in enumerate(geom.plan.encoders):
-        for spec in enc:
-            lays += [geom.stage_input(spec), *geom.stage_shares(e, spec)]
-    return {lay for lay in lays if lay.packing == COLBLOCKS}
+    products' masked factors, the stage inputs and the stage shares with
+    their copies."""
+    return {lay for lay in geom.layouts() if lay.packing == COLBLOCKS}
 
 
 @pytest.mark.parametrize("cfg", [

@@ -43,10 +43,16 @@ def negacyclic_convolve_naive(a, b, p: int) -> list[int]:
 P61 = next_prime(1 << 60, congruent=(1, 1 << 14))  # worst-case wide modulus
 
 
+# a (vocab, seq_len, dim, ff_dim, n_layers) shape for each ring, as
+# `session_geometry` sizes it: the tiny shape sits at the 512 floor (61-bit
+# p, 3 x 50-bit q), and he-small with 512 positions holds 512-slot rows, so
+# it needs n = 1024 (62-bit p, 3 x 51-bit q)
+SESSION_SHAPES = {512: (8, 4, 4, 8, 1), 1024: (32, 512, 16, 32, 2)}
+
+
 def _session_primes(n: int):
-    """(q stack, plaintext prime) of the benchmark shape on ring n."""
-    shape = {1024: (32, 8, 16, 32, 2), 512: (8, 4, 4, 8, 1)}[n]
-    vocab, L, d, ff, layers = shape
+    """(q stack, plaintext prime) of the session shape on ring n."""
+    vocab, L, d, ff, layers = SESSION_SHAPES[n]
     geom = session_geometry(ModelConfig(vocab=vocab, seq_len=L, dim=d,
                                         ff_dim=ff, n_layers=layers,
                                         n_classes=2), "opt2")
@@ -54,7 +60,7 @@ def _session_primes(n: int):
     return geom.params.q_primes, geom.p
 
 
-SESSION_PRIMES = {n: _session_primes(n) for n in (512, 1024)}
+SESSION_PRIMES = {n: _session_primes(n) for n in SESSION_SHAPES}
 
 
 def _check_column_helpers(a, b, primes):

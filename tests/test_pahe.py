@@ -328,18 +328,23 @@ def measured_noise_bits(km, ct, slots) -> float:
 
 
 class TestNoise:
-    @pytest.mark.parametrize("ring", ["toy", "he-small"])
+    @pytest.mark.parametrize("ring", ["toy", "he-small", "he-small-1024"])
     def test_tracked_noise_bounds_the_measured_noise(self, setup, ring):
         """The running estimate is an upper bound on the real noise after
         every op a session runs, in session order: a fresh encryption, a
         multiply by a full-range plaintext, a rotation, a ciphertext
-        addition and a plaintext addition.  he-small is the n = 1024 ring
-        with its 62-bit plaintext prime."""
+        addition and a plaintext addition.  he-small is the n = 512 ring
+        with its 62-bit plaintext prime; with 512 positions its held rows
+        are 512 slots wide, which takes the n = 1024 ring, again with a
+        62-bit prime."""
         par, km, ev, rng = setup
-        if ring == "he-small":
+        if ring != "toy":
+            seq_len, n = {"he-small": (8, 512),
+                          "he-small-1024": (512, 1024)}[ring]
             par = session_geometry(ModelConfig(
-                vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
+                vocab=32, seq_len=seq_len, dim=16, ff_dim=32, n_layers=2,
                 n_classes=2), "opt2").params
+            assert (par.n, par.p.bit_length()) == (n, 62)
             km = pahe.keygen(par, seed=41, rotations=(1,))
             ev = pahe.Evaluator(km, seed=42)
         half, p = par.row_size, par.p

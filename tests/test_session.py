@@ -21,8 +21,8 @@ from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.gc.ot import LAMBDA, POINT_BYTES
 from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
-                                   encmatrix_to_bytes, matmul_mod,
-                                   pack_colblocks, rows_per_ct)
+                                   encmatrix_to_bytes, layout_vectors,
+                                   matmul_mod, pack_colblocks, rows_per_ct)
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
 from cipherformer.pahe import Evaluator, ct_nbytes, keygen
 from cipherformer.protocol import (ACCEPT, FRAME_NAMES, HELLO, LOGITS,
@@ -94,9 +94,9 @@ def test_two_layer_session_is_exact_and_pinned():
 
 
 def test_he_small_session_is_exact():
-    """The HE-bound benchmark shape (two layers, n = 1024): the only session
+    """The HE-bound benchmark shape (two layers, n = 512): the only session
     here whose products pack many matrix rows into one ciphertext -- the
-    16 x 16 inner product's rows all share one 512-slot row."""
+    16 x 16 inner product's rows all share one 256-slot row."""
     cfg = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
                       n_classes=2)
     wts = gen_random(cfg, 5, scale=0.25)
@@ -108,12 +108,14 @@ def test_he_small_session_is_exact():
     assert np.array_equal(client.logits, ref.logits)
     assert server.transcript.rounds == client.transcript.rounds == 53
     assert server.transcript.digest() == client.transcript.digest()
-    # nine baby steps (the (32, 48) product spans 79 diagonals); giant
-    # steps -6..3, each product rotating once per giant step it reaches:
-    # 9 + 5 + 5 in layer 0, 7 + 5 + 5 in layer 1
-    assert server.geometry.steps == 9
-    assert len(server.geometry.rotations) == 9
-    assert server.transcript.counters["keyswitch"] == 36
+    # 8-slot column blocks, 32 to a 256-slot row: the (32, 48) product
+    # spans 32 + 32 - 1 = 63 diagonals, so eight baby steps; a giant step
+    # is 8 blocks, 64 slots, so the keys are 64, 128 and 192, and each
+    # product rotates once per output ciphertext and nonzero amount:
+    # 6 + 3 + 3 in layer 0, 6 + 3 + 3 in layer 1
+    assert server.geometry.steps == 8
+    assert server.geometry.rotations == (64, 128, 192)
+    assert server.transcript.counters["keyswitch"] == 24
 
 
 def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
@@ -555,7 +557,8 @@ def _hello(**changes) -> bytes:
 
 @pytest.mark.parametrize("forge,error", [
     pytest.param(lambda: _hello(seq_len=1 << 40), "limit", id="seq_len"),
-    pytest.param(lambda: _hello(vocab=1 << 12), "limit", id="vocab"),
+    pytest.param(lambda: _hello(vocab=session.MAX_WIDTH + 1), "limit",
+                 id="vocab"),
     pytest.param(lambda: _hello(n_layers=session.MAX_LAYERS + 1), "limit",
                  id="n_layers"),
     pytest.param(lambda: _hello(n_classes=1), "two classes", id="n_classes"),
@@ -571,12 +574,12 @@ def _hello(**changes) -> bytes:
 ])
 def test_client_refuses_oversized_hello_before_planning(monkeypatch, forge,
                                                          error):
-    """A forged hello asks for a ring past `MAX_RING_DEGREE`, more layers
-    than `MAX_LAYERS`, a logits frame past `MAX_CLASSES` ciphertexts, a
-    shape `ModelConfig` refuses or a mode `MODES` does not have, or is not
-    81 bytes long; the client refuses it before the plan, the ring or any
-    key is sized.  The shape is the peer's, so the refusal is a
-    ProtocolError, not a ParameterError."""
+    """A forged hello asks for a width past `MAX_WIDTH` (one row of the
+    largest ring), more layers than `MAX_LAYERS`, a logits frame past
+    `MAX_CLASSES` ciphertexts, a shape `ModelConfig` refuses or a mode
+    `MODES` does not have, or is not 81 bytes long; the client refuses it
+    before the plan, the ring or any key is sized.  The shape is the
+    peer's, so the refusal is a ProtocolError, not a ParameterError."""
     assert len(_hello()) == session.HELLO_BYTES == 81
     monkeypatch.setattr(ModelConfig, "plan",
                         lambda *_: pytest.fail("planned a hostile hello"))
@@ -587,11 +590,17 @@ def test_client_refuses_oversized_hello_before_planning(monkeypatch, forge,
 
 
 def test_geometry_limits_admit_their_bounds():
-    """A shape at exactly the ring limit, one with exactly `MAX_LAYERS`
+    """A shape whose widest held row fills a row of the largest ring, one
+    whose vocabulary is exactly `MAX_WIDTH`, one with exactly `MAX_LAYERS`
     layers and one with exactly `MAX_CLASSES` classes still size a
     session."""
-    wide = replace(CFG, vocab=128, seq_len=64)
-    assert session_geometry(wide, "opt1").n == session.MAX_RING_DEGREE
+    assert session.MAX_WIDTH == session.MAX_RING_DEGREE // 2 == 8192
+    long = replace(CFG, seq_len=session.MAX_WIDTH)
+    assert session_geometry(long, "opt2").n == session.MAX_RING_DEGREE
+    # a vocabulary is never a held row: the one-hot input's columns are
+    # seq_len-slot blocks, so the widest vocabulary keeps the floor ring
+    wide = replace(CFG, vocab=session.MAX_WIDTH)
+    assert session_geometry(wide, "opt1").n == session.MIN_RING_DEGREE
     deep = replace(CFG, n_layers=session.MAX_LAYERS)
     assert session_geometry(deep, "opt2").plan.encoders
     many = replace(CFG, n_classes=session.MAX_CLASSES)
@@ -712,7 +721,7 @@ def test_server_refuses_key_blob_off_the_geometry(weights, edit, error):
     pytest.param(ModelConfig(vocab=8, seq_len=16, dim=4, ff_dim=8,
                              n_layers=1, n_classes=2), 5, 4, id="gc-l16"),
     pytest.param(ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32,
-                             n_layers=2, n_classes=2), 9, 9, id="he-small"),
+                             n_layers=2, n_classes=2), 8, 3, id="he-small"),
 ])
 def test_geometry_rotation_keys_are_exactly_the_products_use(cfg, steps,
                                                              keys):
@@ -741,6 +750,41 @@ def test_geometry_rotation_keys_are_exactly_the_products_use(cfg, steps,
         out = colblock_matmul(ev, pack_colblocks(ev, X, steps=geom.steps), W)
         assert np.array_equal(decrypt_matrix(km, out), matmul_mod(X, W, geom.p))
     assert used - {0} == set(geom.rotations)
+
+
+@pytest.mark.parametrize("shape", [
+    pytest.param((8, 4, 4, 8, 1), id="tiny"),
+    pytest.param((8, 16, 4, 8, 1), id="gc-l16"),
+    pytest.param((32, 8, 16, 32, 2), id="he-small"),
+    pytest.param((512, 4, 4, 8, 1), id="wide-vocab"),
+    pytest.param((8, 4, 4, 600, 1), id="wide-ff"),
+    pytest.param((8, 4, 300, 8, 2), id="wide-dim"),
+    pytest.param((8, 4, 600, 8, 1), id="wider-dim"),
+    pytest.param((8, 256, 4, 8, 1), id="seq-fills-floor"),
+    pytest.param((8, 257, 4, 8, 2), id="seq-past-floor"),
+    pytest.param((8, 300, 4, 8, 1), id="seq-widest"),
+    pytest.param((8, 100, 4, 8, 1), id="seq-two-to-a-row"),
+])
+@pytest.mark.parametrize("mode", MODES)
+def test_ring_is_the_smallest_that_holds_every_layout(shape, mode):
+    """Every layout the geometry names fits one ring row with all its
+    baby-step copies, and the ring is the smallest that does: above the
+    floor, the next smaller ring's row is narrower than some held row."""
+    vocab, L, d, ff, layers = shape
+    cfg = ModelConfig(vocab=vocab, seq_len=L, dim=d, ff_dim=ff,
+                      n_layers=layers, n_classes=2)
+    geom = session_geometry(cfg, mode)
+    lays = geom.layouts()
+    assert geom.input_layout in lays
+    assert geom.n & (geom.n - 1) == 0
+    assert session.MIN_RING_DEGREE <= geom.n <= session.MAX_RING_DEGREE
+    for lay in lays:
+        vecs = layout_vectors(geom.params, lay,
+                              np.zeros(lay.shape, dtype=np.uint64))
+        assert vecs.shape == (lay.ct_count(geom.params),
+                              geom.params.row_size)
+    if geom.n > session.MIN_RING_DEGREE:
+        assert max(lay.held[1] for lay in lays) > geom.n // 4
 
 
 def test_geometry_check_compares_copies():
