@@ -126,10 +126,17 @@ from .transport import run_pair
 MAX_RING_DEGREE = 1 << 14
 # the smallest ring a session uses, however narrow its layouts
 MIN_RING_DEGREE = 512
-# checked before anything is planned or allocated: every held row is a
-# model width, so no width may pass one row of the largest ring, and the
-# other widths bound how many ciphertexts a tensor spans
+# checked before the plan: every held row is a model width, so no width
+# may pass one row of the largest ring
 MAX_WIDTH = MAX_RING_DEGREE // 2
+# checked after the plan, before any key or OT is made: widths alone do
+# not bound a session, which holds tensors of two widths (dim x dim, say)
+# in every layer.  The OT receiver's extension peaks at over 128 bytes per
+# OT (its correction matrix unpacked a byte per bit); 2^24 OTs still
+# admit a session on the largest ring.
+MAX_OTS = 1 << 24
+# the wire bytes of every encrypted matrix one session's layouts name
+MAX_SESSION_BYTES = 1 << 30
 MAX_LAYERS = 64
 # bounds the logits frame (one ciphertext per class) a peer's hello can make
 # the client expect
@@ -148,21 +155,18 @@ def _pow2ceil(x: int) -> int:
 class Geometry:
     """Everything both parties agree on before any payload flows, and the
     layout of every matrix either one sends: the receiver decodes each
-    payload against the layout named here, never against the bytes.
-
-    Without its ring fields it still names every layout, each with one
-    copy: `session_geometry` sizes the ring from those layouts."""
+    payload against the layout named here, never against the bytes."""
 
     cfg: ModelConfig
     mode: str
     plan: StagePlan
+    n: int                      # ring degree
+    p: int                      # plaintext modulus
+    params: PaheParams
     products: tuple[tuple[int, int], ...]  # plain-weight (in, out) widths
+    steps: int                  # baby-step copies of each product input
+    rotations: tuple[int, ...]  # giant-step column-rotation key amounts
     ot_total: int               # random OTs one session consumes
-    n: int = 0                  # ring degree
-    p: int = 0                  # plaintext modulus
-    params: PaheParams | None = None
-    steps: int = 1              # baby-step copies of each product input
-    rotations: tuple[int, ...] = ()  # giant-step column-rotation key amounts
 
     @property
     def galois(self) -> tuple[int, ...]:
@@ -239,7 +243,9 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     Both parties run this from the hello parameters and decode what the
     peer sends against it; nothing is rebuilt from the peer's bytes.  A
     width past `MAX_WIDTH`, or more layers or classes than `MAX_LAYERS` or
-    `MAX_CLASSES`, is refused before anything is planned or allocated.
+    `MAX_CLASSES`, is refused before anything is planned; a plan needing
+    more than `MAX_OTS` random OTs, or encrypted matrices past
+    `MAX_SESSION_BYTES`, before any key or OT is made.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -263,7 +269,14 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
                 shapes[cols[s.left], s.row_len] = None
             cols.update((g.tag, g.count // s.rows) for g in s.groups)
     ot_total = sum(s.m * s.count for enc in plan.encoders for s in enc)
-    unsized = Geometry(cfg, mode, plan, tuple(shapes), ot_total)
+    if ot_total > MAX_OTS:
+        raise ParameterError(f"model shape needs {ot_total} random OTs, "
+                             f"above the limit of {MAX_OTS}")
+    # a held row does not depend on the ring or the copies, so the layouts
+    # of a geometry with placeholder ring fields size the ring
+    unsized = Geometry(cfg, mode, plan, n=0, p=0, params=None,
+                       products=tuple(shapes), steps=1, rotations=(),
+                       ot_total=ot_total)
     row = max(lay.held[1] for lay in unsized.layouts())
     n = max(MIN_RING_DEGREE, 2 * _pow2ceil(row))
     if n > MAX_RING_DEGREE:
@@ -278,8 +291,14 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     for d_in, d_out in shapes:
         rots.update(colblock_rotation_amounts(params, d_in, cfg.seq_len,
                                               d_out, steps))
-    return replace(unsized, n=n, p=p, params=params, steps=steps,
+    geom = replace(unsized, n=n, p=p, params=params, steps=steps,
                    rotations=tuple(sorted(rots)))
+    nbytes = sum(geom.nbytes(lay) for lay in geom.layouts())
+    if nbytes > MAX_SESSION_BYTES:
+        raise ParameterError(f"model shape needs {nbytes} bytes of encrypted "
+                             f"matrices, above the limit of "
+                             f"{MAX_SESSION_BYTES}")
+    return geom
 
 
 def _client_keys(params: PaheParams, rotations: tuple[int, ...],
@@ -352,9 +371,10 @@ def _hello(geom: Geometry) -> bytes:
 
 
 def hello_geometry(payload: bytes) -> Geometry:
-    """The geometry a server's `HELLO_BYTES`-byte hello names, planned only
-    after the shape passes `session_geometry`'s limits.  The shape is the
-    peer's, so any refusal is a ProtocolError."""
+    """The geometry a server's `HELLO_BYTES`-byte hello names, once the
+    shape passes `session_geometry`'s limits: no key, OT or tensor is made
+    for a shape that does not.  The shape is the peer's, so any refusal is
+    a ProtocolError."""
     mode, *dims, ring, prime = _HELLO.unpack(payload)
     if mode >= len(MODES):
         raise ProtocolError(f"server offered unknown mode index {mode}")

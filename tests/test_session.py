@@ -607,6 +607,90 @@ def test_geometry_limits_admit_their_bounds():
     assert session_geometry(many, "opt1").cfg.n_classes == 99
 
 
+def test_session_limits_admit_their_bounds(monkeypatch):
+    """A plan needing exactly `MAX_OTS` random OTs, or exactly
+    `MAX_SESSION_BYTES` of encrypted matrices, still sizes a session; one
+    more than the limit is refused."""
+    geom = session_geometry(CFG, "opt1")
+    nbytes = sum(geom.nbytes(lay) for lay in geom.layouts())
+    for limit, need in (("MAX_OTS", geom.ot_total),
+                        ("MAX_SESSION_BYTES", nbytes)):
+        monkeypatch.setattr(session, limit, need)
+        assert session_geometry(CFG, "opt1") == geom
+        monkeypatch.setattr(session, limit, need - 1)
+        with pytest.raises(ParameterError, match="above the limit"):
+            session_geometry(CFG, "opt1")
+        monkeypatch.undo()
+
+
+def _sized_a_hostile_session(*_, **__):
+    pytest.fail("sized a hostile session")
+
+
+@pytest.mark.parametrize("forge,error", [
+    # 64 layers, each with a dim x dim product: about 7.8e10 random OTs
+    pytest.param(lambda: _hello(mode=MODES.index("opt2"),
+                                dim=session.MAX_WIDTH, w=8, f=4,
+                                n_layers=session.MAX_LAYERS),
+                 "random OTs, above the limit", id="dim-squared"),
+    # a one-hot input of MAX_WIDTH x MAX_WIDTH, gigabytes of ciphertexts
+    pytest.param(lambda: _hello(mode=MODES.index("opt2"),
+                                seq_len=session.MAX_WIDTH,
+                                vocab=session.MAX_WIDTH),
+                 "bytes of encrypted matrices, above the limit",
+                 id="one-hot"),
+])
+def test_client_refuses_oversized_session_before_keys(monkeypatch, forge,
+                                                       error):
+    """Every width of these hellos is within `MAX_WIDTH`, but the session
+    planned from them would need more than `MAX_OTS` random OTs or
+    `MAX_SESSION_BYTES` of encrypted matrices: the client refuses it
+    before it makes any key, extends any OT or packs its input."""
+    for name in ("_client_keys", "_cached_keys", "pack_colblocks"):
+        monkeypatch.setattr(session, name, _sized_a_hostile_session)
+    monkeypatch.setattr(session.OtExtReceiver, "extend",
+                        _sized_a_hostile_session)
+    sconn, cconn = memory_pair()
+    write_frame(sconn, HELLO, forge())
+    with pytest.raises(ProtocolError, match=error):
+        run_client(cconn, TOKENS, seed=12)
+
+
+def _recording(fn, pick, seen):
+    def wrapped(*args):
+        out = fn(*args)
+        seen.append(pick(args, out))
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_session_sends_only_the_layouts_the_geometry_names(monkeypatch,
+                                                           mode):
+    """Every matrix either party encodes or decodes in a session, and the
+    product each encrypted matrix product assembles from the reply, has a
+    layout `Geometry.layouts` names, so the ring sized from those layouts
+    holds every row the parties send.  seq_len and dim differ, so the
+    session's held rows come in both widths."""
+    cfg = ModelConfig(vocab=8, seq_len=6, dim=4, ff_dim=8, n_layers=1,
+                      n_classes=2)
+    tokens = [1, 5, 0, 3, 7, 2]
+    seen: list[Layout] = []
+    for name, pick in (("encmatrix_from_bytes", lambda a, out: a[2]),
+                       ("encmatrix_to_bytes", lambda a, out: a[0].layout),
+                       ("ctmm_server_finalize", lambda a, out: out.layout)):
+        monkeypatch.setattr(session, name,
+                            _recording(getattr(session, name), pick, seen))
+    wts = gen_random(cfg, 7, scale=0.25)
+    server, client = private_inference(cfg, wts, tokens, mode,
+                                       server_seed=11, client_seed=12)
+    assert np.array_equal(client.logits,
+                          forward_fixed(cfg, wts, tokens, mode).logits)
+    named = set(server.geometry.layouts())
+    assert set(seen) <= named
+    assert {lay.held[1] for lay in seen} == {cfg.seq_len, cfg.dim}
+
+
 class _NoSend:
     def send(self, data: bytes):
         pytest.fail("sent a frame")
