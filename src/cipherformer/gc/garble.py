@@ -18,8 +18,8 @@ index and table rows the AND's ordinal, so the output is byte for byte what
 a gate-by-gate walk produces.
 
 Everything here is semi-honest: evaluation trusts the tables.  Outputs are
-never decoded to bits; the evaluator keeps its active output labels and
-takes label-keyed pads (`output_pads`) instead.
+never decoded to bits: label-keyed pads and one correction word per output
+bit turn it into additive shares of bit * weight mod p (`b2a_corrections`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import CircuitError
+from ..ntt import addmod, reduce128, submod
 from .circuit import CONST0, CONST1, Circuit
 
 _FIXED_KEY = bytes(range(16))
@@ -110,29 +111,48 @@ class GarbledCircuit:
         zero = self.wire0[self.circuit.evaluator_inputs]
         return zero, zero ^ self.delta[None]
 
-    def output_zero_labels(self) -> np.ndarray:
-        return self.wire0[self.circuit.outputs]
 
-    def output_pads(self) -> tuple[np.ndarray, np.ndarray]:
-        """Label-keyed one-time pads for both values of every output wire:
-        (pads0, pads1), each (n_out, E, 2).  Whoever holds the active output
-        label can recompute exactly one of the two."""
-        z = self.wire0[self.circuit.outputs]
-        pads = hash_labels(np.array([z, z ^ self.delta]),
-                           _output_tweaks(_B2A_NS, z.shape[0], self.instances))
-        return pads[0], pads[1]
+def _folded_pads(labels: np.ndarray, p: int) -> np.ndarray:
+    """F(L): the pads of output labels (..., n_out, E, 2), under tweaks
+    unique per (output wire, instance), folded to (lo + 2^64 hi) mod p."""
+    n_out, E = labels.shape[-3:-1]
+    pads = hash_labels(labels, _tweak_grid(
+        _B2A_NS | np.arange(n_out, dtype=np.uint64), E))
+    return reduce128(pads[..., 1], pads[..., 0], p)
 
 
-def _output_tweaks(namespace: np.uint64, n_out: int,
-                   instances: int) -> np.ndarray:
-    return _tweak_grid(namespace | np.arange(n_out, dtype=np.uint64),
-                       instances)
+def b2a_corrections(gb: GarbledCircuit, weights: np.ndarray,
+                    p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Garbler half of the free B2A: (c, t), each (n_out, E) below p.
+
+    For output wire i with colour-0 label L0 standing for the value b0, and
+    colour-1 label L1 = L0 ^ delta, the evaluator holding L gets the share
+    s = F(L) + colour(L) c and the garbler keeps t, so s + t = bit * w_i
+    (mod p) for `weights` w_i, (n_out,):
+
+        c = (1 - 2 b0) w_i + F(L0) - F(L1),    t = b0 w_i - F(L0).
+
+    The holder of L0 learns from c only (1 - 2 b0) w_i - F(L1), the holder
+    of L1 only (1 - 2 b0) w_i + F(L0): the pad of the label it does not
+    hold hides the bit.  This rests on what half-gates already assumes,
+    that the fixed-key hash is correlation robust, so H(L ^ delta, t) looks
+    uniform to whoever holds L.
+    """
+    z = gb.wire0[gb.circuit.outputs]
+    b0 = z[..., 0] & _ONE              # the value of L0 is the colour of z
+    l0 = z ^ b0[..., None] * gb.delta
+    f0, f1 = _folded_pads(np.array([l0, l0 ^ gb.delta]), p)
+    w = np.asarray(weights, dtype=np.uint64)[:, None]
+    signed_w = np.where(b0 == 1, submod(0, w, p), w)
+    return submod(addmod(signed_w, f0, p), f1, p), submod(b0 * w, f0, p)
 
 
-def active_output_pads(circuit: Circuit, active_out: np.ndarray) -> np.ndarray:
-    """Evaluator side of `output_pads`: pads for the labels actually held."""
-    n_out, E = active_out.shape[0], active_out.shape[1]
-    return hash_labels(active_out, _output_tweaks(_B2A_NS, n_out, E))
+def b2a_shares(active_out: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
+    """Evaluator half of `b2a_corrections`: the shares
+    F(L) + colour(L) c mod p, (n_out, E), of the held output labels
+    `active_out`, (n_out, E, 2); `c` must be reduced mod p."""
+    fold = _folded_pads(active_out, p)
+    return addmod(fold, (active_out[..., 0] & _ONE) * c, p)
 
 
 def garble(circuit: Circuit, instances: int,

@@ -4,8 +4,8 @@ The model is deliberately small: single-head attention encoders without
 residuals or normalisation layers, a feed-forward block per encoder, mean
 pooling, and a linear classifier.  Weights are signed fixed-point integers
 with `f` fraction bits inside `w`-bit words; activations travel at the plan's
-activation width (`act_w`/`act_f`), which equals the weight width except in
-the narrowed mode.
+activation width (each affine stage's `keep`, with `act_f` fraction bits),
+which equals the weight width except in the narrowed mode.
 
 `forward_fixed` is the bit-exact reference for the private pipeline: it
 walks the session's stage plan, products and all, through the plain oracles,

@@ -24,7 +24,7 @@ ACCEPT = 2         # c->s: rotation keys, base-OT point A (33 B)
 OT_BASE = 3        # s->c: the 128 base-OT points B (33 B each)
 CLIENT_SETUP = 4   # c->s: OT seeds + extension matrix + encrypted input
 # garbled stages
-STAGE_OPEN = 5     # s->c: masked wires, tables, garbler labels, B2A pairs
+STAGE_OPEN = 5     # s->c: masked wires, tables, garbler labels, B2A words
 STAGE_OT_REQ = 6   # c->s: derandomization bits
 STAGE_OT_RESP = 7  # s->c: masked label pairs
 STAGE_SHARE = 8    # c->s: re-encrypted output shares

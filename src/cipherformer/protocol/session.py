@@ -32,7 +32,8 @@ interleaved with two encrypted matrix products of two frames each:
   stage-open     s -> c   the masked input, a `stage_input` matrix; then
                           per `stage_circuits` group (circ, E): tables,
                           32 n_and E; garbler labels, 16 (garbler_inputs
-                          + 2) E; pad pairs, 16 n_out E, each word below p
+                          + 2) E; B2A corrections, 8 n_out E, each word
+                          below p
   stage-ot-req   c -> s   derandomization bits, ceil(m count / 8), the pad
                           bits of the last byte zero
   stage-ot-resp  s -> c   masked label pairs, 32 m count
@@ -57,12 +58,12 @@ slots of the stage input's packing (`helinear` decides which slot holds
 which entry, many matrix rows to a ciphertext), and the offsets are laid out
 by the same rule, so every other slot decrypts to zero.  Stage outputs come
 back to the field through label-keyed pads: for every output bit the server
-publishes a pair of corrections indexed by the label's colour bit, built so
-the pad the client can recompute plus the matching correction equals
-bit * weight + rho  mod p -- an additive sharing of the weighted output bit
-that costs no extra gates, no extra OTs and no extra frames.  The client
-sums its word shares, packs and encrypts them fresh (which also resets
-ciphertext depth), and the server folds in the rho totals on its side.
+publishes one correction word, and the pad of the label the client holds,
+plus the word if that label's colour bit is set, is the client's additive
+share of bit * weight mod p (`gc.garble.b2a_corrections`) -- no extra gates,
+no extra OTs and no extra frames.  The client sums its word shares, packs
+and encrypts them fresh (which also resets ciphertext depth), and the server
+adds its own word shares on its side.
 
 The ciphertext-by-ciphertext products mask both factors, let the client
 multiply in the clear, and finish the cross terms homomorphically; the
@@ -92,7 +93,7 @@ import numpy as np
 from ..errors import ParameterError, ProtocolError
 from ..fixedpoint import to_field, to_signed
 from ..gc.circuit import to_bits
-from ..gc.garble import active_output_pads, evaluate, garble
+from ..gc.garble import b2a_corrections, b2a_shares, evaluate, garble
 from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
                      OtExtReceiver, OtExtSender, RandomOtBatch,
                      RandomOtSenderBatch)
@@ -104,7 +105,7 @@ from ..helinear import (COLBLOCKS, ROWS, EncMatrix, Layout,
                         encmatrix_from_bytes, encmatrix_to_bytes,
                         layout_vectors, pack_colblocks, pack_rows)
 from ..model import ModelConfig, Weights, layer_weights, validate_weights
-from ..ntt import addmod, reduce128
+from ..ntt import addmod
 from ..pahe import (Ciphertexts, Evaluator, KeyMaterial, PaheParams, ct_nbytes,
                     cts_from_bytes, cts_to_bytes, encode_plain_many,
                     galois_elements, key_blob_nbytes, keygen, le64,
@@ -352,9 +353,9 @@ def _words(part: bytes, shape: tuple[int, ...]) -> np.ndarray:
 
 def _gc_shapes(circ, E: int) -> list[tuple[int, ...]]:
     """The word arrays stage-open carries for one circuit group: tables,
-    garbler labels, pad pairs."""
+    garbler labels, B2A corrections."""
     return [(circ.n_and, E, 2, 2), (circ.garbler_inputs.size + 2, E, 2),
-            (circ.outputs.size, E, 2)]
+            (circ.outputs.size, E)]
 
 
 # mode index, then vocab, seq_len, dim, ff_dim, n_layers, n_classes, w, f
@@ -403,11 +404,6 @@ def _matrix_to_lanes(spec: StageSpec, mat: np.ndarray) -> np.ndarray:
     return np.concatenate([part.ravel() for part in spec.split(mat)])
 
 
-def _fold_labels(labels: np.ndarray, p: int) -> np.ndarray:
-    """128-bit labels -> field elements: (lo + 2^64 hi) mod p."""
-    return reduce128(labels[..., 1], labels[..., 0], p)
-
-
 def _b2a_words(bit_shares: np.ndarray, keep: int, p: int) -> np.ndarray:
     """Both parties' B2A fold: per-bit field shares, (lanes * keep, E) with
     a lane's `keep` bits together, -> per-word shares (lanes, E), each the
@@ -452,9 +448,8 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
     parts = [encmatrix_to_bytes(menc)]
     gc_bytes = 0
     ot_zero, ot_one = [], []
-    corr_lanes: list[np.ndarray] = []
+    own_lanes: list[np.ndarray] = []
     lpi = spec.lanes_per_instance
-    pu = np.uint64(p)
     off = 0
     for g, circ, E in stage_circuits(spec):
         gb = garble(circ, E, rng)
@@ -462,26 +457,15 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
         off += g.count
         glab = gb.garbler_labels(to_bits(words, m).reshape(E, lpi * m))
 
-        # bit -> field corrections, one pair per output bit, keyed by colour
-        pads0, pads1 = gb.output_pads()
-        f0 = _fold_labels(pads0, p)
-        f1 = _fold_labels(pads1, p)
-        colour = gb.output_zero_labels()[..., 0] & np.uint64(1)
-        wvec = np.tile(b2a_weights(spec.keep, p), lpi)[:, None]
-        rho = rng.integers(0, p, size=f0.shape, dtype=np.uint64)
-        cpair = np.empty(f0.shape + (2,), dtype=np.uint64)
-        for chi in (0, 1):
-            b = colour ^ np.uint64(chi)
-            fb = np.where(b == 1, f1, f0)
-            cpair[..., chi] = (b * wvec + rho + (pu - fb)) % pu
-        rho_words = _b2a_words(rho, spec.keep, pu)
-        corr_lanes.append(((pu - rho_words) % pu).T.ravel())
+        corr, own = b2a_corrections(
+            gb, np.tile(b2a_weights(spec.keep, p), lpi), p)
+        own_lanes.append(_b2a_words(own, spec.keep, p).T.ravel())
 
         zero, one = gb.evaluator_label_pairs()
         ot_zero.append(zero.transpose(1, 0, 2).reshape(-1, 2))
         ot_one.append(one.transpose(1, 0, 2).reshape(-1, 2))
-        parts += [le64(gb.tables), le64(glab), le64(cpair)]
-        gc_bytes += gb.tables.nbytes + glab.nbytes + cpair.nbytes
+        parts += [le64(gb.tables), le64(glab), le64(corr)]
+        gc_bytes += gb.tables.nbytes + glab.nbytes + corr.nbytes
     _send(sp.conn, sp.tr, STAGE_OPEN, *parts)
 
     nbits = m * spec.count
@@ -502,7 +486,7 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
     outs = []
     for oi, (blob, lay) in enumerate(zip(blobs, layouts)):
         se = encmatrix_from_bytes(blob, geom.params, lay)
-        outs.append(add_offset(ev, se, corr_lanes[oi].reshape(lay.shape)))
+        outs.append(add_offset(ev, se, own_lanes[oi].reshape(lay.shape)))
 
     sp.tr.add_gc_bytes(gc_bytes)
     sp.tr.add_event(kind="stage", layer=layer, name=spec.name,
@@ -630,7 +614,7 @@ def _client_stage(cp: _ClientParty, layer: int,
     bm, *gblobs = _recv(cp.conn, cp.tr, STAGE_OPEN,
                         [geom.nbytes(layout), *(8 * prod(sh) for sh in shapes)])
     garbled = [_words(blob, sh) for blob, sh in zip(gblobs, shapes)]
-    if any((cpair >= p).any() for cpair in garbled[2::3]):
+    if any((corr >= p).any() for corr in garbled[2::3]):
         raise ProtocolError("stage-open B2A correction word not reduced mod p")
     menc = encmatrix_from_bytes(bm, geom.params, layout)
     lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
@@ -646,21 +630,16 @@ def _client_stage(cp: _ClientParty, layer: int,
 
     gc_bytes = packed.nbytes + fmsg.nbytes
     shares = []
-    pu = np.uint64(p)
     cuts = np.cumsum([m * g.count for g, _circ, _E in groups])[:-1]
     for gi, labels in enumerate(np.split(chosen, cuts)):
         _g, circ, E = groups[gi]
         n_ein = circ.evaluator_inputs.size
         eact = labels.reshape(E, n_ein, 2).transpose(1, 0, 2)
-        tables, glab, cpair = garbled[3 * gi:3 * gi + 3]
-        gc_bytes += tables.nbytes + glab.nbytes + cpair.nbytes
+        tables, glab, corr = garbled[3 * gi:3 * gi + 3]
+        gc_bytes += tables.nbytes + glab.nbytes + corr.nbytes
 
-        act_out = evaluate(circ, tables, glab, eact)
-        fold = _fold_labels(active_output_pads(circ, act_out), p)
-        colour = (act_out[..., 0] & np.uint64(1)).astype(np.int64)
-        csel = np.take_along_axis(cpair, colour[..., None], axis=2)[..., 0]
-        sigma = (fold + csel) % pu
-        shares.append(_b2a_words(sigma, spec.keep, pu).T.ravel())
+        bit_shares = b2a_shares(evaluate(circ, tables, glab, eact), corr, p)
+        shares.append(_b2a_words(bit_shares, spec.keep, p).T.ravel())
 
     parts = []
     layouts = geom.stage_shares(layer, spec)

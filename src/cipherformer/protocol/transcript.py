@@ -3,7 +3,7 @@
 A round is one frame in either direction, so both parties end a session with
 the same round count.  Byte attribution is recorded where the payloads are
 built: the garbled-circuit material moved during stages (tables, labels,
-pad pairs, derandomization bits) is tallied separately from ciphertext
+B2A corrections, derandomization bits) is tallied separately from ciphertext
 traffic so transfer comparisons between modes measure what they claim to.
 """
 

@@ -131,7 +131,6 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class StagePlan:
-    act_w: int
     act_f: int
     encoders: tuple[tuple[StageSpec, ...], ...]
 
@@ -248,7 +247,7 @@ def build_stage_plan(*, mode: str, seq_len: int, dim: int, ff_dim: int,
             groups=(StageGroup("x", L * d),), left="hidden", right="ff2"))
         encoders.append(tuple(stages))
 
-    plan = StagePlan(act_w=act_w, act_f=act_f, encoders=tuple(encoders))
+    plan = StagePlan(act_f=act_f, encoders=tuple(encoders))
     for enc in plan.encoders:
         for s in enc:
             _check_window(s.m, s.shift, s.keep)

@@ -93,10 +93,61 @@ def read_bits(gc, active_out):
     """(E, n_out) output values from active labels: 0 where the label is the
     wire's zero label, 1 where it is that label ^ delta, 2 where it is
     neither."""
-    z = gc.output_zero_labels()
+    z = gc.wire0[gc.circuit.outputs]
     is0 = (active_out == z).all(axis=-1)
     is1 = (active_out == z ^ gc.delta).all(axis=-1)
     return np.where(is1, 1, np.where(is0, 0, 2)).T.astype(np.uint8)
+
+
+B2A_PRIMES = (65537, (1 << 61) - 1)
+
+
+def b2a_test_weights(n_out, p):
+    """Random nonzero field weights for n_out outputs, the first two 1 and
+    p - 1, drawn from their own generator so callers' draws do not move."""
+    w = np.random.default_rng(n_out).integers(1, p, n_out, dtype=np.uint64)
+    w[:2] = [1, p - 1][:n_out]
+    return w
+
+
+def fold_pads(pads, p):
+    """Reference F: 128-bit pads (..., 2) as Python ints mod p."""
+    return (pads[..., 1].astype(object) * 2**64 + pads[..., 0].astype(object)) % p
+
+
+def reference_b2a(out_zero, pads, weights, p):
+    """(c, t) from the per-value pads (pads[v] is the pad of the label
+    standing for v): L0 is the colour-0 label, b0 its value."""
+    b0 = (out_zero[..., 0] & np.uint64(1)).astype(object)
+    f = fold_pads(pads, p)
+    f0 = np.where(b0 == 1, f[1], f[0])
+    f1 = np.where(b0 == 1, f[0], f[1])
+    w = weights.astype(object)[:, None]
+    return ((1 - 2 * b0) * w + f0 - f1) % p, (b0 * w - f0) % p
+
+
+def checked_b2a_corrections(gc, pads, p):
+    """(w, c, t) for `gc`'s outputs under test weights, c and t checked
+    against the reference's per-value pads."""
+    w = b2a_test_weights(gc.circuit.outputs.size, p)
+    corr, t = G.b2a_corrections(gc, w, p)
+    want_c, want_t = reference_b2a(gc.wire0[gc.circuit.outputs], pads, w, p)
+    assert np.array_equal(corr.astype(object), want_c)
+    assert np.array_equal(t.astype(object), want_t)
+    return w, corr, t
+
+
+def check_b2a_shares(out, delta, c, t, weights, values, p):
+    """For every output, the held label's share plus t is value * w mod p,
+    and the other label's share is (1 - value) * w, so the two differ."""
+    w = weights.astype(object)[:, None]
+    t = t.astype(object)
+    mine = G.b2a_shares(out, c, p).astype(object)
+    other = G.b2a_shares(out ^ delta, c, p).astype(object)
+    v = values.astype(object)
+    assert ((mine + t) % p == v * w % p).all()
+    assert ((other + t) % p == (1 - v) * w % p).all()
+    assert (mine != other).all()
 
 
 def run_garbled(circ, gbits, ebits, rng):
@@ -135,17 +186,43 @@ class TestGarbling:
         assert np.array_equal(tampered[:, 1:], bits[:, 1:])
 
     def test_output_pads_selective(self):
+        """A share is the pad of the held label, folded mod p, plus the
+        correction word where that label's colour is 1: the reference's pad
+        of the held value gives it, the other value's pad does not."""
         c = build_adder(6)
-        rng = np.random.default_rng(11)
         g = to_bits(np.arange(16), 6)
         e = to_bits(np.arange(16, 32), 6)
-        gc, out, bits = run_garbled(c, g, e, rng)
-        p0, p1 = gc.output_pads()
-        mine = G.active_output_pads(c, out)
-        sel = np.where(bits.T[:, :, None].astype(bool), p1, p0)
-        assert np.array_equal(mine, sel)
-        other = np.where(bits.T[:, :, None].astype(bool), p0, p1)
-        assert not (mine == other).all(axis=-1).any()
+        for p in B2A_PRIMES:
+            rng = np.random.default_rng(11)
+            *_, pads = reference_garble(c, 16, copy.deepcopy(rng))
+            gc, out, bits = run_garbled(c, g, e, rng)
+            _w, corr, _t = checked_b2a_corrections(gc, pads, p)
+            f = fold_pads(pads, p)
+            held = bits.T.astype(bool)
+            colour = ((out[..., 0] & np.uint64(1)).astype(object)
+                      * corr.astype(object))
+            mine = G.b2a_shares(out, corr, p).astype(object)
+            assert np.array_equal(mine,
+                                  (np.where(held, f[1], f[0]) + colour) % p)
+            assert (mine != (np.where(held, f[0], f[1]) + colour) % p).all()
+
+    @pytest.mark.parametrize("p", B2A_PRIMES)
+    def test_b2a_shares_reconstruct_weighted_bits(self, p):
+        """On random circuits and weights (w = 1 and w = p - 1 among them),
+        every held label's share plus the garbler's t is value * w mod p and
+        the other label's share differs; the held labels cover both colours
+        with both values."""
+        rng = np.random.default_rng(4321)
+        seen = set()
+        for c, gb, eb in random_circuits(rng):
+            gc, out, bits = run_garbled(c, gb, eb, rng)
+            w = b2a_test_weights(c.outputs.size, p)
+            corr, t = G.b2a_corrections(gc, w, p)
+            assert (corr < p).all() and (t < p).all()
+            check_b2a_shares(out, gc.delta, corr, t, w, bits.T, p)
+            colour = out[..., 0] & np.uint64(1)
+            seen.update(zip(colour.ravel().tolist(), bits.T.ravel().tolist()))
+        assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_random_circuits_match_plain(self):
         rng = np.random.default_rng(1234)
@@ -282,20 +359,24 @@ def reference_evaluate(circuit, tables, garbler_active, evaluator_active):
 
 def assert_matches_reference(circ, gbits, ebits, rng):
     """Garble with `rng` (and the reference with a copy of it), evaluate
-    both on the same active labels, and compare every array byte for byte."""
+    both on the same active labels, and compare every array byte for byte,
+    the B2A corrections against the reference's per-value pads included."""
     E = gbits.shape[0]
     delta, wire0, tables, pads = reference_garble(circ, E, copy.deepcopy(rng))
     gc = G.garble(circ, E, rng)
     assert np.array_equal(gc.delta, delta)
     assert np.array_equal(gc.wire0, wire0)
     assert np.array_equal(gc.tables, tables)
-    assert np.array_equal(np.array(gc.output_pads()), pads)
+    p = B2A_PRIMES[-1]
+    w, corr, t = checked_b2a_corrections(gc, pads, p)
     ez, eo = gc.evaluator_label_pairs()
     e_act = np.where(ebits.T[:, :, None].astype(bool), eo, ez)
     g_act = gc.garbler_labels(gbits)
     out = G.evaluate(circ, gc.tables, g_act, e_act)
     assert np.array_equal(out, reference_evaluate(circ, tables, g_act, e_act))
-    assert np.array_equal(read_bits(gc, out), circ.plain_eval(gbits, ebits))
+    bits = read_bits(gc, out)
+    assert np.array_equal(bits, circ.plain_eval(gbits, ebits))
+    check_b2a_shares(out, delta, corr, t, w, bits.T, p)
 
 
 def _random_bits(circ, instances, rng):

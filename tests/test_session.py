@@ -34,22 +34,22 @@ from cipherformer.protocol import (ACCEPT, FRAME_NAMES, HELLO, LOGITS,
                                    session_geometry, tcp_accept, tcp_dial,
                                    tcp_listen, transport)
 from cipherformer.protocol.framing import _HEADER, write_frame
-from cipherformer.stages import MODES
+from cipherformer.stages import MODES, stage_circuits
 
 CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
                   n_classes=2, w=20, f=9)
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "bb40ca442e52af0e12d4439e2645f4c5"
-                "f14e199311693d85919e0712b2a2b256",
-    "opt1": "b1aa23729d961606c5b9a46fb6ccbb5a"
-            "bdaf3e447a32c4d4ef06a55319c4d778",
-    "opt2": "17004a4e062520260b4a53219d69411d"
-            "7bc379f43b30e0789f31ad996caacae3",
+    "baseline": "77ac09d32c317a2e93e297cf8baeeabe"
+                "269bb3a7fa77a863d408e891fa05735f",
+    "opt1": "8030a9d2dfada2502113c532c46d9109"
+            "79d1c57c90ece7dd54f724cee72ffe8c",
+    "opt2": "529c32bf92e87a71f3fd4e6fb95ca1eb"
+            "148b49a6587986d114f8d1fdb580f54e",
 }
-TWO_LAYER_DIGEST = ("25232db611017f2c8067f8623244b6a2"
-                    "7ebfbb600785643851d6ba4c13a83396")
+TWO_LAYER_DIGEST = ("5369efabcafea594907c64463c3808f0"
+                    "f922c871111d1dd1e1995dcaf2e41bf9")
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,23 @@ def test_frame_sizes_do_not_depend_on_the_seeds(weights):
     by_name = {name: nbytes for _, name, nbytes in sizes[0]}
     assert by_name["accept"] == 294_945
     assert by_name["ot-base"] == 4_224 == LAMBDA * POINT_BYTES
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stage_open_carries_one_correction_word_per_output_bit(weights, mode):
+    """Each stage-open frame is the masked stage input, then per circuit
+    group (circ, E) its tables, its garbler labels with the two constants,
+    and one 8-byte B2A correction word per output bit and instance."""
+    server, _ = private_inference(CFG, weights, TOKENS, mode,
+                                  server_seed=11, client_seed=12)
+    geom = server.geometry
+    want = [geom.nbytes(geom.stage_input(spec))
+            + sum((32 * circ.n_and + 16 * (circ.garbler_inputs.size + 2)
+                   + 8 * circ.outputs.size) * E
+                  for _g, circ, E in stage_circuits(spec))
+            for enc in geom.plan.encoders for spec in enc]
+    assert [f.nbytes for f in server.transcript.frames
+            if f.ftype == STAGE_OPEN] == want
 
 
 def _closing(party, conn, *args, **kwargs):
