@@ -269,13 +269,6 @@ class Builder:
             out.append(c)
         return out
 
-    def sub(self, a: list[int], b: list[int], keep_borrow: bool = False) -> list[int]:
-        """a - b two's complement; optional final bit is the *borrow-out
-        complement* (1 when a >= b for unsigned operands)."""
-        a, b = self._pad(a, b)
-        nb = [self.inv(x) for x in b]
-        return self.add(a, nb, carry_in=CONST1, keep_carry=keep_borrow)
-
     def mux(self, sel: int, a: list[int], b: list[int]) -> list[int]:
         """sel ? a : b, one AND per bit."""
         a, b = self._pad(a, b)

@@ -21,7 +21,7 @@ Two circuit shapes cover the pipeline:
 * affine stages -- reconstruct, arithmetic shift (rescale), saturate to the
   activation width, optionally relu;
 * row-divide stages -- reconstruct a whole row of scores, relu each entry,
-  and divide it by the row sum with a restoring divider, yielding attention
+  and divide it by the row sum with a non-restoring divider, yielding attention
   weights as unsigned fractions with `frac` bits.
 
 Stage outputs leave the circuit through output-label pairs (free B2A): bit j
@@ -42,7 +42,7 @@ from math import log2
 import numpy as np
 
 from .errors import ParameterError
-from .gc.circuit import CONST0, Builder, Circuit
+from .gc.circuit import CONST0, CONST1, Builder, Circuit
 from .primes import next_prime
 
 SIGMA_TARGET = 16  # preferred statistical masking slack, bits
@@ -296,31 +296,35 @@ def affine_stage_circuit(m: int, shift: int, keep: int,
 
 def _divider(b: Builder, x: list[int], s: list[int], f: int,
              enable: int | None = None) -> list[int]:
-    """Quotient bits f-1..0 of x / s by restoring division.
+    """Quotient bits f-1..0 of unsigned x / s by non-restoring division.
 
-    Walks j = f-1 .. 0 comparing the remainder against s << j.  The remainder
-    stays at dividend width: the trial subtraction's borrow is the compare,
-    and a separate running OR over the bits of s shifted past the top detects
-    the early steps where s << j cannot fit at all.  Saturates at 2^f - 1
-    when x/s does not fit in f bits.  `enable` (if given) gates every
-    quotient bit -- the caller uses it to force 0/0 to 0.
+    Step j subtracts s << j from the remainder while it is >= 0 and adds it
+    while it is negative, choosing by XORing s with the sign: no mux.
+    Quotient bit j is the new remainder's sign, inverted.  These are the
+    greedy digits of `divider_oracle`, all ones whenever x >= s (2^f - 1),
+    s = 0 included, as the remainder then never goes negative.  It lies in
+    [-(s << j), x], so it is kept at max(len(x), len(s) + j) + 1 bits, and
+    only its bits from j up are added to.
+
+    `enable`, 0 only when s = 0, turns the quotient to 0 at no AND: after
+    the first step, which need not wait for it, it sets every remainder bit
+    above x, and the remainder stays negative.
     """
-    w = len(x)
-    rem = list(x)
+    wx, ws = len(x), len(s)
+    top = max(wx, ws + f - 1) + 1
+    rem = list(x) + [CONST0] * (top - wx)
     q: list[int] = [CONST0] * f
-    # suffix ORs of s: suf[i] = OR(s[i:]); suf[w-j] says s << j spills past w
-    suf = list(s) + [CONST0]
-    for i in reversed(range(len(s))):
-        suf[i] = b.or_(s[i], suf[i + 1])
+    sub = CONST1  # remainder >= 0: subtract s << j
     for j in reversed(range(f)):
-        shifted = ([CONST0] * j + list(s))[:w]
-        spill = suf[w - j] if w - j < len(s) else CONST0
-        d = b.sub(rem, shifted, keep_borrow=True)
-        fit = b.and_(d[-1], b.inv(spill))
-        if enable is not None:
-            fit = b.and_(fit, enable)
-        rem = b.mux(fit, d[:w], rem)
-        q[j] = fit
+        width = max(wx, ws + j) + 1
+        hi = b.add(rem[j:width], [b.xor(bit, sub) for bit in s] +
+                   [sub] * (width - j - ws), carry_in=sub)
+        rem = rem[:j] + hi
+        if j == f - 1 and enable is not None:
+            # s = 0 leaves x < 2^wx; disabled, it becomes x - 2^wx < 0
+            off = b.inv(enable)
+            rem[wx:] = [b.xor(bit, off) for bit in rem[wx:]]
+        q[j] = sub = b.inv(rem[-1])
     return q
 
 
@@ -344,11 +348,13 @@ def rowdiv_stage_circuit(m: int, shift: int, frac: int, keep: int,
         raise ParameterError(
             f"accumulating {row_len} entries needs shift >= {_clg(row_len)}")
     b = Builder()
-    rows = [b.relu(_reconstruct(b, m)) for _ in range(row_len)]
-    acc = None
-    for r in rows:
-        term = b.shift_right_arith(r, shift)
-        acc = term if acc is None else b.add(acc, term)
+    # relu leaves a zero sign bit: entries are m - 1 bit magnitudes
+    rows = [b.relu(_reconstruct(b, m))[:-1] for _ in range(row_len)]
+    acc: list[int] = []
+    for i, r in enumerate(rows, 1):
+        # i terms below 2^{m-1-shift} sum below 2^{m-1-shift+clg(i)}
+        width = m - 1 - shift + _clg(i)
+        acc = b.add(acc + [CONST0] * (width - len(acc)), r[shift:])
     some = CONST0
     for bit in acc:
         some = b.or_(some, bit)

@@ -41,8 +41,8 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "77ac09d32c317a2e93e297cf8baeeabe"
-                "269bb3a7fa77a863d408e891fa05735f",
+    "baseline": "0bb7e61f1b8157df59d6bfb29518db04"
+                "3f524c1c6052d2161d56c0cfb48d42af",
     "opt1": "8030a9d2dfada2502113c532c46d9109"
             "79d1c57c90ece7dd54f724cee72ffe8c",
     "opt2": "529c32bf92e87a71f3fd4e6fb95ca1eb"

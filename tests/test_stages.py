@@ -5,7 +5,9 @@ import pytest
 
 from cipherformer import stages as S
 from cipherformer.errors import ParameterError
-from cipherformer.gc.circuit import Builder, to_bits, word_value
+from cipherformer.gc.circuit import (CONST0, CONST1, Builder, to_bits,
+                                     word_value)
+from cipherformer.model import ModelConfig
 
 TOY = dict(seq_len=8, dim=4, ff_dim=16, n_layers=1, w=20, f=9)
 
@@ -247,6 +249,16 @@ class TestRowdivCircuit:
         assert got[0, 0] == (1 << self.FRAC) - 1
         assert got[0, 1] == 0
 
+    def test_window_maximum_row(self):
+        # every entry at the window maximum: the largest sum the narrowed
+        # accumulator must hold, 4 * 63 = 252 in its 8 bits
+        top = (1 << (self.M - 1)) - 1
+        rows = np.array([[top] * self.ROW, [top, top, 0, 0]])
+        got = _run_rowdiv(self._circ(), rows, self.M, self.KEEP)
+        assert np.array_equal(
+            got, S.rowdiv_stage_oracle(rows, self.SHIFT, self.FRAC))
+        assert np.array_equal(got, [[2, 2, 2, 2], [4, 4, 0, 0]])
+
     def test_exact_division(self):
         rows = np.array([[64, 64, 64, 64]])
         got = _run_rowdiv(self._circ(), rows, self.M, self.KEEP)
@@ -274,45 +286,125 @@ class TestRowdivCircuit:
         rng = np.random.default_rng(19)
         rows = rng.integers(-(1 << (spec.m - 1)), 1 << (spec.m - 1),
                             (6, spec.row_len))
+        top = (1 << (spec.m - 1)) - 1
+        rows = np.vstack([rows, np.full(spec.row_len, top)])
         got = _run_rowdiv(circ, rows, spec.m, spec.keep)
         want = S.rowdiv_stage_oracle(rows, spec.shift, spec.frac)
         assert np.array_equal(got, want)
+        assert (got[-1] == top // (spec.row_len * (top >> spec.shift))).all()
 
 
-def _divider_circuit(w, f):
+def sub(b, a, c, keep_borrow=False):
+    """a - c in two's complement, one AND per bit.  With `keep_borrow` a
+    last bit is the borrow-out complement: 1 when a >= c, unsigned."""
+    w = max(len(a), len(c))
+    a = a + [CONST0] * (w - len(a))
+    nc = [b.inv(bit) for bit in c] + [CONST1] * (w - len(c))
+    return b.add(a, nc, carry_in=CONST1, keep_carry=keep_borrow)
+
+
+def restoring_divider(b, x, s, f, enable=None):
+    """The reference for `stages._divider`: restoring division.
+
+    Walks j = f-1 .. 0 comparing the remainder against s << j at dividend
+    width: the trial subtraction's borrow is the compare, and a running OR
+    over the bits of s shifted past the top rules out the steps where s << j
+    cannot fit.  A quotient bit that fits keeps the difference (one mux AND
+    per remainder bit).  `enable` gates every quotient bit.
+    """
+    w = len(x)
+    rem = list(x)
+    q = [CONST0] * f
+    # suffix ORs of s: suf[i] = OR(s[i:]); suf[w-j] says s << j spills past w
+    # (all of s spills when j >= w)
+    suf = list(s) + [CONST0]
+    for i in reversed(range(len(s))):
+        suf[i] = b.or_(s[i], suf[i + 1])
+    for j in reversed(range(f)):
+        shifted = ([CONST0] * j + list(s))[:w]
+        spill = suf[max(w - j, 0)] if w - j < len(s) else CONST0
+        d = sub(b, rem, shifted, keep_borrow=True)
+        fit = b.and_(d[-1], b.inv(spill))
+        if enable is not None:
+            fit = b.and_(fit, enable)
+        rem = b.mux(fit, d[:w], rem)
+        q[j] = fit
+    return q
+
+
+def _divider_circuit(wx, ws, f, divider=S._divider, gated=False):
+    """x / s with x the garbler's wx bits and s the evaluator's ws bits;
+    `gated` passes the zero-divisor flag OR(s) as `enable`."""
     b = Builder()
-    x = b.garbler_word(w)
-    s = b.evaluator_word(w)
-    b.mark_output_word(S._divider(b, x, s, f))
+    x = b.garbler_word(wx)
+    s = b.evaluator_word(ws)
+    enable = None
+    if gated:
+        enable = CONST0
+        for bit in s:
+            enable = b.or_(enable, bit)
+    b.mark_output_word(divider(b, x, s, f, enable=enable))
     return b.freeze()
+
+
+def _divide_all(circ, wx, ws):
+    """Quotients of every (x, s) pair, x major."""
+    xs = np.repeat(np.arange(1 << wx), 1 << ws)
+    ss = np.tile(np.arange(1 << ws), 1 << wx)
+    got = np.empty(xs.size, dtype=np.int64)
+    step = 1 << 16
+    for lo in range(0, xs.size, step):
+        hi = min(lo + step, xs.size)
+        bits = circ.plain_eval(to_bits(xs[lo:hi], wx), to_bits(ss[lo:hi], ws))
+        got[lo:hi] = word_value(bits)
+    return xs, ss, got
+
+
+# (wx, ws, f): equal widths, ws + f > wx, ws > wx, one quotient bit
+DIVIDER_SHAPES = [(10, 10, 4), (6, 4, 5), (8, 3, 6), (5, 7, 3), (7, 5, 4),
+                  (4, 4, 7), (6, 6, 1)]
 
 
 class TestDivider:
     def test_exhaustive_matches_greedy_oracle(self):
-        # every (x, s) pair at w=10, f=4; quotient must equal the bit-greedy
-        # reference everywhere and exact floor division whenever that fits
-        w, f = 10, 4
-        c = _divider_circuit(w, f)
-        xs = np.repeat(np.arange(1 << w), (1 << w) - 1)
-        ss = np.tile(np.arange(1, 1 << w), 1 << w)
-        got = np.empty(xs.size, dtype=np.int64)
-        step = 1 << 16
-        for lo in range(0, xs.size, step):
-            hi = min(lo + step, xs.size)
-            bits = c.plain_eval(to_bits(xs[lo:hi], w), to_bits(ss[lo:hi], w))
-            got[lo:hi] = word_value(bits)
-        assert np.array_equal(got, S.divider_oracle(xs, ss, f))
-        floor = xs // ss
-        fits = floor < (1 << f)
-        assert np.array_equal(got[fits], floor[fits])
-        assert (got[~fits] == (1 << f) - 1).all()
+        # every (x, s) pair of each shape, s = 0 included: the bit-greedy
+        # reference everywhere, exact floor division whenever that fits,
+        # all ones otherwise
+        for wx, ws, f in DIVIDER_SHAPES:
+            xs, ss, got = _divide_all(_divider_circuit(wx, ws, f), wx, ws)
+            assert np.array_equal(got, S.divider_oracle(xs, ss, f))
+            full = (1 << f) - 1
+            assert (got[ss == 0] == full).all()
+            assert (got[xs >= ss * (1 << f)] == full).all()
+            fits = (ss > 0) & (xs < ss * (1 << f))
+            assert np.array_equal(got[fits], xs[fits] // ss[fits])
+
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("wx,ws,f", DIVIDER_SHAPES)
+    def test_matches_restoring_reference(self, wx, ws, f, gated):
+        # bit for bit with the restoring divider; with the zero-divisor flag
+        # as `enable`, s = 0 gives 0 and every other pair the oracle
+        xs, ss, got = _divide_all(
+            _divider_circuit(wx, ws, f, gated=gated), wx, ws)
+        ref = _divide_all(_divider_circuit(
+            wx, ws, f, restoring_divider, gated=gated), wx, ws)[2]
+        assert np.array_equal(got, ref)
+        want = S.divider_oracle(xs, ss, f)
+        assert np.array_equal(got, np.where(gated & (ss == 0), 0, want))
 
     def test_oracle_saturates_on_zero_divisor(self):
         assert S.divider_oracle(np.array([5]), np.array([0]), 4) == 15
 
+    def test_no_mux_left(self):
+        # one ws + 1 bit add per quotient bit (its top carry unused), where
+        # the restoring reference pays a mux on top of each trial
+        new = _divider_circuit(16, 16, 4).n_and
+        ref = _divider_circuit(16, 16, 4, restoring_divider).n_and
+        assert new == 4 * 16 < ref
+
     def test_gate_cost_linear_in_width(self):
-        a = _divider_circuit(8, 4).n_and
-        b = _divider_circuit(16, 4).n_and
+        a = _divider_circuit(8, 8, 4).n_and
+        b = _divider_circuit(16, 16, 4).n_and
         assert b < 2.6 * a
 
 
@@ -328,3 +420,25 @@ class TestGateCounts:
         assert base["and"] > 0 and base["xor"] > 0
         # dropping the per-row divider removes most of the nonlinear work
         assert opt1["and"] < base["and"]
+
+    def test_row_divider_census(self):
+        # the gc-l16 attention row: 16 relu'd 42-bit scores over their sum
+        plan = ModelConfig(vocab=8, seq_len=16, dim=4, ff_dim=8, n_layers=1,
+                           n_classes=2).plan("baseline")
+        [(_g, circ, inst)] = S.stage_circuits(plan.stage(0, "attn_weights"))
+        assert inst == 16
+        assert circ.n_and <= 8000
+        assert S.plan_gate_counts(plan)["and"] <= 170_000
+
+    @pytest.mark.parametrize("shape,mode,ands", [
+        ((32, 8, 16, 32, 2), "opt1", 197_120),
+        ((32, 8, 16, 32, 2), "opt2", 122_240),
+        ((8, 4, 4, 8, 1), "opt1", 10_688),
+        ((8, 4, 4, 8, 1), "opt2", 7_152),
+    ])
+    def test_modes_without_divider_are_pinned(self, shape, mode, ands):
+        # the he-small and tiny shapes: only baseline has a row divider
+        vocab, seq_len, dim, ff_dim, n_layers = shape
+        cfg = ModelConfig(vocab=vocab, seq_len=seq_len, dim=dim,
+                          ff_dim=ff_dim, n_layers=n_layers, n_classes=2)
+        assert S.plan_gate_counts(cfg.plan(mode))["and"] == ands
