@@ -79,10 +79,6 @@ class Circuit:
     outputs: np.ndarray
 
     @property
-    def n_gates(self) -> int:
-        return int(self.ops.size)
-
-    @property
     def n_and(self) -> int:
         return int(np.count_nonzero(self.ops == OP_AND))
 
@@ -319,17 +315,6 @@ class Builder:
             evaluator_inputs=np.array(self._evaluator, dtype=np.int32),
             outputs=np.array(self._outputs, dtype=np.int32),
         )
-
-
-def word_value(bits: np.ndarray, signed: bool = False):
-    """Interpret (..., w) bit arrays as integers, LSB first."""
-    bits = np.asarray(bits, dtype=np.int64)
-    w = bits.shape[-1]
-    weights = 1 << np.arange(w, dtype=np.int64)
-    val = (bits * weights).sum(axis=-1)
-    if signed:
-        val = val - ((bits[..., -1].astype(np.int64)) << w)
-    return val
 
 
 def to_bits(value, width: int) -> np.ndarray:

@@ -141,6 +141,36 @@ def _key_bytes(k: np.ndarray) -> bytes:
     return np.ascontiguousarray(k, dtype="<u8").tobytes()
 
 
+# each step swaps the bits of a word that `mask` marks with the bits `shift`
+# places below them; together they flip every 8 x 8 bit block of a word
+# about its anti-diagonal: the bit at 8i + j moves to 8(7 - j) + (7 - i)
+# (Hacker's Delight, section 7-3)
+_ANTI_FLIP = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (36, 0xF0F0F0F000000000), (18, 0xCCCC0000CCCC0000),
+    (9, 0xAA00AA00AA00AA00)))
+
+
+def _transpose_bits(cols: np.ndarray, M: int) -> np.ndarray:
+    """Rows 0 .. M-1 of the bit matrix whose columns `cols` holds, one
+    `np.packbits` row of bytes per column, each row as a 128-bit label:
+    (M, 2) uint64.
+
+    Byte C of each of the columns 8R .. 8R+7 goes into one little-endian
+    word, column 8R+i into byte i, so bit 8i + j of the word is the bit of
+    column 8R+i at row 8C+7-j.  Flipped about its anti-diagonal, the word's
+    byte i is byte R of row 8C+i's label, column 8R at its top bit, as
+    `np.packbits` lays out a row.  No array holds more than 16 bytes a row.
+    """
+    L, B = cols.shape
+    x = cols.reshape(L // 8, 8, B).transpose(0, 2, 1).copy().view("<u8")[..., 0]
+    for shift, mask in _ANTI_FLIP:
+        t = mask & (x ^ (x << shift))
+        x ^= t ^ (t >> shift)
+    rows = np.ascontiguousarray(
+        x.view(np.uint8).reshape(L // 8, B, 8).transpose(1, 2, 0))
+    return rows.reshape(8 * B, L // 8).view("<u8")[:M].astype(np.uint64)
+
+
 def _row_pads(q: np.ndarray) -> np.ndarray:
     """Hash (M, 2) uint64 rows with their index as tweak."""
     M = q.shape[0]
@@ -232,12 +262,7 @@ class OtExtReceiver:
             t1 = np.frombuffer(_prg(self._seeds1[j], Mb // 8), dtype=np.uint8)
             t_cols[j] = t
             u_cols[j] = t ^ t1 ^ r_packed
-        # rows of T, as 128-bit labels
-        tmat = np.unpackbits(t_cols, axis=1)[:, :Mb]          # (LAMBDA, Mb)
-        rows = np.packbits(tmat.T, axis=1)                     # (Mb, 16) bytes
-        q = np.frombuffer(rows.tobytes(), dtype="<u8").astype(np.uint64).reshape(Mb, 2)
-        pads = _row_pads(q)
-        return u_cols, RandomOtBatch(b[:M], pads[:M])
+        return u_cols, RandomOtBatch(b[:M], _row_pads(_transpose_bits(t_cols, M)))
 
 
 class OtExtSender:
@@ -261,11 +286,7 @@ class OtExtSender:
             if self.s_bits[j]:
                 col = col ^ u_cols[j]
             q_cols[j] = col
-        qmat = np.unpackbits(q_cols, axis=1)[:, :Mb]
-        rows = np.packbits(qmat.T, axis=1)
-        q = np.frombuffer(rows.tobytes(), dtype="<u8").astype(np.uint64).reshape(Mb, 2)
+        q = _transpose_bits(q_cols, M)
         s_row = np.packbits(self.s_bits)
         s128 = np.frombuffer(s_row.tobytes(), dtype="<u8").astype(np.uint64)
-        y0 = _row_pads(q)
-        y1 = _row_pads(q ^ s128[None, :])
-        return RandomOtSenderBatch(y0[:M], y1[:M])
+        return RandomOtSenderBatch(_row_pads(q), _row_pads(q ^ s128[None, :]))

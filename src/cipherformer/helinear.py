@@ -85,11 +85,12 @@ length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError, ProtocolError
-from .pahe import (Ciphertexts, Evaluator, KeyMaterial, PaheParams,
+from .pahe import (Ciphertexts, Evaluator, KeyMaterial, PaheParams, PlainVecs,
                    cts_from_bytes, cts_to_bytes, encode_plain_many)
 
 ROWS = "rows"
@@ -294,30 +295,45 @@ def colblock_rotation_amounts(params: PaheParams, in_cols: int, rows: int,
                    for d in range(-(nout - 1), nin)} - {0})
 
 
-def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
-    """Y = X @ W for X in colblocks packing; output in colblocks packing,
-    one copy.
+@dataclass(frozen=True)
+class WeightPlan:
+    """The weight-only half of a `colblock_matmul`, every array read-only:
+    for each live diagonal, the input ciphertext it multiplies (`which`),
+    its encoding with Shoup twins (`diags`) and the partial sum it joins
+    (`dest`); for each partial sum, its giant-step rotation (`shifts`) and
+    its output ciphertext (`out`); and the output ciphertext count."""
 
-    Every row of X is processed simultaneously.  Diagonal d of an (input
-    ct, output ct) pair, split d = g*j + i by X's g = `steps`, multiplies
-    copy i by the diagonal pre-rolled by g*j blocks; every product that
-    shares an output ciphertext and a giant step, over all input
-    ciphertexts, sums before one rotation by g*j*rows.
-    """
-    A = _entries(W)
-    par = ev.params
-    half = par.row_size
-    lay = X.layout
-    if lay.packing != COLBLOCKS:
-        raise ParameterError(f"colblock_matmul needs colblocks input, got {lay.packing!r}")
-    if A.shape[0] != lay.cols:
-        raise ParameterError(f"inner dims disagree: X is {lay.rows}x{lay.cols}, "
-                             f"W is {A.shape[0]}x{A.shape[1]}")
+    which: np.ndarray
+    diags: PlainVecs
+    dest: np.ndarray
+    shifts: tuple[int, ...]
+    out: np.ndarray
+    n_groups: int
+
+
+# weight plans kept per process.  A server holds three plain-weight products
+# per layer (wqkv, ff1, ff2), so this keeps every product of a model of
+# `protocol.session.MAX_LAYERS` = 64 layers, and a server that walks its
+# layers in the same order every session never evicts a plan it needs again
+WEIGHT_PLANS = 3 * 64
+
+
+@lru_cache(maxsize=WEIGHT_PLANS)
+def weight_plan(params: PaheParams, lay: Layout, n_cts: int,
+                shape: tuple[int, int], data: bytes) -> WeightPlan:
+    """The `WeightPlan` of the (rows x cols) @ `shape` product of a
+    colblocks input of layout `lay` held in `n_cts` ciphertexts by the
+    uint64 weight matrix whose C-order bytes are `data`.  Memoized: the
+    weights and the layout are the key, so a server encodes each product's
+    diagonals once, in its first session, and only the ciphertexts change
+    after that."""
+    A = np.frombuffer(data, dtype=np.uint64).reshape(shape)
+    half = params.row_size
     d_out = A.shape[1]
     r, g = lay.rows, lay.steps
-    G_in = len(X.cts) // g
-    cpc = colblock_cols_per_ct(par, lay.cols, r)
-    C = colblock_cols_per_ct(par, d_out, r)
+    G_in = n_cts // g
+    cpc = colblock_cols_per_ct(params, lay.cols, r)
+    C = colblock_cols_per_ct(params, d_out, r)
     n_groups = -(-d_out // C)
     vecs, which, dest = [], [], []
     for og in range(n_groups):
@@ -341,16 +357,43 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
             vecs.append(np.take_along_axis(diag, idx, axis=1))
             which.append(ds % g * G_in + gi)
             dest.extend((og, int(sh) % half) for sh in shifts)
-    terms = ev.simd_scmult_many(X.cts[np.concatenate(which)],
-                                encode_plain_many(par, np.concatenate(vecs)))
     # one partial sum per (output ciphertext, giant step), numbered by first
     # appearance; an output ciphertext no weight reaches sums to zero
     keys: dict[tuple[int, int], int] = {}
     ids = [keys.setdefault(key, len(keys)) for key in dest]
-    rotated = ev.col_rotate_many(ev.sum_groups(terms, ids, len(keys)),
-                                 [sh for _, sh in keys])
-    out = ev.sum_groups(rotated, [og for og, _ in keys], n_groups)
-    return EncMatrix(Layout(COLBLOCKS, r, d_out), out)
+    plan = WeightPlan(np.concatenate(which),
+                      encode_plain_many(params, np.concatenate(vecs)),
+                      np.array(ids, dtype=np.int64), tuple(sh for _, sh in keys),
+                      np.array([og for og, _ in keys], dtype=np.int64), n_groups)
+    for a in (plan.which, plan.dest, plan.out, *plan.diags._arrays()):
+        a.setflags(write=False)
+    return plan
+
+
+def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
+    """Y = X @ W for X in colblocks packing; output in colblocks packing,
+    one copy.
+
+    Every row of X is processed simultaneously.  Diagonal d of an (input
+    ct, output ct) pair, split d = g*j + i by X's g = `steps`, multiplies
+    copy i by the diagonal pre-rolled by g*j blocks; every product that
+    shares an output ciphertext and a giant step, over all input
+    ciphertexts, sums before one rotation by g*j*rows.  The diagonals come
+    from `weight_plan`, encoded once per weight matrix and layout.
+    """
+    A = _entries(W)
+    lay = X.layout
+    if lay.packing != COLBLOCKS:
+        raise ParameterError(f"colblock_matmul needs colblocks input, got {lay.packing!r}")
+    if A.shape[0] != lay.cols:
+        raise ParameterError(f"inner dims disagree: X is {lay.rows}x{lay.cols}, "
+                             f"W is {A.shape[0]}x{A.shape[1]}")
+    plan = weight_plan(ev.params, lay, len(X.cts), A.shape, A.tobytes())
+    terms = ev.simd_scmult_many(X.cts[plan.which], plan.diags)
+    rotated = ev.col_rotate_many(
+        ev.sum_groups(terms, plan.dest, len(plan.shifts)), plan.shifts)
+    out = ev.sum_groups(rotated, plan.out, plan.n_groups)
+    return EncMatrix(Layout(COLBLOCKS, lay.rows, A.shape[1]), out)
 
 
 # ----------------------------------------------------------------------------

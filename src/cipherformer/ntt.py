@@ -12,12 +12,14 @@ behind `mulmod_shoup` and every butterfly, takes the twin as two 32-bit limbs
 and skips the low limb product and the middle carries, so its quotient can
 fall short by two and its remainder lies in [0, 4p): that fits in 64 bits
 because every prime is at most 62 bits wide, and two branch-free
-subtractions finish the reduction.  Twiddle factors and key material are
-known in advance, so their twins amortise; a plaintext that multiplies a
-single ciphertext goes through `mulmod_vec` instead, which needs no twin.
-`shoup` builds twins in numpy too: with 2^64 = Q*p + c, the twin of w is
-w*Q + floor(w*c/p), and the second term is one Shoup quotient by the
-constant c, corrected by its remainder.
+subtractions finish the reduction.  Every hot multiply has a twin: twiddle
+factors and key material are known in advance, and an encoded plaintext
+carries its twin (`pahe.encode_plain_many`), which costs less to build than
+the twin-less product would cost over even one ciphertext.  `mulmod_vec`
+multiplies without a twin; it serves table set-up and is the reference the
+tests hold the Shoup path to.  `shoup` builds twins in numpy too: with
+2^64 = Q*p + c, the twin of w is w*Q + floor(w*c/p), and the second term is
+one Shoup quotient by the constant c, corrected by its remainder.
 
 Reductions are branch-free: a value x in [0, 2p) reduces as min(x, x - p),
 because x - p wraps to something above x exactly when x < p; a wrapped
@@ -165,8 +167,9 @@ def mulmod_vec(a, b, p) -> np.ndarray:
     """(a * b) mod p elementwise without a precomputed twin (p < 2^62).
 
     Splits the 128-bit product into hi*2^64 + lo for `reduce128`.  Slower
-    than mulmod_shoup, but usable when the \"constant\" side is single-use
-    and precomputing twins would cost more than it saves.
+    than a twin and mulmod_shoup together, so no hot path uses it; it
+    builds the inverse transform's last twiddles and is the tests'
+    reference product.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)

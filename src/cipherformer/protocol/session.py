@@ -132,9 +132,12 @@ MIN_RING_DEGREE = 512
 MAX_WIDTH = MAX_RING_DEGREE // 2
 # checked after the plan, before any key or OT is made: widths alone do
 # not bound a session, which holds tensors of two widths (dim x dim, say)
-# in every layer.  The OT receiver's extension peaks at over 128 bytes per
-# OT (its correction matrix unpacked a byte per bit); 2^24 OTs still
-# admit a session on the largest ring.
+# in every layer.  Each IKNP half peaks at about 130 bytes per OT (measured
+# with tracemalloc at 2^18 OTs): its packed columns and their bit transpose
+# hold 16 bytes per OT each, and hashing the transposed rows into pads holds
+# about six more 16-byte arrays per OT (the rows, their tweaks, the AES input
+# and output, the pads).  2^24 OTs still admit a session on the largest
+# ring.
 MAX_OTS = 1 << 24
 # the wire bytes of every encrypted matrix one session's layouts name
 MAX_SESSION_BYTES = 1 << 30

@@ -9,11 +9,10 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cipherformer.errors import CircuitError, ProtocolError
 from cipherformer.gc import garble as G
 from cipherformer.gc import ot as O
-from cipherformer.gc.circuit import (CONST0, CONST1, OP_AND, Builder, to_bits,
-                                     word_value)
+from cipherformer.gc.circuit import CONST0, CONST1, OP_AND, Builder, to_bits
 from cipherformer.model import ModelConfig
 from cipherformer.stages import stage_circuits
-from test_stages import sub
+from test_stages import sub, word_value
 
 
 def build_adder(width):
@@ -65,7 +64,7 @@ class TestCircuitSemantics:
         b.mark_output_word(b.shift_right_arith(x, 3))
         b.mark_output_word(b.saturate(x, 10))  # widening is sign extension
         c = b.freeze()
-        assert c.n_gates == 0
+        assert c.ops.size == 0
 
     def test_constant_folding(self):
         b = Builder()
@@ -76,7 +75,7 @@ class TestCircuitSemantics:
         assert b.xor(x, x) == 0
         assert b.and_(x, x) == x
         b.mark_output(x)
-        assert b.freeze().n_gates == 0
+        assert b.freeze().ops.size == 0
 
     def test_bad_wire_rejected(self):
         b = Builder()
@@ -461,7 +460,7 @@ class TestLevelSchedule:
             ready.update(xout.tolist() + aout.tolist())
             placed += xg + ag
             rows += arow.tolist()
-        assert sorted(placed) == list(range(circ.n_gates))
+        assert sorted(placed) == list(range(circ.ops.size))
         assert sorted(rows) == list(range(circ.n_and))
 
     def test_schedule_invariants(self):
@@ -479,7 +478,7 @@ class TestLevelSchedule:
         b.mark_output_word(b.shift_right_arith(x, 3))
         b.mark_output_word(b.saturate(y, 5))
         c = b.freeze()
-        assert c.n_gates == 0 and c.levels == ()
+        assert c.ops.size == 0 and c.levels == ()
         rng = np.random.default_rng(503)
         assert_matches_reference(c, *_random_bits(c, 4, rng), rng)
 
@@ -562,6 +561,22 @@ class TestOt:
         recv, send = ot_session
         with pytest.raises(ProtocolError):
             recv.derand_request(np.zeros(5000, dtype=np.uint8))
+
+    @pytest.mark.parametrize("M", [1, 8, 63, 1000, 1001, 4099])
+    def test_transpose_bits_matches_unpacked_reference(self, M):
+        """The packed transpose gives the rows of unpacking every column to
+        a byte per bit, transposing and packing again, also for M not a
+        multiple of 8 or 64, and leaves its input as it was."""
+        rng = np.random.default_rng(M)
+        cols = rng.integers(0, 256, (O.LAMBDA, -(-M // 8)), dtype=np.uint8)
+        before = cols.copy()
+        bits = np.unpackbits(cols, axis=1).T                # (Mb, LAMBDA)
+        rows = np.packbits(bits, axis=1).tobytes()          # 16 B a row
+        want = np.frombuffer(rows, dtype="<u8").reshape(-1, 2)[:M]
+        got = O._transpose_bits(cols, M)
+        assert got.shape == (M, 2) and got.dtype == np.uint64
+        assert np.array_equal(got, want)
+        assert np.array_equal(cols, before)
 
     def test_bad_point_rejected(self):
         """A point list of all-zero 33-byte slots is refused: no point is

@@ -17,7 +17,7 @@ from cipherformer.helinear import (COLBLOCKS, ROWS, EncMatrix, Layout, MaskState
                                    decrypt_matrix, encmatrix_from_bytes,
                                    encmatrix_to_bytes, layout_vectors,
                                    matmul_mod, pack_colblocks, pack_rows,
-                                   rows_per_ct)
+                                   rows_per_ct, weight_plan)
 from cipherformer.model import ModelConfig
 from cipherformer.primes import next_prime
 from cipherformer.protocol import session_geometry
@@ -257,6 +257,30 @@ def test_colblock_matmul_multi_ct_input(small):
     assert len(enc.cts) == 2
     out = colblock_matmul(ev, enc, W)
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, W, par.p))
+
+
+def test_weight_plan_is_kept_and_refuses_writes(small):
+    """A second product by the same weights and input layout reuses the
+    memoized plan, and every array the memo keeps is read-only, so no
+    caller can change the diagonals a later session multiplies by."""
+    par, keys, ev = small
+    rng = np.random.default_rng(106)
+    X = _rand(rng, 8, 8, par.p)
+    W = _rand(rng, 8, 3, par.p)
+    enc = pack_colblocks(ev, X)
+    colblock_matmul(ev, enc, W)
+    before = weight_plan.cache_info()
+    out = colblock_matmul(ev, enc, W)
+    after = weight_plan.cache_info()
+    assert (after.hits - before.hits, after.misses) == (1, before.misses)
+    assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, W, par.p))
+    plan = weight_plan(par, enc.layout, len(enc.cts), W.shape, W.tobytes())
+    kept = (plan.which, plan.diags.poly, plan.diags.twin,
+            plan.diags.coeff_norm_bits, plan.dest, plan.out)
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+    assert plan.diags.poly.shape[0] == len(plan.which) == len(plan.dest)
 
 
 def _bsgs_steps(par, in_cols, rows, out_cols):

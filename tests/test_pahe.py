@@ -12,7 +12,7 @@ from cipherformer.gc import ot
 from cipherformer.helinear import (COLBLOCKS, Layout, encmatrix_from_bytes,
                                    encmatrix_to_bytes, pack_colblocks)
 from cipherformer.model import ModelConfig
-from cipherformer.ntt import addmod, get_stacked, mulmod_vec
+from cipherformer.ntt import addmod, get_stacked, mulmod_vec, shoup
 from cipherformer.primes import next_prime
 from cipherformer.protocol import (HELLO, memory_pair, read_frame, session,
                                    session_geometry, write_frame)
@@ -484,6 +484,24 @@ class TestBatches:
             assert out.noise_bits[j] == noise
         with pytest.raises(ParameterError, match="group ids"):
             ev.sum_groups(cts, dest, 4)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_scmult_equals_the_twinless_product(self, setup, seed):
+        """Each encoding carries the Shoup twin of its polynomial, and
+        simd_scmult_many (one Shoup multiply per residue) equals the
+        twin-less `mulmod_vec` on a random batch of full-range residues,
+        the largest residue of each prime among them."""
+        par, km, ev, rng = setup
+        r = np.random.default_rng(seed)
+        col = par.q_col
+        data = np.stack([r.integers(0, q, (B, 2, par.n), dtype=np.uint64)
+                         for q in par.q_primes], axis=2)
+        data[0, :, :, :3] = col - np.uint64(1)
+        cts = pahe.Ciphertexts(par, data, np.full(B, par.fresh_noise_bits))
+        ws = pahe.encode_plain_many(par, [rand_vec(par, r) for _ in range(B)])
+        assert np.array_equal(ws.twin, shoup(ws.poly, col))
+        got = ev.simd_scmult_many(cts, ws)
+        assert np.array_equal(got.data, mulmod_vec(data, ws.poly[:, None], col))
 
 
 class TestWireFormat:

@@ -19,6 +19,7 @@ import pytest
 
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.gc.ot import LAMBDA, POINT_BYTES
+from cipherformer import helinear
 from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
                                    encmatrix_to_bytes, layout_vectors,
@@ -131,6 +132,54 @@ def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
                                       server_seed=11, client_seed=12)
         assert client.transcript.digest() == DIGESTS["opt1"]
     assert len(calls) == 1
+
+
+def test_second_session_encodes_no_weight_diagonal(weights, monkeypatch):
+    """A server's second session with the same weights takes every
+    plain-weight product's diagonals from the weight memo: the only
+    encodings in `helinear` are the masked products' own, one per
+    `ctmm_server_finalize`."""
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    encodes, finalizes = [], []
+    real_encode, real_finalize = (helinear.encode_plain_many,
+                                  session.ctmm_server_finalize)
+    monkeypatch.setattr(helinear, "encode_plain_many", lambda *a: (
+        encodes.append(a) or real_encode(*a)))
+    monkeypatch.setattr(session, "ctmm_server_finalize", lambda *a: (
+        finalizes.append(a) or real_finalize(*a)))
+    before = helinear.weight_plan.cache_info()
+    _, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                  server_seed=13, client_seed=12)
+    after = helinear.weight_plan.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == 3 * CFG.n_layers
+    assert len(encodes) == len(finalizes) == 2 * CFG.n_layers
+    assert np.array_equal(client.logits,
+                          forward_fixed(CFG, weights, TOKENS, "opt1").logits)
+
+
+def test_sessions_with_other_weights_of_the_same_shape_are_exact(weights):
+    """Weights of the same shape as memoized ones get diagonals of their
+    own: sessions alternating between two weight sets are each exact."""
+    other = gen_random(CFG, 8, scale=0.25)
+    refs = [forward_fixed(CFG, w, TOKENS, "opt1").logits
+            for w in (weights, other)]
+    assert not np.array_equal(*refs)
+    for wts, ref in zip((weights, other, weights), refs + refs):
+        _, client = private_inference(CFG, wts, TOKENS, "opt1",
+                                      server_seed=11, client_seed=12)
+        assert np.array_equal(client.logits, ref)
+
+
+def test_weight_memo_holds_every_product_of_the_deepest_model():
+    """Every layer of every mode runs three plain-weight products, so a
+    memo of `WEIGHT_PLANS` holds all of a `MAX_LAYERS` model's."""
+    for mode in MODES:
+        plan = replace(CFG, n_layers=2).plan(mode)
+        assert [sum(s.plain for s in enc) for enc in plan.encoders] == [3, 3]
+    assert helinear.WEIGHT_PLANS >= 3 * session.MAX_LAYERS
+    assert helinear.weight_plan.cache_info().maxsize == helinear.WEIGHT_PLANS
 
 
 def test_frame_sizes_do_not_depend_on_the_seeds(weights):

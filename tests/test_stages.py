@@ -5,11 +5,21 @@ import pytest
 
 from cipherformer import stages as S
 from cipherformer.errors import ParameterError
-from cipherformer.gc.circuit import (CONST0, CONST1, Builder, to_bits,
-                                     word_value)
+from cipherformer.gc.circuit import CONST0, CONST1, Builder, to_bits
 from cipherformer.model import ModelConfig
 
 TOY = dict(seq_len=8, dim=4, ff_dim=16, n_layers=1, w=20, f=9)
+
+
+def word_value(bits: np.ndarray, signed: bool = False):
+    """Interpret (..., w) bit arrays as integers, LSB first."""
+    bits = np.asarray(bits, dtype=np.int64)
+    w = bits.shape[-1]
+    weights = 1 << np.arange(w, dtype=np.int64)
+    val = (bits * weights).sum(axis=-1)
+    if signed:
+        val = val - ((bits[..., -1].astype(np.int64)) << w)
+    return val
 
 
 def _window_shares(xs, m, seed=7):
