@@ -4,12 +4,14 @@ Costs: XOR gates are free (labels just XOR), each AND gate emits exactly two
 16-byte rows.  NOT/constants ride along as XORs with constant wires whose
 active labels the garbler hands over with its own input labels.
 
-Labels are 128-bit, stored as (..., 2) uint64 little-halves-first.  The
-global offset `delta` has its low bit forced to 1 so the label's low bit
-serves as the point-and-permute color.  The gate hash is the standard
-fixed-key AES construction H(X, t) = AES(2X ^ t) ^ 2X ^ t, with tweaks unique
-per (instance, gate, half); instances are independent garblings of the same
-topology.
+Labels are 128-bit, stored as (..., 2) uint64 little-halves-first.  One
+offset `delta` serves every garbling of a session: it is the IKNP sender's
+s (`gc.ot`), whose low bit is forced to 1 so the label's low bit serves as
+the point-and-permute color, and the OT fixes the evaluator's input labels
+under it.  The gate hash is the standard fixed-key AES construction
+H(X, t) = AES(2X ^ t) ^ 2X ^ t, with tweaks unique per (garbling, instance,
+gate, half) across the session (`tweak_namespace`); instances are
+independent garblings of the same topology.
 
 Garbling and evaluation walk the circuit's level schedule (`Circuit.levels`):
 at each depth, all XOR gates are one gather-XOR-scatter over the label array
@@ -63,12 +65,23 @@ def _hash(aes, labels: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").reshape(t.shape) ^ t
 
 
-def _tweak_grid(word0: np.ndarray, instances: int) -> np.ndarray:
-    """Tweaks (..., E, 2): word0 in the low half, the instance in the high."""
+def tweak_namespace(layer: int, stage: int, group: int) -> int:
+    """The high tweak word of group `group` of stage `stage` of encoder layer
+    `layer`, above its 32 instance bits: each garbling of a session gets its
+    own, from the plan alone, so both parties derive it."""
+    if not (0 <= layer < 1 << 16 and 0 <= stage < 1 << 8
+            and 0 <= group < 1 << 8):
+        raise CircuitError("garbling namespace out of range")
+    return (layer << 16 | stage << 8 | group) << 32
+
+
+def _tweak_grid(word0: np.ndarray, instances: int, ns: int) -> np.ndarray:
+    """Tweaks (..., E, 2): word0 in the low half, the namespace `ns` and the
+    instance in the high."""
     word0 = np.asarray(word0, dtype=np.uint64)
     tw = np.empty(word0.shape + (instances, 2), dtype=np.uint64)
     tw[..., 0] = word0[..., None]
-    tw[..., 1] = np.arange(instances, dtype=np.uint64)
+    tw[..., 1] = np.uint64(ns) | np.arange(instances, dtype=np.uint64)
     return tw
 
 
@@ -85,13 +98,14 @@ class GarbledCircuit:
     """Garbler-side result for E independent instances of one topology."""
 
     circuit: Circuit
-    delta: np.ndarray            # (E, 2)
+    delta: np.ndarray            # (2,) the session offset
+    ns: int                      # the garbling's tweak namespace
     wire0: np.ndarray            # (W, E, 2) zero-labels for every wire
     tables: np.ndarray           # (n_and, E, 2, 2) the two rows per AND
 
     @property
     def instances(self) -> int:
-        return self.delta.shape[0]
+        return self.wire0.shape[1]
 
     def garbler_labels(self, bits: np.ndarray) -> np.ndarray:
         """Active labels for the garbler's own inputs plus the two constant
@@ -100,24 +114,19 @@ class GarbledCircuit:
         ins = self.circuit.garbler_inputs
         if bits.shape != (self.instances, ins.size):
             raise CircuitError("garbler bit array has wrong shape")
-        active = self.wire0[ins] ^ (bits.T[:, :, None] * self.delta[None])
+        active = self.wire0[ins] ^ bits.T[:, :, None] * self.delta
         consts = np.stack([self.wire0[CONST0],
                            self.wire0[CONST1] ^ self.delta])
         return np.concatenate([consts, active])
 
-    def evaluator_label_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(zero, one) labels for evaluator inputs, each (n_ein, E, 2); the
-        oblivious transfer picks between them per bit."""
-        zero = self.wire0[self.circuit.evaluator_inputs]
-        return zero, zero ^ self.delta[None]
 
-
-def _folded_pads(labels: np.ndarray, p: int) -> np.ndarray:
+def _folded_pads(labels: np.ndarray, ns: int, p: int) -> np.ndarray:
     """F(L): the pads of output labels (..., n_out, E, 2), under tweaks
-    unique per (output wire, instance), folded to (lo + 2^64 hi) mod p."""
+    unique per (output wire, instance) in namespace `ns`, folded to
+    (lo + 2^64 hi) mod p."""
     n_out, E = labels.shape[-3:-1]
     pads = hash_labels(labels, _tweak_grid(
-        _B2A_NS | np.arange(n_out, dtype=np.uint64), E))
+        _B2A_NS | np.arange(n_out, dtype=np.uint64), E, ns))
     return reduce128(pads[..., 1], pads[..., 0], p)
 
 
@@ -141,35 +150,53 @@ def b2a_corrections(gb: GarbledCircuit, weights: np.ndarray,
     z = gb.wire0[gb.circuit.outputs]
     b0 = z[..., 0] & _ONE              # the value of L0 is the colour of z
     l0 = z ^ b0[..., None] * gb.delta
-    f0, f1 = _folded_pads(np.array([l0, l0 ^ gb.delta]), p)
+    f0, f1 = _folded_pads(np.array([l0, l0 ^ gb.delta]), gb.ns, p)
     w = np.asarray(weights, dtype=np.uint64)[:, None]
     signed_w = np.where(b0 == 1, submod(0, w, p), w)
     return submod(addmod(signed_w, f0, p), f1, p), submod(b0 * w, f0, p)
 
 
-def b2a_shares(active_out: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
+def b2a_shares(active_out: np.ndarray, c: np.ndarray, ns: int,
+               p: int) -> np.ndarray:
     """Evaluator half of `b2a_corrections`: the shares
     F(L) + colour(L) c mod p, (n_out, E), of the held output labels
-    `active_out`, (n_out, E, 2); `c` must be reduced mod p."""
-    fold = _folded_pads(active_out, p)
+    `active_out`, (n_out, E, 2), of the garbling with namespace `ns`; `c`
+    must be reduced mod p."""
+    fold = _folded_pads(active_out, ns, p)
     return addmod(fold, (active_out[..., 0] & _ONE) * c, p)
 
 
-def garble(circuit: Circuit, instances: int,
-           rng: np.random.Generator) -> GarbledCircuit:
-    """Garble E independent instances of `circuit`, one level at a time.
+def garble(circuit: Circuit, delta: np.ndarray, evaluator_zero: np.ndarray,
+           ns: int, rng: np.random.Generator) -> GarbledCircuit:
+    """Garble E independent instances of `circuit` under the session offset
+    `delta`, (2,), one level at a time.
 
-    Tweaks are 2g and 2g+1 for gate index g, and AND g's two rows go to
-    table row `Level.and_row`, so the result does not depend on how the
-    gates are batched."""
-    E = instances
+    The evaluator's input zero labels `evaluator_zero`, (n_ein, E, 2), come
+    from the OT (`gc.ot.RandomOtSenderBatch.derand_respond`) and give E; the
+    constant and garbler-input zero labels are drawn from `rng`.  Tweaks are
+    2g and 2g+1 for gate index g in the low word and `ns` | the instance in
+    the high one, and AND g's two rows go to table row `Level.and_row`, so
+    the result does not depend on how the gates are batched.
+
+    Security (semi-honest).  Every garbling of a session shares `delta`, and
+    the evaluator's labels are IKNP rows, so this rests on the fixed-key
+    hash being tweakable circular correlation robust (Zahur-Rosulek-Evans,
+    EUROCRYPT 2015; Guo-Katz-Wang-Yu, S&P 2020): to whoever does not know
+    delta, H(X ^ delta, t) looks uniform next to every other query, provided
+    no tweak t is used beyond the two labels X and X ^ delta of one wire.
+    Within a garbling the gate index, half and instance keep tweaks apart;
+    across garblings `ns` does, so each garbling of a session must take its
+    own `tweak_namespace`.  delta's colour bit is public (forced to 1), so
+    it keeps 127 secret bits.
+    """
+    E = evaluator_zero.shape[1]
+    if E >= 1 << 32:
+        raise CircuitError("more instances than the tweak's 32 bits hold")
     W = circuit.n_wires
-    delta = rng.integers(0, 1 << 64, (E, 2), dtype=np.uint64)
-    delta[:, 0] |= _ONE
     wire0 = np.zeros((W, E, 2), dtype=np.uint64)
-    fresh = np.concatenate([[CONST0, CONST1],
-                            circuit.garbler_inputs, circuit.evaluator_inputs])
+    fresh = np.concatenate([[CONST0, CONST1], circuit.garbler_inputs])
     wire0[fresh] = rng.integers(0, 1 << 64, (fresh.size, E, 2), dtype=np.uint64)
+    wire0[circuit.evaluator_inputs] = evaluator_zero
 
     tables = np.empty((circuit.n_and, E, 2, 2), dtype=np.uint64)
     aes = _AES.encryptor()
@@ -184,7 +211,7 @@ def garble(circuit: Circuit, instances: int,
         # (b0, b1) under 2g+1
         (ha0, ha1), (hb0, hb1) = _hash(
             aes, np.array([[a0, a0 ^ delta], [b0, b0 ^ delta]]),
-            _tweak_grid(lv.and_tweak, E)[:, None])
+            _tweak_grid(lv.and_tweak, E, ns)[:, None])
         pa = _lsb(a0)
         pb = _lsb(b0)
         tg = ha0 ^ ha1 ^ pb * delta
@@ -194,12 +221,13 @@ def garble(circuit: Circuit, instances: int,
         wire0[lv.and_out] = wg ^ we
         tables[lv.and_row, :, 0] = tg
         tables[lv.and_row, :, 1] = te
-    return GarbledCircuit(circuit, delta, wire0, tables)
+    return GarbledCircuit(circuit, delta, ns, wire0, tables)
 
 
 def evaluate(circuit: Circuit, tables: np.ndarray, garbler_active: np.ndarray,
-             evaluator_active: np.ndarray) -> np.ndarray:
-    """Run the garbled circuit on active labels, one level at a time.
+             evaluator_active: np.ndarray, ns: int) -> np.ndarray:
+    """Run the garbled circuit with tweak namespace `ns` on active labels,
+    one level at a time.
 
     garbler_active is (n_gin + 2, E, 2) (constants first, from
     `garbler_labels`); evaluator_active is (n_ein, E, 2) from the OT.
@@ -219,7 +247,8 @@ def evaluate(circuit: Circuit, tables: np.ndarray, garbler_active: np.ndarray,
             continue
         wa = active[lv.and_in0]
         wb = active[lv.and_in1]
-        ha, hb = _hash(aes, np.array([wa, wb]), _tweak_grid(lv.and_tweak, E))
+        ha, hb = _hash(aes, np.array([wa, wb]),
+                       _tweak_grid(lv.and_tweak, E, ns))
         rows = tables[lv.and_row]
         sa = _lsb(wa)
         sb = _lsb(wb)

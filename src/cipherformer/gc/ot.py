@@ -1,16 +1,21 @@
 """Oblivious transfer: elliptic-curve base OT plus IKNP extension,
 semi-honest.
 
-The label transfers for evaluator inputs run in two phases so the heavy part
-can be shipped before the online phase starts:
+The evaluator's input labels come straight out of IKNP's correlated OT
+(Asharov-Lindell-Schneider-Zohner, CCS 2013), in two phases so the heavy
+part runs before the online phase starts:
 
-  * offline -- 128 base OTs (public-key) seed an IKNP extension producing M
-    *random* OTs: the receiver ends with (b_i, pad_{b_i}), the sender with
-    both pads, for uniformly random b_i.
-  * online -- Beaver derandomization: the receiver reveals d_i = c_i ^ b_i
-    (one bit per OT) and the sender returns both messages masked so that
-    exactly the chosen one is recoverable.  Cost per OT: 1 bit up, 32 bytes
-    down, no public-key work.
+  * offline -- 128 base OTs (public-key) seed an IKNP extension of M OTs
+    on random choice bits b_j.  The receiver ends with rows t_j, the sender
+    with rows q_j = t_j ^ b_j s, s being its 128 base-OT choice bits.  s is
+    the session's one garbling offset delta, with the bit that becomes a
+    label's colour forced to 1 (`COLOUR_COLUMN`), so 127 bits of it stay
+    secret.
+  * online -- the receiver reveals d_j = c_j ^ b_j for its real choice c_j
+    (one bit per OT), and the sender takes L0_j = q_j ^ d_j delta as the
+    zero label of that evaluator input.  The receiver's t_j = L0_j ^ c_j
+    delta is already the label of c_j: nothing is sent back for it, and no
+    row is hashed.
 
 Base OT is the Chou-Orlandi construction ("The Simplest Protocol for
 Oblivious Transfer", LATINCRYPT 2015) over P-256: the sender publishes
@@ -33,9 +38,11 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import ProtocolError
-from .garble import hash_labels
 
 LAMBDA = 128
+# the column of s that becomes bit 0 of word 0 of every row, a label's
+# colour: `np.packbits` puts column 0 at the top bit of byte 0
+COLOUR_COLUMN = 7
 
 _CURVE = ec.SECP256R1()
 # the P-256 field prime and group order (SEC 2, section 2.4.2)
@@ -163,71 +170,65 @@ def _transpose_bits(cols: np.ndarray, M: int) -> np.ndarray:
     """
     L, B = cols.shape
     x = cols.reshape(L // 8, 8, B).transpose(0, 2, 1).copy().view("<u8")[..., 0]
+    # in place, through one scratch word array freed before the gather, so
+    # the transpose holds two 16-byte arrays a row at most
+    t = np.empty_like(x)
     for shift, mask in _ANTI_FLIP:
-        t = mask & (x ^ (x << shift))
-        x ^= t ^ (t >> shift)
+        np.left_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t >>= shift
+        x ^= t
+    del t
     rows = np.ascontiguousarray(
         x.view(np.uint8).reshape(L // 8, B, 8).transpose(1, 2, 0))
-    return rows.reshape(8 * B, L // 8).view("<u8")[:M].astype(np.uint64)
-
-
-def _row_pads(q: np.ndarray) -> np.ndarray:
-    """Hash (M, 2) uint64 rows with their index as tweak."""
-    M = q.shape[0]
-    tw = np.zeros((M, 2), dtype=np.uint64)
-    tw[:, 1] = np.arange(M, dtype=np.uint64)
-    tw[:, 0] = np.uint64(1) << np.uint64(60)
-    return hash_labels(q, tw)
+    return rows.reshape(8 * B, L // 8).view("<u8")[:M].astype(np.uint64,
+                                                              copy=False)
 
 
 @dataclass
 class RandomOtBatch:
-    """Receiver side of M random OTs after extension."""
+    """Receiver side of M correlated OTs after extension."""
 
     b: np.ndarray          # (M,) uint8 random choice bits
-    pads: np.ndarray       # (M, 2) uint64: pad for the chosen side
+    t: np.ndarray          # (M, 2) uint64: the rows, each the label of c_j
     _used: int = 0
 
     def derand_request(self, c_bits: np.ndarray) -> np.ndarray:
+        """d_j = c_j ^ b_j for the next OTs, one per choice bit."""
         c = np.asarray(c_bits, dtype=np.uint8).ravel()
         lo = self._used
         if lo + c.size > self.b.size:
             raise ProtocolError("random OT supply exhausted")
         return c ^ self.b[lo:lo + c.size]
 
-    def derand_finish(self, c_bits: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """f is (count, 2, 2): both masked messages; returns chosen (count, 2)."""
-        c = np.asarray(c_bits, dtype=np.uint8).ravel()
+    def derand_finish(self, c_bits: np.ndarray) -> np.ndarray:
+        """The labels of the choices just requested, (count, 2): the rows
+        t_j of those OTs, which it consumes."""
         lo = self._used
-        self._used = lo + c.size
-        pads = self.pads[lo:lo + c.size]
-        chosen = f[np.arange(c.size), c]
-        return chosen ^ pads
+        self._used = lo + np.size(c_bits)
+        return self.t[lo:self._used]
 
 
 @dataclass
 class RandomOtSenderBatch:
-    """Sender side: both pads for M random OTs."""
+    """Sender side of M correlated OTs: q_j = t_j ^ b_j delta."""
 
-    y0: np.ndarray         # (M, 2)
-    y1: np.ndarray
+    q: np.ndarray          # (M, 2)
+    delta: np.ndarray      # (2,): s, its colour bit 1
     _used: int = 0
 
-    def derand_respond(self, d_bits: np.ndarray, m0: np.ndarray,
-                       m1: np.ndarray) -> np.ndarray:
-        """Returns (count, 2, 2): entry j of each row masked with y_{j^d}."""
-        d = np.asarray(d_bits, dtype=np.uint8).ravel()
+    def derand_respond(self, d_bits: np.ndarray) -> np.ndarray:
+        """The zero labels L0_j = q_j ^ d_j delta of the next OTs, (count,
+        2), one per derandomization bit; the receiver holds the label
+        L0_j ^ c_j delta = t_j of its choice c_j."""
+        d = np.asarray(d_bits, dtype=np.uint64).ravel()
         lo = self._used
-        if lo + d.size > self.y0.shape[0]:
+        if lo + d.size > self.q.shape[0]:
             raise ProtocolError("random OT supply exhausted")
         self._used = lo + d.size
-        y0 = self.y0[lo:lo + d.size]
-        y1 = self.y1[lo:lo + d.size]
-        d_on = d[:, None].astype(bool)
-        f = np.empty((d.size, 2, 2), dtype=np.uint64)
-        f[:, 0] = np.asarray(m0, dtype=np.uint64) ^ np.where(d_on, y1, y0)
-        f[:, 1] = np.asarray(m1, dtype=np.uint64) ^ np.where(d_on, y0, y1)
-        return f
+        return self.q[lo:self._used] ^ d[:, None] * self.delta
 
 
 class OtExtReceiver:
@@ -262,15 +263,16 @@ class OtExtReceiver:
             t1 = np.frombuffer(_prg(self._seeds1[j], Mb // 8), dtype=np.uint8)
             t_cols[j] = t
             u_cols[j] = t ^ t1 ^ r_packed
-        return u_cols, RandomOtBatch(b[:M], _row_pads(_transpose_bits(t_cols, M)))
+        return u_cols, RandomOtBatch(b[:M], _transpose_bits(t_cols, M))
 
 
 class OtExtSender:
-    """IKNP sender: base-OT receiver with secret s, then pad derivation."""
+    """IKNP sender: base-OT receiver with secret s, the garbling offset."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self.s_bits = rng.integers(0, 2, LAMBDA, dtype=np.uint8)
+        self.s_bits[COLOUR_COLUMN] = 1
 
     def recover_seeds(self, seed_msgs: np.ndarray, my_keys: np.ndarray):
         self._seeds = []
@@ -286,7 +288,5 @@ class OtExtSender:
             if self.s_bits[j]:
                 col = col ^ u_cols[j]
             q_cols[j] = col
-        q = _transpose_bits(q_cols, M)
-        s_row = np.packbits(self.s_bits)
-        s128 = np.frombuffer(s_row.tobytes(), dtype="<u8").astype(np.uint64)
-        return RandomOtSenderBatch(_row_pads(q), _row_pads(q ^ s128[None, :]))
+        delta = np.packbits(self.s_bits).view("<u8").astype(np.uint64)
+        return RandomOtSenderBatch(_transpose_bits(q_cols, M), delta)

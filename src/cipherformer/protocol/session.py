@@ -29,14 +29,13 @@ layout's `ct_count` ciphertexts:
 then per encoder layer, five garbled stages of four frames each,
 interleaved with two encrypted matrix products of two frames each:
 
-  stage-open     s -> c   the masked input, a `stage_input` matrix; then
-                          per `stage_circuits` group (circ, E): tables,
-                          32 n_and E; garbler labels, 16 (garbler_inputs
-                          + 2) E; B2A corrections, 8 n_out E, each word
-                          below p
+  stage-open     s -> c   the masked input, a `stage_input` matrix
   stage-ot-req   c -> s   derandomization bits, ceil(m count / 8), the pad
                           bits of the last byte zero
-  stage-ot-resp  s -> c   masked label pairs, 32 m count
+  stage-ot-resp  s -> c   per `stage_circuits` group (circ, E), garbled
+                          once the bits arrive: tables, 32 n_and E;
+                          garbler labels, 16 (garbler_inputs + 2) E; B2A
+                          corrections, 8 n_out E, each word below p
   stage-share    c -> s   one `stage_shares` matrix per group
   mm-open        s -> c   the masked factors, each in the layout of the
                           share it was made from, read as its `.T` where
@@ -49,6 +48,11 @@ and a final frame:
 
 Every frame in either direction counts as one round, so the round count is
 the same constant, 5 + 24 n_layers, for every input of a given shape.
+
+The evaluator's input labels cost no bytes of their own: the IKNP rows of
+the set-up are a correlated OT under the session's one garbling offset, so
+the derandomization bits fix the zero labels the server garbles with, and
+the client already holds the label of each of its bits (`gc.ot`).
 
 Share switching works on a per-stage window of m bits: the server adds
 2^{m-1} + R (R fresh, below p - 2^m) onto each wire and ships the
@@ -93,7 +97,8 @@ import numpy as np
 from ..errors import ParameterError, ProtocolError
 from ..fixedpoint import to_field, to_signed
 from ..gc.circuit import to_bits
-from ..gc.garble import b2a_corrections, b2a_shares, evaluate, garble
+from ..gc.garble import (b2a_corrections, b2a_shares, evaluate, garble,
+                         tweak_namespace)
 from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
                      OtExtReceiver, OtExtSender, RandomOtBatch,
                      RandomOtSenderBatch)
@@ -132,12 +137,12 @@ MIN_RING_DEGREE = 512
 MAX_WIDTH = MAX_RING_DEGREE // 2
 # checked after the plan, before any key or OT is made: widths alone do
 # not bound a session, which holds tensors of two widths (dim x dim, say)
-# in every layer.  Each IKNP half peaks at about 130 bytes per OT (measured
-# with tracemalloc at 2^18 OTs): its packed columns and their bit transpose
-# hold 16 bytes per OT each, and hashing the transposed rows into pads holds
-# about six more 16-byte arrays per OT (the rows, their tweaks, the AES input
-# and output, the pads).  2^24 OTs still admit a session on the largest
-# ring.
+# in every layer.  IKNP peaks at about 65 bytes per OT on the receiver and
+# 48 on the sender (measured with tracemalloc at 2^18 OTs): the packed
+# columns, the correction columns (receiver only) and the bit transpose's
+# word array and scratch hold 16 bytes per OT each.  The rows each party
+# keeps as labels, 16 bytes per OT, come after the scratch is freed.  2^24
+# OTs, about 1.1 GB at that peak, still admit a session on the largest ring.
 MAX_OTS = 1 << 24
 # the wire bytes of every encrypted matrix one session's layouts name
 MAX_SESSION_BYTES = 1 << 30
@@ -355,7 +360,7 @@ def _words(part: bytes, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _gc_shapes(circ, E: int) -> list[tuple[int, ...]]:
-    """The word arrays stage-open carries for one circuit group: tables,
+    """The word arrays stage-ot-resp carries for one circuit group: tables,
     garbler labels, B2A corrections."""
     return [(circ.n_and, E, 2, 2), (circ.garbler_inputs.size + 2, E, 2),
             (circ.outputs.size, E)]
@@ -439,37 +444,15 @@ class ServerResult:
     geometry: Geometry
 
 
-def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
+def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
                  enc: EncMatrix) -> list[EncMatrix]:
     geom, ev, rng = sp.geom, sp.ev, sp.rng
     p, m = geom.p, spec.m
     masks = sample_stage_masks(rng, p, m, spec.count)
     offs = _lanes_to_matrix(spec, stage_offsets(masks, m, p))
-    menc = add_offset(ev, enc, offs)
+    _send(sp.conn, sp.tr, STAGE_OPEN,
+          encmatrix_to_bytes(add_offset(ev, enc, offs)))
     tshare = garbler_window_share(masks, m)
-
-    parts = [encmatrix_to_bytes(menc)]
-    gc_bytes = 0
-    ot_zero, ot_one = [], []
-    own_lanes: list[np.ndarray] = []
-    lpi = spec.lanes_per_instance
-    off = 0
-    for g, circ, E in stage_circuits(spec):
-        gb = garble(circ, E, rng)
-        words = tshare[off:off + g.count].reshape(E, lpi)
-        off += g.count
-        glab = gb.garbler_labels(to_bits(words, m).reshape(E, lpi * m))
-
-        corr, own = b2a_corrections(
-            gb, np.tile(b2a_weights(spec.keep, p), lpi), p)
-        own_lanes.append(_b2a_words(own, spec.keep, p).T.ravel())
-
-        zero, one = gb.evaluator_label_pairs()
-        ot_zero.append(zero.transpose(1, 0, 2).reshape(-1, 2))
-        ot_one.append(one.transpose(1, 0, 2).reshape(-1, 2))
-        parts += [le64(gb.tables), le64(glab), le64(corr)]
-        gc_bytes += gb.tables.nbytes + glab.nbytes + corr.nbytes
-    _send(sp.conn, sp.tr, STAGE_OPEN, *parts)
 
     nbits = m * spec.count
     (bd,) = _recv(sp.conn, sp.tr, STAGE_OT_REQ, [-(-nbits // 8)])
@@ -478,10 +461,28 @@ def _serve_stage(sp: _ServerParty, layer: int, spec: StageSpec,
     if dbits[nbits:].any():
         raise ProtocolError("stage-ot-req sets a pad bit past its "
                             f"{nbits} derandomization bits")
-    fmsg = sp.ot.derand_respond(dbits[:nbits], np.concatenate(ot_zero),
-                                np.concatenate(ot_one))
-    _send(sp.conn, sp.tr, STAGE_OT_RESP, le64(fmsg))
-    gc_bytes += packed.nbytes + fmsg.nbytes
+    # the evaluator's zero labels, group by group, each instance's together
+    zero = sp.ot.derand_respond(dbits[:nbits])
+
+    parts = []
+    gc_bytes = packed.nbytes
+    own_lanes: list[np.ndarray] = []
+    lpi = spec.lanes_per_instance
+    off = 0
+    for gi, (g, circ, E) in enumerate(stage_circuits(spec)):
+        ezero = zero[m * off:m * (off + g.count)].reshape(E, -1, 2)
+        gb = garble(circ, sp.ot.delta, ezero.transpose(1, 0, 2),
+                    tweak_namespace(layer, stage, gi), rng)
+        words = tshare[off:off + g.count].reshape(E, lpi)
+        off += g.count
+        glab = gb.garbler_labels(to_bits(words, m).reshape(E, lpi * m))
+
+        corr, own = b2a_corrections(
+            gb, np.tile(b2a_weights(spec.keep, p), lpi), p)
+        own_lanes.append(_b2a_words(own, spec.keep, p).T.ravel())
+        parts += [le64(gb.tables), le64(glab), le64(corr)]
+        gc_bytes += gb.tables.nbytes + glab.nbytes + corr.nbytes
+    _send(sp.conn, sp.tr, STAGE_OT_RESP, *parts)
 
     layouts = geom.stage_shares(layer, spec)
     blobs = _recv(sp.conn, sp.tr, STAGE_SHARE,
@@ -567,7 +568,7 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     for e, enc in enumerate(geom.plan.encoders):
         mats, offsets = layer_weights(cfg, weights, mode, e)
         held.update(mats)
-        for spec in enc:
+        for si, spec in enumerate(enc):
             left, right = spec.factors(held)
             if spec.plain:
                 raw = colblock_matmul(ev, left, to_field(right, p))
@@ -575,7 +576,7 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
                     raw = add_offset(ev, raw, to_field(offsets[spec.right], p))
             else:
                 raw = _serve_ctmm(sp, e, spec, left, right)
-            held.update(zip(spec.tags, _serve_stage(sp, e, spec, raw)))
+            held.update(zip(spec.tags, _serve_stage(sp, e, si, spec, raw)))
 
     _send_logits(sp, held["x"], weights)
     tr.counters = dict(ev.counters)
@@ -605,43 +606,43 @@ class ClientResult:
     geometry: Geometry
 
 
-def _client_stage(cp: _ClientParty, layer: int,
+def _client_stage(cp: _ClientParty, layer: int, stage: int,
                   spec: StageSpec) -> list[Layout]:
     """One garbled stage on the evaluator's side; returns the layouts of the
     output shares it sent, which the server's products keep."""
     geom = cp.geom
     p, m = geom.p, spec.m
-    groups = stage_circuits(spec)
-    shapes = [sh for _g, circ, E in groups for sh in _gc_shapes(circ, E)]
     layout = geom.stage_input(spec)
-    bm, *gblobs = _recv(cp.conn, cp.tr, STAGE_OPEN,
-                        [geom.nbytes(layout), *(8 * prod(sh) for sh in shapes)])
-    garbled = [_words(blob, sh) for blob, sh in zip(gblobs, shapes)]
-    if any((corr >= p).any() for corr in garbled[2::3]):
-        raise ProtocolError("stage-open B2A correction word not reduced mod p")
+    (bm,) = _recv(cp.conn, cp.tr, STAGE_OPEN, [geom.nbytes(layout)])
     menc = encmatrix_from_bytes(bm, geom.params, layout)
     lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
     # every group's evaluator bits, lane by lane: the OT choices, in the
-    # order the groups' label pairs sit in the server's response
+    # order the server's garblings take their zero labels
     cbits = to_bits(client_window_share(lanes, m), m).ravel()
     packed = np.packbits(cp.batch.derand_request(cbits))
     _send(cp.conn, cp.tr, STAGE_OT_REQ, packed.tobytes())
-    nbits = m * spec.count
-    (bf,) = _recv(cp.conn, cp.tr, STAGE_OT_RESP, [32 * nbits])
-    fmsg = _words(bf, (nbits, 2, 2))
-    chosen = cp.batch.derand_finish(cbits, fmsg)
+    labels = cp.batch.derand_finish(cbits)
 
-    gc_bytes = packed.nbytes + fmsg.nbytes
+    groups = stage_circuits(spec)
+    shapes = [sh for _g, circ, E in groups for sh in _gc_shapes(circ, E)]
+    gblobs = _recv(cp.conn, cp.tr, STAGE_OT_RESP,
+                   [8 * prod(sh) for sh in shapes])
+    garbled = [_words(blob, sh) for blob, sh in zip(gblobs, shapes)]
+    if any((corr >= p).any() for corr in garbled[2::3]):
+        raise ProtocolError("stage-ot-resp B2A correction word not reduced "
+                            "mod p")
+
+    gc_bytes = packed.nbytes
     shares = []
     cuts = np.cumsum([m * g.count for g, _circ, _E in groups])[:-1]
-    for gi, labels in enumerate(np.split(chosen, cuts)):
+    for gi, glabels in enumerate(np.split(labels, cuts)):
         _g, circ, E = groups[gi]
-        n_ein = circ.evaluator_inputs.size
-        eact = labels.reshape(E, n_ein, 2).transpose(1, 0, 2)
+        eact = glabels.reshape(E, -1, 2).transpose(1, 0, 2)
         tables, glab, corr = garbled[3 * gi:3 * gi + 3]
         gc_bytes += tables.nbytes + glab.nbytes + corr.nbytes
-
-        bit_shares = b2a_shares(evaluate(circ, tables, glab, eact), corr, p)
+        ns = tweak_namespace(layer, stage, gi)
+        bit_shares = b2a_shares(evaluate(circ, tables, glab, eact, ns), corr,
+                                ns, p)
         shares.append(_b2a_words(bit_shares, spec.keep, p).T.ravel())
 
     parts = []
@@ -656,7 +657,8 @@ def _client_stage(cp: _ClientParty, layer: int,
     _send(cp.conn, cp.tr, STAGE_SHARE, *parts)
     cp.tr.add_gc_bytes(gc_bytes)
     cp.tr.add_event(kind="stage", layer=layer, name=spec.name,
-                    lanes=spec.count, ot_bits=nbits, gc_bytes=gc_bytes)
+                    lanes=spec.count, ot_bits=m * spec.count,
+                    gc_bytes=gc_bytes)
     return layouts
 
 
@@ -726,10 +728,10 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     cp = _ClientParty(conn, tr, geom, ev, keys, batch)
     held: dict[str, Layout] = {}
     for e, enc in enumerate(geom.plan.encoders):
-        for spec in enc:
+        for si, spec in enumerate(enc):
             if not spec.plain:
                 _client_ctmm(cp, e, spec, *spec.factors(held))
-            held.update(zip(spec.tags, _client_stage(cp, e, spec)))
+            held.update(zip(spec.tags, _client_stage(cp, e, si, spec)))
 
     cts = _recv_logits(conn, tr, geom)
     slots = keys.decrypt_many(cts)

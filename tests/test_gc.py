@@ -137,24 +137,44 @@ def checked_b2a_corrections(gc, pads, p):
     return w, corr, t
 
 
-def check_b2a_shares(out, delta, c, t, weights, values, p):
+def check_b2a_shares(out, gc, c, t, weights, values, p):
     """For every output, the held label's share plus t is value * w mod p,
     and the other label's share is (1 - value) * w, so the two differ."""
     w = weights.astype(object)[:, None]
     t = t.astype(object)
-    mine = G.b2a_shares(out, c, p).astype(object)
-    other = G.b2a_shares(out ^ delta, c, p).astype(object)
+    mine = G.b2a_shares(out, c, gc.ns, p).astype(object)
+    other = G.b2a_shares(out ^ gc.delta, c, gc.ns, p).astype(object)
     v = values.astype(object)
     assert ((mine + t) % p == v * w % p).all()
     assert ((other + t) % p == (1 - v) * w % p).all()
     assert (mine != other).all()
 
 
+# a namespace with every field set, so the tests see where each one lands
+NS = G.tweak_namespace(3, 2, 1)
+
+
+def session_inputs(circ, instances, rng):
+    """A session offset with its colour bit set, and evaluator zero labels
+    (n_ein, E, 2), as the OT would fix them, drawn from `rng`."""
+    delta = rng.integers(0, 1 << 64, 2, dtype=np.uint64)
+    delta[0] |= np.uint64(1)
+    zero = rng.integers(0, 1 << 64, (circ.evaluator_inputs.size, instances, 2),
+                        dtype=np.uint64)
+    return delta, zero
+
+
+def evaluator_labels(gc, ebits):
+    """The evaluator's active labels for bits (E, n_ein): the zero label,
+    moved by delta where the bit is set, as the OT hands them over."""
+    zero = gc.wire0[gc.circuit.evaluator_inputs]
+    return zero ^ ebits.T[:, :, None].astype(np.uint64) * gc.delta
+
+
 def run_garbled(circ, gbits, ebits, rng):
-    gc = G.garble(circ, gbits.shape[0], rng)
-    ez, eo = gc.evaluator_label_pairs()
-    e_act = np.where(ebits.T[:, :, None].astype(bool), eo, ez)
-    out = G.evaluate(circ, gc.tables, gc.garbler_labels(gbits), e_act)
+    gc = G.garble(circ, *session_inputs(circ, gbits.shape[0], rng), NS, rng)
+    out = G.evaluate(circ, gc.tables, gc.garbler_labels(gbits),
+                     evaluator_labels(gc, ebits), NS)
     return gc, out, read_bits(gc, out)
 
 
@@ -169,7 +189,8 @@ class TestGarbling:
 
     def test_table_size_is_two_rows_per_and(self):
         c = build_adder(8)
-        gc = G.garble(c, 3, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        gc = G.garble(c, *session_inputs(c, 3, rng), NS, rng)
         assert gc.tables.nbytes == 3 * c.n_and * 2 * 16
 
     def test_tamper_detection(self):
@@ -194,14 +215,15 @@ class TestGarbling:
         e = to_bits(np.arange(16, 32), 6)
         for p in B2A_PRIMES:
             rng = np.random.default_rng(11)
-            *_, pads = reference_garble(c, 16, copy.deepcopy(rng))
-            gc, out, bits = run_garbled(c, g, e, rng)
+            *_, pads = reference_garble(c, *session_inputs(c, 16, rng), NS,
+                                        copy.deepcopy(rng))
+            gc, out, bits = run_garbled(c, g, e, np.random.default_rng(11))
             _w, corr, _t = checked_b2a_corrections(gc, pads, p)
             f = fold_pads(pads, p)
             held = bits.T.astype(bool)
             colour = ((out[..., 0] & np.uint64(1)).astype(object)
                       * corr.astype(object))
-            mine = G.b2a_shares(out, corr, p).astype(object)
+            mine = G.b2a_shares(out, corr, NS, p).astype(object)
             assert np.array_equal(mine,
                                   (np.where(held, f[1], f[0]) + colour) % p)
             assert (mine != (np.where(held, f[0], f[1]) + colour) % p).all()
@@ -219,7 +241,7 @@ class TestGarbling:
             w = b2a_test_weights(c.outputs.size, p)
             corr, t = G.b2a_corrections(gc, w, p)
             assert (corr < p).all() and (t < p).all()
-            check_b2a_shares(out, gc.delta, corr, t, w, bits.T, p)
+            check_b2a_shares(out, gc, corr, t, w, bits.T, p)
             colour = out[..., 0] & np.uint64(1)
             seen.update(zip(colour.ravel().tolist(), bits.T.ravel().tolist()))
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -260,10 +282,10 @@ def random_circuits(rng):
 # ----------------------------------------------------------------------------
 # the level schedule against the gate-by-gate reference
 
-def _tweaks(word0, instances):
+def _tweaks(word0, instances, ns):
     tw = np.zeros((instances, 2), dtype=np.uint64)
     tw[:, 0] = np.uint64(word0)
-    tw[:, 1] = np.arange(instances, dtype=np.uint64)
+    tw[:, 1] = np.uint64(ns) + np.arange(instances, dtype=np.uint64)
     return tw
 
 
@@ -284,16 +306,15 @@ def reference_hash(labels, tweaks):
     return np.frombuffer(raw, dtype="<u8").reshape(t.shape) ^ t
 
 
-def reference_garble(circuit, instances, rng):
-    """Half-gates garbling one gate at a time, one AES batch per AND:
-    (delta, wire0, tables, (pads0, pads1))."""
-    E = instances
-    delta = rng.integers(0, 1 << 64, (E, 2), dtype=np.uint64)
-    delta[:, 0] |= np.uint64(1)
+def reference_garble(circuit, delta, evaluator_zero, ns, rng):
+    """Half-gates garbling one gate at a time, one AES batch per AND, under
+    the session offset `delta` and the evaluator's zero labels, as `garble`
+    takes them: (wire0, tables, (pads0, pads1))."""
+    E = evaluator_zero.shape[1]
     wire0 = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
-    fresh = np.concatenate([[CONST0, CONST1],
-                            circuit.garbler_inputs, circuit.evaluator_inputs])
+    fresh = np.concatenate([[CONST0, CONST1], circuit.garbler_inputs])
     wire0[fresh] = rng.integers(0, 1 << 64, (fresh.size, E, 2), dtype=np.uint64)
+    wire0[circuit.evaluator_inputs] = evaluator_zero
     tables = np.empty((circuit.n_and, E, 2, 2), dtype=np.uint64)
     ops, in0, in1, out = circuit.ops, circuit.in0, circuit.in1, circuit.out
     ai = 0
@@ -305,8 +326,8 @@ def reference_garble(circuit, instances, rng):
             continue
         a1 = a0 ^ delta
         b1 = b0 ^ delta
-        tw0 = _tweaks(2 * g, E)
-        tw1 = _tweaks(2 * g + 1, E)
+        tw0 = _tweaks(2 * g, E, ns)
+        tw1 = _tweaks(2 * g + 1, E, ns)
         h = reference_hash(np.concatenate([a0, a1, b0, b1]),
                           np.concatenate([tw0, tw0, tw1, tw1]))
         ha0, ha1, hb0, hb1 = h[:E], h[E:2 * E], h[2 * E:3 * E], h[3 * E:]
@@ -325,11 +346,12 @@ def reference_garble(circuit, instances, rng):
     pads = np.empty((2, outs.size, E, 2), dtype=np.uint64)
     for i, w in enumerate(outs):
         for v, label in enumerate((wire0[w], wire0[w] ^ delta)):
-            pads[v, i] = reference_hash(label, _tweaks(G._B2A_NS | np.uint64(i), E))
-    return delta, wire0, tables, pads
+            pads[v, i] = reference_hash(
+                label, _tweaks(G._B2A_NS | np.uint64(i), E, ns))
+    return wire0, tables, pads
 
 
-def reference_evaluate(circuit, tables, garbler_active, evaluator_active):
+def reference_evaluate(circuit, tables, garbler_active, evaluator_active, ns):
     """Half-gates evaluation one gate at a time: active output labels."""
     E = garbler_active.shape[1]
     active = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
@@ -346,7 +368,8 @@ def reference_evaluate(circuit, tables, garbler_active, evaluator_active):
             active[out[g]] = wa ^ wb
             continue
         h = reference_hash(np.concatenate([wa, wb]),
-                          np.concatenate([_tweaks(2 * g, E), _tweaks(2 * g + 1, E)]))
+                           np.concatenate([_tweaks(2 * g, E, ns),
+                                           _tweaks(2 * g + 1, E, ns)]))
         ha, hb = h[:E], h[E:]
         tg = tables[ai, :, 0]
         te = tables[ai, :, 1]
@@ -361,22 +384,22 @@ def assert_matches_reference(circ, gbits, ebits, rng):
     """Garble with `rng` (and the reference with a copy of it), evaluate
     both on the same active labels, and compare every array byte for byte,
     the B2A corrections against the reference's per-value pads included."""
-    E = gbits.shape[0]
-    delta, wire0, tables, pads = reference_garble(circ, E, copy.deepcopy(rng))
-    gc = G.garble(circ, E, rng)
-    assert np.array_equal(gc.delta, delta)
+    delta, zero = session_inputs(circ, gbits.shape[0], rng)
+    wire0, tables, pads = reference_garble(circ, delta, zero, NS,
+                                           copy.deepcopy(rng))
+    gc = G.garble(circ, delta, zero, NS, rng)
     assert np.array_equal(gc.wire0, wire0)
     assert np.array_equal(gc.tables, tables)
     p = B2A_PRIMES[-1]
     w, corr, t = checked_b2a_corrections(gc, pads, p)
-    ez, eo = gc.evaluator_label_pairs()
-    e_act = np.where(ebits.T[:, :, None].astype(bool), eo, ez)
+    e_act = evaluator_labels(gc, ebits)
     g_act = gc.garbler_labels(gbits)
-    out = G.evaluate(circ, gc.tables, g_act, e_act)
-    assert np.array_equal(out, reference_evaluate(circ, tables, g_act, e_act))
+    out = G.evaluate(circ, gc.tables, g_act, e_act, NS)
+    assert np.array_equal(out, reference_evaluate(circ, tables, g_act, e_act,
+                                                  NS))
     bits = read_bits(gc, out)
     assert np.array_equal(bits, circ.plain_eval(gbits, ebits))
-    check_b2a_shares(out, delta, corr, t, w, bits.T, p)
+    check_b2a_shares(out, gc, corr, t, w, bits.T, p)
 
 
 def _random_bits(circ, instances, rng):
@@ -540,22 +563,30 @@ MALFORMED_POINTS = {
 
 class TestOt:
     def test_random_ot_pads_agree(self, ot_session):
+        """Every sender row is the receiver's row moved by b_j delta, and
+        never by the other bit; delta's colour bit is 1."""
         recv, send = ot_session
-        sel = np.where(recv.b[:, None].astype(bool), send.y1, send.y0)
-        assert np.array_equal(recv.pads, sel)
-        other = np.where(recv.b[:, None].astype(bool), send.y0, send.y1)
-        assert not (recv.pads == other).all(axis=1).any()
+        assert send.delta[0] & np.uint64(1) == 1
+        b = recv.b[:, None].astype(np.uint64)
+        assert np.array_equal(send.q, recv.t ^ b * send.delta)
+        other = recv.t ^ (1 - b) * send.delta
+        assert not (send.q == other).all(axis=1).any()
 
     def test_derandomized_transfer(self, ot_session):
+        """The sender's zero label L0_j = q_j ^ d_j delta, moved by c_j
+        delta, is the receiver's row t_j, and moved by the other bit never
+        is, for both values of every c_j."""
         recv, send = ot_session
         rng = np.random.default_rng(5)
         for count in (64, 400):
             c = rng.integers(0, 2, count, dtype=np.uint8)
-            m0 = rng.integers(0, 1 << 64, (count, 2), dtype=np.uint64)
-            m1 = rng.integers(0, 1 << 64, (count, 2), dtype=np.uint64)
-            f = send.derand_respond(recv.derand_request(c), m0, m1)
-            got = recv.derand_finish(c, f)
-            assert np.array_equal(got, np.where(c[:, None].astype(bool), m1, m0))
+            for choice in (c, 1 - c):
+                zero = send.derand_respond(recv.derand_request(choice))
+                t = recv.derand_finish(choice)
+                on = choice[:, None].astype(np.uint64)
+                assert np.array_equal(zero ^ on * send.delta, t)
+                other = zero ^ (1 - on) * send.delta
+                assert not (other == t).all(axis=1).any()
 
     def test_supply_exhaustion(self, ot_session):
         recv, send = ot_session

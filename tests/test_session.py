@@ -11,6 +11,7 @@ sampling, garbling -- shows here.
 
 import socket
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from cipherformer.errors import ParameterError, ProtocolError
+from cipherformer.gc import garble as garble_module
 from cipherformer.gc.ot import LAMBDA, POINT_BYTES
 from cipherformer import helinear
 from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
@@ -42,15 +44,15 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "0bb7e61f1b8157df59d6bfb29518db04"
-                "3f524c1c6052d2161d56c0cfb48d42af",
-    "opt1": "8030a9d2dfada2502113c532c46d9109"
-            "79d1c57c90ece7dd54f724cee72ffe8c",
-    "opt2": "529c32bf92e87a71f3fd4e6fb95ca1eb"
-            "148b49a6587986d114f8d1fdb580f54e",
+    "baseline": "b1a1ff0cacbb43a444a99418565bb88b"
+                "319b268b1daf5d6d60920c91d902944b",
+    "opt1": "e246a08965062cfc1ed004f7ab679010"
+            "b033e453197b63ec1af5494e1160a512",
+    "opt2": "153a428f0a42e562a9c836e81a7c58c5"
+            "d5c7505bfa8ebba33a8a7e826ed9d23e",
 }
-TWO_LAYER_DIGEST = ("5369efabcafea594907c64463c3808f0"
-                    "f922c871111d1dd1e1995dcaf2e41bf9")
+TWO_LAYER_DIGEST = ("558a73aa2fff733587ee698fa86b1559"
+                    "47794bdfc7c75c50b06a8f058fbdc51e")
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,45 @@ def test_two_layer_session_is_exact_and_pinned():
     # the second layer's (4, 12) QKV product adds giant steps -3..-1
     assert len(server.geometry.rotations) == 4
     assert server.transcript.counters["keyswitch"] == 8 + 3 + 2 + 2
+
+
+def test_no_garbling_tweak_repeats_in_a_session(monkeypatch):
+    """Every garbling of a session runs under the one offset the OT fixed,
+    so no hash tweak may serve two of them.  Over a tiny two-layer session,
+    whose layers garble the same circuits and whose QKV stage garbles one
+    circuit for three groups, the garbler hashes each wire's label pair
+    under its own 128-bit tweak -- AND-gate halves and B2A pads alike --
+    and never under one it used before; the evaluator hashes under exactly
+    the same tweaks."""
+    cfg = replace(CFG, n_layers=2)
+    wts = gen_random(cfg, 7, scale=0.25)
+    party = threading.local()
+    seen = {"server": [], "client": []}
+    fixed_key_hash = garble_module._hash
+
+    def recording(aes, labels, tweaks):
+        seen[party.role].append(tweaks.reshape(-1, 2).copy())
+        return fixed_key_hash(aes, labels, tweaks)
+
+    def as_party(role, fn):
+        def run(conn):
+            party.role = role
+            return fn(conn)
+        return run
+
+    monkeypatch.setattr(garble_module, "_hash", recording)
+    _, client = run_pair(
+        as_party("server", lambda c: run_server(c, cfg, wts, "opt2",
+                                                seed=11)),
+        as_party("client", lambda c: run_client(c, TOKENS, seed=12)))
+    assert np.array_equal(client.logits,
+                          forward_fixed(cfg, wts, TOKENS, "opt2").logits)
+    garbler, evaluator = (np.concatenate(seen[r]) for r in ("server",
+                                                            "client"))
+    assert len(np.unique(garbler, axis=0)) == len(garbler) > 0
+    assert np.array_equal(np.unique(evaluator, axis=0),
+                          np.unique(garbler, axis=0))
+    assert len(evaluator) == len(garbler)
 
 
 def test_he_small_session_is_exact():
@@ -201,19 +242,23 @@ def test_frame_sizes_do_not_depend_on_the_seeds(weights):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_stage_open_carries_one_correction_word_per_output_bit(weights, mode):
-    """Each stage-open frame is the masked stage input, then per circuit
-    group (circ, E) its tables, its garbler labels with the two constants,
-    and one 8-byte B2A correction word per output bit and instance."""
+    """Each stage-open frame is the masked stage input alone.  Each
+    stage-ot-resp frame is, per circuit group (circ, E), its tables, its
+    garbler labels with the two constants, and one 8-byte B2A correction
+    word per output bit and instance: no bytes for the evaluator's labels,
+    which the client already holds from the OT extension."""
     server, _ = private_inference(CFG, weights, TOKENS, mode,
                                   server_seed=11, client_seed=12)
     geom = server.geometry
-    want = [geom.nbytes(geom.stage_input(spec))
-            + sum((32 * circ.n_and + 16 * (circ.garbler_inputs.size + 2)
-                   + 8 * circ.outputs.size) * E
-                  for _g, circ, E in stage_circuits(spec))
-            for enc in geom.plan.encoders for spec in enc]
-    assert [f.nbytes for f in server.transcript.frames
-            if f.ftype == STAGE_OPEN] == want
+    specs = [spec for enc in geom.plan.encoders for spec in enc]
+    frames = server.transcript.frames
+    assert [f.nbytes for f in frames if f.ftype == STAGE_OPEN] == [
+        geom.nbytes(geom.stage_input(spec)) for spec in specs]
+    assert [f.nbytes for f in frames if f.ftype == STAGE_OT_RESP] == [
+        sum((32 * circ.n_and + 16 * (circ.garbler_inputs.size + 2)
+             + 8 * circ.outputs.size) * E
+            for _g, circ, E in stage_circuits(spec))
+        for spec in specs]
 
 
 def _closing(party, conn, *args, **kwargs):
@@ -414,17 +459,17 @@ def test_server_refuses_a_set_pad_bit_in_the_ot_request():
 
 
 def test_client_refuses_a_correction_word_past_p(weights):
-    """The last B2A correction word of the first stage-open frame arrives
-    as itself plus p, which would fold to the same share; the client
-    refuses it as not reduced before it evaluates anything."""
+    """The last B2A correction word of the first stage-ot-resp frame
+    arrives as itself plus p, which would fold to the same share; the
+    client refuses it as not reduced before it evaluates anything."""
     def plus_p(blob: bytearray):
         (word,) = struct.unpack("<Q", blob)
         struct.pack_into("<Q", blob, 0, word + PARAMS.p)
 
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, STAGE_OPEN, plus_p, slice(-8, None)), CFG,
-            weights, "opt1", seed=11)),
+            _EditFirstFrame(conn, STAGE_OT_RESP, plus_p, slice(-8, None)),
+            CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
     assert "correction word not reduced" in str(client_err)
