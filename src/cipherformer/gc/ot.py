@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import ProtocolError
+from ..prg import aes_ctr
 
 LAMBDA = 128
 # the column of s that becomes bit 0 of word 0 of every row, a label's
@@ -137,11 +137,6 @@ class BaseOtReceiver:
         for i, b in enumerate(self._bs):
             out[i] = _hash_point(b.exchange(ecdh, self._A), i)
         return out
-
-
-def _prg(seed16: bytes, nbytes: int) -> bytes:
-    cipher = Cipher(algorithms.AES(seed16), modes.CTR(b"\x00" * 16))
-    return cipher.encryptor().update(b"\x00" * nbytes)
 
 
 def _key_bytes(k: np.ndarray) -> bytes:
@@ -255,14 +250,10 @@ class OtExtReceiver:
         """Pick random choice bits, build the correction matrix to send."""
         Mb = -(-M // 8) * 8
         b = self.rng.integers(0, 2, Mb, dtype=np.uint8)
-        t_cols = np.empty((LAMBDA, Mb // 8), dtype=np.uint8)
-        u_cols = np.empty_like(t_cols)
-        r_packed = np.packbits(b)
-        for j in range(LAMBDA):
-            t = np.frombuffer(_prg(self._seeds0[j], Mb // 8), dtype=np.uint8)
-            t1 = np.frombuffer(_prg(self._seeds1[j], Mb // 8), dtype=np.uint8)
-            t_cols[j] = t
-            u_cols[j] = t ^ t1 ^ r_packed
+        t_cols = aes_ctr(self._seeds0, Mb // 8)
+        u_cols = aes_ctr(self._seeds1, Mb // 8)
+        u_cols ^= t_cols
+        u_cols ^= np.packbits(b)
         return u_cols, RandomOtBatch(b[:M], _transpose_bits(t_cols, M))
 
 
@@ -281,12 +272,8 @@ class OtExtSender:
             self._seeds.append(_key_bytes(enc ^ my_keys[j]))
 
     def receive_extension(self, u_cols: np.ndarray, M: int) -> RandomOtSenderBatch:
-        Mb = u_cols.shape[1] * 8
-        q_cols = np.empty((LAMBDA, Mb // 8), dtype=np.uint8)
-        for j in range(LAMBDA):
-            col = np.frombuffer(_prg(self._seeds[j], Mb // 8), dtype=np.uint8)
-            if self.s_bits[j]:
-                col = col ^ u_cols[j]
-            q_cols[j] = col
+        q_cols = aes_ctr(self._seeds, u_cols.shape[1])
+        for j in np.flatnonzero(self.s_bits):
+            q_cols[j] ^= u_cols[j]
         delta = np.packbits(self.s_bits).view("<u8").astype(np.uint64)
         return RandomOtSenderBatch(_transpose_bits(q_cols, M), delta)

@@ -77,8 +77,11 @@ rotations, and adds R1*R2 itself.
 Wire form
 ---------
 A matrix, and a product reply, is its ciphertext batch back to back and
-nothing else (`pahe.cts_to_bytes`).  The receiver takes the layout, hence
-the count, from its own session plan and refuses a payload of any other
+nothing else (`pahe.cts_to_bytes`).  Everything the key holder sends is a
+fresh encryption, each ciphertext its c0 and the 16-byte seed of its c1;
+everything the other side sends is computed, each ciphertext its c0 and
+c1.  The receiver takes the layout, hence the count, from its own session
+plan, and the form from the direction, and refuses a payload of any other
 length.
 """
 
@@ -297,10 +300,10 @@ def colblock_rotation_amounts(params: PaheParams, in_cols: int, rows: int,
 
 @dataclass(frozen=True)
 class WeightPlan:
-    """The weight-only half of a `colblock_matmul`, every array read-only:
-    for each live diagonal, the input ciphertext it multiplies (`which`),
-    its encoding with Shoup twins (`diags`) and the partial sum it joins
-    (`dest`); for each partial sum, its giant-step rotation (`shifts`) and
+    """The weight-only half of a product by plain weights, every array
+    read-only: for each term, the input ciphertext it multiplies
+    (`which`), its encoding with Shoup twins (`diags`) and the partial sum
+    it joins (`dest`); for each partial sum, its rotation (`shifts`) and
     its output ciphertext (`out`); and the output ciphertext count."""
 
     which: np.ndarray
@@ -312,22 +315,50 @@ class WeightPlan:
 
 
 # weight plans kept per process.  A server holds three plain-weight products
-# per layer (wqkv, ff1, ff2), so this keeps every product of a model of
-# `protocol.session.MAX_LAYERS` = 64 layers, and a server that walks its
-# layers in the same order every session never evicts a plan it needs again
-WEIGHT_PLANS = 3 * 64
+# per layer (wqkv, ff1, ff2) and the classifier, so this keeps every plan of
+# a model of `protocol.session.MAX_LAYERS` = 64 layers, and a server that
+# walks its layers in the same order every session never evicts a plan it
+# needs again
+WEIGHT_PLANS = 3 * 64 + 1
 
 
 @lru_cache(maxsize=WEIGHT_PLANS)
-def weight_plan(params: PaheParams, lay: Layout, n_cts: int,
+def weight_plan(build, params: PaheParams, lay: Layout, n_cts: int,
                 shape: tuple[int, int], data: bytes) -> WeightPlan:
-    """The `WeightPlan` of the (rows x cols) @ `shape` product of a
-    colblocks input of layout `lay` held in `n_cts` ciphertexts by the
-    uint64 weight matrix whose C-order bytes are `data`.  Memoized: the
-    weights and the layout are the key, so a server encodes each product's
-    diagonals once, in its first session, and only the ciphertexts change
-    after that."""
-    A = np.frombuffer(data, dtype=np.uint64).reshape(shape)
+    """The `WeightPlan` that `build` (`diagonal_plan` or `class_plan`)
+    makes for an input of layout `lay` held in `n_cts` ciphertexts and the
+    uint64 weight matrix of `shape` whose C-order bytes are `data`.
+    Memoized: the weights and the layout are the key, so a server encodes
+    each product's weights once, in its first session, and only the
+    ciphertexts change after that."""
+    plan = build(params, lay, n_cts,
+                 np.frombuffer(data, dtype=np.uint64).reshape(shape))
+    for a in (plan.which, plan.dest, plan.out, *plan.diags._arrays()):
+        a.setflags(write=False)
+    return plan
+
+
+def _apply_weights(build, ev: Evaluator, X: EncMatrix, W) -> Ciphertexts:
+    """X's ciphertexts through the memoized plan `build` makes of the plain
+    weights W, whose rows are X's columns: every term's multiply, then each
+    partial sum, rotated, into its output ciphertext."""
+    A = _entries(W)
+    lay = X.layout
+    if A.shape[0] != lay.cols:
+        raise ParameterError(f"inner dims disagree: X is {lay.rows}x{lay.cols}, "
+                             f"W is {A.shape[0]}x{A.shape[1]}")
+    plan = weight_plan(build, ev.params, lay, len(X.cts), A.shape, A.tobytes())
+    terms = ev.simd_scmult_many(X.cts[plan.which], plan.diags)
+    rotated = ev.col_rotate_many(
+        ev.sum_groups(terms, plan.dest, len(plan.shifts)), plan.shifts)
+    return ev.sum_groups(rotated, plan.out, plan.n_groups)
+
+
+def diagonal_plan(params: PaheParams, lay: Layout, n_cts: int,
+                  A: np.ndarray) -> WeightPlan:
+    """The plan of `colblock_matmul`'s (rows x cols) @ A product: one term
+    per live diagonal of each (input ciphertext, output ciphertext) pair,
+    one partial sum per output ciphertext and giant step."""
     half = params.row_size
     d_out = A.shape[1]
     r, g = lay.rows, lay.steps
@@ -361,13 +392,25 @@ def weight_plan(params: PaheParams, lay: Layout, n_cts: int,
     # appearance; an output ciphertext no weight reaches sums to zero
     keys: dict[tuple[int, int], int] = {}
     ids = [keys.setdefault(key, len(keys)) for key in dest]
-    plan = WeightPlan(np.concatenate(which),
+    return WeightPlan(np.concatenate(which),
                       encode_plain_many(params, np.concatenate(vecs)),
                       np.array(ids, dtype=np.int64), tuple(sh for _, sh in keys),
                       np.array([og for og, _ in keys], dtype=np.int64), n_groups)
-    for a in (plan.which, plan.dest, plan.out, *plan.diags._arrays()):
-        a.setflags(write=False)
-    return plan
+
+
+def class_plan(params: PaheParams, lay: Layout, n_cts: int,
+               A: np.ndarray) -> WeightPlan:
+    """The plan of `class_sums` by the (cols x classes) classifier A: per
+    class, column c of A in every row, laid out against `lay`, times each
+    input ciphertext, all summed into one ciphertext, never rotated."""
+    classes = A.shape[1]
+    vecs = np.concatenate([layout_vectors(params, lay,
+                                          np.tile(A[:, c], (lay.rows, 1)))
+                           for c in range(classes)])
+    terms = np.arange(classes * n_cts)
+    return WeightPlan(terms % n_cts, encode_plain_many(params, vecs),
+                      terms // n_cts, (0,) * classes,
+                      np.arange(classes), classes)
 
 
 def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
@@ -381,19 +424,20 @@ def colblock_matmul(ev: Evaluator, X: EncMatrix, W) -> EncMatrix:
     ciphertexts, sums before one rotation by g*j*rows.  The diagonals come
     from `weight_plan`, encoded once per weight matrix and layout.
     """
-    A = _entries(W)
     lay = X.layout
     if lay.packing != COLBLOCKS:
         raise ParameterError(f"colblock_matmul needs colblocks input, got {lay.packing!r}")
-    if A.shape[0] != lay.cols:
-        raise ParameterError(f"inner dims disagree: X is {lay.rows}x{lay.cols}, "
-                             f"W is {A.shape[0]}x{A.shape[1]}")
-    plan = weight_plan(ev.params, lay, len(X.cts), A.shape, A.tobytes())
-    terms = ev.simd_scmult_many(X.cts[plan.which], plan.diags)
-    rotated = ev.col_rotate_many(
-        ev.sum_groups(terms, plan.dest, len(plan.shifts)), plan.shifts)
-    out = ev.sum_groups(rotated, plan.out, plan.n_groups)
-    return EncMatrix(Layout(COLBLOCKS, lay.rows, A.shape[1]), out)
+    out = _apply_weights(diagonal_plan, ev, X, W)
+    return EncMatrix(Layout(COLBLOCKS, lay.rows, np.shape(W)[1]), out)
+
+
+def class_sums(ev: Evaluator, X: EncMatrix, W) -> Ciphertexts:
+    """One ciphertext per column c of the (cols x classes) matrix W whose
+    slots sum to sum_ij X[i, j] W[j, c]: each of X's ciphertexts times
+    column c laid out against X's slots, summed.  The key holder recovers
+    each sum as a plain slot sum, so no rotation or key is needed.  The
+    encodings come from `weight_plan`, like `colblock_matmul`'s."""
+    return _apply_weights(class_plan, ev, X, W)
 
 
 # ----------------------------------------------------------------------------
@@ -511,10 +555,12 @@ def encmatrix_to_bytes(enc: EncMatrix) -> bytes:
     return cts_to_bytes(enc.cts)
 
 
-def encmatrix_from_bytes(data, params: PaheParams,
-                         layout: Layout) -> EncMatrix:
+def encmatrix_from_bytes(data, params: PaheParams, layout: Layout, *,
+                         fresh: bool) -> EncMatrix:
     """Parse an encrypted matrix from the peer: exactly the ciphertexts
-    `layout`, taken from the session plan, holds under `params`."""
+    `layout`, taken from the session plan, holds under `params`, `fresh`
+    (each its c0 and seed, from the key holder) or in full."""
     return EncMatrix(layout, cts_from_bytes(
         data, params, layout.ct_count(params),
-        f"{layout.packing} matrix of {layout.rows}x{layout.cols}"))
+        f"{layout.packing} matrix of {layout.rows}x{layout.cols}",
+        fresh=fresh))

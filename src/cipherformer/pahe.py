@@ -20,8 +20,9 @@ Representation choices, all load-bearing:
     NTT domain.  Additions and multiplications are pointwise; only rotations
     and (de/en)cryption touch the coefficient domain.
   * A batch of B ciphertexts (`Ciphertexts`) is one (B, 2, k, n) array,
-    c0 then c1 of each, with a (B,) array of noise estimates; a batch of
-    encoded plaintexts (`PlainVecs`) is one (B, k, n) array.  Every
+    c0 then c1 of each, with a (B,) array of noise estimates and, for a
+    fresh encryption, the (B, 16) seeds its c1's were expanded from; a
+    batch of encoded plaintexts (`PlainVecs`) is one (B, k, n) array.  Every
     operation runs on the whole batch, its products in blocks of
     `_KS_BATCH` ciphertexts; ciphertext addition is `Evaluator.sum_groups`,
     which sums any grouping of a batch in one call.
@@ -34,9 +35,14 @@ Representation choices, all load-bearing:
     residue mod q_j lifted back to the full basis; its row j is the input's
     own row j, so only the other k(k-1) lifts need a forward transform.  Keys
     store Shoup twins so the hot loop is all uint64 mulmods.
+  * Every uniform polynomial -- the a = c1 of a fresh encryption, the k1
+    digits of a Galois key -- is expanded from a 16-byte seed by AES-128-CTR
+    (`expand_seeds`), so it travels as its seed.  The seeds are public, so
+    they are not drawn raw from the generator that draws the secret key and
+    the errors: seed i is AES_K(i) under one key K taken from it
+    (`SeedStream`), i counting up, so no seed repeats.
   * Residue arithmetic is the `ntt` helpers with the basis as one (k, 1)
-    column (`PaheParams.q_col`), so no operation loops over the primes; only
-    the uniform draws go prime by prime, which fixes the generator's order.
+    column (`PaheParams.q_col`), so no operation loops over the primes.
     The plaintext prime is never an RNS prime, so p^-1 mod every q_i exists.
 
 Noise is tracked as a running upper-bound estimate in bits; the remaining
@@ -44,35 +50,44 @@ budget is (log2 q - log2 p - 1) minus that estimate, and operations raise
 NoiseBudgetError rather than silently producing garbage.
 
 Serialization carries data only: residues as little-endian 64-bit words,
-so a batch is its (B, 2, k, n) array in C order -- each ciphertext its c0
-then its c1, each (k, n) polynomial prime by prime.  There is no magic,
-parameter block, count, length prefix or noise estimate.  The session's
-parameters and the receiver's own count fix every size, and a decoder
-refuses a payload of any other length or a residue not reduced mod its
-prime.  A parsed ciphertext is taken to be a fresh encryption, which is
-exact for every ciphertext a party computes on: only the client encrypts.
+each (k, n) polynomial prime by prime, and seeds as their 16 bytes.  A
+ciphertext is its c0, then, if it is a fresh encryption, the seed of its
+c1 (8kn + 16 bytes), else its c1 (16kn bytes); a batch is its ciphertexts
+back to back.  A Galois key is its k0 digit stack, then the seed of its k1
+stack (8k^2 n + 16 bytes).  There is no magic, parameter block, count,
+length prefix or noise estimate.  The session's parameters, the receiver's
+own count and which form it expects fix every size, and a decoder refuses
+a payload of any other length or a residue not reduced mod its prime; any
+16 bytes are a seed.  A decoder expands every seed as it parses, so what
+it returns is the same (B, 2, k, n) batch, or key, the sender holds.  Only
+the key holder encrypts, and everything it sends is fresh; the other party
+computes on what it parses, and sends only computed ciphertexts, in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from math import inf, log2
+from math import inf, log2, prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NoiseBudgetError, ParameterError, ProtocolError
 from .ntt import (StackedNtt, addmod, bitrev_indices, get_stacked,
-                  mulmod_shoup, shoup, submod)
+                  mulmod_shoup, reduce128, shoup, submod)
+from .prg import aes_ctr
 from .primes import is_prime, next_prime
 
 _ERR_STD = 3.2
 _ERR_BOUND = 6.0 * _ERR_STD  # high-probability per-coefficient bound
+# a seed of a uniform polynomial: an AES-128 key (`expand_seeds`)
+SEED_BYTES = 16
 
-# ciphertexts per key-switch product, so that its operands stay in cache: at
-# n=1024, k=3 (2 MB of L2 per core), the products of a 64-ciphertext batch
-# took 17 ms eight at a time and 27 ms all at once
+# ciphertexts per key-switch product (and seeds per expansion block), so
+# that its operands stay in cache: at n=1024, k=3 (2 MB of L2 per core), the
+# products of a 64-ciphertext batch took 17 ms eight at a time and 27 ms all
+# at once
 _KS_BATCH = 8
 
 
@@ -265,11 +280,31 @@ class _Batch:
 
 @dataclass
 class Ciphertexts(_Batch):
-    """A batch of ciphertexts: c0 = `data[:, 0]`, c1 = `data[:, 1]`."""
+    """A batch of ciphertexts: c0 = `data[:, 0]`, c1 = `data[:, 1]`.  A
+    fresh encryption keeps the seed its c1 was expanded from, and travels
+    as its c0 and that seed; a computed batch has no seeds, a (B, 0)
+    array, and travels in full."""
 
     params: PaheParams
     data: np.ndarray        # (B, 2, k, n) uint64, NTT domain
     noise_bits: np.ndarray  # (B,) float64
+    seeds: np.ndarray | None = None  # (B, SEED_BYTES) if fresh, else (B, 0)
+
+    def __post_init__(self):
+        if self.seeds is None:
+            self.seeds = np.zeros((len(self.data), 0), dtype=np.uint8)
+
+    @property
+    def fresh(self) -> bool:
+        return self.seeds.shape[1] == SEED_BYTES
+
+    @classmethod
+    def concat(cls, parts: Sequence) -> "Ciphertexts":
+        """The batches one after another: fresh if every one is, else a
+        computed batch."""
+        if not all(b.fresh for b in parts):
+            parts = [cls(b.params, b.data, b.noise_bits) for b in parts]
+        return super().concat(parts)
 
     @property
     def noise_budget_bits(self) -> float:
@@ -375,18 +410,21 @@ class KeySwitchKey:
     """One Galois element's switch key, laid out once in the order the key
     switch reads it: `parts[f, o, i]` is part f (k0, k0's Shoup twin, k1,
     k1's twin) of digit (i + o) mod k at prime i, so each offset o is one
-    (k, n) slab over all primes.  Each part is in the NTT domain."""
+    (k, n) slab over all primes.  Each part is in the NTT domain.  The k1
+    digits are the expansion of `seed`."""
 
     parts: np.ndarray   # (4, k, k, n)
+    seed: np.ndarray    # (SEED_BYTES,) uint8
 
     @classmethod
-    def from_digits(cls, k0: np.ndarray, k1: np.ndarray,
-                    col: np.ndarray) -> "KeySwitchKey":
-        """From digit j's pair (k0[j], k1[j]), each (k, n)."""
+    def from_digits(cls, k0: np.ndarray, k1: np.ndarray, col: np.ndarray,
+                    seed: np.ndarray) -> "KeySwitchKey":
+        """From digit j's pair (k0[j], k1[j]), each (k, n), and the seed
+        k1 was expanded from."""
         rows = np.arange(k0.shape[0])
         digit = (rows[:, None] + rows) % rows.size   # digit[o, i]
         return cls(np.stack([a[digit, rows] for a in
-                             (k0, shoup(k0, col), k1, shoup(k1, col))]))
+                             (k0, shoup(k0, col), k1, shoup(k1, col))]), seed)
 
     def _digits(self, f: int) -> np.ndarray:
         rows = np.arange(self.parts.shape[1])
@@ -454,12 +492,46 @@ def _crt_consts(params: PaheParams) -> np.ndarray:
                     dtype=object)
 
 
-def _sample_uniform(params: PaheParams, rng: np.random.Generator,
-                    lead: tuple[int, ...] = ()) -> np.ndarray:
-    """A `lead`-shaped stack of uniform (k, n) residue polynomials, drawn
-    prime by prime."""
-    return np.stack([rng.integers(0, qi, (*lead, params.n), dtype=np.uint64)
-                     for qi in params.q_primes], axis=-2)
+class SeedStream:
+    """Public seeds: seed i is AES_K(i), under one key K taken from a
+    generator that also draws secrets, with i counting up across calls.
+    No seed is raw output of that generator, which is not a cryptographic
+    one (PCG64's state can be recovered from its outputs: Bouillaguet,
+    Martinez and Sauvage, ToSC 2020), and no seed repeats."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._key = rng.bytes(SEED_BYTES)
+        self._next = 0
+
+    def take(self, count: int) -> np.ndarray:
+        """The next `count` seeds, (count, SEED_BYTES) uint8."""
+        out = aes_ctr([self._key], SEED_BYTES * count, self._next)
+        self._next += count
+        return out.reshape(count, SEED_BYTES)
+
+
+def expand_seeds(params: PaheParams, seeds: np.ndarray,
+                 lead: tuple[int, ...] = ()) -> np.ndarray:
+    """The uniform residues a (B, SEED_BYTES) batch of seeds stands for, a
+    (B, *lead, k, n) stack.  Seed b keys AES-128-CTR, and each residue of
+    its (*lead, k, n) stack, in C order, takes the next 16 bytes of the
+    keystream as a little-endian 128-bit integer, reduced mod its prime by
+    `ntt.reduce128`.  Each residue is then within q_i / 2^128 of uniform:
+    below 2^-66 for any prime under 2^62, 2^-77 at 51 bits.
+
+    The residues reduce `_KS_BATCH` seeds at a time, so each block's words
+    stay in cache: 157 seeds at n = 512, k = 3 (one core of a 2-vCPU Xeon)
+    take about 12 ms, 4.5 ms of AES and 6.5 ms of reduction, which took
+    11.7 ms in one block."""
+    k, n = params.k, params.n
+    words = aes_ctr([seed.tobytes() for seed in seeds],
+                    16 * prod(lead) * k * n).view("<u8").reshape(
+                        len(seeds), *lead, k, n, 2)
+    out = np.empty(words.shape[:-1], dtype=np.uint64)
+    for s in range(0, len(seeds), _KS_BATCH):
+        blk = words[s:s + _KS_BATCH]
+        out[s:s + _KS_BATCH] = reduce128(blk[..., 1], blk[..., 0], params.q_col)
+    return out
 
 
 def _sample_ternary(rng: np.random.Generator, shape) -> np.ndarray:
@@ -490,33 +562,34 @@ def keygen(params: PaheParams, seed: int | None = None,
     """Generate the secret key and the Galois keys.
 
     `rotations` lists the column-rotation amounts (0 < r < n/2) the evaluator
-    will need; each gets one Galois key.
+    will need; each gets one Galois key.  The generator draws the secret
+    key, then the key of the call's `SeedStream`, whose seeds go to the
+    Galois keys in element order, then each key's errors.
     """
     rng = np.random.default_rng(seed)
     sk = params.rns().forward(
         _signed_to_rns(params, _sample_ternary(rng, params.n)))
     sk_sh = shoup(sk, params.q_col)
-    galois = {t: _make_kswitch(params, rng, sk, sk_sh, t)
-              for t in galois_elements(params, rotations)}
+    elements = galois_elements(params, rotations)
+    seeds = SeedStream(rng).take(len(elements))
+    galois = {t: _make_kswitch(params, rng, sk, sk_sh, t, sd)
+              for t, sd in zip(elements, seeds)}
     return KeyMaterial(params, galois, sk, sk_sh)
 
 
 def _make_kswitch(params: PaheParams, rng: np.random.Generator, sk, sk_sh,
-                  t: int) -> KeySwitchKey:
+                  t: int, seed: np.ndarray) -> KeySwitchKey:
     """Digit j's key is (e_j - a_j*s + [row j of sigma_t(s)], a_j): the
-    generator draws a_j, then e_j, for one digit after another."""
+    seed expands to the k a_j's, and the generator draws the k e_j's."""
     col, k = params.q_col, params.k
-    a, e = [], []
-    for _ in range(k):
-        a.append(_sample_uniform(params, rng))
-        e.append(_sample_error(rng, params.n))
-    k1 = np.stack(a)
-    k0 = submod(params.rns().forward(_signed_to_rns(params, np.stack(e))),
+    k1 = expand_seeds(params, seed[None], (k,))[0]
+    e = _sample_error(rng, (k, params.n))
+    k0 = submod(params.rns().forward(_signed_to_rns(params, e)),
                 mulmod_shoup(k1, sk, sk_sh, col), col)
     sig = sk[:, params.slots().perm(t)]  # sigma_t(s), a slot permutation
     d = np.arange(k)
     k0[d, d] = addmod(k0[d, d], sig, col)
-    return KeySwitchKey.from_digits(k0, k1, col)
+    return KeySwitchKey.from_digits(k0, k1, col, seed)
 
 
 # ----------------------------------------------------------------------------
@@ -526,14 +599,16 @@ def _make_kswitch(params: PaheParams, rng: np.random.Generator, sk, sk_sh,
 class Evaluator:
     """Homomorphic operations under a key set, with op counters.  Only a
     key set that holds the secret key encrypts, and only its evaluator
-    draws from a generator (seeded by `seed`).  Every operation settles its
-    results' noise before it does any work, and refuses a batch under other
+    draws from a generator (seeded by `seed`), which first gives the key of
+    the evaluator's one `SeedStream`.  Every operation settles its results'
+    noise before it does any work, and refuses a batch under other
     parameters or a result past the budget."""
 
     def __init__(self, keys: KeyMaterial, seed: int | None = None):
         self.keys = keys
         self.params = keys.params
         self.rng = np.random.default_rng(seed) if keys.has_secret else None
+        self._seeds = SeedStream(self.rng) if keys.has_secret else None
         self.counters: dict[str, int] = {
             "encrypt": 0, "add_ct": 0, "add_plain": 0, "scmult": 0,
             "rotate": 0, "keyswitch": 0,
@@ -556,10 +631,10 @@ class Evaluator:
     def encrypt_many(self, vecs) -> Ciphertexts:
         """Encrypt each slot vector m under the secret key s:
         c1 = a, uniform in the NTT domain, and c0 = NTT(m' + e) - a*s, where
-        m' is m scaled by q/p.  One forward transform per ciphertext.  The
-        generator draws all B a's, prime by prime, then all B errors.  A
-        fresh encryption never exhausts the budget: q > 4p^2 leaves more
-        than log2(2p) bits.
+        m' is m scaled by q/p.  One forward transform per ciphertext.  Each
+        a is the expansion of the evaluator's next seed, which the batch
+        keeps; the generator draws the B errors.  A fresh encryption never
+        exhausts the budget: q > 4p^2 leaves more than log2(2p) bits.
         """
         if not self.keys.has_secret:
             raise ParameterError("only the secret key holder encrypts")
@@ -567,13 +642,14 @@ class Evaluator:
         col = par.q_col
         m = _scaled_plain_rows_many(par, _as_slot_vectors(par, vecs))
         B = len(m)
-        a = _sample_uniform(par, self.rng, (B,))
+        seeds = self._seeds.take(B)
+        a = expand_seeds(par, seeds)
         e = _signed_to_rns(par, _sample_error(self.rng, (B, par.n)))
         c0 = submod(par.rns().forward(addmod(m, e, col)),
                     mulmod_shoup(a, self.keys._sk, self.keys._sk_sh, col), col)
         self.counters["encrypt"] += B
         return Ciphertexts(par, np.stack([c0, a], axis=1),
-                           np.full(B, par.fresh_noise_bits))
+                           np.full(B, par.fresh_noise_bits), seeds)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -696,9 +772,11 @@ class Evaluator:
 # serialization
 
 
-def ct_nbytes(params: PaheParams) -> int:
-    """Wire size of one ciphertext: c0 and c1."""
-    return 16 * params.k * params.n
+def ct_nbytes(params: PaheParams, fresh: bool) -> int:
+    """Wire size of one ciphertext: its c0, then the seed of its c1 if it
+    is a fresh encryption, else its c1."""
+    half = 8 * params.k * params.n
+    return half + (SEED_BYTES if fresh else half)
 
 
 def le64(arr: np.ndarray) -> bytes:
@@ -716,44 +794,66 @@ def _residues(buf, shape: tuple[int, ...], params: PaheParams) -> np.ndarray:
     return arr
 
 
+def _seeded_from_bytes(buf, count: int, shape: tuple[int, ...],
+                       params: PaheParams) -> tuple[np.ndarray, np.ndarray]:
+    """`count` records back to back, each a residue array of `shape` and
+    then a seed, from a buffer of exactly their size: the (count, *shape)
+    residues, each reduced mod its prime, and the (count, SEED_BYTES)
+    seeds."""
+    width = 8 * prod(shape)
+    rec = np.frombuffer(buf, dtype=np.uint8).reshape(count, width + SEED_BYTES)
+    return (_residues(np.ascontiguousarray(rec[:, :width]), (count, *shape),
+                      params),
+            rec[:, width:].copy())
+
+
 def cts_to_bytes(cts: Ciphertexts) -> bytes:
-    """The ciphertexts back to back."""
-    return le64(cts.data)
+    """The ciphertexts back to back: a fresh batch as each one's c0 and
+    seed, any other as each one's c0 and c1."""
+    if not cts.fresh:
+        return le64(cts.data)
+    return b"".join(le64(c0) + seed.tobytes()
+                    for c0, seed in zip(cts.data[:, 0], cts.seeds))
 
 
-def cts_from_bytes(data, params: PaheParams, count: int,
-                   what: str) -> Ciphertexts:
+def cts_from_bytes(data, params: PaheParams, count: int, what: str, *,
+                   fresh: bool) -> Ciphertexts:
     """Parse a batch from the peer that must hold exactly `count`
-    ciphertexts under the session's `params`, and nothing after them;
-    `what` names it in errors.  The wire carries no noise estimate: each
-    ciphertext is given a fresh encryption's.  That is exact for everything
-    the server parses, since every ciphertext the client sends comes from
-    `encrypt_many`.  The client only decrypts what it parses, and an
-    estimate sent with it would be nothing but the server's unverifiable
-    claim.
+    ciphertexts under the session's `params`, and nothing after them, each
+    `fresh` (its c0 and the seed of its c1, which this expands) or in full;
+    `what` names it in errors.
+
+    The wire carries no noise estimate: each ciphertext is given a fresh
+    encryption's.  That is exact for every batch the server parses, which
+    is fresh by construction: its c1's are the seeds' expansions, and its
+    c0's the client's `encrypt_many`.  The client only decrypts what it
+    parses, and an estimate sent with it would be nothing but the server's
+    unverifiable claim.
     """
-    size = ct_nbytes(params)
+    size = ct_nbytes(params, fresh)
     if len(data) != count * size:
         raise ProtocolError(f"{what} needs {count} ciphertexts of {size} "
                             f"bytes, payload has {len(data)} bytes")
-    return Ciphertexts(params,
-                       _residues(data, (count, 2, params.k, params.n), params),
-                       np.full(count, params.fresh_noise_bits))
+    k, n = params.k, params.n
+    if fresh:
+        c0, seeds = _seeded_from_bytes(data, count, (k, n), params)
+        arr = np.stack([c0, expand_seeds(params, seeds)], axis=1)
+    else:
+        arr = _residues(data, (count, 2, k, n), params)
+    return Ciphertexts(params, arr, np.full(count, params.fresh_noise_bits))
 
 
 def key_blob_nbytes(params: PaheParams, keys: int) -> int:
-    """Wire size of a key blob with `keys` Galois keys: two (k, k, n) digit
-    stacks per key, and nothing else."""
-    return 16 * params.k * params.k * params.n * keys
+    """Wire size of a key blob with `keys` Galois keys: per key its (k, k, n)
+    k0 digit stack and the seed of its k1 stack, and nothing else."""
+    return (8 * params.k * params.k * params.n + SEED_BYTES) * keys
 
 
 def public_keys_to_bytes(km: KeyMaterial) -> bytes:
-    """The two digit stacks of each Galois key, in element order; the blob
-    holds no encryption key."""
-    polys = []
-    for t in sorted(km.galois):
-        polys += [km.galois[t].k0, km.galois[t].k1]
-    return b"".join(le64(a) for a in polys)
+    """Each Galois key's k0 digit stack and k1 seed, in element order; the
+    blob holds no encryption key."""
+    return b"".join(le64(km.galois[t].k0) + km.galois[t].seed.tobytes()
+                    for t in sorted(km.galois))
 
 
 def public_keys_from_bytes(data, params: PaheParams,
@@ -761,13 +861,15 @@ def public_keys_from_bytes(data, params: PaheParams,
     """Parse the peer's rotation keys under the session's `params`.  The
     blob holds a switch key for exactly the Galois elements `elements`, in
     that order, so its size is fixed: a missing or extra key is refused by
-    length, before any key's Shoup twins are built."""
+    length, before any seed is expanded or any key's Shoup twins are
+    built."""
     k, n, g = params.k, params.n, len(elements)
     size = key_blob_nbytes(params, g)
     if len(data) != size:
         raise ProtocolError(f"key blob has {len(data)} bytes, the session's "
                             f"{g} Galois keys need {size}")
-    digits = _residues(data, (g, 2, k, k, n), params)
-    galois = {t: KeySwitchKey.from_digits(d[0], d[1], params.q_col)
-              for t, d in zip(elements, digits)}
+    k0, seeds = _seeded_from_bytes(data, g, (k, k, n), params)
+    k1 = expand_seeds(params, seeds, (k,))
+    galois = {t: KeySwitchKey.from_digits(a0, a1, params.q_col, seed)
+              for t, a0, a1, seed in zip(elements, k0, k1, seeds)}
     return KeyMaterial(params, galois)

@@ -8,23 +8,28 @@ random or encrypted under its own key.
 One session is a fixed flight plan.  Every frame is its parts back to back,
 and the receiver sizes each part from its own `Geometry` and the stage
 circuits before it reads the frame, so a frame of any other length is
-refused from its header (`framing.read_frame`).  Sizes are in bytes; a ct
-is `pahe.ct_nbytes` = 16 k n, a batch of cts is that many back to back
-(`pahe.cts_to_bytes`), and a matrix of a layout is the batch of that
-layout's `ct_count` ciphertexts:
+refused from its header (`framing.read_frame`).  Sizes are in bytes; a
+batch of cts is its cts back to back (`pahe.cts_to_bytes`), and a matrix
+of a layout is the batch of that layout's `ct_count` ciphertexts.  The
+form of a ct is fixed by its direction (`pahe.ct_nbytes`): every ct the
+client sends is a fresh encryption, its c0 and the 16-byte seed of its
+uniform c1, 8 k n + 16; every ct the server sends is computed, its c0 and
+c1, 16 k n:
 
   hello          s -> c   81: the mode's index in `stages.MODES` (1), then
                           vocab, seq_len, dim, ff_dim, n_layers, n_classes,
                           w, f, ring degree and plaintext prime (8 each);
                           the client rederives ring and prime and refuses
                           on any disagreement
-  accept         c -> s   the key blob, two (k, k, n) digit stacks per
-                          Galois key, 16 k^2 n |galois|; base-OT point A,
-                          33 (compressed P-256)
+  accept         c -> s   the key blob, per Galois key its (k, k, n) k0
+                          digit stack and the seed of its k1 stack,
+                          (8 k^2 n + 16) |galois|; base-OT point A, 33
+                          (compressed P-256)
   ot-base        s -> c   the 128 base-OT points B, 128 x 33
   client-setup   c -> s   OT-extension seed pairs, 128 x 32; correction
                           columns, 128 x ceil(ot_total / 8); the encrypted
-                          one-hot input, an `input_layout` matrix
+                          one-hot input, an `input_layout` matrix of fresh
+                          cts
 
 then per encoder layer, five garbled stages of four frames each,
 interleaved with two encrypted matrix products of two frames each:
@@ -36,11 +41,11 @@ interleaved with two encrypted matrix products of two frames each:
                           once the bits arrive: tables, 32 n_and E;
                           garbler labels, 16 (garbler_inputs + 2) E; B2A
                           corrections, 8 n_out E, each word below p
-  stage-share    c -> s   one `stage_shares` matrix per group
+  stage-share    c -> s   one `stage_shares` matrix of fresh cts per group
   mm-open        s -> c   the masked factors, each in the layout of the
                           share it was made from, read as its `.T` where
                           the plan transposes the factor
-  mm-reply       c -> s   a batch of `ctmm_reply_count` cts
+  mm-reply       c -> s   a batch of `ctmm_reply_count` fresh cts
 
 and a final frame:
 
@@ -103,16 +108,16 @@ from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
                      OtExtReceiver, OtExtSender, RandomOtBatch,
                      RandomOtSenderBatch)
 from ..helinear import (COLBLOCKS, ROWS, EncMatrix, Layout,
-                        add_offset, colblock_diagonals, colblock_matmul,
-                        colblock_rotation_amounts,
+                        add_offset, class_sums, colblock_diagonals,
+                        colblock_matmul, colblock_rotation_amounts,
                         ctmm_client_round, ctmm_reply_count,
                         ctmm_server_finalize, ctmm_server_mask, decrypt_matrix,
                         encmatrix_from_bytes, encmatrix_to_bytes,
-                        layout_vectors, pack_colblocks, pack_rows)
+                        pack_colblocks, pack_rows)
 from ..model import ModelConfig, Weights, layer_weights, validate_weights
 from ..ntt import addmod
 from ..pahe import (Ciphertexts, Evaluator, KeyMaterial, PaheParams, ct_nbytes,
-                    cts_from_bytes, cts_to_bytes, encode_plain_many,
+                    cts_from_bytes, cts_to_bytes,
                     galois_elements, key_blob_nbytes, keygen, le64,
                     public_keys_from_bytes, public_keys_to_bytes,
                     session_params)
@@ -194,9 +199,10 @@ class Geometry:
         return Layout(COLBLOCKS if spec.plain else ROWS, spec.rows,
                       spec.row_len)
 
-    def nbytes(self, layout: Layout) -> int:
-        """Wire size of a matrix of `layout` under the session's ring."""
-        return layout.ct_count(self.params) * ct_nbytes(self.params)
+    def nbytes(self, layout: Layout, fresh: bool) -> int:
+        """Wire size of a matrix of `layout` under the session's ring, of
+        fresh client encryptions or of computed server ciphertexts."""
+        return layout.ct_count(self.params) * ct_nbytes(self.params, fresh)
 
     def stage_shares(self, layer: int, spec: StageSpec) -> list[Layout]:
         """The client's encrypted output share of each group of a stage:
@@ -210,19 +216,25 @@ class Geometry:
                                self.steps if any(plain) else 1))
         return lays
 
-    def layouts(self) -> list[Layout]:
-        """Every layout a session sends: the encrypted input, then per
-        stage its encrypted product's masked factors, its input and its
-        shares."""
-        lays, held = [self.input_layout], {"x": self.input_layout}
+    def sent(self) -> list[tuple[Layout, bool]]:
+        """Every matrix a session sends, as its layout and whether it is
+        fresh: the client's encrypted input, then per stage the server's
+        masked factors of its encrypted product and its masked input, and
+        the client's fresh shares."""
+        sent, held = [(self.input_layout, True)], {"x": self.input_layout}
         for e, enc in enumerate(self.plan.encoders):
             for spec in enc:
                 if not spec.plain:
-                    lays += spec.factors(held)
+                    sent += [(lay, False) for lay in spec.factors(held)]
                 shares = self.stage_shares(e, spec)
-                lays += [self.stage_input(spec), *shares]
+                sent += [(self.stage_input(spec), False),
+                         *((lay, True) for lay in shares)]
                 held.update(zip(spec.tags, shares))
-        return lays
+        return sent
+
+    def layouts(self) -> list[Layout]:
+        """The layout of every matrix a session sends, in `sent` order."""
+        return [lay for lay, _fresh in self.sent()]
 
 
 def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
@@ -254,7 +266,7 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     width past `MAX_WIDTH`, or more layers or classes than `MAX_LAYERS` or
     `MAX_CLASSES`, is refused before anything is planned; a plan needing
     more than `MAX_OTS` random OTs, or encrypted matrices past
-    `MAX_SESSION_BYTES`, before any key or OT is made.
+    `MAX_SESSION_BYTES` at their wire size, before any key or OT is made.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -302,7 +314,7 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
                                               d_out, steps))
     geom = replace(unsized, n=n, p=p, params=params, steps=steps,
                    rotations=tuple(sorted(rots)))
-    nbytes = sum(geom.nbytes(lay) for lay in geom.layouts())
+    nbytes = sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent())
     if nbytes > MAX_SESSION_BYTES:
         raise ParameterError(f"model shape needs {nbytes} bytes of encrypted "
                              f"matrices, above the limit of "
@@ -486,10 +498,10 @@ def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
 
     layouts = geom.stage_shares(layer, spec)
     blobs = _recv(sp.conn, sp.tr, STAGE_SHARE,
-                  [geom.nbytes(lay) for lay in layouts])
+                  [geom.nbytes(lay, fresh=True) for lay in layouts])
     outs = []
     for oi, (blob, lay) in enumerate(zip(blobs, layouts)):
-        se = encmatrix_from_bytes(blob, geom.params, lay)
+        se = encmatrix_from_bytes(blob, geom.params, lay, fresh=True)
         outs.append(add_offset(ev, se, own_lanes[oi].reshape(lay.shape)))
 
     sp.tr.add_gc_bytes(gc_bytes)
@@ -507,8 +519,9 @@ def _serve_ctmm(sp: _ServerParty, layer: int, spec: StageSpec, X: EncMatrix,
           encmatrix_to_bytes(ym))
     params = sp.geom.params
     count = ctmm_reply_count(params, st)
-    (blob,) = _recv(sp.conn, sp.tr, MM_REPLY, [count * ct_nbytes(params)])
-    reply = cts_from_bytes(blob, params, count, "product reply")
+    (blob,) = _recv(sp.conn, sp.tr, MM_REPLY,
+                    [count * ct_nbytes(params, fresh=True)])
+    reply = cts_from_bytes(blob, params, count, "product reply", fresh=True)
     out = ctmm_server_finalize(ev, reply, st)
     sp.tr.add_event(kind="ctmm", layer=layer, label=spec.name,
                     rows=out.layout.rows, frames=2)
@@ -516,19 +529,10 @@ def _serve_ctmm(sp: _ServerParty, layer: int, spec: StageSpec, X: EncMatrix,
 
 
 def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
-    """One ciphertext per class: the classifier column laid out against the
-    column-block slots, so the client recovers each logit as a plain slot sum
-    -- no rotations, hence no extra key material or frames."""
-    geom, ev = sp.geom, sp.ev
-    cfg, p, lay = geom.cfg, geom.p, x_enc.layout
-    cls = to_field(weights.classifier, p)
-    G = len(x_enc.cts)
-    vecs = np.concatenate([layout_vectors(geom.params, lay,
-                                          np.tile(cls[:, c], (lay.rows, 1)))
-                           for c in range(cfg.n_classes)])
-    terms = ev.simd_scmult_many(x_enc.cts[np.tile(np.arange(G), cfg.n_classes)],
-                                encode_plain_many(geom.params, vecs))
-    logits = ev.sum_groups(terms, np.arange(len(terms)) // G, cfg.n_classes)
+    """One ciphertext per class, whose slots the client sums into the
+    logit (`helinear.class_sums`): no rotations, hence no extra key
+    material or frames."""
+    logits = class_sums(sp.ev, x_enc, to_field(weights.classifier, sp.geom.p))
     _send(sp.conn, sp.tr, LOGITS, cts_to_bytes(logits))
 
 
@@ -556,12 +560,13 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     mb = -(-geom.ot_total // 8)
     bseed, bucol, bx = _recv(conn, tr, CLIENT_SETUP,
                              [32 * LAMBDA, LAMBDA * mb,
-                              geom.nbytes(geom.input_layout)])
+                              geom.nbytes(geom.input_layout, fresh=True)])
     ext.recover_seeds(_words(bseed, (LAMBDA, 2, 2)), base.keys())
     u_cols = np.frombuffer(bucol, dtype=np.uint8).reshape(LAMBDA, mb)
     pairs = ext.receive_extension(u_cols, geom.ot_total)
 
-    x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout)
+    x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout,
+                                 fresh=True)
 
     sp = _ServerParty(conn, tr, geom, ev, rng, pairs)
     held = {"x": x_enc}
@@ -613,8 +618,9 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
     geom = cp.geom
     p, m = geom.p, spec.m
     layout = geom.stage_input(spec)
-    (bm,) = _recv(cp.conn, cp.tr, STAGE_OPEN, [geom.nbytes(layout)])
-    menc = encmatrix_from_bytes(bm, geom.params, layout)
+    (bm,) = _recv(cp.conn, cp.tr, STAGE_OPEN,
+                  [geom.nbytes(layout, fresh=False)])
+    menc = encmatrix_from_bytes(bm, geom.params, layout, fresh=False)
     lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
     # every group's evaluator bits, lane by lane: the OT choices, in the
     # order the server's garblings take their zero labels
@@ -668,10 +674,11 @@ def _client_ctmm(cp: _ClientParty, layer: int, spec: StageSpec, x: Layout,
     masked factors arrive in the layouts `x` and `y`, those of the shares
     they were made from, read as the plan reads the factors."""
     geom = cp.geom
-    bx, by = _recv(cp.conn, cp.tr, MM_OPEN, [geom.nbytes(x), geom.nbytes(y)])
-    reply = ctmm_client_round(cp.ev, cp.keys,
-                              encmatrix_from_bytes(bx, geom.params, x),
-                              encmatrix_from_bytes(by, geom.params, y))
+    bx, by = _recv(cp.conn, cp.tr, MM_OPEN,
+                   [geom.nbytes(x, fresh=False), geom.nbytes(y, fresh=False)])
+    reply = ctmm_client_round(
+        cp.ev, cp.keys, encmatrix_from_bytes(bx, geom.params, x, fresh=False),
+        encmatrix_from_bytes(by, geom.params, y, fresh=False))
     _send(cp.conn, cp.tr, MM_REPLY, cts_to_bytes(reply))
     cp.tr.add_event(kind="ctmm", layer=layer, label=spec.name, rows=x.rows,
                     frames=2)
@@ -683,8 +690,9 @@ def _recv_logits(conn, tr: Transcript, geom: Geometry) -> Ciphertexts:
     flip that still decodes cannot be detected: this protocol is
     semi-honest, and such a frame only changes the logits."""
     count = geom.cfg.n_classes
-    (blob,) = _recv(conn, tr, LOGITS, [count * ct_nbytes(geom.params)])
-    return cts_from_bytes(blob, geom.params, count, "logits")
+    (blob,) = _recv(conn, tr, LOGITS,
+                    [count * ct_nbytes(geom.params, fresh=False)])
+    return cts_from_bytes(blob, geom.params, count, "logits", fresh=False)
 
 
 def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:

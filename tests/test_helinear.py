@@ -9,9 +9,10 @@ import pytest
 from cipherformer import pahe
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.helinear import (COLBLOCKS, ROWS, EncMatrix, Layout, MaskState, _shifted_terms,
-                                   add_offset, colblock_cols_per_ct,
+                                   add_offset, class_plan, class_sums,
+                                   colblock_cols_per_ct,
                                    colblock_diagonals, colblock_matmul,
-                                   colblock_rotation_amounts,
+                                   colblock_rotation_amounts, diagonal_plan,
                                    ctmm_client_round, ctmm_reply_count,
                                    ctmm_server_finalize, ctmm_server_mask,
                                    decrypt_matrix, encmatrix_from_bytes,
@@ -81,7 +82,7 @@ def _check_rows_diag_roundtrip(par, keys, ev, shape, n_row_cts):
     assert np.array_equal(keys.decrypt_many(enc.cts), want_rows)
     assert np.array_equal(decrypt_matrix(keys, enc), M)
     back = encmatrix_from_bytes(encmatrix_to_bytes(enc), par,
-                                Layout(ROWS, r, c))
+                                Layout(ROWS, r, c), fresh=True)
     assert np.array_equal(decrypt_matrix(keys, back), M)
     _, diags = _shifted_terms(np.zeros((T, r), dtype=np.uint64), M)
     for t in range(r):
@@ -274,13 +275,39 @@ def test_weight_plan_is_kept_and_refuses_writes(small):
     after = weight_plan.cache_info()
     assert (after.hits - before.hits, after.misses) == (1, before.misses)
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, W, par.p))
-    plan = weight_plan(par, enc.layout, len(enc.cts), W.shape, W.tobytes())
+    plan = weight_plan(diagonal_plan, par, enc.layout, len(enc.cts), W.shape,
+                       W.tobytes())
     kept = (plan.which, plan.diags.poly, plan.diags.twin,
             plan.diags.coeff_norm_bits, plan.dest, plan.out)
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0
     assert plan.diags.poly.shape[0] == len(plan.which) == len(plan.dest)
+
+
+def test_class_sums_are_slot_sums_of_the_product(small):
+    """Each class ciphertext's slots sum to the sum over rows of X @ W's
+    column, for an input spread over two ciphertexts; the classifier's
+    encodings are a read-only weight plan, kept for the next call."""
+    par, keys, ev = small
+    rng = np.random.default_rng(107)
+    X = _rand(rng, 8, 6, par.p)
+    W = _rand(rng, 6, 3, par.p)
+    enc = pack_colblocks(ev, X)
+    assert len(enc.cts) == 2
+    out = class_sums(ev, enc, W)
+    assert len(out) == 3
+    sums = [sum(int(v) for v in row) % par.p for row in keys.decrypt_many(out)]
+    assert sums == [int(v) % par.p for v in
+                    matmul_mod(X, W, par.p).astype(object).sum(axis=0)]
+    before = weight_plan.cache_info()
+    class_sums(ev, enc, W)
+    assert weight_plan.cache_info().hits == before.hits + 1
+    plan = weight_plan(class_plan, par, enc.layout, 2, W.shape, W.tobytes())
+    with pytest.raises(ValueError, match="read-only"):
+        plan.diags.poly.flat[0] = 0
+    with pytest.raises(ParameterError, match="inner dims"):
+        class_sums(ev, enc, W[:5])
 
 
 def _bsgs_steps(par, in_cols, rows, out_cols):
@@ -551,7 +578,9 @@ def test_ctmm_row_counter_tracks_output_rows(setup):
 
 def test_encmatrix_wire_roundtrip(setup, small):
     """A matrix on the wire is its ciphertexts and nothing else; it decodes
-    against the layout it was packed in."""
+    against the layout it was packed in.  A freshly packed matrix sends
+    each ciphertext as its c0 and a 16-byte seed; one computed from it (a
+    plaintext offset added) sends each as its c0 and c1."""
     par, keys, ev, _ = setup
     spar, skeys, sev = small
     rng = np.random.default_rng(500)
@@ -563,16 +592,28 @@ def test_encmatrix_wire_roundtrip(setup, small):
             (spar, skeys, pack_colblocks(sev, M, steps=3),
              Layout(COLBLOCKS, 8, 5, 3))):
         blob = encmatrix_to_bytes(enc)
-        assert len(blob) == len(enc.cts) * pahe.ct_nbytes(params)
+        assert len(blob) == len(enc.cts) * pahe.ct_nbytes(params, fresh=True)
+        assert pahe.ct_nbytes(params, fresh=True) == 8 * params.k * params.n + 16
         assert layout.ct_count(params) == len(enc.cts)
-        back = encmatrix_from_bytes(blob, params, layout)
+        back = encmatrix_from_bytes(blob, params, layout, fresh=True)
         assert back.layout == enc.layout == layout
+        assert np.array_equal(back.cts.data, enc.cts.data)
         assert np.array_equal(decrypt_matrix(keys_, back), M)
+        ev_ = ev if params is par else sev
+        zero = np.zeros(layout.shape, dtype=np.uint64)
+        computed = encmatrix_to_bytes(add_offset(ev_, enc, zero))
+        assert len(computed) == len(enc.cts) * pahe.ct_nbytes(params,
+                                                              fresh=False)
+        back = encmatrix_from_bytes(computed, params, layout, fresh=False)
+        assert np.array_equal(back.cts.data, enc.cts.data)
     blob = encmatrix_to_bytes(pack_rows(ev, M))
-    with pytest.raises(ProtocolError):
-        encmatrix_from_bytes(blob[:10], par, Layout(ROWS, 8, 5))
-    with pytest.raises(ProtocolError):
-        encmatrix_from_bytes(blob + b"x", par, Layout(ROWS, 8, 5))
+    for fresh in (True, False):
+        with pytest.raises(ProtocolError):
+            encmatrix_from_bytes(blob[:10], par, Layout(ROWS, 8, 5),
+                                 fresh=fresh)
+        with pytest.raises(ProtocolError):
+            encmatrix_from_bytes(blob + b"x", par, Layout(ROWS, 8, 5),
+                                 fresh=fresh)
 
 
 def test_encmatrix_layout_must_match_payload(setup, small):
@@ -586,18 +627,18 @@ def test_encmatrix_layout_must_match_payload(setup, small):
     rows = encmatrix_to_bytes(pack_rows(ev, _rand(rng, 3, 4, par.p)))
     # 64 rows of 4 fit one 256-slot row
     with pytest.raises(ProtocolError, match="rows matrix of 65x4 needs 2"):
-        encmatrix_from_bytes(rows, par, Layout(ROWS, 65, 4))
+        encmatrix_from_bytes(rows, par, Layout(ROWS, 65, 4), fresh=True)
     # one 32-column row per ciphertext, or two 16-column rows to one
     rows = encmatrix_to_bytes(pack_rows(sev, _rand(rng, 2, 32, spar.p)))
     with pytest.raises(ProtocolError, match="rows matrix of 2x16 needs 1"):
-        encmatrix_from_bytes(rows, spar, Layout(ROWS, 2, 16))
+        encmatrix_from_bytes(rows, spar, Layout(ROWS, 2, 16), fresh=True)
     # 8 columns of 8 rows, four to a ciphertext: two ciphertexts; 4 columns
     # of 8 rows, or 8 of 4, fit one
     blocks = encmatrix_to_bytes(pack_colblocks(sev, _rand(rng, 8, 8, spar.p)))
     for rows, cols in ((8, 4), (4, 8)):
         with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
             encmatrix_from_bytes(blocks, spar,
-                                 Layout(COLBLOCKS, rows, cols))
+                                 Layout(COLBLOCKS, rows, cols), fresh=True)
 
 
 def test_encmatrix_copy_count_must_fit(small):
@@ -607,11 +648,13 @@ def test_encmatrix_copy_count_must_fit(small):
     rng = np.random.default_rng(502)
     M = _rand(rng, 8, 3, spar.p)
     blob = encmatrix_to_bytes(pack_colblocks(sev, M, steps=4))
-    back = encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, 4))
+    back = encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, 4),
+                                fresh=True)
     assert back.layout.steps == 4 and len(back.cts) == 4
     assert np.array_equal(decrypt_matrix(skeys, back), M)
     for steps in (1, 3, 5):
         with pytest.raises(ProtocolError, match=f"needs {steps} ciphertexts"):
-            encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, steps))
+            encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, steps),
+                                 fresh=True)
     with pytest.raises(ProtocolError, match="rows matrix of 8x3 needs 1"):
-        encmatrix_from_bytes(blob, spar, Layout(ROWS, 8, 3))
+        encmatrix_from_bytes(blob, spar, Layout(ROWS, 8, 3), fresh=True)

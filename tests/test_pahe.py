@@ -6,6 +6,8 @@ from math import inf, log2
 import numpy as np
 import pytest
 
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
 from cipherformer import pahe
 from cipherformer.errors import NoiseBudgetError, ParameterError, ProtocolError
 from cipherformer.gc import ot
@@ -146,16 +148,16 @@ class TestRoundTrip:
             enc(ev, np.array([par.p], dtype=np.uint64))
 
     def test_encrypt_matches_secret_key_reference(self, setup):
-        """encrypt_many draws c1 = a uniform in the NTT domain, prime by
-        prime, then the errors e, from the same generator state; c0 + c1*s,
-        taken back to coefficients, must be exactly round(q m / p) + e,
-        computed in python ints."""
+        """The evaluator's generator gives its seed key K, then the errors
+        e; ciphertext i's seed is AES_K(i), and its c1 = a is that seed's
+        expansion.  c0 + c1*s, taken back to coefficients, must be exactly
+        round(q m / p) + e, computed in python ints."""
         par, km, ev, rng = setup
         vs = [rand_vec(par, rng) for _ in range(3)]
         got = pahe.Evaluator(km, seed=31).encrypt_many(vs)
         gen, B, n = np.random.default_rng(31), len(vs), par.n
-        a = np.stack([gen.integers(0, qi, (B, n), dtype=np.uint64)
-                      for qi in par.q_primes], axis=1)
+        assert [sd.tobytes() for sd in got.seeds] == aes_blocks(gen.bytes(16), B)
+        a = pahe.expand_seeds(par, got.seeds)
         e = pahe._sample_error(gen, (B, n)).astype(object)
         m = pahe._slots_to_coeffs_many(par, np.stack(vs)).astype(object)
         q, p = par.q, par.p
@@ -185,6 +187,86 @@ class TestRoundTrip:
         assert np.array_equal(a._sk, b._sk)
         assert list(a.galois) == list(b.galois) == [3]
         assert np.array_equal(a.galois[3].parts, b.galois[3].parts)
+
+
+def aes_blocks(key: bytes, count: int) -> list[bytes]:
+    """AES_key(0), ..., AES_key(count - 1), each counter a big-endian
+    128-bit block."""
+    aes = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    return [aes.update(i.to_bytes(16, "big")) for i in range(count)]
+
+
+class TestSeeds:
+    def test_expansion_matches_python_int_reference(self, setup):
+        """Residue j of prime i of a seed's (k, n) expansion is the 16
+        keystream bytes at 16 (i n + j), read as a little-endian integer
+        hi 2^64 + lo, mod q_i; every residue is reduced.  A stack of k
+        digits is the same keystream read on, so its first digit is the
+        ciphertext expansion of the same seed."""
+        par, km, ev, rng = setup
+        k, n = par.k, par.n
+        seeds = np.random.default_rng(40).integers(
+            0, 256, (3, pahe.SEED_BYTES), dtype=np.uint8)
+        seeds[0] = 255
+        got = pahe.expand_seeds(par, seeds)
+        assert got.shape == (3, k, n) and got.dtype == np.uint64
+        assert np.all(got < par.q_col)
+        for b, seed in enumerate(seeds):
+            stream = Cipher(algorithms.AES(seed.tobytes()),
+                            modes.CTR(bytes(16))).encryptor().update(
+                                bytes(16 * k * n))
+            for i, q in enumerate(par.q_primes):
+                want = [int.from_bytes(stream[16 * (i * n + j):
+                                              16 * (i * n + j + 1)],
+                                       "little") % q for j in range(n)]
+                assert got[b, i].tolist() == want
+        digits = pahe.expand_seeds(par, seeds, (k,))
+        assert digits.shape == (3, k, k, n)
+        assert np.all(digits < par.q_col)
+        assert np.array_equal(digits[:, 0], got)
+
+    def test_flipping_a_seed_byte_changes_a(self, setup):
+        """Any one flipped bit of a seed gives an unrelated expansion: no
+        residue of the 16 flipped seeds' expansions keeps its value, up to
+        chance."""
+        par, km, ev, rng = setup
+        seed = ev.encrypt_many([rand_vec(par, rng)]).seeds
+        a = pahe.expand_seeds(par, seed)[0]
+        flips = np.repeat(seed, pahe.SEED_BYTES, axis=0)
+        flips[np.arange(pahe.SEED_BYTES), np.arange(pahe.SEED_BYTES)] ^= 1
+        other = pahe.expand_seeds(par, flips)
+        assert np.count_nonzero(other == a) < 8
+
+    def test_encryption_seeds_count_on_across_calls(self, setup):
+        """An evaluator's seeds are AES_K(0), AES_K(1), ... under the one
+        key K its generator gives first, counted across `encrypt_many`
+        calls, so two calls never share a seed."""
+        par, km, ev, rng = setup
+        ev2 = pahe.Evaluator(km, seed=41)
+        first = ev2.encrypt_many([rand_vec(par, rng) for _ in range(2)])
+        second = ev2.encrypt_many([rand_vec(par, rng) for _ in range(3)])
+        seeds = [sd.tobytes() for sd in np.concatenate([first.seeds,
+                                                        second.seeds])]
+        assert seeds == aes_blocks(np.random.default_rng(41).bytes(16), 5)
+        assert len(set(seeds)) == 5
+        for cts in (first, second):
+            assert np.array_equal(cts.data[:, 1],
+                                  pahe.expand_seeds(par, cts.seeds))
+
+    def test_galois_key_seeds_follow_the_secret_key(self, setup):
+        """keygen's generator draws the secret key, then its seed key K;
+        the Galois key of the i-th element, in element order, has seed
+        AES_K(i), and its k1 digits are that seed's expansion."""
+        par, km, ev, rng = setup
+        gen = np.random.default_rng(11)
+        pahe._sample_ternary(gen, par.n)
+        elements = sorted(km.galois)
+        want = aes_blocks(gen.bytes(16), len(elements))
+        for t, seed in zip(elements, want):
+            key = km.galois[t]
+            assert key.seed.tobytes() == seed
+            assert np.array_equal(key.k1, pahe.expand_seeds(
+                par, key.seed[None], (par.k,))[0])
 
 
 class TestHomomorphisms:
@@ -504,30 +586,52 @@ class TestBatches:
         assert np.array_equal(got.data, mulmod_vec(data, ws.poly[:, None], col))
 
 
+def computed(cts):
+    """The same ciphertexts as a computed batch, which travels in full."""
+    return pahe.Ciphertexts(cts.params, cts.data, cts.noise_bits)
+
+
 class TestWireFormat:
     def test_ciphertext_roundtrip(self, setup):
-        """A batch on the wire is its ciphertexts back to back, each its c0
-        then its c1."""
+        """A batch on the wire is its ciphertexts back to back: a fresh
+        one's each its c0 then the seed of its c1, a computed one's each
+        its c0 then its c1.  Either parses back to the same (B, 2, k, n)
+        array."""
         par, km, ev, rng = setup
         vs = np.stack([rand_vec(par, rng) for _ in range(3)])
         cts = ev.encrypt_many(vs)
+        assert cts.fresh and cts.seeds.shape == (3, pahe.SEED_BYTES)
         blob = pahe.cts_to_bytes(cts)
-        assert blob == b"".join(pahe.le64(cts.data[b, c])
+        assert blob == b"".join(pahe.le64(cts.data[b, 0])
+                                + cts.seeds[b].tobytes() for b in range(3))
+        full = pahe.cts_to_bytes(computed(cts))
+        assert full == b"".join(pahe.le64(cts.data[b, c])
                                 for b in range(3) for c in range(2))
-        back = pahe.cts_from_bytes(blob, par, 3, "test batch")
-        assert np.array_equal(back.data, cts.data)
-        assert np.array_equal(km.decrypt_many(back), vs)
+        for data, fresh in ((blob, True), (full, False)):
+            back = pahe.cts_from_bytes(data, par, 3, "test batch",
+                                       fresh=fresh)
+            assert not back.fresh
+            assert np.array_equal(back.data, cts.data)
+            assert np.array_equal(km.decrypt_many(back), vs)
 
     def test_params_mismatch(self, setup):
         """A ciphertext or key blob made on another ring is the peer's
-        error: the session's parameters fix its size, and it has another."""
+        error: the session's parameters fix its size, and it has another.
+        A fresh ciphertext is 8kn + 16 bytes, a computed one 16kn, and a
+        key 8k^2 n + 16."""
         par, km, ev, rng = setup
-        blob = pahe.cts_to_bytes(enc(ev, rand_vec(par, rng)))
-        assert len(blob) == pahe.ct_nbytes(par) == 16 * par.k * par.n
+        ct = enc(ev, rand_vec(par, rng))
+        blob = pahe.cts_to_bytes(ct)
+        assert len(blob) == pahe.ct_nbytes(par, fresh=True) == \
+            8 * par.k * par.n + 16
+        assert len(pahe.cts_to_bytes(computed(ct))) == \
+            pahe.ct_nbytes(par, fresh=False) == 16 * par.k * par.n
         keys = pahe.public_keys_to_bytes(km.public())
+        assert len(keys) == pahe.key_blob_nbytes(par, len(km.galois)) == \
+            len(km.galois) * (8 * par.k * par.k * par.n + 16)
         other = pahe.session_params(P20, 512)
         with pytest.raises(ProtocolError, match="ciphertext needs 1 ciphertexts"):
-            pahe.cts_from_bytes(blob, other, 1, "ciphertext")
+            pahe.cts_from_bytes(blob, other, 1, "ciphertext", fresh=True)
         with pytest.raises(ProtocolError, match="key blob has"):
             pahe.public_keys_from_bytes(keys, other, sorted(km.galois))
 
@@ -545,20 +649,27 @@ class TestWireFormat:
             got, np.concatenate([np.roll(v[:half], -5), np.roll(v[half:], -5)]))
 
     def test_crafted_ciphertexts_rejected(self, setup):
+        """In either form, a batch one byte short, padded by a word or by a
+        whole ciphertext, or with an unreduced c0 residue, is refused."""
         par, km, ev, rng = setup
         ct = enc(ev, rand_vec(par, rng))
-        blob = pahe.cts_to_bytes(ct)
-        with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
-            pahe.cts_from_bytes(blob + bytes(8), par, 1, "ciphertext")
-        big = ct.data.copy()
-        big[0, 0, 0, 0] = par.q_primes[0] + 5
-        with pytest.raises(ProtocolError, match="residue"):
-            pahe.cts_from_bytes(pahe.le64(big), par, 1, "ciphertext")
+        for fresh in (True, False):
+            blob = pahe.cts_to_bytes(ct if fresh else computed(ct))
+            for bad in (blob[:-1], blob + bytes(8), blob + blob):
+                with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
+                    pahe.cts_from_bytes(bad, par, 1, "ciphertext",
+                                        fresh=fresh)
+            big = bytearray(blob)
+            struct.pack_into("<Q", big, 8 * (par.n - 1), par.q_primes[0] + 5)
+            with pytest.raises(ProtocolError, match="residue"):
+                pahe.cts_from_bytes(bytes(big), par, 1, "ciphertext",
+                                    fresh=fresh)
         # the wire carries no noise estimate: a parsed ciphertext counts as
         # fresh, whatever its sender's estimate was
         worn = pahe.Ciphertexts(par, ct.data, np.array([par.max_budget_bits - 1]))
         assert pahe.cts_from_bytes(pahe.cts_to_bytes(worn), par, 1,
-                                   "ciphertext").noise_bits[0] == \
+                                   "ciphertext",
+                                   fresh=False).noise_bits[0] == \
             par.fresh_noise_bits
 
     def test_crafted_key_blobs_rejected(self, setup, monkeypatch):
@@ -575,17 +686,22 @@ class TestWireFormat:
                                                      par.row_size - 5))
         monkeypatch.setattr(pahe.KeySwitchKey, "from_digits", lambda *_: (
             pytest.fail("built a key from a refused blob")))
-        with pytest.raises(ProtocolError, match="key blob has"):
-            pahe.public_keys_from_bytes(blob + bytes(2), par, want)
+        monkeypatch.setattr(pahe, "expand_seeds", lambda *_: (
+            pytest.fail("expanded a seed of a refused blob")))
+        for bad in (blob + bytes(2), blob[:-1], blob[:-pahe.SEED_BYTES]):
+            with pytest.raises(ProtocolError, match="key blob has"):
+                pahe.public_keys_from_bytes(bad, par, want)
         for galois in (extra.galois, {t: pub.galois[t] for t in want[1:]}):
             forged = pahe.KeyMaterial(par, galois)
             with pytest.raises(ProtocolError,
                                match="the session's 4 Galois keys need"):
                 pahe.public_keys_from_bytes(
                     pahe.public_keys_to_bytes(forged), par, want)
-        # the last digit stack's last residue, past its prime
+        # the last k0 stack's last residue, just before the last seed,
+        # past its prime
         big = bytearray(blob)
-        struct.pack_into("<Q", big, len(big) - 8, par.q_primes[-1])
+        struct.pack_into("<Q", big, len(big) - pahe.SEED_BYTES - 8,
+                         par.q_primes[-1])
         with pytest.raises(ProtocolError, match="residue"):
             pahe.public_keys_from_bytes(bytes(big), par, want)
 
@@ -595,41 +711,51 @@ class TestWireFormat:
     def test_decoder_fuzz_raises_only_package_errors(self, setup, decoder):
         """Seeded mutations of an honest blob: flipped, truncated or inserted
         bytes, mostly in its head.  The decoder may accept a mutant (a
-        flipped residue is still a residue) but must never leak anything
-        but a ProtocolError."""
+        flipped residue is still a residue, and any 16 bytes are a seed) but
+        must never leak anything but a ProtocolError.  The head of a seeded
+        blob -- fresh ciphertexts, or a key blob -- also takes in the first
+        seed, which the decoder expands."""
         par, km, ev, rng = setup
+        fresh_ct = pahe.ct_nbytes(par, fresh=True)
         if decoder == "ciphertext":
-            blob = pahe.cts_to_bytes(enc(ev, rand_vec(par, rng)))
+            # one computed ciphertext, in full, as the client parses logits
+            blob = pahe.cts_to_bytes(computed(enc(ev, rand_vec(par, rng))))
             parse = lambda data, par_: pahe.cts_from_bytes(  # noqa: E731
-                data, par_, 1, "ciphertext")
+                data, par_, 1, "ciphertext", fresh=False)
         elif decoder == "public_keys":
             blob = pahe.public_keys_to_bytes(km.public())
+            record = pahe.key_blob_nbytes(par, 1)
             parse = lambda data, par_: pahe.public_keys_from_bytes(  # noqa: E731
                 data, par_, sorted(km.galois))
         elif decoder == "encmatrix":
-            # column blocks with three baby-step copies
+            # fresh column blocks with three baby-step copies
             M = rng.integers(0, par.p, (2, 5), dtype=np.uint64)
             blob = encmatrix_to_bytes(pack_colblocks(ev, M, steps=3))
+            record = fresh_ct
             parse = lambda data, par_: encmatrix_from_bytes(  # noqa: E731
-                data, par_, Layout(COLBLOCKS, 2, 5, 3))
+                data, par_, Layout(COLBLOCKS, 2, 5, 3), fresh=True)
         elif decoder == "reply_list":
             # a product reply with k = 1: the product and one term of each
-            # factor, one batch of three ciphertexts
+            # factor, one batch of three fresh ciphertexts
             blob = pahe.cts_to_bytes(
                 ev.encrypt_many([rand_vec(par, rng) for _ in range(3)]))
+            record = fresh_ct
             parse = lambda data, par_: pahe.cts_from_bytes(  # noqa: E731
-                data, par_, 3, "product reply")
+                data, par_, 3, "product reply", fresh=True)
         if decoder in ("ciphertext", "public_keys", "encmatrix",
                        "reply_list"):
-            # the first ciphertext's (or key blob's) leading residues
-            head = 8 * 8
+            # the first ciphertext's (or key blob's) leading residues, and
+            # the first seed
+            head = np.arange(8 * 8)
+            if decoder != "ciphertext":
+                head = np.r_[head, record - pahe.SEED_BYTES:record]
         elif decoder == "hello":
             # the tiny opt1 hello, framed under an honest header and read
             # as the client reads it; the head is all 81 bytes
             blob = session._hello(session_geometry(
                 ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
                             n_classes=2), "opt1"))
-            head = len(blob)
+            head = np.arange(len(blob))
 
             def parse(data, _par):
                 sconn, cconn = memory_pair()
@@ -641,21 +767,22 @@ class TestWireFormat:
             # the first point
             blob = b"".join(ot.BaseOtSender(np.random.default_rng(s)).msg_a
                             for s in range(6))
-            head = ot.POINT_BYTES
+            head = np.arange(ot.POINT_BYTES)
             parse = lambda data, _par: ot.decode_points(data, 6)  # noqa: E731
         fuzz = np.random.default_rng(2024)
         rejected = 0
         for case in range(300):
             data = bytearray(blob)
-            span = head if case % 4 else len(data)
+            span = head if case % 4 else np.arange(len(data))
             kind = case % 3
             if kind == 0:
-                for pos in fuzz.integers(0, span, int(fuzz.integers(1, 4))):
+                picks = fuzz.integers(0, len(span), int(fuzz.integers(1, 4)))
+                for pos in span[picks]:
                     data[pos] ^= int(fuzz.integers(1, 256))
             elif kind == 1:
                 del data[int(fuzz.integers(0, len(data))):]
             else:
-                pos = int(fuzz.integers(0, span))
+                pos = int(span[fuzz.integers(0, len(span))])
                 data[pos:pos] = fuzz.integers(0, 256, int(fuzz.integers(1, 9)),
                                               dtype=np.uint8).tobytes()
             try:

@@ -21,7 +21,7 @@ import pytest
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.gc import garble as garble_module
 from cipherformer.gc.ot import LAMBDA, POINT_BYTES
-from cipherformer import helinear
+from cipherformer import helinear, pahe
 from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
                                    encmatrix_to_bytes, layout_vectors,
@@ -44,15 +44,15 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "b1a1ff0cacbb43a444a99418565bb88b"
-                "319b268b1daf5d6d60920c91d902944b",
-    "opt1": "e246a08965062cfc1ed004f7ab679010"
-            "b033e453197b63ec1af5494e1160a512",
-    "opt2": "153a428f0a42e562a9c836e81a7c58c5"
-            "d5c7505bfa8ebba33a8a7e826ed9d23e",
+    "baseline": "c754c39bf8e8cc4f591b459ee41af293"
+                "b29b8afb400ab7300f75b2ccd7439a85",
+    "opt1": "0971ae742588c6e7f44d2f6be6d5dcbe"
+            "f3ec1bbe546c96ba9221b503ac455d0f",
+    "opt2": "fc93c6d287ea85c0365161b352da0f9d"
+            "eb224bb1335446bd5dabd1a33d7ccaaf",
 }
-TWO_LAYER_DIGEST = ("558a73aa2fff733587ee698fa86b1559"
-                    "47794bdfc7c75c50b06a8f058fbdc51e")
+TWO_LAYER_DIGEST = ("77a2197987fdf07f52b3864d054f313f"
+                    "a473ec3e91fffa78b9f0ebbbcf4260df")
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +135,99 @@ def test_no_garbling_tweak_repeats_in_a_session(monkeypatch):
     assert len(evaluator) == len(garbler)
 
 
+def _seed_words(seeds) -> np.ndarray:
+    return np.concatenate(seeds).view("<u8").ravel()
+
+
+def _raw_windows(seed: int, words: int) -> np.ndarray:
+    """Every 8-byte window at a 4-byte offset of the first `words` 64-bit
+    outputs of `np.random.default_rng(seed)`'s bit generator."""
+    half = np.random.PCG64(seed).random_raw(words).view("<u4").astype(np.uint64)
+    return half[:-1] | half[1:] << np.uint64(32)
+
+
+def test_seeds_never_repeat_and_the_server_parses_what_the_client_holds(
+        monkeypatch):
+    """Every uniform half the client sends travels as a seed.  Over a tiny
+    two-layer session:
+      * no seed repeats across the client's fresh ciphertexts and Galois
+        keys -- a repeated a would let the server subtract two c0's and
+        keep the difference of two plaintexts under small noise;
+      * no 8 bytes of a seed are raw output of either client generator
+        that draws the secret key or the errors;
+      * the server expands exactly the client's seeds, and every batch it
+        parses equals the client's (B, 2, k, n) array bit for bit."""
+    cfg = replace(CFG, n_layers=2)
+    wts = gen_random(cfg, 7, scale=0.25)
+    party = threading.local()
+    seeds = {"server": [], "client": []}
+    arrays = {"server": [], "client": []}
+    gen_seeds = []
+    real_expand, real_keygen = pahe.expand_seeds, session.keygen
+    real_init, real_encrypt = Evaluator.__init__, Evaluator.encrypt_many
+
+    def expand(params, sd, lead=()):
+        seeds[party.role].append(np.array(sd))
+        return real_expand(params, sd, lead)
+
+    def keygen_(params, seed=None, rotations=()):
+        gen_seeds.append(seed)
+        return real_keygen(params, seed, rotations)
+
+    def init(self, keys, seed=None):
+        if keys.has_secret:
+            gen_seeds.append(seed)
+        real_init(self, keys, seed)
+
+    def encrypt(self, vecs):
+        out = real_encrypt(self, vecs)
+        arrays["client"].append(out.data)
+        return out
+
+    def parsing(fn):
+        def parse(*args, fresh):
+            out = fn(*args, fresh=fresh)
+            if party.role == "server":
+                arrays["server"].append(out.data)
+            return out
+        return parse
+
+    monkeypatch.setattr(pahe, "expand_seeds", expand)
+    monkeypatch.setattr(session, "keygen", keygen_)
+    monkeypatch.setattr(Evaluator, "__init__", init)
+    monkeypatch.setattr(Evaluator, "encrypt_many", encrypt)
+    for module in (helinear, session):
+        monkeypatch.setattr(module, "cts_from_bytes",
+                            parsing(module.cts_from_bytes))
+    session._cached_keys.cache_clear()
+    session._parse_public_keys.cache_clear()
+
+    def as_party(role, fn):
+        def run(conn):
+            party.role = role
+            return fn(conn)
+        return run
+
+    server, client = run_pair(
+        as_party("server", lambda c: run_server(c, cfg, wts, "opt2",
+                                                seed=11)),
+        as_party("client", lambda c: run_client(c, TOKENS, seed=12)))
+    assert np.array_equal(client.logits,
+                          forward_fixed(cfg, wts, TOKENS, "opt2").logits)
+    # four Galois keys and 75 fresh ciphertexts
+    sent = np.concatenate(seeds["client"])
+    assert len(sent) == (len(server.geometry.galois)
+                         + client.transcript.counters["encrypt"]) == 79
+    assert len(np.unique(sent, axis=0)) == len(sent)
+    assert np.array_equal(np.concatenate(seeds["server"]), sent)
+    assert np.array_equal(np.concatenate(arrays["server"]),
+                          np.concatenate(arrays["client"]))
+    assert len(gen_seeds) == 2
+    for seed in gen_seeds:
+        assert not np.isin(_seed_words(seeds["client"]),
+                           _raw_windows(seed, 1 << 17)).any()
+
+
 def test_he_small_session_is_exact():
     """The HE-bound benchmark shape (two layers, n = 512): the only session
     here whose products pack many matrix rows into one ciphertext -- the
@@ -177,9 +270,9 @@ def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
 
 def test_second_session_encodes_no_weight_diagonal(weights, monkeypatch):
     """A server's second session with the same weights takes every
-    plain-weight product's diagonals from the weight memo: the only
-    encodings in `helinear` are the masked products' own, one per
-    `ctmm_server_finalize`."""
+    plain-weight product's diagonals, and the classifier's columns, from
+    the weight memo: the only encodings are the masked products' own, one
+    per `ctmm_server_finalize`."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
     encodes, finalizes = [], []
@@ -194,7 +287,7 @@ def test_second_session_encodes_no_weight_diagonal(weights, monkeypatch):
                                   server_seed=13, client_seed=12)
     after = helinear.weight_plan.cache_info()
     assert after.misses == before.misses
-    assert after.hits - before.hits == 3 * CFG.n_layers
+    assert after.hits - before.hits == 3 * CFG.n_layers + 1
     assert len(encodes) == len(finalizes) == 2 * CFG.n_layers
     assert np.array_equal(client.logits,
                           forward_fixed(CFG, weights, TOKENS, "opt1").logits)
@@ -214,12 +307,13 @@ def test_sessions_with_other_weights_of_the_same_shape_are_exact(weights):
 
 
 def test_weight_memo_holds_every_product_of_the_deepest_model():
-    """Every layer of every mode runs three plain-weight products, so a
-    memo of `WEIGHT_PLANS` holds all of a `MAX_LAYERS` model's."""
+    """Every layer of every mode runs three plain-weight products, and the
+    logits one product by the classifier, so a memo of `WEIGHT_PLANS`
+    holds all of a `MAX_LAYERS` model's."""
     for mode in MODES:
         plan = replace(CFG, n_layers=2).plan(mode)
         assert [sum(s.plain for s in enc) for enc in plan.encoders] == [3, 3]
-    assert helinear.WEIGHT_PLANS >= 3 * session.MAX_LAYERS
+    assert helinear.WEIGHT_PLANS >= 3 * session.MAX_LAYERS + 1
     assert helinear.weight_plan.cache_info().maxsize == helinear.WEIGHT_PLANS
 
 
@@ -236,7 +330,8 @@ def test_frame_sizes_do_not_depend_on_the_seeds(weights):
                       for f in server.transcript.frames])
     assert sizes[0] == sizes[1]
     by_name = {name: nbytes for _, name, nbytes in sizes[0]}
-    assert by_name["accept"] == 294_945
+    # four Galois keys of 8 k^2 n + 16 bytes (k = 3, n = 512) and point A
+    assert by_name["accept"] == 147_553 == 4 * (8 * 9 * 512 + 16) + 33
     assert by_name["ot-base"] == 4_224 == LAMBDA * POINT_BYTES
 
 
@@ -253,7 +348,7 @@ def test_stage_open_carries_one_correction_word_per_output_bit(weights, mode):
     specs = [spec for enc in geom.plan.encoders for spec in enc]
     frames = server.transcript.frames
     assert [f.nbytes for f in frames if f.ftype == STAGE_OPEN] == [
-        geom.nbytes(geom.stage_input(spec)) for spec in specs]
+        geom.nbytes(geom.stage_input(spec), fresh=False) for spec in specs]
     assert [f.nbytes for f in frames if f.ftype == STAGE_OT_RESP] == [
         sum((32 * circ.n_and + 16 * (circ.garbler_inputs.size + 2)
              + 8 * circ.outputs.size) * E
@@ -363,14 +458,21 @@ def _caught(fn):
     return run
 
 
-# the session parameters of every tampered session below (tiny, opt1)
+# the session parameters of every tampered session below (tiny, opt1): a
+# ciphertext the server sends is its c0 and c1, one the client sends its c0
+# and a 16-byte seed
 PARAMS = session_geometry(CFG, "opt1").params
-CT_BYTES = ct_nbytes(PARAMS)
+CT_BYTES = ct_nbytes(PARAMS, fresh=False)
+FRESH_CT_BYTES = ct_nbytes(PARAMS, fresh=True)
 FIRST_CT = slice(0, CT_BYTES)
 
 
 def _one_too_few(blob: bytearray):
     del blob[-CT_BYTES:]
+
+
+def _one_fresh_too_few(blob: bytearray):
+    del blob[-FRESH_CT_BYTES:]
 
 
 def _one_too_many(blob: bytearray):
@@ -412,8 +514,8 @@ def test_server_refuses_share_without_its_copies(weights):
             _EditFirstFrame(conn, STAGE_SHARE, first_copy, skip=2),
             TOKENS, seed=12)))
     assert isinstance(server_err, ProtocolError)
-    assert (f"stage-share frame of {CT_BYTES} bytes, the plan's has "
-            f"{steps * CT_BYTES}") in str(server_err)
+    assert (f"stage-share frame of {FRESH_CT_BYTES} bytes, the plan's has "
+            f"{steps * FRESH_CT_BYTES}") in str(server_err)
     assert isinstance(client_err, ProtocolError)
 
 
@@ -630,7 +732,7 @@ def _residue_past_q0(blob: bytearray):
 
 
 @pytest.mark.parametrize("edit,error", [
-    pytest.param(_one_too_few, "mm-reply frame of", id="one-too-few"),
+    pytest.param(_one_fresh_too_few, "mm-reply frame of", id="one-too-few"),
     pytest.param(lambda b: b.__delitem__(slice(len(b) // 2, None)),
                  "mm-reply frame of", id="truncated"),
     pytest.param(lambda b: b.extend(b"\0"), "mm-reply frame of",
@@ -723,7 +825,7 @@ def test_session_limits_admit_their_bounds(monkeypatch):
     `MAX_SESSION_BYTES` of encrypted matrices, still sizes a session; one
     more than the limit is refused."""
     geom = session_geometry(CFG, "opt1")
-    nbytes = sum(geom.nbytes(lay) for lay in geom.layouts())
+    nbytes = sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent())
     for limit, need in (("MAX_OTS", geom.ot_total),
                         ("MAX_SESSION_BYTES", nbytes)):
         monkeypatch.setattr(session, limit, need)
@@ -768,8 +870,8 @@ def test_client_refuses_oversized_session_before_keys(monkeypatch, forge,
 
 
 def _recording(fn, pick, seen):
-    def wrapped(*args):
-        out = fn(*args)
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
         seen.append(pick(args, out))
         return out
     return wrapped
@@ -879,9 +981,10 @@ def test_client_refuses_malformed_logits(weights, edit, span, error):
     assert not isinstance(server_err, Exception)
 
 
-# each Galois key of a key blob is its two (k, k, n) digit stacks; the
-# blob is followed by the 33-byte base-OT point A
-KEY_BYTES = 2 * 8 * PARAMS.k * PARAMS.k * PARAMS.n
+# each Galois key of a key blob is its (k, k, n) k0 digit stack and the
+# 16-byte seed of its k1 stack; the blob is followed by the 33-byte base-OT
+# point A
+KEY_BYTES = 8 * PARAMS.k * PARAMS.k * PARAMS.n + 16
 KEY_BLOB = slice(0, -POINT_BYTES)
 
 
@@ -998,12 +1101,14 @@ def test_geometry_check_compares_copies():
     stage_in = geom.stage_input(geom.plan.stage(0, "ff_out"))
     assert share == Layout(COLBLOCKS, *shape, geom.steps)
     assert stage_in == Layout(COLBLOCKS, *shape)
-    assert encmatrix_from_bytes(many, geom.params, share).layout == share
-    assert encmatrix_from_bytes(one, geom.params, stage_in).layout == stage_in
+    assert encmatrix_from_bytes(many, geom.params, share,
+                                fresh=True).layout == share
+    assert encmatrix_from_bytes(one, geom.params, stage_in,
+                                fresh=True).layout == stage_in
     with pytest.raises(ProtocolError, match="needs 5 ciphertexts"):
-        encmatrix_from_bytes(one, geom.params, share)
+        encmatrix_from_bytes(one, geom.params, share, fresh=True)
     with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
-        encmatrix_from_bytes(many, geom.params, stage_in)
+        encmatrix_from_bytes(many, geom.params, stage_in, fresh=True)
 
 
 # The layouts as a hand-written table gave them before the plan named the
