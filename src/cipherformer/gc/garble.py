@@ -1,8 +1,10 @@
 """Half-gates garbling over the two-op circuit IR.
 
 Costs: XOR gates are free (labels just XOR), each AND gate emits exactly two
-16-byte rows.  NOT/constants ride along as XORs with constant wires whose
-active labels the garbler hands over with its own input labels.
+16-byte rows.  NOT/constants are XORs with the constant wires.  The garbler
+knows its own input bits when it garbles, so it hardcodes them and the
+constants into the labelling: each of those wires has the all-zero
+active label, and no label of the garbler's travels (`garble`).
 
 Labels are 128-bit, stored as (..., 2) uint64 little-halves-first.  One
 offset `delta` serves every garbling of a session: it is the IKNP sender's
@@ -33,7 +35,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import CircuitError
 from ..ntt import addmod, reduce128, submod
-from .circuit import CONST0, CONST1, Circuit
+from .circuit import CONST1, Circuit
 
 _FIXED_KEY = bytes(range(16))
 _AES = Cipher(algorithms.AES(_FIXED_KEY), modes.ECB())
@@ -103,22 +105,6 @@ class GarbledCircuit:
     wire0: np.ndarray            # (W, E, 2) zero-labels for every wire
     tables: np.ndarray           # (n_and, E, 2, 2) the two rows per AND
 
-    @property
-    def instances(self) -> int:
-        return self.wire0.shape[1]
-
-    def garbler_labels(self, bits: np.ndarray) -> np.ndarray:
-        """Active labels for the garbler's own inputs plus the two constant
-        wires; bits is (E, n_gin).  Returns (n_gin + 2, E, 2)."""
-        bits = np.asarray(bits, dtype=np.uint64)
-        ins = self.circuit.garbler_inputs
-        if bits.shape != (self.instances, ins.size):
-            raise CircuitError("garbler bit array has wrong shape")
-        active = self.wire0[ins] ^ bits.T[:, :, None] * self.delta
-        consts = np.stack([self.wire0[CONST0],
-                           self.wire0[CONST1] ^ self.delta])
-        return np.concatenate([consts, active])
-
 
 def _folded_pads(labels: np.ndarray, ns: int, p: int) -> np.ndarray:
     """F(L): the pads of output labels (..., n_out, E, 2), under tweaks
@@ -166,17 +152,21 @@ def b2a_shares(active_out: np.ndarray, c: np.ndarray, ns: int,
     return addmod(fold, (active_out[..., 0] & _ONE) * c, p)
 
 
-def garble(circuit: Circuit, delta: np.ndarray, evaluator_zero: np.ndarray,
-           ns: int, rng: np.random.Generator) -> GarbledCircuit:
+def garble(circuit: Circuit, delta: np.ndarray, garbler_bits: np.ndarray,
+           evaluator_zero: np.ndarray, ns: int) -> GarbledCircuit:
     """Garble E independent instances of `circuit` under the session offset
-    `delta`, (2,), one level at a time.
+    `delta`, (2,), one level at a time, with the garbler's input bits
+    `garbler_bits`, (E, n_gin), hardcoded.
 
     The evaluator's input zero labels `evaluator_zero`, (n_ein, E, 2), come
-    from the OT (`gc.ot.RandomOtSenderBatch.derand_respond`) and give E; the
-    constant and garbler-input zero labels are drawn from `rng`.  Tweaks are
-    2g and 2g+1 for gate index g in the low word and `ns` | the instance in
-    the high one, and AND g's two rows go to table row `Level.and_row`, so
-    the result does not depend on how the gates are batched.
+    from the OT (`gc.ot.RandomOtSenderBatch.derand_respond`) and give E.  A
+    garbler input of value t gets zero label t delta, CONST0 gets 0 and
+    CONST1 gets delta, so each of these wires has the all-zero active label,
+    where `evaluate` starts it: no garbler label is sent, and garbling draws
+    nothing.  Tweaks are 2g and 2g+1 for gate index g in the low word and
+    `ns` | the instance in the high one, and AND g's two rows go to table
+    row `Level.and_row`, so the result does not depend on how the gates are
+    batched.
 
     Security (semi-honest).  Every garbling of a session shares `delta`, and
     the evaluator's labels are IKNP rows, so this rests on the fixed-key
@@ -187,15 +177,24 @@ def garble(circuit: Circuit, delta: np.ndarray, evaluator_zero: np.ndarray,
     Within a garbling the gate index, half and instance keep tweaks apart;
     across garblings `ns` does, so each garbling of a session must take its
     own `tweak_namespace`.  delta's colour bit is public (forced to 1), so
-    it keeps 127 secret bits.
+    it keeps 127 secret bits.  Hardcoding adds no assumption: the evaluator
+    holds the same block, 0, for a garbler wire of either value, so that
+    label says nothing of the bit; the wire's other label is delta, and
+    H(0 ^ delta, t) under a tweak used once is a query the same game
+    already allows -- half-gates' generator half rests on the same fact.
     """
     E = evaluator_zero.shape[1]
     if E >= 1 << 32:
         raise CircuitError("more instances than the tweak's 32 bits hold")
-    W = circuit.n_wires
-    wire0 = np.zeros((W, E, 2), dtype=np.uint64)
-    fresh = np.concatenate([[CONST0, CONST1], circuit.garbler_inputs])
-    wire0[fresh] = rng.integers(0, 1 << 64, (fresh.size, E, 2), dtype=np.uint64)
+    bits = np.asarray(garbler_bits)
+    if bits.shape != (E, circuit.garbler_inputs.size):
+        raise CircuitError("garbler bit array has wrong shape")
+    if ((bits != 0) & (bits != 1)).any():
+        raise CircuitError("garbler bit outside {0, 1}")
+    wire0 = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
+    wire0[CONST1] = delta
+    wire0[circuit.garbler_inputs] = (bits.T.astype(np.uint64)[..., None]
+                                     * delta)
     wire0[circuit.evaluator_inputs] = evaluator_zero
 
     tables = np.empty((circuit.n_and, E, 2, 2), dtype=np.uint64)
@@ -224,20 +223,17 @@ def garble(circuit: Circuit, delta: np.ndarray, evaluator_zero: np.ndarray,
     return GarbledCircuit(circuit, delta, ns, wire0, tables)
 
 
-def evaluate(circuit: Circuit, tables: np.ndarray, garbler_active: np.ndarray,
+def evaluate(circuit: Circuit, tables: np.ndarray,
              evaluator_active: np.ndarray, ns: int) -> np.ndarray:
     """Run the garbled circuit with tweak namespace `ns` on active labels,
     one level at a time.
 
-    garbler_active is (n_gin + 2, E, 2) (constants first, from
-    `garbler_labels`); evaluator_active is (n_ein, E, 2) from the OT.
-    Returns active output labels (n_out, E, 2).
+    evaluator_active is (n_ein, E, 2) from the OT; the constants and the
+    garbler's inputs start at the all-zero label `garble` hardcodes them
+    to.  Returns active output labels (n_out, E, 2).
     """
-    E = garbler_active.shape[1]
+    E = evaluator_active.shape[1]
     active = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
-    active[CONST0] = garbler_active[0]
-    active[CONST1] = garbler_active[1]
-    active[circuit.garbler_inputs] = garbler_active[2:]
     active[circuit.evaluator_inputs] = evaluator_active
     aes = _AES.encryptor()
     for lv in circuit.levels:

@@ -24,13 +24,13 @@ ACCEPT = 2         # c->s: rotation keys, base-OT point A (33 B)
 OT_BASE = 3        # s->c: the 128 base-OT points B (33 B each)
 CLIENT_SETUP = 4   # c->s: OT seeds + extension matrix + encrypted input
 # garbled stages
-STAGE_OPEN = 5     # s->c: masked wires, tables, garbler labels, B2A words
+STAGE_OPEN = 5     # s->c: the masked stage input
 STAGE_OT_REQ = 6   # c->s: derandomization bits
-STAGE_OT_RESP = 7  # s->c: masked label pairs
-STAGE_SHARE = 8    # c->s: re-encrypted output shares
+STAGE_OT_RESP = 7  # s->c: per circuit group, tables and B2A corrections
+STAGE_SHARE = 8    # c->s: the encrypted output share of each group
 # encrypted matrix products
-MM_OPEN = 9        # s->c: masked factors
-MM_REPLY = 10      # c->s: clear product + shifted factor terms
+MM_OPEN = 9        # s->c: the masked factors
+MM_REPLY = 10      # c->s: encrypted product + shifted factor terms
 # result
 LOGITS = 11        # s->c: per-class ciphertexts
 

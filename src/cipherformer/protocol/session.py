@@ -38,8 +38,7 @@ interleaved with two encrypted matrix products of two frames each:
   stage-ot-req   c -> s   derandomization bits, ceil(m count / 8), the pad
                           bits of the last byte zero
   stage-ot-resp  s -> c   per `stage_circuits` group (circ, E), garbled
-                          once the bits arrive: tables, 32 n_and E;
-                          garbler labels, 16 (garbler_inputs + 2) E; B2A
+                          once the bits arrive: tables, 32 n_and E; B2A
                           corrections, 8 n_out E, each word below p
   stage-share    c -> s   one `stage_shares` matrix of fresh cts per group
   mm-open        s -> c   the masked factors, each in the layout of the
@@ -54,10 +53,12 @@ and a final frame:
 Every frame in either direction counts as one round, so the round count is
 the same constant, 5 + 24 n_layers, for every input of a given shape.
 
-The evaluator's input labels cost no bytes of their own: the IKNP rows of
-the set-up are a correlated OT under the session's one garbling offset, so
-the derandomization bits fix the zero labels the server garbles with, and
-the client already holds the label of each of its bits (`gc.ot`).
+No input label costs a byte of its own.  The IKNP rows of the set-up are a
+correlated OT under the session's one garbling offset, so the
+derandomization bits fix the zero labels the server garbles with, and the
+client already holds the label of each of its bits (`gc.ot`).  The server
+hardcodes its own mask bits and the constants into each garbling, so the
+client starts those wires at the all-zero label (`gc.garble.garble`).
 
 Share switching works on a per-stage window of m bits: the server adds
 2^{m-1} + R (R fresh, below p - 2^m) onto each wire and ships the
@@ -149,7 +150,8 @@ MAX_WIDTH = MAX_RING_DEGREE // 2
 # keeps as labels, 16 bytes per OT, come after the scratch is freed.  2^24
 # OTs, about 1.1 GB at that peak, still admit a session on the largest ring.
 MAX_OTS = 1 << 24
-# the wire bytes of every encrypted matrix one session's layouts name
+# the wire bytes of every encrypted matrix and garbled stage of one session,
+# and the label array of any one garbling
 MAX_SESSION_BYTES = 1 << 30
 MAX_LAYERS = 64
 # bounds the logits frame (one ciphertext per class) a peer's hello can make
@@ -265,8 +267,11 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     peer sends against it; nothing is rebuilt from the peer's bytes.  A
     width past `MAX_WIDTH`, or more layers or classes than `MAX_LAYERS` or
     `MAX_CLASSES`, is refused before anything is planned; a plan needing
-    more than `MAX_OTS` random OTs, or encrypted matrices past
-    `MAX_SESSION_BYTES` at their wire size, before any key or OT is made.
+    more than `MAX_OTS` random OTs, a stage garbling whose label array (16
+    bytes per wire and instance) passes `MAX_SESSION_BYTES`, or garbled
+    stages (every stage-ot-resp frame) and encrypted matrices past
+    `MAX_SESSION_BYTES` together at their wire size, before any key or OT
+    is made.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -314,11 +319,21 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
                                               d_out, steps))
     geom = replace(unsized, n=n, p=p, params=params, steps=steps,
                    rotations=tuple(sorted(rots)))
-    nbytes = sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent())
-    if nbytes > MAX_SESSION_BYTES:
-        raise ParameterError(f"model shape needs {nbytes} bytes of encrypted "
-                             f"matrices, above the limit of "
+    groups = [(circ, E) for enc in plan.encoders for s in enc
+              for _g, circ, E in stage_circuits(s)]
+    label_bytes = max(16 * circ.n_wires * E for circ, E in groups)
+    if label_bytes > MAX_SESSION_BYTES:
+        raise ParameterError(f"model shape garbles {label_bytes} bytes of "
+                             f"wire labels at once, above the limit of "
                              f"{MAX_SESSION_BYTES}")
+    gc_bytes = sum(8 * prod(sh) for circ, E in groups
+                   for sh in _gc_shapes(circ, E))
+    nbytes = sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent())
+    if gc_bytes + nbytes > MAX_SESSION_BYTES:
+        raise ParameterError(f"model shape needs {gc_bytes} bytes of garbled "
+                             f"stages and {nbytes} bytes of encrypted "
+                             f"matrices, above the limit of "
+                             f"{MAX_SESSION_BYTES} together")
     return geom
 
 
@@ -373,9 +388,8 @@ def _words(part: bytes, shape: tuple[int, ...]) -> np.ndarray:
 
 def _gc_shapes(circ, E: int) -> list[tuple[int, ...]]:
     """The word arrays stage-ot-resp carries for one circuit group: tables,
-    garbler labels, B2A corrections."""
-    return [(circ.n_and, E, 2, 2), (circ.garbler_inputs.size + 2, E, 2),
-            (circ.outputs.size, E)]
+    B2A corrections."""
+    return [(circ.n_and, E, 2, 2), (circ.outputs.size, E)]
 
 
 # mode index, then vocab, seq_len, dim, ff_dim, n_layers, n_classes, w, f
@@ -458,9 +472,9 @@ class ServerResult:
 
 def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
                  enc: EncMatrix) -> list[EncMatrix]:
-    geom, ev, rng = sp.geom, sp.ev, sp.rng
+    geom, ev = sp.geom, sp.ev
     p, m = geom.p, spec.m
-    masks = sample_stage_masks(rng, p, m, spec.count)
+    masks = sample_stage_masks(sp.rng, p, m, spec.count)
     offs = _lanes_to_matrix(spec, stage_offsets(masks, m, p))
     _send(sp.conn, sp.tr, STAGE_OPEN,
           encmatrix_to_bytes(add_offset(ev, enc, offs)))
@@ -477,24 +491,21 @@ def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
     zero = sp.ot.derand_respond(dbits[:nbits])
 
     parts = []
-    gc_bytes = packed.nbytes
     own_lanes: list[np.ndarray] = []
     lpi = spec.lanes_per_instance
     off = 0
     for gi, (g, circ, E) in enumerate(stage_circuits(spec)):
         ezero = zero[m * off:m * (off + g.count)].reshape(E, -1, 2)
-        gb = garble(circ, sp.ot.delta, ezero.transpose(1, 0, 2),
-                    tweak_namespace(layer, stage, gi), rng)
         words = tshare[off:off + g.count].reshape(E, lpi)
         off += g.count
-        glab = gb.garbler_labels(to_bits(words, m).reshape(E, lpi * m))
-
+        gb = garble(circ, sp.ot.delta, to_bits(words, m).reshape(E, -1),
+                    ezero.swapaxes(0, 1), tweak_namespace(layer, stage, gi))
         corr, own = b2a_corrections(
             gb, np.tile(b2a_weights(spec.keep, p), lpi), p)
         own_lanes.append(_b2a_words(own, spec.keep, p).T.ravel())
-        parts += [le64(gb.tables), le64(glab), le64(corr)]
-        gc_bytes += gb.tables.nbytes + glab.nbytes + corr.nbytes
+        parts += [le64(gb.tables), le64(corr)]
     _send(sp.conn, sp.tr, STAGE_OT_RESP, *parts)
+    gc_bytes = packed.nbytes + sum(map(len, parts))
 
     layouts = geom.stage_shares(layer, spec)
     blobs = _recv(sp.conn, sp.tr, STAGE_SHARE,
@@ -634,21 +645,19 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
     gblobs = _recv(cp.conn, cp.tr, STAGE_OT_RESP,
                    [8 * prod(sh) for sh in shapes])
     garbled = [_words(blob, sh) for blob, sh in zip(gblobs, shapes)]
-    if any((corr >= p).any() for corr in garbled[2::3]):
+    if any((corr >= p).any() for corr in garbled[1::2]):
         raise ProtocolError("stage-ot-resp B2A correction word not reduced "
                             "mod p")
 
-    gc_bytes = packed.nbytes
+    gc_bytes = packed.nbytes + sum(map(len, gblobs))
     shares = []
     cuts = np.cumsum([m * g.count for g, _circ, _E in groups])[:-1]
     for gi, glabels in enumerate(np.split(labels, cuts)):
         _g, circ, E = groups[gi]
         eact = glabels.reshape(E, -1, 2).transpose(1, 0, 2)
-        tables, glab, corr = garbled[3 * gi:3 * gi + 3]
-        gc_bytes += tables.nbytes + glab.nbytes + corr.nbytes
+        tables, corr = garbled[2 * gi:2 * gi + 2]
         ns = tweak_namespace(layer, stage, gi)
-        bit_shares = b2a_shares(evaluate(circ, tables, glab, eact, ns), corr,
-                                ns, p)
+        bit_shares = b2a_shares(evaluate(circ, tables, eact, ns), corr, ns, p)
         shares.append(_b2a_words(bit_shares, spec.keep, p).T.ravel())
 
     parts = []

@@ -3,8 +3,8 @@
 A round is one frame in either direction, so both parties end a session with
 the same round count.  Byte attribution is recorded where the payloads are
 built: the garbled-circuit material moved during stages (the
-derandomization bits, then the tables, the garbler's labels and the B2A
-corrections; the evaluator's labels never travel) is tallied separately
+derandomization bits, then the tables and the B2A corrections; no input
+label travels) is tallied separately
 from ciphertext traffic so transfer comparisons between modes measure what
 they claim to.
 """

@@ -1,7 +1,5 @@
 """Circuit IR, garbling, and oblivious-transfer tests."""
 
-import copy
-
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -172,9 +170,9 @@ def evaluator_labels(gc, ebits):
 
 
 def run_garbled(circ, gbits, ebits, rng):
-    gc = G.garble(circ, *session_inputs(circ, gbits.shape[0], rng), NS, rng)
-    out = G.evaluate(circ, gc.tables, gc.garbler_labels(gbits),
-                     evaluator_labels(gc, ebits), NS)
+    delta, zero = session_inputs(circ, gbits.shape[0], rng)
+    gc = G.garble(circ, delta, gbits, zero, NS)
+    out = G.evaluate(circ, gc.tables, evaluator_labels(gc, ebits), NS)
     return gc, out, read_bits(gc, out)
 
 
@@ -190,7 +188,8 @@ class TestGarbling:
     def test_table_size_is_two_rows_per_and(self):
         c = build_adder(8)
         rng = np.random.default_rng(0)
-        gc = G.garble(c, *session_inputs(c, 3, rng), NS, rng)
+        delta, zero = session_inputs(c, 3, rng)
+        gc = G.garble(c, delta, np.zeros((3, 8), np.uint8), zero, NS)
         assert gc.tables.nbytes == 3 * c.n_and * 2 * 16
 
     def test_tamper_detection(self):
@@ -214,9 +213,8 @@ class TestGarbling:
         g = to_bits(np.arange(16), 6)
         e = to_bits(np.arange(16, 32), 6)
         for p in B2A_PRIMES:
-            rng = np.random.default_rng(11)
-            *_, pads = reference_garble(c, *session_inputs(c, 16, rng), NS,
-                                        copy.deepcopy(rng))
+            delta, zero = session_inputs(c, 16, np.random.default_rng(11))
+            *_, pads = reference_garble(c, delta, g, zero, NS)
             gc, out, bits = run_garbled(c, g, e, np.random.default_rng(11))
             _w, corr, _t = checked_b2a_corrections(gc, pads, p)
             f = fold_pads(pads, p)
@@ -251,6 +249,65 @@ class TestGarbling:
         for c, gb, eb in random_circuits(rng):
             _, _, bits = run_garbled(c, gb, eb, rng)
             assert np.array_equal(bits, c.plain_eval(gb, eb))
+
+
+def check_hardcoded_garbler_bits(circ, gbits, ebits, rng):
+    """Garbling with the garbler's bits and with their complement leaves
+    every constant and garbler-input wire with the all-zero active label.
+    The tables are all that differ: on the evaluator labels the OT fixed,
+    flipping one garbler bit changes the outputs as `plain_eval` says.
+    Returns whether the flip changed any output."""
+    delta, zero = session_inputs(circ, gbits.shape[0], rng)
+    for bits in (gbits, 1 - gbits):
+        wire0 = G.garble(circ, delta, bits, zero, NS).wire0
+        assert not (wire0[circ.garbler_inputs]
+                    ^ bits.T[..., None] * delta).any()
+        assert not wire0[CONST0].any()
+        assert not (wire0[CONST1] ^ delta).any()
+    flipped = gbits.copy()
+    flipped[rng.integers(gbits.shape[0]), rng.integers(gbits.shape[1])] ^= 1
+    outs = []
+    for bits in (gbits, flipped):
+        gc = G.garble(circ, delta, bits, zero, NS)
+        out = G.evaluate(circ, gc.tables, evaluator_labels(gc, ebits), NS)
+        outs.append(read_bits(gc, out))
+        assert np.array_equal(outs[-1], circ.plain_eval(bits, ebits))
+    want = circ.plain_eval(gbits, ebits) != circ.plain_eval(flipped, ebits)
+    assert np.array_equal(outs[0] != outs[1], want)
+    return want.any()
+
+
+class TestHardcodedGarblerBits:
+    def test_random_circuits(self):
+        rng = np.random.default_rng(601)
+        changed = [check_hardcoded_garbler_bits(c, gb, eb, rng)
+                   for c, gb, eb in random_circuits(rng)]
+        assert 0 < sum(changed) < len(changed)
+
+    def test_tiny_stage_circuits(self):
+        """Every stage circuit of the tiny shape's three plans; each has
+        the window shares of the garbler as inputs."""
+        rng = np.random.default_rng(602)
+        changed = []
+        for circ, E in _stage_circuits(TINY, ("baseline", "opt1", "opt2")):
+            gb, eb = _random_bits(circ, E, rng)
+            changed.append(check_hardcoded_garbler_bits(circ, gb, eb, rng))
+        assert any(changed)
+
+    @pytest.mark.parametrize("bits,error", [
+        pytest.param(np.zeros((3, 7), np.uint8), "wrong shape", id="n-gin"),
+        pytest.param(np.zeros((2, 8), np.uint8), "wrong shape",
+                     id="instances"),
+        pytest.param(np.zeros((3 * 8,), np.uint8), "wrong shape", id="flat"),
+        pytest.param(np.full((3, 8), 2, np.uint8), "outside", id="two"),
+        pytest.param(np.full((3, 8), -1, np.int64), "outside", id="minus-one"),
+        pytest.param(np.full((3, 8), 0.5), "outside", id="half"),
+    ])
+    def test_malformed_garbler_bits_refused(self, bits, error):
+        c = build_adder(8)
+        delta, zero = session_inputs(c, 3, np.random.default_rng(603))
+        with pytest.raises(CircuitError, match=error):
+            G.garble(c, delta, bits, zero, NS)
 
 
 def random_circuits(rng):
@@ -306,14 +363,20 @@ def reference_hash(labels, tweaks):
     return np.frombuffer(raw, dtype="<u8").reshape(t.shape) ^ t
 
 
-def reference_garble(circuit, delta, evaluator_zero, ns, rng):
+def reference_garble(circuit, delta, garbler_bits, evaluator_zero, ns):
     """Half-gates garbling one gate at a time, one AES batch per AND, under
-    the session offset `delta` and the evaluator's zero labels, as `garble`
-    takes them: (wire0, tables, (pads0, pads1))."""
+    the session offset `delta`, the garbler's bits (E, n_gin) and the
+    evaluator's zero labels, as `garble` takes them: (wire0, tables,
+    (pads0, pads1)).  Every wire whose value the garbler knows gets the zero
+    label that makes its active label 0: CONST0 0, CONST1 delta, and a
+    garbler input of value t t * delta."""
     E = evaluator_zero.shape[1]
     wire0 = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
-    fresh = np.concatenate([[CONST0, CONST1], circuit.garbler_inputs])
-    wire0[fresh] = rng.integers(0, 1 << 64, (fresh.size, E, 2), dtype=np.uint64)
+    wire0[CONST1] = delta
+    for i, w in enumerate(circuit.garbler_inputs):
+        for j in range(E):
+            if garbler_bits[j, i]:
+                wire0[w, j] = delta
     wire0[circuit.evaluator_inputs] = evaluator_zero
     tables = np.empty((circuit.n_and, E, 2, 2), dtype=np.uint64)
     ops, in0, in1, out = circuit.ops, circuit.in0, circuit.in1, circuit.out
@@ -351,13 +414,11 @@ def reference_garble(circuit, delta, evaluator_zero, ns, rng):
     return wire0, tables, pads
 
 
-def reference_evaluate(circuit, tables, garbler_active, evaluator_active, ns):
-    """Half-gates evaluation one gate at a time: active output labels."""
-    E = garbler_active.shape[1]
+def reference_evaluate(circuit, tables, evaluator_active, ns):
+    """Half-gates evaluation one gate at a time: active output labels.  The
+    constants and the garbler's inputs hold the all-zero label."""
+    E = evaluator_active.shape[1]
     active = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
-    active[CONST0] = garbler_active[0]
-    active[CONST1] = garbler_active[1]
-    active[circuit.garbler_inputs] = garbler_active[2:]
     active[circuit.evaluator_inputs] = evaluator_active
     ops, in0, in1, out = circuit.ops, circuit.in0, circuit.in1, circuit.out
     ai = 0
@@ -381,22 +442,20 @@ def reference_evaluate(circuit, tables, garbler_active, evaluator_active, ns):
 
 
 def assert_matches_reference(circ, gbits, ebits, rng):
-    """Garble with `rng` (and the reference with a copy of it), evaluate
-    both on the same active labels, and compare every array byte for byte,
-    the B2A corrections against the reference's per-value pads included."""
+    """Garble and run the reference on the same inputs from `rng`,
+    evaluate both on the same active labels, and compare every array byte
+    for byte, the B2A corrections against the reference's per-value pads
+    included."""
     delta, zero = session_inputs(circ, gbits.shape[0], rng)
-    wire0, tables, pads = reference_garble(circ, delta, zero, NS,
-                                           copy.deepcopy(rng))
-    gc = G.garble(circ, delta, zero, NS, rng)
+    wire0, tables, pads = reference_garble(circ, delta, gbits, zero, NS)
+    gc = G.garble(circ, delta, gbits, zero, NS)
     assert np.array_equal(gc.wire0, wire0)
     assert np.array_equal(gc.tables, tables)
     p = B2A_PRIMES[-1]
     w, corr, t = checked_b2a_corrections(gc, pads, p)
     e_act = evaluator_labels(gc, ebits)
-    g_act = gc.garbler_labels(gbits)
-    out = G.evaluate(circ, gc.tables, g_act, e_act, NS)
-    assert np.array_equal(out, reference_evaluate(circ, tables, g_act, e_act,
-                                                  NS))
+    out = G.evaluate(circ, gc.tables, e_act, NS)
+    assert np.array_equal(out, reference_evaluate(circ, tables, e_act, NS))
     bits = read_bits(gc, out)
     assert np.array_equal(bits, circ.plain_eval(gbits, ebits))
     check_b2a_shares(out, gc, corr, t, w, bits.T, p)

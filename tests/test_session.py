@@ -44,15 +44,15 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "c754c39bf8e8cc4f591b459ee41af293"
-                "b29b8afb400ab7300f75b2ccd7439a85",
-    "opt1": "0971ae742588c6e7f44d2f6be6d5dcbe"
-            "f3ec1bbe546c96ba9221b503ac455d0f",
-    "opt2": "fc93c6d287ea85c0365161b352da0f9d"
-            "eb224bb1335446bd5dabd1a33d7ccaaf",
+    "baseline": "18d16b5402a02aa16024de7af83949ea"
+                "13a647d6880463ddfa6d98258644807c",
+    "opt1": "968bde73ae9308a6da2bccb0f95a7c9c"
+            "94d02b837edaad538808189d16464b18",
+    "opt2": "44980dded1c79c40ae7aebbb2f36cbe3"
+            "0848d563c8eecfe15fe1ce9f7aac9be4",
 }
-TWO_LAYER_DIGEST = ("77a2197987fdf07f52b3864d054f313f"
-                    "a473ec3e91fffa78b9f0ebbbcf4260df")
+TWO_LAYER_DIGEST = ("0fe25bd844796e6926096b80b4c2cc9b"
+                    "917886521d59e8f81a1a01b49f8465ae")
 
 
 @pytest.fixture(scope="module")
@@ -335,25 +335,47 @@ def test_frame_sizes_do_not_depend_on_the_seeds(weights):
     assert by_name["ot-base"] == 4_224 == LAMBDA * POINT_BYTES
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_stage_open_carries_one_correction_word_per_output_bit(weights, mode):
+GC_L16 = ModelConfig(vocab=8, seq_len=16, dim=4, ff_dim=8, n_layers=1,
+                     n_classes=2)
+HE_SMALL = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
+                       n_classes=2)
+
+
+@pytest.mark.parametrize("cfg,mode,s2c,gc", [
+    pytest.param(CFG, "baseline", None, None, id="baseline"),
+    # byte totals on the benchmark's three workloads' shapes
+    pytest.param(CFG, "opt1", 637_137, 363_176, id="opt1"),
+    pytest.param(CFG, "opt2", None, None, id="opt2"),
+    pytest.param(GC_L16, "baseline", 5_204_689, 4_933_712,
+                 id="gc-l16-baseline"),
+    pytest.param(HE_SMALL, "opt2", 4_604_113, 4_067_792, id="he-small-opt2"),
+])
+def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
+                                                               s2c, gc):
     """Each stage-open frame is the masked stage input alone.  Each
-    stage-ot-resp frame is, per circuit group (circ, E), its tables, its
-    garbler labels with the two constants, and one 8-byte B2A correction
-    word per output bit and instance: no bytes for the evaluator's labels,
-    which the client already holds from the OT extension."""
-    server, _ = private_inference(CFG, weights, TOKENS, mode,
-                                  server_seed=11, client_seed=12)
+    stage-ot-resp frame is, per circuit group (circ, E), its tables and one
+    8-byte B2A correction word per output bit and instance: no bytes for
+    the evaluator's labels, which the client already holds from the OT
+    extension, nor for the garbler's and the constants', which are
+    hardcoded into the garbling.  On the benchmark's shapes the server
+    sends `s2c` payload bytes, `gc` of them garbled-circuit material (with
+    the derandomization bits)."""
+    tokens = (np.arange(cfg.seq_len) * 5 + 1) % cfg.vocab
+    server, _ = private_inference(cfg, gen_random(cfg, 7, scale=0.25),
+                                  tokens, mode, server_seed=11,
+                                  client_seed=12)
     geom = server.geometry
     specs = [spec for enc in geom.plan.encoders for spec in enc]
     frames = server.transcript.frames
     assert [f.nbytes for f in frames if f.ftype == STAGE_OPEN] == [
         geom.nbytes(geom.stage_input(spec), fresh=False) for spec in specs]
     assert [f.nbytes for f in frames if f.ftype == STAGE_OT_RESP] == [
-        sum((32 * circ.n_and + 16 * (circ.garbler_inputs.size + 2)
-             + 8 * circ.outputs.size) * E
+        sum((32 * circ.n_and + 8 * circ.outputs.size) * E
             for _g, circ, E in stage_circuits(spec))
         for spec in specs]
+    if s2c is not None:
+        tr = server.transcript
+        assert (tr.bytes_sent, tr.gc_online_bytes) == (s2c, gc)
 
 
 def _closing(party, conn, *args, **kwargs):
@@ -820,20 +842,47 @@ def test_geometry_limits_admit_their_bounds():
     assert session_geometry(many, "opt1").cfg.n_classes == 99
 
 
+def _session_bytes(geom):
+    """(the bytes of every stage-ot-resp frame and encrypted matrix of a
+    session, the largest label array one of its garblings holds)."""
+    groups = [(circ, E) for enc in geom.plan.encoders for spec in enc
+              for _g, circ, E in stage_circuits(spec)]
+    sent = sum((32 * circ.n_and + 8 * circ.outputs.size) * E
+               for circ, E in groups)
+    sent += sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent())
+    return sent, max(16 * circ.n_wires * E for circ, E in groups)
+
+
 def test_session_limits_admit_their_bounds(monkeypatch):
     """A plan needing exactly `MAX_OTS` random OTs, or exactly
-    `MAX_SESSION_BYTES` of encrypted matrices, still sizes a session; one
-    more than the limit is refused."""
+    `MAX_SESSION_BYTES` of garbled stages and encrypted matrices together,
+    still sizes a session; one more than the limit is refused."""
     geom = session_geometry(CFG, "opt1")
-    nbytes = sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent())
+    sent, labels = _session_bytes(geom)
+    assert labels < sent
     for limit, need in (("MAX_OTS", geom.ot_total),
-                        ("MAX_SESSION_BYTES", nbytes)):
+                        ("MAX_SESSION_BYTES", sent)):
         monkeypatch.setattr(session, limit, need)
         assert session_geometry(CFG, "opt1") == geom
         monkeypatch.setattr(session, limit, need - 1)
         with pytest.raises(ParameterError, match="above the limit"):
             session_geometry(CFG, "opt1")
         monkeypatch.undo()
+
+
+def test_label_limit_admits_its_bound(monkeypatch):
+    """gc-l16's row divider holds more label bytes than the whole session
+    sends: a garbling of exactly `MAX_SESSION_BYTES` of labels still sizes
+    a session, one byte more is refused."""
+    geom = session_geometry(GC_L16, "baseline")
+    sent, labels = _session_bytes(geom)
+    assert labels > sent
+    monkeypatch.setattr(session, "MAX_SESSION_BYTES", labels)
+    assert session_geometry(GC_L16, "baseline") == geom
+    monkeypatch.setattr(session, "MAX_SESSION_BYTES", labels - 1)
+    with pytest.raises(ParameterError, match=f"{labels} bytes of wire labels "
+                                             "at once, above the limit"):
+        session_geometry(GC_L16, "baseline")
 
 
 def _sized_a_hostile_session(*_, **__):
@@ -852,13 +901,23 @@ def _sized_a_hostile_session(*_, **__):
                                 vocab=session.MAX_WIDTH),
                  "bytes of encrypted matrices, above the limit",
                  id="one-hot"),
+    # the attention row divider over 512-entry rows: 11.5 GB of labels
+    pytest.param(lambda: _hello(mode=MODES.index("baseline"), seq_len=512),
+                 "bytes of wire labels at once, above the limit",
+                 id="row-divider-labels"),
+    # sixteen layers of 128-entry row dividers: 4.1 GB of tables
+    pytest.param(lambda: _hello(mode=MODES.index("baseline"), seq_len=128,
+                                n_layers=16),
+                 "bytes of garbled stages and", id="garbled-stages"),
 ])
 def test_client_refuses_oversized_session_before_keys(monkeypatch, forge,
                                                        error):
     """Every width of these hellos is within `MAX_WIDTH`, but the session
-    planned from them would need more than `MAX_OTS` random OTs or
-    `MAX_SESSION_BYTES` of encrypted matrices: the client refuses it
-    before it makes any key, extends any OT or packs its input."""
+    planned from them would need more than `MAX_OTS` random OTs, more than
+    `MAX_SESSION_BYTES` of garbled stages and encrypted matrices, or a
+    garbling of more than `MAX_SESSION_BYTES` of labels: the client
+    refuses it before it makes any key, extends any OT or packs its
+    input."""
     for name in ("_client_keys", "_cached_keys", "pack_colblocks"):
         monkeypatch.setattr(session, name, _sized_a_hostile_session)
     monkeypatch.setattr(session.OtExtReceiver, "extend",
@@ -867,6 +926,28 @@ def test_client_refuses_oversized_session_before_keys(monkeypatch, forge,
     write_frame(sconn, HELLO, forge())
     with pytest.raises(ProtocolError, match=error):
         run_client(cconn, TOKENS, seed=12)
+
+
+def test_garbled_stages_bound_a_hello_the_other_limits_admit(monkeypatch):
+    """A baseline shape of seq_len 512 passes the OT and matrix limits
+    (11,614,208 OTs, 65,774,144 bytes of matrices), but its attention row
+    divider, 250,890 ANDs and 1,409,027 wires over 512 rows, would make
+    the client expect a 4.1 GB stage-ot-resp and hold 11.5 GB of labels:
+    `session_geometry` refuses it, and the client refuses its hello as a
+    ProtocolError (`row-divider-labels` above)."""
+    with pytest.raises(ParameterError, match="11542749184 bytes of wire "
+                                             "labels at once"):
+        session_geometry(replace(CFG, seq_len=512), "baseline")
+    with pytest.raises(ProtocolError, match="server hello refused: .* wire "
+                                            "labels"):
+        session.hello_geometry(_hello(mode=MODES.index("baseline"),
+                                      seq_len=512))
+    monkeypatch.setattr(session, "MAX_SESSION_BYTES", 1 << 40)
+    geom = session_geometry(replace(CFG, seq_len=512), "baseline")
+    assert geom.ot_total == 11_614_208 <= session.MAX_OTS
+    assert sum(geom.nbytes(lay, fresh)
+               for lay, fresh in geom.sent()) == 65_774_144
+    assert _session_bytes(geom)[1] == 11_542_749_184
 
 
 def _recording(fn, pick, seen):
@@ -1064,10 +1145,15 @@ def test_geometry_rotation_keys_are_exactly_the_products_use(cfg, steps,
     pytest.param((8, 100, 4, 8, 1), id="seq-two-to-a-row"),
 ])
 @pytest.mark.parametrize("mode", MODES)
-def test_ring_is_the_smallest_that_holds_every_layout(shape, mode):
+def test_ring_is_the_smallest_that_holds_every_layout(monkeypatch, shape,
+                                                      mode):
     """Every layout the geometry names fits one ring row with all its
     baby-step copies, and the ring is the smallest that does: above the
-    floor, the next smaller ring's row is narrower than some held row."""
+    floor, the next smaller ring's row is narrower than some held row.
+    The ring does not depend on the session's size, so its limit is
+    lifted: baseline's row dividers from seq_len 256 and opt1's at dim 600
+    garble more than `MAX_SESSION_BYTES` of labels at once."""
+    monkeypatch.setattr(session, "MAX_SESSION_BYTES", 1 << 40)
     vocab, L, d, ff, layers = shape
     cfg = ModelConfig(vocab=vocab, seq_len=L, dim=d, ff_dim=ff,
                       n_layers=layers, n_classes=2)
