@@ -30,9 +30,9 @@ STAGE_OT_RESP = 7  # s->c: per circuit group, tables and B2A corrections
 STAGE_SHARE = 8    # c->s: the encrypted output share of each group
 # encrypted matrix products
 MM_OPEN = 9        # s->c: the masked factors
-MM_REPLY = 10      # c->s: encrypted product + shifted factor terms
+MM_REPLY = 10      # c->s: encrypted product + factor terms, two to a ct
 # result
-LOGITS = 11        # s->c: per-class ciphertexts
+LOGITS = 11        # s->c: per-class ciphertexts, zero-sum padded
 
 FRAME_NAMES = {
     HELLO: "hello", ACCEPT: "accept", OT_BASE: "ot-base",

@@ -29,26 +29,32 @@ c1, 16 k n:
   client-setup   c -> s   OT-extension seed pairs, 128 x 32; correction
                           columns, 128 x ceil(ot_total / 8); the encrypted
                           one-hot input, an `input_layout` matrix of fresh
-                          cts
+                          cts, its `steps` copies two to a ct
 
 then per encoder layer, five garbled stages of four frames each,
 interleaved with two encrypted matrix products of two frames each:
 
-  stage-open     s -> c   the masked input, a `stage_input` matrix
+  stage-open     s -> c   the masked input, a `stage_input` matrix, its
+                          mask split across both ring rows
   stage-ot-req   c -> s   derandomization bits, ceil(m count / 8), the pad
                           bits of the last byte zero
   stage-ot-resp  s -> c   per `stage_circuits` group (circ, E), garbled
                           once the bits arrive: tables, 32 n_and E; B2A
                           corrections, 8 n_out E, each word below p
-  stage-share    c -> s   one `stage_shares` matrix of fresh cts per group
+  stage-share    c -> s   one `stage_shares` matrix of fresh cts per group,
+                          copies two to a ct
   mm-open        s -> c   the masked factors, each in the layout of the
                           share it was made from, read as its `.T` where
                           the plan transposes the factor
-  mm-reply       c -> s   a batch of `ctmm_reply_count` fresh cts
+  mm-reply       c -> s   a batch of `ctmm_reply_count` fresh cts, (k + 1)
+                          per ct of the r x c product's rows layout: the
+                          product, then k cts each holding a term of both
+                          masked factors, one to a ring row
 
 and a final frame:
 
-  logits         s -> c   a batch of n_classes cts
+  logits         s -> c   a batch of n_classes cts, each padded to a zero
+                          slot sum
 
 Every frame in either direction counts as one round, so the round count is
 the same constant, 5 + 24 n_layers, for every input of a given shape.
@@ -80,10 +86,17 @@ multiply in the clear, and finish the cross terms homomorphically; the
 result is a plain rows matrix, so every stage input is `rows` or
 `colblocks` and every stage mask is one `add_offset`.
 
+Every product's result, hence every stage input, is a split sum: its value
+is ring row 0 plus ring row 1 (see `helinear`).  The server splits each
+stage mask across the rows, a fresh pad in row 1 and the mask less the pad
+in row 0, and the client reads every one-copy matrix as row 0 plus row 1
+(`decrypt_matrix`), a copied one from copy 0.
+
 The plain-weight products run baby-step giant-step (see `helinear`): every
 matrix one of them reads is a fresh client encryption, so the client sends
 it as `Geometry.steps` rotated copies inside the frame that already carries
-it, and the server needs rotation keys for the giant steps only.
+it, two to a ct, and the server needs rotation keys for the giant steps
+only.
 
 Both parties walk the stage plan's layer schedule (`stages`), which names
 each product's factors and transposes: a transpose is a relabel of the same
@@ -257,11 +270,13 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     The plain-weight products run baby-step giant-step with one
     session-wide g = ceil(sqrt(D_max)) baby steps, D_max the most diagonals
     any product shape spans (`colblock_diagonals`): the client sends g
-    copies of every product input, and a product of D diagonals costs
-    about D/g rotations.  The rotation keys are exactly the giant-step
-    amounts those products use.  The copies always fit beside their row:
-    with q = row_size // seq_len >= 1 held rows to a ring row, a product
-    spans at most 2q - 1 diagonals, so g <= isqrt(2q - 2) + 1 <= q.
+    copies of every product input, two to a ciphertext (one in each ring
+    row), so g copies travel in ceil(g/2) times one copy's ciphertexts, and
+    a product of D diagonals costs about D/g rotations.  The rotation keys
+    are exactly the giant-step amounts those products use.  The copies
+    always fit beside their row: with q = row_size // seq_len >= 1 held
+    rows to a ring row, a product spans at most 2q - 1 diagonals, so
+    g <= isqrt(2q - 2) + 1 <= q.
 
     Both parties run this from the hello parameters and decode what the
     peer sends against it; nothing is rebuilt from the peer's bytes.  A
@@ -477,7 +492,7 @@ def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
     masks = sample_stage_masks(sp.rng, p, m, spec.count)
     offs = _lanes_to_matrix(spec, stage_offsets(masks, m, p))
     _send(sp.conn, sp.tr, STAGE_OPEN,
-          encmatrix_to_bytes(add_offset(ev, enc, offs)))
+          encmatrix_to_bytes(add_offset(ev, enc, offs, sp.rng)))
     tshare = garbler_window_share(masks, m)
 
     nbits = m * spec.count
@@ -542,8 +557,10 @@ def _serve_ctmm(sp: _ServerParty, layer: int, spec: StageSpec, X: EncMatrix,
 def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
     """One ciphertext per class, whose slots the client sums into the
     logit (`helinear.class_sums`): no rotations, hence no extra key
-    material or frames."""
-    logits = class_sums(sp.ev, x_enc, to_field(weights.classifier, sp.geom.p))
+    material or frames.  A zero-sum pad on every class's slots keeps the
+    client from reading the products x[i, j] W[j, c] it sums."""
+    logits = class_sums(sp.ev, x_enc, to_field(weights.classifier, sp.geom.p),
+                        sp.rng)
     _send(sp.conn, sp.tr, LOGITS, cts_to_bytes(logits))
 
 

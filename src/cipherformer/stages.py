@@ -271,6 +271,17 @@ def _check_window(m: int, shift: int, keep: int):
         raise ParameterError(f"output width {keep} out of range for window {m}")
 
 
+# stage circuits kept per process.  `build_stage_plan` gives every layer
+# after the first the same stages, so a plan of any depth garbles at most
+# two layers' circuits, and a layer garbles at most seven affine groups (the
+# three QKV groups and one for each other stage) and one row divider.  The
+# bounds hold every circuit of the deepest plan, so no session rebuilds a
+# circuit it garbled before, while the shapes a peer's hellos name cannot
+# grow the caches without limit.
+AFFINE_CIRCUITS = 2 * 7
+ROWDIV_CIRCUITS = 2
+
+
 def _reconstruct(b: Builder, m: int) -> list[int]:
     """Garbler share + evaluator share mod 2^m, then undo the window offset."""
     t = b.garbler_word(m)
@@ -280,7 +291,7 @@ def _reconstruct(b: Builder, m: int) -> list[int]:
     return x
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=AFFINE_CIRCUITS)
 def affine_stage_circuit(m: int, shift: int, keep: int,
                          relu: bool = False) -> Circuit:
     """Reconstruct one lane, rescale by 2^-shift, saturate, optional relu."""
@@ -328,7 +339,7 @@ def _divider(b: Builder, x: list[int], s: list[int], f: int,
     return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROWDIV_CIRCUITS)
 def rowdiv_stage_circuit(m: int, shift: int, frac: int, keep: int,
                          row_len: int) -> Circuit:
     """Reconstruct a score row, relu it, divide by the row sum.

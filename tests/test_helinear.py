@@ -123,7 +123,8 @@ def test_pack_colblocks_roundtrip(setup, small):
     for steps in (1, 3):  # several ciphertexts per copy, like the old map
         assert np.array_equal(
             layout_vectors(spar, Layout(COLBLOCKS, 8, 16, steps), M),
-            _colblock_vectors(M, 8, 4, spar.row_size, steps))
+            _two_to_a_ct(_colblock_vectors(M, 8, 4, spar.row_size, steps),
+                         steps))
     # a column taller than a ring row
     with pytest.raises(ParameterError, match="row capacity is 32"):
         pack_colblocks(sev, _rand(rng, 33, 2, spar.p))
@@ -147,6 +148,20 @@ def _colblock_vectors(M: np.ndarray, block: int, cols_per_ct: int,
                            for t in range(steps)])
 
 
+def _two_to_a_ct(vecs: np.ndarray, steps: int) -> np.ndarray:
+    """Copy-major ring-row vectors (`_colblock_vectors`) as whole-ring
+    vectors with copies two to a ciphertext: with h = ceil(steps / 2) and
+    G vectors per copy, copy t of vector c goes to ring row t // h of
+    vector (t % h) * G + c."""
+    G, width = len(vecs) // steps, vecs.shape[1]
+    h = -(-steps // 2)
+    out = np.zeros((h * G, 2 * width), dtype=np.uint64)
+    for t in range(steps):
+        row = slice(t // h * width, (t // h + 1) * width)
+        out[t % h * G:(t % h + 1) * G, row] = vecs[t * G:(t + 1) * G]
+    return out
+
+
 def _session_colblock_layouts(geom):
     """Every column-block layout a session of `geom` sends: the input, the
     products' masked factors, the stage inputs and the stage shares with
@@ -166,8 +181,9 @@ def _session_colblock_layouts(geom):
 ])
 def test_colblocks_are_the_old_block_slot_map(cfg):
     """For every column-block layout a session names, in every mode, the
-    rows packing of the transpose puts each entry, copies included, where
-    the block slot map with block = rows put it, with the same count."""
+    rows packing of the transpose puts each entry where the block slot map
+    with block = rows put it, its copies two to a ciphertext, and the
+    layout counts those ciphertexts."""
     rng = np.random.default_rng(107)
     for mode in MODES:
         geom = session_geometry(cfg, mode)
@@ -178,8 +194,9 @@ def test_colblocks_are_the_old_block_slot_map(cfg):
         for lay in lays:
             M = _rand(rng, lay.rows, lay.cols, par.p)
             cpc = min(lay.cols, par.row_size // lay.rows)
-            want = _colblock_vectors(M, lay.rows, cpc, par.row_size,
-                                     lay.steps)
+            want = _two_to_a_ct(_colblock_vectors(M, lay.rows, cpc,
+                                                  par.row_size, lay.steps),
+                                lay.steps)
             got = layout_vectors(par, lay, M)
             assert np.array_equal(got, want), (mode, lay)
             assert lay.ct_count(par) == len(want)
@@ -202,20 +219,48 @@ def test_add_offset_layouts(setup, small):
     assert np.array_equal(decrypt_matrix(keys, out.T).astype(object), want)
 
 
+def test_split_offset_pads_ring_row_one(small):
+    """An offset split across the ring rows of a product's split sum: the
+    matrix decrypts to the product plus the offset, ring row 1 holds a
+    fresh pad on the layout's slots only, and another generator moves both
+    rows but not their sum.  A matrix with copies has no free row."""
+    par, keys, ev = small
+    rng = np.random.default_rng(109)
+    X = _rand(rng, 8, 6, par.p)
+    W = _rand(rng, 6, 5, par.p)
+    off = _rand(rng, 8, 5, par.p)
+    prod = colblock_matmul(ev, pack_colblocks(ev, X), W)
+    want = (matmul_mod(X, W, par.p).astype(object) + off) % par.p
+    half = par.row_size
+    live = layout_vectors(par, prod.layout, np.ones_like(off))[:, :half] > 0
+    pads = []
+    for seed in (1, 2):
+        out = add_offset(ev, prod, off, np.random.default_rng(seed))
+        assert np.array_equal(decrypt_matrix(keys, out).astype(object), want)
+        dec = keys.decrypt_many(out.cts)
+        for row in (dec[:, :half], dec[:, half:]):
+            assert not row[~live].any()
+        pads.append(dec[:, half:][live])
+    assert (pads[0] != pads[1]).all()
+    with pytest.raises(ParameterError, match="no free ring row"):
+        add_offset(ev, pack_colblocks(ev, X, steps=2), X, rng)
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3])
 @pytest.mark.parametrize("packing", [ROWS, COLBLOCKS])
 def test_layout_transpose_is_a_relabel(small, packing, steps):
     """`.T` swaps the packing and the shape over the same ciphertexts: the
     transposed layout puts the transposed matrix in the same slots, baby-step
     copies included, and decrypts to the transpose.  A 4 x 9 matrix takes
-    two ciphertexts per copy on the 32-slot ring in either packing."""
+    two ciphertexts per pair of copies on the 32-slot ring in either
+    packing."""
     par, keys, ev = small
     M = _rand(np.random.default_rng(108), 4, 9, par.p)
     lay = Layout(packing, 4, 9, steps)
     assert lay.T.T == lay
     assert (lay.T.shape, lay.T.steps) == ((9, 4), steps)
     assert lay.T.packing != packing and lay.T.held == lay.held
-    assert lay.T.ct_count(par) == lay.ct_count(par) == 2 * steps
+    assert lay.T.ct_count(par) == lay.ct_count(par) == 2 * -(-steps // 2)
     vecs = layout_vectors(par, lay, M)
     assert np.array_equal(layout_vectors(par, lay.T, M.T), vecs)
     enc = EncMatrix(lay, ev.encrypt_many(vecs))
@@ -288,26 +333,39 @@ def test_weight_plan_is_kept_and_refuses_writes(small):
 def test_class_sums_are_slot_sums_of_the_product(small):
     """Each class ciphertext's slots sum to the sum over rows of X @ W's
     column, for an input spread over two ciphertexts; the classifier's
-    encodings are a read-only weight plan, kept for the next call."""
+    encodings are a read-only weight plan, kept for the next call.  Each
+    ciphertext carries a zero-sum pad on the input layout's slots, so two
+    generators give the same sums in other slots, and no slot holds a bare
+    product X[i, j] W[j, c]."""
     par, keys, ev = small
     rng = np.random.default_rng(107)
     X = _rand(rng, 8, 6, par.p)
     W = _rand(rng, 6, 3, par.p)
     enc = pack_colblocks(ev, X)
     assert len(enc.cts) == 2
-    out = class_sums(ev, enc, W)
+    out = class_sums(ev, enc, W, np.random.default_rng(1))
     assert len(out) == 3
-    sums = [sum(int(v) for v in row) % par.p for row in keys.decrypt_many(out)]
+    slots = keys.decrypt_many(out)
+    sums = [sum(int(v) for v in row) % par.p for row in slots]
     assert sums == [int(v) % par.p for v in
                     matmul_mod(X, W, par.p).astype(object).sum(axis=0)]
+    xs = layout_vectors(par, enc.layout, X).astype(object)
+    bare = np.array([(xs * layout_vectors(par, enc.layout,
+                                          np.tile(W[:, c], (8, 1)))).sum(axis=0)
+                     % par.p for c in range(3)])
+    used = layout_vectors(par, enc.layout, np.ones_like(X)).any(axis=0)
+    assert not slots[:, ~used].any()
+    assert (slots[:, used] != bare[:, used]).all()
     before = weight_plan.cache_info()
-    class_sums(ev, enc, W)
+    again = keys.decrypt_many(class_sums(ev, enc, W, np.random.default_rng(2)))
     assert weight_plan.cache_info().hits == before.hits + 1
+    assert [sum(int(v) for v in row) % par.p for row in again] == sums
+    assert (again[:, used] != slots[:, used]).all()
     plan = weight_plan(class_plan, par, enc.layout, 2, W.shape, W.tobytes())
     with pytest.raises(ValueError, match="read-only"):
         plan.diags.poly.flat[0] = 0
     with pytest.raises(ParameterError, match="inner dims"):
-        class_sums(ev, enc, W[:5])
+        class_sums(ev, enc, W[:5], np.random.default_rng(3))
 
 
 def _bsgs_steps(par, in_cols, rows, out_cols):
@@ -326,7 +384,8 @@ def test_colblock_matmul_baby_steps(small, in_cols, out_cols):
     rows (16 to a ring row): for every copy count the product equals the plain
     one, with a key set of exactly the giant-step amounts, one key switch
     per giant step and ciphertext pair, and the server's offset landing on
-    every copy."""
+    every copy.  Copies go two to a ciphertext: copy t in ring row
+    t // h of the (t % h)-th G ciphertexts, h = ceil(steps / 2)."""
     par = small[0]
     rng = np.random.default_rng(106 + in_cols + out_cols)
     X = _rand(rng, 2, in_cols, par.p)
@@ -342,12 +401,14 @@ def test_colblock_matmul_baby_steps(small, in_cols, out_cols):
         ev = pahe.Evaluator(keys, seed=8)
         enc = pack_colblocks(ev, X, steps=steps)
         G = -(-in_cols // colblock_cols_per_ct(par, in_cols, 2))
-        assert enc.layout.steps == steps and len(enc.cts) == steps * G
+        h = -(-steps // 2)
+        assert enc.layout.steps == steps and len(enc.cts) == h * G
+        dec = keys.decrypt_many(enc.cts).reshape(h, G, 2, par.row_size)
         for t in range(steps):  # copy t is the ring row rotated by t blocks
-            assert np.array_equal(
-                keys.decrypt_many(enc.cts[t * G:(t + 1) * G])[:, :par.row_size],
-                np.roll(keys.decrypt_many(enc.cts[:G])[:, :par.row_size],
-                        -2 * t, axis=1))
+            assert np.array_equal(dec[t % h, :, t // h],
+                                  np.roll(dec[0, :, 0], -2 * t, axis=1))
+        if steps % 2:  # an odd count leaves the last ring row 1 empty
+            assert not dec[h - 1, :, 1].any()
         out = colblock_matmul(ev, add_offset(ev, enc, off), W)
         assert out.layout == Layout(COLBLOCKS, 2, out_cols)
         assert np.array_equal(decrypt_matrix(keys, out), want), steps
@@ -394,14 +455,17 @@ def test_ctmm_cross_term_small_exhaustive(setup):
     """The cross term R1 @ (Y - R2) alone, on corner values: with the
     product, the other cross term and R2 all zero, the finished product is
     R @ M for every 2x2 R over {0, 1, p-1, 7}, both rows in one
-    ciphertext."""
+    ciphertext.  The terms of Y - R2 travel in ring row 1, beside the zero
+    terms of X - R1."""
     par, keys, ev, _ = setup
     rng = np.random.default_rng(106)
     M = _rand(rng, 2, 5, par.p)
     zero = np.zeros((2, 5), dtype=np.uint64)
     _, m_terms = _shifted_terms(zero[:, :2], M)
-    reply = pahe.Ciphertexts.concat(
-        [pack_rows(ev, m).cts for m in [zero] * 3 + list(m_terms)])
+    in_row1 = [np.roll(layout_vectors(par, Layout(ROWS, 2, 5), m),
+                       par.row_size, axis=1) for m in m_terms]
+    reply = pahe.Ciphertexts.concat([pack_rows(ev, zero).cts,
+                                     ev.encrypt_many(np.concatenate(in_row1))])
     vals = [0, 1, par.p - 1, 7]
     for a in vals:
         for b in vals:
@@ -444,18 +508,22 @@ def _check_ctmm_exact(fixture, dims, packs):
     T = rows_per_ct(par, c)
     G = -(-r // T)
     want = matmul_mod(X, Y, keys.params.p)
-    # the reply: the product, then k terms of each factor, G cts apiece
-    assert len(reply) == ctmm_reply_count(par, st) == (2 * k + 1) * G
+    # the reply: the product, then k terms of both factors, G cts apiece
+    assert len(reply) == ctmm_reply_count(par, st) == (k + 1) * G
     assert out.layout == Layout(ROWS, r, c)
     assert len(out.cts) == G
     assert np.array_equal(decrypt_matrix(keys, out), want)
     assert out.cts.noise_budget_bits > 0
-    # every slot outside the rows layout is still zero
+    # a split sum: row 0 plus row 1 is the rows layout, and every slot
+    # outside it is zero in both rows
     rows = np.zeros((G * T, c), dtype=np.uint64)
     rows[:r] = want
-    slots = np.zeros((G, par.n), dtype=np.uint64)
+    slots = np.zeros((G, par.row_size), dtype=np.uint64)
     slots[:, :T * c] = rows.reshape(G, T * c)
-    assert np.array_equal(keys.decrypt_many(out.cts), slots)
+    dec = keys.decrypt_many(out.cts)
+    half = par.row_size
+    assert np.array_equal((dec[:, :half] + dec[:, half:]) % par.p, slots)
+    assert not dec[:, T * c:half].any() and not dec[:, half + T * c:].any()
 
 
 @pytest.mark.parametrize("dims,packs", [
@@ -512,11 +580,14 @@ def test_ctmm_zero_mask_reveals_structure(setup):
     assert np.array_equal(decrypt_matrix(keys, ym), Y)
     reply = ctmm_client_round(ev_c, keys, xm, ym)
     x_terms, y_terms = _shifted_terms(X, Y)
-    want = [matmul_mod(X, Y, par.p), *x_terms, *y_terms]
-    assert len(reply) == len(want) == 7
-    for ct, m in zip(reply, want):
-        got = decrypt_matrix(keys, EncMatrix(Layout(ROWS, 4, 2), ct))
-        assert np.array_equal(got, m)
+    lay = Layout(ROWS, 4, 2)
+    row0 = [matmul_mod(X, Y, par.p), *x_terms]
+    row1 = [np.zeros((4, 2), dtype=np.uint64), *y_terms]
+    assert len(reply) == len(row0) == 4
+    for ct, a, b in zip(reply, row0, row1):
+        want = layout_vectors(par, lay, a)
+        want[:, par.row_size:] = layout_vectors(par, lay, b)[:, :par.row_size]
+        assert np.array_equal(keys.decrypt_many(ct), want)
     out = ctmm_server_finalize(ev, reply, st)
     assert np.array_equal(decrypt_matrix(keys, out), matmul_mod(X, Y, par.p))
 
@@ -643,17 +714,19 @@ def test_encmatrix_layout_must_match_payload(setup, small):
 
 def test_encmatrix_copy_count_must_fit(small):
     """The baby-step copy count is the layout's: four copies of column
-    blocks decode only against a four-copy layout, and never as rows."""
+    blocks, two to a ciphertext, decode only against a layout of two
+    ciphertexts' worth of copies (three or four), and never as rows."""
     spar, skeys, sev = small
     rng = np.random.default_rng(502)
     M = _rand(rng, 8, 3, spar.p)
     blob = encmatrix_to_bytes(pack_colblocks(sev, M, steps=4))
     back = encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, 4),
                                 fresh=True)
-    assert back.layout.steps == 4 and len(back.cts) == 4
+    assert back.layout.steps == 4 and len(back.cts) == 2
     assert np.array_equal(decrypt_matrix(skeys, back), M)
-    for steps in (1, 3, 5):
-        with pytest.raises(ProtocolError, match=f"needs {steps} ciphertexts"):
+    for steps in (1, 2, 5, 6):
+        with pytest.raises(ProtocolError,
+                           match=f"needs {-(-steps // 2)} ciphertexts"):
             encmatrix_from_bytes(blob, spar, Layout(COLBLOCKS, 8, 3, steps),
                                  fresh=True)
     with pytest.raises(ProtocolError, match="rows matrix of 8x3 needs 1"):

@@ -21,7 +21,7 @@ import pytest
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.gc import garble as garble_module
 from cipherformer.gc.ot import LAMBDA, POINT_BYTES
-from cipherformer import helinear, pahe
+from cipherformer import helinear, pahe, stages
 from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
                                    encmatrix_to_bytes, layout_vectors,
@@ -44,15 +44,15 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 
 DIGESTS = {
-    "baseline": "18d16b5402a02aa16024de7af83949ea"
-                "13a647d6880463ddfa6d98258644807c",
-    "opt1": "968bde73ae9308a6da2bccb0f95a7c9c"
-            "94d02b837edaad538808189d16464b18",
-    "opt2": "44980dded1c79c40ae7aebbb2f36cbe3"
-            "0848d563c8eecfe15fe1ce9f7aac9be4",
+    "baseline": "3270effd8c5c14260b7eed24ac9ace67"
+                "3894845415d84b43557b7649c6524840",
+    "opt1": "1a492d79f1b0e784fcb575c7915b1801"
+            "bb1922023b28879484b9cad0bc1cc76a",
+    "opt2": "34fcfd30ca2f43c7bee9901056e878cf"
+            "2cbfd39bb5e0cd0ef59156f174bba089",
 }
-TWO_LAYER_DIGEST = ("0fe25bd844796e6926096b80b4c2cc9b"
-                    "917886521d59e8f81a1a01b49f8465ae")
+TWO_LAYER_DIGEST = ("5aaa67fd505e03e43b1bb0f95f071a3e"
+                    "105e6d92bf60e2894c27de43c4fef6c4")
 
 
 @pytest.fixture(scope="module")
@@ -214,10 +214,12 @@ def test_seeds_never_repeat_and_the_server_parses_what_the_client_holds(
         as_party("client", lambda c: run_client(c, TOKENS, seed=12)))
     assert np.array_equal(client.logits,
                           forward_fixed(cfg, wts, TOKENS, "opt2").logits)
-    # four Galois keys and 75 fresh ciphertexts
+    # four Galois keys and 47 fresh ciphertexts: per layer two 4 x 4 x 4
+    # products of k + 1 = 5 reply ciphertexts, and five baby-step copies in
+    # three ciphertexts for the input and each product share
     sent = np.concatenate(seeds["client"])
     assert len(sent) == (len(server.geometry.galois)
-                         + client.transcript.counters["encrypt"]) == 79
+                         + client.transcript.counters["encrypt"]) == 51
     assert len(np.unique(sent, axis=0)) == len(sent)
     assert np.array_equal(np.concatenate(seeds["server"]), sent)
     assert np.array_equal(np.concatenate(arrays["server"]),
@@ -378,6 +380,97 @@ def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
         assert (tr.bytes_sent, tr.gc_online_bytes) == (s2c, gc)
 
 
+# the smallest noise budget any operation of a session on each benchmark
+# shape left before ring row 1 carried data (server seed 11, client seed
+# 12): no shape may fall below it, nor below the floor
+NOISE_FLOOR_BITS = 8.0
+ONE_ROW_MIN_BUDGET = {"tiny-opt1": 9.44, "gc-l16-baseline": 8.68,
+                     "he-small-opt2": 8.71}
+
+
+@pytest.mark.parametrize("cfg,mode,name", [
+    pytest.param(CFG, "opt1", "tiny-opt1", id="tiny-opt1"),
+    pytest.param(GC_L16, "baseline", "gc-l16-baseline", id="gc-l16-baseline"),
+    pytest.param(HE_SMALL, "opt2", "he-small-opt2", id="he-small-opt2"),
+])
+def test_sessions_keep_a_noise_floor(monkeypatch, cfg, mode, name):
+    """One exact session of each benchmark shape, recording the tracked
+    budget of every homomorphic result either party computes.  The wire
+    carries no noise estimate, so a decrypted ciphertext's budget is the
+    client's fresh estimate; the server's operations are where the budget
+    is spent, so the record is `Evaluator._bump_noise`, which settles every
+    result's noise before the work."""
+    budgets = []
+    real = Evaluator._bump_noise
+
+    def recording(self, cts, bits):
+        out = real(self, cts, bits)
+        if out.size:
+            budgets.append(self.params.max_budget_bits - out.max())
+        return out
+
+    monkeypatch.setattr(Evaluator, "_bump_noise", recording)
+    tokens = (np.arange(cfg.seq_len) * 5 + 1) % cfg.vocab
+    wts = gen_random(cfg, 7, scale=0.25)
+    _, client = private_inference(cfg, wts, tokens, mode, server_seed=11,
+                                  client_seed=12)
+    assert np.array_equal(client.logits,
+                          forward_fixed(cfg, wts, tokens, mode).logits)
+    assert min(budgets) >= max(NOISE_FLOOR_BITS, ONE_ROW_MIN_BUDGET[name])
+
+
+def test_logits_slots_hide_the_products(weights, monkeypatch):
+    """Each slot of a class ciphertext is a product x[i, j] W[j, c] of the
+    final state and the classifier plus a fresh pad, the pads of a class
+    summing to zero.  Two sessions with the same tokens, weights and client
+    seed but other server seeds give the same logits, and the client
+    decrypts other slot vectors: bare products would be the same in
+    both."""
+    decrypted = []
+    real = pahe.KeyMaterial.decrypt_many
+    monkeypatch.setattr(pahe.KeyMaterial, "decrypt_many", lambda self, cts: (
+        decrypted.append(real(self, cts)) or decrypted[-1]))
+    ref = forward_fixed(CFG, weights, TOKENS, "opt1").logits
+    slots = []
+    for server_seed in (11, 13):
+        _, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                      server_seed=server_seed,
+                                      client_seed=12)
+        assert np.array_equal(client.logits, ref)
+        slots.append(decrypted[-1])  # the logits are the last decryption
+    assert slots[0].shape == (CFG.n_classes, PARAMS.n)
+    assert not np.array_equal(*slots)
+
+
+def test_stage_circuit_caches_hold_a_plan_and_stay_bounded(monkeypatch):
+    """The deepest plan of every mode garbles no more distinct circuits
+    than the caches hold, so walking it again builds none; sizing many
+    distinct shapes that are then refused evicts, and leaves each cache at
+    most at its bound."""
+    caches = ((stages.affine_stage_circuit, stages.AFFINE_CIRCUITS),
+              (stages.rowdiv_stage_circuit, stages.ROWDIV_CIRCUITS))
+    for cache, bound in caches:
+        assert cache.cache_info().maxsize == bound
+    for mode in MODES:
+        plan = replace(CFG, n_layers=session.MAX_LAYERS).plan(mode)
+        specs = [spec for enc in plan.encoders for spec in enc]
+        for spec in specs:
+            stage_circuits(spec)
+        misses = [cache.cache_info().misses for cache, _ in caches]
+        for spec in specs:
+            stage_circuits(spec)
+        assert [cache.cache_info().misses for cache, _ in caches] == misses
+    misses = [cache.cache_info().misses for cache, _ in caches]
+    monkeypatch.setattr(session, "MAX_SESSION_BYTES", 1)
+    for f in range(4, 12):
+        for mode in MODES:
+            with pytest.raises(ParameterError, match="above the limit"):
+                session_geometry(replace(CFG, f=f), mode)
+    for (cache, bound), before in zip(caches, misses):
+        assert cache.cache_info().misses - before > bound
+        assert cache.cache_info().currsize <= bound
+
+
 def _closing(party, conn, *args, **kwargs):
     """Run one party, then close its end, so a failure on one side ends
     the other side's reads instead of leaving them waiting."""
@@ -522,12 +615,14 @@ def test_client_rejects_stage_open_off_the_plan(weights, edit):
 
 def test_server_refuses_share_without_its_copies(weights):
     """attn_rescale feeds the first feed-forward product, so its share must
-    carry the geometry's five baby-step copies; a client sending one copy
-    is refused by the frame's length."""
+    carry the geometry's five baby-step copies, two to a ciphertext, in
+    three ciphertexts; a client sending one copy is refused by the frame's
+    length."""
     steps = session_geometry(CFG, "opt1").steps
+    cts = -(-steps // 2)
 
     def first_copy(blob: bytearray):
-        del blob[len(blob) // steps:]
+        del blob[len(blob) // cts:]
 
     # opt1 shares in order: qkv_rescale, attn_inner, attn_rescale
     server_err, client_err = run_pair(
@@ -537,7 +632,7 @@ def test_server_refuses_share_without_its_copies(weights):
             TOKENS, seed=12)))
     assert isinstance(server_err, ProtocolError)
     assert (f"stage-share frame of {FRESH_CT_BYTES} bytes, the plan's has "
-            f"{steps * FRESH_CT_BYTES}") in str(server_err)
+            f"{cts * FRESH_CT_BYTES}") in str(server_err)
     assert isinstance(client_err, ProtocolError)
 
 
@@ -765,7 +860,7 @@ def _residue_past_q0(blob: bytearray):
 def test_server_rejects_malformed_mm_reply(weights, edit, error):
     """The first product reply arrives malformed; the server refuses it with
     a ProtocolError before it multiplies anything.  The length it accepts is
-    the one its mask state implies (2k + 1 = 9 ciphertexts for the 4 x 4
+    the one its mask state implies (k + 1 = 5 ciphertexts for the 4 x 4
     inner product of opt1).  A flip that still decodes to well-formed
     ciphertexts is not caught: this protocol is semi-honest, and such a
     reply only corrupts the client's own result."""
@@ -1147,9 +1242,11 @@ def test_geometry_rotation_keys_are_exactly_the_products_use(cfg, steps,
 @pytest.mark.parametrize("mode", MODES)
 def test_ring_is_the_smallest_that_holds_every_layout(monkeypatch, shape,
                                                       mode):
-    """Every layout the geometry names fits one ring row with all its
-    baby-step copies, and the ring is the smallest that does: above the
-    floor, the next smaller ring's row is narrower than some held row.
+    """Every layout the geometry names fits the ring, one whole-ring slot
+    vector per ciphertext, with all its baby-step copies two to a
+    ciphertext, and the ring is the smallest whose row holds every held
+    row: above the floor, the next smaller ring's row is narrower than some
+    held row.
     The ring does not depend on the session's size, so its limit is
     lifted: baseline's row dividers from seq_len 256 and opt1's at dim 600
     garble more than `MAX_SESSION_BYTES` of labels at once."""
@@ -1165,8 +1262,7 @@ def test_ring_is_the_smallest_that_holds_every_layout(monkeypatch, shape,
     for lay in lays:
         vecs = layout_vectors(geom.params, lay,
                               np.zeros(lay.shape, dtype=np.uint64))
-        assert vecs.shape == (lay.ct_count(geom.params),
-                              geom.params.row_size)
+        assert vecs.shape == (lay.ct_count(geom.params), geom.n)
     if geom.n > session.MIN_RING_DEGREE:
         assert max(lay.held[1] for lay in lays) > geom.n // 4
 
@@ -1175,7 +1271,7 @@ def test_geometry_check_compares_copies():
     """A product input must carry the geometry's baby-step copies and a
     stage input exactly one: the attn_rescale share and the ff_out input
     are both 4 x 4 column blocks, and each layout refuses the other's
-    payload by its ciphertext count."""
+    payload by its ciphertext count, five copies taking three."""
     geom = session_geometry(CFG, "opt1")
     km = keygen(geom.params, seed=3)
     ev = Evaluator(km, seed=4)
@@ -1191,7 +1287,7 @@ def test_geometry_check_compares_copies():
                                 fresh=True).layout == share
     assert encmatrix_from_bytes(one, geom.params, stage_in,
                                 fresh=True).layout == stage_in
-    with pytest.raises(ProtocolError, match="needs 5 ciphertexts"):
+    with pytest.raises(ProtocolError, match="needs 3 ciphertexts"):
         encmatrix_from_bytes(one, geom.params, share, fresh=True)
     with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
         encmatrix_from_bytes(many, geom.params, stage_in, fresh=True)
