@@ -7,13 +7,14 @@ constants into the labelling: each of those wires has the all-zero
 active label, and no label of the garbler's travels (`garble`).
 
 Labels are 128-bit, stored as (..., 2) uint64 little-halves-first.  One
-offset `delta` serves every garbling of a session: it is the IKNP sender's
-s (`gc.ot`), whose low bit is forced to 1 so the label's low bit serves as
-the point-and-permute color, and the OT fixes the evaluator's input labels
-under it.  The gate hash is the standard fixed-key AES construction
-H(X, t) = AES(2X ^ t) ^ 2X ^ t, with tweaks unique per (garbling, instance,
-gate, half) across the session (`tweak_namespace`); instances are
-independent garblings of the same topology.
+offset `delta` serves every garbling of every session that extends one set
+of base OTs: it is the IKNP sender's s (`gc.ot`), whose low bit is forced
+to 1 so the label's low bit serves as the point-and-permute color, and the
+OT fixes the evaluator's input labels under it.  The gate hash is the
+standard fixed-key AES construction H(X, t) = AES(2X ^ t) ^ 2X ^ t, with
+tweaks unique per (session, garbling, instance, gate, half) under one
+delta (`tweak_namespace`); instances are independent garblings of the same
+topology.
 
 Garbling and evaluation walk the circuit's level schedule (`Circuit.levels`):
 at each depth, all XOR gates are one gather-XOR-scatter over the label array
@@ -67,27 +68,51 @@ def _hash(aes, labels: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").reshape(t.shape) ^ t
 
 
-def tweak_namespace(layer: int, stage: int, group: int) -> int:
-    """The high tweak word of group `group` of stage `stage` of encoder layer
-    `layer`, above its 32 instance bits: each garbling of a session gets its
-    own, from the plan alone, so both parties derive it."""
+# the low tweak word's bits from SESSION_SHIFT up to the B2A flag hold the
+# session number; gate tweaks and output indices stay below 2^27 (see
+# `garble`)
+SESSION_SHIFT = 32
+# sessions one offset delta can garble under: what those 29 bits hold
+MAX_SESSIONS = 1 << 29
+_WORD = (1 << 64) - 1
+
+
+def tweak_namespace(layer: int, stage: int, group: int,
+                    session: int = 0) -> int:
+    """The tweak bits of group `group` of stage `stage` of encoder layer
+    `layer`, in the session numbered `session` under its offset delta, as
+    one 128-bit int, high word << 64 | low word: (layer, stage, group) in
+    the high word above its 32 instance bits, the session number in the
+    low word above the gate and output indices.  Each garbling under one
+    delta gets its own, from the plan and the session number alone, so
+    both parties derive it; session 0 leaves the low word clear."""
     if not (0 <= layer < 1 << 16 and 0 <= stage < 1 << 8
-            and 0 <= group < 1 << 8):
+            and 0 <= group < 1 << 8 and 0 <= session < MAX_SESSIONS):
         raise CircuitError("garbling namespace out of range")
-    return (layer << 16 | stage << 8 | group) << 32
+    return (layer << 16 | stage << 8 | group) << 96 | session << SESSION_SHIFT
 
 
-def _tweak_grid(word0: np.ndarray, instances: int, ns: int) -> np.ndarray:
-    """Tweaks (..., E, 2): word0 in the low half, the namespace `ns` and the
-    instance in the high."""
+def _ns_words(ns: int) -> tuple[np.uint64, np.uint64]:
+    """The namespace `ns` as its (low, high) tweak words."""
+    return np.uint64(ns & _WORD), np.uint64(ns >> 64)
+
+
+def _tweak_grid(word0: np.ndarray, instances: int,
+                ns_words: tuple[np.uint64, np.uint64]) -> np.ndarray:
+    """Tweaks (..., E, 2): word0 ORed with the namespace's low word in the
+    low half, its high word and the instance in the high."""
+    low, high = ns_words
     word0 = np.asarray(word0, dtype=np.uint64)
+    if low:
+        word0 = word0 | low
     tw = np.empty(word0.shape + (instances, 2), dtype=np.uint64)
     tw[..., 0] = word0[..., None]
-    tw[..., 1] = np.uint64(ns) | np.arange(instances, dtype=np.uint64)
+    tw[..., 1] = high | np.arange(instances, dtype=np.uint64)
     return tw
 
 
-_B2A_NS = np.uint64(1) << np.uint64(61)   # tweak namespace for label-keyed pads
+# the low-word flag of the label-keyed pads' tweaks, above the session bits
+_B2A_NS = np.uint64(1) << np.uint64(61)
 
 
 def _lsb(x: np.ndarray) -> np.ndarray:
@@ -100,7 +125,7 @@ class GarbledCircuit:
     """Garbler-side result for E independent instances of one topology."""
 
     circuit: Circuit
-    delta: np.ndarray            # (2,) the session offset
+    delta: np.ndarray            # (2,) the garbling offset
     ns: int                      # the garbling's tweak namespace
     wire0: np.ndarray            # (W, E, 2) zero-labels for every wire
     tables: np.ndarray           # (n_and, E, 2, 2) the two rows per AND
@@ -112,7 +137,7 @@ def _folded_pads(labels: np.ndarray, ns: int, p: int) -> np.ndarray:
     (lo + 2^64 hi) mod p."""
     n_out, E = labels.shape[-3:-1]
     pads = hash_labels(labels, _tweak_grid(
-        _B2A_NS | np.arange(n_out, dtype=np.uint64), E, ns))
+        _B2A_NS | np.arange(n_out, dtype=np.uint64), E, _ns_words(ns)))
     return reduce128(pads[..., 1], pads[..., 0], p)
 
 
@@ -154,7 +179,7 @@ def b2a_shares(active_out: np.ndarray, c: np.ndarray, ns: int,
 
 def garble(circuit: Circuit, delta: np.ndarray, garbler_bits: np.ndarray,
            evaluator_zero: np.ndarray, ns: int) -> GarbledCircuit:
-    """Garble E independent instances of `circuit` under the session offset
+    """Garble E independent instances of `circuit` under the offset
     `delta`, (2,), one level at a time, with the garbler's input bits
     `garbler_bits`, (E, n_gin), hardcoded.
 
@@ -164,20 +189,30 @@ def garble(circuit: Circuit, delta: np.ndarray, garbler_bits: np.ndarray,
     CONST1 gets delta, so each of these wires has the all-zero active label,
     where `evaluate` starts it: no garbler label is sent, and garbling draws
     nothing.  Tweaks are 2g and 2g+1 for gate index g in the low word and
-    `ns` | the instance in the high one, and AND g's two rows go to table
-    row `Level.and_row`, so the result does not depend on how the gates are
-    batched.
+    the instance in the high one, each word ORed with its half of `ns`, and
+    AND g's two rows go to table row `Level.and_row`, so the result does
+    not depend on how the gates are batched.
 
-    Security (semi-honest).  Every garbling of a session shares `delta`, and
-    the evaluator's labels are IKNP rows, so this rests on the fixed-key
-    hash being tweakable circular correlation robust (Zahur-Rosulek-Evans,
-    EUROCRYPT 2015; Guo-Katz-Wang-Yu, S&P 2020): to whoever does not know
-    delta, H(X ^ delta, t) looks uniform next to every other query, provided
-    no tweak t is used beyond the two labels X and X ^ delta of one wire.
-    Within a garbling the gate index, half and instance keep tweaks apart;
-    across garblings `ns` does, so each garbling of a session must take its
-    own `tweak_namespace`.  delta's colour bit is public (forced to 1), so
-    it keeps 127 secret bits.  Hardcoding adds no assumption: the evaluator
+    Security (semi-honest).  Every garbling of every session that extends
+    one set of base OTs shares `delta`, and the evaluator's labels are IKNP
+    rows, so this rests on the fixed-key hash being tweakable circular
+    correlation robust (Zahur-Rosulek-Evans, EUROCRYPT 2015;
+    Guo-Katz-Wang-Yu, S&P 2020): to whoever does not know delta,
+    H(X ^ delta, t) looks uniform next to every other query, provided no
+    tweak t is used beyond the two labels X and X ^ delta of one wire.  The
+    game counts queries, not sessions, so labels from many sessions under
+    one delta are as safe as those of one, as long as their tweaks stay
+    apart.  Within a garbling the gate index, half and
+    instance keep tweaks apart; across the garblings of a session the
+    (layer, stage, group) of `ns` does, and across sessions its session
+    number, so each garbling must take its own `tweak_namespace`.  A gate
+    index or output index below 2^31 stays clear of the session bits (a
+    session holds far fewer wires: `MAX_SESSION_BYTES` keeps a label array
+    below 2^26 wires), and no delta may serve more than `MAX_SESSIONS`
+    sessions.  Each session's evaluator labels are fresh: its IKNP rows
+    come from blocks of the column streams that no other session reads
+    (`gc.ot`).  delta's colour bit is public (forced to 1), so it keeps
+    127 secret bits.  Hardcoding adds no assumption: the evaluator
     holds the same block, 0, for a garbler wire of either value, so that
     label says nothing of the bit; the wire's other label is delta, and
     H(0 ^ delta, t) under a tweak used once is a query the same game
@@ -186,6 +221,9 @@ def garble(circuit: Circuit, delta: np.ndarray, garbler_bits: np.ndarray,
     E = evaluator_zero.shape[1]
     if E >= 1 << 32:
         raise CircuitError("more instances than the tweak's 32 bits hold")
+    if circuit.n_wires > 1 << (SESSION_SHIFT - 1):
+        raise CircuitError("more wires than the low tweak word's index bits "
+                           "hold")
     bits = np.asarray(garbler_bits)
     if bits.shape != (E, circuit.garbler_inputs.size):
         raise CircuitError("garbler bit array has wrong shape")
@@ -198,7 +236,7 @@ def garble(circuit: Circuit, delta: np.ndarray, garbler_bits: np.ndarray,
     wire0[circuit.evaluator_inputs] = evaluator_zero
 
     tables = np.empty((circuit.n_and, E, 2, 2), dtype=np.uint64)
-    aes = _AES.encryptor()
+    aes, words = _AES.encryptor(), _ns_words(ns)
     for lv in circuit.levels:
         if lv.n_xor:
             wire0[lv.xor_out] = wire0[lv.xor_in0] ^ wire0[lv.xor_in1]
@@ -210,7 +248,7 @@ def garble(circuit: Circuit, delta: np.ndarray, garbler_bits: np.ndarray,
         # (b0, b1) under 2g+1
         (ha0, ha1), (hb0, hb1) = _hash(
             aes, np.array([[a0, a0 ^ delta], [b0, b0 ^ delta]]),
-            _tweak_grid(lv.and_tweak, E, ns)[:, None])
+            _tweak_grid(lv.and_tweak, E, words)[:, None])
         pa = _lsb(a0)
         pb = _lsb(b0)
         tg = ha0 ^ ha1 ^ pb * delta
@@ -235,7 +273,7 @@ def evaluate(circuit: Circuit, tables: np.ndarray,
     E = evaluator_active.shape[1]
     active = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
     active[circuit.evaluator_inputs] = evaluator_active
-    aes = _AES.encryptor()
+    aes, words = _AES.encryptor(), _ns_words(ns)
     for lv in circuit.levels:
         if lv.n_xor:
             active[lv.xor_out] = active[lv.xor_in0] ^ active[lv.xor_in1]
@@ -244,7 +282,7 @@ def evaluate(circuit: Circuit, tables: np.ndarray,
         wa = active[lv.and_in0]
         wb = active[lv.and_in1]
         ha, hb = _hash(aes, np.array([wa, wb]),
-                       _tweak_grid(lv.and_tweak, E, ns))
+                       _tweak_grid(lv.and_tweak, E, words))
         rows = tables[lv.and_row]
         sa = _lsb(wa)
         sb = _lsb(wb)

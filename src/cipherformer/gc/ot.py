@@ -2,20 +2,34 @@
 semi-honest.
 
 The evaluator's input labels come straight out of IKNP's correlated OT
-(Asharov-Lindell-Schneider-Zohner, CCS 2013), in two phases so the heavy
-part runs before the online phase starts:
+(Asharov-Lindell-Schneider-Zohner, CCS 2013), in three phases so the heavy
+parts run before the online phase starts:
 
-  * offline -- 128 base OTs (public-key) seed an IKNP extension of M OTs
-    on random choice bits b_j.  The receiver ends with rows t_j, the sender
-    with rows q_j = t_j ^ b_j s, s being its 128 base-OT choice bits.  s is
-    the session's one garbling offset delta, with the bit that becomes a
-    label's colour forced to 1 (`COLOUR_COLUMN`), so 127 bits of it stay
+  * once per client key set -- 128 base OTs (public-key) hand the IKNP
+    sender, for each column j, one of the receiver's two 16-byte seeds,
+    the one its choice bit s_j picks.  s is the garbling offset delta of
+    every session that extends from these seeds, with the bit that becomes
+    a label's colour forced to 1 (`COLOUR_COLUMN`), so 127 bits of it stay
     secret.
+  * offline, every session -- each seed keys an AES-CTR column stream, and
+    an extension of M OTs on random choice bits b_j takes the next
+    `stream_blocks(M)` blocks of every stream from a stream position both
+    parties keep: 0 in the session that ran the base OTs, then just past
+    the blocks the sessions before took.  The receiver sends the
+    correction columns and ends with rows t_j, the sender with rows
+    q_j = t_j ^ b_j s.  Disjoint blocks make each session's columns fresh
+    pseudorandom strings, so one set of base OTs extends any number of
+    sessions (Ishai-Kilian-Nissim-Petrank, CRYPTO 2003); nothing a stream
+    yields is used twice.
   * online -- the receiver reveals d_j = c_j ^ b_j for its real choice c_j
     (one bit per OT), and the sender takes L0_j = q_j ^ d_j delta as the
     zero label of that evaluator input.  The receiver's t_j = L0_j ^ c_j
     delta is already the label of c_j: nothing is sent back for it, and no
     row is hashed.
+
+Both halves expand and transpose the columns `CHUNK_OTS` OTs at a time
+into the rows they return, so neither holds a whole extension's columns
+twice.
 
 Base OT is the Chou-Orlandi construction ("The Simplest Protocol for
 Oblivious Transfer", LATINCRYPT 2015) over P-256: the sender publishes
@@ -37,9 +51,15 @@ import numpy as np
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from ..errors import ProtocolError
-from ..prg import aes_ctr
+from ..prg import AesCtr
 
 LAMBDA = 128
+# OTs each half expands and transposes at a time: 8 KB of each column, a
+# whole number of blocks, so every chunk starts on a block of the streams
+CHUNK_OTS = 1 << 16
+# column bytes the bit transpose flips at a time, 8192 OTs' worth, so its
+# word arrays stay at 128 KB each
+_SLAB = 1 << 10
 # the column of s that becomes bit 0 of word 0 of every row, a label's
 # colour: `np.packbits` puts column 0 at the top bit of byte 0
 COLOUR_COLUMN = 7
@@ -143,6 +163,13 @@ def _key_bytes(k: np.ndarray) -> bytes:
     return np.ascontiguousarray(k, dtype="<u8").tobytes()
 
 
+def stream_blocks(M: int) -> int:
+    """The AES blocks an extension of M OTs takes from every column stream,
+    ceil(M / 8) bytes rounded up to whole 16-byte blocks: how far both
+    parties move the stream position past one session."""
+    return -(-M // 128)
+
+
 # each step swaps the bits of a word that `mask` marks with the bits `shift`
 # places below them; together they flip every 8 x 8 bit block of a word
 # about its anti-diagonal: the bit at 8i + j moves to 8(7 - j) + (7 - i)
@@ -152,34 +179,43 @@ _ANTI_FLIP = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
     (9, 0xAA00AA00AA00AA00)))
 
 
-def _transpose_bits(cols: np.ndarray, M: int) -> np.ndarray:
+def _transpose_bits(cols: np.ndarray, out: np.ndarray):
     """Rows 0 .. M-1 of the bit matrix whose columns `cols` holds, one
-    `np.packbits` row of bytes per column, each row as a 128-bit label:
-    (M, 2) uint64.
+    `np.packbits` row of bytes per column, into `out`, (M, 2) uint64, each
+    row a 128-bit label.
 
     Byte C of each of the columns 8R .. 8R+7 goes into one little-endian
     word, column 8R+i into byte i, so bit 8i + j of the word is the bit of
     column 8R+i at row 8C+7-j.  Flipped about its anti-diagonal, the word's
     byte i is byte R of row 8C+i's label, column 8R at its top bit, as
-    `np.packbits` lays out a row.  No array holds more than 16 bytes a row.
+    `np.packbits` lays out a row.  The words of `_SLAB` column bytes at a
+    time are flipped in place through one scratch array and gathered
+    straight into `out`.
     """
     L, B = cols.shape
-    x = cols.reshape(L // 8, 8, B).transpose(0, 2, 1).copy().view("<u8")[..., 0]
-    # in place, through one scratch word array freed before the gather, so
-    # the transpose holds two 16-byte arrays a row at most
-    t = np.empty_like(x)
-    for shift, mask in _ANTI_FLIP:
-        np.left_shift(x, shift, out=t)
-        t ^= x
-        t &= mask
-        x ^= t
-        t >>= shift
-        x ^= t
-    del t
-    rows = np.ascontiguousarray(
-        x.view(np.uint8).reshape(L // 8, B, 8).transpose(1, 2, 0))
-    return rows.reshape(8 * B, L // 8).view("<u8")[:M].astype(np.uint64,
-                                                              copy=False)
+    M = len(out)
+    rows = out.view(np.uint8)
+    for lo in range(0, B, _SLAB):
+        hi = min(lo + _SLAB, B)
+        x = cols[:, lo:hi].reshape(L // 8, 8, hi - lo).transpose(0, 2, 1) \
+            .copy().view("<u8")[..., 0]
+        t = np.empty_like(x)
+        for shift, mask in _ANTI_FLIP:
+            np.left_shift(x, shift, out=t)
+            t ^= x
+            t &= mask
+            x ^= t
+            t >>= shift
+            x ^= t
+        n = min(8 * hi, M) - 8 * lo
+        rows[8 * lo:8 * lo + n] = x.view(np.uint8).reshape(
+            L // 8, hi - lo, 8).transpose(1, 2, 0).reshape(-1, L // 8)[:n]
+
+
+def _chunks(mb: int):
+    """The column byte ranges of `CHUNK_OTS` OTs each that cover mb bytes."""
+    step = CHUNK_OTS // 8
+    return ((lo, min(lo + step, mb)) for lo in range(0, mb, step))
 
 
 @dataclass
@@ -228,52 +264,83 @@ class RandomOtSenderBatch:
 
 class OtExtReceiver:
     """IKNP receiver (will obtain the extended OTs).  Acts as *sender* in the
-    base OTs: samples seed pairs, then expands and sends the correction
-    matrix."""
+    base OTs: it draws LAMBDA seed pairs here, or takes the column streams
+    `streams` its seeds keyed in an earlier session's base OTs (the pair
+    of `AesCtr`s, under seeds0 and seeds1); it expands them and sends the
+    correction columns."""
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator,
+                 streams: tuple[AesCtr, AesCtr] | None = None):
         self.rng = rng
-        self._seeds0 = [rng.bytes(16) for _ in range(LAMBDA)]
-        self._seeds1 = [rng.bytes(16) for _ in range(LAMBDA)]
+        if streams is None:
+            self._seeds = ([rng.bytes(16) for _ in range(LAMBDA)],
+                           [rng.bytes(16) for _ in range(LAMBDA)])
+            streams = (AesCtr(self._seeds[0]), AesCtr(self._seeds[1]))
+        self.streams = streams
 
     def seed_messages(self, k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
-        """Encrypt the seed pairs under the base-OT keys: (LAMBDA, 2, 2)."""
+        """Encrypt the seed pairs drawn here under the base-OT keys:
+        (LAMBDA, 2, 2)."""
         out = np.empty((LAMBDA, 2, 2), dtype=np.uint64)
         for j in range(LAMBDA):
-            s0 = np.frombuffer(self._seeds0[j], dtype="<u8").astype(np.uint64)
-            s1 = np.frombuffer(self._seeds1[j], dtype="<u8").astype(np.uint64)
-            out[j, 0] = s0 ^ k0[j]
-            out[j, 1] = s1 ^ k1[j]
+            for c, k in enumerate((k0, k1)):
+                seed = np.frombuffer(self._seeds[c][j], dtype="<u8")
+                out[j, c] = seed ^ k[j]
         return out
 
-    def extend(self, M: int) -> tuple[np.ndarray, RandomOtBatch]:
-        """Pick random choice bits, build the correction matrix to send."""
-        Mb = -(-M // 8) * 8
-        b = self.rng.integers(0, 2, Mb, dtype=np.uint8)
-        t_cols = aes_ctr(self._seeds0, Mb // 8)
-        u_cols = aes_ctr(self._seeds1, Mb // 8)
-        u_cols ^= t_cols
-        u_cols ^= np.packbits(b)
-        return u_cols, RandomOtBatch(b[:M], _transpose_bits(t_cols, M))
+    def extend(self, M: int,
+               start: int = 0) -> tuple[np.ndarray, RandomOtBatch]:
+        """Pick random choice bits and build the correction columns to send,
+        (LAMBDA, ceil(M / 8)) uint8, from block `start` of the column
+        streams on."""
+        mb = -(-M // 8)
+        b = self.rng.integers(0, 2, 8 * mb, dtype=np.uint8)
+        b_packed = np.packbits(b)
+        # each row keeps room for `AesCtr.read`'s last whole block and slack
+        u_buf = np.empty((LAMBDA, mb + 31), dtype=np.uint8)
+        t = np.empty((M, 2), dtype=np.uint64)
+        streams0, streams1 = self.streams
+        for lo, hi in _chunks(mb):
+            t_cols = streams0.read(start + lo // 16, hi - lo)
+            u = streams1.read(start + lo // 16, hi - lo, out=u_buf[:, lo:])
+            u ^= t_cols
+            u ^= b_packed[lo:hi]
+            _transpose_bits(t_cols, t[8 * lo:8 * hi])
+            del t_cols   # before the next chunk's columns are read
+        return u_buf[:, :mb], RandomOtBatch(b[:M], t)
 
 
 class OtExtSender:
-    """IKNP sender: base-OT receiver with secret s, the garbling offset."""
+    """IKNP sender: base-OT receiver with secret s, the garbling offset.
+    s is drawn here, or is that of an earlier session's base OTs, and then
+    so are the column streams its chosen seeds keyed (`streams`)."""
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.s_bits = rng.integers(0, 2, LAMBDA, dtype=np.uint8)
-        self.s_bits[COLOUR_COLUMN] = 1
+    def __init__(self, rng: np.random.Generator,
+                 s_bits: np.ndarray | None = None,
+                 streams: AesCtr | None = None):
+        if s_bits is None:
+            s_bits = rng.integers(0, 2, LAMBDA, dtype=np.uint8)
+            s_bits[COLOUR_COLUMN] = 1
+        self.s_bits = s_bits
+        self.streams = streams
 
     def recover_seeds(self, seed_msgs: np.ndarray, my_keys: np.ndarray):
-        self._seeds = []
-        for j in range(LAMBDA):
-            enc = seed_msgs[j, int(self.s_bits[j])]
-            self._seeds.append(_key_bytes(enc ^ my_keys[j]))
+        """Key the column streams with the seed each choice bit picks."""
+        self.streams = AesCtr([
+            _key_bytes(seed_msgs[j, int(self.s_bits[j])] ^ my_keys[j])
+            for j in range(LAMBDA)])
 
-    def receive_extension(self, u_cols: np.ndarray, M: int) -> RandomOtSenderBatch:
-        q_cols = aes_ctr(self._seeds, u_cols.shape[1])
-        for j in np.flatnonzero(self.s_bits):
-            q_cols[j] ^= u_cols[j]
+    def receive_extension(self, u_cols: np.ndarray, M: int,
+                          start: int = 0) -> RandomOtSenderBatch:
+        """The rows q_j of the extension whose correction columns are
+        `u_cols`, from block `start` of the column streams on."""
+        q = np.empty((M, 2), dtype=np.uint64)
+        flip = np.flatnonzero(self.s_bits)
+        for lo, hi in _chunks(u_cols.shape[1]):
+            q_cols = self.streams.read(start + lo // 16, hi - lo)
+            for j in flip:
+                q_cols[j] ^= u_cols[j, lo:hi]
+            _transpose_bits(q_cols, q[8 * lo:8 * hi])
+            del q_cols   # before the next chunk's columns are read
         delta = np.packbits(self.s_bits).view("<u8").astype(np.uint64)
-        return RandomOtSenderBatch(_transpose_bits(q_cols, M), delta)
+        return RandomOtSenderBatch(q, delta)

@@ -20,9 +20,15 @@ _HEADER = struct.Struct("<4sBI")
 
 # handshake / setup
 HELLO = 1          # s->c: session geometry
-ACCEPT = 2         # c->s: rotation keys, base-OT point A (33 B)
-OT_BASE = 3        # s->c: the 128 base-OT points B (33 B each)
-CLIENT_SETUP = 4   # c->s: OT seeds + extension matrix + encrypted input
+ACCEPT = 2         # c->s: rotation keys, then base-OT point A or a resume
+                   #       request naming a base-OT outcome and the
+                   #       client's stream position (33 B)
+OT_BASE = 3        # s->c: after A, the 128 base-OT points B (33 B each);
+                   #       after a resume request, empty if the server
+                   #       resumes, one byte if it refuses (then a second
+                   #       accept carries A alone, and a second ot-base B)
+CLIENT_SETUP = 4   # c->s: OT seeds (after A only) + extension matrix +
+                   #       encrypted input
 # garbled stages
 STAGE_OPEN = 5     # s->c: the masked stage input
 STAGE_OT_REQ = 6   # c->s: derandomization bits
@@ -49,16 +55,17 @@ def write_frame(conn, ftype: int, payload: bytes):
     conn.send(_HEADER.pack(MAGIC, ftype, len(payload)) + payload)
 
 
-def read_frame(conn, expect: int, size: int) -> bytes:
+def read_frame(conn, expect: int, size: int | tuple[int, ...]) -> bytes:
     """The payload of the next frame, which must be of type `expect` and
-    exactly `size` bytes long; the header alone decides both."""
+    exactly `size` bytes long, or one of the lengths `size` lists; the
+    header alone decides both."""
     magic, ftype, length = _HEADER.unpack(conn.recv_exact(_HEADER.size))
     if magic != MAGIC:
         raise ProtocolError("bad frame magic")
     if ftype != expect:
         got = FRAME_NAMES.get(ftype, f"unknown ({ftype})")
         raise ProtocolError(f"expected {FRAME_NAMES[expect]} frame, got {got}")
-    if length != size:
+    if length not in (size if isinstance(size, tuple) else (size,)):
         raise ProtocolError(f"{FRAME_NAMES[expect]} frame of {length} bytes, "
                             f"the plan's has {size}")
-    return conn.recv_exact(size)
+    return conn.recv_exact(length)

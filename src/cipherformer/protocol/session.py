@@ -23,13 +23,23 @@ c1, 16 k n:
                           on any disagreement
   accept         c -> s   the key blob, per Galois key its (k, k, n) k0
                           digit stack and the seed of its k1 stack,
-                          (8 k^2 n + 16) |galois|; base-OT point A, 33
-                          (compressed P-256)
-  ot-base        s -> c   the 128 base-OT points B, 128 x 33
-  client-setup   c -> s   OT-extension seed pairs, 128 x 32; correction
-                          columns, 128 x ceil(ot_total / 8); the encrypted
-                          one-hot input, an `input_layout` matrix of fresh
-                          cts, its `steps` copies two to a ct
+                          (8 k^2 n + 16) |galois|; then 33, either base-OT
+                          point A (compressed P-256, prefix 0x02 or 0x03),
+                          or a resume request: 0x00, the client's stream
+                          position (8, little-endian), the outcome's
+                          name (16), 8 zero bytes
+  ot-base        s -> c   after a point A, the 128 base-OT points B,
+                          128 x 33; after a resume request, nothing if
+                          the server resumes (the frame still counts as a
+                          round), or the one byte 0x00 if it refuses,
+                          and then
+    accept       c -> s     base-OT point A alone, 33
+    ot-base      s -> c     the 128 base-OT points B, 128 x 33
+  client-setup   c -> s   after a point A only, the OT-extension seed
+                          pairs, 128 x 32; correction columns,
+                          128 x ceil(ot_total / 8); the encrypted one-hot
+                          input, an `input_layout` matrix of fresh cts, its
+                          `steps` copies two to a ct
 
 then per encoder layer, five garbled stages of four frames each,
 interleaved with two encrypted matrix products of two frames each:
@@ -57,10 +67,31 @@ and a final frame:
                           slot sum
 
 Every frame in either direction counts as one round, so the round count is
-the same constant, 5 + 24 n_layers, for every input of a given shape.
+the same constant, 5 + 24 n_layers, for every input of a given shape; a
+refused resume request, which depends on what the server holds and not on
+the input, adds the two frames of the base OT that replaces it.  accept,
+and after a resume request ot-base, fix the form of the frames after them
+before any of those is read.
+
+Base OT runs once per client key set.  Both parties keep its outcome (the
+client its seed pairs, the server its chosen seeds and s) under the
+outcome's name, the SHA-256 of point A and the 128 points B cut to 16
+bytes, which both hold, with a stream position and a session number.
+Every later session with the same key set sends a resume request instead
+of point A: both then extend at that position of the same column streams
+(`gc.ot`), garble under session-numbered tweaks
+(`gc.garble.tweak_namespace`), and move the position past the
+`stream_blocks(ot_total)` blocks they took.  The session that ran the base
+OTs extends at position 0 as session 0.  The server never takes the
+client's word for its state: it resumes only if it holds the named outcome
+for the key blob, at exactly the requested position and with a session
+number left.  Otherwise it refuses, and the session runs a fresh base OT
+in two more frames and goes on as a first session; a malformed request is
+a ProtocolError.  A client forgets its outcome for a key set when a
+session with it fails.
 
 No input label costs a byte of its own.  The IKNP rows of the set-up are a
-correlated OT under the session's one garbling offset, so the
+correlated OT under the key set's one garbling offset, so the
 derandomization bits fix the zero labels the server garbles with, and the
 client already holds the label of each of its bits (`gc.ot`).  The server
 hardcodes its own mask bits and the constants into each garbling, so the
@@ -106,7 +137,10 @@ flags, and `Geometry` derives every stage input and share layout from it.
 
 from __future__ import annotations
 
+import hashlib
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isqrt, prod
@@ -116,11 +150,11 @@ import numpy as np
 from ..errors import ParameterError, ProtocolError
 from ..fixedpoint import to_field, to_signed
 from ..gc.circuit import to_bits
-from ..gc.garble import (b2a_corrections, b2a_shares, evaluate, garble,
-                         tweak_namespace)
+from ..gc.garble import (MAX_SESSIONS, b2a_corrections, b2a_shares,
+                         evaluate, garble, tweak_namespace)
 from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
                      OtExtReceiver, OtExtSender, RandomOtBatch,
-                     RandomOtSenderBatch)
+                     RandomOtSenderBatch, stream_blocks)
 from ..helinear import (COLBLOCKS, ROWS, EncMatrix, Layout,
                         add_offset, class_sums, colblock_diagonals,
                         colblock_matmul, colblock_rotation_amounts,
@@ -135,6 +169,7 @@ from ..pahe import (Ciphertexts, Evaluator, KeyMaterial, PaheParams, ct_nbytes,
                     galois_elements, key_blob_nbytes, keygen, le64,
                     public_keys_from_bytes, public_keys_to_bytes,
                     session_params)
+from ..prg import AesCtr
 from ..stages import (MODES, StagePlan, StageSpec, b2a_weights,
                       choose_plaintext_prime, client_window_share,
                       garbler_window_share, sample_stage_masks,
@@ -146,9 +181,10 @@ from .transcript import Transcript
 from .transport import run_pair
 
 # the largest session either party will size, so a peer's hello cannot size
-# an arbitrarily large ring, plan or key set.  2^14 still holds the n = 8192
-# rings of standard RLWE tables.
-MAX_RING_DEGREE = 1 << 14
+# an arbitrarily large ring, plan or key set.  2^13 is the largest ring
+# some shape reaches within `MAX_SESSION_BYTES` (seq_len 4096 in opt2);
+# every shape a 2^14 ring would hold sends more than that.
+MAX_RING_DEGREE = 1 << 13
 # the smallest ring a session uses, however narrow its layouts
 MIN_RING_DEGREE = 512
 # checked before the plan: every held row is a model width, so no width
@@ -156,12 +192,13 @@ MIN_RING_DEGREE = 512
 MAX_WIDTH = MAX_RING_DEGREE // 2
 # checked after the plan, before any key or OT is made: widths alone do
 # not bound a session, which holds tensors of two widths (dim x dim, say)
-# in every layer.  IKNP peaks at about 65 bytes per OT on the receiver and
-# 48 on the sender (measured with tracemalloc at 2^18 OTs): the packed
-# columns, the correction columns (receiver only) and the bit transpose's
-# word array and scratch hold 16 bytes per OT each.  The rows each party
-# keeps as labels, 16 bytes per OT, come after the scratch is freed.  2^24
-# OTs, about 1.1 GB at that peak, still admit a session on the largest ring.
+# in every layer.  IKNP peaks at about 39 bytes per OT on the receiver and
+# 22 on the sender above its input (measured with tracemalloc at 2^18
+# OTs): the rows each party keeps as labels and the receiver's correction
+# columns hold 16 bytes per OT each, its choice bits one, and one chunk of
+# `gc.ot.CHUNK_OTS` column bits (1 MB) is expanded and transposed at a
+# time.  At 2^24 OTs the chunk is lost beside the rest: about 0.56 GB on
+# the receiver.
 MAX_OTS = 1 << 24
 # the wire bytes of every encrypted matrix and garbled stage of one session,
 # and the label array of any one garbling
@@ -234,13 +271,18 @@ class Geometry:
     def sent(self) -> list[tuple[Layout, bool]]:
         """Every matrix a session sends, as its layout and whether it is
         fresh: the client's encrypted input, then per stage the server's
-        masked factors of its encrypted product and its masked input, and
-        the client's fresh shares."""
+        masked factors of its encrypted product and the client's reply,
+        k + 1 fresh matrices in the rows layout of the r x k by k x c
+        product (the stage's input layout), then the server's masked input
+        and the client's fresh shares."""
         sent, held = [(self.input_layout, True)], {"x": self.input_layout}
         for e, enc in enumerate(self.plan.encoders):
             for spec in enc:
                 if not spec.plain:
-                    sent += [(lay, False) for lay in spec.factors(held)]
+                    left, right = spec.factors(held)
+                    sent += [(left, False), (right, False)]
+                    sent += [(self.stage_input(spec), True)] * (
+                        left.shape[1] + 1)
                 shares = self.stage_shares(e, spec)
                 sent += [(self.stage_input(spec), False),
                          *((lay, True) for lay in shares)]
@@ -284,9 +326,9 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     `MAX_CLASSES`, is refused before anything is planned; a plan needing
     more than `MAX_OTS` random OTs, a stage garbling whose label array (16
     bytes per wire and instance) passes `MAX_SESSION_BYTES`, or garbled
-    stages (every stage-ot-resp frame) and encrypted matrices past
-    `MAX_SESSION_BYTES` together at their wire size, before any key or OT
-    is made.
+    stages (every stage-ot-resp frame) and encrypted matrices (`sent`, the
+    mm-reply batches among them) past `MAX_SESSION_BYTES` together at their
+    wire size, before any key or OT is made.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -370,6 +412,115 @@ def _parse_public_keys(blob: bytes, params: PaheParams,
     # rebuilding Shoup twins dominates parsing; clients reusing a key set
     # across sessions send byte-identical blobs, so memoize on the bytes
     return public_keys_from_bytes(blob, params, elements)
+
+
+# ----------------------------------------------------------------------------
+# base OT once per client key set
+
+
+@dataclass
+class _Extension:
+    """What one base OT left a party for a client key set, which every later
+    session with that key set extends (`gc.ot`): the column streams the
+    client's seed pairs key, or those of the server's chosen seeds and its
+    s bits, the garbling offset of all those sessions, and the digest that
+    names the outcome (`_outcome`).  Each party keeps copies of its streams
+    not yet set up (`prg.AesCtr`), so a key set that never resumes holds no
+    AES context."""
+
+    streams: tuple[AesCtr, AesCtr] | AesCtr
+    s_bits: np.ndarray | None
+    outcome: bytes
+    position: int = 0    # the next AES block of every column stream
+    session: int = 0     # the next session's number in its garbling tweaks
+
+
+class _Extensions:
+    """One party's `_Extension`s by key set, the least recently used evicted
+    past `maxsize`.  Taking one reserves the next session's stream blocks
+    and number under a lock, so sessions that run at once never extend the
+    same blocks."""
+
+    def __init__(self, maxsize: int):
+        self._held: OrderedDict = OrderedDict()
+        self._maxsize = maxsize
+        self._lock = threading.Lock()
+
+    def take(self, key, blocks: int, position: int | None = None) \
+            -> _Extension | None:
+        """The extension held for `key` as the next session finds it; the
+        one held moves past that session's `blocks` and number.  None, with
+        nothing moved, if none is held, its session numbers are spent, or
+        `position` is given and is not its own."""
+        with self._lock:
+            ext = self._held.get(key)
+            if (ext is None or ext.session >= MAX_SESSIONS
+                    or position not in (None, ext.position)):
+                return None
+            self._held.move_to_end(key)
+            taken = replace(ext)
+            ext.position += blocks
+            ext.session += 1
+            return taken
+
+    def put(self, key, ext: _Extension):
+        with self._lock:
+            self._held[key] = ext
+            self._held.move_to_end(key)
+            while len(self._held) > self._maxsize:
+                self._held.popitem(last=False)
+
+    def forget(self, key):
+        with self._lock:
+            self._held.pop(key, None)
+
+    def clear(self):
+        with self._lock:
+            self._held.clear()
+
+
+# the client's by `_cached_keys` arguments, the server's by the key blob's
+# SHA-256 and the outcome's name; each as many as `_cached_keys` holds, so
+# one client's key sets fit the server's.  The server keeps one for every
+# session that ran base OT, a client's that will never resume too (7 KB
+# each, about 170 KB once its AES keys are set up).
+_CLIENT_OT = _Extensions(_cached_keys.cache_parameters()["maxsize"])
+_SERVER_OT = _Extensions(_cached_keys.cache_parameters()["maxsize"])
+
+# the first byte of a resume request, where a point A has 0x02 or 0x03
+_RESUME = 0
+# ot-base's one byte after a resume request the server refuses
+_REFUSED = b"\0"
+_OUTCOME_BYTES = 16
+
+
+def _outcome(msg_a: bytes, msgs_b: bytes) -> bytes:
+    """The name of a base OT's outcome: the SHA-256 of point A and the
+    points B, which both parties hold, cut to 16 bytes.  B is drawn afresh
+    by the server each time, so two outcomes of one key set, or of two
+    clients with one seed, have two names."""
+    return hashlib.sha256(msg_a + msgs_b).digest()[:_OUTCOME_BYTES]
+
+
+def _resume_request(ext: _Extension) -> bytes:
+    """accept's base-OT part that asks to extend `ext`'s outcome at its
+    stream position: 0x00, the position (8, little-endian), the outcome's
+    name, zero pad."""
+    return (bytes([_RESUME]) + ext.position.to_bytes(8, "little")
+            + ext.outcome + bytes(POINT_BYTES - 9 - _OUTCOME_BYTES))
+
+
+def _resume_target(part: bytes) -> tuple[int, bytes] | None:
+    """The stream position and outcome accept's base-OT part asks to resume,
+    or None if it is a point A, which `BaseOtReceiver` checks."""
+    if part[0] in (2, 3):
+        return None
+    if part[0] != _RESUME:
+        raise ProtocolError(f"base-OT point refused: prefix {part[0]:#04x} "
+                            f"is neither a point's nor a resume request's")
+    if any(part[9 + _OUTCOME_BYTES:]):
+        raise ProtocolError("resume request sets a pad byte")
+    return int.from_bytes(part[1:9], "little"), part[9:9 + _OUTCOME_BYTES]
 
 
 # ----------------------------------------------------------------------------
@@ -477,6 +628,7 @@ class _ServerParty:
     ev: Evaluator
     rng: np.random.Generator
     ot: RandomOtSenderBatch
+    session: int        # the session's number under its garbling offset
 
 
 @dataclass
@@ -514,7 +666,8 @@ def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
         words = tshare[off:off + g.count].reshape(E, lpi)
         off += g.count
         gb = garble(circ, sp.ot.delta, to_bits(words, m).reshape(E, -1),
-                    ezero.swapaxes(0, 1), tweak_namespace(layer, stage, gi))
+                    ezero.swapaxes(0, 1),
+                    tweak_namespace(layer, stage, gi, sp.session))
         corr, own = b2a_corrections(
             gb, np.tile(b2a_weights(spec.keep, p), lpi), p)
         own_lanes.append(_b2a_words(own, spec.keep, p).T.ravel())
@@ -581,22 +734,44 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     pub = _parse_public_keys(bpk, geom.params, geom.galois)
     ev = Evaluator(pub)
 
-    ext = OtExtSender(rng)
-    base = BaseOtReceiver(rng, ext.s_bits, bpt)
-    _send(conn, tr, OT_BASE, base.msgs_b)
+    key_set = hashlib.sha256(bpk).digest()
+    blocks = stream_blocks(geom.ot_total)
+    target = _resume_target(bpt)
+    held = None
+    if target is not None:
+        position, outcome = target
+        held = _SERVER_OT.take((key_set, outcome), blocks, position)
+        if held is None:
+            # not an outcome held at that position: base OT after all
+            _send(conn, tr, OT_BASE, _REFUSED)
+            (bpt,) = _recv(conn, tr, ACCEPT, [POINT_BYTES])
+    if held is None:
+        ext = OtExtSender(rng)
+        base = BaseOtReceiver(rng, ext.s_bits, bpt)
+        _send(conn, tr, OT_BASE, base.msgs_b)
+        start, number = 0, 0
+    else:
+        ext = OtExtSender(rng, held.s_bits, held.streams)
+        _send(conn, tr, OT_BASE)
+        start, number = held.position, held.session
 
     mb = -(-geom.ot_total // 8)
-    bseed, bucol, bx = _recv(conn, tr, CLIENT_SETUP,
-                             [32 * LAMBDA, LAMBDA * mb,
-                              geom.nbytes(geom.input_layout, fresh=True)])
-    ext.recover_seeds(_words(bseed, (LAMBDA, 2, 2)), base.keys())
+    *bseed, bucol, bx = _recv(
+        conn, tr, CLIENT_SETUP,
+        [32 * LAMBDA] * (held is None)
+        + [LAMBDA * mb, geom.nbytes(geom.input_layout, fresh=True)])
+    if bseed:
+        ext.recover_seeds(_words(bseed[0], (LAMBDA, 2, 2)), base.keys())
+        outcome = _outcome(bpt, base.msgs_b)
+        _SERVER_OT.put((key_set, outcome), _Extension(
+            AesCtr(ext.streams.keys), ext.s_bits, outcome, blocks, 1))
     u_cols = np.frombuffer(bucol, dtype=np.uint8).reshape(LAMBDA, mb)
-    pairs = ext.receive_extension(u_cols, geom.ot_total)
+    pairs = ext.receive_extension(u_cols, geom.ot_total, start)
 
     x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout,
                                  fresh=True)
 
-    sp = _ServerParty(conn, tr, geom, ev, rng, pairs)
+    sp = _ServerParty(conn, tr, geom, ev, rng, pairs, number)
     held = {"x": x_enc}
     for e, enc in enumerate(geom.plan.encoders):
         mats, offsets = layer_weights(cfg, weights, mode, e)
@@ -628,6 +803,7 @@ class _ClientParty:
     ev: Evaluator
     keys: KeyMaterial
     batch: RandomOtBatch
+    session: int        # the session's number under its garbling offset
 
 
 @dataclass
@@ -673,7 +849,7 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
         _g, circ, E = groups[gi]
         eact = glabels.reshape(E, -1, 2).transpose(1, 0, 2)
         tables, corr = garbled[2 * gi:2 * gi + 2]
-        ns = tweak_namespace(layer, stage, gi)
+        ns = tweak_namespace(layer, stage, gi, cp.session)
         bit_shares = b2a_shares(evaluate(circ, tables, eact, ns), corr, ns, p)
         shares.append(_b2a_words(bit_shares, spec.keep, p).T.ravel())
 
@@ -722,7 +898,15 @@ def _recv_logits(conn, tr: Transcript, geom: Geometry) -> Ciphertexts:
 
 
 def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
-    """Drive the input-holder side of one inference session."""
+    """Drive the input-holder side of one inference session.
+
+    A fixed `seed` fixes every draw of the session: the key set, the
+    encryption randomness and the OT choice bits.  Sessions with the same
+    seed reuse one key set, and after the first they resume its IKNP
+    extension instead of running base OT; they also replay the same
+    encryption randomness and choice bits, so a seed is for tests and
+    benchmarks, never for two real inputs.  Without a seed every session
+    makes a fresh key set and runs its own base OT."""
     rng = np.random.default_rng(seed)
     key_seed = int(rng.integers(1 << 62))
     enc_seed = int(rng.integers(1 << 62))
@@ -741,33 +925,64 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
 
     if seed is None:
         keys, pkey = _client_keys(geom.params, geom.rotations, None)
+        key_set = None
     else:
         keys, pkey = _cached_keys(geom.params, geom.rotations, key_seed)
+        key_set = (geom.params, geom.rotations, key_seed)
     ev = Evaluator(keys, seed=enc_seed)
 
-    base = BaseOtSender(rng)
-    _send(conn, tr, ACCEPT, pkey, base.msg_a)
-    (bpts,) = _recv(conn, tr, OT_BASE, [LAMBDA * POINT_BYTES])
-    k0, k1 = base.keys(bpts)
-    ext = OtExtReceiver(rng)
-    seed_msgs = ext.seed_messages(k0, k1)
-    u_cols, batch = ext.extend(geom.ot_total)
+    blocks = stream_blocks(geom.ot_total)
+    # none held, or its session numbers spent: base OT
+    held = None if key_set is None else _CLIENT_OT.take(key_set, blocks)
+    try:
+        if held is not None:
+            _send(conn, tr, ACCEPT, pkey, _resume_request(held))
+            answer = read_frame(conn, OT_BASE, (0, len(_REFUSED)))
+            tr.record("received", OT_BASE, answer)
+            if not answer:
+                ext = OtExtReceiver(rng, held.streams)
+                seed_msgs = []
+            elif answer == _REFUSED:
+                # the server holds no such outcome at that position: a
+                # second accept sends point A alone
+                held, pkey = None, b""
+            else:
+                raise ProtocolError(f"ot-base answers a resume request "
+                                    f"with {answer.hex()}")
+        if held is None:
+            base = BaseOtSender(rng)
+            _send(conn, tr, ACCEPT, pkey, base.msg_a)
+            (bpts,) = _recv(conn, tr, OT_BASE, [LAMBDA * POINT_BYTES])
+            k0, k1 = base.keys(bpts)
+            ext = OtExtReceiver(rng)
+            seed_msgs = [le64(ext.seed_messages(k0, k1))]
+            held = _Extension(ext.streams, None, _outcome(base.msg_a, bpts))
+            if key_set is not None:
+                _CLIENT_OT.put(key_set, _Extension(
+                    tuple(AesCtr(s.keys) for s in ext.streams), None,
+                    held.outcome, blocks, 1))
+        u_cols, batch = ext.extend(geom.ot_total, held.position)
 
-    onehot = np.zeros((L, vocab), dtype=np.uint64)
-    onehot[np.arange(L), toks] = 1
-    x_cb = pack_colblocks(ev, onehot, steps=geom.input_layout.steps)
-    _send(conn, tr, CLIENT_SETUP, le64(seed_msgs), u_cols.tobytes(),
-          encmatrix_to_bytes(x_cb))
+        onehot = np.zeros((L, vocab), dtype=np.uint64)
+        onehot[np.arange(L), toks] = 1
+        x_cb = pack_colblocks(ev, onehot, steps=geom.input_layout.steps)
+        _send(conn, tr, CLIENT_SETUP, *seed_msgs, u_cols.tobytes(),
+              encmatrix_to_bytes(x_cb))
 
-    cp = _ClientParty(conn, tr, geom, ev, keys, batch)
-    held: dict[str, Layout] = {}
-    for e, enc in enumerate(geom.plan.encoders):
-        for si, spec in enumerate(enc):
-            if not spec.plain:
-                _client_ctmm(cp, e, spec, *spec.factors(held))
-            held.update(zip(spec.tags, _client_stage(cp, e, si, spec)))
+        cp = _ClientParty(conn, tr, geom, ev, keys, batch, held.session)
+        held_layouts: dict[str, Layout] = {}
+        for e, enc in enumerate(geom.plan.encoders):
+            for si, spec in enumerate(enc):
+                if not spec.plain:
+                    _client_ctmm(cp, e, spec, *spec.factors(held_layouts))
+                held_layouts.update(zip(spec.tags,
+                                        _client_stage(cp, e, si, spec)))
 
-    cts = _recv_logits(conn, tr, geom)
+        cts = _recv_logits(conn, tr, geom)
+    except BaseException:
+        if key_set is not None:
+            _CLIENT_OT.forget(key_set)
+        raise
     slots = keys.decrypt_many(cts)
     p = geom.p
     totals = np.array([sum(int(v) for v in row) % p for row in slots],

@@ -1,5 +1,7 @@
 """Circuit IR, garbling, and oblivious-transfer tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -149,7 +151,7 @@ def check_b2a_shares(out, gc, c, t, weights, values, p):
 
 
 # a namespace with every field set, so the tests see where each one lands
-NS = G.tweak_namespace(3, 2, 1)
+NS = G.tweak_namespace(3, 2, 1, 5)
 
 
 def session_inputs(circ, instances, rng):
@@ -340,9 +342,11 @@ def random_circuits(rng):
 # the level schedule against the gate-by-gate reference
 
 def _tweaks(word0, instances, ns):
+    """The 128-bit namespace's low word beside word0, its high word beside
+    the instance."""
     tw = np.zeros((instances, 2), dtype=np.uint64)
-    tw[:, 0] = np.uint64(word0)
-    tw[:, 1] = np.uint64(ns) + np.arange(instances, dtype=np.uint64)
+    tw[:, 0] = np.uint64(word0) + np.uint64(ns & (2**64 - 1))
+    tw[:, 1] = np.uint64(ns >> 64) + np.arange(instances, dtype=np.uint64)
     return tw
 
 
@@ -580,6 +584,49 @@ def ot_session():
     return recv_batch, send_batch
 
 
+def _extension_streams():
+    """The receiver's and the sender's column streams and the sender's s,
+    as 128 base OTs leave them."""
+    rng_c = np.random.default_rng(31)
+    rng_s = np.random.default_rng(32)
+    recv, send = O.OtExtReceiver(rng_c), O.OtExtSender(rng_s)
+    base_s = O.BaseOtSender(rng_c)
+    base_r = O.BaseOtReceiver(rng_s, send.s_bits, base_s.msg_a)
+    send.recover_seeds(recv.seed_messages(*base_s.keys(base_r.msgs_b)),
+                       base_r.keys())
+    return recv.streams, send.streams, send.s_bits
+
+
+@pytest.mark.parametrize("side", ["receiver", "sender"])
+def test_extension_peak_stays_within_40_bytes_an_ot(side):
+    """At 2^18 OTs, four chunks, each side's tracemalloc peak is at most 40
+    bytes per OT above its input: the receiver holds its choice bits, the
+    correction columns and the rows, 33 bytes an OT, and each side one
+    chunk's columns and one slab of the transpose besides."""
+    M = 1 << 18
+    recv_streams, send_streams, s_bits = _extension_streams()
+    rng = np.random.default_rng(32)
+    if side == "receiver":
+        def run():
+            return O.OtExtReceiver(rng, recv_streams).extend(M)
+    else:
+        u = np.ascontiguousarray(
+            O.OtExtReceiver(rng, recv_streams).extend(M)[0])
+
+        def run():
+            return O.OtExtSender(rng, s_bits, send_streams).receive_extension(
+                u, M)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out is not None
+    assert peak / M <= 40
+
+
 def _base_ot(seed):
     """128 base OTs between seeded parties: (k0, k1, the receiver's keys,
     its choices)."""
@@ -652,21 +699,48 @@ class TestOt:
         with pytest.raises(ProtocolError):
             recv.derand_request(np.zeros(5000, dtype=np.uint8))
 
-    @pytest.mark.parametrize("M", [1, 8, 63, 1000, 1001, 4099])
+    @pytest.mark.parametrize("M", [1, 8, 63, 1000, 1001, 4099, 20003])
     def test_transpose_bits_matches_unpacked_reference(self, M):
         """The packed transpose gives the rows of unpacking every column to
         a byte per bit, transposing and packing again, also for M not a
-        multiple of 8 or 64, and leaves its input as it was."""
+        multiple of 8 or 64 and over several slabs of columns, and leaves
+        its input as it was."""
         rng = np.random.default_rng(M)
         cols = rng.integers(0, 256, (O.LAMBDA, -(-M // 8)), dtype=np.uint8)
         before = cols.copy()
         bits = np.unpackbits(cols, axis=1).T                # (Mb, LAMBDA)
         rows = np.packbits(bits, axis=1).tobytes()          # 16 B a row
         want = np.frombuffer(rows, dtype="<u8").reshape(-1, 2)[:M]
-        got = O._transpose_bits(cols, M)
-        assert got.shape == (M, 2) and got.dtype == np.uint64
+        got = np.empty((M, 2), dtype=np.uint64)
+        O._transpose_bits(cols, got)
         assert np.array_equal(got, want)
         assert np.array_equal(cols, before)
+
+    def test_extension_resumes_at_a_stream_position(self, ot_session):
+        """An extension from stream block P on is the stretch of one
+        extension from block 0 that starts at row 128 P, on both sides, and
+        holds the IKNP correlation under the same s; reading the columns
+        in small chunks and slabs changes no row."""
+        recv_streams, send_streams, s_bits = _extension_streams()
+        M0, M1 = 3000, 2500
+        P = O.stream_blocks(M0)
+        rng = np.random.default_rng(8)
+        whole = O.OtExtReceiver(rng, recv_streams).extend(128 * P + M1)[1]
+        u, later = O.OtExtReceiver(rng, recv_streams).extend(M1, P)
+        assert np.array_equal(later.t, whole.t[128 * P:])
+        send = O.OtExtSender(rng, s_bits, send_streams).receive_extension(
+            u, M1, P)
+        b = later.b[:, None].astype(np.uint64)
+        assert np.array_equal(send.q, later.t ^ b * send.delta)
+        rows = later.t
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(O, "CHUNK_OTS", 1024)
+            patched.setattr(O, "_SLAB", 16)
+            again = O.OtExtReceiver(rng, recv_streams).extend(M1, P)[1]
+            send_again = O.OtExtSender(rng, s_bits, send_streams) \
+                .receive_extension(u, M1, P)
+        assert np.array_equal(again.t, rows)
+        assert np.array_equal(send_again.q, send.q)
 
     def test_bad_point_rejected(self):
         """A point list of all-zero 33-byte slots is refused: no point is

@@ -9,6 +9,7 @@ change to the bytes either party sends -- packing, key material, noise
 sampling, garbling -- shows here.
 """
 
+import hashlib
 import socket
 import struct
 import threading
@@ -28,6 +29,7 @@ from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    matmul_mod, pack_colblocks, rows_per_ct)
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
 from cipherformer.pahe import Evaluator, ct_nbytes, keygen
+from cipherformer.prg import AesCtr
 from cipherformer.protocol import (ACCEPT, FRAME_NAMES, HELLO, LOGITS,
                                    MM_OPEN, MM_REPLY, OT_BASE, STAGE_OPEN,
                                    STAGE_OT_REQ, STAGE_OT_RESP, STAGE_SHARE,
@@ -53,6 +55,31 @@ DIGESTS = {
 }
 TWO_LAYER_DIGEST = ("5aaa67fd505e03e43b1bb0f95f071a3e"
                     "105e6d92bf60e2894c27de43c4fef6c4")
+# the same seeds' second session, which resumes the first one's extension
+RESUMED_DIGESTS = {
+    "baseline": "20a3d3dda0f50966a84e4caab65b3490"
+                "7930e8ceb916f00d67da7586a8eb569e",
+    "opt1": "c704c72fac7390d23d53d1f6485d5421"
+            "dfe96e9cb6cf4e4f41938ec67de7d2a3",
+    "opt2": "495d5b8fad37d145c7772573f20f9e48"
+            "46a472a106186c343f6dbc0009a9772c",
+}
+
+
+def _forget_key_sets():
+    """Drop every cached key set and base-OT outcome on both sides, so the
+    next session of any seed is a first one."""
+    session._cached_keys.cache_clear()
+    session._parse_public_keys.cache_clear()
+    session._CLIENT_OT.clear()
+    session._SERVER_OT.clear()
+
+
+@pytest.fixture(autouse=True)
+def forget_key_sets():
+    """Every test starts from no key set and no base-OT outcome, so each
+    pinned digest is that of a first session whatever ran before it."""
+    _forget_key_sets()
 
 
 @pytest.fixture(scope="module")
@@ -199,8 +226,6 @@ def test_seeds_never_repeat_and_the_server_parses_what_the_client_holds(
     for module in (helinear, session):
         monkeypatch.setattr(module, "cts_from_bytes",
                             parsing(module.cts_from_bytes))
-    session._cached_keys.cache_clear()
-    session._parse_public_keys.cache_clear()
 
     def as_party(role, fn):
         def run(conn):
@@ -257,17 +282,381 @@ def test_he_small_session_is_exact():
 
 def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
     """A client seed that comes back reuses its cached key set and the key
-    blob serialized with it; the ACCEPT frame stays byte for byte the same."""
-    calls = []
+    blob serialized with it; the key blob in ACCEPT stays byte for byte the
+    same, and the second session resumes the first one's extension."""
+    calls, blobs = [], []
     real = session.public_keys_to_bytes
     monkeypatch.setattr(session, "public_keys_to_bytes",
                         lambda km: calls.append(km) or real(km))
-    session._cached_keys.cache_clear()
-    for _ in range(2):
+    for digest in (DIGESTS["opt1"], RESUMED_DIGESTS["opt1"]):
         _, client = private_inference(CFG, weights, TOKENS, "opt1",
                                       server_seed=11, client_seed=12)
-        assert client.transcript.digest() == DIGESTS["opt1"]
+        assert client.transcript.digest() == digest
+        blobs.append(client.transcript.frames[1])
     assert len(calls) == 1
+    assert blobs[0] == blobs[1]
+
+
+def _no_base_ot(*_, **__):
+    pytest.fail("ran a base OT")
+
+
+@pytest.mark.parametrize("mode", list(DIGESTS))
+def test_resumed_session_is_exact_and_pinned(weights, monkeypatch, mode):
+    """A client's second session with its key set runs no base OT: accept
+    carries a resume request of the same 33 bytes as point A, ot-base is
+    empty but still a round, and client-setup drops the 128 x 32 bytes of
+    seed messages.  Every other frame keeps its size, and the logits are
+    exact."""
+    first, first_client = private_inference(CFG, weights, TOKENS, mode,
+                                            server_seed=11, client_seed=12)
+    for name in ("BaseOtSender", "BaseOtReceiver"):
+        monkeypatch.setattr(session, name, _no_base_ot)
+    server, client = private_inference(CFG, weights, TOKENS, mode,
+                                       server_seed=11, client_seed=12)
+    assert np.array_equal(client.logits,
+                          forward_fixed(CFG, weights, TOKENS, mode).logits)
+    assert server.transcript.rounds == client.transcript.rounds == 29
+    digest = server.transcript.digest()
+    assert client.transcript.digest() == digest == RESUMED_DIGESTS[mode]
+    sizes = [(f.name, f.nbytes) for f in server.transcript.frames]
+    want = [(f.name, f.nbytes) for f in first.transcript.frames]
+    want[2] = ("ot-base", 0)
+    want[3] = ("client-setup", want[3][1] - 4096)
+    assert sizes == want
+    assert first.transcript.frames[2].nbytes == LAMBDA * POINT_BYTES
+    assert (first_client.transcript.bytes_sent
+            - client.transcript.bytes_sent) == LAMBDA * 32
+    assert (first.transcript.bytes_sent
+            - server.transcript.bytes_sent) == LAMBDA * POINT_BYTES
+
+
+def _position(blob: bytearray) -> int:
+    return int.from_bytes(blob[1:9], "little")
+
+
+def _position_plus_one(blob: bytearray):
+    blob[1:9] = (_position(blob) + 1).to_bytes(8, "little")
+
+
+def _other_outcome(blob: bytearray):
+    blob[9] ^= 1
+
+
+def _prefix_to_1(blob: bytearray):
+    blob[0] = 1
+
+
+def _last_pad_byte_set(blob: bytearray):
+    blob[-1] = 1
+
+
+def _exact(weights, mode="opt1"):
+    return forward_fixed(CFG, weights, TOKENS, mode).logits
+
+
+@pytest.mark.parametrize("edit,forget", [
+    pytest.param(lambda b: None, True, id="unknown-key-set"),
+    pytest.param(_position_plus_one, False, id="off-by-one"),
+    pytest.param(_other_outcome, False, id="other-outcome"),
+])
+def test_refused_resume_request_falls_back_to_base_ot(weights, edit,
+                                                      forget):
+    """A resume request for a key set the server holds no outcome for, at a
+    position one past its own, or naming an outcome it does not hold, is
+    refused with the one byte 0x00 in ot-base.  The client sends point A
+    alone in a second accept, and the session goes on as the first session
+    did, two frames longer and exact.  That base OT draws what the first
+    session's drew, so the next session resumes its outcome and is the
+    pinned resumed session, bit for bit."""
+    first, _ = private_inference(CFG, weights, TOKENS, "opt1",
+                                 server_seed=11, client_seed=12)
+    if forget:
+        session._SERVER_OT.clear()
+    server, client = run_pair(
+        lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
+        lambda conn: run_client(
+            _EditFirstFrame(conn, ACCEPT, edit, slice(-POINT_BYTES, None)),
+            TOKENS, seed=12))
+    assert np.array_equal(client.logits, _exact(weights))
+    assert server.transcript.rounds == client.transcript.rounds == 31
+    sizes = [(f.name, f.nbytes) for f in client.transcript.frames]
+    want = [(f.name, f.nbytes) for f in first.transcript.frames]
+    want[2:2] = [("ot-base", 1), ("accept", POINT_BYTES)]
+    assert sizes == want
+    _, then = private_inference(CFG, weights, TOKENS, "opt1",
+                                server_seed=11, client_seed=12)
+    assert then.transcript.digest() == RESUMED_DIGESTS["opt1"]
+
+
+@pytest.mark.parametrize("edit,error", [
+    pytest.param(_prefix_to_1, "prefix 0x01", id="prefix-1"),
+    pytest.param(_last_pad_byte_set, "pad byte", id="pad-set"),
+])
+def test_server_refuses_a_malformed_resume_request(weights, edit, error):
+    """A resume request with prefix 0x01 or with a pad byte set is a
+    ProtocolError before ot-base: the client sees the connection close.
+    The client then forgets its outcome, so its next session runs a fresh
+    base OT and is the pinned first session, bit for bit."""
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(
+            _EditFirstFrame(conn, ACCEPT, edit, slice(-POINT_BYTES, None)),
+            TOKENS, seed=12)))
+    assert isinstance(server_err, ProtocolError)
+    assert error in str(server_err)
+    assert isinstance(client_err, ProtocolError)
+    assert "peer closed" in str(client_err)
+    server, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                       server_seed=11, client_seed=12)
+    assert client.transcript.digest() == DIGESTS["opt1"]
+    assert np.array_equal(client.logits, _exact(weights))
+
+
+def test_client_refuses_any_other_answer_to_a_resume_request(weights):
+    """After a resume request, ot-base is empty or the one byte 0x00; a
+    server that answers 0x01 is refused by the client."""
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(
+            _EditFirstFrame(conn, OT_BASE, lambda b: b.append(1)),
+            CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
+    assert isinstance(client_err, ProtocolError)
+    assert "answers a resume request with 01" in str(client_err)
+    assert isinstance(server_err, ProtocolError)
+
+
+def test_resume_request_carries_the_client_position(weights, monkeypatch):
+    """The resume request is 0x00, the stream position (little-endian),
+    the outcome's name (the SHA-256 of point A and the 128 points B, cut to
+    16 bytes) and 8 zero bytes, and both parties move the position past
+    ceil(M / 128) blocks a session: the first resumed session asks for
+    exactly the blocks the first session took."""
+    sent, base_ot = [], []
+    real_keys = session.BaseOtSender.keys
+
+    def keys(self, msgs_b):
+        base_ot.append(self.msg_a + msgs_b)
+        return real_keys(self, msgs_b)
+
+    monkeypatch.setattr(session.BaseOtSender, "keys", keys)
+    geom = session_geometry(CFG, "opt1")
+    for _ in range(3):
+        run_pair(
+            lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
+            lambda conn: run_client(_EditFirstFrame(
+                conn, ACCEPT, lambda b: sent.append(bytes(b)),
+                slice(-POINT_BYTES, None)), TOKENS, seed=12))
+    blocks = -(-geom.ot_total // 128)
+    (transcript,) = base_ot
+    assert sent[0] == transcript[:POINT_BYTES]
+    name = hashlib.sha256(transcript).digest()[:16]
+    for i, part in enumerate(sent[1:], 1):
+        assert part == bytes([0]) + (i * blocks).to_bytes(8, "little") \
+            + name + bytes(8)
+
+
+class _OtherSeedPairs(session.OtExtReceiver):
+    """An IKNP receiver whose fresh seed pairs are not the ones its
+    generator draws, as a client whose key set is not what fixes its base
+    OT would have them."""
+
+    def __init__(self, rng, streams=None):
+        super().__init__(rng, streams)
+        if streams is None:
+            self._seeds = tuple([bytes(b ^ 0x5A for b in seed)
+                                 for seed in half] for half in self._seeds)
+            self.streams = tuple(AesCtr(half) for half in self._seeds)
+
+
+def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
+    """Two first sessions of one key set with other seed pairs, the
+    client's outcome forgotten in between (as two client processes would
+    have it), leave the server two outcomes at the same stream position.
+    A resume request for the first extends the first; once the server
+    holds only the second, the same request is refused and the session
+    runs a fresh base OT.  The server never garbles under an offset or
+    streams the client does not hold: every session is exact."""
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    ((key, kept),) = session._CLIENT_OT._held.items()
+    kept = replace(kept)
+    session._CLIENT_OT.clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(session, "OtExtReceiver", _OtherSeedPairs)
+        private_inference(CFG, weights, TOKENS, "opt1", server_seed=13,
+                          client_seed=12)
+    second = session._CLIENT_OT._held[key]
+    assert second.outcome != kept.outcome
+    assert second.position == kept.position
+    assert len(session._SERVER_OT._held) == 2
+    for server_holds_it, rounds in ((True, 29), (False, 31)):
+        session._CLIENT_OT.put(key, replace(kept))
+        if not server_holds_it:
+            (gone,) = [k for k in session._SERVER_OT._held
+                       if k[1] == kept.outcome]
+            session._SERVER_OT.forget(gone)
+        server, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                           server_seed=15, client_seed=12)
+        assert np.array_equal(client.logits, _exact(weights))
+        assert server.transcript.rounds == client.transcript.rounds == rounds
+
+
+def test_key_sets_past_the_server_store_fall_back_to_base_ot(weights,
+                                                             monkeypatch):
+    """Three client key sets take turns at a server that keeps outcomes
+    for two: each resume request finds its outcome evicted and falls back
+    to a fresh base OT, and a key set that comes straight back resumes.
+    No session fails and every one is exact."""
+    monkeypatch.setattr(session, "_SERVER_OT", session._Extensions(2))
+    seeds = (12, 14, 16)
+    rounds = []
+    for client_seed in seeds + seeds + seeds[-1:]:
+        server, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                           server_seed=11,
+                                           client_seed=client_seed)
+        assert np.array_equal(client.logits, _exact(weights))
+        rounds.append(client.transcript.rounds)
+    assert rounds == [29, 29, 29, 31, 31, 31, 29]
+
+
+class _HeldAccept:
+    """One end of the transport that holds back its accept frame until
+    `go` is set, after setting `waiting`."""
+
+    def __init__(self, conn, waiting, go):
+        self._conn, self._waiting, self._go = conn, waiting, go
+
+    def send(self, data: bytes):
+        if _HEADER.unpack_from(data)[1] == ACCEPT:
+            self._waiting.set()
+            self._go.wait(60)
+        self._conn.send(data)
+
+    def recv_exact(self, n: int) -> bytes:
+        return self._conn.recv_exact(n)
+
+    def close(self):
+        self._conn.close()
+
+
+def test_resumes_that_reach_the_server_out_of_order_both_finish(weights):
+    """Two resumed sessions of one key set at once: the client reserves
+    the earlier stream blocks for the first, but the second's request
+    reaches the server first, at a position that is not the server's, and
+    runs a fresh base OT; the first then resumes where the server stands.
+    Neither fails, and both are exact."""
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    waiting, go = threading.Event(), threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        try:
+            first = pool.submit(
+                run_pair,
+                lambda conn: run_server(conn, CFG, weights, "opt1", seed=13),
+                lambda conn: run_client(_HeldAccept(conn, waiting, go),
+                                        TOKENS, seed=12))
+            assert waiting.wait(60)
+            _, second = private_inference(CFG, weights, TOKENS, "opt1",
+                                          server_seed=15, client_seed=12)
+        finally:
+            go.set()
+        _, first = first.result()
+    assert [first.transcript.rounds, second.transcript.rounds] == [29, 31]
+    assert np.array_equal(first.logits, _exact(weights))
+    assert np.array_equal(second.logits, _exact(weights))
+
+
+def test_base_ot_runs_again_once_the_session_numbers_are_spent(
+        weights, monkeypatch):
+    """An outcome serves `MAX_SESSIONS` sessions at most, as many as the
+    tweak's session bits tell apart; with the bound at one, every session
+    runs its own base OT and is the pinned first session."""
+    monkeypatch.setattr(session, "MAX_SESSIONS", 1)
+    for _ in range(2):
+        server, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                           server_seed=11, client_seed=12)
+        assert client.transcript.digest() == DIGESTS["opt1"]
+        assert server.transcript.frames[2].nbytes == LAMBDA * POINT_BYTES
+
+
+def test_concurrent_takes_reserve_disjoint_blocks():
+    """Sessions that take one outcome at once each get their own stream
+    position and session number, and the outcome moves past all of them."""
+    store = session._Extensions(4)
+    store.put("k", session._Extension((), None, b"", 10, 1))
+    taken = []
+    threads = [threading.Thread(target=lambda: taken.append(
+        store.take("k", 7))) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert sorted(e.position for e in taken) == [10 + 7 * i for i in range(8)]
+    assert sorted(e.session for e in taken) == list(range(1, 9))
+    assert store.take("k", 7).position == 66
+
+
+def test_no_tweak_or_iknp_row_repeats_across_resumed_sessions(weights,
+                                                              monkeypatch):
+    """One garbling offset serves a fresh session and the two that resume
+    it.  Over all three, the garbler queries no hash tweak with labels
+    other than the two labels X and X ^ delta of one wire, and no IKNP row
+    of one session is a row of another: each extends fresh stream
+    blocks."""
+    party = threading.local()
+    queries, deltas, rows = [], [], []
+    fixed_key_hash, real_garble = garble_module._hash, session.garble
+    real_extend = session.OtExtReceiver.extend
+
+    def recording(aes, labels, tweaks):
+        if party.role == "server":
+            lab, tw = np.broadcast_arrays(labels, tweaks)
+            queries.append(np.hstack([tw.reshape(-1, 2), lab.reshape(-1, 2)]))
+        return fixed_key_hash(aes, labels, tweaks)
+
+    def garbling(circ, delta, *args):
+        deltas.append(delta.copy())
+        return real_garble(circ, delta, *args)
+
+    def extend(self, M, start=0):
+        u, batch = real_extend(self, M, start)
+        rows.append(batch.t.copy())
+        return u, batch
+
+    def as_party(role, fn):
+        def run(conn):
+            party.role = role
+            return fn(conn)
+        return run
+
+    monkeypatch.setattr(garble_module, "_hash", recording)
+    monkeypatch.setattr(session, "garble", garbling)
+    monkeypatch.setattr(session.OtExtReceiver, "extend", extend)
+    for server_seed in (11, 13, 15):
+        _, client = run_pair(
+            as_party("server", lambda c: run_server(c, CFG, weights, "opt1",
+                                                    seed=server_seed)),
+            as_party("client", lambda c: run_client(c, TOKENS, seed=12)))
+        assert np.array_equal(client.logits, forward_fixed(
+            CFG, weights, TOKENS, "opt1").logits)
+    delta = deltas[0]
+    assert all(np.array_equal(d, delta) for d in deltas)
+    q = np.concatenate(queries)
+    # a label and its partner under delta share one canonical form, the
+    # one of colour 0 (delta's colour bit is 1)
+    canon = q[:, 2:] ^ (q[:, 2:3] & np.uint64(1)) * delta
+    pairs = np.unique(np.hstack([q[:, :2], canon]), axis=0)
+    assert len(np.unique(pairs[:, :2], axis=0)) == len(pairs)
+    assert len(rows) == 3
+    for i in range(3):
+        for j in range(i + 1, 3):
+            both = np.concatenate([rows[i], rows[j]])
+            assert len(np.unique(both, axis=0)) == len(both)
 
 
 def test_second_session_encodes_no_weight_diagonal(weights, monkeypatch):
@@ -498,6 +887,30 @@ def test_session_over_sockets_reproduces_the_digest(weights):
     assert server.transcript.rounds == client.transcript.rounds == 29
     assert server.transcript.digest() == client.transcript.digest()
     assert client.transcript.digest() == DIGESTS["opt1"]
+
+
+def test_resumed_session_over_tcp_reproduces_the_digest(weights):
+    """A session resumed over `tcp_listen`/`tcp_dial` sends the bytes of
+    the pinned in-memory resumed session: the outcome the first session
+    left is the parties', not the transport's."""
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    srv = tcp_listen("127.0.0.1", 0)
+    try:
+        cconn = tcp_dial("127.0.0.1", srv.getsockname()[1])
+        sconn = tcp_accept(srv)
+    finally:
+        srv.close()
+    with ThreadPoolExecutor(2) as pool:
+        fs = pool.submit(_closing, run_server, sconn, CFG, weights, "opt1",
+                         seed=11)
+        fc = pool.submit(_closing, run_client, cconn, TOKENS, seed=12)
+        server, client = fs.result(), fc.result()
+    assert np.array_equal(client.logits,
+                          forward_fixed(CFG, weights, TOKENS, "opt1").logits)
+    assert server.transcript.frames[2].nbytes == 0
+    assert server.transcript.digest() == client.transcript.digest()
+    assert client.transcript.digest() == RESUMED_DIGESTS["opt1"]
 
 
 def test_socket_read_fails_when_the_peer_closes_mid_read():
@@ -753,6 +1166,7 @@ SERVER_SENDS = {HELLO, OT_BASE, STAGE_OPEN, STAGE_OT_RESP, MM_OPEN, LOGITS}
 
 @pytest.fixture(scope="module")
 def honest_frames(weights):
+    _forget_key_sets()
     server, _ = private_inference(CFG, weights, TOKENS, "opt1",
                                   server_seed=11, client_seed=12)
     return server.transcript.frames
@@ -819,7 +1233,6 @@ def _one_point_short(blob: bytearray):
 def test_server_refuses_bad_base_ot_point(weights):
     """An ACCEPT whose base-OT point A is not a compressed P-256 point is
     refused by the server before it sends any point of its own."""
-    session._parse_public_keys.cache_clear()
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(
@@ -924,7 +1337,7 @@ def test_geometry_limits_admit_their_bounds():
     whose vocabulary is exactly `MAX_WIDTH`, one with exactly `MAX_LAYERS`
     layers and one with exactly `MAX_CLASSES` classes still size a
     session."""
-    assert session.MAX_WIDTH == session.MAX_RING_DEGREE // 2 == 8192
+    assert session.MAX_WIDTH == session.MAX_RING_DEGREE // 2 == 4096
     long = replace(CFG, seq_len=session.MAX_WIDTH)
     assert session_geometry(long, "opt2").n == session.MAX_RING_DEGREE
     # a vocabulary is never a held row: the one-hot input's columns are
@@ -935,6 +1348,62 @@ def test_geometry_limits_admit_their_bounds():
     assert session_geometry(deep, "opt2").plan.encoders
     many = replace(CFG, n_classes=session.MAX_CLASSES)
     assert session_geometry(many, "opt1").cfg.n_classes == 99
+
+
+def _reply_bytes(geom):
+    """The mm-reply bytes of a session: per encrypted r x k by k x c
+    product, k + 1 fresh batches in the rows layout of its r x c result."""
+    held, total = {"x": geom.input_layout}, 0
+    for e, enc in enumerate(geom.plan.encoders):
+        for spec in enc:
+            if not spec.plain:
+                (r, k), (_, c) = (lay.shape for lay in spec.factors(held))
+                total += (k + 1) * geom.nbytes(Layout(ROWS, r, c), fresh=True)
+            held.update(zip(spec.tags, geom.stage_shares(e, spec)))
+    return total
+
+
+MATRIX_FRAMES = {"client-setup", "stage-open", "stage-share", "mm-open",
+                 "mm-reply"}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_session_bound_counts_every_matrix_frame(weights, mode):
+    """The matrices `Geometry.sent` names, which `MAX_SESSION_BYTES`
+    bounds, are byte for byte the encrypted matrices a session sends: the
+    input in client-setup past its OT columns, every stage-open,
+    stage-share and mm-open, and every mm-reply."""
+    server, _ = private_inference(CFG, weights, TOKENS, mode,
+                                  server_seed=11, client_seed=12)
+    geom = server.geometry
+    frames = [f for f in server.transcript.frames if f.name in MATRIX_FRAMES]
+    ot_part = 32 * LAMBDA + LAMBDA * -(-geom.ot_total // 8)
+    assert (sum(f.nbytes for f in frames) - ot_part
+            == sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent()))
+    assert sum(f.nbytes for f in frames if f.name == "mm-reply") \
+        == _reply_bytes(geom) > 0
+
+
+def test_product_replies_alone_push_a_hello_past_the_bound(monkeypatch):
+    """opt2 at seq_len `MAX_WIDTH` over two layers: every frame but
+    mm-reply fits `MAX_SESSION_BYTES`, but the replies to its attention
+    products, k + 1 fresh batches each, do not; the client refuses the
+    hello before it makes a key."""
+    long = replace(CFG, seq_len=session.MAX_WIDTH, n_layers=2)
+    limit = session.MAX_SESSION_BYTES
+    with monkeypatch.context() as patched:
+        patched.setattr(session, "MAX_SESSION_BYTES", 1 << 40)
+        geom = session_geometry(long, "opt2")
+    total, labels = _session_bytes(geom)
+    assert labels <= total - _reply_bytes(geom) <= limit < total
+    for name in ("_client_keys", "_cached_keys", "pack_colblocks"):
+        monkeypatch.setattr(session, name, _sized_a_hostile_session)
+    sconn, cconn = memory_pair()
+    write_frame(sconn, HELLO, _hello(mode=MODES.index("opt2"),
+                                     seq_len=session.MAX_WIDTH, n_layers=2))
+    with pytest.raises(ProtocolError, match="bytes of encrypted matrices, "
+                                            "above the limit"):
+        run_client(cconn, TOKENS, seed=12)
 
 
 def _session_bytes(geom):
@@ -990,7 +1459,7 @@ def _sized_a_hostile_session(*_, **__):
                                 dim=session.MAX_WIDTH, w=8, f=4,
                                 n_layers=session.MAX_LAYERS),
                  "random OTs, above the limit", id="dim-squared"),
-    # a one-hot input of MAX_WIDTH x MAX_WIDTH, gigabytes of ciphertexts
+    # a one-hot input of MAX_WIDTH x MAX_WIDTH: 1.9 GB of matrices
     pytest.param(lambda: _hello(mode=MODES.index("opt2"),
                                 seq_len=session.MAX_WIDTH,
                                 vocab=session.MAX_WIDTH),
@@ -1025,8 +1494,9 @@ def test_client_refuses_oversized_session_before_keys(monkeypatch, forge,
 
 def test_garbled_stages_bound_a_hello_the_other_limits_admit(monkeypatch):
     """A baseline shape of seq_len 512 passes the OT and matrix limits
-    (11,614,208 OTs, 65,774,144 bytes of matrices), but its attention row
-    divider, 250,890 ANDs and 1,409,027 wires over 512 rows, would make
+    (11,614,208 OTs; 179,192,448 bytes of matrices, 113,418,304 of them
+    product replies), but its attention row divider, 250,890 ANDs and
+    1,409,027 wires over 512 rows, would make
     the client expect a 4.1 GB stage-ot-resp and hold 11.5 GB of labels:
     `session_geometry` refuses it, and the client refuses its hello as a
     ProtocolError (`row-divider-labels` above)."""
@@ -1041,7 +1511,8 @@ def test_garbled_stages_bound_a_hello_the_other_limits_admit(monkeypatch):
     geom = session_geometry(replace(CFG, seq_len=512), "baseline")
     assert geom.ot_total == 11_614_208 <= session.MAX_OTS
     assert sum(geom.nbytes(lay, fresh)
-               for lay, fresh in geom.sent()) == 65_774_144
+               for lay, fresh in geom.sent()) == 179_192_448
+    assert _reply_bytes(geom) == 179_192_448 - 65_774_144
     assert _session_bytes(geom)[1] == 11_542_749_184
 
 
@@ -1179,7 +1650,6 @@ def _one_key_too_many(blob: bytearray):
 def test_server_refuses_key_blob_off_the_geometry(weights, edit, error):
     """The server accepts a key for exactly each Galois element of the
     geometry's giant steps, no more and no fewer."""
-    session._parse_public_keys.cache_clear()
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(
