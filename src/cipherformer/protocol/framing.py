@@ -20,15 +20,13 @@ _HEADER = struct.Struct("<4sBI")
 
 # handshake / setup
 HELLO = 1          # s->c: session geometry
-ACCEPT = 2         # c->s: rotation keys, then base-OT point A or a resume
-                   #       request naming a base-OT outcome and the
-                   #       client's stream position (33 B)
-OT_BASE = 3        # s->c: after A, the 128 base-OT points B (33 B each);
-                   #       after a resume request, empty if the server
-                   #       resumes, one byte if it refuses (then a second
-                   #       accept carries A alone, and a second ot-base B)
-CLIENT_SETUP = 4   # c->s: OT seeds (after A only) + extension matrix +
-                   #       encrypted input
+ACCEPT = 2         # c->s: rotation keys, base-OT point A (33 B), then
+                   #       maybe a resume request: the client's stream
+                   #       position (8 B) and a base-OT outcome's name (16 B)
+OT_BASE = 3        # s->c: empty if the server resumes the named outcome,
+                   #       else the 128 base-OT points B (33 B each)
+CLIENT_SETUP = 4   # c->s: OT seeds (after points B only) + extension
+                   #       matrix + encrypted input
 # garbled stages
 STAGE_OPEN = 5     # s->c: the masked stage input
 STAGE_OT_REQ = 6   # c->s: derandomization bits

@@ -23,19 +23,15 @@ c1, 16 k n:
                           on any disagreement
   accept         c -> s   the key blob, per Galois key its (k, k, n) k0
                           digit stack and the seed of its k1 stack,
-                          (8 k^2 n + 16) |galois|; then 33, either base-OT
-                          point A (compressed P-256, prefix 0x02 or 0x03),
-                          or a resume request: 0x00, the client's stream
-                          position (8, little-endian), the outcome's
-                          name (16), 8 zero bytes
-  ot-base        s -> c   after a point A, the 128 base-OT points B,
-                          128 x 33; after a resume request, nothing if
-                          the server resumes (the frame still counts as a
-                          round), or the one byte 0x00 if it refuses,
-                          and then
-    accept       c -> s     base-OT point A alone, 33
-    ot-base      s -> c     the 128 base-OT points B, 128 x 33
-  client-setup   c -> s   after a point A only, the OT-extension seed
+                          (8 k^2 n + 16) |galois|; base-OT point A
+                          (compressed P-256), 33; then, if the client holds
+                          a base-OT outcome for the key set, a resume
+                          request: the client's stream position (8,
+                          little-endian) and the outcome's name (16)
+  ot-base        s -> c   nothing if the server resumes the outcome the
+                          request names, else the 128 base-OT points B,
+                          128 x 33
+  client-setup   c -> s   after points B only, the OT-extension seed
                           pairs, 128 x 32; correction columns,
                           128 x ceil(ot_total / 8); the encrypted one-hot
                           input, an `input_layout` matrix of fresh cts, its
@@ -67,28 +63,28 @@ and a final frame:
                           slot sum
 
 Every frame in either direction counts as one round, so the round count is
-the same constant, 5 + 24 n_layers, for every input of a given shape; a
-refused resume request, which depends on what the server holds and not on
-the input, adds the two frames of the base OT that replaces it.  accept,
-and after a resume request ot-base, fix the form of the frames after them
-before any of those is read.
+the same constant, 5 + 24 n_layers, for every session of a given shape,
+first or resumed.  accept and ot-base each have two lengths, and each
+receiver tells the forms apart by the length in the frame header; ot-base
+fixes the form of client-setup before it is read.
 
 Base OT runs once per client key set.  Both parties keep its outcome (the
 client its seed pairs, the server its chosen seeds and s) under the
 outcome's name, the SHA-256 of point A and the 128 points B cut to 16
 bytes, which both hold, with a stream position and a session number.
-Every later session with the same key set sends a resume request instead
-of point A: both then extend at that position of the same column streams
+Every later session with the same key set adds a resume request to
+accept: both then extend at that position of the same column streams
 (`gc.ot`), garble under session-numbered tweaks
 (`gc.garble.tweak_namespace`), and move the position past the
 `stream_blocks(ot_total)` blocks they took.  The session that ran the base
 OTs extends at position 0 as session 0.  The server never takes the
 client's word for its state: it resumes only if it holds the named outcome
 for the key blob, at exactly the requested position and with a session
-number left.  Otherwise it refuses, and the session runs a fresh base OT
-in two more frames and goes on as a first session; a malformed request is
-a ProtocolError.  A client forgets its outcome for a key set when a
-session with it fails.
+number left.  Otherwise it answers point A, which the client draws and
+sends in every session (in Chou-Orlandi it depends on nothing the server
+says), with points B, and the session runs as a first session in the same
+frames.  A resuming server still checks that A is a curve point.  A client
+forgets its outcome for a key set when a session with it fails.
 
 No input label costs a byte of its own.  The IKNP rows of the set-up are a
 correlated OT under the key set's one garbling offset, so the
@@ -154,7 +150,7 @@ from ..gc.garble import (MAX_SESSIONS, b2a_corrections, b2a_shares,
                          evaluate, garble, tweak_namespace)
 from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
                      OtExtReceiver, OtExtSender, RandomOtBatch,
-                     RandomOtSenderBatch, stream_blocks)
+                     RandomOtSenderBatch, decode_points, stream_blocks)
 from ..helinear import (COLBLOCKS, ROWS, EncMatrix, Layout,
                         add_offset, class_sums, colblock_diagonals,
                         colblock_matmul, colblock_rotation_amounts,
@@ -487,10 +483,6 @@ class _Extensions:
 _CLIENT_OT = _Extensions(_cached_keys.cache_parameters()["maxsize"])
 _SERVER_OT = _Extensions(_cached_keys.cache_parameters()["maxsize"])
 
-# the first byte of a resume request, where a point A has 0x02 or 0x03
-_RESUME = 0
-# ot-base's one byte after a resume request the server refuses
-_REFUSED = b"\0"
 _OUTCOME_BYTES = 16
 
 
@@ -500,27 +492,6 @@ def _outcome(msg_a: bytes, msgs_b: bytes) -> bytes:
     by the server each time, so two outcomes of one key set, or of two
     clients with one seed, have two names."""
     return hashlib.sha256(msg_a + msgs_b).digest()[:_OUTCOME_BYTES]
-
-
-def _resume_request(ext: _Extension) -> bytes:
-    """accept's base-OT part that asks to extend `ext`'s outcome at its
-    stream position: 0x00, the position (8, little-endian), the outcome's
-    name, zero pad."""
-    return (bytes([_RESUME]) + ext.position.to_bytes(8, "little")
-            + ext.outcome + bytes(POINT_BYTES - 9 - _OUTCOME_BYTES))
-
-
-def _resume_target(part: bytes) -> tuple[int, bytes] | None:
-    """The stream position and outcome accept's base-OT part asks to resume,
-    or None if it is a point A, which `BaseOtReceiver` checks."""
-    if part[0] in (2, 3):
-        return None
-    if part[0] != _RESUME:
-        raise ProtocolError(f"base-OT point refused: prefix {part[0]:#04x} "
-                            f"is neither a point's nor a resume request's")
-    if any(part[9 + _OUTCOME_BYTES:]):
-        raise ProtocolError("resume request sets a pad byte")
-    return int.from_bytes(part[1:9], "little"), part[9:9 + _OUTCOME_BYTES]
 
 
 # ----------------------------------------------------------------------------
@@ -728,23 +699,21 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
 
     _send(conn, tr, HELLO, _hello(geom))
 
-    bpk, bpt = _recv(conn, tr, ACCEPT,
-                     [key_blob_nbytes(geom.params, len(geom.galois)),
-                      POINT_BYTES])
+    nkey = key_blob_nbytes(geom.params, len(geom.galois))
+    nbase = nkey + POINT_BYTES
+    accept = read_frame(conn, ACCEPT, (nbase, nbase + 8 + _OUTCOME_BYTES))
+    tr.record("received", ACCEPT, accept)
+    bpk, bpt, request = accept[:nkey], accept[nkey:nbase], accept[nbase:]
     pub = _parse_public_keys(bpk, geom.params, geom.galois)
     ev = Evaluator(pub)
 
     key_set = hashlib.sha256(bpk).digest()
     blocks = stream_blocks(geom.ot_total)
-    target = _resume_target(bpt)
     held = None
-    if target is not None:
-        position, outcome = target
-        held = _SERVER_OT.take((key_set, outcome), blocks, position)
-        if held is None:
-            # not an outcome held at that position: base OT after all
-            _send(conn, tr, OT_BASE, _REFUSED)
-            (bpt,) = _recv(conn, tr, ACCEPT, [POINT_BYTES])
+    if request:
+        decode_points(bpt, 1)   # a resumed session leaves A unused: check it
+        position = int.from_bytes(request[:8], "little")
+        held = _SERVER_OT.take((key_set, request[8:]), blocks, position)
     if held is None:
         ext = OtExtSender(rng)
         base = BaseOtReceiver(rng, ext.s_bits, bpt)
@@ -901,9 +870,10 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     """Drive the input-holder side of one inference session.
 
     A fixed `seed` fixes every draw of the session: the key set, the
-    encryption randomness and the OT choice bits.  Sessions with the same
-    seed reuse one key set, and after the first they resume its IKNP
-    extension instead of running base OT; they also replay the same
+    encryption randomness, base-OT point A and the OT choice bits.
+    Sessions with the same seed reuse one key set, and after the first they
+    ask to resume its IKNP extension; a server that does not hold it runs
+    base OT in the same frames instead.  They also replay the same
     encryption randomness and choice bits, so a seed is for tests and
     benchmarks, never for two real inputs.  Without a seed every session
     makes a fresh key set and runs its own base OT."""
@@ -932,27 +902,18 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     ev = Evaluator(keys, seed=enc_seed)
 
     blocks = stream_blocks(geom.ot_total)
-    # none held, or its session numbers spent: base OT
+    # none held, or its session numbers spent: no resume request
     held = None if key_set is None else _CLIENT_OT.take(key_set, blocks)
     try:
-        if held is not None:
-            _send(conn, tr, ACCEPT, pkey, _resume_request(held))
-            answer = read_frame(conn, OT_BASE, (0, len(_REFUSED)))
-            tr.record("received", OT_BASE, answer)
-            if not answer:
-                ext = OtExtReceiver(rng, held.streams)
-                seed_msgs = []
-            elif answer == _REFUSED:
-                # the server holds no such outcome at that position: a
-                # second accept sends point A alone
-                held, pkey = None, b""
-            else:
-                raise ProtocolError(f"ot-base answers a resume request "
-                                    f"with {answer.hex()}")
-        if held is None:
-            base = BaseOtSender(rng)
-            _send(conn, tr, ACCEPT, pkey, base.msg_a)
-            (bpts,) = _recv(conn, tr, OT_BASE, [LAMBDA * POINT_BYTES])
+        base = BaseOtSender(rng)
+        request = [] if held is None else [
+            held.position.to_bytes(8, "little"), held.outcome]
+        _send(conn, tr, ACCEPT, pkey, base.msg_a, *request)
+        points = LAMBDA * POINT_BYTES
+        bpts = read_frame(conn, OT_BASE, (points, 0) if request else points)
+        tr.record("received", OT_BASE, bpts)
+        if bpts:
+            # no resume request, or the server refused it: a first session
             k0, k1 = base.keys(bpts)
             ext = OtExtReceiver(rng)
             seed_msgs = [le64(ext.seed_messages(k0, k1))]
@@ -961,6 +922,9 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
                 _CLIENT_OT.put(key_set, _Extension(
                     tuple(AesCtr(s.keys) for s in ext.streams), None,
                     held.outcome, blocks, 1))
+        else:
+            ext = OtExtReceiver(rng, held.streams)
+            seed_msgs = []
         u_cols, batch = ext.extend(geom.ot_total, held.position)
 
         onehot = np.zeros((L, vocab), dtype=np.uint64)

@@ -44,6 +44,13 @@ from cipherformer.stages import MODES, stage_circuits
 CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
                   n_classes=2, w=20, f=9)
 TOKENS = [1, 5, 0, 3]
+# every session of CFG, first or resumed
+ROUNDS = 5 + 24 * CFG.n_layers
+# an opt1 session's accept: the key blob, point A, then, if the client
+# resumes, the stream position (8) and the outcome's name (16)
+_OPT1 = session_geometry(CFG, "opt1")
+KEY_BLOB_BYTES = pahe.key_blob_nbytes(_OPT1.params, len(_OPT1.galois))
+REQUEST_BYTES = 8 + 16
 
 DIGESTS = {
     "baseline": "3270effd8c5c14260b7eed24ac9ace67"
@@ -57,12 +64,12 @@ TWO_LAYER_DIGEST = ("5aaa67fd505e03e43b1bb0f95f071a3e"
                     "105e6d92bf60e2894c27de43c4fef6c4")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "20a3d3dda0f50966a84e4caab65b3490"
-                "7930e8ceb916f00d67da7586a8eb569e",
-    "opt1": "c704c72fac7390d23d53d1f6485d5421"
-            "dfe96e9cb6cf4e4f41938ec67de7d2a3",
-    "opt2": "495d5b8fad37d145c7772573f20f9e48"
-            "46a472a106186c343f6dbc0009a9772c",
+    "baseline": "635ad01fea79517914bb0796f0d89859"
+                "2adde208eda1e94e53d42d4a1422c6cd",
+    "opt1": "9641a62f2d5cb59dbe3b8865dc9c2900"
+            "fb4033f565f4222411922e1d2e157f07",
+    "opt2": "f277c755ce2a5ea160f9ac7e7bd6481a"
+            "1510c9e8576db87422a3cbda5b1f21d3",
 }
 
 
@@ -95,8 +102,7 @@ def test_session_is_exact_and_pinned(weights, mode):
     assert np.array_equal(client.logits, ref.logits)
     assert client.label == int(np.argmax(ref.logits))
     assert client.scale == ref.scale
-    rounds = 5 + 24 * CFG.n_layers
-    assert server.transcript.rounds == client.transcript.rounds == rounds
+    assert server.transcript.rounds == client.transcript.rounds == ROUNDS
     digest = server.transcript.digest()
     assert client.transcript.digest() == digest
     assert digest == DIGESTS[mode]
@@ -284,17 +290,19 @@ def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
     """A client seed that comes back reuses its cached key set and the key
     blob serialized with it; the key blob in ACCEPT stays byte for byte the
     same, and the second session resumes the first one's extension."""
-    calls, blobs = [], []
+    calls, accepts = [], []
     real = session.public_keys_to_bytes
     monkeypatch.setattr(session, "public_keys_to_bytes",
                         lambda km: calls.append(km) or real(km))
     for digest in (DIGESTS["opt1"], RESUMED_DIGESTS["opt1"]):
-        _, client = private_inference(CFG, weights, TOKENS, "opt1",
-                                      server_seed=11, client_seed=12)
+        _, client = run_pair(
+            lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
+            lambda conn: run_client(_EditFirstFrame(
+                conn, ACCEPT, lambda b: accepts.append(bytes(b))),
+                TOKENS, seed=12))
         assert client.transcript.digest() == digest
-        blobs.append(client.transcript.frames[1])
     assert len(calls) == 1
-    assert blobs[0] == blobs[1]
+    assert accepts[0][:KEY_BLOB_BYTES] == accepts[1][:KEY_BLOB_BYTES]
 
 
 def _no_base_ot(*_, **__):
@@ -304,55 +312,52 @@ def _no_base_ot(*_, **__):
 @pytest.mark.parametrize("mode", list(DIGESTS))
 def test_resumed_session_is_exact_and_pinned(weights, monkeypatch, mode):
     """A client's second session with its key set runs no base OT: accept
-    carries a resume request of the same 33 bytes as point A, ot-base is
+    carries point A and then a resume request, 24 bytes more, ot-base is
     empty but still a round, and client-setup drops the 128 x 32 bytes of
     seed messages.  Every other frame keeps its size, and the logits are
     exact."""
     first, first_client = private_inference(CFG, weights, TOKENS, mode,
                                             server_seed=11, client_seed=12)
-    for name in ("BaseOtSender", "BaseOtReceiver"):
-        monkeypatch.setattr(session, name, _no_base_ot)
+    monkeypatch.setattr(session.BaseOtSender, "keys", _no_base_ot)
+    monkeypatch.setattr(session, "BaseOtReceiver", _no_base_ot)
     server, client = private_inference(CFG, weights, TOKENS, mode,
                                        server_seed=11, client_seed=12)
     assert np.array_equal(client.logits,
                           forward_fixed(CFG, weights, TOKENS, mode).logits)
-    assert server.transcript.rounds == client.transcript.rounds == 29
+    assert server.transcript.rounds == client.transcript.rounds == ROUNDS
     digest = server.transcript.digest()
     assert client.transcript.digest() == digest == RESUMED_DIGESTS[mode]
     sizes = [(f.name, f.nbytes) for f in server.transcript.frames]
     want = [(f.name, f.nbytes) for f in first.transcript.frames]
+    want[1] = ("accept", want[1][1] + REQUEST_BYTES)
     want[2] = ("ot-base", 0)
     want[3] = ("client-setup", want[3][1] - 4096)
     assert sizes == want
     assert first.transcript.frames[2].nbytes == LAMBDA * POINT_BYTES
     assert (first_client.transcript.bytes_sent
-            - client.transcript.bytes_sent) == LAMBDA * 32
+            - client.transcript.bytes_sent) == LAMBDA * 32 - REQUEST_BYTES
     assert (first.transcript.bytes_sent
             - server.transcript.bytes_sent) == LAMBDA * POINT_BYTES
 
 
 def _position(blob: bytearray) -> int:
-    return int.from_bytes(blob[1:9], "little")
+    return int.from_bytes(blob[:8], "little")
 
 
 def _position_plus_one(blob: bytearray):
-    blob[1:9] = (_position(blob) + 1).to_bytes(8, "little")
+    blob[:8] = (_position(blob) + 1).to_bytes(8, "little")
 
 
 def _other_outcome(blob: bytearray):
-    blob[9] ^= 1
-
-
-def _prefix_to_1(blob: bytearray):
-    blob[0] = 1
-
-
-def _last_pad_byte_set(blob: bytearray):
-    blob[-1] = 1
+    blob[8] ^= 1
 
 
 def _exact(weights, mode="opt1"):
     return forward_fixed(CFG, weights, TOKENS, mode).logits
+
+
+def _ot_base_sizes(result) -> list[int]:
+    return [f.nbytes for f in result.transcript.frames if f.ftype == OT_BASE]
 
 
 @pytest.mark.parametrize("edit,forget", [
@@ -364,11 +369,11 @@ def test_refused_resume_request_falls_back_to_base_ot(weights, edit,
                                                       forget):
     """A resume request for a key set the server holds no outcome for, at a
     position one past its own, or naming an outcome it does not hold, is
-    refused with the one byte 0x00 in ot-base.  The client sends point A
-    alone in a second accept, and the session goes on as the first session
-    did, two frames longer and exact.  That base OT draws what the first
-    session's drew, so the next session resumes its outcome and is the
-    pinned resumed session, bit for bit."""
+    answered with the 128 points B for the point A the same accept carries,
+    and the session goes on as the first session did, in the same rounds
+    and exact; only accept is longer, by the request.  That base OT draws
+    what the first session's drew, so the next session resumes its outcome
+    and is the pinned resumed session, bit for bit."""
     first, _ = private_inference(CFG, weights, TOKENS, "opt1",
                                  server_seed=11, client_seed=12)
     if forget:
@@ -376,66 +381,133 @@ def test_refused_resume_request_falls_back_to_base_ot(weights, edit,
     server, client = run_pair(
         lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
         lambda conn: run_client(
-            _EditFirstFrame(conn, ACCEPT, edit, slice(-POINT_BYTES, None)),
+            _EditFirstFrame(conn, ACCEPT, edit, slice(-REQUEST_BYTES, None)),
             TOKENS, seed=12))
     assert np.array_equal(client.logits, _exact(weights))
-    assert server.transcript.rounds == client.transcript.rounds == 31
+    assert server.transcript.rounds == client.transcript.rounds == ROUNDS
     sizes = [(f.name, f.nbytes) for f in client.transcript.frames]
     want = [(f.name, f.nbytes) for f in first.transcript.frames]
-    want[2:2] = [("ot-base", 1), ("accept", POINT_BYTES)]
+    want[1] = ("accept", want[1][1] + REQUEST_BYTES)
     assert sizes == want
     _, then = private_inference(CFG, weights, TOKENS, "opt1",
                                 server_seed=11, client_seed=12)
     assert then.transcript.digest() == RESUMED_DIGESTS["opt1"]
 
 
-@pytest.mark.parametrize("edit,error", [
-    pytest.param(_prefix_to_1, "prefix 0x01", id="prefix-1"),
-    pytest.param(_last_pad_byte_set, "pad byte", id="pad-set"),
+@pytest.mark.parametrize("point", [
+    pytest.param(bytes([5]) + bytes(range(32)), id="prefix-5"),
+    pytest.param(bytes(POINT_BYTES), id="all-zero"),
 ])
-def test_server_refuses_a_malformed_resume_request(weights, edit, error):
-    """A resume request with prefix 0x01 or with a pad byte set is a
-    ProtocolError before ot-base: the client sees the connection close.
-    The client then forgets its outcome, so its next session runs a fresh
-    base OT and is the pinned first session, bit for bit."""
+def test_server_refuses_a_resume_request_whose_point_is_off_the_curve(
+        weights, point):
+    """A resuming server never uses point A, but still decodes it: a
+    resumed accept whose A is no compressed P-256 point is a ProtocolError
+    before ot-base, and the client sees the connection close.  The client
+    then forgets its outcome, so its next session runs a fresh base OT and
+    is the pinned first session, bit for bit."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
+
+    def off_curve(blob: bytearray):
+        blob[:POINT_BYTES] = point
+
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(
-            _EditFirstFrame(conn, ACCEPT, edit, slice(-POINT_BYTES, None)),
+            _EditFirstFrame(conn, ACCEPT, off_curve,
+                            slice(-REQUEST_BYTES - POINT_BYTES, None)),
             TOKENS, seed=12)))
     assert isinstance(server_err, ProtocolError)
-    assert error in str(server_err)
+    assert "base-OT point refused" in str(server_err)
     assert isinstance(client_err, ProtocolError)
     assert "peer closed" in str(client_err)
-    server, client = private_inference(CFG, weights, TOKENS, "opt1",
-                                       server_seed=11, client_seed=12)
+    _, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                  server_seed=11, client_seed=12)
     assert client.transcript.digest() == DIGESTS["opt1"]
     assert np.array_equal(client.logits, _exact(weights))
 
 
-def test_client_refuses_any_other_answer_to_a_resume_request(weights):
-    """After a resume request, ot-base is empty or the one byte 0x00; a
-    server that answers 0x01 is refused by the client."""
-    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
-                      client_seed=12)
+@pytest.mark.parametrize("resumed,edit", [
+    pytest.param(True, lambda b: b.__delitem__(-1), id="request-short"),
+    pytest.param(True, lambda b: b.append(0), id="request-long"),
+    pytest.param(False, lambda b: b.extend(bytes(REQUEST_BYTES // 2)),
+                 id="half-a-request"),
+])
+def test_accept_of_neither_length_is_refused_unread(weights, resumed, edit):
+    """accept is the key blob and point A, with or without the 24-byte
+    resume request; one byte short of or past the request, or half of
+    one, is refused by the server from the header alone, before it reads
+    one payload byte."""
+    if resumed:
+        private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                          client_seed=12)
+    counting = {}
+
+    def server(conn):
+        counting["conn"] = _Counting(conn)
+        return run_server(counting["conn"], CFG, weights, "opt1", seed=11)
+
+    server_err, client_err = run_pair(
+        _caught(server),
+        _caught(lambda conn: run_client(_EditFirstFrame(conn, ACCEPT, edit),
+                                        TOKENS, seed=12)))
+    assert isinstance(server_err, ProtocolError)
+    assert "accept frame of" in str(server_err)
+    assert counting["conn"].read == _HEADER.size
+    assert isinstance(client_err, ProtocolError)
+
+
+def test_client_refuses_an_empty_ot_base_after_no_request(weights):
+    """An empty ot-base resumes a request; after an accept with none, the
+    client refuses it from the header."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, OT_BASE, lambda b: b.append(1)),
+            _EditFirstFrame(conn, OT_BASE, lambda b: b.clear()),
             CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
-    assert "answers a resume request with 01" in str(client_err)
+    assert "ot-base frame of 0 bytes" in str(client_err)
     assert isinstance(server_err, ProtocolError)
 
 
+def test_client_refuses_any_other_answer_to_a_resume_request(weights):
+    """After a resume request, ot-base is empty or the 128 points B; a
+    server that answers with one byte, one point or one byte past the
+    points is refused by the client from the header alone, having read the
+    hello and not one byte of ot-base's payload."""
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    for length in (1, POINT_BYTES, LAMBDA * POINT_BYTES + 1):
+        def answer(blob: bytearray):
+            blob[:] = bytes(length)
+
+        counting = {}
+
+        def client(conn):
+            counting["conn"] = _Counting(conn)
+            return run_client(counting["conn"], TOKENS, seed=12)
+
+        server_err, client_err = run_pair(
+            _caught(lambda conn: run_server(
+                _EditFirstFrame(conn, OT_BASE, answer),
+                CFG, weights, "opt1", seed=11)),
+            _caught(client))
+        assert isinstance(client_err, ProtocolError)
+        assert f"ot-base frame of {length} bytes" in str(client_err)
+        assert counting["conn"].read == 2 * _HEADER.size + session.HELLO_BYTES
+        assert isinstance(server_err, ProtocolError)
+        # the failed session made the client forget its outcome
+        private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                          client_seed=12)
+
+
 def test_resume_request_carries_the_client_position(weights, monkeypatch):
-    """The resume request is 0x00, the stream position (little-endian),
-    the outcome's name (the SHA-256 of point A and the 128 points B, cut to
-    16 bytes) and 8 zero bytes, and both parties move the position past
-    ceil(M / 128) blocks a session: the first resumed session asks for
-    exactly the blocks the first session took."""
+    """Every accept carries point A after the key blob; a resumed one then
+    carries the stream position (little-endian) and the outcome's name
+    (the SHA-256 of point A and the 128 points B, cut to 16 bytes), and
+    both parties move the position past ceil(M / 128) blocks a session:
+    the first resumed session asks for exactly the blocks the first
+    session took."""
     sent, base_ot = [], []
     real_keys = session.BaseOtSender.keys
 
@@ -450,14 +522,14 @@ def test_resume_request_carries_the_client_position(weights, monkeypatch):
             lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
             lambda conn: run_client(_EditFirstFrame(
                 conn, ACCEPT, lambda b: sent.append(bytes(b)),
-                slice(-POINT_BYTES, None)), TOKENS, seed=12))
+                slice(KEY_BLOB_BYTES, None)), TOKENS, seed=12))
     blocks = -(-geom.ot_total // 128)
     (transcript,) = base_ot
-    assert sent[0] == transcript[:POINT_BYTES]
+    point_a = transcript[:POINT_BYTES]
+    assert sent[0] == point_a
     name = hashlib.sha256(transcript).digest()[:16]
     for i, part in enumerate(sent[1:], 1):
-        assert part == bytes([0]) + (i * blocks).to_bytes(8, "little") \
-            + name + bytes(8)
+        assert part == point_a + (i * blocks).to_bytes(8, "little") + name
 
 
 class _OtherSeedPairs(session.OtExtReceiver):
@@ -478,9 +550,10 @@ def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
     client's outcome forgotten in between (as two client processes would
     have it), leave the server two outcomes at the same stream position.
     A resume request for the first extends the first; once the server
-    holds only the second, the same request is refused and the session
-    runs a fresh base OT.  The server never garbles under an offset or
-    streams the client does not hold: every session is exact."""
+    holds only the second, the same request is answered with points B and
+    the session runs a fresh base OT, in the same rounds.  The server never
+    garbles under an offset or streams the client does not hold: every
+    session is exact."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
     ((key, kept),) = session._CLIENT_OT._held.items()
@@ -494,7 +567,7 @@ def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
     assert second.outcome != kept.outcome
     assert second.position == kept.position
     assert len(session._SERVER_OT._held) == 2
-    for server_holds_it, rounds in ((True, 29), (False, 31)):
+    for server_holds_it, points in ((True, 0), (False, LAMBDA * POINT_BYTES)):
         session._CLIENT_OT.put(key, replace(kept))
         if not server_holds_it:
             (gone,) = [k for k in session._SERVER_OT._held
@@ -503,25 +576,29 @@ def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
         server, client = private_inference(CFG, weights, TOKENS, "opt1",
                                            server_seed=15, client_seed=12)
         assert np.array_equal(client.logits, _exact(weights))
-        assert server.transcript.rounds == client.transcript.rounds == rounds
+        assert server.transcript.rounds == client.transcript.rounds == ROUNDS
+        assert _ot_base_sizes(client) == [points]
 
 
 def test_key_sets_past_the_server_store_fall_back_to_base_ot(weights,
                                                              monkeypatch):
     """Three client key sets take turns at a server that keeps outcomes
-    for two: each resume request finds its outcome evicted and falls back
-    to a fresh base OT, and a key set that comes straight back resumes.
-    No session fails and every one is exact."""
+    for two: each resume request finds its outcome evicted and is answered
+    with a fresh base OT, and a key set that comes straight back resumes.
+    No session fails, every one is exact, and every one takes the same
+    rounds."""
     monkeypatch.setattr(session, "_SERVER_OT", session._Extensions(2))
     seeds = (12, 14, 16)
-    rounds = []
+    rounds, ot_base = [], []
     for client_seed in seeds + seeds + seeds[-1:]:
         server, client = private_inference(CFG, weights, TOKENS, "opt1",
                                            server_seed=11,
                                            client_seed=client_seed)
         assert np.array_equal(client.logits, _exact(weights))
         rounds.append(client.transcript.rounds)
-    assert rounds == [29, 29, 29, 31, 31, 31, 29]
+        ot_base += _ot_base_sizes(client)
+    assert rounds == [ROUNDS] * 7
+    assert ot_base == [LAMBDA * POINT_BYTES] * 6 + [0]
 
 
 class _HeldAccept:
@@ -549,7 +626,7 @@ def test_resumes_that_reach_the_server_out_of_order_both_finish(weights):
     the earlier stream blocks for the first, but the second's request
     reaches the server first, at a position that is not the server's, and
     runs a fresh base OT; the first then resumes where the server stands.
-    Neither fails, and both are exact."""
+    Neither fails, both are exact, and both take the same rounds."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
     waiting, go = threading.Event(), threading.Event()
@@ -566,7 +643,9 @@ def test_resumes_that_reach_the_server_out_of_order_both_finish(weights):
         finally:
             go.set()
         _, first = first.result()
-    assert [first.transcript.rounds, second.transcript.rounds] == [29, 31]
+    assert [first.transcript.rounds, second.transcript.rounds] == [ROUNDS] * 2
+    assert _ot_base_sizes(first) + _ot_base_sizes(second) == [
+        0, LAMBDA * POINT_BYTES]
     assert np.array_equal(first.logits, _exact(weights))
     assert np.array_equal(second.logits, _exact(weights))
 
@@ -581,6 +660,7 @@ def test_base_ot_runs_again_once_the_session_numbers_are_spent(
         server, client = private_inference(CFG, weights, TOKENS, "opt1",
                                            server_seed=11, client_seed=12)
         assert client.transcript.digest() == DIGESTS["opt1"]
+        assert server.transcript.rounds == client.transcript.rounds == ROUNDS
         assert server.transcript.frames[2].nbytes == LAMBDA * POINT_BYTES
 
 
@@ -884,7 +964,7 @@ def test_session_over_sockets_reproduces_the_digest(weights):
         server, client = fs.result(), fc.result()
     ref = forward_fixed(CFG, weights, TOKENS, "opt1")
     assert np.array_equal(client.logits, ref.logits)
-    assert server.transcript.rounds == client.transcript.rounds == 29
+    assert server.transcript.rounds == client.transcript.rounds == ROUNDS
     assert server.transcript.digest() == client.transcript.digest()
     assert client.transcript.digest() == DIGESTS["opt1"]
 
