@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,15 +34,16 @@ CONST1 = 1
 
 @dataclass(frozen=True, slots=True)
 class Level:
-    """The gates of one depth, split by kind.  No gate of a level reads a
-    wire that another gate of the same level writes, so each kind can run
-    as one batch.
+    """The gates of one depth of a `Schedule`, split by kind.  No gate of a
+    level reads a wire that another gate of the same level writes, so each
+    kind runs as one batch.
 
-    Wire ids and table rows index the leading axis of a label or table
-    array: an intp array, or a one-element slice when the level has one gate
-    of that kind.  Basic indexing is several times cheaper than a gather,
-    and narrow, deep circuits (the affine stages) are mostly one-gate
-    levels.
+    Wire ids index the leading axis of a label array: an intp array, or a
+    one-element slice when the level has one gate of that kind.  Basic
+    indexing is several times cheaper than a gather, and narrow, deep
+    circuits (the affine stages) are mostly one-gate levels.  Both inputs
+    of every AND are one (2, K) gather, and the level's ANDs are one run
+    of the walk order.
     """
 
     n_xor: int
@@ -51,11 +51,9 @@ class Level:
     xor_in1: np.ndarray | slice
     xor_out: np.ndarray | slice
     n_and: int
-    and_in0: np.ndarray | slice
-    and_in1: np.ndarray | slice
+    and_in: np.ndarray             # (2, K) intp: in0 and in1 of each AND
     and_out: np.ndarray | slice
-    and_tweak: np.ndarray          # (2, K) uint64: 2g and 2g+1 for gate g
-    and_row: np.ndarray | slice    # the ANDs' ordinals among all ANDs
+    ands: slice                    # the level's ANDs in walk order
 
 
 def _index(ids: np.ndarray) -> np.ndarray | slice:
@@ -86,34 +84,17 @@ class Circuit:
     def n_xor(self) -> int:
         return int(np.count_nonzero(self.ops == OP_XOR))
 
-    @cached_property
-    def levels(self) -> tuple[Level, ...]:
-        """Gates grouped by depth, shallowest first.  Inputs and constants
-        have depth 0 and a gate has 1 + the larger depth of its inputs, so
-        every gate reads only wires of earlier levels.  Within a level gates
-        keep their list order.  Built once per circuit, on first use."""
+    def depths(self) -> np.ndarray:
+        """Each gate's depth, (G,) int32: inputs and constants have depth 0
+        and a gate has 1 + the larger depth of its inputs, so a gate reads
+        only wires of smaller depth."""
         # an int array and lazily boxed wire ids keep the peak small
         depth = array("i", bytes(4 * self.n_wires))
         for a, b, o in zip(memoryview(self.in0), memoryview(self.in1),
                            memoryview(self.out)):
             da, db = depth[a], depth[b]
             depth[o] = (da if da > db else db) + 1
-        is_and = self.ops == OP_AND
-        # sort by level, XORs before ANDs, then list order; each level is
-        # then two runs of the sorted arrays
-        key = 2 * np.frombuffer(depth, dtype=np.int32)[self.out] + is_and
-        order = np.argsort(key, kind="stable")
-        in0, in1, out = self.in0[order], self.in1[order], self.out[order]
-        tweak = 2 * order.astype(np.uint64) + np.array([[0], [1]], np.uint64)
-        row = (np.cumsum(is_and) - 1)[order]
-        top = int(key.max()) // 2 if key.size else 0
-        cut = np.searchsorted(key[order], np.arange(2, 2 * top + 3))
-        return tuple(
-            Level(int(mid - lo), _index(in0[lo:mid]), _index(in1[lo:mid]),
-                  _index(out[lo:mid]),
-                  int(hi - mid), _index(in0[mid:hi]), _index(in1[mid:hi]),
-                  _index(out[mid:hi]), tweak[:, mid:hi], _index(row[mid:hi]))
-            for lo, mid, hi in zip(cut[:-1:2], cut[1::2], cut[2::2]))
+        return np.frombuffer(depth, dtype=np.int32)[self.out]
 
     def stats(self) -> dict[str, int]:
         return {
@@ -149,6 +130,89 @@ class Circuit:
             vals[out[i]] = (a ^ b) if ops[i] == OP_XOR else (a & b)
         res = vals[self.outputs].T
         return res[0] if squeeze and E == 1 else res
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """Circuits walked as one: the union of their gates, each circuit's
+    wires, AND table rows and outputs one block of a shared array after
+    those of the circuits before it, and its gates grouped by depth, level
+    i of the walk being level i of every circuit.
+
+    Within a level gates keep their circuit's order, circuit after circuit.
+    `and_tweak`, `and_circuit` and `and_row` hold every AND in walk order:
+    the tweak words 2g and 2g+1 of gate g of its own circuit, that
+    circuit's index, and the AND's table row, its ordinal among its
+    circuit's ANDs in that circuit's block.  A walk of one circuit is that
+    circuit's own schedule.
+    """
+
+    circuits: tuple[Circuit, ...]
+    levels: tuple[Level, ...]
+    n_wires: int
+    n_and: int
+    const1: np.ndarray             # every circuit's constant-one wire
+    garbler_inputs: np.ndarray     # wire ids, circuit after circuit
+    evaluator_inputs: np.ndarray
+    outputs: np.ndarray
+    out_index: np.ndarray          # (n_out,) uint64: index in its circuit
+    out_circuit: np.ndarray        # (n_out,) intp: its circuit
+    and_tweak: np.ndarray          # (2, n_and) uint64
+    and_circuit: np.ndarray        # (n_and,) intp
+    and_row: np.ndarray            # (n_and,) intp: table row
+
+
+def schedule(circuits) -> Schedule:
+    """The one walk over `circuits` (see `Schedule`), built in numpy from
+    every circuit's gate depths."""
+    circuits = tuple(circuits)
+    if not circuits:
+        raise CircuitError("a schedule needs a circuit")
+    wire_base = np.cumsum([0] + [c.n_wires for c in circuits])
+    row_base = np.cumsum([0] + [c.n_and for c in circuits])
+    parts = []
+    for i, c in enumerate(circuits):
+        is_and = c.ops == OP_AND
+        parts.append((2 * c.depths() + is_and,
+                      c.in0 + wire_base[i], c.in1 + wire_base[i],
+                      c.out + wire_base[i],
+                      np.arange(c.ops.size, dtype=np.uint64),
+                      np.cumsum(is_and) - 1 + row_base[i],
+                      np.full(c.ops.size, i)))
+    key, in0, in1, out, gate, row, owner = (np.concatenate(p)
+                                            for p in zip(*parts))
+    # sort by level, XORs before ANDs, then circuit and list order; each
+    # level is then two runs of the sorted arrays
+    order = np.argsort(key, kind="stable")
+    key, in0, in1, out, gate, row, owner = (
+        a[order] for a in (key, in0, in1, out, gate, row, owner))
+    is_and = (key & 1).astype(bool)
+    top = int(key.max()) // 2 if key.size else 0
+    cut = np.searchsorted(key, np.arange(2, 2 * top + 3))
+    # the ANDs before each gate, in walk order
+    ands = np.concatenate([[0], np.cumsum(is_and)])
+    levels = tuple(
+        Level(int(mid - lo), _index(in0[lo:mid]), _index(in1[lo:mid]),
+              _index(out[lo:mid]),
+              int(hi - mid), np.stack([in0[mid:hi], in1[mid:hi]]).astype(
+                  np.intp),
+              _index(out[mid:hi]), slice(int(ands[mid]), int(ands[hi])))
+        for lo, mid, hi in zip(cut[:-1:2], cut[1::2], cut[2::2]))
+
+    def ids(name):
+        return np.concatenate([getattr(c, name) + base
+                               for c, base in zip(circuits, wire_base)])
+
+    return Schedule(
+        circuits, levels, int(wire_base[-1]), int(row_base[-1]),
+        wire_base[:-1] + CONST1, ids("garbler_inputs"),
+        ids("evaluator_inputs"), ids("outputs"),
+        np.concatenate([np.arange(c.outputs.size, dtype=np.uint64)
+                        for c in circuits]),
+        np.repeat(np.arange(len(circuits)),
+                  [c.outputs.size for c in circuits]),
+        2 * gate[is_and] + np.array([[0], [1]], np.uint64),
+        owner[is_and].astype(np.intp), row[is_and].astype(np.intp))
 
 
 class Builder:
@@ -285,17 +349,24 @@ class Builder:
     def saturate(self, x: list[int], width: int) -> list[int]:
         """Clamp a two's-complement word into `width` bits.
 
-        Overflow is detected by OR-ing the disagreements between the dropped
-        high bits and the sign; the clamp value is +/- full scale by sign.
+        The word fits when every dropped high bit agrees with the sign; the
+        agreements are ANDed in a balanced tree, one AND per disagreement
+        that can occur (a sign copy always agrees) at depth ceil(lg) of
+        their count, and select between the word and the clamp value,
+        +/- full scale by sign.
         """
         if width >= len(x):
             return list(x) + [x[-1]] * (width - len(x))
         sign = x[-1]
-        ovf = CONST0
-        for b in x[width - 1:-1]:
-            ovf = self.or_(ovf, self.xor(b, sign))
+        agree = [a for a in (self.inv(self.xor(b, sign))
+                             for b in x[width - 1:-1]) if a != CONST1]
+        if not agree:
+            return list(x[:width])
+        while len(agree) > 1:
+            agree = ([self.and_(a, b) for a, b in zip(agree[::2], agree[1::2])]
+                     + agree[len(agree) & ~1:])
         clamp = [self.inv(sign)] * (width - 1) + [sign]
-        return self.mux(ovf, clamp, x[:width])
+        return self.mux(agree[0], x[:width], clamp)
 
     # -- finalize ---------------------------------------------------------------
 

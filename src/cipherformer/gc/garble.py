@@ -16,11 +16,17 @@ tweaks unique per (session, garbling, instance, gate, half) under one
 delta (`tweak_namespace`); instances are independent garblings of the same
 topology.
 
-Garbling and evaluation walk the circuit's level schedule (`Circuit.levels`):
-at each depth, all XOR gates are one gather-XOR-scatter over the label array
-and all AND gates of all instances are one AES call.  Tweaks follow the gate
-index and table rows the AND's ordinal, so the output is byte for byte what
-a gate-by-gate walk produces.
+Garbling and evaluation walk every circuit of a stage at once
+(`circuit.Schedule`): the circuits' labels are one (W, E, 2) array, and
+level i of the walk is level i of every circuit, so a stage costs as many
+level visits as its deepest circuit, not their sum.  At each level, all
+XOR gates are one gather-XOR-scatter and all AND gates of all circuits and
+instances one AES call; the garbler doubles the two zero labels of each
+AND once and gets the other two by XORing in 2 delta, and writes both of
+its table rows in one scatter.  Every gate keeps its own circuit's tweak,
+built for the whole walk before the first level, and its own table row,
+so each circuit's tables are byte for byte what a gate-by-gate walk of
+that circuit alone produces.
 
 Everything here is semi-honest: evaluation trusts the tables.  Outputs are
 never decoded to bits: label-keyed pads and one correction word per output
@@ -36,7 +42,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import CircuitError
 from ..ntt import addmod, reduce128, submod
-from .circuit import CONST1, Circuit
+from .circuit import Schedule
 
 _FIXED_KEY = bytes(range(16))
 _AES = Cipher(algorithms.AES(_FIXED_KEY), modes.ECB())
@@ -46,26 +52,31 @@ _ONE = np.uint64(1)
 _SHIFT63 = np.uint64(63)
 
 
-def _double(x: np.ndarray) -> np.ndarray:
-    """Multiply by x in GF(2^128) (poly x^128 + x^7 + x^2 + x + 1)."""
-    out = x << _ONE
-    out[..., 1] |= x[..., 0] >> _SHIFT63
-    out[..., 0] ^= (x[..., 1] >> _SHIFT63) * _GF_POLY
+def _double(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Multiply by x in GF(2^128) (poly x^128 + x^7 + x^2 + x + 1), into
+    `out` if given."""
+    carry = x >> _SHIFT63
+    out = np.left_shift(x, _ONE, out=out)
+    out[..., 1] |= carry[..., 0]
+    out[..., 0] ^= carry[..., 1] * _GF_POLY
     return out
 
 
 def hash_labels(labels: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
     """H(X, t) = pi(2X ^ t) ^ (2X ^ t) on labels and tweaks that broadcast
     together to (..., 2), pi being fixed-key AES."""
-    return _hash(_AES.encryptor(), labels, tweaks)
+    return _hash(_AES.encryptor(), _double(labels), tweaks)
 
 
-def _hash(aes, labels: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
-    """`hash_labels` through an open ECB encryptor, which keeps no state
-    between calls, so one garbling or evaluation sets up AES once."""
-    t = np.ascontiguousarray(_double(labels) ^ tweaks, dtype="<u8")
+def _hash(aes, doubled: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
+    """`hash_labels` of the labels whose doubles are `doubled`, through an
+    open ECB encryptor, which keeps no state between calls, so one walk
+    sets up AES once.  `doubled` must have the broadcast shape; it is
+    overwritten with the result."""
+    t = np.bitwise_xor(doubled, tweaks, out=doubled)
     raw = aes.update(t.tobytes())
-    return np.frombuffer(raw, dtype="<u8").reshape(t.shape) ^ t
+    return np.bitwise_xor(t, np.frombuffer(raw, dtype="<u8").reshape(t.shape),
+                          out=t)
 
 
 # the low tweak word's bits from SESSION_SHIFT up to the B2A flag hold the
@@ -92,22 +103,18 @@ def tweak_namespace(layer: int, stage: int, group: int,
     return (layer << 16 | stage << 8 | group) << 96 | session << SESSION_SHIFT
 
 
-def _ns_words(ns: int) -> tuple[np.uint64, np.uint64]:
-    """The namespace `ns` as its (low, high) tweak words."""
-    return np.uint64(ns & _WORD), np.uint64(ns >> 64)
-
-
-def _tweak_grid(word0: np.ndarray, instances: int,
-                ns_words: tuple[np.uint64, np.uint64]) -> np.ndarray:
-    """Tweaks (..., E, 2): word0 ORed with the namespace's low word in the
-    low half, its high word and the instance in the high."""
-    low, high = ns_words
-    word0 = np.asarray(word0, dtype=np.uint64)
-    if low:
-        word0 = word0 | low
-    tw = np.empty(word0.shape + (instances, 2), dtype=np.uint64)
-    tw[..., 0] = word0[..., None]
-    tw[..., 1] = high | np.arange(instances, dtype=np.uint64)
+def _tweaks(low: np.ndarray, owner: np.ndarray, instances: int,
+            namespaces) -> np.ndarray:
+    """Tweaks (..., K, E, 2) of K labels' low words `low`, (..., K), each
+    of the circuit `owner`, (K,): the low word ORed with the low word of
+    its circuit's namespace in `namespaces`, that namespace's high word
+    with the instance in the high."""
+    ns_low = np.array([ns & _WORD for ns in namespaces], dtype=np.uint64)
+    ns_high = np.array([ns >> 64 for ns in namespaces], dtype=np.uint64)
+    tw = np.empty(low.shape + (instances, 2), dtype=np.uint64)
+    tw[..., 0] = (low | ns_low[owner])[..., None]
+    tw[..., 1] = (ns_high[owner][:, None]
+                  | np.arange(instances, dtype=np.uint64))
     return tw
 
 
@@ -115,33 +122,35 @@ def _tweak_grid(word0: np.ndarray, instances: int,
 _B2A_NS = np.uint64(1) << np.uint64(61)
 
 
-def _lsb(x: np.ndarray) -> np.ndarray:
-    """The colour bits of (..., 2) labels, as (..., 1)."""
-    return x[..., :1] & _ONE
+def _colour(labels: np.ndarray) -> np.ndarray:
+    """The colour bit of (..., 2) labels in both words, (..., 2)."""
+    return np.repeat(labels[..., :1] & _ONE, 2, axis=-1)
 
 
 @dataclass
-class GarbledCircuit:
-    """Garbler-side result for E independent instances of one topology."""
+class Garbling:
+    """Garbler-side result of one walk: E independent instances of each
+    circuit of a schedule."""
 
-    circuit: Circuit
+    schedule: Schedule
     delta: np.ndarray            # (2,) the garbling offset
-    ns: int                      # the garbling's tweak namespace
+    namespaces: tuple[int, ...]  # each circuit's tweak namespace
     wire0: np.ndarray            # (W, E, 2) zero-labels for every wire
     tables: np.ndarray           # (n_and, E, 2, 2) the two rows per AND
 
 
-def _folded_pads(labels: np.ndarray, ns: int, p: int) -> np.ndarray:
-    """F(L): the pads of output labels (..., n_out, E, 2), under tweaks
-    unique per (output wire, instance) in namespace `ns`, folded to
-    (lo + 2^64 hi) mod p."""
-    n_out, E = labels.shape[-3:-1]
-    pads = hash_labels(labels, _tweak_grid(
-        _B2A_NS | np.arange(n_out, dtype=np.uint64), E, _ns_words(ns)))
+def _folded_pads(sched: Schedule, labels: np.ndarray, namespaces,
+                 p: int) -> np.ndarray:
+    """F(L): the pads of output labels (..., n_out, E, 2) of the walk
+    `sched`, under tweaks unique per (output wire, instance) in each
+    output's circuit's namespace, folded to (lo + 2^64 hi) mod p."""
+    pads = hash_labels(labels, _tweaks(_B2A_NS | sched.out_index,
+                                       sched.out_circuit, labels.shape[-2],
+                                       namespaces))
     return reduce128(pads[..., 1], pads[..., 0], p)
 
 
-def b2a_corrections(gb: GarbledCircuit, weights: np.ndarray,
+def b2a_corrections(gb: Garbling, weights: np.ndarray,
                     p: int) -> tuple[np.ndarray, np.ndarray]:
     """Garbler half of the free B2A: (c, t), each (n_out, E) below p.
 
@@ -158,40 +167,56 @@ def b2a_corrections(gb: GarbledCircuit, weights: np.ndarray,
     that the fixed-key hash is correlation robust, so H(L ^ delta, t) looks
     uniform to whoever holds L.
     """
-    z = gb.wire0[gb.circuit.outputs]
+    z = gb.wire0[gb.schedule.outputs]
     b0 = z[..., 0] & _ONE              # the value of L0 is the colour of z
     l0 = z ^ b0[..., None] * gb.delta
-    f0, f1 = _folded_pads(np.array([l0, l0 ^ gb.delta]), gb.ns, p)
+    f0, f1 = _folded_pads(gb.schedule, np.array([l0, l0 ^ gb.delta]),
+                          gb.namespaces, p)
     w = np.asarray(weights, dtype=np.uint64)[:, None]
     signed_w = np.where(b0 == 1, submod(0, w, p), w)
     return submod(addmod(signed_w, f0, p), f1, p), submod(b0 * w, f0, p)
 
 
-def b2a_shares(active_out: np.ndarray, c: np.ndarray, ns: int,
-               p: int) -> np.ndarray:
+def b2a_shares(sched: Schedule, active_out: np.ndarray, c: np.ndarray,
+               namespaces, p: int) -> np.ndarray:
     """Evaluator half of `b2a_corrections`: the shares
     F(L) + colour(L) c mod p, (n_out, E), of the held output labels
-    `active_out`, (n_out, E, 2), of the garbling with namespace `ns`; `c`
-    must be reduced mod p."""
-    fold = _folded_pads(active_out, ns, p)
+    `active_out`, (n_out, E, 2), of the walk `sched` garbled under
+    `namespaces`; `c` must be reduced mod p."""
+    fold = _folded_pads(sched, active_out, namespaces, p)
     return addmod(fold, (active_out[..., 0] & _ONE) * c, p)
 
 
-def garble(circuit: Circuit, delta: np.ndarray, garbler_bits: np.ndarray,
-           evaluator_zero: np.ndarray, ns: int) -> GarbledCircuit:
-    """Garble E independent instances of `circuit` under the offset
-    `delta`, (2,), one level at a time, with the garbler's input bits
-    `garbler_bits`, (E, n_gin), hardcoded.
+def _check_walk(sched: Schedule, E: int, namespaces) -> tuple[int, ...]:
+    if E >= 1 << 32:
+        raise CircuitError("more instances than the tweak's 32 bits hold")
+    if max(c.n_wires for c in sched.circuits) > 1 << (SESSION_SHIFT - 1):
+        raise CircuitError("more wires than the low tweak word's index bits "
+                           "hold")
+    namespaces = tuple(namespaces)
+    if len(namespaces) != len(sched.circuits):
+        raise CircuitError("one tweak namespace per circuit of the walk")
+    return namespaces
+
+
+def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
+           evaluator_zero: np.ndarray, namespaces) -> Garbling:
+    """Garble E independent instances of every circuit of the walk `sched`
+    under the offset `delta`, (2,), one level at a time, with the
+    garbler's input bits `garbler_bits`, (E, n_gin), hardcoded, and
+    circuit i under the tweak namespace `namespaces[i]`.
 
     The evaluator's input zero labels `evaluator_zero`, (n_ein, E, 2), come
-    from the OT (`gc.ot.RandomOtSenderBatch.derand_respond`) and give E.  A
-    garbler input of value t gets zero label t delta, CONST0 gets 0 and
-    CONST1 gets delta, so each of these wires has the all-zero active label,
-    where `evaluate` starts it: no garbler label is sent, and garbling draws
-    nothing.  Tweaks are 2g and 2g+1 for gate index g in the low word and
-    the instance in the high one, each word ORed with its half of `ns`, and
-    AND g's two rows go to table row `Level.and_row`, so the result does
-    not depend on how the gates are batched.
+    from the OT (`gc.ot.RandomOtSenderBatch.derand_respond`) and give E.
+    Inputs run circuit after circuit (`Schedule`).  A garbler input of
+    value t gets zero label t delta, CONST0 gets 0 and CONST1 gets delta,
+    so each of these wires has the all-zero active label, where `evaluate`
+    starts it: no garbler label is sent, and garbling draws nothing.
+    Tweaks are 2g and 2g+1 for gate index g of its circuit in the low word
+    and the instance in the high one, each word ORed with its half of the
+    circuit's namespace, and AND g's two rows go to its circuit's block of
+    table rows at the AND's ordinal, so the result does not depend on how
+    the gates are batched, nor on which circuits share the walk.
 
     Security (semi-honest).  Every garbling of every session that extends
     one set of base OTs shares `delta`, and the evaluator's labels are IKNP
@@ -204,8 +229,9 @@ def garble(circuit: Circuit, delta: np.ndarray, garbler_bits: np.ndarray,
     one delta are as safe as those of one, as long as their tweaks stay
     apart.  Within a garbling the gate index, half and
     instance keep tweaks apart; across the garblings of a session the
-    (layer, stage, group) of `ns` does, and across sessions its session
-    number, so each garbling must take its own `tweak_namespace`.  A gate
+    (layer, stage, group) of the namespace does, and across sessions its
+    session number, so each circuit garbled must take its own
+    `tweak_namespace`.  A gate
     index or output index below 2^31 stays clear of the session bits (a
     session holds far fewer wires: `MAX_SESSION_BYTES` keeps a label array
     below 2^26 wires), and no delta may serve more than `MAX_SESSIONS`
@@ -219,74 +245,82 @@ def garble(circuit: Circuit, delta: np.ndarray, garbler_bits: np.ndarray,
     already allows -- half-gates' generator half rests on the same fact.
     """
     E = evaluator_zero.shape[1]
-    if E >= 1 << 32:
-        raise CircuitError("more instances than the tweak's 32 bits hold")
-    if circuit.n_wires > 1 << (SESSION_SHIFT - 1):
-        raise CircuitError("more wires than the low tweak word's index bits "
-                           "hold")
+    namespaces = _check_walk(sched, E, namespaces)
     bits = np.asarray(garbler_bits)
-    if bits.shape != (E, circuit.garbler_inputs.size):
+    if bits.shape != (E, sched.garbler_inputs.size):
         raise CircuitError("garbler bit array has wrong shape")
     if ((bits != 0) & (bits != 1)).any():
         raise CircuitError("garbler bit outside {0, 1}")
-    wire0 = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
-    wire0[CONST1] = delta
-    wire0[circuit.garbler_inputs] = (bits.T.astype(np.uint64)[..., None]
-                                     * delta)
-    wire0[circuit.evaluator_inputs] = evaluator_zero
+    wire0 = np.zeros((sched.n_wires, E, 2), dtype=np.uint64)
+    wire0[sched.const1] = delta
+    wire0[sched.garbler_inputs] = (bits.T.astype(np.uint64)[..., None]
+                                   * delta)
+    wire0[sched.evaluator_inputs] = evaluator_zero
 
-    tables = np.empty((circuit.n_and, E, 2, 2), dtype=np.uint64)
-    aes, words = _AES.encryptor(), _ns_words(ns)
-    for lv in circuit.levels:
+    # both table rows of every AND, by row until the walk is done, and
+    # delta and 2 delta once per instance: numpy runs an operation whose
+    # operands all have the result's shape as one flat loop, but one
+    # broadcast along the two words of a label as a loop per label
+    tables = np.empty((2, sched.n_and, E, 2), dtype=np.uint64)
+    tweaks = _tweaks(sched.and_tweak, sched.and_circuit, E, namespaces)
+    aes = _AES.encryptor()
+    delta1, delta2 = (np.tile(d, (E, 1)) for d in (delta, _double(delta)))
+    for lv in sched.levels:
         if lv.n_xor:
             wire0[lv.xor_out] = wire0[lv.xor_in0] ^ wire0[lv.xor_in1]
         if not lv.n_and:
             continue
-        a0 = wire0[lv.and_in0]
-        b0 = wire0[lv.and_in1]
+        ab = wire0[lv.and_in]                   # a0, b0: (2, K, E, 2)
         # one AES batch for the four hash groups: (a0, a1) under 2g and
-        # (b0, b1) under 2g+1
-        (ha0, ha1), (hb0, hb1) = _hash(
-            aes, np.array([[a0, a0 ^ delta], [b0, b0 ^ delta]]),
-            _tweak_grid(lv.and_tweak, E, words)[:, None])
-        pa = _lsb(a0)
-        pb = _lsb(b0)
-        tg = ha0 ^ ha1 ^ pb * delta
-        wg = ha0 ^ pa * tg
-        te = hb0 ^ hb1 ^ a0
-        we = hb0 ^ pb * (te ^ a0)
-        wire0[lv.and_out] = wg ^ we
-        tables[lv.and_row, :, 0] = tg
-        tables[lv.and_row, :, 1] = te
-    return GarbledCircuit(circuit, delta, ns, wire0, tables)
+        # (b0, b1) under 2g+1, with 2 a1 = 2 a0 ^ 2 delta
+        h = np.empty((2, 2) + ab.shape[1:], dtype=np.uint64)
+        _double(ab, out=h[:, 0])
+        np.bitwise_xor(h[:, 0], delta2, out=h[:, 1])
+        h = _hash(aes, h, tweaks[:, None, lv.ands])
+        rows = h[:, 0] ^ h[:, 1]                # ha0 ^ ha1, hb0 ^ hb1
+        colour = _colour(ab)                    # pa, pb
+        rows[0] ^= colour[1] * delta1           # tg
+        half = colour * rows                    # pa tg, pb (te ^ a0)
+        half ^= h[:, 0]                         # wg, we
+        wire0[lv.and_out] = half[0] ^ half[1]
+        rows[1] ^= ab[0]                        # te
+        tables[:, sched.and_row[lv.ands]] = rows
+    return Garbling(sched, delta, namespaces, wire0,
+                    tables.transpose(1, 2, 0, 3))
 
 
-def evaluate(circuit: Circuit, tables: np.ndarray,
-             evaluator_active: np.ndarray, ns: int) -> np.ndarray:
-    """Run the garbled circuit with tweak namespace `ns` on active labels,
-    one level at a time.
+def evaluate(sched: Schedule, tables, evaluator_active: np.ndarray,
+             namespaces) -> np.ndarray:
+    """Run the garbled walk `sched`, circuit i garbled under the tweak
+    namespace `namespaces[i]`, on active labels, one level at a time.
 
-    evaluator_active is (n_ein, E, 2) from the OT; the constants and the
+    `tables` holds each circuit's tables, (n_and, E, 2, 2), in walk
+    order, as stage-ot-resp carries them.  evaluator_active is (n_ein, E, 2) from the OT; the constants and the
     garbler's inputs start at the all-zero label `garble` hardcodes them
     to.  Returns active output labels (n_out, E, 2).
     """
     E = evaluator_active.shape[1]
-    active = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
-    active[circuit.evaluator_inputs] = evaluator_active
-    aes, words = _AES.encryptor(), _ns_words(ns)
-    for lv in circuit.levels:
+    namespaces = _check_walk(sched, E, namespaces)
+    active = np.zeros((sched.n_wires, E, 2), dtype=np.uint64)
+    active[sched.evaluator_inputs] = evaluator_active
+    tweaks = _tweaks(sched.and_tweak, sched.and_circuit, E, namespaces)
+    aes = _AES.encryptor()
+    # the tables by row and in walk order, as `garble` builds them
+    if [len(t) for t in tables] != [c.n_and for c in sched.circuits]:
+        raise CircuitError("not one table block per circuit of the walk")
+    joined = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    rows_of = np.moveaxis(joined[sched.and_row], 2, 0)
+    for lv in sched.levels:
         if lv.n_xor:
             active[lv.xor_out] = active[lv.xor_in0] ^ active[lv.xor_in1]
         if not lv.n_and:
             continue
-        wa = active[lv.and_in0]
-        wb = active[lv.and_in1]
-        ha, hb = _hash(aes, np.array([wa, wb]),
-                       _tweak_grid(lv.and_tweak, E, words))
-        rows = tables[lv.and_row]
-        sa = _lsb(wa)
-        sb = _lsb(wb)
-        active[lv.and_out] = ((ha ^ sa * rows[:, :, 0])
-                              ^ (hb ^ sb * (rows[:, :, 1] ^ wa)))
-    return active[circuit.outputs]
-
+        ab = active[lv.and_in]                  # wa, wb: (2, K, E, 2)
+        h = _hash(aes, _double(ab), tweaks[:, lv.ands])
+        colour = _colour(ab)                    # sa, sb
+        # sa tg, sb te, then sb (te ^ wa)
+        half = colour * rows_of[:, lv.ands]
+        half[1] ^= colour[1] * ab[0]
+        half ^= h
+        active[lv.and_out] = half[0] ^ half[1]
+    return active[sched.outputs]

@@ -44,6 +44,8 @@ Representation choices, all load-bearing:
   * Residue arithmetic is the `ntt` helpers with the basis as one (k, 1)
     column (`PaheParams.q_col`), so no operation loops over the primes.
     The plaintext prime is never an RNS prime, so p^-1 mod every q_i exists.
+    Decryption scales and rounds in the basis too (`_scale_round`), with
+    no big integer for any coefficient whose rounding is not in doubt.
 
 Noise is tracked as a running upper-bound estimate in bits; the remaining
 budget is (log2 q - log2 p - 1) minus that estimate, and operations raise
@@ -474,22 +476,71 @@ class KeyMaterial:
         col = par.q_col
         c1 = mulmod_shoup(cts.data[:, 1], self._sk, self._sk_sh, col)
         coeffs = par.rns().inverse(addmod(cts.data[:, 0], c1, col))  # (B, k, n)
-        q, p = par.q, par.p
-        acc = (coeffs.astype(object) * _crt_consts(par)).sum(axis=1)
-        m = ((acc % q) * p + (q >> 1)) // q % p
+        m = _scale_round(par, coeffs)
         sm = par.slots()
-        ev = get_stacked((p,), par.n).forward(
-            m.astype(np.uint64)[:, None, :])
+        ev = get_stacked((par.p,), par.n).forward(m[:, None, :])
         return ev[:, 0, sm.pos_of_flat]
 
 
-@lru_cache(maxsize=None)
-def _crt_consts(params: PaheParams) -> np.ndarray:
-    """The CRT basis (q/q_i) * ((q/q_i)^-1 mod q_i) as a (k, 1) column of
-    python ints."""
-    q = params.q
-    return np.array([[q // qi * pow(q // qi, -1, qi)] for qi in params.q_primes],
-                    dtype=object)
+# a fraction sum this close to a half is rounded in Python ints: the k
+# float64 fractions, each below 1, and their sum err by under
+# (k^2 + 3k) 2^-53, inside 2^-40 for a basis of up to `_MAX_PRIMES`
+_DOUBT = 0.5 - 2.0 ** -40
+_MAX_PRIMES = 64
+
+
+@lru_cache(maxsize=16)
+def _scale_consts(params: PaheParams):
+    """Per prime q_i of the basis, as (k, 1) columns: c_i = (q/q_i)^-1 p
+    mod q_i and its twin, -q_i^-1 mod p and its twin, and 1 / q_i as a
+    float."""
+    q, p, col = params.q, params.p, params.q_col
+    # the k terms below p and the rounded fraction sum (at most k) are
+    # summed in one word, and the fractions in float64 (see `_DOUBT`)
+    if params.k > _MAX_PRIMES or (params.k + 1) * p >= 1 << 64:
+        raise ParameterError("basis too wide to scale and round in one "
+                             "word")
+    c = np.array([[pow(q // qi, -1, qi) * p % qi] for qi in params.q_primes],
+                 dtype=np.uint64)
+    u = np.array([[-pow(qi, -1, p) % p] for qi in params.q_primes],
+                 dtype=np.uint64)
+    return c, shoup(c, col), u, shoup(u, p), 1.0 / col.astype(np.float64)
+
+
+def _scale_round(params: PaheParams, coeffs: np.ndarray) -> np.ndarray:
+    """round(p x / q) mod p, (B, n) uint64, of the coefficients x in
+    [0, q) given by their residues `coeffs`, (B, k, n).
+
+    The RNS scale-and-round of Halevi-Polyakov-Shoup (CT-RSA 2019): with
+    y_i = x_i (q/q_i)^-1 mod q_i, x = sum_i y_i q/q_i - v q for an integer
+    v, so p x / q = sum_i y_i p / q_i - v p.  Each term splits as
+    y_i p = Q_i q_i + R_i with R_i = x_i (q/q_i)^-1 p mod q_i, one Shoup
+    multiply, and Q_i = -R_i q_i^-1 mod p, another, since y_i p = 0 mod p.
+    So, mod p,
+
+        round(p x / q) = sum_i Q_i + round(sum_i R_i / q_i).
+
+    The fractions R_i / q_i are summed in float64, which errs by far less
+    than `_DOUBT` leaves; where the sum lies that close to a half, the
+    coefficient is rounded from Python ints instead, so every result is
+    exact.  A ciphertext within its noise budget decrypts to sums near an
+    integer and never takes that path.
+    """
+    p, col = params.p, params.q_col
+    c, c_sh, u, u_sh, inv_q = _scale_consts(params)
+    r = mulmod_shoup(coeffs, c, c_sh, col)
+    ints = mulmod_shoup(r, u, u_sh, p).sum(axis=1)
+    fracs = (r.astype(np.float64) * inv_q).sum(axis=1)
+    near = np.floor(fracs + 0.5)
+    m = np.remainder(ints + near.astype(np.uint64), p)
+    doubt = np.nonzero(np.abs(fracs - near) > _DOUBT)
+    if doubt[0].size:
+        q = params.q
+        basis = [q // qi * pow(q // qi, -1, qi) for qi in params.q_primes]
+        for b, j in zip(*doubt):
+            x = sum(int(v) * e for v, e in zip(coeffs[b, :, j], basis)) % q
+            m[b, j] = (p * x + (q >> 1)) // q % p
+    return m
 
 
 class SeedStream:

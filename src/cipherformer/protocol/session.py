@@ -44,9 +44,11 @@ interleaved with two encrypted matrix products of two frames each:
                           mask split across both ring rows
   stage-ot-req   c -> s   derandomization bits, ceil(m count / 8), the pad
                           bits of the last byte zero
-  stage-ot-resp  s -> c   per `stage_circuits` group (circ, E), garbled
-                          once the bits arrive: tables, 32 n_and E; B2A
-                          corrections, 8 n_out E, each word below p
+  stage-ot-resp  s -> c   per `stage_circuits` group (circ, E): tables,
+                          32 n_and E; B2A corrections, 8 n_out E, each
+                          word below p.  Every group of the stage is
+                          garbled in one walk once the bits arrive
+                          (`stage_schedule`), each under its own tweaks
   stage-share    c -> s   one `stage_shares` matrix of fresh cts per group,
                           copies two to a ct
   mm-open        s -> c   the masked factors, each in the layout of the
@@ -169,7 +171,7 @@ from ..prg import AesCtr
 from ..stages import (MODES, StagePlan, StageSpec, b2a_weights,
                       choose_plaintext_prime, client_window_share,
                       garbler_window_share, sample_stage_masks,
-                      stage_circuits, stage_offsets)
+                      stage_circuits, stage_offsets, stage_schedule)
 from .framing import (ACCEPT, CLIENT_SETUP, HELLO, LOGITS, MM_OPEN, MM_REPLY,
                       OT_BASE, STAGE_OPEN, STAGE_OT_REQ, STAGE_OT_RESP,
                       STAGE_SHARE, read_frame, write_frame)
@@ -321,7 +323,8 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     width past `MAX_WIDTH`, or more layers or classes than `MAX_LAYERS` or
     `MAX_CLASSES`, is refused before anything is planned; a plan needing
     more than `MAX_OTS` random OTs, a stage garbling whose label array (16
-    bytes per wire and instance) passes `MAX_SESSION_BYTES`, or garbled
+    bytes per wire and instance of all its groups, which one walk holds)
+    passes `MAX_SESSION_BYTES`, or garbled
     stages (every stage-ot-resp frame) and encrypted matrices (`sent`, the
     mm-reply batches among them) past `MAX_SESSION_BYTES` together at their
     wire size, before any key or OT is made.
@@ -372,9 +375,12 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
                                               d_out, steps))
     geom = replace(unsized, n=n, p=p, params=params, steps=steps,
                    rotations=tuple(sorted(rots)))
-    groups = [(circ, E) for enc in plan.encoders for s in enc
-              for _g, circ, E in stage_circuits(s)]
-    label_bytes = max(16 * circ.n_wires * E for circ, E in groups)
+    stages = [stage_circuits(s) for enc in plan.encoders for s in enc]
+    groups = [(circ, E) for stage in stages for _g, circ, E in stage]
+    # a stage's groups share one instance count, stage[0][2]
+    label_bytes = max(16 * stage[0][2] * sum(circ.n_wires
+                                             for _g, circ, _E in stage)
+                      for stage in stages)
     if label_bytes > MAX_SESSION_BYTES:
         raise ParameterError(f"model shape garbles {label_bytes} bytes of "
                              f"wire labels at once, above the limit of "
@@ -529,6 +535,24 @@ def _gc_shapes(circ, E: int) -> list[tuple[int, ...]]:
     return [(circ.n_and, E, 2, 2), (circ.outputs.size, E)]
 
 
+def _by_instance(labels: np.ndarray, groups: int, E: int) -> np.ndarray:
+    """A stage's input labels in OT order, (groups * E * n, 2), group by
+    group and each instance's together, as a walk takes them:
+    (groups * n, E, 2), group by group."""
+    n = labels.shape[0] // (groups * E)
+    return labels.reshape(groups, E, n, 2).swapaxes(1, 2).reshape(-1, E, 2)
+
+
+def _lane_words(bit_shares: np.ndarray, groups: int, keep: int,
+                p: int) -> np.ndarray:
+    """Per-bit B2A shares of a walk's outputs, (groups * lanes * keep, E),
+    folded to each group's word shares in lane order, (groups, E * lanes):
+    the lanes of an instance together."""
+    words = _b2a_words(bit_shares, keep, p)
+    E = words.shape[1]
+    return words.reshape(groups, -1, E).swapaxes(1, 2).reshape(groups, -1)
+
+
 # mode index, then vocab, seq_len, dim, ff_dim, n_layers, n_classes, w, f
 # (the `ModelConfig` field order), ring degree and plaintext prime
 _HELLO = struct.Struct("<B10Q")
@@ -608,6 +632,36 @@ class ServerResult:
     geometry: Geometry
 
 
+def _send_garbled_stage(sp: _ServerParty, layer: int, stage: int,
+                        spec: StageSpec, tshare: np.ndarray,
+                        dbits: np.ndarray) -> tuple[int, np.ndarray]:
+    """Garble every group of a stage in one walk, on the server's window
+    shares `tshare` and the client's derandomization bits, and send
+    stage-ot-resp: its byte count, and the server's own word shares,
+    (groups, lanes).  The walk's labels and tables are dropped before the
+    client answers."""
+    p, m = sp.geom.p, spec.m
+    # the evaluator's zero labels and the server's bits, group by group,
+    # each instance's together
+    groups = stage_circuits(spec)
+    G, E = len(groups), groups[0][2]
+    ezero = _by_instance(sp.ot.derand_respond(dbits), G, E)
+    bits = to_bits(tshare.reshape(G, E, -1), m).swapaxes(0, 1).reshape(E, -1)
+    namespaces = [tweak_namespace(layer, stage, gi, sp.session)
+                  for gi in range(G)]
+    gb = garble(stage_schedule(spec), sp.ot.delta, bits, ezero, namespaces)
+    corr, own = b2a_corrections(
+        gb, np.tile(b2a_weights(spec.keep, p), G * spec.lanes_per_instance),
+        p)
+    row_cuts = np.cumsum([circ.n_and for _g, circ, _E in groups])[:-1]
+    out_cuts = np.cumsum([circ.outputs.size for _g, circ, _E in groups])[:-1]
+    parts = [le64(part) for pair in zip(np.split(gb.tables, row_cuts),
+                                        np.split(corr, out_cuts))
+             for part in pair]
+    _send(sp.conn, sp.tr, STAGE_OT_RESP, *parts)
+    return sum(map(len, parts)), _lane_words(own, G, spec.keep, p)
+
+
 def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
                  enc: EncMatrix) -> list[EncMatrix]:
     geom, ev = sp.geom, sp.ev
@@ -625,26 +679,9 @@ def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
     if dbits[nbits:].any():
         raise ProtocolError("stage-ot-req sets a pad bit past its "
                             f"{nbits} derandomization bits")
-    # the evaluator's zero labels, group by group, each instance's together
-    zero = sp.ot.derand_respond(dbits[:nbits])
-
-    parts = []
-    own_lanes: list[np.ndarray] = []
-    lpi = spec.lanes_per_instance
-    off = 0
-    for gi, (g, circ, E) in enumerate(stage_circuits(spec)):
-        ezero = zero[m * off:m * (off + g.count)].reshape(E, -1, 2)
-        words = tshare[off:off + g.count].reshape(E, lpi)
-        off += g.count
-        gb = garble(circ, sp.ot.delta, to_bits(words, m).reshape(E, -1),
-                    ezero.swapaxes(0, 1),
-                    tweak_namespace(layer, stage, gi, sp.session))
-        corr, own = b2a_corrections(
-            gb, np.tile(b2a_weights(spec.keep, p), lpi), p)
-        own_lanes.append(_b2a_words(own, spec.keep, p).T.ravel())
-        parts += [le64(gb.tables), le64(corr)]
-    _send(sp.conn, sp.tr, STAGE_OT_RESP, *parts)
-    gc_bytes = packed.nbytes + sum(map(len, parts))
+    sent, own_lanes = _send_garbled_stage(sp, layer, stage, spec, tshare,
+                                          dbits[:nbits])
+    gc_bytes = packed.nbytes + sent
 
     layouts = geom.stage_shares(layer, spec)
     blobs = _recv(sp.conn, sp.tr, STAGE_SHARE,
@@ -796,7 +833,7 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
     menc = encmatrix_from_bytes(bm, geom.params, layout, fresh=False)
     lanes = _matrix_to_lanes(spec, decrypt_matrix(cp.keys, menc))
     # every group's evaluator bits, lane by lane: the OT choices, in the
-    # order the server's garblings take their zero labels
+    # order the server's walk takes their zero labels
     cbits = to_bits(client_window_share(lanes, m), m).ravel()
     packed = np.packbits(cp.batch.derand_request(cbits))
     _send(cp.conn, cp.tr, STAGE_OT_REQ, packed.tobytes())
@@ -812,15 +849,14 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
                             "mod p")
 
     gc_bytes = packed.nbytes + sum(map(len, gblobs))
-    shares = []
-    cuts = np.cumsum([m * g.count for g, _circ, _E in groups])[:-1]
-    for gi, glabels in enumerate(np.split(labels, cuts)):
-        _g, circ, E = groups[gi]
-        eact = glabels.reshape(E, -1, 2).transpose(1, 0, 2)
-        tables, corr = garbled[2 * gi:2 * gi + 2]
-        ns = tweak_namespace(layer, stage, gi, cp.session)
-        bit_shares = b2a_shares(evaluate(circ, tables, eact, ns), corr, ns, p)
-        shares.append(_b2a_words(bit_shares, spec.keep, p).T.ravel())
+    G, E = len(groups), groups[0][2]
+    namespaces = [tweak_namespace(layer, stage, gi, cp.session)
+                  for gi in range(G)]
+    sched = stage_schedule(spec)
+    out = evaluate(sched, garbled[0::2], _by_instance(labels, G, E),
+                   namespaces)
+    shares = _lane_words(b2a_shares(sched, out, np.concatenate(garbled[1::2]),
+                                    namespaces, p), G, spec.keep, p)
 
     parts = []
     layouts = geom.stage_shares(layer, spec)

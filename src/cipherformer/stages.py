@@ -42,7 +42,7 @@ from math import log2
 import numpy as np
 
 from .errors import ParameterError
-from .gc.circuit import CONST0, CONST1, Builder, Circuit
+from .gc.circuit import CONST0, CONST1, Builder, Circuit, Schedule, schedule
 from .primes import next_prime
 
 SIGMA_TARGET = 16  # preferred statistical masking slack, bits
@@ -271,15 +271,16 @@ def _check_window(m: int, shift: int, keep: int):
         raise ParameterError(f"output width {keep} out of range for window {m}")
 
 
-# stage circuits kept per process.  `build_stage_plan` gives every layer
-# after the first the same stages, so a plan of any depth garbles at most
-# two layers' circuits, and a layer garbles at most seven affine groups (the
-# three QKV groups and one for each other stage) and one row divider.  The
-# bounds hold every circuit of the deepest plan, so no session rebuilds a
-# circuit it garbled before, while the shapes a peer's hellos name cannot
-# grow the caches without limit.
+# stage circuits and stage schedules kept per process.  `build_stage_plan`
+# gives every layer after the first the same stages, so a plan of any depth
+# garbles at most two layers' circuits, and a layer garbles at most seven
+# affine groups (the three QKV groups and one for each other stage) and one
+# row divider, in five stages.  The bounds hold every circuit and schedule
+# of the deepest plan, so no session rebuilds one it garbled before, while
+# the shapes a peer's hellos name cannot grow the caches without limit.
 AFFINE_CIRCUITS = 2 * 7
 ROWDIV_CIRCUITS = 2
+STAGE_SCHEDULES = 2 * 5
 
 
 def _reconstruct(b: Builder, m: int) -> list[int]:
@@ -375,16 +376,49 @@ def rowdiv_stage_circuit(m: int, shift: int, frac: int, keep: int,
     return b.freeze()
 
 
-def stage_circuits(spec: StageSpec) -> list[tuple[StageGroup, Circuit, int]]:
-    """(group, circuit, instance count) triples backing one stage."""
+def _stage_shape(spec: StageSpec) -> tuple:
+    """The parameters that fix a stage's circuits: the stage kind and
+    window, and the row length or each group's relu."""
     if spec.kind == "rowdiv":
-        circ = rowdiv_stage_circuit(spec.m, spec.shift, spec.frac,
-                                    spec.keep, spec.row_len)
-        return [(spec.groups[0], circ, spec.rows)]
+        return ("rowdiv", spec.m, spec.shift, spec.keep, spec.frac,
+                spec.row_len)
     if spec.kind != "affine":
         raise ParameterError(f"unknown stage kind {spec.kind!r}")
-    return [(g, affine_stage_circuit(spec.m, spec.shift, spec.keep, g.relu),
-             g.count) for g in spec.groups]
+    return ("affine", spec.m, spec.shift, spec.keep,
+            tuple(g.relu for g in spec.groups))
+
+
+def _circuits(shape: tuple) -> list[Circuit]:
+    kind, m, shift, keep, *rest = shape
+    if kind == "rowdiv":
+        frac, row_len = rest
+        return [rowdiv_stage_circuit(m, shift, frac, keep, row_len)]
+    return [affine_stage_circuit(m, shift, keep, relu) for relu in rest[0]]
+
+
+def stage_circuits(spec: StageSpec) -> list[tuple[StageGroup, Circuit, int]]:
+    """(group, circuit, instance count) triples backing one stage.  Its
+    groups are garbled as one walk (`stage_schedule`), so all share one
+    instance count; a stage whose groups do not is refused."""
+    circuits = _circuits(_stage_shape(spec))
+    counts = ([spec.rows] if spec.kind == "rowdiv"
+              else [g.count for g in spec.groups])
+    if len(set(counts)) != 1:
+        raise ParameterError(f"stage {spec.name!r} has groups of "
+                             f"{sorted(set(counts))} instances; one walk "
+                             f"needs one count")
+    return list(zip(spec.groups, circuits, counts))
+
+
+def stage_schedule(spec: StageSpec) -> Schedule:
+    """The one walk over a stage's group circuits, in group order, built
+    once per stage shape."""
+    return _stage_schedule(_stage_shape(spec))
+
+
+@lru_cache(maxsize=STAGE_SCHEDULES)
+def _stage_schedule(shape: tuple) -> Schedule:
+    return schedule(_circuits(shape))
 
 
 def plan_gate_counts(plan: StagePlan) -> dict[str, int]:

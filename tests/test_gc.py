@@ -1,17 +1,19 @@
 """Circuit IR, garbling, and oblivious-transfer tests."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from cipherformer.errors import CircuitError, ProtocolError
+from cipherformer.errors import CircuitError, ParameterError, ProtocolError
 from cipherformer.gc import garble as G
 from cipherformer.gc import ot as O
-from cipherformer.gc.circuit import CONST0, CONST1, OP_AND, Builder, to_bits
+from cipherformer.gc.circuit import (CONST0, CONST1, OP_AND, Builder,
+                                     schedule, to_bits)
 from cipherformer.model import ModelConfig
-from cipherformer.stages import stage_circuits
+from cipherformer.stages import StageGroup, stage_circuits, stage_schedule
 from test_stages import sub, word_value
 
 
@@ -58,6 +60,36 @@ class TestCircuitSemantics:
         assert np.array_equal(word_value(out[:, 8:], signed=True),
                               np.clip(vals, -16, 15))
 
+    @pytest.mark.parametrize("n,width,ands,depth", [
+        (8, 5, 2 + 5, 2 + 1),
+        (40, 8, 31 + 8, 5 + 1),
+        (41, 8, 32 + 8, 6 + 1),
+    ])
+    def test_saturate_checks_overflow_in_a_balanced_tree(self, n, width,
+                                                         ands, depth):
+        """Saturating an n-bit word to `width` bits checks its n - width
+        dropped bits against the sign in a balanced AND tree, n - width - 1
+        ANDs at depth ceil(lg(n - width)), then selects with one AND per
+        kept bit; sign copies need no check."""
+        b = Builder()
+        x = b.evaluator_word(n)
+        b.mark_output_word(b.saturate(x, width))
+        c = b.freeze()
+        and_depth = sum(1 for lv in solo(c).levels if lv.n_and)
+        assert (c.n_and, and_depth) == (ands, depth)
+        vals = np.random.default_rng(n).integers(-(1 << (n - 1)),
+                                                 1 << (n - 1), 500)
+        vals[:4] = [0, -1, (1 << (width - 1)) - 1, -(1 << (width - 1))]
+        out = c.plain_eval(np.zeros((500, 0), np.uint8), to_bits(vals, n))
+        lim = 1 << (width - 1)
+        assert np.array_equal(word_value(out, signed=True),
+                              np.clip(vals, -lim, lim - 1))
+        # a shifted word whose dropped bits are all sign copies always fits
+        b = Builder()
+        x = b.evaluator_word(6)
+        b.mark_output_word(b.saturate(b.shift_right_arith(x, 3), 4))
+        assert b.freeze().n_and == 0
+
     def test_shifts_are_free(self):
         b = Builder()
         x = b.garbler_word(8)
@@ -93,7 +125,7 @@ def read_bits(gc, active_out):
     """(E, n_out) output values from active labels: 0 where the label is the
     wire's zero label, 1 where it is that label ^ delta, 2 where it is
     neither."""
-    z = gc.wire0[gc.circuit.outputs]
+    z = gc.wire0[gc.schedule.outputs]
     is0 = (active_out == z).all(axis=-1)
     is1 = (active_out == z ^ gc.delta).all(axis=-1)
     return np.where(is1, 1, np.where(is0, 0, 2)).T.astype(np.uint8)
@@ -129,9 +161,9 @@ def reference_b2a(out_zero, pads, weights, p):
 def checked_b2a_corrections(gc, pads, p):
     """(w, c, t) for `gc`'s outputs under test weights, c and t checked
     against the reference's per-value pads."""
-    w = b2a_test_weights(gc.circuit.outputs.size, p)
+    w = b2a_test_weights(gc.schedule.outputs.size, p)
     corr, t = G.b2a_corrections(gc, w, p)
-    want_c, want_t = reference_b2a(gc.wire0[gc.circuit.outputs], pads, w, p)
+    want_c, want_t = reference_b2a(gc.wire0[gc.schedule.outputs], pads, w, p)
     assert np.array_equal(corr.astype(object), want_c)
     assert np.array_equal(t.astype(object), want_t)
     return w, corr, t
@@ -142,8 +174,9 @@ def check_b2a_shares(out, gc, c, t, weights, values, p):
     and the other label's share is (1 - value) * w, so the two differ."""
     w = weights.astype(object)[:, None]
     t = t.astype(object)
-    mine = G.b2a_shares(out, c, gc.ns, p).astype(object)
-    other = G.b2a_shares(out ^ gc.delta, c, gc.ns, p).astype(object)
+    mine = G.b2a_shares(gc.schedule, out, c, gc.namespaces, p).astype(object)
+    other = G.b2a_shares(gc.schedule, out ^ gc.delta, c,
+                         gc.namespaces, p).astype(object)
     v = values.astype(object)
     assert ((mine + t) % p == v * w % p).all()
     assert ((other + t) % p == (1 - v) * w % p).all()
@@ -152,6 +185,19 @@ def check_b2a_shares(out, gc, c, t, weights, values, p):
 
 # a namespace with every field set, so the tests see where each one lands
 NS = G.tweak_namespace(3, 2, 1, 5)
+
+
+def solo(circ):
+    """The walk of one circuit."""
+    return schedule((circ,))
+
+
+def garble_solo(circ, delta, gbits, zero):
+    return G.garble(solo(circ), delta, gbits, zero, [NS])
+
+
+def evaluate_solo(gc, e_act):
+    return G.evaluate(gc.schedule, [gc.tables], e_act, [NS])
 
 
 def session_inputs(circ, instances, rng):
@@ -167,14 +213,14 @@ def session_inputs(circ, instances, rng):
 def evaluator_labels(gc, ebits):
     """The evaluator's active labels for bits (E, n_ein): the zero label,
     moved by delta where the bit is set, as the OT hands them over."""
-    zero = gc.wire0[gc.circuit.evaluator_inputs]
+    zero = gc.wire0[gc.schedule.evaluator_inputs]
     return zero ^ ebits.T[:, :, None].astype(np.uint64) * gc.delta
 
 
 def run_garbled(circ, gbits, ebits, rng):
     delta, zero = session_inputs(circ, gbits.shape[0], rng)
-    gc = G.garble(circ, delta, gbits, zero, NS)
-    out = G.evaluate(circ, gc.tables, evaluator_labels(gc, ebits), NS)
+    gc = garble_solo(circ, delta, gbits, zero)
+    out = evaluate_solo(gc, evaluator_labels(gc, ebits))
     return gc, out, read_bits(gc, out)
 
 
@@ -191,7 +237,7 @@ class TestGarbling:
         c = build_adder(8)
         rng = np.random.default_rng(0)
         delta, zero = session_inputs(c, 3, rng)
-        gc = G.garble(c, delta, np.zeros((3, 8), np.uint8), zero, NS)
+        gc = garble_solo(c, delta, np.zeros((3, 8), np.uint8), zero)
         assert gc.tables.nbytes == 3 * c.n_and * 2 * 16
 
     def test_tamper_detection(self):
@@ -223,7 +269,8 @@ class TestGarbling:
             held = bits.T.astype(bool)
             colour = ((out[..., 0] & np.uint64(1)).astype(object)
                       * corr.astype(object))
-            mine = G.b2a_shares(out, corr, NS, p).astype(object)
+            mine = G.b2a_shares(gc.schedule, out, corr, [NS],
+                                p).astype(object)
             assert np.array_equal(mine,
                                   (np.where(held, f[1], f[0]) + colour) % p)
             assert (mine != (np.where(held, f[0], f[1]) + colour) % p).all()
@@ -261,7 +308,7 @@ def check_hardcoded_garbler_bits(circ, gbits, ebits, rng):
     Returns whether the flip changed any output."""
     delta, zero = session_inputs(circ, gbits.shape[0], rng)
     for bits in (gbits, 1 - gbits):
-        wire0 = G.garble(circ, delta, bits, zero, NS).wire0
+        wire0 = garble_solo(circ, delta, bits, zero).wire0
         assert not (wire0[circ.garbler_inputs]
                     ^ bits.T[..., None] * delta).any()
         assert not wire0[CONST0].any()
@@ -270,8 +317,8 @@ def check_hardcoded_garbler_bits(circ, gbits, ebits, rng):
     flipped[rng.integers(gbits.shape[0]), rng.integers(gbits.shape[1])] ^= 1
     outs = []
     for bits in (gbits, flipped):
-        gc = G.garble(circ, delta, bits, zero, NS)
-        out = G.evaluate(circ, gc.tables, evaluator_labels(gc, ebits), NS)
+        gc = garble_solo(circ, delta, bits, zero)
+        out = evaluate_solo(gc, evaluator_labels(gc, ebits))
         outs.append(read_bits(gc, out))
         assert np.array_equal(outs[-1], circ.plain_eval(bits, ebits))
     want = circ.plain_eval(gbits, ebits) != circ.plain_eval(flipped, ebits)
@@ -309,7 +356,7 @@ class TestHardcodedGarblerBits:
         c = build_adder(8)
         delta, zero = session_inputs(c, 3, np.random.default_rng(603))
         with pytest.raises(CircuitError, match=error):
-            G.garble(c, delta, bits, zero, NS)
+            garble_solo(c, delta, bits, zero)
 
 
 def random_circuits(rng):
@@ -452,13 +499,13 @@ def assert_matches_reference(circ, gbits, ebits, rng):
     included."""
     delta, zero = session_inputs(circ, gbits.shape[0], rng)
     wire0, tables, pads = reference_garble(circ, delta, gbits, zero, NS)
-    gc = G.garble(circ, delta, gbits, zero, NS)
+    gc = garble_solo(circ, delta, gbits, zero)
     assert np.array_equal(gc.wire0, wire0)
     assert np.array_equal(gc.tables, tables)
     p = B2A_PRIMES[-1]
     w, corr, t = checked_b2a_corrections(gc, pads, p)
     e_act = evaluator_labels(gc, ebits)
-    out = G.evaluate(circ, gc.tables, e_act, NS)
+    out = evaluate_solo(gc, e_act)
     assert np.array_equal(out, reference_evaluate(circ, tables, e_act, NS))
     bits = read_bits(gc, out)
     assert np.array_equal(bits, circ.plain_eval(gbits, ebits))
@@ -494,6 +541,97 @@ def _row_divider():
     return circ
 
 
+HE_SMALL = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
+                       n_classes=2)
+
+
+def _stage_specs(cfg, modes):
+    """(layer, stage, spec) of one stage of each shape in the plans."""
+    seen = {}
+    for mode in modes:
+        for e, enc in enumerate(cfg.plan(mode).encoders):
+            for si, spec in enumerate(enc):
+                key = (spec.kind, spec.m, spec.shift, spec.keep, spec.frac,
+                       spec.rows, tuple((g.count, g.relu)
+                                        for g in spec.groups))
+                seen.setdefault(key, (e, si, spec))
+    return list(seen.values())
+
+
+def check_stage_walk(layer, stage, spec, rng):
+    """Garble a stage's groups as one walk, and each group's circuit alone
+    with the per-gate reference under that group's own namespace, on the
+    same inputs: the walk's zero labels, tables, B2A corrections and
+    evaluated outputs are, group by group, the reference's, and its
+    outputs read as `plain_eval` says."""
+    groups = stage_circuits(spec)
+    E = groups[0][2]
+    sched = stage_schedule(spec)
+    assert [c for _g, c, _E in groups] == list(sched.circuits)
+    namespaces = [G.tweak_namespace(layer, stage, gi, 7)
+                  for gi in range(len(groups))]
+    delta, _ = session_inputs(groups[0][1], E, rng)
+    inputs = [(*_random_bits(c, E, rng), session_inputs(c, E, rng)[1])
+              for _g, c, _E in groups]
+    gbits, ebits, zero = (np.concatenate(part, axis=axis) for part, axis in
+                          zip(zip(*inputs), (1, 1, 0)))
+    gc = G.garble(sched, delta, gbits, zero, namespaces)
+    e_act = evaluator_labels(gc, ebits)
+    # the tables circuit by circuit, as stage-ot-resp carries them
+    cuts = np.cumsum([c.n_and for _g, c, _E in groups])[:-1]
+    out = G.evaluate(sched, np.split(gc.tables, cuts), e_act, namespaces)
+    p = B2A_PRIMES[-1]
+    w = b2a_test_weights(sched.outputs.size, p)
+    corr, t = G.b2a_corrections(gc, w, p)
+    wire = row = ein = o = 0
+    for (_g, c, _E), ns, (gb, eb, z) in zip(groups, namespaces, inputs):
+        wire0, tables, pads = reference_garble(c, delta, gb, z, ns)
+        n_out = c.outputs.size
+        assert np.array_equal(gc.wire0[wire:wire + c.n_wires], wire0)
+        assert np.array_equal(gc.tables[row:row + c.n_and], tables)
+        want_c, want_t = reference_b2a(wire0[c.outputs], pads,
+                                       w[o:o + n_out], p)
+        assert np.array_equal(corr[o:o + n_out].astype(object), want_c)
+        assert np.array_equal(t[o:o + n_out].astype(object), want_t)
+        act = e_act[ein:ein + c.evaluator_inputs.size]
+        assert np.array_equal(out[o:o + n_out],
+                              reference_evaluate(c, tables, act, ns))
+        assert np.array_equal(read_bits(gc, out)[:, o:o + n_out],
+                              c.plain_eval(gb, eb))
+        wire += c.n_wires
+        row += c.n_and
+        ein += c.evaluator_inputs.size
+        o += n_out
+    assert (wire, row, o) == (sched.n_wires, sched.n_and, sched.outputs.size)
+    check_b2a_shares(out, gc, corr, t, w, read_bits(gc, out).T, p)
+
+
+class TestStageWalk:
+    @pytest.mark.parametrize("cfg,modes", [
+        pytest.param(TINY, ("baseline", "opt1", "opt2"), id="tiny"),
+        pytest.param(GC_L16, ("baseline",), id="gc-l16-baseline"),
+        pytest.param(HE_SMALL, ("opt2",), id="he-small-opt2"),
+    ])
+    def test_stage_walks_match_the_per_gate_reference(self, cfg, modes):
+        """Every stage shape of the benchmark's plans, at its real
+        instance count, through the one walk of all its groups."""
+        rng = np.random.default_rng(504)
+        specs = _stage_specs(cfg, modes)
+        assert any(len(spec.groups) > 1 for _e, _s, spec in specs)
+        for layer, stage, spec in specs:
+            check_stage_walk(layer, stage, spec, rng)
+
+    def test_stage_of_unequal_instance_counts_is_refused(self):
+        """One walk holds one instance count, so a stage whose groups
+        differ in it is refused, not padded."""
+        spec = TINY.plan("opt1").stage(0, "qkv_rescale")
+        (q, k, v) = spec.groups
+        uneven = replace(spec, groups=(q, StageGroup("k", k.count // 2),
+                                       v))
+        with pytest.raises(ParameterError, match="one walk needs one count"):
+            stage_circuits(uneven)
+
+
 class TestLevelSchedule:
     def test_tiny_stage_circuits_match_reference(self):
         rng = np.random.default_rng(501)
@@ -513,41 +651,61 @@ class TestLevelSchedule:
             assert_matches_reference(c, gb, eb, rng)
 
     @staticmethod
-    def check_schedule(circ):
-        """Every gate sits in exactly one level, under its own tweaks and
-        table row, and reads only constants, inputs and earlier levels."""
-        is_and = circ.ops == OP_AND
-        gate_of = {int(w): g for g, w in enumerate(circ.out)}
-        ready = {CONST0, CONST1, *circ.garbler_inputs.tolist(),
-                 *circ.evaluator_inputs.tolist()}
-        wires = np.arange(circ.n_wires)
-        placed, rows = [], []
-        for lv in circ.levels:
+    def check_schedule(sched):
+        """Every gate of every circuit sits in exactly one level, the one
+        of its depth in its own circuit, under its own circuit's tweaks
+        and table row, and reads only constants, inputs and earlier
+        levels; within a level gates run circuit after circuit, each in
+        its own order."""
+        wire_base = np.cumsum([0] + [c.n_wires for c in sched.circuits])
+        row_base = np.cumsum([0] + [c.n_and for c in sched.circuits])
+        gate_of, ready = {}, set()
+        for i, c in enumerate(sched.circuits):
+            row = row_base[i] + np.cumsum(c.ops == OP_AND) - 1
+            for g, w in enumerate(c.out):
+                gate_of[int(w) + wire_base[i]] = (i, g, int(row[g]))
+            ready.update(int(w) + wire_base[i] for w in (
+                CONST0, CONST1, *c.garbler_inputs, *c.evaluator_inputs))
+        depths = [c.depths() for c in sched.circuits]
+        assert len(sched.levels) == max((int(d.max()) for d in depths
+                                         if d.size), default=0)
+        wires = np.arange(sched.n_wires)
+        placed, rows, walked = [], [], 0
+        for depth, lv in enumerate(sched.levels, 1):
             xin0, xin1, xout = (wires[i] for i in (lv.xor_in0, lv.xor_in1,
                                                    lv.xor_out))
-            ain0, ain1, aout = (wires[i] for i in (lv.and_in0, lv.and_in1,
-                                                   lv.and_out))
-            arow = np.arange(circ.n_and)[lv.and_row]
+            ain0, ain1 = lv.and_in
+            aout = wires[lv.and_out]
+            arow = sched.and_row[lv.ands]
             assert xin0.size == xin1.size == xout.size == lv.n_xor
             assert (ain0.size == ain1.size == aout.size == arow.size
-                    == lv.and_tweak.shape[1] == lv.n_and)
+                    == lv.ands.stop - lv.ands.start == lv.n_and)
+            assert lv.ands.start == walked
+            walked = lv.ands.stop
             assert all(int(w) in ready
                        for w in np.concatenate([xin0, xin1, ain0, ain1]))
-            xg = [gate_of[int(w)] for w in xout]
-            ag = [gate_of[int(w)] for w in aout]
-            assert not is_and[xg].any() and is_and[ag].all()
-            assert np.array_equal(circ.in0[xg], xin0)
-            assert np.array_equal(circ.in1[xg], xin1)
-            assert np.array_equal(circ.in0[ag], ain0)
-            assert np.array_equal(circ.in1[ag], ain1)
-            g = np.array(ag, dtype=np.uint64)
-            assert np.array_equal(lv.and_tweak, [2 * g, 2 * g + 1])
-            assert np.array_equal(arow, np.cumsum(is_and)[ag] - 1)
+            for out, in0, in1, is_and in ((xout, xin0, xin1, False),
+                                          (aout, ain0, ain1, True)):
+                who = [gate_of[int(w)] for w in out]
+                assert who == sorted(who)
+                for (i, g, _row), a, b in zip(who, in0, in1):
+                    c, base = sched.circuits[i], wire_base[i]
+                    assert (c.ops[g] == OP_AND) == is_and
+                    assert (c.in0[g] + base, c.in1[g] + base) == (a, b)
+                    assert depths[i][g] == depth
+                placed += [(i, g) for i, g, _row in who]
+            g = np.array([g for _i, g, _row in who], dtype=np.uint64)
+            assert np.array_equal(sched.and_tweak[:, lv.ands].reshape(2, -1),
+                                  np.array([2 * g, 2 * g + 1]).reshape(2, -1))
+            assert np.array_equal(sched.and_circuit[lv.ands],
+                                  [i for i, _g, _row in who])
+            assert np.array_equal(arow, [row for _i, _g, row in who])
             ready.update(xout.tolist() + aout.tolist())
-            placed += xg + ag
             rows += arow.tolist()
-        assert sorted(placed) == list(range(circ.ops.size))
-        assert sorted(rows) == list(range(circ.n_and))
+        assert walked == sched.n_and
+        assert sorted(placed) == [(i, g) for i, c in enumerate(sched.circuits)
+                                  for g in range(c.ops.size)]
+        assert sorted(rows) == list(range(sched.n_and))
 
     def test_schedule_invariants(self):
         circuits = [c for c, _ in _stage_circuits(TINY, ("baseline", "opt1",
@@ -555,7 +713,11 @@ class TestLevelSchedule:
         circuits.append(_row_divider())
         circuits += [c for c, _, _ in random_circuits(np.random.default_rng(77))]
         for circ in circuits:
-            self.check_schedule(circ)
+            self.check_schedule(solo(circ))
+        # the stage walks, and circuits of unequal depth walked together
+        for _e, _s, spec in _stage_specs(TINY, ("baseline", "opt1", "opt2")):
+            self.check_schedule(stage_schedule(spec))
+        self.check_schedule(schedule(circuits[:3] + circuits[-4:]))
 
     def test_zero_gate_circuit(self):
         b = Builder()
@@ -564,7 +726,7 @@ class TestLevelSchedule:
         b.mark_output_word(b.shift_right_arith(x, 3))
         b.mark_output_word(b.saturate(y, 5))
         c = b.freeze()
-        assert c.ops.size == 0 and c.levels == ()
+        assert c.ops.size == 0 and solo(c).levels == ()
         rng = np.random.default_rng(503)
         assert_matches_reference(c, *_random_bits(c, 4, rng), rng)
 

@@ -390,6 +390,14 @@ class TestRotations:
         assert np.array_equal(got, want)
 
 
+def crt_consts(params) -> np.ndarray:
+    """The CRT basis (q/q_i) * ((q/q_i)^-1 mod q_i) as a (k, 1) column of
+    Python ints."""
+    q = params.q
+    return np.array([[q // qi * pow(q // qi, -1, qi)]
+                     for qi in params.q_primes], dtype=object)
+
+
 def measured_noise_bits(km, ct, slots) -> float:
     """log2 of the largest centered |v - q m / p| over all coefficients of
     a batch of one, where v = c0 + c1 s lifted to Z_q and m is the
@@ -402,7 +410,7 @@ def measured_noise_bits(km, ct, slots) -> float:
     c0, c1 = ct.data[0]
     res = addmod(c0, mulmod_vec(c1, km._sk, col), col)
     v = par.rns().inverse(res[None])[0].astype(object)
-    v = (v * pahe._crt_consts(par)).sum(axis=0) % q
+    v = (v * crt_consts(par)).sum(axis=0) % q
     m = pahe._slots_to_coeffs_many(par, slots[None])[0].astype(object)
     d = (p * v - q * m) % (p * q)
     worst = max(min(x, p * q - x) for x in d)
@@ -469,6 +477,109 @@ class TestNoise:
         with pytest.raises(NoiseBudgetError):
             for _ in range(100):
                 ct = mul(ev, ct, w)
+
+
+def reference_scale_round(par, coeffs) -> np.ndarray:
+    """round(p x / q) mod p of the coefficients x whose residues are
+    `coeffs`, (..., k, n), by the CRT in Python ints."""
+    q, p = par.q, par.p
+    x = (coeffs.astype(object) * crt_consts(par)).sum(axis=-2) % q
+    return ((x * p + (q >> 1)) // q % p).astype(np.uint64)
+
+
+def reference_decrypt(km, cts) -> np.ndarray:
+    """`decrypt_many` with the scale and round in Python ints."""
+    par = km.params
+    col = par.q_col
+    c1 = mulmod_vec(cts.data[:, 1], km._sk, col)
+    coeffs = par.rns().inverse(addmod(cts.data[:, 0], c1, col))
+    m = reference_scale_round(par, coeffs)
+    slots = get_stacked((par.p,), par.n).forward(m[:, None, :])
+    return slots[:, 0, par.slots().pos_of_flat]
+
+
+def he_small_params():
+    """The he-small session's basis: a 62-bit plaintext prime over three
+    51-bit primes at n = 512."""
+    return session_geometry(ModelConfig(
+        vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2, n_classes=2),
+        "opt2").params
+
+
+def as_residues(par, xs) -> np.ndarray:
+    """Python ints below q as their (k, len(xs)) residues."""
+    return np.array([[x % qi for x in xs] for qi in par.q_primes],
+                    dtype=np.uint64)
+
+
+class TestScaleRound:
+    """`decrypt_many` scales and rounds in the RNS basis; the CRT in Python
+    ints is its reference, at the toy basis and at he-small's."""
+
+    @pytest.fixture(params=["toy", "he-small"])
+    def keys(self, request, setup):
+        if request.param == "toy":
+            return setup[1]
+        return pahe.keygen(he_small_params(), seed=41)
+
+    def test_uniform_residues_match_the_python_crt(self, keys):
+        """Ciphertexts of uniformly random residues, more than 10^5
+        coefficients in all, decrypt as the Python-int CRT says."""
+        par = keys.params
+        rng = np.random.default_rng(51)
+        count = -(-100_000 // par.n)
+        data = (rng.integers(0, 1 << 63, (count, 2, par.k, par.n),
+                             dtype=np.uint64) % par.q_col)
+        cts = pahe.Ciphertexts(par, data,
+                               np.full(count, par.fresh_noise_bits))
+        assert np.array_equal(keys.decrypt_many(cts),
+                              reference_decrypt(keys, cts))
+
+    def test_rounding_next_to_one_half_is_exact(self, keys):
+        """For x_lo = floor((2j + 1) q / 2p) and x_hi = x_lo + 1, p x / q
+        lies within p / q of j + 1/2, below it and above it, closer than
+        the float64 fraction sum can tell: they round to j and j + 1, as
+        in Python ints."""
+        par = keys.params
+        q, p = par.q, par.p
+        js = [0, 1, p // 2, p - 2] + np.random.default_rng(52).integers(
+            0, p - 1, 60).tolist()
+        lo = [(2 * j + 1) * q // (2 * p) for j in js]
+        coeffs = as_residues(par, lo + [x + 1 for x in lo])[None]
+        want = np.array(js + [j + 1 for j in js], dtype=np.uint64)
+        assert np.array_equal(reference_scale_round(par, coeffs)[0], want)
+        assert np.array_equal(pahe._scale_round(par, coeffs)[0], want)
+
+    def test_basis_too_wide_for_one_word_is_refused(self):
+        """k terms below p and a rounded sum up to k take one 64-bit word
+        only while (k + 1) p < 2^64: a 63-bit p over three primes is
+        refused, not summed with a wrap."""
+        p = next_prime(1 << 62, congruent=(1, 512))
+        par = pahe.session_params(p, 256)
+        assert par.k == 3
+        with pytest.raises(ParameterError, match="too wide"):
+            pahe._scale_round(par, np.zeros((1, 3, 256), dtype=np.uint64))
+
+    def test_noise_at_the_edge_of_the_budget_decrypts_exactly(self, keys):
+        """c0 = floor(q/p) m + e and c1 = 0, with e = +-(floor(q/2p) - p),
+        noise just inside the largest that still decodes: the slots of m,
+        as in Python ints."""
+        par = keys.params
+        q, p, n = par.q, par.p, par.n
+        rng = np.random.default_rng(53)
+        m = rng.integers(0, p, (2, n), dtype=np.uint64)
+        m[:, :2] = [0, p - 1]
+        edge = q // (2 * p) - p
+        xs = [(q // p * int(v) + sign * edge) % q
+              for sign, row in zip((1, -1), m) for v in row]
+        c0 = par.rns().forward(as_residues(par, xs).reshape(
+            par.k, 2, n).swapaxes(0, 1))
+        data = np.stack([c0, np.zeros_like(c0)], axis=1)
+        cts = pahe.Ciphertexts(par, data, np.full(2, par.fresh_noise_bits))
+        slots = get_stacked((p,), n).forward(m[:, None, :])[
+            :, 0, par.slots().pos_of_flat]
+        assert np.array_equal(reference_decrypt(keys, cts), slots)
+        assert np.array_equal(keys.decrypt_many(cts), slots)
 
 
 B = 19  # two full blocks of `_KS_BATCH` ciphertexts and a ragged one

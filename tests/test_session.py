@@ -53,23 +53,23 @@ KEY_BLOB_BYTES = pahe.key_blob_nbytes(_OPT1.params, len(_OPT1.galois))
 REQUEST_BYTES = 8 + 16
 
 DIGESTS = {
-    "baseline": "3270effd8c5c14260b7eed24ac9ace67"
-                "3894845415d84b43557b7649c6524840",
-    "opt1": "1a492d79f1b0e784fcb575c7915b1801"
-            "bb1922023b28879484b9cad0bc1cc76a",
-    "opt2": "34fcfd30ca2f43c7bee9901056e878cf"
-            "2cbfd39bb5e0cd0ef59156f174bba089",
+    "baseline": "0066f6cfdd23ef018eb69cc2fa87d4c6"
+                "f77ce98355a5eeeb98a4e5f67fc403ca",
+    "opt1": "4e17605fef49ff0479bea0db29f50a85"
+            "31c420309aa6213392485b68bea07b5c",
+    "opt2": "9501a6173ee45a2971c671872b565bd6"
+            "b28bfca7f3ae323fc1c790a085844c85",
 }
-TWO_LAYER_DIGEST = ("5aaa67fd505e03e43b1bb0f95f071a3e"
-                    "105e6d92bf60e2894c27de43c4fef6c4")
+TWO_LAYER_DIGEST = ("93e3b8af80b317061ace71b222587973"
+                    "11eed2bfab35d683a8e8428f6c367d90")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "635ad01fea79517914bb0796f0d89859"
-                "2adde208eda1e94e53d42d4a1422c6cd",
-    "opt1": "9641a62f2d5cb59dbe3b8865dc9c2900"
-            "fb4033f565f4222411922e1d2e157f07",
-    "opt2": "f277c755ce2a5ea160f9ac7e7bd6481a"
-            "1510c9e8576db87422a3cbda5b1f21d3",
+    "baseline": "fb5a090b9ef0372b55656cf17b7b1cdf"
+                "9c1d6f6ea151a8577667201c39567a32",
+    "opt1": "2a01a40cd40fe7db196a22e638d64e32"
+            "0ef79ebb0923b13ef601e25aac8564bf",
+    "opt2": "97d06e0fe43c1ec3f5b05f7ccc303dc7"
+            "9213d9f466c58fb866e7a8c44b4ed656",
 }
 
 
@@ -143,9 +143,9 @@ def test_no_garbling_tweak_repeats_in_a_session(monkeypatch):
     seen = {"server": [], "client": []}
     fixed_key_hash = garble_module._hash
 
-    def recording(aes, labels, tweaks):
+    def recording(aes, doubled, tweaks):
         seen[party.role].append(tweaks.reshape(-1, 2).copy())
-        return fixed_key_hash(aes, labels, tweaks)
+        return fixed_key_hash(aes, doubled, tweaks)
 
     def as_party(role, fn):
         def run(conn):
@@ -681,27 +681,41 @@ def test_concurrent_takes_reserve_disjoint_blocks():
     assert store.take("k", 7).position == 66
 
 
+def _halve(doubled: np.ndarray) -> np.ndarray:
+    """The labels X, (N, 2), whose doubles 2X in GF(2^128) are `doubled`:
+    2X is X shifted up a bit, with x^128 reduced to x^7 + x^2 + x + 1,
+    which sets bit 0 exactly when X's top bit was set."""
+    top = doubled[:, :1] & np.uint64(1)
+    shifted = doubled ^ top * np.array([0x87, 0], dtype=np.uint64)
+    out = shifted >> np.uint64(1)
+    out[:, 0] |= shifted[:, 1] << np.uint64(63)
+    out[:, 1] |= top[:, 0] << np.uint64(63)
+    return out
+
+
 def test_no_tweak_or_iknp_row_repeats_across_resumed_sessions(weights,
                                                               monkeypatch):
     """One garbling offset serves a fresh session and the two that resume
     it.  Over all three, the garbler queries no hash tweak with labels
     other than the two labels X and X ^ delta of one wire, and no IKNP row
     of one session is a row of another: each extends fresh stream
-    blocks."""
+    blocks.  The hash takes each label doubled, which is one to one, so
+    the queried labels are the recorded doubles halved."""
     party = threading.local()
     queries, deltas, rows = [], [], []
     fixed_key_hash, real_garble = garble_module._hash, session.garble
     real_extend = session.OtExtReceiver.extend
 
-    def recording(aes, labels, tweaks):
+    def recording(aes, doubled, tweaks):
         if party.role == "server":
-            lab, tw = np.broadcast_arrays(labels, tweaks)
-            queries.append(np.hstack([tw.reshape(-1, 2), lab.reshape(-1, 2)]))
-        return fixed_key_hash(aes, labels, tweaks)
+            lab, tw = np.broadcast_arrays(doubled, tweaks)
+            queries.append(np.hstack([tw.reshape(-1, 2),
+                                      _halve(lab.reshape(-1, 2))]))
+        return fixed_key_hash(aes, doubled, tweaks)
 
-    def garbling(circ, delta, *args):
+    def garbling(sched, delta, *args):
         deltas.append(delta.copy())
-        return real_garble(circ, delta, *args)
+        return real_garble(sched, delta, *args)
 
     def extend(self, M, start=0):
         u, batch = real_extend(self, M, start)
@@ -912,32 +926,48 @@ def test_logits_slots_hide_the_products(weights, monkeypatch):
 
 
 def test_stage_circuit_caches_hold_a_plan_and_stay_bounded(monkeypatch):
-    """The deepest plan of every mode garbles no more distinct circuits
-    than the caches hold, so walking it again builds none; sizing many
-    distinct shapes that are then refused evicts, and leaves each cache at
-    most at its bound."""
+    """The deepest plan of every mode garbles no more distinct circuits,
+    nor stage shapes, than the caches hold, so walking it again builds no
+    circuit and no stage schedule; sizing many distinct shapes that are
+    then refused evicts circuits, builds no schedule, and leaves each
+    cache at most at its bound, as do sessions of as many shapes."""
+    walks = (stages._stage_schedule, stages.STAGE_SCHEDULES)
     caches = ((stages.affine_stage_circuit, stages.AFFINE_CIRCUITS),
-              (stages.rowdiv_stage_circuit, stages.ROWDIV_CIRCUITS))
+              (stages.rowdiv_stage_circuit, stages.ROWDIV_CIRCUITS), walks)
     for cache, bound in caches:
         assert cache.cache_info().maxsize == bound
+
+    def misses(caches):
+        return [cache.cache_info().misses for cache, _ in caches]
+
+    def walk(plan):
+        for spec in (spec for enc in plan.encoders for spec in enc):
+            stage_circuits(spec)
+            stages.stage_schedule(spec)
+
     for mode in MODES:
         plan = replace(CFG, n_layers=session.MAX_LAYERS).plan(mode)
-        specs = [spec for enc in plan.encoders for spec in enc]
-        for spec in specs:
-            stage_circuits(spec)
-        misses = [cache.cache_info().misses for cache, _ in caches]
-        for spec in specs:
-            stage_circuits(spec)
-        assert [cache.cache_info().misses for cache, _ in caches] == misses
-    misses = [cache.cache_info().misses for cache, _ in caches]
+        walk(plan)
+        before = misses(caches)
+        walk(plan)
+        assert misses(caches) == before
+    before = misses(caches)
     monkeypatch.setattr(session, "MAX_SESSION_BYTES", 1)
-    for f in range(4, 12):
+    shapes = [replace(CFG, f=f) for f in range(4, 12)]
+    for cfg in shapes:
         for mode in MODES:
             with pytest.raises(ParameterError, match="above the limit"):
-                session_geometry(replace(CFG, f=f), mode)
-    for (cache, bound), before in zip(caches, misses):
-        assert cache.cache_info().misses - before > bound
+                session_geometry(cfg, mode)
+    for (cache, bound), old in zip(caches[:2], before):
+        assert cache.cache_info().misses - old > bound
         assert cache.cache_info().currsize <= bound
+    assert misses([walks]) == before[2:]
+    for cfg in shapes:
+        for mode in MODES:
+            walk(cfg.plan(mode))
+    cache, bound = walks
+    assert cache.cache_info().misses - before[2] > bound
+    assert cache.cache_info().currsize <= bound
 
 
 def _closing(party, conn, *args, **kwargs):
@@ -1488,13 +1518,16 @@ def test_product_replies_alone_push_a_hello_past_the_bound(monkeypatch):
 
 def _session_bytes(geom):
     """(the bytes of every stage-ot-resp frame and encrypted matrix of a
-    session, the largest label array one of its garblings holds)."""
-    groups = [(circ, E) for enc in geom.plan.encoders for spec in enc
-              for _g, circ, E in stage_circuits(spec)]
+    session, the largest label array one of its garblings holds: that of
+    a stage, whose groups are garbled in one walk)."""
+    stage_groups = [stage_circuits(spec) for enc in geom.plan.encoders
+                    for spec in enc]
     sent = sum((32 * circ.n_and + 8 * circ.outputs.size) * E
-               for circ, E in groups)
+               for groups in stage_groups for _g, circ, E in groups)
     sent += sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent())
-    return sent, max(16 * circ.n_wires * E for circ, E in groups)
+    return sent, max(16 * groups[0][2] * sum(circ.n_wires
+                                             for _g, circ, _E in groups)
+                     for groups in stage_groups)
 
 
 def test_session_limits_admit_their_bounds(monkeypatch):

@@ -452,3 +452,19 @@ class TestGateCounts:
         cfg = ModelConfig(vocab=vocab, seq_len=seq_len, dim=dim,
                           ff_dim=ff_dim, n_layers=n_layers, n_classes=2)
         assert S.plan_gate_counts(cfg.plan(mode))["and"] == ands
+
+    @pytest.mark.parametrize("shape,mode,levels", [
+        ((32, 8, 16, 32, 2), "opt2", 326),
+        ((8, 16, 4, 8, 1), "baseline", 657),
+        ((8, 4, 4, 8, 1), "opt1", 234),
+    ])
+    def test_and_levels_a_party_walks_are_pinned(self, shape, mode, levels):
+        # the benchmark's shapes: each stage is one walk over its groups,
+        # so a party visits as many AND levels as the deepest group of
+        # each stage has
+        vocab, seq_len, dim, ff_dim, n_layers = shape
+        cfg = ModelConfig(vocab=vocab, seq_len=seq_len, dim=dim,
+                          ff_dim=ff_dim, n_layers=n_layers, n_classes=2)
+        assert sum(lv.n_and > 0 for enc in cfg.plan(mode).encoders
+                   for spec in enc
+                   for lv in S.stage_schedule(spec).levels) == levels
