@@ -135,15 +135,14 @@ class Circuit:
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """Circuits walked as one: the union of their gates, each circuit's
-    wires, AND table rows and outputs one block of a shared array after
-    those of the circuits before it, and its gates grouped by depth, level
-    i of the walk being level i of every circuit.
+    wires and outputs one block of a shared array after those of the
+    circuits before it, and its gates grouped by depth, level i of the
+    walk being level i of every circuit.
 
-    Within a level gates keep their circuit's order, circuit after circuit.
-    `and_tweak`, `and_circuit` and `and_row` hold every AND in walk order:
-    the tweak words 2g and 2g+1 of gate g of its own circuit, that
-    circuit's index, and the AND's table row, its ordinal among its
-    circuit's ANDs in that circuit's block.  A walk of one circuit is that
+    Within a level gates keep their circuit's order, circuit after
+    circuit.  The walk order numbers the ANDs, by (depth, circuit, gate),
+    and the outputs, circuit after circuit: each level's ANDs are the run
+    `Level.ands` of that numbering.  A walk of one circuit is that
     circuit's own schedule.
     """
 
@@ -155,11 +154,6 @@ class Schedule:
     garbler_inputs: np.ndarray     # wire ids, circuit after circuit
     evaluator_inputs: np.ndarray
     outputs: np.ndarray
-    out_index: np.ndarray          # (n_out,) uint64: index in its circuit
-    out_circuit: np.ndarray        # (n_out,) intp: its circuit
-    and_tweak: np.ndarray          # (2, n_and) uint64
-    and_circuit: np.ndarray        # (n_and,) intp
-    and_row: np.ndarray            # (n_and,) intp: table row
 
 
 def schedule(circuits) -> Schedule:
@@ -169,28 +163,18 @@ def schedule(circuits) -> Schedule:
     if not circuits:
         raise CircuitError("a schedule needs a circuit")
     wire_base = np.cumsum([0] + [c.n_wires for c in circuits])
-    row_base = np.cumsum([0] + [c.n_and for c in circuits])
-    parts = []
-    for i, c in enumerate(circuits):
-        is_and = c.ops == OP_AND
-        parts.append((2 * c.depths() + is_and,
-                      c.in0 + wire_base[i], c.in1 + wire_base[i],
-                      c.out + wire_base[i],
-                      np.arange(c.ops.size, dtype=np.uint64),
-                      np.cumsum(is_and) - 1 + row_base[i],
-                      np.full(c.ops.size, i)))
-    key, in0, in1, out, gate, row, owner = (np.concatenate(p)
-                                            for p in zip(*parts))
+    parts = [(2 * c.depths() + (c.ops == OP_AND), c.in0 + base,
+              c.in1 + base, c.out + base)
+             for c, base in zip(circuits, wire_base)]
+    key, in0, in1, out = (np.concatenate(p) for p in zip(*parts))
     # sort by level, XORs before ANDs, then circuit and list order; each
     # level is then two runs of the sorted arrays
     order = np.argsort(key, kind="stable")
-    key, in0, in1, out, gate, row, owner = (
-        a[order] for a in (key, in0, in1, out, gate, row, owner))
-    is_and = (key & 1).astype(bool)
+    key, in0, in1, out = (a[order] for a in (key, in0, in1, out))
     top = int(key.max()) // 2 if key.size else 0
     cut = np.searchsorted(key, np.arange(2, 2 * top + 3))
     # the ANDs before each gate, in walk order
-    ands = np.concatenate([[0], np.cumsum(is_and)])
+    ands = np.concatenate([[0], np.cumsum(key & 1)])
     levels = tuple(
         Level(int(mid - lo), _index(in0[lo:mid]), _index(in1[lo:mid]),
               _index(out[lo:mid]),
@@ -204,15 +188,9 @@ def schedule(circuits) -> Schedule:
                                for c, base in zip(circuits, wire_base)])
 
     return Schedule(
-        circuits, levels, int(wire_base[-1]), int(row_base[-1]),
+        circuits, levels, int(wire_base[-1]), int(ands[-1]),
         wire_base[:-1] + CONST1, ids("garbler_inputs"),
-        ids("evaluator_inputs"), ids("outputs"),
-        np.concatenate([np.arange(c.outputs.size, dtype=np.uint64)
-                        for c in circuits]),
-        np.repeat(np.arange(len(circuits)),
-                  [c.outputs.size for c in circuits]),
-        2 * gate[is_and] + np.array([[0], [1]], np.uint64),
-        owner[is_and].astype(np.intp), row[is_and].astype(np.intp))
+        ids("evaluator_inputs"), ids("outputs"))
 
 
 class Builder:

@@ -12,9 +12,9 @@ of base OTs: it is the IKNP sender's s (`gc.ot`), whose low bit is forced
 to 1 so the label's low bit serves as the point-and-permute color, and the
 OT fixes the evaluator's input labels under it.  The gate hash is the
 standard fixed-key AES construction H(X, t) = AES(2X ^ t) ^ 2X ^ t, with
-tweaks unique per (session, garbling, instance, gate, half) under one
-delta (`tweak_namespace`); instances are independent garblings of the same
-topology.
+tweaks unique per (session, layer, stage, instance, AND, half) under one
+delta (`tweak_namespace`); instances are independent garblings of the
+same topology.
 
 Garbling and evaluation walk every circuit of a stage at once
 (`circuit.Schedule`): the circuits' labels are one (W, E, 2) array, and
@@ -23,10 +23,10 @@ level visits as its deepest circuit, not their sum.  At each level, all
 XOR gates are one gather-XOR-scatter and all AND gates of all circuits and
 instances one AES call; the garbler doubles the two zero labels of each
 AND once and gets the other two by XORing in 2 delta, and writes both of
-its table rows in one scatter.  Every gate keeps its own circuit's tweak,
-built for the whole walk before the first level, and its own table row,
-so each circuit's tables are byte for byte what a gate-by-gate walk of
-that circuit alone produces.
+its table rows as one slice.  The walk is the unit of garbling: AND j of
+the walk order has tweaks 2j and 2j+1 and table row j, and output i has
+pad tweak i under the B2A flag, so a stage's tables are one block, AND by
+AND in walk order, under one `tweak_namespace`.
 
 Everything here is semi-honest: evaluation trusts the tables.  Outputs are
 never decoded to bits: label-keyed pads and one correction word per output
@@ -62,17 +62,12 @@ def _double(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def hash_labels(labels: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
-    """H(X, t) = pi(2X ^ t) ^ (2X ^ t) on labels and tweaks that broadcast
-    together to (..., 2), pi being fixed-key AES."""
-    return _hash(_AES.encryptor(), _double(labels), tweaks)
-
-
 def _hash(aes, doubled: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
-    """`hash_labels` of the labels whose doubles are `doubled`, through an
-    open ECB encryptor, which keeps no state between calls, so one walk
-    sets up AES once.  `doubled` must have the broadcast shape; it is
-    overwritten with the result."""
+    """H(X, t) = pi(2X ^ t) ^ (2X ^ t), pi being fixed-key AES, of the
+    labels X whose doubles are `doubled` under tweaks that broadcast
+    against them, through an open ECB encryptor, which keeps no state
+    between calls, so one walk sets up AES once.  `doubled` must have the
+    broadcast shape; it is overwritten with the result."""
     t = np.bitwise_xor(doubled, tweaks, out=doubled)
     raw = aes.update(t.tobytes())
     return np.bitwise_xor(t, np.frombuffer(raw, dtype="<u8").reshape(t.shape),
@@ -80,7 +75,7 @@ def _hash(aes, doubled: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
 
 
 # the low tweak word's bits from SESSION_SHIFT up to the B2A flag hold the
-# session number; gate tweaks and output indices stay below 2^27 (see
+# session number; AND tweaks and output indices stay below 2^27 (see
 # `garble`)
 SESSION_SHIFT = 32
 # sessions one offset delta can garble under: what those 29 bits hold
@@ -88,34 +83,36 @@ MAX_SESSIONS = 1 << 29
 _WORD = (1 << 64) - 1
 
 
-def tweak_namespace(layer: int, stage: int, group: int,
-                    session: int = 0) -> int:
-    """The tweak bits of group `group` of stage `stage` of encoder layer
-    `layer`, in the session numbered `session` under its offset delta, as
-    one 128-bit int, high word << 64 | low word: (layer, stage, group) in
-    the high word above its 32 instance bits, the session number in the
-    low word above the gate and output indices.  Each garbling under one
-    delta gets its own, from the plan and the session number alone, so
-    both parties derive it; session 0 leaves the low word clear."""
+def tweak_namespace(layer: int, stage: int, session: int = 0) -> int:
+    """The tweak bits of stage `stage` of encoder layer `layer`, in the
+    session numbered `session` under its offset delta, as one 128-bit int,
+    high word << 64 | low word: (layer, stage) in the high word above its
+    32 instance bits, the session number in the low word above the AND and
+    output indices.  Each stage walk under one delta gets its own, from
+    the plan and the session number alone, so both parties derive it;
+    session 0 leaves the low word clear."""
     if not (0 <= layer < 1 << 16 and 0 <= stage < 1 << 8
-            and 0 <= group < 1 << 8 and 0 <= session < MAX_SESSIONS):
+            and 0 <= session < MAX_SESSIONS):
         raise CircuitError("garbling namespace out of range")
-    return (layer << 16 | stage << 8 | group) << 96 | session << SESSION_SHIFT
+    return (layer << 8 | stage) << 96 | session << SESSION_SHIFT
 
 
-def _tweaks(low: np.ndarray, owner: np.ndarray, instances: int,
-            namespaces) -> np.ndarray:
-    """Tweaks (..., K, E, 2) of K labels' low words `low`, (..., K), each
-    of the circuit `owner`, (K,): the low word ORed with the low word of
-    its circuit's namespace in `namespaces`, that namespace's high word
-    with the instance in the high."""
-    ns_low = np.array([ns & _WORD for ns in namespaces], dtype=np.uint64)
-    ns_high = np.array([ns >> 64 for ns in namespaces], dtype=np.uint64)
+def _tweaks(low: np.ndarray, instances: int, namespace: int) -> np.ndarray:
+    """Tweaks (..., E, 2) of labels' low words `low`: the low word ORed
+    with the low word of `namespace`, its high word with the instance in
+    the high."""
     tw = np.empty(low.shape + (instances, 2), dtype=np.uint64)
-    tw[..., 0] = (low | ns_low[owner])[..., None]
-    tw[..., 1] = (ns_high[owner][:, None]
+    tw[..., 0] = (low | np.uint64(namespace & _WORD))[..., None]
+    tw[..., 1] = (np.uint64(namespace >> 64)
                   | np.arange(instances, dtype=np.uint64))
     return tw
+
+
+def _and_tweaks(sched: Schedule, instances: int, namespace: int) -> np.ndarray:
+    """The tweaks (2, n_and, E, 2) of the walk's ANDs: 2j and 2j+1 for AND
+    j of the walk order."""
+    j = np.arange(sched.n_and, dtype=np.uint64)
+    return _tweaks(np.stack([2 * j, 2 * j + _ONE]), instances, namespace)
 
 
 # the low-word flag of the label-keyed pads' tweaks, above the session bits
@@ -134,19 +131,19 @@ class Garbling:
 
     schedule: Schedule
     delta: np.ndarray            # (2,) the garbling offset
-    namespaces: tuple[int, ...]  # each circuit's tweak namespace
+    namespace: int               # the walk's tweak namespace
     wire0: np.ndarray            # (W, E, 2) zero-labels for every wire
     tables: np.ndarray           # (n_and, E, 2, 2) the two rows per AND
 
 
-def _folded_pads(sched: Schedule, labels: np.ndarray, namespaces,
+def _folded_pads(sched: Schedule, labels: np.ndarray, namespace: int,
                  p: int) -> np.ndarray:
     """F(L): the pads of output labels (..., n_out, E, 2) of the walk
-    `sched`, under tweaks unique per (output wire, instance) in each
-    output's circuit's namespace, folded to (lo + 2^64 hi) mod p."""
-    pads = hash_labels(labels, _tweaks(_B2A_NS | sched.out_index,
-                                       sched.out_circuit, labels.shape[-2],
-                                       namespaces))
+    `sched`, under tweaks unique per (output, instance) in `namespace`,
+    folded to (lo + 2^64 hi) mod p."""
+    index = np.arange(sched.outputs.size, dtype=np.uint64)
+    pads = _hash(_AES.encryptor(), _double(labels),
+                 _tweaks(_B2A_NS | index, labels.shape[-2], namespace))
     return reduce128(pads[..., 1], pads[..., 0], p)
 
 
@@ -171,40 +168,36 @@ def b2a_corrections(gb: Garbling, weights: np.ndarray,
     b0 = z[..., 0] & _ONE              # the value of L0 is the colour of z
     l0 = z ^ b0[..., None] * gb.delta
     f0, f1 = _folded_pads(gb.schedule, np.array([l0, l0 ^ gb.delta]),
-                          gb.namespaces, p)
+                          gb.namespace, p)
     w = np.asarray(weights, dtype=np.uint64)[:, None]
     signed_w = np.where(b0 == 1, submod(0, w, p), w)
     return submod(addmod(signed_w, f0, p), f1, p), submod(b0 * w, f0, p)
 
 
 def b2a_shares(sched: Schedule, active_out: np.ndarray, c: np.ndarray,
-               namespaces, p: int) -> np.ndarray:
+               namespace: int, p: int) -> np.ndarray:
     """Evaluator half of `b2a_corrections`: the shares
     F(L) + colour(L) c mod p, (n_out, E), of the held output labels
     `active_out`, (n_out, E, 2), of the walk `sched` garbled under
-    `namespaces`; `c` must be reduced mod p."""
-    fold = _folded_pads(sched, active_out, namespaces, p)
+    `namespace`; `c` must be reduced mod p."""
+    fold = _folded_pads(sched, active_out, namespace, p)
     return addmod(fold, (active_out[..., 0] & _ONE) * c, p)
 
 
-def _check_walk(sched: Schedule, E: int, namespaces) -> tuple[int, ...]:
+def _check_walk(sched: Schedule, E: int):
     if E >= 1 << 32:
         raise CircuitError("more instances than the tweak's 32 bits hold")
-    if max(c.n_wires for c in sched.circuits) > 1 << (SESSION_SHIFT - 1):
-        raise CircuitError("more wires than the low tweak word's index bits "
-                           "hold")
-    namespaces = tuple(namespaces)
-    if len(namespaces) != len(sched.circuits):
-        raise CircuitError("one tweak namespace per circuit of the walk")
-    return namespaces
+    if max(2 * sched.n_and, sched.outputs.size) > 1 << SESSION_SHIFT:
+        raise CircuitError("more ANDs or outputs than the low tweak word's "
+                           "index bits hold")
 
 
 def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
-           evaluator_zero: np.ndarray, namespaces) -> Garbling:
+           evaluator_zero: np.ndarray, namespace: int) -> Garbling:
     """Garble E independent instances of every circuit of the walk `sched`
-    under the offset `delta`, (2,), one level at a time, with the
-    garbler's input bits `garbler_bits`, (E, n_gin), hardcoded, and
-    circuit i under the tweak namespace `namespaces[i]`.
+    under the offset `delta`, (2,), and the tweak namespace `namespace`,
+    one level at a time, with the garbler's input bits `garbler_bits`,
+    (E, n_gin), hardcoded.
 
     The evaluator's input zero labels `evaluator_zero`, (n_ein, E, 2), come
     from the OT (`gc.ot.RandomOtSenderBatch.derand_respond`) and give E.
@@ -212,11 +205,9 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
     value t gets zero label t delta, CONST0 gets 0 and CONST1 gets delta,
     so each of these wires has the all-zero active label, where `evaluate`
     starts it: no garbler label is sent, and garbling draws nothing.
-    Tweaks are 2g and 2g+1 for gate index g of its circuit in the low word
-    and the instance in the high one, each word ORed with its half of the
-    circuit's namespace, and AND g's two rows go to its circuit's block of
-    table rows at the AND's ordinal, so the result does not depend on how
-    the gates are batched, nor on which circuits share the walk.
+    AND j of the walk order has tweaks 2j and 2j+1 in the low word and the
+    instance in the high one, each word ORed with its half of the
+    namespace, and its two rows are table row j.
 
     Security (semi-honest).  Every garbling of every session that extends
     one set of base OTs shares `delta`, and the evaluator's labels are IKNP
@@ -227,25 +218,25 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
     tweak t is used beyond the two labels X and X ^ delta of one wire.  The
     game counts queries, not sessions, so labels from many sessions under
     one delta are as safe as those of one, as long as their tweaks stay
-    apart.  Within a garbling the gate index, half and
-    instance keep tweaks apart; across the garblings of a session the
-    (layer, stage, group) of the namespace does, and across sessions its
-    session number, so each circuit garbled must take its own
-    `tweak_namespace`.  A gate
-    index or output index below 2^31 stays clear of the session bits (a
-    session holds far fewer wires: `MAX_SESSION_BYTES` keeps a label array
-    below 2^26 wires), and no delta may serve more than `MAX_SESSIONS`
-    sessions.  Each session's evaluator labels are fresh: its IKNP rows
-    come from blocks of the column streams that no other session reads
-    (`gc.ot`).  delta's colour bit is public (forced to 1), so it keeps
-    127 secret bits.  Hardcoding adds no assumption: the evaluator
-    holds the same block, 0, for a garbler wire of either value, so that
-    label says nothing of the bit; the wire's other label is delta, and
+    apart.  Within a walk the AND's ordinal, half and instance keep
+    tweaks apart, and the B2A flag and output index set the pads' apart
+    from them; across the walks of a session the (layer, stage) of the
+    namespace does, and across sessions its session number, so each walk
+    garbled must take its own `tweak_namespace`.  AND tweaks and output
+    indices below 2^32 stay clear of the session bits (a session holds far
+    fewer wires: `MAX_SESSION_BYTES` keeps a label array below 2^26
+    wires), and no delta may serve more than `MAX_SESSIONS` sessions.
+    Each session's evaluator labels are fresh: its IKNP rows come from
+    blocks of the column streams that no other session reads (`gc.ot`).
+    delta's colour bit is public (forced to 1), so it keeps 127 secret
+    bits.  Hardcoding adds no assumption: the evaluator holds the same
+    block, 0, for a garbler wire of either value, so that label says
+    nothing of the bit; the wire's other label is delta, and
     H(0 ^ delta, t) under a tweak used once is a query the same game
     already allows -- half-gates' generator half rests on the same fact.
     """
     E = evaluator_zero.shape[1]
-    namespaces = _check_walk(sched, E, namespaces)
+    _check_walk(sched, E)
     bits = np.asarray(garbler_bits)
     if bits.shape != (E, sched.garbler_inputs.size):
         raise CircuitError("garbler bit array has wrong shape")
@@ -262,7 +253,7 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
     # operands all have the result's shape as one flat loop, but one
     # broadcast along the two words of a label as a loop per label
     tables = np.empty((2, sched.n_and, E, 2), dtype=np.uint64)
-    tweaks = _tweaks(sched.and_tweak, sched.and_circuit, E, namespaces)
+    tweaks = _and_tweaks(sched, E, namespace)
     aes = _AES.encryptor()
     delta1, delta2 = (np.tile(d, (E, 1)) for d in (delta, _double(delta)))
     for lv in sched.levels:
@@ -271,8 +262,8 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
         if not lv.n_and:
             continue
         ab = wire0[lv.and_in]                   # a0, b0: (2, K, E, 2)
-        # one AES batch for the four hash groups: (a0, a1) under 2g and
-        # (b0, b1) under 2g+1, with 2 a1 = 2 a0 ^ 2 delta
+        # one AES batch for the four hash groups: (a0, a1) under 2j and
+        # (b0, b1) under 2j+1, with 2 a1 = 2 a0 ^ 2 delta
         h = np.empty((2, 2) + ab.shape[1:], dtype=np.uint64)
         _double(ab, out=h[:, 0])
         np.bitwise_xor(h[:, 0], delta2, out=h[:, 1])
@@ -284,32 +275,33 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
         half ^= h[:, 0]                         # wg, we
         wire0[lv.and_out] = half[0] ^ half[1]
         rows[1] ^= ab[0]                        # te
-        tables[:, sched.and_row[lv.ands]] = rows
-    return Garbling(sched, delta, namespaces, wire0,
+        tables[:, lv.ands] = rows
+    return Garbling(sched, delta, namespace, wire0,
                     tables.transpose(1, 2, 0, 3))
 
 
-def evaluate(sched: Schedule, tables, evaluator_active: np.ndarray,
-             namespaces) -> np.ndarray:
-    """Run the garbled walk `sched`, circuit i garbled under the tweak
-    namespace `namespaces[i]`, on active labels, one level at a time.
+def evaluate(sched: Schedule, tables: np.ndarray,
+             evaluator_active: np.ndarray, namespace: int) -> np.ndarray:
+    """Run the walk `sched`, garbled under the tweak namespace
+    `namespace`, on active labels, one level at a time.
 
-    `tables` holds each circuit's tables, (n_and, E, 2, 2), in walk
-    order, as stage-ot-resp carries them.  evaluator_active is (n_ein, E, 2) from the OT; the constants and the
-    garbler's inputs start at the all-zero label `garble` hardcodes them
-    to.  Returns active output labels (n_out, E, 2).
+    `tables` is the walk's (n_and, E, 2, 2) table block, as `garble`
+    builds it and stage-ot-resp carries it.  evaluator_active is
+    (n_ein, E, 2) from the OT; the constants and the garbler's inputs
+    start at the all-zero label `garble` hardcodes them to.  Returns
+    active output labels (n_out, E, 2).
     """
     E = evaluator_active.shape[1]
-    namespaces = _check_walk(sched, E, namespaces)
+    _check_walk(sched, E)
+    if (not isinstance(tables, np.ndarray)
+            or tables.shape != (sched.n_and, E, 2, 2)):
+        raise CircuitError("tables are not one (n_and, E, 2, 2) block of "
+                           "the walk")
     active = np.zeros((sched.n_wires, E, 2), dtype=np.uint64)
     active[sched.evaluator_inputs] = evaluator_active
-    tweaks = _tweaks(sched.and_tweak, sched.and_circuit, E, namespaces)
+    tweaks = _and_tweaks(sched, E, namespace)
     aes = _AES.encryptor()
-    # the tables by row and in walk order, as `garble` builds them
-    if [len(t) for t in tables] != [c.n_and for c in sched.circuits]:
-        raise CircuitError("not one table block per circuit of the walk")
-    joined = tables[0] if len(tables) == 1 else np.concatenate(tables)
-    rows_of = np.moveaxis(joined[sched.and_row], 2, 0)
+    rows_of = np.moveaxis(tables, 2, 0)         # tg, te: (2, n_and, E, 2)
     for lv in sched.levels:
         if lv.n_xor:
             active[lv.xor_out] = active[lv.xor_in0] ^ active[lv.xor_in1]

@@ -30,7 +30,7 @@ CLIENT_SETUP = 4   # c->s: OT seeds (after points B only) + extension
 # garbled stages
 STAGE_OPEN = 5     # s->c: the masked stage input
 STAGE_OT_REQ = 6   # c->s: derandomization bits
-STAGE_OT_RESP = 7  # s->c: per circuit group, tables and B2A corrections
+STAGE_OT_RESP = 7  # s->c: the stage walk's tables, then its B2A corrections
 STAGE_SHARE = 8    # c->s: the encrypted output share of each group
 # encrypted matrix products
 MM_OPEN = 9        # s->c: the masked factors

@@ -44,11 +44,11 @@ interleaved with two encrypted matrix products of two frames each:
                           mask split across both ring rows
   stage-ot-req   c -> s   derandomization bits, ceil(m count / 8), the pad
                           bits of the last byte zero
-  stage-ot-resp  s -> c   per `stage_circuits` group (circ, E): tables,
-                          32 n_and E; B2A corrections, 8 n_out E, each
-                          word below p.  Every group of the stage is
-                          garbled in one walk once the bits arrive
-                          (`stage_schedule`), each under its own tweaks
+  stage-ot-resp  s -> c   the stage's one walk over its groups
+                          (`stage_schedule`), garbled once the bits arrive
+                          under the stage's tweaks: its tables,
+                          32 n_and E, AND by AND in walk order; then its
+                          B2A corrections, 8 n_out E, each word below p
   stage-share    c -> s   one `stage_shares` matrix of fresh cts per group,
                           copies two to a ct
   mm-open        s -> c   the masked factors, each in the layout of the
@@ -529,10 +529,10 @@ def _words(part: bytes, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(part, dtype="<u8").reshape(shape)
 
 
-def _gc_shapes(circ, E: int) -> list[tuple[int, ...]]:
-    """The word arrays stage-ot-resp carries for one circuit group: tables,
-    B2A corrections."""
-    return [(circ.n_and, E, 2, 2), (circ.outputs.size, E)]
+def _gc_shapes(walk, E: int) -> list[tuple[int, ...]]:
+    """The word arrays stage-ot-resp carries for a stage walk, or that a
+    circuit of it adds: tables, B2A corrections."""
+    return [(walk.n_and, E, 2, 2), (walk.outputs.size, E)]
 
 
 def _by_instance(labels: np.ndarray, groups: int, E: int) -> np.ndarray:
@@ -647,17 +647,12 @@ def _send_garbled_stage(sp: _ServerParty, layer: int, stage: int,
     G, E = len(groups), groups[0][2]
     ezero = _by_instance(sp.ot.derand_respond(dbits), G, E)
     bits = to_bits(tshare.reshape(G, E, -1), m).swapaxes(0, 1).reshape(E, -1)
-    namespaces = [tweak_namespace(layer, stage, gi, sp.session)
-                  for gi in range(G)]
-    gb = garble(stage_schedule(spec), sp.ot.delta, bits, ezero, namespaces)
+    gb = garble(stage_schedule(spec), sp.ot.delta, bits, ezero,
+                tweak_namespace(layer, stage, sp.session))
     corr, own = b2a_corrections(
         gb, np.tile(b2a_weights(spec.keep, p), G * spec.lanes_per_instance),
         p)
-    row_cuts = np.cumsum([circ.n_and for _g, circ, _E in groups])[:-1]
-    out_cuts = np.cumsum([circ.outputs.size for _g, circ, _E in groups])[:-1]
-    parts = [le64(part) for pair in zip(np.split(gb.tables, row_cuts),
-                                        np.split(corr, out_cuts))
-             for part in pair]
+    parts = [le64(gb.tables), le64(corr)]
     _send(sp.conn, sp.tr, STAGE_OT_RESP, *parts)
     return sum(map(len, parts)), _lane_words(own, G, spec.keep, p)
 
@@ -840,23 +835,21 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
     labels = cp.batch.derand_finish(cbits)
 
     groups = stage_circuits(spec)
-    shapes = [sh for _g, circ, E in groups for sh in _gc_shapes(circ, E)]
+    G, E = len(groups), groups[0][2]
+    sched = stage_schedule(spec)
+    shapes = _gc_shapes(sched, E)
     gblobs = _recv(cp.conn, cp.tr, STAGE_OT_RESP,
                    [8 * prod(sh) for sh in shapes])
-    garbled = [_words(blob, sh) for blob, sh in zip(gblobs, shapes)]
-    if any((corr >= p).any() for corr in garbled[1::2]):
+    tables, corr = (_words(blob, sh) for blob, sh in zip(gblobs, shapes))
+    if (corr >= p).any():
         raise ProtocolError("stage-ot-resp B2A correction word not reduced "
                             "mod p")
 
     gc_bytes = packed.nbytes + sum(map(len, gblobs))
-    G, E = len(groups), groups[0][2]
-    namespaces = [tweak_namespace(layer, stage, gi, cp.session)
-                  for gi in range(G)]
-    sched = stage_schedule(spec)
-    out = evaluate(sched, garbled[0::2], _by_instance(labels, G, E),
-                   namespaces)
-    shares = _lane_words(b2a_shares(sched, out, np.concatenate(garbled[1::2]),
-                                    namespaces, p), G, spec.keep, p)
+    namespace = tweak_namespace(layer, stage, cp.session)
+    out = evaluate(sched, tables, _by_instance(labels, G, E), namespace)
+    shares = _lane_words(b2a_shares(sched, out, corr, namespace, p), G,
+                         spec.keep, p)
 
     parts = []
     layouts = geom.stage_shares(layer, spec)

@@ -174,9 +174,9 @@ def check_b2a_shares(out, gc, c, t, weights, values, p):
     and the other label's share is (1 - value) * w, so the two differ."""
     w = weights.astype(object)[:, None]
     t = t.astype(object)
-    mine = G.b2a_shares(gc.schedule, out, c, gc.namespaces, p).astype(object)
+    mine = G.b2a_shares(gc.schedule, out, c, gc.namespace, p).astype(object)
     other = G.b2a_shares(gc.schedule, out ^ gc.delta, c,
-                         gc.namespaces, p).astype(object)
+                         gc.namespace, p).astype(object)
     v = values.astype(object)
     assert ((mine + t) % p == v * w % p).all()
     assert ((other + t) % p == (1 - v) * w % p).all()
@@ -184,7 +184,7 @@ def check_b2a_shares(out, gc, c, t, weights, values, p):
 
 
 # a namespace with every field set, so the tests see where each one lands
-NS = G.tweak_namespace(3, 2, 1, 5)
+NS = G.tweak_namespace(3, 2, 5)
 
 
 def solo(circ):
@@ -193,11 +193,11 @@ def solo(circ):
 
 
 def garble_solo(circ, delta, gbits, zero):
-    return G.garble(solo(circ), delta, gbits, zero, [NS])
+    return G.garble(solo(circ), delta, gbits, zero, NS)
 
 
 def evaluate_solo(gc, e_act):
-    return G.evaluate(gc.schedule, [gc.tables], e_act, [NS])
+    return G.evaluate(gc.schedule, gc.tables, e_act, NS)
 
 
 def session_inputs(circ, instances, rng):
@@ -262,14 +262,14 @@ class TestGarbling:
         e = to_bits(np.arange(16, 32), 6)
         for p in B2A_PRIMES:
             delta, zero = session_inputs(c, 16, np.random.default_rng(11))
-            *_, pads = reference_garble(c, delta, g, zero, NS)
+            *_, pads = reference_garble([c], delta, g, zero, NS)
             gc, out, bits = run_garbled(c, g, e, np.random.default_rng(11))
             _w, corr, _t = checked_b2a_corrections(gc, pads, p)
             f = fold_pads(pads, p)
             held = bits.T.astype(bool)
             colour = ((out[..., 0] & np.uint64(1)).astype(object)
                       * corr.astype(object))
-            mine = G.b2a_shares(gc.schedule, out, corr, [NS],
+            mine = G.b2a_shares(gc.schedule, out, corr, NS,
                                 p).astype(object)
             assert np.array_equal(mine,
                                   (np.where(held, f[1], f[0]) + colour) % p)
@@ -414,50 +414,73 @@ def reference_hash(labels, tweaks):
     return np.frombuffer(raw, dtype="<u8").reshape(t.shape) ^ t
 
 
-def reference_garble(circuit, delta, garbler_bits, evaluator_zero, ns):
-    """Half-gates garbling one gate at a time, one AES batch per AND, under
-    the session offset `delta`, the garbler's bits (E, n_gin) and the
-    evaluator's zero labels, as `garble` takes them: (wire0, tables,
-    (pads0, pads1)).  Every wire whose value the garbler knows gets the zero
-    label that makes its active label 0: CONST0 0, CONST1 delta, and a
-    garbler input of value t t * delta."""
-    E = evaluator_zero.shape[1]
-    wire0 = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
-    wire0[CONST1] = delta
-    for i, w in enumerate(circuit.garbler_inputs):
-        for j in range(E):
-            if garbler_bits[j, i]:
-                wire0[w, j] = delta
-    wire0[circuit.evaluator_inputs] = evaluator_zero
-    tables = np.empty((circuit.n_and, E, 2, 2), dtype=np.uint64)
-    ops, in0, in1, out = circuit.ops, circuit.in0, circuit.in1, circuit.out
-    ai = 0
-    for g in range(ops.size):
-        a0 = wire0[in0[g]]
-        b0 = wire0[in1[g]]
-        if ops[g] != OP_AND:
-            wire0[out[g]] = a0 ^ b0
-            continue
-        a1 = a0 ^ delta
-        b1 = b0 ^ delta
-        tw0 = _tweaks(2 * g, E, ns)
-        tw1 = _tweaks(2 * g + 1, E, ns)
-        h = reference_hash(np.concatenate([a0, a1, b0, b1]),
-                          np.concatenate([tw0, tw0, tw1, tw1]))
-        ha0, ha1, hb0, hb1 = h[:E], h[E:2 * E], h[2 * E:3 * E], h[3 * E:]
-        pa = _lsb(a0)[:, None]
-        pb = _lsb(b0)[:, None]
-        tg = ha0 ^ ha1 ^ pb * delta
-        wg = ha0 ^ pa * tg
-        te = hb0 ^ hb1 ^ a0
-        we = hb0 ^ pb * (te ^ a0)
-        wire0[out[g]] = wg ^ we
-        tables[ai, :, 0] = tg
-        tables[ai, :, 1] = te
-        ai += 1
+def and_ordinals(circuits):
+    """Each AND's ordinal in the walk of `circuits`, {(circuit, gate): j}:
+    the ANDs sorted by (depth, circuit, gate), a gate's depth being one
+    more than the deeper of its inputs, an input's or constant's 0."""
+    keys = []
+    for i, c in enumerate(circuits):
+        depth = np.zeros(c.n_wires, dtype=np.int64)
+        for g in range(c.ops.size):
+            depth[c.out[g]] = 1 + max(depth[c.in0[g]], depth[c.in1[g]])
+            if c.ops[g] == OP_AND:
+                keys.append((int(depth[c.out[g]]), i, g))
+    return {(i, g): j for j, (_d, i, g) in enumerate(sorted(keys))}
 
-    outs = circuit.outputs
-    pads = np.empty((2, outs.size, E, 2), dtype=np.uint64)
+
+def reference_garble(circuits, delta, garbler_bits, evaluator_zero, ns):
+    """Half-gates garbling of the walk of `circuits` one gate at a time,
+    circuit after circuit, one AES batch per AND, under the session offset
+    `delta`, the garbler's bits (E, n_gin) and the evaluator's zero labels,
+    circuit after circuit as `garble` takes them: (wire0, tables,
+    (pads0, pads1)).  AND j of the walk (`and_ordinals`) has tweaks 2j and
+    2j+1 and table row j; output i of the walk has pad tweak i under the
+    B2A flag.  Every wire whose value the garbler knows gets the zero label
+    that makes its active label 0: CONST0 0, CONST1 delta, and a garbler
+    input of value t t * delta."""
+    E = evaluator_zero.shape[1]
+    ordinal = and_ordinals(circuits)
+    bases = np.cumsum([0] + [c.n_wires for c in circuits])
+    wire0 = np.zeros((bases[-1], E, 2), dtype=np.uint64)
+    tables = np.empty((len(ordinal), E, 2, 2), dtype=np.uint64)
+    gin = ein = 0
+    outs = []
+    for i, (c, base) in enumerate(zip(circuits, bases)):
+        wire0[base + CONST1] = delta
+        for k, w in enumerate(c.garbler_inputs):
+            for e in range(E):
+                if garbler_bits[e, gin + k]:
+                    wire0[base + w, e] = delta
+        n_ein = c.evaluator_inputs.size
+        wire0[base + c.evaluator_inputs] = evaluator_zero[ein:ein + n_ein]
+        gin += c.garbler_inputs.size
+        ein += n_ein
+        for g in range(c.ops.size):
+            a0 = wire0[base + c.in0[g]]
+            b0 = wire0[base + c.in1[g]]
+            if c.ops[g] != OP_AND:
+                wire0[base + c.out[g]] = a0 ^ b0
+                continue
+            j = ordinal[i, g]
+            a1 = a0 ^ delta
+            b1 = b0 ^ delta
+            tw0 = _tweaks(2 * j, E, ns)
+            tw1 = _tweaks(2 * j + 1, E, ns)
+            h = reference_hash(np.concatenate([a0, a1, b0, b1]),
+                               np.concatenate([tw0, tw0, tw1, tw1]))
+            ha0, ha1, hb0, hb1 = h[:E], h[E:2 * E], h[2 * E:3 * E], h[3 * E:]
+            pa = _lsb(a0)[:, None]
+            pb = _lsb(b0)[:, None]
+            tg = ha0 ^ ha1 ^ pb * delta
+            wg = ha0 ^ pa * tg
+            te = hb0 ^ hb1 ^ a0
+            we = hb0 ^ pb * (te ^ a0)
+            wire0[base + c.out[g]] = wg ^ we
+            tables[j, :, 0] = tg
+            tables[j, :, 1] = te
+        outs += [base + w for w in c.outputs]
+
+    pads = np.empty((2, len(outs), E, 2), dtype=np.uint64)
     for i, w in enumerate(outs):
         for v, label in enumerate((wire0[w], wire0[w] ^ delta)):
             pads[v, i] = reference_hash(
@@ -465,50 +488,61 @@ def reference_garble(circuit, delta, garbler_bits, evaluator_zero, ns):
     return wire0, tables, pads
 
 
-def reference_evaluate(circuit, tables, evaluator_active, ns):
-    """Half-gates evaluation one gate at a time: active output labels.  The
-    constants and the garbler's inputs hold the all-zero label."""
+def reference_evaluate(circuits, tables, evaluator_active, ns):
+    """Half-gates evaluation of the walk of `circuits` one gate at a time,
+    circuit after circuit: active output labels, circuit after circuit.
+    The constants and the garbler's inputs hold the all-zero label."""
     E = evaluator_active.shape[1]
-    active = np.zeros((circuit.n_wires, E, 2), dtype=np.uint64)
-    active[circuit.evaluator_inputs] = evaluator_active
-    ops, in0, in1, out = circuit.ops, circuit.in0, circuit.in1, circuit.out
-    ai = 0
-    for g in range(ops.size):
-        wa = active[in0[g]]
-        wb = active[in1[g]]
-        if ops[g] != OP_AND:
-            active[out[g]] = wa ^ wb
-            continue
-        h = reference_hash(np.concatenate([wa, wb]),
-                           np.concatenate([_tweaks(2 * g, E, ns),
-                                           _tweaks(2 * g + 1, E, ns)]))
-        ha, hb = h[:E], h[E:]
-        tg = tables[ai, :, 0]
-        te = tables[ai, :, 1]
-        sa = _lsb(wa)[:, None]
-        sb = _lsb(wb)[:, None]
-        active[out[g]] = (ha ^ sa * tg) ^ (hb ^ sb * (te ^ wa))
-        ai += 1
-    return active[circuit.outputs]
+    ordinal = and_ordinals(circuits)
+    outs, ein = [], 0
+    for i, c in enumerate(circuits):
+        active = np.zeros((c.n_wires, E, 2), dtype=np.uint64)
+        n_ein = c.evaluator_inputs.size
+        active[c.evaluator_inputs] = evaluator_active[ein:ein + n_ein]
+        ein += n_ein
+        for g in range(c.ops.size):
+            wa = active[c.in0[g]]
+            wb = active[c.in1[g]]
+            if c.ops[g] != OP_AND:
+                active[c.out[g]] = wa ^ wb
+                continue
+            j = ordinal[i, g]
+            h = reference_hash(np.concatenate([wa, wb]),
+                               np.concatenate([_tweaks(2 * j, E, ns),
+                                               _tweaks(2 * j + 1, E, ns)]))
+            ha, hb = h[:E], h[E:]
+            tg = tables[j, :, 0]
+            te = tables[j, :, 1]
+            sa = _lsb(wa)[:, None]
+            sb = _lsb(wb)[:, None]
+            active[c.out[g]] = (ha ^ sa * tg) ^ (hb ^ sb * (te ^ wa))
+        outs.append(active[c.outputs])
+    return np.concatenate(outs)
 
 
-def assert_matches_reference(circ, gbits, ebits, rng):
-    """Garble and run the reference on the same inputs from `rng`,
+def assert_matches_reference(sched, inputs, rng, ns=NS):
+    """Garble the walk `sched` and run the reference on the same inputs
+    from `rng`, each circuit's (garbler bits, evaluator bits) in `inputs`,
     evaluate both on the same active labels, and compare every array byte
     for byte, the B2A corrections against the reference's per-value pads
-    included."""
-    delta, zero = session_inputs(circ, gbits.shape[0], rng)
-    wire0, tables, pads = reference_garble(circ, delta, gbits, zero, NS)
-    gc = garble_solo(circ, delta, gbits, zero)
+    included; each circuit's outputs read as its `plain_eval` says."""
+    gbits, ebits = (np.concatenate(part, axis=1) for part in zip(*inputs))
+    delta, zero = session_inputs(sched, gbits.shape[0], rng)
+    circuits = sched.circuits
+    wire0, tables, pads = reference_garble(circuits, delta, gbits, zero, ns)
+    gc = G.garble(sched, delta, gbits, zero, ns)
     assert np.array_equal(gc.wire0, wire0)
     assert np.array_equal(gc.tables, tables)
     p = B2A_PRIMES[-1]
     w, corr, t = checked_b2a_corrections(gc, pads, p)
     e_act = evaluator_labels(gc, ebits)
-    out = evaluate_solo(gc, e_act)
-    assert np.array_equal(out, reference_evaluate(circ, tables, e_act, NS))
+    out = G.evaluate(sched, gc.tables, e_act, ns)
+    assert np.array_equal(out, reference_evaluate(circuits, tables, e_act,
+                                                  ns))
     bits = read_bits(gc, out)
-    assert np.array_equal(bits, circ.plain_eval(gbits, ebits))
+    assert np.array_equal(bits, np.concatenate(
+        [c.plain_eval(gb, eb) for c, (gb, eb) in zip(circuits, inputs)],
+        axis=1))
     check_b2a_shares(out, gc, corr, t, w, bits.T, p)
 
 
@@ -559,51 +593,16 @@ def _stage_specs(cfg, modes):
 
 
 def check_stage_walk(layer, stage, spec, rng):
-    """Garble a stage's groups as one walk, and each group's circuit alone
-    with the per-gate reference under that group's own namespace, on the
-    same inputs: the walk's zero labels, tables, B2A corrections and
-    evaluated outputs are, group by group, the reference's, and its
-    outputs read as `plain_eval` says."""
+    """Garble a stage's groups as one walk under the stage's namespace and
+    check it whole against the per-gate reference: zero labels, tables,
+    B2A corrections and evaluated outputs, each group's outputs reading as
+    its circuit's `plain_eval` says."""
     groups = stage_circuits(spec)
-    E = groups[0][2]
     sched = stage_schedule(spec)
     assert [c for _g, c, _E in groups] == list(sched.circuits)
-    namespaces = [G.tweak_namespace(layer, stage, gi, 7)
-                  for gi in range(len(groups))]
-    delta, _ = session_inputs(groups[0][1], E, rng)
-    inputs = [(*_random_bits(c, E, rng), session_inputs(c, E, rng)[1])
-              for _g, c, _E in groups]
-    gbits, ebits, zero = (np.concatenate(part, axis=axis) for part, axis in
-                          zip(zip(*inputs), (1, 1, 0)))
-    gc = G.garble(sched, delta, gbits, zero, namespaces)
-    e_act = evaluator_labels(gc, ebits)
-    # the tables circuit by circuit, as stage-ot-resp carries them
-    cuts = np.cumsum([c.n_and for _g, c, _E in groups])[:-1]
-    out = G.evaluate(sched, np.split(gc.tables, cuts), e_act, namespaces)
-    p = B2A_PRIMES[-1]
-    w = b2a_test_weights(sched.outputs.size, p)
-    corr, t = G.b2a_corrections(gc, w, p)
-    wire = row = ein = o = 0
-    for (_g, c, _E), ns, (gb, eb, z) in zip(groups, namespaces, inputs):
-        wire0, tables, pads = reference_garble(c, delta, gb, z, ns)
-        n_out = c.outputs.size
-        assert np.array_equal(gc.wire0[wire:wire + c.n_wires], wire0)
-        assert np.array_equal(gc.tables[row:row + c.n_and], tables)
-        want_c, want_t = reference_b2a(wire0[c.outputs], pads,
-                                       w[o:o + n_out], p)
-        assert np.array_equal(corr[o:o + n_out].astype(object), want_c)
-        assert np.array_equal(t[o:o + n_out].astype(object), want_t)
-        act = e_act[ein:ein + c.evaluator_inputs.size]
-        assert np.array_equal(out[o:o + n_out],
-                              reference_evaluate(c, tables, act, ns))
-        assert np.array_equal(read_bits(gc, out)[:, o:o + n_out],
-                              c.plain_eval(gb, eb))
-        wire += c.n_wires
-        row += c.n_and
-        ein += c.evaluator_inputs.size
-        o += n_out
-    assert (wire, row, o) == (sched.n_wires, sched.n_and, sched.outputs.size)
-    check_b2a_shares(out, gc, corr, t, w, read_bits(gc, out).T, p)
+    assert_matches_reference(
+        sched, [_random_bits(c, E, rng) for _g, c, E in groups], rng,
+        G.tweak_namespace(layer, stage, 7))
 
 
 class TestStageWalk:
@@ -631,81 +630,93 @@ class TestStageWalk:
         with pytest.raises(ParameterError, match="one walk needs one count"):
             stage_circuits(uneven)
 
+    @pytest.mark.parametrize("cut", [
+        pytest.param(lambda t, _n: t[:-1], id="one-and-short"),
+        pytest.param(lambda t, _n: t[:, :-1], id="one-instance-short"),
+        pytest.param(lambda t, n: np.split(t, [n]), id="per-circuit-list"),
+    ])
+    def test_evaluate_refuses_tables_of_the_wrong_shape(self, cut):
+        """`evaluate` takes the walk's tables as one (n_and, E, 2, 2)
+        block: one AND short, one instance short, or split circuit by
+        circuit, they are refused."""
+        sched = schedule([build_adder(4), build_adder(6)])
+        rng = np.random.default_rng(505)
+        delta, zero = session_inputs(sched, 3, rng)
+        gbits = np.zeros((3, sched.garbler_inputs.size), np.uint8)
+        gc = G.garble(sched, delta, gbits, zero, NS)
+        assert G.evaluate(sched, gc.tables, zero, NS).shape == (10, 3, 2)
+        with pytest.raises(CircuitError, match="one .* block of the walk"):
+            G.evaluate(sched, cut(gc.tables, sched.circuits[0].n_and), zero,
+                       NS)
+
 
 class TestLevelSchedule:
     def test_tiny_stage_circuits_match_reference(self):
         rng = np.random.default_rng(501)
         for circ, E in _stage_circuits(TINY, ("baseline", "opt1", "opt2")):
-            assert_matches_reference(circ, *_random_bits(circ, E, rng), rng)
+            assert_matches_reference(solo(circ), [_random_bits(circ, E, rng)],
+                                     rng)
 
     def test_row_divider_matches_reference(self):
         """The gc-l16 attention row divider: 7,285 ANDs over 1,207 levels,
         on three instances to keep the per-gate reference quick."""
         circ = _row_divider()
         rng = np.random.default_rng(502)
-        assert_matches_reference(circ, *_random_bits(circ, 3, rng), rng)
+        assert_matches_reference(solo(circ), [_random_bits(circ, 3, rng)], rng)
 
     def test_random_circuits_match_reference(self):
         rng = np.random.default_rng(1234)
         for c, gb, eb in random_circuits(rng):
-            assert_matches_reference(c, gb, eb, rng)
+            assert_matches_reference(solo(c), [(gb, eb)], rng)
 
     @staticmethod
     def check_schedule(sched):
         """Every gate of every circuit sits in exactly one level, the one
-        of its depth in its own circuit, under its own circuit's tweaks
-        and table row, and reads only constants, inputs and earlier
-        levels; within a level gates run circuit after circuit, each in
-        its own order."""
+        of its depth in its own circuit, and reads only constants, inputs
+        and earlier levels; within a level gates run circuit after
+        circuit, each in its own order, and the level's ANDs are the run
+        `lv.ands` of the walk's AND ordinals (`and_ordinals`), the runs
+        following each other from 0 to n_and."""
         wire_base = np.cumsum([0] + [c.n_wires for c in sched.circuits])
-        row_base = np.cumsum([0] + [c.n_and for c in sched.circuits])
         gate_of, ready = {}, set()
         for i, c in enumerate(sched.circuits):
-            row = row_base[i] + np.cumsum(c.ops == OP_AND) - 1
             for g, w in enumerate(c.out):
-                gate_of[int(w) + wire_base[i]] = (i, g, int(row[g]))
+                gate_of[int(w) + wire_base[i]] = (i, g)
             ready.update(int(w) + wire_base[i] for w in (
                 CONST0, CONST1, *c.garbler_inputs, *c.evaluator_inputs))
         depths = [c.depths() for c in sched.circuits]
         assert len(sched.levels) == max((int(d.max()) for d in depths
                                          if d.size), default=0)
+        ordinal = and_ordinals(sched.circuits)
         wires = np.arange(sched.n_wires)
-        placed, rows, walked = [], [], 0
+        placed, walked = [], 0
         for depth, lv in enumerate(sched.levels, 1):
             xin0, xin1, xout = (wires[i] for i in (lv.xor_in0, lv.xor_in1,
                                                    lv.xor_out))
             ain0, ain1 = lv.and_in
             aout = wires[lv.and_out]
-            arow = sched.and_row[lv.ands]
             assert xin0.size == xin1.size == xout.size == lv.n_xor
-            assert (ain0.size == ain1.size == aout.size == arow.size
-                    == lv.ands.stop - lv.ands.start == lv.n_and)
-            assert lv.ands.start == walked
-            walked = lv.ands.stop
+            assert ain0.size == ain1.size == aout.size == lv.n_and
             assert all(int(w) in ready
                        for w in np.concatenate([xin0, xin1, ain0, ain1]))
             for out, in0, in1, is_and in ((xout, xin0, xin1, False),
                                           (aout, ain0, ain1, True)):
                 who = [gate_of[int(w)] for w in out]
                 assert who == sorted(who)
-                for (i, g, _row), a, b in zip(who, in0, in1):
+                for (i, g), a, b in zip(who, in0, in1):
                     c, base = sched.circuits[i], wire_base[i]
                     assert (c.ops[g] == OP_AND) == is_and
                     assert (c.in0[g] + base, c.in1[g] + base) == (a, b)
                     assert depths[i][g] == depth
-                placed += [(i, g) for i, g, _row in who]
-            g = np.array([g for _i, g, _row in who], dtype=np.uint64)
-            assert np.array_equal(sched.and_tweak[:, lv.ands].reshape(2, -1),
-                                  np.array([2 * g, 2 * g + 1]).reshape(2, -1))
-            assert np.array_equal(sched.and_circuit[lv.ands],
-                                  [i for i, _g, _row in who])
-            assert np.array_equal(arow, [row for _i, _g, row in who])
+                placed += who
+            assert lv.ands == slice(walked, walked + lv.n_and)
+            assert [ordinal[ig] for ig in who] == list(range(walked,
+                                                             lv.ands.stop))
+            walked = lv.ands.stop
             ready.update(xout.tolist() + aout.tolist())
-            rows += arow.tolist()
-        assert walked == sched.n_and
+        assert walked == sched.n_and == len(ordinal)
         assert sorted(placed) == [(i, g) for i, c in enumerate(sched.circuits)
                                   for g in range(c.ops.size)]
-        assert sorted(rows) == list(range(sched.n_and))
 
     def test_schedule_invariants(self):
         circuits = [c for c, _ in _stage_circuits(TINY, ("baseline", "opt1",
@@ -728,7 +739,7 @@ class TestLevelSchedule:
         c = b.freeze()
         assert c.ops.size == 0 and solo(c).levels == ()
         rng = np.random.default_rng(503)
-        assert_matches_reference(c, *_random_bits(c, 4, rng), rng)
+        assert_matches_reference(solo(c), [_random_bits(c, 4, rng)], rng)
 
 
 @pytest.fixture(scope="module")

@@ -39,7 +39,7 @@ from cipherformer.protocol import (ACCEPT, FRAME_NAMES, HELLO, LOGITS,
                                    session_geometry, tcp_accept, tcp_dial,
                                    tcp_listen, transport)
 from cipherformer.protocol.framing import _HEADER, write_frame
-from cipherformer.stages import MODES, stage_circuits
+from cipherformer.stages import MODES, stage_circuits, stage_schedule
 
 CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
                   n_classes=2, w=20, f=9)
@@ -53,23 +53,23 @@ KEY_BLOB_BYTES = pahe.key_blob_nbytes(_OPT1.params, len(_OPT1.galois))
 REQUEST_BYTES = 8 + 16
 
 DIGESTS = {
-    "baseline": "0066f6cfdd23ef018eb69cc2fa87d4c6"
-                "f77ce98355a5eeeb98a4e5f67fc403ca",
-    "opt1": "4e17605fef49ff0479bea0db29f50a85"
-            "31c420309aa6213392485b68bea07b5c",
-    "opt2": "9501a6173ee45a2971c671872b565bd6"
-            "b28bfca7f3ae323fc1c790a085844c85",
+    "baseline": "43f39bc4f407250a9a632ae0fd2c2cc0"
+                "14136d6d8e362f3f79326e2039f9d82d",
+    "opt1": "6356960f8da57aff1647723143d0958f"
+            "07bd8bda037c443dfde585fc35964ef3",
+    "opt2": "74f65a4de670744cf2bd45074ab94523"
+            "03d896fbf473f33c4bf42f275ad9fb01",
 }
-TWO_LAYER_DIGEST = ("93e3b8af80b317061ace71b222587973"
-                    "11eed2bfab35d683a8e8428f6c367d90")
+TWO_LAYER_DIGEST = ("349c5ce0e20194ae88b55a58c588b54b"
+                    "1b22214eb9356179c6b67eb728ab9ecc")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "fb5a090b9ef0372b55656cf17b7b1cdf"
-                "9c1d6f6ea151a8577667201c39567a32",
-    "opt1": "2a01a40cd40fe7db196a22e638d64e32"
-            "0ef79ebb0923b13ef601e25aac8564bf",
-    "opt2": "97d06e0fe43c1ec3f5b05f7ccc303dc7"
-            "9213d9f466c58fb866e7a8c44b4ed656",
+    "baseline": "0a7a6d52cb8607e78aae183526404645"
+                "13cc32c9442a062b7e8c7e0b96433754",
+    "opt1": "7ee2b00294c7584e247a97e513ed00f5"
+            "7599bab2922daff20ad973e72195f7df",
+    "opt2": "91c0fa9a86a57c0cf46c4a7003d4a2f0"
+            "a93aec151a047b6ca29f40b4c19beff8",
 }
 
 
@@ -826,41 +826,44 @@ HE_SMALL = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
                        n_classes=2)
 
 
-@pytest.mark.parametrize("cfg,mode,s2c,gc", [
-    pytest.param(CFG, "baseline", None, None, id="baseline"),
+@pytest.mark.parametrize("cfg,mode,c2s,s2c,gc", [
+    pytest.param(CFG, "baseline", None, None, None, id="baseline"),
     # byte totals on the benchmark's three workloads' shapes
-    pytest.param(CFG, "opt1", 637_137, 363_176, id="opt1"),
-    pytest.param(CFG, "opt2", None, None, id="opt2"),
-    pytest.param(GC_L16, "baseline", 5_204_689, 4_933_712,
+    pytest.param(CFG, "opt1", 534_665, 637_137, 363_176, id="opt1"),
+    pytest.param(CFG, "opt2", None, None, None, id="opt2"),
+    pytest.param(GC_L16, "baseline", 1_067_249, 5_204_689, 4_933_712,
                  id="gc-l16-baseline"),
-    pytest.param(HE_SMALL, "opt2", 4_604_113, 4_067_792, id="he-small-opt2"),
+    pytest.param(HE_SMALL, "opt2", 2_277_233, 4_604_113, 4_067_792,
+                 id="he-small-opt2"),
 ])
 def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
-                                                               s2c, gc):
+                                                               c2s, s2c, gc):
     """Each stage-open frame is the masked stage input alone.  Each
-    stage-ot-resp frame is, per circuit group (circ, E), its tables and one
-    8-byte B2A correction word per output bit and instance: no bytes for
-    the evaluator's labels, which the client already holds from the OT
+    stage-ot-resp frame is the stage's one walk over its groups with E
+    instances: its tables, 32 bytes per AND and instance, and one 8-byte
+    B2A correction word per output bit and instance: no bytes for the
+    evaluator's labels, which the client already holds from the OT
     extension, nor for the garbler's and the constants', which are
-    hardcoded into the garbling.  On the benchmark's shapes the server
-    sends `s2c` payload bytes, `gc` of them garbled-circuit material (with
-    the derandomization bits)."""
+    hardcoded into the garbling.  On the benchmark's shapes the client
+    sends `c2s` payload bytes and the server `s2c`, `gc` of them
+    garbled-circuit material (with the derandomization bits)."""
     tokens = (np.arange(cfg.seq_len) * 5 + 1) % cfg.vocab
-    server, _ = private_inference(cfg, gen_random(cfg, 7, scale=0.25),
-                                  tokens, mode, server_seed=11,
-                                  client_seed=12)
+    server, client = private_inference(cfg, gen_random(cfg, 7, scale=0.25),
+                                       tokens, mode, server_seed=11,
+                                       client_seed=12)
     geom = server.geometry
     specs = [spec for enc in geom.plan.encoders for spec in enc]
     frames = server.transcript.frames
     assert [f.nbytes for f in frames if f.ftype == STAGE_OPEN] == [
         geom.nbytes(geom.stage_input(spec), fresh=False) for spec in specs]
+    walks = [(stage_schedule(spec), stage_circuits(spec)[0][2])
+             for spec in specs]
     assert [f.nbytes for f in frames if f.ftype == STAGE_OT_RESP] == [
-        sum((32 * circ.n_and + 8 * circ.outputs.size) * E
-            for _g, circ, E in stage_circuits(spec))
-        for spec in specs]
+        (32 * walk.n_and + 8 * walk.outputs.size) * E for walk, E in walks]
     if s2c is not None:
         tr = server.transcript
-        assert (tr.bytes_sent, tr.gc_online_bytes) == (s2c, gc)
+        assert (client.transcript.bytes_sent, tr.bytes_sent,
+                tr.gc_online_bytes) == (c2s, s2c, gc)
 
 
 # the smallest noise budget any operation of a session on each benchmark
