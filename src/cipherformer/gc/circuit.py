@@ -62,7 +62,7 @@ def _index(ids: np.ndarray) -> np.ndarray | slice:
     return ids.astype(np.intp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
     """Frozen gate list in topological order (builders only reference
     existing wires, so append order is already topological)."""

@@ -23,7 +23,7 @@ Three attention modes:
 Folds that keep the pipeline shallow are baked into the weights:
 
 * token and position tables are pre-multiplied into the first layer's QKV
-  weights (`folded_first_layer`), so layer one starts at depth 1;
+  weights (`layer_weights`), so layer one starts at depth 1;
 * the 1/seq_len pooling factor lives in the classifier rows, so pooling is
   a plain sum.
 
@@ -164,8 +164,11 @@ def layer_weights(cfg: ModelConfig, weights: Weights, mode: str,
                   layer: int) -> tuple[dict, dict]:
     """The weights a layer's products read, by their names in the plan, and
     the tables added to a product's output, by its weight's name.  Layer
-    one reads the one-hot tokens: its `wqkv` is `folded_first_layer`'s
-    token table, and the position table is added to that product."""
+    one reads the one-hot tokens: its `wqkv` is the token table,
+    embedding @ [wq | wk | wv'], and the position table, positional @
+    [wq | wk | wv'], is added to that product, both at fraction 2f, so
+    layer one's QKV values are a table lookup plus a constant -- one
+    multiplicative level."""
     lw = weights.layers[layer]
     wqkv = np.hstack([lw.wq, lw.wk, value_projection(lw.wv, cfg.dim, mode)])
     mats = {"wqkv": wqkv, "ff1": lw.ff1, "ff2": lw.ff2}
@@ -173,17 +176,6 @@ def layer_weights(cfg: ModelConfig, weights: Weights, mode: str,
         return mats, {}
     mats["wqkv"] = weights.embedding.astype(np.int64) @ wqkv
     return mats, {"wqkv": weights.positional.astype(np.int64) @ wqkv}
-
-
-def folded_first_layer(cfg: ModelConfig, weights: Weights, mode: str) \
-        -> tuple[np.ndarray, np.ndarray]:
-    """(token_table, position_table) for layer one's QKV product.
-
-    token_table[t] = embedding[t] @ [wq | wk | wv'] and position_table the
-    same for positions, both at fraction 2f, so layer one's QKV values are a
-    table lookup plus a constant -- one multiplicative level."""
-    mats, offsets = layer_weights(cfg, weights, mode, 0)
-    return mats["wqkv"], offsets["wqkv"]
 
 
 # ----------------------------------------------------------------------------

@@ -45,7 +45,7 @@ interleaved with two encrypted matrix products of two frames each:
   stage-ot-req   c -> s   derandomization bits, ceil(m count / 8), the pad
                           bits of the last byte zero
   stage-ot-resp  s -> c   the stage's one walk over its groups
-                          (`stage_schedule`), garbled once the bits arrive
+                          (`Geometry.walk`), garbled once the bits arrive
                           under the stage's tweaks: its tables,
                           32 n_and E, AND by AND in walk order; then its
                           B2A corrections, 8 n_out E, each word below p
@@ -139,7 +139,7 @@ import hashlib
 import struct
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import isqrt, prod
 
@@ -147,7 +147,7 @@ import numpy as np
 
 from ..errors import ParameterError, ProtocolError
 from ..fixedpoint import to_field, to_signed
-from ..gc.circuit import to_bits
+from ..gc.circuit import Schedule, schedule, to_bits
 from ..gc.garble import (MAX_SESSIONS, b2a_corrections, b2a_shares,
                          evaluate, garble, tweak_namespace)
 from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
@@ -171,7 +171,7 @@ from ..prg import AesCtr
 from ..stages import (MODES, StagePlan, StageSpec, b2a_weights,
                       choose_plaintext_prime, client_window_share,
                       garbler_window_share, sample_stage_masks,
-                      stage_circuits, stage_offsets, stage_schedule)
+                      stage_circuits, stage_offsets)
 from .framing import (ACCEPT, CLIENT_SETUP, HELLO, LOGITS, MM_OPEN, MM_REPLY,
                       OT_BASE, STAGE_OPEN, STAGE_OT_REQ, STAGE_OT_RESP,
                       STAGE_SHARE, read_frame, write_frame)
@@ -202,6 +202,14 @@ MAX_OTS = 1 << 24
 # and the label array of any one garbling
 MAX_SESSION_BYTES = 1 << 30
 MAX_LAYERS = 64
+# accepted geometries kept per process, with the walks of their stage
+# shapes.  `build_stage_plan` gives every layer after the first the same
+# stages, so a plan of any depth has at most two layers' stage shapes, ten
+# walks, each 40-60 bytes per wire where its label array, which the bound
+# above caps, takes 16 per wire and instance.  Four hold a served model's
+# three modes and one shape more, while a peer's hellos cannot grow the
+# cache without limit.
+GEOMETRIES = 4
 # bounds the logits frame (one ciphertext per class) a peer's hello can make
 # the client expect
 MAX_CLASSES = 99
@@ -231,6 +239,10 @@ class Geometry:
     steps: int                  # baby-step copies of each product input
     rotations: tuple[int, ...]  # giant-step column-rotation key amounts
     ot_total: int               # random OTs one session consumes
+    # the walk of each stage shape (`StageSpec.shape`), built once the
+    # geometry passes every bound
+    walks: dict[tuple, Schedule] = field(default_factory=dict,
+                                         compare=False, repr=False)
 
     @property
     def galois(self) -> tuple[int, ...]:
@@ -291,7 +303,13 @@ class Geometry:
         """The layout of every matrix a session sends, in `sent` order."""
         return [lay for lay, _fresh in self.sent()]
 
+    def walk(self, spec: StageSpec) -> Schedule:
+        """The one walk over a stage's group circuits, which both parties
+        garble and evaluate."""
+        return self.walks[spec.shape]
 
+
+@lru_cache(maxsize=GEOMETRIES)
 def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     """The one place a session's sizes are decided, from the model shape and
     the mode alone.
@@ -328,6 +346,13 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     stages (every stage-ot-resp frame) and encrypted matrices (`sent`, the
     mm-reply batches among them) past `MAX_SESSION_BYTES` together at their
     wire size, before any key or OT is made.
+
+    The circuits of each distinct stage shape are built once, to size the
+    labels and tables; only a shape that passes every bound gets its walks
+    (`Geometry.walk`), each shape's one `circuit.Schedule`.  Geometries are
+    kept per process, the least recently used past `GEOMETRIES` dropped,
+    so a session of a shape sized before builds no circuit and no walk; a
+    refused shape raises and leaves nothing kept.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -375,25 +400,26 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
                                               d_out, steps))
     geom = replace(unsized, n=n, p=p, params=params, steps=steps,
                    rotations=tuple(sorted(rots)))
-    stages = [stage_circuits(s) for enc in plan.encoders for s in enc]
-    groups = [(circ, E) for stage in stages for _g, circ, E in stage]
-    # a stage's groups share one instance count, stage[0][2]
-    label_bytes = max(16 * stage[0][2] * sum(circ.n_wires
-                                             for _g, circ, _E in stage)
-                      for stage in stages)
+    specs = [s for enc in plan.encoders for s in enc]
+    circuits = {shape: [circ for _g, circ, _E in stage_circuits(s)]
+                for shape, s in {s.shape: s for s in specs}.items()}
+    label_bytes = max(16 * s.instances * sum(circ.n_wires
+                                             for circ in circuits[s.shape])
+                      for s in specs)
     if label_bytes > MAX_SESSION_BYTES:
         raise ParameterError(f"model shape garbles {label_bytes} bytes of "
                              f"wire labels at once, above the limit of "
                              f"{MAX_SESSION_BYTES}")
-    gc_bytes = sum(8 * prod(sh) for circ, E in groups
-                   for sh in _gc_shapes(circ, E))
+    gc_bytes = sum(8 * prod(sh) for s in specs for circ in circuits[s.shape]
+                   for sh in _gc_shapes(circ, s.instances))
     nbytes = sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent())
     if gc_bytes + nbytes > MAX_SESSION_BYTES:
         raise ParameterError(f"model shape needs {gc_bytes} bytes of garbled "
                              f"stages and {nbytes} bytes of encrypted "
                              f"matrices, above the limit of "
                              f"{MAX_SESSION_BYTES} together")
-    return geom
+    return replace(geom, walks={shape: schedule(circs)
+                                for shape, circs in circuits.items()})
 
 
 def _client_keys(params: PaheParams, rotations: tuple[int, ...],
@@ -634,27 +660,24 @@ class ServerResult:
 
 def _send_garbled_stage(sp: _ServerParty, layer: int, stage: int,
                         spec: StageSpec, tshare: np.ndarray,
-                        dbits: np.ndarray) -> tuple[int, np.ndarray]:
+                        dbits: np.ndarray) -> np.ndarray:
     """Garble every group of a stage in one walk, on the server's window
     shares `tshare` and the client's derandomization bits, and send
-    stage-ot-resp: its byte count, and the server's own word shares,
-    (groups, lanes).  The walk's labels and tables are dropped before the
-    client answers."""
+    stage-ot-resp: returns the server's own word shares, (groups, lanes).
+    The walk's labels and tables are dropped before the client answers."""
     p, m = sp.geom.p, spec.m
     # the evaluator's zero labels and the server's bits, group by group,
     # each instance's together
-    groups = stage_circuits(spec)
-    G, E = len(groups), groups[0][2]
+    G, E = len(spec.groups), spec.instances
     ezero = _by_instance(sp.ot.derand_respond(dbits), G, E)
     bits = to_bits(tshare.reshape(G, E, -1), m).swapaxes(0, 1).reshape(E, -1)
-    gb = garble(stage_schedule(spec), sp.ot.delta, bits, ezero,
+    gb = garble(sp.geom.walk(spec), sp.ot.delta, bits, ezero,
                 tweak_namespace(layer, stage, sp.session))
     corr, own = b2a_corrections(
         gb, np.tile(b2a_weights(spec.keep, p), G * spec.lanes_per_instance),
         p)
-    parts = [le64(gb.tables), le64(corr)]
-    _send(sp.conn, sp.tr, STAGE_OT_RESP, *parts)
-    return sum(map(len, parts)), _lane_words(own, G, spec.keep, p)
+    _send(sp.conn, sp.tr, STAGE_OT_RESP, le64(gb.tables), le64(corr))
+    return _lane_words(own, G, spec.keep, p)
 
 
 def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
@@ -669,14 +692,12 @@ def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
 
     nbits = m * spec.count
     (bd,) = _recv(sp.conn, sp.tr, STAGE_OT_REQ, [-(-nbits // 8)])
-    packed = np.frombuffer(bd, dtype=np.uint8)
-    dbits = np.unpackbits(packed)
+    dbits = np.unpackbits(np.frombuffer(bd, dtype=np.uint8))
     if dbits[nbits:].any():
         raise ProtocolError("stage-ot-req sets a pad bit past its "
                             f"{nbits} derandomization bits")
-    sent, own_lanes = _send_garbled_stage(sp, layer, stage, spec, tshare,
-                                          dbits[:nbits])
-    gc_bytes = packed.nbytes + sent
+    own_lanes = _send_garbled_stage(sp, layer, stage, spec, tshare,
+                                    dbits[:nbits])
 
     layouts = geom.stage_shares(layer, spec)
     blobs = _recv(sp.conn, sp.tr, STAGE_SHARE,
@@ -686,9 +707,7 @@ def _serve_stage(sp: _ServerParty, layer: int, stage: int, spec: StageSpec,
         se = encmatrix_from_bytes(blob, geom.params, lay, fresh=True)
         outs.append(add_offset(ev, se, own_lanes[oi].reshape(lay.shape)))
 
-    sp.tr.add_gc_bytes(gc_bytes)
-    sp.tr.add_event(kind="stage", layer=layer, name=spec.name,
-                    lanes=spec.count, ot_bits=nbits, gc_bytes=gc_bytes)
+    sp.tr.add_event(kind="stage", layer=layer, name=spec.name)
     return outs
 
 
@@ -705,8 +724,7 @@ def _serve_ctmm(sp: _ServerParty, layer: int, spec: StageSpec, X: EncMatrix,
                     [count * ct_nbytes(params, fresh=True)])
     reply = cts_from_bytes(blob, params, count, "product reply", fresh=True)
     out = ctmm_server_finalize(ev, reply, st)
-    sp.tr.add_event(kind="ctmm", layer=layer, label=spec.name,
-                    rows=out.layout.rows, frames=2)
+    sp.tr.add_event(kind="ctmm", layer=layer, name=spec.name)
     return out
 
 
@@ -830,13 +848,12 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
     # every group's evaluator bits, lane by lane: the OT choices, in the
     # order the server's walk takes their zero labels
     cbits = to_bits(client_window_share(lanes, m), m).ravel()
-    packed = np.packbits(cp.batch.derand_request(cbits))
-    _send(cp.conn, cp.tr, STAGE_OT_REQ, packed.tobytes())
+    _send(cp.conn, cp.tr, STAGE_OT_REQ,
+          np.packbits(cp.batch.derand_request(cbits)).tobytes())
     labels = cp.batch.derand_finish(cbits)
 
-    groups = stage_circuits(spec)
-    G, E = len(groups), groups[0][2]
-    sched = stage_schedule(spec)
+    G, E = len(spec.groups), spec.instances
+    sched = geom.walk(spec)
     shapes = _gc_shapes(sched, E)
     gblobs = _recv(cp.conn, cp.tr, STAGE_OT_RESP,
                    [8 * prod(sh) for sh in shapes])
@@ -845,7 +862,6 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
         raise ProtocolError("stage-ot-resp B2A correction word not reduced "
                             "mod p")
 
-    gc_bytes = packed.nbytes + sum(map(len, gblobs))
     namespace = tweak_namespace(layer, stage, cp.session)
     out = evaluate(sched, tables, _by_instance(labels, G, E), namespace)
     shares = _lane_words(b2a_shares(sched, out, corr, namespace, p), G,
@@ -861,10 +877,7 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
             se = pack_colblocks(cp.ev, mat, steps=lay.steps)
         parts.append(encmatrix_to_bytes(se))
     _send(cp.conn, cp.tr, STAGE_SHARE, *parts)
-    cp.tr.add_gc_bytes(gc_bytes)
-    cp.tr.add_event(kind="stage", layer=layer, name=spec.name,
-                    lanes=spec.count, ot_bits=m * spec.count,
-                    gc_bytes=gc_bytes)
+    cp.tr.add_event(kind="stage", layer=layer, name=spec.name)
     return layouts
 
 
@@ -880,8 +893,7 @@ def _client_ctmm(cp: _ClientParty, layer: int, spec: StageSpec, x: Layout,
         cp.ev, cp.keys, encmatrix_from_bytes(bx, geom.params, x, fresh=False),
         encmatrix_from_bytes(by, geom.params, y, fresh=False))
     _send(cp.conn, cp.tr, MM_REPLY, cts_to_bytes(reply))
-    cp.tr.add_event(kind="ctmm", layer=layer, label=spec.name, rows=x.rows,
-                    frames=2)
+    cp.tr.add_event(kind="ctmm", layer=layer, name=spec.name)
 
 
 def _recv_logits(conn, tr: Transcript, geom: Geometry) -> Ciphertexts:

@@ -1,12 +1,11 @@
 """Session accounting: every frame, every byte, and the op-level events.
 
 A round is one frame in either direction, so both parties end a session with
-the same round count.  Byte attribution is recorded where the payloads are
-built: the garbled-circuit material moved during stages (the
-derandomization bits, then the tables and the B2A corrections; no input
-label travels) is tallied separately
-from ciphertext traffic so transfer comparisons between modes measure what
-they claim to.
+the same round count.  The garbled-circuit material moved during stages
+(the derandomization bits of stage-ot-req, then the tables and the B2A
+corrections of stage-ot-resp; no input label travels) is counted from those
+frames apart from ciphertext traffic, so transfer comparisons between modes
+measure what they claim to.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .framing import FRAME_NAMES
+from .framing import FRAME_NAMES, STAGE_OT_REQ, STAGE_OT_RESP
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class Transcript:
     role: str
     frames: list[FrameInfo] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
-    gc_online_bytes: int = 0
     counters: dict = field(default_factory=dict)
     _digest: "hashlib._Hash" = field(default_factory=lambda: hashlib.sha256(),
                                      repr=False)
@@ -47,15 +45,19 @@ class Transcript:
     def bytes_sent(self) -> int:
         return sum(f.nbytes for f in self.frames if f.direction == "sent")
 
+    @property
+    def gc_online_bytes(self) -> int:
+        """The garbled-circuit material of every stage, in both directions:
+        the payloads of its stage-ot-req and stage-ot-resp frames."""
+        return sum(f.nbytes for f in self.frames
+                   if f.ftype in (STAGE_OT_REQ, STAGE_OT_RESP))
+
     def record(self, direction: str, ftype: int, payload: bytes):
         self.frames.append(FrameInfo(len(self.frames), direction, ftype,
                                      len(payload)))
         self._digest.update(bytes([ftype]))
         self._digest.update(len(payload).to_bytes(4, "little"))
         self._digest.update(payload)
-
-    def add_gc_bytes(self, n: int):
-        self.gc_online_bytes += n
 
     def add_event(self, **fields):
         self.events.append(dict(fields))

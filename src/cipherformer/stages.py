@@ -36,7 +36,6 @@ and `model.forward_fixed` walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import log2
 
 import numpy as np
@@ -127,6 +126,34 @@ class StageSpec:
     @property
     def lanes_per_instance(self) -> int:
         return self.row_len if self.kind == "rowdiv" else 1
+
+    @property
+    def instances(self) -> int:
+        """Circuit instances of each group: one per row of a row-divide
+        stage, one per lane of an affine group.  A stage's groups are
+        garbled as one walk, which holds one instance count, so a stage
+        whose groups differ in it is refused."""
+        if self.kind == "rowdiv":
+            return self.rows
+        counts = sorted({g.count for g in self.groups})
+        if len(counts) != 1:
+            raise ParameterError(f"stage {self.name!r} has groups of "
+                                 f"{counts} instances; one walk needs one "
+                                 f"count")
+        return counts[0]
+
+    @property
+    def shape(self) -> tuple:
+        """The parameters that fix the stage's circuits, hence its walk:
+        the stage kind and window, and the row length or each group's
+        relu."""
+        if self.kind == "rowdiv":
+            return ("rowdiv", self.m, self.shift, self.keep, self.frac,
+                    self.row_len)
+        if self.kind != "affine":
+            raise ParameterError(f"unknown stage kind {self.kind!r}")
+        return ("affine", self.m, self.shift, self.keep,
+                tuple(g.relu for g in self.groups))
 
 
 @dataclass(frozen=True)
@@ -271,18 +298,6 @@ def _check_window(m: int, shift: int, keep: int):
         raise ParameterError(f"output width {keep} out of range for window {m}")
 
 
-# stage circuits and stage schedules kept per process.  `build_stage_plan`
-# gives every layer after the first the same stages, so a plan of any depth
-# garbles at most two layers' circuits, and a layer garbles at most seven
-# affine groups (the three QKV groups and one for each other stage) and one
-# row divider, in five stages.  The bounds hold every circuit and schedule
-# of the deepest plan, so no session rebuilds one it garbled before, while
-# the shapes a peer's hellos name cannot grow the caches without limit.
-AFFINE_CIRCUITS = 2 * 7
-ROWDIV_CIRCUITS = 2
-STAGE_SCHEDULES = 2 * 5
-
-
 def _reconstruct(b: Builder, m: int) -> list[int]:
     """Garbler share + evaluator share mod 2^m, then undo the window offset."""
     t = b.garbler_word(m)
@@ -292,7 +307,6 @@ def _reconstruct(b: Builder, m: int) -> list[int]:
     return x
 
 
-@lru_cache(maxsize=AFFINE_CIRCUITS)
 def affine_stage_circuit(m: int, shift: int, keep: int,
                          relu: bool = False) -> Circuit:
     """Reconstruct one lane, rescale by 2^-shift, saturate, optional relu."""
@@ -340,7 +354,6 @@ def _divider(b: Builder, x: list[int], s: list[int], f: int,
     return q
 
 
-@lru_cache(maxsize=ROWDIV_CIRCUITS)
 def rowdiv_stage_circuit(m: int, shift: int, frac: int, keep: int,
                          row_len: int) -> Circuit:
     """Reconstruct a score row, relu it, divide by the row sum.
@@ -376,49 +389,25 @@ def rowdiv_stage_circuit(m: int, shift: int, frac: int, keep: int,
     return b.freeze()
 
 
-def _stage_shape(spec: StageSpec) -> tuple:
-    """The parameters that fix a stage's circuits: the stage kind and
-    window, and the row length or each group's relu."""
-    if spec.kind == "rowdiv":
-        return ("rowdiv", spec.m, spec.shift, spec.keep, spec.frac,
-                spec.row_len)
-    if spec.kind != "affine":
-        raise ParameterError(f"unknown stage kind {spec.kind!r}")
-    return ("affine", spec.m, spec.shift, spec.keep,
-            tuple(g.relu for g in spec.groups))
-
-
-def _circuits(shape: tuple) -> list[Circuit]:
-    kind, m, shift, keep, *rest = shape
+def stage_circuits(spec: StageSpec) -> list[tuple[StageGroup, Circuit, int]]:
+    """(group, circuit, instance count) triples backing one stage, built
+    afresh on every call: a session builds them once per stage shape, in
+    `protocol.session.session_geometry`, which keeps their walk."""
+    E = spec.instances
+    kind, m, shift, keep, *rest = spec.shape
     if kind == "rowdiv":
         frac, row_len = rest
-        return [rowdiv_stage_circuit(m, shift, frac, keep, row_len)]
-    return [affine_stage_circuit(m, shift, keep, relu) for relu in rest[0]]
-
-
-def stage_circuits(spec: StageSpec) -> list[tuple[StageGroup, Circuit, int]]:
-    """(group, circuit, instance count) triples backing one stage.  Its
-    groups are garbled as one walk (`stage_schedule`), so all share one
-    instance count; a stage whose groups do not is refused."""
-    circuits = _circuits(_stage_shape(spec))
-    counts = ([spec.rows] if spec.kind == "rowdiv"
-              else [g.count for g in spec.groups])
-    if len(set(counts)) != 1:
-        raise ParameterError(f"stage {spec.name!r} has groups of "
-                             f"{sorted(set(counts))} instances; one walk "
-                             f"needs one count")
-    return list(zip(spec.groups, circuits, counts))
+        circuits = [rowdiv_stage_circuit(m, shift, frac, keep, row_len)]
+    else:
+        circuits = [affine_stage_circuit(m, shift, keep, relu)
+                    for relu in rest[0]]
+    return [(g, circ, E) for g, circ in zip(spec.groups, circuits)]
 
 
 def stage_schedule(spec: StageSpec) -> Schedule:
     """The one walk over a stage's group circuits, in group order, built
-    once per stage shape."""
-    return _stage_schedule(_stage_shape(spec))
-
-
-@lru_cache(maxsize=STAGE_SCHEDULES)
-def _stage_schedule(shape: tuple) -> Schedule:
-    return schedule(_circuits(shape))
+    afresh with its circuits."""
+    return schedule([circ for _g, circ, _E in stage_circuits(spec)])
 
 
 def plan_gate_counts(plan: StagePlan) -> dict[str, int]:

@@ -558,13 +558,17 @@ GC_L16 = ModelConfig(vocab=8, seq_len=16, dim=4, ff_dim=8, n_layers=1,
 
 
 def _stage_circuits(cfg, modes):
-    """Distinct (circuit, instance count) pairs of the plans' stages."""
+    """Distinct (circuit, instance count) pairs of the plans' stages, each
+    at the instance count of the first stage that has it: a row divider
+    per stage shape, an affine circuit per window and relu."""
     seen = {}
     for mode in modes:
         for enc in cfg.plan(mode).encoders:
             for spec in enc:
-                for _g, circ, E in stage_circuits(spec):
-                    seen.setdefault(id(circ), (circ, E))
+                for g, circ, E in stage_circuits(spec):
+                    key = (spec.shape if spec.kind == "rowdiv"
+                           else (*spec.shape[:4], g.relu))
+                    seen.setdefault(key, (circ, E))
     return list(seen.values())
 
 
@@ -598,8 +602,7 @@ def check_stage_walk(layer, stage, spec, rng):
     B2A corrections and evaluated outputs, each group's outputs reading as
     its circuit's `plain_eval` says."""
     groups = stage_circuits(spec)
-    sched = stage_schedule(spec)
-    assert [c for _g, c, _E in groups] == list(sched.circuits)
+    sched = schedule([c for _g, c, _E in groups])
     assert_matches_reference(
         sched, [_random_bits(c, E, rng) for _g, c, E in groups], rng,
         G.tweak_namespace(layer, stage, 7))

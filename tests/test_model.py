@@ -42,7 +42,8 @@ def _forward_fixed_by_mode(cfg, weights, tokens, mode):
     stage plan: the reference the plan walk must equal bit for bit."""
     plan = cfg.plan(mode)
     d = cfg.dim
-    ew, pw = M.folded_first_layer(cfg, weights, mode)
+    mats, offsets = M.layer_weights(cfg, weights, mode, 0)
+    ew, pw = mats["wqkv"], offsets["wqkv"]
     x = None
     for e in range(cfg.n_layers):
         lw = weights.layers[e]
@@ -192,7 +193,8 @@ class TestForwardFixed:
         cfg, wts = _toy(seed=13)
         toks = np.array([0, 15, 7, 7, 2, 9, 11, 4])
         for mode in ("baseline", "opt1"):
-            ew, pw = M.folded_first_layer(cfg, wts, mode)
+            mats, offsets = M.layer_weights(cfg, wts, mode, 0)
+            ew, pw = mats["wqkv"], offsets["wqkv"]
             lw = wts.layers[0]
             wqkv = np.hstack([lw.wq, lw.wk,
                               M.value_projection(lw.wv, cfg.dim, mode)])

@@ -22,7 +22,7 @@ import pytest
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.gc import garble as garble_module
 from cipherformer.gc.ot import LAMBDA, POINT_BYTES
-from cipherformer import helinear, pahe, stages
+from cipherformer import helinear, pahe
 from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
                                    encmatrix_to_bytes, layout_vectors,
@@ -39,7 +39,7 @@ from cipherformer.protocol import (ACCEPT, FRAME_NAMES, HELLO, LOGITS,
                                    session_geometry, tcp_accept, tcp_dial,
                                    tcp_listen, transport)
 from cipherformer.protocol.framing import _HEADER, write_frame
-from cipherformer.stages import MODES, stage_circuits, stage_schedule
+from cipherformer.stages import MODES
 
 CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
                   n_classes=2, w=20, f=9)
@@ -87,6 +87,19 @@ def forget_key_sets():
     """Every test starts from no key set and no base-OT outcome, so each
     pinned digest is that of a first session whatever ran before it."""
     _forget_key_sets()
+
+
+@pytest.fixture
+def limit(monkeypatch):
+    """Sets a session limit for one test.  Geometries are kept per process,
+    so those sized under any other value of the limit are dropped each time
+    it is set and when the test ends."""
+    def set_limit(name, value):
+        monkeypatch.setattr(session, name, value)
+        session.session_geometry.cache_clear()
+    yield set_limit
+    monkeypatch.undo()
+    session.session_geometry.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -856,8 +869,7 @@ def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
     frames = server.transcript.frames
     assert [f.nbytes for f in frames if f.ftype == STAGE_OPEN] == [
         geom.nbytes(geom.stage_input(spec), fresh=False) for spec in specs]
-    walks = [(stage_schedule(spec), stage_circuits(spec)[0][2])
-             for spec in specs]
+    walks = [(geom.walk(spec), spec.instances) for spec in specs]
     assert [f.nbytes for f in frames if f.ftype == STAGE_OT_RESP] == [
         (32 * walk.n_and + 8 * walk.outputs.size) * E for walk, E in walks]
     if s2c is not None:
@@ -928,49 +940,69 @@ def test_logits_slots_hide_the_products(weights, monkeypatch):
     assert not np.array_equal(*slots)
 
 
-def test_stage_circuit_caches_hold_a_plan_and_stay_bounded(monkeypatch):
-    """The deepest plan of every mode garbles no more distinct circuits,
-    nor stage shapes, than the caches hold, so walking it again builds no
-    circuit and no stage schedule; sizing many distinct shapes that are
-    then refused evicts circuits, builds no schedule, and leaves each
-    cache at most at its bound, as do sessions of as many shapes."""
-    walks = (stages._stage_schedule, stages.STAGE_SCHEDULES)
-    caches = ((stages.affine_stage_circuit, stages.AFFINE_CIRCUITS),
-              (stages.rowdiv_stage_circuit, stages.ROWDIV_CIRCUITS), walks)
-    for cache, bound in caches:
-        assert cache.cache_info().maxsize == bound
+def _counting(monkeypatch, name):
+    """The calls of the session's `name` from here on, as argument tuples."""
+    calls, real = [], getattr(session, name)
 
-    def misses(caches):
-        return [cache.cache_info().misses for cache, _ in caches]
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    def walk(plan):
-        for spec in (spec for enc in plan.encoders for spec in enc):
-            stage_circuits(spec)
-            stages.stage_schedule(spec)
+    monkeypatch.setattr(session, name, counted)
+    return calls
 
+
+def test_geometry_keeps_each_walk_once_and_nothing_for_refused_shapes(
+        monkeypatch, limit):
+    """`session_geometry` is the one cache of stage circuits and walks.
+    The deepest plan of every mode builds each stage shape's circuits and
+    walk once, at most ten walks, and sizing it again builds nothing.
+    Sizing three other baseline row dividers leaves gc-l16's geometry
+    kept, so a gc-l16 session builds no circuit and no walk.  A shape a
+    bound refuses has its circuits built, but no walk, and the cache holds
+    what it held before."""
+    session.session_geometry.cache_clear()
+    built = _counting(monkeypatch, "stage_circuits")
+    walked = _counting(monkeypatch, "schedule")
+    deep = replace(CFG, n_layers=session.MAX_LAYERS)
     for mode in MODES:
-        plan = replace(CFG, n_layers=session.MAX_LAYERS).plan(mode)
-        walk(plan)
-        before = misses(caches)
-        walk(plan)
-        assert misses(caches) == before
-    before = misses(caches)
-    monkeypatch.setattr(session, "MAX_SESSION_BYTES", 1)
-    shapes = [replace(CFG, f=f) for f in range(4, 12)]
-    for cfg in shapes:
+        built.clear()
+        walked.clear()
+        geom = session_geometry(deep, mode)
+        assert set(geom.walks) == {spec.shape for enc in geom.plan.encoders
+                                   for spec in enc}
+        assert len(built) == len(walked) == len(geom.walks) <= 10
+        assert session_geometry(deep, mode) is geom
+        assert len(built) == len(walked) == len(geom.walks)
+
+    session_geometry(GC_L16, "baseline")
+    for seq_len in (24, 32, 40):
+        session_geometry(replace(GC_L16, seq_len=seq_len), "baseline")
+    built.clear()
+    walked.clear()
+    tokens = (np.arange(GC_L16.seq_len) * 5 + 1) % GC_L16.vocab
+    wts = gen_random(GC_L16, 7, scale=0.25)
+    _, client = private_inference(GC_L16, wts, tokens, "baseline",
+                                  server_seed=11, client_seed=12)
+    assert np.array_equal(client.logits,
+                          forward_fixed(GC_L16, wts, tokens,
+                                        "baseline").logits)
+    assert built == walked == []
+
+    limit("MAX_SESSION_BYTES", max(max(_session_bytes(
+        session_geometry(CFG, mode))) for mode in MODES))
+    for mode in MODES:
+        session_geometry(CFG, mode)
+    held = session.session_geometry.cache_info().currsize
+    assert held == len(MODES)
+    for seq_len in (12, 16, 24):
         for mode in MODES:
+            built.clear()
+            walked.clear()
             with pytest.raises(ParameterError, match="above the limit"):
-                session_geometry(cfg, mode)
-    for (cache, bound), old in zip(caches[:2], before):
-        assert cache.cache_info().misses - old > bound
-        assert cache.cache_info().currsize <= bound
-    assert misses([walks]) == before[2:]
-    for cfg in shapes:
-        for mode in MODES:
-            walk(cfg.plan(mode))
-    cache, bound = walks
-    assert cache.cache_info().misses - before[2] > bound
-    assert cache.cache_info().currsize <= bound
+                session_geometry(replace(CFG, seq_len=seq_len), mode)
+            assert built and not walked
+            assert session.session_geometry.cache_info().currsize == held
 
 
 def _closing(party, conn, *args, **kwargs):
@@ -1497,18 +1529,19 @@ def test_session_bound_counts_every_matrix_frame(weights, mode):
         == _reply_bytes(geom) > 0
 
 
-def test_product_replies_alone_push_a_hello_past_the_bound(monkeypatch):
+def test_product_replies_alone_push_a_hello_past_the_bound(monkeypatch,
+                                                           limit):
     """opt2 at seq_len `MAX_WIDTH` over two layers: every frame but
     mm-reply fits `MAX_SESSION_BYTES`, but the replies to its attention
     products, k + 1 fresh batches each, do not; the client refuses the
     hello before it makes a key."""
     long = replace(CFG, seq_len=session.MAX_WIDTH, n_layers=2)
-    limit = session.MAX_SESSION_BYTES
-    with monkeypatch.context() as patched:
-        patched.setattr(session, "MAX_SESSION_BYTES", 1 << 40)
-        geom = session_geometry(long, "opt2")
+    cap = session.MAX_SESSION_BYTES
+    limit("MAX_SESSION_BYTES", 1 << 40)
+    geom = session_geometry(long, "opt2")
+    limit("MAX_SESSION_BYTES", cap)
     total, labels = _session_bytes(geom)
-    assert labels <= total - _reply_bytes(geom) <= limit < total
+    assert labels <= total - _reply_bytes(geom) <= cap < total
     for name in ("_client_keys", "_cached_keys", "pack_colblocks"):
         monkeypatch.setattr(session, name, _sized_a_hostile_session)
     sconn, cconn = memory_pair()
@@ -1523,43 +1556,42 @@ def _session_bytes(geom):
     """(the bytes of every stage-ot-resp frame and encrypted matrix of a
     session, the largest label array one of its garblings holds: that of
     a stage, whose groups are garbled in one walk)."""
-    stage_groups = [stage_circuits(spec) for enc in geom.plan.encoders
-                    for spec in enc]
-    sent = sum((32 * circ.n_and + 8 * circ.outputs.size) * E
-               for groups in stage_groups for _g, circ, E in groups)
+    walks = [(geom.walk(spec), spec.instances) for enc in geom.plan.encoders
+             for spec in enc]
+    sent = sum((32 * walk.n_and + 8 * walk.outputs.size) * E
+               for walk, E in walks)
     sent += sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent())
-    return sent, max(16 * groups[0][2] * sum(circ.n_wires
-                                             for _g, circ, _E in groups)
-                     for groups in stage_groups)
+    return sent, max(16 * E * walk.n_wires for walk, E in walks)
 
 
-def test_session_limits_admit_their_bounds(monkeypatch):
+def test_session_limits_admit_their_bounds(limit):
     """A plan needing exactly `MAX_OTS` random OTs, or exactly
     `MAX_SESSION_BYTES` of garbled stages and encrypted matrices together,
     still sizes a session; one more than the limit is refused."""
     geom = session_geometry(CFG, "opt1")
     sent, labels = _session_bytes(geom)
     assert labels < sent
-    for limit, need in (("MAX_OTS", geom.ot_total),
-                        ("MAX_SESSION_BYTES", sent)):
-        monkeypatch.setattr(session, limit, need)
+    for name, need in (("MAX_OTS", geom.ot_total),
+                       ("MAX_SESSION_BYTES", sent)):
+        old = getattr(session, name)
+        limit(name, need)
         assert session_geometry(CFG, "opt1") == geom
-        monkeypatch.setattr(session, limit, need - 1)
+        limit(name, need - 1)
         with pytest.raises(ParameterError, match="above the limit"):
             session_geometry(CFG, "opt1")
-        monkeypatch.undo()
+        limit(name, old)
 
 
-def test_label_limit_admits_its_bound(monkeypatch):
+def test_label_limit_admits_its_bound(limit):
     """gc-l16's row divider holds more label bytes than the whole session
     sends: a garbling of exactly `MAX_SESSION_BYTES` of labels still sizes
     a session, one byte more is refused."""
     geom = session_geometry(GC_L16, "baseline")
     sent, labels = _session_bytes(geom)
     assert labels > sent
-    monkeypatch.setattr(session, "MAX_SESSION_BYTES", labels)
+    limit("MAX_SESSION_BYTES", labels)
     assert session_geometry(GC_L16, "baseline") == geom
-    monkeypatch.setattr(session, "MAX_SESSION_BYTES", labels - 1)
+    limit("MAX_SESSION_BYTES", labels - 1)
     with pytest.raises(ParameterError, match=f"{labels} bytes of wire labels "
                                              "at once, above the limit"):
         session_geometry(GC_L16, "baseline")
@@ -1608,7 +1640,7 @@ def test_client_refuses_oversized_session_before_keys(monkeypatch, forge,
         run_client(cconn, TOKENS, seed=12)
 
 
-def test_garbled_stages_bound_a_hello_the_other_limits_admit(monkeypatch):
+def test_garbled_stages_bound_a_hello_the_other_limits_admit(limit):
     """A baseline shape of seq_len 512 passes the OT and matrix limits
     (11,614,208 OTs; 179,192,448 bytes of matrices, 113,418,304 of them
     product replies), but its attention row divider, 250,890 ANDs and
@@ -1623,7 +1655,7 @@ def test_garbled_stages_bound_a_hello_the_other_limits_admit(monkeypatch):
                                             "labels"):
         session.hello_geometry(_hello(mode=MODES.index("baseline"),
                                       seq_len=512))
-    monkeypatch.setattr(session, "MAX_SESSION_BYTES", 1 << 40)
+    limit("MAX_SESSION_BYTES", 1 << 40)
     geom = session_geometry(replace(CFG, seq_len=512), "baseline")
     assert geom.ot_total == 11_614_208 <= session.MAX_OTS
     assert sum(geom.nbytes(lay, fresh)
@@ -1826,8 +1858,7 @@ def test_geometry_rotation_keys_are_exactly_the_products_use(cfg, steps,
     pytest.param((8, 100, 4, 8, 1), id="seq-two-to-a-row"),
 ])
 @pytest.mark.parametrize("mode", MODES)
-def test_ring_is_the_smallest_that_holds_every_layout(monkeypatch, shape,
-                                                      mode):
+def test_ring_is_the_smallest_that_holds_every_layout(limit, shape, mode):
     """Every layout the geometry names fits the ring, one whole-ring slot
     vector per ciphertext, with all its baby-step copies two to a
     ciphertext, and the ring is the smallest whose row holds every held
@@ -1836,7 +1867,7 @@ def test_ring_is_the_smallest_that_holds_every_layout(monkeypatch, shape,
     The ring does not depend on the session's size, so its limit is
     lifted: baseline's row dividers from seq_len 256 and opt1's at dim 600
     garble more than `MAX_SESSION_BYTES` of labels at once."""
-    monkeypatch.setattr(session, "MAX_SESSION_BYTES", 1 << 40)
+    limit("MAX_SESSION_BYTES", 1 << 40)
     vocab, L, d, ff, layers = shape
     cfg = ModelConfig(vocab=vocab, seq_len=L, dim=d, ff_dim=ff,
                       n_layers=layers, n_classes=2)

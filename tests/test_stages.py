@@ -220,9 +220,6 @@ class TestAffineCircuit:
                         S.affine_stage_oracle(xs, spec.shift, spec.keep,
                                               group.relu))
 
-    def test_circuit_cache(self):
-        assert S.affine_stage_circuit(12, 3, 6) is S.affine_stage_circuit(12, 3, 6)
-
     def test_window_guards(self):
         with pytest.raises(ParameterError):
             S.affine_stage_circuit(70, 3, 6)
