@@ -8,9 +8,9 @@ active label, and no label of the garbler's travels (`garble`).
 
 Labels are 128-bit, stored as (..., 2) uint64 little-halves-first.  One
 offset `delta` serves every garbling of every session that extends one set
-of base OTs: it is the IKNP sender's s (`gc.ot`), whose low bit is forced
-to 1 so the label's low bit serves as the point-and-permute color, and the
-OT fixes the evaluator's input labels under it.  The gate hash is the
+of base OTs: it is the OT-extension sender's s (`gc.ot`), whose low bit is
+forced to 1 so the label's low bit serves as the point-and-permute color,
+and the OT fixes the evaluator's input labels under it.  The gate hash is the
 standard fixed-key AES construction H(X, t) = AES(2X ^ t) ^ 2X ^ t, with
 tweaks unique per (session, layer, stage, instance, AND, half) under one
 delta (`tweak_namespace`); instances are independent garblings of the
@@ -108,11 +108,28 @@ def _tweaks(low: np.ndarray, instances: int, namespace: int) -> np.ndarray:
     return tw
 
 
-def _and_tweaks(sched: Schedule, instances: int, namespace: int) -> np.ndarray:
-    """The tweaks (2, n_and, E, 2) of the walk's ANDs: 2j and 2j+1 for AND
-    j of the walk order."""
-    j = np.arange(sched.n_and, dtype=np.uint64)
-    return _tweaks(np.stack([2 * j, 2 * j + _ONE]), instances, namespace)
+# AND instances whose tweaks a walk builds at a time (256 KB of them): a
+# level at a time would cost more numpy calls than the level's hashing on
+# the narrow levels of a row divider, a walk at a time a table-sized array
+_TWEAK_BLOCK = 1 << 13
+
+
+def _level_tweaks(sched: Schedule, instances: int, namespace: int):
+    """The tweaks (2, K, E, 2) of each level's K ANDs `lv.ands`, level by
+    level: 2j and 2j+1 for AND j of the walk order.  They are built for
+    runs of whole levels of at most `_TWEAK_BLOCK` AND instances at once,
+    or for one level where it alone holds more."""
+    levels, i = sched.levels, 0
+    while i < len(levels):
+        lo, end = levels[i].ands.start, i + 1
+        while (end < len(levels) and (levels[end].ands.stop - lo) * instances
+               <= _TWEAK_BLOCK):
+            end += 1
+        j = np.arange(lo, levels[end - 1].ands.stop, dtype=np.uint64)
+        run = _tweaks(np.stack([2 * j, 2 * j + _ONE]), instances, namespace)
+        for lv in levels[i:end]:
+            yield run[:, lv.ands.start - lo:lv.ands.stop - lo]
+        i = end
 
 
 # the low-word flag of the label-keyed pads' tweaks, above the session bits
@@ -210,10 +227,10 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
     namespace, and its two rows are table row j.
 
     Security (semi-honest).  Every garbling of every session that extends
-    one set of base OTs shares `delta`, and the evaluator's labels are IKNP
-    rows, so this rests on the fixed-key hash being tweakable circular
-    correlation robust (Zahur-Rosulek-Evans, EUROCRYPT 2015;
-    Guo-Katz-Wang-Yu, S&P 2020): to whoever does not know delta,
+    one set of base OTs shares `delta`, and the evaluator's labels are
+    correlated-OT rows under it, so this rests on the fixed-key hash being
+    tweakable circular correlation robust (Zahur-Rosulek-Evans, EUROCRYPT
+    2015; Guo-Katz-Wang-Yu, S&P 2020): to whoever does not know delta,
     H(X ^ delta, t) looks uniform next to every other query, provided no
     tweak t is used beyond the two labels X and X ^ delta of one wire.  The
     game counts queries, not sessions, so labels from many sessions under
@@ -226,7 +243,7 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
     indices below 2^32 stay clear of the session bits (a session holds far
     fewer wires: `MAX_SESSION_BYTES` keeps a label array below 2^26
     wires), and no delta may serve more than `MAX_SESSIONS` sessions.
-    Each session's evaluator labels are fresh: its IKNP rows come from
+    Each session's evaluator labels are fresh: its OT rows come from
     blocks of the column streams that no other session reads (`gc.ot`).
     delta's colour bit is public (forced to 1), so it keeps 127 secret
     bits.  Hardcoding adds no assumption: the evaluator holds the same
@@ -253,10 +270,9 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
     # operands all have the result's shape as one flat loop, but one
     # broadcast along the two words of a label as a loop per label
     tables = np.empty((2, sched.n_and, E, 2), dtype=np.uint64)
-    tweaks = _and_tweaks(sched, E, namespace)
     aes = _AES.encryptor()
     delta1, delta2 = (np.tile(d, (E, 1)) for d in (delta, _double(delta)))
-    for lv in sched.levels:
+    for lv, tweaks in zip(sched.levels, _level_tweaks(sched, E, namespace)):
         if lv.n_xor:
             wire0[lv.xor_out] = wire0[lv.xor_in0] ^ wire0[lv.xor_in1]
         if not lv.n_and:
@@ -267,7 +283,7 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
         h = np.empty((2, 2) + ab.shape[1:], dtype=np.uint64)
         _double(ab, out=h[:, 0])
         np.bitwise_xor(h[:, 0], delta2, out=h[:, 1])
-        h = _hash(aes, h, tweaks[:, None, lv.ands])
+        h = _hash(aes, h, tweaks[:, None])
         rows = h[:, 0] ^ h[:, 1]                # ha0 ^ ha1, hb0 ^ hb1
         colour = _colour(ab)                    # pa, pb
         rows[0] ^= colour[1] * delta1           # tg
@@ -299,16 +315,15 @@ def evaluate(sched: Schedule, tables: np.ndarray,
                            "the walk")
     active = np.zeros((sched.n_wires, E, 2), dtype=np.uint64)
     active[sched.evaluator_inputs] = evaluator_active
-    tweaks = _and_tweaks(sched, E, namespace)
     aes = _AES.encryptor()
     rows_of = np.moveaxis(tables, 2, 0)         # tg, te: (2, n_and, E, 2)
-    for lv in sched.levels:
+    for lv, tweaks in zip(sched.levels, _level_tweaks(sched, E, namespace)):
         if lv.n_xor:
             active[lv.xor_out] = active[lv.xor_in0] ^ active[lv.xor_in1]
         if not lv.n_and:
             continue
         ab = active[lv.and_in]                  # wa, wb: (2, K, E, 2)
-        h = _hash(aes, _double(ab), tweaks[:, lv.ands])
+        h = _hash(aes, _double(ab), tweaks)
         colour = _colour(ab)                    # sa, sb
         # sa tg, sb te, then sb (te ^ wa)
         half = colour * rows_of[:, lv.ands]

@@ -1,35 +1,73 @@
-"""Oblivious transfer: elliptic-curve base OT plus IKNP extension,
+"""Oblivious transfer: elliptic-curve base OT plus SoftSpokenOT extension,
 semi-honest.
 
-The evaluator's input labels come straight out of IKNP's correlated OT
-(Asharov-Lindell-Schneider-Zohner, CCS 2013), in three phases so the heavy
-parts run before the online phase starts:
+The evaluator's input labels come straight out of a correlated OT with
+IKNP's correlation q_j = t_j ^ b_j s (Ishai-Kilian-Nissim-Petrank, CRYPTO
+2003; Asharov-Lindell-Schneider-Zohner, CCS 2013), extended by SoftSpokenOT
+(Roy, CRYPTO 2022, ePrint 2022/192), which sends LAMBDA / K - 1 correction
+columns where IKNP sends LAMBDA: 63 bits an OT at K = 2, not 128.  It runs
+in three phases so the heavy parts run before the online phase starts:
 
-  * once per client key set -- 128 base OTs (public-key) hand the IKNP
-    sender, for each column j, one of the receiver's two 16-byte seeds,
-    the one its choice bit s_j picks.  s is the garbling offset delta of
-    every session that extends from these seeds, with the bit that becomes
-    a label's colour forced to 1 (`COLOUR_COLUMN`), so 127 bits of it stay
-    secret.
-  * offline, every session -- each seed keys an AES-CTR column stream, and
-    an extension of M OTs on random choice bits b_j takes the next
-    `stream_blocks(M)` blocks of every stream from a stream position both
-    parties keep: 0 in the session that ran the base OTs, then just past
-    the blocks the sessions before took.  The receiver sends the
-    correction columns and ends with rows t_j, the sender with rows
+  * once per client key set -- s, the garbling offset delta of every
+    session that extends from this set-up, splits into LAMBDA / K chunks of
+    K bits, chunk i read as the integer d_i whose bit y is column K i + y
+    of s.  For each chunk the client expands a GGM tree of 2^K leaves from
+    a root of its own (`_children`), and the 128 base OTs (public-key)
+    carry its levels: base OT K i + y carries the level of tree i that
+    branches on bit y of a leaf's index.  The client sends both of that
+    level's sums (the XOR of its left children, of its right children),
+    the sum of side 1 - c masked under base-OT key c; the server, whose
+    choice is bit y of d_i, learns the sum off the path to leaf d_i, and
+    from the K sums rebuilds every leaf of tree i but leaf d_i.  The bit
+    of s that becomes a label's colour is forced to 1 (`COLOUR_COLUMN`),
+    so 127 bits of it stay secret.
+  * offline, every session -- each leaf keys an AES-CTR column stream r_x,
+    and an extension of M OTs takes the next `stream_blocks(M)` blocks of
+    every stream from a stream position both parties keep: 0 in the
+    session that ran the base OTs, then just past the blocks the sessions
+    before took.  Per tree the client takes u_i = XOR_x r_x and the K
+    columns v_i = XOR_x x r_x (column y the XOR of the r_x with bit y of x
+    set); the server, holding every r_x but r_{d_i}, takes
+    w_i = XOR_{x != d_i} (x ^ d_i) r_x = v_i ^ d_i u_i.  The choice bits
+    are b = u_0, and the client sends c_i = u_i ^ b for every other tree,
+    so the server's w_i ^ d_i c_i = v_i ^ d_i b: with the v_i as the
+    columns of the client's rows t_j, the server's rows are
     q_j = t_j ^ b_j s.  Disjoint blocks make each session's columns fresh
     pseudorandom strings, so one set of base OTs extends any number of
-    sessions (Ishai-Kilian-Nissim-Petrank, CRYPTO 2003); nothing a stream
-    yields is used twice.
+    sessions; nothing a stream yields is used twice.
   * online -- the receiver reveals d_j = c_j ^ b_j for its real choice c_j
     (one bit per OT), and the sender takes L0_j = q_j ^ d_j delta as the
     zero label of that evaluator input.  The receiver's t_j = L0_j ^ c_j
     delta is already the label of c_j: nothing is sent back for it, and no
     row is hashed.
 
-Both halves expand and transpose the columns `CHUNK_OTS` OTs at a time
+K trades bytes for AES: each party keys one stream per leaf it holds,
+2^K LAMBDA / K on the client and (2^K - 1) LAMBDA / K on the server, sets
+each key up once per key set and reads every stream every session.  On one
+core of a 2-vCPU Xeon an `AesCtr` key takes about 13 us to set up, and a
+read of 8,656 bytes (69,248 OTs) 0.46 ms over 256 keys and 1.0 ms over 512.
+A first session of 5,440 OTs spends 7.3 ms of client and 6.9 ms of server
+CPU here at K = 4 (512 and 480 keys, 31 columns), 4.0 and 3.2 ms at K = 2
+(256 and 192 keys, 63 columns), against 5.3 and 2.0 ms for IKNP (256 and
+128 keys).  Over ten alternating benchmark runs of fresh-keys-tiny-opt1,
+which makes a key set every session, K = 4 moved the median client and
+server CPU by +5.2 % and +7.8 %, past the quartiles of the runs without
+it, and K = 2 by -0.6 % and +2.5 %; so K is 2.  K = 8 would send 15
+columns but key 4,096 leaves on the client.
+
+Both halves read and combine the streams of a few trees at a time (at most
+`_LEAF_BYTES` of them) and transpose the columns `CHUNK_OTS` OTs at a time
 into the rows they return, so neither holds a whole extension's columns
 twice.
+
+Security (semi-honest).  There is no consistency check: a client that
+sends c_i other than u_i ^ b could learn bits of s, so this holds only
+against a client that follows the protocol, as the rest of the session
+does.  The GGM tree's PRG is G(x) = (H(x), H(x ^ tau)) with
+H(x) = pi(x) ^ x, pi being AES under a fixed public key, one batched ECB
+call per level, as libOTe's PPRF builds its trees; that G is a PRG rests on
+pi being an ideal (random) permutation, the assumption the garbling's
+fixed-key hash also makes (`gc.garble`).
 
 Base OT is the Chou-Orlandi construction ("The Simplest Protocol for
 Oblivious Transfer", LATINCRYPT 2015) over P-256: the sender publishes
@@ -49,11 +87,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import ProtocolError
 from ..prg import AesCtr
 
 LAMBDA = 128
+# bits of s under one punctured GGM tree, SoftSpokenOT's k (see above)
+K = 2
+# the correction columns the client sends, one per tree but the first
+COLUMNS = LAMBDA // K - 1
+# bytes of leaf streams either half combines at a time (`_groups`)
+_LEAF_BYTES = 1 << 19
 # OTs each half expands and transposes at a time: 8 KB of each column, a
 # whole number of blocks, so every chunk starts on a block of the streams
 CHUNK_OTS = 1 << 16
@@ -63,6 +108,11 @@ _SLAB = 1 << 10
 # the column of s that becomes bit 0 of word 0 of every row, a label's
 # colour: `np.packbits` puts column 0 at the top bit of byte 0
 COLOUR_COLUMN = 7
+# the GGM trees' fixed AES key, public: their PRG needs pi to be a random
+# permutation, not a secret one; it is not the garbling hash's key
+_GGM = Cipher(algorithms.AES(bytes(range(16, 32))), modes.ECB())
+# tau, XORed into a node to hash its right child
+_RIGHT = np.array([0, 1 << 63], dtype=np.uint64)
 
 _CURVE = ec.SECP256R1()
 # the P-256 field prime and group order (SEC 2, section 2.4.2)
@@ -159,10 +209,6 @@ class BaseOtReceiver:
         return out
 
 
-def _key_bytes(k: np.ndarray) -> bytes:
-    return np.ascontiguousarray(k, dtype="<u8").tobytes()
-
-
 def stream_blocks(M: int) -> int:
     """The AES blocks an extension of M OTs takes from every column stream,
     ceil(M / 8) bytes rounded up to whole 16-byte blocks: how far both
@@ -218,11 +264,57 @@ def _chunks(mb: int):
     return ((lo, min(lo + step, mb)) for lo in range(0, mb, step))
 
 
+def _children(nodes: np.ndarray, aes) -> np.ndarray:
+    """The children of GGM nodes (T, n, 2), (T, 2n, 2): node j's children
+    are 2j, H(node), and 2j + 1, H(node ^ tau), H(x) = pi(x) ^ x, all
+    through one call of the open fixed-key ECB encryptor `aes`."""
+    x = np.repeat(nodes, 2, axis=1)
+    x[:, 1::2] ^= _RIGHT
+    x ^= np.frombuffer(aes.update(x.tobytes()), dtype="<u8").reshape(x.shape)
+    return x
+
+
+def _level_sums(nodes: np.ndarray) -> np.ndarray:
+    """The XOR of the left children and of the right children of one level
+    of nodes (T, n, 2): (T, 2, 2)."""
+    return np.bitwise_xor.reduce(nodes.reshape(len(nodes), -1, 2, 2), axis=1)
+
+
+def _key_list(leaves: np.ndarray) -> list[bytes]:
+    return [leaf.tobytes() for leaf in leaves.astype("<u8")]
+
+
+def _groups(trees: int, mb: int):
+    """The trees an extension of mb-byte columns combines at a time, as
+    (first, last) ranges, and a buffer for their streams, 2^K rows a tree:
+    each row is one stream's chunk with room for `AesCtr.read`'s last
+    whole block and its slack, and a group's rows take at most
+    `_LEAF_BYTES`, or one tree's where that alone takes more."""
+    width = min(mb, CHUNK_OTS // 8) + 31
+    size = max(1, min(trees, _LEAF_BYTES // (width << K)))
+    buf = np.empty((size, 1 << K, width), dtype=np.uint8)
+    return [(i, min(i + size, trees)) for i in range(0, trees, size)], buf
+
+
+def _vole(leaves: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each tree's rows of `leaves`, (G, 2^K, n), the columns v_y, the
+    XOR of its rows x whose bit y is set, into `v`, (G, K, n); returns u,
+    (G, n), the XOR of each tree's rows.  It folds `leaves` in place, top
+    bit first: once v_y is read off the rows with bit y set, they are
+    XORed onto the rows without, which leaves the same v below y, and row
+    0 ends as u."""
+    for y in reversed(range(K)):
+        half = 1 << y
+        np.bitwise_xor.reduce(leaves[:, half:2 * half], axis=1, out=v[:, y])
+        leaves[:, :half] ^= leaves[:, half:2 * half]
+    return leaves[:, 0]
+
+
 @dataclass
 class RandomOtBatch:
     """Receiver side of M correlated OTs after extension."""
 
-    b: np.ndarray          # (M,) uint8 random choice bits
+    b: np.ndarray          # (M,) uint8 pseudorandom choice bits, u_0
     t: np.ndarray          # (M, 2) uint64: the rows, each the label of c_j
     _used: int = 0
 
@@ -263,84 +355,132 @@ class RandomOtSenderBatch:
 
 
 class OtExtReceiver:
-    """IKNP receiver (will obtain the extended OTs).  Acts as *sender* in the
-    base OTs: it draws LAMBDA seed pairs here, or takes the column streams
-    `streams` its seeds keyed in an earlier session's base OTs (the pair
-    of `AesCtr`s, under seeds0 and seeds1); it expands them and sends the
+    """SoftSpokenOT receiver (will obtain the extended OTs).  Acts as
+    *sender* in the base OTs: it draws LAMBDA / K tree roots here and
+    expands their GGM trees, or takes the column streams `streams` their
+    leaves keyed in an earlier session's base OTs (one `AesCtr` per tree,
+    its keys the tree's leaves in order); it combines them and sends the
     correction columns."""
 
     def __init__(self, rng: np.random.Generator,
-                 streams: tuple[AesCtr, AesCtr] | None = None):
-        self.rng = rng
+                 streams: tuple[AesCtr, ...] | None = None):
         if streams is None:
-            self._seeds = ([rng.bytes(16) for _ in range(LAMBDA)],
-                           [rng.bytes(16) for _ in range(LAMBDA)])
-            streams = (AesCtr(self._seeds[0]), AesCtr(self._seeds[1]))
+            nodes = np.frombuffer(rng.bytes(16 * (LAMBDA // K)),
+                                  dtype="<u8").reshape(-1, 1, 2)
+            aes, sums = _GGM.encryptor(), []
+            for _ in range(K):
+                nodes = _children(nodes, aes)
+                sums.append(_level_sums(nodes))
+            # (LAMBDA / K, K, 2, 2): by tree, then by the leaf bit its level
+            # branches on, the top level branching on the top bit
+            self._sums = np.stack(sums[::-1], axis=1)
+            streams = tuple(AesCtr(_key_list(tree)) for tree in nodes)
         self.streams = streams
 
     def seed_messages(self, k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
-        """Encrypt the seed pairs drawn here under the base-OT keys:
-        (LAMBDA, 2, 2)."""
-        out = np.empty((LAMBDA, 2, 2), dtype=np.uint64)
-        for j in range(LAMBDA):
-            for c, k in enumerate((k0, k1)):
-                seed = np.frombuffer(self._seeds[c][j], dtype="<u8")
-                out[j, c] = seed ^ k[j]
-        return out
+        """Every tree level's two sums under the base-OT keys, (LAMBDA, 2,
+        2): base OT K i + y carries the level of tree i that branches on
+        bit y, the sum of side 1 - c under key c, so a choice of bit y of
+        d_i learns the sum of the side off the path to leaf d_i."""
+        return (self._sums.reshape(LAMBDA, 2, 2)[:, ::-1]
+                ^ np.stack([k0, k1], axis=1))
 
     def extend(self, M: int,
                start: int = 0) -> tuple[np.ndarray, RandomOtBatch]:
-        """Pick random choice bits and build the correction columns to send,
-        (LAMBDA, ceil(M / 8)) uint8, from block `start` of the column
-        streams on."""
+        """Derive the choice bits b = u_0 and build the correction columns
+        to send, (LAMBDA / K - 1, ceil(M / 8)) uint8, from block `start` of
+        the column streams on."""
         mb = -(-M // 8)
-        b = self.rng.integers(0, 2, 8 * mb, dtype=np.uint8)
-        b_packed = np.packbits(b)
-        # each row keeps room for `AesCtr.read`'s last whole block and slack
-        u_buf = np.empty((LAMBDA, mb + 31), dtype=np.uint8)
+        trees = len(self.streams)
+        c = np.empty((trees - 1, mb), dtype=np.uint8)
+        b = np.empty(mb, dtype=np.uint8)
         t = np.empty((M, 2), dtype=np.uint64)
-        streams0, streams1 = self.streams
+        groups, leaves = _groups(trees, mb)
         for lo, hi in _chunks(mb):
-            t_cols = streams0.read(start + lo // 16, hi - lo)
-            u = streams1.read(start + lo // 16, hi - lo, out=u_buf[:, lo:])
-            u ^= t_cols
-            u ^= b_packed[lo:hi]
+            n = hi - lo
+            t_cols = np.empty((LAMBDA, n), dtype=np.uint8)
+            u = np.empty((trees, n), dtype=np.uint8)
+            for first, last in groups:
+                for tree, out in zip(self.streams[first:last], leaves):
+                    tree.read(start + lo // 16, n, out=out)
+                u[first:last] = _vole(leaves[:last - first, :, :n],
+                                      t_cols.reshape(trees, K, n)[first:last])
+            b[lo:hi] = u[0]
+            np.bitwise_xor(u[1:], u[0], out=c[:, lo:hi])
             _transpose_bits(t_cols, t[8 * lo:8 * hi])
-            del t_cols   # before the next chunk's columns are read
-        return u_buf[:, :mb], RandomOtBatch(b[:M], t)
+            del t_cols   # before the next chunk's columns are made
+        return c, RandomOtBatch(np.unpackbits(b, count=M), t)
 
 
 class OtExtSender:
-    """IKNP sender: base-OT receiver with secret s, the garbling offset.
-    s is drawn here, or is that of an earlier session's base OTs, and then
-    so are the column streams its chosen seeds keyed (`streams`)."""
+    """SoftSpokenOT sender: base-OT receiver with secret s, the garbling
+    offset.  s is drawn here, or is that of an earlier session's base OTs,
+    and then so are the column streams its punctured trees keyed
+    (`streams`): one `AesCtr` per tree i, whose key y - 1 is leaf
+    y ^ d_i for y = 1 .. 2^K - 1, every leaf but d_i."""
 
     def __init__(self, rng: np.random.Generator,
                  s_bits: np.ndarray | None = None,
-                 streams: AesCtr | None = None):
+                 streams: tuple[AesCtr, ...] | None = None):
         if s_bits is None:
             s_bits = rng.integers(0, 2, LAMBDA, dtype=np.uint8)
             s_bits[COLOUR_COLUMN] = 1
         self.s_bits = s_bits
         self.streams = streams
 
-    def recover_seeds(self, seed_msgs: np.ndarray, my_keys: np.ndarray):
-        """Key the column streams with the seed each choice bit picks."""
-        self.streams = AesCtr([
-            _key_bytes(seed_msgs[j, int(self.s_bits[j])] ^ my_keys[j])
-            for j in range(LAMBDA)])
+    def punctures(self) -> np.ndarray:
+        """d_i, the leaf of tree i the server lacks: chunk i of s, whose
+        bit y is column K i + y."""
+        return self.s_bits.reshape(-1, K).astype(np.int64) @ (
+            1 << np.arange(K))
 
-    def receive_extension(self, u_cols: np.ndarray, M: int,
+    def recover_seeds(self, seed_msgs: np.ndarray, my_keys: np.ndarray):
+        """Rebuild every leaf of each tree but leaf d_i, a level at a time
+        from the sums each choice bit picks, and key the column streams
+        with them."""
+        trees = np.arange(LAMBDA // K)
+        d = self.punctures()
+        got = (seed_msgs[np.arange(LAMBDA), self.s_bits]
+               ^ my_keys).reshape(-1, K, 2)
+        aes = _GGM.encryptor()
+        nodes = np.zeros((trees.size, 1, 2), dtype=np.uint64)
+        for y in reversed(range(K)):
+            # every known node's children are right; the unknown node's two
+            # are cleared, then its child off the path is its level's sum
+            # on that side less the known nodes there
+            nodes = _children(nodes, aes)
+            path = d >> y
+            nodes[trees, path] = nodes[trees, path ^ 1] = 0
+            side = _level_sums(nodes)[trees, (path & 1) ^ 1]
+            nodes[trees, path ^ 1] = got[:, y] ^ side
+        held = nodes[trees[:, None], d[:, None] ^ np.arange(1, 1 << K)]
+        self.streams = tuple(AesCtr(_key_list(tree)) for tree in held)
+
+    def receive_extension(self, c_cols: np.ndarray, M: int,
                           start: int = 0) -> RandomOtSenderBatch:
         """The rows q_j of the extension whose correction columns are
-        `u_cols`, from block `start` of the column streams on."""
+        `c_cols`, from block `start` of the column streams on."""
         q = np.empty((M, 2), dtype=np.uint64)
-        flip = np.flatnonzero(self.s_bits)
-        for lo, hi in _chunks(u_cols.shape[1]):
-            q_cols = self.streams.read(start + lo // 16, hi - lo)
+        # column K i + y takes c_i where bit y of d_i is set; tree 0 sent
+        # none, its u_0 being b
+        flip = np.flatnonzero(self.s_bits[K:]) + K
+        mb = c_cols.shape[1]
+        trees = len(self.streams)
+        groups, leaves = _groups(trees, mb)
+        for lo, hi in _chunks(mb):
+            n = hi - lo
+            q_cols = np.empty((LAMBDA, n), dtype=np.uint8)
+            for first, last in groups:
+                # row y of tree i holds stream y ^ d_i, row 0 the one not
+                # held
+                leaves[:, 0] = 0
+                for tree, out in zip(self.streams[first:last], leaves):
+                    tree.read(start + lo // 16, n, out=out[1:])
+                _vole(leaves[:last - first, :, :n],
+                      q_cols.reshape(trees, K, n)[first:last])
             for j in flip:
-                q_cols[j] ^= u_cols[j, lo:hi]
+                q_cols[j] ^= c_cols[j // K - 1, lo:hi]
             _transpose_bits(q_cols, q[8 * lo:8 * hi])
-            del q_cols   # before the next chunk's columns are read
+            del q_cols   # before the next chunk's columns are made
         delta = np.packbits(self.s_bits).view("<u8").astype(np.uint64)
         return RandomOtSenderBatch(q, delta)

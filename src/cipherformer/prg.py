@@ -1,6 +1,7 @@
-"""AES-128 in counter mode, the one expansion behind every seed: the IKNP
-columns of `gc.ot`, and the seeds and uniform halves of the fresh
-ciphertexts and rotation keys of `pahe`."""
+"""AES-128 in counter mode, the one expansion behind every seed: the
+column streams that the GGM tree leaves of `gc.ot`'s OT extension key, and
+the seeds and uniform halves of the fresh ciphertexts and rotation keys of
+`pahe`.  (The GGM trees themselves grow under fixed-key AES, not here.)"""
 
 from __future__ import annotations
 

@@ -31,9 +31,10 @@ c1, 16 k n:
   ot-base        s -> c   nothing if the server resumes the outcome the
                           request names, else the 128 base-OT points B,
                           128 x 33
-  client-setup   c -> s   after points B only, the OT-extension seed
-                          pairs, 128 x 32; correction columns,
-                          128 x ceil(ot_total / 8); the encrypted one-hot
+  client-setup   c -> s   after points B only, the two sums of each GGM
+                          tree level, 128 x 32; correction columns,
+                          (128 / K - 1) x ceil(ot_total / 8), 63 rows at
+                          `gc.ot.K` = 2; the encrypted one-hot
                           input, an `input_layout` matrix of fresh cts, its
                           `steps` copies two to a ct
 
@@ -71,9 +72,10 @@ receiver tells the forms apart by the length in the frame header; ot-base
 fixes the form of client-setup before it is read.
 
 Base OT runs once per client key set.  Both parties keep its outcome (the
-client its seed pairs, the server its chosen seeds and s) under the
-outcome's name, the SHA-256 of point A and the 128 points B cut to 16
-bytes, which both hold, with a stream position and a session number.
+client the column streams its GGM trees' leaves key, the server those of
+its punctured trees and s) under the outcome's name, the SHA-256 of point
+A and the 128 points B cut to 16 bytes, which both hold, with a stream
+position and a session number.
 Every later session with the same key set adds a resume request to
 accept: both then extend at that position of the same column streams
 (`gc.ot`), garble under session-numbered tweaks
@@ -88,12 +90,13 @@ says), with points B, and the session runs as a first session in the same
 frames.  A resuming server still checks that A is a curve point.  A client
 forgets its outcome for a key set when a session with it fails.
 
-No input label costs a byte of its own.  The IKNP rows of the set-up are a
-correlated OT under the key set's one garbling offset, so the
-derandomization bits fix the zero labels the server garbles with, and the
-client already holds the label of each of its bits (`gc.ot`).  The server
-hardcodes its own mask bits and the constants into each garbling, so the
-client starts those wires at the all-zero label (`gc.garble.garble`).
+No input label costs a byte of its own.  The rows SoftSpokenOT extends
+are a correlated OT under the key set's one garbling offset, IKNP's
+correlation, so the derandomization bits fix the zero labels the server
+garbles with, and the client already holds the label of each of its bits
+(`gc.ot`).  The server hardcodes its own mask bits and the constants into
+each garbling, so the client starts those wires at the all-zero label
+(`gc.garble.garble`).
 
 Share switching works on a per-stage window of m bits: the server adds
 2^{m-1} + R (R fresh, below p - 2^m) onto each wire and ships the
@@ -150,8 +153,8 @@ from ..fixedpoint import to_field, to_signed
 from ..gc.circuit import Schedule, schedule, to_bits
 from ..gc.garble import (MAX_SESSIONS, b2a_corrections, b2a_shares,
                          evaluate, garble, tweak_namespace)
-from ..gc.ot import (LAMBDA, POINT_BYTES, BaseOtReceiver, BaseOtSender,
-                     OtExtReceiver, OtExtSender, RandomOtBatch,
+from ..gc.ot import (COLUMNS, LAMBDA, POINT_BYTES, BaseOtReceiver,
+                     BaseOtSender, OtExtReceiver, OtExtSender, RandomOtBatch,
                      RandomOtSenderBatch, decode_points, stream_blocks)
 from ..helinear import (COLBLOCKS, ROWS, EncMatrix, Layout,
                         add_offset, class_sums, colblock_diagonals,
@@ -190,13 +193,13 @@ MIN_RING_DEGREE = 512
 MAX_WIDTH = MAX_RING_DEGREE // 2
 # checked after the plan, before any key or OT is made: widths alone do
 # not bound a session, which holds tensors of two widths (dim x dim, say)
-# in every layer.  IKNP peaks at about 39 bytes per OT on the receiver and
-# 22 on the sender above its input (measured with tracemalloc at 2^18
-# OTs): the rows each party keeps as labels and the receiver's correction
-# columns hold 16 bytes per OT each, its choice bits one, and one chunk of
-# `gc.ot.CHUNK_OTS` column bits (1 MB) is expanded and transposed at a
-# time.  At 2^24 OTs the chunk is lost beside the rest: about 0.56 GB on
-# the receiver.
+# in every layer.  The OT extension peaks at about 34 bytes per OT on the
+# receiver and 24 on the sender above its input (measured with tracemalloc
+# at 2^18 OTs): the rows each party keeps as labels hold 16 bytes per OT,
+# the receiver's correction columns 8 (63 bits at `gc.ot.K` = 2) and its
+# choice bits one, and one chunk of `gc.ot.CHUNK_OTS` column bits (1 MB)
+# is expanded, combined and transposed at a time.  At 2^24 OTs the chunk
+# is lost beside the rest: about 0.42 GB on the receiver.
 MAX_OTS = 1 << 24
 # the wire bytes of every encrypted matrix and garbled stage of one session,
 # and the label array of any one garbling
@@ -450,17 +453,22 @@ def _parse_public_keys(blob: bytes, params: PaheParams,
 class _Extension:
     """What one base OT left a party for a client key set, which every later
     session with that key set extends (`gc.ot`): the column streams the
-    client's seed pairs key, or those of the server's chosen seeds and its
-    s bits, the garbling offset of all those sessions, and the digest that
-    names the outcome (`_outcome`).  Each party keeps copies of its streams
-    not yet set up (`prg.AesCtr`), so a key set that never resumes holds no
-    AES context."""
+    leaves of the client's GGM trees key, or those of the server's
+    punctured trees and its s bits, the garbling offset of all those
+    sessions, and the digest that names the outcome (`_outcome`).  Each
+    party keeps copies of its streams not yet set up (`_unset`), so a key
+    set that never resumes holds no AES context."""
 
-    streams: tuple[AesCtr, AesCtr] | AesCtr
+    streams: tuple[AesCtr, ...]
     s_bits: np.ndarray | None
     outcome: bytes
     position: int = 0    # the next AES block of every column stream
     session: int = 0     # the next session's number in its garbling tweaks
+
+
+def _unset(streams: tuple[AesCtr, ...]) -> tuple[AesCtr, ...]:
+    """Copies of column streams whose AES keys are not yet set up."""
+    return tuple(AesCtr(s.keys) for s in streams)
 
 
 class _Extensions:
@@ -510,8 +518,9 @@ class _Extensions:
 # the client's by `_cached_keys` arguments, the server's by the key blob's
 # SHA-256 and the outcome's name; each as many as `_cached_keys` holds, so
 # one client's key sets fit the server's.  The server keeps one for every
-# session that ran base OT, a client's that will never resume too (7 KB
-# each, about 170 KB once its AES keys are set up).
+# session that ran base OT, a client's that will never resume too (28 KB
+# each, its 192 leaf keys at `gc.ot.K` = 2; about 280 KB once they are set
+# up).
 _CLIENT_OT = _Extensions(_cached_keys.cache_parameters()["maxsize"])
 _SERVER_OT = _Extensions(_cached_keys.cache_parameters()["maxsize"])
 
@@ -778,14 +787,14 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     *bseed, bucol, bx = _recv(
         conn, tr, CLIENT_SETUP,
         [32 * LAMBDA] * (held is None)
-        + [LAMBDA * mb, geom.nbytes(geom.input_layout, fresh=True)])
+        + [COLUMNS * mb, geom.nbytes(geom.input_layout, fresh=True)])
     if bseed:
         ext.recover_seeds(_words(bseed[0], (LAMBDA, 2, 2)), base.keys())
         outcome = _outcome(bpt, base.msgs_b)
         _SERVER_OT.put((key_set, outcome), _Extension(
-            AesCtr(ext.streams.keys), ext.s_bits, outcome, blocks, 1))
-    u_cols = np.frombuffer(bucol, dtype=np.uint8).reshape(LAMBDA, mb)
-    pairs = ext.receive_extension(u_cols, geom.ot_total, start)
+            _unset(ext.streams), ext.s_bits, outcome, blocks, 1))
+    c_cols = np.frombuffer(bucol, dtype=np.uint8).reshape(COLUMNS, mb)
+    pairs = ext.receive_extension(c_cols, geom.ot_total, start)
 
     x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout,
                                  fresh=True)
@@ -913,7 +922,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     A fixed `seed` fixes every draw of the session: the key set, the
     encryption randomness, base-OT point A and the OT choice bits.
     Sessions with the same seed reuse one key set, and after the first they
-    ask to resume its IKNP extension; a server that does not hold it runs
+    ask to resume its OT extension; a server that does not hold it runs
     base OT in the same frames instead.  They also replay the same
     encryption randomness and choice bits, so a seed is for tests and
     benchmarks, never for two real inputs.  Without a seed every session
@@ -961,17 +970,16 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
             held = _Extension(ext.streams, None, _outcome(base.msg_a, bpts))
             if key_set is not None:
                 _CLIENT_OT.put(key_set, _Extension(
-                    tuple(AesCtr(s.keys) for s in ext.streams), None,
-                    held.outcome, blocks, 1))
+                    _unset(ext.streams), None, held.outcome, blocks, 1))
         else:
             ext = OtExtReceiver(rng, held.streams)
             seed_msgs = []
-        u_cols, batch = ext.extend(geom.ot_total, held.position)
+        c_cols, batch = ext.extend(geom.ot_total, held.position)
 
         onehot = np.zeros((L, vocab), dtype=np.uint64)
         onehot[np.arange(L), toks] = 1
         x_cb = pack_colblocks(ev, onehot, steps=geom.input_layout.steps)
-        _send(conn, tr, CLIENT_SETUP, *seed_msgs, u_cols.tobytes(),
+        _send(conn, tr, CLIENT_SETUP, *seed_msgs, c_cols.tobytes(),
               encmatrix_to_bytes(x_cb))
 
         cp = _ClientParty(conn, tr, geom, ev, keys, batch, held.session)

@@ -41,7 +41,7 @@ from math import log2
 import numpy as np
 
 from .errors import ParameterError
-from .gc.circuit import CONST0, CONST1, Builder, Circuit, Schedule, schedule
+from .gc.circuit import CONST0, CONST1, Builder, Circuit
 from .primes import next_prime
 
 SIGMA_TARGET = 16  # preferred statistical masking slack, bits
@@ -402,12 +402,6 @@ def stage_circuits(spec: StageSpec) -> list[tuple[StageGroup, Circuit, int]]:
         circuits = [affine_stage_circuit(m, shift, keep, relu)
                     for relu in rest[0]]
     return [(g, circ, E) for g, circ in zip(spec.groups, circuits)]
-
-
-def stage_schedule(spec: StageSpec) -> Schedule:
-    """The one walk over a stage's group circuits, in group order, built
-    afresh with its circuits."""
-    return schedule([circ for _g, circ, _E in stage_circuits(spec)])
 
 
 def plan_gate_counts(plan: StagePlan) -> dict[str, int]:

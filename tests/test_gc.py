@@ -13,8 +13,9 @@ from cipherformer.gc import ot as O
 from cipherformer.gc.circuit import (CONST0, CONST1, OP_AND, Builder,
                                      schedule, to_bits)
 from cipherformer.model import ModelConfig
-from cipherformer.stages import StageGroup, stage_circuits, stage_schedule
-from test_stages import sub, word_value
+from cipherformer.prg import AesCtr
+from cipherformer.stages import StageGroup, stage_circuits
+from test_stages import stage_schedule, sub, word_value
 
 
 def build_adder(width):
@@ -623,6 +624,18 @@ class TestStageWalk:
         for layer, stage, spec in specs:
             check_stage_walk(layer, stage, spec, rng)
 
+    @pytest.mark.parametrize("block", [1, 64, 1 << 40])
+    def test_tweak_runs_leave_the_garbling_as_it_is(self, monkeypatch,
+                                                    block):
+        """The AND tweaks are built for runs of whole levels: a run of one
+        level however small, runs of a few levels, or the whole walk at
+        once give the tables and outputs of the per-gate reference."""
+        monkeypatch.setattr(G, "_TWEAK_BLOCK", block)
+        (layer, stage, spec), = [s for s in _stage_specs(GC_L16,
+                                                         ("baseline",))
+                                 if s[2].kind == "rowdiv"]
+        check_stage_walk(layer, stage, spec, np.random.default_rng(506))
+
     def test_stage_of_unequal_instance_counts_is_refused(self):
         """One walk holds one instance count, so a stage whose groups
         differ in it is refused, not padded."""
@@ -924,6 +937,196 @@ class TestOt:
         sender = O.BaseOtSender(np.random.default_rng(3))
         with pytest.raises(ProtocolError, match="base-OT point refused"):
             sender.keys(bytes(O.LAMBDA * O.POINT_BYTES))
+
+
+# SoftSpokenOT against a reference written apart from `gc.ot`: one GGM node
+# at a time, puncturing from each level's sum off the path, and the VOLE
+# sums bit by bit over unpacked streams
+
+_TAU = bytes(15) + b"\x80"     # the top bit of a node's high word
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _ref_children(node: bytes) -> list[bytes]:
+    """H(node) and H(node ^ tau), H(x) = pi(x) ^ x, pi AES under the trees'
+    fixed key."""
+    pi = Cipher(algorithms.AES(O._GGM.algorithm.key), modes.ECB()).encryptor()
+    return [_xor(pi.update(x), x) for x in (node, _xor(node, _TAU))]
+
+
+def _ref_tree(root: bytes, k: int) -> list[list[bytes]]:
+    """Levels 0 .. k of the GGM tree under `root`; node j's children are
+    2j and 2j + 1 of the next level."""
+    levels = [[root]]
+    for _ in range(k):
+        levels.append([c for node in levels[-1] for c in _ref_children(node)])
+    return levels
+
+
+def _ref_level_sum(level: list[bytes], side: int) -> bytes:
+    out = bytes(16)
+    for node in level[side::2]:
+        out = _xor(out, node)
+    return out
+
+
+def _ref_punctured(off_path: list[bytes], d: int, k: int) -> list:
+    """The leaves rebuilt from the sum of each level l = 1 .. k on the side
+    off the path to leaf d, `off_path[l - 1]`: None where unknown, at leaf
+    d alone."""
+    level = [None]
+    for depth in range(1, k + 1):
+        kids = []
+        for node in level:
+            kids += [None, None] if node is None else _ref_children(node)
+        path = d >> (k - depth)
+        known = [n for n in kids[(path & 1) ^ 1::2] if n is not None]
+        sibling = off_path[depth - 1]
+        for node in known:
+            sibling = _xor(sibling, node)
+        kids[path ^ 1] = sibling
+        level = kids
+    return level
+
+
+def _ref_stream_bits(key: bytes, start: int, M: int) -> np.ndarray:
+    """M bits of the AES-CTR stream under `key` from block `start` on."""
+    ctr = Cipher(algorithms.AES(key), modes.CTR(start.to_bytes(16, "big")))
+    raw = ctr.encryptor().update(bytes(-(-M // 8)))
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:M]
+
+
+def _ref_rows(cols: np.ndarray) -> np.ndarray:
+    """The (M, 2) labels whose bit columns are `cols`, (LAMBDA, M)."""
+    rows = np.packbits(np.ascontiguousarray(cols.T), axis=1)
+    return rows.view("<u8").astype(np.uint64)
+
+
+def _ref_soft_spoken(roots, s_bits, k, M, start):
+    """Both halves of an extension from tree roots and s: the leaves, each
+    tree's level sums by leaf bit, the server's leaves, the choice bits,
+    the correction columns and both parties' rows."""
+    trees = [_ref_tree(r, k) for r in roots]
+    d = [int(sum(int(s_bits[k * i + y]) << y for y in range(k)))
+         for i in range(len(roots))]
+    # level k - y branches on bit y of a leaf's index
+    sums = [[[_ref_level_sum(t[k - y], side) for side in (0, 1)]
+             for y in range(k)] for t in trees]
+    punctured = [_ref_punctured([sums[i][k - depth][(d[i] >> (k - depth))
+                                                   & 1 ^ 1]
+                                 for depth in range(1, k + 1)], d[i], k)
+                 for i in range(len(roots))]
+    t_cols, q_cols, us = [], [], []
+    for i, tree in enumerate(trees):
+        r = [_ref_stream_bits(leaf, start, M) for leaf in tree[k]]
+        u = np.zeros(M, dtype=np.uint8)
+        v = np.zeros((k, M), dtype=np.uint8)
+        w = np.zeros((k, M), dtype=np.uint8)
+        for x, bits in enumerate(r):
+            u ^= bits
+            for y in range(k):
+                v[y] ^= (x >> y & 1) * bits
+                if x != d[i]:
+                    w[y] ^= ((x ^ d[i]) >> y & 1) * bits
+        us.append(u)
+        t_cols.append(v)
+        q_cols.append(w)
+    b = us[0]
+    c = [u ^ b for u in us[1:]]
+    for i in range(1, len(roots)):
+        for y in range(k):
+            q_cols[i][y] ^= (d[i] >> y & 1) * c[i - 1]
+    return dict(leaves=[t[k] for t in trees], sums=sums, d=d,
+                punctured=punctured, b=b, c=np.array(c),
+                t=_ref_rows(np.concatenate(t_cols)),
+                q=_ref_rows(np.concatenate(q_cols)))
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_soft_spoken_matches_the_reference(monkeypatch, k):
+    """At K = 2, 4 and 8, with s's colour column forced: the client's
+    leaves and level messages, the server's leaves, the choice bits, the
+    correction columns and both sides' rows are the reference's, the
+    server's leaf set of each tree lacks exactly leaf d_i, and the rows
+    hold q_j = t_j ^ b_j s.  The client's roots are the first bytes its
+    generator draws."""
+    monkeypatch.setattr(O, "K", k)
+    trees, M, start = O.LAMBDA // k, 203, 3
+    raw = np.random.default_rng(41).bytes(16 * trees)
+    roots = [raw[16 * i:16 * i + 16] for i in range(trees)]
+    recv = O.OtExtReceiver(np.random.default_rng(41))
+    send = O.OtExtSender(np.random.default_rng(42))
+    assert send.s_bits[O.COLOUR_COLUMN] == 1
+    ref = _ref_soft_spoken(roots, send.s_bits, k, M, start)
+
+    assert [tree.keys for tree in recv.streams] == ref["leaves"]
+    rng = np.random.default_rng(43)
+    k0, k1 = (rng.integers(0, 1 << 63, (O.LAMBDA, 2), dtype=np.uint64)
+              for _ in range(2))
+    msgs = recv.seed_messages(k0, k1)
+    for i in range(trees):
+        for y in range(k):
+            for c, key in enumerate((k0, k1)):
+                got = (msgs[k * i + y, c] ^ key[k * i + y]).astype("<u8")
+                assert got.tobytes() == ref["sums"][i][y][1 - c]
+    chosen = np.where(send.s_bits[:, None] == 1, k1, k0)
+    send.recover_seeds(msgs, chosen)
+    assert list(send.punctures()) == ref["d"]
+    for i, tree in enumerate(send.streams):
+        lacking = ref["leaves"][i][ref["d"][i]]
+        assert set(tree.keys) == set(ref["leaves"][i]) - {lacking}
+        assert len(tree.keys) == (1 << k) - 1
+        assert [ref["punctured"][i][y ^ ref["d"][i]]
+                for y in range(1, 1 << k)] == tree.keys
+
+    c_cols, batch = recv.extend(M, start)
+    assert c_cols.shape == (trees - 1, -(-M // 8))
+    assert np.array_equal(np.unpackbits(c_cols, axis=1)[:, :M], ref["c"])
+    assert np.array_equal(batch.b, ref["b"])
+    assert np.array_equal(batch.t, ref["t"])
+    pairs = send.receive_extension(c_cols, M, start)
+    assert np.array_equal(pairs.q, ref["q"])
+    b = batch.b[:, None].astype(np.uint64)
+    assert np.array_equal(pairs.q, batch.t ^ b * pairs.delta)
+    assert pairs.delta[0] & np.uint64(1) == 1
+
+
+def test_consecutive_extensions_share_no_stream_block(monkeypatch):
+    """Two extensions resumed at consecutive stream positions, read in
+    chunks of a few blocks, take disjoint block ranges of every stream on
+    both sides, the second starting where the first ends, and share no
+    row."""
+    recv_streams, send_streams, s_bits = _extension_streams()
+    read, blocks = AesCtr.read, {}
+
+    def recording(self, start, nbytes, out=None):
+        blocks.setdefault(id(self), []).append(
+            set(range(start, start + -(-nbytes // 16))))
+        return read(self, start, nbytes, out)
+
+    monkeypatch.setattr(AesCtr, "read", recording)
+    monkeypatch.setattr(O, "CHUNK_OTS", 1024)
+    M, P = 3000, 5
+    rng = np.random.default_rng(9)
+    rows = []
+    for position in (P, P + O.stream_blocks(M)):
+        c_cols, batch = O.OtExtReceiver(rng, recv_streams).extend(
+            M, position)
+        O.OtExtSender(rng, s_bits, send_streams).receive_extension(
+            c_cols, M, position)
+        rows.append(batch.t)
+    n = O.stream_blocks(M)
+    assert len(blocks) == len(recv_streams) + len(send_streams)
+    for reads in blocks.values():
+        # three chunks of eight blocks per extension
+        assert len(reads) == 6
+        first, second = set().union(*reads[:3]), set().union(*reads[3:])
+        assert first == set(range(P, P + n))
+        assert second == set(range(P + n, P + 2 * n))
+    assert not {r.tobytes() for r in rows[0]} & {r.tobytes() for r in rows[1]}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

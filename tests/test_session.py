@@ -21,7 +21,7 @@ import pytest
 
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.gc import garble as garble_module
-from cipherformer.gc.ot import LAMBDA, POINT_BYTES
+from cipherformer.gc.ot import COLUMNS, LAMBDA, POINT_BYTES
 from cipherformer import helinear, pahe
 from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
@@ -29,11 +29,10 @@ from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    matmul_mod, pack_colblocks, rows_per_ct)
 from cipherformer.model import ModelConfig, forward_fixed, gen_random
 from cipherformer.pahe import Evaluator, ct_nbytes, keygen
-from cipherformer.prg import AesCtr
-from cipherformer.protocol import (ACCEPT, FRAME_NAMES, HELLO, LOGITS,
-                                   MM_OPEN, MM_REPLY, OT_BASE, STAGE_OPEN,
-                                   STAGE_OT_REQ, STAGE_OT_RESP, STAGE_SHARE,
-                                   SocketConn,
+from cipherformer.protocol import (ACCEPT, CLIENT_SETUP, FRAME_NAMES, HELLO,
+                                   LOGITS, MM_OPEN, MM_REPLY, OT_BASE,
+                                   STAGE_OPEN, STAGE_OT_REQ, STAGE_OT_RESP,
+                                   STAGE_SHARE, SocketConn,
                                    memory_pair, private_inference, run_client,
                                    run_pair, run_server, session,
                                    session_geometry, tcp_accept, tcp_dial,
@@ -53,23 +52,23 @@ KEY_BLOB_BYTES = pahe.key_blob_nbytes(_OPT1.params, len(_OPT1.galois))
 REQUEST_BYTES = 8 + 16
 
 DIGESTS = {
-    "baseline": "43f39bc4f407250a9a632ae0fd2c2cc0"
-                "14136d6d8e362f3f79326e2039f9d82d",
-    "opt1": "6356960f8da57aff1647723143d0958f"
-            "07bd8bda037c443dfde585fc35964ef3",
-    "opt2": "74f65a4de670744cf2bd45074ab94523"
-            "03d896fbf473f33c4bf42f275ad9fb01",
+    "baseline": "81f32ea0ea52caeef15203a6f7e35a02"
+                "9544644bd32e8e9b352740aa25092f55",
+    "opt1": "e148b0699df6e602d1db304e1deb7250"
+            "c19d439a833b377905dfa410be5a6117",
+    "opt2": "3eb4ad6cdd93f9ba137463e7ccde29a6"
+            "9a38ead241f4c920637230c03bf0336f",
 }
-TWO_LAYER_DIGEST = ("349c5ce0e20194ae88b55a58c588b54b"
-                    "1b22214eb9356179c6b67eb728ab9ecc")
+TWO_LAYER_DIGEST = ("2c9e309c9d71856bddf89be9f81f285c"
+                    "6c9a7cf4dab5cca63dc611fe5240b3c7")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "0a7a6d52cb8607e78aae183526404645"
-                "13cc32c9442a062b7e8c7e0b96433754",
-    "opt1": "7ee2b00294c7584e247a97e513ed00f5"
-            "7599bab2922daff20ad973e72195f7df",
-    "opt2": "91c0fa9a86a57c0cf46c4a7003d4a2f0"
-            "a93aec151a047b6ca29f40b4c19beff8",
+    "baseline": "0bb9d8da4a187eff53daeaea6c0db445"
+                "57d21bcc1c2867536549e91d70025495",
+    "opt1": "cf7713b7a6722e896ae170ae9ee23d4d"
+            "e85a8dd8d693578982c00300e996d351",
+    "opt2": "fc0eca02d4f6b01b892ed6ebe778e337"
+            "271c32f1414368131791bf8d72168f6e",
 }
 
 
@@ -327,7 +326,7 @@ def test_resumed_session_is_exact_and_pinned(weights, monkeypatch, mode):
     """A client's second session with its key set runs no base OT: accept
     carries point A and then a resume request, 24 bytes more, ot-base is
     empty but still a round, and client-setup drops the 128 x 32 bytes of
-    seed messages.  Every other frame keeps its size, and the logits are
+    tree-level messages.  Every other frame keeps its size, and the logits are
     exact."""
     first, first_client = private_inference(CFG, weights, TOKENS, mode,
                                             server_seed=11, client_seed=12)
@@ -545,21 +544,17 @@ def test_resume_request_carries_the_client_position(weights, monkeypatch):
         assert part == point_a + (i * blocks).to_bytes(8, "little") + name
 
 
-class _OtherSeedPairs(session.OtExtReceiver):
-    """An IKNP receiver whose fresh seed pairs are not the ones its
+class _OtherTrees(session.OtExtReceiver):
+    """An OT-extension receiver whose fresh tree roots are not the ones its
     generator draws, as a client whose key set is not what fixes its base
     OT would have them."""
 
     def __init__(self, rng, streams=None):
-        super().__init__(rng, streams)
-        if streams is None:
-            self._seeds = tuple([bytes(b ^ 0x5A for b in seed)
-                                 for seed in half] for half in self._seeds)
-            self.streams = tuple(AesCtr(half) for half in self._seeds)
+        super().__init__(np.random.default_rng(99), streams)
 
 
 def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
-    """Two first sessions of one key set with other seed pairs, the
+    """Two first sessions of one key set with other tree roots, the
     client's outcome forgotten in between (as two client processes would
     have it), leave the server two outcomes at the same stream position.
     A resume request for the first extends the first; once the server
@@ -573,7 +568,7 @@ def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
     kept = replace(kept)
     session._CLIENT_OT.clear()
     with monkeypatch.context() as patched:
-        patched.setattr(session, "OtExtReceiver", _OtherSeedPairs)
+        patched.setattr(session, "OtExtReceiver", _OtherTrees)
         private_inference(CFG, weights, TOKENS, "opt1", server_seed=13,
                           client_seed=12)
     second = session._CLIENT_OT._held[key]
@@ -710,7 +705,7 @@ def test_no_tweak_or_iknp_row_repeats_across_resumed_sessions(weights,
                                                               monkeypatch):
     """One garbling offset serves a fresh session and the two that resume
     it.  Over all three, the garbler queries no hash tweak with labels
-    other than the two labels X and X ^ delta of one wire, and no IKNP row
+    other than the two labels X and X ^ delta of one wire, and no OT row
     of one session is a row of another: each extends fresh stream
     blocks.  The hash takes each label doubled, which is one to one, so
     the queried labels are the recorded doubles halved."""
@@ -842,11 +837,11 @@ HE_SMALL = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
 @pytest.mark.parametrize("cfg,mode,c2s,s2c,gc", [
     pytest.param(CFG, "baseline", None, None, None, id="baseline"),
     # byte totals on the benchmark's three workloads' shapes
-    pytest.param(CFG, "opt1", 534_665, 637_137, 363_176, id="opt1"),
+    pytest.param(CFG, "opt1", 490_465, 637_137, 363_176, id="opt1"),
     pytest.param(CFG, "opt2", None, None, None, id="opt2"),
-    pytest.param(GC_L16, "baseline", 1_067_249, 5_204_689, 4_933_712,
+    pytest.param(GC_L16, "baseline", 829_089, 5_204_689, 4_933_712,
                  id="gc-l16-baseline"),
-    pytest.param(HE_SMALL, "opt2", 2_277_233, 4_604_113, 4_067_792,
+    pytest.param(HE_SMALL, "opt2", 1_714_593, 4_604_113, 4_067_792,
                  id="he-small-opt2"),
 ])
 def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
@@ -1194,6 +1189,47 @@ def test_server_refuses_share_without_its_copies(weights):
     assert isinstance(client_err, ProtocolError)
 
 
+# a first session's client-setup: the tree-level messages, 128 x 32 bytes,
+# then the correction columns, COLUMNS x ceil(ot_total / 8)
+LEVEL_BYTES = 32 * LAMBDA
+COLUMN_BYTES = -(-_OPT1.ot_total // 8)
+
+
+def _iknp_columns(blob: bytearray):
+    end = LEVEL_BYTES + COLUMNS * COLUMN_BYTES
+    blob[end:end] = bytes((LAMBDA - COLUMNS) * COLUMN_BYTES)
+
+
+def _levels_short(blob: bytearray):
+    del blob[LEVEL_BYTES - 1]
+
+
+def _levels_long(blob: bytearray):
+    blob[LEVEL_BYTES:LEVEL_BYTES] = b"\0"
+
+
+@pytest.mark.parametrize("edit,change", [
+    pytest.param(_iknp_columns, (LAMBDA - COLUMNS) * COLUMN_BYTES,
+                 id="128-columns"),
+    pytest.param(_levels_short, -1, id="levels-one-short"),
+    pytest.param(_levels_long, 1, id="levels-one-long"),
+])
+def test_server_refuses_client_setup_off_the_plan(weights, edit, change):
+    """client-setup carries LAMBDA / K - 1 correction columns after the
+    tree-level messages: a block of IKNP's 128 columns, or level messages
+    one byte short or long, is refused from the frame's length."""
+    want = (LEVEL_BYTES + COLUMNS * COLUMN_BYTES
+            + _OPT1.nbytes(_OPT1.input_layout, fresh=True))
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(
+            _EditFirstFrame(conn, CLIENT_SETUP, edit), TOKENS, seed=12)))
+    assert isinstance(server_err, ProtocolError)
+    assert (f"client-setup frame of {want + change} bytes, the plan's has "
+            f"{want}") in str(server_err)
+    assert isinstance(client_err, ProtocolError)
+
+
 def test_client_refuses_product_factor_off_the_plan(weights, monkeypatch):
     """The first product's masked factor K arrives with one ciphertext too
     many; the client refuses the frame against the layout of the K share it
@@ -1522,7 +1558,7 @@ def test_session_bound_counts_every_matrix_frame(weights, mode):
                                   server_seed=11, client_seed=12)
     geom = server.geometry
     frames = [f for f in server.transcript.frames if f.name in MATRIX_FRAMES]
-    ot_part = 32 * LAMBDA + LAMBDA * -(-geom.ot_total // 8)
+    ot_part = 32 * LAMBDA + COLUMNS * -(-geom.ot_total // 8)
     assert (sum(f.nbytes for f in frames) - ot_part
             == sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent()))
     assert sum(f.nbytes for f in frames if f.name == "mm-reply") \

@@ -5,7 +5,7 @@ import pytest
 
 from cipherformer import stages as S
 from cipherformer.errors import ParameterError
-from cipherformer.gc.circuit import CONST0, CONST1, Builder, to_bits
+from cipherformer.gc.circuit import CONST0, CONST1, Builder, schedule, to_bits
 from cipherformer.model import ModelConfig
 
 TOY = dict(seq_len=8, dim=4, ff_dim=16, n_layers=1, w=20, f=9)
@@ -20,6 +20,12 @@ def word_value(bits: np.ndarray, signed: bool = False):
     if signed:
         val = val - ((bits[..., -1].astype(np.int64)) << w)
     return val
+
+
+def stage_schedule(spec: S.StageSpec):
+    """The one walk over a stage's group circuits, in group order, built
+    afresh with its circuits, as `session_geometry` builds it."""
+    return schedule([circ for _g, circ, _E in S.stage_circuits(spec)])
 
 
 def _window_shares(xs, m, seed=7):
@@ -464,4 +470,4 @@ class TestGateCounts:
                           ff_dim=ff_dim, n_layers=n_layers, n_classes=2)
         assert sum(lv.n_and > 0 for enc in cfg.plan(mode).encoders
                    for spec in enc
-                   for lv in S.stage_schedule(spec).levels) == levels
+                   for lv in stage_schedule(spec).levels) == levels
