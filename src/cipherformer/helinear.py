@@ -107,9 +107,9 @@ A matrix, and a product reply, is its ciphertext batch back to back and
 nothing else (`pahe.cts_to_bytes`), copies two to a ciphertext.  Everything
 the key holder sends is a fresh encryption, each ciphertext its c0 and the
 16-byte seed of its c1; everything the other side sends is computed, each
-ciphertext its c0 and c1.  The receiver takes the layout, hence the count,
-from its own session plan, and the form from the direction, and refuses a
-payload of any other length.
+ciphertext its c0 and c1; every residue at the basis' width.  The receiver
+takes the layout, hence the count, from its own session plan, and the form
+from the direction, and refuses a payload of any other length.
 """
 
 from __future__ import annotations

@@ -51,19 +51,22 @@ Noise is tracked as a running upper-bound estimate in bits; the remaining
 budget is (log2 q - log2 p - 1) minus that estimate, and operations raise
 NoiseBudgetError rather than silently producing garbage.
 
-Serialization carries data only: residues as little-endian 64-bit words,
-each (k, n) polynomial prime by prime, and seeds as their 16 bytes.  A
-ciphertext is its c0, then, if it is a fresh encryption, the seed of its
-c1 (8kn + 16 bytes), else its c1 (16kn bytes); a batch is its ciphertexts
+Serialization carries data only: residues at the basis' width b, the bit
+length of the largest prime (`PaheParams.residue_bits`), each (k, n)
+polynomial prime by prime in one little-endian bit stream (`_pack`), and
+seeds as their 16 bytes.  As n >= 16, every polynomial ends on a byte.  A
+ciphertext is its c0, then, if it is a fresh encryption, the seed of its c1
+(bkn/8 + 16 bytes), else its c1 (2bkn/8 bytes); a batch is its ciphertexts
 back to back.  A Galois key is its k0 digit stack, then the seed of its k1
-stack (8k^2 n + 16 bytes).  There is no magic, parameter block, count,
+stack (bk^2 n/8 + 16 bytes).  There is no magic, parameter block, count,
 length prefix or noise estimate.  The session's parameters, the receiver's
-own count and which form it expects fix every size, and a decoder refuses
-a payload of any other length or a residue not reduced mod its prime; any
-16 bytes are a seed.  A decoder expands every seed as it parses, so what
-it returns is the same (B, 2, k, n) batch, or key, the sender holds.  Only
-the key holder encrypts, and everything it sends is fresh; the other party
-computes on what it parses, and sends only computed ciphertexts, in full.
+own count and which form it expects fix every size, and a decoder refuses a
+payload of any other length or a residue not reduced mod its prime, which b
+bits can hold up to 2^b - 1; any 16 bytes are a seed.  A decoder expands
+every seed as it parses, so what it returns is the same (B, 2, k, n) batch,
+or key, the sender holds.  Only the key holder encrypts, and everything it
+sends is fresh; the other party computes on what it parses, and sends only
+computed ciphertexts, in full.
 """
 
 from __future__ import annotations
@@ -199,6 +202,13 @@ class PaheParams:
         """A secret-key encryption's error, plus half a unit of rounding
         in the scaled message."""
         return log2(_ERR_BOUND + 0.5)
+
+    @property
+    def residue_bits(self) -> int:
+        """The width every residue travels at: the bit length of the largest
+        prime.  It is at least 8: p = 1 mod 2n with n >= 16 is at least 97,
+        the one prime = 1 mod 32 under 2^7, and q > 4 p^2 needs another."""
+        return max(self.q_primes).bit_length()
 
     @property
     def keyswitch_noise_bits(self) -> float:
@@ -825,8 +835,9 @@ class Evaluator:
 
 def ct_nbytes(params: PaheParams, fresh: bool) -> int:
     """Wire size of one ciphertext: its c0, then the seed of its c1 if it
-    is a fresh encryption, else its c1."""
-    half = 8 * params.k * params.n
+    is a fresh encryption, else its c1; each (k, n) half is b k n / 8
+    bytes at the basis' width b (`PaheParams.residue_bits`)."""
+    half = params.residue_bits * params.k * params.n // 8
     return half + (SEED_BYTES if fresh else half)
 
 
@@ -835,11 +846,69 @@ def le64(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<u8").tobytes()
 
 
-def _residues(buf, shape: tuple[int, ...], params: PaheParams) -> np.ndarray:
-    """The residue array of exactly `shape` that `buf` holds; the
-    second-to-last axis runs over the primes, and every residue must be
-    reduced mod its prime."""
-    arr = np.frombuffer(buf, dtype="<u8").reshape(shape).astype(np.uint64)
+def _runs(buf: np.ndarray, runs: int, width: int, r: int):
+    """Value r of every run of 8 values that `buf`, a bit stream at
+    `width` bits with 8 spare bytes after it, holds: each run is `width`
+    bytes, and value r starts at bit s of byte o of its run, (o, s) =
+    divmod(r width, 8).  The 8 bytes from there as a strided (runs,) view
+    of unaligned 64-bit words, which hold the value's low 64 - s bits; and
+    the ninth byte as a (runs,) uint8 view if the value reaches into it (a
+    width past 57 bits), else None."""
+    o, s = divmod(r * width, 8)
+    low = np.ndarray((runs,), "<u8", buf, o, (width,))
+    high = (np.ndarray((runs,), np.uint8, buf, o + 8, (width,))
+            if s + width > 64 else None)
+    return np.uint64(s), low, high
+
+
+def _pack(values: np.ndarray, width: int) -> np.ndarray:
+    """Rows of values below 2^width, (..., N) with 8 | N, as one
+    little-endian bit stream, (..., N width / 8) uint8: value i of the
+    stream takes its bits [i width, (i + 1) width).  Every row ends on a
+    byte, so rows pack back to back with no pad bit.  A run of 8 values is
+    `width` bytes, so value r of every run is one strided view
+    (`_runs`), and a width of at least 8 keeps a view's words apart."""
+    *lead, count = values.shape
+    if count % 8 or not 8 <= width <= 62:
+        raise ParameterError(f"rows of {count} values at {width} bits do "
+                             f"not pack to whole bytes")
+    runs = values.reshape(-1, 8)
+    buf = np.zeros(len(runs) * width + 8, dtype=np.uint8)
+    for r in range(8):
+        s, low, high = _runs(buf, len(runs), width, r)
+        low |= runs[:, r] << s
+        if high is not None:
+            high |= (runs[:, r] >> (np.uint64(64) - s)).astype(np.uint8)
+    return buf[:-8].reshape(*lead, count * width // 8)
+
+
+def _unpack(packed: np.ndarray, width: int) -> np.ndarray:
+    """`_pack` undone: (..., N width / 8) uint8 bit streams, (..., N)
+    uint64 values below 2^width."""
+    *lead, nbytes = packed.shape
+    if nbytes % width or not 8 <= width <= 62:
+        raise ParameterError(f"{nbytes} bytes are no whole number of "
+                             f"8-value runs at {width} bits")
+    runs = packed.size // width
+    buf = np.zeros(runs * width + 8, dtype=np.uint8)
+    buf[:-8].reshape(packed.shape)[...] = packed
+    out = np.empty((runs, 8), dtype=np.uint64)
+    for r in range(8):
+        s, low, high = _runs(buf, runs, width, r)
+        np.right_shift(low, s, out=out[:, r])
+        if high is not None:
+            out[:, r] |= high.astype(np.uint64) << (np.uint64(64) - s)
+    out &= np.uint64((1 << width) - 1)
+    return out.reshape(*lead, 8 * nbytes // width)
+
+
+def _residues(packed: np.ndarray, shape: tuple[int, ...],
+              params: PaheParams) -> np.ndarray:
+    """The residue array of exactly `shape` that `packed`, uint8 rows of
+    bit streams at the basis' width, holds; the second-to-last axis runs
+    over the primes, and every residue must be reduced mod its prime,
+    which refuses any value in [q_i, 2^b) the width can carry."""
+    arr = _unpack(packed, params.residue_bits).reshape(shape)
     if np.any(arr >= params.q_col):
         raise ProtocolError("residue not reduced mod its prime")
     return arr
@@ -847,24 +916,32 @@ def _residues(buf, shape: tuple[int, ...], params: PaheParams) -> np.ndarray:
 
 def _seeded_from_bytes(buf, count: int, shape: tuple[int, ...],
                        params: PaheParams) -> tuple[np.ndarray, np.ndarray]:
-    """`count` records back to back, each a residue array of `shape` and
-    then a seed, from a buffer of exactly their size: the (count, *shape)
-    residues, each reduced mod its prime, and the (count, SEED_BYTES)
-    seeds."""
-    width = 8 * prod(shape)
-    rec = np.frombuffer(buf, dtype=np.uint8).reshape(count, width + SEED_BYTES)
-    return (_residues(np.ascontiguousarray(rec[:, :width]), (count, *shape),
-                      params),
-            rec[:, width:].copy())
+    """`count` records back to back, each a residue array of `shape`
+    packed at the basis' width and then a seed, from a buffer of exactly
+    their size: the (count, *shape) residues, each reduced mod its prime,
+    and the (count, SEED_BYTES) seeds."""
+    size = params.residue_bits * prod(shape) // 8
+    rec = np.frombuffer(buf, dtype=np.uint8).reshape(count, size + SEED_BYTES)
+    return (_residues(rec[:, :size], (count, *shape), params),
+            rec[:, size:].copy())
+
+
+def _with_seeds(residues: np.ndarray, seeds: np.ndarray,
+                params: PaheParams) -> bytes:
+    """Records back to back, each a (..., k, n) residue array of the
+    (B, ..., k, n) `residues` packed at the basis' width, then its seed;
+    all B packed in one call."""
+    packed = _pack(residues.reshape(len(residues), prod(residues.shape[1:])),
+                   params.residue_bits)
+    return np.hstack([packed, seeds]).tobytes()
 
 
 def cts_to_bytes(cts: Ciphertexts) -> bytes:
-    """The ciphertexts back to back: a fresh batch as each one's c0 and
-    seed, any other as each one's c0 and c1."""
+    """The ciphertexts back to back: a fresh batch as each one's packed c0
+    and its seed, any other as each one's packed c0 and c1 (`ct_nbytes`)."""
     if not cts.fresh:
-        return le64(cts.data)
-    return b"".join(le64(c0) + seed.tobytes()
-                    for c0, seed in zip(cts.data[:, 0], cts.seeds))
+        return _pack(cts.data.reshape(-1), cts.params.residue_bits).tobytes()
+    return _with_seeds(cts.data[:, 0], cts.seeds, cts.params)
 
 
 def cts_from_bytes(data, params: PaheParams, count: int, what: str, *,
@@ -890,21 +967,27 @@ def cts_from_bytes(data, params: PaheParams, count: int, what: str, *,
         c0, seeds = _seeded_from_bytes(data, count, (k, n), params)
         arr = np.stack([c0, expand_seeds(params, seeds)], axis=1)
     else:
-        arr = _residues(data, (count, 2, k, n), params)
+        arr = _residues(np.frombuffer(data, dtype=np.uint8),
+                        (count, 2, k, n), params)
     return Ciphertexts(params, arr, np.full(count, params.fresh_noise_bits))
 
 
 def key_blob_nbytes(params: PaheParams, keys: int) -> int:
     """Wire size of a key blob with `keys` Galois keys: per key its (k, k, n)
-    k0 digit stack and the seed of its k1 stack, and nothing else."""
-    return (8 * params.k * params.k * params.n + SEED_BYTES) * keys
+    k0 digit stack, b k^2 n / 8 bytes at the basis' width b, and the seed
+    of its k1 stack, and nothing else."""
+    stack = params.residue_bits * params.k * params.k * params.n // 8
+    return (stack + SEED_BYTES) * keys
 
 
 def public_keys_to_bytes(km: KeyMaterial) -> bytes:
-    """Each Galois key's k0 digit stack and k1 seed, in element order; the
-    blob holds no encryption key."""
-    return b"".join(le64(km.galois[t].k0) + km.galois[t].seed.tobytes()
-                    for t in sorted(km.galois))
+    """Each Galois key's packed k0 digit stack and k1 seed, in element
+    order (`key_blob_nbytes`); the blob holds no encryption key."""
+    keys = [km.galois[t] for t in sorted(km.galois)]
+    if not keys:
+        return b""
+    return _with_seeds(np.stack([key.k0 for key in keys]),
+                       np.stack([key.seed for key in keys]), km.params)
 
 
 def public_keys_from_bytes(data, params: PaheParams,

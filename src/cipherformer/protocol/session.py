@@ -10,11 +10,13 @@ and the receiver sizes each part from its own `Geometry` and the stage
 circuits before it reads the frame, so a frame of any other length is
 refused from its header (`framing.read_frame`).  Sizes are in bytes; a
 batch of cts is its cts back to back (`pahe.cts_to_bytes`), and a matrix
-of a layout is the batch of that layout's `ct_count` ciphertexts.  The
-form of a ct is fixed by its direction (`pahe.ct_nbytes`): every ct the
-client sends is a fresh encryption, its c0 and the 16-byte seed of its
-uniform c1, 8 k n + 16; every ct the server sends is computed, its c0 and
-c1, 16 k n:
+of a layout is the batch of that layout's `ct_count` ciphertexts.  Every
+residue travels at the basis' width b, the bit length of its largest prime
+(`PaheParams.residue_bits`: 51 on he-small, 50 on gc-l16 and tiny), so a
+(k, n) polynomial is b k n / 8 bytes.  The form of a ct is fixed by its
+direction (`pahe.ct_nbytes`): every ct the client sends is a fresh
+encryption, its c0 and the 16-byte seed of its uniform c1, b k n / 8 + 16;
+every ct the server sends is computed, its c0 and c1, 2 b k n / 8:
 
   hello          s -> c   81: the mode's index in `stages.MODES` (1), then
                           vocab, seq_len, dim, ff_dim, n_layers, n_classes,
@@ -23,7 +25,7 @@ c1, 16 k n:
                           on any disagreement
   accept         c -> s   the key blob, per Galois key its (k, k, n) k0
                           digit stack and the seed of its k1 stack,
-                          (8 k^2 n + 16) |galois|; base-OT point A
+                          (b k^2 n / 8 + 16) |galois|; base-OT point A
                           (compressed P-256), 33; then, if the client holds
                           a base-OT outcome for the key set, a resume
                           request: the client's stream position (8,
@@ -798,6 +800,7 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
 
     x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout,
                                  fresh=True)
+    del bucol, c_cols, bx   # read once; 0.55 MB of columns on he-small
 
     sp = _ServerParty(conn, tr, geom, ev, rng, pairs, number)
     held = {"x": x_enc}
@@ -981,6 +984,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
         x_cb = pack_colblocks(ev, onehot, steps=geom.input_layout.steps)
         _send(conn, tr, CLIENT_SETUP, *seed_msgs, c_cols.tobytes(),
               encmatrix_to_bytes(x_cb))
+        del c_cols, x_cb   # sent; the session never reads them again
 
         cp = _ClientParty(conn, tr, geom, ev, keys, batch, held.session)
         held_layouts: dict[str, Layout] = {}

@@ -5,12 +5,13 @@ the same round count.  The garbled-circuit material moved during stages
 (the derandomization bits of stage-ot-req, then the tables and the B2A
 corrections of stage-ot-resp; no input label travels) is counted from those
 frames apart from ciphertext traffic, so transfer comparisons between modes
-measure what they claim to.
+measure what they claim to.  The transcript keeps sizes, not bytes: it
+hashes nothing, and whoever needs a session's bytes reads them off the
+connection.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .framing import FRAME_NAMES, STAGE_OT_REQ, STAGE_OT_RESP
@@ -34,8 +35,6 @@ class Transcript:
     frames: list[FrameInfo] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     counters: dict = field(default_factory=dict)
-    _digest: "hashlib._Hash" = field(default_factory=lambda: hashlib.sha256(),
-                                     repr=False)
 
     @property
     def rounds(self) -> int:
@@ -55,14 +54,6 @@ class Transcript:
     def record(self, direction: str, ftype: int, payload: bytes):
         self.frames.append(FrameInfo(len(self.frames), direction, ftype,
                                      len(payload)))
-        self._digest.update(bytes([ftype]))
-        self._digest.update(len(payload).to_bytes(4, "little"))
-        self._digest.update(payload)
 
     def add_event(self, **fields):
         self.events.append(dict(fields))
-
-    def digest(self) -> str:
-        """Order-sensitive hash of every frame seen; two transports carrying
-        the same session produce the same digest."""
-        return self._digest.hexdigest()

@@ -650,8 +650,9 @@ def test_ctmm_row_counter_tracks_output_rows(setup):
 def test_encmatrix_wire_roundtrip(setup, small):
     """A matrix on the wire is its ciphertexts and nothing else; it decodes
     against the layout it was packed in.  A freshly packed matrix sends
-    each ciphertext as its c0 and a 16-byte seed; one computed from it (a
-    plaintext offset added) sends each as its c0 and c1."""
+    each ciphertext as its c0, packed at the basis' width b, and a 16-byte
+    seed; one computed from it (a plaintext offset added) sends each as
+    its c0 and c1."""
     par, keys, ev, _ = setup
     spar, skeys, sev = small
     rng = np.random.default_rng(500)
@@ -664,7 +665,8 @@ def test_encmatrix_wire_roundtrip(setup, small):
              Layout(COLBLOCKS, 8, 5, 3))):
         blob = encmatrix_to_bytes(enc)
         assert len(blob) == len(enc.cts) * pahe.ct_nbytes(params, fresh=True)
-        assert pahe.ct_nbytes(params, fresh=True) == 8 * params.k * params.n + 16
+        assert pahe.ct_nbytes(params, fresh=True) == \
+            params.residue_bits * params.k * params.n // 8 + 16
         assert layout.ct_count(params) == len(enc.cts)
         back = encmatrix_from_bytes(blob, params, layout, fresh=True)
         assert back.layout == enc.layout == layout

@@ -1,6 +1,5 @@
 """Packed-AHE unit tests: algebra, rotations, noise accounting, wire format."""
 
-import struct
 from math import inf, log2
 
 import numpy as np
@@ -702,6 +701,49 @@ def computed(cts):
     return pahe.Ciphertexts(cts.params, cts.data, cts.noise_bits)
 
 
+def packed(par, arr) -> bytes:
+    """The wire form of `arr`'s residues, worked out in Python ints: in C
+    order, each in the basis' b bits of one little-endian bit stream."""
+    b, out = par.residue_bits, 0
+    for i, v in enumerate(np.ravel(arr)):
+        out |= int(v) << (b * i)
+    return out.to_bytes(b * np.size(arr) // 8, "little")
+
+
+def with_residue(par, blob: bytes, start: int, index: int, value: int) -> bytes:
+    """`blob` with residue `index` of the packed stream that begins at
+    byte `start` set to `value`, which may be any b-bit value."""
+    b = par.residue_bits
+    lo, hi = start + b * index // 8, start + -(-b * (index + 1) // 8)
+    shift = b * index % 8
+    word = int.from_bytes(blob[lo:hi], "little")
+    word = word & ~(((1 << b) - 1) << shift) | value << shift
+    return blob[:lo] + word.to_bytes(hi - lo, "little") + blob[hi:]
+
+
+def sixty_bit_params():
+    """A basis of two 60-bit primes on the smallest ring, n = 16: a
+    polynomial is 16 k = 32 residues, half a packing group."""
+    n = 16
+    q0 = next_prime(1 << 59, congruent=(1, 2 * n))
+    return pahe.PaheParams(n=n, p=next_prime(1 << 20, congruent=(1, 2 * n)),
+                           q_primes=(q0, next_prime(q0 + 1,
+                                                    congruent=(1, 2 * n))))
+
+
+def wire_bases():
+    """Every basis width the wire carries: the session bases (tiny opt1
+    at 50 bits, he-small opt2 at 51), the P20-sized test base (47) and
+    60-bit primes."""
+    tiny = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
+                       n_classes=2, w=20, f=9)
+    he_small = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32,
+                           n_layers=2, n_classes=2)
+    return [session_geometry(tiny, "opt1").params,
+            session_geometry(he_small, "opt2").params,
+            pahe.session_params(P20, 256), sixty_bit_params()]
+
+
 class TestWireFormat:
     def test_ciphertext_roundtrip(self, setup):
         """A batch on the wire is its ciphertexts back to back: a fresh
@@ -713,10 +755,10 @@ class TestWireFormat:
         cts = ev.encrypt_many(vs)
         assert cts.fresh and cts.seeds.shape == (3, pahe.SEED_BYTES)
         blob = pahe.cts_to_bytes(cts)
-        assert blob == b"".join(pahe.le64(cts.data[b, 0])
+        assert blob == b"".join(packed(par, cts.data[b, 0])
                                 + cts.seeds[b].tobytes() for b in range(3))
         full = pahe.cts_to_bytes(computed(cts))
-        assert full == b"".join(pahe.le64(cts.data[b, c])
+        assert full == b"".join(packed(par, cts.data[b, c])
                                 for b in range(3) for c in range(2))
         for data, fresh in ((blob, True), (full, False)):
             back = pahe.cts_from_bytes(data, par, 3, "test batch",
@@ -728,18 +770,20 @@ class TestWireFormat:
     def test_params_mismatch(self, setup):
         """A ciphertext or key blob made on another ring is the peer's
         error: the session's parameters fix its size, and it has another.
-        A fresh ciphertext is 8kn + 16 bytes, a computed one 16kn, and a
-        key 8k^2 n + 16."""
+        At the basis' width b, a fresh ciphertext is b k n / 8 + 16 bytes,
+        a computed one 2 b k n / 8, and a key b k^2 n / 8 + 16."""
         par, km, ev, rng = setup
+        b = par.residue_bits
+        assert b == 47
         ct = enc(ev, rand_vec(par, rng))
         blob = pahe.cts_to_bytes(ct)
         assert len(blob) == pahe.ct_nbytes(par, fresh=True) == \
-            8 * par.k * par.n + 16
+            b * par.k * par.n // 8 + 16
         assert len(pahe.cts_to_bytes(computed(ct))) == \
-            pahe.ct_nbytes(par, fresh=False) == 16 * par.k * par.n
+            pahe.ct_nbytes(par, fresh=False) == 2 * b * par.k * par.n // 8
         keys = pahe.public_keys_to_bytes(km.public())
         assert len(keys) == pahe.key_blob_nbytes(par, len(km.galois)) == \
-            len(km.galois) * (8 * par.k * par.k * par.n + 16)
+            len(km.galois) * (b * par.k * par.k * par.n // 8 + 16)
         other = pahe.session_params(P20, 512)
         with pytest.raises(ProtocolError, match="ciphertext needs 1 ciphertexts"):
             pahe.cts_from_bytes(blob, other, 1, "ciphertext", fresh=True)
@@ -761,7 +805,10 @@ class TestWireFormat:
 
     def test_crafted_ciphertexts_rejected(self, setup):
         """In either form, a batch one byte short, padded by a word or by a
-        whole ciphertext, or with an unreduced c0 residue, is refused."""
+        whole ciphertext, or with an unreduced residue, is refused: the
+        last c0 residue of the first or the last prime, or in a computed
+        ciphertext the last c1 residue, set to its prime or to 2^b - 1,
+        the largest value its b bits hold."""
         par, km, ev, rng = setup
         ct = enc(ev, rand_vec(par, rng))
         for fresh in (True, False):
@@ -770,11 +817,15 @@ class TestWireFormat:
                 with pytest.raises(ProtocolError, match="needs 1 ciphertexts"):
                     pahe.cts_from_bytes(bad, par, 1, "ciphertext",
                                         fresh=fresh)
-            big = bytearray(blob)
-            struct.pack_into("<Q", big, 8 * (par.n - 1), par.q_primes[0] + 5)
-            with pytest.raises(ProtocolError, match="residue"):
-                pahe.cts_from_bytes(bytes(big), par, 1, "ciphertext",
-                                    fresh=fresh)
+            halves = (0,) if fresh else (0, 1)
+            for half, i in ((c, i) for c in halves for i in (0, par.k - 1)):
+                for value in (par.q_primes[i], (1 << par.residue_bits) - 1):
+                    big = with_residue(par, blob, 0,
+                                       (half * par.k + i + 1) * par.n - 1,
+                                       value)
+                    with pytest.raises(ProtocolError, match="residue"):
+                        pahe.cts_from_bytes(big, par, 1, "ciphertext",
+                                            fresh=fresh)
         # the wire carries no noise estimate: a parsed ciphertext counts as
         # fresh, whatever its sender's estimate was
         worn = pahe.Ciphertexts(par, ct.data, np.array([par.max_budget_bits - 1]))
@@ -808,13 +859,81 @@ class TestWireFormat:
                                match="the session's 4 Galois keys need"):
                 pahe.public_keys_from_bytes(
                     pahe.public_keys_to_bytes(forged), par, want)
-        # the last k0 stack's last residue, just before the last seed,
-        # past its prime
-        big = bytearray(blob)
-        struct.pack_into("<Q", big, len(big) - pahe.SEED_BYTES - 8,
-                         par.q_primes[-1])
-        with pytest.raises(ProtocolError, match="residue"):
-            pahe.public_keys_from_bytes(bytes(big), par, want)
+        # the last k0 stack's last residue, just before the last seed, at
+        # its prime or at 2^b - 1, and the first stack's first residue at
+        # the first prime
+        stack = pahe.key_blob_nbytes(par, 1) - pahe.SEED_BYTES
+        last = len(blob) - pahe.SEED_BYTES - stack
+        for start, index, q in ((last, par.k * par.k * par.n - 1,
+                                 par.q_primes[-1]),
+                                (0, 0, par.q_primes[0])):
+            for value in (q, (1 << par.residue_bits) - 1):
+                with pytest.raises(ProtocolError, match="residue"):
+                    pahe.public_keys_from_bytes(
+                        with_residue(par, blob, start, index, value), par,
+                        want)
+
+    @pytest.mark.parametrize("par", wire_bases(),
+                             ids=lambda par: f"b{par.residue_bits}")
+    def test_packer_round_trips_at_every_basis_width(self, par):
+        """Residues travel at the basis' width, in C order, value i of a
+        stream in its bits [i b, (i + 1) b), and parse back exactly: random
+        residues, and every residue at 0 or at q_i - 1, in both ciphertext
+        forms.  `_pack` and `_unpack` also carry every b-bit value,
+        2^b - 1 included."""
+        rng = np.random.default_rng(par.residue_bits)
+        k, n, B = par.k, par.n, 3
+        assert par.residue_bits == max(par.q_primes).bit_length()
+        top = par.q_col - np.uint64(1)
+        uniform = np.stack([rng.integers(0, q, (B, 2, n), dtype=np.uint64)
+                            for q in par.q_primes], axis=2)
+        for c0 in (uniform[:, 0], np.zeros((B, k, n), np.uint64),
+                   np.broadcast_to(top, (B, k, n))):
+            seeds = rng.integers(0, 256, (B, pahe.SEED_BYTES), dtype=np.uint8)
+            data = np.stack([c0, pahe.expand_seeds(par, seeds)], axis=1)
+            cts = pahe.Ciphertexts(par, data, np.zeros(B), seeds)
+            for fresh, batch, want in (
+                    (True, cts, b"".join(packed(par, c0[j]) + seeds[j].tobytes()
+                                         for j in range(B))),
+                    (False, computed(cts), packed(par, data))):
+                blob = pahe.cts_to_bytes(batch)
+                assert blob == want
+                assert len(blob) == B * pahe.ct_nbytes(par, fresh)
+                back = pahe.cts_from_bytes(blob, par, B, "batch", fresh=fresh)
+                assert np.array_equal(back.data, data)
+        b = par.residue_bits
+        ones = np.full((2, k * n), (1 << b) - 1, dtype=np.uint64)
+        stream = pahe._pack(ones, b)
+        assert stream.shape == (2, k * n * b // 8) and (stream == 255).all()
+        assert np.array_equal(pahe._unpack(stream, b), ones)
+
+    @pytest.mark.parametrize("width", range(8, 63))
+    def test_packer_matches_python_ints_at_every_width(self, width):
+        """At every width a basis can have (8 to 62 bits), rows of any
+        multiple of 8 values pack to the bit stream Python ints give, and
+        back: past 57 bits some values reach into a ninth byte."""
+        rng = np.random.default_rng(width)
+        for count in (8, 24, 64, 72, 200):
+            vals = rng.integers(0, 1 << width, (2, count), dtype=np.uint64)
+            stream = pahe._pack(vals, width)
+            assert stream.shape == (2, count * width // 8)
+            for row, got in zip(vals, stream):
+                want = sum(int(v) << (width * i) for i, v in enumerate(row))
+                assert got.tobytes() == want.to_bytes(count * width // 8,
+                                                      "little")
+            assert np.array_equal(pahe._unpack(stream, width), vals)
+
+    def test_packer_refuses_rows_off_a_byte(self):
+        """A row of values must end on a byte, so no pad bit ever arises:
+        a count that is no multiple of 8, or a stream that is no whole
+        number of 8-value runs, is refused, and so is a width under 8 bits,
+        which no basis has."""
+        for count, width in ((12, 51), (16, 7)):
+            with pytest.raises(ParameterError, match="whole bytes"):
+                pahe._pack(np.zeros(count, np.uint64), width)
+        for nbytes, width in ((50, 51), (14, 7)):
+            with pytest.raises(ParameterError, match="8-value runs"):
+                pahe._unpack(np.zeros(nbytes, np.uint8), width)
 
     @pytest.mark.parametrize("decoder", ["ciphertext", "public_keys",
                                          "encmatrix", "reply_list", "hello",

@@ -4,9 +4,10 @@ covers what only later layers do: the unfolded QKV product over the previous
 layer's output and its (dim, 3 dim) rotation keys.  One run of the larger
 he-small shape covers products whose rows share ciphertexts.
 
-The digest hashes every frame's type, length and payload in order, so any
-change to the bytes either party sends -- packing, key material, noise
-sampling, garbling -- shows here.
+The digest is read off the connection: a tap on each party's end hashes
+every frame's type, length and payload in order (`_Tap`), so any change to
+the bytes either party sends -- packing, key material, noise sampling,
+garbling -- shows here.
 """
 
 import hashlib
@@ -52,23 +53,23 @@ KEY_BLOB_BYTES = pahe.key_blob_nbytes(_OPT1.params, len(_OPT1.galois))
 REQUEST_BYTES = 8 + 16
 
 DIGESTS = {
-    "baseline": "81f32ea0ea52caeef15203a6f7e35a02"
-                "9544644bd32e8e9b352740aa25092f55",
-    "opt1": "e148b0699df6e602d1db304e1deb7250"
-            "c19d439a833b377905dfa410be5a6117",
-    "opt2": "3eb4ad6cdd93f9ba137463e7ccde29a6"
-            "9a38ead241f4c920637230c03bf0336f",
+    "baseline": "818b293115a21329bce107b2b94a5286"
+                "4d4417b0bdbcb2c3641ce5db2875cee3",
+    "opt1": "cf87c50ce4aeb08520199531d71d6919"
+            "6928ee1c4bf02d4c08a6fd6ac8922592",
+    "opt2": "9a3ba45259c5d7a3f84e524178b0e1f4"
+            "c9bf5a4605070fa03cf01a8c0fba7544",
 }
-TWO_LAYER_DIGEST = ("2c9e309c9d71856bddf89be9f81f285c"
-                    "6c9a7cf4dab5cca63dc611fe5240b3c7")
+TWO_LAYER_DIGEST = ("e66a99690211f459f6d1fef1f4e97a5d"
+                    "11ab1121cc530e2337e6cb5590f0e392")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "0bb9d8da4a187eff53daeaea6c0db445"
-                "57d21bcc1c2867536549e91d70025495",
-    "opt1": "cf7713b7a6722e896ae170ae9ee23d4d"
-            "e85a8dd8d693578982c00300e996d351",
-    "opt2": "fc0eca02d4f6b01b892ed6ebe778e337"
-            "271c32f1414368131791bf8d72168f6e",
+    "baseline": "faf779ce935ebd0f2835677f347ef0ab"
+                "aed56d1b58d14ef3c18ce015cb719f3f",
+    "opt1": "079ffff99112fb9dedc8d8c6217af1dd"
+            "0f9cd3be9d3b9b41aa6d069c769da6b2",
+    "opt2": "5ab01bffbc1af0a72ee5c5a0234328e3"
+            "62e21702ebfbf41d502a2e68b7312d48",
 }
 
 
@@ -106,17 +107,81 @@ def weights():
     return gen_random(CFG, 7, scale=0.25)
 
 
+class _Tap:
+    """One end of the transport that hashes every frame its party sends or
+    receives, in the order the party does: per frame its type (one byte),
+    its payload length (4 bytes, little-endian) and its payload.  Both
+    parties of a session see the same frames in the same order, so their
+    taps agree on the session's digest."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self._hash = hashlib.sha256()
+        self._unread = {"sent": bytearray(), "received": bytearray()}
+
+    def send(self, data: bytes):
+        self._conn.send(data)
+        self._feed("sent", data)
+
+    def recv_exact(self, n: int) -> bytes:
+        data = self._conn.recv_exact(n)
+        self._feed("received", data)
+        return data
+
+    def close(self):
+        self._conn.close()
+
+    def _feed(self, direction: str, data: bytes):
+        buf = self._unread[direction]
+        buf += data
+        while len(buf) >= _HEADER.size:
+            _magic, ftype, length = _HEADER.unpack_from(buf)
+            end = _HEADER.size + length
+            if len(buf) < end:
+                return
+            self._hash.update(bytes([ftype]) + length.to_bytes(4, "little"))
+            self._hash.update(buf[_HEADER.size:end])
+            del buf[:end]
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def _tapped(server_fn, client_fn):
+    """`run_pair` with a `_Tap` on each party's end: the server's and the
+    client's results and the session's digest, which both taps give."""
+    taps = {}
+
+    def tapped(role, fn):
+        def run(conn):
+            taps[role] = _Tap(conn)
+            return fn(taps[role])
+        return run
+
+    server, client = run_pair(tapped("server", server_fn),
+                              tapped("client", client_fn))
+    digest = taps["server"].hexdigest()
+    assert taps["client"].hexdigest() == digest
+    return server, client, digest
+
+
+def _tapped_inference(cfg, weights, tokens, mode, *, server_seed,
+                      client_seed):
+    """`private_inference` with a `_Tap` on each party's end."""
+    return _tapped(
+        lambda conn: run_server(conn, cfg, weights, mode, seed=server_seed),
+        lambda conn: run_client(conn, tokens, seed=client_seed))
+
+
 @pytest.mark.parametrize("mode", list(DIGESTS))
 def test_session_is_exact_and_pinned(weights, mode):
-    server, client = private_inference(CFG, weights, TOKENS, mode,
-                                       server_seed=11, client_seed=12)
+    server, client, digest = _tapped_inference(CFG, weights, TOKENS, mode,
+                                               server_seed=11, client_seed=12)
     ref = forward_fixed(CFG, weights, TOKENS, mode)
     assert np.array_equal(client.logits, ref.logits)
     assert client.label == int(np.argmax(ref.logits))
     assert client.scale == ref.scale
     assert server.transcript.rounds == client.transcript.rounds == ROUNDS
-    digest = server.transcript.digest()
-    assert client.transcript.digest() == digest
     assert digest == DIGESTS[mode]
     # five baby steps; giant steps -3..1 on the (8, 12) product, -2..0 on
     # (4, 8) and -1..1 on (8, 4): four keys, eight key switches
@@ -128,13 +193,11 @@ def test_session_is_exact_and_pinned(weights, mode):
 def test_two_layer_session_is_exact_and_pinned():
     cfg = replace(CFG, n_layers=2)
     wts = gen_random(cfg, 7, scale=0.25)
-    server, client = private_inference(cfg, wts, TOKENS, "opt2",
-                                       server_seed=11, client_seed=12)
+    server, client, digest = _tapped_inference(cfg, wts, TOKENS, "opt2",
+                                               server_seed=11, client_seed=12)
     ref = forward_fixed(cfg, wts, TOKENS, "opt2")
     assert np.array_equal(client.logits, ref.logits)
     assert server.transcript.rounds == client.transcript.rounds == 53
-    digest = server.transcript.digest()
-    assert client.transcript.digest() == digest
     assert digest == TWO_LAYER_DIGEST
     # the second layer's (4, 12) QKV product adds giant steps -3..-1
     assert len(server.geometry.rotations) == 4
@@ -281,13 +344,13 @@ def test_he_small_session_is_exact():
                       n_classes=2)
     wts = gen_random(cfg, 5, scale=0.25)
     tokens = [3, 17, 0, 31, 8, 8, 22, 5]
-    server, client = private_inference(cfg, wts, tokens, "opt2",
-                                       server_seed=21, client_seed=22)
+    # both parties' taps give one digest
+    server, client, _ = _tapped_inference(cfg, wts, tokens, "opt2",
+                                          server_seed=21, client_seed=22)
     assert rows_per_ct(server.geometry.params, cfg.dim) >= cfg.dim
     ref = forward_fixed(cfg, wts, tokens, "opt2")
     assert np.array_equal(client.logits, ref.logits)
     assert server.transcript.rounds == client.transcript.rounds == 53
-    assert server.transcript.digest() == client.transcript.digest()
     # 8-slot column blocks, 32 to a 256-slot row: the (32, 48) product
     # spans 32 + 32 - 1 = 63 diagonals, so eight baby steps; a giant step
     # is 8 blocks, 64 slots, so the keys are 64, 128 and 192, and each
@@ -306,13 +369,13 @@ def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
     real = session.public_keys_to_bytes
     monkeypatch.setattr(session, "public_keys_to_bytes",
                         lambda km: calls.append(km) or real(km))
-    for digest in (DIGESTS["opt1"], RESUMED_DIGESTS["opt1"]):
-        _, client = run_pair(
+    for pinned in (DIGESTS["opt1"], RESUMED_DIGESTS["opt1"]):
+        *_, digest = _tapped(
             lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
             lambda conn: run_client(_EditFirstFrame(
                 conn, ACCEPT, lambda b: accepts.append(bytes(b))),
                 TOKENS, seed=12))
-        assert client.transcript.digest() == digest
+        assert digest == pinned
     assert len(calls) == 1
     assert accepts[0][:KEY_BLOB_BYTES] == accepts[1][:KEY_BLOB_BYTES]
 
@@ -332,13 +395,12 @@ def test_resumed_session_is_exact_and_pinned(weights, monkeypatch, mode):
                                             server_seed=11, client_seed=12)
     monkeypatch.setattr(session.BaseOtSender, "keys", _no_base_ot)
     monkeypatch.setattr(session, "BaseOtReceiver", _no_base_ot)
-    server, client = private_inference(CFG, weights, TOKENS, mode,
-                                       server_seed=11, client_seed=12)
+    server, client, digest = _tapped_inference(CFG, weights, TOKENS, mode,
+                                               server_seed=11, client_seed=12)
     assert np.array_equal(client.logits,
                           forward_fixed(CFG, weights, TOKENS, mode).logits)
     assert server.transcript.rounds == client.transcript.rounds == ROUNDS
-    digest = server.transcript.digest()
-    assert client.transcript.digest() == digest == RESUMED_DIGESTS[mode]
+    assert digest == RESUMED_DIGESTS[mode]
     sizes = [(f.name, f.nbytes) for f in server.transcript.frames]
     want = [(f.name, f.nbytes) for f in first.transcript.frames]
     want[1] = ("accept", want[1][1] + REQUEST_BYTES)
@@ -401,9 +463,9 @@ def test_refused_resume_request_falls_back_to_base_ot(weights, edit,
     want = [(f.name, f.nbytes) for f in first.transcript.frames]
     want[1] = ("accept", want[1][1] + REQUEST_BYTES)
     assert sizes == want
-    _, then = private_inference(CFG, weights, TOKENS, "opt1",
-                                server_seed=11, client_seed=12)
-    assert then.transcript.digest() == RESUMED_DIGESTS["opt1"]
+    *_, digest = _tapped_inference(CFG, weights, TOKENS, "opt1",
+                                   server_seed=11, client_seed=12)
+    assert digest == RESUMED_DIGESTS["opt1"]
 
 
 @pytest.mark.parametrize("point", [
@@ -433,9 +495,9 @@ def test_server_refuses_a_resume_request_whose_point_is_off_the_curve(
     assert "base-OT point refused" in str(server_err)
     assert isinstance(client_err, ProtocolError)
     assert "peer closed" in str(client_err)
-    _, client = private_inference(CFG, weights, TOKENS, "opt1",
-                                  server_seed=11, client_seed=12)
-    assert client.transcript.digest() == DIGESTS["opt1"]
+    _, client, digest = _tapped_inference(CFG, weights, TOKENS, "opt1",
+                                          server_seed=11, client_seed=12)
+    assert digest == DIGESTS["opt1"]
     assert np.array_equal(client.logits, _exact(weights))
 
 
@@ -665,9 +727,9 @@ def test_base_ot_runs_again_once_the_session_numbers_are_spent(
     runs its own base OT and is the pinned first session."""
     monkeypatch.setattr(session, "MAX_SESSIONS", 1)
     for _ in range(2):
-        server, client = private_inference(CFG, weights, TOKENS, "opt1",
-                                           server_seed=11, client_seed=12)
-        assert client.transcript.digest() == DIGESTS["opt1"]
+        server, client, digest = _tapped_inference(
+            CFG, weights, TOKENS, "opt1", server_seed=11, client_seed=12)
+        assert digest == DIGESTS["opt1"]
         assert server.transcript.rounds == client.transcript.rounds == ROUNDS
         assert server.transcript.frames[2].nbytes == LAMBDA * POINT_BYTES
 
@@ -823,8 +885,10 @@ def test_frame_sizes_do_not_depend_on_the_seeds(weights):
                       for f in server.transcript.frames])
     assert sizes[0] == sizes[1]
     by_name = {name: nbytes for _, name, nbytes in sizes[0]}
-    # four Galois keys of 8 k^2 n + 16 bytes (k = 3, n = 512) and point A
-    assert by_name["accept"] == 147_553 == 4 * (8 * 9 * 512 + 16) + 33
+    # four Galois keys of b k^2 n / 8 + 16 bytes (b = 50, k = 3, n = 512)
+    # and point A
+    assert _OPT1.params.residue_bits == 50
+    assert by_name["accept"] == 115_297 == 4 * (50 * 9 * 512 // 8 + 16) + 33
     assert by_name["ot-base"] == 4_224 == LAMBDA * POINT_BYTES
 
 
@@ -837,11 +901,11 @@ HE_SMALL = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
 @pytest.mark.parametrize("cfg,mode,c2s,s2c,gc", [
     pytest.param(CFG, "baseline", None, None, None, id="baseline"),
     # byte totals on the benchmark's three workloads' shapes
-    pytest.param(CFG, "opt1", 490_465, 637_137, 363_176, id="opt1"),
+    pytest.param(CFG, "opt1", 393_697, 578_001, 363_176, id="opt1"),
     pytest.param(CFG, "opt2", None, None, None, id="opt2"),
-    pytest.param(GC_L16, "baseline", 829_089, 5_204_689, 4_933_712,
+    pytest.param(GC_L16, "baseline", 700_065, 5_145_553, 4_933_712,
                  id="gc-l16-baseline"),
-    pytest.param(HE_SMALL, "opt2", 1_714_593, 4_604_113, 4_067_792,
+    pytest.param(HE_SMALL, "opt2", 1_479_969, 4_494_289, 4_067_792,
                  id="he-small-opt2"),
 ])
 def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
@@ -871,6 +935,36 @@ def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
         tr = server.transcript
         assert (client.transcript.bytes_sent, tr.bytes_sent,
                 tr.gc_online_bytes) == (c2s, s2c, gc)
+
+
+@pytest.mark.parametrize("cfg,mode,c2s,s2c,gc", [
+    pytest.param(GC_L16, "baseline", 695_993, 5_141_329, 4_933_712,
+                 id="gc-l16-baseline"),
+    pytest.param(HE_SMALL, "opt2", 1_475_897, 4_490_065, 4_067_792,
+                 id="he-small-opt2"),
+])
+def test_resumed_session_bytes_on_the_benchmark_shapes(cfg, mode, c2s, s2c,
+                                                       gc):
+    """The benchmark's reused-key workloads time resumed sessions: on their
+    shapes a client's second session sends `c2s` payload bytes and the
+    server `s2c`, `gc` of them garbled-circuit material.  Against the first
+    session the client sends the 128 x 32 bytes of tree-level messages
+    fewer and the 24-byte resume request more, and the server the 128
+    base-OT points fewer."""
+    tokens = (np.arange(cfg.seq_len) * 5 + 1) % cfg.vocab
+    wts = gen_random(cfg, 7, scale=0.25)
+    sent = []
+    for _ in range(2):
+        server, client = private_inference(cfg, wts, tokens, mode,
+                                           server_seed=11, client_seed=12)
+        assert np.array_equal(client.logits,
+                              forward_fixed(cfg, wts, tokens, mode).logits)
+        tr = server.transcript
+        sent.append((client.transcript.bytes_sent, tr.bytes_sent,
+                     tr.gc_online_bytes))
+    assert sent[1] == (c2s, s2c, gc)
+    assert sent[0] == (c2s + LAMBDA * 32 - REQUEST_BYTES,
+                       s2c + LAMBDA * POINT_BYTES, gc)
 
 
 # the smallest noise budget any operation of a session on each benchmark
@@ -1010,13 +1104,13 @@ def _closing(party, conn, *args, **kwargs):
 
 
 def test_session_over_sockets_reproduces_the_digest(weights):
-    """The transcript digest does not depend on the transport: the opt1
-    session over a socket pair, both ends wrapped in SocketConn, sends
+    """The digest does not depend on the transport: the opt1 session over
+    a socket pair, both ends wrapped in SocketConn and tapped, sends
     exactly the pinned bytes."""
     ends = socket.socketpair()
     for sock in ends:
         sock.settimeout(60)  # a stuck party fails the test, never hangs it
-    sconn, cconn = (SocketConn(sock) for sock in ends)
+    sconn, cconn = (_Tap(SocketConn(sock)) for sock in ends)
     with ThreadPoolExecutor(2) as pool:
         fs = pool.submit(_closing, run_server, sconn, CFG, weights, "opt1",
                          seed=11)
@@ -1025,20 +1119,19 @@ def test_session_over_sockets_reproduces_the_digest(weights):
     ref = forward_fixed(CFG, weights, TOKENS, "opt1")
     assert np.array_equal(client.logits, ref.logits)
     assert server.transcript.rounds == client.transcript.rounds == ROUNDS
-    assert server.transcript.digest() == client.transcript.digest()
-    assert client.transcript.digest() == DIGESTS["opt1"]
+    assert sconn.hexdigest() == cconn.hexdigest() == DIGESTS["opt1"]
 
 
 def test_resumed_session_over_tcp_reproduces_the_digest(weights):
     """A session resumed over `tcp_listen`/`tcp_dial` sends the bytes of
     the pinned in-memory resumed session: the outcome the first session
-    left is the parties', not the transport's."""
+    left is the parties', not the transport's.  Both ends are tapped."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
     srv = tcp_listen("127.0.0.1", 0)
     try:
-        cconn = tcp_dial("127.0.0.1", srv.getsockname()[1])
-        sconn = tcp_accept(srv)
+        cconn = _Tap(tcp_dial("127.0.0.1", srv.getsockname()[1]))
+        sconn = _Tap(tcp_accept(srv))
     finally:
         srv.close()
     with ThreadPoolExecutor(2) as pool:
@@ -1049,8 +1142,7 @@ def test_resumed_session_over_tcp_reproduces_the_digest(weights):
     assert np.array_equal(client.logits,
                           forward_fixed(CFG, weights, TOKENS, "opt1").logits)
     assert server.transcript.frames[2].nbytes == 0
-    assert server.transcript.digest() == client.transcript.digest()
-    assert client.transcript.digest() == RESUMED_DIGESTS["opt1"]
+    assert sconn.hexdigest() == cconn.hexdigest() == RESUMED_DIGESTS["opt1"]
 
 
 def test_socket_read_fails_when_the_peer_closes_mid_read():
@@ -1678,7 +1770,7 @@ def test_client_refuses_oversized_session_before_keys(monkeypatch, forge,
 
 def test_garbled_stages_bound_a_hello_the_other_limits_admit(limit):
     """A baseline shape of seq_len 512 passes the OT and matrix limits
-    (11,614,208 OTs; 179,192,448 bytes of matrices, 113,418,304 of them
+    (11,614,208 OTs; 140,012,160 bytes of matrices, 88,624,192 of them
     product replies), but its attention row divider, 250,890 ANDs and
     1,409,027 wires over 512 rows, would make
     the client expect a 4.1 GB stage-ot-resp and hold 11.5 GB of labels:
@@ -1695,8 +1787,8 @@ def test_garbled_stages_bound_a_hello_the_other_limits_admit(limit):
     geom = session_geometry(replace(CFG, seq_len=512), "baseline")
     assert geom.ot_total == 11_614_208 <= session.MAX_OTS
     assert sum(geom.nbytes(lay, fresh)
-               for lay, fresh in geom.sent()) == 179_192_448
-    assert _reply_bytes(geom) == 179_192_448 - 65_774_144
+               for lay, fresh in geom.sent()) == 140_012_160
+    assert _reply_bytes(geom) == 140_012_160 - 51_387_968
     assert _session_bytes(geom)[1] == 11_542_749_184
 
 
@@ -1812,10 +1904,10 @@ def test_client_refuses_malformed_logits(weights, edit, span, error):
     assert not isinstance(server_err, Exception)
 
 
-# each Galois key of a key blob is its (k, k, n) k0 digit stack and the
-# 16-byte seed of its k1 stack; the blob is followed by the 33-byte base-OT
-# point A
-KEY_BYTES = 8 * PARAMS.k * PARAMS.k * PARAMS.n + 16
+# each Galois key of a key blob is its (k, k, n) k0 digit stack, packed at
+# the basis' width b, and the 16-byte seed of its k1 stack; the blob is
+# followed by the 33-byte base-OT point A
+KEY_BYTES = PARAMS.residue_bits * PARAMS.k * PARAMS.k * PARAMS.n // 8 + 16
 KEY_BLOB = slice(0, -POINT_BYTES)
 
 
