@@ -77,7 +77,19 @@ Base OT runs once per client key set.  Both parties keep its outcome (the
 client the column streams its GGM trees' leaves key, the server those of
 its punctured trees and s) under the outcome's name, the SHA-256 of point
 A and the 128 points B cut to 16 bytes, which both hold, with a stream
-position and a session number.
+position and a session number.  Each party holds this state across
+sessions in stores (`_Store`), each dropping its least recently used entry
+past its bound:
+
+  client         one store of a seeded client's key sets, 16, by (params,
+                 rotations, key seed): each its secret keys, its key blob
+                 and, once a base OT has run with it, that outcome; an
+                 unseeded client keeps nothing
+  server         outcomes, 16, by the key blob's SHA-256 and the
+                 outcome's name; and a memo of parsed public keys, 4, by
+                 the same digest and the session's params and Galois
+                 elements
+
 Every later session with the same key set adds a resume request to
 accept: both then extend at that position of the same column streams
 (`gc.ot`), garble under session-numbered tweaks
@@ -89,8 +101,9 @@ for the key blob, at exactly the requested position and with a session
 number left.  Otherwise it answers point A, which the client draws and
 sends in every session (in Chou-Orlandi it depends on nothing the server
 says), with points B, and the session runs as a first session in the same
-frames.  A resuming server still checks that A is a curve point.  A client
-forgets its outcome for a key set when a session with it fails.
+frames.  A resuming server still checks that A is a curve point.  A
+session that fails drops the client's outcome for its key set and keeps
+the keys, so the next session makes no key and runs base OT.
 
 No input label costs a byte of its own.  The rows SoftSpokenOT extends
 are a correlated OT under the key set's one garbling offset, IKNP's
@@ -427,28 +440,8 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
                                 for shape, circs in circuits.items()})
 
 
-def _client_keys(params: PaheParams, rotations: tuple[int, ...],
-                 seed: int | None) -> tuple[KeyMaterial, bytes]:
-    """A client key set and its rotation key blob, serialized once.  The
-    client never rotates, so its rotation keys are kept only in the blob."""
-    keys = keygen(params, seed, rotations=rotations)
-    return replace(keys, galois={}), public_keys_to_bytes(keys.public())
-
-
-# a client reusing its seed gets the same key set and the same blob back
-_cached_keys = lru_cache(maxsize=16)(_client_keys)
-
-
-@lru_cache(maxsize=4)
-def _parse_public_keys(blob: bytes, params: PaheParams,
-                       elements: tuple[int, ...]) -> KeyMaterial:
-    # rebuilding Shoup twins dominates parsing; clients reusing a key set
-    # across sessions send byte-identical blobs, so memoize on the bytes
-    return public_keys_from_bytes(blob, params, elements)
-
-
 # ----------------------------------------------------------------------------
-# base OT once per client key set
+# party state: key sets and base-OT outcomes, held across sessions
 
 
 @dataclass
@@ -467,64 +460,97 @@ class _Extension:
     position: int = 0    # the next AES block of every column stream
     session: int = 0     # the next session's number in its garbling tweaks
 
+    def take(self, blocks: int, at: int | None = None):
+        """This outcome as the next session finds it, and this one moved
+        past that session's `blocks` and number; None, with nothing moved,
+        if its session numbers are spent or `at` is given and is not its
+        position.  Called under its store's lock."""
+        if self.session >= MAX_SESSIONS or at not in (None, self.position):
+            return None
+        taken = replace(self)
+        self.position += blocks
+        self.session += 1
+        return taken
+
+
+@dataclass
+class _KeySet:
+    """A client key set: its secret keys (the client never rotates, so its
+    rotation keys are kept only in the blob), its serialized public keys
+    and, once a base OT has run with it, that outcome."""
+
+    keys: KeyMaterial
+    blob: bytes
+    ext: _Extension | None = None
+
+    def take(self, blocks: int, at: int | None = None):
+        # read once: a failed session may drop it meanwhile
+        return ext.take(blocks, at) if (ext := self.ext) else None
+
+
+def _client_keys(params: PaheParams, rotations: tuple[int, ...],
+                 seed: int | None) -> _KeySet:
+    """A new client key set, its blob serialized once."""
+    keys = keygen(params, seed, rotations=rotations)
+    return _KeySet(replace(keys, galois={}),
+                   public_keys_to_bytes(keys.public()))
+
 
 def _unset(streams: tuple[AesCtr, ...]) -> tuple[AesCtr, ...]:
     """Copies of column streams whose AES keys are not yet set up."""
     return tuple(AesCtr(s.keys) for s in streams)
 
 
-class _Extensions:
-    """One party's `_Extension`s by key set, the least recently used evicted
-    past `maxsize`.  Taking one reserves the next session's stream blocks
-    and number under a lock, so sessions that run at once never extend the
-    same blocks."""
+class _Store:
+    """One party's state by key, the least recently used dropped past
+    `maxsize`.  Every call holds one lock (reentrant: `get` and `take` keep
+    their entry through `put`), so sessions that run at once make an entry
+    once and never take the same stream blocks."""
 
     def __init__(self, maxsize: int):
         self._held: OrderedDict = OrderedDict()
         self._maxsize = maxsize
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
-    def take(self, key, blocks: int, position: int | None = None) \
-            -> _Extension | None:
-        """The extension held for `key` as the next session finds it; the
-        one held moves past that session's `blocks` and number.  None, with
-        nothing moved, if none is held, its session numbers are spent, or
-        `position` is given and is not its own."""
+    def get(self, key, make):
+        """The entry held for `key`, or else `make()`, kept as it."""
         with self._lock:
-            ext = self._held.get(key)
-            if (ext is None or ext.session >= MAX_SESSIONS
-                    or position not in (None, ext.position)):
-                return None
-            self._held.move_to_end(key)
-            taken = replace(ext)
-            ext.position += blocks
-            ext.session += 1
-            return taken
+            entry = self._held.get(key)
+            return self.put(key, make() if entry is None else entry)
 
-    def put(self, key, ext: _Extension):
+    def put(self, key, entry):
+        """Keeps `entry` for `key` as the most recently used; returns it."""
         with self._lock:
-            self._held[key] = ext
+            self._held[key] = entry
             self._held.move_to_end(key)
             while len(self._held) > self._maxsize:
                 self._held.popitem(last=False)
+            return entry
 
-    def forget(self, key):
+    def take(self, key, blocks: int, at: int | None = None):
+        """The base-OT outcome of the entry held for `key` as the next
+        session finds it (`_Extension.take`), the entry then the most
+        recently used; None if none is held."""
         with self._lock:
-            self._held.pop(key, None)
-
-    def clear(self):
-        with self._lock:
-            self._held.clear()
+            entry = self._held.get(key)
+            return entry and self.put(key, entry).take(blocks, at)
 
 
-# the client's by `_cached_keys` arguments, the server's by the key blob's
-# SHA-256 and the outcome's name; each as many as `_cached_keys` holds, so
-# one client's key sets fit the server's.  The server keeps one for every
-# session that ran base OT, a client's that will never resume too (28 KB
-# each, its 192 leaf keys at `gc.ot.K` = 2; about 280 KB once they are set
-# up).
-_CLIENT_OT = _Extensions(_cached_keys.cache_parameters()["maxsize"])
-_SERVER_OT = _Extensions(_cached_keys.cache_parameters()["maxsize"])
+# Per entry, measured with tracemalloc on tiny: a client key set 138 KiB
+# and its outcome 29 KiB (256 leaf keys at `gc.ot.K` = 2, none set up); a
+# server's parsed key set 579 KiB and an outcome 28 KiB (192 leaf keys;
+# about 280 KiB once they are set up).  The client holds its key sets,
+# each with its outcome, by (params, rotations, key seed).  The server
+# holds outcomes by the key blob's SHA-256 and the outcome's name, as many
+# as the client's key sets, so one client's fit; it keeps one for every
+# session that ran base OT, a client's that will never resume too.  Its
+# parse memo, by the blob's SHA-256 and the session's params and Galois
+# elements (one blob could parse under another geometry's elements),
+# holds fewer: a parsed key set weighs about 20 outcomes, and at 16 key
+# sets that never repeat would hold about 7 MB more.
+_CLIENT_KEYS = _Store(16)
+_SERVER_KEYS = _Store(4)
+_SERVER_OT = _Store(16)
 
 _OUTCOME_BYTES = 16
 
@@ -765,10 +791,11 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     accept = read_frame(conn, ACCEPT, (nbase, nbase + 8 + _OUTCOME_BYTES))
     tr.record("received", ACCEPT, accept)
     bpk, bpt, request = accept[:nkey], accept[nkey:nbase], accept[nbase:]
-    pub = _parse_public_keys(bpk, geom.params, geom.galois)
-    ev = Evaluator(pub)
-
     key_set = hashlib.sha256(bpk).digest()
+    ev = Evaluator(_SERVER_KEYS.get(
+        (key_set, geom.params, geom.galois),
+        lambda: public_keys_from_bytes(bpk, geom.params, geom.galois)))
+
     blocks = stream_blocks(geom.ot_total)
     held = None
     if request:
@@ -779,30 +806,29 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
         ext = OtExtSender(rng)
         base = BaseOtReceiver(rng, ext.s_bits, bpt)
         _send(conn, tr, OT_BASE, base.msgs_b)
-        start, number = 0, 0
+        # a first session: its streams come with the seed messages
+        held = _Extension((), ext.s_bits, _outcome(bpt, base.msgs_b))
     else:
         ext = OtExtSender(rng, held.s_bits, held.streams)
         _send(conn, tr, OT_BASE)
-        start, number = held.position, held.session
 
     mb = -(-geom.ot_total // 8)
     *bseed, bucol, bx = _recv(
         conn, tr, CLIENT_SETUP,
-        [32 * LAMBDA] * (held is None)
+        [32 * LAMBDA] * (held.session == 0)
         + [COLUMNS * mb, geom.nbytes(geom.input_layout, fresh=True)])
     if bseed:
         ext.recover_seeds(_words(bseed[0], (LAMBDA, 2, 2)), base.keys())
-        outcome = _outcome(bpt, base.msgs_b)
-        _SERVER_OT.put((key_set, outcome), _Extension(
-            _unset(ext.streams), ext.s_bits, outcome, blocks, 1))
+        _SERVER_OT.put((key_set, held.outcome), _Extension(
+            _unset(ext.streams), ext.s_bits, held.outcome, blocks, 1))
     c_cols = np.frombuffer(bucol, dtype=np.uint8).reshape(COLUMNS, mb)
-    pairs = ext.receive_extension(c_cols, geom.ot_total, start)
+    pairs = ext.receive_extension(c_cols, geom.ot_total, held.position)
 
     x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout,
                                  fresh=True)
     del bucol, c_cols, bx   # read once; 0.55 MB of columns on he-small
 
-    sp = _ServerParty(conn, tr, geom, ev, rng, pairs, number)
+    sp = _ServerParty(conn, tr, geom, ev, rng, pairs, held.session)
     held = {"x": x_enc}
     for e, enc in enumerate(geom.plan.encoders):
         mats, offsets = layer_weights(cfg, weights, mode, e)
@@ -946,22 +972,21 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     if toks.size and (toks.min() < 0 or toks.max() >= vocab):
         raise ParameterError("token id out of range")
 
-    if seed is None:
-        keys, pkey = _client_keys(geom.params, geom.rotations, None)
-        key_set = None
-    else:
-        keys, pkey = _cached_keys(geom.params, geom.rotations, key_seed)
-        key_set = (geom.params, geom.rotations, key_seed)
+    # an unseeded client's key set, from OS entropy, is its session's alone
+    store = _CLIENT_KEYS if seed is not None else _Store(1)
+    key_set = (geom.params, geom.rotations, None if seed is None else key_seed)
+    entry = store.get(key_set, lambda: _client_keys(*key_set))
+    keys = entry.keys
     ev = Evaluator(keys, seed=enc_seed)
 
     blocks = stream_blocks(geom.ot_total)
     # none held, or its session numbers spent: no resume request
-    held = None if key_set is None else _CLIENT_OT.take(key_set, blocks)
+    held = store.take(key_set, blocks)
     try:
         base = BaseOtSender(rng)
         request = [] if held is None else [
             held.position.to_bytes(8, "little"), held.outcome]
-        _send(conn, tr, ACCEPT, pkey, base.msg_a, *request)
+        _send(conn, tr, ACCEPT, entry.blob, base.msg_a, *request)
         points = LAMBDA * POINT_BYTES
         bpts = read_frame(conn, OT_BASE, (points, 0) if request else points)
         tr.record("received", OT_BASE, bpts)
@@ -971,9 +996,8 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
             ext = OtExtReceiver(rng)
             seed_msgs = [le64(ext.seed_messages(k0, k1))]
             held = _Extension(ext.streams, None, _outcome(base.msg_a, bpts))
-            if key_set is not None:
-                _CLIENT_OT.put(key_set, _Extension(
-                    _unset(ext.streams), None, held.outcome, blocks, 1))
+            entry.ext = _Extension(_unset(ext.streams), None, held.outcome,
+                                   blocks, 1)
         else:
             ext = OtExtReceiver(rng, held.streams)
             seed_msgs = []
@@ -997,8 +1021,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
 
         cts = _recv_logits(conn, tr, geom)
     except BaseException:
-        if key_set is not None:
-            _CLIENT_OT.forget(key_set)
+        entry.ext = None    # the keys stay; the next session runs base OT
         raise
     slots = keys.decrypt_many(cts)
     p = geom.p

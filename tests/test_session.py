@@ -13,7 +13,9 @@ garbling -- shows here.
 import hashlib
 import socket
 import struct
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -74,12 +76,12 @@ RESUMED_DIGESTS = {
 
 
 def _forget_key_sets():
-    """Drop every cached key set and base-OT outcome on both sides, so the
-    next session of any seed is a first one."""
-    session._cached_keys.cache_clear()
-    session._parse_public_keys.cache_clear()
-    session._CLIENT_OT.clear()
-    session._SERVER_OT.clear()
+    """Empty the party stores: every key set, parsed key set and base-OT
+    outcome on both sides, so the next session of any seed is a first
+    one."""
+    for store in (session._CLIENT_KEYS, session._SERVER_KEYS,
+                  session._SERVER_OT):
+        store._held.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -451,7 +453,7 @@ def test_refused_resume_request_falls_back_to_base_ot(weights, edit,
     first, _ = private_inference(CFG, weights, TOKENS, "opt1",
                                  server_seed=11, client_seed=12)
     if forget:
-        session._SERVER_OT.clear()
+        session._SERVER_OT._held.clear()
     server, client = run_pair(
         lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
         lambda conn: run_client(
@@ -626,23 +628,22 @@ def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
     session is exact."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
-    ((key, kept),) = session._CLIENT_OT._held.items()
-    kept = replace(kept)
-    session._CLIENT_OT.clear()
+    (key_set,) = session._CLIENT_KEYS._held.values()
+    kept, key_set.ext = replace(key_set.ext), None
     with monkeypatch.context() as patched:
         patched.setattr(session, "OtExtReceiver", _OtherTrees)
         private_inference(CFG, weights, TOKENS, "opt1", server_seed=13,
                           client_seed=12)
-    second = session._CLIENT_OT._held[key]
+    second = key_set.ext
     assert second.outcome != kept.outcome
     assert second.position == kept.position
     assert len(session._SERVER_OT._held) == 2
     for server_holds_it, points in ((True, 0), (False, LAMBDA * POINT_BYTES)):
-        session._CLIENT_OT.put(key, replace(kept))
+        key_set.ext = replace(kept)
         if not server_holds_it:
             (gone,) = [k for k in session._SERVER_OT._held
                        if k[1] == kept.outcome]
-            session._SERVER_OT.forget(gone)
+            del session._SERVER_OT._held[gone]
         server, client = private_inference(CFG, weights, TOKENS, "opt1",
                                            server_seed=15, client_seed=12)
         assert np.array_equal(client.logits, _exact(weights))
@@ -657,7 +658,7 @@ def test_key_sets_past_the_server_store_fall_back_to_base_ot(weights,
     with a fresh base OT, and a key set that comes straight back resumes.
     No session fails, every one is exact, and every one takes the same
     rounds."""
-    monkeypatch.setattr(session, "_SERVER_OT", session._Extensions(2))
+    monkeypatch.setattr(session, "_SERVER_OT", session._Store(2))
     seeds = (12, 14, 16)
     rounds, ot_base = [], []
     for client_seed in seeds + seeds + seeds[-1:]:
@@ -737,7 +738,7 @@ def test_base_ot_runs_again_once_the_session_numbers_are_spent(
 def test_concurrent_takes_reserve_disjoint_blocks():
     """Sessions that take one outcome at once each get their own stream
     position and session number, and the outcome moves past all of them."""
-    store = session._Extensions(4)
+    store = session._Store(4)
     store.put("k", session._Extension((), None, b"", 10, 1))
     taken = []
     threads = [threading.Thread(target=lambda: taken.append(
@@ -749,6 +750,132 @@ def test_concurrent_takes_reserve_disjoint_blocks():
     assert sorted(e.position for e in taken) == [10 + 7 * i for i in range(8)]
     assert sorted(e.session for e in taken) == list(range(1, 9))
     assert store.take("k", 7).position == 66
+
+
+def test_concurrent_gets_make_one_entry():
+    """Sessions that ask a store for one missing key at once make it once,
+    and all get the one entry it keeps."""
+    store = session._Store(4)
+    made, got = [], []
+    start = threading.Barrier(8)
+
+    def make():
+        time.sleep(0.01)    # yields, as a keygen or a key parse does
+        made.append(object())
+        return made[-1]
+
+    def ask():
+        start.wait(60)
+        got.append(store.get("k", make))
+
+    threads = [threading.Thread(target=ask) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(made) == 1
+    assert got == made * 8
+    assert list(store._held.items()) == [("k", made[0])]
+
+
+def _count_key_work(monkeypatch) -> dict:
+    """The positional arguments of every call of `keygen` and
+    `public_keys_from_bytes` through the session module, the names the
+    benchmark wraps, by name."""
+    calls = {"keygen": [], "public_keys_from_bytes": []}
+    for name, seen in calls.items():
+        def counted(*args, _real=getattr(session, name), _seen=seen,
+                    **kwargs):
+            _seen.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(session, name, counted)
+    return calls
+
+
+def _key_work(calls: dict) -> tuple[int, int]:
+    """(keygens, key parses) since the last call, which forgets them."""
+    out = tuple(len(seen) for seen in calls.values())
+    for seen in calls.values():
+        seen.clear()
+    return out
+
+
+def test_key_work_per_session(weights, monkeypatch):
+    """A seeded client makes its key set, and the server parses its blob,
+    in the key set's first session only: resumed sessions make and parse
+    none.  A failed session drops the client's outcome and keeps its keys,
+    so the next session makes no key and runs a base OT.  A new seed makes
+    and parses a new key set.  An unseeded client makes its keys from OS
+    entropy in every session and keeps none of them."""
+    calls = _count_key_work(monkeypatch)
+
+    def run(client_seed=12):
+        server, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                           server_seed=11,
+                                           client_seed=client_seed)
+        assert np.array_equal(client.logits, _exact(weights))
+        assert server.transcript.rounds == client.transcript.rounds == ROUNDS
+        return _key_work(calls), _ot_base_sizes(client)
+
+    points = LAMBDA * POINT_BYTES
+    assert run() == ((1, 1), [points])
+    assert run() == run() == ((0, 0), [0])
+
+    def one_byte(blob: bytearray):
+        blob[:] = bytes(1)
+
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(
+            _EditFirstFrame(conn, OT_BASE, one_byte),
+            CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
+    assert isinstance(client_err, ProtocolError)
+    assert isinstance(server_err, ProtocolError)
+    assert _key_work(calls) == (0, 0)
+    assert run() == ((0, 0), [points])
+    assert run(client_seed=14) == ((1, 1), [points])
+
+    held = dict(session._CLIENT_KEYS._held)
+    for _ in range(2):
+        _, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                      server_seed=11)
+        assert np.array_equal(client.logits, _exact(weights))
+        assert [args[1] for args in calls["keygen"]] == [None]
+        assert _key_work(calls) == (1, 1)
+        assert _ot_base_sizes(client) == [points]
+    assert session._CLIENT_KEYS._held == held
+
+
+def test_key_sets_past_the_client_store_are_made_again(weights,
+                                                       monkeypatch):
+    """Three seeded clients take turns at a client store of two key sets:
+    each comes back to find its key set evicted, makes it again and runs a
+    fresh base OT, and a key set that comes straight back resumes.  Every
+    session is exact and takes the same rounds, and a key set made again
+    is the one its seed made first: its session is the pinned first
+    session, bit for bit."""
+    monkeypatch.setattr(session, "_CLIENT_KEYS", session._Store(2))
+    calls = _count_key_work(monkeypatch)
+    seeds = (12, 14, 16)
+    keygens, ot_base = [], []
+    for client_seed in seeds + seeds + seeds[-1:]:
+        server, client, digest = _tapped_inference(
+            CFG, weights, TOKENS, "opt1", server_seed=11,
+            client_seed=client_seed)
+        assert np.array_equal(client.logits, _exact(weights))
+        assert server.transcript.rounds == client.transcript.rounds == ROUNDS
+        if client_seed == 12:
+            assert digest == DIGESTS["opt1"]
+        keygens.append(_key_work(calls)[0])
+        ot_base += _ot_base_sizes(client)
+    assert keygens == [1] * 6 + [0]
+    assert ot_base == [LAMBDA * POINT_BYTES] * 6 + [0]
 
 
 def _halve(doubled: np.ndarray) -> np.ndarray:
@@ -1670,7 +1797,7 @@ def test_product_replies_alone_push_a_hello_past_the_bound(monkeypatch,
     limit("MAX_SESSION_BYTES", cap)
     total, labels = _session_bytes(geom)
     assert labels <= total - _reply_bytes(geom) <= cap < total
-    for name in ("_client_keys", "_cached_keys", "pack_colblocks"):
+    for name in ("_client_keys", "pack_colblocks"):
         monkeypatch.setattr(session, name, _sized_a_hostile_session)
     sconn, cconn = memory_pair()
     write_frame(sconn, HELLO, _hello(mode=MODES.index("opt2"),
@@ -1758,7 +1885,7 @@ def test_client_refuses_oversized_session_before_keys(monkeypatch, forge,
     garbling of more than `MAX_SESSION_BYTES` of labels: the client
     refuses it before it makes any key, extends any OT or packs its
     input."""
-    for name in ("_client_keys", "_cached_keys", "pack_colblocks"):
+    for name in ("_client_keys", "pack_colblocks"):
         monkeypatch.setattr(session, name, _sized_a_hostile_session)
     monkeypatch.setattr(session.OtExtReceiver, "extend",
                         _sized_a_hostile_session)
