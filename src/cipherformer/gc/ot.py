@@ -21,13 +21,15 @@ in three phases so the heavy parts run before the online phase starts:
     from the K sums rebuilds every leaf of tree i but leaf d_i.  The bit
     of s that becomes a label's colour is forced to 1 (`COLOUR_COLUMN`),
     so 127 bits of it stay secret.
-  * offline, every session -- each leaf keys an AES-CTR column stream r_x,
-    and an extension of M OTs takes the next `stream_blocks(M)` blocks of
-    every stream from a stream position both parties keep: 0 in the
-    session that ran the base OTs, then just past the blocks the sessions
-    before took.  Per tree the client takes u_i = XOR_x r_x and the K
-    columns v_i = XOR_x x r_x (column y the XOR of the r_x with bit y of x
-    set); the server, holding every r_x but r_{d_i}, takes
+  * offline, every session -- each leaf x yields a column stream r_x
+    under the trees' fixed-key permutation pi (`_stream`): block j is
+    pi(x ^ t_j) ^ x, single-key Even-Mansour in counter mode, and no leaf
+    keys an AES.  An extension of M OTs takes the next `stream_blocks(M)`
+    blocks of every stream from a stream position both parties keep: 0 in
+    the session that ran the base OTs, then just past the blocks the
+    sessions before took.  Per tree the client takes u_i = XOR_x r_x and
+    the K columns v_i = XOR_x x r_x (column y the XOR of the r_x with bit
+    y of x set); the server, holding every r_x but r_{d_i}, takes
     w_i = XOR_{x != d_i} (x ^ d_i) r_x = v_i ^ d_i u_i.  The choice bits
     are b = u_0, and the client sends c_i = u_i ^ b for every other tree,
     so the server's w_i ^ d_i c_i = v_i ^ d_i b: with the v_i as the
@@ -41,24 +43,23 @@ in three phases so the heavy parts run before the online phase starts:
     delta is already the label of c_j: nothing is sent back for it, and no
     row is hashed.
 
-K trades bytes for AES: each party keys one stream per leaf it holds,
-2^K LAMBDA / K on the client and (2^K - 1) LAMBDA / K on the server, sets
-each key up once per key set and reads every stream every session.  On one
-core of a 2-vCPU Xeon an `AesCtr` key takes about 13 us to set up, and a
-read of 8,656 bytes (69,248 OTs) 0.46 ms over 256 keys and 1.0 ms over 512.
-A first session of 5,440 OTs spends 7.3 ms of client and 6.9 ms of server
-CPU here at K = 4 (512 and 480 keys, 31 columns), 4.0 and 3.2 ms at K = 2
-(256 and 192 keys, 63 columns), against 5.3 and 2.0 ms for IKNP (256 and
-128 keys).  Over ten alternating benchmark runs of fresh-keys-tiny-opt1,
-which makes a key set every session, K = 4 moved the median client and
-server CPU by +5.2 % and +7.8 %, past the quartiles of the runs without
-it, and K = 2 by -0.6 % and +2.5 %; so K is 2.  K = 8 would send 15
-columns but key 4,096 leaves on the client.
+K trades bytes for reads: the client reads 2^K LAMBDA / K leaf streams
+and the server (2^K - 1) LAMBDA / K every session, and neither sets up a
+key for them.  On one core of a 2-vCPU Xeon, an extension of 69,248 OTs
+(8,656 column bytes, he-small's) spent 2.1 ms of the client's 7.5 ms
+reading its 256 streams at K = 2 and the server 1.7 of 7.6 ms over 192,
+against 3.7 of 10.3 ms and 3.4 of 9.5 ms at K = 4 (512 and 480 streams,
+31 columns); one of 5,440 OTs (tiny's) 0.41 of 1.1 and 0.33 of 1.0 ms at
+K = 2, 0.60 of 1.3 and 0.33 of 1.1 ms at K = 4.  The keyed AES-CTR
+streams these replaced set up one key a leaf per fresh key set, 13-18 us
+each: 3.5-4.6 ms of client and 2.8 ms of server CPU at K = 2, and at K = 4
+enough to hold K at 2.  K = 8 would send 15 columns but read 4,096
+streams on the client.
 
 Both halves read and combine the streams of a few trees at a time (at most
-`_LEAF_BYTES` of them) and transpose the columns `CHUNK_OTS` OTs at a time
-into the rows they return, so neither holds a whole extension's columns
-twice.
+`_LEAF_BYTES` of them a chunk) and transpose the columns `CHUNK_OTS` OTs
+at a time into the rows they return, so neither holds a whole extension's
+columns twice.
 
 Security (semi-honest).  There is no consistency check: a client that
 sends c_i other than u_i ^ b could learn bits of s, so this holds only
@@ -67,7 +68,20 @@ does.  The GGM tree's PRG is G(x) = (H(x), H(x ^ tau)) with
 H(x) = pi(x) ^ x, pi being AES under a fixed public key, one batched ECB
 call per level, as libOTe's PPRF builds its trees; that G is a PRG rests on
 pi being an ideal (random) permutation, the assumption the garbling's
-fixed-key hash also makes (`gc.garble`).
+fixed-key hash also makes (`gc.garble`; Guo-Katz-Wang-Yu, S&P 2020).  The
+leaf streams rest on it too: block j of leaf x is pi(x ^ t_j) ^ x, the
+tweak t_j holding j in its low word and, in its high word, the tree from
+bit 32, the leaf's index below it and a domain bit (`_STREAM`) that the
+trees' tweaks, 0 and tau, never set: no stream tweak is a tree's, and no
+two blocks of a party's streams share one.  A leaf is a uniform secret
+key to whoever does not hold it, and single-key Even-Mansour (Even and
+Mansour, ASIACRYPT 1991; Dunkelman-Keller-Shamir, EUROCRYPT 2012) over D
+blocks is pseudorandom against Q queries to pi up to an advantage of
+about D Q / 2^128.  D is bounded: a leaf gives at most
+`stream_blocks(MAX_OTS)` = 2^17 blocks a session (`protocol.session`),
+and an outcome serves at most `MAX_SESSIONS` = 2^29 sessions
+(`gc.garble`), so at most 2^46 blocks a leaf and 2^54 over the 256
+leaves of a key set; the counter stays far below 2^64.
 
 Base OT is the Chou-Orlandi construction ("The Simplest Protocol for
 Oblivious Transfer", LATINCRYPT 2015) over P-256: the sender publishes
@@ -90,15 +104,18 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import ProtocolError
-from ..prg import AesCtr
 
 LAMBDA = 128
 # bits of s under one punctured GGM tree, SoftSpokenOT's k (see above)
 K = 2
 # the correction columns the client sends, one per tree but the first
 COLUMNS = LAMBDA // K - 1
-# bytes of leaf streams either half combines at a time (`_groups`)
-_LEAF_BYTES = 1 << 19
+# bytes of leaf streams either half reads and combines at a time
+# (`_groups`): a read's ECB output is one fresh `bytes`, and past 128 KiB
+# (glibc's default mmap threshold) each faults its pages in anew: on one
+# core of a 2-vCPU Xeon a read of 512 KiB took 530 us, four of 128 KiB
+# 240 us
+_LEAF_BYTES = 1 << 17
 # OTs each half expands and transposes at a time: 8 KB of each column, a
 # whole number of blocks, so every chunk starts on a block of the streams
 CHUNK_OTS = 1 << 16
@@ -113,6 +130,11 @@ COLOUR_COLUMN = 7
 _GGM = Cipher(algorithms.AES(bytes(range(16, 32))), modes.ECB())
 # tau, XORed into a node to hash its right child
 _RIGHT = np.array([0, 1 << 63], dtype=np.uint64)
+# the domain bit of every leaf stream's tweak, in its high word: the trees'
+# tweaks, 0 and tau, never set it
+_STREAM = np.uint64(1 << 62)
+# one AES block, a node or a leaf, as one element
+_BLOCK = np.dtype((np.void, 16))
 
 _CURVE = ec.SECP256R1()
 # the P-256 field prime and group order (SEC 2, section 2.4.2)
@@ -280,34 +302,58 @@ def _level_sums(nodes: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(nodes.reshape(len(nodes), -1, 2, 2), axis=1)
 
 
-def _key_list(leaves: np.ndarray) -> list[bytes]:
-    return [leaf.tobytes() for leaf in leaves.astype("<u8")]
-
-
-def _groups(trees: int, mb: int):
-    """The trees an extension of mb-byte columns combines at a time, as
-    (first, last) ranges, and a buffer for their streams, 2^K rows a tree:
-    each row is one stream's chunk with room for `AesCtr.read`'s last
-    whole block and its slack, and a group's rows take at most
+def _groups(trees: int, n: int) -> list[tuple[int, int]]:
+    """The trees whose streams a chunk of n column bytes reads and combines
+    at a time, as (first, last) ranges: a group's streams take at most
     `_LEAF_BYTES`, or one tree's where that alone takes more."""
-    width = min(mb, CHUNK_OTS // 8) + 31
-    size = max(1, min(trees, _LEAF_BYTES // (width << K)))
-    buf = np.empty((size, 1 << K, width), dtype=np.uint8)
-    return [(i, min(i + size, trees)) for i in range(0, trees, size)], buf
+    size = max(1, min(trees, _LEAF_BYTES // (16 * -(-n // 16) << K)))
+    return [(i, min(i + size, trees)) for i in range(0, trees, size)]
 
 
-def _vole(leaves: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """For each tree's rows of `leaves`, (G, 2^K, n), the columns v_y, the
-    XOR of its rows x whose bit y is set, into `v`, (G, K, n); returns u,
-    (G, n), the XOR of each tree's rows.  It folds `leaves` in place, top
-    bit first: once v_y is read off the rows with bit y set, they are
-    XORed onto the rows without, which leaves the same v below y, and row
-    0 ends as u."""
+def _tweaks(index: np.ndarray) -> np.ndarray:
+    """The high words of the stream tweaks of leaf index[i, l] of tree i,
+    (trees, L) uint64: the domain bit, the tree, the leaf."""
+    trees = np.arange(len(index), dtype=np.uint64)[:, None]
+    return _STREAM | trees << np.uint64(32) | index.astype(np.uint64)
+
+
+def _stream(leaves: np.ndarray, tweaks: np.ndarray, start: int,
+            blocks: int) -> np.ndarray:
+    """Blocks start .. start + blocks - 1 of the column streams of `leaves`
+    (G, L, 2), whose high tweak words are `tweaks` (G, L): block j of leaf x
+    is pi(x ^ t) ^ x, t = (j, its tweak word), as a writable (G, L, 16
+    blocks) uint8 array, through one fresh fixed-key ECB encryptor.  Each
+    XOR with the leaves is a copy of a leaf per block (`_BLOCK`) and one
+    XOR of whole rows: ten times faster than a broadcast 16-byte XOR."""
+    ctr = np.zeros((blocks, 2), dtype=np.uint64)
+    ctr[:, 0] = np.arange(start, start + blocks, dtype=np.uint64)
+    keyed = leaves.copy()
+    keyed[..., 1] ^= tweaks
+    x = np.empty(leaves.shape[:2] + (blocks, 2), dtype=np.uint64)
+    spread = x.view(_BLOCK)[..., 0]
+    spread[...] = keyed.view(_BLOCK)
+    x ^= ctr
+    pi = _GGM.encryptor().update(x.view(np.uint8))
+    spread[...] = leaves.view(_BLOCK)
+    x ^= np.frombuffer(pi, dtype="<u8").reshape(x.shape)
+    return x.view(np.uint8).reshape(*leaves.shape[:2], 16 * blocks)
+
+
+def _vole(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each tree's streams `rows`, (G, R, n), the last R of the 2^K
+    indices (row z - 2^K + R holding index z), the columns v_y, the XOR of
+    its rows whose index has bit y set, into `v`, (G, K, n); returns row 0,
+    u, the XOR of a tree's rows where R = 2^K.  It folds `rows` in place,
+    top bit first: once v_y is read off the rows with bit y set, they are
+    XORed onto the rows without, which leaves the same v below y.  Index
+    0, which no v reads, may be missing: a punctured tree's."""
+    o = (1 << K) - rows.shape[1]
     for y in reversed(range(K)):
         half = 1 << y
-        np.bitwise_xor.reduce(leaves[:, half:2 * half], axis=1, out=v[:, y])
-        leaves[:, :half] ^= leaves[:, half:2 * half]
-    return leaves[:, 0]
+        np.bitwise_xor.reduce(rows[:, half - o:2 * half - o], axis=1,
+                              out=v[:, y])
+        rows[:, :half - o] ^= rows[:, half:2 * half - o]
+    return rows[:, 0]
 
 
 @dataclass
@@ -357,14 +403,14 @@ class RandomOtSenderBatch:
 class OtExtReceiver:
     """SoftSpokenOT receiver (will obtain the extended OTs).  Acts as
     *sender* in the base OTs: it draws LAMBDA / K tree roots here and
-    expands their GGM trees, or takes the column streams `streams` their
-    leaves keyed in an earlier session's base OTs (one `AesCtr` per tree,
-    its keys the tree's leaves in order); it combines them and sends the
-    correction columns."""
+    expands their GGM trees, or takes the leaves of an earlier session's
+    trees; `leaves`, (LAMBDA / K, 2^K, 2) uint64, read-only, holds each
+    tree's leaves in order.  It reads and combines their column streams and
+    sends the correction columns."""
 
     def __init__(self, rng: np.random.Generator,
-                 streams: tuple[AesCtr, ...] | None = None):
-        if streams is None:
+                 leaves: np.ndarray | None = None):
+        if leaves is None:
             nodes = np.frombuffer(rng.bytes(16 * (LAMBDA // K)),
                                   dtype="<u8").reshape(-1, 1, 2)
             aes, sums = _GGM.encryptor(), []
@@ -374,8 +420,9 @@ class OtExtReceiver:
             # (LAMBDA / K, K, 2, 2): by tree, then by the leaf bit its level
             # branches on, the top level branching on the top bit
             self._sums = np.stack(sums[::-1], axis=1)
-            streams = tuple(AesCtr(_key_list(tree)) for tree in nodes)
-        self.streams = streams
+            leaves = nodes
+            leaves.flags.writeable = False
+        self.leaves = leaves
 
     def seed_messages(self, k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
         """Every tree level's two sums under the base-OT keys, (LAMBDA, 2,
@@ -391,19 +438,19 @@ class OtExtReceiver:
         to send, (LAMBDA / K - 1, ceil(M / 8)) uint8, from block `start` of
         the column streams on."""
         mb = -(-M // 8)
-        trees = len(self.streams)
+        trees = len(self.leaves)
         c = np.empty((trees - 1, mb), dtype=np.uint8)
         b = np.empty(mb, dtype=np.uint8)
         t = np.empty((M, 2), dtype=np.uint64)
-        groups, leaves = _groups(trees, mb)
+        tweaks = _tweaks(np.tile(np.arange(1 << K), (trees, 1)))
         for lo, hi in _chunks(mb):
             n = hi - lo
             t_cols = np.empty((LAMBDA, n), dtype=np.uint8)
             u = np.empty((trees, n), dtype=np.uint8)
-            for first, last in groups:
-                for tree, out in zip(self.streams[first:last], leaves):
-                    tree.read(start + lo // 16, n, out=out)
-                u[first:last] = _vole(leaves[:last - first, :, :n],
+            for first, last in _groups(trees, n):
+                rows = _stream(self.leaves[first:last], tweaks[first:last],
+                               start + lo // 16, -(-n // 16))
+                u[first:last] = _vole(rows[..., :n],
                                       t_cols.reshape(trees, K, n)[first:last])
             b[lo:hi] = u[0]
             np.bitwise_xor(u[1:], u[0], out=c[:, lo:hi])
@@ -415,18 +462,18 @@ class OtExtReceiver:
 class OtExtSender:
     """SoftSpokenOT sender: base-OT receiver with secret s, the garbling
     offset.  s is drawn here, or is that of an earlier session's base OTs,
-    and then so are the column streams its punctured trees keyed
-    (`streams`): one `AesCtr` per tree i, whose key y - 1 is leaf
-    y ^ d_i for y = 1 .. 2^K - 1, every leaf but d_i."""
+    and then so are the leaves of its punctured trees: `leaves`,
+    (LAMBDA / K, 2^K - 1, 2) uint64, read-only, whose row y - 1 of tree i
+    is leaf y ^ d_i for y = 1 .. 2^K - 1, every leaf but d_i."""
 
     def __init__(self, rng: np.random.Generator,
                  s_bits: np.ndarray | None = None,
-                 streams: tuple[AesCtr, ...] | None = None):
+                 leaves: np.ndarray | None = None):
         if s_bits is None:
             s_bits = rng.integers(0, 2, LAMBDA, dtype=np.uint8)
             s_bits[COLOUR_COLUMN] = 1
         self.s_bits = s_bits
-        self.streams = streams
+        self.leaves = leaves
 
     def punctures(self) -> np.ndarray:
         """d_i, the leaf of tree i the server lacks: chunk i of s, whose
@@ -436,8 +483,7 @@ class OtExtSender:
 
     def recover_seeds(self, seed_msgs: np.ndarray, my_keys: np.ndarray):
         """Rebuild every leaf of each tree but leaf d_i, a level at a time
-        from the sums each choice bit picks, and key the column streams
-        with them."""
+        from the sums each choice bit picks."""
         trees = np.arange(LAMBDA // K)
         d = self.punctures()
         got = (seed_msgs[np.arange(LAMBDA), self.s_bits]
@@ -453,8 +499,8 @@ class OtExtSender:
             nodes[trees, path] = nodes[trees, path ^ 1] = 0
             side = _level_sums(nodes)[trees, (path & 1) ^ 1]
             nodes[trees, path ^ 1] = got[:, y] ^ side
-        held = nodes[trees[:, None], d[:, None] ^ np.arange(1, 1 << K)]
-        self.streams = tuple(AesCtr(_key_list(tree)) for tree in held)
+        self.leaves = nodes[trees[:, None], d[:, None] ^ np.arange(1, 1 << K)]
+        self.leaves.flags.writeable = False
 
     def receive_extension(self, c_cols: np.ndarray, M: int,
                           start: int = 0) -> RandomOtSenderBatch:
@@ -465,19 +511,15 @@ class OtExtSender:
         # none, its u_0 being b
         flip = np.flatnonzero(self.s_bits[K:]) + K
         mb = c_cols.shape[1]
-        trees = len(self.streams)
-        groups, leaves = _groups(trees, mb)
+        trees = len(self.leaves)
+        tweaks = _tweaks(self.punctures()[:, None] ^ np.arange(1, 1 << K))
         for lo, hi in _chunks(mb):
             n = hi - lo
             q_cols = np.empty((LAMBDA, n), dtype=np.uint8)
-            for first, last in groups:
-                # row y of tree i holds stream y ^ d_i, row 0 the one not
-                # held
-                leaves[:, 0] = 0
-                for tree, out in zip(self.streams[first:last], leaves):
-                    tree.read(start + lo // 16, n, out=out[1:])
-                _vole(leaves[:last - first, :, :n],
-                      q_cols.reshape(trees, K, n)[first:last])
+            for first, last in _groups(trees, n):
+                rows = _stream(self.leaves[first:last], tweaks[first:last],
+                               start + lo // 16, -(-n // 16))
+                _vole(rows[..., :n], q_cols.reshape(trees, K, n)[first:last])
             for j in flip:
                 q_cols[j] ^= c_cols[j // K - 1, lo:hi]
             _transpose_bits(q_cols, q[8 * lo:8 * hi])

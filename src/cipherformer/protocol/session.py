@@ -74,12 +74,12 @@ receiver tells the forms apart by the length in the frame header; ot-base
 fixes the form of client-setup before it is read.
 
 Base OT runs once per client key set.  Both parties keep its outcome (the
-client the column streams its GGM trees' leaves key, the server those of
-its punctured trees and s) under the outcome's name, the SHA-256 of point
-A and the 128 points B cut to 16 bytes, which both hold, with a stream
-position and a session number.  Each party holds this state across
-sessions in stores (`_Store`), each dropping its least recently used entry
-past its bound:
+client the leaves of its GGM trees, the server those of its punctured
+trees and s, the leaves a read-only array) under the outcome's name, the
+SHA-256 of point A and the 128 points B cut to 16 bytes, which both hold,
+with a stream position and a session number.  Each party holds this state
+across sessions in stores (`_Store`), each dropping its least recently
+used entry past its bound:
 
   client         one store of a seeded client's key sets, 16, by (params,
                  rotations, key seed): each its secret keys, its key blob
@@ -91,8 +91,8 @@ past its bound:
                  elements
 
 Every later session with the same key set adds a resume request to
-accept: both then extend at that position of the same column streams
-(`gc.ot`), garble under session-numbered tweaks
+accept: both then extend at that position of the column streams the
+same leaves give (`gc.ot`), garble under session-numbered tweaks
 (`gc.garble.tweak_namespace`), and move the position past the
 `stream_blocks(ot_total)` blocks they took.  The session that ran the base
 OTs extends at position 0 as session 0.  The server never takes the
@@ -185,7 +185,6 @@ from ..pahe import (Ciphertexts, Evaluator, KeyMaterial, PaheParams, ct_nbytes,
                     galois_elements, key_blob_nbytes, keygen, le64,
                     public_keys_from_bytes, public_keys_to_bytes,
                     session_params)
-from ..prg import AesCtr
 from ..stages import (MODES, StagePlan, StageSpec, b2a_weights,
                       choose_plaintext_prime, client_window_share,
                       garbler_window_share, sample_stage_masks,
@@ -208,8 +207,8 @@ MIN_RING_DEGREE = 512
 MAX_WIDTH = MAX_RING_DEGREE // 2
 # checked after the plan, before any key or OT is made: widths alone do
 # not bound a session, which holds tensors of two widths (dim x dim, say)
-# in every layer.  The OT extension peaks at about 34 bytes per OT on the
-# receiver and 24 on the sender above its input (measured with tracemalloc
+# in every layer.  The OT extension peaks at about 33 bytes per OT on the
+# receiver and 22 on the sender above its input (measured with tracemalloc
 # at 2^18 OTs): the rows each party keeps as labels hold 16 bytes per OT,
 # the receiver's correction columns 8 (63 bits at `gc.ot.K` = 2) and its
 # choice bits one, and one chunk of `gc.ot.CHUNK_OTS` column bits (1 MB)
@@ -447,14 +446,14 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
 @dataclass
 class _Extension:
     """What one base OT left a party for a client key set, which every later
-    session with that key set extends (`gc.ot`): the column streams the
-    leaves of the client's GGM trees key, or those of the server's
-    punctured trees and its s bits, the garbling offset of all those
-    sessions, and the digest that names the outcome (`_outcome`).  Each
-    party keeps copies of its streams not yet set up (`_unset`), so a key
-    set that never resumes holds no AES context."""
+    session with that key set extends (`gc.ot`): the leaves of the client's
+    GGM trees, or those of the server's punctured trees and its s bits, the
+    garbling offset of all those sessions, and the digest that names the
+    outcome (`_outcome`).  The leaves are a read-only array and every read
+    of their column streams runs through an encryptor of its own, so the
+    sessions that resume one outcome at once share it with no lock."""
 
-    streams: tuple[AesCtr, ...]
+    leaves: np.ndarray | None
     s_bits: np.ndarray | None
     outcome: bytes
     position: int = 0    # the next AES block of every column stream
@@ -496,11 +495,6 @@ def _client_keys(params: PaheParams, rotations: tuple[int, ...],
                    public_keys_to_bytes(keys.public()))
 
 
-def _unset(streams: tuple[AesCtr, ...]) -> tuple[AesCtr, ...]:
-    """Copies of column streams whose AES keys are not yet set up."""
-    return tuple(AesCtr(s.keys) for s in streams)
-
-
 class _Store:
     """One party's state by key, the least recently used dropped past
     `maxsize`.  Every call holds one lock (reentrant: `get` and `take` keep
@@ -537,16 +531,17 @@ class _Store:
 
 
 # Per entry, measured with tracemalloc on tiny: a client key set 138 KiB
-# and its outcome 29 KiB (256 leaf keys at `gc.ot.K` = 2, none set up); a
-# server's parsed key set 579 KiB and an outcome 28 KiB (192 leaf keys;
-# about 280 KiB once they are set up).  The client holds its key sets,
-# each with its outcome, by (params, rotations, key seed).  The server
+# and its outcome 5.1 KiB (256 leaves at `gc.ot.K` = 2, 4 KiB of them); a
+# server's parsed key set 579 KiB and an outcome 4.3 KiB (192 leaves and
+# s).  Reading an outcome's streams sets nothing up that it keeps, so it
+# holds that much however often it resumes.  The client holds its key
+# sets, each with its outcome, by (params, rotations, key seed).  The server
 # holds outcomes by the key blob's SHA-256 and the outcome's name, as many
 # as the client's key sets, so one client's fit; it keeps one for every
 # session that ran base OT, a client's that will never resume too.  Its
 # parse memo, by the blob's SHA-256 and the session's params and Galois
 # elements (one blob could parse under another geometry's elements),
-# holds fewer: a parsed key set weighs about 20 outcomes, and at 16 key
+# holds fewer: a parsed key set weighs about 130 outcomes, and at 16 key
 # sets that never repeat would hold about 7 MB more.
 _CLIENT_KEYS = _Store(16)
 _SERVER_KEYS = _Store(4)
@@ -806,10 +801,10 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
         ext = OtExtSender(rng)
         base = BaseOtReceiver(rng, ext.s_bits, bpt)
         _send(conn, tr, OT_BASE, base.msgs_b)
-        # a first session: its streams come with the seed messages
-        held = _Extension((), ext.s_bits, _outcome(bpt, base.msgs_b))
+        # a first session: its leaves come with the seed messages
+        held = _Extension(None, ext.s_bits, _outcome(bpt, base.msgs_b))
     else:
-        ext = OtExtSender(rng, held.s_bits, held.streams)
+        ext = OtExtSender(rng, held.s_bits, held.leaves)
         _send(conn, tr, OT_BASE)
 
     mb = -(-geom.ot_total // 8)
@@ -820,7 +815,7 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     if bseed:
         ext.recover_seeds(_words(bseed[0], (LAMBDA, 2, 2)), base.keys())
         _SERVER_OT.put((key_set, held.outcome), _Extension(
-            _unset(ext.streams), ext.s_bits, held.outcome, blocks, 1))
+            ext.leaves, ext.s_bits, held.outcome, blocks, 1))
     c_cols = np.frombuffer(bucol, dtype=np.uint8).reshape(COLUMNS, mb)
     pairs = ext.receive_extension(c_cols, geom.ot_total, held.position)
 
@@ -995,11 +990,10 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
             k0, k1 = base.keys(bpts)
             ext = OtExtReceiver(rng)
             seed_msgs = [le64(ext.seed_messages(k0, k1))]
-            held = _Extension(ext.streams, None, _outcome(base.msg_a, bpts))
-            entry.ext = _Extension(_unset(ext.streams), None, held.outcome,
-                                   blocks, 1)
+            held = _Extension(ext.leaves, None, _outcome(base.msg_a, bpts))
+            entry.ext = replace(held, position=blocks, session=1)
         else:
-            ext = OtExtReceiver(rng, held.streams)
+            ext = OtExtReceiver(rng, held.leaves)
             seed_msgs = []
         c_cols, batch = ext.extend(geom.ot_total, held.position)
 

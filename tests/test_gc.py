@@ -13,7 +13,6 @@ from cipherformer.gc import ot as O
 from cipherformer.gc.circuit import (CONST0, CONST1, OP_AND, Builder,
                                      schedule, to_bits)
 from cipherformer.model import ModelConfig
-from cipherformer.prg import AesCtr
 from cipherformer.stages import StageGroup, stage_circuits
 from test_stages import stage_schedule, sub, word_value
 
@@ -774,8 +773,8 @@ def ot_session():
 
 
 def _extension_streams():
-    """The receiver's and the sender's column streams and the sender's s,
-    as 128 base OTs leave them."""
+    """The receiver's and the sender's leaves, whose column streams every
+    extension reads, and the sender's s, as 128 base OTs leave them."""
     rng_c = np.random.default_rng(31)
     rng_s = np.random.default_rng(32)
     recv, send = O.OtExtReceiver(rng_c), O.OtExtSender(rng_s)
@@ -783,7 +782,7 @@ def _extension_streams():
     base_r = O.BaseOtReceiver(rng_s, send.s_bits, base_s.msg_a)
     send.recover_seeds(recv.seed_messages(*base_s.keys(base_r.msgs_b)),
                        base_r.keys())
-    return recv.streams, send.streams, send.s_bits
+    return recv.leaves, send.leaves, send.s_bits
 
 
 @pytest.mark.parametrize("side", ["receiver", "sender"])
@@ -992,10 +991,18 @@ def _ref_punctured(off_path: list[bytes], d: int, k: int) -> list:
     return level
 
 
-def _ref_stream_bits(key: bytes, start: int, M: int) -> np.ndarray:
-    """M bits of the AES-CTR stream under `key` from block `start` on."""
-    ctr = Cipher(algorithms.AES(key), modes.CTR(start.to_bytes(16, "big")))
-    raw = ctr.encryptor().update(bytes(-(-M // 8)))
+def _ref_stream_bits(leaf: bytes, tree: int, index: int, start: int,
+                     M: int) -> np.ndarray:
+    """M bits of the column stream of leaf `index` of tree `tree`, whose
+    value is `leaf`, from block `start` on: block j is pi(leaf ^ t) ^ leaf,
+    pi AES under the trees' public key, t the counter j in the low word
+    and, in the high one, bit 62 (the stream domain), the tree from bit 32
+    and the leaf's index."""
+    pi = Cipher(algorithms.AES(bytes(range(16, 32))), modes.ECB()).encryptor()
+    high = (1 << 62 | tree << 32 | index).to_bytes(8, "little")
+    raw = b"".join(
+        _xor(pi.update(_xor(leaf, j.to_bytes(8, "little") + high)), leaf)
+        for j in range(start, start + -(-M // 128)))
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:M]
 
 
@@ -1021,7 +1028,8 @@ def _ref_soft_spoken(roots, s_bits, k, M, start):
                  for i in range(len(roots))]
     t_cols, q_cols, us = [], [], []
     for i, tree in enumerate(trees):
-        r = [_ref_stream_bits(leaf, start, M) for leaf in tree[k]]
+        r = [_ref_stream_bits(leaf, i, x, start, M)
+             for x, leaf in enumerate(tree[k])]
         u = np.zeros(M, dtype=np.uint8)
         v = np.zeros((k, M), dtype=np.uint8)
         w = np.zeros((k, M), dtype=np.uint8)
@@ -1045,6 +1053,12 @@ def _ref_soft_spoken(roots, s_bits, k, M, start):
                 q=_ref_rows(np.concatenate(q_cols)))
 
 
+def _leaf_bytes(leaves: np.ndarray) -> list[list[bytes]]:
+    """Each tree's leaves, (trees, L, 2) uint64, as 16-byte strings."""
+    return [[leaf.astype("<u8").tobytes() for leaf in tree]
+            for tree in leaves]
+
+
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_soft_spoken_matches_the_reference(monkeypatch, k):
     """At K = 2, 4 and 8, with s's colour column forced: the client's
@@ -1062,7 +1076,9 @@ def test_soft_spoken_matches_the_reference(monkeypatch, k):
     assert send.s_bits[O.COLOUR_COLUMN] == 1
     ref = _ref_soft_spoken(roots, send.s_bits, k, M, start)
 
-    assert [tree.keys for tree in recv.streams] == ref["leaves"]
+    assert recv.leaves.shape == (trees, 1 << k, 2)
+    assert not recv.leaves.flags.writeable
+    assert _leaf_bytes(recv.leaves) == ref["leaves"]
     rng = np.random.default_rng(43)
     k0, k1 = (rng.integers(0, 1 << 63, (O.LAMBDA, 2), dtype=np.uint64)
               for _ in range(2))
@@ -1075,12 +1091,13 @@ def test_soft_spoken_matches_the_reference(monkeypatch, k):
     chosen = np.where(send.s_bits[:, None] == 1, k1, k0)
     send.recover_seeds(msgs, chosen)
     assert list(send.punctures()) == ref["d"]
-    for i, tree in enumerate(send.streams):
+    assert send.leaves.shape == (trees, (1 << k) - 1, 2)
+    assert not send.leaves.flags.writeable
+    for i, tree in enumerate(_leaf_bytes(send.leaves)):
         lacking = ref["leaves"][i][ref["d"][i]]
-        assert set(tree.keys) == set(ref["leaves"][i]) - {lacking}
-        assert len(tree.keys) == (1 << k) - 1
+        assert set(tree) == set(ref["leaves"][i]) - {lacking}
         assert [ref["punctured"][i][y ^ ref["d"][i]]
-                for y in range(1, 1 << k)] == tree.keys
+                for y in range(1, 1 << k)] == tree
 
     c_cols, batch = recv.extend(M, start)
     assert c_cols.shape == (trees - 1, -(-M // 8))
@@ -1094,39 +1111,90 @@ def test_soft_spoken_matches_the_reference(monkeypatch, k):
     assert pairs.delta[0] & np.uint64(1) == 1
 
 
+def _recording_streams(monkeypatch) -> list[tuple]:
+    """Every read of leaf streams from here on, as (leaves, tweak words,
+    first block, blocks) in call order."""
+    stream, reads = O._stream, []
+
+    def recording(leaves, tweaks, start, blocks):
+        reads.append((leaves.copy(), tweaks.copy(), start, blocks))
+        return stream(leaves, tweaks, start, blocks)
+
+    monkeypatch.setattr(O, "_stream", recording)
+    return reads
+
+
 def test_consecutive_extensions_share_no_stream_block(monkeypatch):
     """Two extensions resumed at consecutive stream positions, read in
     chunks of a few blocks, take disjoint block ranges of every stream on
     both sides, the second starting where the first ends, and share no
     row."""
-    recv_streams, send_streams, s_bits = _extension_streams()
-    read, blocks = AesCtr.read, {}
-
-    def recording(self, start, nbytes, out=None):
-        blocks.setdefault(id(self), []).append(
-            set(range(start, start + -(-nbytes // 16))))
-        return read(self, start, nbytes, out)
-
-    monkeypatch.setattr(AesCtr, "read", recording)
+    recv_leaves, send_leaves, s_bits = _extension_streams()
+    reads = _recording_streams(monkeypatch)
     monkeypatch.setattr(O, "CHUNK_OTS", 1024)
     M, P = 3000, 5
     rng = np.random.default_rng(9)
     rows = []
     for position in (P, P + O.stream_blocks(M)):
-        c_cols, batch = O.OtExtReceiver(rng, recv_streams).extend(
+        c_cols, batch = O.OtExtReceiver(rng, recv_leaves).extend(
             M, position)
-        O.OtExtSender(rng, s_bits, send_streams).receive_extension(
+        O.OtExtSender(rng, s_bits, send_leaves).receive_extension(
             c_cols, M, position)
         rows.append(batch.t)
+    # by tree and side: a tree's leaves on one side name it
+    blocks = {}
+    for leaves, _tweaks, start, count in reads:
+        for tree in leaves:
+            blocks.setdefault(tree.tobytes(), []).append(
+                set(range(start, start + count)))
     n = O.stream_blocks(M)
-    assert len(blocks) == len(recv_streams) + len(send_streams)
-    for reads in blocks.values():
+    assert len(blocks) == len(recv_leaves) + len(send_leaves)
+    for tree_reads in blocks.values():
         # three chunks of eight blocks per extension
-        assert len(reads) == 6
-        first, second = set().union(*reads[:3]), set().union(*reads[3:])
+        assert len(tree_reads) == 6
+        first, second = (set().union(*tree_reads[:3]),
+                         set().union(*tree_reads[3:]))
         assert first == set(range(P, P + n))
         assert second == set(range(P + n, P + 2 * n))
     assert not {r.tobytes() for r in rows[0]} & {r.tobytes() for r in rows[1]}
+
+
+def test_stream_tweaks_keep_to_their_domain_and_never_repeat(monkeypatch):
+    """Over one extension on each side, read in chunks and groups of a few
+    trees, every tweak a leaf stream's block is read under has the stream
+    domain bit set, so none is 0 or tau, the trees' two tweaks; on each
+    side no two (tree, leaf, block) share one; and a leaf both sides hold
+    is read under the same tweak words."""
+    recv_leaves, send_leaves, s_bits = _extension_streams()
+    reads = _recording_streams(monkeypatch)
+    monkeypatch.setattr(O, "CHUNK_OTS", 1024)
+    monkeypatch.setattr(O, "_LEAF_BYTES", 5 * 128 << O.K)
+    M, trees = 3000, O.LAMBDA // O.K
+    rng = np.random.default_rng(10)
+    c_cols, _ = O.OtExtReceiver(rng, recv_leaves).extend(M, 7)
+    n_recv = len(reads)
+    O.OtExtSender(rng, s_bits, send_leaves).receive_extension(c_cols, M, 7)
+    words = {}
+    for side, side_reads in (("receiver", reads[:n_recv]),
+                             ("sender", reads[n_recv:])):
+        # three chunks of groups of five trees
+        assert len(side_reads) == 3 * -(-trees // 5)
+        tweaks = [(j, int(high))
+                  for _leaves, highs, start, count in side_reads
+                  for high in highs.ravel()
+                  for j in range(start, start + count)]
+        assert all(high >> 62 & 1 for _j, high in tweaks)
+        assert not {(0, 0), (0, 1 << 63)} & set(tweaks)
+        per_tree = side_reads[0][0].shape[1]
+        assert len(set(tweaks)) == len(tweaks) == (
+            trees * per_tree * O.stream_blocks(M))
+        words[side] = {leaf.tobytes(): int(high)
+                       for leaves, highs, _start, _count in side_reads
+                       for leaf, high in zip(leaves.reshape(-1, 2),
+                                             highs.ravel())}
+    held = words["sender"]
+    assert len(held) == trees * ((1 << O.K) - 1)
+    assert {leaf: words["receiver"][leaf] for leaf in held} == held
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -25,12 +25,13 @@ import pytest
 from cipherformer.errors import ParameterError, ProtocolError
 from cipherformer.gc import garble as garble_module
 from cipherformer.gc.ot import COLUMNS, LAMBDA, POINT_BYTES
-from cipherformer import helinear, pahe
+from cipherformer import helinear, model, pahe
 from cipherformer.helinear import (COLBLOCKS, ROWS, Layout, colblock_matmul,
                                    decrypt_matrix, encmatrix_from_bytes,
                                    encmatrix_to_bytes, layout_vectors,
                                    matmul_mod, pack_colblocks, rows_per_ct)
-from cipherformer.model import ModelConfig, forward_fixed, gen_random
+from cipherformer.model import (ModelConfig, forward_fixed, gen_random,
+                               layer_weights)
 from cipherformer.pahe import Evaluator, ct_nbytes, keygen
 from cipherformer.protocol import (ACCEPT, CLIENT_SETUP, FRAME_NAMES, HELLO,
                                    LOGITS, MM_OPEN, MM_REPLY, OT_BASE,
@@ -41,7 +42,7 @@ from cipherformer.protocol import (ACCEPT, CLIENT_SETUP, FRAME_NAMES, HELLO,
                                    session_geometry, tcp_accept, tcp_dial,
                                    tcp_listen, transport)
 from cipherformer.protocol.framing import _HEADER, write_frame
-from cipherformer.stages import MODES
+from cipherformer.stages import MODES, affine_stage_oracle
 
 CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
                   n_classes=2, w=20, f=9)
@@ -55,23 +56,23 @@ KEY_BLOB_BYTES = pahe.key_blob_nbytes(_OPT1.params, len(_OPT1.galois))
 REQUEST_BYTES = 8 + 16
 
 DIGESTS = {
-    "baseline": "818b293115a21329bce107b2b94a5286"
-                "4d4417b0bdbcb2c3641ce5db2875cee3",
-    "opt1": "cf87c50ce4aeb08520199531d71d6919"
-            "6928ee1c4bf02d4c08a6fd6ac8922592",
-    "opt2": "9a3ba45259c5d7a3f84e524178b0e1f4"
-            "c9bf5a4605070fa03cf01a8c0fba7544",
+    "baseline": "0194b5a4b072c973d08f597e3438d36b"
+                "5aaf1e85e5ff7fe5d64ed5d2a56b5e61",
+    "opt1": "adf9035e5bdbe509f18d6ae45590c9bd"
+            "072ad7f2f1f28f982028885466cbff7d",
+    "opt2": "2b1f659582474a0dd3339fb0a82ad530"
+            "3c5c16521b649cf852787ff2a4cf9a82",
 }
-TWO_LAYER_DIGEST = ("e66a99690211f459f6d1fef1f4e97a5d"
-                    "11ab1121cc530e2337e6cb5590f0e392")
+TWO_LAYER_DIGEST = ("b1fced9a177e966f84ded612c226d326"
+                    "beeb2bd86fa52202e17d05f9d5d1653e")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "faf779ce935ebd0f2835677f347ef0ab"
-                "aed56d1b58d14ef3c18ce015cb719f3f",
-    "opt1": "079ffff99112fb9dedc8d8c6217af1dd"
-            "0f9cd3be9d3b9b41aa6d069c769da6b2",
-    "opt2": "5ab01bffbc1af0a72ee5c5a0234328e3"
-            "62e21702ebfbf41d502a2e68b7312d48",
+    "baseline": "4973ab0e5cf6a765e15e2821b480ad75"
+                "cb4dfd8ca210f845595c5ba22f51d292",
+    "opt1": "d73f41f41e0d546bf21905779bcd5e33"
+            "10902f656a20b0330d52a5cc4436d2be",
+    "opt2": "e4da8f299c7bae8700f411f0fb60b1cb"
+            "cac142dc144d0cf8c5c5557a3f97e847",
 }
 
 
@@ -613,8 +614,8 @@ class _OtherTrees(session.OtExtReceiver):
     generator draws, as a client whose key set is not what fixes its base
     OT would have them."""
 
-    def __init__(self, rng, streams=None):
-        super().__init__(np.random.default_rng(99), streams)
+    def __init__(self, rng, leaves=None):
+        super().__init__(np.random.default_rng(99), leaves)
 
 
 def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
@@ -733,6 +734,68 @@ def test_base_ot_runs_again_once_the_session_numbers_are_spent(
         assert digest == DIGESTS["opt1"]
         assert server.transcript.rounds == client.transcript.rounds == ROUNDS
         assert server.transcript.frames[2].nbytes == LAMBDA * POINT_BYTES
+
+
+def test_threads_extending_from_one_stored_outcome_get_the_reference_rows(
+        weights):
+    """Sessions resumed from one base-OT outcome extend from its stored
+    leaves at once.  Four threads that each extend 20 times from the
+    leaves both parties stored, each at its own stream position, all get
+    the rows one extension got alone, which hold the correlation under
+    the server's s, and raise nothing.  The interpreter switches threads
+    every microsecond, so their reads overlap.  Neither party's stored
+    leaves take a write."""
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    (key_set,) = session._CLIENT_KEYS._held.values()
+    (held,) = session._SERVER_OT._held.values()
+    recv_leaves, send_leaves = key_set.ext.leaves, held.leaves
+    M, threads, runs = 1500, 4, 20
+
+    def extend(position):
+        rng = np.random.default_rng(position)
+        c_cols, batch = session.OtExtReceiver(rng, recv_leaves).extend(
+            M, position)
+        pairs = session.OtExtSender(rng, held.s_bits, send_leaves) \
+            .receive_extension(c_cols, M, position)
+        return batch, pairs
+
+    want = []
+    for t in range(threads):
+        batch, pairs = extend(100 * t)
+        b = batch.b[:, None].astype(np.uint64)
+        assert np.array_equal(pairs.q, batch.t ^ b * pairs.delta)
+        want.append((batch.t, pairs.q))
+    start, errors, wrong = threading.Barrier(threads), [], []
+
+    def worker(t: int):
+        start.wait(60)
+        try:
+            for _ in range(runs):
+                batch, pairs = extend(100 * t)
+                if not (np.array_equal(batch.t, want[t][0])
+                        and np.array_equal(pairs.q, want[t][1])):
+                    wrong.append(t)
+        except Exception as exc:   # noqa: BLE001 - any failure counts
+            errors.append(exc)
+
+    pool = [threading.Thread(target=worker, args=(t,))
+            for t in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in pool:
+            th.start()
+        for th in pool:
+            th.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in pool)
+    assert errors == []
+    assert wrong == []
+    for leaves in (recv_leaves, send_leaves):
+        with pytest.raises(ValueError, match="read-only"):
+            leaves[0, 0, 0] ^= np.uint64(1)
 
 
 def test_concurrent_takes_reserve_disjoint_blocks():
@@ -1092,6 +1155,70 @@ def test_resumed_session_bytes_on_the_benchmark_shapes(cfg, mode, c2s, s2c,
     assert sent[1] == (c2s, s2c, gc)
     assert sent[0] == (c2s + LAMBDA * 32 - REQUEST_BYTES,
                        s2c + LAMBDA * POINT_BYTES, gc)
+
+
+# the share of a session's affine-stage lanes that may saturate in the
+# working-range sessions below
+MAX_SATURATED = 0.10
+
+
+def _stage_lanes(cfg, weights, tokens, mode) -> tuple[int, int, int]:
+    """The plan walked as `forward_fixed` walks it, each affine group
+    through `affine_stage_oracle`: its affine-stage lanes that saturate,
+    all its affine-stage lanes, and its attention rows whose weights sum
+    to zero (the row divider's zero-sum case)."""
+    held = {"x": np.eye(cfg.vocab, dtype=np.int64)[np.asarray(tokens)]}
+    saturated = lanes = zero_rows = 0
+    for e, enc in enumerate(cfg.plan(mode).encoders):
+        mats, offsets = layer_weights(cfg, weights, mode, e)
+        held.update(mats)
+        for spec in enc:
+            left, right = spec.factors(held)
+            raw = left @ right + offsets.get(spec.right, 0)
+            if spec.kind == "rowdiv":
+                weights_sum = (np.maximum(raw, 0) >> spec.shift).sum(axis=-1)
+                zero_rows += int(np.count_nonzero(weights_sum == 0))
+            else:
+                for part in spec.split(raw):
+                    clamped = affine_stage_oracle(part, spec.shift, spec.keep)
+                    saturated += np.count_nonzero(
+                        clamped != part >> spec.shift)
+                    lanes += part.size
+            held.update(zip(spec.tags, model._stage_oracle(spec, raw)))
+    return saturated, lanes, zero_rows
+
+
+@pytest.mark.parametrize("cfg,mode,scale", [
+    # `gen_random` at scale 2^-11, or twice or four times that where every
+    # logit of a session at 2^-11 rounds to zero
+    pytest.param(CFG, "baseline", 2 ** -11, id="tiny-baseline"),
+    pytest.param(CFG, "opt1", 2 ** -10, id="tiny-opt1"),
+    pytest.param(CFG, "opt2", 2 ** -9, id="tiny-opt2"),
+    pytest.param(HE_SMALL, "opt2", 2 ** -10, id="he-small-opt2"),
+    pytest.param(GC_L16, "baseline", 2 ** -11, id="gc-l16-baseline"),
+])
+def test_sessions_in_the_working_range_are_exact(cfg, mode, scale):
+    """At `scale=0.25` most affine-stage lanes saturate, so the pinned
+    sessions check the path below the clamp on few lanes.  Here weights
+    are drawn small enough that at most `MAX_SATURATED` of the lanes
+    saturate and the logits are not all zero: the session is exact in the
+    fixed rounds.  The tiny baseline case holds an attention row whose
+    weights sum to zero."""
+    tokens = (TOKENS if cfg is CFG
+              else (np.arange(cfg.seq_len) * 5 + 1) % cfg.vocab)
+    wts = gen_random(cfg, 7, scale=scale)
+    saturated, lanes, zero_rows = _stage_lanes(cfg, wts, tokens, mode)
+    assert saturated <= MAX_SATURATED * lanes
+    if cfg is CFG and mode == "baseline":
+        assert zero_rows >= 1
+    ref = forward_fixed(cfg, wts, tokens, mode)
+    assert np.any(ref.logits)
+    server, client = private_inference(cfg, wts, tokens, mode,
+                                       server_seed=11, client_seed=12)
+    assert np.array_equal(client.logits, ref.logits)
+    assert client.label == ref.label
+    assert (server.transcript.rounds == client.transcript.rounds
+            == 5 + 24 * cfg.n_layers)
 
 
 # the smallest noise budget any operation of a session on each benchmark
