@@ -5,7 +5,7 @@ The evaluator's input labels come straight out of a correlated OT with
 IKNP's correlation q_j = t_j ^ b_j s (Ishai-Kilian-Nissim-Petrank, CRYPTO
 2003; Asharov-Lindell-Schneider-Zohner, CCS 2013), extended by SoftSpokenOT
 (Roy, CRYPTO 2022, ePrint 2022/192), which sends LAMBDA / K - 1 correction
-columns where IKNP sends LAMBDA: 63 bits an OT at K = 2, not 128.  It runs
+columns where IKNP sends LAMBDA: 31 bits an OT at K = 4, not 128.  It runs
 in three phases so the heavy parts run before the online phase starts:
 
   * once per client key set -- s, the garbling offset delta of every
@@ -45,16 +45,16 @@ in three phases so the heavy parts run before the online phase starts:
 
 K trades bytes for reads: the client reads 2^K LAMBDA / K leaf streams
 and the server (2^K - 1) LAMBDA / K every session, and neither sets up a
-key for them.  On one core of a 2-vCPU Xeon, an extension of 69,248 OTs
-(8,656 column bytes, he-small's) spent 2.1 ms of the client's 7.5 ms
-reading its 256 streams at K = 2 and the server 1.7 of 7.6 ms over 192,
-against 3.7 of 10.3 ms and 3.4 of 9.5 ms at K = 4 (512 and 480 streams,
-31 columns); one of 5,440 OTs (tiny's) 0.41 of 1.1 and 0.33 of 1.0 ms at
-K = 2, 0.60 of 1.3 and 0.33 of 1.1 ms at K = 4.  The keyed AES-CTR
-streams these replaced set up one key a leaf per fresh key set, 13-18 us
-each: 3.5-4.6 ms of client and 2.8 ms of server CPU at K = 2, and at K = 4
-enough to hold K at 2.  K = 8 would send 15 columns but read 4,096
-streams on the client.
+key for them.  K = 4 ships: 31 columns an OT against 63 at K = 2, for 512
+streams on the client and 480 on the server against 256 and 192.  On one
+core of a 2-vCPU Xeon, an extension of 69,248 OTs (8,656 column bytes,
+he-small's) spent 1.9 ms of the client's 4.7 ms reading streams at K = 4
+and the server 1.8 of 4.5 ms, against 1.0 of 3.4 ms and 0.8 of 3.0 ms at
+K = 2; one of 5,440 OTs (tiny's) 0.15 of 0.44 ms and 0.15 of 0.48 ms at
+K = 4, against 0.09 of 0.30 ms and 0.07 of 0.34 ms at K = 2.  The keyed
+AES-CTR streams these replaced set up one key a leaf per fresh key set,
+13-18 us each, which held K at 2 while they stood.  K = 8 would send 15
+columns but read 4,096 streams on the client.
 
 Both halves read and combine the streams of a few trees at a time (at most
 `_LEAF_BYTES` of them a chunk) and transpose the columns `CHUNK_OTS` OTs
@@ -80,7 +80,7 @@ blocks is pseudorandom against Q queries to pi up to an advantage of
 about D Q / 2^128.  D is bounded: a leaf gives at most
 `stream_blocks(MAX_OTS)` = 2^17 blocks a session (`protocol.session`),
 and an outcome serves at most `MAX_SESSIONS` = 2^29 sessions
-(`gc.garble`), so at most 2^46 blocks a leaf and 2^54 over the 256
+(`gc.garble`), so at most 2^46 blocks a leaf and 2^55 over the 512
 leaves of a key set; the counter stays far below 2^64.
 
 Base OT is the Chou-Orlandi construction ("The Simplest Protocol for
@@ -107,7 +107,7 @@ from ..errors import ProtocolError
 
 LAMBDA = 128
 # bits of s under one punctured GGM tree, SoftSpokenOT's k (see above)
-K = 2
+K = 4
 # the correction columns the client sends, one per tree but the first
 COLUMNS = LAMBDA // K - 1
 # bytes of leaf streams either half reads and combines at a time

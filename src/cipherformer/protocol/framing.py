@@ -20,13 +20,16 @@ _HEADER = struct.Struct("<4sBI")
 
 # handshake / setup
 HELLO = 1          # s->c: session geometry
-ACCEPT = 2         # c->s: rotation keys, base-OT point A (33 B), then
-                   #       maybe a resume request: the client's stream
-                   #       position (8 B) and a base-OT outcome's name (16 B)
-OT_BASE = 3        # s->c: empty if the server resumes the named outcome,
-                   #       else the 128 base-OT points B (33 B each)
-CLIENT_SETUP = 4   # c->s: OT seeds (after points B only) + extension
-                   #       matrix + encrypted input
+ACCEPT = 2         # c->s: the key blob's SHA-256 (32 B), base-OT point A
+                   #       (33 B), then maybe a resume request: the
+                   #       client's stream position (8 B) and a base-OT
+                   #       outcome's name (16 B)
+OT_BASE = 3        # s->c: 0 if the server holds the keys, 1 if it wants
+                   #       them (1 B); then nothing if it resumes the named
+                   #       outcome, else the 128 base-OT points B (33 B each)
+CLIENT_SETUP = 4   # c->s: the key blob (after a 1 only) + OT seeds (after
+                   #       points B only) + extension matrix + encrypted
+                   #       input
 # garbled stages
 STAGE_OPEN = 5     # s->c: the masked stage input
 STAGE_OT_REQ = 6   # c->s: derandomization bits

@@ -23,22 +23,25 @@ every ct the server sends is computed, its c0 and c1, 2 b k n / 8:
                           w, f, ring degree and plaintext prime (8 each);
                           the client rederives ring and prime and refuses
                           on any disagreement
-  accept         c -> s   the key blob, per Galois key its (k, k, n) k0
-                          digit stack and the seed of its k1 stack,
-                          (b k^2 n / 8 + 16) |galois|; base-OT point A
-                          (compressed P-256), 33; then, if the client holds
-                          a base-OT outcome for the key set, a resume
-                          request: the client's stream position (8,
-                          little-endian) and the outcome's name (16)
-  ot-base        s -> c   nothing if the server resumes the outcome the
-                          request names, else the 128 base-OT points B,
-                          128 x 33
-  client-setup   c -> s   after points B only, the two sums of each GGM
+  accept         c -> s   the key set's digest, the SHA-256 of its key
+                          blob, 32; base-OT point A (compressed P-256), 33;
+                          then, if the client holds a base-OT outcome for
+                          the key set, a resume request: the client's
+                          stream position (8, little-endian) and the
+                          outcome's name (16)
+  ot-base        s -> c   the answer byte, 0 if the server holds the keys
+                          accept names and 1 if it wants them; then nothing
+                          if the server resumes the outcome the request
+                          names, else the 128 base-OT points B, 128 x 33
+  client-setup   c -> s   after an answer of 1 only, the key blob, per
+                          Galois key its (k, k, n) k0 digit stack and the
+                          seed of its k1 stack, (b k^2 n / 8 + 16) |galois|;
+                          after points B only, the two sums of each GGM
                           tree level, 128 x 32; correction columns,
-                          (128 / K - 1) x ceil(ot_total / 8), 63 rows at
-                          `gc.ot.K` = 2; the encrypted one-hot
-                          input, an `input_layout` matrix of fresh cts, its
-                          `steps` copies two to a ct
+                          (128 / K - 1) x ceil(ot_total / 8), 31 rows at
+                          `gc.ot.K` = 4; the encrypted one-hot input, an
+                          `input_layout` matrix of fresh cts, its `steps`
+                          copies two to a ct
 
 then per encoder layer, five garbled stages of four frames each,
 interleaved with two encrypted matrix products of two frames each:
@@ -70,8 +73,9 @@ and a final frame:
 Every frame in either direction counts as one round, so the round count is
 the same constant, 5 + 24 n_layers, for every session of a given shape,
 first or resumed.  accept and ot-base each have two lengths, and each
-receiver tells the forms apart by the length in the frame header; ot-base
-fixes the form of client-setup before it is read.
+receiver tells the forms apart by the length in the frame header; the
+server's two answers in ot-base fix which of client-setup's four forms
+it reads.
 
 Base OT runs once per client key set.  Both parties keep its outcome (the
 client the leaves of its GGM trees, the server those of its punctured
@@ -85,10 +89,9 @@ used entry past its bound:
                  rotations, key seed): each its secret keys, its key blob
                  and, once a base OT has run with it, that outcome; an
                  unseeded client keeps nothing
-  server         outcomes, 16, by the key blob's SHA-256 and the
-                 outcome's name; and a memo of parsed public keys, 4, by
-                 the same digest and the session's params and Galois
-                 elements
+  server         outcomes, 16, by the key set's digest and the outcome's
+                 name; and a memo of parsed public keys, 4, by the same
+                 digest and the session's params and Galois elements
 
 Every later session with the same key set adds a resume request to
 accept: both then extend at that position of the column streams the
@@ -97,13 +100,23 @@ same leaves give (`gc.ot`), garble under session-numbered tweaks
 `stream_blocks(ot_total)` blocks they took.  The session that ran the base
 OTs extends at position 0 as session 0.  The server never takes the
 client's word for its state: it resumes only if it holds the named outcome
-for the key blob, at exactly the requested position and with a session
+for the key set, at exactly the requested position and with a session
 number left.  Otherwise it answers point A, which the client draws and
 sends in every session (in Chou-Orlandi it depends on nothing the server
 says), with points B, and the session runs as a first session in the same
 frames.  A resuming server still checks that A is a curve point.  A
 session that fails drops the client's outcome for its key set and keeps
 the keys, so the next session makes no key and runs base OT.
+
+The server answers the keys apart from the OT: accept names the key set
+by its digest alone, and the server answers 0 if it holds keys parsed
+from a blob of that digest, which it then keeps for the session whatever
+the store drops, and 1 if it does not.  After a 1 the client sends the
+blob at the head of client-setup, and the server parses it only once it
+hashes to the digest.  So a resumed session whose keys the server dropped
+resumes its OT and sends its blob, and one whose outcome the server
+dropped runs base OT and sends no blob; a first session sends the blob
+one frame later than accept, before the first product needs its keys.
 
 No input label costs a byte of its own.  The rows SoftSpokenOT extends
 are a correlated OT under the key set's one garbling offset, IKNP's
@@ -207,13 +220,13 @@ MIN_RING_DEGREE = 512
 MAX_WIDTH = MAX_RING_DEGREE // 2
 # checked after the plan, before any key or OT is made: widths alone do
 # not bound a session, which holds tensors of two widths (dim x dim, say)
-# in every layer.  The OT extension peaks at about 33 bytes per OT on the
+# in every layer.  The OT extension peaks at about 27 bytes per OT on the
 # receiver and 22 on the sender above its input (measured with tracemalloc
 # at 2^18 OTs): the rows each party keeps as labels hold 16 bytes per OT,
-# the receiver's correction columns 8 (63 bits at `gc.ot.K` = 2) and its
+# the receiver's correction columns 4 (31 bits at `gc.ot.K` = 4) and its
 # choice bits one, and one chunk of `gc.ot.CHUNK_OTS` column bits (1 MB)
 # is expanded, combined and transposed at a time.  At 2^24 OTs the chunk
-# is lost beside the rest: about 0.42 GB on the receiver.
+# is lost beside the rest: about 0.35 GB on the receiver.
 MAX_OTS = 1 << 24
 # the wire bytes of every encrypted matrix and garbled stage of one session,
 # and the label array of any one garbling
@@ -475,11 +488,13 @@ class _Extension:
 @dataclass
 class _KeySet:
     """A client key set: its secret keys (the client never rotates, so its
-    rotation keys are kept only in the blob), its serialized public keys
-    and, once a base OT has run with it, that outcome."""
+    rotation keys are kept only in the blob), its serialized public keys,
+    the blob's SHA-256, which names the key set to the server, and, once a
+    base OT has run with it, that outcome."""
 
     keys: KeyMaterial
     blob: bytes
+    digest: bytes
     ext: _Extension | None = None
 
     def take(self, blocks: int, at: int | None = None):
@@ -489,10 +504,11 @@ class _KeySet:
 
 def _client_keys(params: PaheParams, rotations: tuple[int, ...],
                  seed: int | None) -> _KeySet:
-    """A new client key set, its blob serialized once."""
+    """A new client key set, its blob serialized and hashed once."""
     keys = keygen(params, seed, rotations=rotations)
-    return _KeySet(replace(keys, galois={}),
-                   public_keys_to_bytes(keys.public()))
+    blob = public_keys_to_bytes(keys.public())
+    return _KeySet(replace(keys, galois={}), blob,
+                   hashlib.sha256(blob).digest())
 
 
 class _Store:
@@ -506,11 +522,17 @@ class _Store:
         self._maxsize = maxsize
         self._lock = threading.RLock()
 
-    def get(self, key, make):
-        """The entry held for `key`, or else `make()`, kept as it."""
+    def get(self, key, make=None):
+        """The entry held for `key`, then the most recently used, or else
+        `make()`, kept as it; None, with nothing kept, if none is held and
+        there is no `make`."""
         with self._lock:
             entry = self._held.get(key)
-            return self.put(key, make() if entry is None else entry)
+            if entry is None:
+                if make is None:
+                    return None
+                entry = make()
+            return self.put(key, entry)
 
     def put(self, key, entry):
         """Keeps `entry` for `key` as the most recently used; returns it."""
@@ -526,28 +548,35 @@ class _Store:
         session finds it (`_Extension.take`), the entry then the most
         recently used; None if none is held."""
         with self._lock:
-            entry = self._held.get(key)
-            return entry and self.put(key, entry).take(blocks, at)
+            entry = self.get(key)
+            return entry and entry.take(blocks, at)
 
 
-# Per entry, measured with tracemalloc on tiny: a client key set 138 KiB
-# and its outcome 5.1 KiB (256 leaves at `gc.ot.K` = 2, 4 KiB of them); a
-# server's parsed key set 579 KiB and an outcome 4.3 KiB (192 leaves and
-# s).  Reading an outcome's streams sets nothing up that it keeps, so it
-# holds that much however often it resumes.  The client holds its key
-# sets, each with its outcome, by (params, rotations, key seed).  The server
-# holds outcomes by the key blob's SHA-256 and the outcome's name, as many
-# as the client's key sets, so one client's fit; it keeps one for every
-# session that ran base OT, a client's that will never resume too.  Its
-# parse memo, by the blob's SHA-256 and the session's params and Galois
-# elements (one blob could parse under another geometry's elements),
-# holds fewer: a parsed key set weighs about 130 outcomes, and at 16 key
-# sets that never repeat would hold about 7 MB more.
+# Per entry, measured with tracemalloc on tiny as what dropping it frees: a
+# client key set 138 KiB and its outcome 8.4 KiB (512 leaves at `gc.ot.K` =
+# 4, 8 KiB of them); a server's parsed key set 579 KiB and an outcome
+# 8.4 KiB (480 leaves and s).  Reading an outcome's streams sets nothing up
+# that it keeps, so it holds that much however often it resumes.  The
+# client holds its key sets, each with its outcome, by (params, rotations,
+# key seed).  The server holds outcomes by the key set's digest and the
+# outcome's name, as many as the client's key sets, so one client's fit; it
+# keeps one for every session that ran base OT, a client's that will never
+# resume too.  Its parse memo, by the digest and the session's params and
+# Galois elements (one blob could parse under another geometry's
+# elements), holds fewer: a parsed key set weighs about 70 outcomes, and at
+# 16 key sets that never repeat would hold about 7 MB more.  Its keys and
+# its outcomes are held and dropped apart (ot-base answers each), so a
+# client whose keys it dropped sends its blob again and still resumes.
 _CLIENT_KEYS = _Store(16)
 _SERVER_KEYS = _Store(4)
 _SERVER_OT = _Store(16)
 
+# accept: the key set's digest and point A, then maybe a resume request,
+# the stream position and the outcome's name
+_DIGEST_BYTES = 32
 _OUTCOME_BYTES = 16
+_ACCEPT_BYTES = _DIGEST_BYTES + POINT_BYTES
+_REQUEST_BYTES = 8 + _OUTCOME_BYTES
 
 
 def _outcome(msg_a: bytes, msgs_b: bytes) -> bytes:
@@ -781,15 +810,16 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
 
     _send(conn, tr, HELLO, _hello(geom))
 
-    nkey = key_blob_nbytes(geom.params, len(geom.galois))
-    nbase = nkey + POINT_BYTES
-    accept = read_frame(conn, ACCEPT, (nbase, nbase + 8 + _OUTCOME_BYTES))
+    accept = read_frame(conn, ACCEPT,
+                        (_ACCEPT_BYTES, _ACCEPT_BYTES + _REQUEST_BYTES))
     tr.record("received", ACCEPT, accept)
-    bpk, bpt, request = accept[:nkey], accept[nkey:nbase], accept[nbase:]
-    key_set = hashlib.sha256(bpk).digest()
-    ev = Evaluator(_SERVER_KEYS.get(
-        (key_set, geom.params, geom.galois),
-        lambda: public_keys_from_bytes(bpk, geom.params, geom.galois)))
+    key_set, bpt, request = (accept[:_DIGEST_BYTES],
+                             accept[_DIGEST_BYTES:_ACCEPT_BYTES],
+                             accept[_ACCEPT_BYTES:])
+    # the keys the server holds for the digest, kept from here, so a
+    # session that evicts them meanwhile cannot strand this one
+    pk_key = (key_set, geom.params, geom.galois)
+    pk = _SERVER_KEYS.get(pk_key)
 
     blocks = stream_blocks(geom.ot_total)
     held = None
@@ -800,18 +830,29 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     if held is None:
         ext = OtExtSender(rng)
         base = BaseOtReceiver(rng, ext.s_bits, bpt)
-        _send(conn, tr, OT_BASE, base.msgs_b)
+        points = base.msgs_b
         # a first session: its leaves come with the seed messages
-        held = _Extension(None, ext.s_bits, _outcome(bpt, base.msgs_b))
+        held = _Extension(None, ext.s_bits, _outcome(bpt, points))
     else:
         ext = OtExtSender(rng, held.s_bits, held.leaves)
-        _send(conn, tr, OT_BASE)
+        points = b""
+    _send(conn, tr, OT_BASE, bytes([pk is None]), points)
 
     mb = -(-geom.ot_total // 8)
-    *bseed, bucol, bx = _recv(
+    parts = _recv(
         conn, tr, CLIENT_SETUP,
-        [32 * LAMBDA] * (held.session == 0)
+        [key_blob_nbytes(geom.params, len(geom.galois))] * (pk is None)
+        + [32 * LAMBDA] * bool(points)
         + [COLUMNS * mb, geom.nbytes(geom.input_layout, fresh=True)])
+    if pk is None:
+        bpk = parts.pop(0)
+        if hashlib.sha256(bpk).digest() != key_set:
+            raise ProtocolError("client-setup key blob does not hash to the "
+                                "digest accept named")
+        pk = _SERVER_KEYS.get(pk_key, lambda: public_keys_from_bytes(
+            bpk, geom.params, geom.galois))
+    ev = Evaluator(pk)
+    *bseed, bucol, bx = parts
     if bseed:
         ext.recover_seeds(_words(bseed[0], (LAMBDA, 2, 2)), base.keys())
         _SERVER_OT.put((key_set, held.outcome), _Extension(
@@ -821,7 +862,7 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
 
     x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout,
                                  fresh=True)
-    del bucol, c_cols, bx   # read once; 0.55 MB of columns on he-small
+    del parts, bucol, c_cols, bx   # read once; 0.27 MB of columns on he-small
 
     sp = _ServerParty(conn, tr, geom, ev, rng, pairs, held.session)
     held = {"x": x_enc}
@@ -945,12 +986,13 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
 
     A fixed `seed` fixes every draw of the session: the key set, the
     encryption randomness, base-OT point A and the OT choice bits.
-    Sessions with the same seed reuse one key set, and after the first they
-    ask to resume its OT extension; a server that does not hold it runs
-    base OT in the same frames instead.  They also replay the same
-    encryption randomness and choice bits, so a seed is for tests and
-    benchmarks, never for two real inputs.  Without a seed every session
-    makes a fresh key set and runs its own base OT."""
+    Sessions with the same seed reuse one key set, which accept names by
+    its digest, and after the first they ask to resume its OT extension; a
+    server that does not hold the outcome runs base OT in the same frames
+    instead, and one that does not hold the keys asks for the blob.  They
+    also replay the same encryption randomness and choice bits, so a seed
+    is for tests and benchmarks, never for two real inputs.  Without a
+    seed every session makes a fresh key set and runs its own base OT."""
     rng = np.random.default_rng(seed)
     key_seed = int(rng.integers(1 << 62))
     enc_seed = int(rng.integers(1 << 62))
@@ -981,10 +1023,16 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
         base = BaseOtSender(rng)
         request = [] if held is None else [
             held.position.to_bytes(8, "little"), held.outcome]
-        _send(conn, tr, ACCEPT, entry.blob, base.msg_a, *request)
-        points = LAMBDA * POINT_BYTES
-        bpts = read_frame(conn, OT_BASE, (points, 0) if request else points)
-        tr.record("received", OT_BASE, bpts)
+        _send(conn, tr, ACCEPT, entry.digest, base.msg_a, *request)
+        points = 1 + LAMBDA * POINT_BYTES
+        ot_base = read_frame(conn, OT_BASE,
+                             (points, 1) if request else points)
+        tr.record("received", OT_BASE, ot_base)
+        if ot_base[0] > 1:
+            raise ProtocolError(f"ot-base answers {ot_base[0]} for the key "
+                                f"set, neither 0 (held) nor 1 (wanted)")
+        blob = [entry.blob] * ot_base[0]
+        bpts = ot_base[1:]
         if bpts:
             # no resume request, or the server refused it: a first session
             k0, k1 = base.keys(bpts)
@@ -1000,7 +1048,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
         onehot = np.zeros((L, vocab), dtype=np.uint64)
         onehot[np.arange(L), toks] = 1
         x_cb = pack_colblocks(ev, onehot, steps=geom.input_layout.steps)
-        _send(conn, tr, CLIENT_SETUP, *seed_msgs, c_cols.tobytes(),
+        _send(conn, tr, CLIENT_SETUP, *blob, *seed_msgs, c_cols.tobytes(),
               encmatrix_to_bytes(x_cb))
         del c_cols, x_cb   # sent; the session never reads them again
 

@@ -49,30 +49,35 @@ CFG = ModelConfig(vocab=8, seq_len=4, dim=4, ff_dim=8, n_layers=1,
 TOKENS = [1, 5, 0, 3]
 # every session of CFG, first or resumed
 ROUNDS = 5 + 24 * CFG.n_layers
-# an opt1 session's accept: the key blob, point A, then, if the client
-# resumes, the stream position (8) and the outcome's name (16)
+# an opt1 session's accept: the SHA-256 of the key blob, point A, then, if
+# the client resumes, the stream position (8) and the outcome's name (16)
 _OPT1 = session_geometry(CFG, "opt1")
 KEY_BLOB_BYTES = pahe.key_blob_nbytes(_OPT1.params, len(_OPT1.galois))
+DIGEST_BYTES = 32
 REQUEST_BYTES = 8 + 16
+# ot-base: the answer byte (1 if the server wants the key blob), then, if
+# the server runs base OT, the 128 points B
+ANSWER = 1
+POINTS_B = ANSWER + LAMBDA * POINT_BYTES
 
 DIGESTS = {
-    "baseline": "0194b5a4b072c973d08f597e3438d36b"
-                "5aaf1e85e5ff7fe5d64ed5d2a56b5e61",
-    "opt1": "adf9035e5bdbe509f18d6ae45590c9bd"
-            "072ad7f2f1f28f982028885466cbff7d",
-    "opt2": "2b1f659582474a0dd3339fb0a82ad530"
-            "3c5c16521b649cf852787ff2a4cf9a82",
+    "baseline": "f243eb0365b39fccb2d57938e5fd913a"
+                "bb8576441047d6c73ccc0a53e3850da5",
+    "opt1": "e2a1e6cd726641dee310152ed82be34e"
+            "9500b3258233e326c1d6d8b0407e415e",
+    "opt2": "491bfa12e9d578ae9cb78cf77f280951"
+            "67dea42b37308c1b86d9085788715543",
 }
-TWO_LAYER_DIGEST = ("b1fced9a177e966f84ded612c226d326"
-                    "beeb2bd86fa52202e17d05f9d5d1653e")
+TWO_LAYER_DIGEST = ("434f1e7b80476e65848fdc4e5737e255"
+                    "bf18d11c4ad2daba01565ada086726d9")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "4973ab0e5cf6a765e15e2821b480ad75"
-                "cb4dfd8ca210f845595c5ba22f51d292",
-    "opt1": "d73f41f41e0d546bf21905779bcd5e33"
-            "10902f656a20b0330d52a5cc4436d2be",
-    "opt2": "e4da8f299c7bae8700f411f0fb60b1cb"
-            "cac142dc144d0cf8c5c5557a3f97e847",
+    "baseline": "b8782c9b02eb4e7906468586f76c1a51"
+                "394ac1796fd72448bedb29f12c22b558",
+    "opt1": "c231b5aba90546201d9e8289073f5d65"
+            "841387fb757e0c6f59a627cddec99c4f",
+    "opt2": "1d75bacf9a12dd344f09b00b59f31bfd"
+            "33c75ccb32f57f558eab57cf1dfe4c0e",
 }
 
 
@@ -366,21 +371,26 @@ def test_he_small_session_is_exact():
 
 def test_reused_client_key_blob_is_serialized_once(weights, monkeypatch):
     """A client seed that comes back reuses its cached key set and the key
-    blob serialized with it; the key blob in ACCEPT stays byte for byte the
-    same, and the second session resumes the first one's extension."""
-    calls, accepts = [], []
+    blob serialized with it.  Both accepts name the key set by the same
+    digest, the SHA-256 of the blob the first session's client-setup
+    carries, and the second session resumes the first one's extension."""
+    calls, accepts, setups = [], [], []
     real = session.public_keys_to_bytes
     monkeypatch.setattr(session, "public_keys_to_bytes",
                         lambda km: calls.append(km) or real(km))
     for pinned in (DIGESTS["opt1"], RESUMED_DIGESTS["opt1"]):
         *_, digest = _tapped(
             lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
-            lambda conn: run_client(_EditFirstFrame(
+            lambda conn: run_client(_EditFirstFrame(_EditFirstFrame(
                 conn, ACCEPT, lambda b: accepts.append(bytes(b))),
+                CLIENT_SETUP, lambda b: setups.append(bytes(b))),
                 TOKENS, seed=12))
         assert digest == pinned
     assert len(calls) == 1
-    assert accepts[0][:KEY_BLOB_BYTES] == accepts[1][:KEY_BLOB_BYTES]
+    blob = setups[0][:KEY_BLOB_BYTES]
+    assert (accepts[0][:DIGEST_BYTES] == accepts[1][:DIGEST_BYTES]
+            == hashlib.sha256(blob).digest())
+    assert len(setups[1]) == len(setups[0]) - KEY_BLOB_BYTES - 32 * LAMBDA
 
 
 def _no_base_ot(*_, **__):
@@ -389,11 +399,12 @@ def _no_base_ot(*_, **__):
 
 @pytest.mark.parametrize("mode", list(DIGESTS))
 def test_resumed_session_is_exact_and_pinned(weights, monkeypatch, mode):
-    """A client's second session with its key set runs no base OT: accept
-    carries point A and then a resume request, 24 bytes more, ot-base is
-    empty but still a round, and client-setup drops the 128 x 32 bytes of
-    tree-level messages.  Every other frame keeps its size, and the logits are
-    exact."""
+    """A client's second session with its key set runs no base OT and
+    sends no key blob: accept carries the blob's digest and point A and
+    then a resume request, 24 bytes more, ot-base is the answer byte alone
+    but still a round, and client-setup drops the key blob and the
+    128 x 32 bytes of tree-level messages.  Every other frame keeps its
+    size, and the logits are exact."""
     first, first_client = private_inference(CFG, weights, TOKENS, mode,
                                             server_seed=11, client_seed=12)
     monkeypatch.setattr(session.BaseOtSender, "keys", _no_base_ot)
@@ -407,12 +418,14 @@ def test_resumed_session_is_exact_and_pinned(weights, monkeypatch, mode):
     sizes = [(f.name, f.nbytes) for f in server.transcript.frames]
     want = [(f.name, f.nbytes) for f in first.transcript.frames]
     want[1] = ("accept", want[1][1] + REQUEST_BYTES)
-    want[2] = ("ot-base", 0)
-    want[3] = ("client-setup", want[3][1] - 4096)
+    want[2] = ("ot-base", ANSWER)
+    want[3] = ("client-setup", want[3][1] - KEY_BLOB_BYTES - 4096)
     assert sizes == want
-    assert first.transcript.frames[2].nbytes == LAMBDA * POINT_BYTES
+    assert sizes[1] == ("accept", DIGEST_BYTES + POINT_BYTES + REQUEST_BYTES)
+    assert first.transcript.frames[2].nbytes == POINTS_B
     assert (first_client.transcript.bytes_sent
-            - client.transcript.bytes_sent) == LAMBDA * 32 - REQUEST_BYTES
+            - client.transcript.bytes_sent) == (
+        KEY_BLOB_BYTES + LAMBDA * 32 - REQUEST_BYTES)
     assert (first.transcript.bytes_sent
             - server.transcript.bytes_sent) == LAMBDA * POINT_BYTES
 
@@ -448,7 +461,8 @@ def test_refused_resume_request_falls_back_to_base_ot(weights, edit,
     position one past its own, or naming an outcome it does not hold, is
     answered with the 128 points B for the point A the same accept carries,
     and the session goes on as the first session did, in the same rounds
-    and exact; only accept is longer, by the request.  That base OT draws
+    and exact; accept is longer, by the request, and client-setup shorter,
+    by the key blob the server holds.  That base OT draws
     what the first session's drew, so the next session resumes its outcome
     and is the pinned resumed session, bit for bit."""
     first, _ = private_inference(CFG, weights, TOKENS, "opt1",
@@ -465,6 +479,7 @@ def test_refused_resume_request_falls_back_to_base_ot(weights, edit,
     sizes = [(f.name, f.nbytes) for f in client.transcript.frames]
     want = [(f.name, f.nbytes) for f in first.transcript.frames]
     want[1] = ("accept", want[1][1] + REQUEST_BYTES)
+    want[3] = ("client-setup", want[3][1] - KEY_BLOB_BYTES)
     assert sizes == want
     *_, digest = _tapped_inference(CFG, weights, TOKENS, "opt1",
                                    server_seed=11, client_seed=12)
@@ -480,8 +495,9 @@ def test_server_refuses_a_resume_request_whose_point_is_off_the_curve(
     """A resuming server never uses point A, but still decodes it: a
     resumed accept whose A is no compressed P-256 point is a ProtocolError
     before ot-base, and the client sees the connection close.  The client
-    then forgets its outcome, so its next session runs a fresh base OT and
-    is the pinned first session, bit for bit."""
+    then forgets its outcome, so its next session runs a fresh base OT; at
+    a server that holds no parsed keys either, it is the pinned first
+    session, bit for bit."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
 
@@ -498,6 +514,7 @@ def test_server_refuses_a_resume_request_whose_point_is_off_the_curve(
     assert "base-OT point refused" in str(server_err)
     assert isinstance(client_err, ProtocolError)
     assert "peer closed" in str(client_err)
+    session._SERVER_KEYS._held.clear()
     _, client, digest = _tapped_inference(CFG, weights, TOKENS, "opt1",
                                           server_seed=11, client_seed=12)
     assert digest == DIGESTS["opt1"]
@@ -511,8 +528,8 @@ def test_server_refuses_a_resume_request_whose_point_is_off_the_curve(
                  id="half-a-request"),
 ])
 def test_accept_of_neither_length_is_refused_unread(weights, resumed, edit):
-    """accept is the key blob and point A, with or without the 24-byte
-    resume request; one byte short of or past the request, or half of
+    """accept is the key set's digest and point A, with or without the
+    24-byte resume request; one byte short of or past the request, or half of
     one, is refused by the server from the header alone, before it reads
     one payload byte."""
     if resumed:
@@ -534,27 +551,29 @@ def test_accept_of_neither_length_is_refused_unread(weights, resumed, edit):
     assert isinstance(client_err, ProtocolError)
 
 
-def test_client_refuses_an_empty_ot_base_after_no_request(weights):
-    """An empty ot-base resumes a request; after an accept with none, the
-    client refuses it from the header."""
+def test_client_refuses_an_answer_alone_after_no_request(weights):
+    """An ot-base of the answer byte alone resumes a request; after an
+    accept with none, the client refuses it from the header."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, OT_BASE, lambda b: b.clear()),
+            _EditFirstFrame(conn, OT_BASE, lambda b: b.__delitem__(
+                slice(ANSWER, None))),
             CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
-    assert "ot-base frame of 0 bytes" in str(client_err)
+    assert f"ot-base frame of {ANSWER} bytes" in str(client_err)
     assert isinstance(server_err, ProtocolError)
 
 
 def test_client_refuses_any_other_answer_to_a_resume_request(weights):
-    """After a resume request, ot-base is empty or the 128 points B; a
-    server that answers with one byte, one point or one byte past the
-    points is refused by the client from the header alone, having read the
-    hello and not one byte of ot-base's payload."""
+    """After a resume request, ot-base is the answer byte, alone or before
+    the 128 points B; a server that answers with nothing, the byte and one
+    point or one byte past the points is refused by the client from the
+    header alone, having read the hello and not one byte of ot-base's
+    payload."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
-    for length in (1, POINT_BYTES, LAMBDA * POINT_BYTES + 1):
+    for length in (0, ANSWER + POINT_BYTES, POINTS_B + 1):
         def answer(blob: bytearray):
             blob[:] = bytes(length)
 
@@ -579,8 +598,9 @@ def test_client_refuses_any_other_answer_to_a_resume_request(weights):
 
 
 def test_resume_request_carries_the_client_position(weights, monkeypatch):
-    """Every accept carries point A after the key blob; a resumed one then
-    carries the stream position (little-endian) and the outcome's name
+    """Every accept carries point A after the key set's digest; a resumed
+    one then carries the stream position (little-endian) and the outcome's
+    name
     (the SHA-256 of point A and the 128 points B, cut to 16 bytes), and
     both parties move the position past ceil(M / 128) blocks a session:
     the first resumed session asks for exactly the blocks the first
@@ -599,7 +619,7 @@ def test_resume_request_carries_the_client_position(weights, monkeypatch):
             lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
             lambda conn: run_client(_EditFirstFrame(
                 conn, ACCEPT, lambda b: sent.append(bytes(b)),
-                slice(KEY_BLOB_BYTES, None)), TOKENS, seed=12))
+                slice(DIGEST_BYTES, None)), TOKENS, seed=12))
     blocks = -(-geom.ot_total // 128)
     (transcript,) = base_ot
     point_a = transcript[:POINT_BYTES]
@@ -639,7 +659,7 @@ def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
     assert second.outcome != kept.outcome
     assert second.position == kept.position
     assert len(session._SERVER_OT._held) == 2
-    for server_holds_it, points in ((True, 0), (False, LAMBDA * POINT_BYTES)):
+    for server_holds_it, points in ((True, ANSWER), (False, POINTS_B)):
         key_set.ext = replace(kept)
         if not server_holds_it:
             (gone,) = [k for k in session._SERVER_OT._held
@@ -670,18 +690,19 @@ def test_key_sets_past_the_server_store_fall_back_to_base_ot(weights,
         rounds.append(client.transcript.rounds)
         ot_base += _ot_base_sizes(client)
     assert rounds == [ROUNDS] * 7
-    assert ot_base == [LAMBDA * POINT_BYTES] * 6 + [0]
+    assert ot_base == [POINTS_B] * 6 + [ANSWER]
 
 
-class _HeldAccept:
-    """One end of the transport that holds back its accept frame until
-    `go` is set, after setting `waiting`."""
+class _HeldFrame:
+    """One end of the transport that holds back its frames of type `ftype`
+    until `go` is set, after setting `waiting`."""
 
-    def __init__(self, conn, waiting, go):
-        self._conn, self._waiting, self._go = conn, waiting, go
+    def __init__(self, conn, ftype, waiting, go):
+        self._conn, self._ftype = conn, ftype
+        self._waiting, self._go = waiting, go
 
     def send(self, data: bytes):
-        if _HEADER.unpack_from(data)[1] == ACCEPT:
+        if _HEADER.unpack_from(data)[1] == self._ftype:
             self._waiting.set()
             self._go.wait(60)
         self._conn.send(data)
@@ -707,7 +728,7 @@ def test_resumes_that_reach_the_server_out_of_order_both_finish(weights):
             first = pool.submit(
                 run_pair,
                 lambda conn: run_server(conn, CFG, weights, "opt1", seed=13),
-                lambda conn: run_client(_HeldAccept(conn, waiting, go),
+                lambda conn: run_client(_HeldFrame(conn, ACCEPT, waiting, go),
                                         TOKENS, seed=12))
             assert waiting.wait(60)
             _, second = private_inference(CFG, weights, TOKENS, "opt1",
@@ -717,7 +738,7 @@ def test_resumes_that_reach_the_server_out_of_order_both_finish(weights):
         _, first = first.result()
     assert [first.transcript.rounds, second.transcript.rounds] == [ROUNDS] * 2
     assert _ot_base_sizes(first) + _ot_base_sizes(second) == [
-        0, LAMBDA * POINT_BYTES]
+        ANSWER, POINTS_B]
     assert np.array_equal(first.logits, _exact(weights))
     assert np.array_equal(second.logits, _exact(weights))
 
@@ -726,14 +747,16 @@ def test_base_ot_runs_again_once_the_session_numbers_are_spent(
         weights, monkeypatch):
     """An outcome serves `MAX_SESSIONS` sessions at most, as many as the
     tweak's session bits tell apart; with the bound at one, every session
-    runs its own base OT and is the pinned first session."""
+    runs its own base OT, and at a server that holds no parsed keys either
+    is the pinned first session."""
     monkeypatch.setattr(session, "MAX_SESSIONS", 1)
     for _ in range(2):
+        session._SERVER_KEYS._held.clear()
         server, client, digest = _tapped_inference(
             CFG, weights, TOKENS, "opt1", server_seed=11, client_seed=12)
         assert digest == DIGESTS["opt1"]
         assert server.transcript.rounds == client.transcript.rounds == ROUNDS
-        assert server.transcript.frames[2].nbytes == LAMBDA * POINT_BYTES
+        assert server.transcript.frames[2].nbytes == POINTS_B
 
 
 def test_threads_extending_from_one_stored_outcome_get_the_reference_rows(
@@ -869,14 +892,35 @@ def _key_work(calls: dict) -> tuple[int, int]:
     return out
 
 
+class _CountingHashlib:
+    """The session module's `hashlib`, which counts the key blobs it
+    hashes."""
+
+    def __init__(self):
+        self.blobs = 0
+
+    def sha256(self, data=b""):
+        self.blobs += len(data) == KEY_BLOB_BYTES
+        return hashlib.sha256(data)
+
+
+def _answer_2(blob: bytearray):
+    blob[0] = 2
+
+
 def test_key_work_per_session(weights, monkeypatch):
-    """A seeded client makes its key set, and the server parses its blob,
-    in the key set's first session only: resumed sessions make and parse
-    none.  A failed session drops the client's outcome and keeps its keys,
-    so the next session makes no key and runs a base OT.  A new seed makes
-    and parses a new key set.  An unseeded client makes its keys from OS
-    entropy in every session and keeps none of them."""
+    """A seeded client makes its key set and hashes its blob, and the
+    server hashes and parses that blob, in the key set's first session
+    only.  Resumed sessions make, hash and parse none: their accept is the
+    89-byte digest, point A and resume request.  A failed session drops
+    the client's outcome and keeps its keys, so the next session makes no
+    key and runs a base OT, and the server, which still holds the keys,
+    asks for no blob.  A new seed makes and parses a new key set.  An
+    unseeded client makes its keys from OS entropy in every session and
+    keeps none of them."""
     calls = _count_key_work(monkeypatch)
+    hashing = _CountingHashlib()
+    monkeypatch.setattr(session, "hashlib", hashing)
 
     def run(client_seed=12):
         server, client = private_inference(CFG, weights, TOKENS, "opt1",
@@ -884,25 +928,26 @@ def test_key_work_per_session(weights, monkeypatch):
                                            client_seed=client_seed)
         assert np.array_equal(client.logits, _exact(weights))
         assert server.transcript.rounds == client.transcript.rounds == ROUNDS
-        return _key_work(calls), _ot_base_sizes(client)
+        blobs, hashing.blobs = hashing.blobs, 0
+        return ((*_key_work(calls), blobs), _ot_base_sizes(client),
+                server.transcript.frames[1].nbytes)
 
-    points = LAMBDA * POINT_BYTES
-    assert run() == ((1, 1), [points])
-    assert run() == run() == ((0, 0), [0])
-
-    def one_byte(blob: bytearray):
-        blob[:] = bytes(1)
+    first, resumed = DIGEST_BYTES + POINT_BYTES, 89
+    assert resumed == first + REQUEST_BYTES
+    assert run() == ((1, 1, 2), [POINTS_B], first)
+    assert run() == run() == ((0, 0, 0), [ANSWER], resumed)
 
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, OT_BASE, one_byte),
+            _EditFirstFrame(conn, OT_BASE, _answer_2),
             CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
     assert isinstance(server_err, ProtocolError)
     assert _key_work(calls) == (0, 0)
-    assert run() == ((0, 0), [points])
-    assert run(client_seed=14) == ((1, 1), [points])
+    assert hashing.blobs == 0
+    assert run() == ((0, 0, 0), [POINTS_B], first)
+    assert run(client_seed=14) == ((1, 1, 2), [POINTS_B], first)
 
     held = dict(session._CLIENT_KEYS._held)
     for _ in range(2):
@@ -911,8 +956,132 @@ def test_key_work_per_session(weights, monkeypatch):
         assert np.array_equal(client.logits, _exact(weights))
         assert [args[1] for args in calls["keygen"]] == [None]
         assert _key_work(calls) == (1, 1)
-        assert _ot_base_sizes(client) == [points]
+        assert _ot_base_sizes(client) == [POINTS_B]
     assert session._CLIENT_KEYS._held == held
+
+
+def test_key_sets_past_the_server_key_store_send_their_blob(weights,
+                                                           monkeypatch):
+    """Two seeded key sets take turns at a server that keeps parsed keys
+    for one.  Each resumed session finds its keys evicted: it still
+    resumes its OT extension (ot-base carries no points B), the server
+    asks for the key blob and parses it, and the session is exact in
+    `ROUNDS`, its client sending exactly a resumed session's bytes and the
+    blob.  A seeded client that reruns base OT after a failed session,
+    while the server still holds its keys, sends no blob."""
+    monkeypatch.setattr(session, "_SERVER_KEYS", session._Store(1))
+    calls = _count_key_work(monkeypatch)
+
+    def run(client_seed):
+        server, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                           server_seed=11,
+                                           client_seed=client_seed)
+        assert np.array_equal(client.logits, _exact(weights))
+        assert server.transcript.rounds == client.transcript.rounds == ROUNDS
+        return (_key_work(calls)[1], _ot_base_sizes(client),
+                client.transcript.bytes_sent)
+
+    assert run(12)[:2] == (1, [POINTS_B])
+    parses, ot_base, resumed = run(12)
+    assert (parses, ot_base) == (0, [ANSWER])
+    assert run(14)[:2] == (1, [POINTS_B])
+    for client_seed in (12, 14, 12):
+        assert run(client_seed) == (1, [ANSWER], resumed + KEY_BLOB_BYTES)
+
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(
+            _EditFirstFrame(conn, OT_BASE, _answer_2),
+            CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
+    assert isinstance(client_err, ProtocolError)
+    assert isinstance(server_err, ProtocolError)
+    assert run(12) == (0, [POINTS_B],
+                       resumed - REQUEST_BYTES + 32 * LAMBDA)
+
+
+def test_keys_the_server_found_outlive_their_eviction(weights, monkeypatch):
+    """A server that answered that it holds a key set's keys keeps them
+    for the session.  A resumed session's client-setup reaches a server
+    with a one-entry key store only once another key set's first session
+    has evicted those keys; the session still finishes, exact and in
+    `ROUNDS`, and its client sends no blob."""
+    monkeypatch.setattr(session, "_SERVER_KEYS", session._Store(1))
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    (held,) = session._SERVER_KEYS._held
+    waiting, go = threading.Event(), threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        try:
+            resumed = pool.submit(
+                run_pair,
+                lambda conn: run_server(conn, CFG, weights, "opt1", seed=13),
+                lambda conn: run_client(
+                    _HeldFrame(conn, CLIENT_SETUP, waiting, go), TOKENS,
+                    seed=12))
+            assert waiting.wait(60)
+            private_inference(CFG, weights, TOKENS, "opt1", server_seed=15,
+                              client_seed=14)
+            assert held not in session._SERVER_KEYS._held
+        finally:
+            go.set()
+        server, client = resumed.result()
+    assert np.array_equal(client.logits, _exact(weights))
+    assert server.transcript.rounds == client.transcript.rounds == ROUNDS
+    assert _ot_base_sizes(client) == [ANSWER]
+    assert client.transcript.frames[3].nbytes == (
+        COLUMNS * COLUMN_BYTES + _OPT1.nbytes(_OPT1.input_layout, fresh=True))
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["first", "resumed"])
+@pytest.mark.parametrize("answer", [2, 255])
+def test_client_refuses_an_answer_byte_other_than_0_or_1(weights, resumed,
+                                                          answer):
+    """ot-base opens with the server's answer for the key set accept
+    names: 0 if it holds those keys, 1 if it wants the blob.  The client
+    refuses any other value, in a first or a resumed session, and sends no
+    client-setup."""
+    if resumed:
+        private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                          client_seed=12)
+
+    def answer_with(blob: bytearray):
+        blob[0] = answer
+
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(
+            _EditFirstFrame(conn, OT_BASE, answer_with),
+            CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
+    assert isinstance(client_err, ProtocolError)
+    assert f"ot-base answers {answer}" in str(client_err)
+    assert isinstance(server_err, ProtocolError)
+    assert "peer closed" in str(server_err)
+
+
+def _flip_first(blob: bytearray):
+    blob[0] ^= 1
+
+
+@pytest.mark.parametrize("ftype,span", [
+    pytest.param(CLIENT_SETUP, slice(0, KEY_BLOB_BYTES), id="blob"),
+    pytest.param(ACCEPT, slice(0, DIGEST_BYTES), id="digest"),
+])
+def test_server_refuses_a_key_blob_off_its_digest(weights, monkeypatch,
+                                                  ftype, span):
+    """A key blob whose SHA-256 is not the digest accept named, the blob's
+    byte or the digest's flipped, is refused with a ProtocolError before
+    the server parses it, and the server keeps no keys."""
+    monkeypatch.setattr(session, "public_keys_from_bytes", lambda *_: (
+        pytest.fail("parsed a refused key blob")))
+    server_err, client_err = run_pair(
+        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
+        _caught(lambda conn: run_client(
+            _EditFirstFrame(conn, ftype, _flip_first, span), TOKENS,
+            seed=12)))
+    assert isinstance(server_err, ProtocolError)
+    assert "does not hash to the digest" in str(server_err)
+    assert isinstance(client_err, ProtocolError)
+    assert not session._SERVER_KEYS._held
 
 
 def test_key_sets_past_the_client_store_are_made_again(weights,
@@ -920,25 +1089,28 @@ def test_key_sets_past_the_client_store_are_made_again(weights,
     """Three seeded clients take turns at a client store of two key sets:
     each comes back to find its key set evicted, makes it again and runs a
     fresh base OT, and a key set that comes straight back resumes.  Every
-    session is exact and takes the same rounds, and a key set made again
-    is the one its seed made first: its session is the pinned first
-    session, bit for bit."""
+    session is exact and takes the same rounds.  A key set made again is
+    the one its seed made first: the server holds parsed keys under its
+    blob's digest and asks for no blob, and its session sends the pinned
+    first session's bytes less the blob."""
     monkeypatch.setattr(session, "_CLIENT_KEYS", session._Store(2))
     calls = _count_key_work(monkeypatch)
     seeds = (12, 14, 16)
-    keygens, ot_base = [], []
+    key_work, ot_base, sent = [], [], []
     for client_seed in seeds + seeds + seeds[-1:]:
         server, client, digest = _tapped_inference(
             CFG, weights, TOKENS, "opt1", server_seed=11,
             client_seed=client_seed)
         assert np.array_equal(client.logits, _exact(weights))
         assert server.transcript.rounds == client.transcript.rounds == ROUNDS
-        if client_seed == 12:
+        if not sent:
             assert digest == DIGESTS["opt1"]
-        keygens.append(_key_work(calls)[0])
+        key_work.append(_key_work(calls))
         ot_base += _ot_base_sizes(client)
-    assert keygens == [1] * 6 + [0]
-    assert ot_base == [LAMBDA * POINT_BYTES] * 6 + [0]
+        sent.append(client.transcript.bytes_sent)
+    assert key_work == [(1, 1)] * 3 + [(1, 0)] * 3 + [(0, 0)]
+    assert ot_base == [POINTS_B] * 6 + [ANSWER]
+    assert sent[3] == sent[0] - KEY_BLOB_BYTES
 
 
 def _halve(doubled: np.ndarray) -> np.ndarray:
@@ -1065,7 +1237,8 @@ def test_weight_memo_holds_every_product_of_the_deepest_model():
 def test_frame_sizes_do_not_depend_on_the_seeds(weights):
     """Every frame's size follows from the geometry alone: two sessions
     with other seeds send the same sizes in the same order, base-OT points
-    included (33 bytes each)."""
+    included (33 bytes each), and a first session's client-setup opens
+    with the key blob."""
     sizes = []
     for seeds in ((11, 12), (3, 4)):
         server, _ = private_inference(CFG, weights, TOKENS, "opt1",
@@ -1075,11 +1248,16 @@ def test_frame_sizes_do_not_depend_on_the_seeds(weights):
                       for f in server.transcript.frames])
     assert sizes[0] == sizes[1]
     by_name = {name: nbytes for _, name, nbytes in sizes[0]}
-    # four Galois keys of b k^2 n / 8 + 16 bytes (b = 50, k = 3, n = 512)
-    # and point A
+    # the blob's digest and point A; the answer byte and the points B; a
+    # blob of four Galois keys of b k^2 n / 8 + 16 bytes (b = 50, k = 3,
+    # n = 512), the tree-level sums, the columns and the input
     assert _OPT1.params.residue_bits == 50
-    assert by_name["accept"] == 115_297 == 4 * (50 * 9 * 512 // 8 + 16) + 33
-    assert by_name["ot-base"] == 4_224 == LAMBDA * POINT_BYTES
+    assert by_name["accept"] == 65 == DIGEST_BYTES + POINT_BYTES
+    assert by_name["ot-base"] == 4_225 == 1 + LAMBDA * POINT_BYTES
+    assert KEY_BLOB_BYTES == 115_264 == 4 * (50 * 9 * 512 // 8 + 16)
+    assert by_name["client-setup"] == (
+        KEY_BLOB_BYTES + LEVEL_BYTES + COLUMNS * COLUMN_BYTES
+        + _OPT1.nbytes(_OPT1.input_layout, fresh=True))
 
 
 GC_L16 = ModelConfig(vocab=8, seq_len=16, dim=4, ff_dim=8, n_layers=1,
@@ -1091,11 +1269,11 @@ HE_SMALL = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
 @pytest.mark.parametrize("cfg,mode,c2s,s2c,gc", [
     pytest.param(CFG, "baseline", None, None, None, id="baseline"),
     # byte totals on the benchmark's three workloads' shapes
-    pytest.param(CFG, "opt1", 393_697, 578_001, 363_176, id="opt1"),
+    pytest.param(CFG, "opt1", 371_969, 578_002, 363_176, id="opt1"),
     pytest.param(CFG, "opt2", None, None, None, id="opt2"),
-    pytest.param(GC_L16, "baseline", 700_065, 5_145_553, 4_933_712,
+    pytest.param(GC_L16, "baseline", 582_849, 5_145_554, 4_933_712,
                  id="gc-l16-baseline"),
-    pytest.param(HE_SMALL, "opt2", 1_479_969, 4_494_289, 4_067_792,
+    pytest.param(HE_SMALL, "opt2", 1_203_009, 4_494_290, 4_067_792,
                  id="he-small-opt2"),
 ])
 def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
@@ -1128,9 +1306,9 @@ def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
 
 
 @pytest.mark.parametrize("cfg,mode,c2s,s2c,gc", [
-    pytest.param(GC_L16, "baseline", 695_993, 5_141_329, 4_933_712,
+    pytest.param(GC_L16, "baseline", 463_513, 5_141_330, 4_933_712,
                  id="gc-l16-baseline"),
-    pytest.param(HE_SMALL, "opt2", 1_475_897, 4_490_065, 4_067_792,
+    pytest.param(HE_SMALL, "opt2", 1_110_761, 4_490_066, 4_067_792,
                  id="he-small-opt2"),
 ])
 def test_resumed_session_bytes_on_the_benchmark_shapes(cfg, mode, c2s, s2c,
@@ -1138,9 +1316,9 @@ def test_resumed_session_bytes_on_the_benchmark_shapes(cfg, mode, c2s, s2c,
     """The benchmark's reused-key workloads time resumed sessions: on their
     shapes a client's second session sends `c2s` payload bytes and the
     server `s2c`, `gc` of them garbled-circuit material.  Against the first
-    session the client sends the 128 x 32 bytes of tree-level messages
-    fewer and the 24-byte resume request more, and the server the 128
-    base-OT points fewer."""
+    session the client sends the key blob and the 128 x 32 bytes of
+    tree-level messages fewer and the 24-byte resume request more, and the
+    server the 128 base-OT points fewer."""
     tokens = (np.arange(cfg.seq_len) * 5 + 1) % cfg.vocab
     wts = gen_random(cfg, 7, scale=0.25)
     sent = []
@@ -1152,8 +1330,10 @@ def test_resumed_session_bytes_on_the_benchmark_shapes(cfg, mode, c2s, s2c,
         tr = server.transcript
         sent.append((client.transcript.bytes_sent, tr.bytes_sent,
                      tr.gc_online_bytes))
+    geom = server.geometry
+    blob = pahe.key_blob_nbytes(geom.params, len(geom.galois))
     assert sent[1] == (c2s, s2c, gc)
-    assert sent[0] == (c2s + LAMBDA * 32 - REQUEST_BYTES,
+    assert sent[0] == (c2s + blob + LAMBDA * 32 - REQUEST_BYTES,
                        s2c + LAMBDA * POINT_BYTES, gc)
 
 
@@ -1395,7 +1575,7 @@ def test_resumed_session_over_tcp_reproduces_the_digest(weights):
         server, client = fs.result(), fc.result()
     assert np.array_equal(client.logits,
                           forward_fixed(CFG, weights, TOKENS, "opt1").logits)
-    assert server.transcript.frames[2].nbytes == 0
+    assert server.transcript.frames[2].nbytes == ANSWER
     assert sconn.hexdigest() == cconn.hexdigest() == RESUMED_DIGESTS["opt1"]
 
 
@@ -1535,44 +1715,87 @@ def test_server_refuses_share_without_its_copies(weights):
     assert isinstance(client_err, ProtocolError)
 
 
-# a first session's client-setup: the tree-level messages, 128 x 32 bytes,
-# then the correction columns, COLUMNS x ceil(ot_total / 8)
+# a first session's client-setup: the key blob, the tree-level messages,
+# 128 x 32 bytes, then the correction columns, COLUMNS x ceil(ot_total / 8)
 LEVEL_BYTES = 32 * LAMBDA
 COLUMN_BYTES = -(-_OPT1.ot_total // 8)
+# client-setup's four forms, by what the server's ot-base asked for: the key
+# blob, if the server wanted it, and the tree-level messages, if it sent
+# points B
+CLIENT_SETUP_FORMS = {
+    "keys-and-base-ot": (True, True),
+    "keys": (True, False),
+    "base-ot": (False, True),
+    "resumed": (False, False),
+}
+
+
+def _client_setup_form(weights, form: str) -> int:
+    """Leaves the party stores so that the next session of seeds 11 and 12
+    sends client-setup in `form`; returns that frame's size."""
+    keys, base_ot = CLIENT_SETUP_FORMS[form]
+    if not (keys and base_ot):
+        private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                          client_seed=12)
+        for evict, store in ((keys, session._SERVER_KEYS),
+                             (base_ot, session._SERVER_OT)):
+            if evict:
+                store._held.clear()
+    return (KEY_BLOB_BYTES * keys + LEVEL_BYTES * base_ot
+            + COLUMNS * COLUMN_BYTES
+            + _OPT1.nbytes(_OPT1.input_layout, fresh=True))
 
 
 def _iknp_columns(blob: bytearray):
-    end = LEVEL_BYTES + COLUMNS * COLUMN_BYTES
+    end = KEY_BLOB_BYTES + LEVEL_BYTES + COLUMNS * COLUMN_BYTES
     blob[end:end] = bytes((LAMBDA - COLUMNS) * COLUMN_BYTES)
 
 
 def _levels_short(blob: bytearray):
-    del blob[LEVEL_BYTES - 1]
+    del blob[KEY_BLOB_BYTES + LEVEL_BYTES - 1]
 
 
 def _levels_long(blob: bytearray):
-    blob[LEVEL_BYTES:LEVEL_BYTES] = b"\0"
+    blob[KEY_BLOB_BYTES + LEVEL_BYTES:KEY_BLOB_BYTES + LEVEL_BYTES] = b"\0"
 
 
-@pytest.mark.parametrize("edit,change", [
-    pytest.param(_iknp_columns, (LAMBDA - COLUMNS) * COLUMN_BYTES,
-                 id="128-columns"),
-    pytest.param(_levels_short, -1, id="levels-one-short"),
-    pytest.param(_levels_long, 1, id="levels-one-long"),
+@pytest.mark.parametrize("form,edit,change", [
+    pytest.param("keys-and-base-ot", _iknp_columns,
+                 (LAMBDA - COLUMNS) * COLUMN_BYTES, id="128-columns"),
+    pytest.param("keys-and-base-ot", _levels_short, -1,
+                 id="levels-one-short"),
+    pytest.param("keys-and-base-ot", _levels_long, 1, id="levels-one-long"),
+    *(pytest.param(form, edit, change, id=f"{form}-one-byte-{name}")
+      for form in CLIENT_SETUP_FORMS
+      for name, edit, change in (("short", lambda b: b.__delitem__(-1), -1),
+                                 ("long", lambda b: b.append(0), 1))),
 ])
-def test_server_refuses_client_setup_off_the_plan(weights, edit, change):
-    """client-setup carries LAMBDA / K - 1 correction columns after the
-    tree-level messages: a block of IKNP's 128 columns, or level messages
-    one byte short or long, is refused from the frame's length."""
-    want = (LEVEL_BYTES + COLUMNS * COLUMN_BYTES
-            + _OPT1.nbytes(_OPT1.input_layout, fresh=True))
+def test_server_refuses_client_setup_off_the_plan(weights, form, edit,
+                                                  change):
+    """client-setup carries the key blob if the server's answer byte asked
+    for it, the tree-level messages if it sent points B, then
+    LAMBDA / K - 1 correction columns and the input.  In each of these
+    four forms a frame one byte short or long, and in the first form a
+    block of IKNP's 128 columns or level messages one byte short or long,
+    is refused from the frame's header: the server has read accept and not
+    one byte of client-setup's payload."""
+    want = _client_setup_form(weights, form)
+    accept = DIGEST_BYTES + POINT_BYTES + REQUEST_BYTES * (
+        form != "keys-and-base-ot")
+    counting = {}
+
+    def server(conn):
+        counting["conn"] = _Counting(conn)
+        return run_server(counting["conn"], CFG, weights, "opt1", seed=11)
+
     server_err, client_err = run_pair(
-        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
+        _caught(server),
         _caught(lambda conn: run_client(
             _EditFirstFrame(conn, CLIENT_SETUP, edit), TOKENS, seed=12)))
     assert isinstance(server_err, ProtocolError)
     assert (f"client-setup frame of {want + change} bytes, the plan's has "
             f"{want}") in str(server_err)
+    assert counting["conn"].read == 2 * _HEADER.size + accept
     assert isinstance(client_err, ProtocolError)
 
 
@@ -1771,14 +1994,15 @@ def test_server_refuses_bad_base_ot_point(weights):
 
 
 def test_client_refuses_base_ot_list_one_point_short(weights):
-    """The ot-base frame must hold exactly 128 points of 33 bytes."""
+    """The ot-base frame must hold the answer byte and exactly 128 points
+    of 33 bytes."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
             _EditFirstFrame(conn, OT_BASE, _one_point_short), CFG,
             weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
-    assert "ot-base frame of 4191 bytes, the plan's has 4224" in \
+    assert "ot-base frame of 4192 bytes, the plan's has 4225" in \
         str(client_err)
     assert isinstance(server_err, ProtocolError)
 
@@ -1898,13 +2122,15 @@ MATRIX_FRAMES = {"client-setup", "stage-open", "stage-share", "mm-open",
 def test_session_bound_counts_every_matrix_frame(weights, mode):
     """The matrices `Geometry.sent` names, which `MAX_SESSION_BYTES`
     bounds, are byte for byte the encrypted matrices a session sends: the
-    input in client-setup past its OT columns, every stage-open,
-    stage-share and mm-open, and every mm-reply."""
+    input in client-setup past a first session's key blob, tree-level
+    messages and OT columns, every stage-open, stage-share and mm-open, and
+    every mm-reply."""
     server, _ = private_inference(CFG, weights, TOKENS, mode,
                                   server_seed=11, client_seed=12)
     geom = server.geometry
     frames = [f for f in server.transcript.frames if f.name in MATRIX_FRAMES]
-    ot_part = 32 * LAMBDA + COLUMNS * -(-geom.ot_total // 8)
+    ot_part = (pahe.key_blob_nbytes(geom.params, len(geom.galois))
+               + 32 * LAMBDA + COLUMNS * -(-geom.ot_total // 8))
     assert (sum(f.nbytes for f in frames) - ot_part
             == sum(geom.nbytes(lay, fresh) for lay, fresh in geom.sent()))
     assert sum(f.nbytes for f in frames if f.name == "mm-reply") \
@@ -2159,10 +2385,10 @@ def test_client_refuses_malformed_logits(weights, edit, span, error):
 
 
 # each Galois key of a key blob is its (k, k, n) k0 digit stack, packed at
-# the basis' width b, and the 16-byte seed of its k1 stack; the blob is
-# followed by the 33-byte base-OT point A
+# the basis' width b, and the 16-byte seed of its k1 stack; the blob opens a
+# first session's client-setup
 KEY_BYTES = PARAMS.residue_bits * PARAMS.k * PARAMS.k * PARAMS.n // 8 + 16
-KEY_BLOB = slice(0, -POINT_BYTES)
+KEY_BLOB = slice(0, KEY_BLOB_BYTES)
 
 
 def _one_key_too_few(blob: bytearray):
@@ -2174,16 +2400,19 @@ def _one_key_too_many(blob: bytearray):
 
 
 @pytest.mark.parametrize("edit,error", [
-    pytest.param(_one_key_too_few, "accept frame of", id="one-too-few"),
-    pytest.param(_one_key_too_many, "accept frame of", id="one-too-many"),
+    pytest.param(_one_key_too_few, "client-setup frame of", id="one-too-few"),
+    pytest.param(_one_key_too_many, "client-setup frame of",
+                 id="one-too-many"),
 ])
 def test_server_refuses_key_blob_off_the_geometry(weights, edit, error):
     """The server accepts a key for exactly each Galois element of the
-    geometry's giant steps, no more and no fewer."""
+    geometry's giant steps, no more and no fewer: client-setup with one
+    key too few or too many is refused from its header."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(
-            _EditFirstFrame(conn, ACCEPT, edit, KEY_BLOB), TOKENS, seed=12)))
+            _EditFirstFrame(conn, CLIENT_SETUP, edit, KEY_BLOB), TOKENS,
+            seed=12)))
     assert isinstance(server_err, ProtocolError)
     assert error in str(server_err)
     assert isinstance(client_err, ProtocolError)
