@@ -618,14 +618,17 @@ def galois_elements(params: PaheParams,
                          for r in rotations if r % params.row_size}))
 
 
-def keygen(params: PaheParams, seed: int | None = None,
+def keygen(params: PaheParams,
+           seed: int | np.random.Generator | None = None,
            rotations: Iterable[int] = ()) -> KeyMaterial:
     """Generate the secret key and the Galois keys.
 
     `rotations` lists the column-rotation amounts (0 < r < n/2) the evaluator
-    will need; each gets one Galois key.  The generator draws the secret
-    key, then the key of the call's `SeedStream`, whose seeds go to the
-    Galois keys in element order, then each key's errors.
+    will need; each gets one Galois key.  The generator (`seed` itself if it
+    is a `Generator`, which the call then moves on, else
+    `np.random.default_rng(seed)`) draws the secret key, then the key of the
+    call's `SeedStream`, whose seeds go to the Galois keys in element order,
+    then each key's errors.
     """
     rng = np.random.default_rng(seed)
     sk = params.rns().forward(
@@ -660,12 +663,14 @@ def _make_kswitch(params: PaheParams, rng: np.random.Generator, sk, sk_sh,
 class Evaluator:
     """Homomorphic operations under a key set, with op counters.  Only a
     key set that holds the secret key encrypts, and only its evaluator
-    draws from a generator (seeded by `seed`), which first gives the key of
-    the evaluator's one `SeedStream`.  Every operation settles its results'
-    noise before it does any work, and refuses a batch under other
-    parameters or a result past the budget."""
+    draws from a generator (`seed` itself if it is a `Generator`, which the
+    evaluator then shares, else one seeded by `seed`), which first gives
+    the key of the evaluator's one `SeedStream`.  Every operation settles
+    its results' noise before it does any work, and refuses a batch under
+    other parameters or a result past the budget."""
 
-    def __init__(self, keys: KeyMaterial, seed: int | None = None):
+    def __init__(self, keys: KeyMaterial,
+                 seed: int | np.random.Generator | None = None):
         self.keys = keys
         self.params = keys.params
         self.rng = np.random.default_rng(seed) if keys.has_secret else None

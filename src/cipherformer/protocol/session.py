@@ -85,10 +85,11 @@ with a stream position and a session number.  Each party holds this state
 across sessions in stores (`_Store`), each dropping its least recently
 used entry past its bound:
 
-  client         one store of a seeded client's key sets, 16, by (params,
-                 rotations, key seed): each its secret keys, its key blob
-                 and, once a base OT has run with it, that outcome; an
-                 unseeded client keeps nothing
+  client         one store of key sets, 16, by (params, rotations, seed),
+                 an unseeded client's under seed None: each its secret
+                 keys, its key blob, the generator every draw of its
+                 sessions continues and, once a base OT has run with it,
+                 that outcome
   server         outcomes, 16, by the key set's digest and the outcome's
                  name; and a memo of parsed public keys, 4, by the same
                  digest and the session's params and Galois elements
@@ -489,12 +490,16 @@ class _Extension:
 class _KeySet:
     """A client key set: its secret keys (the client never rotates, so its
     rotation keys are kept only in the blob), its serialized public keys,
-    the blob's SHA-256, which names the key set to the server, and, once a
-    base OT has run with it, that outcome."""
+    the blob's SHA-256, which names the key set to the server, the one
+    generator that drew the keys and that every session with them goes on
+    drawing from (encryption randomness, point A, tree roots), and, once a
+    base OT has run with it, that outcome.  Each numpy call holds the
+    generator's lock, so sessions that run at once draw apart."""
 
     keys: KeyMaterial
     blob: bytes
     digest: bytes
+    rng: np.random.Generator
     ext: _Extension | None = None
 
     def take(self, blocks: int, at: int | None = None):
@@ -504,11 +509,13 @@ class _KeySet:
 
 def _client_keys(params: PaheParams, rotations: tuple[int, ...],
                  seed: int | None) -> _KeySet:
-    """A new client key set, its blob serialized and hashed once."""
-    keys = keygen(params, seed, rotations=rotations)
+    """A new client key set, drawn first from its generator (OS entropy if
+    `seed` is None), its blob serialized and hashed once."""
+    rng = np.random.default_rng(seed)
+    keys = keygen(params, rng, rotations=rotations)
     blob = public_keys_to_bytes(keys.public())
     return _KeySet(replace(keys, galois={}), blob,
-                   hashlib.sha256(blob).digest())
+                   hashlib.sha256(blob).digest(), rng)
 
 
 class _Store:
@@ -557,11 +564,12 @@ class _Store:
 # 4, 8 KiB of them); a server's parsed key set 579 KiB and an outcome
 # 8.4 KiB (480 leaves and s).  Reading an outcome's streams sets nothing up
 # that it keeps, so it holds that much however often it resumes.  The
-# client holds its key sets, each with its outcome, by (params, rotations,
-# key seed).  The server holds outcomes by the key set's digest and the
-# outcome's name, as many as the client's key sets, so one client's fit; it
-# keeps one for every session that ran base OT, a client's that will never
-# resume too.  Its parse memo, by the digest and the session's params and
+# client holds its key sets, each with its generator and its outcome, by
+# (params, rotations, seed): an unseeded client's is the process's one key
+# set under seed None, made once from OS entropy, and dropping any entry
+# restarts its seed's stream.  The server holds outcomes by the key set's
+# digest and the outcome's name, as many as the client's key sets, so one
+# client's fit.  Its parse memo, by the digest and the session's params and
 # Galois elements (one blob could parse under another geometry's
 # elements), holds fewer: a parsed key set weighs about 70 outcomes, and at
 # 16 key sets that never repeat would hold about 7 MB more.  Its keys and
@@ -801,7 +809,9 @@ def _send_logits(sp: _ServerParty, x_enc: EncMatrix, weights: Weights):
 
 def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
                seed: int | None = None) -> ServerResult:
-    """Drive the weight-holder side of one inference session."""
+    """Drive the weight-holder side of one inference session.  A fixed
+    `seed` replays the server's masks and base-OT draws in every session
+    it serves, so it is for tests only."""
     validate_weights(cfg, weights)
     geom = session_geometry(cfg, mode)
     rng = np.random.default_rng(seed)
@@ -984,18 +994,18 @@ def _recv_logits(conn, tr: Transcript, geom: Geometry) -> Ciphertexts:
 def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     """Drive the input-holder side of one inference session.
 
-    A fixed `seed` fixes every draw of the session: the key set, the
-    encryption randomness, base-OT point A and the OT choice bits.
-    Sessions with the same seed reuse one key set, which accept names by
-    its digest, and after the first they ask to resume its OT extension; a
-    server that does not hold the outcome runs base OT in the same frames
-    instead, and one that does not hold the keys asks for the blob.  They
-    also replay the same encryption randomness and choice bits, so a seed
-    is for tests and benchmarks, never for two real inputs.  Without a
-    seed every session makes a fresh key set and runs its own base OT."""
-    rng = np.random.default_rng(seed)
-    key_seed = int(rng.integers(1 << 62))
-    enc_seed = int(rng.integers(1 << 62))
+    Every session with one `seed` uses one key set, which accept names by
+    its digest, and draws everything else -- the encryption randomness,
+    base-OT point A and the tree roots -- from where the key set's one
+    generator stands, so no two of its sessions share a draw.  After the
+    first session with the key set, each asks to resume its OT extension;
+    a server that does not hold the outcome runs base OT in the same frames
+    instead, and one that does not hold the keys asks for the blob.
+    Without a seed the key set is the process's own, made once from OS
+    entropy.  A fixed seed fixes the key set and the one stream of draws
+    over its sessions in the order they run, for tests and benchmarks;
+    once the client store drops the key set, the next session with the
+    seed makes it again and starts the stream over."""
     tr = Transcript("client")
 
     (hello,) = _recv(conn, tr, HELLO, [HELLO_BYTES])
@@ -1009,16 +1019,14 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     if toks.size and (toks.min() < 0 or toks.max() >= vocab):
         raise ParameterError("token id out of range")
 
-    # an unseeded client's key set, from OS entropy, is its session's alone
-    store = _CLIENT_KEYS if seed is not None else _Store(1)
-    key_set = (geom.params, geom.rotations, None if seed is None else key_seed)
-    entry = store.get(key_set, lambda: _client_keys(*key_set))
-    keys = entry.keys
-    ev = Evaluator(keys, seed=enc_seed)
+    key_set = (geom.params, geom.rotations, seed)
+    entry = _CLIENT_KEYS.get(key_set, lambda: _client_keys(*key_set))
+    keys, rng = entry.keys, entry.rng
+    ev = Evaluator(keys, seed=rng)
 
     blocks = stream_blocks(geom.ot_total)
     # none held, or its session numbers spent: no resume request
-    held = store.take(key_set, blocks)
+    held = _CLIENT_KEYS.take(key_set, blocks)
     try:
         base = BaseOtSender(rng)
         request = [] if held is None else [

@@ -18,6 +18,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -61,23 +62,23 @@ ANSWER = 1
 POINTS_B = ANSWER + LAMBDA * POINT_BYTES
 
 DIGESTS = {
-    "baseline": "f243eb0365b39fccb2d57938e5fd913a"
-                "bb8576441047d6c73ccc0a53e3850da5",
-    "opt1": "e2a1e6cd726641dee310152ed82be34e"
-            "9500b3258233e326c1d6d8b0407e415e",
-    "opt2": "491bfa12e9d578ae9cb78cf77f280951"
-            "67dea42b37308c1b86d9085788715543",
+    "baseline": "81e9ea5f1fe595d57de7b864fc228087"
+                "fd99d7761a0142a3b6fee53244c5bfac",
+    "opt1": "0e7f27aa6754b6859d35395d27a1c30d"
+            "abbd5233bc1c8fe27410aaa6f3a9a162",
+    "opt2": "aff514cc66dce77874b5394d46d4744d"
+            "4d26ecf52bc0e2ac8dbedc6b4ccee07c",
 }
-TWO_LAYER_DIGEST = ("434f1e7b80476e65848fdc4e5737e255"
-                    "bf18d11c4ad2daba01565ada086726d9")
+TWO_LAYER_DIGEST = ("e74d13367049c598b2fbc96131c84471"
+                    "e7bc684923965b60e6790316822e3ce3")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "b8782c9b02eb4e7906468586f76c1a51"
-                "394ac1796fd72448bedb29f12c22b558",
-    "opt1": "c231b5aba90546201d9e8289073f5d65"
-            "841387fb757e0c6f59a627cddec99c4f",
-    "opt2": "1d75bacf9a12dd344f09b00b59f31bfd"
-            "33c75ccb32f57f558eab57cf1dfe4c0e",
+    "baseline": "497ed7aa9f04f3e3df2304be90c01f38"
+                "789c4e1f8dca86b8817cb4ade3f819e7",
+    "opt1": "1bd8a8ab455bfbd99185ae6843fa981c"
+            "aa94e30f7a633604e4c4a3300fc20b9c",
+    "opt2": "2ae516d9e4d6a1bdc80604e0d9afde42"
+            "7dee079c13bd78619e1231856ff55529",
 }
 
 
@@ -120,12 +121,14 @@ class _Tap:
     receives, in the order the party does: per frame its type (one byte),
     its payload length (4 bytes, little-endian) and its payload.  Both
     parties of a session see the same frames in the same order, so their
-    taps agree on the session's digest."""
+    taps agree on the session's digest.  `frames` keeps each frame as its
+    type and payload."""
 
     def __init__(self, conn):
         self._conn = conn
         self._hash = hashlib.sha256()
         self._unread = {"sent": bytearray(), "received": bytearray()}
+        self.frames: list[tuple[int, bytes]] = []
 
     def send(self, data: bytes):
         self._conn.send(data)
@@ -147,8 +150,10 @@ class _Tap:
             end = _HEADER.size + length
             if len(buf) < end:
                 return
+            payload = bytes(buf[_HEADER.size:end])
             self._hash.update(bytes([ftype]) + length.to_bytes(4, "little"))
-            self._hash.update(buf[_HEADER.size:end])
+            self._hash.update(payload)
+            self.frames.append((ftype, payload))
             del buf[:end]
 
     def hexdigest(self) -> str:
@@ -255,10 +260,12 @@ def _seed_words(seeds) -> np.ndarray:
     return np.concatenate(seeds).view("<u8").ravel()
 
 
-def _raw_windows(seed: int, words: int) -> np.ndarray:
-    """Every 8-byte window at a 4-byte offset of the first `words` 64-bit
-    outputs of `np.random.default_rng(seed)`'s bit generator."""
-    half = np.random.PCG64(seed).random_raw(words).view("<u4").astype(np.uint64)
+def _raw_windows(state: dict, words: int) -> np.ndarray:
+    """Every 8-byte window at a 4-byte offset of the next `words` 64-bit
+    outputs of a PCG64 bit generator in `state`."""
+    bits = np.random.PCG64()
+    bits.state = state
+    half = bits.random_raw(words).view("<u4").astype(np.uint64)
     return half[:-1] | half[1:] << np.uint64(32)
 
 
@@ -269,8 +276,9 @@ def test_seeds_never_repeat_and_the_server_parses_what_the_client_holds(
       * no seed repeats across the client's fresh ciphertexts and Galois
         keys -- a repeated a would let the server subtract two c0's and
         keep the difference of two plaintexts under small noise;
-      * no 8 bytes of a seed are raw output of either client generator
-        that draws the secret key or the errors;
+      * no 8 bytes of a seed are raw output of the key set's generator,
+        from where it stood when it drew the secret key or when the
+        evaluator took it to draw the errors;
       * the server expands exactly the client's seeds, and every batch it
         parses equals the client's (B, 2, k, n) array bit for bit."""
     cfg = replace(CFG, n_layers=2)
@@ -278,7 +286,7 @@ def test_seeds_never_repeat_and_the_server_parses_what_the_client_holds(
     party = threading.local()
     seeds = {"server": [], "client": []}
     arrays = {"server": [], "client": []}
-    gen_seeds = []
+    gen_states = []
     real_expand, real_keygen = pahe.expand_seeds, session.keygen
     real_init, real_encrypt = Evaluator.__init__, Evaluator.encrypt_many
 
@@ -287,12 +295,12 @@ def test_seeds_never_repeat_and_the_server_parses_what_the_client_holds(
         return real_expand(params, sd, lead)
 
     def keygen_(params, seed=None, rotations=()):
-        gen_seeds.append(seed)
+        gen_states.append(seed.bit_generator.state)
         return real_keygen(params, seed, rotations)
 
     def init(self, keys, seed=None):
         if keys.has_secret:
-            gen_seeds.append(seed)
+            gen_states.append(seed.bit_generator.state)
         real_init(self, keys, seed)
 
     def encrypt(self, vecs):
@@ -338,10 +346,10 @@ def test_seeds_never_repeat_and_the_server_parses_what_the_client_holds(
     assert np.array_equal(np.concatenate(seeds["server"]), sent)
     assert np.array_equal(np.concatenate(arrays["server"]),
                           np.concatenate(arrays["client"]))
-    assert len(gen_seeds) == 2
-    for seed in gen_seeds:
+    assert len(gen_states) == 2
+    for state in gen_states:
         assert not np.isin(_seed_words(seeds["client"]),
-                           _raw_windows(seed, 1 << 17)).any()
+                           _raw_windows(state, 1 << 17)).any()
 
 
 def test_he_small_session_is_exact():
@@ -415,12 +423,8 @@ def test_resumed_session_is_exact_and_pinned(weights, monkeypatch, mode):
                           forward_fixed(CFG, weights, TOKENS, mode).logits)
     assert server.transcript.rounds == client.transcript.rounds == ROUNDS
     assert digest == RESUMED_DIGESTS[mode]
-    sizes = [(f.name, f.nbytes) for f in server.transcript.frames]
-    want = [(f.name, f.nbytes) for f in first.transcript.frames]
-    want[1] = ("accept", want[1][1] + REQUEST_BYTES)
-    want[2] = ("ot-base", ANSWER)
-    want[3] = ("client-setup", want[3][1] - KEY_BLOB_BYTES - 4096)
-    assert sizes == want
+    sizes = _sizes(server)
+    assert sizes == _resumed_sizes(first)
     assert sizes[1] == ("accept", DIGEST_BYTES + POINT_BYTES + REQUEST_BYTES)
     assert first.transcript.frames[2].nbytes == POINTS_B
     assert (first_client.transcript.bytes_sent
@@ -450,6 +454,81 @@ def _ot_base_sizes(result) -> list[int]:
     return [f.nbytes for f in result.transcript.frames if f.ftype == OT_BASE]
 
 
+def _sizes(result) -> list[tuple[str, int]]:
+    return [(f.name, f.nbytes) for f in result.transcript.frames]
+
+
+def _resumed_sizes(first) -> list[tuple[str, int]]:
+    """The frame sizes of a session that resumes at a server holding its
+    keys, from those of a first session: accept carries the resume request,
+    ot-base is the answer byte alone and client-setup drops the key blob
+    and the tree-level sums."""
+    want = _sizes(first)
+    want[1] = ("accept", want[1][1] + REQUEST_BYTES)
+    want[2] = ("ot-base", ANSWER)
+    want[3] = ("client-setup", want[3][1] - KEY_BLOB_BYTES - LEVEL_BYTES)
+    return want
+
+
+def _tapped_client(weights, client_seed, server_wrap=lambda conn: conn,
+                   client_wrap=lambda conn: conn):
+    """One tiny opt1 session at server seed 11, the client's end tapped
+    (`_Tap`) under `client_wrap`, the server's end under `server_wrap`:
+    the client's result, or the ProtocolError it ended in, and its tap."""
+    taps = []
+
+    def client(conn):
+        taps.append(_Tap(conn))
+        return run_client(client_wrap(taps[0]), TOKENS, seed=client_seed)
+
+    _, out = run_pair(
+        _caught(lambda conn: run_server(server_wrap(conn), CFG, weights,
+                                        "opt1", seed=11)),
+        _caught(client))
+    return out, taps[0]
+
+
+def _draws(tap) -> dict[str, set[bytes]]:
+    """What a client's tapped frames of one session show of its draws: the
+    c1 seed of every fresh ciphertext it sent (client-setup's input, every
+    mm-reply and every stage-share), its base-OT point A, if its session
+    ran base OT the 32 bytes of sums of each GGM tree level, and each
+    stage-ot-req, the OT choice bits masking the client's stage bits (the
+    same in two sessions of the same tokens, weights and server seed)."""
+    draws = {"c1 seed": set(), "point A": set(), "tree level": set(),
+             "ot request": set()}
+    fresh = []
+    for ftype, payload in tap.frames:
+        if ftype == ACCEPT:
+            draws["point A"].add(payload[DIGEST_BYTES:][:POINT_BYTES])
+        elif ftype == OT_BASE:
+            answer = payload
+        elif ftype == CLIENT_SETUP:
+            levels = payload[KEY_BLOB_BYTES * answer[0]:][
+                :LEVEL_BYTES * (len(answer) == POINTS_B)]
+            draws["tree level"].update(levels[i:i + 32]
+                                       for i in range(0, len(levels), 32))
+            fresh.append(payload[-_OPT1.nbytes(_OPT1.input_layout,
+                                               fresh=True):])
+        elif ftype in (MM_REPLY, STAGE_SHARE):
+            fresh.append(payload)
+        elif ftype == STAGE_OT_REQ:
+            draws["ot request"].add(payload)
+    cts = np.frombuffer(b"".join(fresh), np.uint8).reshape(-1, FRESH_CT_BYTES)
+    draws["c1 seed"].update(bytes(ct[-pahe.SEED_BYTES:]) for ct in cts)
+    return draws
+
+
+def _share_no_draw(*taps):
+    """No two of the tapped client sessions share a c1 seed, a point A, a
+    tree level's sums or a stage's OT choice bits."""
+    draws = [_draws(tap) for tap in taps]
+    for kind in draws[0]:
+        for a, b in combinations(draws, 2):
+            shared = len(a[kind] & b[kind])
+            assert shared == 0, f"two sessions share {shared} x {kind}"
+
+
 @pytest.mark.parametrize("edit,forget", [
     pytest.param(lambda b: None, True, id="unknown-key-set"),
     pytest.param(_position_plus_one, False, id="off-by-one"),
@@ -462,28 +541,27 @@ def test_refused_resume_request_falls_back_to_base_ot(weights, edit,
     answered with the 128 points B for the point A the same accept carries,
     and the session goes on as the first session did, in the same rounds
     and exact; accept is longer, by the request, and client-setup shorter,
-    by the key blob the server holds.  That base OT draws
-    what the first session's drew, so the next session resumes its outcome
-    and is the pinned resumed session, bit for bit."""
-    first, _ = private_inference(CFG, weights, TOKENS, "opt1",
-                                 server_seed=11, client_seed=12)
+    by the key blob the server holds.  That base OT draws on from the key
+    set's generator, so the next session resumes its outcome in a resumed
+    session's frame sizes, exact in the same rounds, and no two of the
+    three sessions share a draw."""
+    first, first_tap = _tapped_client(weights, 12)
     if forget:
         session._SERVER_OT._held.clear()
-    server, client = run_pair(
-        lambda conn: run_server(conn, CFG, weights, "opt1", seed=11),
-        lambda conn: run_client(
-            _EditFirstFrame(conn, ACCEPT, edit, slice(-REQUEST_BYTES, None)),
-            TOKENS, seed=12))
+    client, fallback = _tapped_client(
+        weights, 12, client_wrap=lambda conn: _EditFirstFrame(
+            conn, ACCEPT, edit, slice(-REQUEST_BYTES, None)))
     assert np.array_equal(client.logits, _exact(weights))
-    assert server.transcript.rounds == client.transcript.rounds == ROUNDS
-    sizes = [(f.name, f.nbytes) for f in client.transcript.frames]
-    want = [(f.name, f.nbytes) for f in first.transcript.frames]
+    assert client.transcript.rounds == ROUNDS
+    want = _sizes(first)
     want[1] = ("accept", want[1][1] + REQUEST_BYTES)
     want[3] = ("client-setup", want[3][1] - KEY_BLOB_BYTES)
-    assert sizes == want
-    *_, digest = _tapped_inference(CFG, weights, TOKENS, "opt1",
-                                   server_seed=11, client_seed=12)
-    assert digest == RESUMED_DIGESTS["opt1"]
+    assert _sizes(client) == want
+    resumed, resumed_tap = _tapped_client(weights, 12)
+    assert np.array_equal(resumed.logits, _exact(weights))
+    assert resumed.transcript.rounds == ROUNDS
+    assert _sizes(resumed) == _resumed_sizes(first)
+    _share_no_draw(first_tap, fallback, resumed_tap)
 
 
 @pytest.mark.parametrize("point", [
@@ -496,10 +574,10 @@ def test_server_refuses_a_resume_request_whose_point_is_off_the_curve(
     resumed accept whose A is no compressed P-256 point is a ProtocolError
     before ot-base, and the client sees the connection close.  The client
     then forgets its outcome, so its next session runs a fresh base OT; at
-    a server that holds no parsed keys either, it is the pinned first
-    session, bit for bit."""
-    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
-                      client_seed=12)
+    a server that holds no parsed keys either, it sends the first
+    session's frame sizes, exact in the same rounds, and shares no draw
+    with it."""
+    first, first_tap = _tapped_client(weights, 12)
 
     def off_curve(blob: bytearray):
         blob[:POINT_BYTES] = point
@@ -515,10 +593,11 @@ def test_server_refuses_a_resume_request_whose_point_is_off_the_curve(
     assert isinstance(client_err, ProtocolError)
     assert "peer closed" in str(client_err)
     session._SERVER_KEYS._held.clear()
-    _, client, digest = _tapped_inference(CFG, weights, TOKENS, "opt1",
-                                          server_seed=11, client_seed=12)
-    assert digest == DIGESTS["opt1"]
+    client, tap = _tapped_client(weights, 12)
     assert np.array_equal(client.logits, _exact(weights))
+    assert client.transcript.rounds == ROUNDS
+    assert _sizes(client) == _sizes(first)
+    _share_no_draw(first_tap, tap)
 
 
 @pytest.mark.parametrize("resumed,edit", [
@@ -604,15 +683,19 @@ def test_resume_request_carries_the_client_position(weights, monkeypatch):
     (the SHA-256 of point A and the 128 points B, cut to 16 bytes), and
     both parties move the position past ceil(M / 128) blocks a session:
     the first resumed session asks for exactly the blocks the first
-    session took."""
-    sent, base_ot = [], []
-    real_keys = session.BaseOtSender.keys
+    session took.  Each session draws its own point A."""
+    sent, points_a, base_ot = [], [], []
 
-    def keys(self, msgs_b):
-        base_ot.append(self.msg_a + msgs_b)
-        return real_keys(self, msgs_b)
+    class Sender(session.BaseOtSender):
+        def __init__(self, rng):
+            super().__init__(rng)
+            points_a.append(self.msg_a)
 
-    monkeypatch.setattr(session.BaseOtSender, "keys", keys)
+        def keys(self, msgs_b):
+            base_ot.append(self.msg_a + msgs_b)
+            return super().keys(msgs_b)
+
+    monkeypatch.setattr(session, "BaseOtSender", Sender)
     geom = session_geometry(CFG, "opt1")
     for _ in range(3):
         run_pair(
@@ -622,11 +705,11 @@ def test_resume_request_carries_the_client_position(weights, monkeypatch):
                 slice(DIGEST_BYTES, None)), TOKENS, seed=12))
     blocks = -(-geom.ot_total // 128)
     (transcript,) = base_ot
-    point_a = transcript[:POINT_BYTES]
-    assert sent[0] == point_a
+    assert sent[0] == points_a[0] == transcript[:POINT_BYTES]
     name = hashlib.sha256(transcript).digest()[:16]
     for i, part in enumerate(sent[1:], 1):
-        assert part == point_a + (i * blocks).to_bytes(8, "little") + name
+        assert part == points_a[i] + (i * blocks).to_bytes(8, "little") + name
+    assert len(set(points_a)) == 3
 
 
 class _OtherTrees(session.OtExtReceiver):
@@ -748,15 +831,22 @@ def test_base_ot_runs_again_once_the_session_numbers_are_spent(
     """An outcome serves `MAX_SESSIONS` sessions at most, as many as the
     tweak's session bits tell apart; with the bound at one, every session
     runs its own base OT, and at a server that holds no parsed keys either
-    is the pinned first session."""
+    sends the pinned first session's frame sizes, exact in the same rounds.
+    The first is the pinned first session, and the second shares no draw
+    with it."""
     monkeypatch.setattr(session, "MAX_SESSIONS", 1)
+    runs = []
     for _ in range(2):
         session._SERVER_KEYS._held.clear()
-        server, client, digest = _tapped_inference(
-            CFG, weights, TOKENS, "opt1", server_seed=11, client_seed=12)
-        assert digest == DIGESTS["opt1"]
-        assert server.transcript.rounds == client.transcript.rounds == ROUNDS
-        assert server.transcript.frames[2].nbytes == POINTS_B
+        client, tap = _tapped_client(weights, 12)
+        assert np.array_equal(client.logits, _exact(weights))
+        assert client.transcript.rounds == ROUNDS
+        assert _ot_base_sizes(client) == [POINTS_B]
+        runs.append((client, tap))
+    (first, first_tap), (again, tap) = runs
+    assert first_tap.hexdigest() == DIGESTS["opt1"]
+    assert _sizes(again) == _sizes(first)
+    _share_no_draw(first_tap, tap)
 
 
 def test_threads_extending_from_one_stored_outcome_get_the_reference_rows(
@@ -916,8 +1006,11 @@ def test_key_work_per_session(weights, monkeypatch):
     the client's outcome and keeps its keys, so the next session makes no
     key and runs a base OT, and the server, which still holds the keys,
     asks for no blob.  A new seed makes and parses a new key set.  An
-    unseeded client makes its keys from OS entropy in every session and
-    keeps none of them."""
+    unseeded client takes the same path under seed None: its first session
+    makes the process's key set from OS entropy, the only one the client
+    store then holds under None, and its second makes, hashes and parses
+    none and resumes.  Once the stores forget it, the next unseeded
+    session makes a key set of another digest."""
     calls = _count_key_work(monkeypatch)
     hashing = _CountingHashlib()
     monkeypatch.setattr(session, "hashlib", hashing)
@@ -949,15 +1042,64 @@ def test_key_work_per_session(weights, monkeypatch):
     assert run() == ((0, 0, 0), [POINTS_B], first)
     assert run(client_seed=14) == ((1, 1, 2), [POINTS_B], first)
 
-    held = dict(session._CLIENT_KEYS._held)
-    for _ in range(2):
-        _, client = private_inference(CFG, weights, TOKENS, "opt1",
-                                      server_seed=11)
+    held = list(session._CLIENT_KEYS._held)
+    assert run(client_seed=None) == ((1, 1, 2), [POINTS_B], first)
+    assert run(client_seed=None) == ((0, 0, 0), [ANSWER], resumed)
+    unseeded = (_OPT1.params, _OPT1.rotations, None)
+    assert list(session._CLIENT_KEYS._held) == [*held, unseeded]
+    digest = session._CLIENT_KEYS._held[unseeded].digest
+    _forget_key_sets()
+    assert run(client_seed=None) == ((1, 1, 2), [POINTS_B], first)
+    assert session._CLIENT_KEYS._held[unseeded].digest != digest
+
+
+def test_no_two_sessions_of_a_key_set_share_a_draw(weights, monkeypatch):
+    """Every session with a key set draws on from where the key set's one
+    generator stands.  Four sessions of one seed -- a first, a resumed
+    one, one that fails at ot-base and one that then runs base OT again --
+    share no c1 seed of a fresh ciphertext, no point A, no stage's OT
+    choice bits and, between the two base OTs, no tree level's sums.  The
+    server seed stays fixed, so its points B and masks repeat, and the
+    second base OT's sums and choice bits differ from the first's by the
+    client's draws alone.  Two unseeded sessions, the second
+    resuming the first's OT on the process's one key set, share none
+    either, and no int seeds their keys or their evaluators: both draw
+    from the generator the key set keeps."""
+    def run(client_seed, ot_base):
+        client, tap = _tapped_client(weights, client_seed)
         assert np.array_equal(client.logits, _exact(weights))
-        assert [args[1] for args in calls["keygen"]] == [None]
-        assert _key_work(calls) == (1, 1)
-        assert _ot_base_sizes(client) == [POINTS_B]
-    assert session._CLIENT_KEYS._held == held
+        assert client.transcript.rounds == ROUNDS
+        assert _ot_base_sizes(client) == [ot_base]
+        return tap
+
+    first, resumed = run(12, POINTS_B), run(12, ANSWER)
+    err, failed = _tapped_client(weights, 12, server_wrap=lambda conn: (
+        _EditFirstFrame(conn, OT_BASE, _answer_2)))
+    assert isinstance(err, ProtocolError)
+    again = run(12, POINTS_B)
+    draws = [_draws(tap) for tap in (first, resumed, again)]
+    assert all(d["c1 seed"] and d["point A"] and d["ot request"]
+               for d in draws)
+    assert [len(d["tree level"]) for d in draws] == [LAMBDA, 0, LAMBDA]
+    _share_no_draw(first, resumed, failed, again)
+
+    generators = []
+    real_keygen, real_init = session.keygen, Evaluator.__init__
+
+    def keygen_(params, seed=None, rotations=()):
+        generators.append(seed)
+        return real_keygen(params, seed, rotations)
+
+    def init(self, keys, seed=None):
+        if keys.has_secret:
+            generators.append(seed)
+        real_init(self, keys, seed)
+
+    monkeypatch.setattr(session, "keygen", keygen_)
+    monkeypatch.setattr(Evaluator, "__init__", init)
+    _share_no_draw(run(None, POINTS_B), run(None, ANSWER))
+    assert len(generators) == 3
+    assert all(isinstance(g, np.random.Generator) for g in generators)
 
 
 def test_key_sets_past_the_server_key_store_send_their_blob(weights,
