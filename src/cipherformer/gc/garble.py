@@ -12,9 +12,10 @@ of base OTs: it is the OT-extension sender's s (`gc.ot`), whose low bit is
 forced to 1 so the label's low bit serves as the point-and-permute color,
 and the OT fixes the evaluator's input labels under it.  The gate hash is the
 standard fixed-key AES construction H(X, t) = AES(2X ^ t) ^ 2X ^ t, with
-tweaks unique per (session, layer, stage, instance, AND, half) under one
-delta (`tweak_namespace`); instances are independent garblings of the
-same topology.
+tweaks unique per (stream position, layer, stage, instance, AND, half)
+under one delta (`tweak_namespace`), the stream position being where the
+session starts in the OT column streams; instances are independent
+garblings of the same topology.
 
 Garbling and evaluation walk every circuit of a stage at once
 (`circuit.Schedule`): the circuits' labels are one (W, E, 2) array, and
@@ -74,27 +75,31 @@ def _hash(aes, doubled: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
                           out=t)
 
 
-# the low tweak word's bits from SESSION_SHIFT up to the B2A flag hold the
-# session number; AND tweaks and output indices stay below 2^27 (see
-# `garble`)
-SESSION_SHIFT = 32
-# sessions one offset delta can garble under: what those 29 bits hold
-MAX_SESSIONS = 1 << 29
+# the low tweak word's bits from POSITION_SHIFT up to the B2A flag hold the
+# session's stream position; AND tweaks and output indices stay below 2^27
+# (see `garble`)
+POSITION_SHIFT = 32
+# the stream positions a session under one offset delta can start at: what
+# those 29 bits hold
+MAX_POSITION = 1 << 29
 _WORD = (1 << 64) - 1
 
 
-def tweak_namespace(layer: int, stage: int, session: int = 0) -> int:
+def tweak_namespace(layer: int, stage: int, position: int = 0) -> int:
     """The tweak bits of stage `stage` of encoder layer `layer`, in the
-    session numbered `session` under its offset delta, as one 128-bit int,
-    high word << 64 | low word: (layer, stage) in the high word above its
-    32 instance bits, the session number in the low word above the AND and
-    output indices.  Each stage walk under one delta gets its own, from
-    the plan and the session number alone, so both parties derive it;
-    session 0 leaves the low word clear."""
+    session that starts at block `position` of the OT column streams under
+    its offset delta, as one 128-bit int, high word << 64 | low word:
+    (layer, stage) in the high word above its 32 instance bits, the stream
+    position in the low word above the AND and output indices.  Every
+    session under one delta starts at its own position, past the blocks
+    the sessions before it took, so each stage walk under one delta gets
+    its own namespace, from the plan and the position alone, and both
+    parties derive it; position 0, the session that ran the base OTs,
+    leaves the low word clear."""
     if not (0 <= layer < 1 << 16 and 0 <= stage < 1 << 8
-            and 0 <= session < MAX_SESSIONS):
+            and 0 <= position < MAX_POSITION):
         raise CircuitError("garbling namespace out of range")
-    return (layer << 8 | stage) << 96 | session << SESSION_SHIFT
+    return (layer << 8 | stage) << 96 | position << POSITION_SHIFT
 
 
 def _tweaks(low: np.ndarray, instances: int, namespace: int) -> np.ndarray:
@@ -132,7 +137,7 @@ def _level_tweaks(sched: Schedule, instances: int, namespace: int):
         i = end
 
 
-# the low-word flag of the label-keyed pads' tweaks, above the session bits
+# the low-word flag of the label-keyed pads' tweaks, above the position bits
 _B2A_NS = np.uint64(1) << np.uint64(61)
 
 
@@ -204,7 +209,7 @@ def b2a_shares(sched: Schedule, active_out: np.ndarray, c: np.ndarray,
 def _check_walk(sched: Schedule, E: int):
     if E >= 1 << 32:
         raise CircuitError("more instances than the tweak's 32 bits hold")
-    if max(2 * sched.n_and, sched.outputs.size) > 1 << SESSION_SHIFT:
+    if max(2 * sched.n_and, sched.outputs.size) > 1 << POSITION_SHIFT:
         raise CircuitError("more ANDs or outputs than the low tweak word's "
                            "index bits hold")
 
@@ -238,11 +243,12 @@ def garble(sched: Schedule, delta: np.ndarray, garbler_bits: np.ndarray,
     apart.  Within a walk the AND's ordinal, half and instance keep
     tweaks apart, and the B2A flag and output index set the pads' apart
     from them; across the walks of a session the (layer, stage) of the
-    namespace does, and across sessions its session number, so each walk
-    garbled must take its own `tweak_namespace`.  AND tweaks and output
-    indices below 2^32 stay clear of the session bits (a session holds far
-    fewer wires: `MAX_SESSION_BYTES` keeps a label array below 2^26
-    wires), and no delta may serve more than `MAX_SESSIONS` sessions.
+    namespace does, and across sessions its stream position, at which no
+    other session under delta starts, so each walk garbled must take its
+    own `tweak_namespace`.  AND tweaks and output indices below 2^32 stay
+    clear of the position bits (a session holds far fewer wires:
+    `MAX_SESSION_BYTES` keeps a label array below 2^26 wires), and no
+    session under a delta may start at or past `MAX_POSITION`.
     Each session's evaluator labels are fresh: its OT rows come from
     blocks of the column streams that no other session reads (`gc.ot`).
     delta's colour bit is public (forced to 1), so it keeps 127 secret

@@ -77,11 +77,11 @@ two blocks of a party's streams share one.  A leaf is a uniform secret
 key to whoever does not hold it, and single-key Even-Mansour (Even and
 Mansour, ASIACRYPT 1991; Dunkelman-Keller-Shamir, EUROCRYPT 2012) over D
 blocks is pseudorandom against Q queries to pi up to an advantage of
-about D Q / 2^128.  D is bounded: a leaf gives at most
-`stream_blocks(MAX_OTS)` = 2^17 blocks a session (`protocol.session`),
-and an outcome serves at most `MAX_SESSIONS` = 2^29 sessions
-(`gc.garble`), so at most 2^46 blocks a leaf and 2^55 over the 512
-leaves of a key set; the counter stays far below 2^64.
+about D Q / 2^128.  D is bounded: no session starts at or past stream
+position `MAX_POSITION` = 2^29 (`gc.garble`), and a session takes at most
+`stream_blocks(MAX_OTS)` = 2^17 blocks of a leaf (`protocol.session`),
+so a leaf gives under 2^29 + 2^17 blocks, and the 512 leaves of a key set
+under 2^38 + 2^26; the counter stays far below 2^64.
 
 Base OT is the Chou-Orlandi construction ("The Simplest Protocol for
 Oblivious Transfer", LATINCRYPT 2015) over P-256: the sender publishes

@@ -81,9 +81,10 @@ Base OT runs once per client key set.  Both parties keep its outcome (the
 client the leaves of its GGM trees, the server those of its punctured
 trees and s, the leaves a read-only array) under the outcome's name, the
 SHA-256 of point A and the 128 points B cut to 16 bytes, which both hold,
-with a stream position and a session number.  Each party holds this state
-across sessions in stores (`_Store`), each dropping its least recently
-used entry past its bound:
+with a stream position, where the next session starts in the column
+streams the leaves give.  Each party holds this state across sessions in
+stores (`_Store`), each dropping its least recently used entry past its
+bound:
 
   client         one store of key sets, 16, by (params, rotations, seed),
                  an unseeded client's under seed None: each its secret
@@ -96,18 +97,20 @@ used entry past its bound:
 
 Every later session with the same key set adds a resume request to
 accept: both then extend at that position of the column streams the
-same leaves give (`gc.ot`), garble under session-numbered tweaks
+same leaves give (`gc.ot`), garble under tweaks that the position numbers
 (`gc.garble.tweak_namespace`), and move the position past the
-`stream_blocks(ot_total)` blocks they took.  The session that ran the base
-OTs extends at position 0 as session 0.  The server never takes the
-client's word for its state: it resumes only if it holds the named outcome
-for the key set, at exactly the requested position and with a session
-number left.  Otherwise it answers point A, which the client draws and
-sends in every session (in Chou-Orlandi it depends on nothing the server
-says), with points B, and the session runs as a first session in the same
-frames.  A resuming server still checks that A is a curve point.  A
-session that fails drops the client's outcome for its key set and keeps
-the keys, so the next session makes no key and runs base OT.
+`stream_blocks(ot_total)` blocks they took, so no two sessions under one
+garbling offset start at one position.  The session that ran the base OTs
+extends and garbles at position 0.  Neither party resumes at or past
+`gc.garble.MAX_POSITION`, and the server never takes the client's word
+for its state: it resumes only if it holds the named outcome for the key
+set, at exactly the requested position.  Otherwise it answers point A,
+which the client draws and sends in every session (in Chou-Orlandi it
+depends on nothing the server says), with points B, and the session runs
+as a first session in the same frames.  A resuming server still checks
+that A is a curve point.  A session that fails drops the client's outcome
+for its key set and keeps the keys, so the next session makes no key and
+runs base OT.
 
 The server answers the keys apart from the OT: accept names the key set
 by its digest alone, and the server answers 0 if it holds keys parsed
@@ -180,7 +183,7 @@ import numpy as np
 from ..errors import ParameterError, ProtocolError
 from ..fixedpoint import to_field, to_signed
 from ..gc.circuit import Schedule, schedule, to_bits
-from ..gc.garble import (MAX_SESSIONS, b2a_corrections, b2a_shares,
+from ..gc.garble import (MAX_POSITION, b2a_corrections, b2a_shares,
                          evaluate, garble, tweak_namespace)
 from ..gc.ot import (COLUMNS, LAMBDA, POINT_BYTES, BaseOtReceiver,
                      BaseOtSender, OtExtReceiver, OtExtSender, RandomOtBatch,
@@ -263,8 +266,6 @@ class Geometry:
     cfg: ModelConfig
     mode: str
     plan: StagePlan
-    n: int                      # ring degree
-    p: int                      # plaintext modulus
     params: PaheParams
     products: tuple[tuple[int, int], ...]  # plain-weight (in, out) widths
     steps: int                  # baby-step copies of each product input
@@ -274,6 +275,16 @@ class Geometry:
     # geometry passes every bound
     walks: dict[tuple, Schedule] = field(default_factory=dict,
                                          compare=False, repr=False)
+
+    @property
+    def n(self) -> int:
+        """The ring degree."""
+        return self.params.n
+
+    @property
+    def p(self) -> int:
+        """The plaintext modulus."""
+        return self.params.p
 
     @property
     def galois(self) -> tuple[int, ...]:
@@ -411,8 +422,8 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
         raise ParameterError(f"model shape needs {ot_total} random OTs, "
                              f"above the limit of {MAX_OTS}")
     # a held row does not depend on the ring or the copies, so the layouts
-    # of a geometry with placeholder ring fields size the ring
-    unsized = Geometry(cfg, mode, plan, n=0, p=0, params=None,
+    # of a geometry with no params yet size the ring
+    unsized = Geometry(cfg, mode, plan, params=None,
                        products=tuple(shapes), steps=1, rotations=(),
                        ot_total=ot_total)
     row = max(lay.held[1] for lay in unsized.layouts())
@@ -429,7 +440,7 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
     for d_in, d_out in shapes:
         rots.update(colblock_rotation_amounts(params, d_in, cfg.seq_len,
                                               d_out, steps))
-    geom = replace(unsized, n=n, p=p, params=params, steps=steps,
+    geom = replace(unsized, params=params, steps=steps,
                    rotations=tuple(sorted(rots)))
     specs = [s for enc in plan.encoders for s in enc]
     circuits = {shape: [circ for _g, circ, _E in stage_circuits(s)]
@@ -465,25 +476,26 @@ class _Extension:
     garbling offset of all those sessions, and the digest that names the
     outcome (`_outcome`).  The leaves are a read-only array and every read
     of their column streams runs through an encryptor of its own, so the
-    sessions that resume one outcome at once share it with no lock."""
+    sessions that resume one outcome at once share it with no lock; only
+    `take` moves the position, under a lock of the outcome's own."""
 
     leaves: np.ndarray | None
     s_bits: np.ndarray | None
     outcome: bytes
     position: int = 0    # the next AES block of every column stream
-    session: int = 0     # the next session's number in its garbling tweaks
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False)
 
-    def take(self, blocks: int, at: int | None = None):
-        """This outcome as the next session finds it, and this one moved
-        past that session's `blocks` and number; None, with nothing moved,
-        if its session numbers are spent or `at` is given and is not its
-        position.  Called under its store's lock."""
-        if self.session >= MAX_SESSIONS or at not in (None, self.position):
-            return None
-        taken = replace(self)
-        self.position += blocks
-        self.session += 1
-        return taken
+    def take(self, blocks: int, at: int | None = None) -> int | None:
+        """The position the next session starts at, which numbers its
+        garbling tweaks, with this outcome moved past that session's
+        `blocks`; None, with nothing moved, if the position has reached
+        `MAX_POSITION` or `at` is given and is not the position."""
+        with self._lock:
+            start = self.position
+            if start >= MAX_POSITION or at not in (None, start):
+                return None
+            self.position += blocks
+            return start
 
 
 @dataclass
@@ -502,10 +514,6 @@ class _KeySet:
     rng: np.random.Generator
     ext: _Extension | None = None
 
-    def take(self, blocks: int, at: int | None = None):
-        # read once: a failed session may drop it meanwhile
-        return ext.take(blocks, at) if (ext := self.ext) else None
-
 
 def _client_keys(params: PaheParams, rotations: tuple[int, ...],
                  seed: int | None) -> _KeySet:
@@ -520,9 +528,8 @@ def _client_keys(params: PaheParams, rotations: tuple[int, ...],
 
 class _Store:
     """One party's state by key, the least recently used dropped past
-    `maxsize`.  Every call holds one lock (reentrant: `get` and `take` keep
-    their entry through `put`), so sessions that run at once make an entry
-    once and never take the same stream blocks."""
+    `maxsize`.  Every call holds one lock (reentrant: `get` keeps its entry
+    through `put`), so sessions that run at once make an entry once."""
 
     def __init__(self, maxsize: int):
         self._held: OrderedDict = OrderedDict()
@@ -549,14 +556,6 @@ class _Store:
             while len(self._held) > self._maxsize:
                 self._held.popitem(last=False)
             return entry
-
-    def take(self, key, blocks: int, at: int | None = None):
-        """The base-OT outcome of the entry held for `key` as the next
-        session finds it (`_Extension.take`), the entry then the most
-        recently used; None if none is held."""
-        with self._lock:
-            entry = self.get(key)
-            return entry and entry.take(blocks, at)
 
 
 # Per entry, measured with tracemalloc on tiny as what dropping it frees: a
@@ -718,7 +717,7 @@ class _ServerParty:
     ev: Evaluator
     rng: np.random.Generator
     ot: RandomOtSenderBatch
-    session: int        # the session's number under its garbling offset
+    position: int       # the session's start in the column streams
 
 
 @dataclass
@@ -741,7 +740,7 @@ def _send_garbled_stage(sp: _ServerParty, layer: int, stage: int,
     ezero = _by_instance(sp.ot.derand_respond(dbits), G, E)
     bits = to_bits(tshare.reshape(G, E, -1), m).swapaxes(0, 1).reshape(E, -1)
     gb = garble(sp.geom.walk(spec), sp.ot.delta, bits, ezero,
-                tweak_namespace(layer, stage, sp.session))
+                tweak_namespace(layer, stage, sp.position))
     corr, own = b2a_corrections(
         gb, np.tile(b2a_weights(spec.keep, p), G * spec.lanes_per_instance),
         p)
@@ -832,17 +831,16 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     pk = _SERVER_KEYS.get(pk_key)
 
     blocks = stream_blocks(geom.ot_total)
-    held = None
+    start = None
     if request:
         decode_points(bpt, 1)   # a resumed session leaves A unused: check it
-        position = int.from_bytes(request[:8], "little")
-        held = _SERVER_OT.take((key_set, request[8:]), blocks, position)
-    if held is None:
+        held = _SERVER_OT.get((key_set, request[8:]))
+        if held:
+            start = held.take(blocks, int.from_bytes(request[:8], "little"))
+    if start is None:
         ext = OtExtSender(rng)
         base = BaseOtReceiver(rng, ext.s_bits, bpt)
         points = base.msgs_b
-        # a first session: its leaves come with the seed messages
-        held = _Extension(None, ext.s_bits, _outcome(bpt, points))
     else:
         ext = OtExtSender(rng, held.s_bits, held.leaves)
         points = b""
@@ -864,17 +862,19 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     ev = Evaluator(pk)
     *bseed, bucol, bx = parts
     if bseed:
+        # a first session: its leaves come with the seed messages
         ext.recover_seeds(_words(bseed[0], (LAMBDA, 2, 2)), base.keys())
-        _SERVER_OT.put((key_set, held.outcome), _Extension(
-            ext.leaves, ext.s_bits, held.outcome, blocks, 1))
+        held = _Extension(ext.leaves, ext.s_bits, _outcome(bpt, points))
+        start = held.take(blocks)
+        _SERVER_OT.put((key_set, held.outcome), held)
     c_cols = np.frombuffer(bucol, dtype=np.uint8).reshape(COLUMNS, mb)
-    pairs = ext.receive_extension(c_cols, geom.ot_total, held.position)
+    pairs = ext.receive_extension(c_cols, geom.ot_total, start)
 
     x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout,
                                  fresh=True)
     del parts, bucol, c_cols, bx   # read once; 0.27 MB of columns on he-small
 
-    sp = _ServerParty(conn, tr, geom, ev, rng, pairs, held.session)
+    sp = _ServerParty(conn, tr, geom, ev, rng, pairs, start)
     held = {"x": x_enc}
     for e, enc in enumerate(geom.plan.encoders):
         mats, offsets = layer_weights(cfg, weights, mode, e)
@@ -906,7 +906,7 @@ class _ClientParty:
     ev: Evaluator
     keys: KeyMaterial
     batch: RandomOtBatch
-    session: int        # the session's number under its garbling offset
+    position: int       # the session's start in the column streams
 
 
 @dataclass
@@ -946,7 +946,7 @@ def _client_stage(cp: _ClientParty, layer: int, stage: int,
         raise ProtocolError("stage-ot-resp B2A correction word not reduced "
                             "mod p")
 
-    namespace = tweak_namespace(layer, stage, cp.session)
+    namespace = tweak_namespace(layer, stage, cp.position)
     out = evaluate(sched, tables, _by_instance(labels, G, E), namespace)
     shares = _lane_words(b2a_shares(sched, out, corr, namespace, p), G,
                          spec.keep, p)
@@ -1025,12 +1025,14 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     ev = Evaluator(keys, seed=rng)
 
     blocks = stream_blocks(geom.ot_total)
-    # none held, or its session numbers spent: no resume request
-    held = _CLIENT_KEYS.take(key_set, blocks)
+    # read once: a failed session may drop it meanwhile.  None held, or its
+    # positions spent: no resume request
+    held = entry.ext
+    start = held.take(blocks) if held else None
     try:
         base = BaseOtSender(rng)
-        request = [] if held is None else [
-            held.position.to_bytes(8, "little"), held.outcome]
+        request = [] if start is None else [
+            start.to_bytes(8, "little"), held.outcome]
         _send(conn, tr, ACCEPT, entry.digest, base.msg_a, *request)
         points = 1 + LAMBDA * POINT_BYTES
         ot_base = read_frame(conn, OT_BASE,
@@ -1047,11 +1049,12 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
             ext = OtExtReceiver(rng)
             seed_msgs = [le64(ext.seed_messages(k0, k1))]
             held = _Extension(ext.leaves, None, _outcome(base.msg_a, bpts))
-            entry.ext = replace(held, position=blocks, session=1)
+            start = held.take(blocks)
+            entry.ext = held
         else:
             ext = OtExtReceiver(rng, held.leaves)
             seed_msgs = []
-        c_cols, batch = ext.extend(geom.ot_total, held.position)
+        c_cols, batch = ext.extend(geom.ot_total, start)
 
         onehot = np.zeros((L, vocab), dtype=np.uint64)
         onehot[np.arange(L), toks] = 1
@@ -1060,7 +1063,7 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
               encmatrix_to_bytes(x_cb))
         del c_cols, x_cb   # sent; the session never reads them again
 
-        cp = _ClientParty(conn, tr, geom, ev, keys, batch, held.session)
+        cp = _ClientParty(conn, tr, geom, ev, keys, batch, start)
         held_layouts: dict[str, Layout] = {}
         for e, enc in enumerate(geom.plan.encoders):
             for si, spec in enumerate(enc):

@@ -16,6 +16,7 @@ import struct
 import sys
 import threading
 import time
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
@@ -73,12 +74,12 @@ TWO_LAYER_DIGEST = ("e74d13367049c598b2fbc96131c84471"
                     "e7bc684923965b60e6790316822e3ce3")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "497ed7aa9f04f3e3df2304be90c01f38"
-                "789c4e1f8dca86b8817cb4ade3f819e7",
-    "opt1": "1bd8a8ab455bfbd99185ae6843fa981c"
-            "aa94e30f7a633604e4c4a3300fc20b9c",
-    "opt2": "2ae516d9e4d6a1bdc80604e0d9afde42"
-            "7dee079c13bd78619e1231856ff55529",
+    "baseline": "783a3fcc092afddb219bcddc66c64e88"
+                "5fadebe3552cf4c726e34a4084943c27",
+    "opt1": "c3feb25bc01a2e98527b69d3e4e04206"
+            "496e99d761f47d161ce185a34d7b4a3b",
+    "opt2": "6af68e5cbca46ed26e59c7d654584e8a"
+            "e465ed454aa2918ade225805159de45f",
 }
 
 
@@ -826,27 +827,38 @@ def test_resumes_that_reach_the_server_out_of_order_both_finish(weights):
     assert np.array_equal(second.logits, _exact(weights))
 
 
-def test_base_ot_runs_again_once_the_session_numbers_are_spent(
+def test_base_ot_runs_again_once_the_stream_positions_are_spent(
         weights, monkeypatch):
-    """An outcome serves `MAX_SESSIONS` sessions at most, as many as the
-    tweak's session bits tell apart; with the bound at one, every session
-    runs its own base OT, and at a server that holds no parsed keys either
-    sends the pinned first session's frame sizes, exact in the same rounds.
-    The first is the pinned first session, and the second shares no draw
-    with it."""
-    monkeypatch.setattr(session, "MAX_SESSIONS", 1)
-    runs = []
-    for _ in range(2):
-        session._SERVER_KEYS._held.clear()
+    """No session under one garbling offset starts at `MAX_POSITION` or
+    past it, where the tweak's position bits run out.  With the bound at
+    two sessions' blocks, the second session resumes at the first one's
+    blocks; the third, whose start would reach the bound, sends no resume
+    request and runs its own base OT.  At a server that holds no parsed
+    keys it sends the pinned first session's frame sizes, exact in the same
+    rounds, extends a new outcome from position 0, and shares no draw with
+    either session before it."""
+    blocks = -(-_OPT1.ot_total // 128)
+    monkeypatch.setattr(session, "MAX_POSITION", 2 * blocks)
+    runs, held = [], []
+    for i in range(3):
+        if i == 2:
+            session._SERVER_KEYS._held.clear()
         client, tap = _tapped_client(weights, 12)
         assert np.array_equal(client.logits, _exact(weights))
         assert client.transcript.rounds == ROUNDS
-        assert _ot_base_sizes(client) == [POINTS_B]
+        (key_set,) = session._CLIENT_KEYS._held.values()
+        held.append((key_set.ext.outcome, key_set.ext.position))
         runs.append((client, tap))
-    (first, first_tap), (again, tap) = runs
+    (first, first_tap), (resumed, _), (again, _) = runs
     assert first_tap.hexdigest() == DIGESTS["opt1"]
+    assert [_ot_base_sizes(client) for client, _ in runs] == [
+        [POINTS_B], [ANSWER], [POINTS_B]]
+    assert _sizes(resumed) == _resumed_sizes(first)
     assert _sizes(again) == _sizes(first)
-    _share_no_draw(first_tap, tap)
+    assert [position for _, position in held] == [blocks, 2 * blocks,
+                                                  blocks]
+    assert held[0][0] == held[1][0] != held[2][0]
+    _share_no_draw(*(tap for _, tap in runs))
 
 
 def test_threads_extending_from_one_stored_outcome_get_the_reference_rows(
@@ -911,21 +923,53 @@ def test_threads_extending_from_one_stored_outcome_get_the_reference_rows(
             leaves[0, 0, 0] ^= np.uint64(1)
 
 
+class _Yielding(int):
+    """A block count whose addition gives up the interpreter lock, as a
+    take's read and write of the position could be split at any point."""
+
+    def __radd__(self, other):
+        time.sleep(0)
+        return int(other) + int(self)
+
+
 def test_concurrent_takes_reserve_disjoint_blocks():
-    """Sessions that take one outcome at once each get their own stream
-    position and session number, and the outcome moves past all of them."""
-    store = session._Store(4)
-    store.put("k", session._Extension((), None, b"", 10, 1))
-    taken = []
-    threads = [threading.Thread(target=lambda: taken.append(
-        store.take("k", 7))) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert sorted(e.position for e in taken) == [10 + 7 * i for i in range(8)]
-    assert sorted(e.session for e in taken) == list(range(1, 9))
-    assert store.take("k", 7).position == 66
+    """Sessions that take one outcome at once each get their own start
+    position, and the outcome moves past all of them, even where another
+    thread runs between a take's read of the position and its write.  A
+    take at another position than the outcome's, or once the position has
+    reached `MAX_POSITION`, gets None and moves nothing."""
+    held = session._Extension((), None, b"", 10)
+    threads, runs = 8, 200
+    starts, ready = [], threading.Barrier(threads)
+
+    def take():
+        ready.wait(60)
+        for _ in range(runs):
+            starts.append(held.take(_Yielding(7)))
+
+    pool = [threading.Thread(target=take) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    taken = threads * runs
+    assert sorted(starts) == [10 + 7 * i for i in range(taken)]
+    assert held.position == 10 + 7 * taken
+    assert held.take(7, held.position - 1) is None
+    assert held.take(7, 10 + 7 * taken) == 10 + 7 * taken
+    assert held.position == 10 + 7 * (taken + 1)
+    bound = session.MAX_POSITION
+    last = session._Extension((), None, b"", bound - 1)
+    assert last.take(7) == bound - 1
+    assert last.take(7) is None
+    assert last.take(7, bound + 6) is None
+    assert last.position == bound + 6
 
 
 def test_concurrent_gets_make_one_entry():
@@ -1325,6 +1369,72 @@ def test_no_tweak_or_iknp_row_repeats_across_resumed_sessions(weights,
         for j in range(i + 1, 3):
             both = np.concatenate([rows[i], rows[j]])
             assert len(np.unique(both, axis=0)) == len(both)
+
+
+def test_no_offset_garbles_a_namespace_twice_across_sessions(weights,
+                                                             monkeypatch):
+    """Every session that resumes one base-OT outcome garbles under its
+    offset delta, so the stream position each session starts at must keep
+    their tweak namespaces apart.  Over one key set's sessions -- a first,
+    two resumed one after the other, two resumed at once, one that fails
+    at its third stage and the base-OT rerun after it -- the server
+    garbles no (delta, namespace) pair twice, and the client evaluates
+    every walk it gets under the namespace the server garbled it with,
+    walk by walk.  Every server seed is fresh: a fixed one replays its s,
+    hence its delta, in every base OT it runs."""
+    party = threading.local()
+    garbled, evaluated = defaultdict(list), defaultdict(list)
+    real_garble, real_evaluate = session.garble, session.evaluate
+
+    def garbling(sched, delta, bits, ezero, namespace):
+        garbled[party.run].append((delta.tobytes(), namespace))
+        return real_garble(sched, delta, bits, ezero, namespace)
+
+    def evaluating(sched, tables, labels, namespace):
+        evaluated[party.run].append(namespace)
+        return real_evaluate(sched, tables, labels, namespace)
+
+    def run(index, server_seed, server_wrap=lambda conn: conn):
+        def as_run(fn):
+            def go(conn):
+                party.run = index
+                return fn(conn)
+            return _caught(go)
+        return run_pair(
+            as_run(lambda conn: run_server(server_wrap(conn), CFG, weights,
+                                           "opt1", seed=server_seed)),
+            as_run(lambda conn: run_client(conn, TOKENS, seed=12)))
+
+    monkeypatch.setattr(session, "garble", garbling)
+    monkeypatch.setattr(session, "evaluate", evaluating)
+    results = [run(0, 21), run(1, 22), run(2, 23)]
+    with ThreadPoolExecutor(2) as pool:
+        results += pool.map(run, (3, 4), (24, 25))
+    _, err = run(5, 26, lambda conn: _EditFirstFrame(
+        conn, STAGE_OT_RESP, _plus_p, slice(-8, None), skip=2))
+    results.append(run(6, 27))
+    assert isinstance(err, ProtocolError)
+    assert "correction word not reduced" in str(err)
+    for _, client in results:
+        assert np.array_equal(client.logits, _exact(weights))
+        assert client.transcript.rounds == ROUNDS
+    assert [_ot_base_sizes(client) for _, client in results[:3]] == [
+        [POINTS_B], [ANSWER], [ANSWER]]
+    assert _ot_base_sizes(results[-1][1]) == [POINTS_B]
+
+    stages = len(CFG.plan("opt1").encoders[0])
+    namespaces = {i: [ns for _, ns in walks] for i, walks in garbled.items()}
+    assert sorted(namespaces) == list(range(7))
+    for i, names in namespaces.items():
+        assert len(names) == (3 if i == 5 else stages)
+        assert evaluated[i] == names[:len(evaluated[i])]
+        assert len(evaluated[i]) == (2 if i == 5 else stages)
+    pairs = [pair for walks in garbled.values() for pair in walks]
+    assert len(set(pairs)) == len(pairs)
+    # the first three sessions share one offset, the rerun has its own
+    delta = {i: {d for d, _ in garbled[i]} for i in garbled}
+    assert delta[0] == delta[1] == delta[2] != delta[6]
+    assert all(len(d) == 1 for d in delta.values())
 
 
 def test_second_session_encodes_no_weight_diagonal(weights, monkeypatch):
@@ -1982,17 +2092,20 @@ def test_server_refuses_a_set_pad_bit_in_the_ot_request():
     assert isinstance(client_err, ProtocolError)
 
 
+def _plus_p(blob: bytearray):
+    """A stage-ot-resp's last B2A correction word, `slice(-8, None)`, as
+    itself plus p."""
+    (word,) = struct.unpack("<Q", blob)
+    struct.pack_into("<Q", blob, 0, word + PARAMS.p)
+
+
 def test_client_refuses_a_correction_word_past_p(weights):
     """The last B2A correction word of the first stage-ot-resp frame
     arrives as itself plus p, which would fold to the same share; the
     client refuses it as not reduced before it evaluates anything."""
-    def plus_p(blob: bytearray):
-        (word,) = struct.unpack("<Q", blob)
-        struct.pack_into("<Q", blob, 0, word + PARAMS.p)
-
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, STAGE_OT_RESP, plus_p, slice(-8, None)),
+            _EditFirstFrame(conn, STAGE_OT_RESP, _plus_p, slice(-8, None)),
             CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
