@@ -24,12 +24,10 @@ ACCEPT = 2         # c->s: the key blob's SHA-256 (32 B), base-OT point A
                    #       (33 B), then maybe a resume request: the
                    #       client's stream position (8 B) and a base-OT
                    #       outcome's name (16 B)
-OT_BASE = 3        # s->c: 0 if the server holds the keys, 1 if it wants
-                   #       them (1 B); then nothing if it resumes the named
-                   #       outcome, else the 128 base-OT points B (33 B each)
-CLIENT_SETUP = 4   # c->s: the key blob (after a 1 only) + OT seeds (after
-                   #       points B only) + extension matrix + encrypted
-                   #       input
+OT_BASE = 3        # s->c: the 128 base-OT points B (33 B each), or
+                   #       nothing if the server resumes the named outcome
+CLIENT_SETUP = 4   # c->s: the key blob + OT seeds (both after points B
+                   #       only) + extension matrix + encrypted input
 # garbled stages
 STAGE_OPEN = 5     # s->c: the masked stage input
 STAGE_OT_REQ = 6   # c->s: derandomization bits
@@ -56,7 +54,7 @@ def write_frame(conn, ftype: int, payload: bytes):
     conn.send(_HEADER.pack(MAGIC, ftype, len(payload)) + payload)
 
 
-def read_frame(conn, expect: int, size: int | tuple[int, ...]) -> bytes:
+def read_frame(conn, expect: int, size: int | list[int]) -> bytes:
     """The payload of the next frame, which must be of type `expect` and
     exactly `size` bytes long, or one of the lengths `size` lists; the
     header alone decides both."""
@@ -66,7 +64,8 @@ def read_frame(conn, expect: int, size: int | tuple[int, ...]) -> bytes:
     if ftype != expect:
         got = FRAME_NAMES.get(ftype, f"unknown ({ftype})")
         raise ProtocolError(f"expected {FRAME_NAMES[expect]} frame, got {got}")
-    if length not in (size if isinstance(size, tuple) else (size,)):
+    sizes = [size] if isinstance(size, int) else size
+    if length not in sizes:
         raise ProtocolError(f"{FRAME_NAMES[expect]} frame of {length} bytes, "
-                            f"the plan's has {size}")
+                            f"the plan's has {' or '.join(map(str, sizes))}")
     return conn.recv_exact(length)

@@ -29,19 +29,17 @@ every ct the server sends is computed, its c0 and c1, 2 b k n / 8:
                           the key set, a resume request: the client's
                           stream position (8, little-endian) and the
                           outcome's name (16)
-  ot-base        s -> c   the answer byte, 0 if the server holds the keys
-                          accept names and 1 if it wants them; then nothing
-                          if the server resumes the outcome the request
-                          names, else the 128 base-OT points B, 128 x 33
-  client-setup   c -> s   after an answer of 1 only, the key blob, per
-                          Galois key its (k, k, n) k0 digit stack and the
-                          seed of its k1 stack, (b k^2 n / 8 + 16) |galois|;
-                          after points B only, the two sums of each GGM
-                          tree level, 128 x 32; correction columns,
-                          (128 / K - 1) x ceil(ot_total / 8), 31 rows at
-                          `gc.ot.K` = 4; the encrypted one-hot input, an
-                          `input_layout` matrix of fresh cts, its `steps`
-                          copies two to a ct
+  ot-base        s -> c   nothing if the server resumes the outcome the
+                          request names, else the 128 base-OT points B,
+                          128 x 33
+  client-setup   c -> s   after points B only, the key blob, per Galois
+                          key its (k, k, n) k0 digit stack and the seed of
+                          its k1 stack, (b k^2 n / 8 + 16) |galois|, then
+                          the two sums of each GGM tree level, 128 x 32;
+                          correction columns, (128 / K - 1) x
+                          ceil(ot_total / 8), 31 rows at `gc.ot.K` = 4; the
+                          encrypted one-hot input, an `input_layout` matrix
+                          of fresh cts, its `steps` copies two to a ct
 
 then per encoder layer, five garbled stages of four frames each,
 interleaved with two encrypted matrix products of two frames each:
@@ -72,28 +70,27 @@ and a final frame:
 
 Every frame in either direction counts as one round, so the round count is
 the same constant, 5 + 24 n_layers, for every session of a given shape,
-first or resumed.  accept and ot-base each have two lengths, and each
-receiver tells the forms apart by the length in the frame header; the
-server's two answers in ot-base fix which of client-setup's four forms
-it reads.
+first or resumed.  accept, ot-base and client-setup each have two
+lengths, and each receiver tells the forms apart by the length in the
+frame header (`_recv`); ot-base, points B or nothing, fixes which form of
+client-setup the server reads.
 
 Base OT runs once per client key set.  Both parties keep its outcome (the
 client the leaves of its GGM trees, the server those of its punctured
 trees and s, the leaves a read-only array) under the outcome's name, the
 SHA-256 of point A and the 128 points B cut to 16 bytes, which both hold,
 with a stream position, where the next session starts in the column
-streams the leaves give.  Each party holds this state across sessions in
-stores (`_Store`), each dropping its least recently used entry past its
-bound:
+streams the leaves give.  Each party holds one record per key set across
+sessions, in one store (`_Store`) that drops its least recently used
+record past its bound:
 
-  client         one store of key sets, 16, by (params, rotations, seed),
-                 an unseeded client's under seed None: each its secret
-                 keys, its key blob, the generator every draw of its
-                 sessions continues and, once a base OT has run with it,
-                 that outcome
-  server         outcomes, 16, by the key set's digest and the outcome's
-                 name; and a memo of parsed public keys, 4, by the same
-                 digest and the session's params and Galois elements
+  client         key sets, 16, by (params, rotations, seed), an unseeded
+                 client's under seed None: each its secret keys, its key
+                 blob, the generator every draw of its sessions continues
+                 and, once a base OT has run with it, that outcome
+  server         key sets, 4, by the key set's digest and the session's
+                 params and Galois elements: each its parsed public keys
+                 and the outcome of the last base OT run with them
 
 Every later session with the same key set adds a resume request to
 accept: both then extend at that position of the column streams the
@@ -103,24 +100,26 @@ same leaves give (`gc.ot`), garble under tweaks that the position numbers
 garbling offset start at one position.  The session that ran the base OTs
 extends and garbles at position 0.  Neither party resumes at or past
 `gc.garble.MAX_POSITION`, and the server never takes the client's word
-for its state: it resumes only if it holds the named outcome for the key
-set, at exactly the requested position.  Otherwise it answers point A,
-which the client draws and sends in every session (in Chou-Orlandi it
-depends on nothing the server says), with points B, and the session runs
-as a first session in the same frames.  A resuming server still checks
-that A is a curve point.  A session that fails drops the client's outcome
-for its key set and keeps the keys, so the next session makes no key and
-runs base OT.
+for its state: it resumes only if its record of the key set holds the
+named outcome, at exactly the requested position.  Otherwise it answers
+point A, which the client draws and sends in every session (in
+Chou-Orlandi it depends on nothing the server says), with points B, and
+the session runs base OT in the same frames, whose outcome replaces the
+record's.  A resuming server still checks that A is a curve point.
 
-The server answers the keys apart from the OT: accept names the key set
-by its digest alone, and the server answers 0 if it holds keys parsed
-from a blob of that digest, which it then keeps for the session whatever
-the store drops, and 1 if it does not.  After a 1 the client sends the
-blob at the head of client-setup, and the server parses it only once it
-hashes to the digest.  So a resumed session whose keys the server dropped
-resumes its OT and sends its blob, and one whose outcome the server
-dropped runs base OT and sends no blob; a first session sends the blob
-one frame later than accept, before the first product needs its keys.
+Each party takes its session's stream blocks before it uses any, so a
+session that fails drops nothing: the next one resumes where both parties
+stand, and where the failure left them at two positions, the server
+refuses the request and that session runs base OT.
+
+The keys travel with the base OT: accept names the key set by its digest
+alone, and the client-setup of every base-OT session carries the key
+blob, which the server checks against the digest and parses only if it
+holds no record of the key set.  A session keeps the record it read at
+accept whatever the store drops meanwhile.  So a resumed session sends no
+blob, and one whose record the server dropped runs base OT and sends it
+again; a first session sends the blob one frame later than accept, before
+the first product needs its keys.
 
 No input label costs a byte of its own.  The rows SoftSpokenOT extends
 are a correlated OT under the key set's one garbling offset, IKNP's
@@ -267,7 +266,6 @@ class Geometry:
     mode: str
     plan: StagePlan
     params: PaheParams
-    products: tuple[tuple[int, int], ...]  # plain-weight (in, out) widths
     steps: int                  # baby-step copies of each product input
     rotations: tuple[int, ...]  # giant-step column-rotation key amounts
     ot_total: int               # random OTs one session consumes
@@ -423,8 +421,7 @@ def session_geometry(cfg: ModelConfig, mode: str) -> Geometry:
                              f"above the limit of {MAX_OTS}")
     # a held row does not depend on the ring or the copies, so the layouts
     # of a geometry with no params yet size the ring
-    unsized = Geometry(cfg, mode, plan, params=None,
-                       products=tuple(shapes), steps=1, rotations=(),
+    unsized = Geometry(cfg, mode, plan, params=None, steps=1, rotations=(),
                        ot_total=ot_total)
     row = max(lay.held[1] for lay in unsized.layouts())
     n = max(MIN_RING_DEGREE, 2 * _pow2ceil(row))
@@ -499,6 +496,15 @@ class _Extension:
 
 
 @dataclass
+class _KeyRecord:
+    """What a server holds for a client key set: its public keys, parsed
+    once, and the outcome of the last base OT run with it."""
+
+    keys: KeyMaterial
+    ext: _Extension | None = None
+
+
+@dataclass
 class _KeySet:
     """A client key set: its secret keys (the client never rotates, so its
     rotation keys are kept only in the blob), its serialized public keys,
@@ -558,32 +564,29 @@ class _Store:
             return entry
 
 
-# Per entry, measured with tracemalloc on tiny as what dropping it frees: a
-# client key set 138 KiB and its outcome 8.4 KiB (512 leaves at `gc.ot.K` =
-# 4, 8 KiB of them); a server's parsed key set 579 KiB and an outcome
-# 8.4 KiB (480 leaves and s).  Reading an outcome's streams sets nothing up
-# that it keeps, so it holds that much however often it resumes.  The
-# client holds its key sets, each with its generator and its outcome, by
-# (params, rotations, seed): an unseeded client's is the process's one key
-# set under seed None, made once from OS entropy, and dropping any entry
-# restarts its seed's stream.  The server holds outcomes by the key set's
-# digest and the outcome's name, as many as the client's key sets, so one
-# client's fit.  Its parse memo, by the digest and the session's params and
-# Galois elements (one blob could parse under another geometry's
-# elements), holds fewer: a parsed key set weighs about 70 outcomes, and at
-# 16 key sets that never repeat would hold about 7 MB more.  Its keys and
-# its outcomes are held and dropped apart (ot-base answers each), so a
-# client whose keys it dropped sends its blob again and still resumes.
+# Per record, measured with tracemalloc on tiny as what dropping it frees:
+# a client key set 138 KiB and its outcome 8.4 KiB (512 leaves at
+# `gc.ot.K` = 4, 8 KiB of them); a server's parsed key set 579 KiB and its
+# outcome 8.4 KiB (480 leaves and s).  Reading an outcome's streams sets
+# nothing up that it keeps, so it holds that much however often it resumes.
+# The client holds its key sets, each with its generator and its outcome,
+# by (params, rotations, seed): an unseeded client's is the process's one
+# key set under seed None, made once from OS entropy, and dropping any
+# entry restarts its seed's stream.  The server holds each key set's parsed
+# keys and last outcome together, by the digest and the session's params
+# and Galois elements (one blob could parse under another geometry's
+# elements).  The parsed keys weigh about 70 outcomes, so it holds fewer
+# records than the client holds key sets: 16 key sets that never repeat
+# would hold about 7 MB more.  A client whose record it dropped runs base
+# OT and sends its blob again.
 _CLIENT_KEYS = _Store(16)
 _SERVER_KEYS = _Store(4)
-_SERVER_OT = _Store(16)
 
 # accept: the key set's digest and point A, then maybe a resume request,
 # the stream position and the outcome's name
-_DIGEST_BYTES = 32
 _OUTCOME_BYTES = 16
-_ACCEPT_BYTES = _DIGEST_BYTES + POINT_BYTES
-_REQUEST_BYTES = 8 + _OUTCOME_BYTES
+_ACCEPT = [32, POINT_BYTES]
+_RESUME = [*_ACCEPT, 8, _OUTCOME_BYTES]
 
 
 def _outcome(msg_a: bytes, msgs_b: bytes) -> bytes:
@@ -604,14 +607,17 @@ def _send(conn, tr: Transcript, ftype: int, *parts: bytes):
     tr.record("sent", ftype, payload)
 
 
-def _recv(conn, tr: Transcript, expect: int, sizes: list[int]) -> list[bytes]:
+def _recv(conn, tr: Transcript, expect: int,
+          *forms: list[int]) -> list[bytes]:
     """The next frame, which must be of type `expect` and hold parts of
-    exactly `sizes` bytes, cut into those parts; a frame of any other
-    length is refused before its payload is read."""
-    payload = read_frame(conn, expect, sum(sizes))
+    exactly the sizes one of `forms` lists, cut into the parts of the form
+    whose total its length is (no two forms have one total); a frame of
+    any other length is refused before its payload is read."""
+    totals = [sum(sizes) for sizes in forms]
+    payload = read_frame(conn, expect, totals)
     tr.record("received", expect, payload)
     parts, off = [], 0
-    for size in sizes:
+    for size in forms[totals.index(len(payload))]:
         parts.append(payload[off:off + size])
         off += size
     return parts
@@ -819,24 +825,20 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
 
     _send(conn, tr, HELLO, _hello(geom))
 
-    accept = read_frame(conn, ACCEPT,
-                        (_ACCEPT_BYTES, _ACCEPT_BYTES + _REQUEST_BYTES))
-    tr.record("received", ACCEPT, accept)
-    key_set, bpt, request = (accept[:_DIGEST_BYTES],
-                             accept[_DIGEST_BYTES:_ACCEPT_BYTES],
-                             accept[_ACCEPT_BYTES:])
-    # the keys the server holds for the digest, kept from here, so a
-    # session that evicts them meanwhile cannot strand this one
-    pk_key = (key_set, geom.params, geom.galois)
-    pk = _SERVER_KEYS.get(pk_key)
+    key_set, bpt, *request = _recv(conn, tr, ACCEPT, _ACCEPT, _RESUME)
+    # the record the server holds for the key set, kept from here, so a
+    # session that evicts it meanwhile cannot strand this one
+    record_key = (key_set, geom.params, geom.galois)
+    record = _SERVER_KEYS.get(record_key)
+    held = record.ext if record else None
 
     blocks = stream_blocks(geom.ot_total)
     start = None
     if request:
         decode_points(bpt, 1)   # a resumed session leaves A unused: check it
-        held = _SERVER_OT.get((key_set, request[8:]))
-        if held:
-            start = held.take(blocks, int.from_bytes(request[:8], "little"))
+        position, outcome = request
+        if held and held.outcome == outcome:
+            start = held.take(blocks, int.from_bytes(position, "little"))
     if start is None:
         ext = OtExtSender(rng)
         base = BaseOtReceiver(rng, ext.s_bits, bpt)
@@ -844,35 +846,36 @@ def run_server(conn, cfg: ModelConfig, weights: Weights, mode: str, *,
     else:
         ext = OtExtSender(rng, held.s_bits, held.leaves)
         points = b""
-    _send(conn, tr, OT_BASE, bytes([pk is None]), points)
+    _send(conn, tr, OT_BASE, points)
 
     mb = -(-geom.ot_total // 8)
-    parts = _recv(
+    *base_ot, bucol, bx = _recv(
         conn, tr, CLIENT_SETUP,
-        [key_blob_nbytes(geom.params, len(geom.galois))] * (pk is None)
-        + [32 * LAMBDA] * bool(points)
+        [key_blob_nbytes(geom.params, len(geom.galois)), 32 * LAMBDA]
+        * bool(points)
         + [COLUMNS * mb, geom.nbytes(geom.input_layout, fresh=True)])
-    if pk is None:
-        bpk = parts.pop(0)
+    if base_ot:
+        # a base-OT session: the key blob, which must hash to the digest
+        # even where the server holds the keys, then the seed messages
+        bpk, bseed = base_ot
         if hashlib.sha256(bpk).digest() != key_set:
             raise ProtocolError("client-setup key blob does not hash to the "
                                 "digest accept named")
-        pk = _SERVER_KEYS.get(pk_key, lambda: public_keys_from_bytes(
-            bpk, geom.params, geom.galois))
-    ev = Evaluator(pk)
-    *bseed, bucol, bx = parts
-    if bseed:
-        # a first session: its leaves come with the seed messages
-        ext.recover_seeds(_words(bseed[0], (LAMBDA, 2, 2)), base.keys())
+        if record is None:
+            record = _SERVER_KEYS.get(record_key, lambda: _KeyRecord(
+                public_keys_from_bytes(bpk, geom.params, geom.galois)))
+        ext.recover_seeds(_words(bseed, (LAMBDA, 2, 2)), base.keys())
         held = _Extension(ext.leaves, ext.s_bits, _outcome(bpt, points))
         start = held.take(blocks)
-        _SERVER_OT.put((key_set, held.outcome), held)
+        record.ext = held
+    ev = Evaluator(record.keys)
     c_cols = np.frombuffer(bucol, dtype=np.uint8).reshape(COLUMNS, mb)
     pairs = ext.receive_extension(c_cols, geom.ot_total, start)
 
     x_enc = encmatrix_from_bytes(bx, geom.params, geom.input_layout,
                                  fresh=True)
-    del parts, bucol, c_cols, bx   # read once; 0.27 MB of columns on he-small
+    # read once; 0.27 MB of columns on he-small
+    del base_ot, bucol, c_cols, bx
 
     sp = _ServerParty(conn, tr, geom, ev, rng, pairs, start)
     held = {"x": x_enc}
@@ -998,9 +1001,10 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     its digest, and draws everything else -- the encryption randomness,
     base-OT point A and the tree roots -- from where the key set's one
     generator stands, so no two of its sessions share a draw.  After the
-    first session with the key set, each asks to resume its OT extension;
-    a server that does not hold the outcome runs base OT in the same frames
-    instead, and one that does not hold the keys asks for the blob.
+    first session with the key set, each asks to resume its OT extension
+    where the last one left it, a failed one too; a server that does not
+    hold the outcome at that position runs base OT in the same frames
+    instead, and the client sends its key blob with the seed messages.
     Without a seed the key set is the process's own, made once from OS
     entropy.  A fixed seed fixes the key set and the one stream of draws
     over its sessions in the order they run, for tests and benchmarks;
@@ -1025,57 +1029,46 @@ def run_client(conn, tokens, *, seed: int | None = None) -> ClientResult:
     ev = Evaluator(keys, seed=rng)
 
     blocks = stream_blocks(geom.ot_total)
-    # read once: a failed session may drop it meanwhile.  None held, or its
-    # positions spent: no resume request
+    # None held, or its positions spent: no resume request
     held = entry.ext
     start = held.take(blocks) if held else None
-    try:
-        base = BaseOtSender(rng)
-        request = [] if start is None else [
-            start.to_bytes(8, "little"), held.outcome]
-        _send(conn, tr, ACCEPT, entry.digest, base.msg_a, *request)
-        points = 1 + LAMBDA * POINT_BYTES
-        ot_base = read_frame(conn, OT_BASE,
-                             (points, 1) if request else points)
-        tr.record("received", OT_BASE, ot_base)
-        if ot_base[0] > 1:
-            raise ProtocolError(f"ot-base answers {ot_base[0]} for the key "
-                                f"set, neither 0 (held) nor 1 (wanted)")
-        blob = [entry.blob] * ot_base[0]
-        bpts = ot_base[1:]
-        if bpts:
-            # no resume request, or the server refused it: a first session
-            k0, k1 = base.keys(bpts)
-            ext = OtExtReceiver(rng)
-            seed_msgs = [le64(ext.seed_messages(k0, k1))]
-            held = _Extension(ext.leaves, None, _outcome(base.msg_a, bpts))
-            start = held.take(blocks)
-            entry.ext = held
-        else:
-            ext = OtExtReceiver(rng, held.leaves)
-            seed_msgs = []
-        c_cols, batch = ext.extend(geom.ot_total, start)
+    base = BaseOtSender(rng)
+    request = [] if start is None else [start.to_bytes(8, "little"),
+                                        held.outcome]
+    _send(conn, tr, ACCEPT, entry.digest, base.msg_a, *request)
+    # the points B, or nothing if the server resumes the request
+    forms = [[LAMBDA * POINT_BYTES], [0]][:1 + bool(request)]
+    (bpts,) = _recv(conn, tr, OT_BASE, *forms)
+    if bpts:
+        # no resume request, or the server refused it: a base-OT session
+        k0, k1 = base.keys(bpts)
+        ext = OtExtReceiver(rng)
+        base_ot = [entry.blob, le64(ext.seed_messages(k0, k1))]
+        held = _Extension(ext.leaves, None, _outcome(base.msg_a, bpts))
+        start = held.take(blocks)
+        entry.ext = held
+    else:
+        ext = OtExtReceiver(rng, held.leaves)
+        base_ot = []
+    c_cols, batch = ext.extend(geom.ot_total, start)
 
-        onehot = np.zeros((L, vocab), dtype=np.uint64)
-        onehot[np.arange(L), toks] = 1
-        x_cb = pack_colblocks(ev, onehot, steps=geom.input_layout.steps)
-        _send(conn, tr, CLIENT_SETUP, *blob, *seed_msgs, c_cols.tobytes(),
-              encmatrix_to_bytes(x_cb))
-        del c_cols, x_cb   # sent; the session never reads them again
+    onehot = np.zeros((L, vocab), dtype=np.uint64)
+    onehot[np.arange(L), toks] = 1
+    x_cb = pack_colblocks(ev, onehot, steps=geom.input_layout.steps)
+    _send(conn, tr, CLIENT_SETUP, *base_ot, c_cols.tobytes(),
+          encmatrix_to_bytes(x_cb))
+    del c_cols, x_cb   # sent; the session never reads them again
 
-        cp = _ClientParty(conn, tr, geom, ev, keys, batch, start)
-        held_layouts: dict[str, Layout] = {}
-        for e, enc in enumerate(geom.plan.encoders):
-            for si, spec in enumerate(enc):
-                if not spec.plain:
-                    _client_ctmm(cp, e, spec, *spec.factors(held_layouts))
-                held_layouts.update(zip(spec.tags,
-                                        _client_stage(cp, e, si, spec)))
+    cp = _ClientParty(conn, tr, geom, ev, keys, batch, start)
+    held_layouts: dict[str, Layout] = {}
+    for e, enc in enumerate(geom.plan.encoders):
+        for si, spec in enumerate(enc):
+            if not spec.plain:
+                _client_ctmm(cp, e, spec, *spec.factors(held_layouts))
+            held_layouts.update(zip(spec.tags,
+                                    _client_stage(cp, e, si, spec)))
 
-        cts = _recv_logits(conn, tr, geom)
-    except BaseException:
-        entry.ext = None    # the keys stay; the next session runs base OT
-        raise
+    cts = _recv_logits(conn, tr, geom)
     slots = keys.decrypt_many(cts)
     p = geom.p
     totals = np.array([sum(int(v) for v in row) % p for row in slots],

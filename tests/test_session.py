@@ -57,38 +57,37 @@ _OPT1 = session_geometry(CFG, "opt1")
 KEY_BLOB_BYTES = pahe.key_blob_nbytes(_OPT1.params, len(_OPT1.galois))
 DIGEST_BYTES = 32
 REQUEST_BYTES = 8 + 16
-# ot-base: the answer byte (1 if the server wants the key blob), then, if
-# the server runs base OT, the 128 points B
-ANSWER = 1
-POINTS_B = ANSWER + LAMBDA * POINT_BYTES
+POINT_A = slice(DIGEST_BYTES, DIGEST_BYTES + POINT_BYTES)
+# ot-base: the 128 points B if the server runs base OT; a resumed session's
+# is empty
+POINTS_B = LAMBDA * POINT_BYTES
 
 DIGESTS = {
-    "baseline": "81e9ea5f1fe595d57de7b864fc228087"
-                "fd99d7761a0142a3b6fee53244c5bfac",
-    "opt1": "0e7f27aa6754b6859d35395d27a1c30d"
-            "abbd5233bc1c8fe27410aaa6f3a9a162",
-    "opt2": "aff514cc66dce77874b5394d46d4744d"
-            "4d26ecf52bc0e2ac8dbedc6b4ccee07c",
+    "baseline": "ee3a87e8d1aa4cc8cf5be65c55673157"
+                "8fe438d14678e7cd2d5b29ca7ae275b9",
+    "opt1": "b7fe6defc20335e174548be65d93dbef"
+            "16d43fe3791b6886932160bea5b9e862",
+    "opt2": "0a9e97dd7a926265f51ea100adae6a9d"
+            "ba4aa023fc244117408a9a6f67c38d53",
 }
-TWO_LAYER_DIGEST = ("e74d13367049c598b2fbc96131c84471"
-                    "e7bc684923965b60e6790316822e3ce3")
+TWO_LAYER_DIGEST = ("b1cd0bb49ca01b8434aa0144303ed013"
+                    "de165136146d8a1ce92a3e29e1074786")
 # the same seeds' second session, which resumes the first one's extension
 RESUMED_DIGESTS = {
-    "baseline": "783a3fcc092afddb219bcddc66c64e88"
-                "5fadebe3552cf4c726e34a4084943c27",
-    "opt1": "c3feb25bc01a2e98527b69d3e4e04206"
-            "496e99d761f47d161ce185a34d7b4a3b",
-    "opt2": "6af68e5cbca46ed26e59c7d654584e8a"
-            "e465ed454aa2918ade225805159de45f",
+    "baseline": "0dff5b4c08db94300d79e2925ec11ecb"
+                "93249a0ed1012db9e37ebdf922852a5d",
+    "opt1": "c23027e45ef0de829d67167fbebc8b0c"
+            "fdc440101d516e40f82e3874e842eb81",
+    "opt2": "39f67cc507267f67a28c4aaf5f8f7926"
+            "7b5acbf261ad26a855effddeb6adb96e",
 }
 
 
 def _forget_key_sets():
-    """Empty the party stores: every key set, parsed key set and base-OT
-    outcome on both sides, so the next session of any seed is a first
-    one."""
-    for store in (session._CLIENT_KEYS, session._SERVER_KEYS,
-                  session._SERVER_OT):
+    """Empty the party stores: every client key set and every server record
+    of one, its parsed keys and base-OT outcome, so the next session of any
+    seed is a first one."""
+    for store in (session._CLIENT_KEYS, session._SERVER_KEYS):
         store._held.clear()
 
 
@@ -410,8 +409,8 @@ def _no_base_ot(*_, **__):
 def test_resumed_session_is_exact_and_pinned(weights, monkeypatch, mode):
     """A client's second session with its key set runs no base OT and
     sends no key blob: accept carries the blob's digest and point A and
-    then a resume request, 24 bytes more, ot-base is the answer byte alone
-    but still a round, and client-setup drops the key blob and the
+    then a resume request, 24 bytes more, ot-base is empty but still a
+    round, and client-setup drops the key blob and the
     128 x 32 bytes of tree-level messages.  Every other frame keeps its
     size, and the logits are exact."""
     first, first_client = private_inference(CFG, weights, TOKENS, mode,
@@ -455,27 +454,33 @@ def _ot_base_sizes(result) -> list[int]:
     return [f.nbytes for f in result.transcript.frames if f.ftype == OT_BASE]
 
 
+def _ot_base_sizes_of(tap) -> int:
+    """The size of the ot-base frame a tapped session received."""
+    (size,) = [len(payload) for ftype, payload in tap.frames
+               if ftype == OT_BASE]
+    return size
+
+
 def _sizes(result) -> list[tuple[str, int]]:
     return [(f.name, f.nbytes) for f in result.transcript.frames]
 
 
 def _resumed_sizes(first) -> list[tuple[str, int]]:
-    """The frame sizes of a session that resumes at a server holding its
-    keys, from those of a first session: accept carries the resume request,
-    ot-base is the answer byte alone and client-setup drops the key blob
-    and the tree-level sums."""
+    """The frame sizes of a resumed session, from those of a first
+    session: accept carries the resume request, ot-base is empty and
+    client-setup drops the key blob and the tree-level sums."""
     want = _sizes(first)
     want[1] = ("accept", want[1][1] + REQUEST_BYTES)
-    want[2] = ("ot-base", ANSWER)
+    want[2] = ("ot-base", 0)
     want[3] = ("client-setup", want[3][1] - KEY_BLOB_BYTES - LEVEL_BYTES)
     return want
 
 
 def _tapped_client(weights, client_seed, server_wrap=lambda conn: conn,
-                   client_wrap=lambda conn: conn):
-    """One tiny opt1 session at server seed 11, the client's end tapped
-    (`_Tap`) under `client_wrap`, the server's end under `server_wrap`:
-    the client's result, or the ProtocolError it ended in, and its tap."""
+                   client_wrap=lambda conn: conn, server_seed=11):
+    """One tiny opt1 session, the client's end tapped (`_Tap`) under
+    `client_wrap`, the server's end under `server_wrap`: the client's
+    result, or the ProtocolError it ended in, and its tap."""
     taps = []
 
     def client(conn):
@@ -484,7 +489,7 @@ def _tapped_client(weights, client_seed, server_wrap=lambda conn: conn,
 
     _, out = run_pair(
         _caught(lambda conn: run_server(server_wrap(conn), CFG, weights,
-                                        "opt1", seed=11)),
+                                        "opt1", seed=server_seed)),
         _caught(client))
     return out, taps[0]
 
@@ -503,10 +508,9 @@ def _draws(tap) -> dict[str, set[bytes]]:
         if ftype == ACCEPT:
             draws["point A"].add(payload[DIGEST_BYTES:][:POINT_BYTES])
         elif ftype == OT_BASE:
-            answer = payload
+            base_ot = bool(payload)
         elif ftype == CLIENT_SETUP:
-            levels = payload[KEY_BLOB_BYTES * answer[0]:][
-                :LEVEL_BYTES * (len(answer) == POINTS_B)]
+            levels = payload[KEY_BLOB_BYTES:][:LEVEL_BYTES] if base_ot else b""
             draws["tree level"].update(levels[i:i + 32]
                                        for i in range(0, len(levels), 32))
             fresh.append(payload[-_OPT1.nbytes(_OPT1.input_layout,
@@ -535,28 +539,31 @@ def _share_no_draw(*taps):
     pytest.param(_position_plus_one, False, id="off-by-one"),
     pytest.param(_other_outcome, False, id="other-outcome"),
 ])
-def test_refused_resume_request_falls_back_to_base_ot(weights, edit,
-                                                      forget):
-    """A resume request for a key set the server holds no outcome for, at a
+def test_refused_resume_request_falls_back_to_base_ot(weights, monkeypatch,
+                                                      edit, forget):
+    """A resume request for a key set the server holds no record of, at a
     position one past its own, or naming an outcome it does not hold, is
     answered with the 128 points B for the point A the same accept carries,
     and the session goes on as the first session did, in the same rounds
-    and exact; accept is longer, by the request, and client-setup shorter,
-    by the key blob the server holds.  That base OT draws on from the key
-    set's generator, so the next session resumes its outcome in a resumed
-    session's frame sizes, exact in the same rounds, and no two of the
-    three sessions share a draw."""
+    and exact; accept alone is longer, by the request.  client-setup
+    carries the key blob with the seed messages even where the server
+    holds the record, and then the server parses no key.  That base OT
+    draws on from the key set's generator, so the next session resumes its
+    outcome in a resumed session's frame sizes, exact in the same rounds,
+    and no two of the three sessions share a draw."""
+    calls = _count_key_work(monkeypatch)
     first, first_tap = _tapped_client(weights, 12)
+    assert _key_work(calls) == (1, 1)
     if forget:
-        session._SERVER_OT._held.clear()
+        session._SERVER_KEYS._held.clear()
     client, fallback = _tapped_client(
         weights, 12, client_wrap=lambda conn: _EditFirstFrame(
             conn, ACCEPT, edit, slice(-REQUEST_BYTES, None)))
     assert np.array_equal(client.logits, _exact(weights))
     assert client.transcript.rounds == ROUNDS
+    assert _key_work(calls) == (0, int(forget))
     want = _sizes(first)
     want[1] = ("accept", want[1][1] + REQUEST_BYTES)
-    want[3] = ("client-setup", want[3][1] - KEY_BLOB_BYTES)
     assert _sizes(client) == want
     resumed, resumed_tap = _tapped_client(weights, 12)
     assert np.array_equal(resumed.logits, _exact(weights))
@@ -574,30 +581,32 @@ def test_server_refuses_a_resume_request_whose_point_is_off_the_curve(
     """A resuming server never uses point A, but still decodes it: a
     resumed accept whose A is no compressed P-256 point is a ProtocolError
     before ot-base, and the client sees the connection close.  The client
-    then forgets its outcome, so its next session runs a fresh base OT; at
-    a server that holds no parsed keys either, it sends the first
-    session's frame sizes, exact in the same rounds, and shares no draw
-    with it."""
+    took its stream blocks before it sent accept and the server took none,
+    so the client's next request is one session past the server's
+    position: the server refuses it and the session runs a fresh base OT,
+    in the first session's frame sizes but accept's request, exact in the
+    same rounds, and shares no draw with the first."""
     first, first_tap = _tapped_client(weights, 12)
 
     def off_curve(blob: bytearray):
-        blob[:POINT_BYTES] = point
+        blob[:] = point
 
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(
-            _EditFirstFrame(conn, ACCEPT, off_curve,
-                            slice(-REQUEST_BYTES - POINT_BYTES, None)),
-            TOKENS, seed=12)))
+            _EditFirstFrame(conn, ACCEPT, off_curve, POINT_A), TOKENS,
+            seed=12)))
     assert isinstance(server_err, ProtocolError)
     assert "base-OT point refused" in str(server_err)
     assert isinstance(client_err, ProtocolError)
     assert "peer closed" in str(client_err)
-    session._SERVER_KEYS._held.clear()
     client, tap = _tapped_client(weights, 12)
     assert np.array_equal(client.logits, _exact(weights))
     assert client.transcript.rounds == ROUNDS
-    assert _sizes(client) == _sizes(first)
+    assert _ot_base_sizes(client) == [POINTS_B]
+    want = _sizes(first)
+    want[1] = ("accept", want[1][1] + REQUEST_BYTES)
+    assert _sizes(client) == want
     _share_no_draw(first_tap, tap)
 
 
@@ -632,28 +641,28 @@ def test_accept_of_neither_length_is_refused_unread(weights, resumed, edit):
 
 
 def test_client_refuses_an_answer_alone_after_no_request(weights):
-    """An ot-base of the answer byte alone resumes a request; after an
-    accept with none, the client refuses it from the header."""
+    """An empty ot-base answers a resume request alone; after an accept
+    with none, the client refuses it from the header."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, OT_BASE, lambda b: b.__delitem__(
-                slice(ANSWER, None))),
+            _EditFirstFrame(conn, OT_BASE, bytearray.clear),
             CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
-    assert f"ot-base frame of {ANSWER} bytes" in str(client_err)
+    assert (f"ot-base frame of 0 bytes, the plan's has {POINTS_B}"
+            in str(client_err))
     assert isinstance(server_err, ProtocolError)
 
 
 def test_client_refuses_any_other_answer_to_a_resume_request(weights):
-    """After a resume request, ot-base is the answer byte, alone or before
-    the 128 points B; a server that answers with nothing, the byte and one
-    point or one byte past the points is refused by the client from the
-    header alone, having read the hello and not one byte of ot-base's
-    payload."""
+    """After a resume request, ot-base is empty or the 128 points B; a
+    server that answers with one byte, one point or one byte past the
+    points is refused by the client from the header alone, having read the
+    hello and not one byte of ot-base's payload.  Both parties took their
+    stream blocks before that, so each next session resumes."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
-    for length in (0, ANSWER + POINT_BYTES, POINTS_B + 1):
+    for length in (1, POINT_BYTES, POINTS_B + 1):
         def answer(blob: bytearray):
             blob[:] = bytes(length)
 
@@ -669,12 +678,13 @@ def test_client_refuses_any_other_answer_to_a_resume_request(weights):
                 CFG, weights, "opt1", seed=11)),
             _caught(client))
         assert isinstance(client_err, ProtocolError)
-        assert f"ot-base frame of {length} bytes" in str(client_err)
+        assert (f"ot-base frame of {length} bytes, the plan's has "
+                f"{POINTS_B} or 0") in str(client_err)
         assert counting["conn"].read == 2 * _HEADER.size + session.HELLO_BYTES
         assert isinstance(server_err, ProtocolError)
-        # the failed session made the client forget its outcome
-        private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
-                          client_seed=12)
+    _, client = private_inference(CFG, weights, TOKENS, "opt1",
+                                  server_seed=11, client_seed=12)
+    assert _ot_base_sizes(client) == [0]
 
 
 def test_resume_request_carries_the_client_position(weights, monkeypatch):
@@ -725,12 +735,12 @@ class _OtherTrees(session.OtExtReceiver):
 def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
     """Two first sessions of one key set with other tree roots, the
     client's outcome forgotten in between (as two client processes would
-    have it), leave the server two outcomes at the same stream position.
-    A resume request for the first extends the first; once the server
-    holds only the second, the same request is answered with points B and
-    the session runs a fresh base OT, in the same rounds.  The server never
-    garbles under an offset or streams the client does not hold: every
-    session is exact."""
+    have it), leave two outcomes at the same stream position; the server's
+    record of the key set holds the second.  A resume request for the
+    second extends it; one for the first, at the very position the server
+    stands at, is answered with points B and the session runs a fresh base
+    OT, in the same rounds.  The server never garbles under an offset or
+    streams the client does not hold: every session is exact."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
     (key_set,) = session._CLIENT_KEYS._held.values()
@@ -739,16 +749,13 @@ def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
         patched.setattr(session, "OtExtReceiver", _OtherTrees)
         private_inference(CFG, weights, TOKENS, "opt1", server_seed=13,
                           client_seed=12)
-    second = key_set.ext
+    second = replace(key_set.ext)
     assert second.outcome != kept.outcome
     assert second.position == kept.position
-    assert len(session._SERVER_OT._held) == 2
-    for server_holds_it, points in ((True, ANSWER), (False, POINTS_B)):
-        key_set.ext = replace(kept)
-        if not server_holds_it:
-            (gone,) = [k for k in session._SERVER_OT._held
-                       if k[1] == kept.outcome]
-            del session._SERVER_OT._held[gone]
+    (record,) = session._SERVER_KEYS._held.values()
+    assert record.ext.outcome == second.outcome
+    for ext, points in ((second, 0), (kept, POINTS_B)):
+        key_set.ext = replace(ext, position=record.ext.position)
         server, client = private_inference(CFG, weights, TOKENS, "opt1",
                                            server_seed=15, client_seed=12)
         assert np.array_equal(client.logits, _exact(weights))
@@ -758,12 +765,12 @@ def test_resume_names_the_outcome_it_extends(weights, monkeypatch):
 
 def test_key_sets_past_the_server_store_fall_back_to_base_ot(weights,
                                                              monkeypatch):
-    """Three client key sets take turns at a server that keeps outcomes
-    for two: each resume request finds its outcome evicted and is answered
-    with a fresh base OT, and a key set that comes straight back resumes.
-    No session fails, every one is exact, and every one takes the same
+    """Three client key sets take turns at a server that keeps records of
+    two: each resume request finds its record evicted and is answered with
+    a fresh base OT, and a key set that comes straight back resumes.  No
+    session fails, every one is exact, and every one takes the same
     rounds."""
-    monkeypatch.setattr(session, "_SERVER_OT", session._Store(2))
+    monkeypatch.setattr(session, "_SERVER_KEYS", session._Store(2))
     seeds = (12, 14, 16)
     rounds, ot_base = [], []
     for client_seed in seeds + seeds + seeds[-1:]:
@@ -774,7 +781,7 @@ def test_key_sets_past_the_server_store_fall_back_to_base_ot(weights,
         rounds.append(client.transcript.rounds)
         ot_base += _ot_base_sizes(client)
     assert rounds == [ROUNDS] * 7
-    assert ot_base == [POINTS_B] * 6 + [ANSWER]
+    assert ot_base == [POINTS_B] * 6 + [0]
 
 
 class _HeldFrame:
@@ -802,8 +809,9 @@ def test_resumes_that_reach_the_server_out_of_order_both_finish(weights):
     """Two resumed sessions of one key set at once: the client reserves
     the earlier stream blocks for the first, but the second's request
     reaches the server first, at a position that is not the server's, and
-    runs a fresh base OT; the first then resumes where the server stands.
-    Neither fails, both are exact, and both take the same rounds."""
+    runs a fresh base OT, whose outcome replaces the one the first names;
+    the first then runs base OT too.  Neither fails, both are exact, and
+    both take the same rounds."""
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
     waiting, go = threading.Event(), threading.Event()
@@ -822,7 +830,7 @@ def test_resumes_that_reach_the_server_out_of_order_both_finish(weights):
         _, first = first.result()
     assert [first.transcript.rounds, second.transcript.rounds] == [ROUNDS] * 2
     assert _ot_base_sizes(first) + _ot_base_sizes(second) == [
-        ANSWER, POINTS_B]
+        POINTS_B, POINTS_B]
     assert np.array_equal(first.logits, _exact(weights))
     assert np.array_equal(second.logits, _exact(weights))
 
@@ -833,16 +841,14 @@ def test_base_ot_runs_again_once_the_stream_positions_are_spent(
     past it, where the tweak's position bits run out.  With the bound at
     two sessions' blocks, the second session resumes at the first one's
     blocks; the third, whose start would reach the bound, sends no resume
-    request and runs its own base OT.  At a server that holds no parsed
-    keys it sends the pinned first session's frame sizes, exact in the same
-    rounds, extends a new outcome from position 0, and shares no draw with
-    either session before it."""
+    request and runs its own base OT.  It sends the pinned first session's
+    frame sizes, the key blob among them though the server holds the
+    record, exact in the same rounds, extends a new outcome from position
+    0, and shares no draw with either session before it."""
     blocks = -(-_OPT1.ot_total // 128)
     monkeypatch.setattr(session, "MAX_POSITION", 2 * blocks)
     runs, held = [], []
-    for i in range(3):
-        if i == 2:
-            session._SERVER_KEYS._held.clear()
+    for _ in range(3):
         client, tap = _tapped_client(weights, 12)
         assert np.array_equal(client.logits, _exact(weights))
         assert client.transcript.rounds == ROUNDS
@@ -852,7 +858,7 @@ def test_base_ot_runs_again_once_the_stream_positions_are_spent(
     (first, first_tap), (resumed, _), (again, _) = runs
     assert first_tap.hexdigest() == DIGESTS["opt1"]
     assert [_ot_base_sizes(client) for client, _ in runs] == [
-        [POINTS_B], [ANSWER], [POINTS_B]]
+        [POINTS_B], [0], [POINTS_B]]
     assert _sizes(resumed) == _resumed_sizes(first)
     assert _sizes(again) == _sizes(first)
     assert [position for _, position in held] == [blocks, 2 * blocks,
@@ -873,7 +879,8 @@ def test_threads_extending_from_one_stored_outcome_get_the_reference_rows(
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                       client_seed=12)
     (key_set,) = session._CLIENT_KEYS._held.values()
-    (held,) = session._SERVER_OT._held.values()
+    (record,) = session._SERVER_KEYS._held.values()
+    held = record.ext
     recv_leaves, send_leaves = key_set.ext.leaves, held.leaves
     M, threads, runs = 1500, 4, 20
 
@@ -1038,8 +1045,13 @@ class _CountingHashlib:
         return hashlib.sha256(data)
 
 
-def _answer_2(blob: bytearray):
-    blob[0] = 2
+def _one_byte_long(blob: bytearray):
+    blob.append(0)
+
+
+def _point_off_curve(blob: bytearray):
+    """accept's point A, `POINT_A`, as no compressed P-256 point."""
+    blob[:] = bytes(POINT_BYTES)
 
 
 def test_key_work_per_session(weights, monkeypatch):
@@ -1047,9 +1059,8 @@ def test_key_work_per_session(weights, monkeypatch):
     server hashes and parses that blob, in the key set's first session
     only.  Resumed sessions make, hash and parse none: their accept is the
     89-byte digest, point A and resume request.  A failed session drops
-    the client's outcome and keeps its keys, so the next session makes no
-    key and runs a base OT, and the server, which still holds the keys,
-    asks for no blob.  A new seed makes and parses a new key set.  An
+    nothing, so the next session makes no key and resumes where both
+    parties stand.  A new seed makes and parses a new key set.  An
     unseeded client takes the same path under seed None: its first session
     makes the process's key set from OS entropy, the only one the client
     store then holds under None, and its second makes, hashes and parses
@@ -1072,23 +1083,23 @@ def test_key_work_per_session(weights, monkeypatch):
     first, resumed = DIGEST_BYTES + POINT_BYTES, 89
     assert resumed == first + REQUEST_BYTES
     assert run() == ((1, 1, 2), [POINTS_B], first)
-    assert run() == run() == ((0, 0, 0), [ANSWER], resumed)
+    assert run() == run() == ((0, 0, 0), [0], resumed)
 
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, OT_BASE, _answer_2),
+            _EditFirstFrame(conn, OT_BASE, _one_byte_long),
             CFG, weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
     assert isinstance(server_err, ProtocolError)
     assert _key_work(calls) == (0, 0)
     assert hashing.blobs == 0
-    assert run() == ((0, 0, 0), [POINTS_B], first)
+    assert run() == ((0, 0, 0), [0], resumed)
     assert run(client_seed=14) == ((1, 1, 2), [POINTS_B], first)
 
     held = list(session._CLIENT_KEYS._held)
     assert run(client_seed=None) == ((1, 1, 2), [POINTS_B], first)
-    assert run(client_seed=None) == ((0, 0, 0), [ANSWER], resumed)
+    assert run(client_seed=None) == ((0, 0, 0), [0], resumed)
     unseeded = (_OPT1.params, _OPT1.rotations, None)
     assert list(session._CLIENT_KEYS._held) == [*held, unseeded]
     digest = session._CLIENT_KEYS._held[unseeded].digest
@@ -1100,12 +1111,13 @@ def test_key_work_per_session(weights, monkeypatch):
 def test_no_two_sessions_of_a_key_set_share_a_draw(weights, monkeypatch):
     """Every session with a key set draws on from where the key set's one
     generator stands.  Four sessions of one seed -- a first, a resumed
-    one, one that fails at ot-base and one that then runs base OT again --
-    share no c1 seed of a fresh ciphertext, no point A, no stage's OT
-    choice bits and, between the two base OTs, no tree level's sums.  The
-    server seed stays fixed, so its points B and masks repeat, and the
-    second base OT's sums and choice bits differ from the first's by the
-    client's draws alone.  Two unseeded sessions, the second
+    one, one that the server refuses at accept, which leaves the client a
+    session past the server's position, and one that then runs base OT
+    again -- share no c1 seed of a fresh ciphertext, no point A, no
+    stage's OT choice bits and, between the two base OTs, no tree level's
+    sums.  The server seed stays fixed, so its points B and masks repeat,
+    and the second base OT's sums and choice bits differ from the first's
+    by the client's draws alone.  Two unseeded sessions, the second
     resuming the first's OT on the process's one key set, share none
     either, and no int seeds their keys or their evaluators: both draw
     from the generator the key set keeps."""
@@ -1116,9 +1128,9 @@ def test_no_two_sessions_of_a_key_set_share_a_draw(weights, monkeypatch):
         assert _ot_base_sizes(client) == [ot_base]
         return tap
 
-    first, resumed = run(12, POINTS_B), run(12, ANSWER)
-    err, failed = _tapped_client(weights, 12, server_wrap=lambda conn: (
-        _EditFirstFrame(conn, OT_BASE, _answer_2)))
+    first, resumed = run(12, POINTS_B), run(12, 0)
+    err, failed = _tapped_client(weights, 12, client_wrap=lambda conn: (
+        _EditFirstFrame(conn, ACCEPT, _point_off_curve, POINT_A)))
     assert isinstance(err, ProtocolError)
     again = run(12, POINTS_B)
     draws = [_draws(tap) for tap in (first, resumed, again)]
@@ -1141,20 +1153,68 @@ def test_no_two_sessions_of_a_key_set_share_a_draw(weights, monkeypatch):
 
     monkeypatch.setattr(session, "keygen", keygen_)
     monkeypatch.setattr(Evaluator, "__init__", init)
-    _share_no_draw(run(None, POINTS_B), run(None, ANSWER))
+    _share_no_draw(run(None, POINTS_B), run(None, 0))
     assert len(generators) == 3
     assert all(isinstance(g, np.random.Generator) for g in generators)
 
 
+class _CutAt:
+    """One end of the transport that fails its party's send of the first
+    frame of type `ftype`, as a connection cut there would."""
+
+    def __init__(self, conn, ftype):
+        self._conn, self._ftype = conn, ftype
+
+    def send(self, data: bytes):
+        if _HEADER.unpack_from(data)[1] == self._ftype:
+            raise ProtocolError("connection cut")
+        self._conn.send(data)
+
+    def recv_exact(self, n: int) -> bytes:
+        return self._conn.recv_exact(n)
+
+    def close(self):
+        self._conn.close()
+
+
+def test_failed_sessions_leave_one_record_and_the_next_resumes(weights):
+    """Four sessions of one key set, each cut at the client's sixth frame,
+    its first stage-ot-req, once both parties have taken their stream
+    blocks: the first runs base OT and the other three resume it, so the
+    server holds one record of the key set, whose outcome is the client's,
+    at the client's position.  The next session resumes there, with an
+    empty ot-base, exact in `ROUNDS`, and shares no draw with the cut
+    sessions."""
+    blocks = -(-_OPT1.ot_total // 128)
+    taps = []
+    for server_seed in range(20, 24):
+        err, tap = _tapped_client(
+            weights, 12, server_seed=server_seed,
+            client_wrap=lambda conn: _CutAt(conn, STAGE_OT_REQ))
+        assert isinstance(err, ProtocolError)
+        assert "connection cut" in str(err)
+        taps.append(tap)
+    assert [_ot_base_sizes_of(tap) for tap in taps] == [POINTS_B, 0, 0, 0]
+    (key_set,) = session._CLIENT_KEYS._held.values()
+    (record,) = session._SERVER_KEYS._held.values()
+    assert record.ext.outcome == key_set.ext.outcome
+    assert record.ext.position == key_set.ext.position == 4 * blocks
+    client, tap = _tapped_client(weights, 12, server_seed=24)
+    assert np.array_equal(client.logits, _exact(weights))
+    assert client.transcript.rounds == ROUNDS
+    assert _ot_base_sizes(client) == [0]
+    _share_no_draw(*taps, tap)
+
+
 def test_key_sets_past_the_server_key_store_send_their_blob(weights,
                                                            monkeypatch):
-    """Two seeded key sets take turns at a server that keeps parsed keys
-    for one.  Each resumed session finds its keys evicted: it still
-    resumes its OT extension (ot-base carries no points B), the server
-    asks for the key blob and parses it, and the session is exact in
-    `ROUNDS`, its client sending exactly a resumed session's bytes and the
-    blob.  A seeded client that reruns base OT after a failed session,
-    while the server still holds its keys, sends no blob."""
+    """Two seeded key sets take turns at a server that keeps the record of
+    one.  Each comes back with a resume request for a record the server
+    dropped, keys and outcome together: the server answers with points B,
+    the client sends its key blob with the seed messages, and the server
+    parses it again.  Each such session is exact in `ROUNDS`, its client
+    sending a first session's bytes and the resume request.  A key set
+    that comes straight back resumes and sends no blob."""
     monkeypatch.setattr(session, "_SERVER_KEYS", session._Store(1))
     calls = _count_key_work(monkeypatch)
 
@@ -1167,29 +1227,22 @@ def test_key_sets_past_the_server_key_store_send_their_blob(weights,
         return (_key_work(calls)[1], _ot_base_sizes(client),
                 client.transcript.bytes_sent)
 
-    assert run(12)[:2] == (1, [POINTS_B])
-    parses, ot_base, resumed = run(12)
-    assert (parses, ot_base) == (0, [ANSWER])
-    assert run(14)[:2] == (1, [POINTS_B])
+    parses, ot_base, first = run(12)
+    assert (parses, ot_base) == (1, [POINTS_B])
+    resumed = run(12)
+    assert resumed == (0, [0], first - KEY_BLOB_BYTES - 32 * LAMBDA
+                       + REQUEST_BYTES)
+    assert run(14) == (1, [POINTS_B], first)
     for client_seed in (12, 14, 12):
-        assert run(client_seed) == (1, [ANSWER], resumed + KEY_BLOB_BYTES)
-
-    server_err, client_err = run_pair(
-        _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, OT_BASE, _answer_2),
-            CFG, weights, "opt1", seed=11)),
-        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
-    assert isinstance(client_err, ProtocolError)
-    assert isinstance(server_err, ProtocolError)
-    assert run(12) == (0, [POINTS_B],
-                       resumed - REQUEST_BYTES + 32 * LAMBDA)
+        assert run(client_seed) == (1, [POINTS_B], first + REQUEST_BYTES)
+    assert run(12) == resumed
 
 
 def test_keys_the_server_found_outlive_their_eviction(weights, monkeypatch):
-    """A server that answered that it holds a key set's keys keeps them
-    for the session.  A resumed session's client-setup reaches a server
-    with a one-entry key store only once another key set's first session
-    has evicted those keys; the session still finishes, exact and in
+    """A server keeps the record of a key set it read at accept for the
+    whole session.  A resumed session's client-setup reaches a server with
+    a one-record store only once another key set's first session has
+    evicted that record; the session still finishes, exact and in
     `ROUNDS`, and its client sends no blob."""
     monkeypatch.setattr(session, "_SERVER_KEYS", session._Store(1))
     private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
@@ -1213,35 +1266,9 @@ def test_keys_the_server_found_outlive_their_eviction(weights, monkeypatch):
         server, client = resumed.result()
     assert np.array_equal(client.logits, _exact(weights))
     assert server.transcript.rounds == client.transcript.rounds == ROUNDS
-    assert _ot_base_sizes(client) == [ANSWER]
+    assert _ot_base_sizes(client) == [0]
     assert client.transcript.frames[3].nbytes == (
         COLUMNS * COLUMN_BYTES + _OPT1.nbytes(_OPT1.input_layout, fresh=True))
-
-
-@pytest.mark.parametrize("resumed", [False, True], ids=["first", "resumed"])
-@pytest.mark.parametrize("answer", [2, 255])
-def test_client_refuses_an_answer_byte_other_than_0_or_1(weights, resumed,
-                                                          answer):
-    """ot-base opens with the server's answer for the key set accept
-    names: 0 if it holds those keys, 1 if it wants the blob.  The client
-    refuses any other value, in a first or a resumed session, and sends no
-    client-setup."""
-    if resumed:
-        private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
-                          client_seed=12)
-
-    def answer_with(blob: bytearray):
-        blob[0] = answer
-
-    server_err, client_err = run_pair(
-        _caught(lambda conn: run_server(
-            _EditFirstFrame(conn, OT_BASE, answer_with),
-            CFG, weights, "opt1", seed=11)),
-        _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
-    assert isinstance(client_err, ProtocolError)
-    assert f"ot-base answers {answer}" in str(client_err)
-    assert isinstance(server_err, ProtocolError)
-    assert "peer closed" in str(server_err)
 
 
 def _flip_first(blob: bytearray):
@@ -1256,18 +1283,35 @@ def test_server_refuses_a_key_blob_off_its_digest(weights, monkeypatch,
                                                   ftype, span):
     """A key blob whose SHA-256 is not the digest accept named, the blob's
     byte or the digest's flipped, is refused with a ProtocolError before
-    the server parses it, and the server keeps no keys."""
-    monkeypatch.setattr(session, "public_keys_from_bytes", lambda *_: (
-        pytest.fail("parsed a refused key blob")))
-    server_err, client_err = run_pair(
-        _caught(lambda conn: run_server(conn, CFG, weights, "opt1", seed=11)),
-        _caught(lambda conn: run_client(
-            _EditFirstFrame(conn, ftype, _flip_first, span), TOKENS,
-            seed=12)))
-    assert isinstance(server_err, ProtocolError)
-    assert "does not hash to the digest" in str(server_err)
-    assert isinstance(client_err, ProtocolError)
+    the server parses it: in a first session, after which the server
+    holds no record, and in a base-OT session at a server that holds the
+    key set's record, its resume request refused, after which the record
+    keeps its outcome at its position."""
+    def refused(wrap):
+        with monkeypatch.context() as patched:
+            patched.setattr(session, "public_keys_from_bytes", lambda *_: (
+                pytest.fail("parsed a refused key blob")))
+            server_err, client_err = run_pair(
+                _caught(lambda conn: run_server(conn, CFG, weights, "opt1",
+                                                seed=11)),
+                _caught(lambda conn: run_client(
+                    _EditFirstFrame(wrap(conn), ftype, _flip_first, span),
+                    TOKENS, seed=12)))
+        assert isinstance(server_err, ProtocolError)
+        assert "does not hash to the digest" in str(server_err)
+        assert isinstance(client_err, ProtocolError)
+
+    refused(lambda conn: conn)
     assert not session._SERVER_KEYS._held
+    private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
+                      client_seed=12)
+    (record,) = session._SERVER_KEYS._held.values()
+    outcome, position = record.ext, record.ext.position
+    refused(lambda conn: _EditFirstFrame(conn, ACCEPT, _position_plus_one,
+                                         slice(-REQUEST_BYTES, None)))
+    (held,) = session._SERVER_KEYS._held.values()
+    assert held is record
+    assert record.ext is outcome and outcome.position == position
 
 
 def test_key_sets_past_the_client_store_are_made_again(weights,
@@ -1276,9 +1320,9 @@ def test_key_sets_past_the_client_store_are_made_again(weights,
     each comes back to find its key set evicted, makes it again and runs a
     fresh base OT, and a key set that comes straight back resumes.  Every
     session is exact and takes the same rounds.  A key set made again is
-    the one its seed made first: the server holds parsed keys under its
-    blob's digest and asks for no blob, and its session sends the pinned
-    first session's bytes less the blob."""
+    the one its seed made first: the server holds a record under its
+    blob's digest and parses no key, and the session sends the pinned
+    first session's bytes, the blob among them."""
     monkeypatch.setattr(session, "_CLIENT_KEYS", session._Store(2))
     calls = _count_key_work(monkeypatch)
     seeds = (12, 14, 16)
@@ -1295,8 +1339,8 @@ def test_key_sets_past_the_client_store_are_made_again(weights,
         ot_base += _ot_base_sizes(client)
         sent.append(client.transcript.bytes_sent)
     assert key_work == [(1, 1)] * 3 + [(1, 0)] * 3 + [(0, 0)]
-    assert ot_base == [POINTS_B] * 6 + [ANSWER]
-    assert sent[3] == sent[0] - KEY_BLOB_BYTES
+    assert ot_base == [POINTS_B] * 6 + [0]
+    assert sent[3] == sent[0]
 
 
 def _halve(doubled: np.ndarray) -> np.ndarray:
@@ -1377,7 +1421,7 @@ def test_no_offset_garbles_a_namespace_twice_across_sessions(weights,
     offset delta, so the stream position each session starts at must keep
     their tweak namespaces apart.  Over one key set's sessions -- a first,
     two resumed one after the other, two resumed at once, one that fails
-    at its third stage and the base-OT rerun after it -- the server
+    at its third stage and the one that resumes after it -- the server
     garbles no (delta, namespace) pair twice, and the client evaluates
     every walk it gets under the namespace the server garbled it with,
     walk by walk.  Every server seed is fresh: a fixed one replays its s,
@@ -1419,8 +1463,8 @@ def test_no_offset_garbles_a_namespace_twice_across_sessions(weights,
         assert np.array_equal(client.logits, _exact(weights))
         assert client.transcript.rounds == ROUNDS
     assert [_ot_base_sizes(client) for _, client in results[:3]] == [
-        [POINTS_B], [ANSWER], [ANSWER]]
-    assert _ot_base_sizes(results[-1][1]) == [POINTS_B]
+        [POINTS_B], [0], [0]]
+    assert _ot_base_sizes(results[-1][1]) == [0]
 
     stages = len(CFG.plan("opt1").encoders[0])
     namespaces = {i: [ns for _, ns in walks] for i, walks in garbled.items()}
@@ -1431,9 +1475,11 @@ def test_no_offset_garbles_a_namespace_twice_across_sessions(weights,
         assert len(evaluated[i]) == (2 if i == 5 else stages)
     pairs = [pair for walks in garbled.values() for pair in walks]
     assert len(set(pairs)) == len(pairs)
-    # the first three sessions share one offset, the rerun has its own
+    # the first three sessions share one offset, and the failed session
+    # and the one after it share one
     delta = {i: {d for d, _ in garbled[i]} for i in garbled}
-    assert delta[0] == delta[1] == delta[2] != delta[6]
+    assert delta[0] == delta[1] == delta[2]
+    assert delta[5] == delta[6]
     assert all(len(d) == 1 for d in delta.values())
 
 
@@ -1500,12 +1546,12 @@ def test_frame_sizes_do_not_depend_on_the_seeds(weights):
                       for f in server.transcript.frames])
     assert sizes[0] == sizes[1]
     by_name = {name: nbytes for _, name, nbytes in sizes[0]}
-    # the blob's digest and point A; the answer byte and the points B; a
-    # blob of four Galois keys of b k^2 n / 8 + 16 bytes (b = 50, k = 3,
-    # n = 512), the tree-level sums, the columns and the input
+    # the blob's digest and point A; the points B; a blob of four Galois
+    # keys of b k^2 n / 8 + 16 bytes (b = 50, k = 3, n = 512), the
+    # tree-level sums, the columns and the input
     assert _OPT1.params.residue_bits == 50
     assert by_name["accept"] == 65 == DIGEST_BYTES + POINT_BYTES
-    assert by_name["ot-base"] == 4_225 == 1 + LAMBDA * POINT_BYTES
+    assert by_name["ot-base"] == 4_224 == LAMBDA * POINT_BYTES
     assert KEY_BLOB_BYTES == 115_264 == 4 * (50 * 9 * 512 // 8 + 16)
     assert by_name["client-setup"] == (
         KEY_BLOB_BYTES + LEVEL_BYTES + COLUMNS * COLUMN_BYTES
@@ -1521,11 +1567,11 @@ HE_SMALL = ModelConfig(vocab=32, seq_len=8, dim=16, ff_dim=32, n_layers=2,
 @pytest.mark.parametrize("cfg,mode,c2s,s2c,gc", [
     pytest.param(CFG, "baseline", None, None, None, id="baseline"),
     # byte totals on the benchmark's three workloads' shapes
-    pytest.param(CFG, "opt1", 371_969, 578_002, 363_176, id="opt1"),
+    pytest.param(CFG, "opt1", 371_969, 578_001, 363_176, id="opt1"),
     pytest.param(CFG, "opt2", None, None, None, id="opt2"),
-    pytest.param(GC_L16, "baseline", 582_849, 5_145_554, 4_933_712,
+    pytest.param(GC_L16, "baseline", 582_849, 5_145_553, 4_933_712,
                  id="gc-l16-baseline"),
-    pytest.param(HE_SMALL, "opt2", 1_203_009, 4_494_290, 4_067_792,
+    pytest.param(HE_SMALL, "opt2", 1_203_009, 4_494_289, 4_067_792,
                  id="he-small-opt2"),
 ])
 def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
@@ -1558,9 +1604,9 @@ def test_stage_open_carries_one_correction_word_per_output_bit(cfg, mode,
 
 
 @pytest.mark.parametrize("cfg,mode,c2s,s2c,gc", [
-    pytest.param(GC_L16, "baseline", 463_513, 5_141_330, 4_933_712,
+    pytest.param(GC_L16, "baseline", 463_513, 5_141_329, 4_933_712,
                  id="gc-l16-baseline"),
-    pytest.param(HE_SMALL, "opt2", 1_110_761, 4_490_066, 4_067_792,
+    pytest.param(HE_SMALL, "opt2", 1_110_761, 4_490_065, 4_067_792,
                  id="he-small-opt2"),
 ])
 def test_resumed_session_bytes_on_the_benchmark_shapes(cfg, mode, c2s, s2c,
@@ -1827,7 +1873,7 @@ def test_resumed_session_over_tcp_reproduces_the_digest(weights):
         server, client = fs.result(), fc.result()
     assert np.array_equal(client.logits,
                           forward_fixed(CFG, weights, TOKENS, "opt1").logits)
-    assert server.transcript.frames[2].nbytes == ANSWER
+    assert server.transcript.frames[2].nbytes == 0
     assert sconn.hexdigest() == cconn.hexdigest() == RESUMED_DIGESTS["opt1"]
 
 
@@ -1971,12 +2017,13 @@ def test_server_refuses_share_without_its_copies(weights):
 # 128 x 32 bytes, then the correction columns, COLUMNS x ceil(ot_total / 8)
 LEVEL_BYTES = 32 * LAMBDA
 COLUMN_BYTES = -(-_OPT1.ot_total // 8)
-# client-setup's four forms, by what the server's ot-base asked for: the key
-# blob, if the server wanted it, and the tree-level messages, if it sent
-# points B
+# client-setup's two forms: after points B the key blob and the tree-level
+# messages, then the columns and the input; after an empty ot-base the
+# columns and the input.  By what the server does with the frame: whether
+# it takes the keys from the blob, which it does in a first session only,
+# and whether it runs base OT
 CLIENT_SETUP_FORMS = {
     "keys-and-base-ot": (True, True),
-    "keys": (True, False),
     "base-ot": (False, True),
     "resumed": (False, False),
 }
@@ -1986,14 +2033,14 @@ def _client_setup_form(weights, form: str) -> int:
     """Leaves the party stores so that the next session of seeds 11 and 12
     sends client-setup in `form`; returns that frame's size."""
     keys, base_ot = CLIENT_SETUP_FORMS[form]
-    if not (keys and base_ot):
+    if not keys:
         private_inference(CFG, weights, TOKENS, "opt1", server_seed=11,
                           client_seed=12)
-        for evict, store in ((keys, session._SERVER_KEYS),
-                             (base_ot, session._SERVER_OT)):
-            if evict:
-                store._held.clear()
-    return (KEY_BLOB_BYTES * keys + LEVEL_BYTES * base_ot
+    if base_ot and not keys:
+        # no resume request: a base-OT session at a server with the record
+        (key_set,) = session._CLIENT_KEYS._held.values()
+        key_set.ext = None
+    return ((KEY_BLOB_BYTES + LEVEL_BYTES) * base_ot
             + COLUMNS * COLUMN_BYTES
             + _OPT1.nbytes(_OPT1.input_layout, fresh=True))
 
@@ -2024,16 +2071,16 @@ def _levels_long(blob: bytearray):
 ])
 def test_server_refuses_client_setup_off_the_plan(weights, form, edit,
                                                   change):
-    """client-setup carries the key blob if the server's answer byte asked
-    for it, the tree-level messages if it sent points B, then
-    LAMBDA / K - 1 correction columns and the input.  In each of these
-    four forms a frame one byte short or long, and in the first form a
-    block of IKNP's 128 columns or level messages one byte short or long,
-    is refused from the frame's header: the server has read accept and not
-    one byte of client-setup's payload."""
+    """client-setup carries the key blob and the tree-level messages if
+    the server sent points B, then LAMBDA / K - 1 correction columns and
+    the input.  In a first session, in a base-OT session at a server that
+    holds the key set's record and in a resumed session, a frame one byte
+    short or long, and in the first a block of IKNP's 128 columns or level
+    messages one byte short or long, is refused from the frame's header:
+    the server has read accept and not one byte of client-setup's
+    payload."""
     want = _client_setup_form(weights, form)
-    accept = DIGEST_BYTES + POINT_BYTES + REQUEST_BYTES * (
-        form != "keys-and-base-ot")
+    accept = DIGEST_BYTES + POINT_BYTES + REQUEST_BYTES * (form == "resumed")
     counting = {}
 
     def server(conn):
@@ -2249,15 +2296,15 @@ def test_server_refuses_bad_base_ot_point(weights):
 
 
 def test_client_refuses_base_ot_list_one_point_short(weights):
-    """The ot-base frame must hold the answer byte and exactly 128 points
-    of 33 bytes."""
+    """The ot-base frame of a first session must hold exactly 128 points of
+    33 bytes."""
     server_err, client_err = run_pair(
         _caught(lambda conn: run_server(
             _EditFirstFrame(conn, OT_BASE, _one_point_short), CFG,
             weights, "opt1", seed=11)),
         _caught(lambda conn: run_client(conn, TOKENS, seed=12)))
     assert isinstance(client_err, ProtocolError)
-    assert "ot-base frame of 4192 bytes, the plan's has 4225" in \
+    assert "ot-base frame of 4191 bytes, the plan's has 4224" in \
         str(client_err)
     assert isinstance(server_err, ProtocolError)
 
@@ -2702,7 +2749,7 @@ def test_geometry_rotation_keys_are_exactly_the_products_use(cfg, steps,
     ev.col_rotate_many = recording
     rng = np.random.default_rng(5)
     L = cfg.seq_len
-    for d_in, d_out in geom.products:
+    for d_in, d_out in _old_products(cfg):
         X = rng.integers(0, geom.p, (L, d_in), dtype=np.uint64)
         W = rng.integers(1, geom.p, (d_in, d_out), dtype=np.uint64)
         out = colblock_matmul(ev, pack_colblocks(ev, X, steps=geom.steps), W)
@@ -2815,13 +2862,13 @@ def _old_products(cfg):
 def test_layouts_derived_from_the_plan_match_the_old_table(cfg):
     """In every mode, the stage-input and share layouts the geometry derives
     from the products reading each tensor equal the old table and copy rule,
-    the plain-weight product shapes equal the old list, and every product
-    reads "x", a weight or an earlier tag of its layer, with agreeing inner
-    widths."""
+    the plan's plain-weight product shapes equal the old list, and every
+    product reads "x", a weight or an earlier tag of its layer, with
+    agreeing inner widths."""
     L, d, ff = cfg.seq_len, cfg.dim, cfg.ff_dim
     for mode in MODES:
         geom = session_geometry(cfg, mode)
-        assert list(geom.products) == _old_products(cfg)
+        products = {}   # (in, out) widths, each shape once, in plan order
         for e, enc in enumerate(geom.plan.encoders):
             shapes = {"x": (L, cfg.vocab if e == 0 else d),
                       "wqkv": (cfg.vocab if e == 0 else d, 3 * d),
@@ -2837,5 +2884,8 @@ def test_layouts_derived_from_the_plan_match_the_old_table(cfg):
                 a, b = shapes[spec.left][::-1 if spec.t_left else 1]
                 c, f = shapes[spec.right][::-1 if spec.t_right else 1]
                 assert b == c and (a, f) == (spec.rows, spec.row_len)
+                if spec.plain:
+                    products[b, f] = None
                 shapes.update((g.tag, (spec.rows, g.count // spec.rows))
                               for g in spec.groups)
+        assert list(products) == _old_products(cfg)
